@@ -10,102 +10,26 @@
 //!   aggressive back end — and that same back end hurts it on the
 //!   conditional-heavy APPSP and TOMCATV despite equal parallelism.
 //!
-//! Alongside the simulated numbers, every kernel is also executed on
-//! the **real-thread backend** (`ExecMode::Threaded`, static schedule)
-//! and the serial interpreter, and their wall clocks are shown so the
-//! cycle model can be compared against reality on this host.
+//! Every number is a ratio of simulated cycle counts, so the output is
+//! identical on every host; wall-clock measurements live in `benchmark/`.
 //!
 //! ```text
-//! figure7 [--json [PATH]] [--only NAME,NAME,...] [--threads N]
-//!   --json [PATH]  also write a machine-readable perf trajectory
+//! figure7 [--json [PATH]] [--only NAME,NAME,...]
+//!   --json [PATH]  also write the figure as a JSON document
 //!                  (default PATH: BENCH_figure7.json)
 //!   --only LIST    restrict to a comma-separated subset of kernels
-//!   --threads N    thread count for the real-thread column (default 8)
 //! ```
 
-use polaris_bench::{
-    adaptive_row, bar, engine_row, irregular_row, nest_row, obs_breakdown, oracle_report,
-    speedups, threaded_row, verify_row, AdaptiveRow, EngineRow, IrregularRow, NestRow,
-    ObsBreakdown, SpeedupRow, ThreadedRow, VerifyRow,
-};
-use polaris_core::PassOptions;
-use std::collections::BTreeMap;
+use polaris_bench::{bar, speedups, SpeedupRow};
+use polaris_obs::json::{escape, num};
 use std::process::ExitCode;
 
-const SCHEMA: &str = "polaris-bench/figure7/v8";
-
-/// Serial-wall repetitions per engine for the v5 engine columns.
-const ENGINE_REPS: usize = 3;
-
-/// Dependence-oracle results aggregated over the kernels in the run:
-/// how often the compiler's serial verdicts are contradicted by the
-/// dynamic behaviour (completeness), attributed per pass; soundness
-/// violations are a hard harness failure.
-#[derive(Default)]
-struct OracleAgg {
-    violations: usize,
-    serial_loops: usize,
-    completeness_misses: usize,
-    privatizable_misses: usize,
-    misses_by_pass: BTreeMap<&'static str, usize>,
-}
-
-impl OracleAgg {
-    fn add(&mut self, r: &polaris_runtime::OracleReport) {
-        self.violations += r.violations().count();
-        self.serial_loops += r.serial_loops_exercised();
-        self.completeness_misses += r.completeness_misses();
-        self.privatizable_misses += r.privatizable_misses();
-        for (pass, n) in r.misses_by_pass() {
-            *self.misses_by_pass.entry(pass).or_default() += n;
-        }
-    }
-
-    fn miss_rate(&self) -> f64 {
-        if self.serial_loops == 0 {
-            0.0
-        } else {
-            self.completeness_misses as f64 / self.serial_loops as f64
-        }
-    }
-}
-
-/// Static-verification results aggregated over the kernels in the run
-/// (schema v4 `verify` block): inter-pass invariant totals, static race
-/// verdicts, and the static-vs-oracle agreement. A soundness failure —
-/// static `clean` contradicted by an observed dynamic dependence — is a
-/// hard harness failure, same as an oracle violation.
-#[derive(Default)]
-struct VerifyAgg {
-    invariants_checked: u64,
-    invariant_violations: u64,
-    parallel_claims: usize,
-    clean: usize,
-    needs_privatization: usize,
-    potential_race: usize,
-    compared: usize,
-    precision_misses: usize,
-    soundness_failures: usize,
-}
-
-impl VerifyAgg {
-    fn add(&mut self, r: &VerifyRow) {
-        self.invariants_checked += r.invariants_checked;
-        self.invariant_violations += r.invariant_violations;
-        self.parallel_claims += r.parallel_claims;
-        self.clean += r.clean;
-        self.needs_privatization += r.needs_privatization;
-        self.potential_race += r.potential_race;
-        self.compared += r.compared;
-        self.precision_misses += r.precision_misses;
-        self.soundness_failures += r.soundness_failures;
-    }
-}
+const SCHEMA: &str = "polaris-bench/figure7/v9";
+const PROCS: usize = 8;
 
 fn main() -> ExitCode {
     let mut json_path: Option<String> = None;
     let mut only: Option<Vec<String>> = None;
-    let mut threads = 8usize;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -125,18 +49,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--threads" => {
-                threads = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(0) | None => {
-                        eprintln!("figure7: --threads needs a positive count");
-                        return ExitCode::FAILURE;
-                    }
-                    Some(n) => n,
-                };
-            }
             other => {
                 eprintln!("figure7: unknown option `{other}`");
-                eprintln!("usage: figure7 [--json [PATH]] [--only NAME,NAME,...] [--threads N]");
+                eprintln!("usage: figure7 [--json [PATH]] [--only NAME,NAME,...]");
                 return ExitCode::FAILURE;
             }
         }
@@ -150,265 +65,42 @@ fn main() -> ExitCode {
         eprintln!("figure7: --only matched no kernels");
         return ExitCode::FAILURE;
     }
-    let total = benches.len();
 
-    println!("Figure 7: Speedup on 8 processors — Polaris vs VFA (PFA-like baseline)");
+    println!("Figure 7: Speedup on {PROCS} processors — Polaris vs VFA (PFA-like baseline)");
     println!();
     println!(
-        "{:<9} {:>8} {:>8} {:>11} {:>9} {:>7}   0        2        4        6        8",
-        "Program", "Polaris", "VFA", "serial(ms)", "thr(ms)", "vm(x)"
+        "{:<9} {:>8} {:>8}   0        2        4        6        8",
+        "Program", "Polaris", "VFA"
     );
-    println!("{:-<104}", "");
-    let mut wins_p = 0;
-    let mut wins_v = 0;
-    let mut rows: Vec<(SpeedupRow, ThreadedRow, ObsBreakdown, EngineRow)> = Vec::new();
-    let mut oracle = OracleAgg::default();
-    let mut verify = VerifyAgg::default();
-    for b in &benches {
-        let row = speedups(b, 8);
-        let thr = threaded_row(b, threads);
-        let obs = obs_breakdown(b, &PassOptions::polaris());
-        let eng = engine_row(b, ENGINE_REPS);
-        oracle.add(&oracle_report(b));
-        verify.add(&verify_row(b));
+    println!("{:-<74}", "");
+    let rows: Vec<SpeedupRow> = benches.iter().map(|b| speedups(b, PROCS)).collect();
+    for row in &rows {
         println!(
-            "{:<9} {:>7.2}x {:>7.2}x {:>11.2} {:>9.2} {:>6.2}x   P|{}",
+            "{:<9} {:>7.2}x {:>7.2}x   P|{}",
             row.name,
             row.polaris,
             row.vfa,
-            thr.serial_wall.as_secs_f64() * 1e3,
-            thr.threaded_wall.as_secs_f64() * 1e3,
-            eng.vm_speedup(),
             bar(row.polaris, 8.0)
         );
-        println!(
-            "{:<9} {:>8} {:>8} {:>11} {:>9} {:>7}   V|{}",
-            "", "", "", "", "", "",
-            bar(row.vfa, 8.0)
-        );
-        if row.polaris > row.vfa * 1.02 {
-            wins_p += 1;
-        } else if row.vfa > row.polaris * 1.02 {
-            wins_v += 1;
-        }
-        rows.push((row, thr, obs, eng));
+        println!("{:<9} {:>8} {:>8}   V|{}", "", "", "", bar(row.vfa, 8.0));
     }
-    println!("{:-<104}", "");
-    type Row = (SpeedupRow, ThreadedRow, ObsBreakdown, EngineRow);
-    let geo = |f: &dyn Fn(&Row) -> f64| -> f64 {
+    println!("{:-<74}", "");
+    let geo = |f: fn(&SpeedupRow) -> f64| -> f64 {
         (rows.iter().map(|r| f(r).ln()).sum::<f64>() / rows.len() as f64).exp()
     };
-    let geo_polaris = geo(&|r| r.0.polaris);
-    let geo_vfa = geo(&|r| r.0.vfa);
-    let geo_real = geo(&|r| r.1.real_speedup());
-    let geo_engine = geo(&|r| r.3.vm_speedup());
+    let geo_polaris = geo(|r| r.polaris);
+    let geo_vfa = geo(|r| r.vfa);
+    let ahead_polaris = rows.iter().filter(|r| r.polaris > r.vfa * 1.02).count();
+    let ahead_vfa = rows.iter().filter(|r| r.vfa > r.polaris * 1.02).count();
+    println!("geometric mean: Polaris {geo_polaris:.2}x   VFA {geo_vfa:.2}x");
     println!(
-        "geometric mean: Polaris {geo_polaris:.2}x   VFA {geo_vfa:.2}x   \
-         real-thread wall {geo_real:.2}x   bytecode VM over tree-walker {geo_engine:.2}x"
-    );
-    if geo_engine < 2.0 {
-        eprintln!(
-            "figure7: warning: bytecode VM geomean {geo_engine:.2}x is below the 2x \
-             floor the perf-trajectory gate enforces (debug build or loaded host?)"
-        );
-    }
-    println!(
-        "Polaris clearly ahead on {wins_p} of {total} codes; baseline ahead on {wins_v} \
-         (paper: PFA ahead on 2)."
-    );
-    println!(
-        "oracle: {} soundness violation(s); {} of {} exercised serial loops dynamically \
-         independent (completeness-miss rate {:.3})",
-        oracle.violations,
-        oracle.completeness_misses,
-        oracle.serial_loops,
-        oracle.miss_rate()
-    );
-    if oracle.violations > 0 {
-        eprintln!("figure7: the dependence oracle observed a race in a PARALLEL loop");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "verify: {} invariant check(s), {} violation(s); static race verdicts over {} \
-         PARALLEL claim(s): {} clean / {} needs-privatization / {} potential-race; \
-         agreement over {} claim(s): {} precision miss(es), {} soundness failure(s)",
-        verify.invariants_checked,
-        verify.invariant_violations,
-        verify.parallel_claims,
-        verify.clean,
-        verify.needs_privatization,
-        verify.potential_race,
-        verify.compared,
-        verify.precision_misses,
-        verify.soundness_failures
-    );
-    if verify.soundness_failures > 0 {
-        eprintln!(
-            "figure7: static race detector called a loop clean that the oracle saw violate"
-        );
-        return ExitCode::FAILURE;
-    }
-    if verify.invariant_violations > 0 {
-        eprintln!("figure7: the inter-pass verifier caught ill-formed IR during compilation");
-        return ExitCode::FAILURE;
-    }
-
-    // Schema v6: the irregular-kernel tier report. These six kernels are
-    // a fixed conformance set (independent of --only): each must land in
-    // its pinned tier — statically proven parallel, or shipped to LRPD —
-    // and a static `clean` contradicted by the oracle is a hard failure.
-    println!();
-    println!(
-        "{:<9} {:>8} {:>6} {:>9} {:>7} {:>11} {:>9}",
-        "Irregular", "tier", "doall", "lrpd", "serial", "props(r/p)", "idxprop"
-    );
-    let mut irregular: Vec<IrregularRow> = Vec::new();
-    let mut tier_mismatch = false;
-    let mut static_dirty = 0usize;
-    for (b, expected) in polaris_benchmarks::irregular() {
-        let row = irregular_row(&b, expected);
-        println!(
-            "{:<9} {:>8} {:>6} {:>9} {:>7} {:>7}/{:<3} {:>9}",
-            row.name,
-            row.tier(),
-            row.parallel_loops,
-            row.speculative_loops,
-            row.serial_loops,
-            row.props_rule.0,
-            row.props_rule.1,
-            row.idxprop_proved,
-        );
-        if row.tier() != row.expected_tier {
-            eprintln!(
-                "figure7: {} landed in tier `{}`, expected `{}`",
-                row.name,
-                row.tier(),
-                row.expected_tier
-            );
-            tier_mismatch = true;
-        }
-        static_dirty += row.soundness_failures;
-        irregular.push(row);
-    }
-    let statics = irregular.iter().filter(|r| r.tier() == "static").count();
-    let lrpds = irregular.iter().filter(|r| r.tier() == "lrpd").count();
-    println!(
-        "irregular tiers: {statics} static / {lrpds} lrpd / {} serial; \
-         {static_dirty} static-clean-but-oracle-dirty",
-        irregular.len() - statics - lrpds
-    );
-    if tier_mismatch {
-        return ExitCode::FAILURE;
-    }
-    if static_dirty > 0 {
-        eprintln!("figure7: an irregular kernel's static `clean` was contradicted by the oracle");
-        return ExitCode::FAILURE;
-    }
-    // Schema v8: the nest-transformation tier report. The two locality
-    // kernels are a fixed conformance set (independent of --only): each
-    // must receive its pinned restructuring under a legality
-    // certificate, and every certificate must be re-derived and accepted
-    // by the independent `polaris-verify` re-prover — a rejected
-    // certificate is a hard failure, same as an oracle violation.
-    println!();
-    println!(
-        "{:<9} {:>12} {:>6} {:>6} {:>6} {:>6} {:>10} {:>9}",
-        "Nest", "expected", "nests", "ichg", "tile", "fuse", "precision", "reprover"
-    );
-    let mut nest: Vec<NestRow> = Vec::new();
-    let mut nest_mismatch = false;
-    let mut certs_rejected = 0usize;
-    for (b, expected) in polaris_benchmarks::locality() {
-        let row = nest_row(&b, expected);
-        println!(
-            "{:<9} {:>12} {:>6} {:>6} {:>6} {:>6} {:>10.3} {:>5}/{:<3}",
-            row.name,
-            row.expected,
-            row.summarized,
-            row.interchanges,
-            row.tiles,
-            row.fusions,
-            row.legality_precision,
-            row.reprover_accepted,
-            row.certs,
-        );
-        if !row.expected_applied() {
-            eprintln!(
-                "figure7: {} did not receive its pinned `{}` transformation",
-                row.name, row.expected
-            );
-            nest_mismatch = true;
-        }
-        certs_rejected += row.reprover_rejected;
-        nest.push(row);
-    }
-    println!(
-        "nest: {} certificate(s) emitted, {} re-proved, {} rejected by the re-prover",
-        nest.iter().map(|r| r.certs).sum::<usize>(),
-        nest.iter().map(|r| r.reprover_accepted).sum::<usize>(),
-        certs_rejected,
-    );
-    if nest_mismatch {
-        return ExitCode::FAILURE;
-    }
-    if certs_rejected > 0 {
-        eprintln!("figure7: the verify re-prover rejected an emitted legality certificate");
-        return ExitCode::FAILURE;
-    }
-
-    let cores = host_cores();
-    if cores < threads {
-        println!(
-            "(real-thread column ran {threads} workers on {cores} core(s); \
-             wall speedup reflects overhead, not scaling)"
-        );
-    }
-
-    // Schema v7: the adaptive-scheduling block. Every kernel in the run
-    // (main set plus the irregular conformance set) is measured under
-    // block vs work-stealing chunking, run twice under the adaptive
-    // dispatcher (measure → re-dispatch), and steal-rate instrumented on
-    // the real threaded stealing backend.
-    println!();
-    println!(
-        "{:<9} {:>10} {:>9} {:<12} {:<10} {:>10} {:>11}",
-        "Adaptive", "steal/blk", "adapt/blk", "strategy", "chunking", "event", "steal-rate"
-    );
-    let irregular_set = polaris_benchmarks::irregular();
-    let locality_set = polaris_benchmarks::locality();
-    let skewed = polaris_benchmarks::skewed();
-    let mut adaptive: Vec<AdaptiveRow> = Vec::new();
-    for b in benches
-        .iter()
-        .chain(irregular_set.iter().map(|(b, _)| b))
-        .chain(locality_set.iter().map(|(b, _)| b))
-        .chain(std::iter::once(&skewed))
-    {
-        let row = adaptive_row(b, 8, threads);
-        println!(
-            "{:<9} {:>9.2}x {:>8.2}x {:<12} {:<10} {:>10} {:>10.3}",
-            row.name,
-            row.steal_over_block(),
-            row.adaptive_over_block(),
-            row.chosen_strategy,
-            row.chosen_chunking,
-            row.chosen_event,
-            row.steal_rate,
-        );
-        adaptive.push(row);
-    }
-    let steal_wins = adaptive.iter().filter(|r| r.adaptive_cycles < r.block_cycles).count();
-    println!(
-        "adaptive: stealing (where chosen) beats block on {steal_wins} of {} kernels \
-         (cost model)",
-        adaptive.len()
+        "Polaris clearly ahead on {ahead_polaris} of {} codes; baseline ahead on {ahead_vfa} \
+         (paper: PFA ahead on 2).",
+        rows.len()
     );
 
     if let Some(path) = json_path {
-        let doc = render_json(
-            &rows, &irregular, &nest, &adaptive, &oracle, &verify, threads, cores,
-            geo_polaris, geo_vfa, geo_real, geo_engine,
-        );
+        let doc = render_json(&rows, geo_polaris, geo_vfa, ahead_polaris, ahead_vfa);
         if let Err(e) = std::fs::write(&path, doc) {
             eprintln!("figure7: cannot write {path}: {e}");
             return ExitCode::FAILURE;
@@ -418,269 +110,41 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Hand-rolled JSON (the workspace deliberately has no serde): one
-/// object per kernel plus run metadata and geomeans, written with a
-/// stable key order so diffs between trajectory files stay readable.
-#[allow(clippy::too_many_arguments)]
+/// One line per kernel, stable key order, six-decimal ratios: the
+/// committed golden diffs line by line when a kernel's speedup moves.
 fn render_json(
-    rows: &[(SpeedupRow, ThreadedRow, ObsBreakdown, EngineRow)],
-    irregular: &[IrregularRow],
-    nest: &[NestRow],
-    adaptive: &[AdaptiveRow],
-    oracle: &OracleAgg,
-    verify: &VerifyAgg,
-    threads: usize,
-    cores: usize,
+    rows: &[SpeedupRow],
     geo_polaris: f64,
     geo_vfa: f64,
-    geo_real: f64,
-    geo_engine: f64,
+    ahead_polaris: usize,
+    ahead_vfa: usize,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    s.push_str("  \"procs\": 8,\n");
-    s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str(&format!("  \"host_cores\": {cores},\n"));
+    s.push_str(&format!("  \"procs\": {PROCS},\n"));
     s.push_str("  \"kernels\": [\n");
-    for (i, (row, thr, obs, eng)) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", json_escape(row.name)));
-        s.push_str(&format!("      \"serial_cycles\": {},\n", row.serial_cycles));
-        s.push_str(&format!("      \"sim_speedup_polaris\": {},\n", json_f64(row.polaris)));
-        s.push_str(&format!("      \"sim_speedup_vfa\": {},\n", json_f64(row.vfa)));
+    for (i, row) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "      \"serial_wall_ms\": {},\n",
-            json_f64(thr.serial_wall.as_secs_f64() * 1e3)
+            "    {{\"name\": \"{}\", \"serial_cycles\": {}, \"sim_speedup_polaris\": {}, \
+             \"sim_speedup_vfa\": {}}}{}\n",
+            escape(row.name),
+            row.serial_cycles,
+            num(row.polaris),
+            num(row.vfa),
+            if i + 1 == rows.len() { "" } else { "," }
         ));
-        s.push_str(&format!(
-            "      \"threaded_wall_ms\": {},\n",
-            json_f64(thr.threaded_wall.as_secs_f64() * 1e3)
-        ));
-        s.push_str(&format!("      \"real_speedup\": {},\n", json_f64(thr.real_speedup())));
-        s.push_str(&format!(
-            "      \"sim_vs_real\": {},\n",
-            json_f64(thr.sim_speedup() / thr.real_speedup().max(1e-9))
-        ));
-        s.push_str(&format!("      \"checksum\": \"fnv1a:{:016x}\",\n", thr.checksum));
-        // Schema v5: serial wall per execution engine — the retained
-        // tree-walking oracle vs the bytecode VM — and their ratio.
-        s.push_str(&format!(
-            "      \"tree_serial_wall_ms\": {},\n",
-            json_f64(eng.tree_wall.as_secs_f64() * 1e3)
-        ));
-        s.push_str(&format!(
-            "      \"vm_serial_wall_ms\": {},\n",
-            json_f64(eng.vm_wall.as_secs_f64() * 1e3)
-        ));
-        s.push_str(&format!("      \"engine_speedup\": {},\n", json_f64(eng.vm_speedup())));
-        // Schema v3: per-kernel compile-time and counter breakdown from
-        // the observability recorder (pass times in real µs; counters
-        // are the stable dotted names from `polaris_obs::Counter`).
-        s.push_str("      \"obs\": {\n");
-        s.push_str(&format!("        \"compile_us\": {},\n", obs.compile_us));
-        s.push_str("        \"passes\": {");
-        for (j, (pass, us)) in obs.passes.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {us}", json_escape(pass)));
-        }
-        s.push_str("},\n");
-        s.push_str("        \"counters\": {");
-        for (j, (name, v)) in obs.counters.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {v}", json_escape(name)));
-        }
-        s.push_str("}\n");
-        s.push_str("      }\n");
-        s.push_str(if i + 1 == rows.len() { "    }\n" } else { "    },\n" });
     }
     s.push_str("  ],\n");
-    s.push_str("  \"oracle\": {\n");
-    s.push_str(&format!("    \"violations\": {},\n", oracle.violations));
-    s.push_str(&format!("    \"serial_loops_exercised\": {},\n", oracle.serial_loops));
-    s.push_str(&format!("    \"completeness_misses\": {},\n", oracle.completeness_misses));
-    s.push_str(&format!("    \"privatizable_misses\": {},\n", oracle.privatizable_misses));
-    s.push_str(&format!("    \"miss_rate\": {},\n", json_f64(oracle.miss_rate())));
-    s.push_str("    \"misses_by_pass\": {");
-    for (i, (pass, n)) in oracle.misses_by_pass.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("\"{}\": {}", json_escape(pass), n));
-    }
-    s.push_str("}\n");
-    s.push_str("  },\n");
-    // Schema v4: the static-verification block — inter-pass invariant
-    // totals, race verdicts over every PARALLEL claim, and the
-    // static-vs-oracle agreement (soundness failures must be zero; the
-    // binary exits FAILURE before writing this document otherwise).
-    s.push_str("  \"verify\": {\n");
-    s.push_str(&format!("    \"invariants_checked\": {},\n", verify.invariants_checked));
-    s.push_str(&format!("    \"invariant_violations\": {},\n", verify.invariant_violations));
-    s.push_str("    \"race\": {\n");
-    s.push_str(&format!("      \"parallel_claims\": {},\n", verify.parallel_claims));
-    s.push_str(&format!("      \"clean\": {},\n", verify.clean));
-    s.push_str(&format!("      \"needs_privatization\": {},\n", verify.needs_privatization));
-    s.push_str(&format!("      \"potential_race\": {}\n", verify.potential_race));
-    s.push_str("    },\n");
-    s.push_str("    \"agreement\": {\n");
-    s.push_str(&format!("      \"compared\": {},\n", verify.compared));
-    s.push_str(&format!("      \"precision_misses\": {},\n", verify.precision_misses));
-    s.push_str(&format!("      \"soundness_failures\": {}\n", verify.soundness_failures));
-    s.push_str("    }\n");
-    s.push_str("  },\n");
-    // Schema v6: the irregular-kernel tier block — per kernel, how its
-    // loops were classified (static doall vs LRPD speculation vs
-    // serial), which property-pass facts produced the classification,
-    // and the static-vs-oracle agreement. The tier must match the pinned
-    // expectation and `soundness_failures` must be zero (the binary
-    // exits FAILURE before writing this document otherwise).
-    s.push_str("  \"irregular\": {\n");
-    s.push_str("    \"kernels\": [\n");
-    for (i, r) in irregular.iter().enumerate() {
-        s.push_str("      {\n");
-        s.push_str(&format!("        \"name\": \"{}\",\n", json_escape(r.name)));
-        s.push_str(&format!("        \"tier\": \"{}\",\n", r.tier()));
-        s.push_str(&format!("        \"expected_tier\": \"{}\",\n", r.expected_tier));
-        s.push_str(&format!("        \"parallel_loops\": {},\n", r.parallel_loops));
-        s.push_str(&format!("        \"speculative_loops\": {},\n", r.speculative_loops));
-        s.push_str(&format!("        \"serial_loops\": {},\n", r.serial_loops));
-        s.push_str(&format!("        \"props_rule_run\": {},\n", r.props_rule.0));
-        s.push_str(&format!("        \"props_rule_proved\": {},\n", r.props_rule.1));
-        s.push_str(&format!("        \"idxprop_proved\": {},\n", r.idxprop_proved));
-        s.push_str(&format!("        \"race_clean\": {},\n", r.race_clean));
-        s.push_str(&format!("        \"race_flagged\": {},\n", r.race_flagged));
-        s.push_str(&format!("        \"soundness_failures\": {}\n", r.soundness_failures));
-        s.push_str(if i + 1 == irregular.len() { "      }\n" } else { "      },\n" });
-    }
-    s.push_str("    ],\n");
-    let statics = irregular.iter().filter(|r| r.tier() == "static").count();
-    let lrpds = irregular.iter().filter(|r| r.tier() == "lrpd").count();
-    s.push_str("    \"tiers\": {\n");
-    s.push_str(&format!("      \"static\": {statics},\n"));
-    s.push_str(&format!("      \"lrpd\": {lrpds},\n"));
-    s.push_str(&format!("      \"serial\": {}\n", irregular.len() - statics - lrpds));
-    s.push_str("    },\n");
     s.push_str(&format!(
-        "    \"static_clean_oracle_dirty\": {}\n",
-        irregular.iter().map(|r| r.soundness_failures).sum::<usize>()
-    ));
-    s.push_str("  },\n");
-    // Schema v8: the nest-transformation block — per locality kernel,
-    // the restructurings applied under a legality certificate
-    // (interchange / tile / fuse counts), the prover's precision over
-    // every candidate it judged, and the independent re-prover's
-    // verdicts over the emitted certificates. `reprover_rejected` must
-    // be zero and the pinned transformation must have been applied (the
-    // binary exits FAILURE before writing this document otherwise).
-    s.push_str("  \"nest\": {\n");
-    s.push_str("    \"kernels\": [\n");
-    for (i, r) in nest.iter().enumerate() {
-        s.push_str("      {\n");
-        s.push_str(&format!("        \"name\": \"{}\",\n", json_escape(r.name)));
-        s.push_str(&format!("        \"expected\": \"{}\",\n", r.expected));
-        s.push_str(&format!("        \"expected_applied\": {},\n", r.expected_applied()));
-        s.push_str(&format!("        \"nests_summarized\": {},\n", r.summarized));
-        s.push_str(&format!("        \"interchanges\": {},\n", r.interchanges));
-        s.push_str(&format!("        \"tiles\": {},\n", r.tiles));
-        s.push_str(&format!("        \"fusions\": {},\n", r.fusions));
-        s.push_str(&format!(
-            "        \"legality_precision\": {},\n",
-            json_f64(r.legality_precision)
-        ));
-        s.push_str(&format!("        \"certs\": {},\n", r.certs));
-        s.push_str(&format!("        \"reprover_accepted\": {},\n", r.reprover_accepted));
-        s.push_str(&format!("        \"reprover_rejected\": {}\n", r.reprover_rejected));
-        s.push_str(if i + 1 == nest.len() { "      }\n" } else { "      },\n" });
-    }
-    s.push_str("    ],\n");
-    s.push_str(&format!(
-        "    \"certs_emitted\": {},\n",
-        nest.iter().map(|r| r.certs).sum::<usize>()
+        "  \"geomean\": {{\"sim_polaris\": {}, \"sim_vfa\": {}}},\n",
+        num(geo_polaris),
+        num(geo_vfa)
     ));
     s.push_str(&format!(
-        "    \"certs_rejected\": {}\n",
-        nest.iter().map(|r| r.reprover_rejected).sum::<usize>()
+        "  \"ahead\": {{\"polaris\": {ahead_polaris}, \"vfa\": {ahead_vfa}, \"of\": {}}}\n",
+        rows.len()
     ));
-    s.push_str("  },\n");
-    // Schema v7: the adaptive-scheduling block — per kernel, the cost
-    // model's block vs work-stealing cycles, the strategy/chunking the
-    // adaptive dispatcher settles on by its second invocation (event
-    // "redispatch" once a loop has been measured), and the steal rate
-    // observed on the real threaded stealing backend. All measurements
-    // asserted output-identical to serial before being reported.
-    s.push_str("  \"adaptive\": {\n");
-    s.push_str("    \"kernels\": [\n");
-    for (i, r) in adaptive.iter().enumerate() {
-        s.push_str("      {\n");
-        s.push_str(&format!("        \"name\": \"{}\",\n", json_escape(r.name)));
-        s.push_str(&format!("        \"block_cycles\": {},\n", r.block_cycles));
-        s.push_str(&format!("        \"steal_cycles\": {},\n", r.steal_cycles));
-        s.push_str(&format!("        \"adaptive_cycles\": {},\n", r.adaptive_cycles));
-        s.push_str(&format!(
-            "        \"steal_over_block\": {},\n",
-            json_f64(r.steal_over_block())
-        ));
-        s.push_str(&format!(
-            "        \"adaptive_over_block\": {},\n",
-            json_f64(r.adaptive_over_block())
-        ));
-        s.push_str(&format!(
-            "        \"chosen_strategy\": \"{}\",\n",
-            json_escape(&r.chosen_strategy)
-        ));
-        s.push_str(&format!(
-            "        \"chosen_chunking\": \"{}\",\n",
-            json_escape(&r.chosen_chunking)
-        ));
-        s.push_str(&format!(
-            "        \"chosen_event\": \"{}\",\n",
-            json_escape(&r.chosen_event)
-        ));
-        s.push_str(&format!("        \"steal_rate\": {}\n", json_f64(r.steal_rate)));
-        s.push_str(if i + 1 == adaptive.len() { "      }\n" } else { "      },\n" });
-    }
-    s.push_str("    ],\n");
-    s.push_str(&format!(
-        "    \"steal_wins\": {}\n",
-        adaptive.iter().filter(|r| r.adaptive_cycles < r.block_cycles).count()
-    ));
-    s.push_str("  },\n");
-    s.push_str("  \"geomean\": {\n");
-    s.push_str(&format!("    \"sim_polaris\": {},\n", json_f64(geo_polaris)));
-    s.push_str(&format!("    \"sim_vfa\": {},\n", json_f64(geo_vfa)));
-    s.push_str(&format!("    \"real_threads\": {},\n", json_f64(geo_real)));
-    s.push_str(&format!("    \"vm_over_tree\": {}\n", json_f64(geo_engine)));
-    s.push_str("  }\n");
     s.push_str("}\n");
     s
-}
-
-/// Finite-only float formatting (JSON has no NaN/Infinity literals).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }

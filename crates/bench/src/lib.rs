@@ -1,11 +1,13 @@
-//! # polaris-bench — evaluation harnesses
+//! # polaris-bench — the paper's evaluation harnesses
 //!
-//! One binary per table/figure of the paper's evaluation (§4):
+//! One binary per table/figure of the paper's evaluation (§4), on the
+//! deterministic simulated machine:
 //!
 //! * `table1`  — the benchmark inventory (origin, lines of code, serial
 //!   time), ours vs the paper's,
 //! * `figure7` — 8-processor speedups, Polaris vs the PFA-like baseline,
-//!   for all sixteen codes,
+//!   for all sixteen codes (`--json` writes the same numbers as a
+//!   host-independent document, pinned by `tests/golden/figure7.json`),
 //! * `figure6` — PD-test speedup and potential slowdown vs processor
 //!   count for the TRACK/NLFILT partially parallel loop (simulated,
 //!   deterministic), plus a real-thread measurement via
@@ -14,15 +16,12 @@
 //!   test / privatization / induction / run-time tests, the direction-
 //!   vector complexity comparison, and static-vs-dynamic scheduling.
 //!
-//! Criterion benches cover compiler throughput (`compile`), the real
-//! threaded LRPD test (`pd_test`), and dependence-test costs (`ddtest`).
+//! Wall-clock performance (compile, execute, serve; end to end and per
+//! layer) is measured by the standalone `benchmark/` package, not here.
 
 use polaris_core::{compile, CompileReport, PassOptions};
 use polaris_ir::Program;
-use polaris_machine::{run, run_recorded, run_serial, CodegenModel, MachineConfig, Schedule};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Duration;
+use polaris_machine::{run, run_serial, CodegenModel, MachineConfig};
 
 /// Compile a benchmark with the given options, returning the program
 /// and report (panics on compile errors — harness context).
@@ -33,160 +32,6 @@ pub fn compile_bench(
     let mut p = b.program();
     let rep = compile(&mut p, opts).unwrap_or_else(|e| panic!("{}: {e}", b.name));
     (p, rep)
-}
-
-/// Audit a benchmark's parallelization with the run-time dependence
-/// oracle: compile with the full Polaris pipeline, execute serially with
-/// the trace attached, and cross-check every claim (see
-/// `polaris_machine::oracle`). Panics on compile/run errors — harness
-/// context.
-pub fn oracle_report(b: &polaris_benchmarks::Benchmark) -> polaris_runtime::OracleReport {
-    let (p, rep) = compile_bench(b, &PassOptions::polaris());
-    polaris_machine::audit(&p, &rep).unwrap_or_else(|e| panic!("{}: oracle: {e}", b.name))
-}
-
-/// Per-kernel static-verification summary: inter-pass invariant totals,
-/// static race verdicts over the lowered plan, and the static-vs-oracle
-/// agreement (the Figure 7 schema-v4 `verify` block).
-#[derive(Debug, Clone, Default)]
-pub struct VerifyRow {
-    pub invariants_checked: u64,
-    pub invariant_violations: u64,
-    pub parallel_claims: usize,
-    pub clean: usize,
-    pub needs_privatization: usize,
-    pub potential_race: usize,
-    /// PARALLEL claims joined against the runtime oracle.
-    pub compared: usize,
-    /// Static abstained, oracle ran clean (detector conservative).
-    pub precision_misses: usize,
-    /// Static said clean, oracle observed a violation. Must be zero.
-    pub soundness_failures: usize,
-}
-
-/// Compile a benchmark once, run [`polaris_verify::verify_compiled`]
-/// over the result, audit it with the runtime oracle, and cross-check
-/// the two (panics on compile/run errors or on ill-formed final IR —
-/// harness context).
-pub fn verify_row(b: &polaris_benchmarks::Benchmark) -> VerifyRow {
-    let (p, rep) = compile_bench(b, &PassOptions::polaris());
-    let v = polaris_verify::verify_compiled(&p, &rep);
-    assert!(v.final_violations.is_empty(), "{}: {:?}", b.name, v.final_violations);
-    let mut row = VerifyRow {
-        invariants_checked: v.invariants_checked,
-        invariant_violations: v.invariant_violations,
-        ..VerifyRow::default()
-    };
-    if let Some(race) = &v.race {
-        row.parallel_claims = race.parallel_claims();
-        row.clean = race.count(polaris_verify::RaceVerdict::Clean);
-        row.needs_privatization = race.count(polaris_verify::RaceVerdict::NeedsPrivatization);
-        row.potential_race = race.count(polaris_verify::RaceVerdict::PotentialRace);
-        let oracle = polaris_machine::audit(&p, &rep)
-            .unwrap_or_else(|e| panic!("{}: oracle: {e}", b.name));
-        let a = polaris_verify::agreement(race, &oracle);
-        row.compared = a.compared;
-        row.precision_misses = a.precision_misses.len();
-        row.soundness_failures = a.soundness_failures.len();
-    }
-    row
-}
-
-/// Per-kernel irregular-tier summary (the Figure 7 schema-v6
-/// `irregular` block): loop classification counts from the compile
-/// report, the property-pass outcomes that produced them, and the
-/// static race / oracle agreement for the kernel.
-#[derive(Debug, Clone)]
-pub struct IrregularRow {
-    pub name: &'static str,
-    /// Tier the benchmark registry pins for this kernel.
-    pub expected_tier: &'static str,
-    pub parallel_loops: usize,
-    pub speculative_loops: usize,
-    pub serial_loops: usize,
-    /// `(run, proved)` outcomes of the property-based disjointness rule.
-    pub props_rule: (u64, u64),
-    /// Index arrays the `idxprop` stage proved at least one property of.
-    pub idxprop_proved: usize,
-    /// Static race verdicts over the kernel's PARALLEL claims.
-    pub race_clean: usize,
-    pub race_flagged: usize,
-    /// Static `clean` contradicted by the runtime oracle. Must be zero.
-    pub soundness_failures: usize,
-}
-
-impl IrregularRow {
-    /// The tier the compiler actually landed the kernel in: `"lrpd"` if
-    /// any loop ships as a run-time speculation, else `"static"` if any
-    /// loop is proven parallel at compile time, else `"serial"`.
-    pub fn tier(&self) -> &'static str {
-        if self.speculative_loops > 0 {
-            "lrpd"
-        } else if self.parallel_loops > 0 {
-            "static"
-        } else {
-            "serial"
-        }
-    }
-}
-
-/// Compile one irregular kernel, classify its loops into tiers, and
-/// cross-check the static claims against the race detector and the
-/// runtime oracle (panics on compile/run errors — harness context).
-pub fn irregular_row(
-    b: &polaris_benchmarks::Benchmark,
-    expected_tier: &'static str,
-) -> IrregularRow {
-    let (_, rep) = compile_bench(b, &PassOptions::polaris());
-    let v = verify_row(b);
-    IrregularRow {
-        name: b.name,
-        expected_tier,
-        parallel_loops: rep.loops.iter().filter(|l| l.parallel).count(),
-        speculative_loops: rep.loops.iter().filter(|l| l.speculative).count(),
-        serial_loops: rep.loops.iter().filter(|l| !l.parallel && !l.speculative).count(),
-        props_rule: rep.dd_props,
-        idxprop_proved: rep.idxprop.proved,
-        race_clean: v.clean,
-        race_flagged: v.needs_privatization + v.potential_race,
-        soundness_failures: v.soundness_failures,
-    }
-}
-
-/// Per-kernel compile-time observability breakdown: where the pipeline
-/// spent its time (per pass, real microseconds from the monotonic
-/// recorder clock) and what the typed counters observed — the Figure 7
-/// ablation attribution data (`BENCH_figure7.json` schema v3 `obs`
-/// block).
-#[derive(Debug, Clone)]
-pub struct ObsBreakdown {
-    /// Total wall time of the `compile` root span, µs.
-    pub compile_us: u64,
-    /// `(stage name, total µs)` in pipeline run order.
-    pub passes: Vec<(&'static str, u64)>,
-    /// Typed-counter snapshot (stable dotted name → value).
-    pub counters: BTreeMap<&'static str, u64>,
-}
-
-/// Compile a benchmark with a monotonic [`polaris_obs::Recorder`]
-/// attached and aggregate the trace into an [`ObsBreakdown`] (panics on
-/// compile errors — harness context).
-pub fn obs_breakdown(b: &polaris_benchmarks::Benchmark, opts: &PassOptions) -> ObsBreakdown {
-    let rec = polaris_obs::Recorder::monotonic();
-    let mut p = b.program();
-    polaris_core::compile_recorded(&mut p, opts, &rec)
-        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-    let spans = polaris_obs::aggregate_spans(&rec.events());
-    let span_us = |name: String| spans.get(&("compile", name)).map_or(0, |a| a.total_us);
-    let passes = polaris_core::pipeline::STAGE_NAMES
-        .iter()
-        .map(|&name| (name, span_us(format!("pass:{name}"))))
-        .collect();
-    ObsBreakdown {
-        compile_us: span_us("compile".to_string()),
-        passes,
-        counters: rec.counters(),
-    }
 }
 
 /// Measured speedups of one benchmark under both compilers.
@@ -219,281 +64,6 @@ pub fn speedups(b: &polaris_benchmarks::Benchmark, procs: usize) -> SpeedupRow {
         polaris: serial.cycles as f64 / rp.cycles as f64,
         vfa: serial.cycles as f64 / rv.cycles as f64,
     }
-}
-
-/// Real-thread measurement of one Polaris-compiled benchmark: wall
-/// times of the serial interpreter and of `ExecMode::Threaded` with a
-/// static schedule, plus a checksum of the (identical) printed output.
-/// The output equality assertion inside is the same contract the
-/// equivalence tests enforce — a harness run that diverged would panic
-/// rather than report bogus numbers.
-#[derive(Debug, Clone)]
-pub struct ThreadedRow {
-    pub name: &'static str,
-    pub serial_wall: Duration,
-    pub threaded_wall: Duration,
-    /// Simulated cycle counts (kept alongside the wall clocks so the
-    /// model-vs-reality ratio can be reported per kernel).
-    pub serial_cycles: u64,
-    pub threaded_sim_cycles: u64,
-    /// FNV-1a over the printed output lines.
-    pub checksum: u64,
-}
-
-impl ThreadedRow {
-    /// Wall-clock speedup of the threaded backend over the serial
-    /// interpreter (below 1.0 = real threads were slower).
-    pub fn real_speedup(&self) -> f64 {
-        self.serial_wall.as_secs_f64() / self.threaded_wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Speedup the cycle model predicts for the same run.
-    pub fn sim_speedup(&self) -> f64 {
-        self.serial_cycles as f64 / self.threaded_sim_cycles as f64
-    }
-}
-
-/// Run one benchmark serially and on real threads, asserting identical
-/// output (see `ThreadedRow`).
-pub fn threaded_row(b: &polaris_benchmarks::Benchmark, threads: usize) -> ThreadedRow {
-    let serial = run_serial(&b.program()).unwrap();
-    let (pol, _) = compile_bench(b, &PassOptions::polaris());
-    let thr = run(&pol, &MachineConfig::threaded(threads, Schedule::Static)).unwrap();
-    assert_eq!(serial.output, thr.output, "{}: threaded output mismatch", b.name);
-    ThreadedRow {
-        name: b.name,
-        serial_wall: serial.wall,
-        threaded_wall: thr.wall,
-        serial_cycles: serial.cycles,
-        threaded_sim_cycles: thr.cycles,
-        checksum: fnv1a(&thr.output),
-    }
-}
-
-/// Serial wall clocks of the two execution engines on one
-/// Polaris-compiled benchmark: the retained tree-walking oracle vs the
-/// bytecode VM (schema v5 `tree_serial_wall_ms` / `vm_serial_wall_ms`
-/// columns). Outputs are asserted bit-identical inside the measurement,
-/// so a reported speedup can never come from a divergent execution.
-#[derive(Debug, Clone)]
-pub struct EngineRow {
-    pub name: &'static str,
-    pub tree_wall: Duration,
-    pub vm_wall: Duration,
-}
-
-impl EngineRow {
-    /// Wall-clock speedup of the bytecode VM over the tree-walker on
-    /// the serial backend (the tentpole number the schema-v5 gate pins).
-    pub fn vm_speedup(&self) -> f64 {
-        self.tree_wall.as_secs_f64() / self.vm_wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Measure one benchmark's serial wall under both engines, best of
-/// `reps` runs each (interpreter timings on a shared host are noisy in
-/// one direction only — the minimum is the honest estimate).
-pub fn engine_row(b: &polaris_benchmarks::Benchmark, reps: usize) -> EngineRow {
-    let (pol, _) = compile_bench(b, &PassOptions::polaris());
-    let measure = |engine: polaris_machine::Engine| {
-        let cfg = MachineConfig::serial().with_engine(engine);
-        let mut best: Option<(Duration, Vec<String>)> = None;
-        for _ in 0..reps.max(1) {
-            let r = run(&pol, &cfg).unwrap();
-            if best.as_ref().is_none_or(|(w, _)| r.wall < *w) {
-                best = Some((r.wall, r.output));
-            }
-        }
-        best.unwrap()
-    };
-    let (tree_wall, tree_out) = measure(polaris_machine::Engine::TreeWalk);
-    let (vm_wall, vm_out) = measure(polaris_machine::Engine::Vm);
-    assert_eq!(tree_out, vm_out, "{}: engine output mismatch", b.name);
-    EngineRow { name: b.name, tree_wall, vm_wall }
-}
-
-/// Chunk size used for forced work-stealing measurements (matches the
-/// `polarisc --schedule stealing` default).
-pub const STEAL_CHUNK: usize = 4;
-
-/// Per-kernel adaptive-scheduling summary (the Figure 7 schema-v7
-/// `adaptive` block): simulated cycles under block partitioning vs the
-/// work-stealing chunk queue, the strategy the adaptive dispatcher
-/// settles on by its second invocation, and the steal rate observed on
-/// the real threaded stealing backend. Every measurement inside asserts
-/// output bit-identity against the serial reference — the determinism
-/// contract — so no reported number can come from a divergent run.
-#[derive(Debug, Clone)]
-pub struct AdaptiveRow {
-    pub name: &'static str,
-    /// Simulated parallel cycles under the static block schedule.
-    pub block_cycles: u64,
-    /// Simulated parallel cycles under `Schedule::Stealing` forced on
-    /// every parallel loop (pays per-chunk dispatch even where uniform).
-    pub steal_cycles: u64,
-    /// Simulated cycles of the *second* adaptive invocation: stealing
-    /// only where the measured variance warrants it. On skewed kernels
-    /// this must beat `block_cycles`.
-    pub adaptive_cycles: u64,
-    /// Strategy the adaptive dispatcher chose for the kernel's hottest
-    /// loop on its *second* invocation ("serial"/"static"/"speculative";
-    /// "-" when no loop was adaptively dispatched).
-    pub chosen_strategy: String,
-    /// Chunking of the same decision ("block" / "self:N" / "steal:N").
-    pub chosen_chunking: String,
-    /// Dispatcher event of that decision (a measured loop re-dispatches,
-    /// so "redispatch" is the expected steady state).
-    pub chosen_event: String,
-    /// Chunks obtained by stealing / total chunks claimed on the real
-    /// threaded stealing run (0.0 when the kernel has no threaded
-    /// parallel loop).
-    pub steal_rate: f64,
-}
-
-impl AdaptiveRow {
-    /// Cost-model speedup of stealing chunking over block partitioning
-    /// (above 1.0 = stealing wins, expected on skewed-cost kernels).
-    pub fn steal_over_block(&self) -> f64 {
-        self.block_cycles as f64 / self.steal_cycles.max(1) as f64
-    }
-
-    /// Cost-model speedup of the adaptive dispatcher's re-dispatched run
-    /// over uniform block partitioning.
-    pub fn adaptive_over_block(&self) -> f64 {
-        self.block_cycles as f64 / self.adaptive_cycles.max(1) as f64
-    }
-}
-
-/// Measure one benchmark's adaptive-scheduling profile (see
-/// [`AdaptiveRow`]): block vs stealing simulated cycles, two adaptive
-/// invocations sharing one controller (measure → re-dispatch), and a
-/// counter-instrumented real-thread stealing run.
-pub fn adaptive_row(
-    b: &polaris_benchmarks::Benchmark,
-    procs: usize,
-    threads: usize,
-) -> AdaptiveRow {
-    let serial = run_serial(&b.program()).unwrap();
-    let (pol, _) = compile_bench(b, &PassOptions::polaris());
-    let block = run(&pol, &MachineConfig::challenge_8().with_procs(procs)).unwrap();
-    let mut scfg = MachineConfig::challenge_8().with_procs(procs);
-    scfg.schedule = Schedule::Stealing { chunk: STEAL_CHUNK };
-    let steal_sim = run(&pol, &scfg).unwrap();
-    assert_eq!(serial.output, block.output, "{}: block output mismatch", b.name);
-    assert_eq!(serial.output, steal_sim.output, "{}: stealing output mismatch", b.name);
-
-    // Two invocations sharing one controller: the first measures, the
-    // second re-dispatches to the measured winner.
-    let ctrl = Arc::new(polaris_runtime::AdaptiveController::new());
-    let acfg =
-        MachineConfig::challenge_8().with_procs(procs).with_adaptive(Arc::clone(&ctrl));
-    let a1 = run(&pol, &acfg).unwrap();
-    let a2 = run(&pol, &acfg).unwrap();
-    assert_eq!(serial.output, a1.output, "{}: adaptive output mismatch", b.name);
-    assert_eq!(a1.output, a2.output, "{}: adaptive re-dispatch changed output", b.name);
-    // The reported decision: the hottest loop the dispatcher moved to
-    // stealing, else the kernel's hottest loop overall.
-    let rows = ctrl.decision_rows();
-    let hot = rows
-        .iter()
-        .filter(|r| r.chunking.starts_with("steal"))
-        .max_by_key(|r| (r.trip, r.loop_id))
-        .or_else(|| rows.iter().max_by_key(|r| (r.trip, r.loop_id)));
-
-    // Real threads under forced stealing, with the steal counters on.
-    let rec = polaris_obs::Recorder::monotonic();
-    let tcfg = MachineConfig::threaded(threads, Schedule::Stealing { chunk: STEAL_CHUNK });
-    let thr = run_recorded(&pol, &tcfg, &rec).unwrap();
-    assert_eq!(serial.output, thr.output, "{}: threaded stealing output mismatch", b.name);
-    let counters = rec.counters();
-    let chunks = counters.get("exec.threaded.chunks").copied().unwrap_or(0);
-    let steals = counters.get("exec.steal.chunks").copied().unwrap_or(0);
-    AdaptiveRow {
-        name: b.name,
-        block_cycles: block.cycles,
-        steal_cycles: steal_sim.cycles,
-        adaptive_cycles: a2.cycles,
-        chosen_strategy: hot.map_or_else(|| "-".into(), |r| r.strategy.to_string()),
-        chosen_chunking: hot.map_or_else(|| "-".into(), |r| r.chunking.clone()),
-        chosen_event: hot.map_or_else(|| "-".into(), |r| r.event.to_string()),
-        steal_rate: if chunks == 0 { 0.0 } else { steals as f64 / chunks as f64 },
-    }
-}
-
-/// Per-kernel nest-transformation summary (the Figure 7 schema-v8
-/// `nest` block): which loop-nest restructurings the compiler applied
-/// under a legality certificate, the prover's precision over all
-/// candidates it judged, and the independent re-prover's verdicts over
-/// the emitted certificates. A re-prover-rejected certificate is a
-/// hard harness failure, same as an oracle violation.
-#[derive(Debug, Clone)]
-pub struct NestRow {
-    pub name: &'static str,
-    /// Transformation the benchmark registry pins for this kernel
-    /// ("interchange" / "tile").
-    pub expected: &'static str,
-    pub summarized: usize,
-    pub interchanges: usize,
-    pub tiles: usize,
-    pub fusions: usize,
-    /// proved / (proved + rejected) over every candidate the legality
-    /// prover judged (1.0 when nothing was judged).
-    pub legality_precision: f64,
-    /// Certificates emitted into the compile report.
-    pub certs: usize,
-    /// Certificates the `polaris-verify` re-prover re-derived and
-    /// accepted from the final IR.
-    pub reprover_accepted: usize,
-    /// Certificates the re-prover rejected. Must be zero.
-    pub reprover_rejected: usize,
-}
-
-impl NestRow {
-    /// True when the pinned transformation was applied under a cert.
-    pub fn expected_applied(&self) -> bool {
-        match self.expected {
-            "interchange" => self.interchanges > 0,
-            "tile" => self.tiles > 0,
-            "fuse" => self.fusions > 0,
-            _ => false,
-        }
-    }
-}
-
-/// Compile one locality kernel, summarize its nest transformations, and
-/// re-derive every emitted legality certificate with the independent
-/// `polaris-verify` re-prover (panics on compile errors — harness
-/// context).
-pub fn nest_row(b: &polaris_benchmarks::Benchmark, expected: &'static str) -> NestRow {
-    let (p, rep) = compile_bench(b, &PassOptions::polaris());
-    let checks = polaris_verify::recheck_certs(&p, &rep);
-    NestRow {
-        name: b.name,
-        expected,
-        summarized: rep.nest.summarized,
-        interchanges: rep.nest.interchanges,
-        tiles: rep.nest.tiles,
-        fusions: rep.nest.fusions,
-        legality_precision: rep.nest.precision(),
-        certs: rep.nest.certs.len(),
-        reprover_accepted: checks.iter().filter(|c| c.accepted).count(),
-        reprover_rejected: checks.iter().filter(|c| !c.accepted).count(),
-    }
-}
-
-/// 64-bit FNV-1a over output lines (newline-delimited), the checksum
-/// recorded in `BENCH_figure7.json`.
-pub fn fnv1a(lines: &[String]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    for line in lines {
-        for &byte in line.as_bytes().iter().chain(b"\n") {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
 }
 
 /// Speedup of a Polaris-compiled benchmark at a processor count

@@ -765,7 +765,20 @@ pub fn interchange_unit(
         if !(2..=MAX_PERM_DEPTH).contains(&depth) {
             return;
         }
-        let accesses = collect_accesses(&band_of(d).last().expect("band").body);
+        let band = band_of(d);
+        // Headers are permuted verbatim, so a bound that reads another
+        // band variable (a triangular or trapezoidal nest) would end up
+        // evaluated outside the loop that defines that variable.
+        let rectangular = band.iter().all(|l| {
+            [Some(&l.init), Some(&l.limit), l.step.as_ref()]
+                .into_iter()
+                .flatten()
+                .all(|bound| band.iter().all(|other| !bound.references(&other.var)))
+        });
+        if !rectangular {
+            return;
+        }
+        let accesses = collect_accesses(&band.last().expect("band").body);
         let vars = summary.vars();
         let identity_score = permutation_score(&accesses, &vars);
         let mut perms: Vec<(u64, Vec<usize>)> = permutations(depth)

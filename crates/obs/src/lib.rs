@@ -32,6 +32,8 @@
 //! `Option<Box<OracleState>>` pattern; every instrumented call site is
 //! free when observability is off.
 
+pub mod json;
+
 use polaris_ir::stmt::LoopId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -479,8 +481,8 @@ impl Recorder {
             s.push_str(&format!(
                 "    {{\"ph\": \"{ph}\", \"cat\": \"{}\", \"name\": \"{}\", \
                  \"pid\": 1, \"tid\": {}, \"ts\": {}",
-                json_escape(e.cat),
-                json_escape(&e.name),
+                json::escape(e.cat),
+                json::escape(&e.name),
                 e.tid,
                 e.ts_us
             ));
@@ -495,7 +497,7 @@ impl Recorder {
                     if !first {
                         s.push_str(", ");
                     }
-                    s.push_str(&format!("\"unit\": \"{}\"", json_escape(u)));
+                    s.push_str(&format!("\"unit\": \"{}\"", json::escape(u)));
                 }
                 s.push('}');
             }
@@ -508,7 +510,7 @@ impl Recorder {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("\"{}\": {v}", json_escape(k)));
+            s.push_str(&format!("\"{}\": {v}", json::escape(k)));
         }
         s.push_str("}\n");
         s.push_str("}\n");
@@ -528,7 +530,7 @@ impl Recorder {
         s.push_str(&format!("  \"events_dropped\": {},\n", self.events_dropped()));
         s.push_str("  \"counters\": {\n");
         for (i, (k, v)) in counters.iter().enumerate() {
-            s.push_str(&format!("    \"{}\": {v}", json_escape(k)));
+            s.push_str(&format!("    \"{}\": {v}", json::escape(k)));
             s.push_str(if i + 1 == counters.len() { "\n" } else { ",\n" });
         }
         s.push_str("  },\n");
@@ -536,8 +538,8 @@ impl Recorder {
         for (i, ((cat, name), agg)) in spans.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"cat\": \"{}\", \"name\": \"{}\", \"count\": {}, \"total_us\": {}}}",
-                json_escape(cat),
-                json_escape(name),
+                json::escape(cat),
+                json::escape(name),
                 agg.count,
                 agg.total_us
             ));
@@ -640,18 +642,6 @@ pub fn validate_nesting(events: &[Event]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]

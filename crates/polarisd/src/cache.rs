@@ -11,6 +11,12 @@
 //! A mismatch means the entry was poisoned (bit rot, a buggy writer, or
 //! the chaos harness); the entry is purged on the spot and the caller
 //! recompiles. A poisoned entry is **never** served.
+//!
+//! The cache is a working set, not an archive: it holds at most
+//! `CAPACITY` entries. An insert into a full cache first sweeps out
+//! every entry that was not read since the previous sweep (second
+//! chance), so sources that are requested again and again stay while
+//! one-off sources go. Losing an entry only ever costs a recompile.
 
 use crate::proto::fnv1a;
 use std::collections::HashMap;
@@ -37,9 +43,18 @@ pub enum CacheOutcome {
     Miss,
 }
 
+/// Entries held before an insert sweeps (about 1 MB of program text).
+const CAPACITY: usize = 1024;
+
+struct Slot {
+    entry: CacheEntry,
+    /// Read since the last sweep.
+    hit: bool,
+}
+
 #[derive(Default)]
 pub struct CompileCache {
-    map: Mutex<HashMap<u64, CacheEntry>>,
+    map: Mutex<HashMap<u64, Slot>>,
 }
 
 impl CompileCache {
@@ -51,10 +66,11 @@ impl CompileCache {
     /// to its recorded checksum is purged and reported as `Poisoned`.
     pub fn get(&self, key: u64) -> CacheOutcome {
         let mut map = lock(&self.map);
-        match map.get(&key) {
+        match map.get_mut(&key) {
             None => CacheOutcome::Miss,
-            Some(entry) if fnv1a(entry.program_text.as_bytes()) == entry.checksum => {
-                CacheOutcome::Hit(entry.clone())
+            Some(slot) if fnv1a(slot.entry.program_text.as_bytes()) == slot.entry.checksum => {
+                slot.hit = true;
+                CacheOutcome::Hit(slot.entry.clone())
             }
             Some(_) => {
                 map.remove(&key);
@@ -64,10 +80,21 @@ impl CompileCache {
     }
 
     /// Record a clean compile. The checksum is derived here from the text
-    /// so entry and integrity hash cannot disagree at insert time.
+    /// so entry and integrity hash cannot disagree at insert time. A full
+    /// cache is swept first (see the module doc).
     pub fn insert(&self, key: u64, program_text: String, parallel_loops: u64) {
         let checksum = fnv1a(program_text.as_bytes());
-        lock(&self.map).insert(key, CacheEntry { program_text, checksum, parallel_loops });
+        let entry = CacheEntry { program_text, checksum, parallel_loops };
+        let mut map = lock(&self.map);
+        if map.len() >= CAPACITY && !map.contains_key(&key) {
+            map.retain(|_, slot| std::mem::take(&mut slot.hit));
+            // every entry was read since the last sweep: start over
+            // rather than grow
+            if map.len() >= CAPACITY {
+                map.clear();
+            }
+        }
+        map.insert(key, Slot { entry, hit: false });
     }
 
     /// Drop an entry (e.g. after a later compile of the same unit fails
@@ -82,7 +109,7 @@ impl CompileCache {
     pub fn corrupt(&self, key: u64) -> bool {
         let mut map = lock(&self.map);
         match map.get_mut(&key) {
-            Some(entry) if !entry.program_text.is_empty() => {
+            Some(Slot { entry, .. }) if !entry.program_text.is_empty() => {
                 // Replace the first byte with a different ASCII byte (safe
                 // for UTF-8: program text is ASCII F-Mini source).
                 let mut bytes = entry.program_text.clone().into_bytes();
@@ -103,9 +130,9 @@ impl CompileCache {
     }
 }
 
-/// Lock, recovering from poisoning: cache state is a plain map and every
-/// write is a single statement, so a panic between lock and unlock cannot
-/// leave it torn — recovery is always safe.
+/// Lock, recovering from poisoning: cache state is a plain map and no
+/// write can panic half way (a sweep only drops entries), so recovery is
+/// always safe.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -140,6 +167,35 @@ mod tests {
         // purged: the poisoned bytes are gone, a re-read is a clean miss
         assert!(matches!(cache.get(9), CacheOutcome::Miss));
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_full_cache_sweeps_out_what_was_not_read_since_the_last_sweep() {
+        let cache = CompileCache::new();
+        for key in 0..CAPACITY as u64 {
+            cache.insert(key, format!("program p{key}\nend\n"), 0);
+        }
+        assert_eq!(cache.len(), CAPACITY);
+        // re-inserting a present key never sweeps
+        cache.insert(0, "program p0\nend\n".into(), 0);
+        assert_eq!(cache.len(), CAPACITY);
+        assert!(matches!(cache.get(7), CacheOutcome::Hit(_)));
+        cache.insert(u64::MAX, "program new\nend\n".into(), 0);
+        assert_eq!(cache.len(), 2, "the entry that was read and the new one");
+        assert!(matches!(cache.get(7), CacheOutcome::Hit(_)));
+        assert!(matches!(cache.get(u64::MAX), CacheOutcome::Hit(_)));
+        assert!(matches!(cache.get(8), CacheOutcome::Miss));
+    }
+
+    #[test]
+    fn a_cache_whose_every_entry_is_hot_starts_over_instead_of_growing() {
+        let cache = CompileCache::new();
+        for key in 0..CAPACITY as u64 {
+            cache.insert(key, "x".into(), 0);
+            assert!(matches!(cache.get(key), CacheOutcome::Hit(_)));
+        }
+        cache.insert(u64::MAX, "y".into(), 0);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

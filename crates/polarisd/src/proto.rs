@@ -1,9 +1,9 @@
 //! The `polarisd/v1` JSON-lines wire protocol.
 //!
 //! One request per line in, one response per line out, over stdin/stdout
-//! or a TCP connection. The workspace deliberately carries no JSON
-//! dependency (every exported document is hand-written), so this module
-//! hand-rolls the tiny parser/serializer the schema needs.
+//! or a TCP connection. The JSON value, parser and string escaping are
+//! the workspace's shared ones ([`polaris_obs::json`]); this module maps
+//! them onto the request/response schema.
 //!
 //! Request:
 //!
@@ -32,6 +32,8 @@
 //! | `degraded`, `timeout`, `quarantined`, `rejected`, `error` | 1 |
 //! | `degraded` with invariant violations | 2 |
 
+pub use polaris_obs::json::Json;
+use polaris_obs::json::escape;
 use std::fmt;
 
 /// FNV-1a over raw bytes — the same checksum family the bench documents
@@ -117,29 +119,31 @@ pub struct Request {
 impl Request {
     /// Parse one JSON line. Errors name the offending field.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = Json::parse(line)?;
-        let obj = v.as_obj().ok_or("request must be a JSON object")?;
-        let id = get(obj, "id")
+        let obj = Json::parse(line)?;
+        if obj.as_obj().is_none() {
+            return Err("request must be a JSON object".into());
+        }
+        let id = obj.get("id")
             .and_then(Json::as_u64)
             .ok_or("request needs a numeric `id`")?;
-        let source = get(obj, "source")
+        let source = obj.get("source")
             .and_then(Json::as_str)
             .ok_or("request needs a string `source`")?
             .to_string();
-        let client = get(obj, "client")
+        let client = obj.get("client")
             .and_then(Json::as_str)
             .unwrap_or("anon")
             .to_string();
-        let vfa = match get(obj, "config").and_then(Json::as_str) {
+        let vfa = match obj.get("config").and_then(Json::as_str) {
             None | Some("polaris") => false,
             Some("vfa") => true,
             Some(other) => return Err(format!("unknown `config`: `{other}`")),
         };
-        let deadline_ms = match get(obj, "deadline_ms") {
+        let deadline_ms = match obj.get("deadline_ms") {
             None | Some(Json::Null) => None,
             Some(v) => Some(v.as_u64().ok_or("`deadline_ms` must be a number")?),
         };
-        let return_program = match get(obj, "return_program") {
+        let return_program = match obj.get("return_program") {
             None | Some(Json::Null) => false,
             Some(Json::Bool(b)) => *b,
             Some(_) => return Err("`return_program` must be a bool".into()),
@@ -262,13 +266,15 @@ impl Response {
 
     /// Parse one response line (the client side of the wire).
     pub fn parse(line: &str) -> Result<Response, String> {
-        let v = Json::parse(line)?;
-        let obj = v.as_obj().ok_or("response must be a JSON object")?;
-        match get(obj, "schema").and_then(Json::as_str) {
+        let obj = Json::parse(line)?;
+        if obj.as_obj().is_none() {
+            return Err("response must be a JSON object".into());
+        }
+        match obj.get("schema").and_then(Json::as_str) {
             Some("polarisd/v1") => {}
             other => return Err(format!("unknown response schema: {other:?}")),
         }
-        let status = match get(obj, "status").and_then(Json::as_str) {
+        let status = match obj.get("status").and_then(Json::as_str) {
             Some("ok") => Status::Ok,
             Some("cached") => Status::Cached,
             Some("degraded") => Status::Degraded,
@@ -279,7 +285,7 @@ impl Response {
             other => return Err(format!("unknown status: {other:?}")),
         };
         let parse_sum = |field: &str| -> Result<Option<u64>, String> {
-            match get(obj, field) {
+            match obj.get(field) {
                 None | Some(Json::Null) => Ok(None),
                 Some(v) => {
                     let s = v.as_str().ok_or(format!("`{field}` must be a string"))?;
@@ -294,262 +300,27 @@ impl Response {
         let checksum = parse_sum("checksum")?;
         let run_checksum = parse_sum("run_checksum")?;
         Ok(Response {
-            id: get(obj, "id").and_then(Json::as_u64).ok_or("response needs `id`")?,
+            id: obj.get("id").and_then(Json::as_u64).ok_or("response needs `id`")?,
             status,
-            exit_code: get(obj, "exit_code")
+            exit_code: obj.get("exit_code")
                 .and_then(Json::as_u64)
                 .ok_or("response needs `exit_code`")? as u8,
-            attempts: get(obj, "attempts").and_then(Json::as_u64).unwrap_or(0) as u32,
-            cached: matches!(get(obj, "cached"), Some(Json::Bool(true))),
+            attempts: obj.get("attempts").and_then(Json::as_u64).unwrap_or(0) as u32,
+            cached: matches!(obj.get("cached"), Some(Json::Bool(true))),
             checksum,
             run_checksum,
-            parallel_loops: get(obj, "parallel_loops").and_then(Json::as_u64),
-            degraded_stages: match get(obj, "degraded_stages") {
+            parallel_loops: obj.get("parallel_loops").and_then(Json::as_u64),
+            degraded_stages: match obj.get("degraded_stages") {
                 Some(Json::Arr(items)) => items
                     .iter()
                     .filter_map(|v| v.as_str().map(str::to_string))
                     .collect(),
                 _ => Vec::new(),
             },
-            reason: get(obj, "reason").and_then(Json::as_str).map(str::to_string),
-            retry_after_ms: get(obj, "retry_after_ms").and_then(Json::as_u64),
-            program: get(obj, "program").and_then(Json::as_str).map(str::to_string),
+            reason: obj.get("reason").and_then(Json::as_str).map(str::to_string),
+            retry_after_ms: obj.get("retry_after_ms").and_then(Json::as_u64),
+            program: obj.get("program").and_then(Json::as_str).map(str::to_string),
         })
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A minimal JSON value — just enough for the `polarisd/v1` schema.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Json::Bool(true)),
-            Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(b'n') => self.keyword("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad keyword at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("bad \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // the byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            out.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                other => return Err(format!("expected `,` or `]`, got {other:?}")),
-            }
-        }
     }
 }
 

@@ -21,6 +21,7 @@
 //! the conformance tests) needs the types without needing the machine.
 
 use polaris_ir::stmt::LoopId;
+use polaris_obs::json::{escape, num};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -221,26 +222,26 @@ impl OracleReport {
         ));
         s.push_str(&format!("  \"completeness_misses\": {},\n", self.completeness_misses()));
         s.push_str(&format!("  \"privatizable_misses\": {},\n", self.privatizable_misses()));
-        s.push_str(&format!("  \"miss_rate\": {},\n", json_f64(self.miss_rate())));
+        s.push_str(&format!("  \"miss_rate\": {},\n", num(self.miss_rate())));
         s.push_str("  \"misses_by_pass\": {");
         let by_pass = self.misses_by_pass();
         for (i, (pass, n)) in by_pass.iter().enumerate() {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("\"{}\": {n}", json_escape(pass)));
+            s.push_str(&format!("\"{}\": {n}", escape(pass)));
         }
         s.push_str("},\n");
         s.push_str("  \"loops\": [\n");
         for (i, l) in self.loops.iter().enumerate() {
             s.push_str("    {\n");
-            s.push_str(&format!("      \"label\": \"{}\",\n", json_escape(&l.label)));
+            s.push_str(&format!("      \"label\": \"{}\",\n", escape(&l.label)));
             s.push_str(&format!("      \"loop_id\": {},\n", l.loop_id.0));
             s.push_str(&format!("      \"claim\": \"{}\",\n", l.claim.as_str()));
             match &l.serial_reason {
                 Some(r) => s.push_str(&format!(
                     "      \"serial_reason\": \"{}\",\n",
-                    json_escape(r)
+                    escape(r)
                 )),
                 None => s.push_str("      \"serial_reason\": null,\n"),
             }
@@ -253,7 +254,7 @@ impl OracleReport {
                 }
                 s.push_str(&format!(
                     "{{\"var\": \"{}\", \"kind\": \"{}\", \"count\": {}, \"src_iter\": {}, \"dst_iter\": {}}}",
-                    json_escape(&d.var),
+                    escape(&d.var),
                     d.kind,
                     d.count,
                     d.src_iter,
@@ -268,9 +269,9 @@ impl OracleReport {
                 }
                 s.push_str(&format!(
                     "{{\"var\": \"{}\", \"kind\": \"{}\", \"detail\": \"{}\"}}",
-                    json_escape(&v.dep.var),
+                    escape(&v.dep.var),
                     v.dep.kind,
-                    json_escape(&v.detail)
+                    escape(&v.detail)
                 ));
             }
             s.push_str("],\n");
@@ -388,29 +389,6 @@ pub fn judge(claims: &[LoopClaim], observations: &[LoopObservation]) -> OracleRe
     }
     loops.sort_by(|a, b| a.label.cmp(&b.label).then(a.loop_id.cmp(&b.loop_id)));
     OracleReport { loops }
-}
-
-/// Finite-only float formatting (JSON has no NaN/Infinity literals).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ pub use race::{analyze, check_image, LoopRace, RaceReport, RaceVerdict};
 use polaris_core::{CompileReport, StageOutcome};
 use polaris_ir::cert::CertCheck;
 use polaris_ir::Program;
+use polaris_obs::json::escape;
 use polaris_obs::{Counter, Recorder};
 use polaris_runtime::verdict::{ClaimKind, OracleReport};
 
@@ -120,7 +121,7 @@ impl VerifyReport {
             "    \"final_violations\": [{}]\n",
             self.final_violations
                 .iter()
-                .map(|v| format!("\"{}\"", json_escape(v)))
+                .map(|v| format!("\"{}\"", escape(v)))
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
@@ -133,10 +134,10 @@ impl VerifyReport {
             s.push_str(&format!(
                 "      {{\"stage\": \"{}\", \"unit\": \"{}\", \"label\": \"{}\", \"accepted\": {}, \"reason\": \"{}\"}}{}\n",
                 c.stage,
-                json_escape(&c.unit),
-                json_escape(&c.label),
+                escape(&c.unit),
+                escape(&c.label),
                 c.accepted,
-                json_escape(&c.reason),
+                escape(&c.reason),
                 if i + 1 == self.cert_checks.len() { "" } else { "," }
             ));
         }
@@ -166,9 +167,9 @@ impl VerifyReport {
                 for (i, l) in race.loops.iter().enumerate() {
                     s.push_str(&format!(
                         "      {{\"label\": \"{}\", \"verdict\": \"{}\", \"detail\": \"{}\"}}{}\n",
-                        json_escape(&l.label),
+                        escape(&l.label),
                         l.verdict.as_str(),
-                        json_escape(&l.detail),
+                        escape(&l.detail),
                         if i + 1 == race.loops.len() { "" } else { "," }
                     ));
                 }
@@ -186,7 +187,7 @@ impl VerifyReport {
                     "    \"precision_misses\": [{}],\n",
                     a.precision_misses
                         .iter()
-                        .map(|l| format!("\"{}\"", json_escape(l)))
+                        .map(|l| format!("\"{}\"", escape(l)))
                         .collect::<Vec<_>>()
                         .join(", ")
                 ));
@@ -194,7 +195,7 @@ impl VerifyReport {
                     "    \"soundness_failures\": [{}]\n",
                     a.soundness_failures
                         .iter()
-                        .map(|l| format!("\"{}\"", json_escape(l)))
+                        .map(|l| format!("\"{}\"", escape(l)))
                         .collect::<Vec<_>>()
                         .join(", ")
                 ));
@@ -277,21 +278,6 @@ pub fn agreement(race: &RaceReport, oracle: &OracleReport) -> Agreement {
         }
     }
     a
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@ use polaris_ir::expr::{BinOp, Expr, LValue};
 use polaris_ir::stmt::{Stmt, StmtKind, StmtList};
 use polaris_ir::symbol::{Dim, SymKind};
 use polaris_ir::{Program, ProgramUnit};
+use polaris_obs::json::escape;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Lint severity: `Error` findings are exit-code violations, `Warning`
@@ -86,10 +87,10 @@ impl LintReport {
                  \"line\": {}, \"col\": {}, \"message\": \"{}\"}}{}\n",
                 f.lint,
                 f.severity.as_str(),
-                json_escape(&f.unit),
+                escape(&f.unit),
                 f.line,
                 f.col,
-                json_escape(&f.message),
+                escape(&f.message),
                 if i + 1 == self.findings.len() { "" } else { "," }
             ));
         }
@@ -97,21 +98,6 @@ impl LintReport {
         s.push_str("}\n");
         s
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run every lint over `program`. `source` is the original text the

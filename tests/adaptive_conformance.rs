@@ -1,10 +1,11 @@
 //! Determinism-conformance tier for the adaptive scheduling runtime
 //! (the PR-9 tentpole): every kernel in the evaluation suite — the 16
-//! Table-1 codes, TRACK, the six irregular kernels, and the skewed-cost
-//! SPMVT — must compute **bit-identical output** under every schedule
-//! mode (`serial`, `static`, `adaptive`, work-`stealing`), on both
-//! execution engines (tree-walker and bytecode VM), at every simulated
-//! processor count and real thread count in {1, 2, 4, 8}. On top of
+//! Table-1 codes, TRACK, the six irregular kernels, the two locality
+//! kernels, and the skewed-cost SPMVT — must compute **bit-identical
+//! output** under every schedule mode (`serial`, `static`, `adaptive`,
+//! work-`stealing`), on both execution engines (tree-walker and
+//! bytecode VM), at every simulated processor count and real thread
+//! count in {1, 2, 4, 8}. On top of
 //! bit-identity the tier pins the adaptive dispatcher's *behaviour*:
 //! decision tables are stable across repeated invocations, the second
 //! invocation of an irregular kernel re-dispatches its hot loop to a
@@ -12,136 +13,79 @@
 //! and beats block partitioning in the cost model, and the runtime
 //! dependence oracle stays violation-free throughout.
 
+mod common;
+
+use common::{for_each_config, Matrix, Sched};
 use polaris::{MachineConfig, PassOptions};
-use polaris_machine::{audit, run, Engine, Schedule};
+use polaris_machine::{audit, run, Engine};
 use polaris_runtime::AdaptiveController;
 use std::sync::Arc;
 
-const STEAL_CHUNK: usize = 4;
+const ALL_SCHEDULES: [Sched; 3] = [Sched::Static, Sched::Stealing, Sched::Adaptive];
 
-/// FNV-1a over newline-joined output, matching `polaris_bench::fnv1a`.
-fn fnv1a(lines: &[String]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    for line in lines {
-        for &byte in line.as_bytes().iter().chain(b"\n") {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
-}
-
-/// The full conformance kernel set: 17 regular (Table 1 + TRACK) plus
-/// the 6 irregular kernels and the skewed-cost kernel.
-fn conformance_set() -> Vec<polaris_benchmarks::Benchmark> {
-    let mut v = polaris_benchmarks::all();
-    v.push(polaris_benchmarks::track());
-    v.extend(polaris_benchmarks::irregular().into_iter().map(|(b, _)| b));
+/// The kernels that exercise scheduling hardest (irregular, skewed,
+/// partially parallel): they get the full real-thread matrix.
+fn scheduling_kernels() -> Vec<polaris_benchmarks::Benchmark> {
+    let mut v: Vec<_> = polaris_benchmarks::irregular().into_iter().map(|(b, _)| b).collect();
     v.push(polaris_benchmarks::skewed());
+    v.push(polaris_benchmarks::track());
     v
 }
 
-fn sim_cfg(engine: Engine, procs: usize, schedule: Schedule) -> MachineConfig {
-    let mut c = MachineConfig::challenge_8().with_procs(procs).with_engine(engine);
-    c.schedule = schedule;
-    c
+/// The full conformance kernel set: the 16 Table-1 codes, the two
+/// locality kernels, and the scheduling kernels above.
+fn conformance_set() -> Vec<polaris_benchmarks::Benchmark> {
+    let mut v = polaris_benchmarks::all();
+    v.extend(polaris_benchmarks::locality().into_iter().map(|(b, _)| b));
+    v.extend(scheduling_kernels());
+    v
+}
+
+/// Run `b` restructured under every configuration of `matrix` and
+/// demand the serial reference's output, byte for byte.
+fn assert_bit_identical(b: &polaris_benchmarks::Benchmark, matrix: &Matrix) {
+    let program = common::compiled(b.source, b.name);
+    let reference = run(&program, &MachineConfig::serial())
+        .unwrap_or_else(|e| panic!("{}: reference: {e}", b.name));
+    for_each_config(matrix, |label, cfg| {
+        let r = run(&program, cfg).unwrap_or_else(|e| panic!("{}: {label}: {e}", b.name));
+        assert_eq!(reference.output, r.output, "{}: {label}: output diverged", b.name);
+    });
 }
 
 /// The big matrix: every kernel × {serial, static, adaptive, stealing}
 /// × {tree-walk, VM} × 1/2/4/8 simulated processors must reproduce the
-/// serial reference bit-for-bit. Adaptive configs run **twice** sharing
-/// one controller, so both the measuring invocation and the
-/// re-dispatched one are covered.
+/// serial reference bit-for-bit.
 #[test]
 fn all_kernels_bit_identical_across_schedules_engines_and_procs() {
+    let matrix = Matrix {
+        engines: &[Engine::TreeWalk, Engine::Vm],
+        procs: &[1, 2, 4, 8],
+        threads: &[],
+        schedules: &ALL_SCHEDULES,
+    };
     for b in &conformance_set() {
-        let out = polaris::parallelize(b.source, &PassOptions::polaris())
-            .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
-        let reference = run(&out.program, &MachineConfig::serial())
-            .unwrap_or_else(|e| panic!("{}: reference: {e}", b.name));
-        let want = fnv1a(&reference.output);
-        for engine in [Engine::TreeWalk, Engine::Vm] {
-            // Serial is processor-count independent: once per engine.
-            let r = run(&out.program, &MachineConfig::serial().with_engine(engine))
-                .unwrap_or_else(|e| panic!("{}: serial/{engine:?}: {e}", b.name));
-            assert_eq!(want, fnv1a(&r.output), "{}: serial/{engine:?}", b.name);
-            for procs in [1usize, 2, 4, 8] {
-                let static_cfg = sim_cfg(engine, procs, Schedule::Static);
-                let steal_cfg =
-                    sim_cfg(engine, procs, Schedule::Stealing { chunk: STEAL_CHUNK });
-                for (label, cfg) in [("static", static_cfg), ("stealing", steal_cfg)] {
-                    let r = run(&out.program, &cfg).unwrap_or_else(|e| {
-                        panic!("{}: {label}/{engine:?}/p{procs}: {e}", b.name)
-                    });
-                    assert_eq!(
-                        reference.output, r.output,
-                        "{}: {label}/{engine:?}/p{procs}: output diverged",
-                        b.name
-                    );
-                }
-                // Adaptive: measure then re-dispatch, same controller.
-                let ctrl = Arc::new(AdaptiveController::new());
-                let cfg = sim_cfg(engine, procs, Schedule::Static)
-                    .with_adaptive(Arc::clone(&ctrl));
-                for pass in 0..2 {
-                    let r = run(&out.program, &cfg).unwrap_or_else(|e| {
-                        panic!("{}: adaptive#{pass}/{engine:?}/p{procs}: {e}", b.name)
-                    });
-                    assert_eq!(
-                        reference.output, r.output,
-                        "{}: adaptive#{pass}/{engine:?}/p{procs}: output diverged",
-                        b.name
-                    );
-                }
-            }
-        }
+        assert_bit_identical(b, &matrix);
     }
 }
 
-/// Real-thread backend: the irregular kernels, SPMVT, and TRACK under
-/// static / adaptive / stealing at 2/4/8 worker threads — bit-identical
-/// to the serial reference under any victim/steal interleaving.
+/// Real-thread backend: the scheduling kernels under static / adaptive
+/// / stealing at 2/4/8 worker threads, and every other kernel under
+/// stealing at 8 — bit-identical to the serial reference under any
+/// victim/steal interleaving.
 #[test]
 fn threaded_backend_is_bit_identical_for_every_schedule() {
-    let mut kernels: Vec<_> =
-        polaris_benchmarks::irregular().into_iter().map(|(b, _)| b).collect();
-    kernels.push(polaris_benchmarks::skewed());
-    kernels.push(polaris_benchmarks::track());
-    for b in &kernels {
-        let out = polaris::parallelize(b.source, &PassOptions::polaris())
-            .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
-        let reference = run(&out.program, &MachineConfig::serial()).unwrap();
-        for threads in [2usize, 4, 8] {
-            let configs = [
-                ("static", MachineConfig::threaded(threads, Schedule::Static)),
-                (
-                    "stealing",
-                    MachineConfig::threaded(threads, Schedule::Stealing { chunk: STEAL_CHUNK }),
-                ),
-                (
-                    "adaptive",
-                    MachineConfig::threaded(threads, Schedule::Static)
-                        .with_adaptive(Arc::new(AdaptiveController::new())),
-                ),
-            ];
-            for (label, cfg) in configs {
-                // Adaptive runs twice (measure, then re-dispatch) on the
-                // same shared controller inside `cfg`.
-                let passes = if label == "adaptive" { 2 } else { 1 };
-                for pass in 0..passes {
-                    let r = run(&out.program, &cfg).unwrap_or_else(|e| {
-                        panic!("{}: {label}#{pass} x{threads}: {e}", b.name)
-                    });
-                    assert_eq!(
-                        reference.output, r.output,
-                        "{}: {label}#{pass} x{threads}: output diverged",
-                        b.name
-                    );
-                }
-            }
-        }
+    let full = Matrix {
+        engines: &[Engine::Vm],
+        procs: &[],
+        threads: &[2, 4, 8],
+        schedules: &ALL_SCHEDULES,
+    };
+    let stealing_at_8 = Matrix { threads: &[8], schedules: &[Sched::Stealing], ..full };
+    let hard: Vec<&str> = scheduling_kernels().iter().map(|b| b.name).collect();
+    for b in &conformance_set() {
+        let matrix = if hard.contains(&b.name) { &full } else { &stealing_at_8 };
+        assert_bit_identical(b, matrix);
     }
 }
 

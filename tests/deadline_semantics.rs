@@ -11,6 +11,8 @@
 //! | wall (compile) | stages after cancel rolled back      | report clean       |
 //! | wall (service) | `degraded`, exit 1, never retried    | `ok`, exit 0       |
 
+mod common;
+
 use polaris::core::pipeline::{FaultPlan, StageOutcome, CANCELLED_PREFIX};
 use polaris::core::{CancelToken, PassOptions};
 use polaris::{MachineConfig, Program};
@@ -35,10 +37,7 @@ const SRC: &str = "program caps\n\
                    end\n";
 
 fn compiled() -> Program {
-    let (program, report) =
-        polaris::core::parse_and_compile(SRC, &PassOptions::polaris()).unwrap();
-    assert!(!report.degraded());
-    program
+    common::compiled(SRC, "caps")
 }
 
 fn reference_output() -> Vec<String> {

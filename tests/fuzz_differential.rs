@@ -9,16 +9,15 @@
 //! via SplitMix64 (see `polaris::fuzz`), so a failure reproduces with
 //! `generate_program(seed)`.
 
+mod common;
+
+use common::FUEL;
 use polaris::core::pipeline::{FaultPlan, STAGE_NAMES};
 use polaris::fuzz::{generate_program, mutate_bytes};
 use polaris::{MachineConfig, PassOptions};
 use polaris_machine::exec::outputs_match;
 use polaris_machine::MachineError;
 
-/// Generous for the bounded programs the generator emits (loop nests
-/// are at most 3 deep over extents <= 24), tight enough that a
-/// miscompile into an endless loop fails fast instead of hanging CI.
-const FUEL: u64 = 2_000_000;
 const TOL: f64 = 1e-6;
 
 fn serial_reference(src: &str, seed: u64) -> Vec<String> {

@@ -9,27 +9,15 @@
 //! cross-check every PARALLEL claim; a statically-clean loop the
 //! oracle sees violate a dependence fails the suite.
 
+mod common;
+
+use common::{fnv1a, for_each_config, Matrix, Sched};
 use polaris::verify::{agreement, verify_compiled};
 use polaris::{MachineConfig, PassOptions};
-use polaris_machine::{audit, run, Engine, Schedule};
+use polaris_machine::{audit, run, Engine};
 
-/// FNV-1a over newline-joined output, matching the checksum recorded
-/// in `BENCH_figure7.json` (`polaris_bench::fnv1a`).
-fn fnv1a(lines: &[String]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    for line in lines {
-        for &byte in line.as_bytes().iter().chain(b"\n") {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
-}
-
-/// The tier the compiled plan actually landed in, derived the same way
-/// `figure7` derives it: any speculative loop means the kernel needed
+/// The tier the compiled plan actually landed in, derived from the
+/// compile report: any speculative loop means the kernel needed
 /// the run-time test; otherwise any parallel loop means a static win.
 fn landed_tier(report: &polaris::CompileReport) -> &'static str {
     let spec = report.loops.iter().filter(|l| l.speculative).count();
@@ -137,23 +125,22 @@ fn irregular_outputs_are_bit_identical_across_engines_and_threads() {
         );
         let want = fnv1a(&reference.output);
 
-        let out = polaris::parallelize(b.source, &PassOptions::polaris()).unwrap();
-        let configs: [(&str, MachineConfig); 4] = [
-            ("tree-walk serial", MachineConfig::serial().with_engine(Engine::TreeWalk)),
-            ("vm serial", MachineConfig::serial().with_engine(Engine::Vm)),
-            ("threaded x2", MachineConfig::threaded(2, Schedule::Static)),
-            ("threaded x4", MachineConfig::threaded(4, Schedule::Static)),
-        ];
-        for (label, cfg) in configs {
-            let r = run(&out.program, &cfg)
-                .unwrap_or_else(|e| panic!("{}: {label}: {e}", b.name));
+        let program = common::compiled(b.source, b.name);
+        let matrix = Matrix {
+            engines: &[Engine::TreeWalk, Engine::Vm],
+            procs: &[],
+            threads: &[2, 4],
+            schedules: &[Sched::Static],
+        };
+        for_each_config(&matrix, |label, cfg| {
+            let r = run(&program, cfg).unwrap_or_else(|e| panic!("{}: {label}: {e}", b.name));
             assert_eq!(
                 reference.output, r.output,
                 "{}: {label}: output diverged from the serial reference",
                 b.name
             );
             assert_eq!(want, fnv1a(&r.output), "{}: {label}: checksum drift", b.name);
-        }
+        });
     }
 }
 

@@ -9,28 +9,13 @@
 //! oracle violations. Finally the compiler-side stride-penalty table is
 //! cross-checked against the machine cost model's copy.
 
-use std::sync::Arc;
+mod common;
 
+use common::{fnv1a, for_each_config, Matrix, Sched};
 use polaris::verify::{agreement, verify_compiled};
 use polaris::{MachineConfig, PassOptions};
 use polaris_ir::cert::CertKind;
-use polaris_machine::{audit, run, CostModel, Engine, Schedule};
-use polaris_runtime::AdaptiveController;
-
-/// FNV-1a over newline-joined output, matching the checksum recorded
-/// in `BENCH_figure7.json` (`polaris_bench::fnv1a`).
-fn fnv1a(lines: &[String]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    for line in lines {
-        for &byte in line.as_bytes().iter().chain(b"\n") {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
-}
+use polaris_machine::{audit, run, CostModel, Engine};
 
 #[test]
 fn locality_kernels_receive_their_pinned_transformations() {
@@ -107,6 +92,23 @@ fn disabling_nest_opts_leaves_the_nests_alone() {
     }
 }
 
+/// Interchange permutes loop headers verbatim, so a band whose inner
+/// bound reads the outer variable must be left alone: moved outward,
+/// `DO J = 1, I` would read `I` outside the loop that defines it.
+#[test]
+fn triangular_nest_is_not_interchanged() {
+    let src = "program t\nreal a(64,64)\n\
+               do i = 1, 64\n  do j = 1, i\n\
+               \x20   a(i,j) = 1.0\n\
+               end do\nend do\nprint *, a(1,1)\nend\n";
+    let out = polaris::parallelize(src, &PassOptions::polaris()).unwrap();
+    assert_eq!(
+        out.report.nest.interchanges, 0,
+        "pipeline interchanged a triangular nest:\n{}",
+        out.annotated_source
+    );
+}
+
 /// Both kernels, both engines, serial / threaded / adaptive: the
 /// transformed program must reproduce the *untransformed* program's
 /// serial output byte for byte. The kernels keep integer-valued data
@@ -125,36 +127,22 @@ fn transformed_nests_are_bit_identical_to_untransformed_baselines() {
 
         let out = polaris::parallelize(b.source, &PassOptions::polaris()).unwrap();
         assert!(!out.report.nest.certs.is_empty(), "{}: nothing was transformed", b.name);
-        let mut configs: Vec<(String, MachineConfig)> = vec![
-            ("tree-walk serial".into(), MachineConfig::serial().with_engine(Engine::TreeWalk)),
-            ("vm serial".into(), MachineConfig::serial().with_engine(Engine::Vm)),
-        ];
-        for threads in [2usize, 4, 8] {
-            configs.push((
-                format!("threaded x{threads}"),
-                MachineConfig::threaded(threads, Schedule::Static),
-            ));
-        }
-        configs.push((
-            "adaptive x4".into(),
-            MachineConfig::threaded(4, Schedule::Static)
-                .with_adaptive(Arc::new(AdaptiveController::new())),
-        ));
-        for (label, cfg) in configs {
-            // Adaptive runs twice (measure, then re-dispatch) on the
-            // same shared controller inside `cfg`.
-            let passes = if label.starts_with("adaptive") { 2 } else { 1 };
-            for pass in 0..passes {
-                let r = run(&out.program, &cfg)
-                    .unwrap_or_else(|e| panic!("{}: {label}#{pass}: {e}", b.name));
-                assert_eq!(
-                    reference.output, r.output,
-                    "{}: {label}#{pass}: output diverged from the untransformed serial baseline",
-                    b.name
-                );
-                assert_eq!(want, fnv1a(&r.output), "{}: {label}#{pass}: checksum drift", b.name);
-            }
-        }
+        let matrix = Matrix {
+            engines: &[Engine::TreeWalk, Engine::Vm],
+            procs: &[],
+            threads: &[2, 4, 8],
+            schedules: &[Sched::Static, Sched::Adaptive],
+        };
+        for_each_config(&matrix, |label, cfg| {
+            let r = run(&out.program, cfg)
+                .unwrap_or_else(|e| panic!("{}: {label}: {e}", b.name));
+            assert_eq!(
+                reference.output, r.output,
+                "{}: {label}: output diverged from the untransformed serial baseline",
+                b.name
+            );
+            assert_eq!(want, fnv1a(&r.output), "{}: {label}: checksum drift", b.name);
+        });
     }
 }
 

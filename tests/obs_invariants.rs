@@ -19,15 +19,14 @@
 //! A proptest over the same seed domain rides along so a failing seed
 //! shrinks toward the smallest misbehaving corpus index.
 
+mod common;
+
+use common::FUEL;
 use polaris::fuzz::generate_program;
 use polaris::obs::{validate_nesting, Phase, Recorder};
 use polaris::{MachineConfig, PassOptions};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-/// Same bound the differential fuzz harness uses: generous for the
-/// bounded corpus programs, tight enough to fail fast on a runaway.
-const FUEL: u64 = 2_000_000;
 
 fn check_seed(seed: u64) {
     let src = generate_program(seed);

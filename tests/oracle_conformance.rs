@@ -11,13 +11,12 @@
 //! plus the 256-seed deterministic fuzz corpus shared with
 //! `fuzz_differential.rs`.
 
+mod common;
+
+use common::FUEL;
 use polaris::fuzz::generate_program;
 use polaris::{MachineConfig, PassOptions};
 use polaris_machine::{audit, audit_with};
-
-/// Matches `fuzz_differential.rs`: bounded generated programs finish
-/// well under this; a miscompiled endless loop fails fast.
-const FUEL: u64 = 2_000_000;
 
 #[test]
 fn kernels_have_zero_soundness_violations() {

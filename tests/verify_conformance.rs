@@ -10,14 +10,13 @@
 //! benchmark suite (Table 1 + TRACK) plus the 256-seed deterministic
 //! fuzz corpus shared with `fuzz_differential.rs`.
 
+mod common;
+
+use common::FUEL;
 use polaris::fuzz::generate_program;
 use polaris::verify::{agreement, verify_compiled, RaceVerdict};
 use polaris::{MachineConfig, PassOptions};
 use polaris_machine::{audit, audit_with};
-
-/// Matches `fuzz_differential.rs`: bounded generated programs finish
-/// well under this; a miscompiled endless loop fails fast.
-const FUEL: u64 = 2_000_000;
 
 #[test]
 fn kernels_verify_clean_and_static_race_agrees_with_oracle() {

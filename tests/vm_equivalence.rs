@@ -17,12 +17,13 @@
 //!
 //! [`StateDump`]: polaris_machine::StateDump
 
+mod common;
+
+use common::{compiled, for_each_config, Matrix, Sched, FUEL};
 use polaris::fuzz::generate_program;
 use polaris::{Engine, MachineConfig, PassOptions, Program};
-use polaris_machine::{run_with_state, RunResult, Schedule, StateDump};
+use polaris_machine::{run_with_state, RunResult, StateDump};
 use proptest::prelude::*;
-
-const FUEL: u64 = 20_000_000;
 
 /// Run under both engines with otherwise-identical configs and assert
 /// output, cycles and final state all match bit for bit.
@@ -62,10 +63,33 @@ fn kernels() -> Vec<polaris_benchmarks::Benchmark> {
     ks
 }
 
-fn compiled(src: &str, what: &str) -> Program {
-    let out = polaris::parallelize(src, &PassOptions::polaris())
-        .unwrap_or_else(|e| panic!("{what}: compile: {e}"));
-    out.program
+/// [`assert_engines_agree`] on the serial machine, the simulated
+/// machine at each of `procs` and real threads at each of `threads`;
+/// returns the runs in that order.
+fn engines_agree_on(
+    program: &Program,
+    procs: &[usize],
+    threads: &[usize],
+    what: &str,
+) -> Vec<RunResult> {
+    // One engine in the matrix: `assert_engines_agree` runs every
+    // configuration it is handed on both.
+    let matrix = Matrix { engines: &[Engine::Vm], procs, threads, schedules: &[Sched::Static] };
+    let mut runs = Vec::new();
+    for_each_config(&matrix, |label, cfg| {
+        let cfg = cfg.clone().with_fuel(FUEL);
+        runs.push(assert_engines_agree(program, &cfg, &format!("{what} ({label})")));
+    });
+    runs
+}
+
+/// The engines agreeing with *each other* is necessary; every parallel
+/// configuration agreeing with serial semantics keeps the net anchored
+/// to ground truth.
+fn assert_all_match_serial(runs: &[RunResult], what: &str) {
+    for (i, r) in runs.iter().enumerate().skip(1) {
+        assert_eq!(runs[0].output, r.output, "{what}: configuration {i} drifted from serial");
+    }
 }
 
 // ---- the 17 kernels --------------------------------------------------
@@ -76,27 +100,9 @@ fn compiled(src: &str, what: &str) -> Program {
 #[test]
 fn kernels_serial_and_simulated_parallel_agree_across_engines() {
     for k in kernels() {
-        let original = k.program();
-        assert_engines_agree(
-            &original,
-            &MachineConfig::serial().with_fuel(FUEL),
-            &format!("{} (untransformed, serial)", k.name),
-        );
-        let program = compiled(k.source, k.name);
-        let serial = assert_engines_agree(
-            &program,
-            &MachineConfig::serial().with_fuel(FUEL),
-            &format!("{} (serial)", k.name),
-        );
-        let parallel = assert_engines_agree(
-            &program,
-            &MachineConfig::challenge_8().with_fuel(FUEL),
-            &format!("{} (simulated 8-proc)", k.name),
-        );
-        // The engines agreeing with *each other* is necessary; the
-        // parallel schedule agreeing with serial semantics keeps the
-        // net anchored to ground truth.
-        assert_eq!(serial.output, parallel.output, "{}: parallel output drifted", k.name);
+        engines_agree_on(&k.program(), &[], &[], &format!("{} (untransformed)", k.name));
+        let runs = engines_agree_on(&compiled(k.source, k.name), &[8], &[], k.name);
+        assert_all_match_serial(&runs, k.name);
     }
 }
 
@@ -106,25 +112,8 @@ fn kernels_serial_and_simulated_parallel_agree_across_engines() {
 #[test]
 fn kernels_threaded_agree_across_engines() {
     for k in kernels() {
-        let program = compiled(k.source, k.name);
-        let serial = assert_engines_agree(
-            &program,
-            &MachineConfig::serial().with_fuel(FUEL),
-            &format!("{} (serial)", k.name),
-        );
-        for threads in [2usize, 8] {
-            let cfg = MachineConfig::threaded(threads, Schedule::Static).with_fuel(FUEL);
-            let threaded = assert_engines_agree(
-                &program,
-                &cfg,
-                &format!("{} (threaded x{threads})", k.name),
-            );
-            assert_eq!(
-                serial.output, threaded.output,
-                "{}: threaded x{threads} output drifted from serial",
-                k.name
-            );
-        }
+        let runs = engines_agree_on(&compiled(k.source, k.name), &[], &[2, 8], k.name);
+        assert_all_match_serial(&runs, k.name);
     }
 }
 
@@ -157,18 +146,7 @@ fn corpus_slice(seeds: std::ops::Range<u64>) {
     for seed in seeds {
         let src = generate_program(seed);
         let program = compiled(&src, &format!("seed {seed}"));
-        assert_engines_agree(
-            &program,
-            &MachineConfig::serial().with_fuel(FUEL),
-            &format!("seed {seed} (serial)\n{src}"),
-        );
-        assert_engines_agree(
-            &program,
-            &MachineConfig::challenge_8().with_fuel(FUEL),
-            &format!("seed {seed} (simulated 8-proc)\n{src}"),
-        );
-        let cfg = MachineConfig::threaded(4, Schedule::Static).with_fuel(FUEL);
-        assert_engines_agree(&program, &cfg, &format!("seed {seed} (threaded x4)\n{src}"));
+        engines_agree_on(&program, &[8], &[4], &format!("seed {seed}\n{src}"));
     }
 }
 
@@ -284,21 +262,8 @@ proptest! {
         let src = adversarial_source(&a);
         let original = polaris_ir::parse(&src)
             .unwrap_or_else(|e| panic!("adversarial unit does not parse: {e}\n{src}"));
-        assert_engines_agree(
-            &original,
-            &MachineConfig::serial().with_fuel(FUEL),
-            &format!("adversarial (untransformed)\n{src}"),
-        );
+        engines_agree_on(&original, &[], &[], &format!("adversarial (untransformed)\n{src}"));
         let program = compiled(&src, &format!("adversarial\n{src}"));
-        assert_engines_agree(
-            &program,
-            &MachineConfig::serial().with_fuel(FUEL),
-            &format!("adversarial (serial)\n{src}"),
-        );
-        assert_engines_agree(
-            &program,
-            &MachineConfig::challenge_8().with_fuel(FUEL),
-            &format!("adversarial (simulated 8-proc)\n{src}"),
-        );
+        engines_agree_on(&program, &[8], &[], &format!("adversarial\n{src}"));
     }
 }

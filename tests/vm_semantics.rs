@@ -11,6 +11,8 @@
 //! | cancel (token)  | `Cancelled`, same reason          | output = reference |
 //! | wall (service)  | `degraded`, exit 1, not retried   | `ok`, exit 0       |
 
+mod common;
+
 use polaris::core::PassOptions;
 use polaris::{Engine, MachineConfig, Program};
 use polaris_machine::{run_with_state, MachineError};
@@ -31,10 +33,7 @@ const SRC: &str = "program caps\n\
                    end\n";
 
 fn compiled() -> Program {
-    let (program, report) =
-        polaris::core::parse_and_compile(SRC, &PassOptions::polaris()).unwrap();
-    assert!(!report.degraded());
-    program
+    common::compiled(SRC, "caps")
 }
 
 fn cfg(engine: Engine) -> MachineConfig {
