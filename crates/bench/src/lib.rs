@@ -66,15 +66,6 @@ pub fn speedups(b: &polaris_benchmarks::Benchmark, procs: usize) -> SpeedupRow {
     }
 }
 
-/// Speedup of a Polaris-compiled benchmark at a processor count
-/// (used by the figure6 sweep).
-pub fn polaris_speedup_at(b: &polaris_benchmarks::Benchmark, procs: usize) -> f64 {
-    let serial = run_serial(&b.program()).unwrap();
-    let (pol, _) = compile_bench(b, &PassOptions::polaris());
-    let r = run(&pol, &MachineConfig::challenge_8().with_procs(procs)).unwrap();
-    serial.cycles as f64 / r.cycles as f64
-}
-
 /// An ASCII bar for quick visual comparison in terminal output.
 pub fn bar(value: f64, scale: f64) -> String {
     let n = ((value / scale) * 40.0).round().max(0.0) as usize;

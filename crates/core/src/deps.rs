@@ -8,7 +8,6 @@ use crate::privatize;
 use crate::rangeprop;
 use crate::reduction;
 use crate::PassOptions;
-use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{DoLoop, LoopId, ParallelInfo, SpecInfo, StmtId, StmtKind, StmtList};
 use polaris_ir::visit::{collect_iteration_accesses, find_serializing_stmt, Access};
 use polaris_ir::ProgramUnit;
@@ -64,7 +63,7 @@ pub fn analyze_unit_recorded(
     let mut decisions: BTreeMap<LoopId, (ParallelInfo, LoopReport)> = BTreeMap::new();
     {
         let mut env = RangeEnv::new();
-        seed_params(unit, &mut env, stats);
+        add(&stats.ranges_propagated, rangeprop::seed_parameters(unit, &mut env));
         let unit_ref: &ProgramUnit = unit;
         analyze_list(&unit_ref.body, unit_ref, &mut env, opts, stats, rec, &mut decisions);
     }
@@ -83,23 +82,15 @@ pub fn analyze_unit_recorded(
     reports
 }
 
-fn seed_params(unit: &ProgramUnit, env: &mut RangeEnv, stats: &DdStats) {
-    use polaris_ir::symbol::SymKind;
-    for sym in unit.symbols.iter() {
-        if let SymKind::Parameter(value) = &sym.kind {
-            if let Some(p) = Poly::from_expr(value, DivPolicy::Opaque) {
-                env.set_fresh(sym.name.clone(), polaris_symbolic::Range::exact(p));
-                bump(&stats.ranges_propagated);
-            }
-        }
-    }
+fn add(c: &std::cell::Cell<u64>, n: u64) {
+    c.set(c.get() + n);
 }
 
 fn bump(c: &std::cell::Cell<u64>) {
-    c.set(c.get() + 1);
+    add(c, 1);
 }
 
-/// Recursive walk mirroring [`crate::rangeprop`]'s abstract execution.
+/// Decide every loop of `list`, carrying [`rangeprop`]'s environment.
 fn analyze_list(
     list: &StmtList,
     unit: &ProgramUnit,
@@ -112,18 +103,7 @@ fn analyze_list(
     for s in list {
         match &s.kind {
             StmtKind::Do(d) => {
-                for v in rangeprop::assigned_vars(&d.body) {
-                    env.invalidate(&v);
-                }
-                env.invalidate(&d.var);
-                let mut body_env = env.clone();
-                rangeprop::assume_loop_header(
-                    &mut body_env,
-                    &d.var,
-                    &d.init,
-                    &d.limit,
-                    d.step.as_ref(),
-                );
+                let mut body_env = rangeprop::enter_loop(env, d);
                 bump(&stats.ranges_propagated);
                 // The loop span covers the nested walk too, so inner
                 // loops appear as children of their enclosing loop.
@@ -134,47 +114,12 @@ fn analyze_list(
                 loop_span.end();
             }
             StmtKind::IfBlock { arms, else_body } => {
-                for arm in arms {
-                    let mut arm_env = env.clone();
-                    arm_env.assume_cond(&arm.cond);
-                    analyze_list(&arm.body, unit, &mut arm_env, opts, stats, rec, out);
-                }
-                let mut else_env = env.clone();
-                analyze_list(else_body, unit, &mut else_env, opts, stats, rec, out);
-                let mut killed: BTreeSet<String> = BTreeSet::new();
-                for arm in arms {
-                    killed.extend(rangeprop::assigned_vars(&arm.body));
-                }
-                killed.extend(rangeprop::assigned_vars(else_body));
-                for v in killed {
-                    env.invalidate(&v);
+                let mut envs = rangeprop::enter_if(env, arms, else_body);
+                for (body, env) in rangeprop::branches(arms, else_body).zip(&mut envs) {
+                    analyze_list(body, unit, env, opts, stats, rec, out);
                 }
             }
-            StmtKind::Assign { lhs, rhs, .. } => {
-                env.invalidate(lhs.name());
-                if lhs.subs().is_empty() {
-                    if let Some(p) = Poly::from_expr(rhs, DivPolicy::Opaque) {
-                        if !p.mentions_var(lhs.name()) {
-                            env.set_fresh(lhs.name(), polaris_symbolic::Range::exact(p));
-                            bump(&stats.ranges_propagated);
-                        }
-                    }
-                }
-            }
-            StmtKind::Assert { cond } => {
-                env.assume_cond(cond);
-                bump(&stats.ranges_propagated);
-            }
-            StmtKind::Call { args, .. } => {
-                for a in args {
-                    match a {
-                        Expr::Var(n) => env.invalidate(n),
-                        Expr::Index { array, .. } => env.invalidate(array),
-                        _ => {}
-                    }
-                }
-            }
-            _ => {}
+            _ => add(&stats.ranges_propagated, rangeprop::step_over(env, s)),
         }
     }
 }
@@ -262,9 +207,7 @@ fn analyze_loop(
         // Register proven whole-array value bounds so the range test and
         // the §3.4 region analysis can bound reads like `A(IDX(L))`.
         let seeded = crate::idxprop::seed_array_value_ranges(unit, &written_arrays, &mut env);
-        for _ in 0..seeded {
-            bump(&stats.ranges_propagated);
-        }
+        add(&stats.ranges_propagated, seeded as u64);
     }
     // Facts visible to this loop's subscripted subscripts (diagnostics).
     let index_facts: Vec<String> = if opts.index_props {

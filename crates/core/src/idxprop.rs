@@ -37,6 +37,7 @@
 
 use crate::ddtest::range_test::InnerLoop;
 use crate::ddtest::DdStats;
+use crate::rangeprop;
 use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{DoLoop, Stmt, StmtKind};
 use polaris_ir::symbol::SymKind;
@@ -194,20 +195,14 @@ fn write_counts(unit: &ProgramUnit) -> BTreeMap<String, usize> {
     out
 }
 
-/// Loop-invariant facts: PARAMETER values and `!$assert` conditions
-/// (mirrors what the dependence driver seeds its environment with).
+/// Loop-invariant facts: PARAMETER values and every `!$assert`
+/// condition of the unit, wherever it stands.
 fn unit_env(unit: &ProgramUnit) -> RangeEnv {
     let mut env = RangeEnv::new();
-    for sym in unit.symbols.iter() {
-        if let SymKind::Parameter(value) = &sym.kind {
-            if let Some(p) = Poly::from_expr(value, DivPolicy::Opaque) {
-                env.set_fresh(sym.name.clone(), Range::exact(p));
-            }
-        }
-    }
+    rangeprop::seed_parameters(unit, &mut env);
     unit.body.walk(&mut |s: &Stmt| {
-        if let StmtKind::Assert { cond } = &s.kind {
-            env.assume_cond(cond);
+        if matches!(s.kind, StmtKind::Assert { .. }) {
+            rangeprop::step_over(&mut env, s);
         }
     });
     env
@@ -313,8 +308,7 @@ fn recognize_direct_fill(
 
     // Not affine: try whole-value bounds with the loop header assumed
     // (this is where `MOD(.., const)` bin fills earn their bounds).
-    let mut benv = env.clone();
-    benv.assume_nonempty_loop(&d.var, &d.init, &d.limit);
+    let benv = rangeprop::enter_loop(&mut env.clone(), d);
     let p = Poly::from_expr(rhs, DivPolicy::Opaque)?;
     let atoms: Vec<Atom> = p.atoms().into_iter().collect();
     let (lo, hi) = min_max_over(&p, &atoms, &benv);
@@ -372,8 +366,7 @@ fn recognize_prefix_fill(
     let mut props = ArrayProps::over(base_pos.to_expr(), dom_hi.to_expr());
 
     // Bound the increment with the loop header assumed.
-    let mut benv = env.clone();
-    benv.assume_nonempty_loop(&d.var, &d.init, &d.limit);
+    let benv = rangeprop::enter_loop(&mut env.clone(), d);
     let pe = Poly::from_expr(&e, DivPolicy::Opaque)?;
     let atoms: Vec<Atom> = pe.atoms().into_iter().collect();
     let (e_lo, e_hi) = min_max_over(&pe, &atoms, &benv);

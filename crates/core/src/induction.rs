@@ -24,7 +24,7 @@
 //! extrapolate to negative sums for negative trips, which would be
 //! unsound.
 
-use crate::rangeprop::{assigned_vars, assume_loop_header};
+use crate::rangeprop::{assigned_vars, enter_if, enter_loop, seed_parameters, step_over};
 use polaris_ir::expr::{BinOp, Expr, LValue};
 use polaris_ir::stmt::{DoLoop, Stmt, StmtId, StmtKind, StmtList};
 use polaris_ir::types::DataType;
@@ -76,23 +76,12 @@ pub fn run_unit_with(unit: &mut ProgramUnit, mode: InductionMode) -> InductionSt
     let mut pass =
         Pass { unit, stats: InductionStats::default(), deleted: BTreeSet::new(), mode };
     let mut env = RangeEnv::new();
-    seed_env(pass.unit, &mut env);
+    seed_parameters(pass.unit, &mut env);
     pass.process_list(&mut body, &mut env);
     remove_deleted(&mut body, &pass.deleted);
     let stats = pass.stats;
     unit.body = body;
     stats
-}
-
-fn seed_env(unit: &ProgramUnit, env: &mut RangeEnv) {
-    use polaris_ir::symbol::SymKind;
-    for sym in unit.symbols.iter() {
-        if let SymKind::Parameter(value) = &sym.kind {
-            if let Some(p) = Poly::from_expr(value, DivPolicy::Opaque) {
-                env.set_fresh(sym.name.clone(), polaris_symbolic::Range::exact(p));
-            }
-        }
-    }
 }
 
 struct Pass<'a> {
@@ -125,142 +114,63 @@ struct Increment {
 
 impl<'a> Pass<'a> {
     /// Walk a statement list, processing every loop found (outermost
-    /// first), maintaining a range environment for trip-count proofs.
+    /// first), carrying [`crate::rangeprop`]'s environment for trip-count
+    /// proofs.
     fn process_list(&mut self, list: &mut StmtList, env: &mut RangeEnv) {
         let mut i = 0usize;
         while i < list.0.len() {
+            let mut lastvalues = Vec::new();
             match &mut list.0[i].kind {
-                StmtKind::Do(_) => {
-                    // Process the loop's own candidates first, then recurse.
-                    let lastvalues = {
-                        let d = match &mut list.0[i].kind {
-                            StmtKind::Do(d) => d,
-                            _ => unreachable!(),
-                        };
-                        self.process_loop(d, env)
-                    };
-                    // Recurse into the (substituted) body for inner loops
-                    // with their own candidates.
-                    {
-                        let d = match &mut list.0[i].kind {
-                            StmtKind::Do(d) => d,
-                            _ => unreachable!(),
-                        };
-                        for v in assigned_vars(&d.body) {
-                            env.invalidate(&v);
-                        }
-                        env.invalidate(&d.var.clone());
-                        let mut inner_env = env.clone();
-                        assume_loop_header(
-                            &mut inner_env,
-                            &d.var.clone(),
-                            &d.init.clone(),
-                            &d.limit.clone(),
-                            d.step.as_ref(),
-                        );
-                        let mut inner_body = std::mem::take(&mut d.body);
-                        self.process_list(&mut inner_body, &mut inner_env);
-                        let d = match &mut list.0[i].kind {
-                            StmtKind::Do(d) => d,
-                            _ => unreachable!(),
-                        };
-                        d.body = inner_body;
-                    }
-                    // Insert last-value statements after the loop.
-                    let n = lastvalues.len();
-                    for (k, s) in lastvalues.into_iter().enumerate() {
-                        list.0.insert(i + 1 + k, s);
-                    }
-                    i += 1 + n;
+                StmtKind::Do(d) => {
+                    let mut body_env = enter_loop(env, d);
+                    // The loop's own candidates first, then the
+                    // (substituted) body for inner loops with theirs.
+                    lastvalues = self.process_loop(d, &body_env, env);
+                    self.process_list(&mut d.body, &mut body_env);
                 }
-                StmtKind::IfBlock { .. } => {
-                    // Loops under IFs are processed with the arm condition
-                    // assumed.
-                    if let StmtKind::IfBlock { arms, else_body } = &mut list.0[i].kind {
-                        for arm in arms.iter_mut() {
-                            let mut arm_env = env.clone();
-                            arm_env.assume_cond(&arm.cond);
-                            // borrow gymnastics: temporarily move body
-                            let mut b = std::mem::take(&mut arm.body);
-                            // self is reborrowed inside; safe since arm.body detached
-                            Self::process_detached(self, &mut b, &mut arm_env);
-                            arm.body = b;
-                        }
-                        let mut b = std::mem::take(else_body);
-                        let mut e2 = env.clone();
-                        Self::process_detached(self, &mut b, &mut e2);
-                        *else_body = b;
+                StmtKind::IfBlock { arms, else_body } => {
+                    let envs = enter_if(env, arms, else_body);
+                    let bodies = arms.iter_mut().map(|arm| &mut arm.body).chain([else_body]);
+                    for (body, mut env) in bodies.zip(envs) {
+                        self.process_list(body, &mut env);
                     }
-                    // Conditional assignments invalidate facts.
-                    if let StmtKind::IfBlock { arms, else_body } = &list.0[i].kind {
-                        let mut killed: BTreeSet<String> = BTreeSet::new();
-                        for arm in arms {
-                            killed.extend(assigned_vars(&arm.body));
-                        }
-                        killed.extend(assigned_vars(else_body));
-                        for v in killed {
-                            env.invalidate(&v);
-                        }
-                    }
-                    i += 1;
                 }
-                StmtKind::Assign { lhs, rhs, .. } => {
-                    let name = lhs.name().to_string();
-                    let scalar = lhs.subs().is_empty();
-                    let rhs_c = rhs.clone();
-                    env.invalidate(&name);
-                    if scalar {
-                        if let Some(p) = Poly::from_expr(&rhs_c, DivPolicy::Opaque) {
-                            if !p.mentions_var(&name) {
-                                env.set_fresh(&name, polaris_symbolic::Range::exact(p));
-                            }
-                        }
-                    }
-                    i += 1;
+                _ => {
+                    step_over(env, &list.0[i]);
                 }
-                StmtKind::Assert { cond } => {
-                    let c = cond.clone();
-                    env.assume_cond(&c);
-                    i += 1;
-                }
-                StmtKind::Call { args, .. } => {
-                    let names: Vec<String> = args
-                        .iter()
-                        .filter_map(|a| match a {
-                            Expr::Var(n) => Some(n.clone()),
-                            Expr::Index { array, .. } => Some(array.clone()),
-                            _ => None,
-                        })
-                        .collect();
-                    for n in names {
-                        env.invalidate(&n);
-                    }
-                    i += 1;
-                }
-                _ => i += 1,
             }
+            // Last-value statements go after the loop and are not revisited.
+            let next = i + 1 + lastvalues.len();
+            list.0.splice(i + 1..i + 1, lastvalues);
+            i = next;
         }
     }
 
-    fn process_detached(pass: &mut Pass<'a>, list: &mut StmtList, env: &mut RangeEnv) {
-        pass.process_list(list, env);
-    }
-
     /// Process the candidates of one loop; returns last-value statements
-    /// to insert after it.
-    fn process_loop(&mut self, d: &mut DoLoop, env: &mut RangeEnv) -> Vec<Stmt> {
+    /// to insert after it. `body_env` holds inside the body, `outer_env`
+    /// just after the loop.
+    fn process_loop(
+        &mut self,
+        d: &mut DoLoop,
+        body_env: &RangeEnv,
+        outer_env: &RangeEnv,
+    ) -> Vec<Stmt> {
         // Only unit-step loops are substituted (normalization could relax
         // this; the evaluation suite does not need it).
         if d.step_expr().simplified().as_int() != Some(1) {
             return Vec::new();
         }
-        let mut body_env = env.clone();
-        assume_loop_header(&mut body_env, &d.var, &d.init, &d.limit, d.step.as_ref());
+        // Closed forms and last values are written in terms of the
+        // bounds, which F77 evaluates once at entry: a body that
+        // reassigns them changes what they read afterwards.
+        if assigned_vars(&d.body).iter().any(|v| d.init.references(v) || d.limit.references(v)) {
+            return Vec::new();
+        }
 
         let mut lastvalues = Vec::new();
         let candidates = self.find_candidates(d);
         for k in candidates {
-            if let Some(lv) = self.process_additive(d, &k, &body_env, env) {
+            if let Some(lv) = self.process_additive(d, &k, body_env, outer_env) {
                 lastvalues.extend(lv);
             }
         }
@@ -643,8 +553,8 @@ fn increment_of_list(
                     inc = inc.checked_add(&Poly::from_expr(&e, DivPolicy::Exact)?)?;
                 }
             StmtKind::Do(d) => {
-                let mut inner_env = env.clone();
-                assume_loop_header(&mut inner_env, &d.var, &d.init, &d.limit, d.step.as_ref());
+                let mut at_loop = env.clone();
+                let inner_env = enter_loop(&mut at_loop, d);
                 let delta = increment_of_list(&d.body, name, deleted, &inner_env)?;
                 if !delta.is_zero() {
                     if d.step_expr().simplified().as_int() != Some(1) {
@@ -654,7 +564,7 @@ fn increment_of_list(
                     let hi = Poly::from_expr(&d.limit, DivPolicy::Exact)?;
                     // Guard against negative-trip extrapolation.
                     let lo_m1 = lo.checked_sub(&Poly::int(1))?;
-                    if !prove_ge(&hi, &lo_m1, env) {
+                    if !prove_ge(&hi, &lo_m1, &at_loop) {
                         return None;
                     }
                     inc = inc.checked_add(&sum_over(&delta, &d.var, &lo, &hi)?)?;
@@ -714,8 +624,8 @@ fn substitute_in_list(
                 if let Some(step) = &mut d.step {
                     *step = step.map(subst);
                 }
-                let mut inner_env = env.clone();
-                assume_loop_header(&mut inner_env, &d.var, &d.init, &d.limit, d.step.as_ref());
+                let mut at_loop = env.clone();
+                let inner_env = enter_loop(&mut at_loop, d);
                 let delta = increment_of_list(&d.body, name, deleted, &inner_env)?;
                 if delta.is_zero() {
                     substitute_in_list(&mut d.body, name, &value, deleted, &inner_env)?;
@@ -726,7 +636,7 @@ fn substitute_in_list(
                     let lo = Poly::from_expr(&d.init, DivPolicy::Exact)?;
                     let hi = Poly::from_expr(&d.limit, DivPolicy::Exact)?;
                     let lo_m1 = lo.checked_sub(&Poly::int(1))?;
-                    if !prove_ge(&hi, &lo_m1, env) {
+                    if !prove_ge(&hi, &lo_m1, &at_loop) {
                         return None;
                     }
                     // Value at the top of inner iteration j.
@@ -942,5 +852,27 @@ mod tests {
         assert_eq!(stats.additive_removed, 1);
         let out = body_text(&p);
         assert!(out.contains("DO J = 1, 2*I") || out.contains("DO J = 1, K+2*I"), "{out}");
+    }
+
+    #[test]
+    fn prior_fact_about_reassigned_bound_proves_no_trip_count() {
+        // `N = 5` holds on entry to the I loop only; its body stores a
+        // possibly negative N, so the J trip count is not provably
+        // non-negative and K has no closed form over I. K is still an
+        // induction of the J loop alone.
+        let src = "program t\ninteger n, k, ia(3)\nn = 5\nk = 0\ndo i = 1, 3\n  do j = 1, n\n    k = k + 1\n  end do\n  n = ia(i)\nend do\nprint *, k, n\nend\n";
+        let (p, stats) = transform(src);
+        let out = body_text(&p);
+        assert!(!out.contains("3*N"), "{out}");
+        assert_eq!(stats.additive_removed, 1, "{out}");
+        let after_i_loop = out.rsplit("END DO").next().unwrap();
+        assert!(!after_i_loop.contains("K ="), "{out}");
+    }
+
+    #[test]
+    fn loop_that_reassigns_its_own_bound_is_left_alone() {
+        let src = "program t\ninteger n, k\nk = 0\ndo i = 1, n\n  k = k + 1\n  n = 7\nend do\nprint *, k, n\nend\n";
+        let (_, stats) = transform(src);
+        assert_eq!(stats.additive_removed, 0);
     }
 }

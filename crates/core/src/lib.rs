@@ -28,7 +28,6 @@ pub mod constprop;
 pub mod dce;
 pub mod ddtest;
 pub mod deps;
-pub mod gsa;
 pub mod idxprop;
 pub mod induction;
 pub mod inline;

@@ -17,7 +17,7 @@
 //!   modified by earlier iterations of that loop.
 
 use polaris_ir::expr::Expr;
-use polaris_ir::stmt::{Stmt, StmtId, StmtKind, StmtList};
+use polaris_ir::stmt::{DoLoop, IfArm, Stmt, StmtId, StmtKind, StmtList};
 use polaris_ir::symbol::SymKind;
 use polaris_ir::ProgramUnit;
 use polaris_symbolic::poly::{DivPolicy, Poly};
@@ -35,16 +35,13 @@ pub fn env_before(unit: &ProgramUnit, target: StmtId) -> RangeEnv {
 }
 
 /// The environment valid inside the body of the `DO` loop with statement
-/// id `loop_id`: everything from [`env_before`] plus the loop variable's
-/// interval and the non-emptiness fact.
+/// id `loop_id`: [`env_before`] pushed through [`enter_loop`].
 pub fn env_in_loop(unit: &ProgramUnit, loop_id: StmtId) -> RangeEnv {
     let mut env = env_before(unit, loop_id);
-    if let Some(stmt) = unit.body.find_stmt(loop_id) {
-        if let StmtKind::Do(d) = &stmt.kind {
-            assume_loop_header(&mut env, d.var.as_str(), &d.init, &d.limit, d.step.as_ref());
-        }
+    match unit.body.find_stmt(loop_id).map(|s| s.kind) {
+        Some(StmtKind::Do(d)) => enter_loop(&mut env, &d),
+        _ => env,
     }
-    env
 }
 
 /// Add a loop header's facts to an environment, handling negative
@@ -65,14 +62,138 @@ pub fn assume_loop_header(
     }
 }
 
-fn seed_parameters(unit: &ProgramUnit, env: &mut RangeEnv) {
+// ---- the transfer function ---------------------------------------------
+//
+// Every pass that carries a `RangeEnv` through a statement list does it
+// with the four functions below. The ones that record facts return how
+// many, which is what `DdStats::ranges_propagated` counts.
+
+/// Record the unit's `PARAMETER` constants as exact values.
+pub fn seed_parameters(unit: &ProgramUnit, env: &mut RangeEnv) -> u64 {
+    let mut seeded = 0;
     for sym in unit.symbols.iter() {
         if let SymKind::Parameter(value) = &sym.kind {
             if let Some(p) = Poly::from_expr(value, DivPolicy::Opaque) {
                 env.set_fresh(sym.name.clone(), Range::exact(p));
+                seeded += 1;
             }
         }
     }
+    seeded
+}
+
+/// Move `env` from just before `s` to just after it without looking
+/// inside: an assignment kills what mentions its target and records an
+/// exact scalar value, `!$ASSERT` tightens, `CALL` kills its by-reference
+/// arguments, and a `DO` or `IF` kills whatever its body may assign.
+pub fn step_over(env: &mut RangeEnv, s: &Stmt) -> u64 {
+    match &s.kind {
+        StmtKind::Assign { lhs, rhs, .. } => {
+            let name = lhs.name();
+            // An array element store kills whole-array value facts only.
+            env.invalidate(name);
+            if lhs.subs().is_empty() {
+                if let Some(p) = Poly::from_expr(rhs, DivPolicy::Opaque) {
+                    if !p.mentions_var(name) {
+                        env.set_fresh(name, Range::exact(p));
+                        return 1;
+                    }
+                }
+            }
+            0
+        }
+        StmtKind::Assert { cond } => {
+            env.assume_cond(cond);
+            1
+        }
+        StmtKind::Call { args, .. } => {
+            for a in args {
+                match a {
+                    Expr::Var(n) => env.invalidate(n),
+                    Expr::Index { array, .. } => env.invalidate(array),
+                    _ => {}
+                }
+            }
+            0
+        }
+        StmtKind::Do(d) => {
+            kill_loop(env, d);
+            0
+        }
+        StmtKind::IfBlock { arms, else_body } => {
+            for body in branches(arms, else_body) {
+                kill_assigned(env, body);
+            }
+            0
+        }
+        StmtKind::Print { .. } | StmtKind::Return | StmtKind::Stop | StmtKind::Continue => 0,
+    }
+}
+
+/// Step `env` over the loop `d` and return the environment of its body.
+///
+/// Invalidate first, enter second: an earlier iteration may already have
+/// run, so nothing known before the loop about a variable the body
+/// assigns holds inside it. The header then contributes the loop
+/// variable's interval and `init <= limit`; those describe the values at
+/// loop entry, so whatever they say about a body-assigned variable is
+/// killed again.
+pub fn enter_loop(env: &mut RangeEnv, d: &DoLoop) -> RangeEnv {
+    let assigned = kill_loop(env, d);
+    let mut body = env.clone();
+    assume_loop_header(&mut body, &d.var, &d.init, &d.limit, d.step.as_ref());
+    for v in &assigned {
+        body.invalidate(v);
+    }
+    #[cfg(test)]
+    tests::ENTERED.with(|e| e.borrow_mut().push((d.var.clone(), format!("{body:?}"))));
+    body
+}
+
+/// Step `env` over an `IF` block and return one environment per branch,
+/// in [`branches`] order: each arm's with its condition assumed, the
+/// else's with every arm condition that is a simple relation negated.
+pub fn enter_if(env: &mut RangeEnv, arms: &[IfArm], else_body: &StmtList) -> Vec<RangeEnv> {
+    let mut else_env = env.clone();
+    let mut envs: Vec<RangeEnv> = arms
+        .iter()
+        .map(|arm| {
+            let mut arm_env = env.clone();
+            arm_env.assume_cond(&arm.cond);
+            if let Expr::Bin { op, lhs, rhs } = &arm.cond {
+                if let Some(neg) = op.negate() {
+                    else_env.assume_cond(&Expr::bin(neg, (**lhs).clone(), (**rhs).clone()));
+                }
+            }
+            arm_env
+        })
+        .collect();
+    envs.push(else_env);
+    for body in branches(arms, else_body) {
+        kill_assigned(env, body);
+    }
+    envs
+}
+
+/// The bodies of an `IF` block: every arm's, then the else's.
+pub fn branches<'a>(
+    arms: &'a [IfArm],
+    else_body: &'a StmtList,
+) -> impl Iterator<Item = &'a StmtList> {
+    arms.iter().map(|arm| &arm.body).chain(std::iter::once(else_body))
+}
+
+fn kill_assigned(env: &mut RangeEnv, list: &StmtList) -> BTreeSet<String> {
+    let assigned = assigned_vars(list);
+    for v in &assigned {
+        env.invalidate(v);
+    }
+    assigned
+}
+
+fn kill_loop(env: &mut RangeEnv, d: &DoLoop) -> BTreeSet<String> {
+    env.invalidate(&d.var);
+    kill_assigned(env, &d.body)
 }
 
 /// Walk `list` applying effects until `target` is reached.
@@ -82,100 +203,26 @@ fn walk(list: &StmtList, target: StmtId, env: &mut RangeEnv) -> bool {
         if s.id == target {
             return true;
         }
-        match &s.kind {
-            StmtKind::Assign { lhs, rhs, .. } => {
-                apply_assign(env, lhs.name(), lhs.subs().is_empty(), rhs);
+        let entered = match &s.kind {
+            StmtKind::Do(d) if contains(&d.body, target) => Some((enter_loop(env, d), &d.body)),
+            StmtKind::IfBlock { arms, else_body } => branches(arms, else_body)
+                .enumerate()
+                .find(|(_, body)| contains(body, target))
+                .map(|(i, body)| (enter_if(env, arms, else_body).swap_remove(i), body)),
+            _ => None,
+        };
+        match entered {
+            Some((inner, body)) => {
+                *env = inner;
+                walk(body, target, env);
+                return true;
             }
-            StmtKind::Assert { cond } => env.assume_cond(cond),
-            StmtKind::Do(d) => {
-                let inside = contains(&d.body, target);
-                // Earlier iterations may already have run: every variable
-                // the body assigns is unknown at this point.
-                for v in assigned_vars(&d.body) {
-                    env.invalidate(&v);
-                }
-                env.invalidate(&d.var);
-                if inside {
-                    assume_loop_header(env, &d.var, &d.init, &d.limit, d.step.as_ref());
-                    if walk(&d.body, target, env) {
-                        return true;
-                    }
-                    // target was reported inside but not found: defensive
-                    return true;
-                }
+            None => {
+                step_over(env, s);
             }
-            StmtKind::IfBlock { arms, else_body } => {
-                let mut found_in = None;
-                for (i, arm) in arms.iter().enumerate() {
-                    if contains(&arm.body, target) {
-                        found_in = Some(i);
-                        break;
-                    }
-                }
-                let in_else = found_in.is_none() && contains(else_body, target);
-                if let Some(i) = found_in {
-                    env.assume_cond(&arms[i].cond);
-                    walk(&arms[i].body, target, env);
-                    return true;
-                }
-                if in_else {
-                    // On the else path all arm conditions are false; use
-                    // the negation when it is a simple relation.
-                    for arm in arms {
-                        if let Expr::Bin { op, lhs, rhs } = &arm.cond {
-                            if let Some(neg) = op.negate() {
-                                env.assume_cond(&Expr::bin(
-                                    neg,
-                                    (**lhs).clone(),
-                                    (**rhs).clone(),
-                                ));
-                            }
-                        }
-                    }
-                    walk(else_body, target, env);
-                    return true;
-                }
-                // Not inside: arms execute conditionally; kill their effects.
-                for arm in arms {
-                    for v in assigned_vars(&arm.body) {
-                        env.invalidate(&v);
-                    }
-                }
-                for v in assigned_vars(else_body) {
-                    env.invalidate(&v);
-                }
-            }
-            StmtKind::Call { args, .. } => {
-                // By-reference semantics: arguments may be modified.
-                for a in args {
-                    match a {
-                        Expr::Var(n) => env.invalidate(n),
-                        Expr::Index { array, .. } => env.invalidate(array),
-                        _ => {}
-                    }
-                }
-            }
-            StmtKind::Print { .. }
-            | StmtKind::Return
-            | StmtKind::Stop
-            | StmtKind::Continue => {}
         }
     }
     false
-}
-
-fn apply_assign(env: &mut RangeEnv, name: &str, is_scalar: bool, rhs: &Expr) {
-    if !is_scalar {
-        // Array element store: kills whole-array value facts only.
-        env.invalidate(name);
-        return;
-    }
-    env.invalidate(name);
-    if let Some(p) = Poly::from_expr(rhs, DivPolicy::Opaque) {
-        if !p.mentions_var(name) {
-            env.set_fresh(name, Range::exact(p));
-        }
-    }
 }
 
 /// Does `list` (recursively) contain statement `target`?
@@ -218,16 +265,38 @@ pub fn assigned_vars(list: &StmtList) -> BTreeSet<String> {
     out
 }
 
-/// Convenience: the statement (clone) with id `target`, plus whether it
-/// is a DO loop.
-pub fn find_stmt(unit: &ProgramUnit, target: StmtId) -> Option<Stmt> {
-    unit.body.find_stmt(target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polaris_symbolic::{prove_ge, sign, Sign};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every body environment [`enter_loop`] handed out on this
+        /// thread, by loop variable: how the agreement test below sees
+        /// what each pass's walk gives its loops.
+        pub(super) static ENTERED: RefCell<Vec<(String, String)>> =
+            const { RefCell::new(Vec::new()) };
+    }
+
+    /// The environments `run` entered the `var` loop with.
+    fn entered(var: &str, run: impl FnOnce()) -> Vec<String> {
+        ENTERED.with(|e| e.borrow_mut().clear());
+        run();
+        ENTERED.with(|e| {
+            e.borrow().iter().filter(|(v, _)| v == var).map(|(_, env)| env.clone()).collect()
+        })
+    }
+
+    fn loop_id_of(u: &ProgramUnit, var: &str) -> StmtId {
+        let mut id = None;
+        u.body.walk(&mut |s| {
+            if matches!(&s.kind, StmtKind::Do(d) if d.var == var) {
+                id = Some(s.id);
+            }
+        });
+        id.unwrap()
+    }
 
     fn unit_of(src: &str) -> ProgramUnit {
         let full = format!("program t\n{src}\nend\n");
@@ -282,30 +351,14 @@ mod tests {
         let u = unit_of("k = 5\ndo i = 1, 10\n  k = k + 1\n  do j = 1, k\n    x = j\n  end do\nend do");
         // At the inner loop, K is not 5 anymore (earlier iterations of I
         // incremented it).
-        let mut inner = None;
-        u.body.walk(&mut |s| {
-            if let StmtKind::Do(d) = &s.kind {
-                if d.var == "J" {
-                    inner = Some(s.id);
-                }
-            }
-        });
-        let env = env_before(&u, inner.unwrap());
+        let env = env_before(&u, loop_id_of(&u, "J"));
         assert_eq!(env.get("K").and_then(|r| r.as_exact().cloned()), None);
     }
 
     #[test]
     fn enclosing_loop_gives_range_and_nonemptiness() {
         let u = unit_of("do j = 0, n - 1\n  do k = 0, j - 1\n    x = k\n  end do\nend do");
-        let mut inner = None;
-        u.body.walk(&mut |s| {
-            if let StmtKind::Do(d) = &s.kind {
-                if d.var == "K" {
-                    inner = Some(s.id);
-                }
-            }
-        });
-        let env = env_in_loop(&u, inner.unwrap());
+        let env = env_in_loop(&u, loop_id_of(&u, "K"));
         // Inside the K loop: j >= 0, n >= 1 (outer nonempty), k <= j-1,
         // and the paper's n^2 + n > 0 follows.
         assert_eq!(sign(&poly("n"), &env), Sign::Pos);
@@ -357,5 +410,50 @@ mod tests {
         // before the loop X0 = 0...
         let env = env_before(&u, first_loop_id(&u));
         assert_eq!(env.get("X0").unwrap().as_exact(), Some(&Poly::int(0)));
+    }
+
+    #[test]
+    fn loop_header_says_nothing_about_what_the_body_assigns() {
+        // `1 <= N` held when the J loop was entered; a later iteration
+        // runs with the N the previous one stored.
+        let u = unit_of("integer ia(9)\ndo j = 1, n\n  do l = 1, n\n    x = l\n  end do\n  n = ia(j)\nend do");
+        let env = env_in_loop(&u, loop_id_of(&u, "J"));
+        assert_eq!(sign(&poly("n"), &env), Sign::Unknown);
+    }
+
+    #[test]
+    fn the_walks_hand_every_loop_the_same_environment() {
+        // (shape, source, variable of the loop compared)
+        let table = [
+            ("assignment chain", "m = 4\nmp = m*p\nm2 = mp + 1\ndo i = 1, m2\n  x = i\nend do", "I"),
+            (
+                "else of a negatable condition",
+                "if (n > 3) then\n  y = 1\nelse\n  do i = 1, 2\n    x = n\n  end do\nend if",
+                "I",
+            ),
+            (
+                "loop that reassigns a pre-loop fact",
+                "integer ia(3)\nn = 5\ndo i = 1, 3\n  do j = 1, n\n    x = j\n  end do\n  n = ia(i)\nend do",
+                "J",
+            ),
+            (
+                "call with an out-argument",
+                "k = 7\nm = 2\ncall mangle(k)\ndo i = k, m\n  x = i\nend do",
+                "I",
+            ),
+        ];
+        for (shape, src, var) in table {
+            let u = unit_of(src);
+            let want = vec![format!("{:?}", env_in_loop(&u, loop_id_of(&u, var)))];
+            let deps = entered(var, || {
+                let stats = crate::DdStats::default();
+                crate::deps::analyze_unit(&mut u.clone(), &crate::PassOptions::polaris(), &stats);
+            });
+            assert_eq!(deps, want, "{shape}: deps");
+            let induction = entered(var, || {
+                crate::induction::run_unit(&mut u.clone());
+            });
+            assert_eq!(induction, want, "{shape}: induction");
+        }
     }
 }

@@ -43,7 +43,6 @@ pub mod cert;
 pub mod cfg;
 pub mod error;
 pub mod expr;
-pub mod forbol;
 pub mod lexer;
 pub mod parser;
 pub mod pattern;
@@ -71,12 +70,5 @@ pub use types::DataType;
 pub fn parse(source: &str) -> Result<Program> {
     let mut program = parser::Parser::new(source)?.parse_program()?;
     parser::resolve_program_refs(&mut program);
-    Ok(program)
-}
-
-/// Parse and then validate, returning the program only if it is well formed.
-pub fn parse_validated(source: &str) -> Result<Program> {
-    let program = parse(source)?;
-    validate::validate_program(&program)?;
     Ok(program)
 }

@@ -7,7 +7,7 @@
 //! `!$POLARIS DOALL ...` directives that [`crate::parser`] can read back
 //! (round-trip tested).
 
-use crate::expr::{BinOp, Expr, LValue, UnOp};
+use crate::expr::{BinOp, Expr, UnOp};
 use crate::program::{Program, ProgramUnit, UnitKind};
 use crate::stmt::{DoLoop, Stmt, StmtKind, StmtList};
 use crate::symbol::SymKind;
@@ -342,11 +342,6 @@ fn fmt_expr(e: &Expr, parent_prec: u8, out: &mut String) {
     if need_parens {
         out.push(')');
     }
-}
-
-/// Format a left-hand side.
-pub fn format_lvalue(lv: &LValue) -> String {
-    format_expr(&lv.as_expr())
 }
 
 #[cfg(test)]

@@ -101,11 +101,6 @@ impl Program {
         self.units.iter().find(|u| u.name == name)
     }
 
-    pub fn unit_mut(&mut self, name: &str) -> Option<&mut ProgramUnit> {
-        let name = name.to_ascii_uppercase();
-        self.units.iter_mut().find(|u| u.name == name)
-    }
-
     /// Add a unit (the Polaris `Program::add` member function). Replaces
     /// any existing unit of the same name.
     pub fn add_unit(&mut self, unit: ProgramUnit) {

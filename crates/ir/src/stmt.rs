@@ -162,13 +162,6 @@ pub struct ParallelInfo {
     pub serial_reason: Option<String>,
 }
 
-impl ParallelInfo {
-    /// True if the loop will execute concurrently (proven or speculative).
-    pub fn is_concurrent(&self) -> bool {
-        self.parallel || self.speculative.is_some()
-    }
-}
-
 /// A `DO var = init, limit [, step]` loop and its body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DoLoop {

@@ -48,11 +48,6 @@ impl DataType {
             DataType::Integer
         }
     }
-
-    /// True if this is a numeric (arithmetic) type.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Integer | DataType::Real)
-    }
 }
 
 impl fmt::Display for DataType {

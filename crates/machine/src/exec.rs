@@ -152,7 +152,7 @@ pub(crate) struct Interp<'a> {
 impl<'a> Interp<'a> {
     fn new(image: &Image, cfg: &'a MachineConfig, adversarial: bool) -> Interp<'a> {
         let shared_steps = match cfg.exec_mode {
-            ExecMode::Threaded { .. } => Some(Arc::new(AtomicU64::new(0))),
+            ExecMode::Threaded => Some(Arc::new(AtomicU64::new(0))),
             ExecMode::Simulated => None,
         };
         let quiet_steps = shared_steps.is_none()
@@ -707,7 +707,7 @@ impl<'a> Interp<'a> {
             o.enter_loop(l.loop_id, &l.label, n_scalars);
         }
 
-        let concurrent = !self.in_parallel && self.cfg.exec_procs() > 1;
+        let concurrent = !self.in_parallel && self.cfg.procs > 1;
         let loop_span = self.recorder.loop_span("exec", &l.label, l.loop_id);
         let adaptive = self.cfg.adaptive.is_some()
             && concurrent
@@ -721,7 +721,7 @@ impl<'a> Interp<'a> {
                 // Speculative loops stay on the simulated path even in
                 // threaded mode (run_speculative, below); only loops the
                 // pipeline *proved* parallel go to real threads.
-                ExecMode::Threaded { .. } => {
+                ExecMode::Threaded => {
                     crate::threaded::run_threaded_loop(self, l, &iters, body)?
                 }
                 ExecMode::Simulated => self.run_parallel(l, &iters, body)?,
@@ -780,7 +780,7 @@ impl<'a> Interp<'a> {
             parallel: l.par.parallel,
             speculative: !l.par.spec_arrays.is_empty(),
             trip,
-            procs: self.cfg.exec_procs(),
+            procs: self.cfg.procs,
         };
         let d = ctrl.decide(l.loop_id.0, &l.label, hints);
         if self.recorder.is_enabled() {
@@ -826,7 +826,7 @@ impl<'a> Interp<'a> {
                 self.sched_override = Some((d.threads.max(1), schedule));
                 self.count_loop_mode(polaris_obs::Counter::ExecLoopsParallel);
                 let res = match self.cfg.exec_mode {
-                    ExecMode::Threaded { .. } => {
+                    ExecMode::Threaded => {
                         crate::threaded::run_threaded_loop(self, l, iters, body)
                     }
                     ExecMode::Simulated => self.run_parallel(l, iters, body),
@@ -1463,7 +1463,7 @@ pub(crate) fn run_traced(
     image: &Image,
     cfg: &MachineConfig,
 ) -> Result<crate::oracle::OracleState, MachineError> {
-    debug_assert_eq!(cfg.exec_procs(), 1, "oracle traces require serial execution");
+    debug_assert_eq!(cfg.procs, 1, "oracle traces require serial execution");
     let mut interp = Interp::new(image, cfg, false);
     interp.oracle = Some(Box::new(crate::oracle::OracleState::new()));
     interp.run_program(image)?;

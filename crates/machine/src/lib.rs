@@ -105,7 +105,7 @@ impl Engine {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     Simulated,
-    Threaded { procs: usize, schedule: Schedule },
+    Threaded,
 }
 
 /// Simulated machine configuration.
@@ -185,10 +185,9 @@ impl MachineConfig {
         }
     }
 
-    /// Real-thread execution with `procs` worker threads. Also sets the
-    /// simulated `procs`/`schedule` to the same values so cost-model
-    /// accounting (and the speculative fallback path) stays consistent
-    /// with what actually runs.
+    /// Real-thread execution with `procs` worker threads. Both backends
+    /// read the one `procs`/`schedule` pair, so cost-model accounting
+    /// (and the speculative fallback path) describes what actually runs.
     pub fn threaded(procs: usize, schedule: Schedule) -> MachineConfig {
         MachineConfig {
             procs: procs.max(1),
@@ -197,7 +196,7 @@ impl MachineConfig {
             codegen: CodegenModel::none(),
             fuel: None,
             memory_cap: None,
-            exec_mode: ExecMode::Threaded { procs: procs.max(1), schedule },
+            exec_mode: ExecMode::Threaded,
             engine: Engine::default(),
             cancel: None,
             panic_at_step: None,
@@ -225,35 +224,7 @@ impl MachineConfig {
 
     pub fn with_procs(mut self, procs: usize) -> MachineConfig {
         self.procs = procs;
-        if let ExecMode::Threaded { procs: ref mut p, .. } = self.exec_mode {
-            *p = procs.max(1);
-        }
         self
-    }
-
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> MachineConfig {
-        self.exec_mode = mode;
-        if let ExecMode::Threaded { procs, schedule } = mode {
-            self.procs = procs.max(1);
-            self.schedule = schedule;
-        }
-        self
-    }
-
-    /// Worker count of the active execution backend.
-    pub fn exec_procs(&self) -> usize {
-        match self.exec_mode {
-            ExecMode::Simulated => self.procs,
-            ExecMode::Threaded { procs, .. } => procs,
-        }
-    }
-
-    /// Schedule of the active execution backend.
-    pub fn exec_schedule(&self) -> Schedule {
-        match self.exec_mode {
-            ExecMode::Simulated => self.schedule,
-            ExecMode::Threaded { schedule, .. } => schedule,
-        }
     }
 
     pub fn with_codegen(mut self, codegen: CodegenModel) -> MachineConfig {

@@ -44,7 +44,7 @@ use crate::error::MachineError;
 use crate::exec::{red_apply_i, red_apply_r, red_identity_i, red_identity_r, Flow, Interp};
 use crate::lower::{RLoop, RRef, RStmt};
 use crate::value::{ArrData, ArrObj, Scalar};
-use crate::{ExecMode, MachineConfig};
+use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -516,10 +516,7 @@ pub(crate) fn run_threaded_loop(
         // Adaptive dispatch installs a per-invocation override; worker
         // count may be lower than the pool size (idle lanes are fine).
         Some((p, s)) => (p.max(1), s),
-        None => match interp.cfg.exec_mode {
-            ExecMode::Threaded { procs, schedule } => (procs.max(1), schedule),
-            ExecMode::Simulated => unreachable!("threaded driver in simulated mode"),
-        },
+        None => (interp.cfg.procs, interp.cfg.schedule),
     };
 
     // STOP in the body means later iterations must not run at all:
@@ -529,7 +526,7 @@ pub(crate) fn run_threaded_loop(
         return interp.run_serial_loop(l, iters, body);
     }
 
-    let pool_procs = interp.cfg.exec_procs();
+    let pool_procs = interp.cfg.procs;
     let pool_threads = interp.pool.as_ref().map(|p| p.threads());
     debug_assert!(pool_threads.is_none() || pool_threads == Some(pool_procs));
     let plan = ChunkPlan::new(trip, procs, schedule);

@@ -301,14 +301,6 @@ pub fn is_nondecreasing(p: &Poly, var: &str, env: &RangeEnv) -> bool {
     }
 }
 
-/// Is `p` monotonically non-increasing in `var` under `env`?
-pub fn is_nonincreasing(p: &Poly, var: &str, env: &RangeEnv) -> bool {
-    match p.forward_diff(var) {
-        Some(d) => sign(&d, env).is_nonpos(),
-        None => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

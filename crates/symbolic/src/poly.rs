@@ -108,10 +108,6 @@ impl Monomial {
         self.0.is_empty()
     }
 
-    pub fn degree(&self) -> u32 {
-        self.0.values().sum()
-    }
-
     pub fn degree_in(&self, var: &str) -> u32 {
         self.0.get(&Atom::var(var)).copied().unwrap_or(0)
     }
@@ -200,10 +196,6 @@ impl Poly {
 
     pub fn terms(&self) -> impl Iterator<Item = (&Monomial, &Rat)> {
         self.terms.iter()
-    }
-
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
     }
 
     /// All scalar-variable atoms appearing at top level.
@@ -474,22 +466,6 @@ impl Poly {
     /// Highest power of `atom` in any term.
     pub fn degree_in_atom(&self, atom: &Atom) -> u32 {
         self.terms.keys().map(|m| m.0.get(atom).copied().unwrap_or(0)).max().unwrap_or(0)
-    }
-
-    /// Replace every occurrence of `atom` with `value`.
-    pub fn subst_atom(&self, atom: &Atom, value: &Poly) -> Option<Poly> {
-        let mut out = Poly::zero();
-        for (m, c) in &self.terms {
-            let pow = m.0.get(atom).copied().unwrap_or(0);
-            let mut rest = m.0.clone();
-            rest.remove(atom);
-            let mut term = Poly { terms: BTreeMap::from([(Monomial(rest), *c)]) };
-            if pow > 0 {
-                term = term.checked_mul(&value.checked_pow(pow)?)?;
-            }
-            out = out.checked_add(&term)?;
-        }
-        Some(out)
     }
 
     /// Linear decomposition over `vars`: `p = rest + Σ coeff_i * vars_i`

@@ -17,7 +17,7 @@ mod common;
 
 use common::{for_each_config, Matrix, Sched};
 use polaris::{MachineConfig, PassOptions};
-use polaris_machine::{audit, run, Engine};
+use polaris_machine::{audit, run, run_recorded, Engine};
 use polaris_runtime::AdaptiveController;
 use std::sync::Arc;
 
@@ -87,6 +87,28 @@ fn threaded_backend_is_bit_identical_for_every_schedule() {
         let matrix = if hard.contains(&b.name) { &full } else { &stealing_at_8 };
         assert_bit_identical(b, matrix);
     }
+}
+
+/// A `threaded xN/Stealing` row must run on the Chase–Lev queue, not
+/// on block partitioning under another name: on the skewed kernel a
+/// worker that drains its own deque goes looking for a victim.
+#[test]
+fn threaded_stealing_rows_reach_the_steal_queue() {
+    let program = common::compiled(polaris_benchmarks::skewed().source, "SPMVT");
+    let matrix =
+        Matrix { engines: &[Engine::Vm], procs: &[], threads: &[2], schedules: &[Sched::Stealing] };
+    let mut stealing_rows = 0;
+    for_each_config(&matrix, |label, cfg| {
+        if !label.contains("threaded x2/Stealing") {
+            return;
+        }
+        stealing_rows += 1;
+        let rec = polaris::obs::Recorder::monotonic();
+        run_recorded(&program, cfg, &rec).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let attempts = rec.counters().get("exec.steal.attempts").copied().unwrap_or(0);
+        assert!(attempts > 0, "{label}: no steal attempted; the row ran another schedule");
+    });
+    assert_eq!(stealing_rows, 1);
 }
 
 /// Decision-table conformance: tables are deterministic across repeated

@@ -132,6 +132,55 @@ fn vfa_and_polaris_agree_on_results_everywhere() {
 }
 
 #[test]
+fn facts_about_reassigned_variables_do_not_reach_closed_forms() {
+    // The I body reassigns N, so `N = 5` says nothing about the J trip
+    // count in later iterations: K has no closed form over I (induction
+    // once hoisted `K = 3*N` and printed `-6 -2`).
+    let stale_fact = "
+      program stale
+      integer n, k, i, j
+      integer ia(3)
+      ia(1) = -4
+      ia(2) = 7
+      ia(3) = -2
+      n = 5
+      k = 0
+      do i = 1, 3
+        do j = 1, n
+          k = k + 1
+        end do
+        n = ia(i)
+      end do
+      print *, k, n
+      end
+";
+    // The bound itself is reassigned: the trip count is the N of entry,
+    // the last value must not be computed from the N of exit.
+    let stale_bound = "
+      program bound
+      integer n, k, i
+      integer ia(1)
+      ia(1) = 5
+      n = ia(1)
+      k = 0
+      do i = 1, n
+        k = k + 1
+        n = 7
+      end do
+      print *, k, n
+      end
+";
+    for (src, want) in [(stale_fact, "12 -2"), (stale_bound, "5 7")] {
+        let (serial, parallel, out) =
+            parallelize_and_run(src, &PassOptions::polaris(), &MachineConfig::challenge_8())
+                .unwrap();
+        assert_eq!(serial.output, [want]);
+        assert_eq!(parallel.output, serial.output, "{}", out.annotated_source);
+        polaris::machine::run_validated(&out.program, &MachineConfig::challenge_8()).unwrap();
+    }
+}
+
+#[test]
 fn cli_binary_smoke() {
     use std::io::Write;
     let dir = std::env::temp_dir().join("polarisc_smoke");
