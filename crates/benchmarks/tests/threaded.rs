@@ -8,10 +8,15 @@
 //! orders of magnitude below that, so the comparison is exact string
 //! equality — any divergence (lost update, racy merge, wrong
 //! privatization) fails loudly.
+//!
+//! The simulated cycle count is held to the same standard: the threaded
+//! backend bills a `PARALLEL DO` through the simulator's own plan and
+//! bill, so `cycles` must be *equal* to the simulated machine's at the
+//! same `procs`, `schedule` and cost model, not merely close.
 
 use polaris_benchmarks::{all, track, Benchmark};
 use polaris_core::{compile, PassOptions};
-use polaris_machine::{run, run_serial, MachineConfig, Schedule};
+use polaris_machine::{run, run_serial, ExecMode, MachineConfig, Schedule};
 
 fn polaris_compiled(b: &Benchmark) -> polaris_ir::Program {
     let mut p = b.program();
@@ -19,34 +24,43 @@ fn polaris_compiled(b: &Benchmark) -> polaris_ir::Program {
     p
 }
 
-#[test]
-fn all_17_kernels_identical_checksums_threaded_8() {
+/// Every kernel under `schedule` on 8 real threads: serial checksums,
+/// and the simulated machine's cycle count.
+fn assert_threaded_matches(schedule: Schedule) {
     for b in all().into_iter().chain([track()]) {
         let reference = run_serial(&b.program()).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let pol = polaris_compiled(&b);
-        let threaded = run(&pol, &MachineConfig::threaded(8, Schedule::Static))
-            .unwrap_or_else(|e| panic!("{} (threaded): {e}", b.name));
+        let cfg = MachineConfig::threaded(8, schedule);
+        let threaded =
+            run(&pol, &cfg).unwrap_or_else(|e| panic!("{} ({schedule:?}): {e}", b.name));
         assert_eq!(
             reference.output, threaded.output,
-            "{}: threaded checksums diverge from serial",
+            "{}: threaded checksums diverge from serial under {schedule:?}",
+            b.name
+        );
+        let simulated = run(&pol, &MachineConfig { exec_mode: ExecMode::Simulated, ..cfg })
+            .unwrap_or_else(|e| panic!("{} (simulated {schedule:?}): {e}", b.name));
+        assert_eq!(
+            simulated.cycles, threaded.cycles,
+            "{}: threaded and simulated cycle bills differ under {schedule:?}",
             b.name
         );
     }
 }
 
 #[test]
+fn all_17_kernels_identical_checksums_threaded_8() {
+    assert_threaded_matches(Schedule::Static);
+}
+
+#[test]
 fn kernels_identical_checksums_under_self_scheduling() {
-    for b in all().into_iter().chain([track()]) {
-        let reference = run_serial(&b.program()).unwrap();
-        let pol = polaris_compiled(&b);
-        let threaded = run(&pol, &MachineConfig::threaded(8, Schedule::Dynamic { chunk: 4 }))
-            .unwrap_or_else(|e| panic!("{} (dynamic): {e}", b.name));
-        assert_eq!(
-            reference.output, threaded.output,
-            "{}: self-scheduled checksums diverge from serial",
-            b.name
-        );
-    }
+    assert_threaded_matches(Schedule::Dynamic { chunk: 4 });
+}
+
+#[test]
+fn kernels_identical_checksums_and_cycles_under_stealing() {
+    assert_threaded_matches(Schedule::Stealing { chunk: 4 });
 }
 
 #[test]

@@ -2,7 +2,8 @@
 
 use crate::cost::{CostModel, Schedule};
 use crate::error::MachineError;
-use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RPar, RRed, RRef, RStmt};
+use crate::dispatch::{ChunkPlan, IterSpace};
+use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
 use crate::shadow::ShadowSim;
 use crate::value::{scalar_approx_eq, ArrData, ArrObj, Scalar, V};
 use crate::{Engine, ExecMode, MachineConfig};
@@ -22,6 +23,18 @@ pub struct LoopExecStats {
     pub spec_fail: u64,
     /// Cycles charged to this loop (all invocations, at this nesting).
     pub cycles: u64,
+}
+
+impl LoopExecStats {
+    /// Add another tally of the same loop (a worker's, or a same-label
+    /// loop's) into this one.
+    pub(crate) fn absorb(&mut self, other: &LoopExecStats) {
+        self.invocations += other.invocations;
+        self.parallel_invocations += other.parallel_invocations;
+        self.spec_success += other.spec_success;
+        self.spec_fail += other.spec_fail;
+        self.cycles += other.cycles;
+    }
 }
 
 /// Result of one program run.
@@ -99,7 +112,7 @@ pub(crate) struct Interp<'a> {
     pub(crate) output: Vec<String>,
     /// Per-loop execution stats, indexed by the dense
     /// [`polaris_ir::stmt::LoopId`] so the per-invocation updates are a
-    /// vector index, not a string-keyed map probe; [`Self::finish_loops`]
+    /// vector index, not a string-keyed map probe; [`Self::into_result`]
     /// folds this into the label-keyed map `RunResult` exposes.
     pub(crate) loop_stats: Vec<Option<(String, LoopExecStats)>>,
     /// Active speculative tracking: (array slot, shadow).
@@ -128,19 +141,15 @@ pub(crate) struct Interp<'a> {
     /// step count is then unobservable and [`Self::charge_step`] can be
     /// skipped entirely on the hot path.
     pub(crate) quiet_steps: bool,
-    /// Recycled iteration-value vectors (one live per loop-nest level),
-    /// so each loop invocation reuses an allocation instead of mallocing
-    /// its iteration space.
-    pub(crate) iter_pool: Vec<Vec<i64>>,
     /// Observability recorder (see [`polaris_obs`]); disabled by default,
     /// attached by [`run_recorded`]. Workers always carry a disabled
     /// handle — chunk events are recorded post-join on the driver thread
     /// so the trace stays deterministic.
     pub(crate) recorder: polaris_obs::Recorder,
     /// Per-invocation `(workers, schedule)` override installed by the
-    /// adaptive dispatcher for one parallel loop; consulted by
-    /// [`Self::proc_of`]/[`Self::run_parallel`] and the threaded driver,
-    /// cleared when the dispatched loop returns.
+    /// adaptive dispatcher for one parallel loop; consulted through
+    /// [`Self::chunk_plan`] by both backends, cleared when the dispatched
+    /// loop returns.
     pub(crate) sched_override: Option<(usize, Schedule)>,
     /// Per-chunk (threaded) or per-bucket (simulated) cycle totals of
     /// the last parallel dispatch, in chunk order — the deterministic
@@ -151,44 +160,18 @@ pub(crate) struct Interp<'a> {
 
 impl<'a> Interp<'a> {
     fn new(image: &Image, cfg: &'a MachineConfig, adversarial: bool) -> Interp<'a> {
-        let shared_steps = match cfg.exec_mode {
-            ExecMode::Threaded => Some(Arc::new(AtomicU64::new(0))),
-            ExecMode::Simulated => None,
-        };
-        let quiet_steps = shared_steps.is_none()
-            && cfg.fuel.is_none()
-            && cfg.cancel.is_none()
-            && cfg.panic_at_step.is_none();
+        let shared_steps =
+            (cfg.exec_mode == ExecMode::Threaded).then(|| Arc::new(AtomicU64::new(0)));
         Interp {
-            cfg,
-            scalars: image.scalars.clone(),
-            arrays: image.arrays.clone(),
-            cycles: 0,
-            steps: 0,
-            in_parallel: false,
             adversarial,
-            output: Vec::new(),
-            loop_stats: Vec::new(),
-            spec: Vec::new(),
-            spec_iter: 0,
-            shared_steps,
-            pool: None,
-            tcache: BTreeMap::new(),
-            oracle: None,
-            bc: None,
-            vm_pool: Vec::new(),
-            quiet_steps,
-            iter_pool: Vec::new(),
-            recorder: polaris_obs::Recorder::disabled(),
-            sched_override: None,
-            last_chunk_cycles: Vec::new(),
+            ..Interp::over(cfg, image.scalars.clone(), image.arrays.clone(), shared_steps)
         }
     }
 
-    /// A worker-side interpreter executing chunks of one parallel loop.
-    /// It starts from snapshots of the parent's state and never spawns
-    /// further threads (`in_parallel` stays set).
-    pub(crate) fn for_worker(
+    /// A fresh interpreter over the given memory. Threaded workers build
+    /// theirs from snapshots of the parent's state and set `in_parallel`
+    /// so they never spawn further threads.
+    pub(crate) fn over(
         cfg: &'a MachineConfig,
         scalars: Vec<Scalar>,
         arrays: Vec<ArrObj>,
@@ -204,7 +187,7 @@ impl<'a> Interp<'a> {
             arrays,
             cycles: 0,
             steps: 0,
-            in_parallel: true,
+            in_parallel: false,
             adversarial: false,
             output: Vec::new(),
             loop_stats: Vec::new(),
@@ -217,7 +200,6 @@ impl<'a> Interp<'a> {
             bc: None,
             vm_pool: Vec::new(),
             quiet_steps,
-            iter_pool: Vec::new(),
             recorder: polaris_obs::Recorder::disabled(),
             sched_override: None,
             last_chunk_cycles: Vec::new(),
@@ -613,32 +595,30 @@ impl<'a> Interp<'a> {
 
     /// The per-loop stats slot for `l`, keyed by its dense loop id.
     pub(crate) fn loop_entry(&mut self, l: &RLoop) -> &mut LoopExecStats {
-        let i = l.loop_id.0 as usize;
+        self.loop_slot(l.loop_id.0 as usize, &l.label)
+    }
+
+    pub(crate) fn loop_slot(&mut self, i: usize, label: &str) -> &mut LoopExecStats {
         if i >= self.loop_stats.len() {
             self.loop_stats.resize_with(i + 1, || None);
         }
         &mut self.loop_stats[i]
-            .get_or_insert_with(|| (l.label.clone(), LoopExecStats::default()))
+            .get_or_insert_with(|| (label.to_string(), LoopExecStats::default()))
             .1
     }
 
-    /// Fold the id-indexed stats into the label-keyed map `RunResult`
-    /// exposes (two loops sharing a label merge, as the map always did).
-    pub(crate) fn finish_loops(&mut self) -> BTreeMap<String, LoopExecStats> {
-        let mut out: BTreeMap<String, LoopExecStats> = BTreeMap::new();
-        for (label, st) in self.loop_stats.drain(..).flatten() {
-            let e = out.entry(label).or_default();
-            e.invocations += st.invocations;
-            e.parallel_invocations += st.parallel_invocations;
-            e.spec_success += st.spec_success;
-            e.spec_fail += st.spec_fail;
-            e.cycles += st.cycles;
+    /// The finished run as callers see it: the id-indexed stats folded
+    /// into a label-keyed map (two loops sharing a label merge).
+    fn into_result(self, wall: Duration) -> RunResult {
+        let mut loops: BTreeMap<String, LoopExecStats> = BTreeMap::new();
+        for (label, st) in self.loop_stats.into_iter().flatten() {
+            loops.entry(label).or_default().absorb(&st);
         }
-        out
+        RunResult { cycles: self.cycles, output: self.output, loops, wall }
     }
 
-    /// The iteration values of a loop (evaluated once, F77 semantics).
-    fn iteration_values(&mut self, l: &RLoop) -> Result<Vec<i64>, MachineError> {
+    /// Evaluate `l`'s bounds (once, F77 semantics) into its iteration space.
+    fn iter_space(&mut self, l: &RLoop) -> Result<IterSpace, MachineError> {
         let init = self.eval(&l.init)?.as_i()?;
         let limit = self.eval(&l.limit)?.as_i()?;
         let step = match &l.step {
@@ -648,47 +628,16 @@ impl<'a> Interp<'a> {
         if step == 0 {
             return Err(MachineError::Type(format!("zero step in {}", l.label)));
         }
-        // Pre-check the trip count analytically against the remaining fuel
-        // *before* materializing the iteration vector: a miscompiled bound
-        // like `DO I = 1, 2000000000` must fail fast with FuelExhausted,
-        // not allocate gigabytes first.
-        let trip: u128 = if (step > 0 && init <= limit) || (step < 0 && init >= limit) {
-            ((limit as i128 - init as i128) / step as i128) as u128 + 1
-        } else {
-            0
-        };
+        let space = IterSpace::new(init, limit, step);
+        // Pre-check the trip count analytically against the remaining
+        // fuel: a miscompiled bound like `DO I = 1, 2000000000` must fail
+        // fast with FuelExhausted, not run the budget down first.
         if let Some(fuel) = self.cfg.fuel {
-            let remaining = fuel.saturating_sub(self.steps);
-            if trip > u128::from(remaining) {
+            if space.trip() > fuel.saturating_sub(self.steps) {
                 return Err(MachineError::FuelExhausted { limit: fuel });
             }
         }
-        let mut out = self.iter_pool.pop().unwrap_or_default();
-        out.clear();
-        out.reserve(trip.min(1 << 20) as usize);
-        let mut v = init;
-        while (step > 0 && v <= limit) || (step < 0 && v >= limit) {
-            out.push(v);
-            // With no fuel cap, a huge iteration space would otherwise be
-            // uncancellable until the allocation finishes: poll the token
-            // while materializing.
-            if out.len() & 0xFFFF == 0 {
-                if let Some(tok) = &self.cfg.cancel {
-                    if tok.is_cancelled() {
-                        return Err(MachineError::Cancelled(
-                            tok.reason().unwrap_or_else(|| "cancelled".into()),
-                        ));
-                    }
-                }
-            }
-            // The next value is unrepresentable only when it would also be
-            // past the limit, so stopping here preserves F77 semantics.
-            match v.checked_add(step) {
-                Some(nv) => v = nv,
-                None => break,
-            }
-        }
-        Ok(out)
+        Ok(space)
     }
 
     /// Orchestrate one loop invocation. `body` is the loop's bytecode
@@ -697,7 +646,7 @@ impl<'a> Interp<'a> {
     /// speculation, adversarial validation, threading, stats, the F77
     /// exit value — is engine-independent and shared.
     pub(crate) fn run_loop(&mut self, l: &RLoop, body: Option<u32>) -> Result<Flow, MachineError> {
-        let iters = self.iteration_values(l)?;
+        let space = self.iter_space(l)?;
         self.loop_entry(l).invocations += 1;
         let loop_start = self.cycles;
         // Oracle frame: pushed after the bound expressions are evaluated
@@ -714,27 +663,18 @@ impl<'a> Interp<'a> {
             && !self.adversarial
             && (l.par.parallel || !l.par.spec_arrays.is_empty());
         let flow = if adaptive {
-            self.run_adaptive(l, &iters, body)?
+            self.run_adaptive(l, space, body)?
         } else if l.par.parallel && concurrent && !self.adversarial {
-            self.count_loop_mode(polaris_obs::Counter::ExecLoopsParallel);
-            match self.cfg.exec_mode {
-                // Speculative loops stay on the simulated path even in
-                // threaded mode (run_speculative, below); only loops the
-                // pipeline *proved* parallel go to real threads.
-                ExecMode::Threaded => {
-                    crate::threaded::run_threaded_loop(self, l, &iters, body)?
-                }
-                ExecMode::Simulated => self.run_parallel(l, &iters, body)?,
-            }
+            self.run_parallel(l, space, body)?
         } else if !l.par.spec_arrays.is_empty() && concurrent && !self.adversarial {
             self.count_loop_mode(polaris_obs::Counter::ExecLoopsSpeculative);
-            self.run_speculative(l, &iters, body)?
+            self.run_speculative(l, space, body)?
         } else if l.par.parallel && self.adversarial && !self.in_parallel {
             self.count_loop_mode(polaris_obs::Counter::ExecLoopsAdversarial);
-            self.run_adversarial(l, &iters, body)?
+            self.run_adversarial(l, space, body)?
         } else {
             self.count_loop_mode(polaris_obs::Counter::ExecLoopsSerial);
-            self.run_serial_loop(l, &iters, body)?
+            self.run_serial_loop(l, space, body)?
         };
         loop_span.end();
         if let Some(o) = self.oracle.as_deref_mut() {
@@ -746,17 +686,8 @@ impl<'a> Interp<'a> {
         // limit after the loop completes — and this must hold regardless
         // of execution order (the variable is implicitly private).
         if flow == Flow::Normal {
-            let step = match &l.step {
-                Some(s) => self.eval(s)?.as_i()?,
-                None => 1,
-            };
-            let beyond = match iters.last() {
-                Some(&last) => last + step,
-                None => self.eval(&l.init)?.as_i()?,
-            };
-            self.scalars[l.var].set(V::I(beyond))?;
+            self.scalars[l.var].set(V::I(space.exit_value()))?;
         }
-        self.iter_pool.push(iters);
         Ok(flow)
     }
 
@@ -770,12 +701,12 @@ impl<'a> Interp<'a> {
     fn run_adaptive(
         &mut self,
         l: &RLoop,
-        iters: &[i64],
+        space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
         use polaris_runtime::{Chunking, DecideEvent, Observation, Strategy};
         let ctrl = Arc::clone(self.cfg.adaptive.as_ref().expect("adaptive dispatch without controller"));
-        let trip = iters.len() as u64;
+        let trip = space.trip();
         let hints = polaris_runtime::LoopHints {
             parallel: l.par.parallel,
             speculative: !l.par.spec_arrays.is_empty(),
@@ -807,15 +738,10 @@ impl<'a> Interp<'a> {
                 )
                 .end();
         }
-        match d.strategy {
+        let (flow, chunk_cycles, misspeculated) = match d.strategy {
             Strategy::Serial => {
                 self.count_loop_mode(polaris_obs::Counter::ExecLoopsSerial);
-                let flow = self.run_serial_loop(l, iters, body)?;
-                ctrl.observe(
-                    l.loop_id.0,
-                    Observation { trip, chunk_cycles: Vec::new(), misspeculated: None },
-                );
-                Ok(flow)
+                (self.run_serial_loop(l, space, body)?, Vec::new(), None)
             }
             Strategy::Static => {
                 let schedule = match d.chunking {
@@ -824,35 +750,19 @@ impl<'a> Interp<'a> {
                     Chunking::Stealing { chunk } => Schedule::Stealing { chunk },
                 };
                 self.sched_override = Some((d.threads.max(1), schedule));
-                self.count_loop_mode(polaris_obs::Counter::ExecLoopsParallel);
-                let res = match self.cfg.exec_mode {
-                    ExecMode::Threaded => {
-                        crate::threaded::run_threaded_loop(self, l, iters, body)
-                    }
-                    ExecMode::Simulated => self.run_parallel(l, iters, body),
-                };
+                let res = self.run_parallel(l, space, body);
                 self.sched_override = None;
-                let flow = res?;
-                let chunk_cycles = std::mem::take(&mut self.last_chunk_cycles);
-                ctrl.observe(l.loop_id.0, Observation { trip, chunk_cycles, misspeculated: None });
-                Ok(flow)
+                (res?, std::mem::take(&mut self.last_chunk_cycles), None)
             }
             Strategy::Speculative => {
                 self.count_loop_mode(polaris_obs::Counter::ExecLoopsSpeculative);
                 let fails_before = self.loop_entry(l).spec_fail;
-                let flow = self.run_speculative(l, iters, body)?;
-                let misspec = self.loop_entry(l).spec_fail > fails_before;
-                ctrl.observe(
-                    l.loop_id.0,
-                    Observation {
-                        trip,
-                        chunk_cycles: Vec::new(),
-                        misspeculated: Some(misspec),
-                    },
-                );
-                Ok(flow)
+                let flow = self.run_speculative(l, space, body)?;
+                (flow, Vec::new(), Some(self.loop_entry(l).spec_fail > fails_before))
             }
-        }
+        };
+        ctrl.observe(l.loop_id.0, Observation { trip, chunk_cycles, misspeculated });
+        Ok(flow)
     }
 
     /// One dispatch decision for a lowered loop: bump the per-mode counter
@@ -898,135 +808,105 @@ impl<'a> Interp<'a> {
     pub(crate) fn run_serial_loop(
         &mut self,
         l: &RLoop,
-        iters: &[i64],
+        space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
         let bc = body.map(|_| Arc::clone(self.bc.as_ref().expect("VM loop body without bytecode")));
-        for (idx, &v) in iters.iter().enumerate() {
+        for idx in 0..space.trip() {
             if let Some(o) = self.oracle.as_deref_mut() {
-                o.begin_iteration(idx as u64);
+                o.begin_iteration(idx);
             }
-            if self.run_one_iteration(l, v, body, bc.as_deref())? == Flow::Stop {
+            if self.run_one_iteration(l, space.value(idx), body, bc.as_deref())? == Flow::Stop {
                 return Ok(Flow::Stop);
             }
         }
         Ok(Flow::Normal)
     }
 
-    /// Effective `(workers, schedule)` for the simulated parallel paths:
-    /// the adaptive override when one is installed, else the config.
-    pub(crate) fn sim_sched(&self) -> (usize, Schedule) {
-        self.sched_override.unwrap_or((self.cfg.procs, self.cfg.schedule))
+    /// The chunk plan of a concurrent dispatch of `space`, on both
+    /// backends: over the adaptive override's `(workers, schedule)` when
+    /// one is installed, else the config's.
+    pub(crate) fn chunk_plan(&self, space: IterSpace) -> ChunkPlan {
+        let (procs, schedule) = self.sched_override.unwrap_or((self.cfg.procs, self.cfg.schedule));
+        ChunkPlan::new(space.trip(), procs, schedule)
     }
 
-    /// Which processor executes iteration `idx` of `trip` iterations?
-    fn proc_of(&self, idx: usize, trip: usize) -> usize {
-        let (procs, schedule) = self.sim_sched();
-        match schedule {
-            Schedule::Static => {
-                let per = trip.div_ceil(procs).max(1);
-                (idx / per).min(procs - 1)
-            }
-            // Stealing uses the same chunk → bucket mapping as dynamic
-            // self-scheduling: the simulator models where the *cost*
-            // lands, and stealing only perturbs which lane runs a chunk,
-            // round-robin being the no-steals baseline.
-            Schedule::Dynamic { chunk } | Schedule::Stealing { chunk } => {
-                (idx / chunk.max(1)) % procs
-            }
-        }
-    }
-
-    fn run_parallel(
+    /// Execute the whole iteration space on this thread, chunk by chunk
+    /// in plan order (which is iteration order: chunks are contiguous),
+    /// and return the cycles each simulated processor was charged.
+    /// `self.cycles` is left where it started — the caller bills. Active
+    /// shadows ([`Self::run_speculative`]) are stamped per iteration.
+    fn run_simulated(
         &mut self,
         l: &RLoop,
-        iters: &[i64],
+        space: IterSpace,
+        plan: &ChunkPlan,
         body: Option<u32>,
-    ) -> Result<Flow, MachineError> {
+    ) -> Result<(Flow, Vec<u64>), MachineError> {
         let c0 = self.cycles;
-        let trip = iters.len();
-        let (procs, schedule) = self.sim_sched();
-        let mut buckets = vec![0u64; procs];
+        let mut buckets = vec![0u64; plan.procs()];
         self.in_parallel = true;
         let mut flow = Flow::Normal;
         let bc = body.map(|_| Arc::clone(self.bc.as_ref().expect("VM loop body without bytecode")));
-        for (idx, &v) in iters.iter().enumerate() {
+        for k in 0..plan.n_chunks() {
+            let (start, end) = plan.bounds(k);
             let b0 = self.cycles;
-            flow = self.run_one_iteration(l, v, body, bc.as_deref())?;
-            buckets[self.proc_of(idx, trip)] += self.cycles - b0;
+            for idx in start..end {
+                self.spec_iter = idx as u32;
+                flow = self.run_one_iteration(l, space.value(idx), body, bc.as_deref())?;
+                for (_, sh) in self.spec.iter_mut() {
+                    sh.end_iteration(idx as u32);
+                }
+                if flow == Flow::Stop {
+                    break;
+                }
+            }
+            buckets[plan.bucket_of(k)] += self.cycles - b0;
             if flow == Flow::Stop {
                 break;
             }
         }
         self.in_parallel = false;
         self.cycles = c0;
-        if self.cfg.adaptive.is_some() {
-            self.last_chunk_cycles = buckets.clone();
-        }
-        // Run-time profitability guard (the generated code wraps the
-        // parallel region in an IF, as both PFA and Polaris did): a loop
-        // whose total work cannot amortize the fork runs serially.
-        let total: u64 = buckets.iter().sum();
-        if total < 2 * self.cfg.cost.fork_join {
-            self.cycles += total + self.cfg.cost.branch;
-            return Ok(flow);
-        }
-        let mut charged = self.cfg.cost.fork_join + buckets.iter().copied().max().unwrap_or(0);
-        if let Schedule::Dynamic { chunk } | Schedule::Stealing { chunk } = schedule {
-            charged += (trip.div_ceil(chunk.max(1)) as u64) * self.cfg.cost.dispatch;
-        }
-        charged += self.merge_costs(&l.par);
-        self.cycles += charged;
-        self.loop_entry(l).parallel_invocations += 1;
-        Ok(flow)
+        Ok((flow, buckets))
     }
 
-    pub(crate) fn merge_costs(&self, par: &RPar) -> u64 {
-        let c = &self.cfg.cost;
-        let mut total = 0u64;
-        for red in &par.reductions {
-            total += match red.target {
-                RRef::Scalar(_) => self.cfg.procs as u64 * c.reduction_merge,
-                RRef::Array(a) => self.arrays[a].data.len() as u64 * c.reduction_merge,
-            };
+    /// One `PARALLEL DO` invocation on the configured backend. Only loops
+    /// the pipeline *proved* parallel go to real threads; speculative
+    /// ones stay simulated ([`Self::run_speculative`]) in either mode.
+    fn run_parallel(
+        &mut self,
+        l: &RLoop,
+        space: IterSpace,
+        body: Option<u32>,
+    ) -> Result<Flow, MachineError> {
+        self.count_loop_mode(polaris_obs::Counter::ExecLoopsParallel);
+        if self.cfg.exec_mode == ExecMode::Threaded {
+            return crate::threaded::run_threaded_loop(self, l, space, body);
         }
-        for &a in &par.private_arrays {
-            total += self.arrays[a].data.len() as u64 * c.private_setup;
+        let plan = self.chunk_plan(space);
+        let (flow, buckets) = self.run_simulated(l, space, &plan, body)?;
+        if self.bill_parallel(&l.par, &plan, &buckets) {
+            self.loop_entry(l).parallel_invocations += 1;
         }
-        total
+        if self.cfg.adaptive.is_some() {
+            self.last_chunk_cycles = buckets;
+        }
+        Ok(flow)
     }
 
     fn run_speculative(
         &mut self,
         l: &RLoop,
-        iters: &[i64],
+        space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
         debug_assert!(self.spec.is_empty(), "nested speculation");
         for &a in &l.par.spec_arrays {
             self.spec.push((a, ShadowSim::new(self.arrays[a].data.len())));
         }
-        let c0 = self.cycles;
-        let trip = iters.len();
-        let mut buckets = vec![0u64; self.cfg.procs];
-        self.in_parallel = true;
-        let mut flow = Flow::Normal;
-        let bc = body.map(|_| Arc::clone(self.bc.as_ref().expect("VM loop body without bytecode")));
-        for (idx, &v) in iters.iter().enumerate() {
-            self.spec_iter = idx as u32;
-            let b0 = self.cycles;
-            flow = self.run_one_iteration(l, v, body, bc.as_deref())?;
-            let t = self.spec_iter;
-            for (_, sh) in self.spec.iter_mut() {
-                sh.end_iteration(t);
-            }
-            buckets[self.proc_of(idx, trip)] += self.cycles - b0;
-            if flow == Flow::Stop {
-                break;
-            }
-        }
-        self.in_parallel = false;
-        self.cycles = c0;
+        let plan = self.chunk_plan(space);
+        let (flow, buckets) = self.run_simulated(l, space, &plan, body)?;
 
         let shadows = std::mem::take(&mut self.spec);
         let success = shadows.iter().all(|(_, sh)| sh.verdict().plain_ok());
@@ -1034,10 +914,7 @@ impl<'a> Interp<'a> {
         let marks_done: u64 = shadows.iter().map(|(_, sh)| sh.marks_done).sum();
         let analysis = tracked_elems * self.cfg.cost.spec_analysis / self.cfg.procs as u64
             + self.cfg.cost.fork_join / 2;
-        let attempt = self.cfg.cost.fork_join
-            + buckets.iter().copied().max().unwrap_or(0)
-            + analysis
-            + self.merge_costs(&l.par);
+        let attempt = self.concurrent_cost(&buckets, &l.par) + analysis;
         if success {
             self.cycles += attempt;
             let entry = self.loop_entry(l);
@@ -1066,7 +943,7 @@ impl<'a> Interp<'a> {
     fn run_adversarial(
         &mut self,
         l: &RLoop,
-        iters: &[i64],
+        space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
         // stash shared state of private vars
@@ -1086,10 +963,9 @@ impl<'a> Interp<'a> {
 
         self.in_parallel = true;
         let mut flow = Flow::Normal;
-        let last = iters.last().copied();
         let mut copy_out_values: Vec<(usize, Scalar)> = Vec::new();
         let bc = body.map(|_| Arc::clone(self.bc.as_ref().expect("VM loop body without bytecode")));
-        for &v in iters.iter().rev() {
+        for idx in (0..space.trip()).rev() {
             // poison privates
             for &s in &l.par.private_scalars {
                 self.scalars[s] = poison_scalar(self.scalars[s]);
@@ -1099,14 +975,14 @@ impl<'a> Interp<'a> {
             }
             // reduction slots start at identity each iteration
             for (red, _) in &red_state {
-                set_identity(red, self);
+                set_identity(self, red);
             }
-            flow = self.run_one_iteration(l, v, body, bc.as_deref())?;
+            flow = self.run_one_iteration(l, space.value(idx), body, bc.as_deref())?;
             // fold partials
             for (red, accum) in red_state.iter_mut() {
                 accum.fold(red, self);
             }
-            if Some(v) == last {
+            if idx + 1 == space.trip() {
                 for &s in &l.par.copy_out_scalars {
                     copy_out_values.push((s, self.scalars[s]));
                 }
@@ -1286,7 +1162,9 @@ impl RedAccum {
     }
 }
 
-fn set_identity(red: &RRed, interp: &mut Interp<'_>) {
+/// Reset a reduction target to its operator's identity, so what the next
+/// iterations leave there is their partial alone.
+pub(crate) fn set_identity(interp: &mut Interp<'_>, red: &RRed) {
     match red.target {
         RRef::Scalar(s) => {
             interp.scalars[s] = match interp.scalars[s] {
@@ -1303,7 +1181,7 @@ fn set_identity(red: &RRed, interp: &mut Interp<'_>) {
     }
 }
 
-pub(crate) fn red_identity_r(op: RedOp) -> f64 {
+fn red_identity_r(op: RedOp) -> f64 {
     match op {
         RedOp::Sum => 0.0,
         RedOp::Product => 1.0,
@@ -1312,7 +1190,7 @@ pub(crate) fn red_identity_r(op: RedOp) -> f64 {
     }
 }
 
-pub(crate) fn red_identity_i(op: RedOp) -> i64 {
+fn red_identity_i(op: RedOp) -> i64 {
     match op {
         RedOp::Sum => 0,
         RedOp::Product => 1,
@@ -1344,16 +1222,27 @@ pub(crate) fn red_apply_i(op: RedOp, a: i64, b: i64) -> i64 {
 /// Run `program` on the machine (simulated or real-threaded per
 /// `cfg.exec_mode`).
 pub fn run(program: &Program, cfg: &MachineConfig) -> Result<RunResult, MachineError> {
+    run_recorded(program, cfg, &polaris_obs::Recorder::disabled())
+}
+
+/// Lower `program`, run it under `cfg` with `rec` attached, and hand the
+/// finished interpreter to `finish` before it is folded into the result.
+fn run_with<T>(
+    program: &Program,
+    cfg: &MachineConfig,
+    rec: &polaris_obs::Recorder,
+    finish: impl FnOnce(&Interp<'_>, &Image) -> T,
+) -> Result<(RunResult, T), MachineError> {
     let t0 = Instant::now();
     let image = lower_with_cap(program, cfg.memory_cap)?;
     let mut interp = Interp::new(&image, cfg, false);
-    interp.run_program(&image)?;
-    Ok(RunResult {
-        cycles: interp.cycles,
-        loops: interp.finish_loops(),
-        output: interp.output,
-        wall: t0.elapsed(),
-    })
+    interp.recorder = rec.clone();
+    let exec_span = rec.span("exec", "exec");
+    let flow = interp.run_program(&image);
+    exec_span.end();
+    flow?;
+    let extra = finish(&interp, &image);
+    Ok((interp.into_result(t0.elapsed()), extra))
 }
 
 /// A bit-exact snapshot of final memory, for differential comparison
@@ -1408,20 +1297,7 @@ pub fn run_with_state(
     program: &Program,
     cfg: &MachineConfig,
 ) -> Result<(RunResult, StateDump), MachineError> {
-    let t0 = Instant::now();
-    let image = lower_with_cap(program, cfg.memory_cap)?;
-    let mut interp = Interp::new(&image, cfg, false);
-    interp.run_program(&image)?;
-    let state = dump_state(&interp, &image);
-    Ok((
-        RunResult {
-            cycles: interp.cycles,
-            loops: interp.finish_loops(),
-            output: interp.output,
-            wall: t0.elapsed(),
-        },
-        state,
-    ))
+    run_with(program, cfg, &polaris_obs::Recorder::disabled(), dump_state)
 }
 
 /// [`run`] with an observability [`polaris_obs::Recorder`] attached: an
@@ -1435,20 +1311,7 @@ pub fn run_recorded(
     cfg: &MachineConfig,
     rec: &polaris_obs::Recorder,
 ) -> Result<RunResult, MachineError> {
-    let t0 = Instant::now();
-    let image = lower_with_cap(program, cfg.memory_cap)?;
-    let mut interp = Interp::new(&image, cfg, false);
-    interp.recorder = rec.clone();
-    let exec_span = rec.span("exec", "exec");
-    let run_result = interp.run_program(&image);
-    exec_span.end();
-    run_result?;
-    Ok(RunResult {
-        cycles: interp.cycles,
-        loops: interp.finish_loops(),
-        output: interp.output,
-        wall: t0.elapsed(),
-    })
+    run_with(program, cfg, rec, |_, _| ()).map(|(result, ())| result)
 }
 
 /// Run serially (annotations have no effect; the serial reference time).
@@ -1528,20 +1391,7 @@ pub fn run_validated(
             seq.output, adv.output
         )));
     }
-    Ok((
-        RunResult {
-            cycles: seq.cycles,
-            loops: seq.finish_loops(),
-            output: seq.output,
-            wall: seq_wall,
-        },
-        RunResult {
-            cycles: adv.cycles,
-            loops: adv.finish_loops(),
-            output: adv.output,
-            wall: adv_wall,
-        },
-    ))
+    Ok((seq.into_result(seq_wall), adv.into_result(adv_wall)))
 }
 
 /// Slots privatized (without copy-out) in any loop of the code.

@@ -31,6 +31,7 @@
 
 pub mod bytecode;
 pub mod cost;
+mod dispatch;
 pub mod error;
 pub mod exec;
 pub mod lower;

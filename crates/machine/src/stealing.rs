@@ -128,7 +128,7 @@ pub struct StealQueue {
 
 impl StealQueue {
     /// Distribute chunks `0..n_chunks` across `workers` deques in the
-    /// same contiguous-block shape as `ChunkPlan::Block`, pushed in
+    /// same contiguous-block shape as a `Schedule::Static` plan, pushed in
     /// reverse so each owner pops its own chunks in ascending order.
     pub fn block_distributed(n_chunks: usize, workers: usize) -> StealQueue {
         let workers = workers.max(1);

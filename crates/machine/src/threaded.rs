@@ -34,14 +34,16 @@
 //!   execution (a mid-loop STOP must suppress later iterations), and
 //!   speculative loops stay on the simulated LRPD path.
 //!
-//! Simulated cycle accounting is maintained alongside real execution
-//! (per-chunk cycle deltas are assigned to buckets exactly like the
-//! simulator's `proc_of`), so `--diag`-style speedup *models* remain
-//! comparable between `ExecMode::Simulated` and `ExecMode::Threaded`.
+//! Simulated cycle accounting is maintained alongside real execution:
+//! per-chunk cycle deltas go to the buckets the shared
+//! [`ChunkPlan`] names and through the same `Interp::bill_parallel` the
+//! simulator pays, so `--diag`-style speedup *models* are identical
+//! between `ExecMode::Simulated` and `ExecMode::Threaded`.
 
 use crate::cost::Schedule;
+use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::error::MachineError;
-use crate::exec::{red_apply_i, red_apply_r, red_identity_i, red_identity_r, Flow, Interp};
+use crate::exec::{red_apply_i, red_apply_r, set_identity, Flow, Interp};
 use crate::lower::{RLoop, RRef, RStmt};
 use crate::value::{ArrData, ArrObj, Scalar};
 use crate::MachineConfig;
@@ -142,79 +144,6 @@ impl Drop for ThreadPool {
     }
 }
 
-// ---- chunk plans ------------------------------------------------------
-
-/// How the iteration space `0..trip` is cut into chunks. Chunk `k`
-/// covers `bounds(k)`; the mapping is a pure function of `(trip,
-/// schedule, procs)` so every run — and the simulator's `proc_of` —
-/// agrees on it.
-#[derive(Debug, Clone, Copy)]
-enum ChunkPlan {
-    /// One contiguous block per worker (chunk k belongs to worker k).
-    Block { trip: usize, procs: usize },
-    /// Fixed-size chunks claimed dynamically (self-scheduling).
-    SelfSched { trip: usize, chunk: usize },
-    /// Fixed-size chunks claimed through the work-stealing queue
-    /// ([`crate::stealing::StealQueue`]). Chunk *bounds* are identical
-    /// to `SelfSched` — only the chunk → worker assignment differs — so
-    /// the merge (keyed by chunk index) is oblivious to who stole what.
-    Stolen { trip: usize, chunk: usize },
-}
-
-impl ChunkPlan {
-    fn new(trip: usize, procs: usize, schedule: Schedule) -> ChunkPlan {
-        match schedule {
-            Schedule::Static => ChunkPlan::Block { trip, procs },
-            Schedule::Dynamic { chunk } => ChunkPlan::SelfSched { trip, chunk: chunk.max(1) },
-            Schedule::Stealing { chunk } => ChunkPlan::Stolen { trip, chunk: chunk.max(1) },
-        }
-    }
-
-    fn n_chunks(&self) -> usize {
-        match *self {
-            ChunkPlan::Block { procs, .. } => procs,
-            ChunkPlan::SelfSched { trip, chunk } | ChunkPlan::Stolen { trip, chunk } => {
-                trip.div_ceil(chunk)
-            }
-        }
-    }
-
-    fn bounds(&self, k: usize) -> (usize, usize) {
-        match *self {
-            ChunkPlan::Block { trip, procs } => {
-                let per = trip.div_ceil(procs).max(1);
-                ((k * per).min(trip), ((k + 1) * per).min(trip))
-            }
-            ChunkPlan::SelfSched { trip, chunk } | ChunkPlan::Stolen { trip, chunk } => {
-                ((k * chunk).min(trip), ((k + 1) * chunk).min(trip))
-            }
-        }
-    }
-
-    /// Index of the chunk containing the final iteration (`trip-1`).
-    fn last_chunk(&self) -> usize {
-        match *self {
-            ChunkPlan::Block { trip, procs } => {
-                let per = trip.div_ceil(procs).max(1);
-                ((trip.saturating_sub(1)) / per).min(procs - 1)
-            }
-            ChunkPlan::SelfSched { trip, chunk } | ChunkPlan::Stolen { trip, chunk } => {
-                trip.saturating_sub(1) / chunk
-            }
-        }
-    }
-
-    /// Simulated processor bucket a chunk's cycles are charged to —
-    /// kept identical to `exec::Interp::proc_of`'s iteration mapping.
-    fn bucket_of(&self, k: usize) -> usize {
-        match *self {
-            ChunkPlan::Block { procs, .. } => k.min(procs - 1),
-            // caller takes `% procs`
-            ChunkPlan::SelfSched { .. } | ChunkPlan::Stolen { .. } => k,
-        }
-    }
-}
-
 // ---- shared loop cache ------------------------------------------------
 
 /// A loop body made shareable across threads, cached per label so the
@@ -266,17 +195,17 @@ struct WorkerOut {
     loops: Vec<Option<(String, crate::exec::LoopExecStats)>>,
     chunks: Vec<ChunkOut>,
     /// First failing iteration index and its error, if any.
-    err: Option<(usize, MachineError)>,
+    err: Option<(u64, MachineError)>,
 }
 
 /// Everything a worker needs, owned, so the job closure is `'static`.
 struct WorkerTask {
     wid: usize,
     l: Arc<RLoop>,
-    iters: Arc<Vec<i64>>,
+    space: IterSpace,
     plan: ChunkPlan,
     queue: Arc<AtomicUsize>,
-    /// Work-stealing chunk queue (`ChunkPlan::Stolen` only).
+    /// Work-stealing chunk queue (`Schedule::Stealing` only).
     steal: Option<Arc<crate::stealing::StealQueue>>,
     cfg: MachineConfig,
     scalars: Vec<Scalar>,
@@ -292,7 +221,7 @@ fn worker_run(task: WorkerTask) -> WorkerOut {
     let WorkerTask {
         wid,
         l,
-        iters,
+        space,
         plan,
         queue,
         steal,
@@ -303,18 +232,19 @@ fn worker_run(task: WorkerTask) -> WorkerOut {
         bc,
         body,
     } = task;
-    let mut it = Interp::for_worker(&cfg, scalars, arrays, shared_steps);
+    let mut it = Interp::over(&cfg, scalars, arrays, shared_steps);
+    it.in_parallel = true;
     it.bc = bc;
     let bc_arc = it.bc.clone();
     let mut chunks: Vec<ChunkOut> = Vec::new();
-    let mut err: Option<(usize, MachineError)> = None;
+    let mut err: Option<(u64, MachineError)> = None;
     let n_chunks = plan.n_chunks();
     let last_chunk = plan.last_chunk();
     let mut block_done = false;
     loop {
-        let k = match plan {
+        let k = match plan.schedule {
             // Block: worker k owns exactly chunk k.
-            ChunkPlan::Block { .. } => {
+            Schedule::Static => {
                 if block_done {
                     break;
                 }
@@ -322,9 +252,9 @@ fn worker_run(task: WorkerTask) -> WorkerOut {
                 wid
             }
             // Self-scheduling: claim the next chunk index.
-            ChunkPlan::SelfSched { .. } => queue.fetch_add(1, Ordering::Relaxed),
+            Schedule::Dynamic { .. } => queue.fetch_add(1, Ordering::Relaxed),
             // Work stealing: own deque first, then steal from victims.
-            ChunkPlan::Stolen { .. } => {
+            Schedule::Stealing { .. } => {
                 match steal.as_ref().expect("stolen plan without queue").next(wid) {
                     Some(k) => k,
                     None => break,
@@ -335,17 +265,14 @@ fn worker_run(task: WorkerTask) -> WorkerOut {
             break;
         }
         let (start, end) = plan.bounds(k);
-        if start >= end {
-            continue;
-        }
         let c0 = it.cycles;
         let out0 = it.output.len();
         for red in &l.par.reductions {
-            reset_to_identity(&mut it, red.op, red.target);
+            set_identity(&mut it, red);
         }
-        let mut chunk_err: Option<(usize, MachineError)> = None;
+        let mut chunk_err: Option<(u64, MachineError)> = None;
         for idx in start..end {
-            match it.run_one_iteration(&l, iters[idx], body, bc_arc.as_deref()) {
+            match it.run_one_iteration(&l, space.value(idx), body, bc_arc.as_deref()) {
                 Ok(Flow::Normal) => {}
                 // STOP bodies never reach the threaded path (serial
                 // fallback), but surface it as an error defensively
@@ -384,23 +311,6 @@ fn worker_run(task: WorkerTask) -> WorkerOut {
         }
     }
     WorkerOut { wid, arrays: it.arrays, loops: it.loop_stats, chunks, err }
-}
-
-fn reset_to_identity(it: &mut Interp<'_>, op: RedOp, target: RRef) {
-    match target {
-        RRef::Scalar(s) => {
-            it.scalars[s] = match it.scalars[s] {
-                Scalar::R(_) => Scalar::R(red_identity_r(op)),
-                Scalar::I(_) => Scalar::I(red_identity_i(op)),
-                b => b,
-            };
-        }
-        RRef::Array(a) => match Arc::make_mut(&mut it.arrays[a].data) {
-            ArrData::R(v) => v.fill(red_identity_r(op)),
-            ArrData::I(v) => v.fill(red_identity_i(op)),
-            ArrData::B(_) => {}
-        },
-    }
 }
 
 fn capture_partial(it: &Interp<'_>, target: RRef) -> RedPartial {
@@ -505,39 +415,33 @@ fn diff_bytes(theirs: &ArrData, base: &ArrData) -> u64 {
 pub(crate) fn run_threaded_loop(
     interp: &mut Interp<'_>,
     l: &RLoop,
-    iters: &[i64],
+    space: IterSpace,
     body: Option<u32>,
 ) -> Result<Flow, MachineError> {
-    let trip = iters.len();
-    if trip == 0 {
+    // An adaptive override may plan for fewer workers than the pool holds
+    // (idle lanes are fine).
+    let plan = interp.chunk_plan(space);
+    let procs = plan.procs();
+    if space.trip() == 0 {
+        // Nothing to fork, but the generated guard still ran.
+        interp.bill_parallel(&l.par, &plan, &[]);
         return Ok(Flow::Normal);
     }
-    let (procs, schedule) = match interp.sched_override {
-        // Adaptive dispatch installs a per-invocation override; worker
-        // count may be lower than the pool size (idle lanes are fine).
-        Some((p, s)) => (p.max(1), s),
-        None => (interp.cfg.procs, interp.cfg.schedule),
-    };
 
     // STOP in the body means later iterations must not run at all:
     // only exact serial execution preserves that.
     let shared = cached_loop(interp, l);
     if shared.has_stop {
-        return interp.run_serial_loop(l, iters, body);
+        return interp.run_serial_loop(l, space, body);
     }
 
     let pool_procs = interp.cfg.procs;
     let pool_threads = interp.pool.as_ref().map(|p| p.threads());
     debug_assert!(pool_threads.is_none() || pool_threads == Some(pool_procs));
-    let plan = ChunkPlan::new(trip, procs, schedule);
-    let iters_arc = Arc::new(iters.to_vec());
     let queue = Arc::new(AtomicUsize::new(0));
-    let steal = match plan {
-        ChunkPlan::Stolen { .. } => Some(Arc::new(
-            crate::stealing::StealQueue::block_distributed(plan.n_chunks(), procs),
-        )),
-        _ => None,
-    };
+    let steal = matches!(plan.schedule, Schedule::Stealing { .. }).then(|| {
+        Arc::new(crate::stealing::StealQueue::block_distributed(plan.n_chunks(), procs))
+    });
     let snapshot: Vec<Arc<ArrData>> = interp.arrays.iter().map(|a| Arc::clone(&a.data)).collect();
 
     let (tx, rx) = mpsc::channel::<WorkerOut>();
@@ -549,7 +453,7 @@ pub(crate) fn run_threaded_loop(
             let task = WorkerTask {
                 wid,
                 l: Arc::clone(&shared.l),
-                iters: Arc::clone(&iters_arc),
+                space,
                 plan,
                 queue: Arc::clone(&queue),
                 steal: steal.clone(),
@@ -599,7 +503,7 @@ pub(crate) fn run_threaded_loop(
             interp.recorder.count(polaris_obs::Counter::StealAttempts, q.attempts());
         }
         for ch in &chunks {
-            let tid = 1 + (plan.bucket_of(ch.k) % procs) as u32;
+            let tid = 1 + plan.bucket_of(ch.k) as u32;
             interp
                 .recorder
                 .span_with("exec", format!("chunk:{}", ch.k), tid, Some(l.loop_id), None)
@@ -607,23 +511,12 @@ pub(crate) fn run_threaded_loop(
         }
     }
 
-    // -- simulated cycle accounting (mirrors exec::run_parallel) --------
-    let c = &interp.cfg.cost;
-    let total: u64 = chunks.iter().map(|ch| ch.cycles).sum();
-    if total < 2 * c.fork_join {
-        interp.cycles += total + c.branch;
-    } else {
-        let mut buckets = vec![0u64; procs];
-        for ch in &chunks {
-            buckets[plan.bucket_of(ch.k) % procs] += ch.cycles;
-        }
-        let mut charged = c.fork_join + buckets.iter().copied().max().unwrap_or(0);
-        if let Schedule::Dynamic { .. } | Schedule::Stealing { .. } = schedule {
-            charged += plan.n_chunks() as u64 * c.dispatch;
-        }
-        charged += interp.merge_costs(&l.par);
-        interp.cycles += charged;
+    // -- simulated cycle accounting: the simulator's bill ---------------
+    let mut buckets = vec![0u64; procs];
+    for ch in &chunks {
+        buckets[plan.bucket_of(ch.k)] += ch.cycles;
     }
+    interp.bill_parallel(&l.par, &plan, &buckets);
     if interp.cfg.adaptive.is_some() {
         // Deterministic cost signal for the adaptive controller: chunk
         // cycle totals in chunk order (never wall time, never steal
@@ -634,18 +527,9 @@ pub(crate) fn run_threaded_loop(
     // -- merge nested-loop stats ----------------------------------------
     for w in &results {
         for (i, slot) in w.loops.iter().enumerate() {
-            let Some((label, st)) = slot else { continue };
-            if i >= interp.loop_stats.len() {
-                interp.loop_stats.resize_with(i + 1, || None);
+            if let Some((label, st)) = slot {
+                interp.loop_slot(i, label).absorb(st);
             }
-            let e = &mut interp.loop_stats[i]
-                .get_or_insert_with(|| (label.clone(), Default::default()))
-                .1;
-            e.invocations += st.invocations;
-            e.parallel_invocations += st.parallel_invocations;
-            e.spec_success += st.spec_success;
-            e.spec_fail += st.spec_fail;
-            e.cycles += st.cycles;
         }
     }
 
@@ -763,6 +647,7 @@ pub(crate) fn run_threaded_loop(
     }
     interp.recorder.count(polaris_obs::Counter::ThreadedMergeBytes, merge_bytes);
 
+    // Counted whatever the bill's guard said: the fork really happened.
     interp.loop_entry(l).parallel_invocations += 1;
     Ok(Flow::Normal)
 }
@@ -871,31 +756,6 @@ mod tests {
         assert_eq!(tree_merge_r(vec![3.5], RedOp::Sum), Some(3.5));
         assert_eq!(tree_merge_i(vec![], RedOp::Max), None);
         assert_eq!(tree_merge_i(vec![-9], RedOp::Max), Some(-9));
-    }
-
-    #[test]
-    fn chunk_plans_cover_iteration_space_exactly_once() {
-        for trip in [0usize, 1, 3, 7, 8, 9, 100] {
-            for procs in [1usize, 2, 4, 8] {
-                for plan in [
-                    ChunkPlan::new(trip, procs, Schedule::Static),
-                    ChunkPlan::new(trip, procs, Schedule::Dynamic { chunk: 3 }),
-                ] {
-                    let mut seen = vec![0u32; trip];
-                    for k in 0..plan.n_chunks() {
-                        let (s, e) = plan.bounds(k);
-                        for slot in &mut seen[s..e] {
-                            *slot += 1;
-                        }
-                    }
-                    assert!(seen.iter().all(|&c| c == 1), "trip={trip} procs={procs} {plan:?}");
-                    if trip > 0 {
-                        let (s, e) = plan.bounds(plan.last_chunk());
-                        assert!(s < trip && trip - 1 < e, "last_chunk misses final iter");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -98,6 +98,52 @@ fn fuel_not_hit_output_matches_the_reference_in_both_engines() {
     }
 }
 
+// ---- iteration space --------------------------------------------------
+
+/// A loop's iteration space is arithmetic, not a vector: two billion
+/// trips whose body `STOP`s on the sixth finish at once with no fuel
+/// limit to save them, and print what the first six iterations computed.
+#[test]
+fn huge_trip_count_with_an_early_stop_needs_no_fuel_in_both_engines() {
+    let early = "program early\n\
+                 integer i, s\n\
+                 s = 0\n\
+                 do i = 1, 2000000000\n\
+                 \x20 s = s + i\n\
+                 \x20 if (i == 6) then\n\
+                 \x20   print *, s\n\
+                 \x20   stop\n\
+                 \x20 end if\n\
+                 end do\n\
+                 print *, -1\n\
+                 end\n";
+    let program = polaris_ir::parse(early).unwrap();
+    for engine in ENGINES {
+        let ran = polaris_machine::run(&program, &cfg(engine)).unwrap();
+        assert_eq!(ran.output, ["21"], "{engine:?}");
+    }
+}
+
+/// The F77 exit value of a loop that ends at `i64::MAX` wraps like every
+/// other integer operation of the machine, in both engines, instead of
+/// overflowing (a panic in a debug build).
+#[test]
+fn loop_bounded_by_i64_max_wraps_its_exit_value_in_both_engines() {
+    let edge = "program edge\n\
+                integer i, s\n\
+                s = 0\n\
+                do i = 9223372036854775806, 9223372036854775807\n\
+                \x20 s = s + 1\n\
+                end do\n\
+                print *, s, i\n\
+                end\n";
+    let program = polaris_ir::parse(edge).unwrap();
+    for engine in ENGINES {
+        let ran = polaris_machine::run(&program, &cfg(engine)).unwrap();
+        assert_eq!(ran.output, ["2 -9223372036854775808"], "{engine:?}");
+    }
+}
+
 // ---- memory ----------------------------------------------------------
 
 #[test]
