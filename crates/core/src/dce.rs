@@ -127,6 +127,20 @@ mod tests {
     }
 
     #[test]
+    fn store_read_by_the_enclosing_if_on_the_back_edge_is_kept() {
+        // Nothing after the loop reads M, but the next iteration's
+        // `M > L` reads what `M = M + M` stored.
+        let src = "program t\ninteger m, l\nm = 1\nl = 4\nv = 0.0\ndo j = 1, 10\n  if (m > l) then\n    v = v + 1.0\n  else\n    m = m + m\n  end if\nend do\nprint *, v\nend\n";
+        let (out, stats) = run_src(src);
+        assert_eq!(stats.removed, 0, "{out}");
+        assert!(out.contains("M = M+M"), "{out}");
+        // Same for a bound of an inner loop the store sits in.
+        let src = "program t\ninteger m\nreal a(100)\nm = 1\ndo j = 1, 5\n  do k = 1, m\n    a(k) = 1.0\n    m = k + 1\n  end do\nend do\nprint *, a(1)\nend\n";
+        let (out, stats) = run_src(src);
+        assert_eq!(stats.removed, 0, "{out}");
+    }
+
+    #[test]
     fn guarded_dead_lastvalue_disappears_entirely() {
         // the shape induction inserts: IF (1 <= N) K = K + total
         let src = "program t\ninteger k\nk = 0\nif (1 <= n) then\n  k = k + 2*n\nend if\nprint *, 'done'\nend\n";

@@ -930,6 +930,17 @@ mod tests {
     }
 
     #[test]
+    fn copy_out_for_scalar_read_by_the_enclosing_if_on_the_back_edge() {
+        // T is dead after the J loop, but the IF the I loop sits in reads
+        // it again when J comes round.
+        let src = "program t\nreal a(100), b(100)\nt = 1.0\ndo j = 1, 10\n  if (t > 0.5) then\n    do i = 1, 100\n      t = a(i)\n      b(i) = t\n    end do\n  end if\nend do\nend\n";
+        let (_, r) = analyze(src, &PassOptions::polaris());
+        let inner = report(&r, "do6");
+        assert!(inner.parallel, "{r:?}");
+        assert_eq!(inner.copy_out, vec!["T"]);
+    }
+
+    #[test]
     fn inner_loop_vars_are_private() {
         let src = "program t\nreal a(100,100)\ndo i = 1, 100\n  do j = 1, 100\n    a(i, j) = 1.0\n  end do\nend do\nend\n";
         let (_, r) = analyze(src, &PassOptions::polaris());

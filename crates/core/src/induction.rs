@@ -14,6 +14,10 @@
 //!    the recurrence statements and assign the *last value* after the
 //!    loop (guarded by the loop's non-emptiness when that is not provable).
 //!
+//! All three steps ask one question — *what does one execution of this
+//! statement list add to `K`?* — and [`Walk::list`] is the only code that
+//! answers it: a name is a candidate exactly when its closed form exists.
+//!
 //! Multiplicative inductions (`K = K * c`) are also removed in the simple
 //! single-statement form, producing `K * c**(i - lo)` closed forms, per
 //! the paper's note that "multiplicative inductions are solved as well".
@@ -104,14 +108,6 @@ pub enum InductionMode {
     Generalized,
 }
 
-/// An additive increment statement `K = K + e` (with `e` pre-converted).
-struct Increment {
-    conditional: bool,
-    /// Directly in the processed loop's body (not inside an inner DO)?
-    top_level: bool,
-    expr: Expr,
-}
-
 impl<'a> Pass<'a> {
     /// Walk a statement list, processing every loop found (outermost
     /// first), carrying [`crate::rangeprop`]'s environment for trip-count
@@ -163,197 +159,127 @@ impl<'a> Pass<'a> {
         // Closed forms and last values are written in terms of the
         // bounds, which F77 evaluates once at entry: a body that
         // reassigns them changes what they read afterwards.
-        if assigned_vars(&d.body).iter().any(|v| d.init.references(v) || d.limit.references(v)) {
+        let mut varying = assigned_vars(&d.body);
+        if varying.iter().any(|v| d.init.references(v) || d.limit.references(v)) {
             return Vec::new();
         }
 
-        let mut lastvalues = Vec::new();
-        let candidates = self.find_candidates(d);
-        for k in candidates {
-            if let Some(lv) = self.process_additive(d, &k, body_env, outer_env) {
-                lastvalues.extend(lv);
+        // Step 1 is steps 2 and 3 succeeding: a name is a candidate exactly
+        // when its closed form exists. A cascaded induction's base stops
+        // varying once it is substituted, which is what lets its dependants
+        // through on this or the next round; a dependant of a rejected
+        // base is rejected with it.
+        let mut lastvalues: Vec<(String, Stmt)> = Vec::new();
+        let mut pending: Vec<String> = varying
+            .iter()
+            .rev()
+            .filter(|n| {
+                self.unit.symbols.type_of(n) == DataType::Integer && !self.unit.symbols.is_array(n)
+            })
+            .cloned()
+            .collect();
+        loop {
+            let before = pending.len();
+            pending.retain(|k| {
+                let done =
+                    self.process_additive(d, k, &varying, body_env, outer_env, &mut lastvalues);
+                if done.is_some() {
+                    varying.remove(k);
+                }
+                done.is_none()
+            });
+            if pending.len() == before {
+                break;
             }
         }
+        let mut lastvalues: Vec<Stmt> = lastvalues.into_iter().map(|(_, s)| s).collect();
         if self.mode == InductionMode::Generalized {
-            if let Some(lv) = self.process_multiplicative(d) {
-                lastvalues.extend(lv);
-            }
+            lastvalues.extend(self.process_multiplicative(d));
         }
         remove_deleted(&mut d.body, &self.deleted);
         lastvalues
     }
 
-    // ---- step 1: candidate location ------------------------------------
-
-    /// Candidates of loop `d`, topologically ordered so that a cascaded
-    /// induction's base variables come first.
-    fn find_candidates(&self, d: &DoLoop) -> Vec<String> {
-        let assigned = assigned_vars(&d.body);
-        let do_vars = do_vars_of(&d.body);
-        let mut cands: Vec<(String, Vec<String>)> = Vec::new(); // (name, deps)
-        'vars: for name in &assigned {
-            if do_vars.contains(name) || *name == d.var {
-                continue;
-            }
-            if self.unit.symbols.type_of(name) != DataType::Integer
-                || self.unit.symbols.is_array(name)
-            {
-                continue;
-            }
-            let incs = collect_increments(&d.body, name, &self.deleted);
-            let Some(incs) = incs else { continue };
-            if incs.is_empty() {
-                continue;
-            }
-            let mut deps = Vec::new();
-            for inc in &incs {
-                if inc.conditional {
-                    continue 'vars;
-                }
-                if self.mode == InductionMode::Simple
-                    && (!inc.top_level || inc.expr.simplified().as_int().is_none())
-                {
-                    continue 'vars;
-                }
-                if inc.expr.references(name) {
-                    continue 'vars;
-                }
-                // The increment must be a polynomial whose symbols are
-                // this loop's index, other assigned scalars (candidate
-                // deps), or loop invariants. An *inner* loop's index is
-                // none of these: its value varies across one iteration of
-                // `d`, so an increment mentioning it has no single
-                // per-iteration value here — such increments are only
-                // sound to substitute when the inner loop itself is
-                // processed (innermost-first, cascading outward).
-                let Some(p) = Poly::from_expr(&inc.expr, DivPolicy::Exact) else {
-                    continue 'vars;
-                };
-                for v in p.vars() {
-                    if v == d.var {
-                        continue;
-                    }
-                    if do_vars.contains(&v) {
-                        continue 'vars;
-                    }
-                    if assigned.contains(&v) {
-                        deps.push(v);
-                    }
-                }
-                // Opaque atoms must not mention anything assigned in the
-                // body (array loads of mutated arrays etc.).
-                for atom in p.atoms() {
-                    if let polaris_symbolic::poly::Atom::Opaque { expr, .. } = &atom {
-                        for a in assigned.iter() {
-                            if expr.references(a) {
-                                continue 'vars;
-                            }
-                        }
-                    }
-                }
-            }
-            cands.push((name.clone(), deps));
-        }
-        // Keep only candidates whose deps are themselves candidates.
-        loop {
-            let names: BTreeSet<String> = cands.iter().map(|(n, _)| n.clone()).collect();
-            let before = cands.len();
-            cands.retain(|(_, deps)| deps.iter().all(|d| names.contains(d)));
-            if cands.len() == before {
-                break;
-            }
-        }
-        // Topological order (deps first); cycles dropped.
-        let mut order: Vec<String> = Vec::new();
-        let mut remaining = cands;
-        while !remaining.is_empty() {
-            let ready: Vec<usize> = remaining
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, deps))| deps.iter().all(|d| order.contains(d)))
-                .map(|(i, _)| i)
-                .collect();
-            if ready.is_empty() {
-                break; // cycle: drop the rest
-            }
-            for i in ready.into_iter().rev() {
-                let (n, _) = remaining.remove(i);
-                order.push(n);
-            }
-        }
-        order
-    }
-
-    // ---- steps 2 and 3: closed forms and substitution --------------------
-
-    /// Process one additive candidate of loop `d`. Returns the last-value
-    /// statements on success, `None` if the candidate was rejected.
+    /// Steps 1–3 for one scalar `k` assigned in the body of `d`: `None`
+    /// (and nothing changed) unless `k` is an additive induction variable
+    /// with a closed form. `varying` names what the body still assigns.
     fn process_additive(
         &mut self,
         d: &mut DoLoop,
         k: &str,
+        varying: &BTreeSet<String>,
         env: &RangeEnv,
         outer_env: &RangeEnv,
-    ) -> Option<Vec<Stmt>> {
+        lastvalues: &mut Vec<(String, Stmt)>,
+    ) -> Option<()> {
         let lo = Poly::from_expr(&d.init, DivPolicy::Exact)?;
         let hi = Poly::from_expr(&d.limit, DivPolicy::Exact)?;
+        let walk = Walk { name: k, varying, simple: self.mode == InductionMode::Simple };
         // Per-iteration increment as a function of the loop variable.
-        let inc = increment_of_list(&d.body, k, &self.deleted, env)?;
-        if inc.mentions_var(k) {
+        let inc = walk.list(&mut d.body, None, &mut self.deleted, env, true)?;
+        if walk.varies(&inc) {
             return None;
         }
         // Value at the top of iteration v: K0 + Σ_{v'=lo}^{v-1} inc(v').
-        let header_val = Poly::var(k).checked_add(&prefix_sum(&inc, &d.var, &lo, &Poly::var(&d.var))?)?;
-        // Trial-substitute into a clone first so a mid-way failure cannot
-        // leave the loop half-transformed (the IR-consistency discipline).
+        let header_val =
+            Poly::var(k).checked_add(&prefix_sum(&inc, &d.var, &lo, &Poly::var(&d.var))?)?;
+        let total = sum_over(&inc, &d.var, &lo, &hi)?;
+        let lo_m1 = lo.checked_sub(&Poly::int(1))?;
+        // Rewrite a clone so a mid-way failure (coefficient overflow)
+        // cannot leave the loop half-transformed.
         let mut trial = d.body.clone();
         let mut trial_deleted = self.deleted.clone();
-        substitute_in_list(&mut trial, k, &header_val, &mut trial_deleted, env)?;
-        // Commit.
+        walk.list(&mut trial, Some(&header_val), &mut trial_deleted, env, true)?;
+        debug_assert!(trial_deleted.len() > self.deleted.len(), "candidate had no increments?");
         d.body = trial;
-        let newly_deleted: Vec<StmtId> =
-            trial_deleted.difference(&self.deleted).copied().collect();
-        self.stats.additive_removed += 1;
         self.deleted = trial_deleted;
-        debug_assert!(!newly_deleted.is_empty(), "candidate had no increments?");
+        self.stats.additive_removed += 1;
 
         // Last value after the loop: K = K + Σ_{v=lo}^{hi} inc(v),
         // guarded when the loop may be empty.
-        let total = sum_over(&inc, &d.var, &lo, &hi)?;
-        let total_expr = total.to_expr().simplified();
         let assign = Stmt::new(
             self.unit.fresh_stmt_id(),
             0,
             StmtKind::Assign {
                 lhs: LValue::Var(k.to_string()),
-                rhs: Expr::add(Expr::var(k), total_expr).simplified(),
+                rhs: Expr::add(Expr::var(k), total.to_expr().simplified()).simplified(),
                 reduction: None,
             },
         );
         self.stats.lastvalues_inserted += 1;
-        let lo_m1 = lo.checked_sub(&Poly::int(1))?;
         let stmt = if prove_ge(&hi, &lo_m1, outer_env) {
             assign
         } else {
-            // IF (init <= limit) K = K + total
-            Stmt::new(
-                self.unit.fresh_stmt_id(),
-                0,
-                StmtKind::IfBlock {
-                    arms: vec![polaris_ir::stmt::IfArm {
-                        cond: Expr::bin(BinOp::Le, d.init.clone(), d.limit.clone()),
-                        body: StmtList(vec![assign]),
-                    }],
-                    else_body: StmtList::new(),
-                },
-            )
+            self.guarded_by_nonempty(d, assign)
         };
-        Some(vec![stmt])
+        // `total` reads its bases' *pre-loop* values, so it must be
+        // assigned before any of them is brought up to date.
+        let at = lastvalues
+            .iter()
+            .position(|(base, _)| total.mentions_var(base))
+            .unwrap_or(lastvalues.len());
+        lastvalues.insert(at, (k.to_string(), stmt));
+        Some(())
+    }
+
+    /// `IF (init <= limit) assign`.
+    fn guarded_by_nonempty(&mut self, d: &DoLoop, assign: Stmt) -> Stmt {
+        Stmt::new(
+            self.unit.fresh_stmt_id(),
+            0,
+            StmtKind::IfBlock {
+                arms: vec![polaris_ir::stmt::IfArm {
+                    cond: Expr::bin(BinOp::Le, d.init.clone(), d.limit.clone()),
+                    body: StmtList(vec![assign]),
+                }],
+                else_body: StmtList::new(),
+            },
+        )
     }
 
     /// Simple multiplicative inductions: a single unconditional
     /// `K = K * c` (constant `c`) directly in the loop body.
-    fn process_multiplicative(&mut self, d: &mut DoLoop) -> Option<Vec<Stmt>> {
+    fn process_multiplicative(&mut self, d: &mut DoLoop) -> Option<Stmt> {
         // Find the candidate.
         let mut target: Option<(usize, String, Expr)> = None;
         for (idx, s) in d.body.0.iter().enumerate() {
@@ -432,30 +358,134 @@ impl<'a> Pass<'a> {
             },
         );
         self.stats.lastvalues_inserted += 1;
-        let guarded = Stmt::new(
-            self.unit.fresh_stmt_id(),
-            0,
-            StmtKind::IfBlock {
-                arms: vec![polaris_ir::stmt::IfArm {
-                    cond: Expr::bin(BinOp::Le, d.init.clone(), d.limit.clone()),
-                    body: StmtList(vec![assign]),
-                }],
-                else_body: StmtList::new(),
-            },
-        );
-        Some(vec![guarded])
+        Some(self.guarded_by_nonempty(d, assign))
     }
 }
 
-/// All DO-loop variables appearing in `list` (any depth).
-fn do_vars_of(list: &StmtList) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    list.walk(&mut |s| {
-        if let StmtKind::Do(d) = &s.kind {
-            out.insert(d.var.clone());
+/// The one answer to *what does one execution of this statement list add
+/// to `name`?* — candidate filter, closed form and rewrite all ask it here.
+struct Walk<'a> {
+    name: &'a str,
+    /// Everything the processed loop's body still assigns: `name` itself,
+    /// inner-loop indices, arrays, inductions not (yet) substituted. An
+    /// increment mentioning one of these has no single per-iteration value.
+    varying: &'a BTreeSet<String>,
+    /// [`InductionMode::Simple`]: constant increments directly in the body.
+    simple: bool,
+}
+
+impl Walk<'_> {
+    fn varies(&self, p: &Poly) -> bool {
+        self.varying.iter().any(|v| p.mentions_var(v))
+    }
+
+    /// Can `s`, at any depth, change `name`: an assignment, a `CALL`
+    /// argument, a `DO` index?
+    fn touches(&self, s: &Stmt) -> bool {
+        match &s.kind {
+            StmtKind::Assign { lhs, .. } => matches!(lhs, LValue::Var(n) if n == self.name),
+            StmtKind::Call { args, .. } => args.iter().any(|a| a.references(self.name)),
+            StmtKind::Do(d) => d.var == self.name || d.body.0.iter().any(|s| self.touches(s)),
+            StmtKind::IfBlock { arms, else_body } => {
+                arms.iter().flat_map(|arm| &arm.body.0).chain(&else_body.0).any(|s| self.touches(s))
+            }
+            _ => false,
         }
-    });
-    out
+    }
+
+    /// The increment of `name` over `list` as a polynomial, `None` if
+    /// `name` is not an induction variable of it: a conditional or
+    /// non-increment assignment, a `CALL` or inner `DO` header that may
+    /// write it, an increment that is not a polynomial of invariants, or
+    /// an inner loop whose contribution cannot be folded. Given the value
+    /// of `name` at `entry`, also replaces every use by the value reaching
+    /// it and marks the increment statements `deleted`; with `None`
+    /// nothing is changed. `top_level`: `list` is the processed loop's own
+    /// body, not an inner loop's.
+    fn list(
+        &self,
+        list: &mut StmtList,
+        entry: Option<&Poly>,
+        deleted: &mut BTreeSet<StmtId>,
+        env: &RangeEnv,
+        top_level: bool,
+    ) -> Option<Poly> {
+        let name = self.name;
+        let mut inc = Poly::zero();
+        for s in list.0.iter_mut() {
+            if deleted.contains(&s.id) {
+                continue;
+            }
+            let here = match entry {
+                Some(entry) => Some(entry.checked_add(&inc)?),
+                None => None,
+            };
+            let subst = |value: &Poly| {
+                let value = value.to_expr();
+                move |e: Expr| match &e {
+                    Expr::Var(n) if n == name => value.clone(),
+                    _ => e,
+                }
+            };
+            if !self.touches(s) {
+                if let Some(here) = &here {
+                    polaris_ir::stmt::map_stmt_exprs(s, &mut subst(here));
+                }
+                continue;
+            }
+            match &mut s.kind {
+                StmtKind::Assign { rhs, .. } => {
+                    let e = recognize_increment(name, rhs)?;
+                    if self.simple && !(top_level && e.simplified().as_int().is_some()) {
+                        return None;
+                    }
+                    let e = Poly::from_expr(&e, DivPolicy::Exact)?;
+                    if self.varies(&e) {
+                        return None;
+                    }
+                    inc = inc.checked_add(&e)?;
+                    // The statement goes whole: uses inside it die with it.
+                    if entry.is_some() {
+                        deleted.insert(s.id);
+                    }
+                }
+                StmtKind::Do(d) if d.var != name => {
+                    let mut at_loop = env.clone();
+                    let inner_env = enter_loop(&mut at_loop, d);
+                    let delta = self.list(&mut d.body, None, deleted, &inner_env, false)?;
+                    let mut prefix = Poly::zero();
+                    if !delta.is_zero() {
+                        if d.step_expr().simplified().as_int() != Some(1) {
+                            return None;
+                        }
+                        let lo = Poly::from_expr(&d.init, DivPolicy::Exact)?;
+                        let hi = Poly::from_expr(&d.limit, DivPolicy::Exact)?;
+                        // Faulhaber extrapolates a negative trip count to a
+                        // negative sum: the loop must provably not be one.
+                        let lo_m1 = lo.checked_sub(&Poly::int(1))?;
+                        if !prove_ge(&hi, &lo_m1, &at_loop) {
+                            return None;
+                        }
+                        inc = inc.checked_add(&sum_over(&delta, &d.var, &lo, &hi)?)?;
+                        prefix = prefix_sum(&delta, &d.var, &lo, &Poly::var(&d.var))?;
+                    }
+                    if let Some(here) = &here {
+                        // Bounds see the value at loop entry, the body the
+                        // value at the top of inner iteration j.
+                        let mut f = subst(here);
+                        d.init = d.init.map(&mut f);
+                        d.limit = d.limit.map(&mut f);
+                        d.step = d.step.take().map(|step| step.map(&mut f));
+                        let at_j = here.checked_add(&prefix)?;
+                        self.list(&mut d.body, Some(&at_j), deleted, &inner_env, false)?;
+                    }
+                }
+                // Under an IF, passed to a CALL, or the index of a DO.
+                _ => return None,
+            }
+        }
+        Some(inc)
+    }
 }
 
 /// Recognize `K = K + e` / `K = e + K` / `K = K - e`; returns `e` with
@@ -473,208 +503,6 @@ fn recognize_increment(name: &str, rhs: &Expr) -> Option<Expr> {
         return Some(Expr::neg(b[&0].clone()).simplified());
     }
     None
-}
-
-/// Collect the increment statements for `name` in `list`. Returns `None`
-/// if `name` has a non-increment assignment anywhere in the list.
-fn collect_increments(
-    list: &StmtList,
-    name: &str,
-    deleted: &BTreeSet<StmtId>,
-) -> Option<Vec<Increment>> {
-    let mut out = Vec::new();
-    let mut ok = true;
-    fn rec(
-        list: &StmtList,
-        name: &str,
-        deleted: &BTreeSet<StmtId>,
-        conditional: bool,
-        top_level: bool,
-        out: &mut Vec<Increment>,
-        ok: &mut bool,
-    ) {
-        for s in list {
-            if deleted.contains(&s.id) {
-                continue;
-            }
-            match &s.kind {
-                StmtKind::Assign { lhs, rhs, .. }
-                    if lhs.name() == name && lhs.subs().is_empty() => {
-                        match recognize_increment(name, rhs) {
-                            Some(e) => out.push(Increment { conditional, top_level, expr: e }),
-                            None => *ok = false,
-                        }
-                    }
-                StmtKind::Do(d) => rec(&d.body, name, deleted, conditional, false, out, ok),
-                StmtKind::IfBlock { arms, else_body } => {
-                    for arm in arms {
-                        rec(&arm.body, name, deleted, true, false, out, ok);
-                    }
-                    rec(else_body, name, deleted, true, false, out, ok);
-                }
-                StmtKind::Call { args, .. } => {
-                    for a in args {
-                        if a.references(name) {
-                            *ok = false;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    rec(list, name, deleted, false, true, &mut out, &mut ok);
-    if ok {
-        Some(out)
-    } else {
-        None
-    }
-}
-
-/// Pure scan: the total increment of `name` accumulated by one execution
-/// of `list`, as a polynomial in the enclosing loop variables. Inner
-/// loops contribute their closed-form sums; a non-negative trip count
-/// must be provable under `env`.
-fn increment_of_list(
-    list: &StmtList,
-    name: &str,
-    deleted: &BTreeSet<StmtId>,
-    env: &RangeEnv,
-) -> Option<Poly> {
-    let mut inc = Poly::zero();
-    for s in list {
-        if deleted.contains(&s.id) {
-            continue;
-        }
-        match &s.kind {
-            StmtKind::Assign { lhs, rhs, .. }
-                if lhs.name() == name && lhs.subs().is_empty() => {
-                    let e = recognize_increment(name, rhs)?;
-                    inc = inc.checked_add(&Poly::from_expr(&e, DivPolicy::Exact)?)?;
-                }
-            StmtKind::Do(d) => {
-                let mut at_loop = env.clone();
-                let inner_env = enter_loop(&mut at_loop, d);
-                let delta = increment_of_list(&d.body, name, deleted, &inner_env)?;
-                if !delta.is_zero() {
-                    if d.step_expr().simplified().as_int() != Some(1) {
-                        return None;
-                    }
-                    let lo = Poly::from_expr(&d.init, DivPolicy::Exact)?;
-                    let hi = Poly::from_expr(&d.limit, DivPolicy::Exact)?;
-                    // Guard against negative-trip extrapolation.
-                    let lo_m1 = lo.checked_sub(&Poly::int(1))?;
-                    if !prove_ge(&hi, &lo_m1, &at_loop) {
-                        return None;
-                    }
-                    inc = inc.checked_add(&sum_over(&delta, &d.var, &lo, &hi)?)?;
-                }
-            }
-            StmtKind::IfBlock { .. } => {
-                // Candidates have no conditional increments (validated).
-            }
-            _ => {}
-        }
-    }
-    Some(inc)
-}
-
-/// Substitute every use of `name` in `list` with its closed-form value,
-/// deleting increment statements. `current` is the symbolic value of the
-/// variable at entry to `list`. Returns the total increment of the list.
-fn substitute_in_list(
-    list: &mut StmtList,
-    name: &str,
-    current: &Poly,
-    deleted: &mut BTreeSet<StmtId>,
-    env: &RangeEnv,
-) -> Option<Poly> {
-    let mut inc = Poly::zero();
-    for s in list.0.iter_mut() {
-        if deleted.contains(&s.id) {
-            continue;
-        }
-        let value = current.checked_add(&inc)?;
-        match &mut s.kind {
-            StmtKind::Assign { lhs, rhs, .. } => {
-                if lhs.name() == name && lhs.subs().is_empty() {
-                    let e = recognize_increment(name, rhs)?;
-                    // Uses *inside* the increment expression of other
-                    // variables were already substituted (dependency
-                    // order); the statement is deleted whole.
-                    inc = inc.checked_add(&Poly::from_expr(&e, DivPolicy::Exact)?)?;
-                    deleted.insert(s.id);
-                } else {
-                    let value_expr = value.to_expr();
-                    polaris_ir::stmt::map_stmt_exprs(s, &mut |e| match &e {
-                        Expr::Var(n) if n == name => value_expr.clone(),
-                        _ => e,
-                    });
-                }
-            }
-            StmtKind::Do(d) => {
-                // Bounds see the value at loop entry.
-                let value_expr = value.to_expr();
-                let subst = &mut |e: Expr| match &e {
-                    Expr::Var(n) if n == name => value_expr.clone(),
-                    _ => e,
-                };
-                d.init = d.init.map(subst);
-                d.limit = d.limit.map(subst);
-                if let Some(step) = &mut d.step {
-                    *step = step.map(subst);
-                }
-                let mut at_loop = env.clone();
-                let inner_env = enter_loop(&mut at_loop, d);
-                let delta = increment_of_list(&d.body, name, deleted, &inner_env)?;
-                if delta.is_zero() {
-                    substitute_in_list(&mut d.body, name, &value, deleted, &inner_env)?;
-                } else {
-                    if d.step_expr().simplified().as_int() != Some(1) {
-                        return None;
-                    }
-                    let lo = Poly::from_expr(&d.init, DivPolicy::Exact)?;
-                    let hi = Poly::from_expr(&d.limit, DivPolicy::Exact)?;
-                    let lo_m1 = lo.checked_sub(&Poly::int(1))?;
-                    if !prove_ge(&hi, &lo_m1, &at_loop) {
-                        return None;
-                    }
-                    // Value at the top of inner iteration j.
-                    let at_j = value
-                        .checked_add(&prefix_sum(&delta, &d.var, &lo, &Poly::var(&d.var))?)?;
-                    substitute_in_list(&mut d.body, name, &at_j, deleted, &inner_env)?;
-                    inc = inc.checked_add(&sum_over(&delta, &d.var, &lo, &hi)?)?;
-                }
-            }
-            StmtKind::IfBlock { arms, else_body } => {
-                let value_expr = value.to_expr();
-                for arm in arms.iter_mut() {
-                    arm.cond = arm.cond.map(&mut |e| match &e {
-                        Expr::Var(n) if n == name => value_expr.clone(),
-                        _ => e,
-                    });
-                    // No increments inside (validated): plain substitution.
-                    substitute_uses(&mut arm.body, name, &value_expr);
-                }
-                substitute_uses(else_body, name, &value_expr);
-            }
-            _ => {
-                let value_expr = value.to_expr();
-                polaris_ir::stmt::map_stmt_exprs(s, &mut |e| match &e {
-                    Expr::Var(n) if n == name => value_expr.clone(),
-                    _ => e,
-                });
-            }
-        }
-    }
-    Some(inc)
-}
-
-fn substitute_uses(list: &mut StmtList, name: &str, value: &Expr) {
-    list.map_exprs(&mut |e| match &e {
-        Expr::Var(n) if n == name => value.clone(),
-        _ => e,
-    });
 }
 
 /// Physically remove statements marked deleted.
@@ -867,6 +695,39 @@ mod tests {
         assert_eq!(stats.additive_removed, 1, "{out}");
         let after_i_loop = out.rsplit("END DO").next().unwrap();
         assert!(!after_i_loop.contains("K ="), "{out}");
+    }
+
+    #[test]
+    fn dependant_of_a_rejected_base_is_rejected_with_it() {
+        // M has no closed form over I (its inner loop runs downwards), so
+        // L = L + M must stay a recurrence: M is not an invariant.
+        let src = "program t\ninteger l, m\nl = 1\nm = 2\ndo i = 1, 4\n  l = l + m\n  do j = 3, 1, -1\n    m = m + 5\n  end do\nend do\nprint *, l, m\nend\n";
+        let (p, stats) = transform(src);
+        let out = body_text(&p);
+        assert!(out.contains("L = L+M"), "{out}");
+        assert!(!out.contains("4*M"), "{out}");
+        assert_eq!(stats.additive_removed, 0, "{out}");
+    }
+
+    #[test]
+    fn last_values_are_assigned_dependants_first() {
+        // M's closed form reads L's value from before the loop.
+        let src = "program t\ninteger l, m\ndo i = 1, 4\n  m = m + l\n  l = l + 3\nend do\nprint *, l, m\nend\n";
+        let (p, stats) = transform(src);
+        let out = body_text(&p);
+        assert_eq!(stats.additive_removed, 2, "{out}");
+        let (m_at, l_at) = (out.find("M = M+").unwrap(), out.find("L = L+12").unwrap());
+        assert!(m_at < l_at, "{out}");
+        assert!(out.contains("M = M+(18+4*L)"), "{out}");
+    }
+
+    #[test]
+    fn inner_loop_index_assigned_outside_its_loop_is_no_induction() {
+        // K is the J-loop's own exit value: `K = K + 1` is not the only
+        // thing that changes it.
+        let src = "program t\ninteger k\nreal a(100)\ndo i = 1, 4\n  do k = 1, 3\n    a(k) = 1.0\n  end do\n  k = k + 1\n  a(k) = 2.0\nend do\nend\n";
+        let (_, stats) = transform(src);
+        assert_eq!(stats.additive_removed, 0);
     }
 
     #[test]

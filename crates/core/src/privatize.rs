@@ -235,6 +235,12 @@ pub fn live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -
                 StmtKind::Do(d) => {
                     let contains = crate::rangeprop::contains(&d.body, loop_id);
                     if contains {
+                        // The headers walked through are evaluated again
+                        // when an enclosing loop comes round.
+                        let bounds = [Some(&d.init), Some(&d.limit), d.step.as_ref()];
+                        if relevant && bounds.into_iter().flatten().any(|e| e.references(name)) {
+                            *live = true;
+                        }
                         walk(&d.body, loop_id, name, seen, live, true);
                     } else if relevant && reads_name(s, name) {
                         *live = true;
@@ -248,6 +254,9 @@ pub fn live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -
                         .any(|a| crate::rangeprop::contains(&a.body, loop_id))
                         || crate::rangeprop::contains(else_body, loop_id);
                     if contains {
+                        if relevant && arms.iter().any(|arm| arm.cond.references(name)) {
+                            *live = true;
+                        }
                         for arm in arms {
                             walk(&arm.body, loop_id, name, seen, live, inside_enclosing_loop);
                         }

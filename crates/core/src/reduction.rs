@@ -114,9 +114,9 @@ pub fn recognize(lhs: &LValue, rhs: &Expr) -> Option<RedOp> {
 /// the per-loop reduction descriptors (empty if none validate).
 pub fn validated_reductions(d: &DoLoop) -> Vec<Reduction> {
     let accesses = collect_iteration_accesses(d);
-    // Gather candidate (var, op) pairs from flagged accesses.
-    // Only the *write* of a flagged statement names the reduction
-    // variable; flagged reads cover the β operand's variables too.
+    // Gather candidate (var, op) pairs from flagged writes. Only σ's write
+    // and σ's read carry the flag: a read of the variable inside another
+    // reduction's operand is a reference "elsewhere in the loop".
     let mut candidates: Vec<(String, RedOp)> = Vec::new();
     for a in &accesses {
         if let Some(op) = a.reduction {
@@ -230,6 +230,17 @@ mod tests {
         // S read outside the reduction statement: not a reduction.
         let u = unit_of("do i = 1, n\n  s = s + a(i)\n  b(i) = s\nend do");
         assert!(validated_reductions(first_loop(&u)).is_empty());
+    }
+
+    #[test]
+    fn read_in_another_reductions_operand_invalidates() {
+        // Each statement is reduction-shaped, but V is read in C's operand
+        // and C in V's: both are referenced "elsewhere in the loop".
+        let u = unit_of("real c(20)\ndo i = 1, n\n  v = v + c(i)\n  c(14) = c(14) + v\nend do");
+        assert!(validated_reductions(first_loop(&u)).is_empty());
+        // An operand that reads neither target leaves both valid.
+        let u = unit_of("real c(20)\ndo i = 1, n\n  v = v + b(i)\n  c(14) = c(14) + b(i)\nend do");
+        assert_eq!(validated_reductions(first_loop(&u)).len(), 2);
     }
 
     #[test]

@@ -47,8 +47,9 @@ pub struct Access {
     pub ctx: Vec<LoopCtx>,
     /// True if the access is guarded by an IF inside the root.
     pub conditional: bool,
-    /// Set when the access belongs to a validated reduction statement
-    /// (such accesses are exempt from dependence testing, §3.2).
+    /// Set on the write and the matching read of the reduction variable in
+    /// a flagged reduction statement `σ = σ op β` (such accesses are exempt
+    /// from dependence testing, §3.2); reads inside β are ordinary reads.
     pub reduction: Option<RedOp>,
     /// Position index in textual execution order (pre-order).
     pub order: usize,
@@ -107,24 +108,27 @@ impl Collector {
     }
 
     /// Record all reads inside an expression (array subscripts included).
-    fn reads_in_expr(&mut self, e: &Expr, stmt: StmtId, reduction: Option<RedOp>) {
+    /// `sigma` is the LHS reference of a flagged reduction statement: the
+    /// read that *is* it carries the flag, operand reads do not.
+    fn reads_in_expr(&mut self, e: &Expr, stmt: StmtId, sigma: Option<(&Expr, RedOp)>) {
+        let flag = || sigma.and_then(|(target, op)| (e == target).then_some(op));
         match e {
-            Expr::Var(n) => self.push(n, &[], false, stmt, reduction),
+            Expr::Var(n) => self.push(n, &[], false, stmt, flag()),
             Expr::Index { array, subs } => {
-                self.push(array, subs, false, stmt, reduction);
+                self.push(array, subs, false, stmt, flag());
                 for s in subs {
                     self.reads_in_expr(s, stmt, None);
                 }
             }
             Expr::Call { args, .. } => {
                 for a in args {
-                    self.reads_in_expr(a, stmt, reduction);
+                    self.reads_in_expr(a, stmt, sigma);
                 }
             }
-            Expr::Un { arg, .. } => self.reads_in_expr(arg, stmt, reduction),
+            Expr::Un { arg, .. } => self.reads_in_expr(arg, stmt, sigma),
             Expr::Bin { lhs, rhs, .. } => {
-                self.reads_in_expr(lhs, stmt, reduction);
-                self.reads_in_expr(rhs, stmt, reduction);
+                self.reads_in_expr(lhs, stmt, sigma);
+                self.reads_in_expr(rhs, stmt, sigma);
             }
             _ => {}
         }
@@ -137,7 +141,8 @@ impl Collector {
                 for sub in lhs.subs() {
                     self.reads_in_expr(sub, s.id, None);
                 }
-                self.reads_in_expr(rhs, s.id, *reduction);
+                let target = lhs.as_expr();
+                self.reads_in_expr(rhs, s.id, reduction.map(|op| (&target, op)));
                 self.push_full(lhs.name(), lhs.subs(), true, s.id, *reduction, Some(rhs.clone()));
             }
             StmtKind::Do(d) => {

@@ -36,7 +36,7 @@ pub enum Intr {
 }
 
 /// Lowered expression.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RExpr {
     I(i64),
     R(f64),

@@ -32,7 +32,6 @@
 //! behaviour claimed in §3.5.2.
 
 pub mod adaptive;
-pub mod inspector;
 pub mod lrpd;
 pub mod verdict;
 
@@ -40,7 +39,6 @@ pub use adaptive::{
     AdaptiveController, Chunking, DecideEvent, Decision, DecisionRow, LoopHints, Observation,
     Strategy,
 };
-pub use inspector::{classify, speculative_doall_inspected, IndexProperties, InspectedMode};
 pub use lrpd::{
     run_sequential, speculative_doall, speculative_doall_faulty, speculative_doall_recorded,
     ArrayView, SpecOutcome,

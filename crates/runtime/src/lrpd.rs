@@ -1,5 +1,6 @@
 //! The Privatizing-Doall / LRPD test and the speculative executor.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// How loop bodies touch the shared array under test. The same body
@@ -265,10 +266,12 @@ where
     {
         let data_ref: &[T] = data;
         let body_ref = &body;
-        let joined = crossbeam::thread::scope(|scope| {
+        // Every handle is joined, so a dead worker is an `Err` in the
+        // list; the outer `Err` is a worker that could not be started.
+        let joined = catch_unwind(AssertUnwindSafe(|| std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for tid in 0..n_threads {
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let mut shadow = ThreadShadow::<T>::new(n);
                     // block distribution, matching the machine model
                     let per = n_iters.div_ceil(n_threads);
@@ -290,7 +293,7 @@ where
                 }));
             }
             handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        });
+        })));
         match joined {
             Ok(results) => {
                 for r in results {
@@ -340,7 +343,7 @@ where
         let chunk = n.div_ceil(n_threads).max(1);
         let shadows_ref = &shadows;
         let pieces: Vec<MergePiece> =
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for c in 0..n_threads {
                 let lo = c * chunk;
@@ -348,7 +351,7 @@ where
                 if lo >= hi {
                     continue;
                 }
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let mut marks = 0u64;
                     let mut reduced = 0u64;
                     let mut fa = false;
@@ -382,9 +385,8 @@ where
                     (marks, reduced, fa, np, rc, aw_piece, rx_piece)
                 }));
             }
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("merge worker panicked");
+            handles.into_iter().map(|h| h.join().expect("merge worker panicked")).collect()
+        });
         let mut cursor = 0usize;
         for (m, red, fa, np, rc, piece, rx_piece) in pieces {
             marks += m;
@@ -408,12 +410,12 @@ where
         let shadows_ref = &shadows;
         let aw_ref = &aw;
         let mut data_chunks: Vec<&mut [T]> = data.chunks_mut(chunk).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (c, chunk_data) in data_chunks.iter_mut().enumerate() {
                 let lo = c * chunk;
                 let chunk_data: &mut [T] = chunk_data;
                 let rx_ref = &rx;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (off, slot) in chunk_data.iter_mut().enumerate() {
                         let idx = lo + off;
                         if aw_ref[idx] {
@@ -442,8 +444,7 @@ where
                     }
                 });
             }
-        })
-        .expect("commit worker panicked");
+        });
     }
     let test_time = t_test.elapsed();
 

@@ -7,7 +7,10 @@
 //! * every scalar the body writes must be covered by a privatization,
 //!   lastprivate (copy-out) or reduction annotation (the loop's own
 //!   control variable, and nested loop control variables, are per-
-//!   iteration state of the execution model and exempt);
+//!   iteration state of the execution model and exempt) — and a
+//!   reduction annotation covers nothing unless the body bears it out:
+//!   every access to its target must be the σ of a `σ = σ op β` with the
+//!   annotated operator ([`reduction_holds`]);
 //! * every array the body writes must either be covered by a
 //!   privatization / speculation / reduction annotation, or its accesses
 //!   must be proven iteration-disjoint by the range test, re-run here
@@ -29,11 +32,11 @@ use polaris_core::ddtest::range_test::{no_carried_dependence, InnerLoop, RefSpec
 use polaris_core::ddtest::DdStats;
 use polaris_core::idxprop::{self, PropAccess};
 use polaris_core::rangeprop::assume_loop_header;
-use polaris_ir::expr::{Expr, UnOp};
+use polaris_ir::expr::{BinOp, Expr, RedOp, UnOp};
 use polaris_ir::stmt::{LoopId, StmtKind};
 use polaris_ir::symbol::{ArrayProps, SymKind};
 use polaris_ir::Program;
-use polaris_machine::lower::{Image, RExpr, RLoop, RRef, RStmt};
+use polaris_machine::lower::{Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
 use polaris_machine::MachineError;
 use polaris_symbolic::poly::{DivPolicy, Poly};
 use polaris_symbolic::{Range, RangeEnv};
@@ -282,13 +285,17 @@ fn check_parallel_loop(
     collect(&l.body, image, &mut Vec::new(), &mut Defs::default(), true, &mut acc);
 
     let name = |slot: usize| image.scalar_names[slot].clone();
+    // A REDUCTION annotation covers its target only where the lowered
+    // body bears it out; a forged or stale one covers nothing.
+    let reduced: Vec<&RRed> =
+        l.par.reductions.iter().filter(|r| reduction_holds(&l.body, r)).collect();
     let covered_scalars: BTreeSet<usize> = l
         .par
         .private_scalars
         .iter()
         .chain(l.par.copy_out_scalars.iter())
         .copied()
-        .chain(l.par.reductions.iter().filter_map(|r| match r.target {
+        .chain(reduced.iter().filter_map(|r| match r.target {
             RRef::Scalar(s) => Some(s),
             RRef::Array(_) => None,
         }))
@@ -299,7 +306,7 @@ fn check_parallel_loop(
         .iter()
         .chain(l.par.spec_arrays.iter())
         .copied()
-        .chain(l.par.reductions.iter().filter_map(|r| match r.target {
+        .chain(reduced.iter().filter_map(|r| match r.target {
             RRef::Array(a) => Some(a),
             RRef::Scalar(_) => None,
         }))
@@ -407,6 +414,89 @@ fn check_parallel_loop(
         detail = "all cross-iteration-visible writes covered or proven disjoint".into();
     }
     LoopRace { loop_id: l.loop_id, label: l.label.clone(), verdict, detail }
+}
+
+/// Is every access to `red`'s target in `code` the σ of a statement
+/// `σ = σ op β` with the annotated operator, where neither β nor σ's
+/// subscripts read the target? (The paper's rule: "not referenced
+/// elsewhere in the loop outside of other reduction statements" — and a
+/// read inside *another* reduction's operand is such a reference.)
+fn reduction_holds(code: &[RStmt], red: &RRed) -> bool {
+    let clear = |e: &RExpr| !reads_target(e, red.target);
+    code.iter().all(|s| match s {
+        RStmt::AssignS(slot, rhs) if red.target == RRef::Scalar(*slot) => {
+            is_update(rhs, &RExpr::Load(*slot), red)
+        }
+        RStmt::AssignE(slot, subs, rhs) if red.target == RRef::Array(*slot) => {
+            subs.iter().all(clear) && is_update(rhs, &RExpr::Elem(*slot, subs.clone()), red)
+        }
+        RStmt::AssignS(_, rhs) => clear(rhs),
+        RStmt::AssignE(_, subs, rhs) => subs.iter().all(clear) && clear(rhs),
+        RStmt::Do(d) => {
+            red.target != RRef::Scalar(d.var)
+                && [Some(&d.init), Some(&d.limit), d.step.as_ref()].into_iter().flatten().all(clear)
+                && reduction_holds(&d.body, red)
+        }
+        RStmt::If(arms, else_body) => {
+            arms.iter().all(|(cond, body)| clear(cond) && reduction_holds(body, red))
+                && reduction_holds(else_body, red)
+        }
+        RStmt::Print(items) => items.iter().all(clear),
+        RStmt::Stop => true,
+    })
+}
+
+/// Is `rhs` an `op`-chain holding `sigma` exactly once, on the
+/// accumulating side (`σ - β` is a sum, `β - σ` is not), with no other
+/// operand reading the target?
+fn is_update(rhs: &RExpr, sigma: &RExpr, red: &RRed) -> bool {
+    let mut sigmas = 0;
+    operands(rhs, red.op, true, &mut |e, positive| {
+        if e == sigma {
+            sigmas += 1;
+            positive
+        } else {
+            !reads_target(e, red.target)
+        }
+    }) && sigmas == 1
+}
+
+/// Apply `f` to each operand of the `op`-chain at the root of `e` with
+/// its sign (`a + b - c` gives a, b, -c); false as soon as `f` is.
+fn operands(
+    e: &RExpr,
+    op: RedOp,
+    positive: bool,
+    f: &mut dyn FnMut(&RExpr, bool) -> bool,
+) -> bool {
+    match (op, e) {
+        (RedOp::Sum, RExpr::Bin(BinOp::Add, a, b))
+        | (RedOp::Product, RExpr::Bin(BinOp::Mul, a, b)) => {
+            operands(a, op, positive, f) && operands(b, op, positive, f)
+        }
+        (RedOp::Sum, RExpr::Bin(BinOp::Sub, a, b)) => {
+            operands(a, op, positive, f) && operands(b, op, !positive, f)
+        }
+        (RedOp::Sum, RExpr::Un(UnOp::Neg, a)) => operands(a, op, !positive, f),
+        (RedOp::Max, RExpr::Intrin(Intr::Max, args))
+        | (RedOp::Min, RExpr::Intrin(Intr::Min, args)) => {
+            args.iter().all(|a| operands(a, op, positive, f))
+        }
+        _ => f(e, positive),
+    }
+}
+
+fn reads_target(e: &RExpr, target: RRef) -> bool {
+    match e {
+        RExpr::Load(slot) => target == RRef::Scalar(*slot),
+        RExpr::Elem(slot, subs) => {
+            target == RRef::Array(*slot) || subs.iter().any(|s| reads_target(s, target))
+        }
+        RExpr::Un(_, a) => reads_target(a, target),
+        RExpr::Bin(_, a, b) => reads_target(a, target) || reads_target(b, target),
+        RExpr::Intrin(_, args) => args.iter().any(|a| reads_target(a, target)),
+        RExpr::I(_) | RExpr::R(_) | RExpr::B(_) | RExpr::Str(_) => false,
+    }
 }
 
 /// Prove every (write, access) pair of one array iteration-disjoint at

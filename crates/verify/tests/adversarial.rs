@@ -118,3 +118,47 @@ fn corrupted_compile_still_yields_clean_race_verdicts() {
         );
     }
 }
+
+#[test]
+fn forged_reduction_annotation_is_not_trusted() {
+    use polaris_verify::RaceVerdict;
+    // Each statement is reduction-shaped, but V is read in C's operand
+    // and C in V's: the directive claims what the body does not bear out.
+    let forged = "program cross\n\
+                  real c(20), v\n\
+                  v = 1.0\n\
+                  !$polaris doall reduction(+:v, +:c)\n\
+                  do i = 1, 20\n\
+                  \x20 v = v + c(i)\n\
+                  \x20 c(14) = c(14) + v\n\
+                  end do\n\
+                  print *, v, c(14)\n\
+                  end\n";
+    let r = polaris_verify::analyze(&polaris_ir::parse(forged).unwrap()).unwrap();
+    assert_eq!(r.parallel_claims(), 1, "{:?}", r.loops);
+    assert_eq!(r.loops[0].verdict, RaceVerdict::PotentialRace, "{}", r.loops[0].detail);
+
+    // The same directive over operands that read neither target holds,
+    // in every shape the lowered statement may take.
+    let honest = "program sums\n\
+                  real c(20), b(20), v\n\
+                  v = 1.0\n\
+                  !$polaris doall reduction(+:v, +:c)\n\
+                  do i = 1, 20\n\
+                  \x20 v = b(i) + v - 0.5\n\
+                  \x20 c(14) = c(14) - b(i)\n\
+                  end do\n\
+                  print *, v, c(14)\n\
+                  end\n";
+    let r = polaris_verify::analyze(&polaris_ir::parse(honest).unwrap()).unwrap();
+    assert_eq!(r.loops[0].verdict, RaceVerdict::Clean, "{}", r.loops[0].detail);
+
+    // Wrong operator, and the target on the subtracted side.
+    for body in ["v = v * b(i)", "v = b(i) - v"] {
+        let src = format!(
+            "program t\nreal b(20), v\n!$polaris doall reduction(+:v)\ndo i = 1, 20\n  {body}\nend do\nprint *, v\nend\n"
+        );
+        let r = polaris_verify::analyze(&polaris_ir::parse(&src).unwrap()).unwrap();
+        assert_eq!(r.loops[0].verdict, RaceVerdict::PotentialRace, "{body}: {}", r.loops[0].detail);
+    }
+}

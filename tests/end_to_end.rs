@@ -181,6 +181,67 @@ fn facts_about_reassigned_variables_do_not_reach_closed_forms() {
 }
 
 #[test]
+fn a_read_in_another_reductions_operand_is_a_reference_elsewhere() {
+    // Both statements are reduction-shaped, but each reads the other's
+    // target in its operand; the loop once shipped as
+    // `DOALL REDUCTION(+:V, +:C[])` and printed `1.0 1.0` threaded.
+    let src = "
+      program cross
+      real c(20), v
+      do i = 1, 20
+        c(i) = i
+      end do
+      v = 1.0
+      do i = 1, 20
+        v = v + c(i)
+        c(14) = c(14) + v
+      end do
+      print *, v, c(14)
+      end
+";
+    let cfg = MachineConfig::challenge_8();
+    let (serial, parallel, out) =
+        parallelize_and_run(src, &PassOptions::polaris(), &cfg).unwrap();
+    assert!(!out.annotated_source.contains("REDUCTION"), "{}", out.annotated_source);
+    assert_eq!(parallel.output, serial.output, "{}", out.annotated_source);
+    polaris::machine::run_validated(&out.program, &cfg).unwrap();
+    let threaded = MachineConfig::threaded(4, polaris_machine::Schedule::Static);
+    let r = polaris::machine::run(&out.program, &threaded).unwrap();
+    assert_eq!(r.output, serial.output);
+}
+
+#[test]
+fn a_store_read_only_by_its_enclosing_if_on_the_back_edge_survives() {
+    // M is dead after the loop (`m = 0`), but the next iteration's
+    // `M > L` reads what `M = M + M` stored; DCE once deleted the store
+    // and the condition froze.
+    let src = "
+      program frozen
+      integer m, l
+      real v
+      m = 1
+      l = 4
+      v = 0.0
+      do j = 1, 10
+        if (m > l) then
+          v = v + 1.0
+        else
+          m = m + m
+        end if
+      end do
+      m = 0
+      print *, v, m
+      end
+";
+    let cfg = MachineConfig::challenge_8();
+    let (serial, parallel, out) =
+        parallelize_and_run(src, &PassOptions::polaris(), &cfg).unwrap();
+    assert_eq!(serial.output, ["7.000000E0 0"]);
+    assert_eq!(parallel.output, serial.output, "{}", out.annotated_source);
+    polaris::machine::run_validated(&out.program, &cfg).unwrap();
+}
+
+#[test]
 fn cli_binary_smoke() {
     use std::io::Write;
     let dir = std::env::temp_dir().join("polarisc_smoke");

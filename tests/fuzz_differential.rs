@@ -28,8 +28,11 @@ fn serial_reference(src: &str, seed: u64) -> Vec<String> {
         .output
 }
 
-/// Serial and restructured-parallel outputs must match for every seed.
-fn differential(seeds: std::ops::Range<u64>) {
+/// Serial and restructured-parallel outputs must match for every seed;
+/// every mismatching seed is reported, the first one in full.
+fn differential(seeds: impl IntoIterator<Item = u64>) {
+    let mut bad = Vec::new();
+    let mut first = String::new();
     for seed in seeds {
         let src = generate_program(seed);
         let reference = serial_reference(&src, seed);
@@ -46,14 +49,23 @@ fn differential(seeds: std::ops::Range<u64>) {
         let cfg = MachineConfig::challenge_8().with_fuel(FUEL);
         let parallel = polaris_machine::run(&out.program, &cfg)
             .unwrap_or_else(|e| panic!("seed {seed}: parallel run: {e}\n{src}"));
-        assert!(
-            outputs_match(&reference, &parallel.output, TOL),
-            "seed {seed}: serial vs restructured output mismatch\n\
-             --- source ---\n{src}\n--- serial ---\n{}\n--- parallel ---\n{}",
-            reference.join("\n"),
-            parallel.output.join("\n"),
-        );
+        if !outputs_match(&reference, &parallel.output, TOL) {
+            if bad.is_empty() {
+                first = format!(
+                    "--- source ---\n{src}\n--- serial ---\n{}\n--- parallel ---\n{}",
+                    reference.join("\n"),
+                    parallel.output.join("\n"),
+                );
+            }
+            bad.push(seed);
+        }
     }
+    assert!(
+        bad.is_empty(),
+        "serial vs restructured output mismatch on {} seeds: {bad:?}\nseed {}:\n{first}",
+        bad.len(),
+        bad[0],
+    );
 }
 
 /// Equivalence property for the real-thread backend: every corpus
@@ -131,6 +143,26 @@ fn corpus_differential_seeds_128_192() {
 #[test]
 fn corpus_differential_seeds_192_256() {
     differential(192..256);
+}
+
+/// The seeds of `0..8192` the restructurer miscompiled before the
+/// induction walks were merged (last values emitted bases-first, a
+/// dependant of a rejected candidate, reduction flags on operand reads,
+/// liveness blind to the headers it walks through).
+#[test]
+fn formerly_miscompiled_seeds_match_the_serial_reference() {
+    differential([
+        366, 1204, 1484, 1842, 2561, 2908, 3510, 3525, 3598, 3646, 3758, 4054, 4157, 4920, 5050,
+        5214, 6000, 6035, 6212, 6516, 7595,
+    ]);
+}
+
+/// The measured traffic: 32x the tier-1 corpus, run in CI in release
+/// (`-- --ignored wide_corpus`).
+#[test]
+#[ignore = "17 s in release; run by CI"]
+fn wide_corpus_differential_seeds_0_8192() {
+    differential(0..8192);
 }
 
 /// Same comparison with a panic injected into one pipeline stage per
