@@ -13,17 +13,19 @@
 //! `0 ∉ [min h, max h]` the direction vector carries no dependence.
 
 use super::{DdStats, Dir};
+use std::ops::ControlFlow;
 
 /// One common loop of the pair: coefficient of the loop variable in each
-/// reference and the (numeric) loop bounds.
+/// reference and the loop's integer box. A bound that is not a known
+/// constant is `None` — unbounded on that side, never a stand-in value.
 #[derive(Debug, Clone, Copy)]
 pub struct Coupled {
     /// Coefficient in the first (source) reference.
     pub a: i128,
     /// Coefficient in the second (sink) reference.
     pub b: i128,
-    pub lo: i128,
-    pub hi: i128,
+    pub lo: Option<i128>,
+    pub hi: Option<i128>,
 }
 
 /// A loop enclosing only one of the two references (always direction
@@ -31,67 +33,93 @@ pub struct Coupled {
 #[derive(Debug, Clone, Copy)]
 pub struct Free {
     pub c: i128,
-    pub lo: i128,
-    pub hi: i128,
+    pub lo: Option<i128>,
+    pub hi: Option<i128>,
 }
 
-fn pos(x: i128) -> i128 {
-    x.max(0)
+/// An endpoint of an interval over the extended integers: `None` is −∞
+/// where a minimum is meant and +∞ where a maximum is. Every operation
+/// is checked; an overflow widens the endpoint to `None`.
+type End = Option<i128>;
+
+fn add(x: End, y: End) -> End {
+    x?.checked_add(y?)
 }
 
-fn neg(x: i128) -> i128 {
-    (-x).max(0)
+/// `[lo, hi]` is known to hold no integer.
+fn empty(lo: End, hi: End) -> bool {
+    matches!((lo, hi), (Some(lo), Some(hi)) if lo > hi)
 }
 
-/// `[min, max]` of `c * x` for `x ∈ [lo, hi]` (requires `lo <= hi`).
-fn free_bounds(c: i128, lo: i128, hi: i128) -> (i128, i128) {
-    (pos(c) * lo - neg(c) * hi, pos(c) * hi - neg(c) * lo)
+/// Minimum of `c * x` for `x ∈ [lo, hi]`.
+fn scaled_min(c: i128, lo: End, hi: End) -> End {
+    match c.signum() {
+        0 => Some(0),
+        1 => c.checked_mul(lo?),
+        _ => c.checked_mul(hi?),
+    }
+}
+
+/// Maximum of `c * x` for `x ∈ [lo, hi]`.
+fn scaled_max(c: i128, lo: End, hi: End) -> End {
+    scaled_min(c, hi, lo)
 }
 
 /// `[min, max]` of `a*i - b*i'` for `i, i' ∈ [lo, hi]` under `dir`.
 /// Returns `None` when the constraint is infeasible (e.g. `<` in a
 /// single-iteration loop) — an infeasible vector carries no dependence.
-fn coupled_bounds(t: &Coupled, dir: Dir) -> Option<(i128, i128)> {
+fn coupled_bounds(t: &Coupled, dir: Dir) -> Option<(End, End)> {
     let Coupled { a, b, lo, hi } = *t;
-    if lo > hi {
+    if empty(lo, hi) {
         return None; // empty loop: no iterations at all
     }
+    // A coefficient whose negation or difference overflows says nothing.
+    const UNBOUNDED: Option<(End, End)> = Some((None, None));
     match dir {
         Dir::Any => {
-            let (min_a, max_a) = free_bounds(a, lo, hi);
-            let (min_b, max_b) = free_bounds(-b, lo, hi);
-            Some((min_a + min_b, max_a + max_b))
+            let Some(nb) = b.checked_neg() else { return UNBOUNDED };
+            Some((
+                add(scaled_min(a, lo, hi), scaled_min(nb, lo, hi)),
+                add(scaled_max(a, lo, hi), scaled_max(nb, lo, hi)),
+            ))
         }
-        Dir::Eq => Some(free_bounds(a - b, lo, hi)),
+        Dir::Eq => {
+            let Some(c) = a.checked_sub(b) else { return UNBOUNDED };
+            Some((scaled_min(c, lo, hi), scaled_max(c, lo, hi)))
+        }
         Dir::Lt => {
             // i < i' :  L <= i <= i'-1,  L+1 <= i' <= U
-            if lo + 1 > hi {
+            let lo1 = lo.and_then(|l| l.checked_add(1));
+            if empty(lo1, hi) {
                 return None;
             }
-            // max: inner max over i of a*i is pos(a)*(i'-1) - neg(a)*L
-            //   φ(i') = (pos(a) - b)*i' - pos(a) - neg(a)*L, i' in [L+1, U]
-            let ca = pos(a) - b;
-            let max =
-                pos(ca) * hi - neg(ca) * (lo + 1) - pos(a) - neg(a) * lo;
-            // min: inner min over i of a*i is pos(a)*L - neg(a)*(i'-1)
-            //   ψ(i') = (-neg(a) - b)*i' + neg(a) + pos(a)*L
-            let cb = -neg(a) - b;
-            let min =
-                pos(cb) * (lo + 1) - neg(cb) * hi + neg(a) + pos(a) * lo;
+            let Some(na) = a.checked_neg() else { return UNBOUNDED };
+            let (pa, na) = (a.max(0), na.max(0));
+            // max: inner max over i of a*i is pa*(i'-1) - na*L
+            //   φ(i') = (pa - b)*i' - pa - na*L, i' in [L+1, U]
+            let max = pa.checked_sub(b).and_then(|ca| {
+                add(add(scaled_max(ca, lo1, hi), scaled_max(-na, lo, hi)), Some(-pa))
+            });
+            // min: inner min over i of a*i is pa*L - na*(i'-1)
+            //   ψ(i') = (-na - b)*i' + na + pa*L
+            let min = (-na).checked_sub(b).and_then(|cb| {
+                add(add(scaled_min(cb, lo1, hi), scaled_min(pa, lo, hi)), Some(na))
+            });
             Some((min, max))
         }
         Dir::Gt => {
             // a*i - b*i' with i > i'  ==  -(b*j - a*j') with j < j'
             let swapped = Coupled { a: b, b: a, lo, hi };
             let (min, max) = coupled_bounds(&swapped, Dir::Lt)?;
-            Some((-max, -min))
+            Some((max.and_then(i128::checked_neg), min.and_then(i128::checked_neg)))
         }
     }
 }
 
 /// Does the direction vector `dirs` (one entry per `common` loop) admit
 /// a solution of `h = c0 + Σ coupled + Σ free = 0`? `false` = proven
-/// independent for this vector.
+/// independent for this vector: only a *finite* endpoint on the wrong
+/// side of zero excludes it.
 pub fn vector_dependence_possible(
     c0: i128,
     common: &[Coupled],
@@ -101,26 +129,25 @@ pub fn vector_dependence_possible(
 ) -> bool {
     debug_assert_eq!(common.len(), dirs.len());
     stats.banerjee_vectors.set(stats.banerjee_vectors.get() + 1);
-    let mut min = c0;
-    let mut max = c0;
+    let mut min = Some(c0);
+    let mut max = Some(c0);
     for (t, d) in common.iter().zip(dirs) {
         match coupled_bounds(t, *d) {
             Some((lo, hi)) => {
-                min += lo;
-                max += hi;
+                min = add(min, lo);
+                max = add(max, hi);
             }
             None => return false, // infeasible constraint: no dependence
         }
     }
     for f in free {
-        if f.lo > f.hi {
+        if empty(f.lo, f.hi) {
             return false;
         }
-        let (lo, hi) = free_bounds(f.c, f.lo, f.hi);
-        min += lo;
-        max += hi;
+        min = add(min, scaled_min(f.c, f.lo, f.hi));
+        max = add(max, scaled_max(f.c, f.lo, f.hi));
     }
-    min <= 0 && 0 <= max
+    min.is_none_or(|m| m <= 0) && max.is_none_or(|m| 0 <= m)
 }
 
 /// Can the pair carry a dependence at common-loop position `carrier`?
@@ -136,22 +163,20 @@ pub fn carried_dependence_possible(
     stats: &DdStats,
 ) -> bool {
     debug_assert!(carrier < common.len());
-    for cdir in [Dir::Lt, Dir::Gt] {
-        let mut dirs: Vec<Dir> = Vec::with_capacity(common.len());
-        for k in 0..common.len() {
-            dirs.push(if k < carrier {
-                Dir::Eq
-            } else if k == carrier {
-                cdir
+    [Dir::Lt, Dir::Gt].into_iter().any(|cdir| {
+        let mut dirs = vec![Dir::Any; common.len()];
+        dirs[..carrier].fill(Dir::Eq);
+        dirs[carrier] = cdir;
+        // Stop at the first leaf vector still possibly dependent.
+        let mut first_feasible_leaf = |dirs: &[Dir], possible: bool| {
+            if possible && !dirs.contains(&Dir::Any) {
+                ControlFlow::Break(())
             } else {
-                Dir::Any
-            });
-        }
-        if refine(c0, common, &mut dirs, carrier + 1, free, stats) {
-            return true;
-        }
-    }
-    false
+                ControlFlow::Continue(())
+            }
+        };
+        refine(c0, common, &mut dirs, carrier + 1, free, stats, &mut first_feasible_leaf).is_break()
+    })
 }
 
 /// One Banerjee query over a concrete direction vector, as issued by the
@@ -175,11 +200,11 @@ impl DirTrial {
 
 /// Run the full O(3^n) hierarchical refinement from the all-`*` root and
 /// return **every** per-direction-vector trial in issue order. This is
-/// the un-summarized form of [`carried_dependence_possible`]: consumers
-/// (the nest summarizer, the bench precision columns) read the feasible
-/// leaves — trials with [`DirTrial::possible`] and [`DirTrial::is_leaf`]
-/// — without re-running any Banerjee query. Infeasible interior nodes
-/// are reported as-is: their entire subtree is independent.
+/// the un-summarized form of [`carried_dependence_possible`]: the nest
+/// summarizer reads the feasible leaves — trials with
+/// [`DirTrial::possible`] and [`DirTrial::is_leaf`] — without re-running
+/// any Banerjee query. Infeasible interior nodes are reported as-is:
+/// their entire subtree is independent.
 pub fn direction_vector_trials(
     c0: i128,
     common: &[Coupled],
@@ -188,7 +213,11 @@ pub fn direction_vector_trials(
 ) -> Vec<DirTrial> {
     let mut dirs = vec![Dir::Any; common.len()];
     let mut trials = Vec::new();
-    refine_recorded(c0, common, &mut dirs, 0, free, stats, &mut trials);
+    let mut record = |dirs: &[Dir], possible: bool| {
+        trials.push(DirTrial { dirs: dirs.to_vec(), possible });
+        ControlFlow::Continue(())
+    };
+    let _ = refine(c0, common, &mut dirs, 0, free, stats, &mut record);
     trials
 }
 
@@ -197,60 +226,34 @@ pub fn feasible_leaves(trials: &[DirTrial]) -> Vec<Vec<Dir>> {
     trials.iter().filter(|t| t.possible && t.is_leaf()).map(|t| t.dirs.clone()).collect()
 }
 
-/// Exhaustive refinement that records every query instead of
-/// short-circuiting on the first feasible leaf.
-fn refine_recorded(
-    c0: i128,
-    common: &[Coupled],
-    dirs: &mut Vec<Dir>,
-    next: usize,
-    free: &[Free],
-    stats: &DdStats,
-    trials: &mut Vec<DirTrial>,
-) {
-    let possible = vector_dependence_possible(c0, common, dirs, free, stats);
-    trials.push(DirTrial { dirs: dirs.clone(), possible });
-    if !possible {
-        return; // whole subtree independent
-    }
-    let split = (next..dirs.len()).find(|&k| dirs[k] == Dir::Any);
-    let Some(split) = split else {
-        return; // feasible leaf, already recorded
-    };
-    for d in [Dir::Lt, Dir::Eq, Dir::Gt] {
-        dirs[split] = d;
-        refine_recorded(c0, common, dirs, split + 1, free, stats, trials);
-    }
-    dirs[split] = Dir::Any;
-}
-
-/// Hierarchical refinement: returns `true` if some fully-refined vector
-/// still admits a dependence.
+/// Hierarchical refinement, depth first: query `dirs`, show the verdict
+/// to `visit`, and while the vector is still possibly dependent split its
+/// next `*` entry (from position `next` on) into `<`, `=`, `>`. An
+/// independent vector prunes its whole subtree; `visit` may stop the
+/// walk by breaking.
 fn refine(
     c0: i128,
     common: &[Coupled],
-    dirs: &mut Vec<Dir>,
+    dirs: &mut [Dir],
     next: usize,
     free: &[Free],
     stats: &DdStats,
-) -> bool {
-    if !vector_dependence_possible(c0, common, dirs, free, stats) {
-        return false; // this whole subtree is independent
+    visit: &mut dyn FnMut(&[Dir], bool) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let possible = vector_dependence_possible(c0, common, dirs, free, stats);
+    visit(dirs, possible)?;
+    if !possible {
+        return ControlFlow::Continue(());
     }
-    // Find the next `Any` to refine.
-    let split = (next..dirs.len()).find(|&k| dirs[k] == Dir::Any);
-    let Some(split) = split else {
-        return true; // leaf vector still possibly dependent
+    let Some(split) = (next..dirs.len()).find(|&k| dirs[k] == Dir::Any) else {
+        return ControlFlow::Continue(());
     };
     for d in [Dir::Lt, Dir::Eq, Dir::Gt] {
         dirs[split] = d;
-        if refine(c0, common, dirs, split + 1, free, stats) {
-            dirs[split] = Dir::Any;
-            return true;
-        }
+        refine(c0, common, dirs, split + 1, free, stats, visit)?;
     }
     dirs[split] = Dir::Any;
-    false
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
@@ -265,7 +268,7 @@ mod tests {
     #[test]
     fn disjoint_halves_independent() {
         // A(i) vs A(i' + 100), i,i' in [1,50]: h = i - i' - 100 < 0 always.
-        let common = [Coupled { a: 1, b: 1, lo: 1, hi: 50 }];
+        let common = [Coupled { a: 1, b: 1, lo: Some(1), hi: Some(50) }];
         let stats = st();
         assert!(!carried_dependence_possible(-100, &common, 0, &[], &stats));
     }
@@ -273,7 +276,7 @@ mod tests {
     #[test]
     fn same_subscript_carries_nothing() {
         // A(i) write vs A(i) write: h = i - i' = 0 under '<' impossible.
-        let common = [Coupled { a: 1, b: 1, lo: 1, hi: 100 }];
+        let common = [Coupled { a: 1, b: 1, lo: Some(1), hi: Some(100) }];
         let stats = st();
         assert!(!carried_dependence_possible(0, &common, 0, &[], &stats));
     }
@@ -281,7 +284,7 @@ mod tests {
     #[test]
     fn shifted_subscript_carries() {
         // A(i) vs A(i'-1): i = i' - 1 has solutions with i < i'.
-        let common = [Coupled { a: 1, b: 1, lo: 1, hi: 100 }];
+        let common = [Coupled { a: 1, b: 1, lo: Some(1), hi: Some(100) }];
         let stats = st();
         assert!(carried_dependence_possible(1, &common, 0, &[], &stats));
     }
@@ -292,13 +295,13 @@ mod tests {
         // inner loop as carrier (outer '='), i = i'-1 with i = i' is
         // impossible → inner independent.
         let common = [
-            Coupled { a: 1, b: 1, lo: 1, hi: 10 }, // i coefficient (dim collapsed)
+            Coupled { a: 1, b: 1, lo: Some(1), hi: Some(10) }, // i coefficient (dim collapsed)
         ];
         // Model the 2-d case with linearized subscripts: f = 100 i + j,
         // g = 100 i' - 100 + j'.
         let common2 = [
-            Coupled { a: 100, b: 100, lo: 1, hi: 10 },
-            Coupled { a: 1, b: 1, lo: 1, hi: 50 },
+            Coupled { a: 100, b: 100, lo: Some(1), hi: Some(10) },
+            Coupled { a: 1, b: 1, lo: Some(1), hi: Some(50) },
         ];
         let stats = st();
         let _ = common;
@@ -311,16 +314,10 @@ mod tests {
         // A(2i) vs A(2i'+1): h = 2(i-i') - 1; for any carried direction
         // (i != i') the interval excludes 0, so directed Banerjee proves
         // it — and the GCD test proves it for every direction at once.
-        let common = [Coupled { a: 2, b: 2, lo: 1, hi: 10 }];
+        let common = [Coupled { a: 2, b: 2, lo: Some(1), hi: Some(10) }];
         let stats = st();
         assert!(!carried_dependence_possible(-1, &common, 0, &[], &stats));
-        assert!(super::super::gcd::independent(
-            polaris_symbolic::Rat::int(0),
-            &[polaris_symbolic::Rat::int(2)],
-            polaris_symbolic::Rat::int(1),
-            &[polaris_symbolic::Rat::int(2)],
-            &stats
-        ));
+        assert!(super::super::gcd::independent(-1, [2, 2], &stats));
     }
 
     #[test]
@@ -328,8 +325,8 @@ mod tests {
         // f = i, g = i' + k (k in [0, 5] only under g's nest):
         // h = i - i' - k; carried at loop 0? i < i', i - i' in [-9, -1],
         // minus k in [-5, 0] → h in [-14, -1]: never 0 → independent!
-        let common = [Coupled { a: 1, b: 1, lo: 1, hi: 10 }];
-        let free = [Free { c: -1, lo: 0, hi: 5 }];
+        let common = [Coupled { a: 1, b: 1, lo: Some(1), hi: Some(10) }];
+        let free = [Free { c: -1, lo: Some(0), hi: Some(5) }];
         let stats = st();
         // only testing '<' side here by construction: '>' side gives
         // i - i' in [1, 9] minus k in [-5,0] → [−4, 9] contains 0 → dep.
@@ -342,9 +339,9 @@ mod tests {
     fn counts_vectors() {
         let stats = st();
         let common = [
-            Coupled { a: 1, b: 1, lo: 1, hi: 4 },
-            Coupled { a: 7, b: 7, lo: 1, hi: 4 },
-            Coupled { a: 31, b: 31, lo: 1, hi: 4 },
+            Coupled { a: 1, b: 1, lo: Some(1), hi: Some(4) },
+            Coupled { a: 7, b: 7, lo: Some(1), hi: Some(4) },
+            Coupled { a: 31, b: 31, lo: Some(1), hi: Some(4) },
         ];
         let _ = carried_dependence_possible(1, &common, 0, &[], &stats);
         assert!(stats.banerjee_vectors.get() > 2, "refinement should recurse");
@@ -352,9 +349,23 @@ mod tests {
 
     #[test]
     fn empty_loop_is_independent() {
-        let common = [Coupled { a: 1, b: 1, lo: 5, hi: 4 }];
+        let common = [Coupled { a: 1, b: 1, lo: Some(5), hi: Some(4) }];
         let stats = st();
         assert!(!carried_dependence_possible(0, &common, 0, &[], &stats));
+    }
+
+    #[test]
+    fn unknown_bound_is_unbounded_not_a_wide_box() {
+        // A(i) vs A(i' + 40000000): a distance no finite stand-in for an
+        // unknown trip count may rule out, but a known one does.
+        let stats = st();
+        let open = [Coupled { a: 1, b: 1, lo: Some(1), hi: None }];
+        assert!(carried_dependence_possible(-40_000_000, &open, 0, &[], &stats));
+        let closed = [Coupled { a: 1, b: 1, lo: Some(1), hi: Some(1000) }];
+        assert!(!carried_dependence_possible(-40_000_000, &closed, 0, &[], &stats));
+        // Overflow widens instead of wrapping.
+        let huge = [Coupled { a: i128::MAX, b: 1, lo: Some(2), hi: Some(3) }];
+        assert!(vector_dependence_possible(1, &huge, &[Dir::Any], &[], &stats));
     }
 
     #[test]
@@ -362,8 +373,8 @@ mod tests {
         // A(i, j) vs A(i'-1, j') (linearized): the outer loop carries a
         // distance-1 dependence, the inner carries nothing.
         let common = [
-            Coupled { a: 100, b: 100, lo: 1, hi: 10 },
-            Coupled { a: 1, b: 1, lo: 1, hi: 50 },
+            Coupled { a: 100, b: 100, lo: Some(1), hi: Some(10) },
+            Coupled { a: 1, b: 1, lo: Some(1), hi: Some(50) },
         ];
         let stats = st();
         let trials = direction_vector_trials(100, &common, &[], &stats);
@@ -384,7 +395,7 @@ mod tests {
 
     #[test]
     fn trials_on_independent_pair_are_one_infeasible_root() {
-        let common = [Coupled { a: 1, b: 1, lo: 1, hi: 50 }];
+        let common = [Coupled { a: 1, b: 1, lo: Some(1), hi: Some(50) }];
         let stats = st();
         let trials = direction_vector_trials(-100, &common, &[], &stats);
         assert_eq!(trials.len(), 1);
@@ -414,8 +425,9 @@ mod tests {
                 return rec_free(0, c0, free, acc);
             }
             let t = common[k];
-            for i in t.lo..=t.hi {
-                for ip in t.lo..=t.hi {
+            let (lo, hi) = (t.lo.unwrap(), t.hi.unwrap());
+            for i in lo..=hi {
+                for ip in lo..=hi {
                     let ok = match dirs[k] {
                         Dir::Any => true,
                         Dir::Lt => i < ip,
@@ -435,7 +447,7 @@ mod tests {
                 return c0 + acc == 0;
             }
             let f = free[k];
-            (f.lo..=f.hi).any(|x| rec_free(k + 1, c0, free, acc + f.c * x))
+            (f.lo.unwrap()..=f.hi.unwrap()).any(|x| rec_free(k + 1, c0, free, acc + f.c * x))
         }
         rec_common(0, c0, common, dirs, free, 0)
     }
@@ -451,7 +463,7 @@ mod tests {
             c0 in -20i128..20, dir_idx in 0usize..4,
         ) {
             let dir = [Dir::Any, Dir::Lt, Dir::Eq, Dir::Gt][dir_idx];
-            let common = [Coupled { a, b, lo, hi: lo + len }];
+            let common = [Coupled { a, b, lo: Some(lo), hi: Some(lo + len) }];
             let stats = st();
             let verdict = vector_dependence_possible(c0, &common, &[dir], &[], &stats);
             let truth = brute_force_vector(c0, &common, &[dir], &[]);
@@ -467,7 +479,7 @@ mod tests {
             c0 in -10i128..10, dir_idx in 0usize..4,
         ) {
             let dir = [Dir::Any, Dir::Lt, Dir::Eq, Dir::Gt][dir_idx];
-            let common = [Coupled { a, b, lo, hi: lo + len }];
+            let common = [Coupled { a, b, lo: Some(lo), hi: Some(lo + len) }];
             let stats = st();
             let verdict = vector_dependence_possible(c0, &common, &[dir], &[], &stats);
             let truth = brute_force_vector(c0, &common, &[dir], &[]);
@@ -493,8 +505,8 @@ mod tests {
             c0 in -12i128..12,
         ) {
             let common = [
-                Coupled { a: a1, b: b1, lo: 0, hi: 3 },
-                Coupled { a: a2, b: b2, lo: 0, hi: 3 },
+                Coupled { a: a1, b: b1, lo: Some(0), hi: Some(3) },
+                Coupled { a: a2, b: b2, lo: Some(0), hi: Some(3) },
             ];
             let stats = st();
             let leaves = feasible_leaves(&direction_vector_trials(c0, &common, &[], &stats));
@@ -511,6 +523,37 @@ mod tests {
             }
         }
 
+        /// Widening is monotone: hiding any subset of the bounds can only
+        /// lose proofs, so "independent" over the widened box implies
+        /// "independent" over every finite box inside it — and a finite
+        /// box never calls a solvable vector independent.
+        #[test]
+        fn prop_unknown_bounds_only_widen(
+            a1 in -3i128..4, b1 in -3i128..4, lo1 in -3i128..3, len1 in 0i128..6,
+            a2 in -3i128..4, b2 in -3i128..4, lo2 in -3i128..3, len2 in 0i128..6,
+            c in -3i128..4, lo3 in -3i128..3, len3 in 0i128..6,
+            c0 in -40i128..40, dir_idx in 0usize..16, hidden in 0u32..64,
+        ) {
+            let all = [Dir::Any, Dir::Lt, Dir::Eq, Dir::Gt];
+            let dirs = [all[dir_idx % 4], all[dir_idx / 4]];
+            let hide = |bit: u32, v: i128| (hidden & (1 << bit) == 0).then_some(v);
+            let common = [
+                Coupled { a: a1, b: b1, lo: Some(lo1), hi: Some(lo1 + len1) },
+                Coupled { a: a2, b: b2, lo: Some(lo2), hi: Some(lo2 + len2) },
+            ];
+            let free = [Free { c, lo: Some(lo3), hi: Some(lo3 + len3) }];
+            let widened = [
+                Coupled { lo: hide(0, lo1), hi: hide(1, lo1 + len1), ..common[0] },
+                Coupled { lo: hide(2, lo2), hi: hide(3, lo2 + len2), ..common[1] },
+            ];
+            let widened_free = [Free { c, lo: hide(4, lo3), hi: hide(5, lo3 + len3) }];
+            let stats = st();
+            let wide = vector_dependence_possible(c0, &widened, &dirs, &widened_free, &stats);
+            let finite = vector_dependence_possible(c0, &common, &dirs, &free, &stats);
+            prop_assert!(wide || !finite, "hiding bounds {hidden:#b} gained a proof");
+            prop_assert!(finite || !brute_force_vector(c0, &common, &dirs, &free), "unsound");
+        }
+
         /// Carried-dependence enumeration is sound against brute force
         /// over both < and > leaves.
         #[test]
@@ -520,8 +563,8 @@ mod tests {
             c0 in -12i128..12,
         ) {
             let common = [
-                Coupled { a: a1, b: b1, lo: 0, hi: 3 },
-                Coupled { a: a2, b: b2, lo: 0, hi: 3 },
+                Coupled { a: a1, b: b1, lo: Some(0), hi: Some(3) },
+                Coupled { a: a2, b: b2, lo: Some(0), hi: Some(3) },
             ];
             let stats = st();
             let verdict = carried_dependence_possible(c0, &common, 0, &[], &stats);

@@ -14,12 +14,17 @@
 //!   comparison, monotonicity by forward differences, and loop
 //!   permutation (§3.3.1).
 //!
+//! The two classical tests take integer coefficients and loop boxes; the
+//! private `affine` module is the one place that extracts them from
+//! array accesses, for the per-loop driver and the nest summarizer alike.
+//!
 //! All tests answer the same question: *can array accesses `f` and `g`
 //! refer to the same element in two different iterations of a given
 //! loop* (outer loops fixed, inner loops arbitrary)? `false` ("no") is a
 //! proof; `true` means "maybe" and keeps the loop serial unless another
 //! technique applies.
 
+pub(crate) mod affine;
 pub mod banerjee;
 pub mod gcd;
 pub mod range_test;

@@ -3,7 +3,7 @@
 //! test fallback (§3.5) into a parallel / speculative / serial decision
 //! for every `DO` loop, and annotates the IR with the result.
 
-use crate::ddtest::{banerjee, gcd, range_test, DdStats};
+use crate::ddtest::{affine, banerjee, gcd, range_test, DdStats};
 use crate::privatize;
 use crate::rangeprop;
 use crate::reduction;
@@ -12,7 +12,7 @@ use polaris_ir::stmt::{DoLoop, LoopId, ParallelInfo, SpecInfo, StmtId, StmtKind,
 use polaris_ir::visit::{collect_iteration_accesses, find_serializing_stmt, Access};
 use polaris_ir::ProgramUnit;
 use polaris_symbolic::poly::{DivPolicy, Poly};
-use polaris_symbolic::{Rat, RangeEnv};
+use polaris_symbolic::RangeEnv;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome for one loop (also used by the evaluation harness).
@@ -578,118 +578,21 @@ fn pair_independent(
         }
         bump(&stats.range_disproved);
     }
-    if opts.linear_tests && linear_pair_independent(d, f, g, &fr, &gr, stats) {
-        return true;
-    }
-    false
+    opts.linear_tests && linear_pair_independent(d, f, g, step, stats)
 }
 
-/// GCD + Banerjee on one pair. Requires linear subscripts with constant
-/// coefficients; unknown bounds become wide sentinels (sound: the real
-/// iteration space is a subset).
-fn linear_pair_independent(
-    d: &DoLoop,
-    f: &Access,
-    g: &Access,
-    fr: &range_test::RefSpec,
-    gr: &range_test::RefSpec,
-    stats: &DdStats,
-) -> bool {
-    const WIDE: i128 = 1 << 24;
-    let bounds = |il: &range_test::InnerLoop| -> (i128, i128) {
-        let lo = il.lo.as_constant().and_then(|r| r.as_integer()).unwrap_or(-WIDE);
-        let hi = il.hi.as_constant().and_then(|r| r.as_integer()).unwrap_or(WIDE);
-        if il.step < 0 {
-            (hi, lo)
-        } else {
-            (lo, hi)
-        }
-    };
-    // Variable universe: tested loop first, then f's ctx; g's ctx loops
-    // with matching names are "common", the rest are free.
-    for dim in 0..fr.subs.len() {
-        let fvars: Vec<String> =
-            std::iter::once(d.var.clone()).chain(f.ctx.iter().map(|c| c.var.clone())).collect();
-        let gvars: Vec<String> =
-            std::iter::once(d.var.clone()).chain(g.ctx.iter().map(|c| c.var.clone())).collect();
-        let Some((frest, fco)) = fr.subs[dim].linear_in(&fvars) else { continue };
-        let Some((grest, gco)) = gr.subs[dim].linear_in(&gvars) else { continue };
-        // The non-index parts must cancel to a constant.
-        let Some(diff) = frest.checked_sub(&grest) else { continue };
-        let Some(c0) = diff.as_constant().and_then(|r| r.as_integer()) else {
-            continue;
-        };
-        // GCD quick test.
-        let fr_rats: Vec<Rat> = fco.clone();
-        let gr_rats: Vec<Rat> = gco.clone();
-        if gcd::independent(Rat::int(c0), &fr_rats, Rat::ZERO, &gr_rats, stats) {
-            return true;
-        }
-        // Banerjee: common = tested loop + ctx loops sharing names.
-        let step_ok = |il: &range_test::InnerLoop| il.step.abs() == 1;
-        let mut common = Vec::new();
-        let mut free = Vec::new();
-        let to_int = |r: &Rat| r.as_integer();
-        let Some(a0) = to_int(&fco[0]) else { continue };
-        let Some(b0) = to_int(&gco[0]) else { continue };
-        // tested loop bounds
-        let dl = loop_as_inner(d, if d.step_expr().simplified().as_int().unwrap_or(1) < 0 { -1 } else { 1 });
-        let Some(dl) = dl else { continue };
-        if !step_ok(&dl) {
-            continue;
-        }
-        let (lo, hi) = bounds(&dl);
-        common.push(banerjee::Coupled { a: a0, b: b0, lo, hi });
-        let mut bad = false;
-        // f's ctx loops
-        for (k, c) in f.ctx.iter().enumerate() {
-            let Some(a) = to_int(&fco[k + 1]) else { bad = true; break };
-            let gk = g.ctx.iter().position(|gc| gc.var == c.var);
-            let il = &fr.inner[k];
-            if !step_ok(il) {
-                bad = true;
-                break;
-            }
-            let (lo, hi) = bounds(il);
-            match gk {
-                Some(gi) => {
-                    let Some(b) = to_int(&gco[gi + 1]) else { bad = true; break };
-                    common.push(banerjee::Coupled { a, b, lo, hi });
-                }
-                None => {
-                    if a != 0 {
-                        free.push(banerjee::Free { c: a, lo, hi });
-                    }
-                }
-            }
-        }
-        if bad {
-            continue;
-        }
-        // g-only ctx loops
-        for (k, c) in g.ctx.iter().enumerate() {
-            if f.ctx.iter().any(|fc| fc.var == c.var) {
-                continue;
-            }
-            let Some(b) = to_int(&gco[k + 1]) else { bad = true; break };
-            let il = &gr.inner[k];
-            if !step_ok(il) {
-                bad = true;
-                break;
-            }
-            let (lo, hi) = bounds(il);
-            if b != 0 {
-                free.push(banerjee::Free { c: -b, lo, hi });
-            }
-        }
-        if bad {
-            continue;
-        }
-        if !banerjee::carried_dependence_possible(c0, &common, 0, &free, stats) {
-            return true;
-        }
-    }
-    false
+/// GCD + Banerjee on one pair, per subscript dimension: the GCD test
+/// over the coefficients, then the carried test over the boxes. Any
+/// dimension that cannot hit the same element proves the pair.
+fn linear_pair_independent(d: &DoLoop, f: &Access, g: &Access, step: i64, stats: &DdStats) -> bool {
+    let tested = [affine::Loop::new(&d.var, &d.init, &d.limit, Some(step))];
+    let (unit_steps, dims) = affine::pair_dims(f, g, &tested);
+    let mut dims = dims.flatten();
+    dims.any(|p| {
+        gcd::independent(p.c0, p.coefficients(), stats)
+            || (unit_steps
+                && !banerjee::carried_dependence_possible(p.c0, &p.common, 0, &p.free, stats))
+    })
 }
 
 #[cfg(test)]
@@ -790,6 +693,36 @@ mod tests {
         let src = "program t\nreal a(400)\ndo i = 1, 100\n  a(i) = a(i + 200)\nend do\nend\n";
         let (_, r) = analyze(src, &PassOptions::vfa());
         assert!(r[0].parallel, "{r:?}");
+    }
+
+    #[test]
+    fn huge_offset_under_a_symbolic_bound_is_serial() {
+        // A(I) = A(I+40000000) carries a dependence as soon as N exceeds
+        // the offset; an unknown N must not be read as "at most 2^24".
+        let src = |limit: &str| {
+            format!(
+                "program t\nreal a(100000000)\ninteger ia(10)\nn = ia(1)\n\
+                 do i = 1, {limit}\n  a(i) = a(i+40000000) + 1.0\nend do\nend\n"
+            )
+        };
+        for opts in [PassOptions::polaris(), PassOptions::vfa()] {
+            let (_, r) = analyze(&src("n"), &opts);
+            assert!(!r[0].parallel, "{r:?}");
+            assert!(r[0].serial_reason.as_deref().unwrap().contains("`A`"), "{r:?}");
+            let (_, r) = analyze(&src("1000"), &opts);
+            assert!(r[0].parallel, "a known trip count below the offset: {r:?}");
+        }
+    }
+
+    #[test]
+    fn integer_division_subscript_is_serial_for_the_classical_tests() {
+        // A(I/2): I = 2 and I = 3 hit the same element. A truncating
+        // division is not affine in I, so it is no GCD/Banerjee problem —
+        // neither test may prove anything from it.
+        let src = "program t\nreal a(100)\ndo i = 1, 100\n  a(i/2) = a(i/2) + 1.0\nend do\nend\n";
+        let (_, r) = analyze(src, &PassOptions::vfa());
+        assert!(!r[0].parallel, "{r:?}");
+        assert!(r[0].serial_reason.as_deref().unwrap().contains("`A`"), "{r:?}");
     }
 
     #[test]

@@ -37,11 +37,11 @@
 //! Variant selection uses a stride-based locality cost model
 //! ([`stride_penalty`], [`permutation_score`]) over the machine's
 //! column-major layout: unit-stride innermost access is cheap, a
-//! column-crossing access pays a memory-class penalty. The same penalty
-//! table is mirrored in `polaris_machine::CostModel::stride_penalty`
-//! and cross-checked by the conformance tier.
+//! column-crossing access pays a memory-class penalty (eight of the
+//! machine cost model's memory accesses; the conformance tier checks the
+//! constant against `polaris_machine::CostModel`).
 
-use crate::ddtest::{banerjee, DdStats, Dir};
+use crate::ddtest::{affine, banerjee, DdStats, Dir};
 use crate::reduction;
 use polaris_ir::cert::{CertKind, DepVector, LegalityCert, NestDir};
 use polaris_ir::expr::Expr;
@@ -50,7 +50,6 @@ use polaris_ir::symbol::Symbol;
 use polaris_ir::types::DataType;
 use polaris_ir::visit::{collect_accesses, Access};
 use polaris_ir::ProgramUnit;
-use polaris_symbolic::poly::{DivPolicy, Poly};
 use std::collections::BTreeMap;
 
 /// Tile size for rectangular tiling. Tiling is applied only when every
@@ -63,12 +62,11 @@ pub const TILE: i64 = 8;
 /// bookkeeping.
 pub const TILE_MIN_TRIP: i64 = 16;
 
-/// Deepest nest the interchange cost model enumerates permutations for.
+/// Deepest band the interchange and tiling stages consider. A summary
+/// refines up to 3ⁿ direction vectors per access pair and dimension and
+/// interchange scores n! orders, so this depth is the stages' cost bound:
+/// deeper bands are gated out before anything is summarised.
 const MAX_PERM_DEPTH: usize = 4;
-
-/// Unknown-bound sentinel (matches the dependence driver's convention:
-/// the real iteration space is a subset, so the test stays sound).
-const WIDE: i128 = 1 << 24;
 
 // ---------------------------------------------------------------------
 // Nest discovery and summaries
@@ -97,6 +95,16 @@ impl NestLoop {
             lo: d.init.simplified().as_int(),
             hi: d.limit.simplified().as_int(),
             unit_step: d.step_expr().simplified().as_int() == Some(1),
+        }
+    }
+
+    /// The loop as the box the affine tests ask directions about.
+    fn as_box(&self) -> affine::Loop {
+        affine::Loop {
+            var: self.var.clone(),
+            lo: self.lo.map(i128::from),
+            hi: self.hi.map(i128::from),
+            unit_step: self.unit_step,
         }
     }
 
@@ -190,6 +198,7 @@ pub fn summarize_band_with(
         }
     };
     let n = loops.len();
+    let band: Vec<affine::Loop> = loops.iter().map(NestLoop::as_box).collect();
 
     // Group by name; scalars get the classification rules, arrays the
     // pairwise affine test.
@@ -234,7 +243,7 @@ pub fn summarize_band_with(
                     continue; // (w2, w1) already produced as (w1, w2)
                 }
                 let relax = relaxable(w, o);
-                for row in pair_rows(w, o, &loops, relax, stats) {
+                for row in pair_rows(w, o, &band, relax, stats) {
                     push(row);
                 }
             }
@@ -267,49 +276,26 @@ fn non_affine(n: usize) -> PairDirs {
 /// is feasible for the pair only if it is feasible in **every**
 /// subscript dimension (all dimensions must hit the same element
 /// simultaneously), so the per-dimension leaf sets are intersected.
-fn analyze_pair(f: &Access, g: &Access, loops: &[NestLoop], stats: &DdStats) -> PairDirs {
-    let n = loops.len();
-    if !f.ctx.is_empty() || !g.ctx.is_empty() {
-        return non_affine(n); // nested below the band: out of fragment
-    }
-    if f.subs.len() != g.subs.len() || f.subs.is_empty() {
+fn analyze_pair(f: &Access, g: &Access, band: &[affine::Loop], stats: &DdStats) -> PairDirs {
+    let n = band.len();
+    // Out of the fragment: an access nested below the band, a rank
+    // mismatch, or a band loop whose iteration order is not its value
+    // order.
+    if !f.ctx.is_empty()
+        || !g.ctx.is_empty()
+        || f.subs.len() != g.subs.len()
+        || f.subs.is_empty()
+        || !band.iter().all(|l| l.unit_step)
+    {
         return non_affine(n);
     }
-    if !loops.iter().all(|l| l.unit_step) {
-        return non_affine(n);
-    }
-    let vars: Vec<String> = loops.iter().map(|l| l.var.clone()).collect();
     let mut acc: Option<Vec<Vec<Dir>>> = None;
     let mut exact: Vec<Option<i64>> = vec![None; n];
-    for dim in 0..f.subs.len() {
-        let (Some(fp), Some(gp)) = (
-            Poly::from_expr(&f.subs[dim], DivPolicy::Exact),
-            Poly::from_expr(&g.subs[dim], DivPolicy::Exact),
-        ) else {
-            return non_affine(n);
-        };
-        let (Some((frest, fco)), Some((grest, gco))) =
-            (fp.linear_in(&vars), gp.linear_in(&vars))
-        else {
-            return non_affine(n);
-        };
-        let Some(diff) = frest.checked_sub(&grest) else { return non_affine(n) };
-        let Some(c0) = diff.as_constant().and_then(|r| r.as_integer()) else {
-            return non_affine(n);
-        };
-        let (Some(fci), Some(gci)) = (int_coeffs(&fco), int_coeffs(&gco)) else {
-            return non_affine(n);
-        };
-        let common: Vec<banerjee::Coupled> = (0..n)
-            .map(|i| banerjee::Coupled {
-                a: fci[i],
-                b: gci[i],
-                lo: loops[i].lo.map(i128::from).unwrap_or(-WIDE),
-                hi: loops[i].hi.map(i128::from).unwrap_or(WIDE),
-            })
-            .collect();
-        let leaves =
-            banerjee::feasible_leaves(&banerjee::direction_vector_trials(c0, &common, &[], stats));
+    for dim in affine::pair_dims(f, g, band).1 {
+        let Some(p) = dim else { return non_affine(n) };
+        let leaves = banerjee::feasible_leaves(&banerjee::direction_vector_trials(
+            p.c0, &p.common, &p.free, stats,
+        ));
         acc = Some(match acc {
             None => leaves,
             Some(mut prev) => {
@@ -320,19 +306,20 @@ fn analyze_pair(f: &Access, g: &Access, loops: &[NestLoop], stats: &DdStats) -> 
         // A dimension of the form `v_i + const` on both sides pins the
         // exact iteration difference in loop i: f's v_i + cf = g's
         // v_i + cg forces (g − f) at i to equal cf − cg = c0.
-        for i in 0..n {
-            if fci[i] == 1 && gci[i] == 1 && (0..n).all(|k| k == i || (fci[k] == 0 && gci[k] == 0))
-            {
-                let c = c0 as i64;
-                match exact[i] {
-                    Some(prev) if prev != c => {
-                        // Two dimensions demand different differences in
-                        // the same loop: the pair can never intersect.
-                        return PairDirs { leaves: Some(Vec::new()), exact };
-                    }
-                    _ => exact[i] = Some(c),
-                }
+        let unit_in = |i: usize| {
+            let want = |k: usize| if k == i { (1, 1) } else { (0, 0) };
+            p.common.iter().enumerate().all(|(k, t)| (t.a, t.b) == want(k))
+        };
+        let (Some(i), Ok(c)) = ((0..n).find(|&i| unit_in(i)), i64::try_from(p.c0)) else {
+            continue;
+        };
+        match exact[i] {
+            Some(prev) if prev != c => {
+                // Two dimensions demand different differences in
+                // the same loop: the pair can never intersect.
+                return PairDirs { leaves: Some(Vec::new()), exact };
             }
+            _ => exact[i] = Some(c),
         }
     }
     // Prune leaves inconsistent with an exactly-determined difference
@@ -347,10 +334,6 @@ fn analyze_pair(f: &Access, g: &Access, loops: &[NestLoop], stats: &DdStats) -> 
         })
     });
     PairDirs { leaves: Some(leaves), exact }
-}
-
-fn int_coeffs(co: &[polaris_symbolic::Rat]) -> Option<Vec<i128>> {
-    co.iter().map(|r| r.as_integer()).collect()
 }
 
 fn to_nest_dir(d: Dir) -> NestDir {
@@ -368,12 +351,12 @@ fn to_nest_dir(d: Dir) -> NestDir {
 fn pair_rows(
     f: &Access,
     g: &Access,
-    loops: &[NestLoop],
+    band: &[affine::Loop],
     relaxable: bool,
     stats: &DdStats,
 ) -> Vec<DepVector> {
-    let n = loops.len();
-    let pd = analyze_pair(f, g, loops, stats);
+    let n = band.len();
+    let pd = analyze_pair(f, g, band, stats);
     let Some(leaves) = pd.leaves else {
         return vec![DepVector {
             array: f.name.clone(),
@@ -396,7 +379,7 @@ fn pair_rows(
                 };
             }
             for c in &mut distance {
-                *c = c.map(|v| -v);
+                *c = c.and_then(i64::checked_neg);
             }
         }
         let row = DepVector { array: f.name.clone(), dirs, distance, relaxable };
@@ -465,8 +448,7 @@ pub fn fusion_legal(
     l2: &DoLoop,
     stats: &DdStats,
 ) -> Result<Vec<DepVector>, String> {
-    let merged = NestLoop::of(l1);
-    let loops = [merged];
+    let band = [NestLoop::of(l1).as_box()];
     let a1 = collect_accesses(&l1.body);
     let a2 = collect_accesses(&l2.body);
     let v1 = reduction::validated_reductions(l1);
@@ -507,7 +489,7 @@ pub fn fusion_legal(
                 }
                 return Err(format!("scalar {} conflicts across the fused bodies", x.name));
             }
-            let pd = analyze_pair(x, y, &loops, stats);
+            let pd = analyze_pair(x, y, &band, stats);
             let Some(leaves) = pd.leaves else {
                 if relax {
                     push(DepVector {
@@ -543,9 +525,9 @@ pub fn fusion_legal(
 // Locality cost model
 // ---------------------------------------------------------------------
 
-/// Mirror of `polaris_machine::CostModel::default().memory`; the
-/// conformance tier cross-checks the two copies stay equal (core cannot
-/// depend on the machine crate — the dependency points the other way).
+/// `polaris_machine::CostModel::default().memory`, which the conformance
+/// tier checks (core cannot depend on the machine crate — the dependency
+/// points the other way).
 const MEMORY_CYCLES: u64 = 3;
 
 /// Per-access, per-innermost-iteration locality penalty for a given
@@ -570,9 +552,8 @@ fn dim_coeff(e: &Expr, var: &str) -> Option<i64> {
     if !e.references(var) {
         return Some(0);
     }
-    let p = Poly::from_expr(e, DivPolicy::Exact)?;
-    let (_, co) = p.linear_in(std::slice::from_ref(&var.to_string()))?;
-    co[0].as_integer().map(|v| v as i64)
+    let dim = affine::Dim::of(e, std::slice::from_ref(&var.to_string()))?;
+    i64::try_from(dim.coeffs[0]).ok()
 }
 
 fn access_penalty(a: &Access, var: &str) -> u64 {
@@ -605,36 +586,81 @@ pub fn permutation_score(accesses: &[Access], vars: &[String]) -> u64 {
     score
 }
 
+/// Is the band rectangular — does no bound of a band loop read a band
+/// variable? Interchange permutes headers verbatim, so a bound that reads
+/// another band variable (a triangular or trapezoidal nest) would end up
+/// evaluated outside the loop that defines that variable.
+pub fn rectangular_band(band: &[&DoLoop]) -> Result<(), String> {
+    for l in band {
+        for bound in [Some(&l.init), Some(&l.limit), l.step.as_ref()].into_iter().flatten() {
+            if let Some(read) = band.iter().find(|other| bound.references(&other.var)) {
+                return Err(format!("band bound reads band variable `{}`", read.var));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The cheapest **legal** loop order strictly better than the current
-/// one: `(perm, identity_score, best_score)`, or `None` when the nest is
-/// already locality-optimal among its legal orders (or too deep/shallow
-/// to enumerate). Shared by the interchange stage's selection and the
-/// `nest-locality` lint.
+/// one for the band rooted at `root`: `(perm, summary, identity_score,
+/// best_score)`, or `None` when the nest is already locality-optimal
+/// among its legal orders. The syntactic gates come first — a band too
+/// deep or shallow to enumerate, or not rectangular, is never summarised
+/// — and every candidate judged is entered in `nr`. With `force_illegal`
+/// (fault injection) the rectangular gate is skipped, every cheaper
+/// order is judged, and the first **rejected** one — otherwise any other
+/// order — is returned, so the downstream refusal path has something to
+/// refuse. The interchange stage's selection and the `nest-locality`
+/// lint are the two callers.
 pub fn better_legal_order(
-    summary: &NestSummary,
-    accesses: &[Access],
-) -> Option<(Vec<usize>, u64, u64)> {
-    let depth = summary.depth();
-    if !(2..=MAX_PERM_DEPTH).contains(&depth) {
+    unit_name: &str,
+    root: &DoLoop,
+    stats: &DdStats,
+    force_illegal: bool,
+    nr: &mut NestReport,
+) -> Option<(Vec<usize>, NestSummary, u64, u64)> {
+    let band = band_of(root);
+    let depth = band.len();
+    if !(2..=MAX_PERM_DEPTH).contains(&depth)
+        || (!force_illegal && rectangular_band(&band).is_err())
+    {
         return None;
     }
+    let summary = summarize_nest(unit_name, root, stats);
+    let accesses = collect_accesses(&band[depth - 1].body);
     let vars = summary.vars();
-    let identity = permutation_score(accesses, &vars);
-    let mut best: Option<(u64, Vec<usize>)> = None;
-    for p in permutations(depth) {
-        if p.iter().enumerate().all(|(i, &x)| i == x) {
-            continue;
-        }
-        let ordered: Vec<String> = p.iter().map(|&i| vars[i].clone()).collect();
-        let score = permutation_score(accesses, &ordered);
-        if score < identity
-            && interchange_legal(&summary.vectors, &p).is_ok()
-            && best.as_ref().map(|(s, _)| score < *s).unwrap_or(true)
-        {
-            best = Some((score, p));
+    let score = |p: &[usize]| {
+        permutation_score(&accesses, &p.iter().map(|&i| vars[i].clone()).collect::<Vec<_>>())
+    };
+    let identity: Vec<usize> = (0..depth).collect();
+    let identity_score = score(&identity);
+    let mut orders: Vec<(u64, Vec<usize>)> = permutations(depth)
+        .into_iter()
+        .filter(|p| *p != identity)
+        .map(|p| (score(&p), p))
+        .collect();
+    orders.sort();
+    let (mut legal, mut rejected) = (None, None);
+    for order in orders.iter().take_while(|(s, _)| *s < identity_score) {
+        nr.candidates += 1;
+        match interchange_legal(&summary.vectors, &order.1) {
+            Ok(()) => {
+                nr.proved += 1;
+                if !force_illegal {
+                    legal = Some(order);
+                    break;
+                }
+            }
+            Err(reason) => {
+                nr.rejected += 1;
+                nr.rejections.push(format!("{unit_name}/{}: interchange: {reason}", root.label));
+                rejected = rejected.or(Some(order));
+            }
         }
     }
-    best.map(|(s, p)| (p, identity, s))
+    let chosen = if force_illegal { rejected.or(orders.first()) } else { legal };
+    let (best_score, perm) = chosen?.clone();
+    Some((perm, summary, identity_score, best_score))
 }
 
 fn permutations(n: usize) -> Vec<Vec<usize>> {
@@ -663,7 +689,8 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// What the nest-transformation stages did, aggregated across units.
 #[derive(Debug, Clone, Default)]
 pub struct NestReport {
-    /// Nests summarized (one per band root).
+    /// Band roots the interchange stage visited (summarized or gated
+    /// out before a summary).
     pub summarized: usize,
     /// Transformation candidates submitted to the prover.
     pub candidates: usize,
@@ -747,9 +774,10 @@ fn apply_interchange(root: &mut DoLoop, perm: &[usize]) {
     }
 }
 
-/// Run interchange selection over every nest of `unit`. With
-/// `force_illegal` (fault injection) the best **rejected** candidate is
-/// applied anyway, cert and all — the verify re-prover must catch it.
+/// Run interchange selection ([`better_legal_order`]) over every nest of
+/// `unit`. With `force_illegal` (fault injection) the best **rejected**
+/// candidate is applied anyway, cert and all — the verify re-prover must
+/// catch it.
 pub fn interchange_unit(
     unit: &mut ProgramUnit,
     stats: &DdStats,
@@ -758,73 +786,12 @@ pub fn interchange_unit(
 ) {
     let unit_name = unit.name.clone();
     let mut plans: BTreeMap<LoopId, (Vec<usize>, NestSummary)> = BTreeMap::new();
-    for_each_nest_root(&unit.body, &mut |d| {
-        let summary = summarize_nest(&unit_name, d, stats);
+    for_each_nest_root(&unit.body, &mut |d, _| {
         nr.summarized += 1;
-        let depth = summary.depth();
-        if !(2..=MAX_PERM_DEPTH).contains(&depth) {
-            return;
-        }
-        let band = band_of(d);
-        // Headers are permuted verbatim, so a bound that reads another
-        // band variable (a triangular or trapezoidal nest) would end up
-        // evaluated outside the loop that defines that variable.
-        let rectangular = band.iter().all(|l| {
-            [Some(&l.init), Some(&l.limit), l.step.as_ref()]
-                .into_iter()
-                .flatten()
-                .all(|bound| band.iter().all(|other| !bound.references(&other.var)))
-        });
-        if !rectangular {
-            return;
-        }
-        let accesses = collect_accesses(&band.last().expect("band").body);
-        let vars = summary.vars();
-        let identity_score = permutation_score(&accesses, &vars);
-        let mut perms: Vec<(u64, Vec<usize>)> = permutations(depth)
-            .into_iter()
-            .map(|p| {
-                let ordered: Vec<String> = p.iter().map(|&i| vars[i].clone()).collect();
-                (permutation_score(&accesses, &ordered), p)
-            })
-            .collect();
-        perms.sort();
-        let mut forced: Option<Vec<usize>> = None;
-        for (score, perm) in &perms {
-            if *score >= identity_score || perm.iter().enumerate().all(|(i, &p)| i == p) {
-                break; // no remaining candidate beats the current order
-            }
-            nr.candidates += 1;
-            match interchange_legal(&summary.vectors, perm) {
-                Ok(()) => {
-                    nr.proved += 1;
-                    if !force_illegal {
-                        plans.insert(d.loop_id, (perm.clone(), summary));
-                        return;
-                    }
-                }
-                Err(reason) => {
-                    nr.rejected += 1;
-                    nr.rejections.push(format!("{unit_name}/{}: interchange: {reason}", d.label));
-                    if force_illegal && forced.is_none() {
-                        forced = Some(perm.clone());
-                    }
-                }
-            }
-        }
-        if force_illegal {
-            // Under the fault, apply an illegal candidate if one exists
-            // — otherwise any non-identity permutation — so the
-            // downstream refusal path has something to refuse.
-            let perm = forced.or_else(|| {
-                perms
-                    .iter()
-                    .map(|(_, p)| p.clone())
-                    .find(|p| p.iter().enumerate().any(|(i, &x)| i != x))
-            });
-            if let Some(perm) = perm {
-                plans.insert(d.loop_id, (perm, summary));
-            }
+        if let Some((perm, summary, ..)) =
+            better_legal_order(&unit_name, d, stats, force_illegal, nr)
+        {
+            plans.insert(d.loop_id, (perm, summary));
         }
     });
     apply_interchange_plans(unit, plans, nr);
@@ -852,14 +819,15 @@ fn apply_interchange_plans(
     });
 }
 
-/// Visit the root loop of every band in the list: each top-level `DO`,
-/// then (skipping the band's interior) the bands nested under its
-/// innermost body, recursively. `IF` arms are descended through.
-pub fn for_each_nest_root(list: &StmtList, f: &mut dyn FnMut(&DoLoop)) {
+/// Visit the root loop of every band in the list, with its source
+/// line: each top-level `DO`, then (skipping the band's interior) the
+/// bands nested under its innermost body, recursively. `IF` arms are
+/// descended through.
+pub fn for_each_nest_root(list: &StmtList, f: &mut dyn FnMut(&DoLoop, u32)) {
     for s in list.iter() {
         match &s.kind {
             StmtKind::Do(d) => {
-                f(d);
+                f(d, s.line);
                 let innermost = *band_of(d).last().expect("band");
                 for_each_nest_root(&innermost.body, f);
             }
@@ -891,16 +859,12 @@ struct TilePlan {
 /// same subscript form (stencil reuse — the pattern tiling pays off on)?
 fn has_stencil_reuse(accesses: &[Access], loops: &[NestLoop]) -> bool {
     let vars: Vec<String> = loops.iter().map(|l| l.var.clone()).collect();
-    let shape = |a: &Access| -> Option<(String, Vec<Vec<i64>>, Vec<i64>)> {
-        let mut coeffs = Vec::new();
-        let mut consts = Vec::new();
-        for s in &a.subs {
-            let p = Poly::from_expr(s, DivPolicy::Exact)?;
-            let (rest, co) = p.linear_in(&vars)?;
-            coeffs.push(co.iter().map(|r| r.as_integer().map(|v| v as i64)).collect::<Option<Vec<i64>>>()?);
-            consts.push(rest.as_constant().and_then(|r| r.as_integer())? as i64);
-        }
-        Some((a.name.clone(), coeffs, consts))
+    // Per dimension the band coefficients, and the constant offsets.
+    let shape = |a: &Access| -> Option<(Vec<Vec<i128>>, Vec<i128>)> {
+        let dims: Vec<affine::Dim> =
+            a.subs.iter().map(|s| affine::Dim::of(s, &vars)).collect::<Option<_>>()?;
+        let consts = dims.iter().map(|d| d.constant()).collect::<Option<_>>()?;
+        Some((dims.into_iter().map(|d| d.coeffs).collect(), consts))
     };
     let reads: Vec<_> = accesses.iter().filter(|a| !a.is_write && !a.is_scalar()).collect();
     for (i, a) in reads.iter().enumerate() {
@@ -908,7 +872,7 @@ fn has_stencil_reuse(accesses: &[Access], loops: &[NestLoop]) -> bool {
             if a.name != b.name {
                 continue;
             }
-            if let (Some((_, ca, ka)), Some((_, cb, kb))) = (shape(a), shape(b)) {
+            if let (Some((ca, ka)), Some((cb, kb))) = (shape(a), shape(b)) {
                 if ca == cb && ka != kb {
                     return true;
                 }
@@ -919,9 +883,10 @@ fn has_stencil_reuse(accesses: &[Access], loops: &[NestLoop]) -> bool {
 }
 
 /// Run rectangular tiling over every nest of `unit`: a nest is a
-/// candidate when its body shows stencil reuse and every band loop has
-/// a constant trip count ≥ [`TILE_MIN_TRIP`] divisible by [`TILE`] (so
-/// the point-loop bounds stay affine with no remainder guard).
+/// candidate when its band is 2 to `MAX_PERM_DEPTH` deep, its body shows
+/// stencil reuse and every band loop has a constant trip count ≥
+/// [`TILE_MIN_TRIP`] divisible by [`TILE`] (so the point-loop bounds
+/// stay affine with no remainder guard).
 pub fn tile_unit(
     unit: &mut ProgramUnit,
     stats: &DdStats,
@@ -932,18 +897,21 @@ pub fn tile_unit(
     // Plan immutably first: id reservation and symbol synthesis need
     // `&mut unit` while the scan holds `&unit.body`.
     let mut roots: Vec<(LoopId, NestSummary, String)> = Vec::new();
-    for_each_nest_root(&unit.body, &mut |d| {
-        let summary = summarize_nest(&unit_name, d, stats);
-        if summary.depth() < 2 {
+    for_each_nest_root(&unit.body, &mut |d, _| {
+        // The syntactic gates come before the summary they guard.
+        let band = band_of(d);
+        if !(2..=MAX_PERM_DEPTH).contains(&band.len()) {
             return;
         }
-        let trips_ok = summary.loops.iter().all(|l| {
+        let loops: Vec<NestLoop> = band.iter().map(|l| NestLoop::of(l)).collect();
+        let trips_ok = loops.iter().all(|l| {
             l.trip().map(|t| t >= TILE_MIN_TRIP && t % TILE == 0).unwrap_or(false)
         });
-        let accesses = collect_accesses(&band_of(d).last().expect("band").body);
-        if !trips_ok || !has_stencil_reuse(&accesses, &summary.loops) {
+        let accesses = collect_accesses(&band[band.len() - 1].body);
+        if !trips_ok || !has_stencil_reuse(&accesses, &loops) {
             return;
         }
+        let summary = summarize_nest(&unit_name, d, stats);
         nr.candidates += 1;
         match tiling_legal(&summary.vectors, 0) {
             Ok(()) => {
@@ -1241,6 +1209,27 @@ mod tests {
         assert!(!row.relaxable);
         assert!(interchange_legal(&s.vectors, &[1, 0]).is_err());
         assert!(tiling_legal(&s.vectors, 0).is_err());
+    }
+
+    #[test]
+    fn huge_skew_under_symbolic_bounds_keeps_its_lt_gt_vector() {
+        // a(i,j) = a(i-1,j+40000000) with unknown trip counts: still a
+        // (<, >) dependence, whatever the distance.
+        let src = "program t\nreal a(1000,50000000)\ninteger ia(10)\nn = ia(1)\nm = ia(2)\n\
+                   do i = 2, n\n  do j = 1, m\n\
+                   \x20   a(i,j) = a(i-1,j+40000000) + 1.0\n\
+                   end do\nend do\nend\n";
+        let (mut p, s) = summarize(src);
+        let row = s
+            .vectors
+            .iter()
+            .find(|v| v.dirs == vec![NestDir::Lt, NestDir::Gt])
+            .unwrap_or_else(|| panic!("no (<,>) row: {:?}", s.vectors));
+        assert_eq!(row.distance, vec![Some(1), Some(-40_000_000)]);
+        assert!(interchange_legal(&s.vectors, &[1, 0]).is_err());
+        let mut nr = NestReport::default();
+        interchange_unit(&mut p.units[0], &DdStats::new(), false, &mut nr);
+        assert_eq!((nr.interchanges, nr.certs.len(), nr.rejected), (0, 0, 1), "{nr:?}");
     }
 
     #[test]

@@ -58,28 +58,6 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// Per-access locality penalty for a stride class under the
-    /// machine's column-major layout, as a function of the first-dim
-    /// coefficient of the innermost loop variable and whether outer
-    /// dimensions vary with it. This is the table the compiler's nest
-    /// interchange cost model (`polaris_core::nestdeps::stride_penalty`)
-    /// mirrors; the nest-conformance tier cross-checks the two copies
-    /// stay equal (core cannot depend on this crate — the dependency
-    /// points the other way).
-    pub fn stride_penalty(&self, first_dim_coeff: i64, varies_in_outer_dims: bool) -> u64 {
-        if varies_in_outer_dims {
-            8 * self.memory
-        } else if first_dim_coeff == 0 {
-            0
-        } else if first_dim_coeff.abs() == 1 {
-            1
-        } else {
-            8 * self.memory
-        }
-    }
-}
-
 /// DOALL iteration scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {

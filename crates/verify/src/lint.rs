@@ -12,9 +12,10 @@
 //! | `dead-store`            | warning  | scalar stored twice with no read between|
 //! | `induction-recurrence`  | warning  | loop-carried scalar recurrence outside  |
 //! |                         |          | the induction-substitutable forms       |
-//! | `nest-locality`         | warning  | loop nest whose innermost stride is     |
-//! |                         |          | non-unit while a legal interchange with |
-//! |                         |          | better estimated locality exists        |
+//! | `nest-locality`         | warning  | rectangular loop nest whose innermost   |
+//! |                         |          | stride is non-unit while a legal        |
+//! |                         |          | interchange with better estimated       |
+//! |                         |          | locality exists                         |
 //!
 //! Findings carry `line:col` spans (col re-derived from the source text,
 //! since the IR keeps only lines) and render to a machine-readable JSON
@@ -576,49 +577,26 @@ fn for_each_expr(s: &Stmt, f: &mut dyn FnMut(&Expr)) {
     }
 }
 
-/// `nest-locality`: a loop nest runs with a worse memory order than a
-/// *legal* alternative — the column-major stride model scores a
-/// different permutation strictly cheaper and the dependence matrix
-/// permits it. The restructurer performs this interchange itself when
-/// its nest stages are enabled; the lint surfaces the same fact to the
-/// programmer (who may be compiling with `--no-nest-opts` or a baseline
-/// configuration).
+/// `nest-locality`: a rectangular loop nest runs with a worse memory
+/// order than a *legal* alternative — the column-major stride model
+/// scores a different permutation strictly cheaper and the dependence
+/// matrix permits it. This is the interchange stage's own selection, so
+/// the restructurer performs the interchange itself when its nest stages
+/// are enabled; the lint surfaces the same fact to the programmer (who
+/// may be compiling with `--no-nest-opts` or a baseline configuration).
 fn lint_nest_locality(unit: &ProgramUnit, sink: &mut Sink) {
-    use polaris_core::nestdeps::{band_of, better_legal_order, summarize_nest};
+    use polaris_core::nestdeps::{better_legal_order, for_each_nest_root, NestReport};
     let stats = polaris_core::DdStats::new();
-    fn roots<'a>(list: &'a StmtList, out: &mut Vec<&'a Stmt>) {
-        for s in list.iter() {
-            match &s.kind {
-                StmtKind::Do(d) => {
-                    out.push(s);
-                    let innermost = *band_of(d).last().expect("band");
-                    roots(&innermost.body, out);
-                }
-                StmtKind::IfBlock { arms, else_body } => {
-                    for arm in arms {
-                        roots(&arm.body, out);
-                    }
-                    roots(else_body, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut nest_roots = Vec::new();
-    roots(&unit.body, &mut nest_roots);
-    for s in nest_roots {
-        let d = s.as_do().expect("collected as DO");
-        let summary = summarize_nest(&unit.name, d, &stats);
-        let accesses =
-            polaris_ir::visit::collect_accesses(&band_of(d).last().expect("band").body);
-        if let Some((perm, from, to)) = better_legal_order(&summary, &accesses) {
+    for_each_nest_root(&unit.body, &mut |d, line| {
+        let better = better_legal_order(&unit.name, d, &stats, false, &mut NestReport::default());
+        if let Some((perm, summary, from, to)) = better {
             let vars = summary.vars();
             let order: Vec<&str> = perm.iter().map(|&i| vars[i].as_str()).collect();
             sink.push(
                 "nest-locality",
                 Severity::Warning,
                 &unit.name,
-                s.line,
+                line,
                 &d.var,
                 format!(
                     "loop nest over ({}) has non-optimal memory order; \
@@ -629,7 +607,7 @@ fn lint_nest_locality(unit: &ProgramUnit, sink: &mut Sink) {
                 ),
             );
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -756,6 +734,19 @@ mod tests {
              do i = 2, 63\n  do j = 2, 63\n\
              \x20   a(i,j) = a(i+1,j-1) + 1.0\n\
              end do\nend do\nprint *, a(2,2)\nend\n",
+        );
+        assert!(!has(&r, "nest-locality", ""), "{:?}", r.findings);
+    }
+
+    #[test]
+    fn nest_locality_stays_silent_on_a_triangular_nest() {
+        // Permuting these headers verbatim would read I outside its
+        // loop: the compiler does not interchange it, so neither may the
+        // lint suggest it.
+        let r = lints(
+            "program t\nreal a(64,64)\n\
+             do i = 1, 64\n  do j = 1, i\n    a(i,j) = 1.0\n  end do\nend do\n\
+             print *, a(2,1)\nend\n",
         );
         assert!(!has(&r, "nest-locality", ""), "{:?}", r.findings);
     }

@@ -15,7 +15,8 @@
 
 use polaris_core::ddtest::DdStats;
 use polaris_core::nestdeps::{
-    band_of, fusion_legal, interchange_legal, summarize_band_with, tiling_legal, NestLoop,
+    band_of, fusion_legal, interchange_legal, rectangular_band, summarize_band_with, tiling_legal,
+    NestLoop,
 };
 use polaris_core::CompileReport;
 use polaris_ir::cert::{CertCheck, CertKind, LegalityCert};
@@ -43,7 +44,19 @@ pub fn recheck_certs(program: &Program, report: &CompileReport) -> Vec<CertCheck
         .collect()
 }
 
+/// Deepest band a nest stage transforms. Re-deriving a matrix costs up
+/// to 3ⁿ direction vectors per access pair, so a deeper cert is refused
+/// unread — the re-prover's own bound, not one it takes from the cert
+/// (`tests/nest_conformance.rs` ties it to the compiler's cap).
+const MAX_CERT_DEPTH: usize = 4;
+
 fn check_cert(program: &Program, cert: &LegalityCert, stats: &DdStats) -> Result<(), String> {
+    if cert.loop_vars.len() > MAX_CERT_DEPTH {
+        return Err(format!(
+            "cert band of depth {} is deeper than any nest stage transforms ({MAX_CERT_DEPTH})",
+            cert.loop_vars.len()
+        ));
+    }
     let unit = program
         .units
         .iter()
@@ -101,11 +114,13 @@ fn valid_perm(perm: &[usize], n: usize) -> bool {
 }
 
 /// Interchange: the transformed band's loop variables must be exactly
-/// the cert's original list under the claimed permutation; then the
-/// original-order dependence matrix is re-derived from the transformed
-/// body (header permutation does not move statements, so reordering the
-/// loop list reconstructs the pre-transformation nest) and the
-/// permutation re-judged against it.
+/// the cert's original list under the claimed permutation, and no band
+/// bound may read a band variable (headers move verbatim, so only a
+/// rectangular band keeps its iteration space); then the original-order
+/// dependence matrix is re-derived from the transformed body (header
+/// permutation does not move statements, so reordering the loop list
+/// reconstructs the pre-transformation nest) and the permutation
+/// re-judged against it.
 fn check_interchange(
     unit: &ProgramUnit,
     anchor: &DoLoop,
@@ -130,6 +145,7 @@ fn check_interchange(
             ));
         }
     }
+    rectangular_band(band)?;
     // inverse[j] = transformed position of original loop j.
     let mut inverse = vec![0usize; n];
     for (k, &j) in perm.iter().enumerate() {
@@ -303,6 +319,59 @@ mod tests {
         assert_eq!(bad.len(), 1, "{checks:?}");
         assert_eq!(bad[0].stage, "interchange");
         assert!(bad[0].reason.contains("rejects the permutation"), "{}", bad[0].reason);
+    }
+
+    #[test]
+    fn interchange_cert_over_a_huge_skew_under_symbolic_bounds_is_rejected() {
+        // What a(i,j) = a(i-1,j+40000000), a (<, >) dependence over
+        // (I, J), looked like after the interchange the compiler used to
+        // apply to it, with the cert it used to emit.
+        let src = "program t\nreal a(1000,50000000)\ninteger ia(10)\nn = ia(1)\nm = ia(2)\n\
+                   do j = 1, m\n  do i = 2, n\n\
+                   \x20   a(i,j) = a(i-1,j+40000000) + 1.0\n\
+                   end do\nend do\nprint *, a(2,1)\nend\n";
+        let (p, mut rep) = compiled(src, &PassOptions::polaris());
+        assert!(rep.nest.certs.is_empty(), "{:?}", rep.nest.certs);
+        let anchor = p.units[0].body.loops()[0];
+        rep.nest.certs.push(LegalityCert {
+            unit: p.units[0].name.clone(),
+            loop_id: anchor.loop_id,
+            label: anchor.label.clone(),
+            loop_vars: vec!["I".into(), "J".into()],
+            vectors: Vec::new(),
+            kind: CertKind::Interchange { perm: vec![1, 0] },
+        });
+        let checks = recheck_certs(&p, &rep);
+        assert!(!checks[0].accepted, "{checks:?}");
+        assert_eq!(checks[0].stage, "interchange");
+        assert!(checks[0].reason.contains("rejects the permutation"), "{}", checks[0].reason);
+    }
+
+    #[test]
+    fn forced_interchange_of_a_triangular_band_is_rejected_on_its_bounds() {
+        // The dependence matrix is empty and the permuted IR is well
+        // formed, so only the re-prover's own bounds check can refuse it.
+        let src = "program t\nreal a(64,64)\n\
+                   do i = 1, 64\n  do j = 1, i\n    a(i,j) = 1.0\n  end do\nend do\n\
+                   print *, a(2,1)\nend\n";
+        let opts = PassOptions::polaris().with_faults(FaultPlan::force_in("interchange"));
+        let (p, rep) = compiled(src, &opts);
+        assert_eq!(rep.nest.interchanges, 1, "fault must force the application");
+        assert!(!rep.degraded(), "post-stage validation must pass: {:?}", rep.stages);
+        let checks = recheck_certs(&p, &rep);
+        assert_eq!(checks.len(), 1);
+        assert!(!checks[0].accepted, "{checks:?}");
+        assert_eq!(checks[0].stage, "interchange");
+        assert!(checks[0].reason.contains("band bound reads band variable `I`"), "{checks:?}");
+    }
+
+    #[test]
+    fn cert_deeper_than_any_stage_transforms_is_rejected_unread() {
+        let (p, mut rep) = compiled(MMT, &PassOptions::polaris());
+        rep.nest.certs[0].loop_vars = (1..=12).map(|k| format!("I{k}")).collect();
+        let checks = recheck_certs(&p, &rep);
+        assert!(!checks[0].accepted);
+        assert!(checks[0].reason.contains("deeper than any nest stage"), "{}", checks[0].reason);
     }
 
     #[test]

@@ -203,3 +203,55 @@ fn wall_deadline_not_hit_at_the_service_is_ok_exit_0() {
     assert_eq!(resp.exit_code, 0);
     assert_eq!(service.stats().deadline_cancels, 0);
 }
+
+// ---- search budget ---------------------------------------------------
+
+/// One perfect nest of `depth` loops around
+/// `a(i1+…+in) = a(i1+…+in+1) + 1.0`: every direction vector of the
+/// pair is feasible, so summarising the band would refine 3ⁿ of them.
+fn deep_nest(depth: usize) -> String {
+    let vars: Vec<String> = (1..=depth).map(|k| format!("i{k}")).collect();
+    let sum = vars.join("+");
+    let mut src = String::from("program deep\nreal a(1000)\n");
+    for v in &vars {
+        src += &format!("do {v} = 1, 2\n");
+    }
+    src += &format!("a({sum}) = a({sum}+1) + 1.0\n");
+    src += &"end do\n".repeat(depth);
+    src + "print *, a(1)\nend\n"
+}
+
+/// The nest stages' search budget is structural: a band deeper than the
+/// stages transform is gated out before anything is summarised, in the
+/// compiler, the re-prover and the lint alike — no `CancelToken`, no
+/// watchdog. What pins that is `candidates == 0` and a silent lint; the
+/// 2 s per step is checked in optimised builds only (depth 12 took 90 s
+/// to compile before the gates), since unoptimised `analyze`'s range
+/// test, cubic in the depth, alone takes seconds on these nests.
+#[test]
+fn hostile_deep_nests_compile_verify_and_lint_within_the_budget() {
+    let timed = |what: &str, depth: usize, t0: std::time::Instant| {
+        let took = t0.elapsed();
+        let in_budget = cfg!(debug_assertions) || took < Duration::from_secs(2);
+        assert!(in_budget, "depth {depth}: {what} took {took:?}");
+    };
+    for depth in [12, 16] {
+        let src = deep_nest(depth);
+        let t0 = std::time::Instant::now();
+        let out = polaris::parallelize(&src, &PassOptions::polaris()).unwrap();
+        timed("compile", depth, t0);
+        assert!(!out.report.degraded(), "{:?}", out.report.stages);
+        assert_eq!(out.report.nest.summarized, 1, "the band root is still counted");
+        assert_eq!(out.report.nest.candidates, 0, "nothing that deep is judged");
+
+        let t0 = std::time::Instant::now();
+        let v = polaris::verify::verify_compiled(&out.program, &out.report);
+        timed("verify", depth, t0);
+        assert!(v.rejected_certs().is_empty());
+
+        let t0 = std::time::Instant::now();
+        let lint = polaris::verify::lint_program(&polaris_ir::parse(&src).unwrap(), &src);
+        timed("lint", depth, t0);
+        assert!(lint.findings.iter().all(|f| f.lint != "nest-locality"), "{:?}", lint.findings);
+    }
+}

@@ -345,3 +345,29 @@ fn cli_threaded_exec_mode_runs_and_matches() {
     assert!(thr_err.contains("threaded(3 threads)"), "{thr_err}");
     assert!(thr_err.contains("wall"), "{thr_err}");
 }
+
+/// A dependence distance beyond any stand-in for an unknown trip count
+/// (`N`, `M` are read from memory) is still a dependence: the loop that
+/// carries it stays serial, the `(<, >)` nest is left alone, and every
+/// loop that is marked PARALLEL is one the static race detector — which
+/// uses the range test only — independently calls clean.
+#[test]
+fn huge_offsets_under_symbolic_bounds_ship_no_wrong_parallel() {
+    use polaris::verify::{verify_compiled, RaceVerdict};
+    let recurrence = "program t\nreal a(100000000)\ninteger ia(10)\nn = ia(1)\n\
+                      do i = 1, n\n  a(i) = a(i+40000000) + 1.0\nend do\n\
+                      print *, a(1)\nend\n";
+    let skewed = "program t\nreal a(2,50000000)\ninteger ia(10)\nn = ia(1)\nm = ia(2)\n\
+                  do i = 2, n\n  do j = 1, m\n    a(i,j) = a(i-1,j+40000000) + 1.0\n  end do\n\
+                  end do\nprint *, a(2,1)\nend\n";
+    for (src, parallel) in [(recurrence, 0), (skewed, 1)] {
+        let out = parallelize(src, &PassOptions::polaris()).unwrap();
+        assert!(out.report.nest.certs.is_empty(), "{:?}", out.report.nest.certs);
+        let outermost = out.program.units[0].body.loops()[0];
+        assert_eq!(outermost.var, "I", "{}", out.annotated_source);
+        assert!(!outermost.par.parallel, "{}", out.annotated_source);
+        let race = verify_compiled(&out.program, &out.report).race.expect("race report");
+        assert_eq!(race.parallel_claims(), parallel, "{}", out.annotated_source);
+        assert_eq!(race.count(RaceVerdict::Clean), parallel, "{:?}", race.loops);
+    }
+}

@@ -6,8 +6,8 @@
 //! to their **untransformed** serial baselines on every backend — the
 //! tree-walking interpreter, the bytecode VM, the threaded executor at
 //! several widths, and the adaptive controller — with zero runtime
-//! oracle violations. Finally the compiler-side stride-penalty table is
-//! cross-checked against the machine cost model's copy.
+//! oracle violations. Finally the compiler-side memory-class stride
+//! penalty is checked against the machine cost model's memory cost.
 
 mod common;
 
@@ -181,19 +181,40 @@ fn transformed_kernels_are_oracle_clean_and_cert_sound() {
     }
 }
 
-/// The compiler's stride-penalty table and the machine cost model's
-/// copy must agree cell for cell (core cannot depend on the machine
-/// crate, so the table is mirrored, not shared).
+/// The interchange cost model prices a column-crossing access at eight
+/// of the machine's memory accesses.
 #[test]
-fn stride_penalty_tables_agree_between_compiler_and_machine() {
-    let m = CostModel::default();
-    for coeff in [-3i64, -1, 0, 1, 2, 34] {
-        for varies in [false, true] {
-            assert_eq!(
-                polaris_core::nestdeps::stride_penalty(coeff, varies),
-                m.stride_penalty(coeff, varies),
-                "tables diverge at coeff={coeff} varies={varies}"
-            );
+fn memory_class_stride_penalty_is_eight_machine_memory_accesses() {
+    assert_eq!(polaris_core::nestdeps::stride_penalty(2, false), 8 * CostModel::default().memory);
+}
+
+/// The compiler's band-depth cap and the re-prover's own are two
+/// constants on purpose; this ties them: the deepest band the compiler
+/// interchanges is re-accepted, and a band one deeper — which the
+/// re-prover would refuse unread — gets no cert in the first place.
+#[test]
+fn deepest_transformed_band_is_the_deepest_the_reprover_accepts() {
+    // `b(i1,…,in) = a(i1,…,in) * 2.0` with i1 outermost: the innermost
+    // loop crosses columns, so the reversed order is the profitable one.
+    let nest = |depth: usize| {
+        let vars: Vec<String> = (1..=depth).map(|k| format!("i{k}")).collect();
+        let (subs, dims) = (vars.join(","), vec!["4"; depth].join(","));
+        let heads: String = vars.iter().map(|v| format!("do {v} = 1, 4\n")).collect();
+        format!(
+            "program deep\nreal a({dims}), b({dims})\n{heads}b({subs}) = a({subs}) * 2.0\n{}\
+             print *, b({})\nend\n",
+            "end do\n".repeat(depth),
+            vec!["1"; depth].join(","),
+        )
+    };
+    let mut deepest = 0;
+    for depth in 2..=6 {
+        let out = polaris::parallelize(&nest(depth), &PassOptions::polaris()).unwrap();
+        let v = verify_compiled(&out.program, &out.report);
+        assert!(v.rejected_certs().is_empty(), "depth {depth}: {:?}", v.rejected_certs());
+        for cert in &out.report.nest.certs {
+            deepest = deepest.max(cert.loop_vars.len());
         }
     }
+    assert_eq!(deepest, 4, "the cap moved: raise `verify::nest::MAX_CERT_DEPTH` with it");
 }

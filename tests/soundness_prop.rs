@@ -400,6 +400,16 @@ fn skew_program(d1: i64, d2: i64, n: i64) -> String {
     )
 }
 
+/// A triangular nest: `j`'s bound reads `i`, so permuting the headers
+/// verbatim changes the iteration space whatever the dependences say.
+fn triangular_program(n: i64) -> String {
+    format!(
+        "program tri\nreal a({n}, {n})\n\
+         do i = 1, {n}\n  do j = 1, i\n    a(i, j) = 1.0\n  end do\nend do\n\
+         print *, 'tri', a({n}, 1)\nend\n"
+    )
+}
+
 /// Two conformable loops where the second reads **ahead** of the
 /// first's writes: `a(i) = ...` then `c(i) = a(i + off) + ...`. Fused,
 /// iteration `i` would read a cell the original second loop only saw
@@ -459,8 +469,11 @@ proptest! {
         d1 in 1i64..4,
         d2 in 1i64..4,
         n in 12i64..24,
+        triangular in any::<bool>(),
     ) {
-        let src = skew_program(d1, d2, n);
+        // The triangular row has an empty dependence matrix: there the
+        // re-prover's own bounds check is the only thing that can object.
+        let src = if triangular { triangular_program(n) } else { skew_program(d1, d2, n) };
         let opts = polaris::PassOptions::polaris()
             .with_faults(polaris::core::pipeline::FaultPlan::force_in("interchange"));
         let out = polaris::parallelize(&src, &opts)
@@ -484,6 +497,10 @@ proptest! {
         prop_assert!(
             caught >= forced.len(),
             "re-prover missed a forced illegal interchange\nchecks: {checks:#?}\n{src}"
+        );
+        prop_assert!(
+            !triangular || checks.iter().any(|c| c.reason.contains("band bound reads band variable")),
+            "the triangular band was not refused on its bounds\nchecks: {checks:#?}\n{src}"
         );
     }
 
@@ -531,6 +548,58 @@ proptest! {
             caught >= forced,
             "re-prover missed a forced illegal fusion\nchecks: {checks:#?}\n{src}"
         );
+    }
+}
+
+/// Dependence distances around and beyond 2²⁴ — where a finite stand-in
+/// for an unknown loop bound would "prove" them infeasible — under
+/// symbolic and constant bounds, in a 1-D recurrence and a 2-D `(<, >)`
+/// nest with stencil reuse and tileable trip counts. The loop that
+/// carries the dependence is never PARALLEL, the nest is never
+/// interchanged or tiled, and every cert that is emitted is re-accepted.
+/// Compile-level only: nothing this size is executed.
+#[test]
+fn huge_offsets() {
+    use polaris_ir::cert::CertKind;
+    let offsets: [i64; 6] = [(1 << 24) - 1, 1 << 24, 1 << 25, (1 << 25) + 1, 40_000_000, 1 << 31];
+    for off in offsets {
+        for symbolic in [true, false] {
+            let trips = (off / 8 + 2) * 8; // beyond the offset, tileable
+            let bound = |name: &str| if symbolic { name.to_string() } else { trips.to_string() };
+            let (n, m) = (bound("n"), bound("m"));
+            let decls = "integer ia(10)\ninteger n, m\nn = ia(1)\nm = ia(2)\n";
+            let one_d = format!(
+                "program h1\nreal a({})\n{decls}\
+                 do i = 1, {n}\n  a(i) = a(i + {off}) + 1.0\nend do\nprint *, a(1)\nend\n",
+                trips + off
+            );
+            let two_d = format!(
+                "program h2\nreal a(17, {})\n{decls}\
+                 do i = 2, 17\n  do j = 1, {m}\n\
+                 \x20   a(i, j) = a(i - 1, j + {off}) + a(i - 1, j + {off} + 1)\n\
+                 end do\nend do\nprint *, a(2, 1)\nend\n",
+                trips + off + 1
+            );
+            // With constant bounds the nest is an interchange *and* a tile
+            // candidate, so both provers are really asked.
+            for (src, rejected) in [(&one_d, 0), (&two_d, if symbolic { 1 } else { 2 })] {
+                let out = polaris::parallelize(src, &polaris::PassOptions::polaris())
+                    .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+                let carrier = out.program.units[0].body.loops()[0];
+                assert_eq!(carrier.var, "I", "{}", out.annotated_source);
+                assert!(!carrier.par.parallel, "wrong PARALLEL\n{}", out.annotated_source);
+                assert_eq!(out.report.nest.rejected, rejected, "{:?}", out.report.nest.rejections);
+                for cert in &out.report.nest.certs {
+                    assert!(
+                        !matches!(cert.kind, CertKind::Interchange { .. } | CertKind::Tile { .. }),
+                        "prover licensed {cert:?}\n{src}"
+                    );
+                }
+                for check in polaris::verify::recheck_certs(&out.program, &out.report) {
+                    assert!(check.accepted, "{check:?}\n{src}");
+                }
+            }
+        }
     }
 }
 
