@@ -11,8 +11,8 @@
 //! unbounded, never a stand-in box.
 
 use super::banerjee::{Coupled, Free};
+use crate::iterview::Ref;
 use polaris_ir::expr::Expr;
-use polaris_ir::visit::Access;
 use polaris_symbolic::poly::{DivPolicy, Poly};
 
 /// One subscript as `rest + Σ coeffs[k] * vars[k]`, `rest` free of the
@@ -91,15 +91,16 @@ impl PairDim {
 /// The loops in `f.ctx` / `g.ctx` — nested between `asked` and the access
 /// — are matched by name: one around both accesses is common (after the
 /// asked ones), one around a single access is free. A dimension outside
-/// the affine fragment is `None`. The flag beside the dimensions says
-/// every context loop has a unit step, so the boxes in `common` and `free`
-/// model the iteration space; the coefficients are good either way.
+/// the affine fragment, or opaque in either access, is `None`. The flag
+/// beside the dimensions says every context loop has a unit step, so the
+/// boxes in `common` and `free` model the iteration space; the
+/// coefficients are good either way.
 pub(crate) fn pair_dims<'a>(
-    f: &'a Access,
-    g: &'a Access,
+    f: &'a Ref,
+    g: &'a Ref,
     asked: &'a [Loop],
 ) -> (bool, impl Iterator<Item = Option<PairDim>> + 'a) {
-    let ctx = |a: &Access| -> Vec<Loop> {
+    let ctx = |a: &Ref| -> Vec<Loop> {
         let of = |c: &polaris_ir::visit::LoopCtx| {
             Loop::new(&c.var, &c.init, &c.limit, c.step.simplified().as_int())
         };
@@ -115,7 +116,10 @@ pub(crate) fn pair_dims<'a>(
     };
     let (fvars, gvars) = (vars(&fctx), vars(&gctx));
     let n = asked.len();
-    let dims = f.subs.iter().zip(&g.subs).map(move |(fs, gs)| {
+    let dims = f.subs.iter().zip(&g.subs).enumerate().map(move |(k, (fs, gs))| {
+        if f.opaque[k] || g.opaque[k] {
+            return None;
+        }
         let (fd, gd) = (Dim::of(fs, &fvars)?, Dim::of(gs, &gvars)?);
         // The non-index parts must cancel to a constant.
         let c0 = fd.rest.checked_sub(&gd.rest)?.as_constant()?.as_integer()?;
@@ -144,17 +148,17 @@ pub(crate) fn pair_dims<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polaris_ir::visit::collect_accesses;
+    use crate::iterview::IterView;
     use polaris_symbolic::Rat;
 
     /// The outermost loop of `body` as the asked-about loop, and the
     /// write and the first read of `A` under it.
-    fn pair(body: &str) -> (Vec<Loop>, Access, Access) {
+    fn pair(body: &str) -> (Vec<Loop>, Ref, Ref) {
         let src = format!("program t\nreal a(1000)\n{body}end\n");
         let p = polaris_ir::parse(&src).unwrap();
         let d = p.units[0].body.loops()[0];
         let step = d.step_expr().simplified().as_int();
-        let acc = collect_accesses(&d.body);
+        let acc = IterView::of(&d.body).refs;
         let find = |w: bool| acc.iter().find(|a| a.name == "A" && a.is_write == w).unwrap().clone();
         (vec![Loop::new(&d.var, &d.init, &d.limit, step)], find(true), find(false))
     }

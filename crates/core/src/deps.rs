@@ -4,12 +4,13 @@
 //! for every `DO` loop, and annotates the IR with the result.
 
 use crate::ddtest::{affine, banerjee, gcd, range_test, DdStats};
+use crate::iterview::{IterView, Ref};
 use crate::privatize;
 use crate::rangeprop;
 use crate::reduction;
 use crate::PassOptions;
 use polaris_ir::stmt::{DoLoop, LoopId, ParallelInfo, SpecInfo, StmtId, StmtKind, StmtList};
-use polaris_ir::visit::{collect_iteration_accesses, find_serializing_stmt, Access};
+use polaris_ir::visit::find_serializing_stmt;
 use polaris_ir::ProgramUnit;
 use polaris_symbolic::poly::{DivPolicy, Poly};
 use polaris_symbolic::RangeEnv;
@@ -169,59 +170,35 @@ fn analyze_loop(
     let mut env = env.clone();
     let _compactions = privatize::recognize_compactions(&d.body, &mut env);
 
-    let accesses = collect_iteration_accesses(d);
-    let mut reductions = reduction::validated_reductions(d);
+    let view = IterView::of(&d.body);
+    let mut reductions = reduction::validated_reductions(&view, &d.var);
     if !opts.array_reductions {
-        reductions.retain(|r| {
-            // keep scalar reductions only
-            accesses.iter().filter(|a| a.name == r.var).all(|a| a.subs.is_empty())
-        });
-    }
-    if !opts.reductions {
-        reductions.clear();
+        // keep scalar reductions only
+        reductions.retain(|r| view.named(&r.var).all(|a| a.is_scalar()));
     }
     let reduction_vars: BTreeSet<String> = reductions.iter().map(|r| r.var.clone()).collect();
-
-    let inner_do_vars: BTreeSet<String> = {
-        let mut s = BTreeSet::new();
-        d.body.walk(&mut |st| {
-            if let StmtKind::Do(inner) = &st.kind {
-                s.insert(inner.var.clone());
-            }
-        });
-        s
-    };
 
     let mut private: Vec<String> = Vec::new();
     let mut copy_out: Vec<String> = Vec::new();
 
     // --- index-array properties (§ subscripted subscripts) -----------------
-    // Arrays written inside this loop: their fill-time facts are stale
+    // The fill-time facts of an array written inside this loop are stale
     // here, so neither seeding nor the disjointness rule may use them.
-    let written_arrays: BTreeSet<String> = accesses
-        .iter()
-        .filter(|a| a.is_write && !a.is_scalar())
-        .map(|a| a.name.clone())
-        .collect();
     if opts.index_props {
         // Register proven whole-array value bounds so the range test and
         // the §3.4 region analysis can bound reads like `A(IDX(L))`.
-        let seeded = crate::idxprop::seed_array_value_ranges(unit, &written_arrays, &mut env);
+        let seeded = crate::idxprop::seed_array_value_ranges(unit, &view.written_arrays, &mut env);
         add(&stats.ranges_propagated, seeded as u64);
     }
     // Facts visible to this loop's subscripted subscripts (diagnostics).
     let index_facts: Vec<String> = if opts.index_props {
         let mut used: BTreeSet<String> = BTreeSet::new();
-        for a in &accesses {
-            for sub in &a.subs {
-                for arr in sub.arrays() {
-                    if written_arrays.contains(&arr) {
-                        continue;
-                    }
-                    if let Some(p) = unit.symbols.get(&arr).and_then(|s| s.props.as_ref()) {
-                        used.insert(format!("{arr}: {}", p.facts().join(" ")));
-                    }
-                }
+        for arr in view.refs.iter().flat_map(|a| &a.subs).flat_map(|sub| sub.arrays()) {
+            if view.written_arrays.contains(&arr) {
+                continue;
+            }
+            if let Some(p) = unit.symbols.get(&arr).and_then(|s| s.props.as_ref()) {
+                used.insert(format!("{arr}: {}", p.facts().join(" ")));
             }
         }
         used.into_iter().collect()
@@ -230,20 +207,15 @@ fn analyze_loop(
     };
 
     // --- scalars -----------------------------------------------------------
-    let scalar_writes: BTreeSet<String> = accesses
-        .iter()
-        .filter(|a| a.is_write && a.is_scalar())
-        .map(|a| a.name.clone())
-        .collect();
-    for name in &scalar_writes {
-        if inner_do_vars.contains(name) {
+    for name in &view.written_scalars {
+        if view.loop_vars.contains(name) {
             private.push(name.clone());
             continue;
         }
         if reduction_vars.contains(name) {
             continue;
         }
-        if opts.scalar_privatization && privatize::scalar_privatizable(d, name) {
+        if privatize::scalar_privatizable(d, name) {
             if privatize::live_after(unit, stmt_id, name) {
                 if privatize::scalar_write_unconditional(d, name) {
                     private.push(name.clone());
@@ -264,38 +236,12 @@ fn analyze_loop(
     }
 
     // --- arrays ------------------------------------------------------------
-    let array_names: BTreeSet<String> = accesses
-        .iter()
-        .filter(|a| !a.is_scalar())
-        .map(|a| a.name.clone())
-        .collect();
     let mut speculative_tracked: Vec<String> = Vec::new();
     let mut dropped_reductions: Vec<String> = Vec::new();
-    for name in &array_names {
-        // has_write must consider *all* accesses: reduction flags are
-        // only meaningful when the reduction validated for this loop
-        // (stale flags must not make the array look read-only).
-        let has_write = accesses.iter().any(|a| a.name == *name && a.is_write);
-        if !has_write {
-            continue; // read-only array
-        }
-        // If any access of this array was flagged as a reduction but the
-        // reduction did not validate, the flags are stale for this loop —
-        // include those accesses too. Subscripts are resolved through
-        // in-iteration scalar reaching definitions up front so both the
-        // dependence tests and the speculation trigger see through
-        // `IP = IPOS(P); V(IP) = ...` forms.
-        let refs: Vec<Access> = accesses
-            .iter()
-            .filter(|a| a.name == *name)
-            .map(|a| {
-                let mut a2 = (*a).clone();
-                a2.subs = privatize::resolve_scalar_subscripts(&accesses, &a2);
-                a2
-            })
-            .collect();
-        let refs: Vec<&Access> = refs.iter().collect();
-
+    for name in &view.written_arrays {
+        // Every access counts, reduction-flagged or not: the flags only
+        // mean something when the reduction validated for this loop.
+        let refs: Vec<&Ref> = view.named(name).collect();
         if pairs_independent(d, &refs, step, &env, opts, stats) {
             // Proven independent outright: "the data-dependence pass
             // later ... removes the flags for those statements which it
@@ -310,19 +256,7 @@ fn analyze_loop(
         // `A(IDX(I))` subscript): consult proven index-array properties —
         // an injective `IDX` over a contained domain makes the scatter a
         // DOALL (Bhosale & Eigenmann-style subscripted-subscript rule).
-        if opts.index_props
-            && pairs_disjoint_by_props(
-                d,
-                &refs,
-                step,
-                unit,
-                &scalar_writes,
-                &inner_do_vars,
-                &written_arrays,
-                &env,
-                stats,
-            )
-        {
+        if opts.index_props && pairs_disjoint_by_props(d, &refs, step, unit, &view, &env, stats) {
             if reduction_vars.contains(name) {
                 dropped_reductions.push(name.clone());
             }
@@ -343,8 +277,7 @@ fn analyze_loop(
                 .collect()
         });
         let priv_ok = opts.array_privatization
-            && privatize::array_privatizable_with_decl(d, name, &env, declared.as_deref())
-                .is_ok();
+            && privatize::array_privatizable(&view, name, &env, declared.as_deref()).is_ok();
         if priv_ok
             && !privatize::live_after(unit, stmt_id, name) {
                 private.push(name.clone());
@@ -378,7 +311,7 @@ fn analyze_loop(
     // and proven-independent arrays do not need the reduction transform.
     let reductions: Vec<_> = reductions
         .into_iter()
-        .filter(|r| accesses.iter().any(|a| a.name == r.var && a.is_write))
+        .filter(|r| view.named(&r.var).any(|a| a.is_write))
         .filter(|r| !dropped_reductions.contains(&r.var))
         .collect();
     let red_names: Vec<String> =
@@ -436,28 +369,22 @@ fn analyze_loop(
     (info, report)
 }
 
-/// Bridge the driver's [`Access`] view to the idxprop disjointness rule:
-/// build the per-access subscript/context records, the varying-scalar
-/// set (body-written scalars + inner loop variables, minus the tested
-/// variable itself), and a property lookup that answers `None` for any
-/// array written inside this loop (stale facts).
-#[allow(clippy::too_many_arguments)]
+/// Bridge the iteration view to the idxprop disjointness rule: `varying`
+/// is everything the body writes, and the property lookup answers `None`
+/// for any array among it (stale facts).
 fn pairs_disjoint_by_props(
     d: &DoLoop,
-    refs: &[&Access],
+    refs: &[&Ref],
     step: i64,
     unit: &ProgramUnit,
-    scalar_writes: &BTreeSet<String>,
-    inner_do_vars: &BTreeSet<String>,
-    written_arrays: &BTreeSet<String>,
+    view: &IterView,
     env: &RangeEnv,
     stats: &DdStats,
 ) -> bool {
     let Some(self_loop) = loop_as_inner(d, step) else {
         return false;
     };
-    let mut varying: BTreeSet<String> = scalar_writes.clone();
-    varying.extend(inner_do_vars.iter().cloned());
+    let mut varying: BTreeSet<String> = view.written().cloned().collect();
     varying.remove(&d.var);
     let accesses: Vec<crate::idxprop::PropAccess<'_>> = refs
         .iter()
@@ -468,7 +395,7 @@ fn pairs_disjoint_by_props(
         })
         .collect();
     let props = |n: &str| {
-        if written_arrays.contains(&n.to_ascii_uppercase()) {
+        if varying.contains(&n.to_ascii_uppercase()) {
             return None;
         }
         unit.symbols.get(n).and_then(|s| s.props.clone())
@@ -478,15 +405,14 @@ fn pairs_disjoint_by_props(
 
 /// Does any reference use an array element as a subscript (the §3.5
 /// trigger for run-time testing)?
-fn has_subscripted_subscript(refs: &[&Access]) -> bool {
+fn has_subscripted_subscript(refs: &[&Ref]) -> bool {
     refs.iter().any(|a| a.subs.iter().any(|s| !s.arrays().is_empty()))
 }
 
-/// Are all (write, any) pairs of `refs` (subscripts pre-resolved)
-/// independent at loop `d`?
+/// Are all (write, any) pairs of `refs` independent at loop `d`?
 fn pairs_independent(
     d: &DoLoop,
-    refs: &[&Access],
+    refs: &[&Ref],
     step: i64,
     env: &RangeEnv,
     opts: &PassOptions,
@@ -521,51 +447,33 @@ fn loop_as_inner(d: &DoLoop, step: i64) -> Option<range_test::InnerLoop> {
     })
 }
 
-fn access_refspec(a: &Access) -> Option<range_test::RefSpec> {
-    let mut inner = Vec::new();
-    for c in &a.ctx {
-        inner.push(range_test::InnerLoop {
-            var: c.var.clone(),
-            lo: Poly::from_expr(&c.init, DivPolicy::Exact)?,
-            hi: Poly::from_expr(&c.limit, DivPolicy::Exact)?,
-            step: c.step.simplified().as_int()?,
-        });
-    }
-    let mut subs = Vec::new();
-    for s in &a.subs {
-        subs.push(Poly::from_expr(s, DivPolicy::Exact)?);
-    }
-    Some(range_test::RefSpec { subs, inner })
-}
-
 #[allow(clippy::too_many_arguments)]
 fn pair_independent(
     d: &DoLoop,
-    f: &Access,
-    g: &Access,
+    f: &Ref,
+    g: &Ref,
     step: i64,
     self_loop: &range_test::InnerLoop,
     env: &RangeEnv,
     opts: &PassOptions,
     stats: &DdStats,
 ) -> bool {
-    let (fr, gr) = (access_refspec(f), access_refspec(g));
     // Range-test query accounting: every pair the driver asks about is a
     // `run`, partitioned into proved / disproved / abstained (the last
     // when the subscripts or bounds fall outside the symbolic fragment).
     if opts.range_test {
         bump(&stats.range_tests_run);
-        if fr.is_none() || gr.is_none() {
+        if f.spec().is_none() || g.spec().is_none() {
             bump(&stats.range_abstained);
         }
     }
-    let (Some(fr), Some(gr)) = (fr, gr) else {
+    let (Some(fr), Some(gr)) = (f.spec(), g.spec()) else {
         return false;
     };
     if opts.range_test {
         if range_test::no_carried_dependence(
-            &fr,
-            &gr,
+            fr,
+            gr,
             &d.var,
             step,
             self_loop,
@@ -578,13 +486,13 @@ fn pair_independent(
         }
         bump(&stats.range_disproved);
     }
-    opts.linear_tests && linear_pair_independent(d, f, g, step, stats)
+    linear_pair_independent(d, f, g, step, stats)
 }
 
 /// GCD + Banerjee on one pair, per subscript dimension: the GCD test
 /// over the coefficients, then the carried test over the boxes. Any
 /// dimension that cannot hit the same element proves the pair.
-fn linear_pair_independent(d: &DoLoop, f: &Access, g: &Access, step: i64, stats: &DdStats) -> bool {
+fn linear_pair_independent(d: &DoLoop, f: &Ref, g: &Ref, step: i64, stats: &DdStats) -> bool {
     let tested = [affine::Loop::new(&d.var, &d.init, &d.limit, Some(step))];
     let (unit_steps, dims) = affine::pair_dims(f, g, &tested);
     let mut dims = dims.flatten();
@@ -712,6 +620,68 @@ mod tests {
             let (_, r) = analyze(&src("1000"), &opts);
             assert!(r[0].parallel, "a known trip count below the offset: {r:?}");
         }
+    }
+
+    /// `DO I = 1, 100` over `body`, with `K` unknown at compile time.
+    fn over_unknown_k(body: &str) -> String {
+        format!(
+            "program t\nreal a(200), b(100)\ninteger ia(4), k, jt\nk = ia(1)\n\
+             do i = 1, 100\n{body}end do\nprint *, a(5)\nend\n"
+        )
+    }
+
+    #[test]
+    fn a_private_scalar_left_in_a_subscript_is_no_function_of_the_iteration() {
+        // JT = 5-I+K: every iteration writes A(5+K). The second assignment
+        // reads JT itself, so it is not substituted, and JT in the
+        // subscript is not a fixed symbol.
+        let collide = over_unknown_k("  jt = 5 - i\n  jt = jt + k\n  a(jt + i) = i*1.0\n");
+        // JT is I or 101-I: iterations I and 101-I meet.
+        let conditional = over_unknown_k(
+            "  jt = i\n  if (b(i) .gt. 0.0) jt = 101 - i\n  a(jt + i) = i*1.0\n",
+        );
+        // A(IDX(1)+I) with IDX(1) = 5-I: the same through a private array.
+        let through_array = "program t\nreal a(200)\ninteger idx(4)\n\
+             do i = 1, 100\n  idx(1) = 5 - i\n  a(idx(1) + i) = i*1.0\nend do\n\
+             print *, a(5)\nend\n";
+        for opts in [PassOptions::polaris(), PassOptions::vfa()] {
+            for src in [collide.as_str(), conditional.as_str(), through_array] {
+                let (_, r) = analyze(src, &opts);
+                assert!(!r[0].parallel, "{src}: {r:?}");
+            }
+            // The resolvable twin is A(5+I).
+            let (_, r) = analyze(&over_unknown_k("  jt = 5 - i\n  a(jt + 2*i) = i*1.0\n"), &opts);
+            assert!(r[0].parallel, "{r:?}");
+            assert_eq!(r[0].private, vec!["JT"]);
+        }
+    }
+
+    #[test]
+    fn an_unresolved_scalar_proves_nothing_and_a_clean_dimension_still_proves() {
+        let stats = DdStats::new();
+        let src = over_unknown_k("  jt = 5 - i\n  jt = jt + k\n  a(jt + i) = i*1.0\n");
+        let mut p = polaris_ir::parse(&src).unwrap();
+        analyze_unit(&mut p.units[0], &PassOptions::polaris(), &stats);
+        assert_eq!(stats.range_outcomes(), (1, 0, 1, 0), "asked, over a subscript that is unknown");
+        let (banerjee, gcd, ..) = stats.snapshot();
+        assert_eq!((banerjee, gcd), (0, 0), "GCD and Banerjee are not consulted");
+        // X(I, JT) keeps its proof through dimension 1.
+        let src = "program t\nreal x(100,200)\ninteger ia(4), k, jt\nk = ia(1)\n\
+             do i = 1, 100\n  jt = 5 - i\n  jt = jt + k\n  x(i, jt) = i*1.0\nend do\n\
+             print *, x(1,1)\nend\n";
+        let (_, r) = analyze(src, &PassOptions::polaris());
+        assert!(r[0].parallel, "{r:?}");
+    }
+
+    #[test]
+    fn a_point_loop_bound_resolves_through_its_tile_assignment() {
+        // What `normalize` makes of a printed tile loop: the point loop's
+        // bounds read a scalar the body assigns.
+        let src = "program t\nreal b(34)\ninteger jt\n\
+             do jn = 0, 3\n  jt = 2 + jn*8\n  do j = jt, jt + 7\n    b(j) = 1.0\n  end do\nend do\n\
+             print *, b(2)\nend\n";
+        let (_, r) = analyze(src, &PassOptions::polaris());
+        assert!(r.iter().all(|l| l.parallel), "{r:?}");
     }
 
     #[test]

@@ -441,9 +441,9 @@ pub struct PropAccess<'a> {
 ///
 /// `props` must answer `None` for any array written inside the tested
 /// loop (its fill-time facts would be stale there), and `varying` must
-/// name every scalar the body writes: a subscript mentioning one is not
-/// a function of the iteration number alone and disqualifies its
-/// dimension.
+/// name everything the body writes, scalar or array: a subscript
+/// mentioning one is not a function of the iteration number alone and
+/// disqualifies its dimension.
 pub fn pairs_disjoint_via_props(
     accesses: &[PropAccess<'_>],
     self_loop: &InnerLoop,
@@ -496,9 +496,9 @@ fn sep_key(
     props: &dyn Fn(&str) -> Option<ArrayProps>,
 ) -> Option<(Option<String>, Poly)> {
     let var = &self_loop.var;
-    // A mention of a body-written scalar or an inner loop's variable
-    // makes the value non-functional in the iteration number.
-    if varying.iter().any(|v| e.references_var(v))
+    // A mention of something the body writes or of an inner loop's
+    // variable makes the value non-functional in the iteration number.
+    if varying.iter().any(|v| e.references(v))
         || a.ctx_vars.iter().any(|v| e.references_var(v))
     {
         return None;

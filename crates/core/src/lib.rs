@@ -31,6 +31,7 @@ pub mod deps;
 pub mod idxprop;
 pub mod induction;
 pub mod inline;
+mod iterview;
 pub mod nestdeps;
 pub mod normalize;
 pub mod pipeline;
@@ -56,27 +57,19 @@ use polaris_ir::Program;
 pub struct PassOptions {
     /// §3.1 full inline expansion into the main unit.
     pub inline: bool,
-    /// Parameter folding + forward constant propagation.
-    pub constprop: bool,
-    /// Loop normalization (rewrite constant non-unit steps to step 1).
-    pub normalize: bool,
     /// Dead scalar-assignment elimination after the rewriting passes.
     pub dce: bool,
     /// §3.2 induction-variable substitution aggressiveness.
     pub induction: InductionMode,
-    /// §3.2 reduction recognition at all.
-    pub reductions: bool,
-    /// ... including array (histogram / single-address) reductions.
+    /// §3.2 array (histogram / single-address) reductions, beside the
+    /// scalar ones both configurations recognize.
     pub array_reductions: bool,
-    /// §3.3.1 the range test.
+    /// §3.3.1 the range test (the classical GCD + Banerjee tests always
+    /// run behind it).
     pub range_test: bool,
-    /// classical GCD + Banerjee-with-directions tests.
-    pub linear_tests: bool,
     /// §3.3.1 loop permutation inside the range test.
     pub permutation: bool,
-    /// §3.4 scalar privatization.
-    pub scalar_privatization: bool,
-    /// §3.4 array privatization.
+    /// §3.4 array privatization (scalars are always privatized).
     pub array_privatization: bool,
     /// §3.5 mark unanalyzable loops for run-time (LRPD) testing.
     pub speculation: bool,
@@ -85,13 +78,11 @@ pub struct PassOptions {
     /// defining fills and use them to parallelize `A(IDX(I))` loops the
     /// classic tests abstain on (Bhosale & Eigenmann-style).
     pub index_props: bool,
-    /// Nest-level loop interchange driven by the locality cost model,
-    /// gated by the `nestdeps` legality prover.
-    pub nest_interchange: bool,
-    /// Rectangular tiling of fully permutable stencil bands.
-    pub nest_tiling: bool,
-    /// Adjacent-loop fusion of conformable producer/consumer loops.
-    pub nest_fusion: bool,
+    /// The nest stages, each gated by the `nestdeps` legality prover:
+    /// interchange driven by the locality cost model, rectangular tiling
+    /// of fully permutable stencil bands, and fusion of adjacent
+    /// conformable producer/consumer loops.
+    pub nest_opts: bool,
     /// Deterministic fault injection for exercising the pipeline's
     /// rollback paths (empty in both presets).
     pub faults: FaultPlan,
@@ -102,22 +93,15 @@ impl PassOptions {
     pub fn polaris() -> PassOptions {
         PassOptions {
             inline: true,
-            constprop: true,
-            normalize: true,
             dce: true,
             induction: InductionMode::Generalized,
-            reductions: true,
             array_reductions: true,
             range_test: true,
-            linear_tests: true,
             permutation: true,
-            scalar_privatization: true,
             array_privatization: true,
             speculation: true,
             index_props: true,
-            nest_interchange: true,
-            nest_tiling: true,
-            nest_fusion: true,
+            nest_opts: true,
             faults: FaultPlan::none(),
         }
     }
@@ -128,22 +112,15 @@ impl PassOptions {
     pub fn vfa() -> PassOptions {
         PassOptions {
             inline: false,
-            constprop: true,
-            normalize: true,
             dce: false,
             induction: InductionMode::Simple,
-            reductions: true,
             array_reductions: false,
             range_test: false,
-            linear_tests: true,
             permutation: false,
-            scalar_privatization: true,
             array_privatization: false,
             speculation: false,
             index_props: false,
-            nest_interchange: false,
-            nest_tiling: false,
-            nest_fusion: false,
+            nest_opts: false,
             faults: FaultPlan::none(),
         }
     }
@@ -186,33 +163,6 @@ pub struct CompileReport {
     /// boundaries and violations caught (each violation rolled a stage
     /// back).
     pub verify: VerifyStats,
-    /// The adaptive runtime's per-loop decision table, persisted after
-    /// execution when the program ran under `--schedule adaptive`
-    /// (empty otherwise). One row per loop with adaptation state; see
-    /// `polaris_runtime::adaptive` for how the rows are produced.
-    pub schedule_decisions: Vec<ScheduleDecision>,
-}
-
-/// One persisted row of the adaptive scheduler's decision table —
-/// plain data so the report stays self-contained (mirrors
-/// `polaris_runtime::DecisionRow`).
-#[derive(Debug, Clone, Default)]
-pub struct ScheduleDecision {
-    pub loop_id: u32,
-    pub label: String,
-    pub invocations: u64,
-    /// Last dispatched strategy: `serial` / `static` / `speculative`.
-    pub strategy: String,
-    /// Last chunking discipline: `block` / `self:N` / `steal:N`.
-    pub chunking: String,
-    pub threads: usize,
-    pub trip: u64,
-    /// Coefficient of variation of per-chunk simulated cycles.
-    pub cost_cv: f64,
-    pub misspec_streak: u32,
-    /// Last controller event (`measure`, `redispatch`, `throttle`,
-    /// `probe`, `corrupt-reset`, `forced`).
-    pub event: String,
 }
 
 impl CompileReport {
@@ -384,6 +334,5 @@ mod tests {
         assert!(p.array_privatization && !v.array_privatization);
         assert!(p.speculation && !v.speculation);
         assert!(p.inline && !v.inline);
-        assert!(v.linear_tests && v.scalar_privatization);
     }
 }

@@ -35,20 +35,20 @@
 //! is rejected, never believed.
 //!
 //! Variant selection uses a stride-based locality cost model
-//! ([`stride_penalty`], [`permutation_score`]) over the machine's
+//! ([`stride_penalty`], `permutation_score`) over the machine's
 //! column-major layout: unit-stride innermost access is cheap, a
 //! column-crossing access pays a memory-class penalty (eight of the
 //! machine cost model's memory accesses; the conformance tier checks the
 //! constant against `polaris_machine::CostModel`).
 
 use crate::ddtest::{affine, banerjee, DdStats, Dir};
+use crate::iterview::{IterView, Ref};
 use crate::reduction;
 use polaris_ir::cert::{CertKind, DepVector, LegalityCert, NestDir};
 use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{DoLoop, LoopId, Stmt, StmtId, StmtKind, StmtList};
 use polaris_ir::symbol::Symbol;
 use polaris_ir::types::DataType;
-use polaris_ir::visit::{collect_accesses, Access};
 use polaris_ir::ProgramUnit;
 use std::collections::BTreeMap;
 
@@ -156,14 +156,6 @@ pub fn band_of(d: &DoLoop) -> Vec<&DoLoop> {
     band
 }
 
-/// Summarize the perfect band rooted at `d` as a dependence matrix.
-pub fn summarize_nest(unit_name: &str, d: &DoLoop, stats: &DdStats) -> NestSummary {
-    let band = band_of(d);
-    let loops: Vec<NestLoop> = band.iter().map(|l| NestLoop::of(l)).collect();
-    let innermost = *band.last().expect("band is nonempty");
-    summarize_band_with(unit_name, loops, &innermost.body, d, stats)
-}
-
 /// Summarize `body`'s accesses against an explicit loop-order list.
 /// This is the re-derivation entry point `polaris-verify` uses: it can
 /// pass the band loops in **original** (pre-transformation) order —
@@ -180,9 +172,25 @@ pub fn summarize_band_with(
     reduction_root: &DoLoop,
     stats: &DdStats,
 ) -> NestSummary {
-    let accesses = collect_accesses(body);
-    let validated = reduction::validated_reductions(reduction_root);
-    let relaxable = |f: &Access, g: &Access| -> bool {
+    summarize_view(unit_name, loops, &IterView::of(body), reduction_root, stats)
+}
+
+/// [`summarize_band_with`] over a view of the band's innermost body the
+/// caller already holds.
+fn summarize_view(
+    unit_name: &str,
+    loops: Vec<NestLoop>,
+    view: &IterView,
+    reduction_root: &DoLoop,
+    stats: &DdStats,
+) -> NestSummary {
+    // Only flagged accesses ask, so a body without any needs no scope.
+    let validated = if view.refs.iter().any(|a| a.reduction.is_some()) {
+        reduction::validated_reductions(&IterView::of(&reduction_root.body), &reduction_root.var)
+    } else {
+        Vec::new()
+    };
+    let relaxable = |f: &Ref, g: &Ref| -> bool {
         match (f.reduction, g.reduction) {
             (Some(a), Some(b)) if a == b => {
                 validated.iter().any(|r| r.var == f.name && r.op == a)
@@ -202,8 +210,8 @@ pub fn summarize_band_with(
 
     // Group by name; scalars get the classification rules, arrays the
     // pairwise affine test.
-    let mut by_name: BTreeMap<&str, Vec<&Access>> = BTreeMap::new();
-    for a in &accesses {
+    let mut by_name: BTreeMap<&str, Vec<&Ref>> = BTreeMap::new();
+    for a in &view.refs {
         by_name.entry(a.name.as_str()).or_default().push(a);
     }
     for (name, refs) in by_name {
@@ -276,7 +284,7 @@ fn non_affine(n: usize) -> PairDirs {
 /// is feasible for the pair only if it is feasible in **every**
 /// subscript dimension (all dimensions must hit the same element
 /// simultaneously), so the per-dimension leaf sets are intersected.
-fn analyze_pair(f: &Access, g: &Access, band: &[affine::Loop], stats: &DdStats) -> PairDirs {
+fn analyze_pair(f: &Ref, g: &Ref, band: &[affine::Loop], stats: &DdStats) -> PairDirs {
     let n = band.len();
     // Out of the fragment: an access nested below the band, a rank
     // mismatch, or a band loop whose iteration order is not its value
@@ -349,8 +357,8 @@ fn to_nest_dir(d: Dir) -> NestDir {
 /// lexicographically non-negative row (a leading-`>` leaf is the same
 /// dependence with source and sink swapped, so it is flipped).
 fn pair_rows(
-    f: &Access,
-    g: &Access,
+    f: &Ref,
+    g: &Ref,
     band: &[affine::Loop],
     relaxable: bool,
     stats: &DdStats,
@@ -449,11 +457,10 @@ pub fn fusion_legal(
     stats: &DdStats,
 ) -> Result<Vec<DepVector>, String> {
     let band = [NestLoop::of(l1).as_box()];
-    let a1 = collect_accesses(&l1.body);
-    let a2 = collect_accesses(&l2.body);
-    let v1 = reduction::validated_reductions(l1);
-    let v2 = reduction::validated_reductions(l2);
-    let relaxable = |x: &Access, y: &Access| -> bool {
+    let (a1, a2) = (IterView::of(&l1.body), IterView::of(&l2.body));
+    let v1 = reduction::validated_reductions(&a1, &l1.var);
+    let v2 = reduction::validated_reductions(&a2, &l2.var);
+    let relaxable = |x: &Ref, y: &Ref| -> bool {
         match (x.reduction, y.reduction) {
             (Some(a), Some(b)) if a == b => {
                 v1.iter().any(|r| r.var == x.name && r.op == a)
@@ -468,8 +475,8 @@ pub fn fusion_legal(
             evidence.push(row);
         }
     };
-    for x in &a1 {
-        for y in &a2 {
+    for x in &a1.refs {
+        for y in &a2.refs {
             if x.name != y.name || (!x.is_write && !y.is_write) {
                 continue;
             }
@@ -556,7 +563,7 @@ fn dim_coeff(e: &Expr, var: &str) -> Option<i64> {
     i64::try_from(dim.coeffs[0]).ok()
 }
 
-fn access_penalty(a: &Access, var: &str) -> u64 {
+fn access_penalty(a: &Ref, var: &str) -> u64 {
     if a.subs.is_empty() {
         return 0;
     }
@@ -571,7 +578,7 @@ fn access_penalty(a: &Access, var: &str) -> u64 {
 /// Locality score of one loop ordering (`vars` outermost first): lower
 /// is better. The innermost level dominates (×100), the next level
 /// tie-breaks (×10) — the innermost stride is what the cache sees.
-pub fn permutation_score(accesses: &[Access], vars: &[String]) -> u64 {
+fn permutation_score(accesses: &[Ref], vars: &[String]) -> u64 {
     let n = vars.len();
     let mut score = 0u64;
     for (lvl, var) in vars.iter().enumerate() {
@@ -626,11 +633,12 @@ pub fn better_legal_order(
     {
         return None;
     }
-    let summary = summarize_nest(unit_name, root, stats);
-    let accesses = collect_accesses(&band[depth - 1].body);
+    let view = IterView::of(&band[depth - 1].body);
+    let loops = band.iter().map(|l| NestLoop::of(l)).collect();
+    let summary = summarize_view(unit_name, loops, &view, root, stats);
     let vars = summary.vars();
     let score = |p: &[usize]| {
-        permutation_score(&accesses, &p.iter().map(|&i| vars[i].clone()).collect::<Vec<_>>())
+        permutation_score(&view.refs, &p.iter().map(|&i| vars[i].clone()).collect::<Vec<_>>())
     };
     let identity: Vec<usize> = (0..depth).collect();
     let identity_score = score(&identity);
@@ -857,10 +865,10 @@ struct TilePlan {
 
 /// Does the nest body re-read some array at two constant offsets of the
 /// same subscript form (stencil reuse — the pattern tiling pays off on)?
-fn has_stencil_reuse(accesses: &[Access], loops: &[NestLoop]) -> bool {
+fn has_stencil_reuse(accesses: &[Ref], loops: &[NestLoop]) -> bool {
     let vars: Vec<String> = loops.iter().map(|l| l.var.clone()).collect();
     // Per dimension the band coefficients, and the constant offsets.
-    let shape = |a: &Access| -> Option<(Vec<Vec<i128>>, Vec<i128>)> {
+    let shape = |a: &Ref| -> Option<(Vec<Vec<i128>>, Vec<i128>)> {
         let dims: Vec<affine::Dim> =
             a.subs.iter().map(|s| affine::Dim::of(s, &vars)).collect::<Option<_>>()?;
         let consts = dims.iter().map(|d| d.constant()).collect::<Option<_>>()?;
@@ -907,11 +915,14 @@ pub fn tile_unit(
         let trips_ok = loops.iter().all(|l| {
             l.trip().map(|t| t >= TILE_MIN_TRIP && t % TILE == 0).unwrap_or(false)
         });
-        let accesses = collect_accesses(&band[band.len() - 1].body);
-        if !trips_ok || !has_stencil_reuse(&accesses, &loops) {
+        if !trips_ok {
             return;
         }
-        let summary = summarize_nest(&unit_name, d, stats);
+        let view = IterView::of(&band[band.len() - 1].body);
+        if !has_stencil_reuse(&view.refs, &loops) {
+            return;
+        }
+        let summary = summarize_view(&unit_name, loops, &view, d, stats);
         nr.candidates += 1;
         match tiling_legal(&summary.vectors, 0) {
             Ok(()) => {
@@ -1064,20 +1075,19 @@ fn fusable_headers(l1: &DoLoop, l2: &DoLoop) -> bool {
 /// destroy the precomputed-contents pattern the `idxprop` analysis
 /// proves properties from — a pessimization even when legal.
 fn bodies_share_array(l1: &DoLoop, l2: &DoLoop) -> bool {
-    let arrays = |d: &DoLoop| -> Vec<String> {
-        collect_accesses(&d.body).iter().filter(|a| !a.is_scalar()).map(|a| a.name.clone()).collect()
+    let (v1, v2) = (IterView::of(&l1.body), IterView::of(&l2.body));
+    let arrays = |v: &IterView| -> Vec<String> {
+        v.refs.iter().filter(|a| !a.is_scalar()).map(|a| a.name.clone()).collect()
     };
-    let a1 = arrays(l1);
-    let shared: Vec<String> = arrays(l2).into_iter().filter(|n| a1.contains(n)).collect();
+    let a1 = arrays(&v1);
+    let shared: Vec<String> = arrays(&v2).into_iter().filter(|n| a1.contains(n)).collect();
     if shared.is_empty() {
         return false;
     }
-    let feeds_subscripts = |d: &DoLoop| {
-        collect_accesses(&d.body)
-            .iter()
-            .any(|a| a.subs.iter().any(|s| shared.iter().any(|n| s.references(n))))
+    let feeds_subscripts = |v: &IterView| {
+        v.refs.iter().any(|a| a.subs.iter().any(|s| shared.iter().any(|n| s.references(n))))
     };
-    !feeds_subscripts(l1) && !feeds_subscripts(l2)
+    !feeds_subscripts(&v1) && !feeds_subscripts(&v2)
 }
 
 /// Fuse adjacent conformable loops throughout `unit`, gated by the
@@ -1171,8 +1181,10 @@ mod tests {
         let mut p = parse(src).unwrap();
         crate::reduction::flag_reductions(&mut p);
         let stats = DdStats::new();
-        let d = p.units[0].body.loops()[0].clone();
-        let s = summarize_nest(&p.units[0].name.clone(), &d, &stats);
+        let band = band_of(p.units[0].body.loops()[0]);
+        let loops = band.iter().map(|l| NestLoop::of(l)).collect();
+        let body = &band.last().unwrap().body;
+        let s = summarize_band_with(&p.units[0].name, loops, body, band[0], &stats);
         (p, s)
     }
 
@@ -1230,6 +1242,32 @@ mod tests {
         let mut nr = NestReport::default();
         interchange_unit(&mut p.units[0], &DdStats::new(), false, &mut nr);
         assert_eq!((nr.interchanges, nr.certs.len(), nr.rejected), (0, 0, 1), "{nr:?}");
+    }
+
+    #[test]
+    fn a_private_scalar_left_in_a_subscript_gives_the_all_star_row() {
+        // JT = 2K-J, so this is a(i,j+2k) = a(i-1,j+2k+1): a (<, >)
+        // dependence. `JT = JT+K` is not substituted, and treating JT as a
+        // fixed symbol made 2J = 2J'+1 unsolvable: an empty matrix.
+        let src = "program t\nreal a(64,200)\ninteger ia(4), k, jt\nk = ia(1)\n\
+                   do i = 2, 64\n  do j = 1, 64\n\
+                   \x20   jt = k - j\n    jt = jt + k\n\
+                   \x20   a(i, jt + 2*j) = a(i-1, jt + 2*j + 1) + 1.0\n\
+                   end do\nend do\nend\n";
+        let (mut p, s) = summarize(src);
+        let row = s.vectors.iter().find(|v| v.array == "A").expect("a row on A");
+        assert!(row.dirs.iter().all(|d| *d == NestDir::Star) && !row.relaxable, "{row:?}");
+        assert!(s.vectors.iter().all(|v| v.array != "JT"), "JT itself is iteration-local");
+        assert!(interchange_legal(&s.vectors, &[1, 0]).is_err());
+        assert!(tiling_legal(&s.vectors, 0).is_err());
+        let mut nr = NestReport::default();
+        interchange_unit(&mut p.units[0], &DdStats::new(), false, &mut nr);
+        tile_unit(&mut p.units[0], &DdStats::new(), false, &mut nr);
+        assert_eq!((nr.interchanges, nr.tiles, nr.certs.len()), (0, 0, 0), "{nr:?}");
+        assert_eq!(p.units[0].body.loops()[0].var, "I", "nest must be untouched");
+        // The resolvable twin (JT = K-J alone) is a(i,k+j) = a(i-1,k+j+1).
+        let (_, s) = summarize(&src.replace("    jt = jt + k\n", ""));
+        assert!(s.vectors.iter().any(|v| v.dirs == vec![NestDir::Lt, NestDir::Gt]), "{:?}", s.vectors);
     }
 
     #[test]

@@ -411,16 +411,16 @@ impl Pipeline {
         Pipeline {
             stages: vec![
                 Stage { name: "inline", enabled: opts.inline, run: stage_inline },
-                Stage { name: "constprop", enabled: opts.constprop, run: stage_constprop },
-                Stage { name: "normalize", enabled: opts.normalize, run: stage_normalize },
+                Stage { name: "constprop", enabled: true, run: stage_constprop },
+                Stage { name: "normalize", enabled: true, run: stage_normalize },
                 Stage { name: "induction", enabled: true, run: stage_induction },
-                Stage { name: "constprop-fold", enabled: opts.constprop, run: stage_constprop_fold },
+                Stage { name: "constprop-fold", enabled: true, run: stage_constprop_fold },
                 Stage { name: "dce", enabled: opts.dce, run: stage_dce },
-                Stage { name: "reduction", enabled: opts.reductions, run: stage_reduction },
+                Stage { name: "reduction", enabled: true, run: stage_reduction },
                 Stage { name: "idxprop", enabled: opts.index_props, run: stage_idxprop },
-                Stage { name: "interchange", enabled: opts.nest_interchange, run: stage_interchange },
-                Stage { name: "tile", enabled: opts.nest_tiling, run: stage_tile },
-                Stage { name: "fuse", enabled: opts.nest_fusion, run: stage_fuse },
+                Stage { name: "interchange", enabled: opts.nest_opts, run: stage_interchange },
+                Stage { name: "tile", enabled: opts.nest_opts, run: stage_tile },
+                Stage { name: "fuse", enabled: opts.nest_opts, run: stage_fuse },
                 Stage { name: "analyze", enabled: true, run: stage_analyze },
             ],
         }

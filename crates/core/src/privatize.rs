@@ -17,9 +17,10 @@
 //! then bounds uses like `A(IND(L))` through the array-value ranges of
 //! [`polaris_symbolic::RangeEnv`].
 
+use crate::iterview::{IterView, Ref};
 use polaris_ir::expr::{Expr, LValue};
 use polaris_ir::stmt::{DoLoop, StmtKind, StmtList};
-use polaris_ir::visit::{collect_iteration_accesses, Access};
+use polaris_ir::visit::Access;
 use polaris_ir::ProgramUnit;
 use polaris_symbolic::bounds::min_max_over;
 use polaris_symbolic::poly::{Atom, DivPolicy, Poly};
@@ -28,22 +29,9 @@ use polaris_symbolic::{prove_ge, prove_le, Range, RangeEnv};
 /// Why privatization failed (diagnostics for the listing / tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrivatizeFailure {
-    UpwardExposedUse(String),
     ConditionalDefinition(String),
     RegionNotCovered(String),
-    LiveAfterLoop(String),
     NotAnalyzable(String),
-}
-
-/// Outcome of a scalar privatization query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScalarVerdict {
-    /// Private; the value does not escape the loop.
-    Private,
-    /// Private, but live after the loop: needs last-iteration copy-out,
-    /// which requires the final write to be unconditional.
-    PrivateCopyOut,
-    Fail(PrivatizeFailure),
 }
 
 // ---------------------------------------------------------------------
@@ -281,14 +269,9 @@ pub fn live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -
 // Array privatization
 // ---------------------------------------------------------------------
 
-/// A rectangular per-dimension region `[lo, hi]` of an array access,
+/// A rectangular region of an array access, `[lo, hi]` per dimension,
 /// computed over the access's inner-loop context.
-#[derive(Debug, Clone)]
-pub struct RegionBox {
-    pub dims: Vec<(Poly, Poly)>,
-    /// Textual order index of the access (for precedes checks).
-    pub order: usize,
-}
+type RegionBox = Vec<(Poly, Poly)>;
 
 /// Compute the per-iteration region of an access: eliminate the
 /// reference's inner-loop variables from each subscript.
@@ -324,88 +307,7 @@ fn access_region(a: &Access, env: &RangeEnv) -> Option<RegionBox> {
         let (lo, hi) = min_max_over(&p, &atoms, &env);
         dims.push((lo?, hi?));
     }
-    Some(RegionBox { dims, order: a.order })
-}
-
-/// Micro-GSA: resolve scalar subscripts of an access through reaching
-/// definitions inside the iteration (the paper's demand-driven backward
-/// substitution — Figure 5's `M = IND(L)`, and the strength-reduced
-/// induction form `X = f(I)` that the dependence driver must see through).
-///
-/// A scalar `v` in a subscript is substituted by the RHS of the *latest*
-/// write preceding the use, provided
-/// * that write is unconditional and placed at the top level of the loop
-///   body (so it dominates the use),
-/// * no other write to `v` lies between it and the use,
-/// * the RHS does not reference `v` itself, and
-/// * no array the RHS reads is written between the definition and the use.
-pub fn resolve_scalar_subscripts(accesses: &[Access], a: &Access) -> Vec<Expr> {
-    let mut out = Vec::new();
-    for sub in &a.subs {
-        let mut resolved = sub.clone();
-        for _ in 0..2 {
-            let vars = resolved.variables();
-            let mut changed = false;
-            for v in vars {
-                // loop-context variables resolve through ranges, not defs
-                if a.ctx.iter().any(|c| c.var == v) {
-                    continue;
-                }
-                let writes: Vec<&Access> = accesses
-                    .iter()
-                    .filter(|w| w.is_write && w.name == v && w.is_scalar())
-                    .collect();
-                // latest write strictly before the use
-                let Some(def) = writes
-                    .iter()
-                    .filter(|w| w.order < a.order)
-                    .max_by_key(|w| w.order)
-                else {
-                    continue;
-                };
-                // it must dominate the use: unconditional, and its loop
-                // context must be a prefix of the use's (same or
-                // enclosing nesting path)
-                if def.conditional
-                    || def.ctx.len() > a.ctx.len()
-                    || !def.ctx.iter().zip(&a.ctx).all(|(dc, ac)| dc.var == ac.var)
-                {
-                    continue;
-                }
-                // no other write between the def and the use
-                if writes.iter().any(|w| w.order > def.order && w.order < a.order) {
-                    continue;
-                }
-                let Some(rhs) = def.def_rhs.clone() else { continue };
-                if rhs.references_var(&v) {
-                    continue;
-                }
-                // arrays feeding the definition must be quiescent between
-                // the definition and the use
-                let rhs_arrays = rhs.arrays();
-                let dirty = accesses.iter().any(|w| {
-                    w.is_write
-                        && !w.is_scalar()
-                        && rhs_arrays.contains(&w.name)
-                        && w.order > def.order
-                        && w.order < a.order
-                });
-                if dirty {
-                    continue;
-                }
-                let new = resolved.substitute_var(&v, &rhs);
-                if new != resolved {
-                    resolved = new;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        out.push(resolved);
-    }
-    out
+    Some(dims)
 }
 
 /// Is a write access *dense* — does it actually define every element of
@@ -445,57 +347,40 @@ fn write_is_dense(a: &Access) -> bool {
     true
 }
 
-/// Can array `name` be privatized for loop `d`? Every read of `name` in
-/// an iteration must fall within the region of an unconditional,
-/// textually preceding, dense write of the same iteration. `env` holds
-/// ranges valid inside the loop body (including compaction-idiom
-/// array-value facts). Reads/writes flagged as reductions are exempt.
-pub fn array_privatizable(d: &DoLoop, name: &str, env: &RangeEnv) -> Result<(), PrivatizeFailure> {
-    array_privatizable_with_decl(d, name, env, None)
-}
-
-/// Like [`array_privatizable`], but when the declared dimensions of the
-/// array are supplied, a use whose region cannot be computed (opaque
-/// subscripts) falls back to the *whole declared region* — sound under
-/// Fortran's rule that subscripts stay within declared bounds, and
-/// exactly what lets an FFT-style workspace (`copy-in; transform
-/// in-place; copy-out`) privatize even though the butterfly indices are
-/// symbolic. The fallback only helps when a preceding dense write covers
-/// the entire array.
-pub fn array_privatizable_with_decl(
-    d: &DoLoop,
+/// Can array `name` be privatized for the loop whose body `view` shows?
+/// Every read of `name` in an iteration must fall within the region of an
+/// unconditional, textually preceding, dense write of the same iteration.
+/// `env` holds ranges valid inside the loop body (including
+/// compaction-idiom array-value facts). Reads/writes flagged as
+/// reductions are exempt.
+///
+/// When the declared dimensions of the array are supplied, a use whose
+/// region cannot be computed (opaque subscripts) falls back to the *whole
+/// declared region* — sound under Fortran's rule that subscripts stay
+/// within declared bounds, and exactly what lets an FFT-style workspace
+/// (`copy-in; transform in-place; copy-out`) privatize even though the
+/// butterfly indices are symbolic. The fallback only helps when a
+/// preceding dense write covers the entire array.
+pub(crate) fn array_privatizable(
+    view: &IterView,
     name: &str,
     env: &RangeEnv,
     declared: Option<&[(Poly, Poly)]>,
 ) -> Result<(), PrivatizeFailure> {
-    let accesses = collect_iteration_accesses(d);
-    let mut def_regions: Vec<RegionBox> = Vec::new();
-    let mut reads: Vec<&Access> = Vec::new();
-    for a in accesses.iter().filter(|a| a.name == name && a.reduction.is_none()) {
-        if a.is_write {
-            if !a.conditional && write_is_dense(a) {
-                if let Some(r) = access_region(a, env) {
-                    def_regions.push(r);
-                }
-            }
-        } else {
-            reads.push(a);
-        }
-    }
-    if def_regions.is_empty() {
+    let touching = || view.named(name).filter(|a| a.reduction.is_none());
+    let defs: Vec<(&Ref, RegionBox)> = touching()
+        .filter(|a| a.is_write && !a.conditional && write_is_dense(a))
+        .filter_map(|a| Some((a, access_region(a, env)?)))
+        .collect();
+    if defs.is_empty() {
         return Err(PrivatizeFailure::ConditionalDefinition(name.to_string()));
     }
-    'reads: for r in reads {
-        // Resolve scalar subscripts through their in-iteration reaching
-        // definitions first (Figure 5's M = IND(L)).
-        let mut r = (*r).clone();
-        r.subs = resolve_scalar_subscripts(&accesses, &r);
-        let r = &r;
+    for r in touching().filter(|a| !a.is_write) {
         let use_region = match access_region(r, env) {
             Some(reg) => reg,
             None => match declared {
                 // Fall back to the declared bounds (see doc comment).
-                Some(dims) => RegionBox { dims: dims.to_vec(), order: r.order },
+                Some(dims) => dims.to_vec(),
                 None => {
                     return Err(PrivatizeFailure::NotAnalyzable(format!(
                         "{name}: use region not computable"
@@ -503,21 +388,41 @@ pub fn array_privatizable_with_decl(
                 }
             },
         };
-        for def in &def_regions {
-            if def.order < use_region.order && region_covers(def, &use_region, env) {
-                continue 'reads;
-            }
+        let covered = defs.iter().any(|(def, region)| {
+            def.order < r.order
+                && same_values(view, def, region, r, &use_region)
+                && region_covers(region, &use_region, env)
+        });
+        if !covered {
+            return Err(PrivatizeFailure::RegionNotCovered(name.to_string()));
         }
-        return Err(PrivatizeFailure::RegionNotCovered(name.to_string()));
     }
     Ok(())
+}
+
+/// May the two boxes be compared symbol by symbol? A box stands for every
+/// execution of its access in the iteration, so nothing it mentions may be
+/// written inside a loop around that access; and a symbol both mention
+/// must hold one value from the definition to the use. (Weaker than "the
+/// body writes it": BDNA's `IND(1:P)` is bounded by the compaction
+/// counter `P` the iteration itself computes.)
+fn same_values(view: &IterView, def: &Ref, dbox: &RegionBox, use_: &Ref, ubox: &RegionBox) -> bool {
+    let mentions = |b: &RegionBox, w: &str| {
+        b.iter().any(|(lo, hi)| lo.mentions_var(w) || hi.mentions_var(w))
+    };
+    !view.written().any(|w| {
+        let (in_def, in_use) = (mentions(dbox, w), mentions(ubox, w));
+        (in_def && view.written_around(w, def))
+            || (in_use && view.written_around(w, use_))
+            || (in_def && in_use && view.written_between(w, def.order, use_.order))
+    })
 }
 
 /// Does `def` cover `use_`: `def.lo <= use.lo` and `use.hi <= def.hi`
 /// in every dimension (symbolically proven)?
 fn region_covers(def: &RegionBox, use_: &RegionBox, env: &RangeEnv) -> bool {
-    debug_assert_eq!(def.dims.len(), use_.dims.len());
-    def.dims.iter().zip(&use_.dims).all(|((dlo, dhi), (ulo, uhi))| {
+    debug_assert_eq!(def.len(), use_.len());
+    def.iter().zip(use_).all(|((dlo, dhi), (ulo, uhi))| {
         prove_le(dlo, ulo, env) && prove_ge(dhi, uhi, env)
     })
 }
@@ -655,6 +560,10 @@ mod tests {
 
     fn loop_named<'a>(u: &'a ProgramUnit, var: &str) -> &'a DoLoop {
         u.body.loops().into_iter().find(|d| d.var == var).unwrap()
+    }
+
+    fn array_privatizable(d: &DoLoop, name: &str, env: &RangeEnv) -> Result<(), PrivatizeFailure> {
+        super::array_privatizable(&IterView::of(&d.body), name, env, None)
     }
 
     // ----- scalar privatization -------------------------------------
@@ -823,6 +732,28 @@ mod tests {
             array_privatizable(d, "A", &env),
             Err(PrivatizeFailure::RegionNotCovered(_))
         ));
+    }
+
+    #[test]
+    fn a_def_does_not_cover_a_use_across_a_reassigned_subscript_scalar() {
+        // W(K+1:K+10) is defined, JT moves on by 5, W(K+6:K+15) is read:
+        // `[JT+1, JT+10]` on both sides is not the same region.
+        let body = |bump: &str| {
+            format!(
+                "real w(100), r(100)\ninteger ia(4), k, jt\nk = ia(1)\n\
+                 do i = 1, 100\n  jt = k\n  do l = 1, 10\n    w(jt + l) = i*1.0\n  end do\n\
+                 {bump}  s = 0.0\n  do l = 1, 10\n    s = s + w(jt + l)\n  end do\n\
+                 \x20 r(i) = s\nend do"
+            )
+        };
+        let env = RangeEnv::new();
+        let u = unit_of(&body("  jt = jt + 5\n"));
+        assert_eq!(
+            array_privatizable(loop_named(&u, "I"), "W", &env),
+            Err(PrivatizeFailure::RegionNotCovered("W".into()))
+        );
+        let u = unit_of(&body(""));
+        assert_eq!(array_privatizable(loop_named(&u, "I"), "W", &env), Ok(()));
     }
 
     // ----- compaction idiom -----------------------------------------------

@@ -16,10 +16,10 @@
 //! *single-address* vs *histogram* reductions depends on whether the
 //! updated element varies across the loop's iterations.
 
+use crate::iterview::IterView;
 use polaris_ir::expr::{Expr, LValue, RedOp};
 use polaris_ir::pattern::{match_expr, Bindings};
-use polaris_ir::stmt::{DoLoop, Reduction, StmtKind};
-use polaris_ir::visit::collect_iteration_accesses;
+use polaris_ir::stmt::{Reduction, StmtKind};
 use polaris_ir::Program;
 
 /// Flag every reduction-shaped assignment in the program. Returns the
@@ -108,17 +108,18 @@ pub fn recognize(lhs: &LValue, rhs: &Expr) -> Option<RedOp> {
     None
 }
 
-/// Validate the flagged reductions of one loop: for each variable with
-/// flagged updates inside `d`, every access to that variable in the loop
-/// must come from a flagged statement with the same operator. Returns
-/// the per-loop reduction descriptors (empty if none validate).
-pub fn validated_reductions(d: &DoLoop) -> Vec<Reduction> {
-    let accesses = collect_iteration_accesses(d);
+/// Validate the flagged reductions of one loop, given the view of its
+/// body and its variable: for each variable with flagged updates inside
+/// the loop, every access to that variable in the loop must come from a
+/// flagged statement with the same operator. Returns the per-loop
+/// reduction descriptors (empty if none validate).
+pub(crate) fn validated_reductions(view: &IterView, loop_var: &str) -> Vec<Reduction> {
+    let accesses = &view.refs;
     // Gather candidate (var, op) pairs from flagged writes. Only σ's write
     // and σ's read carry the flag: a read of the variable inside another
     // reduction's operand is a reference "elsewhere in the loop".
     let mut candidates: Vec<(String, RedOp)> = Vec::new();
-    for a in &accesses {
+    for a in accesses {
         if let Some(op) = a.reduction {
             if a.is_write && !candidates.iter().any(|(n, _)| n == &a.name) {
                 candidates.push((a.name.clone(), op));
@@ -128,7 +129,7 @@ pub fn validated_reductions(d: &DoLoop) -> Vec<Reduction> {
     let mut out = Vec::new();
     'cand: for (name, op) in candidates {
         let mut histogram = false;
-        for a in &accesses {
+        for a in accesses {
             if a.name != name {
                 continue;
             }
@@ -140,7 +141,7 @@ pub fn validated_reductions(d: &DoLoop) -> Vec<Reduction> {
                     // variable (or another array — subscripted subscripts).
                     if !a.subs.is_empty() {
                         let varies = a.subs.iter().any(|s| {
-                            s.references_var(&d.var)
+                            s.references_var(loop_var)
                                 || a.ctx.iter().any(|c| s.references_var(&c.var))
                                 || !s.arrays().is_empty()
                         });
@@ -160,7 +161,11 @@ pub fn validated_reductions(d: &DoLoop) -> Vec<Reduction> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polaris_ir::stmt::StmtKind;
+    use polaris_ir::stmt::{DoLoop, StmtKind};
+
+    fn validated_reductions(d: &DoLoop) -> Vec<Reduction> {
+        super::validated_reductions(&IterView::of(&d.body), &d.var)
+    }
 
     fn unit_of(src: &str) -> polaris_ir::ProgramUnit {
         let full = format!("program t\n{src}\nend\n");

@@ -348,6 +348,33 @@ mod tests {
     }
 
     #[test]
+    fn interchange_cert_over_a_private_scalar_left_in_a_subscript_is_rejected() {
+        // JT = 2K-J: a(i,j+2k) = a(i-1,j+2k+1), a (<, >) dependence over
+        // (I, J), as it looked after the interchange the compiler used to
+        // apply over an empty matrix — which this re-prover re-derived and
+        // accepted, reading JT as a fixed symbol the same way.
+        let src = "program t\nreal a(64,200)\ninteger ia(4), k, jt\nk = ia(1)\n\
+                   do j = 1, 64\n  do i = 2, 64\n\
+                   \x20   jt = k - j\n    jt = jt + k\n\
+                   \x20   a(i, jt + 2*j) = a(i-1, jt + 2*j + 1) + 1.0\n\
+                   end do\nend do\nprint *, a(2,1)\nend\n";
+        let (p, mut rep) = compiled(src, &PassOptions::polaris());
+        assert!(rep.nest.certs.is_empty(), "{:?}", rep.nest.certs);
+        let anchor = p.units[0].body.loops()[0];
+        rep.nest.certs.push(LegalityCert {
+            unit: p.units[0].name.clone(),
+            loop_id: anchor.loop_id,
+            label: anchor.label.clone(),
+            loop_vars: vec!["I".into(), "J".into()],
+            vectors: Vec::new(),
+            kind: CertKind::Interchange { perm: vec![1, 0] },
+        });
+        let checks = recheck_certs(&p, &rep);
+        assert!(!checks[0].accepted, "{checks:?}");
+        assert!(checks[0].reason.contains("rejects the permutation"), "{}", checks[0].reason);
+    }
+
+    #[test]
     fn forced_interchange_of_a_triangular_band_is_rejected_on_its_bounds() {
         // The dependence matrix is empty and the permuted IR is well
         // formed, so only the re-prover's own bounds check can refuse it.

@@ -36,7 +36,7 @@
 //!                   later invocations re-dispatch to the measured
 //!                   winner, sustained LRPD misspeculation throttles
 //!                   speculation with hysteresis; --diag prints the
-//!                   decision table, persisted in the compile report)
+//!                   decision table)
 //!   --engine E      statement execution engine for --run/--diag/--oracle:
 //!                   `vm` (default; compact bytecode + register VM) or
 //!                   `tree-walk` (the recursive reference interpreter kept
@@ -294,9 +294,7 @@ fn main() -> ExitCode {
     };
     let mut opts = if vfa { PassOptions::vfa() } else { PassOptions::polaris() };
     if no_nest_opts {
-        opts.nest_interchange = false;
-        opts.nest_tiling = false;
-        opts.nest_fusion = false;
+        opts.nest_opts = false;
     }
     if !inject.is_empty() {
         let known = polaris::core::pipeline::STAGE_NAMES;
@@ -335,7 +333,7 @@ fn main() -> ExitCode {
     };
 
     let mut program = original.clone();
-    let mut rep = match polaris::core::compile_recorded(&mut program, &opts, &rec) {
+    let rep = match polaris::core::compile_recorded(&mut program, &opts, &rec) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("polarisc: {e}");
@@ -556,27 +554,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-    }
-
-    // Persist the adaptive decision table into the compile report once
-    // all executions (--diag and/or --run) have fed the controller.
-    if let Some(ctrl) = &adaptive_ctrl {
-        rep.schedule_decisions = ctrl
-            .decision_rows()
-            .into_iter()
-            .map(|r| polaris::core::ScheduleDecision {
-                loop_id: r.loop_id,
-                label: r.label,
-                invocations: r.invocations,
-                strategy: r.strategy.to_string(),
-                chunking: r.chunking,
-                threads: r.threads,
-                trip: r.trip,
-                cost_cv: r.cost_cv,
-                misspec_streak: r.misspec_streak,
-                event: r.event.to_string(),
-            })
-            .collect();
     }
 
     let mut audit_report = None;

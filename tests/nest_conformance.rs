@@ -82,9 +82,7 @@ fn stencil2d_is_tiled_and_its_tail_loops_fused() {
 #[test]
 fn disabling_nest_opts_leaves_the_nests_alone() {
     let mut opts = PassOptions::polaris();
-    opts.nest_interchange = false;
-    opts.nest_tiling = false;
-    opts.nest_fusion = false;
+    opts.nest_opts = false;
     for (b, _) in &polaris_benchmarks::locality() {
         let out = polaris::parallelize(b.source, &opts).unwrap();
         assert!(out.report.nest.certs.is_empty(), "{}: {:?}", b.name, out.report.nest.certs);

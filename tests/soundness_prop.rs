@@ -15,6 +15,10 @@
 //! second fill), then consumed by scatter/accumulate/gather loops. The
 //! property pass may prove the provable fills, but a duplicate-entry
 //! array must never yield a statically `clean` PARALLEL claim.
+//!
+//! A third generator ([`vary_program`]) targets the shape the others
+//! never had: a private scalar that in-iteration resolution cannot
+//! remove from a subscript or an inner-loop bound.
 
 use proptest::prelude::*;
 
@@ -600,6 +604,145 @@ fn huge_offsets() {
                 }
             }
         }
+    }
+}
+
+/// How the private scalar `T` comes to hold `c + s*v` (`v` the loop
+/// variable it follows). Only `Direct` is a definition the in-iteration
+/// resolution may substitute; after every other chain `T` stays in the
+/// subscript, and reading it there as a fixed symbol separates
+/// iterations that really collide.
+#[derive(Debug, Clone, Copy)]
+enum Chain {
+    /// `t = c + s*v`
+    Direct,
+    /// `t = s*v; t = t + c + k` — the latest definition reads `t` itself
+    /// (`k` is 0, but only at run time)
+    SelfRef,
+    /// `t = c + s*v; if (b(v) > 2.0) t = 0` — a redefinition that never
+    /// fires and cannot be ruled out
+    Conditional,
+    /// `do t = 1, c + s*v - 1 ... end do` — the exit value of an inner loop
+    InnerExit,
+    /// `ix(1) = c + s*v; t = ix(1); ix(1) = 0` — fed by an array that is
+    /// rewritten before the use
+    ArrayFed,
+}
+
+impl Chain {
+    fn emit(self, v: &str, c: i64, s: i64, out: &mut String) {
+        let value = format!("{c} + ({s})*{v}");
+        out.push_str(&match self {
+            Chain::Direct => format!("t = {value}\n"),
+            Chain::SelfRef => format!("t = ({s})*{v}\nt = t + {c} + k\n"),
+            Chain::Conditional => format!("t = {value}\nif (b({v}) .gt. 2.0) t = 0\n"),
+            Chain::InnerExit => format!("do t = 1, {value} - 1\n  s0 = s0 + b(t)\nend do\n"),
+            Chain::ArrayFed => format!("ix(1) = {value}\nt = ix(1)\nix(1) = 0\n"),
+        });
+    }
+}
+
+/// Where `T` is read. With `T = c + s*v`, the subscripts below collide
+/// across iterations exactly when `s + u` is 0 (or small against `d`).
+#[derive(Debug, Clone, Copy)]
+enum VaryUse {
+    /// `a(t + u*i) = a(t + u*i + d) + 1.0` in a 1-D loop
+    Subscript { u: i64, d: i64 },
+    /// `do l = t, t + 3: a(l + u*i) = b(l)` — an inner-loop bound
+    Bound { u: i64 },
+    /// `g(i, t + u*j) = g(i-1, t + u*j + d) + 1.0` in an (I, J) nest with
+    /// `T` following `J`: a `(<, >)` dependence when `d > 0`, which the
+    /// locality model wants to interchange
+    Nest { u: i64, d: i64 },
+}
+
+fn vary_program(chain: Chain, c: i64, s: i64, use_: VaryUse) -> String {
+    let mut src = String::from(
+        "program vary\nreal a(200), b(200), g(16, 100)\ninteger ia(4), ix(4), k, t\nreal s0, w\n\
+         ia(1) = 0\nk = ia(1)\ns0 = 0.0\n\
+         do k1 = 1, 200\n  a(k1) = k1*0.125\n  b(k1) = 1.0/k1\nend do\n\
+         do k2 = 1, 100\n  do k1 = 1, 16\n    g(k1, k2) = mod(k1*3 + k2, 7)*1.0\n  end do\nend do\n",
+    );
+    match use_ {
+        VaryUse::Subscript { u, d } => {
+            src.push_str("do i = 1, 16\n");
+            chain.emit("i", c, s, &mut src);
+            src.push_str(&format!("a(t + {u}*i) = a(t + {u}*i + {d}) + 1.0\nend do\n"));
+        }
+        VaryUse::Bound { u } => {
+            src.push_str("do i = 1, 16\n");
+            chain.emit("i", c, s, &mut src);
+            src.push_str(&format!("do l = t, t + 3\n  a(l + {u}*i) = b(l)\nend do\nend do\n"));
+        }
+        VaryUse::Nest { u, d } => {
+            src.push_str("do i = 2, 16\ndo j = 1, 12\n");
+            chain.emit("j", c, s, &mut src);
+            src.push_str(&format!(
+                "g(i, t + {u}*j) = g(i - 1, t + {u}*j + {d}) + 1.0\nend do\nend do\n"
+            ));
+        }
+    }
+    src.push_str(
+        "w = 0.0\ndo k1 = 1, 200\n  w = w + a(k1)\nend do\n\
+         do k2 = 1, 100\n  do k1 = 1, 16\n    w = w + g(k1, k2)*k2\n  end do\nend do\n\
+         print *, s0, a(1), a(40), w\nend\n",
+    );
+    src
+}
+
+fn vary_strategy() -> impl Strategy<Value = (Chain, i64, i64, VaryUse)> {
+    let chain = prop_oneof![
+        Just(Chain::Direct),
+        Just(Chain::SelfRef),
+        Just(Chain::Conditional),
+        Just(Chain::InnerExit),
+        Just(Chain::ArrayFed),
+    ];
+    let use_ = prop_oneof![
+        (0i64..3, 0i64..3).prop_map(|(u, d)| VaryUse::Subscript { u, d }),
+        (0i64..3).prop_map(|u| VaryUse::Bound { u }),
+        (0i64..3, 0i64..2).prop_map(|(u, d)| VaryUse::Nest { u, d }),
+    ];
+    // 36 <= c + s*v, and every subscript stays below 100.
+    (chain, 36i64..60, -2i64..2, use_)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Loops and nests whose subscripts and inner-loop bounds read a
+    /// private scalar the compiler cannot always resolve: whatever it
+    /// decides, the adversarial run matches the sequential one, the
+    /// oracle sees no violation, every cert is re-accepted, and real
+    /// threads print what serial prints.
+    #[test]
+    fn varying_subscripts_are_never_read_as_fixed_symbols(
+        (chain, c, s, use_) in vary_strategy()
+    ) {
+        let src = vary_program(chain, c, s, use_);
+        let serial = polaris::machine::run_serial(&polaris::ir::parse(&src).unwrap())
+            .unwrap_or_else(|e| panic!("serial run failed: {e}\n{src}"));
+        let out = polaris::parallelize(&src, &polaris::PassOptions::polaris())
+            .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+        let listing = &out.annotated_source;
+        polaris::machine::run_validated(&out.program, &polaris::MachineConfig::challenge_8())
+            .unwrap_or_else(|e| panic!("UNSOUND parallelization: {e}\n{src}\n{listing}"));
+        let report = polaris::machine::audit(&out.program, &out.report)
+            .unwrap_or_else(|e| panic!("oracle run failed: {e}\n{src}"));
+        prop_assert!(
+            !report.has_violations(),
+            "{:#?}\n{}\n{}", report.violations().collect::<Vec<_>>(), src, listing
+        );
+        for check in polaris::verify::recheck_certs(&out.program, &out.report) {
+            prop_assert!(check.accepted, "{:?}\n{}\n{}", check, src, listing);
+        }
+        let threaded = polaris::MachineConfig::threaded(
+            2,
+            polaris::machine::Schedule::Stealing { chunk: 4 },
+        );
+        let r = polaris::machine::run(&out.program, &threaded)
+            .unwrap_or_else(|e| panic!("threaded run failed: {e}\n{src}"));
+        prop_assert_eq!(&r.output, &serial.output, "{}\n{}", src, listing);
     }
 }
 
