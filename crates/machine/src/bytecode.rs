@@ -578,7 +578,7 @@ impl Compiler {
             RStmt::Do(l) => {
                 let body = self.block(&l.body)?;
                 let id = self.unit.loops.len() as u32;
-                self.unit.loops.push((Arc::new((**l).clone()), body));
+                self.unit.loops.push((Arc::clone(l), body));
                 b.code.push(Instr::CallLoop(id));
             }
             RStmt::If(arms, else_body) => {

@@ -58,22 +58,27 @@ impl Default for CostModel {
     }
 }
 
-/// DOALL iteration scheduling.
+/// DOALL iteration scheduling. Whatever the variant, a plan never cuts
+/// more than 64 chunks per worker (`dispatch::ChunkPlan`): past that a
+/// requested chunk size is raised, so per-chunk state and the per-chunk
+/// `dispatch` bill are bounded by the machine, not by the trip count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Contiguous blocks, one per processor (no dispatch overhead).
     Static,
     /// Self-scheduling with the given chunk size: better balance for
-    /// triangular loops, `dispatch` cycles per chunk.
+    /// triangular loops, `dispatch` cycles per chunk. Real workers take
+    /// the next chunk off one shared lane.
     Dynamic { chunk: usize },
     /// Work stealing with the given chunk size: chunks start
-    /// block-distributed across per-worker deques and idle workers steal
-    /// from the top of a victim's deque. Chunk *bounds* are identical to
-    /// `Dynamic` (the chunk → iteration mapping is a pure function of
-    /// the plan, never of who ran it), so results stay bit-identical to
-    /// serial under any victim/steal interleaving; only the chunk →
-    /// worker assignment is dynamic. The simulated cost model charges it
-    /// like `Dynamic` (per-chunk `dispatch`).
+    /// block-distributed across per-worker lanes; a worker takes the
+    /// front of its own and, once that is dry, the back of a victim's.
+    /// Chunk *bounds* are identical to `Dynamic` (the chunk → iteration
+    /// mapping is a pure function of the plan, never of who ran it), so
+    /// results stay bit-identical to serial under any victim/steal
+    /// interleaving; only the chunk → worker assignment is dynamic. The
+    /// simulated cost model charges it like `Dynamic` (per-chunk
+    /// `dispatch`).
     Stealing { chunk: usize },
 }
 

@@ -58,9 +58,16 @@ impl IterSpace {
 /// `bucket_of(k)`; both are pure functions of `(trip, schedule, procs)`,
 /// so every run and both backends agree on them. The schedule only
 /// decides the chunk size and how a *real* worker claims its next chunk
-/// (its own block, a shared counter, the work-stealing queue), so the
-/// merge, keyed by chunk index, is oblivious to who ran what and the
-/// bill lands where the no-steals round-robin would put it.
+/// ([`crate::claims::Claims`]), so the merge, keyed by chunk index, is
+/// oblivious to who ran what and the bill lands where the no-steals
+/// round-robin would put it.
+///
+/// No plan has more than [`MAX_CHUNKS_PER_PROC`] chunks per worker: a
+/// requested chunk size that would cut more is raised to the smallest
+/// one that does not. Everything kept per chunk on either backend
+/// (claims, chunk results, reduction partials, chunk spans,
+/// `last_chunk_cycles`, the per-chunk `dispatch` bill) is thereby
+/// bounded by the machine, not by the trip count.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChunkPlan {
     trip: u64,
@@ -70,6 +77,11 @@ pub(crate) struct ChunkPlan {
     pub(crate) schedule: Schedule,
 }
 
+/// 512 chunks at the paper's 8 processors: enough for a single-iteration
+/// chunk to balance any loop of up to 512 trips, and past that the
+/// imbalance left is under 1/64 of a worker's share.
+const MAX_CHUNKS_PER_PROC: u64 = 64;
+
 impl ChunkPlan {
     pub(crate) fn new(trip: u64, procs: usize, schedule: Schedule) -> ChunkPlan {
         let procs = procs.max(1);
@@ -77,14 +89,16 @@ impl ChunkPlan {
             Schedule::Static => trip.div_ceil(procs as u64),
             Schedule::Dynamic { chunk } | Schedule::Stealing { chunk } => chunk as u64,
         };
-        ChunkPlan { trip, per: per.max(1), procs, schedule }
+        let floor = trip.div_ceil(MAX_CHUNKS_PER_PROC.saturating_mul(procs as u64));
+        ChunkPlan { trip, per: per.max(floor).max(1), procs, schedule }
     }
 
     pub(crate) fn procs(&self) -> usize {
         self.procs
     }
 
-    /// Non-empty chunks; never more than `procs` for a block plan.
+    /// Non-empty chunks: at most `procs` for a block plan, at most
+    /// `MAX_CHUNKS_PER_PROC * procs` for any.
     pub(crate) fn n_chunks(&self) -> usize {
         self.trip.div_ceil(self.per) as usize
     }
@@ -234,9 +248,29 @@ mod tests {
                 }
             }
         }
-        // A space no vector could hold still plans in O(1).
-        let plan = ChunkPlan::new(u64::MAX, 8, Schedule::Static);
-        assert_eq!(plan.bounds(plan.last_chunk()).1, u64::MAX);
+        // Spaces no vector could hold still plan in O(1), and no plan cuts
+        // more than 64 chunks per worker: a smaller requested chunk is
+        // raised, a plan already under the bound keeps its chunk size.
+        for trip in [100, 511, 512, 513, 65_537, 1 << 24, (1 << 40) - 1, 1 << 40, u64::MAX] {
+            for procs in 1..=8usize {
+                for schedule in schedules {
+                    let plan = ChunkPlan::new(trip, procs, schedule);
+                    let n = plan.n_chunks();
+                    assert!(n <= 64 * procs, "{n} chunks: {plan:?}");
+                    let mut next = 0;
+                    for k in (0..n.min(3)).chain(n.saturating_sub(3)..n) {
+                        let (s, e) = plan.bounds(k);
+                        assert!(s < e && e - s <= plan.per && s == k as u64 * plan.per, "{plan:?}");
+                        next = e;
+                    }
+                    assert_eq!(next, trip, "chunks tile 0..trip: {plan:?}");
+                    assert_eq!(plan.last_chunk(), n - 1, "{plan:?}");
+                    if schedule != Schedule::Static && trip.div_ceil(3) <= 64 * procs as u64 {
+                        assert_eq!(plan.per, 3, "under the bound, the requested chunk: {plan:?}");
+                    }
+                }
+            }
+        }
     }
 
     /// A DOALL whose bound turns out to be zero at run time: both backends

@@ -4,11 +4,11 @@ use crate::cost::{CostModel, Schedule};
 use crate::error::MachineError;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
-use crate::shadow::ShadowSim;
 use crate::value::{scalar_approx_eq, ArrData, ArrObj, Scalar, V};
 use crate::{Engine, ExecMode, MachineConfig};
 use polaris_ir::expr::{BinOp, RedOp, UnOp};
 use polaris_ir::Program;
+use polaris_runtime::lrpd::{PdVerdict, Shadow};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -116,16 +116,13 @@ pub(crate) struct Interp<'a> {
     /// folds this into the label-keyed map `RunResult` exposes.
     pub(crate) loop_stats: Vec<Option<(String, LoopExecStats)>>,
     /// Active speculative tracking: (array slot, shadow).
-    pub(crate) spec: Vec<(usize, ShadowSim)>,
+    pub(crate) spec: Vec<(usize, Shadow)>,
     pub(crate) spec_iter: u32,
     /// Global fuel counter shared between the main thread and threaded
     /// workers, so `--fuel` bounds total work across all threads.
     pub(crate) shared_steps: Option<Arc<AtomicU64>>,
     /// Persistent worker pool, created lazily on the first threaded loop.
     pub(crate) pool: Option<crate::threaded::ThreadPool>,
-    /// Per-label shareable loop bodies for the threaded backend (cloned
-    /// once, then handed to workers as `Arc`s on every invocation).
-    pub(crate) tcache: BTreeMap<String, crate::threaded::SharedLoop>,
     /// Dependence-oracle trace (see [`crate::oracle`]); attached only by
     /// [`run_traced`], on serial runs. `None` costs one branch per hook.
     pub(crate) oracle: Option<Box<crate::oracle::OracleState>>,
@@ -195,7 +192,6 @@ impl<'a> Interp<'a> {
             spec_iter: 0,
             shared_steps,
             pool: None,
-            tcache: BTreeMap::new(),
             oracle: None,
             bc: None,
             vm_pool: Vec::new(),
@@ -645,7 +641,11 @@ impl<'a> Interp<'a> {
     /// `l.body`); everything else — bounds, dispatch-mode choice,
     /// speculation, adversarial validation, threading, stats, the F77
     /// exit value — is engine-independent and shared.
-    pub(crate) fn run_loop(&mut self, l: &RLoop, body: Option<u32>) -> Result<Flow, MachineError> {
+    pub(crate) fn run_loop(
+        &mut self,
+        l: &Arc<RLoop>,
+        body: Option<u32>,
+    ) -> Result<Flow, MachineError> {
         let space = self.iter_space(l)?;
         self.loop_entry(l).invocations += 1;
         let loop_start = self.cycles;
@@ -700,7 +700,7 @@ impl<'a> Interp<'a> {
     /// contract in DESIGN.md).
     fn run_adaptive(
         &mut self,
-        l: &RLoop,
+        l: &Arc<RLoop>,
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
@@ -873,15 +873,17 @@ impl<'a> Interp<'a> {
 
     /// One `PARALLEL DO` invocation on the configured backend. Only loops
     /// the pipeline *proved* parallel go to real threads; speculative
-    /// ones stay simulated ([`Self::run_speculative`]) in either mode.
+    /// ones stay simulated ([`Self::run_speculative`]) in either mode,
+    /// and so does a body that may `STOP`: later iterations must then not
+    /// run at all, which only in-order execution guarantees.
     fn run_parallel(
         &mut self,
-        l: &RLoop,
+        l: &Arc<RLoop>,
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
         self.count_loop_mode(polaris_obs::Counter::ExecLoopsParallel);
-        if self.cfg.exec_mode == ExecMode::Threaded {
+        if self.cfg.exec_mode == ExecMode::Threaded && !l.has_stop {
             return crate::threaded::run_threaded_loop(self, l, space, body);
         }
         let plan = self.chunk_plan(space);
@@ -903,15 +905,15 @@ impl<'a> Interp<'a> {
     ) -> Result<Flow, MachineError> {
         debug_assert!(self.spec.is_empty(), "nested speculation");
         for &a in &l.par.spec_arrays {
-            self.spec.push((a, ShadowSim::new(self.arrays[a].data.len())));
+            self.spec.push((a, Shadow::new(self.arrays[a].data.len())));
         }
         let plan = self.chunk_plan(space);
         let (flow, buckets) = self.run_simulated(l, space, &plan, body)?;
 
         let shadows = std::mem::take(&mut self.spec);
-        let success = shadows.iter().all(|(_, sh)| sh.verdict().plain_ok());
+        let success = shadows.iter().all(|(_, sh)| PdVerdict::of(&[sh], 0..sh.len()).plain_ok());
         let tracked_elems: u64 = shadows.iter().map(|(_, sh)| sh.len() as u64).sum();
-        let marks_done: u64 = shadows.iter().map(|(_, sh)| sh.marks_done).sum();
+        let marks_done: u64 = shadows.iter().map(|(_, sh)| sh.marks_done()).sum();
         let analysis = tracked_elems * self.cfg.cost.spec_analysis / self.cfg.procs as u64
             + self.cfg.cost.fork_join / 2;
         let attempt = self.concurrent_cost(&buckets, &l.par) + analysis;
@@ -1181,9 +1183,12 @@ pub(crate) fn set_identity(interp: &mut Interp<'_>, red: &RRed) {
     }
 }
 
+/// Exact identities: `x ∘ identity` is `x` bit for bit, so a target no
+/// iteration touched merges back unchanged. For a sum that is `-0.0`
+/// (`-0.0 + 0.0` is `+0.0`, but `x + -0.0` is `x` for every `x`).
 fn red_identity_r(op: RedOp) -> f64 {
     match op {
-        RedOp::Sum => 0.0,
+        RedOp::Sum => -0.0,
         RedOp::Product => 1.0,
         RedOp::Max => f64::NEG_INFINITY,
         RedOp::Min => f64::INFINITY,
@@ -1610,6 +1615,60 @@ mod tests {
         assert!(r2.cycles > serial.cycles);
         // but values are still correct
         assert_eq!(r2.output, serial.output);
+    }
+
+    /// The machine's `SPECULATIVE` loops and `polaris_runtime`'s threaded
+    /// LRPD executor mark one `lrpd::Shadow` and ask one `PdVerdict`, so
+    /// `lrpd::tests`' brute-force oracle stands behind Figure 6's
+    /// simulated section too: on the same access pattern both pass or
+    /// both fail, for each reason the PD test can fail for.
+    #[test]
+    fn speculative_verdict_agrees_with_the_lrpd_runtime() {
+        use polaris_runtime::lrpd::{speculative_doall, ArrayView};
+        const N: usize = 64;
+        // 0-based twins of the program's KEY (a permutation) and HALF (two
+        // iterations per element).
+        let perm = |i: usize| (i * 77 + 13) % N;
+        let pair = |i: usize| i / 2;
+        type Body = Box<dyn Fn(usize, &mut dyn ArrayView<f64>) + Sync>;
+        let cases: [(&str, &str, Body, [bool; 3]); 4] = [
+            ("pass", "a(key(i)) = i * 1.0", Box::new(move |i, v| v.write(perm(i), i as f64)), [false; 3]),
+            (
+                "flow/anti",
+                "a(i + 1) = a(i) + 1.0",
+                Box::new(|i, v| {
+                    let x = v.read(i);
+                    v.write(i + 1, x + 1.0)
+                }),
+                [true, false, false],
+            ),
+            ("output", "a(half(i)) = i * 1.0", Box::new(move |i, v| v.write(pair(i), i as f64)), [false, true, false]),
+            (
+                "not privatizable",
+                "a(key(i)) = a(key(i)) + 1.0",
+                Box::new(move |i, v| {
+                    let x = v.read(perm(i));
+                    v.write(perm(i), x + 1.0)
+                }),
+                [false, false, true],
+            ),
+        ];
+        for (what, stmt, body, [flow_anti, output_dep, not_privatizable]) in cases {
+            let src = format!(
+                "program t\nreal a({m})\ninteger key({N}), half({N})\ndo k = 1, {N}\n  key(k) = mod((k - 1) * 77 + 13, {N}) + 1\n  half(k) = (k - 1) / 2 + 1\nend do\n!$polaris doall speculative(A)\ndo i = 1, {N}\n  {stmt}\nend do\nprint *, a(1)\nend\n",
+                m = N + 1
+            );
+            let r = run(&parse(&src), &MachineConfig::challenge_8()).unwrap();
+            let (ok, failed): (u64, u64) =
+                r.loops.values().fold((0, 0), |(o, f), s| (o + s.spec_success, f + s.spec_fail));
+            let out = speculative_doall(&mut [0f64; N + 1], N, 8, false, body);
+            assert_eq!(
+                (out.flow_anti, out.output_dep, out.not_privatizable),
+                (flow_anti, output_dep, not_privatizable),
+                "{what}: {out:?}"
+            );
+            assert_eq!((ok, failed), if out.parallel_valid { (1, 0) } else { (0, 1) }, "{what}");
+        }
     }
 
     #[test]

@@ -30,14 +30,13 @@
 //! codes and loses badly on APPSP/TOMCATV despite equal parallelism.
 
 pub mod bytecode;
+mod claims;
 pub mod cost;
 mod dispatch;
 pub mod error;
 pub mod exec;
 pub mod lower;
 pub mod oracle;
-pub mod shadow;
-pub mod stealing;
 pub mod threaded;
 pub mod value;
 pub mod vm;
@@ -49,7 +48,6 @@ pub use exec::{
     StateDump,
 };
 pub use oracle::{audit, audit_recorded, audit_with};
-pub use stealing::{ChunkDeque, Steal, StealQueue};
 
 /// Which execution engine interprets lowered statements.
 ///

@@ -14,6 +14,7 @@ use polaris_ir::symbol::SymKind;
 use polaris_ir::types::DataType;
 use polaris_ir::{Program, ProgramUnit};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Intrinsic opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +77,9 @@ pub struct RPar {
     pub spec_arrays: Vec<usize>,
 }
 
-/// Lowered loop.
-#[derive(Debug, Clone)]
+/// Lowered loop. Not `Clone`: the image's copy is the only one, shared
+/// by `Arc` (see [`RStmt::Do`]).
+#[derive(Debug)]
 pub struct RLoop {
     pub var: usize,
     pub init: RExpr,
@@ -94,6 +96,9 @@ pub struct RLoop {
     pub innermost: bool,
     /// Contains an IF (codegen model penalty).
     pub has_conditional: bool,
+    /// Contains a STOP at any depth: later iterations must not run, so
+    /// the loop is never handed to real threads.
+    pub has_stop: bool,
 }
 
 /// Lowered statement.
@@ -101,7 +106,9 @@ pub struct RLoop {
 pub enum RStmt {
     AssignS(usize, RExpr),
     AssignE(usize, Vec<RExpr>, RExpr),
-    Do(Box<RLoop>),
+    /// The one copy of the loop: the bytecode unit and threaded workers
+    /// hold `Arc` clones of it.
+    Do(Arc<RLoop>),
     If(Vec<(RExpr, Vec<RStmt>)>, Vec<RStmt>),
     Print(Vec<RExpr>),
     Stop,
@@ -228,7 +235,7 @@ pub fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Result<Ima
                     name: sym.name.clone(),
                     lows,
                     extents,
-                    data: std::sync::Arc::new(data),
+                    data: Arc::new(data),
                 });
             }
             SymKind::Parameter(_) | SymKind::External => {}
@@ -298,13 +305,15 @@ impl<'a> Lowerer<'a> {
                 let body = self.lower_list(&d.body.0)?;
                 let mut innermost = true;
                 let mut has_conditional = false;
+                let mut has_stop = false;
                 d.body.walk(&mut |st| match st.kind {
                     StmtKind::Do(_) => innermost = false,
                     StmtKind::IfBlock { .. } => has_conditional = true,
+                    StmtKind::Stop | StmtKind::Return => has_stop = true,
                     _ => {}
                 });
                 let par = self.lower_par(d)?;
-                RStmt::Do(Box::new(RLoop {
+                RStmt::Do(Arc::new(RLoop {
                     var: self.scalar_slot(&d.var)?,
                     init: self.lower_expr(&d.init)?,
                     limit: self.lower_expr(&d.limit)?,
@@ -315,6 +324,7 @@ impl<'a> Lowerer<'a> {
                     loop_id: d.loop_id,
                     innermost,
                     has_conditional,
+                    has_stop,
                 }))
             }
             StmtKind::IfBlock { arms, else_body } => {
@@ -489,6 +499,19 @@ mod tests {
             RStmt::Do(l) => {
                 assert!(l.innermost);
                 assert!(l.has_conditional);
+                assert!(!l.has_stop);
+            }
+            _ => panic!(),
+        }
+        // A STOP at any depth marks every loop around it.
+        let img = image_of(
+            "program t\nreal a(10)\ndo i = 1, 10\n  do j = 1, 10\n    if (a(j) > 0.0) then\n      stop\n    end if\n  end do\nend do\ndo k = 1, 10\n  a(k) = 0.0\nend do\nend\n",
+        );
+        match &img.code[..] {
+            [RStmt::Do(outer), RStmt::Do(after)] => {
+                assert!(outer.has_stop && !outer.innermost);
+                assert!(matches!(&outer.body[0], RStmt::Do(inner) if inner.has_stop));
+                assert!(!after.has_stop);
             }
             _ => panic!(),
         }

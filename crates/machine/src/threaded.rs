@@ -16,11 +16,13 @@
 //! * Reductions are accumulated **per chunk** (the target is reset to
 //!   the identity at chunk start and the partial captured at chunk end)
 //!   and merged on the main thread in chunk-index order by a fixed-shape
-//!   binary tree ([`tree_merge_r`]), so the floating-point association
+//!   binary tree ([`tree_merge`]), so the floating-point association
 //!   is a function of the chunk plan alone — not of thread timing. The
 //!   same program at the same thread count always produces bit-identical
 //!   results; *across* thread counts, sums may differ from serial by
-//!   reassociation roundoff (see the tolerance notes in the tests).
+//!   reassociation roundoff (see the tolerance notes in the tests). The
+//!   plan bounds the chunk count per worker, so the partials do not
+//!   grow with the trip count.
 //! * Shared arrays are committed by diffing each worker's copy against
 //!   the pre-fork snapshot (bit-level comparison, so `-0.0` vs `0.0` and
 //!   NaN payloads are preserved) and applying only written elements, in
@@ -30,9 +32,9 @@
 //! * Worker output (PRINT) and copy-out scalars are committed in chunk
 //!   order; errors are reported for the smallest failing iteration
 //!   index, matching what sequential execution would hit first.
-//! * Loops whose body contains `STOP` fall back to exact serial
-//!   execution (a mid-loop STOP must suppress later iterations), and
-//!   speculative loops stay on the simulated LRPD path.
+//! * Loops whose body contains `STOP` (a mid-loop STOP must suppress
+//!   later iterations) and speculative loops never get here:
+//!   `Interp::run_parallel` keeps them on the simulated path.
 //!
 //! Simulated cycle accounting is maintained alongside real execution:
 //! per-chunk cycle deltas go to the buckets the shared
@@ -40,16 +42,16 @@
 //! simulator pays, so `--diag`-style speedup *models* are identical
 //! between `ExecMode::Simulated` and `ExecMode::Threaded`.
 
-use crate::cost::Schedule;
+use crate::claims::Claims;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::error::MachineError;
 use crate::exec::{red_apply_i, red_apply_r, set_identity, Flow, Interp};
-use crate::lower::{RLoop, RRef, RStmt};
+use crate::lower::{RLoop, RRef};
 use crate::value::{ArrData, ArrObj, Scalar};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -144,46 +146,15 @@ impl Drop for ThreadPool {
     }
 }
 
-// ---- shared loop cache ------------------------------------------------
-
-/// A loop body made shareable across threads, cached per label so the
-/// clone happens once per program run, not once per invocation.
-#[derive(Clone)]
-pub struct SharedLoop {
-    pub l: Arc<RLoop>,
-    /// Body contains STOP somewhere: fall back to serial execution.
-    pub has_stop: bool,
-}
-
-fn body_has_stop(stmts: &[RStmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        RStmt::Stop => true,
-        RStmt::Do(l) => body_has_stop(&l.body),
-        RStmt::If(arms, e) => arms.iter().any(|(_, b)| body_has_stop(b)) || body_has_stop(e),
-        _ => false,
-    })
-}
-
 // ---- worker-side results ---------------------------------------------
 
-/// A reduction partial accumulated over one chunk.
-#[derive(Debug, Clone)]
-enum RedPartial {
-    R(f64),
-    I(i64),
-    ArrR(Vec<f64>),
-    ArrI(Vec<i64>),
-    /// Logical target: reductions do not apply, nothing to merge.
-    None,
-}
-
-#[derive(Debug, Clone)]
 struct ChunkOut {
     k: usize,
     cycles: u64,
     output: Vec<String>,
-    /// One partial per `l.par.reductions` entry, in order.
-    partials: Vec<RedPartial>,
+    /// What the chunk left in each `l.par.reductions` target, in order,
+    /// having started it from the operator's identity.
+    partials: Vec<ArrData>,
     /// Copy-out scalar values captured after the final iteration
     /// (only set on the chunk containing it).
     copy_out: Option<Vec<(usize, Scalar)>>,
@@ -204,9 +175,7 @@ struct WorkerTask {
     l: Arc<RLoop>,
     space: IterSpace,
     plan: ChunkPlan,
-    queue: Arc<AtomicUsize>,
-    /// Work-stealing chunk queue (`Schedule::Stealing` only).
-    steal: Option<Arc<crate::stealing::StealQueue>>,
+    claims: Arc<Claims>,
     cfg: MachineConfig,
     scalars: Vec<Scalar>,
     arrays: Vec<ArrObj>,
@@ -218,86 +187,35 @@ struct WorkerTask {
 }
 
 fn worker_run(task: WorkerTask) -> WorkerOut {
-    let WorkerTask {
-        wid,
-        l,
-        space,
-        plan,
-        queue,
-        steal,
-        cfg,
-        scalars,
-        arrays,
-        shared_steps,
-        bc,
-        body,
-    } = task;
+    let WorkerTask { wid, l, space, plan, claims, cfg, scalars, arrays, shared_steps, bc, body } = task;
     let mut it = Interp::over(&cfg, scalars, arrays, shared_steps);
     it.in_parallel = true;
     it.bc = bc;
     let bc_arc = it.bc.clone();
     let mut chunks: Vec<ChunkOut> = Vec::new();
     let mut err: Option<(u64, MachineError)> = None;
-    let n_chunks = plan.n_chunks();
     let last_chunk = plan.last_chunk();
-    let mut block_done = false;
-    loop {
-        let k = match plan.schedule {
-            // Block: worker k owns exactly chunk k.
-            Schedule::Static => {
-                if block_done {
-                    break;
-                }
-                block_done = true;
-                wid
-            }
-            // Self-scheduling: claim the next chunk index.
-            Schedule::Dynamic { .. } => queue.fetch_add(1, Ordering::Relaxed),
-            // Work stealing: own deque first, then steal from victims.
-            Schedule::Stealing { .. } => {
-                match steal.as_ref().expect("stolen plan without queue").next(wid) {
-                    Some(k) => k,
-                    None => break,
-                }
-            }
-        };
-        if k >= n_chunks {
-            break;
-        }
+    while let Some(k) = claims.next(wid) {
         let (start, end) = plan.bounds(k);
         let c0 = it.cycles;
         let out0 = it.output.len();
         for red in &l.par.reductions {
             set_identity(&mut it, red);
         }
-        let mut chunk_err: Option<(u64, MachineError)> = None;
         for idx in start..end {
-            match it.run_one_iteration(&l, space.value(idx), body, bc_arc.as_deref()) {
-                Ok(Flow::Normal) => {}
-                // STOP bodies never reach the threaded path (serial
-                // fallback), but surface it as an error defensively
-                // rather than silently dropping iterations.
-                Ok(Flow::Stop) => {
-                    chunk_err = Some((idx, MachineError::Stopped));
-                    break;
-                }
-                Err(e) => {
-                    chunk_err = Some((idx, e));
-                    break;
-                }
-            }
+            err = match it.run_one_iteration(&l, space.value(idx), body, bc_arc.as_deref()) {
+                Ok(Flow::Normal) => continue,
+                // STOP bodies never reach the threaded path, but surface
+                // it as an error defensively rather than silently
+                // dropping iterations.
+                Ok(Flow::Stop) => Some((idx, MachineError::Stopped)),
+                Err(e) => Some((idx, e)),
+            };
+            break;
         }
-        let partials = l
-            .par
-            .reductions
-            .iter()
-            .map(|red| capture_partial(&it, red.target))
-            .collect();
-        let copy_out = if k == last_chunk && chunk_err.is_none() {
-            Some(l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect())
-        } else {
-            None
-        };
+        let partials = l.par.reductions.iter().map(|red| capture_partial(&it, red.target)).collect();
+        let copy_out = (k == last_chunk && err.is_none())
+            .then(|| l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
         chunks.push(ChunkOut {
             k,
             cycles: it.cycles - c0,
@@ -305,56 +223,60 @@ fn worker_run(task: WorkerTask) -> WorkerOut {
             partials,
             copy_out,
         });
-        if let Some((idx, e)) = chunk_err {
-            err = Some((idx, e));
+        if err.is_some() {
             break;
         }
     }
     WorkerOut { wid, arrays: it.arrays, loops: it.loop_stats, chunks, err }
 }
 
-fn capture_partial(it: &Interp<'_>, target: RRef) -> RedPartial {
+// ---- reduction partials: one type, one merge ---------------------------
+
+/// A reduction target's current contents as a partial: an array's
+/// elements, a scalar as a one-element array. Reductions do not apply to
+/// logical targets; their partial is empty and merges to nothing.
+fn capture_partial(it: &Interp<'_>, target: RRef) -> ArrData {
     match target {
         RRef::Scalar(s) => match it.scalars[s] {
-            Scalar::R(v) => RedPartial::R(v),
-            Scalar::I(v) => RedPartial::I(v),
-            Scalar::B(_) => RedPartial::None,
+            Scalar::R(v) => ArrData::R(vec![v]),
+            Scalar::I(v) => ArrData::I(vec![v]),
+            Scalar::B(_) => ArrData::B(Vec::new()),
         },
         RRef::Array(a) => match it.arrays[a].data.as_ref() {
-            ArrData::R(v) => RedPartial::ArrR(v.clone()),
-            ArrData::I(v) => RedPartial::ArrI(v.clone()),
-            ArrData::B(_) => RedPartial::None,
+            ArrData::B(_) => ArrData::B(Vec::new()),
+            data => data.clone(),
         },
     }
 }
 
-// ---- deterministic tree merge ----------------------------------------
-
-/// Merge partials pairwise in a fixed-shape binary tree:
-/// `[a,b,c,d,e]` → `[(a∘b),(c∘d),e]` → `[((a∘b)∘(c∘d)),e]` → result.
-/// The association depends only on the *number and order* of partials
-/// (chunk-index order), never on thread completion order.
-pub fn tree_merge_r(mut vals: Vec<f64>, op: RedOp) -> Option<f64> {
-    while vals.len() > 1 {
-        vals = vals
-            .chunks(2)
-            .map(|p| if p.len() == 2 { red_apply_r(op, p[0], p[1]) } else { p[0] })
-            .collect();
+/// `acc := acc ∘ part`, element by element.
+fn merge_partial(acc: &mut ArrData, part: &ArrData, op: RedOp) {
+    match (acc, part) {
+        (ArrData::R(a), ArrData::R(p)) => {
+            a.iter_mut().zip(p).for_each(|(x, y)| *x = red_apply_r(op, *x, *y));
+        }
+        (ArrData::I(a), ArrData::I(p)) => {
+            a.iter_mut().zip(p).for_each(|(x, y)| *x = red_apply_i(op, *x, *y));
+        }
+        _ => {}
     }
-    vals.pop()
 }
 
-/// Integer variant of [`tree_merge_r`]. Sum/product use wrapping
-/// arithmetic, which is fully associative, so any tree shape gives the
-/// exact serial answer; min/max are associative outright.
-pub fn tree_merge_i(mut vals: Vec<i64>, op: RedOp) -> Option<i64> {
-    while vals.len() > 1 {
-        vals = vals
-            .chunks(2)
-            .map(|p| if p.len() == 2 { red_apply_i(op, p[0], p[1]) } else { p[0] })
-            .collect();
+/// Fold `vals` into `vals[0]` pairwise in a fixed-shape binary tree:
+/// `[a,b,c,d,e]` → `[(a∘b),(c∘d),e]` → `[((a∘b)∘(c∘d)),e]` → result.
+/// The association depends only on the *number and order* of partials
+/// (chunk-index order), never on thread completion order. For integers
+/// any shape gives the serial answer (wrapping sum/product and min/max
+/// are associative); for reals the shape is what the output is pinned to.
+fn tree_merge<T>(vals: &mut [T], mut merge: impl FnMut(&mut T, &T)) {
+    let mut stride = 1;
+    while stride < vals.len() {
+        for i in (0..vals.len() - stride).step_by(2 * stride) {
+            let (head, tail) = vals.split_at_mut(i + stride);
+            merge(&mut head[i], &tail[0]);
+        }
+        stride *= 2;
     }
-    vals.pop()
 }
 
 // ---- array diff-merge -------------------------------------------------
@@ -411,10 +333,10 @@ fn diff_bytes(theirs: &ArrData, base: &ArrData) -> u64 {
 // ---- the main-thread driver ------------------------------------------
 
 /// Execute one `PARALLEL DO` on the worker pool. Called from
-/// `Interp::run_loop` when `cfg.exec_mode` is `Threaded`.
+/// `Interp::run_parallel` when `cfg.exec_mode` is `Threaded`.
 pub(crate) fn run_threaded_loop(
     interp: &mut Interp<'_>,
-    l: &RLoop,
+    l: &Arc<RLoop>,
     space: IterSpace,
     body: Option<u32>,
 ) -> Result<Flow, MachineError> {
@@ -428,20 +350,10 @@ pub(crate) fn run_threaded_loop(
         return Ok(Flow::Normal);
     }
 
-    // STOP in the body means later iterations must not run at all:
-    // only exact serial execution preserves that.
-    let shared = cached_loop(interp, l);
-    if shared.has_stop {
-        return interp.run_serial_loop(l, space, body);
-    }
-
     let pool_procs = interp.cfg.procs;
     let pool_threads = interp.pool.as_ref().map(|p| p.threads());
     debug_assert!(pool_threads.is_none() || pool_threads == Some(pool_procs));
-    let queue = Arc::new(AtomicUsize::new(0));
-    let steal = matches!(plan.schedule, Schedule::Stealing { .. }).then(|| {
-        Arc::new(crate::stealing::StealQueue::block_distributed(plan.n_chunks(), procs))
-    });
+    let claims = Arc::new(Claims::new(&plan));
     let snapshot: Vec<Arc<ArrData>> = interp.arrays.iter().map(|a| Arc::clone(&a.data)).collect();
 
     let (tx, rx) = mpsc::channel::<WorkerOut>();
@@ -452,11 +364,10 @@ pub(crate) fn run_threaded_loop(
         for wid in 0..procs {
             let task = WorkerTask {
                 wid,
-                l: Arc::clone(&shared.l),
+                l: Arc::clone(l),
                 space,
                 plan,
-                queue: Arc::clone(&queue),
-                steal: steal.clone(),
+                claims: Arc::clone(&claims),
                 cfg: interp.cfg.clone(),
                 scalars: interp.scalars.clone(),
                 arrays: interp.arrays.clone(),
@@ -488,7 +399,8 @@ pub(crate) fn run_threaded_loop(
         return Err(e);
     }
 
-    let mut chunks: Vec<ChunkOut> = results.iter().flat_map(|w| w.chunks.iter().cloned()).collect();
+    let mut chunks: Vec<ChunkOut> =
+        results.iter_mut().flat_map(|w| std::mem::take(&mut w.chunks)).collect();
     chunks.sort_by_key(|c| c.k);
     let mut merge_bytes = 0u64;
 
@@ -498,9 +410,9 @@ pub(crate) fn run_threaded_loop(
     // the plan assigned the chunk to.
     if interp.recorder.is_enabled() {
         interp.recorder.count(polaris_obs::Counter::ThreadedChunks, chunks.len() as u64);
-        if let Some(q) = &steal {
-            interp.recorder.count(polaris_obs::Counter::StealChunks, q.steals());
-            interp.recorder.count(polaris_obs::Counter::StealAttempts, q.attempts());
+        if let Some((steals, attempts)) = claims.steal_counts() {
+            interp.recorder.count(polaris_obs::Counter::StealChunks, steals);
+            interp.recorder.count(polaris_obs::Counter::StealAttempts, attempts);
         }
         for ch in &chunks {
             let tid = 1 + plan.bucket_of(ch.k) as u32;
@@ -562,75 +474,29 @@ pub(crate) fn run_threaded_loop(
         }
     }
 
-    // -- reductions: chunk-ordered tree merge ---------------------------
-    for (r, red) in l.par.reductions.iter().enumerate() {
+    // -- reductions: chunk-ordered tree merge, shared := shared ∘ total --
+    let mut partials: Vec<Vec<ArrData>> =
+        chunks.iter_mut().map(|ch| std::mem::take(&mut ch.partials)).collect();
+    tree_merge(&mut partials, |acc, part| {
+        for ((a, p), red) in acc.iter_mut().zip(part).zip(&l.par.reductions) {
+            merge_partial(a, p, red.op);
+        }
+    });
+    // `trip > 0`, so there is a chunk 0 and the tree left the total there.
+    for (red, total) in l.par.reductions.iter().zip(&partials[0]) {
         match red.target {
+            RRef::Array(a) => merge_partial(Arc::make_mut(&mut interp.arrays[a].data), total, red.op),
             RRef::Scalar(s) => {
-                let rs: Vec<f64> = chunks
-                    .iter()
-                    .filter_map(|ch| match ch.partials[r] {
-                        RedPartial::R(v) => Some(v),
-                        _ => None,
-                    })
-                    .collect();
-                let is: Vec<i64> = chunks
-                    .iter()
-                    .filter_map(|ch| match ch.partials[r] {
-                        RedPartial::I(v) => Some(v),
-                        _ => None,
-                    })
-                    .collect();
-                if let Some(total) = tree_merge_r(rs, red.op) {
-                    if let Scalar::R(v) = interp.scalars[s] {
-                        interp.scalars[s] = Scalar::R(red_apply_r(red.op, v, total));
-                        merge_bytes += 8;
-                    }
-                }
-                if let Some(total) = tree_merge_i(is, red.op) {
-                    if let Scalar::I(v) = interp.scalars[s] {
-                        interp.scalars[s] = Scalar::I(red_apply_i(red.op, v, total));
-                        merge_bytes += 8;
-                    }
-                }
-            }
-            RRef::Array(a) => {
-                let parts_r: Vec<&Vec<f64>> = chunks
-                    .iter()
-                    .filter_map(|ch| match &ch.partials[r] {
-                        RedPartial::ArrR(v) => Some(v),
-                        _ => None,
-                    })
-                    .collect();
-                let parts_i: Vec<&Vec<i64>> = chunks
-                    .iter()
-                    .filter_map(|ch| match &ch.partials[r] {
-                        RedPartial::ArrI(v) => Some(v),
-                        _ => None,
-                    })
-                    .collect();
-                match Arc::make_mut(&mut interp.arrays[a].data) {
-                    ArrData::R(base) => {
-                        for (j, slot) in base.iter_mut().enumerate() {
-                            let col: Vec<f64> = parts_r.iter().map(|p| p[j]).collect();
-                            if let Some(total) = tree_merge_r(col, red.op) {
-                                *slot = red_apply_r(red.op, *slot, total);
-                                merge_bytes += 8;
-                            }
-                        }
-                    }
-                    ArrData::I(base) => {
-                        for (j, slot) in base.iter_mut().enumerate() {
-                            let col: Vec<i64> = parts_i.iter().map(|p| p[j]).collect();
-                            if let Some(total) = tree_merge_i(col, red.op) {
-                                *slot = red_apply_i(red.op, *slot, total);
-                                merge_bytes += 8;
-                            }
-                        }
-                    }
+                let mut shared = capture_partial(interp, red.target);
+                merge_partial(&mut shared, total, red.op);
+                match shared {
+                    ArrData::R(v) => interp.scalars[s] = Scalar::R(v[0]),
+                    ArrData::I(v) => interp.scalars[s] = Scalar::I(v[0]),
                     ArrData::B(_) => {}
                 }
             }
         }
+        merge_bytes += 8 * total.len() as u64;
     }
 
     // -- copy-out (lastprivate) and output, in chunk order --------------
@@ -652,20 +518,10 @@ pub(crate) fn run_threaded_loop(
     Ok(Flow::Normal)
 }
 
-fn cached_loop(interp: &mut Interp<'_>, l: &RLoop) -> SharedLoop {
-    interp
-        .tcache
-        .entry(l.label.clone())
-        .or_insert_with(|| SharedLoop {
-            l: Arc::new(l.clone()),
-            has_stop: body_has_stop(&l.body),
-        })
-        .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Schedule;
 
     /// Tiny deterministic PRNG (SplitMix64) for the adversarial-order
     /// tests; the machine crate deliberately has no dev-dependencies on
@@ -694,33 +550,53 @@ mod tests {
         (a - b).abs() / a.abs().max(b.abs()).max(1.0)
     }
 
+    /// [`tree_merge`] over plain values, as the driver runs it over
+    /// chunk-ordered partials.
+    fn merged<T: Copy>(mut vals: Vec<T>, apply: impl Fn(T, T) -> T) -> Option<T> {
+        tree_merge(&mut vals, |a, b| *a = apply(*a, *b));
+        vals.first().copied()
+    }
+
+    #[test]
+    fn tree_merge_has_the_documented_fixed_shape() {
+        let shape = |n: usize| {
+            let mut leaves: Vec<String> = (0..n).map(|i| ((b'a' + i as u8) as char).to_string()).collect();
+            tree_merge(&mut leaves, |a, b| *a = format!("({a}{b})"));
+            leaves.into_iter().next()
+        };
+        assert_eq!(shape(0), None);
+        assert_eq!(shape(1).unwrap(), "a");
+        assert_eq!(shape(4).unwrap(), "((ab)(cd))");
+        assert_eq!(shape(5).unwrap(), "(((ab)(cd))e)");
+        assert_eq!(shape(7).unwrap(), "(((ab)(cd))((ef)g))");
+    }
+
     #[test]
     fn tree_merge_matches_serial_fold_within_tolerance() {
         let mut rng = Rng(42);
         for n in [1usize, 2, 3, 7, 8, 64, 1000] {
             let vals: Vec<f64> = (0..n).map(|_| rng.f64() * 100.0).collect();
             let serial: f64 = vals.iter().fold(0.0, |a, v| a + v);
-            let tree = tree_merge_r(vals.clone(), RedOp::Sum).unwrap();
+            let tree = merged(vals.clone(), |a, b| red_apply_r(RedOp::Sum, a, b)).unwrap();
             assert!(
                 rel_err(serial, tree) <= FP_REL_TOL,
                 "n={n}: serial {serial} vs tree {tree}"
             );
             // max/min are exact under any association
             let serial_max = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            assert_eq!(tree_merge_r(vals.clone(), RedOp::Max).unwrap(), serial_max);
+            assert_eq!(merged(vals.clone(), |a, b| red_apply_r(RedOp::Max, a, b)).unwrap(), serial_max);
         }
     }
 
     #[test]
-    fn integer_tree_merge_is_exact() {
+    fn tree_merge_of_integers_is_exact() {
         let mut rng = Rng(7);
         for n in [1usize, 5, 17, 256] {
             let vals: Vec<i64> = (0..n).map(|_| (rng.next() % 1000) as i64 - 500).collect();
-            let serial: i64 = vals.iter().fold(0i64, |a, v| a.wrapping_add(*v));
-            assert_eq!(tree_merge_i(vals.clone(), RedOp::Sum).unwrap(), serial);
-            let serial_prod: i64 = vals.iter().fold(1i64, |a, v| a.wrapping_mul(*v));
-            assert_eq!(tree_merge_i(vals.clone(), RedOp::Product).unwrap(), serial_prod);
-            assert_eq!(tree_merge_i(vals.clone(), RedOp::Min).unwrap(), *vals.iter().min().unwrap());
+            let tree = |op| merged(vals.clone(), |a, b| red_apply_i(op, a, b)).unwrap();
+            assert_eq!(tree(RedOp::Sum), vals.iter().fold(0i64, |a, v| a.wrapping_add(*v)));
+            assert_eq!(tree(RedOp::Product), vals.iter().fold(1i64, |a, v| a.wrapping_mul(*v)));
+            assert_eq!(tree(RedOp::Min), *vals.iter().min().unwrap());
         }
     }
 
@@ -733,7 +609,10 @@ mod tests {
         let n = 37;
         let partials: Vec<(usize, f64)> =
             (0..n).map(|k| (k, rng.f64() * 10.0 - 5.0)).collect();
-        let reference = tree_merge_r(partials.iter().map(|(_, v)| *v).collect(), RedOp::Sum).unwrap();
+        let sum = |parts: &[(usize, f64)]| {
+            merged(parts.iter().map(|(_, v)| *v).collect(), |a, b| red_apply_r(RedOp::Sum, a, b)).unwrap()
+        };
+        let reference = sum(&partials);
         for seed in 0..50u64 {
             let mut shuffled = partials.clone();
             let mut r = Rng(seed);
@@ -744,18 +623,29 @@ mod tests {
             }
             // what the driver does: sort by chunk index, then merge
             shuffled.sort_by_key(|(k, _)| *k);
-            let merged =
-                tree_merge_r(shuffled.iter().map(|(_, v)| *v).collect(), RedOp::Sum).unwrap();
-            assert_eq!(merged.to_bits(), reference.to_bits(), "seed {seed}");
+            assert_eq!(sum(&shuffled).to_bits(), reference.to_bits(), "seed {seed}");
         }
     }
 
+    /// An array partial merges element by element, each element in the
+    /// association a scalar partial at the same chunk count gets — so a
+    /// histogram cell's bits depend on the chunk plan exactly as a
+    /// scalar sum's do.
     #[test]
-    fn tree_merge_empty_and_singleton() {
-        assert_eq!(tree_merge_r(vec![], RedOp::Sum), None);
-        assert_eq!(tree_merge_r(vec![3.5], RedOp::Sum), Some(3.5));
-        assert_eq!(tree_merge_i(vec![], RedOp::Max), None);
-        assert_eq!(tree_merge_i(vec![-9], RedOp::Max), Some(-9));
+    fn array_partials_merge_elementwise_in_the_scalar_association() {
+        let mut rng = Rng(1996);
+        for chunks in [1usize, 2, 5, 37] {
+            let cols: Vec<Vec<f64>> =
+                (0..3).map(|_| (0..chunks).map(|_| rng.f64() * 10.0 - 5.0).collect()).collect();
+            let mut partials: Vec<ArrData> =
+                (0..chunks).map(|k| ArrData::R(cols.iter().map(|c| c[k]).collect())).collect();
+            tree_merge(&mut partials, |a, b| merge_partial(a, b, RedOp::Sum));
+            let ArrData::R(total) = &partials[0] else { unreachable!() };
+            for (j, col) in cols.iter().enumerate() {
+                let want = merged(col.clone(), |a, b| red_apply_r(RedOp::Sum, a, b)).unwrap();
+                assert_eq!(total[j].to_bits(), want.to_bits(), "{chunks} chunks, element {j}");
+            }
+        }
     }
 
     #[test]
@@ -781,6 +671,9 @@ mod tests {
     fn parse(src: &str) -> polaris_ir::Program {
         polaris_ir::parse(src).unwrap()
     }
+
+    const ALL_SCHEDULES: [Schedule; 3] =
+        [Schedule::Static, Schedule::Dynamic { chunk: 4 }, Schedule::Stealing { chunk: 4 }];
 
     fn run_both(src: &str, procs: usize, schedule: Schedule) -> (Vec<String>, Vec<String>) {
         let p = parse(src);
@@ -862,6 +755,31 @@ mod tests {
         assert!(t.output.is_empty());
     }
 
+    /// `STOP` in a DOALL body is decided where the backend is chosen: the
+    /// loop takes the simulated path under either `ExecMode`, so the bill
+    /// is the simulator's (the threaded driver's own serial fallback used
+    /// to skip the guard branch, two cycles short of the simulator).
+    #[test]
+    fn stop_bearing_doall_bills_the_same_on_both_backends() {
+        let looped = |at: i64| {
+            parse(&format!("program t\nreal a(100)\n!$polaris doall\ndo i = 1, 100\n  a(i) = i * 1.0\n  if (i == {at}) then\n    stop\n  end if\nend do\nprint *, a(1)\nend\n"))
+        };
+        // One STOP that fires mid-loop, one that never does.
+        for p in [looped(13), looped(1000)] {
+            for schedule in ALL_SCHEDULES {
+                for procs in [2, 8] {
+                    let threaded = MachineConfig::threaded(procs, schedule);
+                    let simulated =
+                        MachineConfig { exec_mode: crate::ExecMode::Simulated, ..threaded.clone() };
+                    let sim = crate::exec::run(&p, &simulated).unwrap();
+                    let thr = crate::exec::run(&p, &threaded).unwrap();
+                    assert_eq!(sim.output, thr.output, "{schedule:?} x {procs}");
+                    assert_eq!(sim.cycles, thr.cycles, "{schedule:?} x {procs}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn threaded_print_inside_parallel_loop_keeps_iteration_order() {
         let src = "program t\n!$polaris doall\ndo i = 1, 64\n  print *, 'iter', i\nend do\nend\n";
@@ -905,6 +823,51 @@ mod tests {
             let (s, t) = run_both(src, procs, Schedule::Static);
             assert_eq!(s, t, "integer array reduction must be exact");
         }
+    }
+
+    /// `-0.0` is the exact additive identity (`x + -0.0` is `x` bit for
+    /// bit, `+0.0` included; `-0.0 + 0.0` is `+0.0`). With exact
+    /// identities `shared ∘ identity == shared`, so the commit needs no
+    /// "did any chunk touch it" flag: merging a partial nothing touched
+    /// is a no-op by arithmetic. (The validator's `RedAccum` keeps its
+    /// flag: it is the independent reference.)
+    #[test]
+    fn negative_zero_survives_a_sum_reduction_on_threads() {
+        let scalar = "program t\ns = -0.0\n!$polaris doall reduction(+:S)\ndo i = 1, 100\n  s = s + (-0.0)\nend do\nprint *, 1.0 / s\nend\n";
+        // H(1) is never touched by the body; H(2..4) are.
+        let array = "program t\nreal h(4)\nh(1) = -0.0\n!$polaris doall reduction(+:H)\ndo i = 1, 100\n  h(mod(i, 3) + 2) = h(mod(i, 3) + 2) + 1.0\nend do\nprint *, 1.0 / h(1), h(2)\nend\n";
+        for (src, want) in [(scalar, "-inf"), (array, "-inf 3.300000E1")] {
+            for schedule in ALL_SCHEDULES {
+                let (s, t) = run_both(src, 2, schedule);
+                assert_eq!(s, [want], "serial");
+                assert_eq!(t, s, "{schedule:?}");
+            }
+            crate::exec::run_validated(&parse(src), &MachineConfig::challenge_8()).unwrap();
+        }
+    }
+
+    /// The plan bounds the chunk count per worker, so a forced chunk of
+    /// one on a long loop cuts 128 chunks on 2 threads, not a million:
+    /// claims, chunk results and partials stay O(workers).
+    #[test]
+    fn chunk_count_does_not_grow_with_the_trip_count() {
+        let src = "program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, 1000000\n  s = s + 1.0\nend do\nprint *, s\nend\n";
+        let rec = polaris_obs::Recorder::monotonic();
+        let cfg = MachineConfig::threaded(2, Schedule::Stealing { chunk: 1 });
+        let r = crate::exec::run_recorded(&parse(src), &cfg, &rec).unwrap();
+        assert_eq!(r.output, ["1.000000E6"]);
+        let chunks = rec.counters()["exec.threaded.chunks"];
+        assert!((2..=128).contains(&chunks), "{chunks} chunks");
+    }
+
+    /// A 400 000-trip histogram under forced stealing: every chunk hands
+    /// back a dense copy of `H`, so an unbounded chunk count (100 000 at
+    /// chunk 4) made this 173x the block schedule and 1.6 GB.
+    #[test]
+    fn long_histogram_under_stealing_matches_serial() {
+        let src = "program t\nreal h(1024)\n!$polaris doall reduction(+:H)\ndo i = 1, 400000\n  h(mod(i * 7, 1024) + 1) = h(mod(i * 7, 1024) + 1) + 1.0\nend do\nprint *, h(1), h(512), h(1024)\nend\n";
+        let (s, t) = run_both(src, 2, Schedule::Stealing { chunk: 4 });
+        assert_eq!(s, t);
     }
 
     #[test]

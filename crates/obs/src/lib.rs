@@ -181,9 +181,9 @@ pub enum Counter {
     /// Decision-table entries that failed their integrity check and were
     /// reset (the consumer fell back to static dispatch).
     AdaptiveTableCorrupt,
-    /// Chunks obtained by stealing from another worker's deque.
+    /// Chunks obtained by stealing from another worker's lane.
     StealChunks,
-    /// Steal attempts (successful or not) against victim deques.
+    /// Steal attempts (successful or not) against victim lanes.
     StealAttempts,
 }
 

@@ -57,9 +57,9 @@ impl Strategy {
 pub enum Chunking {
     /// Contiguous blocks, one per worker.
     Block,
-    /// Central-counter self-scheduling with the given chunk size.
+    /// Self-scheduling off one shared lane with the given chunk size.
     SelfSched { chunk: usize },
-    /// Per-worker deques with work stealing, given chunk size.
+    /// Per-worker lanes of chunks with work stealing, given chunk size.
     Stealing { chunk: usize },
 }
 
@@ -280,7 +280,7 @@ impl AdaptiveController {
         }
     }
 
-    /// Work-stealing chunk size: a few chunks per worker so the deques
+    /// Work-stealing chunk size: a few chunks per worker so the lanes
     /// have something to steal, never below 1.
     fn steal_chunk(trip: u64, threads: usize) -> usize {
         ((trip as usize).div_ceil(threads.max(1) * 4)).max(1)

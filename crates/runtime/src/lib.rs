@@ -40,8 +40,7 @@ pub use adaptive::{
     Strategy,
 };
 pub use lrpd::{
-    run_sequential, speculative_doall, speculative_doall_faulty, speculative_doall_recorded,
-    ArrayView, SpecOutcome,
+    run_sequential, speculative_doall, speculative_doall_faulty, ArrayView, SpecOutcome,
 };
 pub use verdict::{
     judge, ClaimKind, DepKind, DepObservation, LoopClaim, LoopObservation, LoopVerdict,

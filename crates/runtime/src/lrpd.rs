@@ -64,50 +64,185 @@ impl SpecOutcome {
 
 const NEVER: u32 = u32::MAX;
 
-/// Per-thread shadow state for one array.
-struct ThreadShadow<T> {
+/// The §3.5 shadow marks of one array, as kept by one executor of
+/// iterations: a speculative thread of [`speculative_doall`], or the
+/// simulated machine of `polaris-machine` running a `SPECULATIVE` loop.
+/// The executor reports every access ([`Shadow::on_read`],
+/// [`Shadow::on_write`], iterations stamped `t`) and closes each
+/// iteration ([`Shadow::end_iteration`]); [`PdVerdict::of`] analyses the
+/// marks afterwards.
+#[derive(Debug, Clone)]
+pub struct Shadow {
     read_epoch: Vec<u32>,
     write_epoch: Vec<u32>,
-    aw: Vec<bool>,
+    /// Iterations that wrote the element: the mark `A_w` is `> 0`, and
+    /// the write count `w_A` is the sum.
+    aw: Vec<u32>,
     ar: Vec<bool>,
     np: Vec<bool>,
-    /// Touched by a reduction update (the LRPD `A_x` shadow).
-    rx: Vec<bool>,
-    values: Vec<T>,
-    /// Per-thread reduction partials.
-    partial: Vec<T>,
-    last_write_iter: Vec<u32>,
-    writes: u64,
     /// Elements first-read in the current iteration (tentative `A_r`).
     reads_buf: Vec<usize>,
+    marks_done: u64,
 }
 
-impl<T: Copy + Default> ThreadShadow<T> {
-    fn new(n: usize) -> ThreadShadow<T> {
-        ThreadShadow {
+impl Shadow {
+    pub fn new(n: usize) -> Shadow {
+        Shadow {
             read_epoch: vec![NEVER; n],
             write_epoch: vec![NEVER; n],
-            aw: vec![false; n],
+            aw: vec![0; n],
             ar: vec![false; n],
             np: vec![false; n],
-            values: vec![T::default(); n],
-            rx: vec![false; n],
-            partial: vec![T::default(); n],
-            last_write_iter: vec![NEVER; n],
-            writes: 0,
             reads_buf: Vec::new(),
+            marks_done: 0,
+        }
+    }
+
+    /// Elements shadowed.
+    pub fn len(&self) -> usize {
+        self.aw.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.aw.is_empty()
+    }
+
+    /// Marking operations performed (what a cost model bills).
+    pub fn marks_done(&self) -> u64 {
+        self.marks_done
+    }
+
+    /// Mark a read of `idx` in iteration `t`. True when the iteration has
+    /// already written the element: the read sees that value and exposes
+    /// nothing.
+    ///
+    /// Like [`Shadow::on_write`], deliberately not `#[inline]`: this crate
+    /// inlines it where it pays anyway, and inlined into the machine's VM
+    /// dispatch loop the marking slows every loop that is *not*
+    /// speculative (`exec_serial` +8 % measured).
+    pub fn on_read(&mut self, idx: usize, t: u32) -> bool {
+        self.marks_done += 1;
+        if self.write_epoch[idx] == t {
+            return true;
+        }
+        if self.read_epoch[idx] != t {
+            self.read_epoch[idx] = t;
+            self.reads_buf.push(idx);
+        }
+        false
+    }
+
+    /// Mark a write of `idx` in iteration `t`.
+    pub fn on_write(&mut self, idx: usize, t: u32) {
+        self.marks_done += 1;
+        if self.write_epoch[idx] != t {
+            // first write of this iteration
+            self.aw[idx] += 1;
+            if self.read_epoch[idx] == t {
+                self.np[idx] = true;
+            }
+            self.write_epoch[idx] = t;
         }
     }
 
     /// Commit the tentative `A_r` marks of iteration `t`: a read really
     /// was "never written in this iteration" if no write followed.
-    fn end_iteration(&mut self, t: u32) {
+    pub fn end_iteration(&mut self, t: u32) {
         for &idx in &self.reads_buf {
             if self.write_epoch[idx] != t {
                 self.ar[idx] = true;
             }
         }
         self.reads_buf.clear();
+    }
+
+    /// `A_w ∨ A_r`: some iteration wrote the element or exposed a read
+    /// of it.
+    pub fn touched(&self, idx: usize) -> bool {
+        self.aw[idx] > 0 || self.ar[idx]
+    }
+}
+
+/// What the PD test (§3.5.2) finds on a range of elements. Elements are
+/// independent, so the verdict on an array is the [`PdVerdict::and`] of
+/// the verdicts on any partition of it — which is what lets the analysis
+/// run on disjoint ranges concurrently.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PdVerdict {
+    /// `any(A_w ∧ A_r)` — flow/anti dependence.
+    pub flow_anti: bool,
+    /// `any(A_w ∧ A_np)` — read-before-write in an iteration.
+    pub not_privatizable: bool,
+    /// `w_A`: first-writes per (element, iteration).
+    pub writes: u64,
+    /// `m_A`: elements marked in `A_w`.
+    pub marks: u64,
+}
+
+impl PdVerdict {
+    /// Analyse elements `range` of an array whose iterations were marked
+    /// by `shadows`, each iteration by exactly one of them.
+    pub fn of(shadows: &[&Shadow], range: std::ops::Range<usize>) -> PdVerdict {
+        let mut v = PdVerdict::default();
+        for idx in range {
+            let writes: u64 = shadows.iter().map(|s| u64::from(s.aw[idx])).sum();
+            if writes > 0 {
+                v.writes += writes;
+                v.marks += 1;
+                v.flow_anti |= shadows.iter().any(|s| s.ar[idx]);
+                v.not_privatizable |= shadows.iter().any(|s| s.np[idx]);
+            }
+        }
+        v
+    }
+
+    /// The verdict on the union of two disjoint ranges.
+    pub fn and(self, other: PdVerdict) -> PdVerdict {
+        PdVerdict {
+            flow_anti: self.flow_anti || other.flow_anti,
+            not_privatizable: self.not_privatizable || other.not_privatizable,
+            writes: self.writes + other.writes,
+            marks: self.marks + other.marks,
+        }
+    }
+
+    /// `w_A ≠ m_A` — an element was written by more than one iteration.
+    pub fn output_dep(&self) -> bool {
+        self.writes != self.marks
+    }
+
+    /// Valid with the array privatized (output dependences forgiven).
+    pub fn privatized_ok(&self) -> bool {
+        !self.flow_anti && !self.not_privatizable
+    }
+
+    /// Valid as a plain doall.
+    pub fn plain_ok(&self) -> bool {
+        self.privatized_ok() && !self.output_dep()
+    }
+}
+
+/// One thread's shadow of the array: the marks, and the values the
+/// marks say nothing about.
+struct ThreadShadow<T> {
+    marks: Shadow,
+    /// Touched by a reduction update (the LRPD `A_x` shadow).
+    rx: Vec<bool>,
+    values: Vec<T>,
+    /// Per-thread reduction partials.
+    partial: Vec<T>,
+    last_write_iter: Vec<u32>,
+}
+
+impl<T: Copy + Default> ThreadShadow<T> {
+    fn new(n: usize) -> ThreadShadow<T> {
+        ThreadShadow {
+            marks: Shadow::new(n),
+            values: vec![T::default(); n],
+            rx: vec![false; n],
+            partial: vec![T::default(); n],
+            last_write_iter: vec![NEVER; n],
+        }
     }
 }
 
@@ -121,30 +256,16 @@ struct SpecView<'a, T> {
 
 impl<'a, T: Copy + Default + std::ops::Add<Output = T>> ArrayView<T> for SpecView<'a, T> {
     fn read(&mut self, idx: usize) -> T {
-        let t = self.iter;
-        if self.shadow.write_epoch[idx] == t {
+        if self.shadow.marks.on_read(idx, self.iter) {
             return self.shadow.values[idx];
-        }
-        if self.shadow.read_epoch[idx] != t {
-            self.shadow.read_epoch[idx] = t;
-            self.shadow.reads_buf.push(idx);
         }
         self.original[idx]
     }
 
     fn write(&mut self, idx: usize, value: T) {
-        let t = self.iter;
-        if self.shadow.write_epoch[idx] != t {
-            // first write of this iteration
-            self.shadow.writes += 1;
-            self.shadow.aw[idx] = true;
-            if self.shadow.read_epoch[idx] == t {
-                self.shadow.np[idx] = true;
-            }
-            self.shadow.write_epoch[idx] = t;
-        }
+        self.shadow.marks.on_write(idx, self.iter);
         self.shadow.values[idx] = value;
-        self.shadow.last_write_iter[idx] = t;
+        self.shadow.last_write_iter[idx] = self.iter;
     }
 
     fn reduce_add(&mut self, idx: usize, value: T) {
@@ -206,33 +327,6 @@ where
     speculative_doall_faulty(data, n_iters, n_threads, privatized, None, body)
 }
 
-/// [`speculative_doall`] with an observability [`polaris_obs::Recorder`]
-/// attached: the attempt runs inside an `lrpd` span and the verdict is
-/// mirrored into the `lrpd.pass` / `lrpd.fail` counters.
-pub fn speculative_doall_recorded<T, F>(
-    data: &mut [T],
-    n_iters: usize,
-    n_threads: usize,
-    privatized: bool,
-    rec: &polaris_obs::Recorder,
-    body: F,
-) -> SpecOutcome
-where
-    T: Copy + Default + Send + Sync + std::ops::Add<Output = T>,
-    F: Fn(usize, &mut dyn ArrayView<T>) + Sync,
-{
-    let span = rec.span("lrpd", "speculative_doall");
-    let outcome = speculative_doall_faulty(data, n_iters, n_threads, privatized, None, body);
-    span.end();
-    let verdict = if outcome.success() {
-        polaris_obs::Counter::LrpdPass
-    } else {
-        polaris_obs::Counter::LrpdFail
-    };
-    rec.count(verdict, 1);
-    outcome
-}
-
 /// [`speculative_doall`] with deterministic fault injection: when
 /// `fail_at` is `Some(k)`, the worker that owns iteration `k` panics
 /// just before executing it. Used to exercise the isolation guarantee —
@@ -287,7 +381,7 @@ where
                                 SpecView { original: data_ref, shadow: &mut shadow, iter: t };
                             body_ref(it, &mut view);
                         }
-                        shadow.end_iteration(t);
+                        shadow.marks.end_iteration(t);
                     }
                     shadow
                 }));
@@ -327,23 +421,16 @@ where
 
     // --- parallel merge + analysis (the PD test proper) ------------------
     let t_test = Instant::now();
-    let writes: u64 = shadows.iter().map(|s| s.writes).sum();
-    let mut aw = vec![false; n];
-    let mut rx = vec![false; n];
-    let mut flow_anti = false;
-    let mut not_priv = false;
+    let marks: Vec<&Shadow> = shadows.iter().map(|s| &s.marks).collect();
+    let mut verdict = PdVerdict::default();
     let mut reduction_conflict = false;
-    let mut marks: u64 = 0;
     let mut reduced: u64 = 0;
+    let chunk = n.div_ceil(n_threads).max(1);
     {
-        // Disjoint element ranges merged concurrently: O(a/p + log p).
-        // Per-range merge result: (marks, reduced, flow_anti, not_priv,
-        // reduction_conflict, aw piece, rx piece).
-        type MergePiece = (u64, u64, bool, bool, bool, Vec<bool>, Vec<bool>);
-        let chunk = n.div_ceil(n_threads).max(1);
-        let shadows_ref = &shadows;
-        let pieces: Vec<MergePiece> =
-            std::thread::scope(|scope| {
+        // Disjoint element ranges analysed concurrently: O(a/p + log p).
+        // Per range: (verdict, reduced, reduction_conflict).
+        let (shadows_ref, marks_ref) = (&shadows, &marks);
+        let pieces: Vec<(PdVerdict, u64, bool)> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for c in 0..n_threads {
                 let lo = c * chunk;
@@ -352,88 +439,49 @@ where
                     continue;
                 }
                 handles.push(scope.spawn(move || {
-                    let mut marks = 0u64;
                     let mut reduced = 0u64;
-                    let mut fa = false;
-                    let mut np = false;
                     let mut rc = false;
-                    let mut aw_piece = vec![false; hi - lo];
-                    let mut rx_piece = vec![false; hi - lo];
                     for idx in lo..hi {
-                        let w = shadows_ref.iter().any(|s| s.aw[idx]);
-                        let r = shadows_ref.iter().any(|s| s.ar[idx]);
-                        let p = shadows_ref.iter().any(|s| s.np[idx]);
-                        let x = shadows_ref.iter().any(|s| s.rx[idx]);
-                        if w {
-                            marks += 1;
-                            aw_piece[idx - lo] = true;
-                            if r {
-                                fa = true;
-                            }
-                            if p {
-                                np = true;
-                            }
-                        }
-                        if x {
+                        if shadows_ref.iter().any(|s| s.rx[idx]) {
                             reduced += 1;
-                            rx_piece[idx - lo] = true;
-                            if w || r {
-                                rc = true;
-                            }
+                            rc |= marks_ref.iter().any(|m| m.touched(idx));
                         }
                     }
-                    (marks, reduced, fa, np, rc, aw_piece, rx_piece)
+                    (PdVerdict::of(marks_ref, lo..hi), reduced, rc)
                 }));
             }
             handles.into_iter().map(|h| h.join().expect("merge worker panicked")).collect()
         });
-        let mut cursor = 0usize;
-        for (m, red, fa, np, rc, piece, rx_piece) in pieces {
-            marks += m;
+        for (v, red, rc) in pieces {
+            verdict = verdict.and(v);
             reduced += red;
-            flow_anti |= fa;
-            not_priv |= np;
             reduction_conflict |= rc;
-            aw[cursor..cursor + piece.len()].copy_from_slice(&piece);
-            rx[cursor..cursor + rx_piece.len()].copy_from_slice(&rx_piece);
-            cursor += piece.len();
         }
     }
-    let output_dep = writes != marks;
-    let parallel_valid = !flow_anti && !not_priv && !output_dep && !reduction_conflict;
-    let privatized_valid = !flow_anti && !not_priv && !reduction_conflict;
+    let parallel_valid = verdict.plain_ok() && !reduction_conflict;
+    let privatized_valid = verdict.privatized_ok() && !reduction_conflict;
     let success = if privatized { privatized_valid } else { parallel_valid };
 
     // --- commit ------------------------------------------------------------
     if success {
-        let chunk = n.div_ceil(n_threads).max(1);
         let shadows_ref = &shadows;
-        let aw_ref = &aw;
         let mut data_chunks: Vec<&mut [T]> = data.chunks_mut(chunk).collect();
         std::thread::scope(|scope| {
             for (c, chunk_data) in data_chunks.iter_mut().enumerate() {
                 let lo = c * chunk;
                 let chunk_data: &mut [T] = chunk_data;
-                let rx_ref = &rx;
                 scope.spawn(move || {
                     for (off, slot) in chunk_data.iter_mut().enumerate() {
                         let idx = lo + off;
-                        if aw_ref[idx] {
-                            // value written by the globally last iteration
-                            let mut best_iter = NEVER;
-                            let mut best_val = None;
-                            for s in shadows_ref {
-                                let it = s.last_write_iter[idx];
-                                if it != NEVER && (best_iter == NEVER || it > best_iter) {
-                                    best_iter = it;
-                                    best_val = Some(s.values[idx]);
-                                }
-                            }
-                            if let Some(v) = best_val {
-                                *slot = v;
-                            }
+                        // value written by the globally last iteration
+                        let last = shadows_ref
+                            .iter()
+                            .filter(|s| s.last_write_iter[idx] != NEVER)
+                            .max_by_key(|s| s.last_write_iter[idx]);
+                        if let Some(s) = last {
+                            *slot = s.values[idx];
                         }
-                        if rx_ref[idx] {
+                        if shadows_ref.iter().any(|s| s.rx[idx]) {
                             // fold the per-thread reduction partials
                             let mut acc = *slot;
                             for s in shadows_ref {
@@ -451,13 +499,13 @@ where
     SpecOutcome {
         parallel_valid,
         privatized_valid,
-        flow_anti,
-        output_dep,
-        not_privatizable: not_priv,
+        flow_anti: verdict.flow_anti,
+        output_dep: verdict.output_dep(),
+        not_privatizable: verdict.not_privatizable,
         reduction_conflict,
         reduced,
-        writes,
-        marks,
+        writes: verdict.writes,
+        marks: verdict.marks,
         committed: success,
         worker_panicked: false,
         exec_time,

@@ -29,7 +29,7 @@
 //!                   (default: the --procs value)
 //!   --schedule S    parallel-loop scheduling policy for --run/--diag:
 //!                   `static` (default; contiguous blocks, one per
-//!                   worker), `stealing` (per-worker chunk deques with
+//!                   worker), `stealing` (per-worker chunk lanes with
 //!                   work stealing — better balance for skewed
 //!                   per-iteration costs), or `adaptive` (per-loop
 //!                   runtime dispatcher: first invocation measures,

@@ -89,9 +89,9 @@ fn threaded_backend_is_bit_identical_for_every_schedule() {
     }
 }
 
-/// A `threaded xN/Stealing` row must run on the Chase–Lev queue, not
-/// on block partitioning under another name: on the skewed kernel a
-/// worker that drains its own deque goes looking for a victim.
+/// A `threaded xN/Stealing` row must run on stealing claims, not on
+/// block partitioning under another name: a worker that drains its own
+/// lane goes looking for a victim, and only that counts an attempt.
 #[test]
 fn threaded_stealing_rows_reach_the_steal_queue() {
     let program = common::compiled(polaris_benchmarks::skewed().source, "SPMVT");
