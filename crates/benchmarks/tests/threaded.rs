@@ -12,7 +12,9 @@
 //! The simulated cycle count is held to the same standard: the threaded
 //! backend bills a `PARALLEL DO` through the simulator's own plan and
 //! bill, so `cycles` must be *equal* to the simulated machine's at the
-//! same `procs`, `schedule` and cost model, not merely close.
+//! same `procs`, `schedule` and cost model, not merely close. So is the
+//! whole per-loop table: a lane runs the same iterations whoever runs it,
+//! and an invocation counts as parallel where the bill's guard says so.
 
 use polaris_benchmarks::{all, track, Benchmark};
 use polaris_core::{compile, PassOptions};
@@ -25,7 +27,7 @@ fn polaris_compiled(b: &Benchmark) -> polaris_ir::Program {
 }
 
 /// Every kernel under `schedule` on 8 real threads: serial checksums,
-/// and the simulated machine's cycle count.
+/// and the simulated machine's cycle count and per-loop table.
 fn assert_threaded_matches(schedule: Schedule) {
     for b in all().into_iter().chain([track()]) {
         let reference = run_serial(&b.program()).unwrap_or_else(|e| panic!("{}: {e}", b.name));
@@ -43,6 +45,21 @@ fn assert_threaded_matches(schedule: Schedule) {
         assert_eq!(
             simulated.cycles, threaded.cycles,
             "{}: threaded and simulated cycle bills differ under {schedule:?}",
+            b.name
+        );
+        let table = |r: &polaris_machine::RunResult| -> Vec<(String, [u64; 5])> {
+            r.loops
+                .iter()
+                .map(|(label, s)| {
+                    let row = [s.invocations, s.cycles, s.parallel_invocations, s.spec_success, s.spec_fail];
+                    (label.clone(), row)
+                })
+                .collect()
+        };
+        assert_eq!(
+            table(&simulated),
+            table(&threaded),
+            "{}: per-loop [invocations, cycles, parallel, spec ok, spec fail] differ under {schedule:?}",
             b.name
         );
     }

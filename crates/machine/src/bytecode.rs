@@ -319,7 +319,7 @@ pub fn compile(image: &Image) -> Result<BcUnit, MachineError> {
 
 /// [`compile`] with the step-boundary instructions elided. Only valid
 /// when the run configuration cannot observe the step count (no fuel
-/// limit, no cancel token, no panic-at-step hook, no shared counter —
+/// limit, no cancel token, no panic-at-step hook —
 /// `Interp::quiet_steps`): [`Instr::Step`] is then a guaranteed no-op,
 /// so the compiler drops it from the stream instead of dispatching it
 /// per statement. Tree-walker fallbacks (`Instr::Exec`) still count

@@ -147,6 +147,13 @@ impl Interp<'_> {
         total
     }
 
+    /// Total cycles from which the generated guard takes the parallel
+    /// side of its IF: a loop must do the work of two forks to pay for
+    /// one. Where the threaded backend's deferred fork wakes its helpers.
+    pub(crate) fn guard_threshold(&self) -> u64 {
+        2 * self.cfg.cost.fork_join
+    }
+
     /// The one bill for a `PARALLEL DO` invocation, whichever backend
     /// ran it: `buckets[p]` holds the cycles of the chunks `plan` assigns
     /// to processor `p`. The generated code wraps the parallel region in
@@ -156,7 +163,7 @@ impl Interp<'_> {
     pub(crate) fn bill_parallel(&mut self, par: &RPar, plan: &ChunkPlan, buckets: &[u64]) -> bool {
         let c = &self.cfg.cost;
         let total: u64 = buckets.iter().sum();
-        let parallel = total >= 2 * c.fork_join;
+        let parallel = total >= self.guard_threshold();
         self.cycles += if parallel {
             self.concurrent_cost(buckets, par) + plan.dispatches() * c.dispatch
         } else {

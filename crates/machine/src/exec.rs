@@ -10,7 +10,6 @@ use polaris_ir::expr::{BinOp, RedOp, UnOp};
 use polaris_ir::Program;
 use polaris_runtime::lrpd::{PdVerdict, Shadow};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -105,7 +104,9 @@ pub(crate) struct Interp<'a> {
     pub(crate) cycles: u64,
     /// Monotonic statement/iteration counter for the fuel budget.
     /// Separate from `cycles`, which the codegen model and parallel
-    /// scheduling rewind and rescale.
+    /// scheduling rewind and rescale. Counted by this thread alone: a
+    /// threaded lane starts from the master's count at the fork, and
+    /// after the join the master adds what the lanes took.
     pub(crate) steps: u64,
     pub(crate) in_parallel: bool,
     adversarial: bool,
@@ -118,10 +119,8 @@ pub(crate) struct Interp<'a> {
     /// Active speculative tracking: (array slot, shadow).
     pub(crate) spec: Vec<(usize, Shadow)>,
     pub(crate) spec_iter: u32,
-    /// Global fuel counter shared between the main thread and threaded
-    /// workers, so `--fuel` bounds total work across all threads.
-    pub(crate) shared_steps: Option<Arc<AtomicU64>>,
-    /// Persistent worker pool, created lazily on the first threaded loop.
+    /// Persistent pool of helper threads, created when the first
+    /// threaded loop really forks.
     pub(crate) pool: Option<crate::threaded::ThreadPool>,
     /// Dependence-oracle trace (see [`crate::oracle`]); attached only by
     /// [`run_traced`], on serial runs. `None` costs one branch per hook.
@@ -134,9 +133,9 @@ pub(crate) struct Interp<'a> {
     /// activations without clearing).
     pub(crate) vm_pool: Vec<Vec<u64>>,
     /// True when no step-count observer exists (no fuel limit, no
-    /// panic-at-step, no cancellation token, no shared counter): the
-    /// step count is then unobservable and [`Self::charge_step`] can be
-    /// skipped entirely on the hot path.
+    /// panic-at-step, no cancellation token): the step count is then
+    /// unobservable and [`Self::charge_step`] can be skipped entirely on
+    /// the hot path.
     pub(crate) quiet_steps: bool,
     /// Observability recorder (see [`polaris_obs`]); disabled by default,
     /// attached by [`run_recorded`]. Workers always carry a disabled
@@ -157,40 +156,31 @@ pub(crate) struct Interp<'a> {
 
 impl<'a> Interp<'a> {
     fn new(image: &Image, cfg: &'a MachineConfig, adversarial: bool) -> Interp<'a> {
-        let shared_steps =
-            (cfg.exec_mode == ExecMode::Threaded).then(|| Arc::new(AtomicU64::new(0)));
-        Interp {
-            adversarial,
-            ..Interp::over(cfg, image.scalars.clone(), image.arrays.clone(), shared_steps)
-        }
+        Interp { adversarial, ..Interp::over(cfg, image.scalars.clone(), image.arrays.clone(), 0) }
     }
 
-    /// A fresh interpreter over the given memory. Threaded workers build
-    /// theirs from snapshots of the parent's state and set `in_parallel`
-    /// so they never spawn further threads.
+    /// A fresh interpreter over the given memory, `steps` into the fuel
+    /// budget. Threaded lanes build theirs from snapshots of the master's
+    /// state and set `in_parallel` so they never fork further.
     pub(crate) fn over(
         cfg: &'a MachineConfig,
         scalars: Vec<Scalar>,
         arrays: Vec<ArrObj>,
-        shared_steps: Option<Arc<AtomicU64>>,
+        steps: u64,
     ) -> Interp<'a> {
-        let quiet_steps = shared_steps.is_none()
-            && cfg.fuel.is_none()
-            && cfg.cancel.is_none()
-            && cfg.panic_at_step.is_none();
+        let quiet_steps = cfg.fuel.is_none() && cfg.cancel.is_none() && cfg.panic_at_step.is_none();
         Interp {
             cfg,
             scalars,
             arrays,
             cycles: 0,
-            steps: 0,
+            steps,
             in_parallel: false,
             adversarial: false,
             output: Vec::new(),
             loop_stats: Vec::new(),
             spec: Vec::new(),
             spec_iter: 0,
-            shared_steps,
             pool: None,
             oracle: None,
             bc: None,
@@ -498,15 +488,8 @@ impl<'a> Interp<'a> {
     /// and the chaos panic hook fire here, in both engines, so a
     /// cancelled or crashed run stops at the same boundary either way.
     pub(crate) fn charge_step(&mut self) -> Result<(), MachineError> {
-        let done = if let Some(shared) = &self.shared_steps {
-            // Threaded mode: all threads draw from one global budget.
-            let d = shared.fetch_add(1, Ordering::Relaxed) + 1;
-            self.steps = d;
-            d
-        } else {
-            self.steps += 1;
-            self.steps
-        };
+        self.steps += 1;
+        let done = self.steps;
         if let Some(at) = self.cfg.panic_at_step {
             if done == at {
                 panic!("injected: exec panic at step {at}");
@@ -1232,7 +1215,7 @@ pub fn run(program: &Program, cfg: &MachineConfig) -> Result<RunResult, MachineE
 
 /// Lower `program`, run it under `cfg` with `rec` attached, and hand the
 /// finished interpreter to `finish` before it is folded into the result.
-fn run_with<T>(
+pub(crate) fn run_with<T>(
     program: &Program,
     cfg: &MachineConfig,
     rec: &polaris_obs::Recorder,

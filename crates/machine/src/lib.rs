@@ -95,10 +95,10 @@ impl Engine {
 ///   the interpreter thread and a cycle cost model charges them to
 ///   per-processor buckets, reproducing the paper's Challenge numbers.
 /// * `Threaded` — loops the pipeline proved parallel are chunked over
-///   the iteration space and executed by a persistent pool of real OS
-///   threads ([`threaded`]), with per-worker private copies and a
-///   deterministic chunk-ordered tree merge for reductions. Results
-///   (output, final memory) are required to match serial execution;
+///   the iteration space and executed by the calling thread and a
+///   persistent pool of real OS threads ([`threaded`]), with per-lane
+///   private copies and a deterministic chunk-ordered tree merge for
+///   reductions. Results (output, final memory) must match serial execution;
 ///   the simulated cycle accounting is still maintained so speedup
 ///   *models* stay comparable across modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,8 +119,10 @@ pub struct MachineConfig {
     /// interpreter charges one unit per statement / loop iteration and
     /// aborts with [`MachineError::FuelExhausted`] once the budget is
     /// spent — a miscompiled non-terminating program becomes a reported
-    /// error instead of a hang. In threaded mode the budget is a global
-    /// atomic counter drawn on by every worker thread.
+    /// error instead of a hang. In threaded mode every thread counts its
+    /// own steps from the master's count at the fork, so each is held to
+    /// the remaining budget, and the master settles the total at the
+    /// join: the verdict is that of the serial step count at every limit.
     pub fuel: Option<u64>,
     /// Cap on total array elements lowering may allocate. `None` =
     /// the built-in per-array safety limit only.
@@ -184,9 +186,11 @@ impl MachineConfig {
         }
     }
 
-    /// Real-thread execution with `procs` worker threads. Both backends
-    /// read the one `procs`/`schedule` pair, so cost-model accounting
-    /// (and the speculative fallback path) describes what actually runs.
+    /// Real-thread execution on `procs` threads: the calling thread plus
+    /// `procs - 1` helpers, spawned when a loop first amortizes a fork.
+    /// Both backends read the one `procs`/`schedule` pair, so cost-model
+    /// accounting (and the speculative fallback path) describes what
+    /// actually runs.
     pub fn threaded(procs: usize, schedule: Schedule) -> MachineConfig {
         MachineConfig {
             procs: procs.max(1),

@@ -4,8 +4,31 @@
 //! per-processor cycle buckets but executes them sequentially. This
 //! module is the other half of the story: loops the pipeline *proved*
 //! parallel are lowered to chunked iteration-space work lists and
-//! executed by a persistent pool of OS threads, the way the paper's SGI
-//! backend consumed Polaris directives.
+//! executed by the calling thread and a persistent pool of OS threads,
+//! the way the paper's SGI backend consumed Polaris directives.
+//!
+//! A thread touches shared memory only where a thread must — the chunk
+//! claim, the job queue and the join channel. Three rules keep it so:
+//!
+//! * **Every thread counts its own fuel.** A lane's interpreter starts
+//!   from the master's step count at the fork, so each thread is held to
+//!   the remaining budget on its own counter. A lane returns the steps
+//!   it took; the master adds them and applies the limit once after the
+//!   join, to the total a serial run would have counted. Nothing is
+//!   shared, so a run with no fuel limit, cancel token or panic hook
+//!   counts nothing at all: it executes the `Step`-free bytecode serial
+//!   runs do.
+//! * **The master is lane 0.** The calling thread runs the first lane
+//!   itself; the pool holds `procs - 1` helpers. A panic in the master's
+//!   lane is caught like a helper's and reported the same.
+//! * **The fork waits for the guard.** The master starts alone and goes
+//!   on to the next lane when one is done. Once the cycles it has
+//!   executed reach the threshold of the bill's profitability guard
+//!   (`Interp::guard_threshold`) the lanes nobody has started go to the
+//!   helpers; a loop that ends under it — one the bill charges as the
+//!   serial side of the generated `IF` — never wakes anyone. Each lane
+//!   is its own interpreter over the pre-fork snapshot and claims through
+//!   the same [`Claims`] whoever runs it, so nothing below can tell.
 //!
 //! Correctness contract — results must be **deterministic and identical
 //! to serial execution** even though execution order is not:
@@ -26,12 +49,15 @@
 //! * Shared arrays are committed by diffing each worker's copy against
 //!   the pre-fork snapshot (bit-level comparison, so `-0.0` vs `0.0` and
 //!   NaN payloads are preserved) and applying only written elements, in
-//!   worker order. A correctly-parallelized loop writes disjoint
+//!   worker order (the first writer's copy is adopted whole, by move, and
+//!   later writers merge into it in place — [`commit_array`]). A
+//!   correctly-parallelized loop writes disjoint
 //!   elements, so the order cannot matter; if a miscompile makes writes
 //!   collide, the equivalence tests catch the divergence.
 //! * Worker output (PRINT) and copy-out scalars are committed in chunk
 //!   order; errors are reported for the smallest failing iteration
-//!   index, matching what sequential execution would hit first.
+//!   index, matching what sequential execution would hit first, and the
+//!   settled fuel total is checked after them.
 //! * Loops whose body contains `STOP` (a mid-loop STOP must suppress
 //!   later iterations) and speculative loops never get here:
 //!   `Interp::run_parallel` keeps them on the simulated path.
@@ -51,7 +77,6 @@ use crate::value::{ArrData, ArrObj, Scalar};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -59,9 +84,10 @@ use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size pool of OS threads fed from one shared job queue. It is
-/// created lazily on the first threaded loop of a run and lives for the
-/// whole run, so per-loop fork cost is a channel send, not a spawn.
+/// A fixed-size pool of OS threads fed from one shared job queue: the
+/// helpers beside the calling thread. It is created when the first
+/// threaded loop of a run really forks and lives for the rest of the
+/// run, so per-loop fork cost is a channel send, not a spawn.
 pub struct ThreadPool {
     tx: Option<mpsc::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
@@ -165,11 +191,13 @@ struct WorkerOut {
     arrays: Vec<ArrObj>,
     loops: Vec<Option<(String, crate::exec::LoopExecStats)>>,
     chunks: Vec<ChunkOut>,
+    /// Fuel steps the lane took: its count less the master's at the fork.
+    steps: u64,
     /// First failing iteration index and its error, if any.
     err: Option<(u64, MachineError)>,
 }
 
-/// Everything a worker needs, owned, so the job closure is `'static`.
+/// Everything a lane needs, owned, so a helper's job closure is `'static`.
 struct WorkerTask {
     wid: usize,
     l: Arc<RLoop>,
@@ -179,16 +207,20 @@ struct WorkerTask {
     cfg: MachineConfig,
     scalars: Vec<Scalar>,
     arrays: Vec<ArrObj>,
-    shared_steps: Option<Arc<AtomicU64>>,
+    /// The master's step count at the fork, where the lane's own starts.
+    steps: u64,
     /// Bytecode of the running unit + this loop's body block, when the
     /// VM engine drives execution (`None` pair = tree-walk).
     bc: Option<Arc<crate::bytecode::BcUnit>>,
     body: Option<u32>,
 }
 
-fn worker_run(task: WorkerTask) -> WorkerOut {
-    let WorkerTask { wid, l, space, plan, claims, cfg, scalars, arrays, shared_steps, bc, body } = task;
-    let mut it = Interp::over(&cfg, scalars, arrays, shared_steps);
+/// Run lane `task.wid` on the calling thread: claim chunks until none
+/// are left for it. `progress` sees, before each iteration, the cycles
+/// the lane has executed so far.
+fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
+    let WorkerTask { wid, l, space, plan, claims, cfg, scalars, arrays, steps, bc, body } = task;
+    let mut it = Interp::over(&cfg, scalars, arrays, steps);
     it.in_parallel = true;
     it.bc = bc;
     let bc_arc = it.bc.clone();
@@ -203,6 +235,7 @@ fn worker_run(task: WorkerTask) -> WorkerOut {
             set_identity(&mut it, red);
         }
         for idx in start..end {
+            progress(it.cycles);
             err = match it.run_one_iteration(&l, space.value(idx), body, bc_arc.as_deref()) {
                 Ok(Flow::Normal) => continue,
                 // STOP bodies never reach the threaded path, but surface
@@ -227,7 +260,7 @@ fn worker_run(task: WorkerTask) -> WorkerOut {
             break;
         }
     }
-    WorkerOut { wid, arrays: it.arrays, loops: it.loop_stats, chunks, err }
+    WorkerOut { wid, arrays: it.arrays, loops: it.loop_stats, chunks, steps: it.steps - steps, err }
 }
 
 // ---- reduction partials: one type, one merge ---------------------------
@@ -330,9 +363,35 @@ fn diff_bytes(theirs: &ArrData, base: &ArrData) -> u64 {
     }
 }
 
+/// Commit one lane's copy of a shared array into `dst` and return the
+/// `exec.threaded.merge_bytes` contribution. `theirs` comes by value:
+/// the first writer's copy differs from the snapshot only where it
+/// wrote, so it is adopted wholesale — and, moved, stays uniquely owned,
+/// so a later writer's diff merges into it in place. `count_adopted`
+/// says whether anyone reads the bytes of an adoption (observability
+/// only; a diff-merge counts as it writes).
+fn commit_array(
+    dst: &mut Arc<ArrData>,
+    theirs: Arc<ArrData>,
+    base: &Arc<ArrData>,
+    count_adopted: bool,
+) -> u64 {
+    if Arc::ptr_eq(&theirs, base) {
+        return 0; // never written
+    }
+    if Arc::ptr_eq(dst, base) {
+        let bytes = if count_adopted { diff_bytes(&theirs, base) } else { 0 };
+        *dst = theirs;
+        bytes
+    } else {
+        merge_diff(Arc::make_mut(dst), &theirs, base)
+    }
+}
+
 // ---- the main-thread driver ------------------------------------------
 
-/// Execute one `PARALLEL DO` on the worker pool. Called from
+/// Execute one `PARALLEL DO` on the calling thread and, once the loop
+/// has shown it amortizes a fork, the helper pool. Called from
 /// `Interp::run_parallel` when `cfg.exec_mode` is `Threaded`.
 pub(crate) fn run_threaded_loop(
     interp: &mut Interp<'_>,
@@ -340,8 +399,8 @@ pub(crate) fn run_threaded_loop(
     space: IterSpace,
     body: Option<u32>,
 ) -> Result<Flow, MachineError> {
-    // An adaptive override may plan for fewer workers than the pool holds
-    // (idle lanes are fine).
+    // An adaptive override may plan for fewer lanes than the machine has
+    // threads (idle helpers are fine).
     let plan = interp.chunk_plan(space);
     let procs = plan.procs();
     if space.trip() == 0 {
@@ -350,40 +409,58 @@ pub(crate) fn run_threaded_loop(
         return Ok(Flow::Normal);
     }
 
-    let pool_procs = interp.cfg.procs;
-    let pool_threads = interp.pool.as_ref().map(|p| p.threads());
-    debug_assert!(pool_threads.is_none() || pool_threads == Some(pool_procs));
     let claims = Arc::new(Claims::new(&plan));
     let snapshot: Vec<Arc<ArrData>> = interp.arrays.iter().map(|a| Arc::clone(&a.data)).collect();
+    let lane = |wid: usize| WorkerTask {
+        wid,
+        l: Arc::clone(l),
+        space,
+        plan,
+        claims: Arc::clone(&claims),
+        cfg: interp.cfg.clone(),
+        scalars: interp.scalars.clone(),
+        arrays: interp.arrays.clone(),
+        steps: interp.steps,
+        bc: interp.bc.clone(),
+        body,
+    };
 
+    // The master runs lanes itself, in lane order, until the cycles it
+    // has executed reach the bill's guard; the lanes nobody has started
+    // by then go to the helpers. Which thread ran a lane shows in nothing
+    // the join merges, so a loop under the guard wakes no one and commits
+    // what a forked one would.
+    let threshold = interp.guard_threshold();
     let (tx, rx) = mpsc::channel::<WorkerOut>();
-    {
-        let pool = interp
-            .pool
-            .get_or_insert_with(|| ThreadPool::new(pool_procs));
-        for wid in 0..procs {
-            let task = WorkerTask {
-                wid,
-                l: Arc::clone(l),
-                space,
-                plan,
-                claims: Arc::clone(&claims),
-                cfg: interp.cfg.clone(),
-                scalars: interp.scalars.clone(),
-                arrays: interp.arrays.clone(),
-                shared_steps: interp.shared_steps.clone(),
-                bc: interp.bc.clone(),
-                body,
-            };
-            let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                let out = worker_run(task);
-                let _ = tx.send(out);
-            }));
-        }
+    let mut results: Vec<WorkerOut> = Vec::with_capacity(procs);
+    // First lane nobody has started; cycles of the lanes the master finished.
+    let (mut unstarted, mut ran) = (0, 0u64);
+    while unstarted < procs {
+        let wid = unstarted;
+        unstarted += 1;
+        // A panic in the master's lane is a helper's: no result for it.
+        let Ok(out) = catch_unwind(AssertUnwindSafe(|| {
+            worker_run(lane(wid), |cycles| {
+                if unstarted < procs && ran + cycles >= threshold {
+                    let helpers = interp.cfg.procs - 1;
+                    let pool = interp.pool.get_or_insert_with(|| ThreadPool::new(helpers));
+                    for task in (unstarted..procs).map(&lane) {
+                        let tx = tx.clone();
+                        pool.submit(Box::new(move || {
+                            let _ = tx.send(worker_run(task, |_| {}));
+                        }));
+                    }
+                    unstarted = procs;
+                }
+            })
+        })) else {
+            break;
+        };
+        ran += out.chunks.iter().map(|ch| ch.cycles).sum::<u64>();
+        results.push(out);
     }
     drop(tx);
-    let mut results: Vec<WorkerOut> = rx.iter().collect();
+    results.extend(rx);
     if results.len() < procs {
         return Err(MachineError::WorkerPanicked { loop_label: l.label.clone() });
     }
@@ -397,6 +474,12 @@ pub(crate) fn run_threaded_loop(
         .min_by_key(|(idx, _)| *idx)
     {
         return Err(e);
+    }
+    // Settle the fuel: each lane was held to the budget on its own count;
+    // the limit applies to what all of them took, the serial count.
+    interp.steps += results.iter().map(|w| w.steps).sum::<u64>();
+    if let Some(limit) = interp.cfg.fuel.filter(|&limit| interp.steps > limit) {
+        return Err(MachineError::FuelExhausted { limit });
     }
 
     let mut chunks: Vec<ChunkOut> =
@@ -428,7 +511,9 @@ pub(crate) fn run_threaded_loop(
     for ch in &chunks {
         buckets[plan.bucket_of(ch.k)] += ch.cycles;
     }
-    interp.bill_parallel(&l.par, &plan, &buckets);
+    if interp.bill_parallel(&l.par, &plan, &buckets) {
+        interp.loop_entry(l).parallel_invocations += 1;
+    }
     if interp.cfg.adaptive.is_some() {
         // Deterministic cost signal for the adaptive controller: chunk
         // cycle totals in chunk order (never wall time, never steal
@@ -436,16 +521,7 @@ pub(crate) fn run_threaded_loop(
         interp.last_chunk_cycles = chunks.iter().map(|ch| ch.cycles).collect();
     }
 
-    // -- merge nested-loop stats ----------------------------------------
-    for w in &results {
-        for (i, slot) in w.loops.iter().enumerate() {
-            if let Some((label, st)) = slot {
-                interp.loop_slot(i, label).absorb(st);
-            }
-        }
-    }
-
-    // -- commit shared arrays (diff vs snapshot, worker order) ----------
+    // -- nested-loop stats and shared arrays (diff vs snapshot), worker order
     let mut skip = vec![false; interp.arrays.len()];
     for &a in &l.par.private_arrays {
         skip[a] = true;
@@ -455,21 +531,17 @@ pub(crate) fn run_threaded_loop(
             skip[a] = true;
         }
     }
-    for w in &results {
-        for (i, wa) in w.arrays.iter().enumerate() {
-            if skip[i] || Arc::ptr_eq(&wa.data, &snapshot[i]) {
-                continue;
+    let count_adopted = interp.recorder.is_enabled();
+    for w in results {
+        for (i, slot) in w.loops.iter().enumerate() {
+            if let Some((label, st)) = slot {
+                interp.loop_slot(i, label).absorb(st);
             }
-            if Arc::ptr_eq(&interp.arrays[i].data, &snapshot[i]) {
-                // First writer: its copy differs from the snapshot only
-                // where it wrote, so adopt it wholesale.
-                if interp.recorder.is_enabled() {
-                    merge_bytes += diff_bytes(&wa.data, &snapshot[i]);
-                }
-                interp.arrays[i].data = Arc::clone(&wa.data);
-            } else {
+        }
+        for (i, wa) in w.arrays.into_iter().enumerate() {
+            if !skip[i] {
                 merge_bytes +=
-                    merge_diff(Arc::make_mut(&mut interp.arrays[i].data), &wa.data, &snapshot[i]);
+                    commit_array(&mut interp.arrays[i].data, wa.data, &snapshot[i], count_adopted);
             }
         }
     }
@@ -512,16 +584,14 @@ pub(crate) fn run_threaded_loop(
         interp.output.append(&mut ch.output);
     }
     interp.recorder.count(polaris_obs::Counter::ThreadedMergeBytes, merge_bytes);
-
-    // Counted whatever the bill's guard said: the fork really happened.
-    interp.loop_entry(l).parallel_invocations += 1;
     Ok(Flow::Normal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Schedule;
+    use crate::value::V;
+    use crate::{ExecMode, Schedule};
 
     /// Tiny deterministic PRNG (SplitMix64) for the adversarial-order
     /// tests; the machine crate deliberately has no dev-dependencies on
@@ -666,6 +736,34 @@ mod tests {
         }
     }
 
+    /// The first writer's copy is adopted by move, so it stays uniquely
+    /// owned and the second writer's diff lands in that allocation — no
+    /// `make_mut` deep copy in between — with the bits the diff-merge of
+    /// both writers into a copy of the snapshot gives.
+    #[test]
+    fn two_writer_commit_merges_into_the_first_writers_allocation() {
+        let base = Arc::new(ArrData::R(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]));
+        let written = |at: usize, v: f64| {
+            let mut copy = ArrData::clone(&base);
+            copy.set(at, V::R(v)).unwrap();
+            Arc::new(copy)
+        };
+        let (first, second, reader) = (written(1, -0.0), written(4, f64::NAN), Arc::clone(&base));
+        let first_allocation = Arc::as_ptr(&first);
+
+        let mut reference = ArrData::clone(&base);
+        merge_diff(&mut reference, &first, &base);
+        merge_diff(&mut reference, &second, &base);
+
+        let mut dst = Arc::clone(&base);
+        assert_eq!(commit_array(&mut dst, reader, &base, true), 0, "a lane that never wrote");
+        assert_eq!(commit_array(&mut dst, first, &base, true), 8, "adopted, its bytes counted");
+        assert_eq!(commit_array(&mut dst, second, &base, true), 8);
+        assert_eq!(Arc::as_ptr(&dst), first_allocation, "the second writer merged in place");
+        assert_eq!(diff_bytes(&dst, &reference), 0, "bit-equal to the diff-merge of both");
+        assert_eq!(diff_bytes(&dst, &base), 16);
+    }
+
     // ---- whole-program equivalence through the public entry points ----
 
     fn parse(src: &str) -> polaris_ir::Program {
@@ -806,6 +904,87 @@ mod tests {
         let cfg = MachineConfig::threaded(4, Schedule::Static).with_fuel(500);
         let err = crate::exec::run(&p, &cfg).unwrap_err();
         assert!(matches!(err, MachineError::FuelExhausted { .. }), "{err}");
+    }
+
+    /// The same machine with the DOALLs executed in order on one thread.
+    fn simulated(threaded: &MachineConfig) -> MachineConfig {
+        MachineConfig { exec_mode: ExecMode::Simulated, ..threaded.clone() }
+    }
+
+    /// [`crate::exec::run`], plus whether the run ever created the pool.
+    fn run_and_pool(p: &polaris_ir::Program, cfg: &MachineConfig) -> (crate::RunResult, bool) {
+        crate::exec::run_with(p, cfg, &polaris_obs::Recorder::disabled(), |it, _| it.pool.is_some())
+            .unwrap()
+    }
+
+    /// A loop the bill's guard charges as the serial side of the `IF`
+    /// wakes no one: the master runs every lane itself, and the output
+    /// and the bill are the simulator's.
+    #[test]
+    fn doalls_under_the_guard_never_create_the_pool() {
+        let src = "program t\nreal a(8)\ndo k = 1, 50\n!$polaris doall\ndo i = 1, 8\n  a(i) = a(i) + k\nend do\nend do\nprint *, a(1), a(8)\nend\n";
+        let p = parse(src);
+        let cfg = MachineConfig::threaded(2, Schedule::Static);
+        let (thr, pool_created) = run_and_pool(&p, &cfg);
+        assert!(!pool_created, "50 forks of 8 assignments each must not spawn a thread");
+        let sim = crate::exec::run(&p, &simulated(&cfg)).unwrap();
+        assert_eq!(thr.output, sim.output);
+        assert_eq!(thr.cycles, sim.cycles);
+        assert!(thr.loops.values().all(|s| s.parallel_invocations == 0), "{:?}", thr.loops);
+    }
+
+    /// First lanes a few cycles, last lanes thousands: the guard's
+    /// threshold is crossed late. At 8 block lanes the master is in lane
+    /// 4 by then and hands lanes 5..8 over; at 2 it is already in the
+    /// last lane and runs both. Who ran a lane shows nowhere.
+    #[test]
+    fn skewed_doall_forks_late_and_matches_serial_and_the_simulator() {
+        let src = "program t\nreal a(64)\n!$polaris doall private(J)\ndo i = 1, 64\n  a(i) = i * 1.0\n  if (i > 32) then\n    do j = 1, 200\n      a(i) = a(i) + j * 0.5\n    end do\n  end if\nend do\nprint *, a(1), a(32), a(33), a(64)\nend\n";
+        let p = parse(src);
+        let serial = crate::exec::run_serial(&p).unwrap();
+        for schedule in ALL_SCHEDULES {
+            for procs in [2, 8] {
+                let cfg = MachineConfig::threaded(procs, schedule);
+                let (thr, pool_created) = run_and_pool(&p, &cfg);
+                let sim = crate::exec::run(&p, &simulated(&cfg)).unwrap();
+                assert_eq!(thr.output, serial.output, "{schedule:?} x {procs}");
+                assert_eq!(thr.cycles, sim.cycles, "{schedule:?} x {procs}");
+                if schedule == Schedule::Static {
+                    assert_eq!(pool_created, procs == 8, "{procs} block lanes");
+                }
+            }
+        }
+    }
+
+    /// A lane that panics is `WorkerPanicked` whoever ran it: the master
+    /// before it forked (step 100), both threads after (5000), the helper
+    /// alone (7000: lane 0 takes 6000 steps, lane 1 takes 8000). Nothing
+    /// unwinds out of `run`, nothing hangs, and the next run is clean.
+    #[test]
+    fn panicking_lane_is_worker_panicked_on_either_side_of_the_fork() {
+        let src = "program t\nreal a(4000)\n!$polaris doall\ndo i = 1, 4000\n  a(i) = i * 1.0\n  if (i > 2000) then\n    a(i) = a(i) + 1.0\n  end if\nend do\nprint *, a(1), a(4000)\nend\n";
+        let serial = crate::exec::run_serial(&parse(src)).unwrap();
+        for (schedule, steps) in [
+            (Schedule::Static, &[100, 5000, 7000][..]),
+            (Schedule::Dynamic { chunk: 4 }, &[100, 5000][..]),
+        ] {
+            for &at in steps {
+                let cfg = MachineConfig { panic_at_step: Some(at), ..MachineConfig::threaded(2, schedule) };
+                let (tx, rx) = mpsc::channel();
+                std::thread::spawn(move || tx.send(crate::exec::run(&parse(src), &cfg)));
+                let result = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|e| panic!("{schedule:?}, step {at}: run hung or unwound ({e})"));
+                match result {
+                    Err(MachineError::WorkerPanicked { loop_label }) => {
+                        assert!(loop_label.contains("do"), "{loop_label}")
+                    }
+                    other => panic!("{schedule:?}, step {at}: {other:?}"),
+                }
+                let clean = crate::exec::run(&parse(src), &MachineConfig::threaded(2, schedule)).unwrap();
+                assert_eq!(clean.output, serial.output, "{schedule:?} after step {at}");
+            }
+        }
     }
 
     #[test]

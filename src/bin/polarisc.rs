@@ -25,8 +25,8 @@
 //!   --exec-mode M   parallel-loop backend for --run: `simulated`
 //!                   (default; cycle-model multiprocessor) or `threaded`
 //!                   (real OS threads, chunked scheduling)
-//!   --threads N     worker threads for --exec-mode threaded
-//!                   (default: the --procs value)
+//!   --threads N     threads for --exec-mode threaded, the calling
+//!                   one included (default: the --procs value)
 //!   --schedule S    parallel-loop scheduling policy for --run/--diag:
 //!                   `static` (default; contiguous blocks, one per
 //!                   worker), `stealing` (per-worker chunk lanes with

@@ -55,25 +55,104 @@ const ENGINES: [Engine; 2] = [Engine::Vm, Engine::TreeWalk];
 #[test]
 fn fuel_boundary_is_the_same_step_count_in_both_engines() {
     let program = compiled();
-    let boundary = |engine: Engine| -> u64 {
-        let (mut lo, mut hi) = (1u64, 1_000_000u64);
-        assert!(polaris_machine::run(&program, &cfg(engine).with_fuel(hi)).is_ok());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match polaris_machine::run(&program, &cfg(engine).with_fuel(mid)) {
-                Ok(_) => hi = mid,
-                Err(MachineError::FuelExhausted { limit }) => {
-                    assert_eq!(limit, mid);
-                    lo = mid + 1;
-                }
-                Err(other) => panic!("unexpected error class at fuel {mid}: {other}"),
+    let vm = fuel_boundary(&program, &cfg(Engine::Vm));
+    let tree = fuel_boundary(&program, &cfg(Engine::TreeWalk));
+    assert_eq!(vm, tree, "engines disagree on the exact fuel-exhaustion step");
+}
+
+/// The smallest fuel budget under which `program` completes on `cfg`, by
+/// bisection; every budget tried below it must be `FuelExhausted`
+/// carrying that budget.
+fn fuel_boundary(program: &Program, cfg: &MachineConfig) -> u64 {
+    let (mut lo, mut hi) = (1u64, 1_000_000u64);
+    assert!(polaris_machine::run(program, &cfg.clone().with_fuel(hi)).is_ok());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match polaris_machine::run(program, &cfg.clone().with_fuel(mid)) {
+            Ok(_) => hi = mid,
+            Err(MachineError::FuelExhausted { limit }) => {
+                assert_eq!(limit, mid);
+                lo = mid + 1;
+            }
+            Err(other) => panic!("unexpected error class at fuel {mid}: {other}"),
+        }
+    }
+    lo
+}
+
+/// Fuel means the same thing on every backend: the smallest budget
+/// under which a DOALL with a reduction, a conditional body and an inner
+/// serial loop completes is one number — the serial step count — on the
+/// serial machine, the simulated multiprocessor and real threads under
+/// every schedule, run after run, and one step less is `FuelExhausted`
+/// carrying that limit. (Threads count their own steps and the master
+/// settles the total at the join, so no interleaving can move it.)
+#[test]
+fn fuel_boundary_is_the_same_step_count_on_every_backend() {
+    use polaris_machine::Schedule;
+    let src = "program fuelpar\n\
+               real a(192)\n\
+               s = 0.0\n\
+               !$polaris doall private(J) reduction(+:S)\n\
+               do i = 1, 192\n\
+               \x20 a(i) = i * 1.0\n\
+               \x20 if (mod(i, 3) == 0) then\n\
+               \x20   a(i) = a(i) + 1.0\n\
+               \x20 end if\n\
+               \x20 do j = 1, 4\n\
+               \x20   s = s + a(i) * j\n\
+               \x20 end do\n\
+               end do\n\
+               print *, s\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    let serial = fuel_boundary(&program, &MachineConfig::serial());
+    let mut backends = vec![MachineConfig::challenge_8()];
+    for procs in [2, 8] {
+        for schedule in
+            [Schedule::Static, Schedule::Dynamic { chunk: 4 }, Schedule::Stealing { chunk: 4 }]
+        {
+            backends.push(MachineConfig::threaded(procs, schedule));
+        }
+    }
+    for cfg in &backends {
+        for repetition in 0..3 {
+            let what = format!("{:?} x {} {:?}, repetition {repetition}", cfg.exec_mode, cfg.procs, cfg.schedule);
+            assert_eq!(fuel_boundary(&program, cfg), serial, "{what}");
+            let short = serial - 1;
+            match polaris_machine::run(&program, &cfg.clone().with_fuel(short)) {
+                Err(MachineError::FuelExhausted { limit }) => assert_eq!(limit, short, "{what}"),
+                other => panic!("{what}: one step short must exhaust the fuel, got {other:?}"),
             }
         }
-        lo
-    };
-    let vm = boundary(Engine::Vm);
-    let tree = boundary(Engine::TreeWalk);
-    assert_eq!(vm, tree, "engines disagree on the exact fuel-exhaustion step");
+    }
+}
+
+/// A DOALL whose trip count passes the analytic pre-check but whose
+/// inner loops overrun the budget terminates with `FuelExhausted` on
+/// threads: at 2 a lane's own count runs out mid-lane, at 8 every lane
+/// stays within the budget and the total settled at the join does not.
+#[test]
+fn inner_loop_overrunning_the_budget_is_fuel_exhausted_on_threads() {
+    use polaris_machine::Schedule;
+    let src = "program overrun\n\
+               real a(8)\n\
+               !$polaris doall private(J)\n\
+               do i = 1, 8\n\
+               \x20 do j = 1, 100\n\
+               \x20   a(i) = a(i) + 1.0\n\
+               \x20 end do\n\
+               end do\n\
+               print *, a(1)\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    for procs in [2, 8] {
+        let cfg = MachineConfig::threaded(procs, Schedule::Static).with_fuel(500);
+        match polaris_machine::run(&program, &cfg) {
+            Err(MachineError::FuelExhausted { limit: 500 }) => {}
+            other => panic!("{procs} threads: expected FuelExhausted, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -225,8 +304,8 @@ fn mid_loop_cancellation_is_cancelled_class_and_leaks_no_state() {
     }
 }
 
-/// Cancellation is checked in threaded workers too (the shared step
-/// counter path), under both engines.
+/// Cancellation is checked in threaded lanes too (every lane reads the
+/// token at each of its own steps), under both engines.
 #[test]
 fn cancellation_reaches_threaded_workers_in_both_engines() {
     use polaris_machine::Schedule;
