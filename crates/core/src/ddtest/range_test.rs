@@ -25,7 +25,8 @@
 use super::DdStats;
 use polaris_symbolic::bounds::{min_max_over, sign};
 use polaris_symbolic::poly::{Atom, Poly};
-use polaris_symbolic::{RangeEnv, Range};
+use polaris_symbolic::{Range, RangeEnv};
+use std::cell::OnceCell;
 
 /// A loop that encloses a reference inside the tested loop.
 #[derive(Debug, Clone)]
@@ -56,37 +57,106 @@ pub struct RefSpec {
     pub inner: Vec<InnerLoop>,
 }
 
-/// Access range of one subscript dimension after eliminating the
-/// reference's inner loops: `(min(i), max(i))` with the tested variable
-/// (and outer symbols) left symbolic.
-fn dim_range(
-    r: &RefSpec,
-    dim: usize,
-    env: &RangeEnv,
-) -> (Option<Poly>, Option<Poly>) {
-    let mut env = env.clone();
-    for il in &r.inner {
-        env.set_fresh(il.var.clone(), il.value_range());
+/// `(min, max)`, either of which elimination may fail to establish.
+type Span = (Option<Poly>, Option<Poly>);
+
+/// The loop under test and the facts valid inside it.
+struct Tested<'a> {
+    var: &'a str,
+    step: i64,
+    /// The tested loop's own bounds, for when it is eliminated like an
+    /// inner loop (a whole-loop footprint, a permutation's demotion).
+    self_loop: &'a InnerLoop,
+    env: &'a RangeEnv,
+}
+
+/// What one reference reaches at the tested loop. Every part depends on
+/// this reference alone — not on what it is paired with — and is
+/// computed when a pair first asks for it, then kept: a reference in `n`
+/// pairs has its inner loops eliminated once, not `n` times.
+struct Reach<'a> {
+    subs: &'a [Poly],
+    /// The inner loops innermost-first (the elimination order), in an
+    /// environment that has them in scope.
+    inner_atoms: Vec<Atom>,
+    inner_env: RangeEnv,
+    /// The same with the tested loop itself demoted to an inner loop.
+    whole_atoms: Vec<Atom>,
+    whole_env: RangeEnv,
+    dims: Vec<DimReach>,
+}
+
+/// One subscript dimension of a [`Reach`].
+#[derive(Default)]
+struct DimReach {
+    /// Access range in one iteration: the tested variable (and outer
+    /// symbols) left symbolic.
+    iter: OnceCell<Span>,
+    /// Footprint over every iteration of the tested loop.
+    whole: OnceCell<Span>,
+    /// `iter`'s ends one executed iteration later.
+    next_min: OnceCell<Option<Poly>>,
+    next_max: OnceCell<Option<Poly>>,
+    /// Is `min` non-decreasing, `max` non-increasing, in execution order?
+    min_rises: OnceCell<bool>,
+    max_falls: OnceCell<bool>,
+}
+
+impl<'a> Reach<'a> {
+    fn new(t: &Tested<'_>, subs: &'a [Poly], inner: &[&InnerLoop]) -> Reach<'a> {
+        let mut inner_env = t.env.clone();
+        for il in inner {
+            inner_env.set_fresh(&il.var, il.value_range());
+        }
+        let mut whole_env = inner_env.clone();
+        whole_env.set_fresh(&t.self_loop.var, t.self_loop.value_range());
+        // Eliminate innermost-first.
+        let inner_atoms: Vec<Atom> = inner.iter().rev().map(|il| Atom::var(&*il.var)).collect();
+        let whole_atoms =
+            std::iter::once(Atom::var(&*t.self_loop.var)).chain(inner_atoms.iter().cloned()).collect();
+        let dims = subs.iter().map(|_| DimReach::default()).collect();
+        Reach { subs, inner_atoms, inner_env, whole_atoms, whole_env, dims }
     }
-    // Eliminate innermost-first.
-    let atoms: Vec<Atom> =
-        r.inner.iter().rev().map(|il| Atom::var(il.var.clone())).collect();
-    min_max_over(&r.subs[dim], &atoms, &env)
-}
 
-/// Is `p(i + step) - p(i)` provably `>= 0` (monotone non-decreasing in
-/// execution order)?
-fn nondecr_exec(p: &Poly, var: &str, step: i64, env: &RangeEnv) -> bool {
-    step_diff(p, var, step).map(|d| sign(&d, env).is_nonneg()).unwrap_or(false)
-}
+    fn iter(&self, dim: usize) -> &Span {
+        self.dims[dim]
+            .iter
+            .get_or_init(|| min_max_over(&self.subs[dim], &self.inner_atoms, &self.inner_env))
+    }
 
-fn nonincr_exec(p: &Poly, var: &str, step: i64, env: &RangeEnv) -> bool {
-    step_diff(p, var, step).map(|d| sign(&d, env).is_nonpos()).unwrap_or(false)
-}
+    fn whole(&self, dim: usize) -> &Span {
+        self.dims[dim]
+            .whole
+            .get_or_init(|| min_max_over(&self.subs[dim], &self.whole_atoms, &self.whole_env))
+    }
 
-fn step_diff(p: &Poly, var: &str, step: i64) -> Option<Poly> {
-    let next = Poly::var(var).checked_add(&Poly::int(step as i128))?;
-    p.subst_var(var, &next)?.checked_sub(p)
+    fn next_min(&self, dim: usize, t: &Tested<'_>) -> Option<&Poly> {
+        let next = || at_next(self.iter(dim).0.as_ref()?, t.var, t.step);
+        self.dims[dim].next_min.get_or_init(next).as_ref()
+    }
+
+    fn next_max(&self, dim: usize, t: &Tested<'_>) -> Option<&Poly> {
+        let next = || at_next(self.iter(dim).1.as_ref()?, t.var, t.step);
+        self.dims[dim].next_max.get_or_init(next).as_ref()
+    }
+
+    /// Is `min(i + step) - min(i)` provably `>= 0` (monotone
+    /// non-decreasing in execution order)?
+    fn min_rises(&self, dim: usize, t: &Tested<'_>) -> bool {
+        let rises = || {
+            let diff = self.next_min(dim, t)?.checked_sub(self.iter(dim).0.as_ref()?)?;
+            Some(sign(&diff, t.env).is_nonneg())
+        };
+        *self.dims[dim].min_rises.get_or_init(|| rises().unwrap_or(false))
+    }
+
+    fn max_falls(&self, dim: usize, t: &Tested<'_>) -> bool {
+        let falls = || {
+            let diff = self.next_max(dim, t)?.checked_sub(self.iter(dim).1.as_ref()?)?;
+            Some(sign(&diff, t.env).is_nonpos())
+        };
+        *self.dims[dim].max_falls.get_or_init(|| falls().unwrap_or(false))
+    }
 }
 
 fn at_next(p: &Poly, var: &str, step: i64) -> Option<Poly> {
@@ -94,67 +164,72 @@ fn at_next(p: &Poly, var: &str, step: i64) -> Option<Poly> {
     p.subst_var(var, &next)
 }
 
-/// Direct range test for one dimension: either the two references'
-/// *total* ranges over the whole tested loop are disjoint, or
-/// consecutive executed iterations' ranges are separated with endpoints
-/// moving monotonically.
-fn dim_independent(
-    f: &RefSpec,
-    g: &RefSpec,
-    dim: usize,
-    var: &str,
-    step: i64,
-    self_loop: &InnerLoop,
-    env: &RangeEnv,
-) -> bool {
-    let (fmin, fmax) = dim_range(f, dim, env);
-    let (gmin, gmax) = dim_range(g, dim, env);
-    let (Some(fmin), Some(fmax), Some(gmin), Some(gmax)) = (fmin, fmax, gmin, gmax) else {
-        return false;
-    };
-    let lt = |a: &Poly, b: &Poly| match b.checked_sub(a) {
-        Some(d) => sign(&d, env).is_pos(),
-        None => false,
-    };
-    // Total disjointness: if f's whole footprint over every iteration of
-    // the tested loop lies strictly beside g's, no pair of iterations
-    // can conflict (this is what separates OCEAN's two references, whose
-    // constant offset exceeds the tested loop's whole span).
-    {
-        let total = |r: &RefSpec| -> (Option<Poly>, Option<Poly>) {
-            let mut wide = r.clone();
-            wide.inner.push(self_loop.clone());
-            dim_range(&wide, dim, env)
+impl Tested<'_> {
+    /// The direct range test, any dimension suffices.
+    fn independent(&self, f: &Reach<'_>, g: &Reach<'_>) -> bool {
+        (0..f.subs.len()).any(|dim| self.dim_independent(f, g, dim))
+    }
+
+    /// The direct test of `f` and `g` as enclosed by the loops `inner`
+    /// picks for each; one [`Reach`] serves both sides of an `(f, f)` pair.
+    fn independent_within<'r>(
+        &self,
+        f: &'r RefSpec,
+        g: &'r RefSpec,
+        inner: impl Fn(&'r RefSpec) -> Vec<&'r InnerLoop>,
+    ) -> bool {
+        let fr = Reach::new(self, &f.subs, &inner(f));
+        if std::ptr::eq(f, g) {
+            return self.independent(&fr, &fr);
+        }
+        self.independent(&fr, &Reach::new(self, &g.subs, &inner(g)))
+    }
+
+    /// Direct range test for one dimension: either the two references'
+    /// *total* ranges over the whole tested loop are disjoint, or
+    /// consecutive executed iterations' ranges are separated with endpoints
+    /// moving monotonically.
+    fn dim_independent(&self, f: &Reach<'_>, g: &Reach<'_>, dim: usize) -> bool {
+        let ((Some(fmin), Some(fmax)), (Some(gmin), Some(gmax))) = (f.iter(dim), g.iter(dim)) else {
+            return false;
         };
-        if let ((Some(ftl), Some(fth)), (Some(gtl), Some(gth))) = (total(f), total(g)) {
-            if lt(&fth, &gtl) || lt(&gth, &ftl) {
+        let lt = |a: &Poly, b: &Poly| match b.checked_sub(a) {
+            Some(d) => sign(&d, self.env).is_pos(),
+            None => false,
+        };
+        // Total disjointness: if f's whole footprint over every iteration of
+        // the tested loop lies strictly beside g's, no pair of iterations
+        // can conflict (this is what separates OCEAN's two references, whose
+        // constant offset exceeds the tested loop's whole span).
+        if let ((Some(ftl), Some(fth)), (Some(gtl), Some(gth))) = (f.whole(dim), g.whole(dim)) {
+            if lt(fth, gtl) || lt(gth, ftl) {
                 return true;
             }
         }
+        // Ascending in execution order: each iteration's range lies strictly
+        // below the next iteration's.
+        let asc = || -> Option<bool> {
+            Some(
+                lt(fmax, g.next_min(dim, self)?)
+                    && lt(gmax, f.next_min(dim, self)?)
+                    && g.min_rises(dim, self)
+                    && f.min_rises(dim, self),
+            )
+        };
+        // Descending: each iteration's range lies strictly above the next's.
+        let desc = || -> Option<bool> {
+            Some(
+                lt(g.next_max(dim, self)?, fmin)
+                    && lt(f.next_max(dim, self)?, gmin)
+                    && g.max_falls(dim, self)
+                    && f.max_falls(dim, self),
+            )
+        };
+        asc().unwrap_or(false) || desc().unwrap_or(false)
     }
-    // Ascending in execution order: each iteration's range lies strictly
-    // below the next iteration's.
-    let asc = || -> Option<bool> {
-        Some(
-            lt(&fmax, &at_next(&gmin, var, step)?)
-                && lt(&gmax, &at_next(&fmin, var, step)?)
-                && nondecr_exec(&gmin, var, step, env)
-                && nondecr_exec(&fmin, var, step, env),
-        )
-    };
-    // Descending: each iteration's range lies strictly above the next's.
-    let desc = || -> Option<bool> {
-        Some(
-            lt(&at_next(&gmax, var, step)?, &fmin)
-                && lt(&at_next(&fmax, var, step)?, &gmin)
-                && nonincr_exec(&gmax, var, step, env)
-                && nonincr_exec(&fmax, var, step, env),
-        )
-    };
-    asc().unwrap_or(false) || desc().unwrap_or(false)
 }
 
-/// The full range test for a pair of references at the tested loop.
+/// The range test at one tested loop, for any number of reference pairs.
 ///
 /// * `var`/`step` — the tested loop's index and (constant) step,
 /// * `self_loop` — the tested loop's own bounds (needed when a
@@ -164,8 +239,87 @@ fn dim_independent(
 /// * `allow_permutation` — whether to attempt the §3.3.1 permutation
 ///   step on failure.
 ///
-/// Returns `true` iff the pair provably carries **no** dependence at the
-/// tested loop.
+/// It keeps what it derived about each reference it has seen (by
+/// identity: pass the same `&RefSpec` again and nothing is eliminated
+/// twice), so its answers are those of [`no_carried_dependence`] pair by
+/// pair, at a cost linear in the references. Whoever builds one owns
+/// what it holds: the compiler's and the verifier's are never shared.
+pub struct LoopTest<'a> {
+    tested: Tested<'a>,
+    stats: &'a DdStats,
+    allow_permutation: bool,
+    seen: Vec<(&'a RefSpec, Reach<'a>)>,
+}
+
+impl<'a> LoopTest<'a> {
+    pub fn new(
+        var: &'a str,
+        step: i64,
+        self_loop: &'a InnerLoop,
+        env: &'a RangeEnv,
+        stats: &'a DdStats,
+        allow_permutation: bool,
+    ) -> LoopTest<'a> {
+        let tested = Tested { var, step, self_loop, env };
+        LoopTest { tested, stats, allow_permutation, seen: Vec::new() }
+    }
+
+    fn reach(&mut self, r: &'a RefSpec) -> usize {
+        match self.seen.iter().position(|(known, _)| std::ptr::eq(*known, r)) {
+            Some(at) => at,
+            None => {
+                let inner: Vec<&InnerLoop> = r.inner.iter().collect();
+                self.seen.push((r, Reach::new(&self.tested, &r.subs, &inner)));
+                self.seen.len() - 1
+            }
+        }
+    }
+
+    /// `true` iff the pair provably carries **no** dependence at the
+    /// tested loop.
+    pub fn no_carried_dependence(&mut self, f: &'a RefSpec, g: &'a RefSpec) -> bool {
+        debug_assert_eq!(f.subs.len(), g.subs.len(), "rank mismatch");
+        let Tested { var, step, self_loop, env } = self.tested;
+        if step == 0 {
+            return false;
+        }
+        self.stats.range_probes.set(self.stats.range_probes.get() + 1);
+        let (fi, gi) = (self.reach(f), self.reach(g));
+        if self.tested.independent(&self.seen[fi].1, &self.seen[gi].1) {
+            return true;
+        }
+        if !self.allow_permutation {
+            return false;
+        }
+        // Permutation: hoist a common inner loop J above the tested loop.
+        for pivot in f.inner.iter().map(|il| &*il.var) {
+            let Some(gj) = g.inner.iter().find(|il| il.var == pivot) else { continue };
+            let fj = f.inner.iter().find(|il| il.var == pivot).expect("pivot is one of f's loops");
+            if fj.step != gj.step {
+                continue;
+            }
+            let mut pivot_env = env.clone(); // pointers, not bounds
+            pivot_env.set_fresh(pivot, fj.value_range());
+            let others = |r: &'a RefSpec| r.inner.iter().filter(move |il| il.var != pivot);
+            // (a) J carries nothing: demote the tested loop to inner.
+            let at_pivot = Tested { var: pivot, step: fj.step, self_loop: fj, env: &pivot_env };
+            let demoted = |r| std::iter::once(self_loop).chain(others(r)).collect();
+            if !at_pivot.independent_within(f, g, demoted) {
+                continue;
+            }
+            // (b) the tested loop carries nothing for each fixed J.
+            let at_fixed_pivot = Tested { var, step, self_loop, env: &pivot_env };
+            if at_fixed_pivot.independent_within(f, g, |r| others(r).collect()) {
+                self.stats.permutations_used.set(self.stats.permutations_used.get() + 1);
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The full range test for one pair of references at the tested loop: a
+/// [`LoopTest`] (see there for the arguments) asked one question.
 #[allow(clippy::too_many_arguments)]
 pub fn no_carried_dependence(
     f: &RefSpec,
@@ -177,71 +331,7 @@ pub fn no_carried_dependence(
     stats: &DdStats,
     allow_permutation: bool,
 ) -> bool {
-    debug_assert_eq!(f.subs.len(), g.subs.len(), "rank mismatch");
-    if step == 0 {
-        return false;
-    }
-    stats.range_probes.set(stats.range_probes.get() + 1);
-    // Direct test, any dimension suffices.
-    for dim in 0..f.subs.len() {
-        if dim_independent(f, g, dim, var, step, self_loop, env) {
-            return true;
-        }
-    }
-    if !allow_permutation {
-        return false;
-    }
-    // Permutation: hoist a common inner loop J above the tested loop.
-    let pivots: Vec<String> = f
-        .inner
-        .iter()
-        .filter(|il| g.inner.iter().any(|jl| jl.var == il.var))
-        .map(|il| il.var.clone())
-        .collect();
-    for pivot in pivots {
-        let fj = f.inner.iter().find(|il| il.var == pivot).unwrap().clone();
-        let gj = g.inner.iter().find(|il| il.var == pivot).unwrap().clone();
-        if fj.step != gj.step {
-            continue;
-        }
-        // (a) J carries nothing: demote the tested loop to inner.
-        let demote = |r: &RefSpec, j: &InnerLoop| RefSpec {
-            subs: r.subs.clone(),
-            inner: std::iter::once(self_loop.clone())
-                .chain(r.inner.iter().filter(|il| il.var != j.var).cloned())
-                .collect(),
-        };
-        let fa = demote(f, &fj);
-        let ga = demote(g, &gj);
-        let mut env_a = env.clone();
-        env_a.set_fresh(pivot.clone(), fj.value_range());
-        let mut ok_a = false;
-        for dim in 0..f.subs.len() {
-            if dim_independent(&fa, &ga, dim, &pivot, fj.step, &fj, &env_a) {
-                ok_a = true;
-                break;
-            }
-        }
-        if !ok_a {
-            continue;
-        }
-        // (b) the tested loop carries nothing for each fixed J.
-        let strip = |r: &RefSpec, j: &InnerLoop| RefSpec {
-            subs: r.subs.clone(),
-            inner: r.inner.iter().filter(|il| il.var != j.var).cloned().collect(),
-        };
-        let fb = strip(f, &fj);
-        let gb = strip(g, &gj);
-        let mut env_b = env.clone();
-        env_b.set_fresh(pivot.clone(), fj.value_range());
-        for dim in 0..f.subs.len() {
-            if dim_independent(&fb, &gb, dim, var, step, self_loop, &env_b) {
-                stats.permutations_used.set(stats.permutations_used.get() + 1);
-                return true;
-            }
-        }
-    }
-    false
+    LoopTest::new(var, step, self_loop, env, stats, allow_permutation).no_carried_dependence(f, g)
 }
 
 #[cfg(test)]

@@ -422,6 +422,10 @@ fn pairs_independent(
         Some(sl) => sl,
         None => return false,
     };
+    // One range test for the loop: a reference in several pairs has its
+    // inner loops eliminated once.
+    let mut range_test =
+        range_test::LoopTest::new(&d.var, step, &self_loop, env, stats, opts.permutation);
     for (i, w) in refs.iter().enumerate() {
         if !w.is_write {
             continue;
@@ -430,7 +434,7 @@ fn pairs_independent(
             if j < i && o.is_write {
                 continue; // (w2, w1) already tested as (w1, w2)
             }
-            if !pair_independent(d, w, o, step, &self_loop, env, opts, stats) {
+            if !pair_independent(d, w, o, step, &mut range_test, opts, stats) {
                 return false;
             }
         }
@@ -447,14 +451,12 @@ fn loop_as_inner(d: &DoLoop, step: i64) -> Option<range_test::InnerLoop> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn pair_independent(
+fn pair_independent<'a>(
     d: &DoLoop,
-    f: &Ref,
-    g: &Ref,
+    f: &'a Ref,
+    g: &'a Ref,
     step: i64,
-    self_loop: &range_test::InnerLoop,
-    env: &RangeEnv,
+    range_test: &mut range_test::LoopTest<'a>,
     opts: &PassOptions,
     stats: &DdStats,
 ) -> bool {
@@ -471,16 +473,7 @@ fn pair_independent(
         return false;
     };
     if opts.range_test {
-        if range_test::no_carried_dependence(
-            fr,
-            gr,
-            &d.var,
-            step,
-            self_loop,
-            env,
-            stats,
-            opts.permutation,
-        ) {
+        if range_test.no_carried_dependence(fr, gr) {
             bump(&stats.range_proved);
             return true;
         }

@@ -2,6 +2,7 @@
 
 use crate::expr::Expr;
 use crate::types::DataType;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// One dimension of an array declaration: `lo:hi` (F-Mini default `1:hi`).
@@ -200,6 +201,16 @@ pub struct SymbolTable {
     map: BTreeMap<String, Symbol>,
 }
 
+/// The key `name` is stored under: upper-cased, and borrowed when it
+/// already is — as every name is once the parser has seen it.
+fn key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_lowercase()) {
+        Cow::Owned(name.to_ascii_uppercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
 impl SymbolTable {
     pub fn new() -> SymbolTable {
         SymbolTable::default()
@@ -207,16 +218,16 @@ impl SymbolTable {
 
     /// Insert or replace a symbol (name is upper-cased).
     pub fn insert(&mut self, mut sym: Symbol) {
-        sym.name = sym.name.to_ascii_uppercase();
+        sym.name.make_ascii_uppercase();
         self.map.insert(sym.name.clone(), sym);
     }
 
     pub fn get(&self, name: &str) -> Option<&Symbol> {
-        self.map.get(&name.to_ascii_uppercase())
+        self.map.get(&*key(name))
     }
 
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Symbol> {
-        self.map.get_mut(&name.to_ascii_uppercase())
+        self.map.get_mut(&*key(name))
     }
 
     pub fn contains(&self, name: &str) -> bool {
@@ -224,7 +235,7 @@ impl SymbolTable {
     }
 
     pub fn remove(&mut self, name: &str) -> Option<Symbol> {
-        self.map.remove(&name.to_ascii_uppercase())
+        self.map.remove(&*key(name))
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &Symbol> {
@@ -290,6 +301,23 @@ mod tests {
         assert!(t.contains("FOO"));
         assert!(t.contains("foo"));
         assert_eq!(t.get("Foo").unwrap().name, "FOO");
+    }
+
+    #[test]
+    fn every_lookup_takes_either_case() {
+        let mut t = SymbolTable::new();
+        t.insert(Symbol::scalar("bar", DataType::Integer));
+        t.insert(Symbol::scalar("BAZ_1", DataType::Real));
+        for name in ["bar", "Bar", "BAR", "baz_1", "BAZ_1"] {
+            assert!(t.contains(name), "{name}");
+            assert_eq!(t.get(name).unwrap().name, name.to_ascii_uppercase());
+            t.get_mut(name).unwrap().is_arg = true;
+        }
+        assert!(t.iter().all(|s| s.is_arg));
+        assert!(!t.contains("ba") && t.get_mut("BARR").is_none());
+        assert_eq!(t.remove("bAr").unwrap().name, "BAR");
+        assert_eq!(t.remove("BAZ_1").unwrap().name, "BAZ_1");
+        assert!(t.is_empty() && t.remove("BAR").is_none());
     }
 
     #[test]

@@ -169,17 +169,24 @@ pub fn prove_lt(a: &Poly, b: &Poly, env: &RangeEnv) -> bool {
 /// Eliminate every rangeable atom of `p`: opaque atoms with known ranges
 /// first, then ranged variables innermost-first.
 fn eliminate_all(p: &Poly, env: &RangeEnv, dir: Dir, depth: u32) -> Option<Poly> {
-    let mut atoms: Vec<Atom> = Vec::new();
-    for atom in p.atoms() {
-        if matches!(atom, Atom::Opaque { .. }) && !env.atom_range(&atom).is_unknown() {
-            atoms.push(atom);
+    let mut opaques: Vec<&Atom> = p
+        .atom_refs()
+        .filter(|a| matches!(a, Atom::Opaque { .. }) && !env.atom_range(a).is_unknown())
+        .collect();
+    opaques.sort();
+    opaques.dedup();
+    let mut cur = p.clone();
+    for atom in opaques {
+        cur = eliminate_step(cur, atom, env, dir, depth)?;
+    }
+    // Innermost (latest-declared) variables first. Most of the
+    // environment is not in `cur` at all, in the open or hidden.
+    for var in env.order().rev() {
+        if cur.mentions_var(var) {
+            cur = eliminate_step(cur, &Atom::Var(var.to_string()), env, dir, depth)?;
         }
     }
-    // Innermost (latest-declared) variables first.
-    for var in env.order().iter().rev() {
-        atoms.push(Atom::var(var.clone()));
-    }
-    eliminate_listed(p, &atoms, env, dir, depth)
+    Some(cur)
 }
 
 /// Eliminate the listed atoms in order; each must disappear (or be
@@ -193,26 +200,32 @@ fn eliminate_listed(
 ) -> Option<Poly> {
     let mut cur = p.clone();
     for atom in atoms {
-        cur = eliminate_one(&cur, atom, env, dir, depth)?;
-        // A variable may still hide inside an opaque atom — that would
-        // make the "bound" depend on the eliminated variable. Reject.
-        if let Atom::Var(v) = atom {
-            if cur.mentions_var(v) {
-                return None;
-            }
-        }
+        cur = eliminate_step(cur, atom, env, dir, depth)?;
     }
     Some(cur)
 }
 
-/// Eliminate one atom from `p`, replacing it by its range bound in the
-/// requested direction.
-fn eliminate_one(p: &Poly, atom: &Atom, env: &RangeEnv, dir: Dir, depth: u32) -> Option<Poly> {
-    if p.degree_in_atom(atom) == 0 {
-        // Not present at top level; may still hide inside opaques — the
-        // caller checks for variables.
-        return Some(p.clone());
+/// One step of an elimination: `cur` with `atom` bounded away, or `cur`
+/// itself when it does not have the atom.
+fn eliminate_step(cur: Poly, atom: &Atom, env: &RangeEnv, dir: Dir, depth: u32) -> Option<Poly> {
+    let next = if cur.degree_in_atom(atom) == 0 {
+        cur
+    } else {
+        eliminate_one(&cur, atom, env, dir, depth)?
+    };
+    // A variable may still hide inside an opaque atom — that would
+    // make the "bound" depend on the eliminated variable. Reject.
+    if let Atom::Var(v) = atom {
+        if next.mentions_var(v) {
+            return None;
+        }
     }
+    Some(next)
+}
+
+/// Eliminate one atom that `p` has at top level, replacing it by its
+/// range bound in the requested direction.
+fn eliminate_one(p: &Poly, atom: &Atom, env: &RangeEnv, dir: Dir, depth: u32) -> Option<Poly> {
     if depth == 0 || !spend_fuel() {
         return None;
     }
@@ -288,8 +301,8 @@ fn eliminate_one(p: &Poly, atom: &Atom, env: &RangeEnv, dir: Dir, depth: u32) ->
         (Dir::Min, s) if s.is_nonpos() => true,
         _ => return None,
     };
-    let bound = if want_hi { range.hi.clone()? } else { range.lo.clone()? };
-    parts[0].checked_add(&coeff.checked_mul(&bound)?)
+    let bound = if want_hi { range.hi.as_ref()? } else { range.lo.as_ref()? };
+    parts[0].checked_add(&coeff.checked_mul(bound)?)
 }
 
 /// Is `p` monotonically non-decreasing in `var` under `env`? (§3.3.1's

@@ -10,21 +10,32 @@
 //! the well-founded order that makes the recursion in [`crate::bounds`]
 //! terminate.
 
-use crate::poly::{Atom, DivPolicy, Poly};
+use crate::poly::{upper, Atom, DivPolicy, Poly};
 use crate::range::Range;
 use polaris_ir::expr::{BinOp, Expr};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Symbolic variable ranges, ordered for elimination.
+///
+/// Names and ranges sit behind `Arc`s, so a clone copies pointers and
+/// never a bound: a temporary extension (a reference's inner loops, one
+/// arm of an `IF`) is a clone that is extended and dropped, and the
+/// environment it was cloned from is untouched.
 #[derive(Debug, Clone, Default)]
 pub struct RangeEnv {
-    ranges: BTreeMap<String, Range>,
-    /// Elimination priority: eliminate from the back (inner scopes first).
-    order: Vec<String>,
+    /// `(name, range)` of each scalar, names upper-case and distinct, in
+    /// elimination priority: eliminate from the back (inner scopes first).
+    scalars: Vec<(Arc<str>, Arc<Range>)>,
     /// Ranges for the *values stored in* whole arrays, registered by
     /// idiom recognizers (e.g. the BDNA compaction idiom proves
     /// `IND(1:P) ∈ [1, I-1]`). Keyed by array name.
-    array_values: BTreeMap<String, Range>,
+    array_values: BTreeMap<Arc<str>, Arc<Range>>,
+}
+
+fn bound_mentions(r: &Range, var: &str) -> bool {
+    [&r.lo, &r.hi].into_iter().flatten().any(|p| p.mentions_var(var))
 }
 
 impl RangeEnv {
@@ -32,40 +43,39 @@ impl RangeEnv {
         RangeEnv::default()
     }
 
-    /// Set (or refine) the range of a scalar variable.
-    pub fn set(&mut self, var: impl Into<String>, range: Range) {
-        let var = var.into().to_ascii_uppercase();
-        match self.ranges.get(&var) {
-            Some(existing) => {
-                let refined = existing.refine(&range);
-                self.ranges.insert(var, refined);
-            }
-            None => {
-                self.order.push(var.clone());
-                self.ranges.insert(var, range);
-            }
+    /// Store `make(the current range)` for `var`, last in the elimination
+    /// order when the variable is new.
+    fn put(&mut self, var: &str, make: impl FnOnce(Option<&Range>) -> Range) {
+        let var = upper(var);
+        match self.scalars.iter_mut().find(|(n, _)| **n == *var) {
+            Some((_, slot)) => *slot = Arc::new(make(Some(slot))),
+            None => self.scalars.push((Arc::from(&*var), Arc::new(make(None)))),
         }
+    }
+
+    /// Set (or refine) the range of a scalar variable.
+    pub fn set(&mut self, var: impl AsRef<str>, range: Range) {
+        self.put(var.as_ref(), |known| match known {
+            Some(existing) => existing.refine(&range),
+            None => range,
+        });
     }
 
     /// Replace a variable's range outright (used when entering a new
     /// scope for the same name, e.g. a reused loop index).
-    pub fn set_fresh(&mut self, var: impl Into<String>, range: Range) {
-        let var = var.into().to_ascii_uppercase();
-        if !self.ranges.contains_key(&var) {
-            self.order.push(var.clone());
-        }
-        self.ranges.insert(var, range);
+    pub fn set_fresh(&mut self, var: impl AsRef<str>, range: Range) {
+        self.put(var.as_ref(), |_| range);
     }
 
     pub fn get(&self, var: &str) -> Option<&Range> {
-        self.ranges.get(&var.to_ascii_uppercase())
+        let var = upper(var);
+        self.scalars.iter().find(|(n, _)| **n == *var).map(|(_, r)| &**r)
     }
 
     /// Remove a variable (leaving a loop's scope).
     pub fn remove(&mut self, var: &str) {
-        let var = var.to_ascii_uppercase();
-        self.ranges.remove(&var);
-        self.order.retain(|v| v != &var);
+        let var = upper(var);
+        self.scalars.retain(|(n, _)| **n != *var);
     }
 
     /// Kill every fact that becomes stale when `var` is reassigned: the
@@ -73,35 +83,19 @@ impl RangeEnv {
     /// registered array-value range mentioning it. This is what makes the
     /// flow-sensitive range propagation of `polaris-core` sound.
     pub fn invalidate(&mut self, var: &str) {
-        let var = var.to_ascii_uppercase();
-        let stale: Vec<String> = self
-            .ranges
-            .iter()
-            .filter(|(name, r)| {
-                *name == &var
-                    || r.lo.as_ref().map(|p| p.mentions_var(&var)).unwrap_or(false)
-                    || r.hi.as_ref().map(|p| p.mentions_var(&var)).unwrap_or(false)
-            })
-            .map(|(name, _)| name.clone())
-            .collect();
-        for name in stale {
-            self.remove(&name);
-        }
-        self.array_values.retain(|name, r| {
-            name != &var
-                && !r.lo.as_ref().map(|p| p.mentions_var(&var)).unwrap_or(false)
-                && !r.hi.as_ref().map(|p| p.mentions_var(&var)).unwrap_or(false)
-        });
+        let var = upper(var);
+        self.scalars.retain(|(n, r)| **n != *var && !bound_mentions(r, &var));
+        self.array_values.retain(|n, r| **n != *var && !bound_mentions(r, &var));
     }
 
     /// Elimination order, innermost (latest) last.
-    pub fn order(&self) -> &[String] {
-        &self.order
+    pub fn order(&self) -> impl DoubleEndedIterator<Item = &str> {
+        self.scalars.iter().map(|(n, _)| &**n)
     }
 
     /// Register value bounds for the elements of `array`.
-    pub fn set_array_values(&mut self, array: impl Into<String>, range: Range) {
-        self.array_values.insert(array.into().to_ascii_uppercase(), range);
+    pub fn set_array_values(&mut self, array: impl AsRef<str>, range: Range) {
+        self.array_values.insert(Arc::from(&*upper(array.as_ref())), Arc::new(range));
     }
 
     /// Assume `lo <= var <= hi` from a `DO var = lo, hi` header with
@@ -196,20 +190,23 @@ impl RangeEnv {
     /// `MOD(x, c)` with positive constant `c` is `[0, c-1]`; an array
     /// reference uses registered whole-array value bounds; anything else
     /// is unknown.
-    pub fn atom_range(&self, atom: &Atom) -> Range {
+    pub fn atom_range(&self, atom: &Atom) -> Cow<'_, Range> {
+        fn known(r: Option<&Range>) -> Cow<'_, Range> {
+            r.map_or(Cow::Owned(Range::unknown()), Cow::Borrowed)
+        }
         match atom {
-            Atom::Var(n) => self.get(n).cloned().unwrap_or_default(),
+            Atom::Var(n) => known(self.get(n)),
             Atom::Opaque { expr, .. } => match expr.as_ref() {
                 Expr::Call { name, args } if name == "MOD" && args.len() == 2 => {
                     match args[1].simplified().as_int() {
-                        Some(c) if c > 0 => Range::consts(0, (c - 1) as i128),
-                        _ => Range::unknown(),
+                        Some(c) if c > 0 => Cow::Owned(Range::consts(0, (c - 1) as i128)),
+                        _ => Cow::Owned(Range::unknown()),
                     }
                 }
                 Expr::Index { array, .. } => {
-                    self.array_values.get(array).cloned().unwrap_or_default()
+                    known(self.array_values.get(array.as_str()).map(|r| &**r))
                 }
-                _ => Range::unknown(),
+                _ => Cow::Owned(Range::unknown()),
             },
         }
     }
@@ -226,7 +223,7 @@ mod tests {
         let r = env.get("I").unwrap();
         assert_eq!(r.lo, Some(Poly::int(1)));
         assert_eq!(r.hi, Some(Poly::var("N")));
-        assert_eq!(env.order(), &["I".to_string()]);
+        assert_eq!(env.order().collect::<Vec<_>>(), ["I"]);
     }
 
     #[test]
@@ -272,7 +269,7 @@ mod tests {
         let mut env = RangeEnv::new();
         env.set_array_values("IND", Range::consts(1, 99));
         let atom = Atom::opaque(Expr::index("IND", vec![Expr::var("L")]));
-        assert_eq!(env.atom_range(&atom), Range::consts(1, 99));
+        assert_eq!(*env.atom_range(&atom), Range::consts(1, 99));
         // unrelated array unknown
         let other = Atom::opaque(Expr::index("FOO", vec![Expr::var("L")]));
         assert!(env.atom_range(&other).is_unknown());
@@ -284,7 +281,72 @@ mod tests {
         env.assume_loop("I", &Expr::int(1), &Expr::int(10));
         env.assume_loop("J", &Expr::int(1), &Expr::var("I"));
         env.remove("J");
-        assert_eq!(env.order(), &["I".to_string()]);
+        assert_eq!(env.order().collect::<Vec<_>>(), ["I"]);
         assert!(env.get("J").is_none());
+    }
+
+    fn nest() -> RangeEnv {
+        let mut env = RangeEnv::new();
+        env.set("N", Range::at_least(Poly::int(1)));
+        env.assume_loop("I", &Expr::int(1), &Expr::var("N"));
+        env.assume_loop("J", &Expr::int(1), &Expr::var("I"));
+        env.set_array_values("IND", Range::new(Some(Poly::int(1)), Some(Poly::var("I"))));
+        env
+    }
+
+    fn ind() -> Atom {
+        Atom::opaque(Expr::index("IND", vec![Expr::var("L")]))
+    }
+
+    #[test]
+    fn a_clone_is_a_layer_that_shares_every_bound() {
+        let base = nest();
+        let mut layer = base.clone();
+        // Nothing was copied: the layer's ranges are the base's.
+        for v in ["N", "I", "J"] {
+            assert!(std::ptr::eq(base.get(v).unwrap(), layer.get(v).unwrap()));
+        }
+        assert!(std::ptr::eq(&*base.atom_range(&ind()), &*layer.atom_range(&ind())));
+        // Facts set in the layer — new, replaced or refined — stay in it.
+        layer.set_fresh("K", Range::consts(0, 7));
+        layer.set_fresh("J", Range::consts(2, 3));
+        layer.set("N", Range::at_most(Poly::int(100)));
+        assert_eq!(layer.order().collect::<Vec<_>>(), ["N", "I", "J", "K"]);
+        assert_eq!(layer.get("N").unwrap().hi, Some(Poly::int(100)));
+        drop(layer);
+        assert_eq!(base.order().collect::<Vec<_>>(), ["N", "I", "J"]);
+        assert!(base.get("K").is_none());
+        assert_eq!(base.get("J").unwrap().hi, Some(Poly::var("I")));
+        assert_eq!(base.get("N").unwrap().hi, None);
+    }
+
+    #[test]
+    fn invalidate_through_a_layer_hides_base_facts_in_the_layer_only() {
+        let base = nest();
+        let mut layer = base.clone();
+        layer.invalidate("i");
+        // What a deep copy, invalidated, would hold: I itself, J (bounded
+        // by I) and IND's values (bounded by I) are gone, N stays.
+        assert_eq!(layer.order().collect::<Vec<_>>(), ["N"]);
+        assert!(layer.get("I").is_none() && layer.get("J").is_none());
+        assert!(layer.atom_range(&ind()).is_unknown());
+        assert_eq!(layer.get("N"), base.get("N"));
+        // The base still sees all of it, in its order.
+        assert_eq!(base.order().collect::<Vec<_>>(), ["N", "I", "J"]);
+        assert_eq!(base.get("J").unwrap().hi, Some(Poly::var("I")));
+        assert_eq!(*base.atom_range(&ind()), Range::new(Some(Poly::int(1)), Some(Poly::var("I"))));
+    }
+
+    #[test]
+    fn lookups_fold_case_only_when_they_must() {
+        let mut env = nest();
+        assert_eq!(env.get("j"), env.get("J"));
+        assert!(env.get("j").is_some());
+        env.set_fresh("k", Range::consts(0, 1));
+        assert_eq!(env.get("K"), Some(&Range::consts(0, 1)));
+        env.remove("k");
+        assert!(env.get("K").is_none());
+        env.remove("J");
+        assert_eq!(env.order().collect::<Vec<_>>(), ["N", "I"]);
     }
 }

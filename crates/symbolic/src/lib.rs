@@ -14,6 +14,26 @@
 //!   maximum of the difference of the two expressions" and monotonicity
 //!   via forward differences ([`bounds`]).
 //!
+//! ## Representation: flat, ordered by name, shared not copied
+//!
+//! A [`poly::Poly`] is one vector of `(monomial, coefficient)` sorted by
+//! monomial, a monomial one vector of `(atom, power)` sorted by atom —
+//! no map per polynomial, no map per monomial. The order is the order of
+//! upper-cased *names* (variables before opaque atoms, opaques by their
+//! printed form) because [`poly::Poly::to_expr`] emits terms in it and
+//! restructured subscripts are printed from there: it is pinned by every
+//! file under `tests/golden/`, which is also why atoms are not interned
+//! to numbers. Arithmetic pushes raw terms into one buffer and
+//! normalises once (see the `poly` module docs); `None` on overflow,
+//! never a partial sum.
+//!
+//! A [`env::RangeEnv`] keeps its names and ranges behind `Arc`s in one
+//! vector in elimination order, so cloning one — to extend it with a
+//! reference's inner loops, or to walk one arm of an `IF` — copies
+//! pointers and never a bound. [`bounds`] eliminates an atom only where
+//! the polynomial has it; the per-query fuel and depth budgets are spent
+//! there and nowhere else.
+//!
 //! ## Exact-division convention
 //!
 //! Closed forms of induction variables contain exact integer divisions

@@ -8,14 +8,88 @@
 //! equal, which is exactly the "structural equality" service the Polaris
 //! `Expression` class provided to its symbolic passes.
 //!
+//! ## The flat canonical form
+//!
+//! A polynomial is one `Vec<(Monomial, Rat)>` sorted by monomial, with
+//! no zero coefficient and no monomial twice; a monomial is one
+//! `Vec<(Atom, u32)>` sorted by atom, with no zero power and no atom
+//! twice. Two polynomials are equal iff their vectors are.
+//!
+//! **The order is by name and it is observable.** Atoms compare as
+//! variables before opaques, then by upper-cased name (or an opaque's
+//! printed key); monomials compare as their `(atom, power)` runs,
+//! lexicographically; and [`Poly::to_expr`] emits terms and factors in
+//! exactly that order. Restructured subscripts are printed through it,
+//! so the order reaches every snapshot under `tests/golden/` — which is
+//! why atoms are not interned to numbers here: an interner would have to
+//! reproduce name order anyway. `crates/symbolic/tests/canonical_form.rs`
+//! pins the printed forms.
+//!
+//! **Arithmetic builds, then normalises once.** `+` and `−` are one
+//! merge of two sorted runs; `×`, powers, substitution and the
+//! coefficient splits push raw terms into one buffer and
+//! `Poly::normalized` sorts it (stably, so equal monomials sum in the
+//! order they were produced) and folds neighbours. Nothing re-copies a
+//! partial result per term.
+//!
 //! All arithmetic is overflow-checked; `None` means "too big to reason
-//! about", which callers must treat as *unknown* (never as zero).
+//! about", which callers must treat as *unknown* (never as zero, never
+//! as a partial sum).
 
 use crate::rat::Rat;
 use polaris_ir::expr::{BinOp, Expr, UnOp};
 use polaris_ir::printer::format_expr;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::fmt;
+
+/// `name` upper-cased — borrowed when it already is, which is every name
+/// the analyses pass around after parsing.
+pub(crate) fn upper(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_lowercase()) {
+        Cow::Owned(name.to_ascii_uppercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+/// One merge of two runs sorted by distinct keys. A key in both runs
+/// gets `both(left, right)` — `Some(None)` drops it, `None` fails the
+/// whole merge — and a key in `b` alone gets `right(value)`.
+fn merge_sorted<K: Ord + Clone, V: Copy>(
+    a: &[(K, V)],
+    b: &[(K, V)],
+    both: impl Fn(V, V) -> Option<Option<V>>,
+    right: impl Fn(V) -> Option<V>,
+) -> Option<Vec<(K, V)>> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Ordering::Less => {
+                out.push(a[i].clone());
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push((b[j].0.clone(), right(b[j].1)?));
+                j += 1;
+            }
+            Ordering::Equal => {
+                if let Some(v) = both(a[i].1, b[j].1)? {
+                    out.push((a[i].0.clone(), v));
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    for (k, v) in &b[j..] {
+        out.push((k.clone(), right(*v)?));
+    }
+    Some(out)
+}
 
 /// How to treat integer division when converting an [`Expr`] to a
 /// [`Poly`]. See the crate docs for the soundness discussion.
@@ -40,7 +114,9 @@ pub enum Atom {
 
 impl Atom {
     pub fn var(name: impl Into<String>) -> Atom {
-        Atom::Var(name.into().to_ascii_uppercase())
+        let mut name = name.into();
+        name.make_ascii_uppercase();
+        Atom::Var(name)
     }
 
     pub fn opaque(expr: Expr) -> Atom {
@@ -54,6 +130,11 @@ impl Atom {
         }
     }
 
+    /// Is this the variable `var` (upper-case)?
+    fn is_var(&self, var: &str) -> bool {
+        matches!(self, Atom::Var(n) if n == var)
+    }
+
     /// The expression this atom denotes.
     pub fn to_expr(&self) -> Expr {
         match self {
@@ -65,8 +146,13 @@ impl Atom {
     /// Does the atom's expression reference `var` (for opaque atoms this
     /// looks inside the wrapped expression)?
     pub fn mentions_var(&self, var: &str) -> bool {
+        self.is_var(var) || self.hides_var(var)
+    }
+
+    /// Is this an opaque atom whose expression references `var`?
+    fn hides_var(&self, var: &str) -> bool {
         match self {
-            Atom::Var(n) => n == var,
+            Atom::Var(_) => false,
             Atom::Opaque { expr, .. } => expr.references_var(var) || expr.references(var),
         }
     }
@@ -79,19 +165,20 @@ impl PartialEq for Atom {
 }
 impl Eq for Atom {}
 impl PartialOrd for Atom {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for Atom {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.sort_key().cmp(&other.sort_key())
     }
 }
 
-/// A product of atoms raised to positive powers; the empty monomial is 1.
+/// A product of atoms raised to positive powers, as one run sorted by
+/// atom; the empty monomial is 1.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct Monomial(pub BTreeMap<Atom, u32>);
+pub struct Monomial(Vec<(Atom, u32)>);
 
 impl Monomial {
     pub fn one() -> Monomial {
@@ -99,44 +186,53 @@ impl Monomial {
     }
 
     pub fn var(name: impl Into<String>) -> Monomial {
-        let mut m = BTreeMap::new();
-        m.insert(Atom::var(name), 1);
-        Monomial(m)
+        Monomial(vec![(Atom::var(name), 1)])
     }
 
     pub fn is_one(&self) -> bool {
         self.0.is_empty()
     }
 
+    /// Power of the variable `var` (upper-case).
     pub fn degree_in(&self, var: &str) -> u32 {
-        self.0.get(&Atom::var(var)).copied().unwrap_or(0)
+        self.0.iter().find(|(a, _)| a.is_var(var)).map_or(0, |(_, p)| *p)
     }
 
+    fn degree_in_atom(&self, atom: &Atom) -> u32 {
+        self.0.iter().find(|(a, _)| a == atom).map_or(0, |(_, p)| *p)
+    }
+
+    /// The product: one merge of the two runs, powers of a shared atom added.
     fn mul(&self, other: &Monomial) -> Monomial {
-        let mut out = self.0.clone();
-        for (a, p) in &other.0 {
-            *out.entry(a.clone()).or_insert(0) += p;
-        }
-        Monomial(out)
+        let factors = merge_sorted(&self.0, &other.0, |p, q| Some(Some(p + q)), Some);
+        Monomial(factors.expect("a monomial product drops nothing and cannot fail"))
     }
 
-    /// Remove `var^pow` from the monomial.
-    fn without_var(&self, var: &str) -> Monomial {
-        let mut out = self.0.clone();
-        out.remove(&Atom::var(var));
-        Monomial(out)
+    /// `(power of the chosen factor, the monomial without it)`; the
+    /// monomial itself at power 0 when no factor is chosen.
+    fn split(&self, chosen: impl Fn(&Atom) -> bool) -> (u32, Monomial) {
+        match self.0.iter().position(|(a, _)| chosen(a)) {
+            None => (0, self.clone()),
+            Some(at) => {
+                let mut rest = Vec::with_capacity(self.0.len() - 1);
+                rest.extend_from_slice(&self.0[..at]);
+                rest.extend_from_slice(&self.0[at + 1..]);
+                (self.0[at].1, Monomial(rest))
+            }
+        }
     }
 
     /// Any atom (including opaque internals) mentioning `var`?
     pub fn mentions_var(&self, var: &str) -> bool {
-        self.0.keys().any(|a| a.mentions_var(var))
+        self.0.iter().any(|(a, _)| a.mentions_var(var))
     }
 }
 
-/// A canonical sum of monomials. The zero polynomial has no terms.
+/// A canonical sum of monomials: terms sorted by monomial, none zero,
+/// none repeated. The zero polynomial has no terms.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Poly {
-    terms: BTreeMap<Monomial, Rat>,
+    terms: Vec<(Monomial, Rat)>,
 }
 
 impl Poly {
@@ -147,11 +243,11 @@ impl Poly {
     }
 
     pub fn constant(c: Rat) -> Poly {
-        let mut terms = BTreeMap::new();
-        if !c.is_zero() {
-            terms.insert(Monomial::one(), c);
+        if c.is_zero() {
+            Poly::zero()
+        } else {
+            Poly { terms: vec![(Monomial::one(), c)] }
         }
-        Poly { terms }
     }
 
     pub fn int(v: i128) -> Poly {
@@ -159,16 +255,41 @@ impl Poly {
     }
 
     pub fn var(name: impl Into<String>) -> Poly {
-        let mut terms = BTreeMap::new();
-        terms.insert(Monomial::var(name), Rat::ONE);
-        Poly { terms }
+        Poly { terms: vec![(Monomial::var(name), Rat::ONE)] }
     }
 
     pub fn opaque(expr: Expr) -> Poly {
-        let mut m = BTreeMap::new();
-        m.insert(Atom::opaque(expr), 1);
-        let mut terms = BTreeMap::new();
-        terms.insert(Monomial(m), Rat::ONE);
+        Poly { terms: vec![(Monomial(vec![(Atom::opaque(expr), 1)]), Rat::ONE)] }
+    }
+
+    /// Canonical form of raw terms in any order, with repeats: one stable
+    /// sort, then equal monomials (now neighbours) are summed in the
+    /// order they were produced and zero sums dropped.
+    fn normalized(mut terms: Vec<(Monomial, Rat)>) -> Option<Poly> {
+        terms.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut overflow = false;
+        terms.dedup_by(|later, kept| {
+            if later.0 != kept.0 {
+                return false;
+            }
+            match kept.1.checked_add(later.1) {
+                Some(sum) => kept.1 = sum,
+                None => overflow = true,
+            }
+            true
+        });
+        if overflow {
+            return None;
+        }
+        terms.retain(|(_, c)| !c.is_zero());
+        Some(Poly { terms })
+    }
+
+    /// Canonical form of nonzero terms whose monomials are all distinct:
+    /// a sort, and no arithmetic that could fail.
+    fn from_distinct(mut terms: Vec<(Monomial, Rat)>) -> Poly {
+        terms.sort_by(|a, b| a.0.cmp(&b.0));
+        debug_assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "repeated monomial");
         Poly { terms }
     }
 
@@ -180,53 +301,44 @@ impl Poly {
 
     /// The constant value if the polynomial has no variable part.
     pub fn as_constant(&self) -> Option<Rat> {
-        match self.terms.len() {
-            0 => Some(Rat::ZERO),
-            1 => {
-                let (m, c) = self.terms.iter().next().unwrap();
-                if m.is_one() {
-                    Some(*c)
-                } else {
-                    None
-                }
-            }
+        match self.terms.as_slice() {
+            [] => Some(Rat::ZERO),
+            [(m, c)] if m.is_one() => Some(*c),
             _ => None,
         }
     }
 
     pub fn terms(&self) -> impl Iterator<Item = (&Monomial, &Rat)> {
-        self.terms.iter()
+        self.terms.iter().map(|(m, c)| (m, c))
+    }
+
+    /// Every atom occurrence, term by term (with repeats).
+    pub(crate) fn atom_refs(&self) -> impl Iterator<Item = &Atom> {
+        self.terms.iter().flat_map(|(m, _)| m.0.iter().map(|(a, _)| a))
     }
 
     /// All scalar-variable atoms appearing at top level.
     pub fn vars(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for m in self.terms.keys() {
-            for a in m.0.keys() {
-                if let Atom::Var(n) = a {
-                    out.insert(n.clone());
-                }
-            }
-        }
-        out
+        let name = |a: &Atom| if let Atom::Var(n) = a { Some(n.clone()) } else { None };
+        self.atom_refs().filter_map(name).collect()
     }
 
     /// All atoms (variables and opaques).
     pub fn atoms(&self) -> BTreeSet<Atom> {
-        self.terms.keys().flat_map(|m| m.0.keys().cloned()).collect()
+        self.atom_refs().cloned().collect()
     }
 
     /// Does any term mention `var`, either as a top-level atom or inside
     /// an opaque expression?
     pub fn mentions_var(&self, var: &str) -> bool {
-        let var = var.to_ascii_uppercase();
-        self.terms.keys().any(|m| m.mentions_var(&var))
+        let var = upper(var);
+        self.atom_refs().any(|a| a.mentions_var(&var))
     }
 
     /// Highest power of `var` as a top-level atom.
     pub fn degree_in(&self, var: &str) -> u32 {
-        let var = var.to_ascii_uppercase();
-        self.terms.keys().map(|m| m.degree_in(&var)).max().unwrap_or(0)
+        let var = upper(var);
+        self.terms.iter().map(|(m, _)| m.degree_in(&var)).max().unwrap_or(0)
     }
 
     /// Is `self / c` an integer for *every* integer assignment of this
@@ -247,7 +359,7 @@ impl Poly {
         let c = c.abs();
         // lcm of coefficient denominators.
         let mut d: i128 = 1;
-        for coeff in self.terms.values() {
+        for (_, coeff) in &self.terms {
             let g = crate::rat::gcd(d, coeff.den());
             match (d / g).checked_mul(coeff.den()) {
                 Some(v) => d = v,
@@ -313,70 +425,55 @@ impl Poly {
     /// Does the polynomial contain opaque atoms mentioning `var`? Such
     /// occurrences cannot be reasoned about by substitution.
     pub fn var_hidden_in_opaque(&self, var: &str) -> bool {
-        let var = var.to_ascii_uppercase();
-        self.terms.keys().any(|m| {
-            m.0.keys()
-                .any(|a| matches!(a, Atom::Opaque { .. }) && a.mentions_var(&var))
-        })
+        let var = upper(var);
+        self.atom_refs().any(|a| a.hides_var(&var))
     }
 
     // ----- arithmetic -------------------------------------------------------
 
     pub fn checked_add(&self, other: &Poly) -> Option<Poly> {
-        let mut out = self.terms.clone();
-        for (m, c) in &other.terms {
-            match out.get(m) {
-                Some(prev) => {
-                    let sum = prev.checked_add(*c)?;
-                    if sum.is_zero() {
-                        out.remove(m);
-                    } else {
-                        out.insert(m.clone(), sum);
-                    }
-                }
-                None => {
-                    out.insert(m.clone(), *c);
-                }
-            }
-        }
-        Some(Poly { terms: out })
+        self.merged(other, Some)
     }
 
     pub fn checked_sub(&self, other: &Poly) -> Option<Poly> {
-        self.checked_add(&other.checked_neg()?)
+        self.merged(other, Rat::checked_neg)
+    }
+
+    /// `self + Σ sign(c)·m` over `other`'s terms: one merge of the two
+    /// sorted runs.
+    fn merged(&self, other: &Poly, sign: impl Fn(Rat) -> Option<Rat>) -> Option<Poly> {
+        let sum = |c: Rat, d: Rat| Some(Some(c.checked_add(sign(d)?)?).filter(|s| !s.is_zero()));
+        Some(Poly { terms: merge_sorted(&self.terms, &other.terms, sum, &sign)? })
     }
 
     pub fn checked_neg(&self) -> Option<Poly> {
-        let mut out = BTreeMap::new();
+        self.map_coeffs(Rat::checked_neg)
+    }
+
+    /// The same monomials under new nonzero coefficients.
+    fn map_coeffs(&self, f: impl Fn(Rat) -> Option<Rat>) -> Option<Poly> {
+        let mut terms = Vec::with_capacity(self.terms.len());
         for (m, c) in &self.terms {
-            out.insert(m.clone(), c.checked_neg()?);
+            terms.push((m.clone(), f(*c)?));
         }
-        Some(Poly { terms: out })
+        Some(Poly { terms })
     }
 
     pub fn checked_mul(&self, other: &Poly) -> Option<Poly> {
-        let mut out = Poly::zero();
+        let mut raw = Vec::with_capacity(self.terms.len() * other.terms.len());
         for (ma, ca) in &self.terms {
             for (mb, cb) in &other.terms {
-                let m = ma.mul(mb);
-                let c = ca.checked_mul(*cb)?;
-                let mut t = BTreeMap::new();
-                t.insert(m, c);
-                out = out.checked_add(&Poly { terms: t })?;
+                raw.push((ma.mul(mb), ca.checked_mul(*cb)?));
             }
         }
-        Some(out)
+        Poly::normalized(raw)
     }
 
     pub fn checked_scale(&self, k: Rat) -> Option<Poly> {
         if k.is_zero() {
             return Some(Poly::zero());
         }
-        let mut out = BTreeMap::new();
-        for (m, c) in &self.terms {
-            out.insert(m.clone(), c.checked_mul(k)?);
-        }
-        Some(Poly { terms: out })
+        self.map_coeffs(|c| c.checked_mul(k))
     }
 
     pub fn checked_pow(&self, exp: u32) -> Option<Poly> {
@@ -393,48 +490,71 @@ impl Poly {
     /// `None` on arithmetic overflow or if `var` is hidden inside an
     /// opaque atom (substitution there would be unsound to skip).
     pub fn subst_var(&self, var: &str, value: &Poly) -> Option<Poly> {
-        let var = var.to_ascii_uppercase();
+        let var = upper(var);
         if self.var_hidden_in_opaque(&var) {
             return None;
         }
-        let mut out = Poly::zero();
-        for (m, c) in &self.terms {
-            let pow = m.degree_in(&var);
-            let rest = m.without_var(&var);
-            let mut term = Poly { terms: BTreeMap::from([(rest, *c)]) };
-            if pow > 0 {
-                term = term.checked_mul(&value.checked_pow(pow)?)?;
-            }
-            out = out.checked_add(&term)?;
+        // powers[k] = value^(k+1), each computed once.
+        let mut powers: Vec<Poly> = Vec::new();
+        for _ in 0..self.degree_in(&var) {
+            let next = match powers.last() {
+                None => value.clone(),
+                Some(top) => top.checked_mul(value)?,
+            };
+            powers.push(next);
         }
-        Some(out)
+        let mut raw = Vec::with_capacity(self.terms.len());
+        for (m, c) in &self.terms {
+            let (pow, rest) = m.split(|a| a.is_var(&var));
+            if pow == 0 {
+                raw.push((rest, *c));
+                continue;
+            }
+            for (vm, vc) in &powers[pow as usize - 1].terms {
+                raw.push((rest.mul(vm), c.checked_mul(*vc)?));
+            }
+        }
+        Poly::normalized(raw)
     }
 
     /// Forward difference `p[var := var+1] - p` — the monotonicity probe
-    /// of the range test (§3.3.1).
+    /// of the range test (§3.3.1). Term by term:
+    /// `c·r·((v+1)^k − v^k) = c·r·Σ_{j<k} C(k,j)·v^j`, so a term without
+    /// `var` contributes nothing and nothing is built to be cancelled.
     pub fn forward_diff(&self, var: &str) -> Option<Poly> {
-        let vp1 = Poly::var(var).checked_add(&Poly::int(1))?;
-        let shifted = self.subst_var(var, &vp1)?;
-        shifted.checked_sub(self)
+        let var = upper(var);
+        if self.var_hidden_in_opaque(&var) {
+            return None;
+        }
+        let mut raw = Vec::new();
+        for (m, c) in &self.terms {
+            let Some(at) = m.0.iter().position(|(a, _)| a.is_var(&var)) else { continue };
+            let k = m.0[at].1;
+            let mut binomial: i128 = 1; // C(k, 0)
+            for j in 0..k {
+                let mut lower = m.clone();
+                if j == 0 {
+                    lower.0.remove(at);
+                } else {
+                    lower.0[at].1 = j;
+                }
+                raw.push((lower, c.checked_mul(Rat::int(binomial))?));
+                // C(k, j+1) = C(k, j)·(k−j)/(j+1), exactly.
+                binomial = binomial.checked_mul((k - j) as i128)? / (j as i128 + 1);
+            }
+        }
+        Poly::normalized(raw)
     }
 
     /// Split into `(coefficient polynomials by power of var, rest)`:
     /// `p = Σ_k coeff[k] * var^k`. Entry 0 is the var-free part. Returns
     /// `None` if `var` hides inside an opaque atom.
     pub fn by_powers_of(&self, var: &str) -> Option<Vec<Poly>> {
-        let var = var.to_ascii_uppercase();
+        let var = upper(var);
         if self.var_hidden_in_opaque(&var) {
             return None;
         }
-        let deg = self.degree_in(&var) as usize;
-        let mut out = vec![Poly::zero(); deg + 1];
-        for (m, c) in &self.terms {
-            let pow = m.degree_in(&var) as usize;
-            let rest = m.without_var(&var);
-            let add = Poly { terms: BTreeMap::from([(rest, *c)]) };
-            out[pow] = out[pow].checked_add(&add)?;
-        }
-        Some(out)
+        Some(self.coefficients_of(|a| a.is_var(&var)))
     }
 
     /// Split into coefficient polynomials by power of an arbitrary
@@ -444,28 +564,30 @@ impl Poly {
     /// hidden inside a *different* opaque atom is fine here because the
     /// caller is eliminating the atom itself, not the variable.)
     pub fn by_powers_of_atom(&self, atom: &Atom) -> Vec<Poly> {
-        let deg = self
-            .terms
-            .keys()
-            .map(|m| m.0.get(atom).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0) as usize;
-        let mut out = vec![Poly::zero(); deg + 1];
+        self.coefficients_of(|a| a == atom)
+    }
+
+    /// `coeff[k]` with `self = Σ_k coeff[k] * chosen^k`. A bucket is
+    /// filled by push and never summed: two terms with the same power of
+    /// the chosen atom differ in what remains, so no coefficient
+    /// arithmetic happens here and none can overflow.
+    fn coefficients_of(&self, chosen: impl Fn(&Atom) -> bool) -> Vec<Poly> {
+        let mut buckets: Vec<Vec<(Monomial, Rat)>> = vec![Vec::new()];
         for (m, c) in &self.terms {
-            let pow = m.0.get(atom).copied().unwrap_or(0) as usize;
-            let mut rest = m.0.clone();
-            rest.remove(atom);
-            let add = Poly { terms: BTreeMap::from([(Monomial(rest), *c)]) };
-            // coefficients stay small here; treat overflow as impossible
-            // by saturating to the original term on failure
-            out[pow] = out[pow].checked_add(&add).unwrap_or_else(|| add.clone());
+            let (pow, rest) = m.split(&chosen);
+            if buckets.len() <= pow as usize {
+                buckets.resize_with(pow as usize + 1, Vec::new);
+            }
+            buckets[pow as usize].push((rest, *c));
         }
-        out
+        // Dropping a factor can reorder what remains (`I*J` sorts before
+        // `J`, their `J`-coefficients `I` and `1` the other way round).
+        buckets.into_iter().map(Poly::from_distinct).collect()
     }
 
     /// Highest power of `atom` in any term.
     pub fn degree_in_atom(&self, atom: &Atom) -> u32 {
-        self.terms.keys().map(|m| m.0.get(atom).copied().unwrap_or(0)).max().unwrap_or(0)
+        self.terms.iter().map(|(m, _)| m.degree_in_atom(atom)).max().unwrap_or(0)
     }
 
     /// Linear decomposition over `vars`: `p = rest + Σ coeff_i * vars_i`
@@ -475,52 +597,37 @@ impl Poly {
     /// (Banerjee/GCD) tests the paper contrasts the range test against.
     pub fn linear_in(&self, vars: &[String]) -> Option<(Poly, Vec<Rat>)> {
         let mut coeffs = vec![Rat::ZERO; vars.len()];
-        let mut rest = Poly::zero();
+        // A subsequence of `self.terms`, so already canonical.
+        let mut rest = Vec::new();
         for (m, c) in &self.terms {
             // Which of the vars appear in this monomial?
             let mut hit: Option<usize> = None;
-            let mut bad = false;
             for (i, v) in vars.iter().enumerate() {
-                let d = m.degree_in(v);
-                if d > 1 {
-                    bad = true;
+                let v = upper(v);
+                let d = m.degree_in(&v);
+                // Nonlinear, a product of two of the vars, or a var
+                // hidden inside an opaque atom of this monomial.
+                if d > 1 || (d == 1 && hit.is_some()) || m.0.iter().any(|(a, _)| a.hides_var(&v)) {
+                    return None;
                 }
-                if d >= 1 {
-                    if hit.is_some() || d > 1 {
-                        bad = true;
-                    } else {
-                        hit = Some(i);
-                    }
+                if d == 1 {
+                    hit = Some(i);
                 }
-                // var hidden inside opaque atom of this monomial?
-                if m.0.keys().any(|a| matches!(a, Atom::Opaque { .. }) && a.mentions_var(v)) {
-                    bad = true;
-                }
-            }
-            if bad {
-                return None;
             }
             match hit {
-                Some(i) => {
-                    // coefficient must be constant: monomial minus var must be 1
-                    let stripped = m.without_var(&vars[i]);
-                    if !stripped.is_one() {
-                        return None;
-                    }
-                    coeffs[i] = coeffs[i].checked_add(*c)?;
-                }
-                None => {
-                    let add = Poly { terms: BTreeMap::from([(m.clone(), *c)]) };
-                    rest = rest.checked_add(&add)?;
-                }
+                // The coefficient must be constant: the monomial is the
+                // var, and a canonical form has that monomial once.
+                Some(_) if m.0.len() != 1 => return None,
+                Some(i) => coeffs[i] = *c,
+                None => rest.push((m.clone(), *c)),
             }
         }
-        Some((rest, coeffs))
+        Some((Poly { terms: rest }, coeffs))
     }
 
     /// Evaluate with an assignment of rationals to variables; opaque
     /// atoms make evaluation fail. (Test oracle.)
-    pub fn eval(&self, env: &BTreeMap<String, Rat>) -> Option<Rat> {
+    pub fn eval(&self, env: &std::collections::BTreeMap<String, Rat>) -> Option<Rat> {
         let mut total = Rat::ZERO;
         for (m, c) in &self.terms {
             let mut acc = *c;
@@ -602,7 +709,7 @@ impl Poly {
         }
         // Common denominator.
         let mut den: i128 = 1;
-        for c in self.terms.values() {
+        for (_, c) in &self.terms {
             let g = crate::rat::gcd(den, c.den());
             den = den / g * c.den();
         }
@@ -666,6 +773,7 @@ impl fmt::Display for Poly {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn p(src: &str) -> Poly {
         let full = format!("program t\nx = {src}\nend\n");
@@ -838,7 +946,169 @@ mod tests {
         assert!(!f.mentions_var("J"));
     }
 
+    // ----- the flat form: invariant, ring laws, evaluation -----------------
+
+    /// Sorted strictly by monomial (so none repeats), no zero coefficient;
+    /// every monomial sorted strictly by atom, no zero power.
+    fn assert_canonical(q: &Poly) {
+        assert!(q.terms.windows(2).all(|w| w[0].0 < w[1].0), "terms out of order: {q:?}");
+        for (m, c) in &q.terms {
+            assert!(!c.is_zero(), "zero coefficient: {q:?}");
+            assert!(m.0.windows(2).all(|w| w[0].0 < w[1].0), "factors out of order: {q:?}");
+            assert!(m.0.iter().all(|(_, pow)| *pow > 0), "zero power: {q:?}");
+        }
+    }
+
+    fn opaque_atom() -> Atom {
+        Atom::opaque(Expr::index("Z", vec![Expr::var("K")]))
+    }
+
+    /// A polynomial in I, J, N and the opaque `Z(K)`: up to five terms of
+    /// total degree at most 3, coefficients `num/den`.
+    fn arb_poly() -> impl Strategy<Value = Poly> {
+        let term = (-6i128..7, 1i128..4, 0u32..4, 0u32..3, 0u32..2, 0u32..2);
+        proptest::collection::vec(term, 0..6).prop_map(|terms| {
+            let mut raw = Vec::new();
+            for (num, den, pi, pj, pn, pz) in terms {
+                let factors = [(Atom::var("I"), pi), (Atom::var("J"), pj), (Atom::var("N"), pn), (opaque_atom(), pz)];
+                let kept: Vec<_> = factors.into_iter().filter(|(_, pow)| *pow > 0).collect();
+                if kept.iter().map(|(_, pow)| pow).sum::<u32>() <= 3 {
+                    raw.push((Monomial(kept), Rat::new(num, den).unwrap()));
+                }
+            }
+            Poly::normalized(raw).unwrap()
+        })
+    }
+
+    /// A point: values for I, J, N and for the opaque atom.
+    fn arb_point() -> impl Strategy<Value = [Rat; 4]> {
+        (-4i128..5, -4i128..5, -4i128..5, -4i128..5)
+            .prop_map(|(i, j, n, z)| [Rat::int(i), Rat::int(j), Rat::int(n), Rat::int(z)])
+    }
+
+    /// [`Poly::eval`] with a value for the opaque atom too.
+    fn eval_at_point(q: &Poly, at: &[Rat; 4]) -> Rat {
+        let mut total = Rat::ZERO;
+        for (m, c) in &q.terms {
+            let mut acc = *c;
+            for (a, pow) in &m.0 {
+                let base = match a {
+                    Atom::Var(n) => at[["I", "J", "N"].iter().position(|v| v == n).unwrap()],
+                    Atom::Opaque { .. } => at[3],
+                };
+                acc = acc.checked_mul(base.checked_pow(*pow).unwrap()).unwrap();
+            }
+            total = total.checked_add(acc).unwrap();
+        }
+        total
+    }
+
+    #[test]
+    fn coefficient_buckets_are_re_sorted() {
+        // `I*J` sorts before `J`, their J-coefficients `I` and `1` do not.
+        let parts = p("i*j + j + 2").by_powers_of("J").unwrap();
+        assert_eq!(parts, vec![p("2"), p("1 + i")]);
+        parts.iter().for_each(assert_canonical);
+    }
+
+    #[test]
+    fn overflow_is_none_never_a_partial_sum() {
+        let max = Poly::int(i128::MAX);
+        let i_max = Poly::var("I").checked_scale(Rat::int(i128::MAX)).unwrap();
+        // add: the J terms could be summed, the I terms cannot — no result.
+        let a = i_max.checked_add(&Poly::var("J")).unwrap();
+        assert_eq!(a.checked_add(&p("i + j")), None);
+        assert_eq!(a.checked_sub(&p("j - i")), None);
+        assert_eq!(max.checked_add(&Poly::int(1)), None);
+        // negation of the one value without a negative
+        assert_eq!(Poly::int(i128::MIN).checked_neg(), None);
+        assert_eq!(Poly::zero().checked_sub(&Poly::int(i128::MIN)), None);
+        // mul: in a coefficient product, and in the fold of equal monomials
+        assert_eq!(i_max.checked_mul(&p("2*j")), None);
+        let half = Poly::var("I").checked_scale(Rat::int(i128::MAX / 2 + 1)).unwrap();
+        let both = half.checked_add(&Poly::var("J").checked_scale(Rat::int(i128::MAX / 2 + 1)).unwrap());
+        assert_eq!(both.unwrap().checked_mul(&p("i + j")), None, "the I*J coefficients sum past i128");
+        // pow, scale, subst
+        assert_eq!(Poly::int(1 << 100).checked_pow(2), None);
+        assert_eq!(p("i + 1").checked_scale(Rat::int(i128::MAX)).and_then(|q| q.checked_pow(2)), None);
+        assert_eq!(max.checked_scale(Rat::int(2)), None);
+        assert_eq!(i_max.subst_var("I", &p("2*j")), None);
+        assert_eq!(i_max.checked_add(&p("j")).unwrap().subst_var("I", &p("j + 1")), None);
+        assert_eq!(i_max.forward_diff("I"), Some(max));
+    }
+
     proptest! {
+        #[test]
+        fn prop_ring_laws_hold_in_canonical_form(a in arb_poly(), b in arb_poly(), c in arb_poly()) {
+            let add = |x: &Poly, y: &Poly| x.checked_add(y).unwrap();
+            let mul = |x: &Poly, y: &Poly| x.checked_mul(y).unwrap();
+            prop_assert_eq!(add(&a, &b), add(&b, &a));
+            prop_assert_eq!(add(&add(&a, &b), &c), add(&a, &add(&b, &c)));
+            prop_assert_eq!(mul(&a, &b), mul(&b, &a));
+            prop_assert_eq!(mul(&mul(&a, &b), &c), mul(&a, &mul(&b, &c)));
+            prop_assert_eq!(mul(&a, &add(&b, &c)), add(&mul(&a, &b), &mul(&a, &c)));
+            prop_assert_eq!(add(&a, &Poly::zero()), a.clone());
+            prop_assert_eq!(mul(&a, &Poly::int(1)), a.clone());
+            prop_assert_eq!(mul(&a, &Poly::zero()), Poly::zero());
+            prop_assert_eq!(a.checked_sub(&a).unwrap(), Poly::zero());
+            prop_assert_eq!(a.checked_sub(&b).unwrap(), add(&a, &b.checked_neg().unwrap()));
+            prop_assert_eq!(a.checked_pow(2).unwrap(), mul(&a, &a));
+            for q in [add(&a, &b), a.checked_sub(&b).unwrap(), mul(&a, &b), mul(&mul(&a, &b), &c)] {
+                assert_canonical(&q);
+            }
+        }
+
+        #[test]
+        fn prop_evaluation_is_a_homomorphism(a in arb_poly(), b in arb_poly(), at in arb_point()) {
+            let (va, vb) = (eval_at_point(&a, &at), eval_at_point(&b, &at));
+            prop_assert_eq!(eval_at_point(&a.checked_add(&b).unwrap(), &at), va.checked_add(vb).unwrap());
+            prop_assert_eq!(eval_at_point(&a.checked_sub(&b).unwrap(), &at), va.checked_sub(vb).unwrap());
+            prop_assert_eq!(eval_at_point(&a.checked_mul(&b).unwrap(), &at), va.checked_mul(vb).unwrap());
+            // a[I := b] at the point = a at the point with I := b's value there.
+            let substituted = a.subst_var("I", &b).unwrap();
+            assert_canonical(&substituted);
+            let moved = [vb, at[1], at[2], at[3]];
+            prop_assert_eq!(eval_at_point(&substituted, &at), eval_at_point(&a, &moved));
+            // Δ_I a at the point = a(I + 1) − a(I).
+            let diff = a.forward_diff("I").unwrap();
+            assert_canonical(&diff);
+            let stepped = [at[0].checked_add(Rat::ONE).unwrap(), at[1], at[2], at[3]];
+            prop_assert_eq!(eval_at_point(&diff, &at), eval_at_point(&a, &stepped).checked_sub(va).unwrap());
+        }
+
+        #[test]
+        fn prop_coefficient_splits_recompose(a in arb_poly()) {
+            let recomposed = |parts: &[Poly], base: &Poly| {
+                let mut sum = Poly::zero();
+                for (k, part) in parts.iter().enumerate() {
+                    parts[k..].iter().for_each(assert_canonical);
+                    let shifted = part.checked_mul(&base.checked_pow(k as u32).unwrap()).unwrap();
+                    sum = sum.checked_add(&shifted).unwrap();
+                }
+                sum
+            };
+            for v in ["I", "J", "N"] {
+                let parts = a.by_powers_of(v).unwrap();
+                prop_assert_eq!(parts.len() as u32, a.degree_in(v) + 1);
+                prop_assert!(parts.iter().all(|part| part.degree_in(v) == 0));
+                prop_assert_eq!(recomposed(&parts, &Poly::var(v)), a.clone());
+            }
+            let z = opaque_atom();
+            let parts = a.by_powers_of_atom(&z);
+            prop_assert_eq!(parts.len() as u32, a.degree_in_atom(&z) + 1);
+            prop_assert_eq!(recomposed(&parts, &Poly::opaque(z.to_expr())), a.clone());
+            // Linear decomposition, when it applies, recomposes too.
+            let vars = ["I".to_string(), "J".to_string()];
+            if let Some((rest, coeffs)) = a.linear_in(&vars) {
+                assert_canonical(&rest);
+                let mut sum = rest;
+                for (v, c) in vars.iter().zip(coeffs) {
+                    sum = sum.checked_add(&Poly::var(v.clone()).checked_scale(c).unwrap()).unwrap();
+                }
+                prop_assert_eq!(sum, a.clone());
+            }
+        }
+
         #[test]
         fn prop_add_is_commutative(a in -20i64..20, b in -20i64..20, c in -20i64..20, d in -20i64..20) {
             let x = Poly::var("I").checked_scale(Rat::int(a as i128)).unwrap()

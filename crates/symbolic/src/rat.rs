@@ -74,6 +74,11 @@ impl Rat {
     }
 
     pub fn checked_add(self, other: Rat) -> Option<Rat> {
+        if self.den == 1 && other.den == 1 {
+            // Integers — nearly every coefficient of a program
+            // polynomial — need no gcd: the sum is already normal.
+            return Some(Rat { num: self.num.checked_add(other.num)?, den: 1 });
+        }
         // a/b + c/d = (a*d + c*b) / (b*d), reduced via lcm to limit growth.
         let g = gcd(self.den, other.den).max(1);
         let lhs = self.num.checked_mul(other.den / g)?;
@@ -88,6 +93,9 @@ impl Rat {
     }
 
     pub fn checked_mul(self, other: Rat) -> Option<Rat> {
+        if self.den == 1 && other.den == 1 {
+            return Some(Rat { num: self.num.checked_mul(other.num)?, den: 1 });
+        }
         // Cross-reduce first to keep intermediates small.
         let g1 = gcd(self.num, other.den).max(1);
         let g2 = gcd(other.num, self.den).max(1);

@@ -28,7 +28,7 @@
 //! runtime oracle grades into precision misses (see
 //! [`crate::agreement`]).
 
-use polaris_core::ddtest::range_test::{no_carried_dependence, InnerLoop, RefSpec};
+use polaris_core::ddtest::range_test::{InnerLoop, LoopTest, RefSpec};
 use polaris_core::ddtest::DdStats;
 use polaris_core::idxprop::{self, PropAccess};
 use polaris_core::rangeprop::assume_loop_header;
@@ -537,6 +537,7 @@ fn all_pairs_disjoint(
     };
     let specs: Option<Vec<RefSpec>> = accesses.iter().map(|a| spec_of(a)).collect();
     let Some(specs) = specs else { return false };
+    let mut range_test = LoopTest::new(&var, step, &self_loop, env, &stats, true);
     for (i, a) in accesses.iter().enumerate() {
         for (j, b) in accesses.iter().enumerate() {
             if j < i || (!a.write && !b.write) {
@@ -545,9 +546,7 @@ fn all_pairs_disjoint(
             if specs[i].subs.len() != specs[j].subs.len() {
                 return false;
             }
-            if !no_carried_dependence(
-                &specs[i], &specs[j], &var, step, &self_loop, env, &stats, true,
-            ) {
+            if !range_test.no_carried_dependence(&specs[i], &specs[j]) {
                 return false;
             }
         }
