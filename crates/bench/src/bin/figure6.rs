@@ -11,21 +11,23 @@
 //! (T_seq + T_pdt)/T_seq — the price of speculating wrongly, which
 //! shrinks as processors are added because the test itself is parallel.
 //!
-//! A third section repeats the experiment with *real threads* through
-//! `polaris-runtime`'s LRPD implementation (wall-clock, machine-dependent).
+//! The right column of panel 1 is the real-thread PD curve: the same
+//! program through the machine's threaded backend, whose lanes mark
+//! their own shadows and commit only if the test passes (wall-clock,
+//! machine-dependent; the output is asserted equal to serial at every p).
 
 use polaris_bench::bar;
 use polaris_core::PassOptions;
 use polaris_machine::{run, run_serial, MachineConfig, Schedule};
-use std::time::Instant;
 
 fn main() {
     let track = polaris_benchmarks::track();
 
     println!("Figure 6 (simulated): TRACK NLFILT-style loop, 90% parallel invocations");
     println!();
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("Speedup vs processors (simulated cycles; right column: the same");
-    println!("program on the real-thread interpreter backend, wall-clock):");
+    println!("program, PD test included, on real threads — wall-clock, {cores} core(s)):");
     let serial = run_serial(&track.program()).unwrap();
     let mut pol = track.program();
     polaris_core::compile(&mut pol, &PassOptions::polaris()).unwrap();
@@ -33,9 +35,6 @@ fn main() {
         let r = run(&pol, &MachineConfig::challenge_8().with_procs(p)).unwrap();
         assert_eq!(r.output, serial.output);
         let s = serial.cycles as f64 / r.cycles as f64;
-        // Speculative loops stay on the simulated path even in threaded
-        // mode, so this measures the threaded backend on the DOALLs plus
-        // the interpreter around them.
         let rt = run(&pol, &MachineConfig::threaded(p, Schedule::Static)).unwrap();
         assert_eq!(rt.output, serial.output);
         println!(
@@ -81,72 +80,4 @@ fn main() {
         };
         println!("  p={p}  slowdown {slow:5.3}  |{}", bar((slow - 1.0).max(0.0), 0.5));
     }
-
-    println!();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!("Real threads (polaris-runtime LRPD, wall-clock, {cores} core(s) available):");
-    if cores == 1 {
-        println!("  NOTE: this host exposes a single CPU; thread counts above 1");
-        println!("  cannot speed anything up here. The numbers below measure the");
-        println!("  LRPD overhead curve; run on a multicore host for scaling.");
-    }
-    real_thread_section();
-}
-
-/// The NLFILT-style workload on the real threaded LRPD runtime:
-/// 10 invocations, one of which collides.
-fn real_thread_section() {
-    const N: usize = 1 << 15;
-    const INVOCATIONS: usize = 10;
-    let perm: Vec<usize> = (0..N).map(|i| (i * 77 + 13) % N).collect();
-    let collide: Vec<usize> = (0..N).map(|i| i / 2).collect();
-
-    // The per-iteration body does real work (a short filter pipeline),
-    // as NLFILT does — with a trivial body the shadow marking dominates
-    // and no speedup is possible at any processor count.
-    fn body_value(i: usize, inv: usize) -> f64 {
-        let mut x = i as f64 * 1.01 + inv as f64;
-        for _ in 0..40 {
-            x = x * 0.99 + (x * 0.5).sin() * 0.01;
-        }
-        x
-    }
-
-    // serial reference
-    let mut data = vec![0f64; N];
-    let t0 = Instant::now();
-    for inv in 0..INVOCATIONS {
-        let key = if inv == 9 { &collide } else { &perm };
-        for i in 0..N {
-            data[key[i]] = body_value(i, inv);
-        }
-    }
-    let t_seq = t0.elapsed();
-    std::hint::black_box(&data);
-
-    for p in [1usize, 2, 4, 8] {
-        let mut d = vec![0f64; N];
-        let t0 = Instant::now();
-        for inv in 0..INVOCATIONS {
-            let key: &[usize] = if inv == 9 { &collide } else { &perm };
-            let out = polaris_runtime::speculative_doall(&mut d, N, p, false, |i, v| {
-                v.write(key[i], body_value(i, inv));
-            });
-            if !out.success() {
-                polaris_runtime::run_sequential(&mut d, N, |i, v| {
-                    v.write(key[i], body_value(i, inv));
-                });
-            }
-        }
-        let t_par = t0.elapsed();
-        std::hint::black_box(&d);
-        println!(
-            "  p={p}  wall {:.1}ms vs serial {:.1}ms  speedup {:.2}",
-            t_par.as_secs_f64() * 1e3,
-            t_seq.as_secs_f64() * 1e3,
-            t_seq.as_secs_f64() / t_par.as_secs_f64()
-        );
-    }
-    println!("  (shadow marking makes the constant factor large; the paper's");
-    println!("   hand-tuned Fortran version has the same qualitative curve)");
 }

@@ -10,8 +10,8 @@
 //!   host-independent document, pinned by `tests/golden/figure7.json`),
 //! * `figure6` — PD-test speedup and potential slowdown vs processor
 //!   count for the TRACK/NLFILT partially parallel loop (simulated,
-//!   deterministic), plus a real-thread measurement via
-//!   `polaris-runtime`,
+//!   deterministic), plus the wall time of the same program, PD test
+//!   included, on the machine's real-thread backend,
 //! * `ablation` — the §3.3 claims: speedup collapse without the range
 //!   test / privatization / induction / run-time tests, the direction-
 //!   vector complexity comparison, and static-vs-dynamic scheduling.

@@ -15,6 +15,9 @@
 //! same `procs`, `schedule` and cost model, not merely close. So is the
 //! whole per-loop table: a lane runs the same iterations whoever runs it,
 //! and an invocation counts as parallel where the bill's guard says so.
+//! A `SPECULATIVE` loop's lanes mark shadows of their own and the join
+//! applies the PD test to them, so its verdict and its attempt (+
+//! re-execution) bill are the simulated machine's too.
 
 use polaris_benchmarks::{all, track, Benchmark};
 use polaris_core::{compile, PassOptions};
@@ -26,42 +29,55 @@ fn polaris_compiled(b: &Benchmark) -> polaris_ir::Program {
     p
 }
 
-/// Every kernel under `schedule` on 8 real threads: serial checksums,
-/// and the simulated machine's cycle count and per-loop table.
+/// The kernels whose hot scatter the compiler leaves to the run-time PD
+/// test: without them every `SPECULATIVE` row below would hold vacuously.
+const SPECULATING: [&str; 4] = ["BUCKET", "COMPACT", "TRACK", "WAVE5"];
+
+/// Every kernel under `schedule` on 2, 3 and 8 real threads: serial
+/// checksums, and the simulated machine's cycle count and per-loop table
+/// — `SPECULATIVE` loops included, which the lanes run and the join
+/// commits or throws away.
 fn assert_threaded_matches(schedule: Schedule) {
     for b in all().into_iter().chain([track()]) {
         let reference = run_serial(&b.program()).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let pol = polaris_compiled(&b);
-        let cfg = MachineConfig::threaded(8, schedule);
-        let threaded =
-            run(&pol, &cfg).unwrap_or_else(|e| panic!("{} ({schedule:?}): {e}", b.name));
-        assert_eq!(
-            reference.output, threaded.output,
-            "{}: threaded checksums diverge from serial under {schedule:?}",
-            b.name
-        );
-        let simulated = run(&pol, &MachineConfig { exec_mode: ExecMode::Simulated, ..cfg })
-            .unwrap_or_else(|e| panic!("{} (simulated {schedule:?}): {e}", b.name));
-        assert_eq!(
-            simulated.cycles, threaded.cycles,
-            "{}: threaded and simulated cycle bills differ under {schedule:?}",
-            b.name
-        );
-        let table = |r: &polaris_machine::RunResult| -> Vec<(String, [u64; 5])> {
-            r.loops
-                .iter()
-                .map(|(label, s)| {
-                    let row = [s.invocations, s.cycles, s.parallel_invocations, s.spec_success, s.spec_fail];
-                    (label.clone(), row)
-                })
-                .collect()
-        };
-        assert_eq!(
-            table(&simulated),
-            table(&threaded),
-            "{}: per-loop [invocations, cycles, parallel, spec ok, spec fail] differ under {schedule:?}",
-            b.name
-        );
+        for procs in [2, 3, 8] {
+            let cfg = MachineConfig::threaded(procs, schedule);
+            let threaded = run(&pol, &cfg)
+                .unwrap_or_else(|e| panic!("{} ({schedule:?} x {procs}): {e}", b.name));
+            assert_eq!(
+                reference.output, threaded.output,
+                "{}: threaded checksums diverge from serial under {schedule:?} x {procs}",
+                b.name
+            );
+            let simulated = run(&pol, &MachineConfig { exec_mode: ExecMode::Simulated, ..cfg })
+                .unwrap_or_else(|e| panic!("{} (simulated {schedule:?} x {procs}): {e}", b.name));
+            assert_eq!(
+                simulated.cycles, threaded.cycles,
+                "{}: threaded and simulated cycle bills differ under {schedule:?} x {procs}",
+                b.name
+            );
+            let table = |r: &polaris_machine::RunResult| -> Vec<(String, [u64; 5])> {
+                r.loops
+                    .iter()
+                    .map(|(label, s)| {
+                        let row = [s.invocations, s.cycles, s.parallel_invocations, s.spec_success, s.spec_fail];
+                        (label.clone(), row)
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                table(&simulated),
+                table(&threaded),
+                "{}: per-loop [invocations, cycles, parallel, spec ok, spec fail] differ under {schedule:?} x {procs}",
+                b.name
+            );
+            let pd_tests = threaded.loops.values().fold((0, 0), |(ok, no), s| (ok + s.spec_success, no + s.spec_fail));
+            assert_eq!(pd_tests != (0, 0), SPECULATING.contains(&b.name), "{}: PD tests {pd_tests:?}", b.name);
+            if b.name == "TRACK" {
+                assert_eq!(pd_tests, (9, 1), "TRACK: nine permutations, one collision");
+            }
+        }
     }
 }
 

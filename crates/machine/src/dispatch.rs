@@ -7,7 +7,7 @@
 
 use crate::cost::Schedule;
 use crate::exec::Interp;
-use crate::lower::{RPar, RRef};
+use crate::lower::{RLoop, RPar, RRef};
 
 /// The iteration space of one loop invocation, as arithmetic: bounds are
 /// evaluated once (F77 semantics) and iteration `idx` is `init + idx *
@@ -36,6 +36,14 @@ impl IterSpace {
 
     pub(crate) fn trip(&self) -> u64 {
         self.trip
+    }
+
+    /// Whether a §3.5 shadow can stamp every iteration: stamps are `u32`
+    /// with `u32::MAX` meaning "never", and a wrapped stamp makes two
+    /// iterations one — harmless while values come from in-order
+    /// execution, a committed wrong answer once lanes' copies are.
+    pub(crate) fn fits_shadow_stamps(&self) -> bool {
+        self.trip < u64::from(u32::MAX)
     }
 
     /// The loop variable's value in iteration `idx < trip`. Wrapping
@@ -171,6 +179,33 @@ impl Interp<'_> {
         };
         parallel
     }
+
+    /// The one bill for a `SPECULATIVE` invocation, whichever backend ran
+    /// the attempt: `buckets` as for [`Self::bill_parallel`], `marks` the
+    /// marking operations all shadows performed. The attempt pays the
+    /// concurrent cost plus the PD-test analysis, which is itself
+    /// parallel over the tracked elements; a failed one is wasted and
+    /// the loop then re-executes sequentially, which costs the
+    /// iterations without their marking. Counts the verdict.
+    pub(crate) fn bill_speculative(&mut self, l: &RLoop, buckets: &[u64], marks: u64, success: bool) {
+        let c = &self.cfg.cost;
+        let tracked: u64 = l.par.spec_arrays.iter().map(|&a| self.arrays[a].data.len() as u64).sum();
+        let analysis = tracked * c.spec_analysis / self.cfg.procs as u64 + c.fork_join / 2;
+        let attempt = self.concurrent_cost(buckets, &l.par) + analysis;
+        let total: u64 = buckets.iter().sum();
+        let sequential = total - (marks * c.spec_mark).min(total);
+        self.cycles += if success { attempt } else { attempt + sequential };
+        let entry = self.loop_entry(l);
+        let verdict = if success {
+            entry.spec_success += 1;
+            entry.parallel_invocations += 1;
+            polaris_obs::Counter::LrpdPass
+        } else {
+            entry.spec_fail += 1;
+            polaris_obs::Counter::LrpdFail
+        };
+        self.recorder.count(verdict, 1);
+    }
 }
 
 #[cfg(test)]
@@ -225,6 +260,17 @@ mod tests {
         }
         assert_eq!(IterSpace::new(MAX - 1, MAX, 1).exit_value(), MIN, "wraps, no overflow");
         assert_eq!(IterSpace::new(MIN, MAX, 1).trip(), u64::MAX, "2^64 iterations saturate");
+    }
+
+    /// A shadow stamp is the iteration index as a `u32`, `u32::MAX` being
+    /// "never": the last space speculation takes has `u32::MAX - 1` trips.
+    #[test]
+    fn speculation_stops_where_iteration_stamps_would_wrap() {
+        let last = i64::from(u32::MAX) - 1;
+        assert!(IterSpace::new(1, last, 1).fits_shadow_stamps());
+        assert!(!IterSpace::new(1, last + 1, 1).fits_shadow_stamps());
+        assert!(IterSpace::new(1, 0, 1).fits_shadow_stamps(), "zero trips");
+        assert!(!IterSpace::new(i64::MIN, i64::MAX, 1).fits_shadow_stamps());
     }
 
     #[test]

@@ -215,12 +215,7 @@ impl<'a> Interp<'a> {
                     o.array_read(*arr, idx);
                 }
                 if !self.spec.is_empty() {
-                    let t = self.spec_iter;
-                    let mark = self.cfg.cost.spec_mark;
-                    if let Some((_, sh)) = self.spec.iter_mut().find(|(a, _)| a == arr) {
-                        sh.on_read(idx, t);
-                        self.cycles += mark;
-                    }
+                    self.cycles += self.mark_access(*arr, idx, false);
                 }
                 Ok(self.arrays[*arr].data.get(idx))
             }
@@ -255,6 +250,28 @@ impl<'a> Interp<'a> {
             idxs.push(self.eval(s)?.as_i()?);
         }
         self.arrays[arr].flatten(&idxs)
+    }
+
+    /// The speculation hook of both engines' element accesses: mark the
+    /// access to element `idx` of `arr` on the array's shadow, if the
+    /// running `SPECULATIVE` loop tracks it, and return the cycles the
+    /// marking costs. Callers test `spec.is_empty()` first (one
+    /// predictable branch outside speculative loops) and keep the hook
+    /// order: a read is memory → oracle → mark, a write memory → mark →
+    /// oracle. Inlined, with both loads ahead of the search, because that
+    /// is the shape the VM's `dispatch` is as fast with as without any
+    /// hook; as an out-of-line call it cost `exec_serial` 10 % (measured,
+    /// like the +8 % of inlining the marking itself: see
+    /// [`Shadow::on_read`]).
+    #[inline(always)]
+    pub(crate) fn mark_access(&mut self, arr: usize, idx: usize, write: bool) -> u64 {
+        let (t, mark) = (self.spec_iter, self.cfg.cost.spec_mark);
+        match self.spec.iter_mut().find(|(a, _)| *a == arr) {
+            Some((_, sh)) if write => sh.on_write(idx, t),
+            Some((_, sh)) => sh.on_read(idx, t),
+            None => return 0,
+        }
+        mark
     }
 }
 
@@ -527,12 +544,7 @@ impl<'a> Interp<'a> {
                 let idx = self.element_index(*arr, subs)?;
                 self.cycles += self.cfg.cost.memory;
                 if !self.spec.is_empty() {
-                    let t = self.spec_iter;
-                    let mark = self.cfg.cost.spec_mark;
-                    if let Some((_, sh)) = self.spec.iter_mut().find(|(a, _)| a == arr) {
-                        sh.on_write(idx, t);
-                        self.cycles += mark;
-                    }
+                    self.cycles += self.mark_access(*arr, idx, true);
                 }
                 if let Some(o) = self.oracle.as_deref_mut() {
                     o.array_write(*arr, idx);
@@ -639,19 +651,18 @@ impl<'a> Interp<'a> {
             o.enter_loop(l.loop_id, &l.label, n_scalars);
         }
 
-        let concurrent = !self.in_parallel && self.cfg.procs > 1;
         let loop_span = self.recorder.loop_span("exec", &l.label, l.loop_id);
-        let adaptive = self.cfg.adaptive.is_some()
-            && concurrent
-            && !self.adversarial
-            && (l.par.parallel || !l.par.spec_arrays.is_empty());
-        let flow = if adaptive {
+        // A proved `PARALLEL DO`, or a `SPECULATIVE` one whose iterations
+        // the shadows can stamp, on a machine with processors to spare.
+        let speculative = !l.par.spec_arrays.is_empty() && space.fits_shadow_stamps();
+        let concurrent = (l.par.parallel || speculative)
+            && !self.in_parallel
+            && self.cfg.procs > 1
+            && !self.adversarial;
+        let flow = if concurrent && self.cfg.adaptive.is_some() {
             self.run_adaptive(l, space, body)?
-        } else if l.par.parallel && concurrent && !self.adversarial {
-            self.run_parallel(l, space, body)?
-        } else if !l.par.spec_arrays.is_empty() && concurrent && !self.adversarial {
-            self.count_loop_mode(polaris_obs::Counter::ExecLoopsSpeculative);
-            self.run_speculative(l, space, body)?
+        } else if concurrent {
+            self.run_concurrent(l, space, body)?
         } else if l.par.parallel && self.adversarial && !self.in_parallel {
             self.count_loop_mode(polaris_obs::Counter::ExecLoopsAdversarial);
             self.run_adversarial(l, space, body)?
@@ -692,7 +703,7 @@ impl<'a> Interp<'a> {
         let trip = space.trip();
         let hints = polaris_runtime::LoopHints {
             parallel: l.par.parallel,
-            speculative: !l.par.spec_arrays.is_empty(),
+            speculative: !l.par.parallel,
             trip,
             procs: self.cfg.procs,
         };
@@ -733,14 +744,13 @@ impl<'a> Interp<'a> {
                     Chunking::Stealing { chunk } => Schedule::Stealing { chunk },
                 };
                 self.sched_override = Some((d.threads.max(1), schedule));
-                let res = self.run_parallel(l, space, body);
+                let res = self.run_concurrent(l, space, body);
                 self.sched_override = None;
                 (res?, std::mem::take(&mut self.last_chunk_cycles), None)
             }
             Strategy::Speculative => {
-                self.count_loop_mode(polaris_obs::Counter::ExecLoopsSpeculative);
                 let fails_before = self.loop_entry(l).spec_fail;
-                let flow = self.run_speculative(l, space, body)?;
+                let flow = self.run_concurrent(l, space, body)?;
                 (flow, Vec::new(), Some(self.loop_entry(l).spec_fail > fails_before))
             }
         };
@@ -814,11 +824,36 @@ impl<'a> Interp<'a> {
         ChunkPlan::new(space.trip(), procs, schedule)
     }
 
+    /// An unmarked shadow per array `l` speculates on: what one executor
+    /// of its iterations (the in-order simulation, a threaded lane) marks.
+    pub(crate) fn fresh_shadows(&self, l: &RLoop) -> Vec<(usize, Shadow)> {
+        l.par.spec_arrays.iter().map(|&a| (a, Shadow::new(self.arrays[a].data.len()))).collect()
+    }
+
+    /// Iteration `idx` of a concurrently dispatched loop, on either
+    /// backend: what it touches of the speculated arrays is marked on
+    /// this interpreter's shadows under the stamp `idx` (there are none
+    /// outside a `SPECULATIVE` loop; `run_loop` checked the stamp fits).
+    pub(crate) fn run_stamped_iteration(
+        &mut self,
+        l: &RLoop,
+        space: IterSpace,
+        idx: u64,
+        body: Option<u32>,
+        bc: Option<&crate::bytecode::BcUnit>,
+    ) -> Result<Flow, MachineError> {
+        self.spec_iter = idx as u32;
+        let flow = self.run_one_iteration(l, space.value(idx), body, bc)?;
+        for (_, sh) in self.spec.iter_mut() {
+            sh.end_iteration(idx as u32);
+        }
+        Ok(flow)
+    }
+
     /// Execute the whole iteration space on this thread, chunk by chunk
     /// in plan order (which is iteration order: chunks are contiguous),
     /// and return the cycles each simulated processor was charged.
-    /// `self.cycles` is left where it started — the caller bills. Active
-    /// shadows ([`Self::run_speculative`]) are stamped per iteration.
+    /// `self.cycles` is left where it started — the caller bills.
     fn run_simulated(
         &mut self,
         l: &RLoop,
@@ -835,11 +870,7 @@ impl<'a> Interp<'a> {
             let (start, end) = plan.bounds(k);
             let b0 = self.cycles;
             for idx in start..end {
-                self.spec_iter = idx as u32;
-                flow = self.run_one_iteration(l, space.value(idx), body, bc.as_deref())?;
-                for (_, sh) in self.spec.iter_mut() {
-                    sh.end_iteration(idx as u32);
-                }
+                flow = self.run_stamped_iteration(l, space, idx, body, bc.as_deref())?;
                 if flow == Flow::Stop {
                     break;
                 }
@@ -854,20 +885,24 @@ impl<'a> Interp<'a> {
         Ok((flow, buckets))
     }
 
-    /// One `PARALLEL DO` invocation on the configured backend. Only loops
-    /// the pipeline *proved* parallel go to real threads; speculative
-    /// ones stay simulated ([`Self::run_speculative`]) in either mode,
-    /// and so does a body that may `STOP`: later iterations must then not
-    /// run at all, which only in-order execution guarantees.
-    fn run_parallel(
+    /// One concurrent invocation — a proved `PARALLEL DO`, or a
+    /// `SPECULATIVE` loop — on the configured backend: real threads take
+    /// both, except a loop lowering marked `in_order` (a `STOP`, a stale
+    /// value that could reach an inner `DO`), which is simulated in order
+    /// in either mode.
+    fn run_concurrent(
         &mut self,
         l: &Arc<RLoop>,
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
-        self.count_loop_mode(polaris_obs::Counter::ExecLoopsParallel);
-        if self.cfg.exec_mode == ExecMode::Threaded && !l.has_stop {
+        use polaris_obs::Counter::{ExecLoopsParallel, ExecLoopsSpeculative};
+        self.count_loop_mode(if l.par.parallel { ExecLoopsParallel } else { ExecLoopsSpeculative });
+        if self.cfg.exec_mode == ExecMode::Threaded && !l.in_order {
             return crate::threaded::run_threaded_loop(self, l, space, body);
+        }
+        if !l.par.parallel {
+            return self.run_speculative(l, space, body);
         }
         let plan = self.chunk_plan(space);
         let (flow, buckets) = self.run_simulated(l, space, &plan, body)?;
@@ -880,45 +915,26 @@ impl<'a> Interp<'a> {
         Ok(flow)
     }
 
-    fn run_speculative(
+    /// A `SPECULATIVE` invocation simulated in order: the values are the
+    /// serial loop's whatever the PD test says, so only the bill depends
+    /// on the verdict. This is also what the threaded backend falls back
+    /// to when its lanes misspeculate — the serial re-execution, its
+    /// verdict, its error if there is one, and the attempt +
+    /// re-execution bill, in one.
+    pub(crate) fn run_speculative(
         &mut self,
         l: &RLoop,
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
         debug_assert!(self.spec.is_empty(), "nested speculation");
-        for &a in &l.par.spec_arrays {
-            self.spec.push((a, Shadow::new(self.arrays[a].data.len())));
-        }
+        self.spec = self.fresh_shadows(l);
         let plan = self.chunk_plan(space);
         let (flow, buckets) = self.run_simulated(l, space, &plan, body)?;
-
         let shadows = std::mem::take(&mut self.spec);
         let success = shadows.iter().all(|(_, sh)| PdVerdict::of(&[sh], 0..sh.len()).plain_ok());
-        let tracked_elems: u64 = shadows.iter().map(|(_, sh)| sh.len() as u64).sum();
-        let marks_done: u64 = shadows.iter().map(|(_, sh)| sh.marks_done()).sum();
-        let analysis = tracked_elems * self.cfg.cost.spec_analysis / self.cfg.procs as u64
-            + self.cfg.cost.fork_join / 2;
-        let attempt = self.concurrent_cost(&buckets, &l.par) + analysis;
-        if success {
-            self.cycles += attempt;
-            let entry = self.loop_entry(l);
-            entry.spec_success += 1;
-            entry.parallel_invocations += 1;
-            self.recorder.count(polaris_obs::Counter::LrpdPass, 1);
-        } else {
-            // Failed speculation: the attempt is wasted, the loop then
-            // re-executes sequentially (values are already correct — the
-            // simulator executed in order — only the cost is charged).
-            // Marking cycles belong to the failed attempt, not to the
-            // sequential re-execution, so they are subtracted here.
-            let total: u64 = buckets.iter().sum();
-            let marking = (marks_done * self.cfg.cost.spec_mark).min(total);
-            let sequential = total - marking;
-            self.cycles += attempt + sequential;
-            self.loop_entry(l).spec_fail += 1;
-            self.recorder.count(polaris_obs::Counter::LrpdFail, 1);
-        }
+        let marks = shadows.iter().map(|(_, sh)| sh.marks_done()).sum();
+        self.bill_speculative(l, &buckets, marks, success);
         Ok(flow)
     }
 
@@ -1598,60 +1614,6 @@ mod tests {
         assert!(r2.cycles > serial.cycles);
         // but values are still correct
         assert_eq!(r2.output, serial.output);
-    }
-
-    /// The machine's `SPECULATIVE` loops and `polaris_runtime`'s threaded
-    /// LRPD executor mark one `lrpd::Shadow` and ask one `PdVerdict`, so
-    /// `lrpd::tests`' brute-force oracle stands behind Figure 6's
-    /// simulated section too: on the same access pattern both pass or
-    /// both fail, for each reason the PD test can fail for.
-    #[test]
-    fn speculative_verdict_agrees_with_the_lrpd_runtime() {
-        use polaris_runtime::lrpd::{speculative_doall, ArrayView};
-        const N: usize = 64;
-        // 0-based twins of the program's KEY (a permutation) and HALF (two
-        // iterations per element).
-        let perm = |i: usize| (i * 77 + 13) % N;
-        let pair = |i: usize| i / 2;
-        type Body = Box<dyn Fn(usize, &mut dyn ArrayView<f64>) + Sync>;
-        let cases: [(&str, &str, Body, [bool; 3]); 4] = [
-            ("pass", "a(key(i)) = i * 1.0", Box::new(move |i, v| v.write(perm(i), i as f64)), [false; 3]),
-            (
-                "flow/anti",
-                "a(i + 1) = a(i) + 1.0",
-                Box::new(|i, v| {
-                    let x = v.read(i);
-                    v.write(i + 1, x + 1.0)
-                }),
-                [true, false, false],
-            ),
-            ("output", "a(half(i)) = i * 1.0", Box::new(move |i, v| v.write(pair(i), i as f64)), [false, true, false]),
-            (
-                "not privatizable",
-                "a(key(i)) = a(key(i)) + 1.0",
-                Box::new(move |i, v| {
-                    let x = v.read(perm(i));
-                    v.write(perm(i), x + 1.0)
-                }),
-                [false, false, true],
-            ),
-        ];
-        for (what, stmt, body, [flow_anti, output_dep, not_privatizable]) in cases {
-            let src = format!(
-                "program t\nreal a({m})\ninteger key({N}), half({N})\ndo k = 1, {N}\n  key(k) = mod((k - 1) * 77 + 13, {N}) + 1\n  half(k) = (k - 1) / 2 + 1\nend do\n!$polaris doall speculative(A)\ndo i = 1, {N}\n  {stmt}\nend do\nprint *, a(1)\nend\n",
-                m = N + 1
-            );
-            let r = run(&parse(&src), &MachineConfig::challenge_8()).unwrap();
-            let (ok, failed): (u64, u64) =
-                r.loops.values().fold((0, 0), |(o, f), s| (o + s.spec_success, f + s.spec_fail));
-            let out = speculative_doall(&mut [0f64; N + 1], N, 8, false, body);
-            assert_eq!(
-                (out.flow_anti, out.output_dep, out.not_privatizable),
-                (flow_anti, output_dep, not_privatizable),
-                "{what}: {out:?}"
-            );
-            assert_eq!((ok, failed), if out.parallel_valid { (1, 0) } else { (0, 1) }, "{what}");
-        }
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!   iterations are charged to per-processor buckets (static block or
 //!   dynamic self-scheduling), and the loop costs
 //!   `max(buckets) + fork/join + reduction-merge + privatization setup`.
-//! * Loops marked `SPECULATIVE` emulate the §3.5 protocol: accesses to
-//!   tracked arrays pay shadow-marking costs, the PD-test analysis runs
-//!   on the recorded pattern, and a failed test charges the attempt
-//!   *plus* the sequential re-execution — reproducing Figure 6's
-//!   speedup/slowdown trade-off.
+//! * Loops marked `SPECULATIVE` follow the §3.5 protocol on both
+//!   backends: accesses to tracked arrays are marked on shadows and pay
+//!   for it, the PD-test analysis runs on the recorded pattern, and a
+//!   failed test charges the attempt *plus* the sequential re-execution
+//!   — reproducing Figure 6's speedup/slowdown trade-off. On real
+//!   threads ([`threaded`]) the lanes' work is committed only if the
+//!   test passes; the in-order simulation is the re-execution.
 //! * Only the outermost concurrent loop of a dynamic nest runs parallel
 //!   (loop-level parallelism, as on the Challenge).
 //!
@@ -89,16 +91,17 @@ impl Engine {
     }
 }
 
-/// How `PARALLEL DO` loops are executed.
+/// How `PARALLEL DO` and `SPECULATIVE` loops are executed.
 ///
 /// * `Simulated` — the historical mode: iterations run sequentially on
 ///   the interpreter thread and a cycle cost model charges them to
 ///   per-processor buckets, reproducing the paper's Challenge numbers.
-/// * `Threaded` — loops the pipeline proved parallel are chunked over
-///   the iteration space and executed by the calling thread and a
-///   persistent pool of real OS threads ([`threaded`]), with per-lane
-///   private copies and a deterministic chunk-ordered tree merge for
-///   reductions. Results (output, final memory) must match serial execution;
+/// * `Threaded` — loops the pipeline proved parallel, and loops it left
+///   to the run-time PD test, are chunked over the iteration space and
+///   executed by the calling thread and a persistent pool of real OS
+///   threads ([`threaded`]), with per-lane private copies (and shadows)
+///   and a deterministic chunk-ordered tree merge for reductions.
+///   Results (output, final memory) must match serial execution;
 ///   the simulated cycle accounting is still maintained so speedup
 ///   *models* stay comparable across modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

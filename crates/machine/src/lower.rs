@@ -96,9 +96,11 @@ pub struct RLoop {
     pub innermost: bool,
     /// Contains an IF (codegen model penalty).
     pub has_conditional: bool,
-    /// Contains a STOP at any depth: later iterations must not run, so
-    /// the loop is never handed to real threads.
-    pub has_stop: bool,
+    /// Only in-order execution is sound, so the loop is never handed to
+    /// real threads: the body contains a STOP at any depth (later
+    /// iterations must not run), or it reads an array it speculates on
+    /// and contains a DO (a stale value could reach the inner bound).
+    pub in_order: bool,
 }
 
 /// Lowered statement.
@@ -313,6 +315,20 @@ impl<'a> Lowerer<'a> {
                     _ => {}
                 });
                 let par = self.lower_par(d)?;
+                // A lane of a `SPECULATIVE` loop on real threads reads a
+                // pre-loop value where serial execution reads an earlier
+                // iteration's store, and the PD test finds that out only
+                // after the lane is done. Until then the value must not
+                // decide how long the lane runs: through an inner `DO`
+                // bound — directly, or by way of a scalar, another array
+                // or a branch — it could keep the lane running
+                // unboundedly longer than the serial loop when no fuel
+                // is set. A body that reads no speculated array sees
+                // nothing stale; one without an inner `DO` runs each
+                // iteration in bounded time.
+                let stale_inner_do =
+                    !innermost && !par.spec_arrays.is_empty() && body_reads(&body, &par.spec_arrays);
+                let in_order = has_stop || stale_inner_do;
                 RStmt::Do(Arc::new(RLoop {
                     var: self.scalar_slot(&d.var)?,
                     init: self.lower_expr(&d.init)?,
@@ -324,7 +340,7 @@ impl<'a> Lowerer<'a> {
                     loop_id: d.loop_id,
                     innermost,
                     has_conditional,
-                    has_stop,
+                    in_order,
                 }))
             }
             StmtKind::IfBlock { arms, else_body } => {
@@ -368,7 +384,8 @@ impl<'a> Lowerer<'a> {
             };
             par.reductions.push(RRed { op: red.op, target });
         }
-        if let Some(spec) = &d.par.speculative {
+        // Mutually exclusive with `parallel`: a proved loop tracks nothing.
+        if let (false, Some(spec)) = (d.par.parallel, &d.par.speculative) {
             for name in &spec.tracked {
                 par.spec_arrays.push(self.array_slot(name)?);
             }
@@ -435,6 +452,34 @@ impl<'a> Lowerer<'a> {
     }
 }
 
+/// Does evaluating `e` read one of `arrays`?
+fn expr_reads(e: &RExpr, arrays: &[usize]) -> bool {
+    match e {
+        RExpr::Elem(a, subs) => arrays.contains(a) || subs.iter().any(|s| expr_reads(s, arrays)),
+        RExpr::Un(_, x) => expr_reads(x, arrays),
+        RExpr::Bin(_, x, y) => expr_reads(x, arrays) || expr_reads(y, arrays),
+        RExpr::Intrin(_, args) => args.iter().any(|a| expr_reads(a, arrays)),
+        RExpr::I(_) | RExpr::R(_) | RExpr::B(_) | RExpr::Str(_) | RExpr::Load(_) => false,
+    }
+}
+
+/// Does executing `stmts` read one of `arrays`, anywhere?
+fn body_reads(stmts: &[RStmt], arrays: &[usize]) -> bool {
+    let reads = |e: &RExpr| expr_reads(e, arrays);
+    stmts.iter().any(|s| match s {
+        RStmt::AssignS(_, rhs) => reads(rhs),
+        RStmt::AssignE(_, subs, rhs) => subs.iter().any(reads) || reads(rhs),
+        RStmt::Do(l) => {
+            reads(&l.init) || reads(&l.limit) || l.step.as_ref().is_some_and(reads) || body_reads(&l.body, arrays)
+        }
+        RStmt::If(arms, else_body) => {
+            arms.iter().any(|(cond, body)| reads(cond) || body_reads(body, arrays)) || body_reads(else_body, arrays)
+        }
+        RStmt::Print(items) => items.iter().any(reads),
+        RStmt::Stop => false,
+    })
+}
+
 // keep the field used (unit is handy for error contexts and future use)
 impl<'a> Lowerer<'a> {
     #[allow(dead_code)]
@@ -499,7 +544,7 @@ mod tests {
             RStmt::Do(l) => {
                 assert!(l.innermost);
                 assert!(l.has_conditional);
-                assert!(!l.has_stop);
+                assert!(!l.in_order);
             }
             _ => panic!(),
         }
@@ -509,12 +554,40 @@ mod tests {
         );
         match &img.code[..] {
             [RStmt::Do(outer), RStmt::Do(after)] => {
-                assert!(outer.has_stop && !outer.innermost);
-                assert!(matches!(&outer.body[0], RStmt::Do(inner) if inner.has_stop));
-                assert!(!after.has_stop);
+                assert!(outer.in_order && !outer.innermost);
+                assert!(matches!(&outer.body[0], RStmt::Do(inner) if inner.in_order));
+                assert!(!after.in_order);
             }
             _ => panic!(),
         }
+    }
+
+    /// A `SPECULATIVE` loop stays in order when a value read from a
+    /// speculated array could reach an inner `DO` bound — directly, or by
+    /// way of a scalar, an array or a branch, which is why reading one at
+    /// all beside an inner loop is enough. Nests that only store to the
+    /// speculated arrays, and bodies without an inner loop, go to threads.
+    #[test]
+    fn reading_a_speculated_array_beside_an_inner_do_keeps_the_loop_in_order() {
+        let in_order = |body: &str| {
+            let src = format!(
+                "program t\nreal a(64), b(64)\ninteger cnt(64), key(64)\n!$polaris doall speculative(A, CNT)\ndo i = 1, 64\n{body}end do\nend\n"
+            );
+            match &image_of(&src).code[0] {
+                RStmt::Do(l) => l.in_order,
+                other => panic!("{other:?}"),
+            }
+        };
+        assert!(!in_order("a(key(i)) = a(key(i)) + 1.0\n"), "no inner loop");
+        assert!(!in_order("do j = 1, key(i)\n  a(key(j)) = b(j)\nend do\n"), "a nest that only stores to A");
+        assert!(in_order("do j = 1, cnt(i)\n  b(j) = 1.0\nend do\n"), "a bound reads CNT");
+        assert!(in_order("m = cnt(i)\ndo j = 1, m\n  b(j) = 1.0\nend do\n"), "through a scalar");
+        assert!(in_order("do j = 1, m\n  b(j) = 1.0\nend do\nm = cnt(i)\n"), "carried to the next iteration");
+        assert!(
+            in_order("if (a(i) > 0.0) then\n  do j = 1, 8\n    b(j) = 1.0\n  end do\nend if\n"),
+            "a stale branch around an inner loop"
+        );
+        assert!(in_order("do j = 1, 8\n  b(cnt(j)) = 1.0\nend do\n"), "read in a subscript, inside the inner loop");
     }
 
     #[test]

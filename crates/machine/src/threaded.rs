@@ -1,14 +1,16 @@
-//! Real-thread execution backend for `PARALLEL DO` loops.
+//! Real-thread execution backend for `PARALLEL DO` and `SPECULATIVE`
+//! loops.
 //!
-//! The simulated machine (`exec::run_parallel`) charges iterations to
+//! The simulated machine (`exec::run_concurrent`) charges iterations to
 //! per-processor cycle buckets but executes them sequentially. This
-//! module is the other half of the story: loops the pipeline *proved*
-//! parallel are lowered to chunked iteration-space work lists and
-//! executed by the calling thread and a persistent pool of OS threads,
-//! the way the paper's SGI backend consumed Polaris directives.
+//! module is the other half of the story: loops the pipeline proved
+//! parallel, and loops it left to the run-time PD test (§3.5), are
+//! lowered to chunked iteration-space work lists and executed by the
+//! calling thread and a persistent pool of OS threads, the way the
+//! paper's SGI backend consumed Polaris directives.
 //!
 //! A thread touches shared memory only where a thread must — the chunk
-//! claim, the job queue and the join channel. Three rules keep it so:
+//! claim, the job queue and the join channel. Four rules keep it so:
 //!
 //! * **Every thread counts its own fuel.** A lane's interpreter starts
 //!   from the master's step count at the fork, so each thread is held to
@@ -29,6 +31,25 @@
 //!   serial side of the generated `IF` — never wakes anyone. Each lane
 //!   is its own interpreter over the pre-fork snapshot and claims through
 //!   the same [`Claims`] whoever runs it, so nothing below can tell.
+//! * **Every lane marks its own shadows.** In a `SPECULATIVE` loop a lane
+//!   marks what its iterations touch of each speculated array on a
+//!   lane-private [`Shadow`], stamped with the iteration index exactly as
+//!   the in-order simulation stamps its one shadow. The PD test is
+//!   [`PdVerdict::of`] over all the lanes' shadows, at the join.
+//!
+//! Speculation contract — **commit all of it or none of it**. If every
+//! speculated array passes the test and no lane reported an error, the
+//! lanes executed the serial loop (up to its first stale read a lane's
+//! execution *is* the sequential one); they are committed like a
+//! `PARALLEL DO`'s and billed by `Interp::bill_speculative`. Anything
+//! else — a failed verdict, or *any* lane error or fuel-out, since a lane
+//! that read a pre-loop value may fault where the serial loop does not —
+//! drops the lanes wholesale (arrays, output, steps, loop stats; the
+//! master ran lane 0 on a copy too) and runs `Interp::run_speculative`,
+//! the in-order simulation, from the untouched state. That *is* the
+//! serial re-execution, and the one reporter of verdict, error, steps
+//! and the attempt + re-execution bill, so none of them can differ
+//! between the backends. A lane panic is `WorkerPanicked`, as in any loop.
 //!
 //! Correctness contract — results must be **deterministic and identical
 //! to serial execution** even though execution order is not:
@@ -58,15 +79,18 @@
 //!   order; errors are reported for the smallest failing iteration
 //!   index, matching what sequential execution would hit first, and the
 //!   settled fuel total is checked after them.
-//! * Loops whose body contains `STOP` (a mid-loop STOP must suppress
-//!   later iterations) and speculative loops never get here:
-//!   `Interp::run_parallel` keeps them on the simulated path.
+//! * Loops that lowering marked `in_order` never get here — a body that
+//!   may `STOP` (a mid-loop STOP must suppress later iterations), a
+//!   `SPECULATIVE` body in which a stale value could reach an inner `DO`
+//!   (and keep a lane running long after the serial loop is done):
+//!   `Interp::run_concurrent` keeps them on the simulated path.
 //!
 //! Simulated cycle accounting is maintained alongside real execution:
 //! per-chunk cycle deltas go to the buckets the shared
-//! [`ChunkPlan`] names and through the same `Interp::bill_parallel` the
-//! simulator pays, so `--diag`-style speedup *models* are identical
-//! between `ExecMode::Simulated` and `ExecMode::Threaded`.
+//! [`ChunkPlan`] names and through the same `Interp::bill_parallel` or
+//! `Interp::bill_speculative` the simulator pays, so `--diag`-style
+//! speedup *models* are identical between `ExecMode::Simulated` and
+//! `ExecMode::Threaded`.
 
 use crate::claims::Claims;
 use crate::dispatch::{ChunkPlan, IterSpace};
@@ -76,6 +100,7 @@ use crate::lower::{RLoop, RRef};
 use crate::value::{ArrData, ArrObj, Scalar};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
+use polaris_runtime::lrpd::{PdVerdict, Shadow};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -191,6 +216,9 @@ struct WorkerOut {
     arrays: Vec<ArrObj>,
     loops: Vec<Option<(String, crate::exec::LoopExecStats)>>,
     chunks: Vec<ChunkOut>,
+    /// The lane's marks on each array a `SPECULATIVE` loop tracks, in
+    /// `l.par.spec_arrays` order.
+    shadows: Vec<(usize, Shadow)>,
     /// Fuel steps the lane took: its count less the master's at the fork.
     steps: u64,
     /// First failing iteration index and its error, if any.
@@ -223,6 +251,7 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
     let mut it = Interp::over(&cfg, scalars, arrays, steps);
     it.in_parallel = true;
     it.bc = bc;
+    it.spec = it.fresh_shadows(&l);
     let bc_arc = it.bc.clone();
     let mut chunks: Vec<ChunkOut> = Vec::new();
     let mut err: Option<(u64, MachineError)> = None;
@@ -236,7 +265,7 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
         }
         for idx in start..end {
             progress(it.cycles);
-            err = match it.run_one_iteration(&l, space.value(idx), body, bc_arc.as_deref()) {
+            err = match it.run_stamped_iteration(&l, space, idx, body, bc_arc.as_deref()) {
                 Ok(Flow::Normal) => continue,
                 // STOP bodies never reach the threaded path, but surface
                 // it as an error defensively rather than silently
@@ -260,7 +289,8 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
             break;
         }
     }
-    WorkerOut { wid, arrays: it.arrays, loops: it.loop_stats, chunks, steps: it.steps - steps, err }
+    let steps = it.steps - steps;
+    WorkerOut { wid, arrays: it.arrays, loops: it.loop_stats, chunks, shadows: it.spec, steps, err }
 }
 
 // ---- reduction partials: one type, one merge ---------------------------
@@ -390,9 +420,10 @@ fn commit_array(
 
 // ---- the main-thread driver ------------------------------------------
 
-/// Execute one `PARALLEL DO` on the calling thread and, once the loop
-/// has shown it amortizes a fork, the helper pool. Called from
-/// `Interp::run_parallel` when `cfg.exec_mode` is `Threaded`.
+/// Execute one `PARALLEL DO` or `SPECULATIVE` loop on the calling thread
+/// and, once the loop has shown it amortizes a fork, the helper pool.
+/// Called from `Interp::run_concurrent` when `cfg.exec_mode` is
+/// `Threaded`.
 pub(crate) fn run_threaded_loop(
     interp: &mut Interp<'_>,
     l: &Arc<RLoop>,
@@ -403,8 +434,12 @@ pub(crate) fn run_threaded_loop(
     // threads (idle helpers are fine).
     let plan = interp.chunk_plan(space);
     let procs = plan.procs();
+    let speculative = !l.par.parallel;
     if space.trip() == 0 {
-        // Nothing to fork, but the generated guard still ran.
+        // Nothing to fork, but the generated guard (or the PD test) still ran.
+        if speculative {
+            return interp.run_speculative(l, space, body);
+        }
         interp.bill_parallel(&l.par, &plan, &[]);
         return Ok(Flow::Normal);
     }
@@ -466,6 +501,20 @@ pub(crate) fn run_threaded_loop(
     }
     results.sort_by_key(|w| w.wid);
 
+    // The PD test over the lanes' marks. A lane error counts as a failed
+    // verdict (the marks of a faulting iteration are not even complete).
+    // Nothing of the lanes has reached `interp` yet: drop them and run the
+    // loop in order, which re-derives verdict, error, steps and bill.
+    if speculative {
+        let passes = |j: usize| {
+            let lanes: Vec<&Shadow> = results.iter().map(|w| &w.shadows[j].1).collect();
+            PdVerdict::of(&lanes, 0..lanes[0].len()).plain_ok()
+        };
+        if results.iter().any(|w| w.err.is_some()) || !(0..l.par.spec_arrays.len()).all(passes) {
+            return interp.run_speculative(l, space, body);
+        }
+    }
+
     // Deterministic error: the smallest failing iteration index is what
     // sequential execution would have hit first.
     if let Some((_, e)) = results
@@ -511,7 +560,10 @@ pub(crate) fn run_threaded_loop(
     for ch in &chunks {
         buckets[plan.bucket_of(ch.k)] += ch.cycles;
     }
-    if interp.bill_parallel(&l.par, &plan, &buckets) {
+    if speculative {
+        let marks = results.iter().flat_map(|w| &w.shadows).map(|(_, sh)| sh.marks_done()).sum();
+        interp.bill_speculative(l, &buckets, marks, true);
+    } else if interp.bill_parallel(&l.par, &plan, &buckets) {
         interp.loop_entry(l).parallel_invocations += 1;
     }
     if interp.cfg.adaptive.is_some() {

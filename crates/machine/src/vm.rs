@@ -286,7 +286,9 @@ impl Interp<'_> {
                     if let Some(o) = self.oracle.as_deref_mut() {
                         o.array_read(a, idx);
                     }
-                    self.spec_read(&mut cyc, a, idx);
+                    if !self.spec.is_empty() {
+                        cyc += self.mark_access(a, idx, false);
+                    }
                     let ArrData::I(v) = &*self.arrays[a].data else {
                         unreachable!("array retyped")
                     };
@@ -301,7 +303,9 @@ impl Interp<'_> {
                     if let Some(o) = self.oracle.as_deref_mut() {
                         o.array_read(a, idx);
                     }
-                    self.spec_read(&mut cyc, a, idx);
+                    if !self.spec.is_empty() {
+                        cyc += self.mark_access(a, idx, false);
+                    }
                     let ArrData::R(v) = &*self.arrays[a].data else {
                         unreachable!("array retyped")
                     };
@@ -316,7 +320,9 @@ impl Interp<'_> {
                     if let Some(o) = self.oracle.as_deref_mut() {
                         o.array_read(a, idx);
                     }
-                    self.spec_read(&mut cyc, a, idx);
+                    if !self.spec.is_empty() {
+                        cyc += self.mark_access(a, idx, false);
+                    }
                     let ArrData::B(v) = &*self.arrays[a].data else {
                         unreachable!("array retyped")
                     };
@@ -326,7 +332,9 @@ impl Interp<'_> {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
                     let a = *arr as usize;
                     cyc += c.memory;
-                    self.spec_write(&mut cyc, a, idx);
+                    if !self.spec.is_empty() {
+                        cyc += self.mark_access(a, idx, true);
+                    }
                     if let Some(o) = self.oracle.as_deref_mut() {
                         o.array_write(a, idx);
                     }
@@ -342,7 +350,9 @@ impl Interp<'_> {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
                     let a = *arr as usize;
                     cyc += c.memory;
-                    self.spec_write(&mut cyc, a, idx);
+                    if !self.spec.is_empty() {
+                        cyc += self.mark_access(a, idx, true);
+                    }
                     if let Some(o) = self.oracle.as_deref_mut() {
                         o.array_write(a, idx);
                     }
@@ -358,7 +368,9 @@ impl Interp<'_> {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
                     let a = *arr as usize;
                     cyc += c.memory;
-                    self.spec_write(&mut cyc, a, idx);
+                    if !self.spec.is_empty() {
+                        cyc += self.mark_access(a, idx, true);
+                    }
                     if let Some(o) = self.oracle.as_deref_mut() {
                         o.array_write(a, idx);
                     }
@@ -541,33 +553,6 @@ impl Interp<'_> {
                     self.cycles += cyc;
                     return Ok(Flow::Normal);
                 }
-            }
-        }
-    }
-
-    /// Speculation hooks shared by the element access opcodes; the
-    /// `is_empty` check keeps them to one predictable branch outside
-    /// speculative loops.
-    #[inline]
-    fn spec_read(&mut self, cyc: &mut u64, a: usize, idx: usize) {
-        if !self.spec.is_empty() {
-            let t = self.spec_iter;
-            let mark = self.cfg.cost.spec_mark;
-            if let Some((_, sh)) = self.spec.iter_mut().find(|(x, _)| *x == a) {
-                sh.on_read(idx, t);
-                *cyc += mark;
-            }
-        }
-    }
-
-    #[inline]
-    fn spec_write(&mut self, cyc: &mut u64, a: usize, idx: usize) {
-        if !self.spec.is_empty() {
-            let t = self.spec_iter;
-            let mark = self.cfg.cost.spec_mark;
-            if let Some((_, sh)) = self.spec.iter_mut().find(|(x, _)| *x == a) {
-                sh.on_write(idx, t);
-                *cyc += mark;
             }
         }
     }

@@ -1,6 +1,6 @@
 //! # polaris-runtime — run-time speculative parallelization (§3.5)
 //!
-//! Implements the **Privatizing Doall (PD) test** of Rauchwerger & Padua
+//! Holds the **Privatizing Doall (PD) test** of Rauchwerger & Padua
 //! as used by Polaris: a loop whose access pattern cannot be analyzed at
 //! compile time is *speculatively executed as a doall* while shadow
 //! arrays record, per element,
@@ -19,17 +19,20 @@
 //! * `w_A ≠ m_A` (marks in `A_w`) → an output dependence, removed only
 //!   if the array is privatized.
 //!
-//! Execution is *safe*: all writes land in per-thread private buffers
-//! and are committed to the shared array only if the test passes (the
-//! "values computed during parallel execution are stored in temporary
-//! locations and then stored in permanent locations if the parallel
-//! execution was correct" strategy of §3.5.1). On failure the original
-//! data is untouched and the caller re-executes sequentially — exactly
-//! the protocol whose cost Figure 6 charts as "potential slowdown".
-//!
-//! Both the marking phase and the merge/analysis phase are parallel; the
-//! merge works on disjoint element ranges, giving the `O(a/p + log p)`
-//! behaviour claimed in §3.5.2.
+//! This crate holds the test and no executor: [`lrpd::Shadow`] is what
+//! one executor of iterations marks, [`lrpd::PdVerdict`] the analysis of
+//! any number of them. The executor is `polaris-machine`'s loop dispatch.
+//! On real threads every lane works on a copy-on-write snapshot and
+//! marks a shadow of its own, and the join commits the lanes' writes
+//! only if the test passes (the "values computed during parallel
+//! execution are stored in temporary locations and then stored in
+//! permanent locations if the parallel execution was correct" strategy
+//! of §3.5.1); on failure the shared state is untouched and the loop
+//! re-executes in order — exactly the protocol whose cost Figure 6
+//! charts as "potential slowdown". Elements are independent, so verdicts
+//! of disjoint element ranges add ([`lrpd::PdVerdict::and`]) — the
+//! property behind the `O(a/p + log p)` analysis of §3.5.2, which the
+//! machine's cost model bills.
 
 pub mod adaptive;
 pub mod lrpd;
@@ -38,9 +41,6 @@ pub mod verdict;
 pub use adaptive::{
     AdaptiveController, Chunking, DecideEvent, Decision, DecisionRow, LoopHints, Observation,
     Strategy,
-};
-pub use lrpd::{
-    run_sequential, speculative_doall, speculative_doall_faulty, ArrayView, SpecOutcome,
 };
 pub use verdict::{
     judge, ClaimKind, DepKind, DepObservation, LoopClaim, LoopObservation, LoopVerdict,

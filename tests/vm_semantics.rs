@@ -10,6 +10,13 @@
 //! | memory          | `MemoryCapExceeded`, same payload | output = reference |
 //! | cancel (token)  | `Cancelled`, same reason          | output = reference |
 //! | wall (service)  | `degraded`, exit 1, not retried   | `ok`, exit 0       |
+//!
+//! A second table holds `SPECULATIVE` loops to one behaviour on every
+//! backend: on real threads (both engines × static / dynamic / stealing ×
+//! 2, 3 and 8 threads) the output is the serial program's and `cycles`
+//! and the PD verdicts are the simulated machine's — whether the lanes'
+//! work is committed (pass) or thrown away for the in-order run (a failed
+//! verdict, a lane that faulted on a stale value, fuel, `STOP`).
 
 mod common;
 
@@ -220,6 +227,239 @@ fn loop_bounded_by_i64_max_wraps_its_exit_value_in_both_engines() {
     for engine in ENGINES {
         let ran = polaris_machine::run(&program, &cfg(engine)).unwrap();
         assert_eq!(ran.output, ["2 -9223372036854775808"], "{engine:?}");
+    }
+}
+
+// ---- speculative loops on real threads ---------------------------------
+
+/// `do i = 1, 96`, heavy enough per iteration (≈ 200 cycles) that the
+/// threaded backend's deferred fork wakes its helpers, after `KEY(k) =
+/// <key>` for `k = 1..96`; prints two elements of `A` and a sum.
+fn speculative_scatter(key: &str, stmt: &str) -> Program {
+    let src = format!(
+        "program spec\n\
+         real a(96), s\n\
+         integer key(96)\n\
+         do k = 1, 96\n\
+         \x20 key(k) = {key}\n\
+         \x20 a(k) = k * 0.25\n\
+         end do\n\
+         !$polaris doall speculative(A)\n\
+         do i = 1, 96\n\
+         \x20 {stmt}\n\
+         end do\n\
+         s = 0.0\n\
+         do k = 1, 96\n\
+         \x20 s = s + a(k)\n\
+         end do\n\
+         print *, a(1), a(96), s\n\
+         end\n"
+    );
+    polaris_ir::parse(&src).unwrap()
+}
+
+/// 77 is coprime with 96: a permutation, so the PD test passes.
+const PERMUTATION: &str = "mod(k * 77, 96) + 1";
+/// Seven targets for 96 iterations: every invocation fails it.
+const COLLIDING: &str = "mod(k, 7) + 1";
+const HEAVY_STORE: &str = "a(key(i)) = sin(i * 0.5) + cos(i * 0.25) + sqrt(i * 1.0) + exp(i * 0.01)";
+const HEAVY_UPDATE: &str = "a(key(i)) = a(key(i)) + sin(i * 0.5) + cos(i * 0.25) + sqrt(i * 1.0) + exp(i * 0.01)";
+
+/// Both engines × static / dynamic / stealing × 2, 3 and 8 threads.
+fn threaded_backends() -> Vec<MachineConfig> {
+    use polaris_machine::Schedule;
+    let schedules = [Schedule::Static, Schedule::Dynamic { chunk: 4 }, Schedule::Stealing { chunk: 4 }];
+    let mut out = Vec::new();
+    for engine in ENGINES {
+        for schedule in schedules {
+            for procs in [2, 3, 8] {
+                out.push(MachineConfig::threaded(procs, schedule).with_engine(engine));
+            }
+        }
+    }
+    out
+}
+
+fn simulated(threaded: &MachineConfig) -> MachineConfig {
+    MachineConfig { exec_mode: polaris_machine::ExecMode::Simulated, ..threaded.clone() }
+}
+
+fn what(cfg: &MachineConfig) -> String {
+    format!("{:?} x {} {:?} {:?}", cfg.exec_mode, cfg.procs, cfg.schedule, cfg.engine)
+}
+
+/// `(passed, failed)` PD tests of a run.
+fn verdicts(r: &polaris_machine::RunResult) -> (u64, u64) {
+    r.loops.values().fold((0, 0), |(ok, no), s| (ok + s.spec_success, no + s.spec_fail))
+}
+
+/// `exec.threaded.chunks` of a run: chunks that lanes of the threaded
+/// backend ran and the join merged.
+fn threaded_chunks(program: &Program, cfg: &MachineConfig) -> u64 {
+    let rec = polaris_obs::Recorder::monotonic();
+    polaris_machine::run_recorded(program, cfg, &rec).unwrap();
+    rec.counters().get("exec.threaded.chunks").copied().unwrap_or(0)
+}
+
+/// On every threaded backend: the serial output, and the simulated
+/// machine's cycle count and verdicts, which must be `want`.
+fn assert_speculative_rows(program: &Program, want: (u64, u64)) {
+    let serial = polaris_machine::run_serial(program).unwrap();
+    for cfg in threaded_backends() {
+        let sim = polaris_machine::run(program, &simulated(&cfg)).unwrap();
+        let thr = polaris_machine::run(program, &cfg).unwrap_or_else(|e| panic!("{}: {e}", what(&cfg)));
+        assert_eq!(thr.output, serial.output, "{}", what(&cfg));
+        assert_eq!(sim.output, serial.output, "{}", what(&cfg));
+        assert_eq!(thr.cycles, sim.cycles, "{}", what(&cfg));
+        assert_eq!(verdicts(&thr), want, "{}", what(&cfg));
+        assert_eq!(verdicts(&sim), want, "{}", what(&cfg));
+    }
+}
+
+/// A permutation scatter passes the PD test, and the lanes really ran
+/// it: their chunks are what the join committed.
+#[test]
+fn speculative_permutation_scatter_is_committed_from_the_lanes() {
+    let program = speculative_scatter(PERMUTATION, HEAVY_STORE);
+    assert_speculative_rows(&program, (1, 0));
+    for cfg in threaded_backends() {
+        assert!(threaded_chunks(&program, &cfg) > 0, "{}", what(&cfg));
+    }
+}
+
+/// `a(key(i)) = a(key(i)) + …` over seven targets: lanes read stale
+/// sums, the verdict fails, and the in-order run gives the serial answer
+/// at the simulated machine's attempt + re-execution bill.
+#[test]
+fn speculative_colliding_update_falls_back_to_the_serial_answer() {
+    assert_speculative_rows(&speculative_scatter(COLLIDING, HEAVY_UPDATE), (0, 1));
+}
+
+/// A lane that starts mid-loop reads `IDX(i-1)` as it was before the
+/// loop — out of `B`'s bounds — where the serial loop reads what
+/// iteration `i-1` stored. The lane's fault is not the program's: every
+/// backend gives the serial answer, never `OutOfBounds`.
+#[test]
+fn speculative_stale_subscript_is_never_a_bad_subscript() {
+    let src = "program stale\n\
+               integer idx(97)\n\
+               real b(96)\n\
+               idx(1) = 0\n\
+               do k = 2, 97\n\
+               \x20 idx(k) = 1000\n\
+               end do\n\
+               !$polaris doall speculative(IDX)\n\
+               do i = 2, 97\n\
+               \x20 idx(i) = idx(i - 1) + 1\n\
+               \x20 b(idx(i)) = sin(i * 0.5) + cos(i * 0.25) + sqrt(i * 1.0) + exp(i * 0.01)\n\
+               end do\n\
+               print *, idx(97), b(1), b(96)\n\
+               end\n";
+    assert_speculative_rows(&polaris_ir::parse(src).unwrap(), (0, 1));
+    // One dependence, from iteration 40 to iteration 60: where they fall
+    // in different lanes the reader faults in the iteration that read the
+    // stale value, before its marks count — the lanes' verdict alone
+    // would pass.
+    let once = "program once\n\
+                integer p(96)\n\
+                real b(96)\n\
+                do k = 1, 96\n\
+                \x20 p(k) = 1000\n\
+                end do\n\
+                !$polaris doall speculative(P)\n\
+                do i = 1, 96\n\
+                \x20 b(i) = sin(i * 0.5) + cos(i * 0.25) + sqrt(i * 1.0) + exp(i * 0.01)\n\
+                \x20 if (i == 40) then\n\
+                \x20   p(60) = 5\n\
+                \x20 end if\n\
+                \x20 if (i == 60) then\n\
+                \x20   b(p(60)) = -1.0\n\
+                \x20 end if\n\
+                end do\n\
+                print *, p(60), b(5), b(96)\n\
+                end\n";
+    assert_speculative_rows(&polaris_ir::parse(once).unwrap(), (0, 1));
+}
+
+/// What the lanes of a failed attempt printed is thrown away with them:
+/// every line appears once, in iteration order.
+#[test]
+fn speculative_failing_loop_prints_once_and_in_order() {
+    let print = format!("{HEAVY_UPDATE}\n  print *, 'iteration', i, key(i)");
+    let program = speculative_scatter(COLLIDING, &print);
+    assert_eq!(polaris_machine::run_serial(&program).unwrap().output.len(), 97);
+    assert_speculative_rows(&program, (0, 1));
+}
+
+/// At every fuel limit from 0 to one past the serial step count a
+/// failing speculative loop ends the same way on every backend: `Ok`
+/// with the serial output, or `FuelExhausted` carrying the limit. (A
+/// lane may run out on its own count, or not at all, where the in-order
+/// run decides otherwise; only the in-order run is reported.)
+#[test]
+fn speculative_failing_loop_meets_every_fuel_limit_like_the_serial_run() {
+    let program = speculative_scatter(COLLIDING, HEAVY_UPDATE);
+    let serial_steps = fuel_boundary(&program, &MachineConfig::serial());
+    let class = |cfg: &MachineConfig, fuel: u64| match polaris_machine::run(&program, &cfg.clone().with_fuel(fuel)) {
+        Ok(r) => Ok(r.output),
+        Err(MachineError::FuelExhausted { limit }) => Err(limit),
+        Err(other) => panic!("{} at fuel {fuel}: {other}", what(cfg)),
+    };
+    for fuel in 0..=serial_steps + 1 {
+        let want = class(&MachineConfig::serial(), fuel);
+        assert_eq!(want.is_ok(), fuel >= serial_steps);
+        for cfg in threaded_backends() {
+            assert_eq!(class(&simulated(&cfg), fuel), want, "{} at fuel {fuel}", what(&simulated(&cfg)));
+            assert_eq!(class(&cfg, fuel), want, "{} at fuel {fuel}", what(&cfg));
+        }
+    }
+}
+
+/// Two speculative loops never leave the master: a body that may `STOP`
+/// (later iterations must not run at all), and one in which a value read
+/// from the speculated array bounds an inner `DO` (a stale bound could
+/// keep a lane running long after the serial loop is done). Both are
+/// decided at lowering, so no lane runs a chunk of them.
+#[test]
+fn speculative_loops_with_a_stop_or_a_speculated_inner_bound_stay_in_order() {
+    let stop = format!("{HEAVY_STORE}\n  if (a(key(i)) > 1.0e6) then\n    stop\n  end if");
+    let stopping = speculative_scatter(PERMUTATION, &stop);
+    let bound = "program bound\n\
+                 integer cnt(97)\n\
+                 real b(96)\n\
+                 cnt(1) = 1\n\
+                 !$polaris doall speculative(CNT) private(J)\n\
+                 do i = 2, 97\n\
+                 \x20 cnt(i) = mod(cnt(i - 1) * 5, 7) + 1\n\
+                 \x20 do j = 1, cnt(i)\n\
+                 \x20   b(i - 1) = b(i - 1) + sin(j * 0.5) + sqrt(i * 1.0)\n\
+                 \x20 end do\n\
+                 end do\n\
+                 print *, cnt(97), b(1), b(96)\n\
+                 end\n";
+    for (program, want) in [(stopping, (1, 0)), (polaris_ir::parse(bound).unwrap(), (0, 1))] {
+        assert_speculative_rows(&program, want);
+        for cfg in threaded_backends() {
+            assert_eq!(threaded_chunks(&program, &cfg), 0, "{}", what(&cfg));
+        }
+    }
+}
+
+/// A panic inside a speculative lane is the backend's `WorkerPanicked`,
+/// whichever thread ran the lane: it does not unwind out of `run`, hang
+/// the join, or pass for a misspeculation.
+#[test]
+fn speculative_lane_panic_is_worker_panicked() {
+    let program = speculative_scatter(PERMUTATION, HEAVY_STORE);
+    // Every lane counts from the master's steps at the fork, so a step 20
+    // into the speculative loop is one each of them reaches.
+    let before_the_loop = 1 + 96 * 3;
+    for cfg in threaded_backends() {
+        let cfg = MachineConfig { panic_at_step: Some(before_the_loop + 20), ..cfg };
+        match polaris_machine::run(&program, &cfg) {
+            Err(MachineError::WorkerPanicked { loop_label }) => assert!(loop_label.contains("do"), "{loop_label}"),
+            other => panic!("{}: {other:?}", what(&cfg)),
+        }
     }
 }
 
