@@ -20,7 +20,7 @@
 //! the subscript evaluation, which is observationally equivalent for
 //! valid programs).
 
-use crate::privatize::live_after;
+use crate::privatize::dead_scalar_stores;
 use polaris_ir::stmt::{StmtKind, StmtList};
 use polaris_ir::{Program, ProgramUnit};
 
@@ -44,33 +44,22 @@ pub fn run(program: &mut Program) -> DceStats {
 pub fn run_unit(unit: &mut ProgramUnit) -> DceStats {
     let mut stats = DceStats::default();
     loop {
-        let victims = find_dead_assignments(unit);
+        // (IF blocks wrapping a single dead assignment — the guarded last
+        // values — are handled by `remove`'s emptiness cleanup.)
+        let mut victims = dead_scalar_stores(unit);
         if victims.is_empty() {
             break;
         }
         stats.removed += victims.len();
+        victims.sort_unstable();
         remove(&mut unit.body, &victims);
     }
     stats
 }
 
-fn find_dead_assignments(unit: &ProgramUnit) -> Vec<polaris_ir::StmtId> {
-    let mut victims = Vec::new();
-    // Walk all statements; for scalar assignments check liveness at the
-    // statement. (IF blocks wrapping a single dead assignment — the
-    // guarded last values — are handled by emptiness cleanup afterwards.)
-    unit.body.walk(&mut |s| {
-        if let StmtKind::Assign { lhs, .. } = &s.kind {
-            if lhs.subs().is_empty() && !live_after(unit, s.id, lhs.name()) {
-                victims.push(s.id);
-            }
-        }
-    });
-    victims
-}
-
+/// Drop the statements whose ids are in `victims` (sorted).
 fn remove(list: &mut StmtList, victims: &[polaris_ir::StmtId]) {
-    list.0.retain(|s| !victims.contains(&s.id));
+    list.0.retain(|s| victims.binary_search(&s.id).is_err());
     for s in list.0.iter_mut() {
         match &mut s.kind {
             StmtKind::Do(d) => remove(&mut d.body, victims),

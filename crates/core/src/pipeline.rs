@@ -4,14 +4,22 @@
 //! Polaris ran internal consistency checks after every transformation so a
 //! buggy pass was caught at the point of damage instead of being silently
 //! compiled. This module goes one step further: each pass runs as a named
-//! [`Stage`] under [`std::panic::catch_unwind`] with a snapshot of the
-//! [`Program`] (and of the in-progress [`CompileReport`]) taken first, and
-//! the IR is re-validated at every stage boundary. A stage that panics,
-//! returns an error, or leaves ill-formed IR is *rolled back*: the snapshot
-//! is restored, a structured diagnostic is recorded in the report, and the
-//! remaining passes still run. The worst case is a degraded compile — fewer
-//! loops parallelized — never an ill-formed program and never an aborted
-//! compiler.
+//! [`Stage`] under [`std::panic::catch_unwind`], and the IR is re-validated
+//! at every stage boundary. A stage that panics, returns an error, or
+//! leaves ill-formed IR is *rolled back*: the program and the in-progress
+//! [`CompileReport`] become what they were before it, a structured
+//! diagnostic is recorded in the report, and the remaining passes still
+//! run. The worst case is a degraded compile — fewer loops parallelized —
+//! never an ill-formed program and never an aborted compiler.
+//!
+//! The report is snapshotted before every stage (it is small). The
+//! [`Program`] is snapshotted **once**, after the input validates, and a
+//! rollback *recomputes* the pre-stage program from that snapshot by
+//! re-running the stages that completed: faults are the rare case, a clone
+//! per stage was a third of a clean compile. This rests on one rule every
+//! stage body must keep: **it is a pure function of `(program, opts)`** —
+//! no clock, no hash-order iteration, no global state. A replay that does
+//! not reproduce is itself contained (see `Pipeline::roll_back`).
 //!
 //! [`FaultPlan`] provides deterministic fault injection ("panic in pass X
 //! on unit Y") so every rollback path is testable; the benchmark fault
@@ -49,7 +57,7 @@ pub enum StageOutcome {
     Ok,
     /// Disabled by the active [`PassOptions`]; the program was not touched.
     Skipped,
-    /// Panicked, errored, or produced ill-formed IR; the pre-stage snapshot
+    /// Panicked, errored, or produced ill-formed IR; the pre-stage program
     /// was restored. The payload says why.
     RolledBack { reason: String },
 }
@@ -430,8 +438,8 @@ impl Pipeline {
     ///
     /// The input must be well-formed — an invalid *input* is the caller's
     /// bug and reports as a hard error. After that, per-stage failures are
-    /// contained: snapshot, run under `catch_unwind`, validate, and roll
-    /// back on any misbehaviour, then continue with the remaining stages.
+    /// contained: run under `catch_unwind`, validate, and roll back on any
+    /// misbehaviour, then continue with the remaining stages.
     pub fn run(&self, program: &mut Program, opts: &PassOptions) -> Result<CompileReport> {
         self.run_recorded(program, opts, &Recorder::disabled())
     }
@@ -455,7 +463,10 @@ impl Pipeline {
     /// is recorded as `RolledBack` with reason
     /// `cancelled: <token reason>` and the program is left exactly as the
     /// last completed stage produced it (still validated, still
-    /// well-formed). This is the hook `polarisd`'s deadline watchdog uses.
+    /// well-formed; nothing is replayed to get there). The token is not
+    /// consulted *inside* a rollback: a stage that fails after the token
+    /// fired is still rolled back in full. This is the hook `polarisd`'s
+    /// deadline watchdog uses.
     pub fn run_cancellable(
         &self,
         program: &mut Program,
@@ -464,6 +475,8 @@ impl Pipeline {
         cancel: &CancelToken,
     ) -> Result<CompileReport> {
         polaris_ir::validate::validate_program(program)?;
+        // The one snapshot of the compile: see `roll_back`.
+        let pristine = program.clone();
         let mut report = CompileReport::default();
         let compile_span = rec.span("compile", "compile");
         // Verify statistics live outside `report` while the loop runs: a
@@ -494,7 +507,6 @@ impl Pipeline {
                 continue;
             }
 
-            let program_snapshot = program.clone();
             let report_snapshot = report.clone();
             let size_before = ir_size(program);
             let stage_span = rec.span("compile", format!("pass:{}", stage.name));
@@ -513,11 +525,8 @@ impl Pipeline {
             let duration = started.elapsed();
             stage_span.end();
 
-            let failure = match run_result {
-                Ok(Ok(())) => check_stage_output(stage.name, program, rec, &mut verify),
-                Ok(Err(e)) => Some(format!("pass error: {e}")),
-                Err(payload) => Some(format!("panic: {}", panic_message(payload.as_ref()))),
-            };
+            let failure = stage_failure(run_result)
+                .or_else(|| check_stage_output(stage.name, program, rec, &mut verify));
 
             match failure {
                 None => {
@@ -529,8 +538,8 @@ impl Pipeline {
                     });
                 }
                 Some(reason) => {
-                    *program = program_snapshot;
                     report = report_snapshot;
+                    self.roll_back(program, &pristine, opts, &mut report);
                     report.stages.push(StageReport {
                         name: stage.name,
                         outcome: StageOutcome::RolledBack { reason },
@@ -545,6 +554,57 @@ impl Pipeline {
         record_compile_counters(rec, program, &report);
         compile_span.end();
         Ok(report)
+    }
+
+    /// Put `program` back to what it was before the stage that just
+    /// failed: the validated input, with every stage `report` lists as
+    /// `Ok` run over it again, in order. A stage body is a pure function
+    /// of `(program, opts)`, so this is the program the failed stage
+    /// started from. The re-runs fire no faults, record nothing, are not
+    /// validated (their output already was) and write to a scratch
+    /// report; a [`CancelToken`] is not consulted, the work being bounded
+    /// by time this compile already spent once.
+    ///
+    /// Should a re-run err or panic after all (a body that broke the
+    /// purity rule), nothing it ever produced can be trusted: `program`
+    /// becomes the validated input and every completed stage is marked
+    /// rolled back, its results dropped from `report`.
+    fn roll_back(
+        &self,
+        program: &mut Program,
+        pristine: &Program,
+        opts: &PassOptions,
+        report: &mut CompileReport,
+    ) {
+        *program = pristine.clone();
+        let replayed = with_silent_panics(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut scratch = CompileReport::default();
+                for (stage, done) in self.stages.iter().zip(&report.stages) {
+                    if done.ran_ok() {
+                        (stage.run)(program, opts, &mut scratch, &Recorder::disabled())?;
+                    }
+                }
+                Ok(())
+            }))
+        });
+        let Some(why) = stage_failure(replayed) else { return };
+        *program = pristine.clone();
+        let mut stages = std::mem::take(&mut report.stages);
+        for done in stages.iter_mut().filter(|done| done.ran_ok()) {
+            done.outcome = StageOutcome::RolledBack { reason: format!("replay diverged: {why}") };
+            done.ir_delta = 0;
+        }
+        *report = CompileReport { stages, ..CompileReport::default() };
+    }
+}
+
+/// Why a stage body's guarded run did not complete, if it did not.
+fn stage_failure(run: std::thread::Result<Result<()>>) -> Option<String> {
+    match run {
+        Ok(Ok(())) => None,
+        Ok(Err(e)) => Some(format!("pass error: {e}")),
+        Err(payload) => Some(format!("panic: {}", panic_message(payload.as_ref()))),
     }
 }
 
@@ -1088,6 +1148,292 @@ mod tests {
                     lr.loop_id,
                     lr.label
                 );
+            }
+        }
+    }
+
+    // ----- rollback by replay ≡ the snapshot ≡ "the stage never ran" -----
+
+    /// A caller with two callees: the one input here where `inline`
+    /// changes the program and units other than main exist to restore.
+    const CALLS: &str = "program t\n\
+                         real v(1000), w(1000)\n\
+                         s = 0.0\n\
+                         call fill(v, 1000)\n\
+                         call scale(v, w, 1000)\n\
+                         do i = 1, 1000\n\
+                         \x20 s = s + w(i)\n\
+                         end do\n\
+                         print *, s\n\
+                         end\n\
+                         subroutine fill(a, n)\n\
+                         real a(n)\n\
+                         integer n\n\
+                         do i = 1, n\n\
+                         \x20 a(i) = i * 2.0\n\
+                         end do\n\
+                         end\n\
+                         subroutine scale(a, b, n)\n\
+                         real a(n), b(n)\n\
+                         integer n\n\
+                         k = 0\n\
+                         do i = 1, n\n\
+                         \x20 k = k + 1\n\
+                         \x20 b(k) = a(i) * 0.5\n\
+                         end do\n\
+                         end\n";
+
+    /// The 26 kernel sources, by file name.
+    fn kernels() -> Vec<(String, String)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../benchmarks/codes");
+        let mut out: Vec<(String, String)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "f"))
+            .map(|path| {
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read_to_string(&path).unwrap())
+            })
+            .collect();
+        out.sort();
+        assert_eq!(out.len(), 26);
+        out
+    }
+
+    /// What a compile leaves behind, minus the entries of the stages in
+    /// `apart` (rolled back in one run, switched off in the other).
+    #[derive(Debug, PartialEq)]
+    struct Left {
+        text: String,
+        loops: Vec<crate::LoopReport>,
+        nest: String,
+        stages: Vec<(&'static str, StageOutcome)>,
+    }
+
+    /// The standard pipeline over `src` with the stages in `off` disabled.
+    fn left_by(src: &str, faults: FaultPlan, off: &[&str]) -> (Left, CompileReport) {
+        let opts = PassOptions::polaris().with_faults(faults);
+        let mut pipeline = Pipeline::standard(&opts);
+        for stage in &mut pipeline.stages {
+            stage.enabled &= !off.contains(&stage.name);
+        }
+        let mut program = polaris_ir::parse(src).unwrap();
+        let report = pipeline.run(&mut program, &opts).unwrap();
+        polaris_ir::validate::validate_program(&program).unwrap();
+        let left = Left {
+            text: polaris_ir::printer::print_program(&program),
+            loops: report.loops.clone(),
+            nest: format!("{:?}", report.nest),
+            stages: report.stages.iter().map(|s| (s.name, s.outcome.clone())).collect(),
+        };
+        (left, report)
+    }
+
+    impl Left {
+        fn apart_from(mut self, apart: &[&str]) -> Left {
+            self.stages.retain(|(name, _)| !apart.contains(name));
+            self
+        }
+    }
+
+    #[test]
+    fn a_rolled_back_stage_leaves_what_the_pipeline_without_it_leaves() {
+        let mut sources = kernels();
+        sources.push(("CALLS".into(), CALLS.into()));
+        let mut corruptions_caught = 0;
+        for (name, src) in &sources {
+            for stage in STAGE_NAMES {
+                let without = left_by(src, FaultPlan::none(), &[stage]).0.apart_from(&[stage]);
+                let mut plans = vec![("panic".to_string(), FaultPlan::panic_in(stage))];
+                for kind in CorruptKind::ALL {
+                    plans.push((format!("{kind:?}"), FaultPlan::corrupt_in(stage, kind)));
+                }
+                for (fault, plan) in plans {
+                    let (left, report) = left_by(src, plan, &[]);
+                    if !report.stage(stage).unwrap().rolled_back() {
+                        // A corruption with no site to damage is no fault.
+                        assert_ne!(fault, "panic", "{name}: `{stage}`");
+                        continue;
+                    }
+                    corruptions_caught += usize::from(fault != "panic");
+                    assert_eq!(report.rolled_back_stages(), vec![stage], "{name}: {fault}");
+                    assert_eq!(left.apart_from(&[stage]), without, "{name}: {fault} in `{stage}`");
+                }
+            }
+        }
+        assert!(corruptions_caught > 26 * 12, "{corruptions_caught}");
+    }
+
+    #[test]
+    fn two_rolled_back_stages_leave_what_the_pipeline_without_both_leaves() {
+        let mut sources = kernels();
+        sources.retain(|(name, _)| ["mmt.f", "stencil2d.f", "trfd.f"].contains(&name.as_str()));
+        sources.push(("CALLS".into(), CALLS.into()));
+        assert_eq!(sources.len(), 4);
+        for (name, src) in &sources {
+            for (i, a) in STAGE_NAMES.iter().enumerate() {
+                for b in &STAGE_NAMES[i + 1..] {
+                    let both = [*a, *b];
+                    let without = left_by(src, FaultPlan::none(), &both).0.apart_from(&both);
+                    let plan = FaultPlan::panic_in(*a).and_panic_in(*b);
+                    let (left, report) = left_by(src, plan, &[]);
+                    assert_eq!(report.rolled_back_stages(), both, "{name}");
+                    assert_eq!(left.apart_from(&both), without, "{name}: `{a}` and `{b}`");
+                }
+            }
+        }
+    }
+
+    /// The replay runs under the same options, so a stage that was forced
+    /// to apply an illegal candidate applies it again: the lie (and the
+    /// certificate that lets `polaris-verify` catch it) survives a later
+    /// stage's rollback, as it did when a snapshot carried it.
+    #[test]
+    fn a_forced_interchange_and_its_certificate_survive_a_later_rollback() {
+        // (<, >) dependence: interchanging I and J is illegal.
+        let skewed = "program t\n\
+                      real a(64, 64)\n\
+                      parameter (n = 64)\n\
+                      do i = 2, n\n\
+                      \x20 do j = 1, n - 1\n\
+                      \x20   a(i, j) = a(i-1, j+1) + 1.0\n\
+                      \x20 end do\n\
+                      end do\n\
+                      print *, a(n, 1)\n\
+                      end\n";
+        let honest = left_by(skewed, FaultPlan::none(), &["tile"]).0;
+        let forced = left_by(skewed, FaultPlan::force_in("interchange"), &["tile"]).0;
+        assert_ne!(forced.text, honest.text, "the force did nothing");
+        let plan = FaultPlan::force_in("interchange").and_panic_in("tile");
+        let (left, report) = left_by(skewed, plan, &[]);
+        assert_eq!(report.rolled_back_stages(), vec!["tile"]);
+        assert_eq!(report.nest.interchanges, 1);
+        assert_eq!(report.nest.certs.len(), 1);
+        assert_eq!(report.nest.certs[0].stage(), "interchange");
+        assert_eq!(left.apart_from(&["tile"]), forced.apart_from(&["tile"]));
+    }
+
+    thread_local! {
+        /// Calls of [`counted_constprop`] on this thread.
+        static CONSTPROP_CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+        /// The token [`cancelling`] fires.
+        static TOKEN: std::cell::RefCell<CancelToken> = std::cell::RefCell::default();
+    }
+
+    fn counted_constprop(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, rec: &Recorder) -> Result<()> {
+        CONSTPROP_CALLS.with(|calls| calls.set(calls.get() + 1));
+        stage_constprop(program, opts, report, rec)
+    }
+
+    /// Breaks the purity rule on purpose: fine the first time, then not.
+    fn errs_when_run_again(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, rec: &Recorder) -> Result<()> {
+        counted_constprop(program, opts, report, rec)?;
+        match CONSTPROP_CALLS.with(|calls| calls.get()) {
+            1 => Ok(()),
+            _ => Err(polaris_ir::error::CompileError::validate("second thoughts")),
+        }
+    }
+
+    fn panics_when_run_again(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, rec: &Recorder) -> Result<()> {
+        counted_constprop(program, opts, report, rec)?;
+        assert_eq!(CONSTPROP_CALLS.with(|calls| calls.get()), 1, "second thoughts");
+        Ok(())
+    }
+
+    fn ill_formed(program: &mut Program, _: &PassOptions, _: &mut CompileReport, _: &Recorder) -> Result<()> {
+        program.units[0].args.push("BOGUS".into());
+        Ok(())
+    }
+
+    fn cancelling(_: &mut Program, _: &PassOptions, _: &mut CompileReport, _: &Recorder) -> Result<()> {
+        TOKEN.with(|token| token.borrow().cancel("deadline"));
+        Ok(())
+    }
+
+    fn cancelling_then_panicking(_: &mut Program, _: &PassOptions, _: &mut CompileReport, _: &Recorder) -> Result<()> {
+        TOKEN.with(|token| token.borrow().cancel("deadline"));
+        panic!("after the deadline");
+    }
+
+    /// A source `constprop` changes (a PARAMETER to fold).
+    const FOLDABLE: &str = "program t\n\
+                            integer n\n\
+                            parameter (n = 8)\n\
+                            real a(n)\n\
+                            do i = 1, n\n\
+                            \x20 a(i) = n * 1.0\n\
+                            end do\n\
+                            print *, a(1)\n\
+                            end\n";
+
+    #[test]
+    fn a_replay_that_diverges_restores_the_input_and_rolls_every_stage_back() {
+        for (flaky, why) in [
+            (errs_when_run_again as StageFn, "replay diverged: pass error: "),
+            (panics_when_run_again as StageFn, "replay diverged: panic: "),
+        ] {
+            CONSTPROP_CALLS.with(|calls| calls.set(0));
+            let pipeline = Pipeline {
+                stages: vec![
+                    Stage { name: "constprop", enabled: true, run: flaky },
+                    Stage { name: "induction", enabled: true, run: ill_formed },
+                ],
+            };
+            let input = polaris_ir::parse(FOLDABLE).unwrap();
+            let mut program = input.clone();
+            let report = pipeline.run(&mut program, &PassOptions::polaris()).unwrap();
+            assert_eq!(CONSTPROP_CALLS.with(|calls| calls.get()), 2);
+            assert_eq!(program, input, "not the validated input");
+            assert_eq!(report.rolled_back_stages(), vec!["constprop", "induction"]);
+            match &report.stage("constprop").unwrap().outcome {
+                StageOutcome::RolledBack { reason } => {
+                    assert!(reason.starts_with(why) && reason.contains("second thoughts"), "{reason}")
+                }
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(report.stage("constprop").unwrap().ir_delta, 0);
+            // What the dropped stage had reported went with it.
+            assert_eq!(report.constprop, crate::constprop::ConstPropStats::default());
+            assert_eq!(report.verify.invariants_checked, 16);
+        }
+    }
+
+    #[test]
+    fn a_cancelled_compile_keeps_the_completed_stages_without_replaying_them() {
+        let after_constprop = {
+            let mut program = polaris_ir::parse(FOLDABLE).unwrap();
+            crate::constprop::run(&mut program);
+            program
+        };
+        assert_ne!(after_constprop, polaris_ir::parse(FOLDABLE).unwrap());
+        // The stage that fires the token completes, or fails and is rolled
+        // back by a replay that the token does not stop.
+        for (fires, constprop_runs) in
+            [(cancelling as StageFn, 1), (cancelling_then_panicking as StageFn, 2)]
+        {
+            CONSTPROP_CALLS.with(|calls| calls.set(0));
+            let cancel = CancelToken::new();
+            TOKEN.with(|token| *token.borrow_mut() = cancel.clone());
+            let pipeline = Pipeline {
+                stages: vec![
+                    Stage { name: "constprop", enabled: true, run: counted_constprop },
+                    Stage { name: "normalize", enabled: true, run: fires },
+                    Stage { name: "induction", enabled: true, run: ill_formed },
+                ],
+            };
+            let mut program = polaris_ir::parse(FOLDABLE).unwrap();
+            let report = pipeline
+                .run_cancellable(&mut program, &PassOptions::polaris(), &Recorder::disabled(), &cancel)
+                .unwrap();
+            assert_eq!(CONSTPROP_CALLS.with(|calls| calls.get()), constprop_runs);
+            assert_eq!(program, after_constprop);
+            assert!(report.stage("constprop").unwrap().ran_ok());
+            assert_eq!(report.stage("normalize").unwrap().ran_ok(), constprop_runs == 1);
+            match &report.stage("induction").unwrap().outcome {
+                StageOutcome::RolledBack { reason } => {
+                    assert_eq!(reason, "cancelled: deadline")
+                }
+                other => panic!("{other:?}"),
             }
         }
     }

@@ -19,12 +19,13 @@
 
 use crate::iterview::{IterView, Ref};
 use polaris_ir::expr::{Expr, LValue};
-use polaris_ir::stmt::{DoLoop, StmtKind, StmtList};
+use polaris_ir::stmt::{DoLoop, Stmt, StmtKind, StmtList};
 use polaris_ir::visit::Access;
 use polaris_ir::ProgramUnit;
 use polaris_symbolic::bounds::min_max_over;
 use polaris_symbolic::poly::{Atom, DivPolicy, Poly};
 use polaris_symbolic::{prove_ge, prove_le, Range, RangeEnv};
+use std::collections::BTreeMap;
 
 /// Why privatization failed (diagnostics for the listing / tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,92 +178,148 @@ pub fn scalar_write_unconditional(d: &DoLoop, name: &str) -> bool {
     last_uncond
 }
 
-/// Is `name` (scalar or array) used after the loop with statement id
-/// `loop_id` — or is it visible outside the unit (argument / COMMON)?
-/// Conservative textual liveness.
-pub fn live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -> bool {
-    if let Some(sym) = unit.symbols.get(name) {
-        if sym.is_arg || sym.common.is_some() {
-            return true;
+// Conservative textual liveness. A value stored by statement `t` can be
+// read by whatever executes after `t`: every statement that follows it
+// in pre-order, and — when `t` sits in a loop — the whole body of its
+// outermost enclosing loop, which comes round again on the back edge
+// (the bounds of that loop itself are evaluated once, before). In
+// pre-order positions that is every read at or after `t`'s *region
+// start*, `t`'s own subtree excepted. A statement's position holds the
+// expressions it evaluates itself: a DO's bounds, all of an IF's
+// conditions.
+
+/// Is `name` visible outside the unit (argument / COMMON)?
+fn escapes_unit(unit: &ProgramUnit, name: &str) -> bool {
+    unit.symbols.get(name).is_some_and(|sym| sym.is_arg || sym.common.is_some())
+}
+
+/// The names `s` itself mentions (variables, array bases, call targets),
+/// not those of the statements nested in it.
+fn own_mentions<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a str)) {
+    fn names<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
+        match e {
+            Expr::Var(n) => f(n),
+            Expr::Index { array, subs } => {
+                f(array);
+                subs.iter().for_each(|sub| names(sub, f));
+            }
+            Expr::Call { name, args } => {
+                f(name);
+                args.iter().for_each(|arg| names(arg, f));
+            }
+            Expr::Un { arg, .. } => names(arg, f),
+            Expr::Bin { lhs, rhs, .. } => {
+                names(lhs, f);
+                names(rhs, f);
+            }
+            Expr::Int(_) | Expr::Real(_) | Expr::Logical(_) | Expr::Str(_) | Expr::Wildcard(_) => {}
         }
     }
-    // Execution-order walk: anything read after the loop statement
-    // counts; if the loop sits inside an enclosing loop, reads anywhere
-    // in that enclosing loop's body (outside our loop) also count, which
-    // the "after in pre-order OR enclosing-loop sibling" rule captures
-    // conservatively: we simply mark every read outside the loop's own
-    // body that is not strictly before the loop at the top level.
-    let mut seen_loop = false;
-    let mut live = false;
-    fn reads_name(s: &polaris_ir::Stmt, name: &str) -> bool {
-        let mut found = false;
-        polaris_ir::stmt::for_each_stmt_expr(s, &mut |e| match e {
-            Expr::Var(n) | Expr::Index { array: n, .. }
-                if n == name => {
-                    found = true;
+    match &s.kind {
+        StmtKind::Assign { lhs, rhs, .. } => {
+            lhs.subs().iter().for_each(|sub| names(sub, f));
+            names(rhs, f);
+        }
+        StmtKind::Do(d) => {
+            names(&d.init, f);
+            names(&d.limit, f);
+            d.step.iter().for_each(|step| names(step, f));
+        }
+        StmtKind::IfBlock { arms, .. } => arms.iter().for_each(|arm| names(&arm.cond, f)),
+        StmtKind::Call { args, .. } => args.iter().for_each(|arg| names(arg, f)),
+        StmtKind::Print { items } => items.iter().for_each(|item| names(item, f)),
+        StmtKind::Assert { cond } => names(cond, f),
+        StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
+    }
+}
+
+/// Pre-order walk handing `f` each statement, its position, and the
+/// position its outermost enclosing loop's body starts at, if any; the
+/// statements nested in one `f` answers `false` for are passed over.
+fn numbered<'a>(
+    list: &'a StmtList,
+    next: &mut usize,
+    loop_start: Option<usize>,
+    f: &mut impl FnMut(&'a Stmt, usize, Option<usize>) -> bool,
+) {
+    for s in list {
+        let pos = *next;
+        *next += 1;
+        if !f(s, pos, loop_start) {
+            continue;
+        }
+        match &s.kind {
+            StmtKind::Do(d) => numbered(&d.body, next, loop_start.or(Some(pos + 1)), f),
+            StmtKind::IfBlock { arms, else_body } => {
+                for arm in arms {
+                    numbered(&arm.body, next, loop_start, f);
                 }
+                numbered(else_body, next, loop_start, f);
+            }
             _ => {}
-        });
-        found
-    }
-    fn walk(
-        list: &StmtList,
-        loop_id: polaris_ir::StmtId,
-        name: &str,
-        seen: &mut bool,
-        live: &mut bool,
-        inside_enclosing_loop: bool,
-    ) {
-        for s in list {
-            if s.id == loop_id {
-                *seen = true;
-                continue; // skip the loop's own body
-            }
-            let relevant = *seen || inside_enclosing_loop;
-            match &s.kind {
-                StmtKind::Do(d) => {
-                    let contains = crate::rangeprop::contains(&d.body, loop_id);
-                    if contains {
-                        // The headers walked through are evaluated again
-                        // when an enclosing loop comes round.
-                        let bounds = [Some(&d.init), Some(&d.limit), d.step.as_ref()];
-                        if relevant && bounds.into_iter().flatten().any(|e| e.references(name)) {
-                            *live = true;
-                        }
-                        walk(&d.body, loop_id, name, seen, live, true);
-                    } else if relevant && reads_name(s, name) {
-                        *live = true;
-                    } else if relevant {
-                        walk(&d.body, loop_id, name, seen, live, inside_enclosing_loop);
-                    }
-                }
-                StmtKind::IfBlock { arms, else_body } => {
-                    let contains = arms
-                        .iter()
-                        .any(|a| crate::rangeprop::contains(&a.body, loop_id))
-                        || crate::rangeprop::contains(else_body, loop_id);
-                    if contains {
-                        if relevant && arms.iter().any(|arm| arm.cond.references(name)) {
-                            *live = true;
-                        }
-                        for arm in arms {
-                            walk(&arm.body, loop_id, name, seen, live, inside_enclosing_loop);
-                        }
-                        walk(else_body, loop_id, name, seen, live, inside_enclosing_loop);
-                    } else if relevant && reads_name(s, name) {
-                        *live = true;
-                    }
-                }
-                _ => {
-                    if relevant && reads_name(s, name) {
-                        *live = true;
-                    }
-                }
-            }
         }
     }
-    walk(&unit.body, loop_id, name, &mut seen_loop, &mut live, false);
+}
+
+/// Is `name` (scalar or array) used after the statement with id
+/// `loop_id` (a loop, for the dependence driver) — or is it visible
+/// outside the unit (argument / COMMON)? One walk of the unit, cut short
+/// at the first read that decides it.
+pub fn live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -> bool {
+    if escapes_unit(unit, name) {
+        return true;
+    }
+    let mut last_read = None;
+    let mut seen = false;
+    let mut live = false;
+    numbered(&unit.body, &mut 0, None, &mut |s, pos, loop_start| {
+        if live {
+            return false;
+        }
+        if s.id == loop_id {
+            seen = true;
+            live = loop_start.is_some_and(|start| last_read >= Some(start));
+            return false; // its own subtree does not count
+        }
+        let mut reads = false;
+        own_mentions(s, &mut |n| reads |= n == name);
+        if reads {
+            last_read = Some(pos);
+            live = seen;
+        }
+        true
+    });
     live
+}
+
+/// The scalar assignments of `unit` whose value nothing can read — what
+/// [`live_after`] answers for each of them, all from one walk: every
+/// read's position is filed under its name, and a store is dead when no
+/// position at or after its region start, other than its own, is filed
+/// under the name it assigns.
+pub(crate) fn dead_scalar_stores(unit: &ProgramUnit) -> Vec<polaris_ir::StmtId> {
+    let mut reads: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut stores = Vec::new();
+    numbered(&unit.body, &mut 0, None, &mut |s, pos, loop_start| {
+        own_mentions(s, &mut |n| reads.entry(n).or_default().push(pos));
+        if let StmtKind::Assign { lhs, .. } = &s.kind {
+            if lhs.subs().is_empty() {
+                stores.push((s.id, lhs.name(), pos, loop_start.unwrap_or(pos + 1)));
+            }
+        }
+        true
+    });
+    let live = |name: &str, pos: usize, region: usize| {
+        escapes_unit(unit, name)
+            || reads.get(name).is_some_and(|at| {
+                at[at.partition_point(|&q| q < region)..].iter().any(|&q| q != pos)
+            })
+    };
+    stores
+        .into_iter()
+        .filter(|&(_, name, pos, region)| !live(name, pos, region))
+        .map(|(id, ..)| id)
+        .collect()
 }
 
 // ---------------------------------------------------------------------

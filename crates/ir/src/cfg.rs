@@ -36,14 +36,21 @@ pub struct Cfg {
 impl Cfg {
     /// Build the CFG for `list`.
     pub fn build(list: &StmtList) -> Cfg {
+        let mut cfg = Cfg::build_forward(list);
+        cfg.compute_preds();
+        cfg
+    }
+
+    /// [`Cfg::build`] with every `preds` list left empty, for a caller
+    /// that only follows successor edges (the validator, once per unit
+    /// per stage).
+    pub(crate) fn build_forward(list: &StmtList) -> Cfg {
         let mut b = Builder { blocks: vec![Block::default(), Block::default()] };
         let entry = BlockId(0);
         let exit = BlockId(1);
         let last = b.lower_list(list, entry);
         b.edge(last, exit);
-        let mut cfg = Cfg { blocks: b.blocks, entry, exit };
-        cfg.compute_preds();
-        cfg
+        Cfg { blocks: b.blocks, entry, exit }
     }
 
     fn compute_preds(&mut self) {

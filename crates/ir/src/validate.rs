@@ -20,8 +20,8 @@ use crate::cfg::Cfg;
 use crate::error::{CompileError, Result};
 use crate::expr::{is_intrinsic, BinOp, Expr, UnOp};
 use crate::program::{Program, ProgramUnit, UnitKind};
-use crate::stmt::{Stmt, StmtKind};
-use crate::symbol::SymKind;
+use crate::stmt::{Stmt, StmtId, StmtKind};
+use crate::symbol::{SymKind, Symbol};
 use crate::types::DataType;
 use std::collections::BTreeSet;
 
@@ -114,14 +114,21 @@ pub fn check_program(program: &Program) -> Vec<InvariantViolation> {
     check_unit_structure(program, &mut out);
     for unit in &program.units {
         out.begin_unit();
-        check_stmt_ids(unit, &mut out);
-        check_loop_ids(unit, &mut out);
-        check_body(unit, &mut out);
-        check_cfg(unit, &mut out);
+        check_unit_body(unit, &mut out);
     }
     out.begin_unit();
     check_unit_linkage(program, &mut out);
     out.list
+}
+
+/// The unit-scoped invariants that read the statement tree. The id set
+/// is built once: `stmt-id-discipline` fills it and `cfg-well-formed`
+/// reuses its storage.
+fn check_unit_body(unit: &ProgramUnit, out: &mut Violations) {
+    let mut ids = IdSet::new(unit.stmt_id_watermark());
+    check_ids(unit, &mut ids, out);
+    check_body(unit, out);
+    check_cfg(unit, &mut ids, out);
 }
 
 /// Validate a whole program; the first broken invariant is returned as a
@@ -143,10 +150,7 @@ pub fn validate_program(program: &Program) -> Result<()> {
 pub fn validate_unit(unit: &ProgramUnit) -> Result<()> {
     let mut out = Violations::default();
     check_unit_args(unit, &mut out);
-    check_stmt_ids(unit, &mut out);
-    check_loop_ids(unit, &mut out);
-    check_body(unit, &mut out);
-    check_cfg(unit, &mut out);
+    check_unit_body(unit, &mut out);
     match out.list.into_iter().next() {
         None => Ok(()),
         Some(v) => {
@@ -210,7 +214,7 @@ fn check_unit_structure(program: &Program, out: &mut Violations) {
     }
     let mut names = BTreeSet::new();
     for unit in &program.units {
-        if !names.insert(unit.name.clone()) {
+        if !names.insert(unit.name.as_str()) {
             out.push(
                 Invariant::UnitStructure,
                 Some(&unit.name),
@@ -249,12 +253,56 @@ fn check_unit_args(unit: &ProgramUnit, out: &mut Violations) {
 // stmt-id-discipline / loop-id-provenance
 // ---------------------------------------------------------------------
 
-fn check_stmt_ids(unit: &ProgramUnit, out: &mut Violations) {
-    let mut ids = BTreeSet::new();
+/// A set of statement ids: a bitmap for ids below the unit's fresh-id
+/// watermark (every id of a well-formed unit), grown to the largest id
+/// seen, and an ordered set for the strays at or above it.
+struct IdSet {
+    watermark: u32,
+    dense: Vec<u64>,
+    strays: BTreeSet<u32>,
+}
+
+impl IdSet {
+    fn new(watermark: u32) -> IdSet {
+        IdSet { watermark, dense: Vec::new(), strays: BTreeSet::new() }
+    }
+
+    /// Add `id`; false when it was already present.
+    fn insert(&mut self, id: StmtId) -> bool {
+        if id.0 >= self.watermark {
+            return self.strays.insert(id.0);
+        }
+        let (word, bit) = ((id.0 / 64) as usize, 1u64 << (id.0 % 64));
+        if word >= self.dense.len() {
+            self.dense.resize(word + 1, 0);
+        }
+        let fresh = self.dense[word] & bit == 0;
+        self.dense[word] |= bit;
+        fresh
+    }
+
+    fn clear(&mut self) {
+        self.dense.fill(0);
+        self.strays.clear();
+    }
+}
+
+fn check_ids(unit: &ProgramUnit, ids: &mut IdSet, out: &mut Violations) {
+    // Every pass must either keep a loop's `LoopId` or assign a fresh one
+    // when it clones the loop (inlining); a duplicate means run-time
+    // observations could be attributed to the wrong compile-time verdict
+    // — inside the pipeline this rolls the offending stage back.
+    let mut loop_ids = BTreeSet::new();
     let mut dup = None;
+    let mut dup_loop = None;
     unit.body.walk(&mut |s| {
         if !ids.insert(s.id) && dup.is_none() {
             dup = Some(s.id);
+        }
+        if let Some(d) = s.as_do() {
+            if !loop_ids.insert(d.loop_id) && dup_loop.is_none() {
+                dup_loop = Some((d.loop_id, d.label.clone()));
+            }
         }
     });
     if let Some(id) = dup {
@@ -264,38 +312,18 @@ fn check_stmt_ids(unit: &ProgramUnit, out: &mut Violations) {
             None,
             format!("unit {}: duplicate statement id {id}", unit.name),
         );
-        return;
+    } else if let Some(&max) = ids.strays.last() {
+        out.push(
+            Invariant::StmtIdDiscipline,
+            Some(&unit.name),
+            None,
+            format!(
+                "unit {}: statement id {max} >= fresh-id watermark {} (id discipline violated)",
+                unit.name,
+                unit.stmt_id_watermark()
+            ),
+        );
     }
-    if let Some(&max) = ids.iter().map(|i| &i.0).max() {
-        if max >= unit.stmt_id_watermark() {
-            out.push(
-                Invariant::StmtIdDiscipline,
-                Some(&unit.name),
-                None,
-                format!(
-                    "unit {}: statement id {max} >= fresh-id watermark {} (id discipline violated)",
-                    unit.name,
-                    unit.stmt_id_watermark()
-                ),
-            );
-        }
-    }
-}
-
-fn check_loop_ids(unit: &ProgramUnit, out: &mut Violations) {
-    // Every pass must either keep a loop's `LoopId` or assign a fresh one
-    // when it clones the loop (inlining); a duplicate means run-time
-    // observations could be attributed to the wrong compile-time verdict
-    // — inside the pipeline this rolls the offending stage back.
-    let mut loop_ids = BTreeSet::new();
-    let mut dup_loop = None;
-    unit.body.walk(&mut |s| {
-        if let Some(d) = s.as_do() {
-            if !loop_ids.insert(d.loop_id) && dup_loop.is_none() {
-                dup_loop = Some((d.loop_id, d.label.clone()));
-            }
-        }
-    });
     if let Some((id, label)) = dup_loop {
         out.push(
             Invariant::LoopIdProvenance,
@@ -311,279 +339,308 @@ fn check_loop_ids(unit: &ProgramUnit, out: &mut Violations) {
 // ---------------------------------------------------------------------
 
 fn check_body(unit: &ProgramUnit, out: &mut Violations) {
-    let mut loop_stack: Vec<String> = Vec::new();
-    check_stmts(unit, &unit.body.0, &mut loop_stack, out);
+    let mut check = BodyCheck { unit, loop_vars: Vec::new(), nodes: Vec::new(), out };
+    check.stmts(&unit.body.0);
 }
 
-fn check_stmts(
-    unit: &ProgramUnit,
-    stmts: &[Stmt],
-    loop_stack: &mut Vec<String>,
-    out: &mut Violations,
-) {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign { lhs, rhs, .. } => {
-                check_lvalue(unit, s, lhs.name(), lhs.subs(), out);
-                check_expr(unit, s, rhs, out);
-                for sub in lhs.subs() {
-                    check_expr(unit, s, sub, out);
-                }
-                check_assign_types(unit, s, lhs.name(), rhs, out);
-                // F77 forbids assigning to an active DO variable.
-                if lhs.subs().is_empty() && loop_stack.iter().any(|v| v == lhs.name()) {
-                    out.push(
-                        Invariant::LoopForm,
-                        Some(&unit.name),
-                        Some(s.line),
-                        format!(
-                            "unit {}: assignment to active DO variable `{}`",
-                            unit.name,
-                            lhs.name()
-                        ),
-                    );
-                }
-            }
-            StmtKind::Do(d) => {
-                if unit.symbols.type_of(&d.var) != DataType::Integer {
-                    out.push(
-                        Invariant::TypeAgreement,
-                        Some(&unit.name),
-                        Some(s.line),
-                        format!("unit {}: DO variable `{}` is not INTEGER", unit.name, d.var),
-                    );
-                }
-                if unit.symbols.is_array(&d.var) {
-                    out.push(
-                        Invariant::LoopForm,
-                        Some(&unit.name),
-                        Some(s.line),
-                        format!("unit {}: DO variable `{}` is an array", unit.name, d.var),
-                    );
-                }
-                check_expr(unit, s, &d.init, out);
-                check_expr(unit, s, &d.limit, out);
-                if let Some(step) = &d.step {
-                    check_expr(unit, s, step, out);
-                    if step.simplified().as_int() == Some(0) {
-                        out.push(
+/// The body traversal's state: the variables of the DO loops open around
+/// the current statement, and the side table of the expression under
+/// check (see [`BodyCheck::expr`]).
+struct BodyCheck<'a, 'o> {
+    unit: &'a ProgramUnit,
+    loop_vars: Vec<(&'a str, DataType)>,
+    nodes: Vec<Node<'a>>,
+    out: &'o mut Violations,
+}
+
+/// What [`BodyCheck::type_nodes`] records about one expression node.
+#[derive(Clone, Copy)]
+struct Node<'a> {
+    ty: Option<DataType>,
+    /// Slot just past this node's subtree — its next sibling's slot.
+    end: usize,
+    /// The symbol an [`Expr::Index`] node subscripts, if declared.
+    base: Option<&'a Symbol>,
+}
+
+impl<'a> BodyCheck<'a, '_> {
+    fn push(&mut self, invariant: Invariant, s: &Stmt, message: String) {
+        self.out.push(invariant, Some(&self.unit.name), Some(s.line), message);
+    }
+
+    fn stmts(&mut self, stmts: &'a [Stmt]) {
+        let unit = self.unit;
+        for s in stmts {
+            match &s.kind {
+                StmtKind::Assign { lhs, rhs, .. } => {
+                    let target = unit.symbols.get(lhs.name());
+                    self.lvalue(s, lhs.name(), lhs.subs(), target);
+                    let rhs_ty = self.expr(s, rhs);
+                    for sub in lhs.subs() {
+                        self.expr(s, sub);
+                    }
+                    let lhs_ty = target.map_or_else(|| DataType::implicit_for(lhs.name()), |t| t.ty);
+                    self.assign_types(s, lhs.name(), lhs_ty, rhs_ty);
+                    // F77 forbids assigning to an active DO variable.
+                    if lhs.subs().is_empty() && self.loop_vars.iter().any(|(v, _)| *v == lhs.name()) {
+                        self.push(
                             Invariant::LoopForm,
-                            Some(&unit.name),
-                            Some(s.line),
-                            format!("unit {}: DO loop `{}` has zero step", unit.name, d.label),
+                            s,
+                            format!(
+                                "unit {}: assignment to active DO variable `{}`",
+                                unit.name,
+                                lhs.name()
+                            ),
                         );
                     }
                 }
-                loop_stack.push(d.var.clone());
-                check_stmts(unit, &d.body.0, loop_stack, out);
-                loop_stack.pop();
-            }
-            StmtKind::IfBlock { arms, else_body } => {
-                for arm in arms {
-                    check_expr(unit, s, &arm.cond, out);
-                    if matches!(
-                        expr_type(unit, &arm.cond),
-                        Some(DataType::Integer) | Some(DataType::Real)
-                    ) {
-                        out.push(
+                StmtKind::Do(d) => {
+                    let var = unit.symbols.get(&d.var);
+                    let var_ty = var.map_or_else(|| DataType::implicit_for(&d.var), |v| v.ty);
+                    if var_ty != DataType::Integer {
+                        self.push(
                             Invariant::TypeAgreement,
-                            Some(&unit.name),
-                            Some(s.line),
-                            format!("unit {}: IF condition is not LOGICAL", unit.name),
+                            s,
+                            format!("unit {}: DO variable `{}` is not INTEGER", unit.name, d.var),
                         );
                     }
-                    check_stmts(unit, &arm.body.0, loop_stack, out);
-                }
-                check_stmts(unit, &else_body.0, loop_stack, out);
-            }
-            StmtKind::Call { args, .. } => {
-                for a in args {
-                    check_expr(unit, s, a, out);
-                }
-            }
-            StmtKind::Print { items } => {
-                for a in items {
-                    check_expr(unit, s, a, out);
-                }
-            }
-            StmtKind::Assert { cond } => check_expr(unit, s, cond, out),
-            StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
-        }
-    }
-}
-
-fn check_lvalue(unit: &ProgramUnit, s: &Stmt, name: &str, subs: &[Expr], out: &mut Violations) {
-    let v = |msg: String, out: &mut Violations| {
-        out.push(Invariant::SymbolUse, Some(&unit.name), Some(s.line), msg);
-    };
-    match unit.symbols.get(name) {
-        Some(sym) => match &sym.kind {
-            SymKind::Array(dims) => {
-                if subs.is_empty() {
-                    v(format!("unit {}: whole-array assignment to `{name}`", unit.name), out);
-                } else if subs.len() != dims.len() {
-                    v(
-                        format!(
-                            "unit {}: `{name}` has rank {} but is subscripted with {} indices",
-                            unit.name,
-                            dims.len(),
-                            subs.len()
-                        ),
-                        out,
-                    );
-                }
-            }
-            SymKind::Parameter(_) => {
-                v(format!("unit {}: assignment to PARAMETER `{name}`", unit.name), out);
-            }
-            SymKind::Scalar => {
-                if !subs.is_empty() {
-                    v(format!("unit {}: scalar `{name}` used with subscripts", unit.name), out);
-                }
-            }
-            SymKind::External => {
-                v(format!("unit {}: assignment to external `{name}`", unit.name), out);
-            }
-        },
-        None => {
-            v(
-                format!(
-                    "unit {}: assignment to undeclared symbol `{name}` (implicit declaration \
-                     should have happened at parse time)",
-                    unit.name
-                ),
-                out,
-            );
-        }
-    }
-}
-
-fn check_expr(unit: &ProgramUnit, s: &Stmt, e: &Expr, out: &mut Violations) {
-    e.for_each(&mut |node| {
-        match node {
-            Expr::Index { array, subs } => {
-                match unit.symbols.get(array) {
-                    Some(sym) => {
-                        if let SymKind::Array(dims) = &sym.kind {
-                            if subs.len() != dims.len() {
-                                out.push(
-                                    Invariant::SymbolUse,
-                                    Some(&unit.name),
-                                    Some(s.line),
-                                    format!(
-                                        "unit {}: `{array}` has rank {} but is subscripted with {}",
-                                        unit.name,
-                                        dims.len(),
-                                        subs.len()
-                                    ),
-                                );
-                            }
-                        } else {
-                            out.push(
-                                Invariant::SymbolUse,
-                                Some(&unit.name),
-                                Some(s.line),
-                                format!("unit {}: `{array}` subscripted but not an array", unit.name),
+                    if var.is_some_and(Symbol::is_array) {
+                        self.push(
+                            Invariant::LoopForm,
+                            s,
+                            format!("unit {}: DO variable `{}` is an array", unit.name, d.var),
+                        );
+                    }
+                    self.expr(s, &d.init);
+                    self.expr(s, &d.limit);
+                    if let Some(step) = &d.step {
+                        self.expr(s, step);
+                        if step.simplified().as_int() == Some(0) {
+                            self.push(
+                                Invariant::LoopForm,
+                                s,
+                                format!("unit {}: DO loop `{}` has zero step", unit.name, d.label),
                             );
                         }
                     }
-                    None => {
-                        out.push(
-                            Invariant::SymbolUse,
-                            Some(&unit.name),
-                            Some(s.line),
-                            format!("unit {}: reference to undeclared array `{array}`", unit.name),
-                        );
+                    self.loop_vars.push((&d.var, var_ty));
+                    self.stmts(&d.body.0);
+                    self.loop_vars.pop();
+                }
+                StmtKind::IfBlock { arms, else_body } => {
+                    for arm in arms {
+                        let cond_ty = self.expr(s, &arm.cond);
+                        if matches!(cond_ty, Some(DataType::Integer) | Some(DataType::Real)) {
+                            self.push(
+                                Invariant::TypeAgreement,
+                                s,
+                                format!("unit {}: IF condition is not LOGICAL", unit.name),
+                            );
+                        }
+                        self.stmts(&arm.body.0);
                     }
+                    self.stmts(&else_body.0);
+                }
+                StmtKind::Call { args: exprs, .. } | StmtKind::Print { items: exprs } => {
+                    for e in exprs {
+                        self.expr(s, e);
+                    }
+                }
+                StmtKind::Assert { cond } => {
+                    self.expr(s, cond);
+                }
+                StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
+            }
+        }
+    }
+
+    fn lvalue(&mut self, s: &Stmt, name: &str, subs: &[Expr], target: Option<&Symbol>) {
+        let unit = &self.unit.name;
+        let message = match target.map(|sym| &sym.kind) {
+            Some(SymKind::Array(_)) if subs.is_empty() => {
+                format!("unit {unit}: whole-array assignment to `{name}`")
+            }
+            Some(SymKind::Array(dims)) if subs.len() != dims.len() => format!(
+                "unit {unit}: `{name}` has rank {} but is subscripted with {} indices",
+                dims.len(),
+                subs.len()
+            ),
+            Some(SymKind::Parameter(_)) => format!("unit {unit}: assignment to PARAMETER `{name}`"),
+            Some(SymKind::Scalar) if !subs.is_empty() => {
+                format!("unit {unit}: scalar `{name}` used with subscripts")
+            }
+            Some(SymKind::External) => format!("unit {unit}: assignment to external `{name}`"),
+            Some(SymKind::Array(_) | SymKind::Scalar) => return,
+            None => format!(
+                "unit {unit}: assignment to undeclared symbol `{name}` (implicit declaration \
+                 should have happened at parse time)"
+            ),
+        };
+        self.push(Invariant::SymbolUse, s, message);
+    }
+
+    /// Check every node of `e` and return the type of `e` itself. Types
+    /// are computed once, bottom-up, into the side table (in pre-order);
+    /// the checks then run top-down, parent before children, and read
+    /// their operands' types from it.
+    fn expr(&mut self, s: &Stmt, e: &'a Expr) -> Option<DataType> {
+        self.nodes.clear();
+        let ty = self.type_nodes(e);
+        self.check_nodes(s, e, 0);
+        ty
+    }
+
+    /// Conservative expression typing for the type-agreement invariant,
+    /// recorded for `e` and every node under it. `None` means "unknown —
+    /// don't judge" (intrinsic calls, strings, mixed/unknown operands),
+    /// so the check never fires on well-typed programs it cannot fully
+    /// analyze.
+    fn type_nodes(&mut self, e: &'a Expr) -> Option<DataType> {
+        let slot = self.nodes.len();
+        self.nodes.push(Node { ty: None, end: 0, base: None });
+        let mut base = None;
+        let ty = match e {
+            Expr::Int(_) => Some(DataType::Integer),
+            Expr::Real(_) => Some(DataType::Real),
+            Expr::Logical(_) => Some(DataType::Logical),
+            Expr::Str(_) | Expr::Wildcard(_) => None,
+            // Most variables of a loop body are the loops' own: their type
+            // was looked up when the loop was entered.
+            Expr::Var(n) => Some(match self.loop_vars.iter().rev().find(|(v, _)| v == n) {
+                Some((_, ty)) => *ty,
+                None => self.unit.symbols.type_of(n),
+            }),
+            Expr::Index { array, subs } => {
+                for sub in subs {
+                    self.type_nodes(sub);
+                }
+                base = self.unit.symbols.get(array);
+                Some(base.map_or_else(|| DataType::implicit_for(array), |b| b.ty))
+            }
+            Expr::Call { args, .. } => {
+                for arg in args {
+                    self.type_nodes(arg);
+                }
+                None
+            }
+            Expr::Un { op, arg } => {
+                let arg_ty = self.type_nodes(arg);
+                match op {
+                    UnOp::Neg => arg_ty,
+                    UnOp::Not => Some(DataType::Logical),
+                }
+            }
+            Expr::Bin { op, lhs, rhs } => {
+                let operands = (self.type_nodes(lhs), self.type_nodes(rhs));
+                if op.is_relational() || matches!(op, BinOp::And | BinOp::Or) {
+                    Some(DataType::Logical)
+                } else {
+                    match operands {
+                        (Some(DataType::Logical), _) | (_, Some(DataType::Logical)) => None,
+                        (Some(a), Some(b)) => Some(a.promote(b)),
+                        _ => None,
+                    }
+                }
+            }
+        };
+        self.nodes[slot] = Node { ty, end: self.nodes.len(), base };
+        ty
+    }
+
+    /// The per-node checks over `e`, whose entry in the side table is
+    /// `slot`. Children sit in pre-order: the first right after `e`,
+    /// each next one where its elder sibling's subtree ends.
+    fn check_nodes(&mut self, s: &Stmt, e: &Expr, slot: usize) {
+        let unit = &self.unit.name;
+        let logical = |nodes: &[Node], slot: usize| nodes[slot].ty == Some(DataType::Logical);
+        let mut child = slot + 1;
+        match e {
+            Expr::Index { array, subs } => {
+                match self.nodes[slot].base.map(|sym| &sym.kind) {
+                    Some(SymKind::Array(dims)) if subs.len() == dims.len() => {}
+                    Some(SymKind::Array(dims)) => self.push(
+                        Invariant::SymbolUse,
+                        s,
+                        format!(
+                            "unit {unit}: `{array}` has rank {} but is subscripted with {}",
+                            dims.len(),
+                            subs.len()
+                        ),
+                    ),
+                    Some(_) => self.push(
+                        Invariant::SymbolUse,
+                        s,
+                        format!("unit {unit}: `{array}` subscripted but not an array"),
+                    ),
+                    None => self.push(
+                        Invariant::SymbolUse,
+                        s,
+                        format!("unit {unit}: reference to undeclared array `{array}`"),
+                    ),
                 }
                 // Subscripts must be arithmetic.
-                for sub in subs {
-                    if expr_type(unit, sub) == Some(DataType::Logical) {
-                        out.push(
+                let mut sub_slot = child;
+                for _ in subs {
+                    if logical(&self.nodes, sub_slot) {
+                        self.push(
                             Invariant::TypeAgreement,
-                            Some(&unit.name),
-                            Some(s.line),
-                            format!("unit {}: LOGICAL subscript on `{array}`", unit.name),
+                            s,
+                            format!("unit {unit}: LOGICAL subscript on `{array}`"),
                         );
                     }
+                    sub_slot = self.nodes[sub_slot].end;
+                }
+                for sub in subs {
+                    self.check_nodes(s, sub, child);
+                    child = self.nodes[child].end;
                 }
             }
-            Expr::Bin { op, lhs, rhs }
+            Expr::Call { args, .. } => {
+                for arg in args {
+                    self.check_nodes(s, arg, child);
+                    child = self.nodes[child].end;
+                }
+            }
+            Expr::Un { arg, .. } => self.check_nodes(s, arg, child),
+            Expr::Bin { op, lhs, rhs } => {
+                let rhs_slot = self.nodes[child].end;
                 if op.is_arithmetic()
-                    && (expr_type(unit, lhs) == Some(DataType::Logical)
-                        || expr_type(unit, rhs) == Some(DataType::Logical)) =>
-            {
-                out.push(
-                    Invariant::TypeAgreement,
-                    Some(&unit.name),
-                    Some(s.line),
-                    format!(
-                        "unit {}: LOGICAL operand of arithmetic `{}`",
-                        unit.name,
-                        op.fortran()
-                    ),
-                );
-            }
-            Expr::Wildcard(id) => {
-                out.push(
-                    Invariant::SymbolUse,
-                    Some(&unit.name),
-                    Some(s.line),
-                    format!("unit {}: wildcard _W{id} escaped into program text", unit.name),
-                );
-            }
-            _ => {}
-        }
-    });
-}
-
-/// Conservative expression typing for the type-agreement invariant.
-/// `None` means "unknown — don't judge" (intrinsic calls, strings,
-/// mixed/unknown operands), so the check never fires on well-typed
-/// programs it cannot fully analyze.
-fn expr_type(unit: &ProgramUnit, e: &Expr) -> Option<DataType> {
-    match e {
-        Expr::Int(_) => Some(DataType::Integer),
-        Expr::Real(_) => Some(DataType::Real),
-        Expr::Logical(_) => Some(DataType::Logical),
-        Expr::Str(_) => None,
-        Expr::Var(n) => Some(unit.symbols.type_of(n)),
-        Expr::Index { array, .. } => Some(unit.symbols.type_of(array)),
-        Expr::Call { .. } => None,
-        Expr::Un { op: UnOp::Neg, arg } => expr_type(unit, arg),
-        Expr::Un { op: UnOp::Not, .. } => Some(DataType::Logical),
-        Expr::Bin { op, lhs, rhs } => {
-            if op.is_relational() || matches!(op, BinOp::And | BinOp::Or) {
-                Some(DataType::Logical)
-            } else {
-                match (expr_type(unit, lhs), expr_type(unit, rhs)) {
-                    (Some(DataType::Logical), _) | (_, Some(DataType::Logical)) => None,
-                    (Some(a), Some(b)) => Some(a.promote(b)),
-                    _ => None,
+                    && (logical(&self.nodes, child) || logical(&self.nodes, rhs_slot))
+                {
+                    self.push(
+                        Invariant::TypeAgreement,
+                        s,
+                        format!("unit {unit}: LOGICAL operand of arithmetic `{}`", op.fortran()),
+                    );
                 }
+                self.check_nodes(s, lhs, child);
+                self.check_nodes(s, rhs, rhs_slot);
             }
-        }
-        Expr::Wildcard(_) => None,
-    }
-}
-
-fn check_assign_types(unit: &ProgramUnit, s: &Stmt, lhs: &str, rhs: &Expr, out: &mut Violations) {
-    let lhs_ty = unit.symbols.type_of(lhs);
-    let Some(rhs_ty) = expr_type(unit, rhs) else { return };
-    // Arithmetic types convert freely (F77 assignment conversion); the
-    // pun the invariant rejects is LOGICAL on exactly one side.
-    if (lhs_ty == DataType::Logical) != (rhs_ty == DataType::Logical) {
-        out.push(
-            Invariant::TypeAgreement,
-            Some(&unit.name),
-            Some(s.line),
-            format!(
-                "unit {}: type-punned assignment to `{lhs}` ({} := {})",
-                unit.name,
-                lhs_ty.keyword(),
-                rhs_ty.keyword()
+            Expr::Wildcard(id) => self.push(
+                Invariant::SymbolUse,
+                s,
+                format!("unit {unit}: wildcard _W{id} escaped into program text"),
             ),
-        );
+            Expr::Int(_) | Expr::Real(_) | Expr::Logical(_) | Expr::Str(_) | Expr::Var(_) => {}
+        }
+    }
+
+    fn assign_types(&mut self, s: &Stmt, lhs: &str, lhs_ty: DataType, rhs_ty: Option<DataType>) {
+        let Some(rhs_ty) = rhs_ty else { return };
+        // Arithmetic types convert freely (F77 assignment conversion); the
+        // pun the invariant rejects is LOGICAL on exactly one side.
+        if (lhs_ty == DataType::Logical) != (rhs_ty == DataType::Logical) {
+            self.push(
+                Invariant::TypeAgreement,
+                s,
+                format!(
+                    "unit {}: type-punned assignment to `{lhs}` ({} := {})",
+                    self.unit.name,
+                    lhs_ty.keyword(),
+                    rhs_ty.keyword()
+                ),
+            );
+        }
     }
 }
 
@@ -591,7 +648,7 @@ fn check_assign_types(unit: &ProgramUnit, s: &Stmt, lhs: &str, rhs: &Expr, out: 
 // cfg-well-formed
 // ---------------------------------------------------------------------
 
-fn check_cfg(unit: &ProgramUnit, out: &mut Violations) {
+fn check_cfg(unit: &ProgramUnit, ids: &mut IdSet, out: &mut Violations) {
     // The CFG is derived on demand from the structured AST; building it
     // and checking its shape is a consistency oracle over the statement
     // structure itself. Skip if the body already failed the id
@@ -600,9 +657,10 @@ fn check_cfg(unit: &ProgramUnit, out: &mut Violations) {
     if out.saw(Invariant::StmtIdDiscipline) {
         return;
     }
-    let cfg = Cfg::build(&unit.body);
+    // Only successor edges are read below.
+    let cfg = Cfg::build_forward(&unit.body);
     let n = cfg.blocks.len();
-    let mut seen_stmts = BTreeSet::new();
+    ids.clear();
     for block in &cfg.blocks {
         for succ in &block.succs {
             if succ.0 >= n {
@@ -616,7 +674,7 @@ fn check_cfg(unit: &ProgramUnit, out: &mut Violations) {
             }
         }
         for id in &block.stmts {
-            if !seen_stmts.insert(*id) {
+            if !ids.insert(*id) {
                 out.push(
                     Invariant::CfgWellFormed,
                     Some(&unit.name),
@@ -822,6 +880,105 @@ mod tests {
         // A single-unit program calling an undefined external is legal.
         let single = crate::parse("program p\nk = 3\ncall f(k)\nx = k\nend\n").unwrap();
         assert!(check_program(&single).is_empty());
+    }
+
+    /// Two violations of one invariant class in one statement: only the
+    /// first is kept, so *which* comes first is part of the verdict. The
+    /// expected messages are what the checker reported before it typed
+    /// each expression once (recorded from a run of that version).
+    #[test]
+    fn first_violation_of_a_class_is_the_one_the_pre_order_walk_meets_first() {
+        let first = |p: &Program| {
+            let vs = check_program(p);
+            assert_eq!(vs.len(), 1, "{vs:?}");
+            vs[0].to_string()
+        };
+
+        // LOGICAL operands and subscripts, typed behind the parser's back.
+        for (stmt, expected) in [
+            ("x = a(ip) + iq", "LOGICAL operand of arithmetic `+`"),
+            ("x = iq + a(ip)", "LOGICAL operand of arithmetic `+`"),
+            ("x = a(ip + iq)", "LOGICAL operand of arithmetic `+`"),
+            ("x = a(ib(ip)) * 2.0 + a(iq)", "LOGICAL subscript on `IB`"),
+            ("x = -iq + a(ip)", "LOGICAL operand of arithmetic `+`"),
+            ("x = max(a(ip), iq + 1)", "LOGICAL subscript on `A`"),
+            ("if (a(ip) + iq > 0.0) x = 1.0", "LOGICAL operand of arithmetic `+`"),
+        ] {
+            let src = format!("program p\nreal a(8)\ninteger ib(8)\ninteger ip, iq\n{stmt}\nend\n");
+            let mut p = crate::parse(&src).unwrap();
+            for name in ["IP", "IQ"] {
+                p.units[0].symbols.get_mut(name).unwrap().ty = DataType::Logical;
+            }
+            assert_eq!(first(&p), format!("invariant `type-agreement`: unit P: {expected}"), "{stmt}");
+        }
+
+        // A rank mismatch, a subscripted scalar and an undeclared array.
+        let decls = crate::parse("program q\nreal a(4, 4, 4), s\nend\n").unwrap();
+        for (stmt, expected) in [
+            ("x = a(1, 1) + zz(1, 2)", "`A` has rank 3 but is subscripted with 2"),
+            ("x = zz(1, 2) + a(1, 1)", "reference to undeclared array `ZZ`"),
+            ("x = s(1) + a(1, 1)", "`S` subscripted but not an array"),
+            ("a(1, 1) = zz(1, 2)", "`A` has rank 3 but is subscripted with 2 indices"),
+        ] {
+            let src = format!("program p\nreal a(4, 4), zz(4, 4), s(3)\n{stmt}\nend\n");
+            let mut p = crate::parse(&src).unwrap();
+            p.units[0].symbols.remove("ZZ");
+            for name in ["A", "S"] {
+                p.units[0].symbols.insert(decls.units[0].symbols.get(name).unwrap().clone());
+            }
+            assert_eq!(first(&p), format!("invariant `symbol-use`: unit P: {expected}"), "{stmt}");
+        }
+
+        // Statement ids: the n-th statement (pre-order, from 1) gets the id
+        // given as an offset from the unit's watermark, 7.
+        let src = "program p\nreal a(4)\nx = 1.0\ny = 2.0\ndo i = 1, 4\n  a(i) = x\n  z = y\nend do\n\
+                   print *, a(1), z\nend\n";
+        for (renumber, expected) in [
+            (&[(2, -7), (4, 7)][..], "duplicate statement id s0"),
+            (&[(4, 7)][..], "statement id 14 >= fresh-id watermark 7 (id discipline violated)"),
+            (&[(2, 3), (5, 0)][..], "statement id 10 >= fresh-id watermark 7 (id discipline violated)"),
+            (&[(2, 1), (5, 1)][..], "duplicate statement id s8"),
+        ] {
+            let mut p = crate::parse(src).unwrap();
+            let watermark = p.units[0].stmt_id_watermark() as i64;
+            assert_eq!(watermark, 7);
+            let mut n = 0;
+            p.units[0].body.walk_mut(&mut |s| {
+                n += 1;
+                if let Some((_, offset)) = renumber.iter().find(|(nth, _)| *nth == n) {
+                    s.id = StmtId((watermark + offset) as u32);
+                }
+            });
+            assert_eq!(
+                first(&p),
+                format!("invariant `stmt-id-discipline`: unit P: {expected}"),
+                "{renumber:?}"
+            );
+        }
+    }
+
+    /// A unit that breaks the id discipline still gets its loop ids
+    /// checked (same walk), in that order, and no CFG verdict.
+    #[test]
+    fn duplicate_statement_and_loop_ids_are_both_reported() {
+        let src = "program p\nreal a(4)\ndo i = 1, 4\n  a(i) = 0.0\nend do\n\
+                   do j = 1, 4\n  a(j) = 1.0\nend do\nend\n";
+        let mut p = crate::parse(src).unwrap();
+        let first = p.units[0].body.loops()[0].loop_id;
+        p.units[0].body.walk_mut(&mut |s| {
+            s.id = StmtId(1);
+            if let StmtKind::Do(d) = &mut s.kind {
+                d.loop_id = first;
+            }
+        });
+        let messages: Vec<String> = check_program(&p).iter().map(|v| v.to_string()).collect();
+        assert_eq!(
+            messages,
+            [
+                "invariant `stmt-id-discipline`: unit P: duplicate statement id s1",
+                "invariant `loop-id-provenance`: unit P: duplicate loop id L1 (at loop `P_do6`)",
+            ]
+        );
     }
 
     #[test]

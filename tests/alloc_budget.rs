@@ -1,6 +1,7 @@
-//! The symbolic layer's allocation budget — a deterministic regression
-//! fence for `analyze` and `verify` (ROADMAP aim 1: counts, not wall
-//! clocks, are the hard gates on this host).
+//! A checked compile's allocation budget — a deterministic regression
+//! fence for `analyze`, `verify` and the pipeline's per-stage snapshot
+//! and validation (ROADMAP aim 1: counts, not wall clocks, are the hard
+//! gates on this host).
 //!
 //! A counting `#[global_allocator]` tallies the heap traffic of the test
 //! thread while it runs one checked compile (parse →
@@ -21,12 +22,15 @@ use polaris::PassOptions;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Measured when the flat polynomial form landed (PR 20): 297 117
-/// allocations / 31 816 755 bytes (debug; release 30 fewer), a `realloc`
-/// counted as an allocation of its new size. Budget = that + 5 %. The
-/// `BTreeMap<Monomial, Rat>` form before it: 960 309 / 234 483 573.
-const SUITE_ALLOCS_BUDGET: u64 = 312_000;
-const SUITE_BYTES_BUDGET: u64 = 33_400_000;
+/// Measured when the pipeline went from a `Program` clone per stage to
+/// one per compile and the validator to a bitmap of statement ids and
+/// one typing per expression (PR 22): 244 866 allocations / 26 284 709
+/// bytes (debug; release 30 fewer), a `realloc` counted as an allocation
+/// of its new size. Budget = that + 5 %. With the flat polynomial form
+/// alone (PR 20): 297 117 / 31 816 755; the `BTreeMap<Monomial, Rat>`
+/// form before it: 960 309 / 234 483 573.
+const SUITE_ALLOCS_BUDGET: u64 = 257_100;
+const SUITE_BYTES_BUDGET: u64 = 27_600_000;
 
 /// One TRFD range test on that `BTreeMap` form (and an environment
 /// deep-copied per dimension query) made 14 794 allocations; the flat
