@@ -32,15 +32,31 @@
 //!   a per-block `u64` frame (`f64` values are bit-cast). Allocation is
 //!   stack-shaped: an expression compiled into register `d` may scratch
 //!   only registers `> d`. Registers never live across a statement
-//!   boundary, which lets block activations reuse frames without
-//!   re-initializing them.
+//!   boundary — loop state lives on the interpreter's loop-frame stack,
+//!   not in registers — which lets activations reuse frames without
+//!   re-initializing them and one frame serve a whole activation, the
+//!   loops it runs in-stream included.
 //!
-//! Loops deliberately stay *structural*: a `DO` statement compiles to
-//! [`Instr::CallLoop`], which re-enters the shared orchestration logic
-//! in `exec::run_loop` (parallel dispatch, speculation, adversarial
-//! validation, threaded chunking, F77 exit values). Only straight-line
-//! statement lists — the hot 99% — are bytecode; the scheduling brain
-//! is shared between both engines so their decisions cannot diverge.
+//! A `DO` compiles *into its parent's stream*: [`Instr::LoopEnter`], the
+//! body inline, [`Instr::LoopBack`]. The body exists once — a unit is one
+//! block whatever its nesting depth — and serves both ways a loop can
+//! run. What is shared with the tree-walker is everything decided once
+//! per invocation, through the same three functions of `exec`: the
+//! prologue (`Interp::loop_prologue` — bounds evaluated once through
+//! `eval`, the analytic fuel pre-check, stats, oracle frame, span), the
+//! mode decision (`Interp::dispatch_mode` — serial, or one of the
+//! concurrent, adaptive and adversarial arms, which both engines run
+//! unchanged on both backends) and the epilogue (`Interp::loop_epilogue`
+//! — per-loop cycles, the F77 exit value), so the engines' scheduling
+//! decisions cannot diverge. What is not shared is how a serial
+//! invocation iterates: the tree-walker calls its statement list per
+//! iteration, the VM takes the back-edge inside its dispatch loop. The
+//! decision is per invocation, not per annotation — most iterations of
+//! `PARALLEL` loops run serially (one processor, or already inside a
+//! lane) — which is why it sits in the instruction stream. An arm runs
+//! an iteration as a *range* of the same stream: from the body's first
+//! instruction until the loop-back, which returns to the caller when the
+//! activation opened no loop frame for it.
 //!
 //! Anything the type inference cannot prove (a `B` operand reaching
 //! arithmetic, a string outside PRINT, a wrong intrinsic arity — all of
@@ -249,11 +265,20 @@ pub enum Instr {
     JumpIfNot(Reg, Label),
     /// Emit one output line from evaluated registers and literals.
     Print(Box<[PrintItem]>),
-    /// Enter loop `loops[i]` via the shared orchestration path
-    /// (`exec::run_loop`): parallel/speculative/adversarial dispatch,
-    /// threaded chunking and the F77 exit value all live there.
-    CallLoop(u32),
-    /// STOP: unwind the block stack with `Flow::Stop`.
+    /// Enter loop `loops[lp]`: the shared prologue and mode decision. A
+    /// serial invocation opens a loop frame and falls into the body (or
+    /// jumps to `exit` on zero trips); any other runs to completion in
+    /// its orchestration arm and continues at `exit`, the address after
+    /// the matching [`Instr::LoopBack`].
+    LoopEnter { lp: u32, exit: u32 },
+    /// End of the body of `loops[lp]`. With the loop's frame open: next
+    /// iteration (fuel step, `cost.loop_iter`, codegen rescale, loop
+    /// variable) and back to `body`, or the epilogue and fall through.
+    /// With no frame of this activation open, the stream is being run as
+    /// one iteration's range: return to the arm that called.
+    LoopBack { lp: u32, body: u32 },
+    /// STOP: run the epilogues of this activation's open loops,
+    /// innermost first, and return `Flow::Stop`.
     Stop,
     /// Type-inference fallback: run `stmts[i]` through the tree-walker
     /// (`exec::run_stmt`). Used for statements whose legality is only
@@ -276,16 +301,18 @@ pub struct BcBlock {
     pub max_regs: usize,
 }
 
-/// A fully lowered unit: every statement list (top level and each loop
-/// body) as a [`BcBlock`], the loop descriptors (shared with the
-/// orchestration layer), array metadata, the subscript pool, fallback
-/// statements and the symbol interner.
+/// A fully lowered unit: its code as one [`BcBlock`] (loop bodies are
+/// inline), the loop descriptors (shared with the orchestration layer),
+/// array metadata, the subscript pool, fallback statements and the
+/// symbol interner.
 #[derive(Debug, Clone)]
 pub struct BcUnit {
-    /// Block executed for the unit's top-level code.
+    /// Block executed for the unit's code.
     pub entry: u32,
     pub blocks: Vec<BcBlock>,
-    /// `CallLoop(i)` enters `loops[i].0` with body block `loops[i].1`.
+    /// `loops[lp].0` is the loop [`Instr::LoopEnter`]/[`Instr::LoopBack`]
+    /// `lp` delimit, `loops[lp].1` the address of its body's first
+    /// instruction in the entry block.
     pub loops: Vec<(Arc<RLoop>, u32)>,
     pub arrays: Vec<ArrMeta>,
     pub interner: Interner,
@@ -361,7 +388,7 @@ fn compile_with(image: &Image, quiet: bool) -> Result<BcUnit, MachineError> {
     let arr_ty = image
         .arrays
         .iter()
-        .map(|a| match &*a.data {
+        .map(|a| match a.data.get() {
             ArrData::I(_) => Ty::I,
             ArrData::R(_) => Ty::R,
             ArrData::B(_) => Ty::B,
@@ -381,8 +408,11 @@ fn compile_with(image: &Image, quiet: bool) -> Result<BcUnit, MachineError> {
         arr_ty,
         quiet,
     };
-    let entry = c.block(&image.code)?;
-    c.unit.entry = entry;
+    let mut b = BlockBuilder::new();
+    c.stmts(&mut b, &image.code)?;
+    b.code.push(Instr::Halt);
+    debug_assert!(b.labels.iter().all(|&a| a != u32::MAX), "unbound label");
+    c.unit.blocks.push(BcBlock { code: b.code, labels: b.labels, max_regs: b.max_regs });
     Ok(c.unit)
 }
 
@@ -429,17 +459,6 @@ impl BlockBuilder {
 }
 
 impl Compiler {
-    /// Compile a statement list into a fresh block; returns its id.
-    fn block(&mut self, stmts: &[RStmt]) -> Result<u32, MachineError> {
-        let mut b = BlockBuilder::new();
-        self.stmts(&mut b, stmts)?;
-        b.code.push(Instr::Halt);
-        debug_assert!(b.labels.iter().all(|&a| a != u32::MAX), "unbound label");
-        let id = self.unit.blocks.len() as u32;
-        self.unit.blocks.push(BcBlock { code: b.code, labels: b.labels, max_regs: b.max_regs });
-        Ok(id)
-    }
-
     fn stmts(&mut self, b: &mut BlockBuilder, list: &[RStmt]) -> Result<(), MachineError> {
         for s in list {
             self.stmt(b, s)?;
@@ -576,10 +595,14 @@ impl Compiler {
                 });
             }
             RStmt::Do(l) => {
-                let body = self.block(&l.body)?;
-                let id = self.unit.loops.len() as u32;
+                let lp = self.unit.loops.len() as u32;
+                let enter = b.code.len();
+                let body = enter as u32 + 1;
                 self.unit.loops.push((Arc::clone(l), body));
-                b.code.push(Instr::CallLoop(id));
+                b.code.push(Instr::LoopEnter { lp, exit: u32::MAX });
+                self.stmts(b, &l.body)?;
+                b.code.push(Instr::LoopBack { lp, body });
+                b.code[enter] = Instr::LoopEnter { lp, exit: b.code.len() as u32 };
             }
             RStmt::If(arms, else_body) => {
                 let end = b.new_label();
@@ -871,6 +894,7 @@ pub fn disassemble(bc: &BcUnit) -> String {
         }
         out.push('\n');
     }
+    let code = &bc.blocks[bc.entry as usize].code;
     for (i, (l, body)) in bc.loops.iter().enumerate() {
         let mut flags = String::new();
         if l.par.parallel {
@@ -882,7 +906,16 @@ pub fn disassemble(bc: &BcUnit) -> String {
         if l.innermost {
             flags.push_str(" innermost");
         }
-        let _ = writeln!(out, "loop {i} \"{}\" var s{} -> block {body}{flags}", l.label, l.var);
+        // The body lies between its loop's two instructions.
+        let Instr::LoopEnter { exit, .. } = code[*body as usize - 1] else {
+            unreachable!("a loop body follows its LoopEnter")
+        };
+        let back = exit - 1;
+        let _ = writeln!(
+            out,
+            "loop {i} \"{}\" var s{} body {body:04}..{back:04}{flags}",
+            l.label, l.var
+        );
     }
     for (i, blk) in bc.blocks.iter().enumerate() {
         let entry = if i as u32 == bc.entry { " (entry)" } else { "" };
@@ -1015,7 +1048,12 @@ fn render(bc: &BcUnit, instr: &Instr) -> String {
             }
             s
         }
-        Instr::CallLoop(i) => format!("loop     {i}"),
+        Instr::LoopEnter { lp, exit } => {
+            format!("do       {lp} \"{}\" exit -> {exit:04}", bc.loops[*lp as usize].0.label)
+        }
+        Instr::LoopBack { lp, body } => {
+            format!("loop     {lp} \"{}\" body -> {body:04}", bc.loops[*lp as usize].0.label)
+        }
         Instr::Stop => "stop".into(),
         Instr::Exec(i) => format!("exec     stmt {i} (tree-walk fallback)"),
         Instr::Halt => "halt".into(),
@@ -1092,19 +1130,32 @@ mod tests {
     }
 
     #[test]
-    fn loops_compile_to_call_loop_with_their_own_body_blocks() {
+    fn loops_compile_into_their_parents_stream() {
         let img = image(
             "program t\nreal a(10)\ndo i = 1, 10\n  do j = 1, 3\n    a(i) = a(i) + j\n  end do\nend do\nend\n",
         );
         let bc = compile(&img).unwrap();
         assert_eq!(bc.loops.len(), 2);
-        // entry block calls the outer loop; outer body calls the inner
-        let entry = &bc.blocks[bc.entry as usize];
-        assert!(entry.code.iter().any(|i| matches!(i, Instr::CallLoop(_))));
-        let outer = bc.loops.iter().find(|(l, _)| !l.innermost).unwrap();
-        let inner = bc.loops.iter().find(|(l, _)| l.innermost).unwrap();
-        assert!(bc.blocks[outer.1 as usize].code.iter().any(|i| matches!(i, Instr::CallLoop(_))));
-        assert!(bc.blocks[inner.1 as usize].code.iter().all(|i| !matches!(i, Instr::CallLoop(_))));
+        // One block whatever the nesting: each body is compiled once, inline.
+        assert_eq!(bc.blocks.len(), 1);
+        let code = &bc.blocks[bc.entry as usize].code;
+        let at = |want: &dyn Fn(&Instr) -> bool| code.iter().position(want).unwrap() as u32;
+        for (lp, (l, body)) in bc.loops.iter().enumerate() {
+            let lp = lp as u32;
+            let enter = at(&|i| matches!(i, Instr::LoopEnter { lp: n, .. } if *n == lp));
+            let back = at(&|i| matches!(i, Instr::LoopBack { lp: n, .. } if *n == lp));
+            // enter, body.., back, exit: the body starts after the enter,
+            // the back-edge returns there, the enter's exit is past it.
+            assert_eq!(*body, enter + 1, "{}", l.label);
+            assert_eq!(code[back as usize], Instr::LoopBack { lp, body: *body });
+            assert_eq!(code[enter as usize], Instr::LoopEnter { lp, exit: back + 1 });
+        }
+        // The inner loop's whole range lies inside the outer body.
+        let (outer, inner) = (0, 1);
+        assert!(!bc.loops[outer].0.innermost && bc.loops[inner].0.innermost);
+        let back_of = |lp: usize| at(&|i| matches!(i, Instr::LoopBack { lp: n, .. } if *n as usize == lp));
+        assert!(bc.loops[outer].1 < bc.loops[inner].1 && back_of(inner) < back_of(outer));
+        assert_eq!(code.iter().filter(|i| matches!(i, Instr::Halt)).count(), 1);
     }
 
     #[test]
@@ -1125,6 +1176,13 @@ mod tests {
         // Scalar loads keep lowering from constant-folding the tree.
         let img =
             image("program t\na = 1.0\nb = 2.0\nc = 3.0\nd = 4.0\nx = (a + b) * (c + d)\nend\n");
+        let bc = compile(&img).unwrap();
+        assert_eq!(bc.blocks[bc.entry as usize].max_regs, 3);
+        // One frame serves the whole activation: a loop body's registers
+        // count towards the frame of the stream it is compiled into.
+        let img = image(
+            "program t\na = 1.0\nb = 2.0\nc = 3.0\nd = 4.0\nx = a\ndo i = 1, 2\n  x = (a + b) * (c + d)\nend do\nend\n",
+        );
         let bc = compile(&img).unwrap();
         assert_eq!(bc.blocks[bc.entry as usize].max_regs, 3);
     }
@@ -1207,7 +1265,9 @@ mod tests {
         let bc2 = compile(&img).unwrap();
         assert_eq!(disassemble(&bc1), disassemble(&bc2));
         let text = disassemble(&bc1);
-        assert!(text.contains("loop 0"), "{text}");
+        assert!(text.contains("loop 0 \"T_do"), "{text}");
+        assert!(text.contains("do       0 \"T_do"), "{text}");
+        assert!(text.contains("loop     0 \"T_do"), "{text}");
         assert!(text.contains("st.e.r"), "{text}");
         assert!(text.contains("\"done\""), "{text}");
     }

@@ -146,11 +146,11 @@ impl Interp<'_> {
         for red in &par.reductions {
             total += match red.target {
                 RRef::Scalar(_) => self.cfg.procs as u64 * c.reduction_merge,
-                RRef::Array(a) => self.arrays[a].data.len() as u64 * c.reduction_merge,
+                RRef::Array(a) => self.arrays[a].data.get().len() as u64 * c.reduction_merge,
             };
         }
         for &a in &par.private_arrays {
-            total += self.arrays[a].data.len() as u64 * c.private_setup;
+            total += self.arrays[a].data.get().len() as u64 * c.private_setup;
         }
         total
     }
@@ -189,7 +189,7 @@ impl Interp<'_> {
     /// iterations without their marking. Counts the verdict.
     pub(crate) fn bill_speculative(&mut self, l: &RLoop, buckets: &[u64], marks: u64, success: bool) {
         let c = &self.cfg.cost;
-        let tracked: u64 = l.par.spec_arrays.iter().map(|&a| self.arrays[a].data.len() as u64).sum();
+        let tracked: u64 = l.par.spec_arrays.iter().map(|&a| self.arrays[a].data.get().len() as u64).sum();
         let analysis = tracked * c.spec_analysis / self.cfg.procs as u64 + c.fork_join / 2;
         let attempt = self.concurrent_cost(buckets, &l.par) + analysis;
         let total: u64 = buckets.iter().sum();

@@ -4,7 +4,7 @@ use crate::cost::{CostModel, Schedule};
 use crate::error::MachineError;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
-use crate::value::{scalar_approx_eq, ArrData, ArrObj, Scalar, V};
+use crate::value::{scalar_approx_eq, ArrData, ArrObj, ArrStore, Scalar, V};
 use crate::{Engine, ExecMode, MachineConfig};
 use polaris_ir::expr::{BinOp, RedOp, UnOp};
 use polaris_ir::Program;
@@ -97,6 +97,34 @@ pub(crate) enum Flow {
 
 const POISON_I: i64 = -8_888_888_887;
 
+/// What one loop invocation carries from its prologue to its epilogue.
+pub(crate) struct Invocation {
+    pub(crate) space: IterSpace,
+    /// `cycles` when the loop was entered, its bounds evaluated.
+    start: u64,
+    span: polaris_obs::Span,
+}
+
+/// A serial invocation the VM is iterating in-stream: one per open
+/// `LoopEnter`, innermost last, on [`Interp::loop_frames`].
+pub(crate) struct LoopFrame {
+    /// Index into `BcUnit::loops`.
+    pub(crate) lp: u32,
+    pub(crate) inv: Invocation,
+    /// The running iteration, and `cycles` when its body began.
+    pub(crate) idx: u64,
+    pub(crate) b0: u64,
+}
+
+/// The VM's handle on a loop body for an orchestration arm: the stream,
+/// where the body starts in it, and the register frame the arm's
+/// iterations run in (taken once per arm, not once per iteration).
+pub(crate) struct BodyFrame {
+    pub(crate) bc: Arc<crate::bytecode::BcUnit>,
+    pub(crate) start: u32,
+    pub(crate) regs: Vec<u64>,
+}
+
 pub(crate) struct Interp<'a> {
     pub(crate) cfg: &'a MachineConfig,
     pub(crate) scalars: Vec<Scalar>,
@@ -125,13 +153,21 @@ pub(crate) struct Interp<'a> {
     /// Dependence-oracle trace (see [`crate::oracle`]); attached only by
     /// [`run_traced`], on serial runs. `None` costs one branch per hook.
     pub(crate) oracle: Option<Box<crate::oracle::OracleState>>,
-    /// Compiled bytecode of the running unit (`Engine::Vm` only); loop
-    /// bodies re-enter [`crate::vm`] through this shared handle.
+    /// Compiled bytecode of the running unit (`Engine::Vm` only); the
+    /// orchestration arms re-enter [`crate::vm`] through this shared
+    /// handle ([`Self::body_frame`]).
     pub(crate) bc: Option<Arc<crate::bytecode::BcUnit>>,
-    /// Recycled raw register frames for VM block dispatch (registers
-    /// never survive a statement, so frames are reusable across
-    /// activations without clearing).
+    /// Recycled raw register frames for VM activations (registers never
+    /// survive a statement, so frames are reusable without clearing).
     pub(crate) vm_pool: Vec<Vec<u64>>,
+    /// The serial loops the VM has open, across its nested activations.
+    pub(crate) loop_frames: Vec<LoopFrame>,
+    /// Entries into `vm::dispatch`, and iterations an orchestration arm
+    /// ran: the fence that no serial iteration leaves the dispatch loop.
+    #[cfg(test)]
+    pub(crate) activations: u64,
+    #[cfg(test)]
+    pub(crate) arm_iterations: u64,
     /// True when no step-count observer exists (no fuel limit, no
     /// panic-at-step, no cancellation token): the step count is then
     /// unobservable and [`Self::charge_step`] can be skipped entirely on
@@ -155,8 +191,29 @@ pub(crate) struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
-    fn new(image: &Image, cfg: &'a MachineConfig, adversarial: bool) -> Interp<'a> {
-        Interp { adversarial, ..Interp::over(cfg, image.scalars.clone(), image.arrays.clone(), 0) }
+    /// An interpreter of `image` under `cfg`'s engine. It takes the
+    /// image's arrays as its memory, by value — a copy would be one pass
+    /// over every array per run — after the bytecode compiler has read
+    /// their layout.
+    fn new(
+        image: &mut Image,
+        cfg: &'a MachineConfig,
+        adversarial: bool,
+    ) -> Result<Interp<'a>, MachineError> {
+        let quiet_steps = Interp::quiet(cfg);
+        let bc = match cfg.engine {
+            Engine::TreeWalk => None,
+            // A config that cannot observe step counts gets the
+            // Step-free stream (see `bytecode::compile_quiet`).
+            Engine::Vm if quiet_steps => Some(Arc::new(crate::bytecode::compile_quiet(image)?)),
+            Engine::Vm => Some(Arc::new(crate::bytecode::compile(image)?)),
+        };
+        let arrays = std::mem::take(&mut image.arrays);
+        Ok(Interp { adversarial, bc, ..Interp::over(cfg, image.scalars.clone(), arrays, 0) })
+    }
+
+    fn quiet(cfg: &MachineConfig) -> bool {
+        cfg.fuel.is_none() && cfg.cancel.is_none() && cfg.panic_at_step.is_none()
     }
 
     /// A fresh interpreter over the given memory, `steps` into the fuel
@@ -168,7 +225,6 @@ impl<'a> Interp<'a> {
         arrays: Vec<ArrObj>,
         steps: u64,
     ) -> Interp<'a> {
-        let quiet_steps = cfg.fuel.is_none() && cfg.cancel.is_none() && cfg.panic_at_step.is_none();
         Interp {
             cfg,
             scalars,
@@ -185,7 +241,12 @@ impl<'a> Interp<'a> {
             oracle: None,
             bc: None,
             vm_pool: Vec::new(),
-            quiet_steps,
+            loop_frames: Vec::new(),
+            #[cfg(test)]
+            activations: 0,
+            #[cfg(test)]
+            arm_iterations: 0,
+            quiet_steps: Interp::quiet(cfg),
             recorder: polaris_obs::Recorder::disabled(),
             sched_override: None,
             last_chunk_cycles: Vec::new(),
@@ -217,7 +278,7 @@ impl<'a> Interp<'a> {
                 if !self.spec.is_empty() {
                     self.cycles += self.mark_access(*arr, idx, false);
                 }
-                Ok(self.arrays[*arr].data.get(idx))
+                Ok(self.arrays[*arr].data.get().get(idx))
             }
             RExpr::Un(op, arg) => {
                 let v = self.eval(arg)?;
@@ -549,10 +610,10 @@ impl<'a> Interp<'a> {
                 if let Some(o) = self.oracle.as_deref_mut() {
                     o.array_write(*arr, idx);
                 }
-                Arc::make_mut(&mut self.arrays[*arr].data).set(idx, v)?;
+                self.arrays[*arr].data.make_mut().set(idx, v)?;
                 Ok(Flow::Normal)
             }
-            RStmt::Do(l) => self.run_loop(l, None),
+            RStmt::Do(l) => self.run_loop(l),
             RStmt::If(arms, else_body) => {
                 for (cond, body) in arms {
                     self.cycles += self.cfg.cost.branch;
@@ -631,27 +692,34 @@ impl<'a> Interp<'a> {
         Ok(space)
     }
 
-    /// Orchestrate one loop invocation. `body` is the loop's bytecode
-    /// body block when running under `Engine::Vm` (`None` = tree-walk
-    /// `l.body`); everything else — bounds, dispatch-mode choice,
-    /// speculation, adversarial validation, threading, stats, the F77
-    /// exit value — is engine-independent and shared.
-    pub(crate) fn run_loop(
-        &mut self,
-        l: &Arc<RLoop>,
-        body: Option<u32>,
-    ) -> Result<Flow, MachineError> {
+    /// What every invocation of `l` does first, under either engine:
+    /// bounds (once), stats, the oracle's frame, the recorder's span.
+    pub(crate) fn loop_prologue(&mut self, l: &RLoop) -> Result<Invocation, MachineError> {
         let space = self.iter_space(l)?;
         self.loop_entry(l).invocations += 1;
-        let loop_start = self.cycles;
+        let start = self.cycles;
         // Oracle frame: pushed after the bound expressions are evaluated
         // (those reads belong to the enclosing loops, not this one).
         let n_scalars = self.scalars.len();
         if let Some(o) = self.oracle.as_deref_mut() {
             o.enter_loop(l.loop_id, &l.label, n_scalars);
         }
+        let span = self.recorder.loop_span("exec", &l.label, l.loop_id);
+        Ok(Invocation { space, start, span })
+    }
 
-        let loop_span = self.recorder.loop_span("exec", &l.label, l.loop_id);
+    /// The mode decision, taken per invocation: run the loop to
+    /// completion in the orchestration arm its annotations and the
+    /// machine's state at this moment select, or return `None` — a serial
+    /// invocation, which the calling engine iterates itself. `body` is
+    /// where the loop's body starts in the bytecode stream when the VM
+    /// drives execution (`None` = tree-walk `l.body`).
+    pub(crate) fn dispatch_mode(
+        &mut self,
+        l: &Arc<RLoop>,
+        space: IterSpace,
+        body: Option<u32>,
+    ) -> Result<Option<Flow>, MachineError> {
         // A proved `PARALLEL DO`, or a `SPECULATIVE` one whose iterations
         // the shadows can stamp, on a machine with processors to spare.
         let speculative = !l.par.spec_arrays.is_empty() && space.fits_shadow_stamps();
@@ -659,7 +727,7 @@ impl<'a> Interp<'a> {
             && !self.in_parallel
             && self.cfg.procs > 1
             && !self.adversarial;
-        let flow = if concurrent && self.cfg.adaptive.is_some() {
+        Ok(Some(if concurrent && self.cfg.adaptive.is_some() {
             self.run_adaptive(l, space, body)?
         } else if concurrent {
             self.run_concurrent(l, space, body)?
@@ -668,20 +736,42 @@ impl<'a> Interp<'a> {
             self.run_adversarial(l, space, body)?
         } else {
             self.count_loop_mode(polaris_obs::Counter::ExecLoopsSerial);
-            self.run_serial_loop(l, space, body)?
-        };
-        loop_span.end();
+            return Ok(None);
+        }))
+    }
+
+    /// What every invocation of `l` that did not fail does last.
+    pub(crate) fn loop_epilogue(
+        &mut self,
+        l: &RLoop,
+        inv: Invocation,
+        flow: Flow,
+    ) -> Result<(), MachineError> {
+        inv.span.end();
         if let Some(o) = self.oracle.as_deref_mut() {
             o.exit_loop();
         }
-        let spent = self.cycles - loop_start;
+        let spent = self.cycles - inv.start;
         self.loop_entry(l).cycles += spent;
         // F77 semantics: the loop variable holds the first value past the
         // limit after the loop completes — and this must hold regardless
         // of execution order (the variable is implicitly private).
         if flow == Flow::Normal {
-            self.scalars[l.var].set(V::I(space.exit_value()))?;
+            self.scalars[l.var].set(V::I(inv.space.exit_value()))?;
         }
+        Ok(())
+    }
+
+    /// One loop invocation of the tree-walker (the VM's is
+    /// `Instr::LoopEnter`): the shared prologue, mode decision and
+    /// epilogue around its own serial loop.
+    pub(crate) fn run_loop(&mut self, l: &Arc<RLoop>) -> Result<Flow, MachineError> {
+        let inv = self.loop_prologue(l)?;
+        let flow = match self.dispatch_mode(l, inv.space, None)? {
+            Some(flow) => flow,
+            None => self.run_serial_loop(l, inv.space, None)?,
+        };
+        self.loop_epilogue(l, inv, flow)?;
         Ok(flow)
     }
 
@@ -768,52 +858,96 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// `bc` is the caller-hoisted bytecode handle paired with `body`
-    /// (cloning the `Arc` once per loop invocation instead of once per
-    /// iteration); it must be `Some` whenever `body` is.
-    pub(crate) fn run_one_iteration(
+    /// Start iteration `idx` of `space`: what an iteration does before
+    /// its body, under either engine and in every mode. (The oracle only
+    /// rides serial runs, so only serial iterations reach its hook.)
+    #[inline(always)]
+    pub(crate) fn begin_iteration(
         &mut self,
         l: &RLoop,
-        v: i64,
-        body: Option<u32>,
-        bc: Option<&crate::bytecode::BcUnit>,
-    ) -> Result<Flow, MachineError> {
+        space: IterSpace,
+        idx: u64,
+    ) -> Result<(), MachineError> {
+        if let Some(o) = self.oracle.as_deref_mut() {
+            o.begin_iteration(idx);
+        }
         if !self.quiet_steps {
             self.charge_step()?;
         }
         self.cycles += self.cfg.cost.loop_iter;
-        self.scalars[l.var].set(V::I(v))?;
-        let b0 = self.cycles;
-        let flow = match body {
-            Some(blk) => {
-                let bc = bc.expect("VM loop body without bytecode");
-                self.run_block(bc, blk)?
-            }
-            None => self.run_list(&l.body)?,
-        };
+        self.scalars[l.var].set(V::I(space.value(idx)))
+    }
+
+    /// Finish an iteration whose body began at `b0` cycles: the codegen
+    /// model rescales what an innermost body was charged.
+    #[inline(always)]
+    pub(crate) fn end_iteration(&mut self, l: &RLoop, b0: u64) {
         if l.innermost && self.cfg.codegen.enabled {
             let delta = self.cycles - b0;
             self.cycles = b0 + self.cfg.codegen.scale(delta, l.has_conditional);
         }
+    }
+
+    /// The register frame and stream an orchestration arm runs `body`
+    /// in; `None` for the tree-walker. Hand it back with
+    /// [`Self::release_body`] (a frame lost to an early return only
+    /// costs the pool a reallocation).
+    pub(crate) fn body_frame(&mut self, body: Option<u32>) -> Option<BodyFrame> {
+        let start = body?;
+        let bc = Arc::clone(self.bc.as_ref().expect("VM loop body without bytecode"));
+        let mut regs = self.vm_pool.pop().unwrap_or_default();
+        regs.resize(bc.blocks[bc.entry as usize].max_regs, 0);
+        Some(BodyFrame { bc, start, regs })
+    }
+
+    pub(crate) fn release_body(&mut self, frame: Option<BodyFrame>) {
+        self.vm_pool.extend(frame.map(|f| f.regs));
+    }
+
+    /// Iteration `idx` of an invocation an orchestration arm (or the
+    /// tree-walker's serial loop) is running: `body` is the arm's
+    /// [`Self::body_frame`], whose stream the VM runs as a range.
+    pub(crate) fn run_one_iteration(
+        &mut self,
+        l: &RLoop,
+        space: IterSpace,
+        idx: u64,
+        body: Option<&mut BodyFrame>,
+    ) -> Result<Flow, MachineError> {
+        #[cfg(test)]
+        {
+            self.arm_iterations += 1;
+        }
+        self.begin_iteration(l, space, idx)?;
+        let b0 = self.cycles;
+        let flow = match body {
+            Some(f) => self.dispatch(&f.bc, &mut f.regs, f.start as usize)?,
+            None => self.run_list(&l.body)?,
+        };
+        self.end_iteration(l, b0);
         Ok(flow)
     }
 
+    /// A serial invocation iterated from outside the dispatch loop: every
+    /// one of the tree-walker's, and the VM's only when the adaptive
+    /// controller picks `Strategy::Serial` for a concurrent loop (its
+    /// `observe` needs the loop to have returned).
     pub(crate) fn run_serial_loop(
         &mut self,
         l: &RLoop,
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
-        let bc = body.map(|_| Arc::clone(self.bc.as_ref().expect("VM loop body without bytecode")));
+        let mut frame = self.body_frame(body);
+        let mut flow = Flow::Normal;
         for idx in 0..space.trip() {
-            if let Some(o) = self.oracle.as_deref_mut() {
-                o.begin_iteration(idx);
-            }
-            if self.run_one_iteration(l, space.value(idx), body, bc.as_deref())? == Flow::Stop {
-                return Ok(Flow::Stop);
+            flow = self.run_one_iteration(l, space, idx, frame.as_mut())?;
+            if flow == Flow::Stop {
+                break;
             }
         }
-        Ok(Flow::Normal)
+        self.release_body(frame);
+        Ok(flow)
     }
 
     /// The chunk plan of a concurrent dispatch of `space`, on both
@@ -827,23 +961,22 @@ impl<'a> Interp<'a> {
     /// An unmarked shadow per array `l` speculates on: what one executor
     /// of its iterations (the in-order simulation, a threaded lane) marks.
     pub(crate) fn fresh_shadows(&self, l: &RLoop) -> Vec<(usize, Shadow)> {
-        l.par.spec_arrays.iter().map(|&a| (a, Shadow::new(self.arrays[a].data.len()))).collect()
+        l.par.spec_arrays.iter().map(|&a| (a, Shadow::new(self.arrays[a].data.get().len()))).collect()
     }
 
     /// Iteration `idx` of a concurrently dispatched loop, on either
     /// backend: what it touches of the speculated arrays is marked on
     /// this interpreter's shadows under the stamp `idx` (there are none
-    /// outside a `SPECULATIVE` loop; `run_loop` checked the stamp fits).
+    /// outside a `SPECULATIVE` loop; `dispatch_mode` checked the stamp fits).
     pub(crate) fn run_stamped_iteration(
         &mut self,
         l: &RLoop,
         space: IterSpace,
         idx: u64,
-        body: Option<u32>,
-        bc: Option<&crate::bytecode::BcUnit>,
+        body: Option<&mut BodyFrame>,
     ) -> Result<Flow, MachineError> {
         self.spec_iter = idx as u32;
-        let flow = self.run_one_iteration(l, space.value(idx), body, bc)?;
+        let flow = self.run_one_iteration(l, space, idx, body)?;
         for (_, sh) in self.spec.iter_mut() {
             sh.end_iteration(idx as u32);
         }
@@ -865,12 +998,12 @@ impl<'a> Interp<'a> {
         let mut buckets = vec![0u64; plan.procs()];
         self.in_parallel = true;
         let mut flow = Flow::Normal;
-        let bc = body.map(|_| Arc::clone(self.bc.as_ref().expect("VM loop body without bytecode")));
+        let mut frame = self.body_frame(body);
         for k in 0..plan.n_chunks() {
             let (start, end) = plan.bounds(k);
             let b0 = self.cycles;
             for idx in start..end {
-                flow = self.run_stamped_iteration(l, space, idx, body, bc.as_deref())?;
+                flow = self.run_stamped_iteration(l, space, idx, frame.as_mut())?;
                 if flow == Flow::Stop {
                     break;
                 }
@@ -880,6 +1013,7 @@ impl<'a> Interp<'a> {
                 break;
             }
         }
+        self.release_body(frame);
         self.in_parallel = false;
         self.cycles = c0;
         Ok((flow, buckets))
@@ -950,12 +1084,8 @@ impl<'a> Interp<'a> {
         // stash shared state of private vars
         let saved_scalars: Vec<(usize, Scalar)> =
             l.par.private_scalars.iter().map(|&s| (s, self.scalars[s])).collect();
-        let saved_arrays: Vec<(usize, Arc<ArrData>)> = l
-            .par
-            .private_arrays
-            .iter()
-            .map(|&a| (a, self.arrays[a].data.clone()))
-            .collect();
+        let saved_arrays: Vec<(usize, Arc<ArrData>)> =
+            l.par.private_arrays.iter().map(|&a| (a, self.arrays[a].data.share())).collect();
         // reduction setup
         let mut red_state: Vec<(RRed, RedAccum)> = Vec::new();
         for red in &l.par.reductions {
@@ -965,20 +1095,20 @@ impl<'a> Interp<'a> {
         self.in_parallel = true;
         let mut flow = Flow::Normal;
         let mut copy_out_values: Vec<(usize, Scalar)> = Vec::new();
-        let bc = body.map(|_| Arc::clone(self.bc.as_ref().expect("VM loop body without bytecode")));
+        let mut frame = self.body_frame(body);
         for idx in (0..space.trip()).rev() {
             // poison privates
             for &s in &l.par.private_scalars {
                 self.scalars[s] = poison_scalar(self.scalars[s]);
             }
             for &a in &l.par.private_arrays {
-                poison_array(&mut self.arrays[a].data);
+                poison_array(self.arrays[a].data.make_mut());
             }
             // reduction slots start at identity each iteration
             for (red, _) in &red_state {
                 set_identity(self, red);
             }
-            flow = self.run_one_iteration(l, space.value(idx), body, bc.as_deref())?;
+            flow = self.run_one_iteration(l, space, idx, frame.as_mut())?;
             // fold partials
             for (red, accum) in red_state.iter_mut() {
                 accum.fold(red, self);
@@ -992,13 +1122,14 @@ impl<'a> Interp<'a> {
                 break;
             }
         }
+        self.release_body(frame);
         self.in_parallel = false;
         // restore privates
         for (s, v) in saved_scalars {
             self.scalars[s] = v;
         }
         for (a, d) in saved_arrays {
-            self.arrays[a].data = d;
+            self.arrays[a].data = ArrStore::Shared(d);
         }
         // reductions: shared := shared op total
         for (red, accum) in red_state {
@@ -1012,23 +1143,16 @@ impl<'a> Interp<'a> {
     }
 
     /// Execute the unit's top-level code under the configured engine:
-    /// tree-walk runs `image.code` directly; the VM compiles the image
-    /// to bytecode once and dispatches its entry block.
+    /// the tree-walker runs `image.code` directly; the VM dispatches the
+    /// stream [`Self::new`] compiled, from its first instruction.
     fn run_program(&mut self, image: &Image) -> Result<Flow, MachineError> {
-        match self.cfg.engine {
-            Engine::TreeWalk => self.run_list(&image.code),
-            Engine::Vm => {
-                // A config that cannot observe step counts gets the
-                // Step-free stream (see `bytecode::compile_quiet`).
-                let bc = Arc::new(if self.quiet_steps {
-                    crate::bytecode::compile_quiet(image)?
-                } else {
-                    crate::bytecode::compile(image)?
-                });
-                self.bc = Some(Arc::clone(&bc));
-                self.run_block(&bc, bc.entry)
-            }
+        if self.bc.is_none() {
+            return self.run_list(&image.code);
         }
+        let mut frame = self.body_frame(Some(0)).expect("the VM engine compiled its bytecode");
+        let flow = self.dispatch(&frame.bc, &mut frame.regs, 0);
+        self.release_body(Some(frame));
+        flow
     }
 }
 
@@ -1059,8 +1183,8 @@ fn poison_scalar(s: Scalar) -> Scalar {
     }
 }
 
-fn poison_array(d: &mut Arc<ArrData>) {
-    match Arc::make_mut(d) {
+fn poison_array(d: &mut ArrData) {
+    match d {
         ArrData::I(v) => v.fill(POISON_I),
         ArrData::R(v) => v.fill(f64::NAN),
         ArrData::B(v) => v.fill(false),
@@ -1074,7 +1198,7 @@ enum RedAccum {
 }
 
 impl RedAccum {
-    fn identity(red: &RRed, interp: &Interp<'_>) -> RedAccum {
+    fn identity(red: &RRed, interp: &mut Interp<'_>) -> RedAccum {
         match red.target {
             RRef::Scalar(s) => RedAccum::Scalar {
                 initial: interp.scalars[s],
@@ -1083,9 +1207,9 @@ impl RedAccum {
                 any: false,
             },
             RRef::Array(a) => {
-                let n = interp.arrays[a].data.len();
+                let n = interp.arrays[a].data.get().len();
                 RedAccum::Array {
-                    initial: interp.arrays[a].data.clone(),
+                    initial: interp.arrays[a].data.share(),
                     totals_r: vec![red_identity_r(red.op); n],
                     totals_i: vec![red_identity_i(red.op); n],
                 }
@@ -1104,7 +1228,7 @@ impl RedAccum {
                 *any = true;
             }
             (RedAccum::Array { totals_r, totals_i, .. }, RRef::Array(a)) => {
-                match interp.arrays[a].data.as_ref() {
+                match interp.arrays[a].data.get() {
                     ArrData::R(vals) => {
                         for (t, v) in totals_r.iter_mut().zip(vals) {
                             *t = red_apply_r(red.op, *t, *v);
@@ -1151,11 +1275,11 @@ impl RedAccum {
                             .collect(),
                     ),
                     ArrData::B(_) => {
-                        interp.arrays[a].data = initial;
+                        interp.arrays[a].data = ArrStore::Shared(initial);
                         return Ok(());
                     }
                 };
-                interp.arrays[a].data = Arc::new(merged);
+                interp.arrays[a].data = ArrStore::Owned(merged);
                 Ok(())
             }
             _ => unreachable!(),
@@ -1174,7 +1298,7 @@ pub(crate) fn set_identity(interp: &mut Interp<'_>, red: &RRed) {
                 b => b,
             };
         }
-        RRef::Array(a) => match Arc::make_mut(&mut interp.arrays[a].data) {
+        RRef::Array(a) => match interp.arrays[a].data.make_mut() {
             ArrData::R(v) => v.fill(red_identity_r(red.op)),
             ArrData::I(v) => v.fill(red_identity_i(red.op)),
             ArrData::B(_) => {}
@@ -1238,8 +1362,8 @@ pub(crate) fn run_with<T>(
     finish: impl FnOnce(&Interp<'_>, &Image) -> T,
 ) -> Result<(RunResult, T), MachineError> {
     let t0 = Instant::now();
-    let image = lower_with_cap(program, cfg.memory_cap)?;
-    let mut interp = Interp::new(&image, cfg, false);
+    let mut image = lower_with_cap(program, cfg.memory_cap)?;
+    let mut interp = Interp::new(&mut image, cfg, false)?;
     interp.recorder = rec.clone();
     let exec_span = rec.span("exec", "exec");
     let flow = interp.run_program(&image);
@@ -1283,7 +1407,7 @@ fn dump_state(interp: &Interp<'_>, image: &Image) -> StateDump {
                     h = h.wrapping_mul(0x100_0000_01b3);
                 }
             };
-            match a.data.as_ref() {
+            match a.data.get() {
                 ArrData::I(v) => v.iter().for_each(|x| upd(&x.to_le_bytes())),
                 ArrData::R(v) => v.iter().for_each(|x| upd(&x.to_bits().to_le_bytes())),
                 ArrData::B(v) => v.iter().for_each(|x| upd(&[u8::from(*x)])),
@@ -1327,14 +1451,15 @@ pub fn run_serial(program: &Program) -> Result<RunResult, MachineError> {
 /// return the collected per-loop observations. `cfg` must be a serial
 /// configuration — program order *is* the thing being traced.
 pub(crate) fn run_traced(
-    image: &Image,
+    mut image: Image,
     cfg: &MachineConfig,
-) -> Result<crate::oracle::OracleState, MachineError> {
+) -> Result<Vec<polaris_runtime::verdict::LoopObservation>, MachineError> {
     debug_assert_eq!(cfg.procs, 1, "oracle traces require serial execution");
-    let mut interp = Interp::new(image, cfg, false);
+    let mut interp = Interp::new(&mut image, cfg, false)?;
     interp.oracle = Some(Box::new(crate::oracle::OracleState::new()));
-    interp.run_program(image)?;
-    Ok(*interp.oracle.take().expect("oracle state survives the run"))
+    interp.run_program(&image)?;
+    let trace = interp.oracle.take().expect("oracle state survives the run");
+    Ok(trace.observations(&image.scalar_names, &interp.arrays))
 }
 
 /// Validate the compiler's parallelization: execute sequentially, then
@@ -1345,17 +1470,20 @@ pub fn run_validated(
     program: &Program,
     cfg: &MachineConfig,
 ) -> Result<(RunResult, RunResult), MachineError> {
-    let image = lower_with_cap(program, cfg.memory_cap)?;
+    let mut image = lower_with_cap(program, cfg.memory_cap)?;
     let mut serial_cfg = MachineConfig::serial();
     serial_cfg.fuel = cfg.fuel;
     serial_cfg.memory_cap = cfg.memory_cap;
     serial_cfg.engine = cfg.engine;
     let t_seq = Instant::now();
-    let mut seq = Interp::new(&image, &serial_cfg, false);
+    // Each run takes the image's arrays: the first gets a copy.
+    let initial = image.arrays.clone();
+    let mut seq = Interp::new(&mut image, &serial_cfg, false)?;
     seq.run_program(&image)?;
     let seq_wall = t_seq.elapsed();
     let t_adv = Instant::now();
-    let mut adv = Interp::new(&image, cfg, true);
+    image.arrays = initial;
+    let mut adv = Interp::new(&mut image, cfg, true)?;
     adv.run_program(&image)?;
     let adv_wall = t_adv.elapsed();
 
@@ -1382,7 +1510,7 @@ pub fn run_validated(
         if skip_arrays.contains(&i) {
             continue;
         }
-        if !sa.data.approx_eq(&aa.data, TOL) {
+        if !sa.data.get().approx_eq(aa.data.get(), TOL) {
             return Err(MachineError::ValidationMismatch(format!(
                 "array `{}` differs between sequential and adversarial runs",
                 sa.name
@@ -1654,6 +1782,30 @@ mod tests {
     fn out_of_bounds_is_caught() {
         let p = parse("program t\nreal a(10)\nk = 11\na(k) = 1.0\nend\n");
         assert!(matches!(run_serial(&p), Err(MachineError::OutOfBounds { .. })));
+    }
+
+    /// An error ends the run where it is raised, in both engines: the
+    /// stores of the iterations before it — and of the failing iteration
+    /// before the bad subscript — are in memory, the one after is not.
+    #[test]
+    fn stores_before_an_out_of_bounds_store_are_in_memory_when_it_is_raised() {
+        let src = "program t\ninteger i, j\nreal a(8, 3), b(3)\ndo i = 1, 3\n  b(i) = i * 1.0\n  do j = 1, 6\n    a(j + i * i - 1, i) = j * 1.0\n  end do\n  b(i) = -1.0\nend do\nend\n";
+        let failed = |engine: Engine| {
+            let mut image = lower_with_cap(&parse(src), None).unwrap();
+            let cfg = MachineConfig::serial().with_engine(engine);
+            let mut interp = Interp::new(&mut image, &cfg, false).unwrap();
+            let err = interp.run_program(&image).unwrap_err();
+            let (a, b) = (interp.arrays[0].data.get().clone(), interp.arrays[1].data.get().clone());
+            (err, a, b, dump_state(&interp, &image))
+        };
+        let (vm, tree) = (failed(Engine::Vm), failed(Engine::TreeWalk));
+        assert_eq!(vm, tree);
+        let (err, a, b, _) = vm;
+        assert_eq!(err, MachineError::OutOfBounds { array: "A".into(), index: 9, len: 8 });
+        // i = 2 stores a(4..8, 2) in j = 1..5 and fails on a(9, 2) in j = 6.
+        let ArrData::R(a) = a else { unreachable!() };
+        assert_eq!(a[8..], [0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(b, ArrData::R(vec![-1.0, 2.0, 0.0]));
     }
 
     #[test]

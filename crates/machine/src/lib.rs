@@ -63,9 +63,12 @@ pub use oracle::{audit, audit_recorded, audit_with};
 ///   tree, retained as the differential oracle the VM is held to
 ///   (`tests/vm_equivalence.rs`).
 ///
-/// Both engines share the loop orchestration layer (parallel dispatch,
-/// speculation, adversarial validation, the threaded backend), so the
-/// engine choice affects only straight-line statement execution.
+/// Both engines share the loop orchestration layer (a loop's prologue,
+/// mode decision and epilogue; parallel dispatch, speculation,
+/// adversarial validation, the threaded backend), so the engine choice
+/// affects only how statements execute and how a *serial* loop
+/// invocation iterates: the VM takes the back-edge inside its dispatch
+/// loop, the tree-walker calls its body per iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     #[default]

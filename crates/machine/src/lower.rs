@@ -7,7 +7,7 @@
 //! are folded at load time.
 
 use crate::error::MachineError;
-use crate::value::{ArrData, ArrObj, Scalar};
+use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
 use polaris_ir::expr::{is_intrinsic, BinOp, Expr, LValue, RedOp, UnOp};
 use polaris_ir::stmt::{Stmt, StmtKind};
 use polaris_ir::symbol::SymKind;
@@ -237,7 +237,7 @@ pub fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Result<Ima
                     name: sym.name.clone(),
                     lows,
                     extents,
-                    data: Arc::new(data),
+                    data: ArrStore::Owned(data),
                 });
             }
             SymKind::Parameter(_) | SymKind::External => {}

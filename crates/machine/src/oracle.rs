@@ -29,7 +29,7 @@
 
 use crate::error::MachineError;
 use crate::exec;
-use crate::lower::{lower_with_cap, Image};
+use crate::lower::lower_with_cap;
 use crate::MachineConfig;
 use polaris_core::CompileReport;
 use polaris_ir::stmt::LoopId;
@@ -281,11 +281,15 @@ impl OracleState {
 
     /// Resolve the aggregated trace into per-loop observations with
     /// source-level names.
-    pub(crate) fn observations(&self, image: &Image) -> Vec<LoopObservation> {
+    pub(crate) fn observations(
+        &self,
+        scalar_names: &[String],
+        arrays: &[crate::value::ArrObj],
+    ) -> Vec<LoopObservation> {
         let name_of = |key: &VarKey| -> String {
             match key {
-                VarKey::Scalar(i) => image.scalar_names[*i].clone(),
-                VarKey::Array(i) => image.arrays[*i].name.clone(),
+                VarKey::Scalar(i) => scalar_names[*i].clone(),
+                VarKey::Array(i) => arrays[*i].name.clone(),
             }
         };
         self.agg
@@ -380,8 +384,7 @@ pub fn audit_recorded(
     serial.engine = cfg.engine;
     let oracle_span = rec.span("oracle", "audit");
     let image = lower_with_cap(program, serial.memory_cap)?;
-    let trace = exec::run_traced(&image, &serial)?;
-    let observations = trace.observations(&image);
+    let observations = exec::run_traced(image, &serial)?;
     let verdict = judge(&claims_from(program, report), &observations);
     oracle_span.end();
     rec.count(polaris_obs::Counter::OracleViolations, verdict.violations().count() as u64);

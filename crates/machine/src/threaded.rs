@@ -55,8 +55,10 @@
 //! to serial execution** even though execution order is not:
 //!
 //! * Every worker starts from a copy-on-write snapshot of the shared
-//!   state (scalars are copied; arrays share storage via `Arc` until
-//!   first write). Privatized variables are thereby trivially private.
+//!   state (scalars are copied; the fork makes every array shared with
+//!   the snapshot — `ArrStore::share` — and a lane's copy its own at the
+//!   lane's first store into it). Privatized variables are thereby
+//!   trivially private.
 //! * Reductions are accumulated **per chunk** (the target is reset to
 //!   the identity at chunk start and the partial captured at chunk end)
 //!   and merged on the main thread in chunk-index order by a fixed-shape
@@ -68,9 +70,10 @@
 //!   plan bounds the chunk count per worker, so the partials do not
 //!   grow with the trip count.
 //! * Shared arrays are committed by diffing each worker's copy against
-//!   the pre-fork snapshot (bit-level comparison, so `-0.0` vs `0.0` and
-//!   NaN payloads are preserved) and applying only written elements, in
-//!   worker order (the first writer's copy is adopted whole, by move, and
+//!   the pre-fork snapshot (a copy that still *is* the snapshot was
+//!   never written; otherwise bit-level comparison, so `-0.0` vs `0.0`
+//!   and NaN payloads are preserved) and applying only written elements,
+//!   in worker order (the first writer's copy is adopted whole, by move, and
 //!   later writers merge into it in place — [`commit_array`]). A
 //!   correctly-parallelized loop writes disjoint
 //!   elements, so the order cannot matter; if a miscompile makes writes
@@ -97,7 +100,7 @@ use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::error::MachineError;
 use crate::exec::{red_apply_i, red_apply_r, set_identity, Flow, Interp};
 use crate::lower::{RLoop, RRef};
-use crate::value::{ArrData, ArrObj, Scalar};
+use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
 use polaris_runtime::lrpd::{PdVerdict, Shadow};
@@ -223,6 +226,9 @@ struct WorkerOut {
     steps: u64,
     /// First failing iteration index and its error, if any.
     err: Option<(u64, MachineError)>,
+    /// The lane's `Interp::{activations, arm_iterations}`.
+    #[cfg(test)]
+    fence: (u64, u64),
 }
 
 /// Everything a lane needs, owned, so a helper's job closure is `'static`.
@@ -237,8 +243,8 @@ struct WorkerTask {
     arrays: Vec<ArrObj>,
     /// The master's step count at the fork, where the lane's own starts.
     steps: u64,
-    /// Bytecode of the running unit + this loop's body block, when the
-    /// VM engine drives execution (`None` pair = tree-walk).
+    /// Bytecode of the running unit + where this loop's body starts in
+    /// it, when the VM engine drives execution (`None` pair = tree-walk).
     bc: Option<Arc<crate::bytecode::BcUnit>>,
     body: Option<u32>,
 }
@@ -252,7 +258,8 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
     it.in_parallel = true;
     it.bc = bc;
     it.spec = it.fresh_shadows(&l);
-    let bc_arc = it.bc.clone();
+    // One register frame for every iteration of every chunk of the lane.
+    let mut frame = it.body_frame(body);
     let mut chunks: Vec<ChunkOut> = Vec::new();
     let mut err: Option<(u64, MachineError)> = None;
     let last_chunk = plan.last_chunk();
@@ -265,7 +272,7 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
         }
         for idx in start..end {
             progress(it.cycles);
-            err = match it.run_stamped_iteration(&l, space, idx, body, bc_arc.as_deref()) {
+            err = match it.run_stamped_iteration(&l, space, idx, frame.as_mut()) {
                 Ok(Flow::Normal) => continue,
                 // STOP bodies never reach the threaded path, but surface
                 // it as an error defensively rather than silently
@@ -290,7 +297,17 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
         }
     }
     let steps = it.steps - steps;
-    WorkerOut { wid, arrays: it.arrays, loops: it.loop_stats, chunks, shadows: it.spec, steps, err }
+    WorkerOut {
+        wid,
+        #[cfg(test)]
+        fence: (it.activations, it.arm_iterations),
+        arrays: it.arrays,
+        loops: it.loop_stats,
+        chunks,
+        shadows: it.spec,
+        steps,
+        err,
+    }
 }
 
 // ---- reduction partials: one type, one merge ---------------------------
@@ -305,7 +322,7 @@ fn capture_partial(it: &Interp<'_>, target: RRef) -> ArrData {
             Scalar::I(v) => ArrData::I(vec![v]),
             Scalar::B(_) => ArrData::B(Vec::new()),
         },
-        RRef::Array(a) => match it.arrays[a].data.as_ref() {
+        RRef::Array(a) => match it.arrays[a].data.get() {
             ArrData::B(_) => ArrData::B(Vec::new()),
             data => data.clone(),
         },
@@ -396,25 +413,25 @@ fn diff_bytes(theirs: &ArrData, base: &ArrData) -> u64 {
 /// Commit one lane's copy of a shared array into `dst` and return the
 /// `exec.threaded.merge_bytes` contribution. `theirs` comes by value:
 /// the first writer's copy differs from the snapshot only where it
-/// wrote, so it is adopted wholesale — and, moved, stays uniquely owned,
-/// so a later writer's diff merges into it in place. `count_adopted`
-/// says whether anyone reads the bytes of an adoption (observability
-/// only; a diff-merge counts as it writes).
+/// wrote, so it is adopted wholesale — by move, so it stays owned and a
+/// later writer's diff merges into it in place. `count_adopted` says
+/// whether anyone reads the bytes of an adoption (observability only; a
+/// diff-merge counts as it writes).
 fn commit_array(
-    dst: &mut Arc<ArrData>,
-    theirs: Arc<ArrData>,
+    dst: &mut ArrStore,
+    theirs: ArrStore,
     base: &Arc<ArrData>,
     count_adopted: bool,
 ) -> u64 {
-    if Arc::ptr_eq(&theirs, base) {
+    if theirs.same_as(base) {
         return 0; // never written
     }
-    if Arc::ptr_eq(dst, base) {
-        let bytes = if count_adopted { diff_bytes(&theirs, base) } else { 0 };
+    if dst.same_as(base) {
+        let bytes = if count_adopted { diff_bytes(theirs.get(), base) } else { 0 };
         *dst = theirs;
         bytes
     } else {
-        merge_diff(Arc::make_mut(dst), &theirs, base)
+        merge_diff(dst.make_mut(), theirs.get(), base)
     }
 }
 
@@ -445,7 +462,9 @@ pub(crate) fn run_threaded_loop(
     }
 
     let claims = Arc::new(Claims::new(&plan));
-    let snapshot: Vec<Arc<ArrData>> = interp.arrays.iter().map(|a| Arc::clone(&a.data)).collect();
+    // Every array becomes shared with the snapshot here, so the lanes'
+    // copies below are handles, and owned again at whoever writes first.
+    let snapshot: Vec<Arc<ArrData>> = interp.arrays.iter_mut().map(|a| a.data.share()).collect();
     let lane = |wid: usize| WorkerTask {
         wid,
         l: Arc::clone(l),
@@ -500,6 +519,11 @@ pub(crate) fn run_threaded_loop(
         return Err(MachineError::WorkerPanicked { loop_label: l.label.clone() });
     }
     results.sort_by_key(|w| w.wid);
+    #[cfg(test)]
+    for w in &results {
+        interp.activations += w.fence.0;
+        interp.arm_iterations += w.fence.1;
+    }
 
     // The PD test over the lanes' marks. A lane error counts as a failed
     // verdict (the marks of a faulting iteration are not even complete).
@@ -609,7 +633,7 @@ pub(crate) fn run_threaded_loop(
     // `trip > 0`, so there is a chunk 0 and the tree left the total there.
     for (red, total) in l.par.reductions.iter().zip(&partials[0]) {
         match red.target {
-            RRef::Array(a) => merge_partial(Arc::make_mut(&mut interp.arrays[a].data), total, red.op),
+            RRef::Array(a) => merge_partial(interp.arrays[a].data.make_mut(), total, red.op),
             RRef::Scalar(s) => {
                 let mut shared = capture_partial(interp, red.target);
                 merge_partial(&mut shared, total, red.op);
@@ -788,32 +812,39 @@ mod tests {
         }
     }
 
-    /// The first writer's copy is adopted by move, so it stays uniquely
-    /// owned and the second writer's diff lands in that allocation — no
-    /// `make_mut` deep copy in between — with the bits the diff-merge of
-    /// both writers into a copy of the snapshot gives.
+    /// The first writer's copy is adopted by move, so it stays owned and
+    /// the second writer's diff lands in that allocation — no copy in
+    /// between — with the bits the diff-merge of both writers into a
+    /// copy of the snapshot gives.
     #[test]
     fn two_writer_commit_merges_into_the_first_writers_allocation() {
-        let base = Arc::new(ArrData::R(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]));
+        let mut master = ArrStore::Owned(ArrData::R(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]));
+        let base = master.share();
+        // A lane's copy of the shared store, written at one element.
         let written = |at: usize, v: f64| {
-            let mut copy = ArrData::clone(&base);
-            copy.set(at, V::R(v)).unwrap();
-            Arc::new(copy)
+            let mut copy = master.clone();
+            copy.make_mut().set(at, V::R(v)).unwrap();
+            copy
         };
-        let (first, second, reader) = (written(1, -0.0), written(4, f64::NAN), Arc::clone(&base));
-        let first_allocation = Arc::as_ptr(&first);
+        let (first, second, reader) = (written(1, -0.0), written(4, f64::NAN), master.clone());
+        let elements = |s: &ArrStore| match s.get() {
+            ArrData::R(v) => v.as_ptr(),
+            _ => unreachable!(),
+        };
+        let first_allocation = elements(&first);
+        assert_ne!(first_allocation, elements(&master), "a written copy is its own");
 
         let mut reference = ArrData::clone(&base);
-        merge_diff(&mut reference, &first, &base);
-        merge_diff(&mut reference, &second, &base);
+        merge_diff(&mut reference, first.get(), &base);
+        merge_diff(&mut reference, second.get(), &base);
 
-        let mut dst = Arc::clone(&base);
+        let mut dst = master.clone();
         assert_eq!(commit_array(&mut dst, reader, &base, true), 0, "a lane that never wrote");
         assert_eq!(commit_array(&mut dst, first, &base, true), 8, "adopted, its bytes counted");
         assert_eq!(commit_array(&mut dst, second, &base, true), 8);
-        assert_eq!(Arc::as_ptr(&dst), first_allocation, "the second writer merged in place");
-        assert_eq!(diff_bytes(&dst, &reference), 0, "bit-equal to the diff-merge of both");
-        assert_eq!(diff_bytes(&dst, &base), 16);
+        assert_eq!(elements(&dst), first_allocation, "the second writer merged in place");
+        assert_eq!(diff_bytes(dst.get(), &reference), 0, "bit-equal to the diff-merge of both");
+        assert_eq!(diff_bytes(dst.get(), &base), 16);
     }
 
     // ---- whole-program equivalence through the public entry points ----

@@ -1,12 +1,28 @@
-//! The register VM: flat dispatch over [`crate::bytecode`] blocks.
+//! The register VM: flat dispatch over a [`crate::bytecode`] stream.
 //!
-//! This is the hot loop of [`crate::Engine::Vm`]. It executes one
-//! [`BcBlock`] at a time against the interpreter's live state (scalars,
-//! arrays, cycle/fuel counters, oracle and speculation hooks), using a
-//! recycled raw `u64` register frame per block activation (`f64` values
-//! are bit-cast, logicals are `0`/`1`). `CallLoop` re-enters the shared
-//! loop orchestration in `exec::run_loop`, which calls back into
-//! [`Interp::run_block`] for each iteration of a VM-engine loop.
+//! This is the hot loop of [`crate::Engine::Vm`]. One *activation* of
+//! [`Interp::dispatch`] executes the unit's stream from a given address
+//! against the interpreter's live state (scalars, arrays, cycle/fuel
+//! counters, oracle and speculation hooks), in a raw `u64` register frame
+//! its caller provides (`f64` values are bit-cast, logicals are `0`/`1`).
+//! A run is one activation from address 0. A serial `DO` stays inside
+//! it: `LoopEnter` opens a [`LoopFrame`] on the interpreter's loop-frame
+//! stack and `LoopBack` jumps, so an iteration costs one dispatched
+//! instruction, not a call. Only an invocation `Interp::dispatch_mode`
+//! hands to an orchestration arm (concurrent, adaptive, adversarial)
+//! leaves the loop: the arm runs each iteration as a nested activation
+//! over the same stream, from the body's first address.
+//!
+//! **The range-return rule.** `LoopBack` belongs to the innermost loop
+//! frame *this activation* opened. When it opened none — the activation
+//! is one iteration an arm is running — the body has reached its end and
+//! `LoopBack` returns `Flow::Normal` to the arm. Loops nest properly in
+//! the stream, so "no frame of mine is open" identifies the arm's loop
+//! without comparing loop ids. `Stop` runs the epilogues of the
+//! activation's open frames innermost-first and returns `Flow::Stop`,
+//! which each enclosing arm and activation passes on the same way; an
+//! error drops the activation's frames without their epilogues, as an
+//! unwinding `?` does in the tree-walker.
 //!
 //! **Parity contract** (pinned by `tests/vm_equivalence.rs` and the
 //! existing machine suite, which runs under the VM by default): for any
@@ -26,6 +42,10 @@
 //! * read path: memory charge → oracle `array_read` → speculation mark;
 //!   write path: memory charge → speculation mark → oracle `array_write`
 //!   → store;
+//! * a loop invocation runs the tree-walker's own prologue, mode decision
+//!   and epilogue (`Interp::loop_prologue`/`dispatch_mode`/
+//!   `loop_epilogue`), and an in-stream iteration the same
+//!   `begin_iteration`/`end_iteration` an arm's iteration does;
 //! * statements the type inference could not prove safe run through
 //!   [`Instr::Exec`], i.e. the tree-walker itself.
 //!
@@ -34,20 +54,20 @@
 //! (`Scalar::set`/`ArrData::set` write through the existing variant).
 //!
 //! Cycle charges accumulate in a dispatch-local counter and flush to
-//! `Interp::cycles` only at *observation points* — `CallLoop` and `Exec`
-//! (the callee reads the running total) and block exit (the codegen
-//! model rescales the block's delta). Between observation points only
+//! `Interp::cycles` only at *observation points* — `Exec` (the callee
+//! reads the running total), loop entry and the loop-back (the per-loop
+//! `cycles` and the codegen model's rescale of an iteration's delta read
+//! it), `Stop` and the end of the stream. Between observation points only
 //! the sum matters, so the accumulation order is free; cycles are not
 //! part of any error payload, so early `?` returns may drop an
 //! unflushed remainder without breaking engine parity.
 
-use crate::bytecode::{ArrMeta, BcBlock, BcUnit, Instr, PrintItem, SubSrc};
+use crate::bytecode::{ArrMeta, BcUnit, Instr, PrintItem, SubSrc};
 use crate::error::MachineError;
-use crate::exec::{int_pow, Flow, Interp};
+use crate::exec::{int_pow, Flow, Interp, LoopFrame};
 use crate::value::{ArrData, Scalar};
 use polaris_ir::expr::BinOp;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Flatten converted subscripts against pre-resolved strides, with the
 /// tree-walker's exact bounds-check order and error payload.
@@ -144,39 +164,69 @@ impl Interp<'_> {
         }
     }
 
-    /// Execute block `blk` of `bc` to completion (Halt/Stop/error),
-    /// drawing a register frame from the recycle pool. Frames are not
-    /// cleared between activations: register allocation is stack-shaped
-    /// and def-before-use, so stale values are never observable.
-    pub(crate) fn run_block(&mut self, bc: &BcUnit, blk: u32) -> Result<Flow, MachineError> {
-        let block = &bc.blocks[blk as usize];
-        let mut regs = self.vm_pool.pop().unwrap_or_default();
-        if regs.len() < block.max_regs {
-            regs.resize(block.max_regs, 0);
+    /// One activation: execute `bc`'s stream from address `pc` in the
+    /// register frame `regs` until the stream ends, a `Stop`, an error,
+    /// or — when `pc` is a loop body's first address — that body's
+    /// `LoopBack` (see the module doc). Frames are not cleared between
+    /// activations: register allocation is stack-shaped and
+    /// def-before-use, so stale values are never observable.
+    pub(crate) fn dispatch(
+        &mut self,
+        bc: &BcUnit,
+        regs: &mut [u64],
+        pc: usize,
+    ) -> Result<Flow, MachineError> {
+        #[cfg(test)]
+        {
+            self.activations += 1;
         }
-        let res = self.dispatch(bc, block, &mut regs);
-        self.vm_pool.push(regs);
+        let base = self.loop_frames.len();
+        let res = self.dispatch_from(bc, regs, pc, base);
+        if res.is_err() {
+            // No epilogues; the spans close innermost first, as the
+            // tree-walker's do while its `?` unwinds.
+            while self.loop_frames.len() > base {
+                self.loop_frames.pop();
+            }
+        }
         res
     }
 
-    fn dispatch(
+    /// `Stop` reached with this activation's frames above `base` open:
+    /// what the unwinding serial loops of the tree-walker do, innermost
+    /// first — the iteration's rescale, then the epilogue, which stores
+    /// no exit value.
+    #[cold]
+    fn unwind_stop(&mut self, bc: &BcUnit, base: usize) -> Result<Flow, MachineError> {
+        while self.loop_frames.len() > base {
+            let f = self.loop_frames.pop().expect("a frame above base");
+            let l = &bc.loops[f.lp as usize].0;
+            self.end_iteration(l, f.b0);
+            self.loop_epilogue(l, f.inv, Flow::Stop)?;
+        }
+        Ok(Flow::Stop)
+    }
+
+    fn dispatch_from(
         &mut self,
         bc: &BcUnit,
-        block: &BcBlock,
         regs: &mut [u64],
+        mut pc: usize,
+        base: usize,
     ) -> Result<Flow, MachineError> {
+        let block = &bc.blocks[bc.entry as usize];
+        assert!(regs.len() >= block.max_regs, "register frame smaller than the unit needs");
         // `cfg` is a shared reference field, so this borrow is
         // independent of `&mut self`.
         let c = &self.cfg.cost;
         let code = &block.code[..];
-        let mut pc = 0usize;
         // Dispatch-local cycle accumulator; see the module doc for the
         // flush discipline.
         let mut cyc: u64 = 0;
-        // SAFETY of the register accessors: the compiler sizes each
+        // SAFETY of the register accessors: the compiler sizes the
         // frame (`BcBlock::max_regs` tracks the highest register any
-        // instruction touches) and `run_block` resizes the frame to at
-        // least that, so every operand index is in bounds by
+        // instruction touches) and the assertion above holds the caller
+        // to at least that, so every operand index is in bounds by
         // construction.
         macro_rules! rd {
             ($r:expr) => {{
@@ -203,8 +253,10 @@ impl Interp<'_> {
         }
         loop {
             // SAFETY: `pc` only advances sequentially through a block
-            // that the compiler terminates with Halt/Jump/Stop, or jumps
-            // to a label the compiler resolved inside `code`.
+            // that the compiler terminates with Halt, or jumps to an
+            // address the compiler resolved inside `code` (a label, a
+            // loop's body or exit); a caller's start address is 0 or a
+            // `BcUnit::loops` body address.
             debug_assert!(pc < code.len());
             let instr = unsafe { code.get_unchecked(pc) };
             pc += 1;
@@ -289,7 +341,7 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
-                    let ArrData::I(v) = &*self.arrays[a].data else {
+                    let ArrData::I(v) = self.arrays[a].data.get() else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
@@ -306,7 +358,7 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
-                    let ArrData::R(v) = &*self.arrays[a].data else {
+                    let ArrData::R(v) = self.arrays[a].data.get() else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
@@ -323,7 +375,7 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
-                    let ArrData::B(v) = &*self.arrays[a].data else {
+                    let ArrData::B(v) = self.arrays[a].data.get() else {
                         unreachable!("array retyped")
                     };
                     wr!(*dst, v[idx] as u64);
@@ -338,7 +390,7 @@ impl Interp<'_> {
                     if let Some(o) = self.oracle.as_deref_mut() {
                         o.array_write(a, idx);
                     }
-                    let ArrData::I(v) = Arc::make_mut(&mut self.arrays[a].data) else {
+                    let ArrData::I(v) = self.arrays[a].data.make_mut() else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
@@ -356,7 +408,7 @@ impl Interp<'_> {
                     if let Some(o) = self.oracle.as_deref_mut() {
                         o.array_write(a, idx);
                     }
-                    let ArrData::R(v) = Arc::make_mut(&mut self.arrays[a].data) else {
+                    let ArrData::R(v) = self.arrays[a].data.make_mut() else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
@@ -374,7 +426,7 @@ impl Interp<'_> {
                     if let Some(o) = self.oracle.as_deref_mut() {
                         o.array_write(a, idx);
                     }
-                    let ArrData::B(v) = Arc::make_mut(&mut self.arrays[a].data) else {
+                    let ArrData::B(v) = self.arrays[a].data.make_mut() else {
                         unreachable!("array retyped")
                     };
                     v[idx] = rd!(*src) != 0;
@@ -525,20 +577,56 @@ impl Interp<'_> {
                     }
                     self.output.push(line);
                 }
-                Instr::CallLoop(i) => {
-                    // Observation point: loop orchestration snapshots and
-                    // rescales `self.cycles`.
+                Instr::LoopEnter { lp, exit } => {
+                    // Observation point: the prologue evaluates the
+                    // bounds into, and reads, `self.cycles`.
                     self.cycles += cyc;
                     cyc = 0;
-                    let (l, body) = &bc.loops[*i as usize];
-                    let l = Arc::clone(l);
-                    if self.run_loop(&l, Some(*body))? == Flow::Stop {
-                        return Ok(Flow::Stop);
+                    let (l, body) = &bc.loops[*lp as usize];
+                    let inv = self.loop_prologue(l)?;
+                    match self.dispatch_mode(l, inv.space, Some(*body))? {
+                        None if inv.space.trip() > 0 => {
+                            self.begin_iteration(l, inv.space, 0)?;
+                            self.loop_frames.push(LoopFrame { lp: *lp, inv, idx: 0, b0: self.cycles });
+                        }
+                        None | Some(Flow::Normal) => {
+                            self.loop_epilogue(l, inv, Flow::Normal)?;
+                            pc = *exit as usize;
+                        }
+                        Some(Flow::Stop) => {
+                            self.loop_epilogue(l, inv, Flow::Stop)?;
+                            return self.unwind_stop(bc, base);
+                        }
+                    }
+                }
+                Instr::LoopBack { lp, body } => {
+                    // Observation point: the iteration's delta.
+                    self.cycles += cyc;
+                    cyc = 0;
+                    if self.loop_frames.len() == base {
+                        // The range-return rule (module doc).
+                        return Ok(Flow::Normal);
+                    }
+                    let l = &bc.loops[*lp as usize].0;
+                    let top = self.loop_frames.len() - 1;
+                    let f = &mut self.loop_frames[top];
+                    debug_assert_eq!(f.lp, *lp, "loop-back of a loop that is not innermost");
+                    let (b0, space, idx) = (f.b0, f.inv.space, f.idx + 1);
+                    self.end_iteration(l, b0);
+                    if idx < space.trip() {
+                        self.begin_iteration(l, space, idx)?;
+                        let f = &mut self.loop_frames[top];
+                        f.idx = idx;
+                        f.b0 = self.cycles;
+                        pc = *body as usize;
+                    } else {
+                        let f = self.loop_frames.pop().expect("the frame just read");
+                        self.loop_epilogue(l, f.inv, Flow::Normal)?;
                     }
                 }
                 Instr::Stop => {
                     self.cycles += cyc;
-                    return Ok(Flow::Stop);
+                    return self.unwind_stop(bc, base);
                 }
                 Instr::Exec(i) => {
                     // Observation point: the tree-walker charges into
@@ -546,7 +634,7 @@ impl Interp<'_> {
                     self.cycles += cyc;
                     cyc = 0;
                     if self.run_stmt(&bc.stmts[*i as usize])? == Flow::Stop {
-                        return Ok(Flow::Stop);
+                        return self.unwind_stop(bc, base);
                     }
                 }
                 Instr::Halt => {
@@ -629,5 +717,84 @@ impl Interp<'_> {
             (Intr::ToReal, _) => regs[base],
         };
         Ok(charge)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::exec::run_with;
+    use crate::{MachineConfig, RunResult, Schedule};
+    use polaris_ir::Program;
+
+    /// The 26 kernels of `crates/benchmarks/codes`, restructured by the
+    /// full pipeline, as the benchmark's exec workloads run them.
+    fn kernels() -> Vec<(String, Program)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../benchmarks/codes");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "f"))
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 26);
+        files
+            .iter()
+            .map(|path| {
+                let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+                let src = std::fs::read_to_string(path).unwrap();
+                let (program, report) =
+                    polaris_core::parse_and_compile(&src, &polaris_core::PassOptions::polaris())
+                        .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert!(!report.degraded(), "{name}: pipeline degraded");
+                (name, program)
+            })
+            .collect()
+    }
+
+    /// A VM run, with how often it entered `dispatch` and how many
+    /// iterations its orchestration arms ran (lanes' included).
+    fn fenced(program: &Program, cfg: &MachineConfig) -> (RunResult, u64, u64) {
+        let (ran, (activations, arm_iterations)) =
+            run_with(program, cfg, &polaris_obs::Recorder::disabled(), |it, _| {
+                (it.activations, it.arm_iterations)
+            })
+            .unwrap();
+        (ran, activations, arm_iterations)
+    }
+
+    /// The mechanism, as a count: on the serial machine no iteration of
+    /// any loop of any kernel — `PARALLEL`-annotated or not — leaves the
+    /// dispatch loop.
+    #[test]
+    fn a_serial_run_of_each_kernel_enters_dispatch_exactly_once() {
+        for (name, program) in kernels() {
+            let (ran, activations, arm_iterations) = fenced(&program, &MachineConfig::serial());
+            assert!(ran.loops.values().map(|s| s.invocations).sum::<u64>() > 0, "{name}");
+            assert_eq!((activations, arm_iterations), (1, 0), "{name}");
+        }
+    }
+
+    /// On two threads an activation beyond the first is one iteration of
+    /// a forked (or simulated in-order) loop, on whichever lane: the
+    /// iterations of the loops nested in it stay in that activation.
+    #[test]
+    fn on_two_threads_every_other_activation_is_one_dispatched_iteration() {
+        let cfg = MachineConfig::threaded(2, Schedule::Static);
+        for (name, program) in kernels() {
+            let (ran, activations, arm_iterations) = fenced(&program, &cfg);
+            assert_eq!(activations, 1 + arm_iterations, "{name}");
+            let concurrent = ran.loops.values().any(|s| s.parallel_invocations + s.spec_fail > 0);
+            assert_eq!(arm_iterations > 0, concurrent, "{name}: {:?}", ran.loops);
+        }
+        // Known trips, so the count can be read off `RunResult.loops`: the
+        // DOALL forks (or stays under the guard, with the master running
+        // both lanes) in each of its invocations, 300 iterations apiece,
+        // and the 5 trips of the loop inside it are nobody's activation.
+        let src = "program t\nreal a(300)\ndo k = 1, 4\n!$polaris doall private(J)\ndo i = 1, 300\n  do j = 1, 5\n    a(i) = a(i) + j * k\n  end do\nend do\nend do\nprint *, a(300)\nend\n";
+        let (ran, activations, _) = fenced(&polaris_ir::parse(src).unwrap(), &cfg);
+        assert_eq!(ran.output, ["1.500000E2"]);
+        let doall = ran.loops.values().find(|s| s.parallel_invocations > 0).expect("a forked loop");
+        assert_eq!((doall.invocations, doall.parallel_invocations), (4, 4));
+        assert_eq!(activations, 1 + doall.invocations * 300);
     }
 }

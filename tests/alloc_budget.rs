@@ -150,3 +150,33 @@ fn checked_compiles_and_the_trfd_range_test_stay_within_their_allocation_budgets
          {TRFD_PARENT_ALLOCS}"
     );
 }
+
+/// A run's heap traffic is what its arrays and bookkeeping need, not
+/// what its stores do: twice the element stores into the same array
+/// allocate nothing more (a store into storage the interpreter owns is a
+/// tag test, no reference count, no copy), and the interpreter takes the
+/// lowered image's arrays by value — one allocation of the array per
+/// run, where copying it away from the image on the first store made two.
+#[test]
+fn element_stores_allocate_nothing_and_a_run_holds_one_copy_of_each_array() {
+    const ELEMENTS: u64 = 40_000;
+    let run = |trips: u64| {
+        let src = format!(
+            "program stores\nreal a({ELEMENTS})\ndo i = 1, {trips}\n  a(i) = i * 0.5\nend do\nprint *, a(7)\nend\n"
+        );
+        let program = polaris::ir::parse(&src).unwrap();
+        counted(|| {
+            let ran = polaris::machine::run(&program, &polaris::MachineConfig::serial()).unwrap();
+            assert_eq!(ran.output, ["3.500000E0"]);
+        })
+    };
+    let (half, full) = (run(ELEMENTS / 2), run(ELEMENTS));
+    println!("alloc_budget: a run of {ELEMENTS} element stores: {} allocations, {} bytes", full.0, full.1);
+    assert_eq!(half.0, full.0, "allocations grew with the number of stores");
+    assert!(
+        full.1 < 2 * 8 * ELEMENTS,
+        "a run allocated {} bytes: more than one copy of its {}-byte array",
+        full.1,
+        8 * ELEMENTS
+    );
+}

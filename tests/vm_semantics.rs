@@ -230,6 +230,326 @@ fn loop_bounded_by_i64_max_wraps_its_exit_value_in_both_engines() {
     }
 }
 
+// ---- in-stream loops ---------------------------------------------------
+
+/// Everything a run returns — output, `cycles`, the per-loop table, the
+/// final memory — or its error, for comparison between engines.
+type Outcome = Result<(Vec<String>, u64, String, polaris_machine::StateDump), MachineError>;
+
+fn outcome(program: &Program, cfg: &MachineConfig) -> Outcome {
+    run_with_state(program, cfg)
+        .map(|(r, state)| (r.output, r.cycles, format!("{:?}", r.loops), state))
+}
+
+/// The VM, which iterates a serial `DO` inside its dispatch loop, against
+/// the tree-walker, which calls its body per iteration: equal outcomes
+/// under `cfg`. Returns the VM's.
+fn assert_engine_parity(program: &Program, cfg: &MachineConfig, row: &str) -> Outcome {
+    let vm = outcome(program, &cfg.clone().with_engine(Engine::Vm));
+    let tree = outcome(program, &cfg.clone().with_engine(Engine::TreeWalk));
+    assert_eq!(vm, tree, "{row}: {}", what(cfg));
+    vm
+}
+
+/// The serial machine with the codegen model off and on (an innermost
+/// iteration's delta is rescaled at the back-edge).
+fn serial_machines() -> [MachineConfig; 2] {
+    let aggressive = polaris_machine::CodegenModel::aggressive();
+    [MachineConfig::serial(), MachineConfig::serial().with_codegen(aggressive)]
+}
+
+fn scalar<'a>(state: &'a polaris_machine::StateDump, name: &str) -> &'a str {
+    &state.scalars.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("no scalar {name}")).1
+}
+
+#[test]
+fn zero_trip_and_negative_step_loops_agree_across_engines() {
+    let src = "program trips\n\
+               integer i, j, k, s\n\
+               s = 0\n\
+               do i = 5, 1\n\
+               \x20 s = s + 1000\n\
+               end do\n\
+               do j = 10, 1, -3\n\
+               \x20 s = s + j\n\
+               \x20 do k = 1, j - 7\n\
+               \x20   s = s + 100\n\
+               \x20 end do\n\
+               end do\n\
+               print *, s, i, j, k\n\
+               do k = 1, 5, -1\n\
+               \x20 s = -1\n\
+               end do\n\
+               print *, s, k\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    for cfg in serial_machines() {
+        let (output, ..) = assert_engine_parity(&program, &cfg, "trips").unwrap();
+        // j = 10, 7, 4, 1; the inner loop runs 3 trips, then none, thrice.
+        assert_eq!(output, ["322 5 -2 1", "322 1"]);
+    }
+}
+
+#[test]
+fn a_body_that_assigns_its_bound_iterates_the_bounds_of_loop_entry() {
+    let src = "program bounds\n\
+               integer i, n, m, s\n\
+               n = 5\n\
+               m = 1\n\
+               s = 0\n\
+               do i = m, n, m\n\
+               \x20 n = n + 10\n\
+               \x20 m = m + 1\n\
+               \x20 s = s + 1\n\
+               end do\n\
+               print *, s, i, n, m\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    for cfg in serial_machines() {
+        let (output, ..) = assert_engine_parity(&program, &cfg, "bounds").unwrap();
+        assert_eq!(output, ["5 6 55 6"]);
+    }
+}
+
+/// `STOP` in the innermost of three loops the VM has open in one
+/// activation: each loop's epilogue runs (its `cycles` and `invocations`
+/// are the tree-walker's) and none stores an exit value — the loop
+/// variables end where the `STOP` found them.
+#[test]
+fn stop_in_the_innermost_of_three_in_stream_loops_agrees_across_engines() {
+    let src = "program halt\n\
+               integer i, j, k\n\
+               real a(4, 4, 4)\n\
+               do i = 1, 4\n\
+               \x20 do j = 1, 4\n\
+               \x20   do k = 1, 4\n\
+               \x20     a(k, j, i) = i * 100.0 + j * 10.0 + k\n\
+               \x20     if (i * 100 + j * 10 + k == 234) then\n\
+               \x20       stop\n\
+               \x20     end if\n\
+               \x20   end do\n\
+               \x20 end do\n\
+               end do\n\
+               print *, a(1, 1, 1)\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    for cfg in serial_machines() {
+        let (output, _, loops, state) = assert_engine_parity(&program, &cfg, "halt").unwrap();
+        assert!(output.is_empty());
+        assert_eq!((scalar(&state, "I"), scalar(&state, "J"), scalar(&state, "K")), ("I:2", "I:3", "I:4"));
+        // 1 invocation of the outer loop, 2 of the middle, 4 + 3 of the inner.
+        for invocations in ["invocations: 1,", "invocations: 2,", "invocations: 7,"] {
+            assert!(loops.contains(invocations), "{loops}");
+        }
+    }
+}
+
+/// Every fuel limit from none to one past what the nest needs ends the
+/// same way in both engines: the step a limit runs out at — mid inner
+/// loop for most — and the `limit` it reports.
+#[test]
+fn fuel_runs_out_inside_an_in_stream_loop_at_the_tree_walkers_step() {
+    let src = "program nest\n\
+               integer i, j\n\
+               real a(6)\n\
+               do i = 1, 6\n\
+               \x20 do j = 1, i\n\
+               \x20   a(i) = a(i) + j\n\
+               \x20 end do\n\
+               \x20 if (a(i) > 5.0) then\n\
+               \x20   a(i) = 0.0\n\
+               \x20 end if\n\
+               end do\n\
+               print *, a(1), a(6)\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    let needed = fuel_boundary(&program, &MachineConfig::serial());
+    assert_eq!(needed, fuel_boundary(&program, &cfg(Engine::TreeWalk)));
+    for fuel in 0..=needed + 1 {
+        for cfg in serial_machines() {
+            let ran = assert_engine_parity(&program, &cfg.with_fuel(fuel), "nest");
+            match ran {
+                Ok(_) => assert!(fuel >= needed),
+                Err(e) => assert_eq!(e, MachineError::FuelExhausted { limit: fuel }),
+            }
+        }
+    }
+}
+
+/// The analytic pre-check fires at loop entry: a run that `STOP`s in its
+/// sixth iteration, a few dozen steps in, is refused under a budget one
+/// short of the trip count and runs under a budget that covers it.
+#[test]
+fn fuel_precheck_fires_at_in_stream_loop_entry_in_both_engines() {
+    let src = "program pre\n\
+               integer i, k, s\n\
+               s = 0\n\
+               do k = 1, 2\n\
+               \x20 do i = 1, 2000000000\n\
+               \x20   s = s + i\n\
+               \x20   if (i == 6) then\n\
+               \x20     print *, s\n\
+               \x20     stop\n\
+               \x20   end if\n\
+               \x20 end do\n\
+               end do\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    let short = MachineConfig::serial().with_fuel(1_999_999_999);
+    assert_eq!(
+        assert_engine_parity(&program, &short, "pre").unwrap_err(),
+        MachineError::FuelExhausted { limit: 1_999_999_999 }
+    );
+    let covered = MachineConfig::serial().with_fuel(2_000_000_100);
+    assert_eq!(assert_engine_parity(&program, &covered, "pre").unwrap().0, ["21"]);
+}
+
+/// An out-of-bounds store in iteration 6 of the inner loop of outer
+/// iteration 2: the same error, array name, subscript and extent
+/// included, wherever the nest runs. (That the stores before it are in
+/// memory when it is raised is `vm::tests`' row: a failed run returns
+/// no dump.)
+#[test]
+fn out_of_bounds_store_inside_an_inner_loop_has_the_tree_walkers_payload() {
+    let src = "program oob\n\
+               integer i, j\n\
+               real a(8, 3)\n\
+               !$polaris doall private(J)\n\
+               do i = 1, 3\n\
+               \x20 do j = 1, 6\n\
+               \x20   a(j + i * i - 1, i) = 1.0\n\
+               \x20 end do\n\
+               end do\n\
+               print *, a(1, 1)\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    let want = MachineError::OutOfBounds { array: "A".into(), index: 9, len: 8 };
+    let mut machines = serial_machines().to_vec();
+    machines.extend([2, 8].map(|p| MachineConfig::challenge_8().with_procs(p)));
+    machines.extend(threaded_backends());
+    for cfg in machines {
+        assert_eq!(assert_engine_parity(&program, &cfg, "oob").unwrap_err(), want, "{}", what(&cfg));
+    }
+}
+
+/// One compiled unit, one body: a `PARALLEL DO` inside a serial `DO` is
+/// iterated in-stream on one processor and handed to the fork — whose
+/// lanes run the same instructions as a range — on more; its
+/// invocations under the generated guard stay with the master. Every
+/// machine prints what the serial one does, and the engines agree on
+/// each down to the per-loop table.
+#[test]
+fn parallel_do_nested_in_a_serial_do_is_in_stream_or_forked_from_one_unit() {
+    use polaris_machine::Schedule;
+    let src = "program nested\n\
+               integer i, k\n\
+               real a(150), s\n\
+               s = 0.0\n\
+               do k = 1, 6\n\
+               !$polaris doall\n\
+               \x20 do i = 1, 4 * k * k\n\
+               \x20   a(i) = a(i) + sin(i * 0.5) + cos(k * 0.25) + sqrt(i * 1.0) + exp(k * 0.01)\n\
+               \x20 end do\n\
+               \x20 s = s + a(k)\n\
+               end do\n\
+               print *, s, a(1), a(144), i, k\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    let mut machines = serial_machines().to_vec();
+    machines.extend([1, 2, 8].map(|p| MachineConfig::challenge_8().with_procs(p)));
+    for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 4 }, Schedule::Stealing { chunk: 4 }] {
+        machines.extend([2, 3].map(|threads| MachineConfig::threaded(threads, schedule)));
+    }
+    let (serial, ..) = outcome(&program, &MachineConfig::serial()).unwrap();
+    for cfg in machines {
+        let (output, cycles, loops, _) = assert_engine_parity(&program, &cfg, "nested").unwrap();
+        assert_eq!(output, serial, "{}", what(&cfg));
+        // Six invocations on any machine; forked where there are
+        // processors and the work of two forks (k >= 3).
+        assert!(loops.contains("invocations: 6,"), "{loops}");
+        assert_eq!(loops.contains("parallel_invocations: 4,"), cfg.procs > 1, "{}: {loops}", what(&cfg));
+        if cfg.exec_mode == polaris_machine::ExecMode::Threaded {
+            // The bill and the per-loop table are the simulated machine's.
+            let sim = outcome(&program, &simulated(&cfg)).unwrap();
+            assert_eq!((sim.1, &sim.2), (cycles, &loops), "{}", what(&cfg));
+        }
+    }
+}
+
+/// The dependence oracle sees the same loop entries, iterations and
+/// exits whichever engine drives the traced run — through zero-trip
+/// loops, a `STOP`, and a dependence carried by the middle loop of a nest.
+#[test]
+fn oracle_observations_of_in_stream_loops_agree_across_engines() {
+    let src = "program traced\n\
+               integer i, j, k\n\
+               real a(12), b(12)\n\
+               do i = 1, 3\n\
+               \x20 do j = 2, 12\n\
+               \x20   a(j) = a(j - 1) + i\n\
+               \x20   do k = 1, j - 10\n\
+               \x20     b(k) = a(j) + b(k)\n\
+               \x20   end do\n\
+               \x20 end do\n\
+               \x20 if (a(12) > 30.0) then\n\
+               \x20   stop\n\
+               \x20 end if\n\
+               end do\n\
+               print *, a(12)\n\
+               end\n";
+    let out = polaris::parallelize(src, &PassOptions::polaris()).unwrap();
+    let audit = |engine| {
+        polaris_machine::audit_with(&out.program, &out.report, &cfg(engine)).unwrap().to_json()
+    };
+    let vm = audit(Engine::Vm);
+    assert_eq!(vm, audit(Engine::TreeWalk));
+    assert!(vm.contains("\"max_trip\": 11"), "{vm}");
+}
+
+/// A recorded run's trace under the virtual clock — a tick per event, so
+/// every loop span's begin and end in order — is byte-identical between
+/// the engines: on the serial machine, where the VM's spans live on its
+/// loop frames, on the simulated multiprocessor, through a `STOP` that
+/// closes three of them innermost-first, and through an error that drops
+/// them.
+#[test]
+fn recorded_trace_of_in_stream_loops_is_byte_identical_under_the_virtual_clock() {
+    let nest = |last: &str| {
+        let src = format!(
+            "program spans\n\
+             integer i, j, k\n\
+             real a(5)\n\
+             !$polaris doall private(J, K)\n\
+             do i = 1, 3\n\
+             \x20 do j = 1, i - 1\n\
+             \x20   do k = 1, 2\n\
+             \x20     a(i + j) = a(i + j) + k\n\
+             \x20     {last}\n\
+             \x20   end do\n\
+             \x20 end do\n\
+             end do\n\
+             print *, a(5)\n\
+             end\n"
+        );
+        polaris_ir::parse(&src).unwrap()
+    };
+    let trace = |program: &Program, cfg: &MachineConfig| {
+        let rec = polaris_obs::Recorder::virtual_clock();
+        let ran = polaris_machine::run_recorded(program, cfg, &rec).map(|r| r.output);
+        (ran, rec.chrome_trace_json())
+    };
+    let stop = "if (i + j + k == 7) then\n stop\n end if";
+    for (row, program) in [("plain", nest("")), ("stop", nest(stop)), ("error", nest("a(i + j + k + 1) = 0.0"))] {
+        for base in [MachineConfig::serial(), MachineConfig::challenge_8()] {
+            let vm = trace(&program, &base.clone().with_engine(Engine::Vm));
+            let tree = trace(&program, &base.clone().with_engine(Engine::TreeWalk));
+            assert_eq!(vm, tree, "{row}: {}", what(&base));
+            assert_eq!(vm.0.is_err(), row == "error", "{row}: {:?}", vm.0);
+            assert!(vm.1.contains("loop:SPANS_do"), "{row}: {}", vm.1);
+        }
+    }
+}
+
 // ---- speculative loops on real threads ---------------------------------
 
 /// `do i = 1, 96`, heavy enough per iteration (≈ 200 cycles) that the
