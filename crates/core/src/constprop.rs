@@ -23,8 +23,8 @@ use std::collections::BTreeMap;
 /// Statistics returned by the pass (used in reports and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConstPropStats {
-    pub parameters_folded: usize,
-    pub constants_propagated: usize,
+    pub(crate) parameters_folded: usize,
+    pub(crate) constants_propagated: usize,
 }
 
 /// Run constant propagation on every unit of `program`.
@@ -39,7 +39,7 @@ pub fn run(program: &mut Program) -> ConstPropStats {
 }
 
 /// Run on a single unit.
-pub fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
+pub(crate) fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
     let mut stats = ConstPropStats::default();
 
     // Phase 1: PARAMETER substitution. Parameters may reference other

@@ -31,7 +31,7 @@ pub struct DceStats {
 }
 
 /// Run on every unit.
-pub fn run(program: &mut Program) -> DceStats {
+pub(crate) fn run(program: &mut Program) -> DceStats {
     let mut stats = DceStats::default();
     for unit in &mut program.units {
         stats.removed += run_unit(unit).removed;

@@ -18,8 +18,8 @@ use polaris_symbolic::poly::{DivPolicy, Poly};
 /// One subscript as `rest + Σ coeffs[k] * vars[k]`, `rest` free of the
 /// variables.
 pub(crate) struct Dim {
-    pub coeffs: Vec<i128>,
-    pub rest: Poly,
+    pub(crate) coeffs: Vec<i128>,
+    pub(crate) rest: Poly,
 }
 
 impl Dim {
@@ -43,11 +43,11 @@ impl Dim {
 /// A loop as the classical tests see it: a variable ranging over an
 /// integer box with either side possibly unknown.
 pub(crate) struct Loop {
-    pub var: String,
-    pub lo: Option<i128>,
-    pub hi: Option<i128>,
+    pub(crate) var: String,
+    pub(crate) lo: Option<i128>,
+    pub(crate) hi: Option<i128>,
     /// Step is `1` or `-1`; Banerjee's box models nothing else.
-    pub unit_step: bool,
+    pub(crate) unit_step: bool,
 }
 
 impl Loop {
@@ -70,12 +70,12 @@ impl Loop {
 /// One subscript dimension of an access pair `f`, `g` as the dependence
 /// equation `c0 + Σ (a·i − b·i′) + Σ c·x = 0`.
 pub(crate) struct PairDim {
-    pub c0: i128,
+    pub(crate) c0: i128,
     /// The asked-about loops in order, then the context loops both
     /// accesses sit in.
-    pub common: Vec<Coupled>,
+    pub(crate) common: Vec<Coupled>,
     /// Context loops around only one of the accesses.
-    pub free: Vec<Free>,
+    pub(crate) free: Vec<Free>,
 }
 
 impl PairDim {

@@ -19,22 +19,22 @@ use std::ops::ControlFlow;
 /// reference and the loop's integer box. A bound that is not a known
 /// constant is `None` — unbounded on that side, never a stand-in value.
 #[derive(Debug, Clone, Copy)]
-pub struct Coupled {
+pub(crate) struct Coupled {
     /// Coefficient in the first (source) reference.
-    pub a: i128,
+    pub(crate) a: i128,
     /// Coefficient in the second (sink) reference.
-    pub b: i128,
-    pub lo: Option<i128>,
-    pub hi: Option<i128>,
+    pub(crate) b: i128,
+    pub(crate) lo: Option<i128>,
+    pub(crate) hi: Option<i128>,
 }
 
 /// A loop enclosing only one of the two references (always direction
 /// `*`, one free variable).
 #[derive(Debug, Clone, Copy)]
-pub struct Free {
-    pub c: i128,
-    pub lo: Option<i128>,
-    pub hi: Option<i128>,
+pub(crate) struct Free {
+    pub(crate) c: i128,
+    pub(crate) lo: Option<i128>,
+    pub(crate) hi: Option<i128>,
 }
 
 /// An endpoint of an interval over the extended integers: `None` is −∞
@@ -120,7 +120,7 @@ fn coupled_bounds(t: &Coupled, dir: Dir) -> Option<(End, End)> {
 /// a solution of `h = c0 + Σ coupled + Σ free = 0`? `false` = proven
 /// independent for this vector: only a *finite* endpoint on the wrong
 /// side of zero excludes it.
-pub fn vector_dependence_possible(
+pub(crate) fn vector_dependence_possible(
     c0: i128,
     common: &[Coupled],
     dirs: &[Dir],
@@ -155,7 +155,7 @@ pub fn vector_dependence_possible(
 /// refining `*` entries while any refinement might still prove
 /// independence. Returns `false` iff *no* leaf vector admits a solution
 /// — a proof that loop `carrier` carries no dependence between the pair.
-pub fn carried_dependence_possible(
+pub(crate) fn carried_dependence_possible(
     c0: i128,
     common: &[Coupled],
     carrier: usize,
@@ -183,17 +183,17 @@ pub fn carried_dependence_possible(
 /// hierarchical refinement: the vector tried (entries may be [`Dir::Any`]
 /// for interior nodes of the refinement tree) and its verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirTrial {
+pub(crate) struct DirTrial {
     /// Direction per common loop, outermost first.
-    pub dirs: Vec<Dir>,
+    pub(crate) dirs: Vec<Dir>,
     /// `true` — the vector may carry a dependence; `false` — proven
     /// independent (and, for an interior node, so is its whole subtree).
-    pub possible: bool,
+    pub(crate) possible: bool,
 }
 
 impl DirTrial {
     /// A fully-refined vector (no `*` entries left).
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         !self.dirs.contains(&Dir::Any)
     }
 }
@@ -205,7 +205,7 @@ impl DirTrial {
 /// [`DirTrial::possible`] and [`DirTrial::is_leaf`] — without re-running
 /// any Banerjee query. Infeasible interior nodes are reported as-is:
 /// their entire subtree is independent.
-pub fn direction_vector_trials(
+pub(crate) fn direction_vector_trials(
     c0: i128,
     common: &[Coupled],
     free: &[Free],
@@ -222,7 +222,7 @@ pub fn direction_vector_trials(
 }
 
 /// The feasible fully-refined vectors of [`direction_vector_trials`].
-pub fn feasible_leaves(trials: &[DirTrial]) -> Vec<Vec<Dir>> {
+pub(crate) fn feasible_leaves(trials: &[DirTrial]) -> Vec<Vec<Dir>> {
     trials.iter().filter(|t| t.possible && t.is_leaf()).map(|t| t.dirs.clone()).collect()
 }
 

@@ -13,7 +13,7 @@ use polaris_symbolic::rat::gcd as gcd128;
 /// `c0 + Σ a_k x_k - Σ b_k y_k = 0` (distinct iteration variables on
 /// each side; `c0 = a0 - b0`). `coeffs` lists every `a_k` and `b_k` —
 /// signs do not matter.
-pub fn independent(c0: i128, coeffs: impl IntoIterator<Item = i128>, stats: &DdStats) -> bool {
+pub(crate) fn independent(c0: i128, coeffs: impl IntoIterator<Item = i128>, stats: &DdStats) -> bool {
     stats.gcd_tests.set(stats.gcd_tests.get() + 1);
     let g = coeffs.into_iter().fold(0, gcd128);
     if g == 0 {

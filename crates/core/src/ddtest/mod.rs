@@ -25,8 +25,8 @@
 //! technique applies.
 
 pub(crate) mod affine;
-pub mod banerjee;
-pub mod gcd;
+pub(crate) mod banerjee;
+pub(crate) mod gcd;
 pub mod range_test;
 
 use std::cell::Cell;
@@ -38,33 +38,33 @@ use std::cell::Cell;
 #[derive(Debug, Default)]
 pub struct DdStats {
     /// Individual Banerjee direction-vector trials.
-    pub banerjee_vectors: Cell<u64>,
+    pub(crate) banerjee_vectors: Cell<u64>,
     /// GCD test invocations.
-    pub gcd_tests: Cell<u64>,
+    pub(crate) gcd_tests: Cell<u64>,
     /// Range-test pair probes (one per loop/pair/permutation attempt).
-    pub range_probes: Cell<u64>,
+    pub(crate) range_probes: Cell<u64>,
     /// Range-test successes that required a loop permutation.
-    pub permutations_used: Cell<u64>,
+    pub(crate) permutations_used: Cell<u64>,
     /// Range-test *queries*: one per access pair the driver asks the
     /// range test about (`run = proved + disproved + abstained`; a
     /// single query may issue several `range_probes` internally).
-    pub range_tests_run: Cell<u64>,
+    pub(crate) range_tests_run: Cell<u64>,
     /// Queries where the range test proved independence.
-    pub range_proved: Cell<u64>,
+    pub(crate) range_proved: Cell<u64>,
     /// Queries where the range test ran but could not prove independence.
-    pub range_disproved: Cell<u64>,
+    pub(crate) range_disproved: Cell<u64>,
     /// Queries the range test abstained from (subscripts or loop bounds
     /// outside its symbolic fragment).
-    pub range_abstained: Cell<u64>,
+    pub(crate) range_abstained: Cell<u64>,
     /// Range facts propagated into the analysis environment (loop
     /// headers assumed, assignments forwarded, assertions applied).
-    pub ranges_propagated: Cell<u64>,
+    pub(crate) ranges_propagated: Cell<u64>,
     /// Index-array-property disjointness queries: loops the classic
     /// tests could not prove where the driver consulted proven
     /// `ArrayProps` facts (the subscripted-subscript rule).
-    pub props_tests_run: Cell<u64>,
+    pub(crate) props_tests_run: Cell<u64>,
     /// Property-rule queries that proved the loop's pairs disjoint.
-    pub props_proved: Cell<u64>,
+    pub(crate) props_proved: Cell<u64>,
 }
 
 impl DdStats {
@@ -72,7 +72,7 @@ impl DdStats {
         DdStats::default()
     }
 
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
+    pub(crate) fn snapshot(&self) -> (u64, u64, u64, u64) {
         (
             self.banerjee_vectors.get(),
             self.gcd_tests.get(),
@@ -82,13 +82,13 @@ impl DdStats {
     }
 
     /// Index-array-property rule outcomes as `(run, proved)`.
-    pub fn props_outcomes(&self) -> (u64, u64) {
+    pub(crate) fn props_outcomes(&self) -> (u64, u64) {
         (self.props_tests_run.get(), self.props_proved.get())
     }
 
     /// Range-test query outcomes as `(run, proved, disproved, abstained)`;
     /// the first component always equals the sum of the other three.
-    pub fn range_outcomes(&self) -> (u64, u64, u64, u64) {
+    pub(crate) fn range_outcomes(&self) -> (u64, u64, u64, u64) {
         (
             self.range_tests_run.get(),
             self.range_proved.get(),
@@ -100,7 +100,7 @@ impl DdStats {
 
 /// A direction in a Banerjee direction vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dir {
+pub(crate) enum Dir {
     Any,
     Lt,
     Eq,

@@ -31,15 +31,16 @@ pub struct LoopReport {
     /// Reason the loop stayed serial.
     pub serial_reason: Option<String>,
     pub private: Vec<String>,
-    pub copy_out: Vec<String>,
+    pub(crate) copy_out: Vec<String>,
     pub reductions: Vec<String>,
     /// Proven index-array facts visible to this loop's subscripted
     /// subscripts, as `NAME: fact fact ...` strings (for diagnostics).
     pub index_facts: Vec<String>,
 }
 
-/// Analyze every loop of `unit` and attach [`ParallelInfo`] annotations.
-pub fn analyze_unit(
+/// [`analyze_unit_recorded`] with nothing recording.
+#[cfg(test)]
+pub(crate) fn analyze_unit(
     unit: &mut ProgramUnit,
     opts: &PassOptions,
     stats: &DdStats,
@@ -47,10 +48,10 @@ pub fn analyze_unit(
     analyze_unit_recorded(unit, opts, stats, &polaris_obs::Recorder::disabled())
 }
 
-/// [`analyze_unit`] with an observability [`polaris_obs::Recorder`]
-/// attached: emits a `unit:<name>` span enclosing a `loop:<label>` span
+/// Analyze every loop of `unit` and attach [`ParallelInfo`] annotations.
+/// `rec` gets a `unit:<name>` span enclosing a `loop:<label>` span
 /// (carrying the loop's [`LoopId`]) per analyzed loop.
-pub fn analyze_unit_recorded(
+pub(crate) fn analyze_unit_recorded(
     unit: &mut ProgramUnit,
     opts: &PassOptions,
     stats: &DdStats,
@@ -208,15 +209,18 @@ fn analyze_loop(
 
     // --- scalars -----------------------------------------------------------
     for name in &view.written_scalars {
-        if view.loop_vars.contains(name) {
-            private.push(name.clone());
-            continue;
-        }
         if reduction_vars.contains(name) {
             continue;
         }
         if privatize::scalar_privatizable(d, name) {
-            if privatize::live_after(unit, stmt_id, name) {
+            // An inner loop's index is asked the question every written
+            // scalar is: private, and copied out when read afterwards.
+            let live_after = if view.loop_vars.contains(name) {
+                privatize::index_live_after
+            } else {
+                privatize::live_after
+            };
+            if live_after(unit, stmt_id, name) {
                 if privatize::scalar_write_unconditional(d, name) {
                     private.push(name.clone());
                     copy_out.push(name.clone());

@@ -85,7 +85,7 @@ impl IdxPropReport {
 /// Stage entry point: infer properties for every unit and annotate the
 /// winning arrays' symbols. Idempotent — stale annotations from a prior
 /// run are cleared first, so pipeline rollback + re-run stays exact.
-pub fn annotate(program: &mut Program) -> IdxPropReport {
+pub(crate) fn annotate(program: &mut Program) -> IdxPropReport {
     let mut rep = IdxPropReport::default();
     for unit in &mut program.units {
         for name in unit.symbols.iter().map(|s| s.name.clone()).collect::<Vec<_>>() {
@@ -111,7 +111,7 @@ pub fn annotate(program: &mut Program) -> IdxPropReport {
 #[derive(Debug, Default)]
 pub struct Inference {
     /// Candidate arrays inspected.
-    pub analyzed: usize,
+    pub(crate) analyzed: usize,
     /// Arrays with at least one proven property.
     pub props: BTreeMap<String, ArrayProps>,
 }
@@ -567,7 +567,7 @@ fn affine_with_slope(e: &Expr, var: &str) -> Option<Poly> {
 /// inside a privatized region because `IDX ∈ [1, M]`). Only arrays whose
 /// facts are stable in the analyzed loop may be seeded; the caller
 /// passes the set of arrays that loop writes.
-pub fn seed_array_value_ranges(
+pub(crate) fn seed_array_value_ranges(
     unit: &ProgramUnit,
     written_in_loop: &BTreeSet<String>,
     env: &mut RangeEnv,

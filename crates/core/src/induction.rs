@@ -46,12 +46,7 @@ pub struct InductionStats {
     /// Multiplicative induction variables removed.
     pub multiplicative_removed: usize,
     /// Last-value assignments inserted after loops.
-    pub lastvalues_inserted: usize,
-}
-
-/// Run induction substitution on every unit (generalized mode).
-pub fn run(program: &mut Program) -> InductionStats {
-    run_with(program, InductionMode::Generalized)
+    pub(crate) lastvalues_inserted: usize,
 }
 
 /// Run with an explicit recognition mode.
@@ -69,13 +64,8 @@ pub fn run_with(program: &mut Program, mode: InductionMode) -> InductionStats {
     stats
 }
 
-/// Run on one unit (generalized mode).
-pub fn run_unit(unit: &mut ProgramUnit) -> InductionStats {
-    run_unit_with(unit, InductionMode::Generalized)
-}
-
 /// Run on one unit with an explicit mode.
-pub fn run_unit_with(unit: &mut ProgramUnit, mode: InductionMode) -> InductionStats {
+pub(crate) fn run_unit_with(unit: &mut ProgramUnit, mode: InductionMode) -> InductionStats {
     let mut body = std::mem::take(&mut unit.body);
     let mut pass =
         Pass { unit, stats: InductionStats::default(), deleted: BTreeSet::new(), mode };
@@ -530,7 +520,7 @@ mod tests {
     fn transform(src: &str) -> (polaris_ir::Program, InductionStats) {
         let mut p = polaris_ir::parse(src).unwrap();
         crate::constprop::run(&mut p);
-        let stats = run(&mut p);
+        let stats = run_with(&mut p, InductionMode::Generalized);
         // The driver re-runs constant propagation after induction so
         // entry values (K = 0) fold into the closed forms.
         crate::constprop::run(&mut p);

@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 pub struct InlineStats {
     pub call_sites_expanded: usize,
     pub function_calls_expanded: usize,
-    pub templates_built: usize,
+    pub(crate) templates_built: usize,
 }
 
 const MAX_ROUNDS: usize = 32;
@@ -389,7 +389,7 @@ fn instantiate(
     // Fresh statement ids, loop labels, and loop provenance ids for the
     // spliced statements: a callee loop expanded at two call sites yields
     // two distinct loops, so each copy needs its own LoopId (the per-unit
-    // uniqueness invariant validate_unit enforces).
+    // uniqueness invariant `loop-id-provenance` enforces).
     let site = caller.stmt_id_watermark();
     let mut body = work.body;
     body.walk_mut(&mut |s| {

@@ -36,7 +36,7 @@ pub(crate) struct Ref {
     access: Access,
     /// Per subscript dimension: the dimension, or a bound of a loop whose
     /// variable it reads, still mentions something the body writes.
-    pub opaque: Vec<bool>,
+    pub(crate) opaque: Vec<bool>,
     spec: OnceCell<Option<RefSpec>>,
 }
 
@@ -59,12 +59,12 @@ impl std::ops::Deref for Ref {
 /// One execution of a loop body as the analyses compare it.
 pub(crate) struct IterView {
     /// The accesses in execution order (`refs[k].order == k`).
-    pub refs: Vec<Ref>,
+    pub(crate) refs: Vec<Ref>,
     /// Scalars the body writes: assignments and inner `DO` variables.
-    pub written_scalars: BTreeSet<String>,
-    pub written_arrays: BTreeSet<String>,
+    pub(crate) written_scalars: BTreeSet<String>,
+    pub(crate) written_arrays: BTreeSet<String>,
     /// Variables of the `DO` loops nested in the body.
-    pub loop_vars: BTreeSet<String>,
+    pub(crate) loop_vars: BTreeSet<String>,
     /// Orders of the writes, ascending.
     writes: Vec<usize>,
 }

@@ -27,7 +27,7 @@
 pub mod constprop;
 pub mod dce;
 pub mod ddtest;
-pub mod deps;
+pub(crate) mod deps;
 pub mod idxprop;
 pub mod induction;
 pub mod inline;
@@ -41,13 +41,14 @@ pub mod reduction;
 
 pub use ddtest::DdStats;
 pub use deps::LoopReport;
-pub use idxprop::IdxPropReport;
 pub use induction::InductionMode;
-pub use nestdeps::NestReport;
 pub use pipeline::{
-    CancelToken, CorruptKind, FaultKind, FaultPlan, Pipeline, StageOutcome, StageReport,
-    VerifyStats, CANCELLED_PREFIX, STAGE_NAMES,
+    CancelToken, CorruptKind, FaultKind, FaultPlan, StageOutcome, CANCELLED_PREFIX, STAGE_NAMES,
 };
+
+use idxprop::IdxPropReport;
+use nestdeps::NestReport;
+use pipeline::{Pipeline, StageReport, VerifyStats};
 
 use polaris_ir::error::Result;
 use polaris_ir::Program;
@@ -136,9 +137,9 @@ impl PassOptions {
 #[derive(Debug, Clone, Default)]
 pub struct CompileReport {
     pub inline: inline::InlineStats,
-    pub constprop: constprop::ConstPropStats,
+    pub(crate) constprop: constprop::ConstPropStats,
     pub normalize: normalize::NormalizeStats,
-    pub dce: dce::DceStats,
+    pub(crate) dce: dce::DceStats,
     pub induction: induction::InductionStats,
     pub reductions_flagged: usize,
     pub loops: Vec<LoopReport>,
@@ -148,7 +149,7 @@ pub struct CompileReport {
     /// `run` always equals the sum of the other three.
     pub dd_range: (u64, u64, u64, u64),
     /// Range facts propagated into the analysis environment.
-    pub ranges_propagated: u64,
+    pub(crate) ranges_propagated: u64,
     /// What the `idxprop` stage proved about index-array contents.
     pub idxprop: IdxPropReport,
     /// Property-rule disjointness outcomes: (run, proved).

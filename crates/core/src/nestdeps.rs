@@ -56,11 +56,11 @@ use std::collections::BTreeMap;
 /// band trip count is a constant multiple of this, so the synthesized
 /// point-loop bounds stay affine (`DO I = IT, IT + 7`) and every
 /// downstream analysis keeps working — no `MIN` guard needed.
-pub const TILE: i64 = 8;
+pub(crate) const TILE: i64 = 8;
 
 /// Minimum constant trip count before tiling is worth the extra loop
 /// bookkeeping.
-pub const TILE_MIN_TRIP: i64 = 16;
+pub(crate) const TILE_MIN_TRIP: i64 = 16;
 
 /// Deepest band the interchange and tiling stages consider. A summary
 /// refines up to 3ⁿ direction vectors per access pair and dimension and
@@ -109,7 +109,7 @@ impl NestLoop {
     }
 
     /// Constant trip count, if both bounds are known.
-    pub fn trip(&self) -> Option<i64> {
+    pub(crate) fn trip(&self) -> Option<i64> {
         match (self.lo, self.hi) {
             (Some(lo), Some(hi)) if self.unit_step && hi >= lo => Some(hi - lo + 1),
             _ => None,
@@ -121,15 +121,14 @@ impl NestLoop {
 /// legality prover judges transformations against.
 #[derive(Debug, Clone)]
 pub struct NestSummary {
-    pub unit: String,
     /// Band loops, outermost first.
-    pub loops: Vec<NestLoop>,
+    pub(crate) loops: Vec<NestLoop>,
     /// Canonical dependence rows (lexicographically non-negative).
     pub vectors: Vec<DepVector>,
 }
 
 impl NestSummary {
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.loops.len()
     }
 
@@ -166,19 +165,17 @@ pub fn band_of(d: &DoLoop) -> Vec<&DoLoop> {
 /// not change which statements a nest contains, so the transformed
 /// outermost loop is a faithful scope).
 pub fn summarize_band_with(
-    unit_name: &str,
     loops: Vec<NestLoop>,
     body: &StmtList,
     reduction_root: &DoLoop,
     stats: &DdStats,
 ) -> NestSummary {
-    summarize_view(unit_name, loops, &IterView::of(body), reduction_root, stats)
+    summarize_view(loops, &IterView::of(body), reduction_root, stats)
 }
 
 /// [`summarize_band_with`] over a view of the band's innermost body the
 /// caller already holds.
 fn summarize_view(
-    unit_name: &str,
     loops: Vec<NestLoop>,
     view: &IterView,
     reduction_root: &DoLoop,
@@ -257,7 +254,7 @@ fn summarize_view(
             }
         }
     }
-    NestSummary { unit: unit_name.to_string(), loops, vectors }
+    NestSummary { loops, vectors }
 }
 
 // ---------------------------------------------------------------------
@@ -404,7 +401,7 @@ fn pair_rows(
 
 /// Is a direction vector lexicographically non-negative? (`*` may hide
 /// a `>`, so it only passes behind an earlier `<`.)
-pub fn lex_nonneg(dirs: &[NestDir]) -> bool {
+pub(crate) fn lex_nonneg(dirs: &[NestDir]) -> bool {
     for d in dirs {
         match d {
             NestDir::Lt => return true,
@@ -635,7 +632,7 @@ pub fn better_legal_order(
     }
     let view = IterView::of(&band[depth - 1].body);
     let loops = band.iter().map(|l| NestLoop::of(l)).collect();
-    let summary = summarize_view(unit_name, loops, &view, root, stats);
+    let summary = summarize_view(loops, &view, root, stats);
     let vars = summary.vars();
     let score = |p: &[usize]| {
         permutation_score(&view.refs, &p.iter().map(|&i| vars[i].clone()).collect::<Vec<_>>())
@@ -703,7 +700,7 @@ pub struct NestReport {
     /// Transformation candidates submitted to the prover.
     pub candidates: usize,
     /// Candidates the prover judged legal.
-    pub proved: usize,
+    pub(crate) proved: usize,
     /// Candidates the prover rejected (with reasons in `rejections`).
     pub rejected: usize,
     pub interchanges: usize,
@@ -716,16 +713,6 @@ pub struct NestReport {
 }
 
 impl NestReport {
-    /// Fraction of judged candidates proved legal (1.0 when none were
-    /// judged): the bench's legality-precision column.
-    pub fn precision(&self) -> f64 {
-        let judged = self.proved + self.rejected;
-        if judged == 0 {
-            1.0
-        } else {
-            self.proved as f64 / judged as f64
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -786,7 +773,7 @@ fn apply_interchange(root: &mut DoLoop, perm: &[usize]) {
 /// `unit`. With `force_illegal` (fault injection) the best **rejected**
 /// candidate is applied anyway, cert and all — the verify re-prover must
 /// catch it.
-pub fn interchange_unit(
+pub(crate) fn interchange_unit(
     unit: &mut ProgramUnit,
     stats: &DdStats,
     force_illegal: bool,
@@ -895,7 +882,7 @@ fn has_stencil_reuse(accesses: &[Ref], loops: &[NestLoop]) -> bool {
 /// stencil reuse and every band loop has a constant trip count ≥
 /// [`TILE_MIN_TRIP`] divisible by [`TILE`] (so the point-loop bounds
 /// stay affine with no remainder guard).
-pub fn tile_unit(
+pub(crate) fn tile_unit(
     unit: &mut ProgramUnit,
     stats: &DdStats,
     force_illegal: bool,
@@ -922,7 +909,7 @@ pub fn tile_unit(
         if !has_stencil_reuse(&view.refs, &loops) {
             return;
         }
-        let summary = summarize_view(&unit_name, loops, &view, d, stats);
+        let summary = summarize_view(loops, &view, d, stats);
         nr.candidates += 1;
         match tiling_legal(&summary.vectors, 0) {
             Ok(()) => {
@@ -1095,7 +1082,7 @@ fn bodies_share_array(l1: &DoLoop, l2: &DoLoop) -> bool {
 /// statements are spliced onto the end of the first body and the
 /// boundary statement id is recorded in the cert so the verify
 /// re-prover can re-split and re-judge.
-pub fn fuse_unit(
+pub(crate) fn fuse_unit(
     unit: &mut ProgramUnit,
     stats: &DdStats,
     force_illegal: bool,
@@ -1184,7 +1171,7 @@ mod tests {
         let band = band_of(p.units[0].body.loops()[0]);
         let loops = band.iter().map(|l| NestLoop::of(l)).collect();
         let body = &band.last().unwrap().body;
-        let s = summarize_band_with(&p.units[0].name, loops, body, band[0], &stats);
+        let s = summarize_band_with(loops, body, band[0], &stats);
         (p, s)
     }
 
@@ -1504,14 +1491,5 @@ mod tests {
         assert_eq!(stride_penalty(2, false), 24);
         assert_eq!(stride_penalty(0, true), 24);
         assert_eq!(stride_penalty(1, true), 24);
-    }
-
-    #[test]
-    fn precision_counts_judgments() {
-        let mut nr = NestReport::default();
-        assert_eq!(nr.precision(), 1.0);
-        nr.proved = 3;
-        nr.rejected = 1;
-        assert_eq!(nr.precision(), 0.75);
     }
 }

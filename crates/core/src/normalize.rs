@@ -46,7 +46,7 @@ pub fn run(program: &mut Program) -> NormalizeStats {
 }
 
 /// Run on one unit.
-pub fn run_unit(unit: &mut ProgramUnit) -> NormalizeStats {
+pub(crate) fn run_unit(unit: &mut ProgramUnit) -> NormalizeStats {
     let mut stats = NormalizeStats::default();
     let mut body = std::mem::take(&mut unit.body);
     normalize_list(&mut body, unit, &mut stats);

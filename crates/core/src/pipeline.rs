@@ -73,11 +73,11 @@ pub struct StageReport {
 }
 
 impl StageReport {
-    pub fn rolled_back(&self) -> bool {
+    pub(crate) fn rolled_back(&self) -> bool {
         matches!(self.outcome, StageOutcome::RolledBack { .. })
     }
 
-    pub fn ran_ok(&self) -> bool {
+    pub(crate) fn ran_ok(&self) -> bool {
         self.outcome == StageOutcome::Ok
     }
 }
@@ -232,7 +232,7 @@ impl FaultPlan {
     /// so the panic becomes a rollback); a [`FaultKind::Stall`] point
     /// sleeps, simulating a pathological stage a deadline watchdog must
     /// cancel around.
-    pub fn fire(&self, stage: &str, program: &Program) {
+    pub(crate) fn fire(&self, stage: &str, program: &Program) {
         if let Some(point) = self.armed_for(stage, program) {
             match point.kind {
                 FaultKind::Corrupt(_) | FaultKind::ForceIllegal => {}
@@ -250,7 +250,7 @@ impl FaultPlan {
     /// Is a [`FaultKind::ForceIllegal`] point armed for this stage? The
     /// nest-transformation stage bodies query this to apply a rejected
     /// candidate instead of refusing it.
-    pub fn forces_illegal(&self, stage: &str, program: &Program) -> bool {
+    pub(crate) fn forces_illegal(&self, stage: &str, program: &Program) -> bool {
         matches!(
             self.armed_for(stage, program),
             Some(FaultPoint { kind: FaultKind::ForceIllegal, .. })
@@ -260,7 +260,7 @@ impl FaultPlan {
     /// Apply an armed [`FaultKind::Corrupt`] point's damage to the IR.
     /// Called after the stage body succeeds, still inside the guarded
     /// region, so the post-stage verifier is what must notice.
-    pub fn corrupt_after(&self, stage: &str, program: &mut Program) {
+    pub(crate) fn corrupt_after(&self, stage: &str, program: &mut Program) {
         let kind = match self.armed_for(stage, program) {
             Some(FaultPoint { kind: FaultKind::Corrupt(k), .. }) => *k,
             _ => return,
@@ -408,14 +408,14 @@ struct Stage {
 }
 
 /// The fault-isolating pass driver. See the module docs for the contract.
-pub struct Pipeline {
+pub(crate) struct Pipeline {
     stages: Vec<Stage>,
 }
 
 impl Pipeline {
     /// The standard restructuring pipeline, with stages enabled according
     /// to `opts` (same pass order `compile` has always used).
-    pub fn standard(opts: &PassOptions) -> Pipeline {
+    pub(crate) fn standard(opts: &PassOptions) -> Pipeline {
         Pipeline {
             stages: vec![
                 Stage { name: "inline", enabled: opts.inline, run: stage_inline },
@@ -440,7 +440,7 @@ impl Pipeline {
     /// bug and reports as a hard error. After that, per-stage failures are
     /// contained: run under `catch_unwind`, validate, and roll back on any
     /// misbehaviour, then continue with the remaining stages.
-    pub fn run(&self, program: &mut Program, opts: &PassOptions) -> Result<CompileReport> {
+    pub(crate) fn run(&self, program: &mut Program, opts: &PassOptions) -> Result<CompileReport> {
         self.run_recorded(program, opts, &Recorder::disabled())
     }
 
@@ -449,7 +449,7 @@ impl Pipeline {
     /// stage, and the report's counters are mirrored into the recorder
     /// after the last stage. With `Recorder::disabled()` (what `run`
     /// passes) every hook is a no-op.
-    pub fn run_recorded(
+    pub(crate) fn run_recorded(
         &self,
         program: &mut Program,
         opts: &PassOptions,
@@ -467,7 +467,7 @@ impl Pipeline {
     /// consulted *inside* a rollback: a stage that fails after the token
     /// fired is still rolled back in full. This is the hook `polarisd`'s
     /// deadline watchdog uses.
-    pub fn run_cancellable(
+    pub(crate) fn run_cancellable(
         &self,
         program: &mut Program,
         opts: &PassOptions,
@@ -1394,7 +1394,7 @@ mod tests {
             assert_eq!(report.stage("constprop").unwrap().ir_delta, 0);
             // What the dropped stage had reported went with it.
             assert_eq!(report.constprop, crate::constprop::ConstPropStats::default());
-            assert_eq!(report.verify.invariants_checked, 16);
+            assert_eq!(report.verify.invariants_checked, 14);
         }
     }
 

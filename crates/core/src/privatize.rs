@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 /// Why privatization failed (diagnostics for the listing / tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PrivatizeFailure {
+pub(crate) enum PrivatizeFailure {
     ConditionalDefinition(String),
     RegionNotCovered(String),
     NotAnalyzable(String),
@@ -61,7 +61,7 @@ impl Defined {
 /// Is scalar `name` privatizable in one iteration of `d`'s body: every
 /// read of `name` preceded (on every path) by a write in the same
 /// iteration?
-pub fn scalar_privatizable(d: &DoLoop, name: &str) -> bool {
+pub(crate) fn scalar_privatizable(d: &DoLoop, name: &str) -> bool {
     fn walk(list: &StmtList, name: &str, mut state: Defined) -> Option<Defined> {
         for s in list {
             match &s.kind {
@@ -149,7 +149,7 @@ pub fn scalar_privatizable(d: &DoLoop, name: &str) -> bool {
 
 /// Is the *final* write to scalar `name` in an iteration unconditional
 /// (so a last-iteration copy-out is well defined)?
-pub fn scalar_write_unconditional(d: &DoLoop, name: &str) -> bool {
+pub(crate) fn scalar_write_unconditional(d: &DoLoop, name: &str) -> bool {
     // the last top-level write must exist and not be under an IF / inner DO
     let mut last_uncond = false;
     for s in &d.body {
@@ -172,6 +172,9 @@ pub fn scalar_write_unconditional(d: &DoLoop, name: &str) -> bool {
                     // inner loop runs: conditional
                     last_uncond = false;
                 }
+            // A DO sets its own variable even when it runs zero times, and
+            // leaves the exhausted index in it.
+            StmtKind::Do(inner) if inner.var == name => last_uncond = true,
             _ => {}
         }
     }
@@ -266,6 +269,21 @@ fn numbered<'a>(
 /// outside the unit (argument / COMMON)? One walk of the unit, cut short
 /// at the first read that decides it.
 pub fn live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -> bool {
+    read_after(unit, loop_id, name, false)
+}
+
+/// [`live_after`] for the variable of a `DO` nested in loop `loop_id`.
+/// Loop indices are reused from nest to nest, so here the reads under
+/// another `DO name` are taken for what they are: reads of that loop's
+/// own value.
+pub(crate) fn index_live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -> bool {
+    read_after(unit, loop_id, name, true)
+}
+
+/// The walk behind both questions. With `index`, the body of a `DO name`
+/// that does not hold the loop itself is passed over: its reads see the
+/// value that `DO` sets.
+fn read_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str, index: bool) -> bool {
     if escapes_unit(unit, name) {
         return true;
     }
@@ -287,7 +305,8 @@ pub fn live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -
             last_read = Some(pos);
             live = seen;
         }
-        true
+        let redefines = |d: &DoLoop| d.var == name && !crate::rangeprop::contains(&d.body, loop_id);
+        !(index && s.as_do().is_some_and(redefines))
     });
     live
 }
@@ -491,21 +510,21 @@ fn region_covers(def: &RegionBox, use_: &RegionBox, env: &RangeEnv) -> bool {
 /// A recognized compaction: `P = 0; DO K = lo, hi; IF (c) THEN
 /// P = P + 1; IND(P) = K; END IF; END DO`.
 #[derive(Debug, Clone)]
-pub struct Compaction {
+pub(crate) struct Compaction {
     /// The counter (`P`).
-    pub counter: String,
+    pub(crate) counter: String,
     /// The index array (`IND`).
-    pub array: String,
+    pub(crate) array: String,
     /// Scan loop bounds: values stored into `array` lie in `[lo, hi]`.
-    pub lo: Expr,
-    pub hi: Expr,
+    pub(crate) lo: Expr,
+    pub(crate) hi: Expr,
 }
 
 /// Scan the *top level* of a loop body for compaction idioms and
 /// register their facts in `env`:
 /// * the values of `array` lie within the scan range,
 /// * the counter `P` is at most the scan trip count and at least 0.
-pub fn recognize_compactions(body: &StmtList, env: &mut RangeEnv) -> Vec<Compaction> {
+pub(crate) fn recognize_compactions(body: &StmtList, env: &mut RangeEnv) -> Vec<Compaction> {
     let mut found = Vec::new();
     let mut counter_zeroed: Option<String> = None;
     for s in body {

@@ -27,7 +27,8 @@ use std::collections::BTreeSet;
 /// The environment holding just before statement `target` executes
 /// (on the path that reaches it). If `target` is not found the
 /// environment reflects the end of the unit.
-pub fn env_before(unit: &ProgramUnit, target: StmtId) -> RangeEnv {
+#[cfg(test)]
+pub(crate) fn env_before(unit: &ProgramUnit, target: StmtId) -> RangeEnv {
     let mut env = RangeEnv::new();
     seed_parameters(unit, &mut env);
     walk(&unit.body, target, &mut env);
@@ -36,7 +37,8 @@ pub fn env_before(unit: &ProgramUnit, target: StmtId) -> RangeEnv {
 
 /// The environment valid inside the body of the `DO` loop with statement
 /// id `loop_id`: [`env_before`] pushed through [`enter_loop`].
-pub fn env_in_loop(unit: &ProgramUnit, loop_id: StmtId) -> RangeEnv {
+#[cfg(test)]
+pub(crate) fn env_in_loop(unit: &ProgramUnit, loop_id: StmtId) -> RangeEnv {
     let mut env = env_before(unit, loop_id);
     match unit.body.find_stmt(loop_id).map(|s| s.kind) {
         Some(StmtKind::Do(d)) => enter_loop(&mut env, &d),
@@ -69,7 +71,7 @@ pub fn assume_loop_header(
 // many, which is what `DdStats::ranges_propagated` counts.
 
 /// Record the unit's `PARAMETER` constants as exact values.
-pub fn seed_parameters(unit: &ProgramUnit, env: &mut RangeEnv) -> u64 {
+pub(crate) fn seed_parameters(unit: &ProgramUnit, env: &mut RangeEnv) -> u64 {
     let mut seeded = 0;
     for sym in unit.symbols.iter() {
         if let SymKind::Parameter(value) = &sym.kind {
@@ -86,7 +88,7 @@ pub fn seed_parameters(unit: &ProgramUnit, env: &mut RangeEnv) -> u64 {
 /// inside: an assignment kills what mentions its target and records an
 /// exact scalar value, `!$ASSERT` tightens, `CALL` kills its by-reference
 /// arguments, and a `DO` or `IF` kills whatever its body may assign.
-pub fn step_over(env: &mut RangeEnv, s: &Stmt) -> u64 {
+pub(crate) fn step_over(env: &mut RangeEnv, s: &Stmt) -> u64 {
     match &s.kind {
         StmtKind::Assign { lhs, rhs, .. } => {
             let name = lhs.name();
@@ -138,7 +140,7 @@ pub fn step_over(env: &mut RangeEnv, s: &Stmt) -> u64 {
 /// variable's interval and `init <= limit`; those describe the values at
 /// loop entry, so whatever they say about a body-assigned variable is
 /// killed again.
-pub fn enter_loop(env: &mut RangeEnv, d: &DoLoop) -> RangeEnv {
+pub(crate) fn enter_loop(env: &mut RangeEnv, d: &DoLoop) -> RangeEnv {
     let assigned = kill_loop(env, d);
     let mut body = env.clone();
     assume_loop_header(&mut body, &d.var, &d.init, &d.limit, d.step.as_ref());
@@ -153,7 +155,7 @@ pub fn enter_loop(env: &mut RangeEnv, d: &DoLoop) -> RangeEnv {
 /// Step `env` over an `IF` block and return one environment per branch,
 /// in [`branches`] order: each arm's with its condition assumed, the
 /// else's with every arm condition that is a simple relation negated.
-pub fn enter_if(env: &mut RangeEnv, arms: &[IfArm], else_body: &StmtList) -> Vec<RangeEnv> {
+pub(crate) fn enter_if(env: &mut RangeEnv, arms: &[IfArm], else_body: &StmtList) -> Vec<RangeEnv> {
     let mut else_env = env.clone();
     let mut envs: Vec<RangeEnv> = arms
         .iter()
@@ -176,7 +178,7 @@ pub fn enter_if(env: &mut RangeEnv, arms: &[IfArm], else_body: &StmtList) -> Vec
 }
 
 /// The bodies of an `IF` block: every arm's, then the else's.
-pub fn branches<'a>(
+pub(crate) fn branches<'a>(
     arms: &'a [IfArm],
     else_body: &'a StmtList,
 ) -> impl Iterator<Item = &'a StmtList> {
@@ -198,6 +200,7 @@ fn kill_loop(env: &mut RangeEnv, d: &DoLoop) -> BTreeSet<String> {
 
 /// Walk `list` applying effects until `target` is reached.
 /// Returns true if the target was found (walk stops there).
+#[cfg(test)]
 fn walk(list: &StmtList, target: StmtId, env: &mut RangeEnv) -> bool {
     for s in list {
         if s.id == target {
@@ -451,7 +454,7 @@ mod tests {
             });
             assert_eq!(deps, want, "{shape}: deps");
             let induction = entered(var, || {
-                crate::induction::run_unit(&mut u.clone());
+                crate::induction::run_unit_with(&mut u.clone(), crate::InductionMode::Generalized);
             });
             assert_eq!(induction, want, "{shape}: induction");
         }

@@ -44,7 +44,7 @@ pub fn flag_reductions(program: &mut Program) -> usize {
 /// Uses the wildcard pattern machinery: the pattern `σ <op> _0` is
 /// matched against the RHS with `σ` the LHS reference itself (a
 /// non-linear pattern in the Polaris sense).
-pub fn recognize(lhs: &LValue, rhs: &Expr) -> Option<RedOp> {
+pub(crate) fn recognize(lhs: &LValue, rhs: &Expr) -> Option<RedOp> {
     let target = lhs.as_expr();
     let name = lhs.name();
     // Subscripts must not reference the reduction variable itself.

@@ -6,42 +6,16 @@
 
 use crate::expr::{Expr, LValue};
 use crate::program::ProgramUnit;
-use crate::stmt::{DoLoop, IfArm, LoopId, ParallelInfo, Stmt, StmtKind, StmtList};
+use crate::stmt::{IfArm, Stmt, StmtKind, StmtList};
 
 /// Build an assignment statement with a fresh id.
-pub fn assign(unit: &mut ProgramUnit, lhs: LValue, rhs: Expr) -> Stmt {
+pub(crate) fn assign(unit: &mut ProgramUnit, lhs: LValue, rhs: Expr) -> Stmt {
     Stmt::new(unit.fresh_stmt_id(), 0, StmtKind::Assign { lhs, rhs, reduction: None })
 }
 
 /// Build a scalar assignment `name = rhs`.
 pub fn assign_var(unit: &mut ProgramUnit, name: &str, rhs: Expr) -> Stmt {
     assign(unit, LValue::Var(name.to_ascii_uppercase()), rhs)
-}
-
-/// Build a `DO` loop statement with a fresh id and a derived label.
-pub fn do_loop(
-    unit: &mut ProgramUnit,
-    var: &str,
-    init: Expr,
-    limit: Expr,
-    body: Vec<Stmt>,
-) -> Stmt {
-    let id = unit.fresh_stmt_id();
-    let label = format!("{}_do_s{}", unit.name, id.0);
-    Stmt::new(
-        id,
-        0,
-        StmtKind::Do(Box::new(DoLoop {
-            var: var.to_ascii_uppercase(),
-            init,
-            limit,
-            step: None,
-            body: StmtList(body),
-            par: ParallelInfo::default(),
-            label,
-            loop_id: LoopId(id.0),
-        })),
-    )
 }
 
 /// Build a single-arm `IF (cond) THEN ... END IF`.
@@ -67,9 +41,6 @@ mod tests {
         let a = assign_var(&mut u, "x", Expr::int(1));
         let b = assign_var(&mut u, "y", Expr::int(2));
         assert_ne!(a.id, b.id);
-        let d = do_loop(&mut u, "i", Expr::int(1), Expr::int(10), vec![a, b]);
-        assert_eq!(d.as_do().unwrap().body.len(), 2);
-        assert_eq!(d.as_do().unwrap().var, "I");
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum NestDir {
 }
 
 impl NestDir {
-    pub fn glyph(self) -> char {
+    pub(crate) fn glyph(self) -> char {
         match self {
             NestDir::Lt => '<',
             NestDir::Eq => '=',

@@ -13,18 +13,18 @@ pub type Result<T> = std::result::Result<T, CompileError>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError {
     /// Which stage produced the error.
-    pub stage: Stage,
+    pub(crate) stage: Stage,
     /// 1-based source line, when known.
-    pub line: Option<u32>,
+    pub(crate) line: Option<u32>,
     /// 1-based source column, when known.
-    pub col: Option<u32>,
+    pub(crate) col: Option<u32>,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 /// Frontend stage that produced a [`CompileError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
+pub(crate) enum Stage {
     Lex,
     Parse,
     Validate,
@@ -34,11 +34,11 @@ pub enum Stage {
 }
 
 impl CompileError {
-    pub fn lex(line: u32, message: impl Into<String>) -> Self {
+    pub(crate) fn lex(line: u32, message: impl Into<String>) -> Self {
         CompileError { stage: Stage::Lex, line: Some(line), col: None, message: message.into() }
     }
 
-    pub fn parse(line: u32, message: impl Into<String>) -> Self {
+    pub(crate) fn parse(line: u32, message: impl Into<String>) -> Self {
         CompileError { stage: Stage::Parse, line: Some(line), col: None, message: message.into() }
     }
 
@@ -57,7 +57,7 @@ impl CompileError {
     }
 
     /// Attach a source column (builder style).
-    pub fn at_col(mut self, col: u32) -> Self {
+    pub(crate) fn at_col(mut self, col: u32) -> Self {
         self.col = Some(col);
         self
     }

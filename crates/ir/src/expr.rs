@@ -6,8 +6,6 @@
 //! `Wildcard` node used by the pattern-matching layer (see
 //! [`crate::pattern`], the analogue of Polaris' "Forbol").
 
-use crate::symbol::SymbolTable;
-use crate::types::DataType;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -51,7 +49,7 @@ impl BinOp {
     }
 
     /// The Fortran spelling used by the unparser.
-    pub fn fortran(self) -> &'static str {
+    pub(crate) fn fortran(self) -> &'static str {
         match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
@@ -66,17 +64,6 @@ impl BinOp {
             BinOp::Ne => ".NE.",
             BinOp::And => ".AND.",
             BinOp::Or => ".OR.",
-        }
-    }
-
-    /// The relational operator with swapped operands (`a < b` ⇔ `b > a`).
-    pub fn swap(self) -> BinOp {
-        match self {
-            BinOp::Lt => BinOp::Gt,
-            BinOp::Le => BinOp::Ge,
-            BinOp::Gt => BinOp::Lt,
-            BinOp::Ge => BinOp::Le,
-            other => other,
         }
     }
 
@@ -160,10 +147,6 @@ impl Expr {
         Expr::Int(v)
     }
 
-    pub fn real(v: f64) -> Expr {
-        Expr::Real(v)
-    }
-
     pub fn index(array: impl Into<String>, subs: Vec<Expr>) -> Expr {
         Expr::Index { array: array.into().to_ascii_uppercase(), subs }
     }
@@ -209,18 +192,6 @@ impl Expr {
     }
 
     // ----- queries ------------------------------------------------------
-
-    /// True if the tree contains no `Wildcard` node (i.e. it is a proper
-    /// program expression rather than a pattern).
-    pub fn is_ground(&self) -> bool {
-        let mut ground = true;
-        self.for_each(&mut |e| {
-            if matches!(e, Expr::Wildcard(_)) {
-                ground = false;
-            }
-        });
-        ground
-    }
 
     /// True if this is an integer or real literal.
     pub fn is_literal(&self) -> bool {
@@ -283,45 +254,6 @@ impl Expr {
             }
         });
         set
-    }
-
-    /// Number of nodes in the tree (used for cost heuristics and as a
-    /// simple complexity measure in tests).
-    pub fn size(&self) -> usize {
-        let mut n = 0usize;
-        self.for_each(&mut |_| n += 1);
-        n
-    }
-
-    /// The static type of the expression under `symbols`, following
-    /// Fortran promotion. Returns `None` for wildcards/strings.
-    pub fn data_type(&self, symbols: &SymbolTable) -> Option<DataType> {
-        match self {
-            Expr::Int(_) => Some(DataType::Integer),
-            Expr::Real(_) => Some(DataType::Real),
-            Expr::Logical(_) => Some(DataType::Logical),
-            Expr::Str(_) => None,
-            Expr::Var(n) | Expr::Index { array: n, .. } => Some(symbols.type_of(n)),
-            Expr::Call { name, args } => {
-                if let Some(ty) = intrinsic_result_type(name, args, symbols) {
-                    Some(ty)
-                } else {
-                    Some(symbols.type_of(name))
-                }
-            }
-            Expr::Un { op: UnOp::Neg, arg } => arg.data_type(symbols),
-            Expr::Un { op: UnOp::Not, .. } => Some(DataType::Logical),
-            Expr::Bin { op, lhs, rhs } => {
-                if op.is_relational() || matches!(op, BinOp::And | BinOp::Or) {
-                    Some(DataType::Logical)
-                } else {
-                    let l = lhs.data_type(symbols)?;
-                    let r = rhs.data_type(symbols)?;
-                    Some(l.promote(r))
-                }
-            }
-            Expr::Wildcard(_) => None,
-        }
     }
 
     // ----- traversal ----------------------------------------------------
@@ -474,26 +406,6 @@ fn simplify_bin(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Expr> {
         (Or, Expr::Logical(true), _) | (Or, _, Expr::Logical(true)) => Some(Expr::Logical(true)),
         _ => None,
     }
-}
-
-/// Result type of a known intrinsic, or `None` if `name` is not intrinsic.
-pub fn intrinsic_result_type(
-    name: &str,
-    args: &[Expr],
-    symbols: &SymbolTable,
-) -> Option<DataType> {
-    let arg_ty = || -> DataType {
-        args.iter()
-            .filter_map(|a| a.data_type(symbols))
-            .fold(DataType::Integer, |acc, t| acc.promote(t))
-    };
-    Some(match name {
-        "MOD" | "MAX" | "MIN" | "ABS" | "SIGN" => arg_ty(),
-        "MAX0" | "MIN0" | "INT" | "NINT" | "IABS" => DataType::Integer,
-        "SQRT" | "SIN" | "COS" | "TAN" | "EXP" | "LOG" | "ATAN" | "REAL" | "DBLE" | "FLOAT"
-        | "AMAX1" | "AMIN1" | "DMAX1" | "DMIN1" => DataType::Real,
-        _ => return None,
-    })
 }
 
 /// True if `name` is a recognized F-Mini intrinsic.
@@ -656,18 +568,6 @@ mod tests {
     fn as_int_handles_negation() {
         assert_eq!(Expr::neg(Expr::int(5)).as_int(), Some(-5));
         assert_eq!(n("I").as_int(), None);
-    }
-
-    #[test]
-    fn size_counts_nodes() {
-        assert_eq!(n("I").size(), 1);
-        assert_eq!(Expr::add(n("I"), Expr::int(1)).size(), 3);
-    }
-
-    #[test]
-    fn ground_detects_wildcards() {
-        assert!(n("I").is_ground());
-        assert!(!Expr::add(n("I"), Expr::Wildcard(0)).is_ground());
     }
 
     #[test]

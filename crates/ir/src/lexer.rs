@@ -10,7 +10,7 @@ use crate::error::{CompileError, Result};
 use crate::token::{Tok, Token};
 
 /// Tokenize a full source file.
-pub fn lex(source: &str) -> Result<Vec<Token>> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>> {
     let mut toks = Vec::new();
     let mut pending_continuation = false;
     for (idx, raw_line) in source.lines().enumerate() {

@@ -5,9 +5,10 @@
 //! High-Speed Computers with Polaris"* (ICPP 1996): an abstract syntax tree
 //! for a Fortran-77 subset ("F-Mini") together with layers of high-level
 //! functionality — statement lists with consistency checks, structural
-//! equality and wildcard pattern matching on expressions, a control-flow
-//! graph that is derived on demand, and an unparser that regenerates
-//! compilable source (including `!$POLARIS` parallelization directives).
+//! equality and wildcard pattern matching on expressions, and an unparser
+//! that regenerates compilable source (including `!$POLARIS`
+//! parallelization directives). F-Mini has no `GOTO`, so the statement
+//! tree is the control flow and no separate graph is kept.
 //!
 //! The original Polaris enforced IR consistency with `p_assert`, reference
 //! counting and an ownership convention; here Rust's ownership system plays
@@ -40,28 +41,27 @@
 
 pub mod builder;
 pub mod cert;
-pub mod cfg;
 pub mod error;
 pub mod expr;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 pub mod pattern;
 pub mod printer;
-pub mod program;
+pub(crate) mod program;
 pub mod stmt;
 pub mod symbol;
-pub mod token;
+pub(crate) mod token;
 pub mod types;
 pub mod validate;
 pub mod visit;
 
-pub use cert::{CertCheck, CertKind, DepVector, LegalityCert, NestDir};
-pub use error::{CompileError, Result};
-pub use expr::{BinOp, Expr, LValue, RedOp, UnOp};
-pub use program::{CommonBlock, Program, ProgramUnit, UnitKind};
-pub use stmt::{DoLoop, IfArm, ParallelInfo, Reduction, SpecInfo, Stmt, StmtId, StmtKind, StmtList};
-pub use symbol::{ArrayProps, Dim, SymKind, Symbol, SymbolTable};
-pub use types::DataType;
+pub use error::CompileError;
+pub use expr::{BinOp, Expr, LValue};
+pub use program::{Program, ProgramUnit, UnitKind};
+pub use stmt::{DoLoop, StmtId, StmtKind};
+pub use symbol::ArrayProps;
+
+use error::Result;
 
 /// Parse F-Mini source text into a [`Program`].
 ///

@@ -18,7 +18,7 @@ use crate::symbol::{Dim, Symbol};
 use crate::token::{Tok, Token};
 use crate::types::DataType;
 
-pub struct Parser {
+pub(crate) struct Parser {
     toks: Vec<Token>,
     pos: usize,
     next_id: u32,
@@ -36,7 +36,7 @@ pub struct Parser {
 const MAX_EXPR_DEPTH: u32 = 64;
 
 impl Parser {
-    pub fn new(source: &str) -> Result<Parser> {
+    pub(crate) fn new(source: &str) -> Result<Parser> {
         Ok(Parser { toks: lex(source)?, pos: 0, next_id: 0, pending_par: None, depth: 0 })
     }
 
@@ -156,7 +156,7 @@ impl Parser {
     // ----- program structure ----------------------------------------------
 
     /// Parse all program units in the token stream.
-    pub fn parse_program(mut self) -> Result<Program> {
+    pub(crate) fn parse_program(mut self) -> Result<Program> {
         let mut program = Program::new();
         loop {
             self.skip_newlines();
@@ -671,7 +671,7 @@ impl Parser {
 
     // ----- expressions ------------------------------------------------------
 
-    pub fn parse_expr(&mut self) -> Result<Expr> {
+    pub(crate) fn parse_expr(&mut self) -> Result<Expr> {
         self.descend()?;
         let r = self.parse_or();
         self.depth -= 1;
@@ -957,7 +957,7 @@ fn find_matching(s: &str) -> Option<usize> {
 /// After parsing, `Expr::Index` nodes whose base is not an array symbol
 /// are really function calls; fix them in place. The parser calls this
 /// indirectly through [`resolve_program_refs`].
-pub fn resolve_unit_refs(unit: &mut ProgramUnit) {
+pub(crate) fn resolve_unit_refs(unit: &mut ProgramUnit) {
     let symbols = unit.symbols.clone();
     unit.body.map_exprs(&mut |e| match e {
         Expr::Index { ref array, ref subs } if !symbols.is_array(array) => {
@@ -968,7 +968,7 @@ pub fn resolve_unit_refs(unit: &mut ProgramUnit) {
 }
 
 /// Resolve array-vs-call ambiguity in every unit of `program`.
-pub fn resolve_program_refs(program: &mut Program) {
+pub(crate) fn resolve_program_refs(program: &mut Program) {
     for unit in &mut program.units {
         resolve_unit_refs(unit);
     }
@@ -1089,7 +1089,7 @@ mod tests {
     #[test]
     fn declarations_and_parameters() {
         let u = parse_main("integer n, m\nparameter (n = 64, m = 2*n)\nreal a(n, m)\nx = 1.0");
-        assert_eq!(u.symbols.parameter_value("N"), Some(&Expr::int(64)));
+        assert_eq!(u.symbols.get("N").unwrap().kind, crate::symbol::SymKind::Parameter(Expr::int(64)));
         let a = u.symbols.get("A").unwrap();
         assert_eq!(a.rank(), 2);
     }

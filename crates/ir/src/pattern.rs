@@ -19,7 +19,7 @@ pub type Bindings = BTreeMap<u32, Expr>;
 /// Returns `true` iff the whole of `expr` matches. On failure the
 /// bindings may contain partial entries; callers should treat them as
 /// garbage (use [`match_expr`] for a fresh map).
-pub fn match_into(pattern: &Expr, expr: &Expr, bindings: &mut Bindings) -> bool {
+pub(crate) fn match_into(pattern: &Expr, expr: &Expr, bindings: &mut Bindings) -> bool {
     match (pattern, expr) {
         (Expr::Wildcard(id), e) => match bindings.get(id) {
             Some(prev) => prev == e,
@@ -63,60 +63,10 @@ pub fn match_expr(pattern: &Expr, expr: &Expr) -> Option<Bindings> {
     }
 }
 
-/// Instantiate a pattern: replace each wildcard with its binding.
-/// Unbound wildcards are left in place.
-pub fn instantiate(pattern: &Expr, bindings: &Bindings) -> Expr {
-    pattern.map(&mut |e| match e {
-        Expr::Wildcard(id) => bindings.get(&id).cloned().unwrap_or(Expr::Wildcard(id)),
-        other => other,
-    })
-}
-
-/// A rewrite rule `lhs → rhs` in the style of Forbol.
-#[derive(Debug, Clone)]
-pub struct Rule {
-    pub lhs: Expr,
-    pub rhs: Expr,
-}
-
-impl Rule {
-    pub fn new(lhs: Expr, rhs: Expr) -> Rule {
-        Rule { lhs, rhs }
-    }
-
-    /// Apply the rule at every position of `expr` (bottom-up, one pass).
-    /// Returns the rewritten expression and how many sites fired.
-    pub fn apply(&self, expr: &Expr) -> (Expr, usize) {
-        let mut count = 0usize;
-        let out = expr.map(&mut |e| {
-            if let Some(b) = match_expr(&self.lhs, &e) {
-                count += 1;
-                instantiate(&self.rhs, &b)
-            } else {
-                e
-            }
-        });
-        (out, count)
-    }
-}
-
-/// Search `expr` for the first subtree matching `pattern` (pre-order).
-pub fn find_first(pattern: &Expr, expr: &Expr) -> Option<Bindings> {
-    let mut found: Option<Bindings> = None;
-    expr.for_each(&mut |e| {
-        if found.is_none() {
-            if let Some(b) = match_expr(pattern, e) {
-                found = Some(b);
-            }
-        }
-    });
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{BinOp, Expr};
+    use crate::expr::Expr;
 
     fn w(id: u32) -> Expr {
         Expr::Wildcard(id)
@@ -155,35 +105,5 @@ mod tests {
     fn mismatched_operator_fails() {
         let pat = Expr::add(w(0), w(1));
         assert!(match_expr(&pat, &Expr::sub(Expr::var("A"), Expr::var("B"))).is_none());
-    }
-
-    #[test]
-    fn instantiate_replaces_bound_only() {
-        let mut b = Bindings::new();
-        b.insert(0, Expr::var("I"));
-        let pat = Expr::add(w(0), w(1));
-        let out = instantiate(&pat, &b);
-        assert_eq!(out, Expr::add(Expr::var("I"), Expr::Wildcard(1)));
-    }
-
-    #[test]
-    fn rule_rewrites_everywhere() {
-        // x*1 -> x  via rule _0 * 1 -> _0
-        let rule = Rule::new(Expr::mul(w(0), Expr::int(1)), w(0));
-        let e = Expr::add(
-            Expr::mul(Expr::var("A"), Expr::int(1)),
-            Expr::mul(Expr::var("B"), Expr::int(1)),
-        );
-        let (out, n) = rule.apply(&e);
-        assert_eq!(n, 2);
-        assert_eq!(out, Expr::add(Expr::var("A"), Expr::var("B")));
-    }
-
-    #[test]
-    fn find_first_searches_subtrees() {
-        let pat = Expr::bin(BinOp::Mul, w(0), Expr::var("N"));
-        let e = Expr::add(Expr::int(1), Expr::mul(Expr::var("I"), Expr::var("N")));
-        let b = find_first(&pat, &e).unwrap();
-        assert_eq!(b[&0], Expr::var("I"));
     }
 }

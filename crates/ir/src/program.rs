@@ -41,7 +41,7 @@ pub struct ProgramUnit {
 }
 
 impl ProgramUnit {
-    pub fn new(name: impl Into<String>, kind: UnitKind) -> ProgramUnit {
+    pub(crate) fn new(name: impl Into<String>, kind: UnitKind) -> ProgramUnit {
         ProgramUnit {
             name: name.into().to_ascii_uppercase(),
             kind,
@@ -61,7 +61,7 @@ impl ProgramUnit {
     }
 
     /// Inform the unit that ids up to `max` are in use (parser / merge).
-    pub fn reserve_stmt_ids(&mut self, max_used: u32) {
+    pub(crate) fn reserve_stmt_ids(&mut self, max_used: u32) {
         self.next_stmt_id = self.next_stmt_id.max(max_used + 1);
     }
 
@@ -82,7 +82,7 @@ pub struct Program {
 }
 
 impl Program {
-    pub fn new() -> Program {
+    pub(crate) fn new() -> Program {
         Program::default()
     }
 
@@ -96,24 +96,9 @@ impl Program {
     }
 
     /// Look a unit up by (case-insensitive) name.
-    pub fn unit(&self, name: &str) -> Option<&ProgramUnit> {
+    pub(crate) fn unit(&self, name: &str) -> Option<&ProgramUnit> {
         let name = name.to_ascii_uppercase();
         self.units.iter().find(|u| u.name == name)
-    }
-
-    /// Add a unit (the Polaris `Program::add` member function). Replaces
-    /// any existing unit of the same name.
-    pub fn add_unit(&mut self, unit: ProgramUnit) {
-        self.units.retain(|u| u.name != unit.name);
-        self.units.push(unit);
-    }
-
-    /// Merge another program's units into this one (Polaris supported
-    /// "merging Programs" for multi-file compilation).
-    pub fn merge(&mut self, other: Program) {
-        for u in other.units {
-            self.add_unit(u);
-        }
     }
 }
 
@@ -129,25 +114,5 @@ mod tests {
         let b = u.fresh_stmt_id();
         assert!(b.0 > a.0);
         assert_eq!(b.0, 101);
-    }
-
-    #[test]
-    fn add_unit_replaces_same_name() {
-        let mut p = Program::new();
-        p.add_unit(ProgramUnit::new("SUB", UnitKind::Subroutine));
-        p.add_unit(ProgramUnit::new("sub", UnitKind::Subroutine));
-        assert_eq!(p.units.len(), 1);
-    }
-
-    #[test]
-    fn merge_combines_units() {
-        let mut a = Program::new();
-        a.add_unit(ProgramUnit::new("MAIN", UnitKind::Program));
-        let mut b = Program::new();
-        b.add_unit(ProgramUnit::new("HELPER", UnitKind::Subroutine));
-        a.merge(b);
-        assert_eq!(a.units.len(), 2);
-        assert!(a.main().is_some());
-        assert!(a.unit("helper").is_some());
     }
 }

@@ -36,7 +36,7 @@ impl fmt::Display for StmtId {
 /// compile-time verdicts ([`ParallelInfo`], `LoopReport`) and run-time
 /// observations (the machine's dependence oracle), so the invariants are
 /// strict: ids are unique per unit (enforced by
-/// [`crate::validate::validate_unit`]) and a transformed loop keeps the
+/// [`crate::validate::check_program`]) and a transformed loop keeps the
 /// id of the source loop it descends from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LoopId(pub u32);
@@ -59,11 +59,6 @@ pub struct Stmt {
 impl Stmt {
     pub fn new(id: StmtId, line: u32, kind: StmtKind) -> Stmt {
         Stmt { id, line, kind }
-    }
-
-    /// Shorthand for an assignment statement.
-    pub fn assign(id: StmtId, lhs: LValue, rhs: Expr) -> Stmt {
-        Stmt::new(id, 0, StmtKind::Assign { lhs, rhs, reduction: None })
     }
 
     /// Is this a `DO` loop?
@@ -212,7 +207,7 @@ impl StmtList {
         self.0.is_empty()
     }
 
-    pub fn push(&mut self, stmt: Stmt) {
+    pub(crate) fn push(&mut self, stmt: Stmt) {
         self.0.push(stmt);
     }
 
@@ -222,13 +217,6 @@ impl StmtList {
 
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, Stmt> {
         self.0.iter_mut()
-    }
-
-    /// Total number of statements including nested bodies.
-    pub fn total_statements(&self) -> usize {
-        let mut n = 0;
-        self.walk(&mut |_| n += 1);
-        n
     }
 
     /// Pre-order walk over every statement, descending into loop and IF
@@ -291,11 +279,6 @@ impl StmtList {
         out
     }
 
-    /// Find a loop by label anywhere in the list.
-    pub fn find_loop(&self, label: &str) -> Option<&DoLoop> {
-        self.loops().into_iter().find(|d| d.label == label)
-    }
-
     /// Find (a clone of) a statement by id anywhere in the list. Callers
     /// needing in-place access use `walk_mut`.
     pub fn find_stmt(&self, id: StmtId) -> Option<Stmt> {
@@ -320,7 +303,7 @@ impl StmtList {
     /// Iterate over every expression in every statement (read-only),
     /// mirroring the Polaris "iterator which traverses all of the
     /// expressions contained in the statement".
-    pub fn for_each_expr(&self, f: &mut dyn FnMut(&Expr)) {
+    pub(crate) fn for_each_expr(&self, f: &mut dyn FnMut(&Expr)) {
         for s in &self.0 {
             for_each_stmt_expr(s, f);
         }
@@ -420,10 +403,14 @@ mod tests {
     }
 
     fn simple_loop() -> Stmt {
-        let body = StmtList(vec![Stmt::assign(
+        let body = StmtList(vec![Stmt::new(
             sid(2),
-            LValue::Index { array: "A".into(), subs: vec![Expr::var("I")] },
-            Expr::var("I"),
+            0,
+            StmtKind::Assign {
+                lhs: LValue::Index { array: "A".into(), subs: vec![Expr::var("I")] },
+                rhs: Expr::var("I"),
+                reduction: None,
+            },
         )]);
         Stmt::new(
             sid(1),
@@ -444,7 +431,6 @@ mod tests {
     #[test]
     fn walk_descends_into_bodies() {
         let list = StmtList(vec![simple_loop()]);
-        assert_eq!(list.total_statements(), 2);
         let mut ids = Vec::new();
         list.walk(&mut |s| ids.push(s.id.0));
         assert_eq!(ids, vec![1, 2]);
@@ -470,8 +456,6 @@ mod tests {
         let list = StmtList(vec![outer]);
         let labels: Vec<_> = list.loops().iter().map(|d| d.label.clone()).collect();
         assert_eq!(labels, vec!["T_do0", "T_do1"]);
-        assert!(list.find_loop("T_do1").is_some());
-        assert!(list.find_loop("nope").is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct Dim {
 }
 
 impl Dim {
-    pub fn upto(hi: Expr) -> Dim {
+    pub(crate) fn upto(hi: Expr) -> Dim {
         Dim { lo: Expr::Int(1), hi }
     }
 
@@ -152,7 +152,7 @@ impl Symbol {
         }
     }
 
-    pub fn array(name: impl Into<String>, ty: DataType, dims: Vec<Dim>) -> Symbol {
+    pub(crate) fn array(name: impl Into<String>, ty: DataType, dims: Vec<Dim>) -> Symbol {
         Symbol {
             name: name.into(),
             ty,
@@ -163,7 +163,7 @@ impl Symbol {
         }
     }
 
-    pub fn parameter(name: impl Into<String>, ty: DataType, value: Expr) -> Symbol {
+    pub(crate) fn parameter(name: impl Into<String>, ty: DataType, value: Expr) -> Symbol {
         Symbol {
             name: name.into(),
             ty,
@@ -174,7 +174,7 @@ impl Symbol {
         }
     }
 
-    pub fn is_array(&self) -> bool {
+    pub(crate) fn is_array(&self) -> bool {
         matches!(self.kind, SymKind::Array(_))
     }
 
@@ -212,7 +212,7 @@ fn key(name: &str) -> Cow<'_, str> {
 }
 
 impl SymbolTable {
-    pub fn new() -> SymbolTable {
+    pub(crate) fn new() -> SymbolTable {
         SymbolTable::default()
     }
 
@@ -242,14 +242,6 @@ impl SymbolTable {
         self.map.values()
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// The declared or implicit type of `name` (Fortran implicit rules
     /// apply to undeclared identifiers).
     pub fn type_of(&self, name: &str) -> DataType {
@@ -262,14 +254,6 @@ impl SymbolTable {
     /// True if `name` names an array in this table.
     pub fn is_array(&self, name: &str) -> bool {
         self.get(name).map(|s| s.is_array()).unwrap_or(false)
-    }
-
-    /// The `PARAMETER` value of `name`, if it is one.
-    pub fn parameter_value(&self, name: &str) -> Option<&Expr> {
-        match &self.get(name)?.kind {
-            SymKind::Parameter(e) => Some(e),
-            _ => None,
-        }
     }
 
     /// Generate a name not currently in the table, of the form
@@ -317,7 +301,7 @@ mod tests {
         assert!(!t.contains("ba") && t.get_mut("BARR").is_none());
         assert_eq!(t.remove("bAr").unwrap().name, "BAR");
         assert_eq!(t.remove("BAZ_1").unwrap().name, "BAZ_1");
-        assert!(t.is_empty() && t.remove("BAR").is_none());
+        assert!(t.iter().next().is_none() && t.remove("BAR").is_none());
     }
 
     #[test]
@@ -346,14 +330,6 @@ mod tests {
         assert_eq!(a.rank(), 2);
         assert_eq!(a.dims()[0].const_extent(), Some(10));
         assert_eq!(a.dims()[1].const_extent(), None);
-    }
-
-    #[test]
-    fn parameter_value_access() {
-        let mut t = SymbolTable::new();
-        t.insert(Symbol::parameter("N", DataType::Integer, Expr::int(64)));
-        assert_eq!(t.parameter_value("N"), Some(&Expr::int(64)));
-        assert_eq!(t.parameter_value("M"), None);
     }
 
     #[test]

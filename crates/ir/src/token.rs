@@ -4,16 +4,16 @@ use std::fmt;
 
 /// A lexical token with its source position (1-based line and column).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: Tok,
-    pub line: u32,
-    pub col: u32,
+pub(crate) struct Token {
+    pub(crate) kind: Tok,
+    pub(crate) line: u32,
+    pub(crate) col: u32,
 }
 
 /// Token kinds. Keywords are lexed as `Ident` and classified by the
 /// parser (Fortran has no reserved words).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Identifier or keyword, upper-cased.
     Ident(String),
     /// Integer literal.

@@ -21,7 +21,7 @@ pub enum DataType {
 impl DataType {
     /// Fortran implicit typing: identifiers starting with `I`..`N` are
     /// `INTEGER`, all others `REAL`.
-    pub fn implicit_for(name: &str) -> DataType {
+    pub(crate) fn implicit_for(name: &str) -> DataType {
         match name.as_bytes().first() {
             Some(c) if (b'I'..=b'N').contains(&c.to_ascii_uppercase()) => DataType::Integer,
             _ => DataType::Real,
@@ -39,7 +39,7 @@ impl DataType {
 
     /// Type of the result when two arithmetic operands are combined
     /// (Fortran promotion: REAL dominates INTEGER).
-    pub fn promote(self, other: DataType) -> DataType {
+    pub(crate) fn promote(self, other: DataType) -> DataType {
         if self == DataType::Real || other == DataType::Real {
             DataType::Real
         } else if self == DataType::Logical && other == DataType::Logical {

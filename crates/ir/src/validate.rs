@@ -16,7 +16,6 @@
 //! [`validate_program`] is the thin compatibility wrapper that turns the
 //! first violation into a [`CompileError`].
 
-use crate::cfg::Cfg;
 use crate::error::{CompileError, Result};
 use crate::expr::{is_intrinsic, BinOp, Expr, UnOp};
 use crate::program::{Program, ProgramUnit, UnitKind};
@@ -51,9 +50,6 @@ pub enum Invariant {
     /// DO-loop form: scalar loop variable, non-zero constant step, no
     /// assignment to an active DO variable.
     LoopForm,
-    /// The derived control-flow graph is well-formed: edges in bounds,
-    /// the exit block reachable, every statement in at most one block.
-    CfgWellFormed,
     /// No dangling calls in multi-unit programs: every CALL target is an
     /// intrinsic or an existing unit (a pass that deletes or renames an
     /// inlined unit must also rewrite its call sites).
@@ -61,20 +57,19 @@ pub enum Invariant {
 }
 
 /// Every invariant class, in checking order.
-pub const INVARIANTS: [Invariant; 8] = [
+pub const INVARIANTS: [Invariant; 7] = [
     Invariant::UnitStructure,
     Invariant::StmtIdDiscipline,
     Invariant::LoopIdProvenance,
     Invariant::SymbolUse,
     Invariant::TypeAgreement,
     Invariant::LoopForm,
-    Invariant::CfgWellFormed,
     Invariant::UnitLinkage,
 ];
 
 impl Invariant {
     /// Stable kebab-case name used in diagnostics and JSON documents.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Invariant::UnitStructure => "unit-structure",
             Invariant::StmtIdDiscipline => "stmt-id-discipline",
@@ -82,7 +77,6 @@ impl Invariant {
             Invariant::SymbolUse => "symbol-use",
             Invariant::TypeAgreement => "type-agreement",
             Invariant::LoopForm => "loop-form",
-            Invariant::CfgWellFormed => "cfg-well-formed",
             Invariant::UnitLinkage => "unit-linkage",
         }
     }
@@ -92,12 +86,12 @@ impl Invariant {
 /// attribute it and for `--verify` to render it as JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantViolation {
-    pub invariant: Invariant,
+    pub(crate) invariant: Invariant,
     /// The unit the violation was found in, when unit-scoped.
-    pub unit: Option<String>,
+    pub(crate) unit: Option<String>,
     /// 1-based source line, when the offending statement carries one.
-    pub line: Option<u32>,
-    pub message: String,
+    pub(crate) line: Option<u32>,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for InvariantViolation {
@@ -121,37 +115,16 @@ pub fn check_program(program: &Program) -> Vec<InvariantViolation> {
     out.list
 }
 
-/// The unit-scoped invariants that read the statement tree. The id set
-/// is built once: `stmt-id-discipline` fills it and `cfg-well-formed`
-/// reuses its storage.
+/// The unit-scoped invariants that read the statement tree.
 fn check_unit_body(unit: &ProgramUnit, out: &mut Violations) {
-    let mut ids = IdSet::new(unit.stmt_id_watermark());
-    check_ids(unit, &mut ids, out);
+    check_ids(unit, out);
     check_body(unit, out);
-    check_cfg(unit, &mut ids, out);
 }
 
 /// Validate a whole program; the first broken invariant is returned as a
 /// [`CompileError`] (the historical parse-time interface).
 pub fn validate_program(program: &Program) -> Result<()> {
     match check_program(program).into_iter().next() {
-        None => Ok(()),
-        Some(v) => {
-            let mut err = CompileError::validate(v.to_string());
-            if let Some(line) = v.line {
-                err = err.with_line(line);
-            }
-            Err(err)
-        }
-    }
-}
-
-/// Validate a single unit (unit-scoped invariants only).
-pub fn validate_unit(unit: &ProgramUnit) -> Result<()> {
-    let mut out = Violations::default();
-    check_unit_args(unit, &mut out);
-    check_unit_body(unit, &mut out);
-    match out.list.into_iter().next() {
         None => Ok(()),
         Some(v) => {
             let mut err = CompileError::validate(v.to_string());
@@ -192,10 +165,6 @@ impl Violations {
                 message,
             });
         }
-    }
-
-    fn saw(&self, invariant: Invariant) -> bool {
-        self.seen_in_scope.contains(&invariant)
     }
 }
 
@@ -280,14 +249,10 @@ impl IdSet {
         self.dense[word] |= bit;
         fresh
     }
-
-    fn clear(&mut self) {
-        self.dense.fill(0);
-        self.strays.clear();
-    }
 }
 
-fn check_ids(unit: &ProgramUnit, ids: &mut IdSet, out: &mut Violations) {
+fn check_ids(unit: &ProgramUnit, out: &mut Violations) {
+    let mut ids = IdSet::new(unit.stmt_id_watermark());
     // Every pass must either keep a loop's `LoopId` or assign a fresh one
     // when it clones the loop (inlining); a duplicate means run-time
     // observations could be attributed to the wrong compile-time verdict
@@ -645,67 +610,6 @@ impl<'a> BodyCheck<'a, '_> {
 }
 
 // ---------------------------------------------------------------------
-// cfg-well-formed
-// ---------------------------------------------------------------------
-
-fn check_cfg(unit: &ProgramUnit, ids: &mut IdSet, out: &mut Violations) {
-    // The CFG is derived on demand from the structured AST; building it
-    // and checking its shape is a consistency oracle over the statement
-    // structure itself. Skip if the body already failed the id
-    // discipline (a duplicated subtree would also duplicate block
-    // membership and double-report).
-    if out.saw(Invariant::StmtIdDiscipline) {
-        return;
-    }
-    // Only successor edges are read below.
-    let cfg = Cfg::build_forward(&unit.body);
-    let n = cfg.blocks.len();
-    ids.clear();
-    for block in &cfg.blocks {
-        for succ in &block.succs {
-            if succ.0 >= n {
-                out.push(
-                    Invariant::CfgWellFormed,
-                    Some(&unit.name),
-                    None,
-                    format!("unit {}: CFG edge to out-of-range block {}", unit.name, succ.0),
-                );
-                return;
-            }
-        }
-        for id in &block.stmts {
-            if !ids.insert(*id) {
-                out.push(
-                    Invariant::CfgWellFormed,
-                    Some(&unit.name),
-                    None,
-                    format!("unit {}: statement id {id} appears in two CFG blocks", unit.name),
-                );
-                return;
-            }
-        }
-    }
-    // Exit must be reachable from entry (structured programs always
-    // fall through to the exit block).
-    let mut reached = vec![false; n];
-    let mut work = vec![cfg.entry];
-    while let Some(b) = work.pop() {
-        if std::mem::replace(&mut reached[b.0], true) {
-            continue;
-        }
-        work.extend(cfg.blocks[b.0].succs.iter().copied());
-    }
-    if !reached[cfg.exit.0] {
-        out.push(
-            Invariant::CfgWellFormed,
-            Some(&unit.name),
-            None,
-            format!("unit {}: CFG exit block unreachable from entry", unit.name),
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
 // unit-linkage
 // ---------------------------------------------------------------------
 
@@ -958,7 +862,7 @@ mod tests {
     }
 
     /// A unit that breaks the id discipline still gets its loop ids
-    /// checked (same walk), in that order, and no CFG verdict.
+    /// checked (same walk), in that order.
     #[test]
     fn duplicate_statement_and_loop_ids_are_both_reported() {
         let src = "program p\nreal a(4)\ndo i = 1, 4\n  a(i) = 0.0\nend do\n\
@@ -979,6 +883,20 @@ mod tests {
                 "invariant `loop-id-provenance`: unit P: duplicate loop id L1 (at loop `P_do6`)",
             ]
         );
+    }
+
+    /// The one way an owned statement tree can hold "the same statement
+    /// twice" is a copied subtree, and the copy keeps its ids: that is one
+    /// violation, of the id discipline, whatever the subtree's size.
+    #[test]
+    fn a_duplicated_subtree_is_reported_once_by_the_id_discipline() {
+        let src = "program p\nreal a(4)\nif (a(1) > 0.0) then\n  a(2) = 1.0\n  a(3) = 2.0\nend if\n\
+                   print *, a(2)\nend\n";
+        let mut p = crate::parse(src).unwrap();
+        let copy = p.units[0].body.0[0].clone();
+        p.units[0].body.0.push(copy);
+        let messages: Vec<String> = check_program(&p).iter().map(|v| v.to_string()).collect();
+        assert_eq!(messages, ["invariant `stmt-id-discipline`: unit P: duplicate statement id s2"]);
     }
 
     #[test]

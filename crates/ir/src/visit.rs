@@ -21,7 +21,7 @@ pub struct LoopCtx {
 }
 
 impl LoopCtx {
-    pub fn of(d: &DoLoop) -> LoopCtx {
+    pub(crate) fn of(d: &DoLoop) -> LoopCtx {
         LoopCtx {
             var: d.var.clone(),
             init: d.init.clone(),
@@ -41,7 +41,7 @@ pub struct Access {
     pub subs: Vec<Expr>,
     pub is_write: bool,
     /// Statement performing the access.
-    pub stmt: StmtId,
+    pub(crate) stmt: StmtId,
     /// Loops enclosing the access *inside* the collection root,
     /// outermost first.
     pub ctx: Vec<LoopCtx>,
@@ -207,13 +207,6 @@ pub fn collect_accesses(list: &StmtList) -> Vec<Access> {
     c.out
 }
 
-/// Collect the accesses performed by one *iteration* of `d` (the loop's
-/// own index reads/writes and bound evaluations are excluded; contexts
-/// are relative to the loop body).
-pub fn collect_iteration_accesses(d: &DoLoop) -> Vec<Access> {
-    collect_accesses(&d.body)
-}
-
 /// Does the statement list contain any statement kind that forces a loop
 /// to stay serial (I/O, RETURN/STOP, calls to non-intrinsics)?
 pub fn find_serializing_stmt(list: &StmtList) -> Option<&'static str> {
@@ -274,16 +267,6 @@ mod tests {
         let z = acc.iter().find(|a| a.name == "Z" && a.is_write).unwrap();
         assert!(y.conditional);
         assert!(!z.conditional);
-    }
-
-    #[test]
-    fn iteration_accesses_exclude_loop_header() {
-        let b = body_of("real a(10)\ndo i = 1, n\n  a(i) = 1.0\nend do");
-        let d = b.loops()[0].clone();
-        let acc = collect_iteration_accesses(&d);
-        assert!(acc.iter().all(|a| a.name != "N"));
-        // but I is read as a subscript
-        assert!(acc.iter().any(|a| a.name == "I" && !a.is_write));
     }
 
     #[test]

@@ -83,28 +83,28 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A VM register index within a block frame.
-pub type Reg = u16;
+pub(crate) type Reg = u16;
 /// An index into a block's jump table ([`BcBlock::labels`]).
-pub type Label = u16;
+pub(crate) type Label = u16;
 
 /// An interned string (array name or PRINT literal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Sym(pub u32);
+pub struct Sym(pub(crate) u32);
 
 /// Append-only string interner: each distinct string gets one `u32` id;
 /// `intern` is idempotent and `resolve` is an array index.
 #[derive(Debug, Clone, Default)]
-pub struct Interner {
+pub(crate) struct Interner {
     names: Vec<String>,
     map: BTreeMap<String, u32>,
 }
 
 impl Interner {
-    pub fn new() -> Interner {
+    pub(crate) fn new() -> Interner {
         Interner::default()
     }
 
-    pub fn intern(&mut self, s: &str) -> Sym {
+    pub(crate) fn intern(&mut self, s: &str) -> Sym {
         if let Some(&id) = self.map.get(s) {
             return Sym(id);
         }
@@ -114,30 +114,22 @@ impl Interner {
         Sym(id)
     }
 
-    pub fn resolve(&self, sym: Sym) -> &str {
+    pub(crate) fn resolve(&self, sym: Sym) -> &str {
         &self.names[sym.0 as usize]
     }
 
-    pub fn lookup(&self, s: &str) -> Option<Sym> {
-        self.map.get(s).map(|&id| Sym(id))
-    }
-
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.names.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 }
 
 /// One dimension of a pre-resolved array layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArrDim {
-    pub low: i64,
-    pub extent: i64,
+pub(crate) struct ArrDim {
+    pub(crate) low: i64,
+    pub(crate) extent: i64,
     /// Column-major stride in elements (dim 0 has stride 1).
-    pub stride: i64,
+    pub(crate) stride: i64,
 }
 
 /// Pre-resolved addressing metadata for one array slot, parallel to
@@ -145,9 +137,9 @@ pub struct ArrDim {
 /// including the per-dimension bounds-check order and the error payload
 /// (failing subscript + that dimension's extent).
 #[derive(Debug, Clone)]
-pub struct ArrMeta {
-    pub name: Sym,
-    pub dims: Box<[ArrDim]>,
+pub(crate) struct ArrMeta {
+    pub(crate) name: Sym,
+    pub(crate) dims: Box<[ArrDim]>,
 }
 
 /// One subscript of a fused element access, stored in the unit's
@@ -160,7 +152,7 @@ pub struct ArrMeta {
 /// oracle-event order matches the tree-walker's strict left-to-right
 /// evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SubSrc {
+pub(crate) enum SubSrc {
     /// Integer subscript computed into a register.
     RegI(Reg),
     /// Real subscript computed into a register; truncated like `V::as_i`.
@@ -297,8 +289,8 @@ pub struct BcBlock {
     pub code: Vec<Instr>,
     /// Label id → instruction address. Every `Jump`/`JumpIfNot` target
     /// resolves through this table.
-    pub labels: Vec<u32>,
-    pub max_regs: usize,
+    pub(crate) labels: Vec<u32>,
+    pub(crate) max_regs: usize,
 }
 
 /// A fully lowered unit: its code as one [`BcBlock`] (loop bodies are
@@ -308,18 +300,18 @@ pub struct BcBlock {
 #[derive(Debug, Clone)]
 pub struct BcUnit {
     /// Block executed for the unit's code.
-    pub entry: u32,
+    pub(crate) entry: u32,
     pub blocks: Vec<BcBlock>,
     /// `loops[lp].0` is the loop [`Instr::LoopEnter`]/[`Instr::LoopBack`]
     /// `lp` delimit, `loops[lp].1` the address of its body's first
     /// instruction in the entry block.
-    pub loops: Vec<(Arc<RLoop>, u32)>,
-    pub arrays: Vec<ArrMeta>,
-    pub interner: Interner,
+    pub(crate) loops: Vec<(Arc<RLoop>, u32)>,
+    pub(crate) arrays: Vec<ArrMeta>,
+    pub(crate) interner: Interner,
     /// Fused-subscript pool; element accesses reference windows of it.
-    pub subs: Vec<SubSrc>,
+    pub(crate) subs: Vec<SubSrc>,
     /// Statements `Instr::Exec` hands back to the tree-walker.
-    pub stmts: Vec<RStmt>,
+    pub(crate) stmts: Vec<RStmt>,
 }
 
 /// Static type of a slot, array or expression. F-Mini never retypes
@@ -352,7 +344,7 @@ pub fn compile(image: &Image) -> Result<BcUnit, MachineError> {
 /// per statement. Tree-walker fallbacks (`Instr::Exec`) still count
 /// steps inside `run_stmt`; that is equally unobservable under the same
 /// precondition.
-pub fn compile_quiet(image: &Image) -> Result<BcUnit, MachineError> {
+pub(crate) fn compile_quiet(image: &Image) -> Result<BcUnit, MachineError> {
     compile_with(image, true)
 }
 
@@ -1079,8 +1071,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(i.resolve(a), "alpha");
         assert_eq!(i.resolve(b), "beta");
-        assert_eq!(i.lookup("beta"), Some(b));
-        assert_eq!(i.lookup("gamma"), None);
         assert_eq!(i.len(), 2);
     }
 

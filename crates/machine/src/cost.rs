@@ -10,31 +10,31 @@
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// add/sub/compare/logical.
-    pub alu: u64,
-    pub mul: u64,
-    pub div: u64,
+    pub(crate) alu: u64,
+    pub(crate) mul: u64,
+    pub(crate) div: u64,
     /// `**` and transcendental intrinsics.
-    pub intrinsic: u64,
+    pub(crate) intrinsic: u64,
     /// Array element load/store (cache-friendly average).
     pub memory: u64,
     /// Scalar load/store.
-    pub scalar: u64,
+    pub(crate) scalar: u64,
     /// Branch (IF arm selection).
-    pub branch: u64,
+    pub(crate) branch: u64,
     /// Per-iteration loop bookkeeping.
-    pub loop_iter: u64,
+    pub(crate) loop_iter: u64,
     /// DOALL fork + join (per parallel loop instance).
-    pub fork_join: u64,
+    pub(crate) fork_join: u64,
     /// Dynamic scheduling: per chunk dispatch.
-    pub dispatch: u64,
+    pub(crate) dispatch: u64,
     /// Reduction merge, per element per processor.
-    pub reduction_merge: u64,
+    pub(crate) reduction_merge: u64,
     /// Private-array setup, per element per loop instance.
-    pub private_setup: u64,
+    pub(crate) private_setup: u64,
     /// Shadow-array marking per tracked access (speculative loops).
-    pub spec_mark: u64,
+    pub(crate) spec_mark: u64,
     /// PD-test analysis per tracked element (divided by processors).
-    pub spec_analysis: u64,
+    pub(crate) spec_analysis: u64,
 }
 
 impl Default for CostModel {
@@ -89,16 +89,16 @@ pub enum Schedule {
 /// conditionals suffer (speculated work, broken software pipelines).
 #[derive(Debug, Clone)]
 pub struct CodegenModel {
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Multiplier for straight-line innermost bodies (< 1 is a bonus).
-    pub straightline_factor: f64,
+    pub(crate) straightline_factor: f64,
     /// Multiplier for innermost bodies containing IFs (> 1 is a penalty).
-    pub conditional_factor: f64,
+    pub(crate) conditional_factor: f64,
 }
 
 impl CodegenModel {
     /// Polaris' vanilla back end: no scaling.
-    pub fn none() -> CodegenModel {
+    pub(crate) fn none() -> CodegenModel {
         CodegenModel { enabled: false, straightline_factor: 1.0, conditional_factor: 1.0 }
     }
 
@@ -108,7 +108,7 @@ impl CodegenModel {
     }
 
     /// Scale a cycle count for an innermost-loop body.
-    pub fn scale(&self, cycles: u64, has_conditional: bool) -> u64 {
+    pub(crate) fn scale(&self, cycles: u64, has_conditional: bool) -> u64 {
         if !self.enabled {
             return cycles;
         }

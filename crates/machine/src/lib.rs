@@ -33,22 +33,19 @@
 
 pub mod bytecode;
 mod claims;
-pub mod cost;
+pub(crate) mod cost;
 mod dispatch;
-pub mod error;
+pub(crate) mod error;
 pub mod exec;
 pub mod lower;
 pub mod oracle;
-pub mod threaded;
-pub mod value;
-pub mod vm;
+pub(crate) mod threaded;
+pub(crate) mod value;
+pub(crate) mod vm;
 
 pub use cost::{CodegenModel, CostModel, Schedule};
 pub use error::MachineError;
-pub use exec::{
-    run, run_recorded, run_serial, run_validated, run_with_state, LoopExecStats, RunResult,
-    StateDump,
-};
+pub use exec::{run, run_recorded, run_serial, run_validated, run_with_state, RunResult, StateDump};
 pub use oracle::{audit, audit_recorded, audit_with};
 
 /// Which execution engine interprets lowered statements.
@@ -83,13 +80,6 @@ impl Engine {
             "vm" => Some(Engine::Vm),
             "tree-walk" | "tree" | "treewalk" => Some(Engine::TreeWalk),
             _ => None,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::Vm => "vm",
-            Engine::TreeWalk => "tree-walk",
         }
     }
 }
@@ -249,10 +239,5 @@ impl MachineConfig {
     pub fn with_memory_cap(mut self, elements: usize) -> MachineConfig {
         self.memory_cap = Some(elements);
         self
-    }
-
-    /// Simulated seconds at the Challenge's 150 MHz clock.
-    pub fn seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / 150.0e6
     }
 }

@@ -93,14 +93,14 @@ pub struct RLoop {
     /// run-time observations to `CompileReport` verdicts on this key.
     pub loop_id: polaris_ir::stmt::LoopId,
     /// No DO loops inside (codegen model applies here).
-    pub innermost: bool,
+    pub(crate) innermost: bool,
     /// Contains an IF (codegen model penalty).
-    pub has_conditional: bool,
+    pub(crate) has_conditional: bool,
     /// Only in-order execution is sound, so the loop is never handed to
     /// real threads: the body contains a STOP at any depth (later
     /// iterations must not run), or it reads an array it speculates on
     /// and contains a DO (a stale value could reach the inner bound).
-    pub in_order: bool,
+    pub(crate) in_order: bool,
 }
 
 /// Lowered statement.
@@ -119,14 +119,13 @@ pub enum RStmt {
 /// An executable program image.
 #[derive(Debug, Clone)]
 pub struct Image {
-    pub scalars: Vec<Scalar>,
+    pub(crate) scalars: Vec<Scalar>,
     pub scalar_names: Vec<String>,
     pub arrays: Vec<ArrObj>,
     pub code: Vec<RStmt>,
 }
 
-struct Lowerer<'a> {
-    unit: &'a ProgramUnit,
+struct Lowerer {
     scalar_ids: BTreeMap<String, usize>,
     array_ids: BTreeMap<String, usize>,
     scalars: Vec<Scalar>,
@@ -143,20 +142,15 @@ pub fn lower(program: &Program) -> Result<Image, MachineError> {
 /// Lower the main unit, refusing to allocate more than `cap` total array
 /// elements when a cap is given (the built-in per-array safety limit
 /// still applies either way).
-pub fn lower_with_cap(program: &Program, cap: Option<usize>) -> Result<Image, MachineError> {
+pub(crate) fn lower_with_cap(program: &Program, cap: Option<usize>) -> Result<Image, MachineError> {
     let main = program.main().ok_or(MachineError::NoMain)?;
     lower_unit_with_cap(main, cap)
 }
 
-/// Lower one unit (normally the inlined main).
-pub fn lower_unit(unit: &ProgramUnit) -> Result<Image, MachineError> {
-    lower_unit_with_cap(unit, None)
-}
-
-/// [`lower_unit`] with an optional cap on total array elements.
-pub fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Result<Image, MachineError> {
+/// Lower one unit (normally the inlined main), with an optional cap on
+/// total array elements.
+pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Result<Image, MachineError> {
     let mut l = Lowerer {
-        unit,
         scalar_ids: BTreeMap::new(),
         array_ids: BTreeMap::new(),
         scalars: Vec::new(),
@@ -259,7 +253,7 @@ fn subst_params(e: &Expr, params: &BTreeMap<String, Expr>) -> Expr {
     })
 }
 
-impl<'a> Lowerer<'a> {
+impl Lowerer {
     fn const_eval(&self, e: &Expr) -> Option<i64> {
         subst_params(e, &self.params).simplified().as_int()
     }
@@ -478,14 +472,6 @@ fn body_reads(stmts: &[RStmt], arrays: &[usize]) -> bool {
         RStmt::Print(items) => items.iter().any(reads),
         RStmt::Stop => false,
     })
-}
-
-// keep the field used (unit is handy for error contexts and future use)
-impl<'a> Lowerer<'a> {
-    #[allow(dead_code)]
-    fn unit_name(&self) -> &str {
-        &self.unit.name
-    }
 }
 
 #[cfg(test)]

@@ -116,13 +116,13 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// helpers beside the calling thread. It is created when the first
 /// threaded loop of a run really forks and lives for the rest of the
 /// run, so per-loop fork cost is a channel send, not a spawn.
-pub struct ThreadPool {
+pub(crate) struct ThreadPool {
     tx: Option<mpsc::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
-    pub fn new(threads: usize) -> ThreadPool {
+    pub(crate) fn new(threads: usize) -> ThreadPool {
         let (tx, rx) = mpsc::channel::<Job>();
         ThreadPool::start(threads, tx, Arc::new(Mutex::new(rx)))
     }
@@ -130,8 +130,8 @@ impl ThreadPool {
     /// A pool whose queue lock is already poisoned when the workers first
     /// touch it — the state a panic-while-holding-the-lock leaves behind.
     /// Test hook for the poisoned-lock recovery path in the worker loop.
-    #[doc(hidden)]
-    pub fn new_with_poisoned_queue_lock(threads: usize) -> ThreadPool {
+    #[cfg(test)]
+    pub(crate) fn new_with_poisoned_queue_lock(threads: usize) -> ThreadPool {
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let poisoner = Arc::clone(&rx);
@@ -178,16 +178,12 @@ impl ThreadPool {
         ThreadPool { tx: Some(tx), workers }
     }
 
-    pub fn submit(&self, job: Job) {
+    pub(crate) fn submit(&self, job: Job) {
         self.tx
             .as_ref()
             .expect("pool is live")
             .send(job)
             .expect("worker threads alive");
-    }
-
-    pub fn threads(&self) -> usize {
-        self.workers.len()
     }
 }
 
@@ -1190,6 +1186,6 @@ mod tests {
                 .expect("pool lost a worker after the poisoned lock");
         }
         assert_eq!(sum, 42);
-        assert_eq!(pool.threads(), 2);
+        assert_eq!(pool.workers.len(), 2);
     }
 }

@@ -5,14 +5,14 @@ use std::sync::Arc;
 
 /// A scalar run-time value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum V {
+pub(crate) enum V {
     I(i64),
     R(f64),
     B(bool),
 }
 
 impl V {
-    pub fn as_i(self) -> Result<i64, MachineError> {
+    pub(crate) fn as_i(self) -> Result<i64, MachineError> {
         match self {
             V::I(v) => Ok(v),
             V::R(v) => Ok(v as i64),
@@ -20,7 +20,7 @@ impl V {
         }
     }
 
-    pub fn as_r(self) -> Result<f64, MachineError> {
+    pub(crate) fn as_r(self) -> Result<f64, MachineError> {
         match self {
             V::I(v) => Ok(v as f64),
             V::R(v) => Ok(v),
@@ -28,28 +28,28 @@ impl V {
         }
     }
 
-    pub fn as_b(self) -> Result<bool, MachineError> {
+    pub(crate) fn as_b(self) -> Result<bool, MachineError> {
         match self {
             V::B(v) => Ok(v),
             _ => Err(MachineError::Type("numeric used as logical".into())),
         }
     }
 
-    pub fn is_real(self) -> bool {
+    pub(crate) fn is_real(self) -> bool {
         matches!(self, V::R(_))
     }
 }
 
 /// A scalar storage slot (typed).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scalar {
+pub(crate) enum Scalar {
     I(i64),
     R(f64),
     B(bool),
 }
 
 impl Scalar {
-    pub fn get(self) -> V {
+    pub(crate) fn get(self) -> V {
         match self {
             Scalar::I(v) => V::I(v),
             Scalar::R(v) => V::R(v),
@@ -58,7 +58,7 @@ impl Scalar {
     }
 
     /// Store with Fortran assignment conversion.
-    pub fn set(&mut self, v: V) -> Result<(), MachineError> {
+    pub(crate) fn set(&mut self, v: V) -> Result<(), MachineError> {
         match self {
             Scalar::I(slot) => *slot = v.as_i()?,
             Scalar::R(slot) => *slot = v.as_r()?,
@@ -70,14 +70,14 @@ impl Scalar {
 
 /// Array element storage (column-major, flattened).
 #[derive(Debug, Clone, PartialEq)]
-pub enum ArrData {
+pub(crate) enum ArrData {
     I(Vec<i64>),
     R(Vec<f64>),
     B(Vec<bool>),
 }
 
 impl ArrData {
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             ArrData::I(v) => v.len(),
             ArrData::R(v) => v.len(),
@@ -85,11 +85,7 @@ impl ArrData {
         }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn get(&self, idx: usize) -> V {
+    pub(crate) fn get(&self, idx: usize) -> V {
         match self {
             ArrData::I(v) => V::I(v[idx]),
             ArrData::R(v) => V::R(v[idx]),
@@ -97,7 +93,7 @@ impl ArrData {
         }
     }
 
-    pub fn set(&mut self, idx: usize, v: V) -> Result<(), MachineError> {
+    pub(crate) fn set(&mut self, idx: usize, v: V) -> Result<(), MachineError> {
         match self {
             ArrData::I(s) => s[idx] = v.as_i()?,
             ArrData::R(s) => s[idx] = v.as_r()?,
@@ -107,7 +103,7 @@ impl ArrData {
     }
 
     /// Approximate equality for validation (reductions reassociate).
-    pub fn approx_eq(&self, other: &ArrData, tol: f64) -> bool {
+    pub(crate) fn approx_eq(&self, other: &ArrData, tol: f64) -> bool {
         match (self, other) {
             (ArrData::I(a), ArrData::I(b)) => a == b,
             (ArrData::B(a), ArrData::B(b)) => a == b,
@@ -208,14 +204,14 @@ impl PartialEq for ArrStore {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrObj {
     pub name: String,
-    pub lows: Vec<i64>,
-    pub extents: Vec<i64>,
+    pub(crate) lows: Vec<i64>,
+    pub(crate) extents: Vec<i64>,
     pub(crate) data: ArrStore,
 }
 
 impl ArrObj {
     /// Column-major flatten; bounds-checked.
-    pub fn flatten(&self, subs: &[i64]) -> Result<usize, MachineError> {
+    pub(crate) fn flatten(&self, subs: &[i64]) -> Result<usize, MachineError> {
         debug_assert_eq!(subs.len(), self.lows.len());
         let mut off: i64 = 0;
         let mut stride: i64 = 1;
@@ -236,7 +232,7 @@ impl ArrObj {
 }
 
 /// Scalar approximate equality for validation.
-pub fn scalar_approx_eq(a: &Scalar, b: &Scalar, tol: f64) -> bool {
+pub(crate) fn scalar_approx_eq(a: &Scalar, b: &Scalar, tol: f64) -> bool {
     match (a, b) {
         (Scalar::R(x), Scalar::R(y)) => {
             let scale = x.abs().max(y.abs()).max(1.0);

@@ -26,6 +26,7 @@
 //! faults never accumulate into a quarantine — only *consecutive*
 //! failures of the same unit do.
 
+use crate::lock;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -168,13 +169,6 @@ impl CircuitBreaker {
             Some(State::Open { .. }) => BreakerState::Open,
             Some(State::HalfOpen { .. }) => BreakerState::HalfOpen,
         }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
     }
 }
 

@@ -18,6 +18,7 @@
 //! chance), so sources that are requested again and again stay while
 //! one-off sources go. Losing an entry only ever costs a recompile.
 
+use crate::lock;
 use crate::proto::fnv1a;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -127,16 +128,6 @@ impl CompileCache {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Lock, recovering from poisoning: cache state is a plain map and no
-/// write can panic half way (a sweep only drops entries), so recovery is
-/// always safe.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
     }
 }
 

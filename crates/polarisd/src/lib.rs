@@ -46,3 +46,15 @@ pub use chaos::{ChaosHook, ChaosPlan, Curse};
 pub use proto::{fnv1a, Request, Response, Status};
 pub use retry::RetryPolicy;
 pub use service::{Service, ServiceConfig, ServiceStats, Ticket};
+
+/// Poison-recovering lock: every critical section in this crate either
+/// performs single-statement updates on a plain map (a cache sweep only
+/// drops entries) or is re-checked by its reader, so recovery after a
+/// panicked holder is always safe — a crash-only service cannot afford a
+/// poisoned mutex cascading into every thread.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(g) => g,
+        Err(p) => p.into_inner(),
+    }
+}

@@ -20,6 +20,7 @@
 use crate::breaker::{Admission, CircuitBreaker};
 use crate::cache::{CacheOutcome, CompileCache};
 use crate::chaos::ChaosHook;
+use crate::lock;
 use crate::proto::{fnv1a, Request, Response, Status};
 use crate::retry::{RetryPolicy, SplitMix};
 use polaris_core::{CancelToken, CompileReport, PassOptions, CANCELLED_PREFIX};
@@ -1025,17 +1026,7 @@ fn adaptive_for(inner: &Inner, key: u64) -> Arc<AdaptiveController> {
 
 // ---- lock helpers ----------------------------------------------------
 
-/// Poison-recovering lock: every critical section in this module either
-/// performs single-statement updates or is re-checked by its reader, so
-/// recovery after a panicked holder is always safe — a crash-only service
-/// cannot afford a poisoned mutex cascading into every thread.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
-}
-
+/// [`lock`]'s counterpart for a condition variable.
 fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     match cv.wait(guard) {
         Ok(g) => g,

@@ -64,7 +64,7 @@ pub enum Chunking {
 }
 
 impl Chunking {
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Chunking::Block => "block".to_string(),
             Chunking::SelfSched { chunk } => format!("self:{chunk}"),
@@ -139,7 +139,6 @@ pub struct DecisionRow {
     pub trip: u64,
     /// Coefficient of variation of per-chunk cycles (0 when unmeasured).
     pub cost_cv: f64,
-    pub misspec_streak: u32,
     pub event: &'static str,
 }
 
@@ -465,14 +464,6 @@ impl AdaptiveController {
         e.seal();
     }
 
-    /// Did the last `observe` arm the misspeculation throttle for this
-    /// loop? (The dispatcher uses this to bump `adaptive.throttle` at
-    /// arming time, not just while held.)
-    pub fn is_throttled(&self, loop_id: u32) -> bool {
-        let map = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        map.get(&loop_id).map(|e| e.throttle_hold > 0).unwrap_or(false)
-    }
-
     /// Snapshot the decision table, ordered by loop id.
     pub fn decision_rows(&self) -> Vec<DecisionRow> {
         let map = self.entries.lock().unwrap_or_else(|p| p.into_inner());
@@ -486,26 +477,14 @@ impl AdaptiveController {
                 threads: e.last_threads.max(1),
                 trip: e.trip,
                 cost_cv: e.cv(),
-                misspec_streak: e.misspec_streak,
                 event: e.last_event.as_str(),
             })
             .collect()
     }
 
-    /// Test/chaos hook: flip adaptation state without updating the
-    /// check word, simulating a torn write or recovered-from-crash
-    /// table. The next `decide` must detect it.
-    pub fn corrupt(&self, loop_id: u32) {
-        let mut map = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(e) = map.get_mut(&loop_id) {
-            e.invocations ^= 0x5a5a;
-            e.cv_micros ^= 0xdead;
-            // deliberately NOT resealed
-        }
-    }
-
-    /// [`corrupt`](AdaptiveController::corrupt) for every loop in the
-    /// table — chaos sweeps that don't know individual loop ids.
+    /// Test/chaos hook: flip every loop's adaptation state without
+    /// updating the check word, simulating a torn write or
+    /// recovered-from-crash table. The next `decide` must detect it.
     pub fn corrupt_all(&self) {
         let mut map = self.entries.lock().unwrap_or_else(|p| p.into_inner());
         for e in map.values_mut() {
@@ -585,7 +564,6 @@ mod tests {
         let d2 = c.decide(1, "L20", h);
         assert_eq!(d2.strategy, Strategy::Speculative); // streak 1 < 2
         c.observe(1, Observation { trip: 500, chunk_cycles: vec![], misspeculated: Some(true) });
-        assert!(c.is_throttled(1));
         // Held serial for THROTTLE_HOLD invocations…
         for _ in 0..THROTTLE_HOLD {
             let d = c.decide(1, "L20", h);
@@ -611,7 +589,7 @@ mod tests {
             1,
             Observation { trip: 1000, chunk_cycles: vec![100, 100, 100, 4000], misspeculated: None },
         );
-        c.corrupt(1);
+        c.corrupt_all();
         let d = c.decide(1, "L10", par_hints(1000));
         assert_eq!(d.event, DecideEvent::CorruptReset);
         assert_eq!(d.strategy, Strategy::Static);

@@ -34,15 +34,10 @@
 //! property behind the `O(a/p + log p)` analysis of §3.5.2, which the
 //! machine's cost model bills.
 
-pub mod adaptive;
+pub(crate) mod adaptive;
 pub mod lrpd;
 pub mod verdict;
 
 pub use adaptive::{
-    AdaptiveController, Chunking, DecideEvent, Decision, DecisionRow, LoopHints, Observation,
-    Strategy,
-};
-pub use verdict::{
-    judge, ClaimKind, DepKind, DepObservation, LoopClaim, LoopObservation, LoopVerdict,
-    OracleReport, Violation,
+    AdaptiveController, Chunking, DecideEvent, DecisionRow, LoopHints, Observation, Strategy,
 };

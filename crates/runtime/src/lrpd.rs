@@ -97,13 +97,13 @@ impl Shadow {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PdVerdict {
     /// `any(A_w ∧ A_r)` — flow/anti dependence.
-    pub flow_anti: bool,
+    pub(crate) flow_anti: bool,
     /// `any(A_w ∧ A_np)` — read-before-write in an iteration.
-    pub not_privatizable: bool,
+    pub(crate) not_privatizable: bool,
     /// `w_A`: first-writes per (element, iteration).
-    pub writes: u64,
+    pub(crate) writes: u64,
     /// `m_A`: elements marked in `A_w`.
-    pub marks: u64,
+    pub(crate) marks: u64,
 }
 
 impl PdVerdict {
@@ -123,23 +123,13 @@ impl PdVerdict {
         v
     }
 
-    /// The verdict on the union of two disjoint ranges.
-    pub fn and(self, other: PdVerdict) -> PdVerdict {
-        PdVerdict {
-            flow_anti: self.flow_anti || other.flow_anti,
-            not_privatizable: self.not_privatizable || other.not_privatizable,
-            writes: self.writes + other.writes,
-            marks: self.marks + other.marks,
-        }
-    }
-
     /// `w_A ≠ m_A` — an element was written by more than one iteration.
-    pub fn output_dep(&self) -> bool {
+    pub(crate) fn output_dep(&self) -> bool {
         self.writes != self.marks
     }
 
     /// Valid with the array privatized (output dependences forgiven).
-    pub fn privatized_ok(&self) -> bool {
+    pub(crate) fn privatized_ok(&self) -> bool {
         !self.flow_anti && !self.not_privatizable
     }
 
@@ -357,10 +347,6 @@ mod tests {
                     let whole = verdict_of(&shadows, 0..n_elems);
                     prop_assert_eq!(whole.plain_ok(), want_plain, "plain, {} x {:?}: {:?}", k, deal, whole);
                     prop_assert_eq!(whole.privatized_ok(), want_priv, "privatized, {} x {:?}: {:?}", k, deal, whole);
-                    for split in 0..=n_elems {
-                        let halves = verdict_of(&shadows, 0..split).and(verdict_of(&shadows, split..n_elems));
-                        prop_assert_eq!(halves, whole, "split at {}", split);
-                    }
                 }
             }
         }

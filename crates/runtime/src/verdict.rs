@@ -37,7 +37,7 @@ pub enum DepKind {
 }
 
 impl DepKind {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DepKind::Flow => "flow",
             DepKind::Anti => "anti",
@@ -121,7 +121,7 @@ pub enum ClaimKind {
 }
 
 impl ClaimKind {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ClaimKind::Parallel => "parallel",
             ClaimKind::Speculative => "speculative",
@@ -288,7 +288,7 @@ impl OracleReport {
 /// Attribute a serial reason to the pass/test responsible for it. The
 /// buckets mirror the dependence driver's decision points; unknown
 /// strings land in "other" rather than being dropped.
-pub fn categorize_reason(reason: Option<&str>) -> &'static str {
+pub(crate) fn categorize_reason(reason: Option<&str>) -> &'static str {
     let Some(r) = reason else { return "unattributed" };
     if r.contains("carried dependence") {
         "dependence-test"

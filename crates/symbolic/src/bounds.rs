@@ -113,19 +113,9 @@ fn sign_at(p: &Poly, env: &RangeEnv, depth: u32) -> Sign {
     }
 }
 
-/// Lower and upper symbolic bounds of `p` after eliminating every
-/// variable and opaque atom that has a range in `env`. `None` means the
-/// bound could not be established.
-pub fn min_max(p: &Poly, env: &RangeEnv) -> (Option<Poly>, Option<Poly>) {
-    refuel();
-    let lo = eliminate_all(p, env, Dir::Min, MAX_DEPTH);
-    refuel();
-    let hi = eliminate_all(p, env, Dir::Max, MAX_DEPTH);
-    (lo, hi)
-}
-
-/// Like [`min_max`], but eliminates exactly the given atoms, in order
-/// (first atom eliminated first). Used by the range test to compute the
+/// Lower and upper symbolic bounds of `p` after eliminating exactly the
+/// given atoms, in order (first atom eliminated first); `None` means the
+/// bound could not be established. Used by the range test to compute the
 /// access range of the *inner* loops of a nest while the tested loop's
 /// index stays symbolic. Fails if any listed atom survives elimination.
 pub fn min_max_over(
@@ -148,22 +138,9 @@ pub fn prove_ge(a: &Poly, b: &Poly, env: &RangeEnv) -> bool {
     }
 }
 
-/// Prove `a > b` under `env`.
-pub fn prove_gt(a: &Poly, b: &Poly, env: &RangeEnv) -> bool {
-    match a.checked_sub(b) {
-        Some(d) => sign(&d, env).is_pos(),
-        None => false,
-    }
-}
-
 /// Prove `a <= b` under `env`.
 pub fn prove_le(a: &Poly, b: &Poly, env: &RangeEnv) -> bool {
     prove_ge(b, a, env)
-}
-
-/// Prove `a < b` under `env`.
-pub fn prove_lt(a: &Poly, b: &Poly, env: &RangeEnv) -> bool {
-    prove_gt(b, a, env)
 }
 
 /// Eliminate every rangeable atom of `p`: opaque atoms with known ranges
@@ -305,15 +282,6 @@ fn eliminate_one(p: &Poly, atom: &Atom, env: &RangeEnv, dir: Dir, depth: u32) ->
     parts[0].checked_add(&coeff.checked_mul(bound)?)
 }
 
-/// Is `p` monotonically non-decreasing in `var` under `env`? (§3.3.1's
-/// monotonicity check, exported for the range test.)
-pub fn is_nondecreasing(p: &Poly, var: &str, env: &RangeEnv) -> bool {
-    match p.forward_diff(var) {
-        Some(d) => sign(&d, env).is_nonneg(),
-        None => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,7 +342,7 @@ mod tests {
         assert_eq!(diff, p("n + 1"));
         assert!(sign(&diff, &env).is_pos());
         // and b2 is monotonically non-decreasing in i
-        assert!(is_nondecreasing(&b2, "I", &env));
+        assert!(sign(&b2.forward_diff("I").unwrap(), &env).is_nonneg());
     }
 
     #[test]
@@ -401,10 +369,10 @@ mod tests {
         let mut env = RangeEnv::new();
         env.set("I", Range::consts(0, 10));
         let f = p("i*i - 4*i");
-        let (_, max) = min_max(&f, &env);
+        let (_, max) = min_max_over(&f, &[Atom::var("I")], &env);
         assert_eq!(max.unwrap(), Poly::int(60));
         // min of a convex parabola is NOT at an endpoint — must refuse
-        let (min, _) = min_max(&f, &env);
+        let (min, _) = min_max_over(&f, &[Atom::var("I")], &env);
         assert!(min.is_none());
     }
 
@@ -415,9 +383,7 @@ mod tests {
         env.set("P", Range::at_least(Poly::int(1)));
         // m*p >= p  given m >= 2, p >= 1
         assert!(prove_ge(&p("m*p"), &p("p"), &env));
-        assert!(prove_gt(&p("m*p + 1"), &p("p"), &env));
         assert!(prove_le(&p("p"), &p("m*p"), &env));
-        assert!(prove_lt(&p("p - 1"), &p("m*p"), &env));
         // and the unprovable direction stays unproven
         assert!(!prove_ge(&p("p"), &p("m*p"), &env));
     }
@@ -479,7 +445,7 @@ mod tests {
         env.set("I", Range::consts(0, 10));
         // q has no range: min over I exists but q remains symbolic
         let f = p("i + q");
-        let (min, max) = min_max(&f, &env);
+        let (min, max) = min_max_over(&f, &[Atom::var("I")], &env);
         assert_eq!(min.unwrap(), p("q"));
         assert_eq!(max.unwrap(), p("q + 10"));
         assert_eq!(sign(&f, &env), Sign::Unknown);
@@ -492,7 +458,7 @@ mod tests {
         // K occurs both openly and inside Z(K): bounding by substituting
         // K alone would be wrong.
         let f = p("k + z(k)");
-        let (min, max) = min_max(&f, &env);
+        let (min, max) = min_max_over(&f, &[Atom::var("K")], &env);
         assert!(min.is_none());
         assert!(max.is_none());
     }
@@ -502,7 +468,7 @@ mod tests {
         let mut env = RangeEnv::new();
         env.set("I", Range::consts(1, 9));
         let f = p("10 - i");
-        let (min, max) = min_max(&f, &env);
+        let (min, max) = min_max_over(&f, &[Atom::var("I")], &env);
         assert_eq!(min.unwrap(), Poly::int(1));
         assert_eq!(max.unwrap(), Poly::int(9));
     }

@@ -47,14 +47,13 @@
 //! conservative.
 
 pub mod bounds;
-pub mod env;
+pub(crate) mod env;
 pub mod poly;
-pub mod range;
+pub(crate) mod range;
 pub mod rat;
 pub mod sum;
 
-pub use bounds::{min_max, prove_ge, prove_gt, prove_le, prove_lt, sign, Sign};
+pub use bounds::{prove_ge, prove_le, sign, Sign};
 pub use env::RangeEnv;
-pub use poly::{DivPolicy, Poly};
 pub use range::Range;
 pub use rat::Rat;

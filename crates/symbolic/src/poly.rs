@@ -136,7 +136,7 @@ impl Atom {
     }
 
     /// The expression this atom denotes.
-    pub fn to_expr(&self) -> Expr {
+    pub(crate) fn to_expr(&self) -> Expr {
         match self {
             Atom::Var(n) => Expr::Var(n.clone()),
             Atom::Opaque { expr, .. } => expr.as_ref().clone(),
@@ -145,7 +145,7 @@ impl Atom {
 
     /// Does the atom's expression reference `var` (for opaque atoms this
     /// looks inside the wrapped expression)?
-    pub fn mentions_var(&self, var: &str) -> bool {
+    pub(crate) fn mentions_var(&self, var: &str) -> bool {
         self.is_var(var) || self.hides_var(var)
     }
 
@@ -178,23 +178,23 @@ impl Ord for Atom {
 /// A product of atoms raised to positive powers, as one run sorted by
 /// atom; the empty monomial is 1.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct Monomial(Vec<(Atom, u32)>);
+pub(crate) struct Monomial(Vec<(Atom, u32)>);
 
 impl Monomial {
-    pub fn one() -> Monomial {
+    pub(crate) fn one() -> Monomial {
         Monomial::default()
     }
 
-    pub fn var(name: impl Into<String>) -> Monomial {
+    pub(crate) fn var(name: impl Into<String>) -> Monomial {
         Monomial(vec![(Atom::var(name), 1)])
     }
 
-    pub fn is_one(&self) -> bool {
+    pub(crate) fn is_one(&self) -> bool {
         self.0.is_empty()
     }
 
     /// Power of the variable `var` (upper-case).
-    pub fn degree_in(&self, var: &str) -> u32 {
+    pub(crate) fn degree_in(&self, var: &str) -> u32 {
         self.0.iter().find(|(a, _)| a.is_var(var)).map_or(0, |(_, p)| *p)
     }
 
@@ -221,11 +221,6 @@ impl Monomial {
             }
         }
     }
-
-    /// Any atom (including opaque internals) mentioning `var`?
-    pub fn mentions_var(&self, var: &str) -> bool {
-        self.0.iter().any(|(a, _)| a.mentions_var(var))
-    }
 }
 
 /// A canonical sum of monomials: terms sorted by monomial, none zero,
@@ -242,7 +237,7 @@ impl Poly {
         Poly::default()
     }
 
-    pub fn constant(c: Rat) -> Poly {
+    pub(crate) fn constant(c: Rat) -> Poly {
         if c.is_zero() {
             Poly::zero()
         } else {
@@ -308,10 +303,6 @@ impl Poly {
         }
     }
 
-    pub fn terms(&self) -> impl Iterator<Item = (&Monomial, &Rat)> {
-        self.terms.iter().map(|(m, c)| (m, c))
-    }
-
     /// Every atom occurrence, term by term (with repeats).
     pub(crate) fn atom_refs(&self) -> impl Iterator<Item = &Atom> {
         self.terms.iter().flat_map(|(m, _)| m.0.iter().map(|(a, _)| a))
@@ -351,7 +342,7 @@ impl Poly {
     /// exhaustive. Returns `false` (the caller must stay conservative)
     /// when `c` is not a nonzero integer or the grid is too large to
     /// enumerate.
-    pub fn exactly_divisible_by(&self, c: Rat) -> bool {
+    pub(crate) fn exactly_divisible_by(&self, c: Rat) -> bool {
         let Some(c) = c.as_integer() else { return false };
         if c == 0 {
             return false;
@@ -446,7 +437,7 @@ impl Poly {
         Some(Poly { terms: merge_sorted(&self.terms, &other.terms, sum, &sign)? })
     }
 
-    pub fn checked_neg(&self) -> Option<Poly> {
+    pub(crate) fn checked_neg(&self) -> Option<Poly> {
         self.map_coeffs(Rat::checked_neg)
     }
 
@@ -476,7 +467,7 @@ impl Poly {
         self.map_coeffs(|c| c.checked_mul(k))
     }
 
-    pub fn checked_pow(&self, exp: u32) -> Option<Poly> {
+    pub(crate) fn checked_pow(&self, exp: u32) -> Option<Poly> {
         let mut acc = Poly::int(1);
         for _ in 0..exp {
             acc = acc.checked_mul(self)?;
@@ -586,7 +577,7 @@ impl Poly {
     }
 
     /// Highest power of `atom` in any term.
-    pub fn degree_in_atom(&self, atom: &Atom) -> u32 {
+    pub(crate) fn degree_in_atom(&self, atom: &Atom) -> u32 {
         self.terms.iter().map(|(m, _)| m.degree_in_atom(atom)).max().unwrap_or(0)
     }
 
@@ -627,7 +618,8 @@ impl Poly {
 
     /// Evaluate with an assignment of rationals to variables; opaque
     /// atoms make evaluation fail. (Test oracle.)
-    pub fn eval(&self, env: &std::collections::BTreeMap<String, Rat>) -> Option<Rat> {
+    #[cfg(test)]
+    pub(crate) fn eval(&self, env: &std::collections::BTreeMap<String, Rat>) -> Option<Rat> {
         let mut total = Rat::ZERO;
         for (m, c) in &self.terms {
             let mut acc = *c;

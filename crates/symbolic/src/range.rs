@@ -2,7 +2,6 @@
 //! may be unknown.
 
 use crate::poly::Poly;
-use crate::rat::Rat;
 use std::fmt;
 
 /// A (possibly half-open) symbolic interval.
@@ -14,7 +13,7 @@ pub struct Range {
 
 impl Range {
     /// Completely unknown range.
-    pub fn unknown() -> Range {
+    pub(crate) fn unknown() -> Range {
         Range::default()
     }
 
@@ -28,7 +27,7 @@ impl Range {
     }
 
     /// Constant interval `[lo, hi]`.
-    pub fn consts(lo: i128, hi: i128) -> Range {
+    pub(crate) fn consts(lo: i128, hi: i128) -> Range {
         Range { lo: Some(Poly::int(lo)), hi: Some(Poly::int(hi)) }
     }
 
@@ -36,7 +35,7 @@ impl Range {
         Range { lo: Some(p), hi: None }
     }
 
-    pub fn at_most(p: Poly) -> Range {
+    pub(crate) fn at_most(p: Poly) -> Range {
         Range { lo: None, hi: Some(p) }
     }
 
@@ -52,18 +51,13 @@ impl Range {
         }
     }
 
-    /// Constant bounds, when both ends are constants.
-    pub fn const_bounds(&self) -> Option<(Rat, Rat)> {
-        Some((self.lo.as_ref()?.as_constant()?, self.hi.as_ref()?.as_constant()?))
-    }
-
     /// Intersect with another range. Both ranges are simultaneously valid
     /// facts, so any choice of bound is sound; we pick the *tighter* bound
     /// when both are constants, and otherwise keep the existing bound
     /// (conditions/asserts typically precede weaker structural facts like
     /// loop non-emptiness). Staleness is the caller's problem
     /// ([`crate::env::RangeEnv::invalidate`]).
-    pub fn refine(&self, other: &Range) -> Range {
+    pub(crate) fn refine(&self, other: &Range) -> Range {
         fn pick(a: &Option<Poly>, b: &Option<Poly>, want_max: bool) -> Option<Poly> {
             match (a, b) {
                 (Some(x), Some(y)) => match (x.as_constant(), y.as_constant()) {
@@ -83,14 +77,6 @@ impl Range {
         Range {
             lo: pick(&self.lo, &other.lo, true),
             hi: pick(&self.hi, &other.hi, false),
-        }
-    }
-
-    /// Shift both bounds by a polynomial offset.
-    pub fn shift(&self, offset: &Poly) -> Range {
-        Range {
-            lo: self.lo.as_ref().and_then(|l| l.checked_add(offset)),
-            hi: self.hi.as_ref().and_then(|h| h.checked_add(offset)),
         }
     }
 }
@@ -115,26 +101,12 @@ mod tests {
     }
 
     #[test]
-    fn const_bounds_extraction() {
-        let r = Range::consts(1, 10);
-        assert_eq!(r.const_bounds(), Some((Rat::int(1), Rat::int(10))));
-        assert!(Range::at_least(Poly::int(0)).const_bounds().is_none());
-    }
-
-    #[test]
     fn refine_prefers_known_then_newer() {
         let old = Range::consts(1, 10);
         let newer = Range::at_most(Poly::int(5));
         let refined = old.refine(&newer);
         assert_eq!(refined.lo, Some(Poly::int(1)));
         assert_eq!(refined.hi, Some(Poly::int(5)));
-    }
-
-    #[test]
-    fn shift_moves_both_bounds() {
-        let r = Range::consts(1, 4).shift(&Poly::var("K"));
-        assert_eq!(r.lo.unwrap(), Poly::var("K").checked_add(&Poly::int(1)).unwrap());
-        assert_eq!(r.hi.unwrap(), Poly::var("K").checked_add(&Poly::int(4)).unwrap());
     }
 
     #[test]

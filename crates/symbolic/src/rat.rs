@@ -26,8 +26,8 @@ pub fn gcd(a: i128, b: i128) -> i128 {
 }
 
 impl Rat {
-    pub const ZERO: Rat = Rat { num: 0, den: 1 };
-    pub const ONE: Rat = Rat { num: 1, den: 1 };
+    pub(crate) const ZERO: Rat = Rat { num: 0, den: 1 };
+    pub(crate) const ONE: Rat = Rat { num: 1, den: 1 };
 
     /// Construct and normalize. Returns `None` when `den == 0`.
     pub fn new(num: i128, den: i128) -> Option<Rat> {
@@ -43,11 +43,11 @@ impl Rat {
         Rat { num: v, den: 1 }
     }
 
-    pub fn num(&self) -> i128 {
+    pub(crate) fn num(&self) -> i128 {
         self.num
     }
 
-    pub fn den(&self) -> i128 {
+    pub(crate) fn den(&self) -> i128 {
         self.den
     }
 
@@ -55,7 +55,7 @@ impl Rat {
         self.num == 0
     }
 
-    pub fn is_integer(&self) -> bool {
+    pub(crate) fn is_integer(&self) -> bool {
         self.den == 1
     }
 
@@ -73,7 +73,7 @@ impl Rat {
         self.num.signum() as i32
     }
 
-    pub fn checked_add(self, other: Rat) -> Option<Rat> {
+    pub(crate) fn checked_add(self, other: Rat) -> Option<Rat> {
         if self.den == 1 && other.den == 1 {
             // Integers — nearly every coefficient of a program
             // polynomial — need no gcd: the sum is already normal.
@@ -88,11 +88,12 @@ impl Rat {
         Rat::new(num, den)
     }
 
-    pub fn checked_sub(self, other: Rat) -> Option<Rat> {
+    #[cfg(test)]
+    pub(crate) fn checked_sub(self, other: Rat) -> Option<Rat> {
         self.checked_add(other.checked_neg()?)
     }
 
-    pub fn checked_mul(self, other: Rat) -> Option<Rat> {
+    pub(crate) fn checked_mul(self, other: Rat) -> Option<Rat> {
         if self.den == 1 && other.den == 1 {
             return Some(Rat { num: self.num.checked_mul(other.num)?, den: 1 });
         }
@@ -104,34 +105,18 @@ impl Rat {
         Rat::new(num, den)
     }
 
-    pub fn checked_div(self, other: Rat) -> Option<Rat> {
-        if other.is_zero() {
-            return None;
-        }
-        self.checked_mul(Rat::new(other.den, other.num)?)
-    }
-
-    pub fn checked_neg(self) -> Option<Rat> {
+    pub(crate) fn checked_neg(self) -> Option<Rat> {
         Some(Rat { num: self.num.checked_neg()?, den: self.den })
     }
 
     /// `self ** exp` for small non-negative exponents.
-    pub fn checked_pow(self, exp: u32) -> Option<Rat> {
+    #[cfg(test)]
+    pub(crate) fn checked_pow(self, exp: u32) -> Option<Rat> {
         let mut acc = Rat::ONE;
         for _ in 0..exp {
             acc = acc.checked_mul(self)?;
         }
         Some(acc)
-    }
-
-    /// Floor as an integer (used when tightening integer ranges).
-    pub fn floor(self) -> i128 {
-        self.num.div_euclid(self.den)
-    }
-
-    /// Ceiling as an integer.
-    pub fn ceil(self) -> i128 {
-        -((-self.num).div_euclid(self.den))
     }
 }
 
@@ -188,18 +173,7 @@ mod tests {
         assert_eq!(half.checked_add(third).unwrap(), Rat::new(5, 6).unwrap());
         assert_eq!(half.checked_sub(third).unwrap(), Rat::new(1, 6).unwrap());
         assert_eq!(half.checked_mul(third).unwrap(), Rat::new(1, 6).unwrap());
-        assert_eq!(half.checked_div(third).unwrap(), Rat::new(3, 2).unwrap());
         assert_eq!(half.checked_pow(3).unwrap(), Rat::new(1, 8).unwrap());
-    }
-
-    #[test]
-    fn floor_ceil() {
-        assert_eq!(Rat::new(7, 2).unwrap().floor(), 3);
-        assert_eq!(Rat::new(7, 2).unwrap().ceil(), 4);
-        assert_eq!(Rat::new(-7, 2).unwrap().floor(), -4);
-        assert_eq!(Rat::new(-7, 2).unwrap().ceil(), -3);
-        assert_eq!(Rat::int(5).floor(), 5);
-        assert_eq!(Rat::int(5).ceil(), 5);
     }
 
     #[test]
@@ -240,15 +214,6 @@ mod tests {
             let y = Rat::new(c, d).unwrap();
             let back = x.checked_sub(y).unwrap().checked_add(y).unwrap();
             prop_assert_eq!(back, x);
-        }
-
-        #[test]
-        fn prop_floor_le_ceil(a in -10000i128..10000, b in 1i128..100) {
-            let x = Rat::new(a, b).unwrap();
-            prop_assert!(x.floor() <= x.ceil());
-            prop_assert!(Rat::int(x.floor()) <= x);
-            prop_assert!(x <= Rat::int(x.ceil()));
-            prop_assert!(x.ceil() - x.floor() <= 1);
         }
     }
 }

@@ -13,7 +13,7 @@ use crate::rat::Rat;
 
 /// Maximum supported power in summands (ample: real induction increments
 /// in the paper's suite are at most quadratic).
-pub const MAX_POWER: u32 = 8;
+pub(crate) const MAX_POWER: u32 = 8;
 
 /// Coefficients of `S_k(n) = Σ_{i=1}^{n} i^k` as a polynomial in `n`
 /// (constant term first). Derived from Bernoulli numbers; returned as

@@ -21,7 +21,7 @@ use polaris_core::nestdeps::{
 use polaris_core::CompileReport;
 use polaris_ir::cert::{CertCheck, CertKind, LegalityCert};
 use polaris_ir::stmt::{DoLoop, LoopId, StmtKind, StmtList};
-use polaris_ir::{Program, ProgramUnit};
+use polaris_ir::Program;
 
 /// Re-derive every certificate in `report` from the transformed
 /// `program`. One [`CertCheck`] per cert, in emission order.
@@ -65,8 +65,8 @@ fn check_cert(program: &Program, cert: &LegalityCert, stats: &DdStats) -> Result
     let anchor = find_loop(&unit.body, cert.loop_id)
         .ok_or_else(|| format!("anchor loop {} not found in `{}`", cert.loop_id, cert.unit))?;
     match &cert.kind {
-        CertKind::Interchange { perm } => check_interchange(unit, anchor, cert, perm, stats),
-        CertKind::Tile { band, sizes } => check_tile(unit, anchor, cert, band, sizes, stats),
+        CertKind::Interchange { perm } => check_interchange(anchor, cert, perm, stats),
+        CertKind::Tile { band, sizes } => check_tile(anchor, cert, band, sizes, stats),
         CertKind::Fuse { fused_loop, boundary } => {
             check_fuse(anchor, *fused_loop, *boundary, stats)
         }
@@ -122,7 +122,6 @@ fn valid_perm(perm: &[usize], n: usize) -> bool {
 /// reconstructs the pre-transformation nest) and the permutation
 /// re-judged against it.
 fn check_interchange(
-    unit: &ProgramUnit,
     anchor: &DoLoop,
     cert: &LegalityCert,
     perm: &[usize],
@@ -153,7 +152,7 @@ fn check_interchange(
     }
     let original: Vec<NestLoop> = inverse.iter().map(|&k| NestLoop::of(band[k])).collect();
     let body = &band[n - 1].body;
-    let summary = summarize_band_with(&unit.name, original, body, anchor, stats);
+    let summary = summarize_band_with(original, body, anchor, stats);
     if summary.vars() != cert.loop_vars {
         return Err("re-derived loop order disagrees with cert".to_string());
     }
@@ -166,7 +165,6 @@ fn check_interchange(
 /// reconstructed by giving each point loop its tile loop's bounds, then
 /// full permutability is re-judged over the re-derived matrix.
 fn check_tile(
-    unit: &ProgramUnit,
     anchor: &DoLoop,
     cert: &LegalityCert,
     band_idx: &[usize],
@@ -234,7 +232,7 @@ fn check_tile(
         });
     }
     let body = &points[depth - 1].body;
-    let summary = summarize_band_with(&unit.name, original, body, anchor, stats);
+    let summary = summarize_band_with(original, body, anchor, stats);
     tiling_legal(&summary.vectors, 0)
         .map_err(|e| format!("re-derived matrix rejects the tiling: {e}"))
 }

@@ -22,15 +22,16 @@ use polaris::PassOptions;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Measured when the pipeline went from a `Program` clone per stage to
-/// one per compile and the validator to a bitmap of statement ids and
-/// one typing per expression (PR 22): 244 866 allocations / 26 284 709
-/// bytes (debug; release 30 fewer), a `realloc` counted as an allocation
-/// of its new size. Budget = that + 5 %. With the flat polynomial form
-/// alone (PR 20): 297 117 / 31 816 755; the `BTreeMap<Monomial, Rat>`
-/// form before it: 960 309 / 234 483 573.
-const SUITE_ALLOCS_BUDGET: u64 = 257_100;
-const SUITE_BYTES_BUDGET: u64 = 27_600_000;
+/// Measured when the validator stopped building a control-flow graph per
+/// unit per validation (PR 24, seven invariants): 228 833 allocations /
+/// 24 157 575 bytes (debug; release 30 fewer), a `realloc` counted as an
+/// allocation of its new size. Budget = that + 5 %. With the graph, one
+/// `Program` clone per compile and one typing per expression (PR 22):
+/// 244 866 / 26 284 709; with the flat polynomial form alone (PR 20):
+/// 297 117 / 31 816 755; the `BTreeMap<Monomial, Rat>` form before it:
+/// 960 309 / 234 483 573.
+const SUITE_ALLOCS_BUDGET: u64 = 240_200;
+const SUITE_BYTES_BUDGET: u64 = 25_360_000;
 
 /// One TRFD range test on that `BTreeMap` form (and an environment
 /// deep-copied per dimension query) made 14 794 allocations; the flat

@@ -348,6 +348,69 @@ fn a_store_read_only_by_its_enclosing_if_on_the_back_edge_survives() {
 }
 
 #[test]
+fn an_inner_loop_index_read_after_the_nest_is_copied_out() {
+    let program = |nest: &str, print: &str| {
+        format!(
+            "program lp\nreal a(100), b(100), s\ninteger i, k\ns = 0.0\nk = 7\n\
+             do i = 1, 100\n  a(i) = 0.0\nend do\n{nest}print *, {print}\nend\n"
+        )
+    };
+    let update = "    a(i) = a(i) + i*0.5\n    s = s + a(i)\n";
+    let cases = [
+        // Interchange makes K the inner loop of a DOALL over I. K went
+        // into PRIVATE without being asked whether anything reads it
+        // afterwards, and real threads printed the master's untouched 0.
+        (
+            program(&format!("do k = 1, 3\n  do i = 1, 100\n{update}  end do\nend do\n"), "s, i, k"),
+            "1.515000E4 101 4",
+            Some("LASTPRIVATE(K)"),
+        ),
+        // The inner DO may not run: no last-iteration value to copy out.
+        (
+            program(
+                &format!("do i = 1, 100\n  if (i .lt. 50) then\n  do k = 1, 3\n{update}  end do\n  end if\nend do\n"),
+                "s, k",
+            ),
+            "3.675000E3 4",
+            None,
+        ),
+        // K is read before its DO: the previous iteration's exit value.
+        (
+            program(&format!("do i = 1, 100\n  b(i) = k\n  do k = 1, 3\n{update}  end do\nend do\n"), "b(1), b(2), k"),
+            "7.000000E0 4.000000E0 4",
+            None,
+        ),
+    ];
+    use polaris_machine::{Engine, Schedule};
+    let mut configs = vec![MachineConfig::serial(), MachineConfig::challenge_8()];
+    for threads in [2, 3] {
+        for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 4 }, Schedule::Stealing { chunk: 4 }] {
+            configs.push(MachineConfig::threaded(threads, schedule));
+        }
+    }
+    for (src, expected, clause) in &cases {
+        let serial = polaris::machine::run_serial(&polaris::ir::parse(src).unwrap()).unwrap();
+        assert_eq!(serial.output, [*expected]);
+        for nest_opts in [true, false] {
+            let out = parallelize(src, &PassOptions { nest_opts, ..PassOptions::polaris() }).unwrap();
+            let listing = &out.annotated_source;
+            if let (Some(clause), true) = (clause, nest_opts) {
+                assert!(listing.contains(clause), "{listing}");
+            }
+            for engine in [Engine::Vm, Engine::TreeWalk] {
+                for cfg in &configs {
+                    let cfg = MachineConfig { engine, ..cfg.clone() };
+                    let r = polaris::machine::run(&out.program, &cfg).unwrap();
+                    assert_eq!(r.output, serial.output, "{cfg:?}\n{listing}");
+                }
+            }
+            polaris::machine::run_validated(&out.program, &MachineConfig::challenge_8())
+                .unwrap_or_else(|e| panic!("{e}\n{listing}"));
+        }
+    }
+}
+
+#[test]
 fn cli_binary_smoke() {
     use std::io::Write;
     let dir = std::env::temp_dir().join("polarisc_smoke");
