@@ -2,15 +2,63 @@
 //! isolation. The randomized end-to-end storm lives in
 //! `chaos_conformance.rs`; these tests pin each mechanism with chaos
 //! rates at 0 or 100 so a regression points at one subsystem.
+//!
+//! Together they are the ladder table: every rung a `ChaosPlan`, a
+//! deadline or `exec_engine` reaches deterministically is pinned by
+//! [`assert_rung`] to its exact response shape. Three rungs no chaos
+//! plan reaches (served from cache or rejected after the last attempt
+//! panicked, and a request that kills a worker on every attempt: rate
+//! faults and worker kills fire on attempt 1 only) are pinned by the
+//! service's unit tests instead.
 
+use polaris_machine::Engine;
 use polaris_obs::Recorder;
 use polarisd::chaos::{ChaosPlan, Curse};
-use polarisd::proto::{fnv1a, Request, Status};
+use polarisd::proto::{fnv1a, Request, Response, Status};
 use polarisd::service::{Service, ServiceConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(20);
+
+/// The observable shape of one ladder rung: `(status, exit_code,
+/// attempts, cached, reason prefix, degraded_stages, retry_after_ms set,
+/// checksum set, run_checksum set)`.
+type Rung<'a> = (Status, u8, u32, bool, Option<&'a str>, Vec<&'a str>, bool, bool, bool);
+
+#[track_caller]
+fn assert_rung(resp: &Response, want: Rung<'_>) {
+    let reason = match (resp.reason.as_deref(), want.4) {
+        (Some(got), Some(prefix)) if got.starts_with(prefix) => Some(prefix),
+        (got, _) => got,
+    };
+    let got: Rung<'_> = (
+        resp.status,
+        resp.exit_code,
+        resp.attempts,
+        resp.cached,
+        reason,
+        resp.degraded_stages.iter().map(String::as_str).collect(),
+        resp.retry_after_ms.is_some(),
+        resp.checksum.is_some(),
+        resp.run_checksum.is_some(),
+    );
+    assert_eq!(got, want, "{resp:?}");
+}
+
+const OK: Rung<'static> = (Status::Ok, 0, 1, false, None, Vec::new(), false, true, false);
+const CACHED: Rung<'static> =
+    (Status::Cached, 0, 0, true, None, Vec::new(), false, true, false);
+
+/// A program that runs far longer than any deadline below.
+const SPIN: &str = "program spin\n\
+                    integer s\n\
+                    s = 0\n\
+                    do i = 1, 2000000000\n\
+                    \x20 s = s + 1\n\
+                    end do\n\
+                    print *, s\n\
+                    end\n";
 
 fn unit_source(tag: u32) -> String {
     let n = 40 + tag * 8;
@@ -70,12 +118,14 @@ fn clean_compile_is_ok_then_served_from_cache() {
     assert_eq!(first.attempts, 1);
     assert_eq!(first.checksum, Some(want));
     assert!(!first.cached);
+    assert_rung(&first, OK);
 
     let second = service.submit(request(2, &src)).wait_timeout(WAIT).unwrap();
     assert_eq!(second.status, Status::Cached);
     assert_eq!(second.exit_code, 0);
     assert!(second.cached);
     assert_eq!(second.checksum, Some(want));
+    assert_rung(&second, CACHED);
 
     let stats = service.shutdown();
     assert_eq!(stats.accepted, 2);
@@ -111,6 +161,10 @@ fn parse_error_is_answered_once_and_never_retried() {
     assert_eq!(resp.status, Status::Error);
     assert_eq!(resp.exit_code, 1);
     assert_eq!(resp.attempts, 1, "deterministic failures must not burn retries");
+    assert_rung(
+        &resp,
+        (Status::Error, 1, 1, false, Some("compile error: "), vec![], false, false, false),
+    );
     assert!(resp.reason.unwrap().contains("compile error"));
     let stats = service.shutdown();
     assert_eq!(stats.retries, 0);
@@ -129,8 +183,123 @@ fn transient_panic_is_retried_to_a_clean_answer() {
     assert_eq!(resp.status, Status::Ok);
     assert_eq!(resp.attempts, 2);
     assert_eq!(resp.checksum, Some(want));
+    assert_rung(&resp, (Status::Ok, 0, 2, false, None, vec![], false, true, false));
     let stats = service.shutdown();
     assert_eq!(stats.retries, 1);
+}
+
+#[test]
+fn a_request_during_the_half_open_probe_is_quarantined() {
+    let src = unit_source(14);
+    let key = Service::content_key(&request(0, &src));
+    // Ids below 100 are cursed; every other first attempt stalls 300 ms
+    // and then compiles clean, so the probe stays in flight that long.
+    let chaos = Arc::new(
+        ChaosPlan::seeded(3)
+            .with_curse(Curse { key, from_id: 0, to_id: 100 })
+            .with_stall(100, 300),
+    );
+    let cooldown = Duration::from_millis(400);
+    let service = Service::with_chaos(
+        ServiceConfig { breaker_cooldown: cooldown, ..cfg(2) },
+        Recorder::disabled(),
+        chaos,
+    );
+    let r1 = service.submit(request(1, &src)).wait_timeout(WAIT).unwrap();
+    assert_eq!(r1.status, Status::Degraded, "{r1:?}");
+    std::thread::sleep(cooldown + Duration::from_millis(20));
+    let probe = service.submit(request(200, &src));
+    std::thread::sleep(Duration::from_millis(60));
+    let r2 = service.submit(request(201, &src)).wait_timeout(WAIT).unwrap();
+    assert_rung(
+        &r2,
+        (
+            Status::Quarantined,
+            1,
+            0,
+            false,
+            Some("quarantined (half-open probe in flight)"),
+            vec!["degraded: rolled back analyze"; 3],
+            true,
+            false,
+            false,
+        ),
+    );
+    assert_rung(&probe.wait_timeout(WAIT).unwrap(), OK);
+    let stats = service.shutdown();
+    assert_eq!((stats.probes, stats.recovered), (1, 1), "{stats:?}");
+}
+
+#[test]
+fn a_deadline_already_passed_is_answered_without_a_compile() {
+    let src = unit_source(15);
+    let service = Service::new(cfg(1));
+    let resp = service
+        .submit(Request { deadline_ms: Some(0), ..request(1, &src) })
+        .wait_timeout(WAIT)
+        .unwrap();
+    assert_rung(
+        &resp,
+        (
+            Status::Timeout,
+            1,
+            0,
+            false,
+            Some("deadline exceeded before compile"),
+            vec![],
+            true,
+            false,
+            false,
+        ),
+    );
+    let stats = service.shutdown();
+    assert_eq!((stats.retries, stats.cache_misses), (0, 1), "{stats:?}");
+}
+
+#[test]
+fn executed_requests_answer_ok_error_or_degraded_by_what_the_run_did() {
+    let src = unit_source(16);
+    let exec = |exec_fuel| ServiceConfig {
+        exec_engine: Some(Engine::Vm),
+        exec_fuel,
+        ..cfg(1)
+    };
+
+    let service = Service::new(exec(None));
+    let ok = service.submit(request(1, &src)).wait_timeout(WAIT).unwrap();
+    assert_rung(&ok, (Status::Ok, 0, 1, false, None, vec![], false, true, true));
+    // A cache hit carries the compile's checksum but never re-runs.
+    let hit = service.submit(request(2, &src)).wait_timeout(WAIT).unwrap();
+    assert_rung(&hit, CACHED);
+    // The compile finishes well inside 40 ms; the run does not.
+    let spin = service
+        .submit(Request { deadline_ms: Some(40), ..request(3, SPIN) })
+        .wait_timeout(WAIT)
+        .unwrap();
+    assert_rung(
+        &spin,
+        (
+            Status::Degraded,
+            1,
+            1,
+            false,
+            Some("deadline during execution: "),
+            vec![],
+            false,
+            true,
+            false,
+        ),
+    );
+    service.shutdown();
+
+    let service = Service::new(exec(Some(10)));
+    let starved = service.submit(request(1, &src)).wait_timeout(WAIT).unwrap();
+    assert_rung(
+        &starved,
+        (Status::Error, 1, 1, false, Some("execution error: "), vec![], false, true, false),
+    );
+    let stats = service.shutdown();
+    assert_eq!((stats.retries, stats.quarantined), (0, 0), "{stats:?}");
 }
 
 #[test]
@@ -152,6 +321,11 @@ fn cursed_unit_is_quarantined_then_recovers_through_a_probe() {
     assert_eq!(r1.attempts, 3);
     assert!(r1.reason.as_deref().unwrap().contains("rolled back"));
     assert_eq!(r1.degraded_stages, vec!["analyze".to_string()]);
+    let rolled_back = "degraded: rolled back analyze";
+    assert_rung(
+        &r1,
+        (Status::Degraded, 1, 3, false, Some(rolled_back), vec!["analyze"], false, true, false),
+    );
 
     // Quarantined: answered from stored diagnostics, no compile at all.
     let r2 = service.submit(request(2, &src)).wait_timeout(WAIT).unwrap();
@@ -159,6 +333,20 @@ fn cursed_unit_is_quarantined_then_recovers_through_a_probe() {
     assert_eq!(r2.attempts, 0);
     assert!(!r2.degraded_stages.is_empty(), "serves the stored diagnostics");
     assert!(r2.retry_after_ms.is_some());
+    assert_rung(
+        &r2,
+        (
+            Status::Quarantined,
+            1,
+            0,
+            false,
+            Some("quarantined after 3 repeated failures (cooling down)"),
+            vec![rolled_back; 3],
+            true,
+            false,
+            false,
+        ),
+    );
 
     // After the cooldown, a request outside the curse window is admitted
     // as the half-open probe, compiles clean, and closes the breaker.
@@ -166,6 +354,7 @@ fn cursed_unit_is_quarantined_then_recovers_through_a_probe() {
     let r3 = service.submit(request(200, &src)).wait_timeout(WAIT).unwrap();
     assert_eq!(r3.status, Status::Ok);
     assert_eq!(r3.checksum, Some(want));
+    assert_rung(&r3, OK);
 
     let stats = service.shutdown();
     assert!(stats.quarantined >= 1, "{stats:?}");
@@ -189,6 +378,7 @@ fn cached_units_absorb_a_curse_without_charging_the_breaker() {
     let r = service.submit(request(10, &src)).wait_timeout(WAIT).unwrap();
     assert_eq!(r.status, Status::Cached);
     assert_eq!(r.checksum, Some(want));
+    assert_rung(&r, CACHED);
     let stats = service.shutdown();
     assert_eq!(stats.quarantined, 0);
 }
@@ -258,6 +448,13 @@ fn deadline_blow_mid_compile_degrades_instead_of_hanging() {
     assert_eq!(resp.attempts, 1, "deadline blows are never retried");
     assert!(resp.reason.as_deref().unwrap().contains("deadline"));
     assert!(!resp.degraded_stages.is_empty(), "stages after the stall rolled back");
+    // The watchdog fires during the stall; `induction` still completes
+    // and every stage after it is cancelled.
+    let stages = polaris_core::STAGE_NAMES[4..].to_vec();
+    assert_rung(
+        &resp,
+        (Status::Degraded, 1, 1, false, Some("deadline: "), stages, false, true, false),
+    );
     let stats = service.shutdown();
     assert!(stats.deadline_cancels >= 1, "{stats:?}");
     assert_eq!(stats.retries, 0);
@@ -299,6 +496,10 @@ fn overload_sheds_the_oldest_queued_request_with_a_hint() {
     for r in &shed {
         assert!(r.reason.as_deref().unwrap().contains("shed"));
         assert!(r.retry_after_ms.is_some(), "shed responses carry a backoff hint");
+        assert_rung(
+            r,
+            (Status::Rejected, 1, 0, false, Some("shed: queue full"), vec![], true, false, false),
+        );
     }
     let stats = service.shutdown();
     assert_eq!(stats.shed, shed.len() as u64);
@@ -325,6 +526,8 @@ fn dead_worker_is_respawned_and_the_orphan_is_answered() {
         // (cache reads happen before the kill roll).
         assert!(resp.status == Status::Ok || resp.status == Status::Cached, "{resp:?}");
         assert_eq!(resp.checksum, Some(want));
+        let retried_ok = (Status::Ok, 0, 2, false, None, vec![], false, true, false);
+        assert_rung(&resp, if id == 1 { retried_ok } else { CACHED });
     }
     let stats = service.shutdown();
     assert!(stats.respawns >= 1, "{stats:?}");
@@ -360,8 +563,12 @@ fn shutdown_is_graceful_and_final_stats_balance() {
     let stats = service.shutdown();
     assert_eq!(stats.accepted, 8);
     assert_eq!(stats.answered, 8);
-    // Shutdown drained the queue: every ticket resolves.
+    // Shutdown drained the queue: every ticket resolves, compiled or
+    // served from the cache, never rejected.
     for t in tickets {
-        assert!(t.wait_timeout(Duration::from_secs(1)).is_some());
+        let resp = t.wait_timeout(Duration::from_secs(1));
+        assert!(resp.is_some());
+        let resp = resp.unwrap();
+        assert_rung(&resp, if resp.cached { CACHED } else { OK });
     }
 }
