@@ -2,9 +2,9 @@
 //!
 //! Three tests are implemented:
 //!
-//! * [`gcd`] — the classic GCD test on linear (affine, integer-
+//! * `gcd` — the classic GCD test on linear (affine, integer-
 //!   coefficient) subscripts; a cheap filter.
-//! * [`banerjee`] — Banerjee's inequalities with direction vectors,
+//! * `banerjee` — Banerjee's inequalities with direction vectors,
 //!   the representative "current compiler" test the paper contrasts the
 //!   range test against. Requires linear subscripts and (for precision)
 //!   constant loop bounds; tests up to `O(3^n)` direction vectors and

@@ -15,7 +15,7 @@
 //!    loop (guarded by the loop's non-emptiness when that is not provable).
 //!
 //! All three steps ask one question — *what does one execution of this
-//! statement list add to `K`?* — and [`Walk::list`] is the only code that
+//! statement list add to `K`?* — and `Walk::list` is the only code that
 //! answers it: a name is a candidate exactly when its closed form exists.
 //!
 //! Multiplicative inductions (`K = K * c`) are also removed in the simple

@@ -14,7 +14,7 @@
 //! * selection of loops for run-time speculative parallelization
 //!   (§3.5, made concrete by `polaris-runtime`),
 //!
-//! glued together by the per-loop dependence driver ([`deps`]) and the
+//! glued together by the per-loop dependence driver (`deps`) and the
 //! pipeline in [`compile`].
 //!
 //! Two pass configurations matter for the evaluation:
@@ -155,7 +155,7 @@ pub struct CompileReport {
     /// Property-rule disjointness outcomes: (run, proved).
     pub dd_props: (u64, u64),
     /// What the nest-transformation stages (`interchange`/`tile`/`fuse`)
-    /// summarized, proved and applied, with one [`polaris_ir::LegalityCert`]
+    /// summarized, proved and applied, with one [`polaris_ir::cert::LegalityCert`]
     /// per applied transformation.
     pub nest: NestReport,
     /// Per-stage outcomes from the fault-isolating pipeline, in run order.
@@ -200,7 +200,7 @@ impl CompileReport {
 ///
 /// The input program is validated up front (an invalid input is a hard
 /// error), then every pass runs as an isolated stage of the
-/// fault-isolating [`Pipeline`]: snapshotted, `catch_unwind`-guarded, and
+/// fault-isolating `Pipeline`: snapshotted, `catch_unwind`-guarded, and
 /// re-validated at each boundary, with rollback on any misbehaviour — the
 /// `p_assert` discipline. A rolled-back stage degrades the compile (see
 /// [`CompileReport::degraded`]) but never aborts it and never lets

@@ -2,12 +2,12 @@
 //! prover, driving loop interchange, rectangular tiling and
 //! adjacent-loop fusion.
 //!
-//! The per-loop dependence driver ([`crate::deps`]) answers one question
+//! The per-loop dependence driver (`crate::deps`) answers one question
 //! per loop: *can this loop run in parallel?* Iteration-reordering
 //! transformations need a richer answer: the full matrix of dependence
 //! **direction/distance vectors** over a whole loop nest. This module
 //! lifts the per-pair `ddtest::banerjee` machinery (via the exhaustive
-//! [`banerjee::direction_vector_trials`] refinement) to nest summaries:
+//! `banerjee::direction_vector_trials` refinement) to nest summaries:
 //!
 //! * every perfect band of a loop nest is summarized as a
 //!   [`NestSummary`] — one canonical (lexicographically non-negative)

@@ -4,7 +4,7 @@
 //! Polaris ran internal consistency checks after every transformation so a
 //! buggy pass was caught at the point of damage instead of being silently
 //! compiled. This module goes one step further: each pass runs as a named
-//! [`Stage`] under [`std::panic::catch_unwind`], and the IR is re-validated
+//! `Stage` under [`std::panic::catch_unwind`], and the IR is re-validated
 //! at every stage boundary. A stage that panics, returns an error, or
 //! leaves ill-formed IR is *rolled back*: the program and the in-progress
 //! [`CompileReport`] become what they were before it, a structured

@@ -4,7 +4,7 @@
 //! annotated Fortran for the target machine's compiler (Cray T3D, SGI
 //! Challenge). This module plays that role: it prints declarations and
 //! executable statements, and renders [`crate::stmt::ParallelInfo`] as
-//! `!$POLARIS DOALL ...` directives that [`crate::parser`] can read back
+//! `!$POLARIS DOALL ...` directives that [`crate::parse`] can read back
 //! (round-trip tested).
 
 use crate::expr::{BinOp, Expr, UnOp};

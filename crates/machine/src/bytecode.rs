@@ -5,7 +5,7 @@
 //! pointer chase per node, a dynamic type dispatch per value and a
 //! recursive call per sub-expression. This module lowers an [`Image`]
 //! once into a flat *typed* register machine program the VM
-//! ([`crate::vm`]) can dispatch over with a plain `match` per
+//! (`crate::vm`) can dispatch over with a plain `match` per
 //! instruction:
 //!
 //! * **Typed instructions** — F-Mini is statically typed (every scalar
@@ -15,7 +15,7 @@
 //!   64-bit registers with no run-time tag dispatch. Numeric promotion
 //!   (`I op R`) compiles to an explicit charge-free conversion.
 //! * **Interned symbols** — array names and PRINT string literals live
-//!   in one [`Interner`]; instructions carry `u32` symbols, and names
+//!   in one `Interner`; instructions carry `u32` symbols, and names
 //!   are only materialized on the error path (`OutOfBounds` carries the
 //!   array name, exactly like the tree-walker).
 //! * **Flat instruction stream with an explicit jump table** — each
@@ -23,10 +23,10 @@
 //!   ids to instruction addresses. Forward branches are emitted against
 //!   fresh labels and resolved by binding the label after the target is
 //!   known.
-//! * **Pre-resolved array strides and fused subscripts** — [`ArrMeta`]
+//! * **Pre-resolved array strides and fused subscripts** — `ArrMeta`
 //!   stores per-dim lower bound, extent and column-major stride computed
 //!   once; the common subscript shapes (`i`, `i±k`, literal) are fused
-//!   into the element access itself as [`SubSrc`] descriptors, so
+//!   into the element access itself as `SubSrc` descriptors, so
 //!   `a(i,j+1)` is *one* instruction, not five.
 //! * **Register-allocated temporaries** — expression temporaries live in
 //!   a per-block `u64` frame (`f64` values are bit-cast). Allocation is

@@ -6,7 +6,8 @@
 //! microseconds. Absolute values matter less than ratios — the paper's
 //! Figure 7 is about *shape* (see DESIGN.md).
 
-/// Per-operation cycle charges.
+/// Per-operation cycle charges. The machine has one set of charges,
+/// `COSTS`, and `CostModel::default()` returns it.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// add/sub/compare/logical.
@@ -37,24 +38,26 @@ pub struct CostModel {
     pub(crate) spec_analysis: u64,
 }
 
+pub(crate) const COSTS: CostModel = CostModel {
+    alu: 1,
+    mul: 4,
+    div: 16,
+    intrinsic: 40,
+    memory: 3,
+    scalar: 1,
+    branch: 2,
+    loop_iter: 2,
+    fork_join: 2000,
+    dispatch: 40,
+    reduction_merge: 8,
+    private_setup: 1,
+    spec_mark: 4,
+    spec_analysis: 3,
+};
+
 impl Default for CostModel {
     fn default() -> CostModel {
-        CostModel {
-            alu: 1,
-            mul: 4,
-            div: 16,
-            intrinsic: 40,
-            memory: 3,
-            scalar: 1,
-            branch: 2,
-            loop_iter: 2,
-            fork_join: 2000,
-            dispatch: 40,
-            reduction_merge: 8,
-            private_setup: 1,
-            spec_mark: 4,
-            spec_analysis: 3,
-        }
+        COSTS
     }
 }
 

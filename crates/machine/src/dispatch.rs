@@ -5,7 +5,7 @@
 //! speculative, adversarial and real-thread dispatchers differ only in
 //! the order and the thread they run iterations on.
 
-use crate::cost::Schedule;
+use crate::cost::{Schedule, COSTS};
 use crate::exec::Interp;
 use crate::lower::{RLoop, RPar, RRef};
 
@@ -141,7 +141,7 @@ impl Interp<'_> {
     /// work: fork/join, the busiest processor, and merging reductions
     /// and private arrays back.
     pub(crate) fn concurrent_cost(&self, buckets: &[u64], par: &RPar) -> u64 {
-        let c = &self.cfg.cost;
+        let c = &COSTS;
         let mut total = c.fork_join + buckets.iter().copied().max().unwrap_or(0);
         for red in &par.reductions {
             total += match red.target {
@@ -159,7 +159,7 @@ impl Interp<'_> {
     /// side of its IF: a loop must do the work of two forks to pay for
     /// one. Where the threaded backend's deferred fork wakes its helpers.
     pub(crate) fn guard_threshold(&self) -> u64 {
-        2 * self.cfg.cost.fork_join
+        2 * COSTS.fork_join
     }
 
     /// The one bill for a `PARALLEL DO` invocation, whichever backend
@@ -169,7 +169,7 @@ impl Interp<'_> {
     /// cannot amortize the fork is charged as the serial loop plus that
     /// branch; returns whether the parallel side of the IF was taken.
     pub(crate) fn bill_parallel(&mut self, par: &RPar, plan: &ChunkPlan, buckets: &[u64]) -> bool {
-        let c = &self.cfg.cost;
+        let c = &COSTS;
         let total: u64 = buckets.iter().sum();
         let parallel = total >= self.guard_threshold();
         self.cycles += if parallel {
@@ -188,7 +188,7 @@ impl Interp<'_> {
     /// the loop then re-executes sequentially, which costs the
     /// iterations without their marking. Counts the verdict.
     pub(crate) fn bill_speculative(&mut self, l: &RLoop, buckets: &[u64], marks: u64, success: bool) {
-        let c = &self.cfg.cost;
+        let c = &COSTS;
         let tracked: u64 = l.par.spec_arrays.iter().map(|&a| self.arrays[a].data.get().len() as u64).sum();
         let analysis = tracked * c.spec_analysis / self.cfg.procs as u64 + c.fork_join / 2;
         let attempt = self.concurrent_cost(buckets, &l.par) + analysis;

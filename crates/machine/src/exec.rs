@@ -1,6 +1,6 @@
 //! The interpreter and the simulated multiprocessor.
 
-use crate::cost::{CostModel, Schedule};
+use crate::cost::{Schedule, COSTS};
 use crate::error::MachineError;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
@@ -256,7 +256,7 @@ impl<'a> Interp<'a> {
     // ---- expression evaluation -------------------------------------------
 
     fn eval(&mut self, e: &RExpr) -> Result<V, MachineError> {
-        let c = &self.cfg.cost;
+        let c = &COSTS;
         match e {
             RExpr::I(v) => Ok(V::I(*v)),
             RExpr::R(v) => Ok(V::R(*v)),
@@ -271,7 +271,7 @@ impl<'a> Interp<'a> {
             }
             RExpr::Elem(arr, subs) => {
                 let idx = self.element_index(*arr, subs)?;
-                self.cycles += self.cfg.cost.memory;
+                self.cycles += COSTS.memory;
                 if let Some(o) = self.oracle.as_deref_mut() {
                     o.array_read(*arr, idx);
                 }
@@ -295,12 +295,12 @@ impl<'a> Interp<'a> {
             RExpr::Bin(op, lhs, rhs) => {
                 let a = self.eval(lhs)?;
                 let b = self.eval(rhs)?;
-                eval_binop(c, &mut self.cycles, *op, a, b)
+                eval_binop(&mut self.cycles, *op, a, b)
             }
             RExpr::Intrin(intr, args) => {
                 let vals: Vec<V> =
                     args.iter().map(|a| self.eval(a)).collect::<Result<Vec<_>, _>>()?;
-                eval_intrinsic(c, &mut self.cycles, *intr, &vals)
+                eval_intrinsic(&mut self.cycles, *intr, &vals)
             }
         }
     }
@@ -326,7 +326,8 @@ impl<'a> Interp<'a> {
     /// [`Shadow::on_read`]).
     #[inline(always)]
     pub(crate) fn mark_access(&mut self, arr: usize, idx: usize, write: bool) -> u64 {
-        let (t, mark) = (self.spec_iter, self.cfg.cost.spec_mark);
+        // An opaque reference keeps the charge a load (see `dispatch_from`).
+        let (t, mark) = (self.spec_iter, std::hint::black_box(&COSTS).spec_mark);
         match self.spec.iter_mut().find(|(a, _)| *a == arr) {
             Some((_, sh)) if write => sh.on_write(idx, t),
             Some((_, sh)) => sh.on_read(idx, t),
@@ -340,7 +341,6 @@ impl<'a> Interp<'a> {
 /// both engines (tree-walk `eval` and the VM's `Bin` dispatch) so the
 /// charge table and numeric semantics cannot diverge.
 pub(crate) fn eval_binop(
-    c: &CostModel,
     cycles: &mut u64,
     op: BinOp,
     a: V,
@@ -353,16 +353,16 @@ pub(crate) fn eval_binop(
             // §3.2 code-expansion remark assumes exactly this);
             // charge accordingly.
             *cycles += match op {
-                BinOp::Mul => c.mul,
+                BinOp::Mul => COSTS.mul,
                 BinOp::Div => match b {
-                    V::I(d) if d > 0 && (d & (d - 1)) == 0 => c.alu,
-                    _ => c.div,
+                    V::I(d) if d > 0 && (d & (d - 1)) == 0 => COSTS.alu,
+                    _ => COSTS.div,
                 },
                 BinOp::Pow => match b {
-                    V::I(k) if (0..=3).contains(&k) => c.mul * (k.max(1) as u64),
-                    _ => c.intrinsic,
+                    V::I(k) if (0..=3).contains(&k) => COSTS.mul * (k.max(1) as u64),
+                    _ => COSTS.intrinsic,
                 },
-                _ => c.alu,
+                _ => COSTS.alu,
             };
             if a.is_real() || b.is_real() {
                 let (x, y) = (a.as_r()?, b.as_r()?);
@@ -392,7 +392,7 @@ pub(crate) fn eval_binop(
             }
         }
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
-            *cycles += c.alu;
+            *cycles += COSTS.alu;
             let r = if a.is_real() || b.is_real() {
                 let (x, y) = (a.as_r()?, b.as_r()?);
                 match op {
@@ -419,11 +419,11 @@ pub(crate) fn eval_binop(
             Ok(V::B(r))
         }
         BinOp::And => {
-            *cycles += c.alu;
+            *cycles += COSTS.alu;
             Ok(V::B(a.as_b()? && b.as_b()?))
         }
         BinOp::Or => {
-            *cycles += c.alu;
+            *cycles += COSTS.alu;
             Ok(V::B(a.as_b()? || b.as_b()?))
         }
     }
@@ -432,7 +432,6 @@ pub(crate) fn eval_binop(
 /// Apply an intrinsic with the simulated cycle charge; shared by both
 /// engines for the same reason as [`eval_binop`].
 pub(crate) fn eval_intrinsic(
-    c: &CostModel,
     cycles: &mut u64,
     intr: Intr,
     vals: &[V],
@@ -441,7 +440,7 @@ pub(crate) fn eval_intrinsic(
         intr,
         Intr::Mod | Intr::Max | Intr::Min | Intr::Abs | Intr::Int | Intr::Nint | Intr::ToReal | Intr::Sign
     );
-    *cycles += if cheap { c.mul } else { c.intrinsic };
+    *cycles += if cheap { COSTS.mul } else { COSTS.intrinsic };
     let arity = |n: usize| -> Result<(), MachineError> {
         if vals.len() == n {
             Ok(())
@@ -593,7 +592,7 @@ impl<'a> Interp<'a> {
         match s {
             RStmt::AssignS(slot, rhs) => {
                 let v = self.eval(rhs)?;
-                self.cycles += self.cfg.cost.scalar;
+                self.cycles += COSTS.scalar;
                 if let Some(o) = self.oracle.as_deref_mut() {
                     o.scalar_write(*slot);
                 }
@@ -603,7 +602,7 @@ impl<'a> Interp<'a> {
             RStmt::AssignE(arr, subs, rhs) => {
                 let v = self.eval(rhs)?;
                 let idx = self.element_index(*arr, subs)?;
-                self.cycles += self.cfg.cost.memory;
+                self.cycles += COSTS.memory;
                 if !self.spec.is_empty() {
                     self.cycles += self.mark_access(*arr, idx, true);
                 }
@@ -616,7 +615,7 @@ impl<'a> Interp<'a> {
             RStmt::Do(l) => self.run_loop(l),
             RStmt::If(arms, else_body) => {
                 for (cond, body) in arms {
-                    self.cycles += self.cfg.cost.branch;
+                    self.cycles += COSTS.branch;
                     if self.eval(cond)?.as_b()? {
                         return self.run_list(body);
                     }
@@ -874,7 +873,7 @@ impl<'a> Interp<'a> {
         if !self.quiet_steps {
             self.charge_step()?;
         }
-        self.cycles += self.cfg.cost.loop_iter;
+        self.cycles += COSTS.loop_iter;
         self.scalars[l.var].set(V::I(space.value(idx)))
     }
 

@@ -20,7 +20,7 @@
 //!   for it, the PD-test analysis runs on the recorded pattern, and a
 //!   failed test charges the attempt *plus* the sequential re-execution
 //!   — reproducing Figure 6's speedup/slowdown trade-off. On real
-//!   threads ([`threaded`]) the lanes' work is committed only if the
+//!   threads (`threaded`) the lanes' work is committed only if the
 //!   test passes; the in-order simulation is the re-execution.
 //! * Only the outermost concurrent loop of a dynamic nest runs parallel
 //!   (loop-level parallelism, as on the Challenge).
@@ -52,7 +52,7 @@ pub use oracle::{audit, audit_recorded, audit_with};
 ///
 /// * `Vm` — the default: the lowered [`lower::Image`] is compiled once
 ///   more to compact bytecode ([`bytecode`]) and dispatched by a flat
-///   register VM ([`vm`]): interned symbols, explicit jump tables,
+///   register VM (`vm`): interned symbols, explicit jump tables,
 ///   pre-resolved array strides, register-allocated temporaries. Measured
 ///   2.8–3.2× the tree-walker (`machine.vm_over_tree`) at *identical*
 ///   semantics — cycles, fuel, errors and output are bit-for-bit equal.
@@ -92,7 +92,7 @@ impl Engine {
 /// * `Threaded` — loops the pipeline proved parallel, and loops it left
 ///   to the run-time PD test, are chunked over the iteration space and
 ///   executed by the calling thread and a persistent pool of real OS
-///   threads ([`threaded`]), with per-lane private copies (and shadows)
+///   threads (`threaded`), with per-lane private copies (and shadows)
 ///   and a deterministic chunk-ordered tree merge for reductions.
 ///   Results (output, final memory) must match serial execution;
 ///   the simulated cycle accounting is still maintained so speedup
@@ -108,7 +108,6 @@ pub enum ExecMode {
 pub struct MachineConfig {
     /// Number of processors (1 = serial execution, no overheads).
     pub procs: usize,
-    pub cost: CostModel,
     pub schedule: Schedule,
     pub codegen: CodegenModel,
     /// Execution step budget. `None` = unlimited. When set, the
@@ -138,7 +137,7 @@ pub struct MachineConfig {
     #[doc(hidden)]
     pub panic_at_step: Option<u64>,
     /// Adaptive per-loop dispatch controller
-    /// ([`polaris_runtime::adaptive`]). When set, eligible loops (proven
+    /// ([`polaris_runtime::AdaptiveController`]). When set, eligible loops (proven
     /// parallel or LRPD candidates) consult it every invocation for a
     /// strategy / chunking / thread-count decision instead of using the
     /// fixed `schedule`; the controller is shared (`Arc`) so the
@@ -152,7 +151,6 @@ impl MachineConfig {
     pub fn challenge_8() -> MachineConfig {
         MachineConfig {
             procs: 8,
-            cost: CostModel::default(),
             schedule: Schedule::Static,
             codegen: CodegenModel::none(),
             fuel: None,
@@ -169,7 +167,6 @@ impl MachineConfig {
     pub fn serial() -> MachineConfig {
         MachineConfig {
             procs: 1,
-            cost: CostModel::default(),
             schedule: Schedule::Static,
             codegen: CodegenModel::none(),
             fuel: None,
@@ -190,7 +187,6 @@ impl MachineConfig {
     pub fn threaded(procs: usize, schedule: Schedule) -> MachineConfig {
         MachineConfig {
             procs: procs.max(1),
-            cost: CostModel::default(),
             schedule,
             codegen: CodegenModel::none(),
             fuel: None,

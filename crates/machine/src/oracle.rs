@@ -3,7 +3,7 @@
 //! cross-iteration flow/anti/output dependences the program exhibits,
 //! then cross-checks them against the pipeline's claims.
 //!
-//! This generalizes the LRPD shadow arrays of [`crate::shadow`] — which
+//! This generalizes the LRPD shadow arrays of [`polaris_runtime::lrpd::Shadow`] — which
 //! mark one array per speculative loop and aggregate to three booleans —
 //! to whole-program tracing with source attribution: every scalar slot
 //! and every array element is epoch-tagged per active loop invocation,

@@ -22,9 +22,10 @@
 //!                          └───────────────▶ HalfOpen (fresh probe)
 //! ```
 //!
-//! Success in `Closed` resets the failure count, so sporadic transient
-//! faults never accumulate into a quarantine — only *consecutive*
-//! failures of the same unit do.
+//! `Closed` with no failures is the absence of an entry, and a success
+//! removes the unit's entry: the table holds only units that are
+//! failing, and sporadic transient faults never accumulate into a
+//! quarantine — only *consecutive* failures of the same unit do.
 
 use crate::lock;
 use std::collections::HashMap;
@@ -118,17 +119,13 @@ impl CircuitBreaker {
         }
     }
 
-    /// A compile of `key` succeeded. Returns true when this *recovered* a
-    /// quarantined unit (the breaker was half-open or open).
+    /// A compile of `key` succeeded: its entry goes. Returns true when
+    /// this *recovered* a quarantined unit (the breaker was half-open or
+    /// open).
     pub fn record_success(&self, key: u64) -> bool {
-        let mut map = lock(&self.map);
-        let Some(entry) = map.get_mut(&key) else {
-            return false;
-        };
-        let recovered = !matches!(entry.state, State::Closed { .. });
-        entry.state = State::Closed { failures: 0 };
-        entry.diagnostics.clear();
-        recovered
+        lock(&self.map)
+            .remove(&key)
+            .is_some_and(|entry| !matches!(entry.state, State::Closed { .. }))
     }
 
     /// A compile of `key` failed transiently (panic, deadline, injected
@@ -200,6 +197,30 @@ mod tests {
         assert!(!b.record_success(7)); // closed → closed, no recovery
         assert!(!b.record_failure(7, "y")); // count restarted at 0
         assert_eq!(b.state(7), BreakerState::Closed);
+    }
+
+    #[test]
+    fn only_failing_units_keep_an_entry() {
+        let b = CircuitBreaker::new(2, Duration::ZERO);
+        assert!(!b.record_failure(1, "once"));
+        assert!(!b.record_success(1));
+        assert!(b.map.lock().unwrap().is_empty(), "a recovered unit leaves no entry");
+
+        b.record_failure(2, "x");
+        assert!(b.record_failure(2, "y"));
+        b.record_failure(3, "x");
+        assert!(b.record_failure(3, "y"));
+        assert!(matches!(b.admit(3), Admission::Proceed { probe: true }));
+        // Successes of other units leave the open and half-open entries be.
+        for other in [1, 4] {
+            b.record_failure(other, "z");
+            assert!(!b.record_success(other));
+        }
+        assert_eq!((b.state(2), b.state(3)), (BreakerState::Open, BreakerState::HalfOpen));
+        assert_eq!(b.map.lock().unwrap().len(), 2);
+        // The probe's own success closes its unit by removing the entry.
+        assert!(b.record_success(3));
+        assert_eq!(b.map.lock().unwrap().keys().collect::<Vec<_>>(), [&2]);
     }
 
     #[test]

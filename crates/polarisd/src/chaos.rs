@@ -1,10 +1,11 @@
 //! Deterministic chaos injection for the service.
 //!
-//! [`ChaosHook`] is the seam the service exposes: before each compile
-//! attempt it asks for a [`FaultPlan`] (stage panics, IR corruption,
-//! stalls), whether the worker should die outright, and — after a
-//! response is sent — whether to poison the cache entry. Production runs
-//! pass no hook; the chaos conformance suite passes a [`ChaosPlan`].
+//! A [`ChaosPlan`] is the seam the service exposes: before each compile
+//! attempt the service asks it for a [`FaultPlan`] (stage panics, IR
+//! corruption, stalls), whether the worker should die outright, and —
+//! after a response is computed — whether to poison the cache entry.
+//! Production runs pass no plan; the chaos suites pass one
+//! ([`Service::with_chaos`]).
 //!
 //! Every decision is a pure function of `(seed, unit key, request id,
 //! attempt)` via SplitMix64, so a chaos run is exactly reproducible from
@@ -15,6 +16,8 @@
 //! window where **every** attempt panics, deterministically exhausting
 //! retries and driving the circuit breaker into quarantine (and, once the
 //! window ends, back out through a half-open probe).
+//!
+//! [`Service::with_chaos`]: crate::service::Service::with_chaos
 
 use crate::retry::mix;
 use polaris_core::{CorruptKind, FaultPlan, STAGE_NAMES};
@@ -28,54 +31,6 @@ const D_KILL: u64 = 0x6b696c6c; // "kill"
 const D_POISON: u64 = 0x706f6973; // "pois"
 const D_EXEC: u64 = 0x65786563; // "exec"
 const D_TABLE: u64 = 0x7461626c; // "tabl"
-
-/// Chaos decisions the service consults. All defaults are "no fault".
-pub trait ChaosHook: Send + Sync {
-    /// Faults to arm for this compile attempt.
-    fn compile_faults(&self, key: u64, req_id: u64, attempt: u32) -> FaultPlan {
-        let _ = (key, req_id, attempt);
-        FaultPlan::none()
-    }
-
-    /// Should the worker thread die (without responding) before this
-    /// attempt? The watchdog must respawn the worker and re-queue the
-    /// orphaned request.
-    fn kill_worker(&self, key: u64, req_id: u64, attempt: u32) -> bool {
-        let _ = (key, req_id, attempt);
-        false
-    }
-
-    /// Should the cache entry for `key` be silently corrupted after this
-    /// request is answered? The next read's integrity check must purge it.
-    fn poison_cache(&self, key: u64, req_id: u64) -> bool {
-        let _ = (key, req_id);
-        false
-    }
-
-    /// Panic the execution engine (when [`ServiceConfig::exec_engine`] is
-    /// set) once the interpreter's step counter reaches the returned
-    /// value — a crash *inside* statement dispatch, caught by the same
-    /// per-attempt isolation as a compile panic and retried identically
-    /// under both engines.
-    ///
-    /// [`ServiceConfig::exec_engine`]: crate::service::ServiceConfig::exec_engine
-    fn exec_panic(&self, key: u64, req_id: u64, attempt: u32) -> Option<u64> {
-        let _ = (key, req_id, attempt);
-        None
-    }
-
-    /// Flip bits in the unit's adaptive decision table before this
-    /// attempt executes (only meaningful when the service runs with
-    /// [`ServiceConfig::adaptive_schedule`]). The controller's integrity
-    /// word must catch the damage on the next dispatch and fall back to
-    /// static scheduling — never wedge, never change output bytes.
-    ///
-    /// [`ServiceConfig::adaptive_schedule`]: crate::service::ServiceConfig::adaptive_schedule
-    fn corrupt_decision_table(&self, key: u64, req_id: u64, attempt: u32) -> bool {
-        let _ = (key, req_id, attempt);
-        false
-    }
-}
 
 /// A unit/request-id window where every compile attempt panics — the
 /// deterministic "pathological unit" that must end up quarantined.
@@ -186,10 +141,9 @@ impl ChaosPlan {
     pub fn is_cursed(&self, key: u64, req_id: u64) -> bool {
         self.cursed(key, req_id)
     }
-}
 
-impl ChaosHook for ChaosPlan {
-    fn compile_faults(&self, key: u64, req_id: u64, attempt: u32) -> FaultPlan {
+    /// Faults to arm for this compile attempt.
+    pub fn compile_faults(&self, key: u64, req_id: u64, attempt: u32) -> FaultPlan {
         if self.cursed(key, req_id) {
             // Every attempt panics: retries exhaust, the breaker opens.
             return FaultPlan::panic_in("analyze");
@@ -214,17 +168,29 @@ impl ChaosHook for ChaosPlan {
         FaultPlan::none()
     }
 
-    fn kill_worker(&self, key: u64, req_id: u64, attempt: u32) -> bool {
+    /// Should the worker thread die (without responding) before this
+    /// attempt? The watchdog must respawn the worker and re-queue the
+    /// orphaned request.
+    pub fn kill_worker(&self, key: u64, req_id: u64, attempt: u32) -> bool {
         attempt == 1
             && !self.cursed(key, req_id)
             && self.roll(D_KILL, key, req_id) % 100 < self.kill_pct as u64
     }
 
-    fn poison_cache(&self, key: u64, req_id: u64) -> bool {
+    /// Should the cache entry for `key` be silently corrupted after this
+    /// request is answered? The next read's integrity check must purge it.
+    pub fn poison_cache(&self, key: u64, req_id: u64) -> bool {
         self.roll(D_POISON, key, req_id) % 100 < self.poison_pct as u64
     }
 
-    fn exec_panic(&self, key: u64, req_id: u64, attempt: u32) -> Option<u64> {
+    /// Panic the execution engine (when [`ServiceConfig::exec_engine`] is
+    /// set) once the interpreter's step counter reaches the returned
+    /// value — a crash *inside* statement dispatch, caught by the same
+    /// per-attempt isolation as a compile panic and retried identically
+    /// under both engines.
+    ///
+    /// [`ServiceConfig::exec_engine`]: crate::service::ServiceConfig::exec_engine
+    pub fn exec_panic(&self, key: u64, req_id: u64, attempt: u32) -> Option<u64> {
         if attempt > 1 || self.cursed(key, req_id) {
             return None; // transient, like every other rate fault
         }
@@ -234,7 +200,14 @@ impl ChaosHook for ChaosPlan {
         (r % 100 < self.exec_panic_pct as u64).then_some(1 + (r >> 32) % 32)
     }
 
-    fn corrupt_decision_table(&self, key: u64, req_id: u64, attempt: u32) -> bool {
+    /// Flip bits in the unit's adaptive decision table before this
+    /// attempt executes (only meaningful when the service runs with
+    /// [`ServiceConfig::adaptive_schedule`]). The controller's integrity
+    /// word must catch the damage on the next dispatch and fall back to
+    /// static scheduling — never wedge, never change output bytes.
+    ///
+    /// [`ServiceConfig::adaptive_schedule`]: crate::service::ServiceConfig::adaptive_schedule
+    pub fn corrupt_decision_table(&self, key: u64, req_id: u64, attempt: u32) -> bool {
         // Unlike rate faults, table corruption is NOT restricted to
         // attempt 1: the controller itself must recover (integrity check
         // → reset → static fallback), not the retry machinery.

@@ -4,62 +4,39 @@
 //! injected), deadline cancellations are not retried at all (the retry
 //! would blow the same deadline), and deterministic failures — parse or
 //! semantic errors that will fail identically every time — are never
-//! retried. The jitter source is a seeded SplitMix64 stream, so a given
+//! retried. A request gets [`MAX_ATTEMPTS`] attempts; before retry k
+//! (1-based) the service sleeps `2 ms * 2^(k-1)` plus up to 2 ms of
+//! jitter. The jitter source is a seeded SplitMix64 stream, so a given
 //! (seed, request) pair always backs off by the same amounts: chaos runs
 //! are reproducible down to their sleep schedule.
 
 use std::time::Duration;
 
-/// Retry/backoff policy for transient compile failures.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (total attempts = this + 1).
-    pub max_retries: u32,
-    /// Backoff before retry k (1-based) is `base_backoff * 2^(k-1)` plus
-    /// jitter.
-    pub base_backoff: Duration,
-    /// Upper bound on the uniform jitter added to each backoff.
-    pub max_jitter: Duration,
-}
+/// Attempts per request: the first and two retries.
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
+const BASE_BACKOFF: Duration = Duration::from_millis(2);
+/// Upper bound on the uniform jitter added to each backoff, in µs.
+const MAX_JITTER_US: u64 = 2_000;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_millis(2),
-            max_jitter: Duration::from_millis(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    pub fn max_attempts(&self) -> u32 {
-        self.max_retries + 1
-    }
-
-    /// The backoff to sleep before retry number `retry` (1-based), with
-    /// jitter drawn from `rng`.
-    pub fn backoff(&self, retry: u32, rng: &mut SplitMix) -> Duration {
-        let shift = retry.saturating_sub(1).min(10);
-        let exp = self.base_backoff.saturating_mul(1u32 << shift);
-        let jitter_us = self.max_jitter.as_micros() as u64;
-        let jitter = if jitter_us == 0 { 0 } else { rng.next_u64() % (jitter_us + 1) };
-        exp + Duration::from_micros(jitter)
-    }
+/// The backoff to sleep before retry number `retry` (1-based), with
+/// jitter drawn from `rng`.
+pub(crate) fn backoff(retry: u32, rng: &mut SplitMix) -> Duration {
+    let exp = BASE_BACKOFF.saturating_mul(1u32 << retry.saturating_sub(1).min(10));
+    exp + Duration::from_micros(rng.next_u64() % (MAX_JITTER_US + 1))
 }
 
 /// SplitMix64 — the workspace's standard tiny deterministic PRNG.
 #[derive(Debug, Clone)]
-pub struct SplitMix {
+pub(crate) struct SplitMix {
     state: u64,
 }
 
 impl SplitMix {
-    pub fn new(seed: u64) -> SplitMix {
+    pub(crate) fn new(seed: u64) -> SplitMix {
         SplitMix { state: seed }
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -71,7 +48,7 @@ impl SplitMix {
 /// Hash a decision coordinate into a single SplitMix draw — the
 /// stateless form the chaos plan uses so every (seed, key, request,
 /// attempt) coordinate rolls independently and reproducibly.
-pub fn mix(parts: &[u64]) -> u64 {
+pub(crate) fn mix(parts: &[u64]) -> u64 {
     let mut acc: u64 = 0x243f6a8885a308d3;
     for &p in parts {
         acc = SplitMix::new(acc ^ p).next_u64();
@@ -84,34 +61,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_doubles_and_is_deterministic() {
-        let p = RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(4),
-            max_jitter: Duration::ZERO,
-        };
-        let mut rng = SplitMix::new(1);
-        assert_eq!(p.backoff(1, &mut rng), Duration::from_millis(4));
-        assert_eq!(p.backoff(2, &mut rng), Duration::from_millis(8));
-        assert_eq!(p.backoff(3, &mut rng), Duration::from_millis(16));
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_reproducible() {
-        let p = RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_millis(1),
-            max_jitter: Duration::from_millis(3),
-        };
-        let a: Vec<Duration> =
-            (1..=2).map(|k| p.backoff(k, &mut SplitMix::new(99))).collect();
-        let b: Vec<Duration> =
-            (1..=2).map(|k| p.backoff(k, &mut SplitMix::new(99))).collect();
+    fn backoff_doubles_within_its_jitter_and_is_reproducible() {
+        let a: Vec<Duration> = (1..=4).map(|k| backoff(k, &mut SplitMix::new(99))).collect();
+        let b: Vec<Duration> = (1..=4).map(|k| backoff(k, &mut SplitMix::new(99))).collect();
         assert_eq!(a, b);
         for (k, d) in a.iter().enumerate() {
-            let base = Duration::from_millis(1 << k);
-            assert!(*d >= base && *d <= base + Duration::from_millis(3), "{d:?}");
+            let base = BASE_BACKOFF * (1 << k);
+            assert!(*d >= base && *d <= base + Duration::from_millis(2), "{d:?}");
         }
+        // the jitter is drawn, not constant
+        let mut rng = SplitMix::new(1);
+        assert_ne!(backoff(1, &mut rng), backoff(1, &mut rng));
     }
 
     #[test]

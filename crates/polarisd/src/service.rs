@@ -13,17 +13,20 @@
 //!   deadline passes; a pathological unit degrades, it does not hang.
 //! * **Degradation ladder**: full compile → degraded compile (rolled-back
 //!   stages) → serve-cached → reject-with-backoff-hint. Each rung is only
-//!   taken when the rung above failed.
+//!   taken when the rung above failed. One function decides a request's
+//!   one response, rung by rung; the worker then answers it in one place.
 //! * **The cache never lies.** Only clean compiles are inserted, every
 //!   read is integrity-checked, and a poisoned entry is purged on sight.
+//! * **State ends with its reason.** A client's queue exists while it has
+//!   queued work, a unit's breaker entry while the unit is failing.
 
 use crate::breaker::{Admission, CircuitBreaker};
-use crate::cache::{CacheOutcome, CompileCache};
-use crate::chaos::ChaosHook;
+use crate::cache::{CacheEntry, CacheOutcome, CompileCache};
+use crate::chaos::ChaosPlan;
 use crate::lock;
 use crate::proto::{fnv1a, Request, Response, Status};
-use crate::retry::{RetryPolicy, SplitMix};
-use polaris_core::{CancelToken, CompileReport, PassOptions, CANCELLED_PREFIX};
+use crate::retry::{backoff, SplitMix, MAX_ATTEMPTS};
+use polaris_core::{CancelToken, PassOptions, StageOutcome, CANCELLED_PREFIX};
 use polaris_machine::{Engine, MachineConfig, MachineError};
 use polaris_obs::{Counter, Recorder};
 use polaris_runtime::{AdaptiveController, DecisionRow};
@@ -34,6 +37,11 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Consecutive failures of one unit before its breaker opens.
+const BREAKER_THRESHOLD: u32 = 3;
+/// Watchdog poll interval (deadline enforcement + worker supervision).
+const WATCHDOG_TICK: Duration = Duration::from_millis(2);
+
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -42,15 +50,10 @@ pub struct ServiceConfig {
     /// Bound on queued (not yet started) requests; beyond it the oldest
     /// queued request is shed.
     pub queue_capacity: usize,
-    pub retry: RetryPolicy,
-    /// Consecutive failures of one unit before its breaker opens.
-    pub breaker_threshold: u32,
     /// How long an open breaker waits before admitting a half-open probe.
     pub breaker_cooldown: Duration,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Watchdog poll interval (deadline enforcement + worker supervision).
-    pub watchdog_tick: Duration,
     /// When set, a clean compile is also *executed* (serially, on the
     /// chosen engine) and the response carries an FNV-1a checksum of the
     /// program's printed output. Execution runs inside the same
@@ -77,11 +80,8 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             queue_capacity: 64,
-            retry: RetryPolicy::default(),
-            breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             default_deadline: None,
-            watchdog_tick: Duration::from_millis(2),
             exec_engine: None,
             exec_fuel: None,
             adaptive_schedule: false,
@@ -107,37 +107,41 @@ pub struct ServiceStats {
     pub respawns: u64,
 }
 
-#[derive(Default)]
-struct Tallies {
-    accepted: AtomicU64,
-    answered: AtomicU64,
-    shed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    poison_purged: AtomicU64,
-    retries: AtomicU64,
-    deadline_cancels: AtomicU64,
-    quarantined: AtomicU64,
-    probes: AtomicU64,
-    recovered: AtomicU64,
-    respawns: AtomicU64,
+/// What the service counts, in [`ServiceStats`] field order: each event
+/// is one stats field and one `polarisd.*` counter, bumped together.
+#[derive(Clone, Copy)]
+enum Event {
+    Accepted,
+    Answered,
+    Shed,
+    CacheHit,
+    CacheMiss,
+    PoisonPurged,
+    Retry,
+    DeadlineCancel,
+    Quarantined,
+    Probe,
+    Recovered,
+    Respawn,
 }
 
-impl Tallies {
-    fn snapshot(&self) -> ServiceStats {
-        ServiceStats {
-            accepted: self.accepted.load(Ordering::SeqCst),
-            answered: self.answered.load(Ordering::SeqCst),
-            shed: self.shed.load(Ordering::SeqCst),
-            cache_hits: self.cache_hits.load(Ordering::SeqCst),
-            cache_misses: self.cache_misses.load(Ordering::SeqCst),
-            poison_purged: self.poison_purged.load(Ordering::SeqCst),
-            retries: self.retries.load(Ordering::SeqCst),
-            deadline_cancels: self.deadline_cancels.load(Ordering::SeqCst),
-            quarantined: self.quarantined.load(Ordering::SeqCst),
-            probes: self.probes.load(Ordering::SeqCst),
-            recovered: self.recovered.load(Ordering::SeqCst),
-            respawns: self.respawns.load(Ordering::SeqCst),
+const EVENTS: usize = Event::Respawn as usize + 1;
+
+impl Event {
+    fn counter(self) -> Counter {
+        match self {
+            Event::Accepted => Counter::PolarisdAccepted,
+            Event::Answered => Counter::PolarisdAnswered,
+            Event::Shed => Counter::PolarisdShed,
+            Event::CacheHit => Counter::PolarisdCacheHits,
+            Event::CacheMiss => Counter::PolarisdCacheMisses,
+            Event::PoisonPurged => Counter::PolarisdCachePoisonPurged,
+            Event::Retry => Counter::PolarisdRetries,
+            Event::DeadlineCancel => Counter::PolarisdDeadlineCancels,
+            Event::Quarantined => Counter::PolarisdQuarantined,
+            Event::Probe => Counter::PolarisdProbes,
+            Event::Recovered => Counter::PolarisdRecovered,
+            Event::Respawn => Counter::PolarisdWorkerRespawns,
         }
     }
 }
@@ -174,74 +178,80 @@ struct Pending {
 
 #[derive(Default)]
 struct Sched {
-    /// Per-client FIFO queues, in first-seen order; `cursor` round-robins
-    /// across the non-empty ones so one chatty client cannot starve the
-    /// rest.
-    queues: Vec<(String, VecDeque<Pending>)>,
-    cursor: usize,
+    /// The FIFO queue of each client with queued work; a queue leaves
+    /// when it empties, so client names (wire input) cannot pile up.
+    queues: HashMap<String, VecDeque<Pending>>,
+    /// Round-robin order over the clients in `queues`, so one chatty
+    /// client cannot starve the rest: the front is served next and goes
+    /// to the back while it still has work; a client whose queue was
+    /// empty joins at the back.
+    rotation: VecDeque<String>,
     len: usize,
     stopping: bool,
 }
 
 impl Sched {
-    fn push_back(&mut self, p: Pending) {
-        self.len += 1;
-        match self.queues.iter_mut().find(|(c, _)| *c == p.req.client) {
-            Some((_, q)) => q.push_back(p),
-            None => {
-                let client = p.req.client.clone();
-                self.queues.push((client, VecDeque::from([p])));
-            }
+    /// `client`'s queue, counted one request longer: the one lookup
+    /// behind both pushes. A client with no queued work joins the
+    /// rotation at the back.
+    fn queue(&mut self, client: &str) -> &mut VecDeque<Pending> {
+        if !self.queues.contains_key(client) {
+            self.rotation.push_back(client.to_owned());
+            self.queues.insert(client.to_owned(), VecDeque::new());
         }
+        self.len += 1;
+        self.queues.get_mut(client).expect("inserted above")
+    }
+
+    fn push_back(&mut self, p: Pending) {
+        self.queue(&p.req.client).push_back(p);
     }
 
     /// Re-queue at the front (orphan recovery keeps its place in line).
     fn push_front(&mut self, p: Pending) {
-        self.len += 1;
-        match self.queues.iter_mut().find(|(c, _)| *c == p.req.client) {
-            Some((_, q)) => q.push_front(p),
-            None => {
-                let client = p.req.client.clone();
-                self.queues.push((client, VecDeque::from([p])));
-            }
-        }
+        self.queue(&p.req.client).push_front(p);
     }
 
     fn pop(&mut self) -> Option<Pending> {
-        if self.len == 0 || self.queues.is_empty() {
-            return None;
+        let client = self.rotation.pop_front()?;
+        let p = self.take(&client);
+        if self.queues.contains_key(&client) {
+            self.rotation.push_back(client);
         }
-        let n = self.queues.len();
-        for step in 0..n {
-            let i = (self.cursor + step) % n;
-            if let Some(p) = self.queues[i].1.pop_front() {
-                self.cursor = (i + 1) % n;
-                self.len -= 1;
-                return Some(p);
-            }
-        }
-        None
+        p
     }
 
     /// Shed the oldest queued request (by enqueue time, across clients).
     fn shed_oldest(&mut self) -> Option<Pending> {
-        let (idx, _) = self
-            .queues
+        let (at, _) = self
+            .rotation
             .iter()
             .enumerate()
-            .filter_map(|(i, (_, q))| q.front().map(|p| (i, p.enqueued)))
-            .min_by_key(|&(_, t)| t)?;
+            .min_by_key(|(_, c)| self.queues[c.as_str()].front().map(|p| p.enqueued))?;
+        let client = self.rotation[at].clone();
+        let p = self.take(&client);
+        if !self.queues.contains_key(&client) {
+            self.rotation.remove(at);
+        }
+        p
+    }
+
+    /// Dequeue the front of `client`'s queue, dropping the queue when it
+    /// empties (the caller keeps `rotation` in step).
+    fn take(&mut self, client: &str) -> Option<Pending> {
+        let q = self.queues.get_mut(client)?;
+        let p = q.pop_front();
+        if q.is_empty() {
+            self.queues.remove(client);
+        }
         self.len -= 1;
-        self.queues[idx].1.pop_front()
+        p
     }
 
     fn drain(&mut self) -> Vec<Pending> {
-        let mut out = Vec::new();
-        for (_, q) in &mut self.queues {
-            out.extend(q.drain(..));
-        }
-        self.len = 0;
-        out
+        let Sched { queues, rotation, len, .. } = self;
+        *len = 0;
+        rotation.drain(..).flat_map(|c| queues.remove(&c).unwrap_or_default()).collect()
     }
 }
 
@@ -261,9 +271,10 @@ struct Inner {
     cache: CompileCache,
     breaker: CircuitBreaker,
     rec: Recorder,
-    chaos: Option<Arc<dyn ChaosHook>>,
+    chaos: Option<ChaosPlan>,
     stop: AtomicBool,
-    tallies: Tallies,
+    /// One tally per [`Event`].
+    tallies: [AtomicU64; EVENTS],
     /// Per-unit adaptive schedulers, keyed by content hash so the
     /// adaptation history survives cache purges and re-submissions of
     /// the same source (`adaptive_schedule` only).
@@ -275,13 +286,9 @@ pub struct Service {
     inner: Arc<Inner>,
 }
 
-/// What a worker does after handling one request.
-enum Fate {
-    Continue,
-    /// Injected worker death: exit without responding; the watchdog
-    /// recovers the orphaned request and respawns the slot.
-    Die,
-}
+/// The chaos plan killed this worker: it exits without answering, and
+/// the watchdog recovers the orphaned request and respawns the slot.
+struct Died;
 
 impl Service {
     pub fn new(cfg: ServiceConfig) -> Service {
@@ -295,17 +302,13 @@ impl Service {
     }
 
     /// A service under chaos injection (tests only).
-    pub fn with_chaos(
-        cfg: ServiceConfig,
-        rec: Recorder,
-        chaos: Arc<dyn ChaosHook>,
-    ) -> Service {
+    pub fn with_chaos(cfg: ServiceConfig, rec: Recorder, chaos: ChaosPlan) -> Service {
         Service::build(cfg, rec, Some(chaos))
     }
 
-    fn build(cfg: ServiceConfig, rec: Recorder, chaos: Option<Arc<dyn ChaosHook>>) -> Service {
+    fn build(cfg: ServiceConfig, rec: Recorder, chaos: Option<ChaosPlan>) -> Service {
         let inner = Arc::new(Inner {
-            breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, cfg.breaker_cooldown),
             cfg,
             sched: Mutex::new(Sched::default()),
             available: Condvar::new(),
@@ -316,7 +319,7 @@ impl Service {
             rec,
             chaos,
             stop: AtomicBool::new(false),
-            tallies: Tallies::default(),
+            tallies: Default::default(),
             adaptive: Mutex::new(HashMap::new()),
         });
         {
@@ -365,16 +368,14 @@ impl Service {
             let mut sched = lock(&inner.sched);
             if sched.stopping || inner.stop.load(Ordering::SeqCst) {
                 drop(sched);
-                let resp = base_response(&pending, Status::Rejected, 0);
                 let resp = Response {
                     reason: Some("service shutting down".into()),
-                    ..resp
+                    ..base_response(&pending, Status::Rejected, 0)
                 };
                 let _ = pending.tx.send(resp);
                 return Ticket { rx };
             }
-            inner.tallies.accepted.fetch_add(1, Ordering::SeqCst);
-            inner.rec.count(Counter::PolarisdAccepted, 1);
+            inner.count(Event::Accepted);
             let victim = if sched.len >= inner.cfg.queue_capacity {
                 sched.shed_oldest()
             } else {
@@ -385,8 +386,7 @@ impl Service {
             victim
         };
         if let Some(victim) = shed_victim {
-            inner.tallies.shed.fetch_add(1, Ordering::SeqCst);
-            inner.rec.count(Counter::PolarisdShed, 1);
+            inner.count(Event::Shed);
             let resp = Response {
                 reason: Some("shed: queue full (oldest request dropped)".into()),
                 retry_after_ms: Some(retry_after_hint(inner)),
@@ -398,7 +398,7 @@ impl Service {
     }
 
     pub fn stats(&self) -> ServiceStats {
-        self.inner.tallies.snapshot()
+        self.inner.stats()
     }
 
     pub fn recorder(&self) -> &Recorder {
@@ -425,7 +425,7 @@ impl Service {
     /// `rejected`, and return the final stats.
     pub fn shutdown(self) -> ServiceStats {
         self.inner.stop_and_join();
-        self.inner.tallies.snapshot()
+        self.inner.stats()
     }
 }
 
@@ -436,6 +436,32 @@ impl Drop for Service {
 }
 
 impl Inner {
+    /// Count one event in the stats and in the recorder.
+    fn count(&self, event: Event) {
+        self.tallies[event as usize].fetch_add(1, Ordering::SeqCst);
+        self.rec.count(event.counter(), 1);
+    }
+
+    fn stats(&self) -> ServiceStats {
+        let [accepted, answered, shed, cache_hits, cache_misses, poison_purged, retries,
+            deadline_cancels, quarantined, probes, recovered, respawns] =
+            self.tallies.each_ref().map(|t| t.load(Ordering::SeqCst));
+        ServiceStats {
+            accepted,
+            answered,
+            shed,
+            cache_hits,
+            cache_misses,
+            poison_purged,
+            retries,
+            deadline_cancels,
+            quarantined,
+            probes,
+            recovered,
+            respawns,
+        }
+    }
+
     fn stop_and_join(&self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return; // already stopped
@@ -506,384 +532,307 @@ fn worker_loop(slot: usize, inner: &Arc<Inner>) {
                 sched = wait(&inner.available, sched);
             }
         };
-        // The whole request runs under catch_unwind: a bug in the service
+        // Register before anything can fail so the watchdog can always see
+        // (and recover) this request.
+        lock(&inner.inflight).insert(
+            slot,
+            InFlight { pending: pending.clone(), cancel: CancelToken::new(), attempt: 0 },
+        );
+        let tid = 100 + slot as u32;
+        let span =
+            inner.rec.span_with("polarisd", format!("request:{}", pending.req.id), tid, None, None);
+        // The whole ladder runs under catch_unwind: a bug in the service
         // itself must not kill the worker silently — the request is
         // answered `rejected` and the worker keeps serving.
-        let fate = catch_unwind(AssertUnwindSafe(|| handle(slot, inner, pending)));
-        match fate {
-            Ok(Fate::Continue) => {}
-            Ok(Fate::Die) => return,
+        let resp = match catch_unwind(AssertUnwindSafe(|| ladder(inner, slot, tid, &pending))) {
+            Ok(Ok(resp)) => resp,
+            // Die *without* responding or deregistering: exactly what a
+            // hard worker crash looks like. The watchdog notices the dead
+            // thread, re-queues the orphan, and respawns.
+            Ok(Err(Died)) => return,
             Err(_) => {
-                let orphan = lock(&inner.inflight).remove(&slot);
-                if let Some(fl) = orphan {
-                    let resp = Response {
-                        reason: Some("internal service panic".into()),
-                        ..base_response(&fl.pending, Status::Rejected, fl.attempt)
-                    };
-                    respond(inner, &fl.pending, resp);
+                let attempts = lock(&inner.inflight).get(&slot).map_or(0, |fl| fl.attempt);
+                Response {
+                    reason: Some("internal service panic".into()),
+                    ..base_response(&pending, Status::Rejected, attempts)
                 }
             }
-        }
+        };
+        finish(inner, slot, &pending, resp);
+        span.end();
     }
 }
 
-/// Serve one request end to end. See the module docs' degradation ladder.
-fn handle(slot: usize, inner: &Arc<Inner>, pending: Pending) -> Fate {
-    let tid = 100 + slot as u32;
-    let span = inner.rec.span_with(
-        "polarisd",
-        format!("request:{}", pending.req.id),
-        tid,
-        None,
-        None,
-    );
+/// The degradation ladder (see the module docs): the one response to
+/// `pending`, or [`Died`] when the chaos plan killed this worker.
+fn ladder(inner: &Inner, slot: usize, tid: u32, pending: &Pending) -> Result<Response, Died> {
     let key = pending.key;
-    let req_id = pending.req.id;
-
-    // Register before anything can fail so the watchdog can always see
-    // (and recover) this request.
-    lock(&inner.inflight).insert(
-        slot,
-        InFlight { pending: pending.clone(), cancel: CancelToken::new(), attempt: 0 },
-    );
 
     // 1. Circuit breaker: quarantined units are answered from stored
     //    diagnostics without touching the pipeline.
     let probe = match inner.breaker.admit(key) {
         Admission::Quarantined { reason, diagnostics } => {
-            let resp = Response {
+            return Ok(Response {
                 reason: Some(reason),
                 degraded_stages: diagnostics,
                 retry_after_ms: Some(retry_after_hint(inner)),
-                ..base_response(&pending, Status::Quarantined, 0)
-            };
-            finish(inner, slot, &pending, resp);
-            span.end();
-            return Fate::Continue;
+                ..base_response(pending, Status::Quarantined, 0)
+            });
         }
-        Admission::Proceed { probe } => {
-            if probe {
-                inner.tallies.probes.fetch_add(1, Ordering::SeqCst);
-                inner.rec.count(Counter::PolarisdProbes, 1);
-            }
-            probe
-        }
+        Admission::Proceed { probe } => probe,
     };
 
     // 2. Cache. A half-open probe must actually compile (that is its
     //    job), so it skips the read.
-    if !probe {
+    if probe {
+        inner.count(Event::Probe);
+    } else {
         match inner.cache.get(key) {
             CacheOutcome::Hit(entry) => {
-                inner.tallies.cache_hits.fetch_add(1, Ordering::SeqCst);
-                inner.rec.count(Counter::PolarisdCacheHits, 1);
-                let resp = Response {
-                    cached: true,
-                    checksum: Some(entry.checksum),
-                    parallel_loops: Some(entry.parallel_loops),
-                    program: pending.req.return_program.then(|| entry.program_text.clone()),
-                    ..base_response(&pending, Status::Cached, 0)
-                };
-                finish(inner, slot, &pending, resp);
-                span.end();
-                return Fate::Continue;
+                inner.count(Event::CacheHit);
+                return Ok(cached(pending, entry, 0, None));
             }
             CacheOutcome::Poisoned => {
-                inner.tallies.poison_purged.fetch_add(1, Ordering::SeqCst);
-                inner.rec.count(Counter::PolarisdCachePoisonPurged, 1);
-                inner.tallies.cache_misses.fetch_add(1, Ordering::SeqCst);
-                inner.rec.count(Counter::PolarisdCacheMisses, 1);
+                inner.count(Event::PoisonPurged);
+                inner.count(Event::CacheMiss);
             }
-            CacheOutcome::Miss => {
-                inner.tallies.cache_misses.fetch_add(1, Ordering::SeqCst);
-                inner.rec.count(Counter::PolarisdCacheMisses, 1);
-            }
+            CacheOutcome::Miss => inner.count(Event::CacheMiss),
         }
     }
 
     // 3. Compile attempts with bounded retry.
-    let max_attempts = inner.cfg.retry.max_attempts();
+    let mut rng = SplitMix::new(key ^ pending.req.id.wrapping_mul(0x9e3779b97f4a7c15));
     let mut attempt = pending.prior_attempts;
-    let mut rng = SplitMix::new(key ^ req_id.wrapping_mul(0x9e3779b97f4a7c15));
     let mut last_failure = String::new();
-    while attempt < max_attempts {
+    while attempt < MAX_ATTEMPTS {
         attempt += 1;
-
-        // Publish the attempt number *before* anything can kill this
-        // worker: the watchdog charges the orphan `prior_attempts` from
-        // the in-flight record, which is what stops a request that kills
-        // workers on attempt 1 from being re-run at attempt 1 forever.
-        let cancel = CancelToken::new();
-        {
-            let mut inflight = lock(&inner.inflight);
-            if let Some(fl) = inflight.get_mut(&slot) {
-                fl.cancel = cancel.clone();
-                fl.attempt = attempt;
-            }
+        match compile_attempt(inner, slot, tid, pending, attempt)? {
+            Attempt::Answer(resp) => return Ok(resp),
+            Attempt::Retry(why) => last_failure = why,
         }
-
-        if let Some(chaos) = &inner.chaos {
-            if chaos.kill_worker(key, req_id, attempt) {
-                // Die *without* responding or deregistering: exactly what
-                // a hard worker crash looks like. The watchdog notices
-                // the dead thread, re-queues the orphan, and respawns.
-                return Fate::Die;
-            }
+        if attempt >= MAX_ATTEMPTS {
+            break;
         }
-
-        // Deadline already gone? Answer without burning a compile.
-        if pending.deadline_at.is_some_and(|d| Instant::now() >= d) {
-            let resp = Response {
-                reason: Some("deadline exceeded before compile".into()),
-                retry_after_ms: Some(retry_after_hint(inner)),
-                ..base_response(&pending, Status::Timeout, attempt - 1)
-            };
-            finish(inner, slot, &pending, resp);
-            span.end();
-            return Fate::Continue;
-        }
-        let faults = inner
-            .chaos
-            .as_ref()
-            .map(|c| c.compile_faults(key, req_id, attempt))
-            .unwrap_or_default();
-        let base = if pending.req.vfa { PassOptions::vfa() } else { PassOptions::polaris() };
-        let opts = base.with_faults(faults);
-
-        let attempt_span =
-            inner.rec.span_with("polarisd", format!("attempt:{attempt}"), tid, None, None);
-        let exec_panic = inner
-            .chaos
-            .as_ref()
-            .and_then(|c| c.exec_panic(key, req_id, attempt))
-            .filter(|_| inner.cfg.exec_engine.is_some());
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut program = polaris_ir::parse(&pending.req.source)?;
-            let report = polaris_core::compile_cancellable(
-                &mut program,
-                &opts,
-                &Recorder::disabled(),
-                &cancel,
-            )?;
-            // Execute inside this same catch_unwind so a panic in either
-            // engine's statement dispatch is isolated and retried exactly
-            // like a compile panic.
-            let run = match inner.cfg.exec_engine {
-                Some(engine) if !report.degraded() => {
-                    // Adaptive mode executes on the 8-proc simulated
-                    // machine; the determinism contract keeps its output
-                    // byte-identical to the serial reference, so the
-                    // response checksum is the same either way.
-                    let mut mcfg = if inner.cfg.adaptive_schedule {
-                        MachineConfig::challenge_8()
-                    } else {
-                        MachineConfig::serial()
-                    }
-                    .with_engine(engine)
-                    .with_cancel(cancel.clone());
-                    mcfg.fuel = inner.cfg.exec_fuel;
-                    mcfg.panic_at_step = exec_panic;
-                    if inner.cfg.adaptive_schedule {
-                        let ctrl = adaptive_for(inner, key);
-                        if inner
-                            .chaos
-                            .as_ref()
-                            .is_some_and(|c| c.corrupt_decision_table(key, req_id, attempt))
-                        {
-                            ctrl.corrupt_all();
-                        }
-                        mcfg = mcfg.with_adaptive(ctrl);
-                    }
-                    Some(polaris_machine::run(&program, &mcfg))
-                }
-                _ => None,
-            };
-            Ok::<_, polaris_ir::CompileError>((program, report, run))
-        }));
-        attempt_span.end();
-
-        match outcome {
-            // Deterministic failure: same input fails the same way every
-            // time — answering fast beats retrying, and the breaker is
-            // not charged (the unit is not *flaky*, it is wrong).
-            Ok(Err(e)) => {
-                let resp = Response {
-                    reason: Some(format!("compile error: {e}")),
-                    ..base_response(&pending, Status::Error, attempt)
-                };
-                finish(inner, slot, &pending, resp);
-                span.end();
-                return Fate::Continue;
-            }
-            Ok(Ok((program, report, run))) => {
-                let cancelled = report.stages.iter().any(|s| match &s.outcome {
-                    polaris_core::StageOutcome::RolledBack { reason } => {
-                        reason.starts_with(CANCELLED_PREFIX)
-                    }
-                    _ => false,
-                });
-                if cancelled {
-                    // Deadline blew mid-compile. Retrying would blow it
-                    // again — serve what the completed stages produced.
-                    let newly = inner
-                        .breaker
-                        .record_failure(key, format!("deadline: {}", cancel_reason(&cancel)));
-                    note_quarantine(inner, newly);
-                    let text = polaris_ir::printer::print_program(&program);
-                    let resp = Response {
-                        checksum: Some(fnv1a(text.as_bytes())),
-                        parallel_loops: Some(report.parallel_loops() as u64),
-                        degraded_stages: rolled_back(&report),
-                        reason: Some(format!("deadline: {}", cancel_reason(&cancel))),
-                        program: pending.req.return_program.then_some(text),
-                        ..base_response(&pending, Status::Degraded, attempt)
-                    };
-                    finish(inner, slot, &pending, resp);
-                    span.end();
-                    return Fate::Continue;
-                }
-                if !report.degraded() {
-                    let text = polaris_ir::printer::print_program(&program);
-                    let checksum = fnv1a(text.as_bytes());
-                    match &run {
-                        // Deadline fired mid-execution: like mid-compile
-                        // cancellation, a retry would blow it again —
-                        // serve the clean compile, degraded.
-                        Some(Err(MachineError::Cancelled(reason))) => {
-                            let newly = inner
-                                .breaker
-                                .record_failure(key, format!("deadline: {reason}"));
-                            note_quarantine(inner, newly);
-                            let resp = Response {
-                                checksum: Some(checksum),
-                                parallel_loops: Some(report.parallel_loops() as u64),
-                                reason: Some(format!("deadline during execution: {reason}")),
-                                program: pending.req.return_program.then_some(text),
-                                ..base_response(&pending, Status::Degraded, attempt)
-                            };
-                            finish(inner, slot, &pending, resp);
-                            span.end();
-                            return Fate::Continue;
-                        }
-                        // Deterministic execution failure (bad subscript,
-                        // fuel exhausted, …): same input fails the same
-                        // way every time — answer, never retry.
-                        Some(Err(e)) => {
-                            let resp = Response {
-                                checksum: Some(checksum),
-                                parallel_loops: Some(report.parallel_loops() as u64),
-                                reason: Some(format!("execution error: {e}")),
-                                ..base_response(&pending, Status::Error, attempt)
-                            };
-                            finish(inner, slot, &pending, resp);
-                            span.end();
-                            return Fate::Continue;
-                        }
-                        _ => {}
-                    }
-                    let run_checksum = run
-                        .and_then(Result::ok)
-                        .map(|r| fnv1a(r.output.join("\n").as_bytes()));
-                    // Clean: the only result that may enter the cache.
-                    inner.cache.insert(key, text.clone(), report.parallel_loops() as u64);
-                    if inner.breaker.record_success(key) {
-                        inner.tallies.recovered.fetch_add(1, Ordering::SeqCst);
-                        inner.rec.count(Counter::PolarisdRecovered, 1);
-                    }
-                    let resp = Response {
-                        checksum: Some(checksum),
-                        run_checksum,
-                        parallel_loops: Some(report.parallel_loops() as u64),
-                        program: pending.req.return_program.then_some(text),
-                        ..base_response(&pending, Status::Ok, attempt)
-                    };
-                    finish(inner, slot, &pending, resp);
-                    span.end();
-                    return Fate::Continue;
-                }
-                // Degraded (a stage panicked, errored, or corrupted its
-                // IR and was rolled back): transient by assumption —
-                // retry; on the last attempt, serve the degraded result
-                // rather than nothing.
-                let stages = rolled_back(&report);
-                last_failure = format!("degraded: rolled back {}", stages.join(", "));
-                let newly = inner.breaker.record_failure(key, last_failure.clone());
-                note_quarantine(inner, newly);
-                if attempt >= max_attempts {
-                    let violations = report.verify.violations;
-                    let text = polaris_ir::printer::print_program(&program);
-                    let resp = Response {
-                        exit_code: if violations > 0 { 2 } else { 1 },
-                        checksum: Some(fnv1a(text.as_bytes())),
-                        parallel_loops: Some(report.parallel_loops() as u64),
-                        degraded_stages: stages,
-                        reason: Some(last_failure),
-                        program: pending.req.return_program.then_some(text),
-                        ..base_response(&pending, Status::Degraded, attempt)
-                    };
-                    finish(inner, slot, &pending, resp);
-                    span.end();
-                    return Fate::Continue;
-                }
-            }
-            // The compile itself panicked past the pipeline's isolation
-            // (or the parser did): transient, retry.
-            Err(payload) => {
-                last_failure = format!("panic: {}", panic_text(payload.as_ref()));
-                let newly = inner.breaker.record_failure(key, last_failure.clone());
-                note_quarantine(inner, newly);
-                if attempt >= max_attempts {
-                    break;
-                }
-            }
-        }
-
         // Backoff before the retry, but never past the deadline.
-        inner.tallies.retries.fetch_add(1, Ordering::SeqCst);
-        inner.rec.count(Counter::PolarisdRetries, 1);
-        let mut pause = inner.cfg.retry.backoff(attempt, &mut rng);
+        inner.count(Event::Retry);
+        let mut pause = backoff(attempt, &mut rng);
         if let Some(d) = pending.deadline_at {
             pause = pause.min(d.saturating_duration_since(Instant::now()));
         }
         std::thread::sleep(pause);
     }
 
-    // Retries exhausted with no usable program: next ladder rungs.
+    // 4. Retries exhausted with no usable program: serve-cached, then
+    //    reject with a backoff hint.
     if let CacheOutcome::Hit(entry) = inner.cache.get(key) {
-        inner.tallies.cache_hits.fetch_add(1, Ordering::SeqCst);
-        inner.rec.count(Counter::PolarisdCacheHits, 1);
-        let resp = Response {
-            cached: true,
-            checksum: Some(entry.checksum),
-            parallel_loops: Some(entry.parallel_loops),
-            reason: Some(format!("served from cache after: {last_failure}")),
-            program: pending.req.return_program.then_some(entry.program_text),
-            ..base_response(&pending, Status::Cached, attempt)
-        };
-        finish(inner, slot, &pending, resp);
-        span.end();
-        return Fate::Continue;
+        inner.count(Event::CacheHit);
+        let reason = format!("served from cache after: {last_failure}");
+        return Ok(cached(pending, entry, attempt, Some(reason)));
     }
-    let resp = Response {
+    Ok(Response {
         reason: Some(format!("retries exhausted: {last_failure}")),
         retry_after_ms: Some(retry_after_hint(inner)),
-        ..base_response(&pending, Status::Rejected, attempt)
-    };
-    finish(inner, slot, &pending, resp);
-    span.end();
-    Fate::Continue
+        ..base_response(pending, Status::Rejected, attempt)
+    })
 }
 
-/// Deregister from the in-flight table and answer. Also applies the
-/// chaos cache-poisoning hook: the entry is corrupted after this
-/// response was computed but before it is sent, so the *next* reader of
-/// the entry is deterministically the one who must detect the poison.
-fn finish(inner: &Arc<Inner>, slot: usize, pending: &Pending, resp: Response) {
-    lock(&inner.inflight).remove(&slot);
-    if let Some(chaos) = &inner.chaos {
-        if chaos.poison_cache(pending.key, pending.req.id) {
-            inner.cache.corrupt(pending.key);
+/// What one compile attempt decided.
+enum Attempt {
+    /// The request's response: no retry can improve on it.
+    Answer(Response),
+    /// A transient failure, already charged to the breaker: retry it, or
+    /// after the last attempt take the serve-cached and reject rungs.
+    Retry(String),
+}
+
+/// One compile of `pending` (and, with `exec_engine`, one execution).
+fn compile_attempt(
+    inner: &Inner,
+    slot: usize,
+    tid: u32,
+    pending: &Pending,
+    attempt: u32,
+) -> Result<Attempt, Died> {
+    let (key, req_id) = (pending.key, pending.req.id);
+    let chaos = inner.chaos.as_ref();
+
+    // Publish the attempt number *before* anything can kill this
+    // worker: the watchdog charges the orphan `prior_attempts` from
+    // the in-flight record, which is what stops a request that kills
+    // workers on attempt 1 from being re-run at attempt 1 forever.
+    let cancel = CancelToken::new();
+    if let Some(fl) = lock(&inner.inflight).get_mut(&slot) {
+        fl.cancel = cancel.clone();
+        fl.attempt = attempt;
+    }
+    if chaos.is_some_and(|c| c.kill_worker(key, req_id, attempt)) {
+        return Err(Died);
+    }
+
+    // Deadline already gone? Answer without burning a compile.
+    if pending.deadline_at.is_some_and(|d| Instant::now() >= d) {
+        return Ok(Attempt::Answer(Response {
+            reason: Some("deadline exceeded before compile".into()),
+            retry_after_ms: Some(retry_after_hint(inner)),
+            ..base_response(pending, Status::Timeout, attempt - 1)
+        }));
+    }
+    let faults = chaos.map(|c| c.compile_faults(key, req_id, attempt)).unwrap_or_default();
+    let base = if pending.req.vfa { PassOptions::vfa() } else { PassOptions::polaris() };
+    let opts = base.with_faults(faults);
+    let exec_panic = chaos
+        .and_then(|c| c.exec_panic(key, req_id, attempt))
+        .filter(|_| inner.cfg.exec_engine.is_some());
+
+    let attempt_span =
+        inner.rec.span_with("polarisd", format!("attempt:{attempt}"), tid, None, None);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut program = polaris_ir::parse(&pending.req.source)?;
+        let report =
+            polaris_core::compile_cancellable(&mut program, &opts, &Recorder::disabled(), &cancel)?;
+        // Execute inside this same catch_unwind so a panic in either
+        // engine's statement dispatch is isolated and retried exactly
+        // like a compile panic.
+        let run = match inner.cfg.exec_engine {
+            Some(engine) if !report.degraded() => {
+                // Adaptive mode executes on the 8-proc simulated
+                // machine; the determinism contract keeps its output
+                // byte-identical to the serial reference, so the
+                // response checksum is the same either way.
+                let mut mcfg = if inner.cfg.adaptive_schedule {
+                    MachineConfig::challenge_8()
+                } else {
+                    MachineConfig::serial()
+                }
+                .with_engine(engine)
+                .with_cancel(cancel.clone());
+                mcfg.fuel = inner.cfg.exec_fuel;
+                mcfg.panic_at_step = exec_panic;
+                if inner.cfg.adaptive_schedule {
+                    let ctrl = adaptive_for(inner, key);
+                    if chaos.is_some_and(|c| c.corrupt_decision_table(key, req_id, attempt)) {
+                        ctrl.corrupt_all();
+                    }
+                    mcfg = mcfg.with_adaptive(ctrl);
+                }
+                Some(polaris_machine::run(&program, &mcfg))
+            }
+            _ => None,
+        };
+        Ok::<_, polaris_ir::CompileError>((program, report, run))
+    }));
+    attempt_span.end();
+
+    let (program, report, run) = match outcome {
+        Ok(Ok(done)) => done,
+        // Deterministic failure: same input fails the same way every
+        // time — answering fast beats retrying, and the breaker is
+        // not charged (the unit is not *flaky*, it is wrong).
+        Ok(Err(e)) => {
+            return Ok(Attempt::Answer(Response {
+                reason: Some(format!("compile error: {e}")),
+                ..base_response(pending, Status::Error, attempt)
+            }));
         }
+        // The compile itself panicked past the pipeline's isolation (or
+        // the parser did): transient, retry.
+        Err(payload) => {
+            let why = format!("panic: {}", panic_text(payload.as_ref()));
+            charge(inner, key, &why);
+            return Ok(Attempt::Retry(why));
+        }
+    };
+    let stages: Vec<String> =
+        report.rolled_back_stages().iter().map(|s| s.to_string()).collect();
+    let cancelled = report.stages.iter().any(|s| match &s.outcome {
+        StageOutcome::RolledBack { reason } => reason.starts_with(CANCELLED_PREFIX),
+        _ => false,
+    });
+    // Degraded (a stage panicked, errored, or corrupted its IR and was
+    // rolled back): transient by assumption — retry; on the last
+    // attempt, serve the degraded result rather than nothing.
+    let mut degraded = None;
+    if !cancelled && !stages.is_empty() {
+        let why = format!("degraded: rolled back {}", stages.join(", "));
+        charge(inner, key, &why);
+        if attempt < MAX_ATTEMPTS {
+            return Ok(Attempt::Retry(why));
+        }
+        degraded = Some(why);
+    }
+
+    let text = polaris_ir::printer::print_program(&program);
+    let parallel_loops = report.parallel_loops() as u64;
+    let compiled = |status| Response {
+        checksum: Some(fnv1a(text.as_bytes())),
+        parallel_loops: Some(parallel_loops),
+        ..base_response(pending, status, attempt)
+    };
+    let served = pending.req.return_program.then(|| text.clone());
+    let resp = if cancelled {
+        // Deadline blew mid-compile. Retrying would blow it again —
+        // serve what the completed stages produced.
+        let why = format!("deadline: {}", cancel.reason().unwrap_or_else(|| "cancelled".into()));
+        charge(inner, key, &why);
+        Response {
+            degraded_stages: stages,
+            reason: Some(why),
+            program: served,
+            ..compiled(Status::Degraded)
+        }
+    } else if let Some(why) = degraded {
+        Response {
+            exit_code: if report.verify.violations > 0 { 2 } else { 1 },
+            degraded_stages: stages,
+            reason: Some(why),
+            program: served,
+            ..compiled(Status::Degraded)
+        }
+    } else {
+        match run {
+            // Deadline fired mid-execution: like mid-compile
+            // cancellation, a retry would blow it again — serve the
+            // clean compile, degraded.
+            Some(Err(MachineError::Cancelled(why))) => {
+                charge(inner, key, &format!("deadline: {why}"));
+                Response {
+                    reason: Some(format!("deadline during execution: {why}")),
+                    program: served,
+                    ..compiled(Status::Degraded)
+                }
+            }
+            // Deterministic execution failure (bad subscript, fuel
+            // exhausted, …): same input fails the same way every time —
+            // answer, never retry.
+            Some(Err(e)) => Response {
+                reason: Some(format!("execution error: {e}")),
+                ..compiled(Status::Error)
+            },
+            run => {
+                let run_checksum =
+                    run.and_then(Result::ok).map(|r| fnv1a(r.output.join("\n").as_bytes()));
+                let resp = Response { run_checksum, program: served, ..compiled(Status::Ok) };
+                // Clean: the only result that may enter the cache.
+                inner.cache.insert(key, text, parallel_loops);
+                if inner.breaker.record_success(key) {
+                    inner.count(Event::Recovered);
+                }
+                resp
+            }
+        }
+    };
+    Ok(Attempt::Answer(resp))
+}
+
+/// Deregister from the in-flight table and answer: the one place a
+/// worker's response leaves. Also applies the chaos cache-poisoning
+/// hook: the entry is corrupted after this response was computed but
+/// before it is sent, so the *next* reader of the entry is
+/// deterministically the one who must detect the poison.
+fn finish(inner: &Inner, slot: usize, pending: &Pending, resp: Response) {
+    lock(&inner.inflight).remove(&slot);
+    if inner.chaos.as_ref().is_some_and(|c| c.poison_cache(pending.key, pending.req.id)) {
+        inner.cache.corrupt(pending.key);
     }
     respond(inner, pending, resp);
 }
@@ -891,45 +840,35 @@ fn finish(inner: &Arc<Inner>, slot: usize, pending: &Pending, resp: Response) {
 /// The single exit point for responses: counts `answered` and sends.
 /// Send errors (client dropped its ticket) are deliberately ignored.
 fn respond(inner: &Inner, pending: &Pending, resp: Response) {
-    inner.tallies.answered.fetch_add(1, Ordering::SeqCst);
-    inner.rec.count(Counter::PolarisdAnswered, 1);
+    inner.count(Event::Answered);
     let _ = pending.tx.send(resp);
 }
 
 fn base_response(pending: &Pending, status: Status, attempts: u32) -> Response {
+    Response { attempts, ..Response::empty(pending.req.id, status) }
+}
+
+/// Served from a cache entry.
+fn cached(pending: &Pending, entry: CacheEntry, attempts: u32, reason: Option<String>) -> Response {
     Response {
-        id: pending.req.id,
-        status,
-        exit_code: status.exit_code(),
-        attempts,
-        cached: false,
-        checksum: None,
-        run_checksum: None,
-        parallel_loops: None,
-        degraded_stages: Vec::new(),
-        reason: None,
-        retry_after_ms: None,
-        program: None,
+        cached: true,
+        checksum: Some(entry.checksum),
+        parallel_loops: Some(entry.parallel_loops),
+        reason,
+        program: pending.req.return_program.then_some(entry.program_text),
+        ..base_response(pending, Status::Cached, attempts)
     }
 }
 
-fn rolled_back(report: &CompileReport) -> Vec<String> {
-    report.rolled_back_stages().iter().map(|s| s.to_string()).collect()
-}
-
-fn note_quarantine(inner: &Inner, newly_opened: bool) {
-    if newly_opened {
-        inner.tallies.quarantined.fetch_add(1, Ordering::SeqCst);
-        inner.rec.count(Counter::PolarisdQuarantined, 1);
+/// Charge a transient failure to the unit's breaker.
+fn charge(inner: &Inner, key: u64, why: &str) {
+    if inner.breaker.record_failure(key, why) {
+        inner.count(Event::Quarantined);
     }
 }
 
 fn retry_after_hint(inner: &Inner) -> u64 {
     inner.cfg.breaker_cooldown.as_millis().max(1) as u64
-}
-
-fn cancel_reason(cancel: &CancelToken) -> String {
-    cancel.reason().unwrap_or_else(|| "cancelled".into())
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -947,7 +886,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Deadline enforcement and worker supervision, on one timer thread.
 fn watchdog_loop(inner: &Arc<Inner>) {
     while !inner.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(inner.cfg.watchdog_tick);
+        std::thread::sleep(WATCHDOG_TICK);
 
         // 1. Fire cancel tokens for in-flight requests past deadline.
         {
@@ -961,8 +900,7 @@ fn watchdog_loop(inner: &Arc<Inner>) {
                             "deadline exceeded by {}ms",
                             over.as_millis()
                         ));
-                        inner.tallies.deadline_cancels.fetch_add(1, Ordering::SeqCst);
-                        inner.rec.count(Counter::PolarisdDeadlineCancels, 1);
+                        inner.count(Event::DeadlineCancel);
                     }
                 }
             }
@@ -987,28 +925,31 @@ fn watchdog_loop(inner: &Arc<Inner>) {
         };
         for slot in dead {
             if let Some(fl) = lock(&inner.inflight).remove(&slot) {
-                let mut p = fl.pending;
-                p.prior_attempts = fl.attempt.max(p.prior_attempts);
-                if p.prior_attempts >= inner.cfg.retry.max_attempts() {
-                    // The request itself keeps killing workers: stop
-                    // feeding it workers and answer.
-                    let resp = Response {
-                        reason: Some("workers died repeatedly on this request".into()),
-                        retry_after_ms: Some(retry_after_hint(inner)),
-                        ..base_response(&p, Status::Rejected, p.prior_attempts)
-                    };
-                    respond(inner, &p, resp);
-                } else {
-                    let mut sched = lock(&inner.sched);
-                    sched.push_front(p);
-                    inner.available.notify_one();
-                }
+                recover_orphan(inner, fl);
             }
-            inner.tallies.respawns.fetch_add(1, Ordering::SeqCst);
-            inner.rec.count(Counter::PolarisdWorkerRespawns, 1);
+            inner.count(Event::Respawn);
             let handle = spawn_worker(slot, Arc::clone(inner));
             lock(&inner.workers)[slot] = Some(handle);
         }
+    }
+}
+
+/// Put a dead worker's request back at the front of its client's line,
+/// charged the attempts it burned — or, once it has burned them all,
+/// stop feeding it workers and answer.
+fn recover_orphan(inner: &Inner, fl: InFlight) {
+    let mut p = fl.pending;
+    p.prior_attempts = fl.attempt.max(p.prior_attempts);
+    if p.prior_attempts >= MAX_ATTEMPTS {
+        let resp = Response {
+            reason: Some("workers died repeatedly on this request".into()),
+            retry_after_ms: Some(retry_after_hint(inner)),
+            ..base_response(&p, Status::Rejected, p.prior_attempts)
+        };
+        respond(inner, &p, resp);
+    } else {
+        lock(&inner.sched).push_front(p);
+        inner.available.notify_one();
     }
 }
 
@@ -1031,5 +972,135 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     match cv.wait(guard) {
         Ok(g) => g,
         Err(p) => p.into_inner(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SOURCE: &str = "program t\nx = 1.0\nprint *, x\nend\n";
+
+    fn pending(id: u64, client: &str) -> (Pending, mpsc::Receiver<Response>) {
+        let (tx, rx) = mpsc::channel();
+        let req = Request {
+            id,
+            client: client.into(),
+            vfa: false,
+            deadline_ms: None,
+            return_program: false,
+            source: SOURCE.into(),
+        };
+        let key = Service::content_key(&req);
+        let enqueued = Instant::now();
+        (Pending { req, key, deadline_at: None, enqueued, prior_attempts: 0, tx }, rx)
+    }
+
+    fn pop_all(sched: &mut Sched) -> Vec<u64> {
+        std::iter::from_fn(|| sched.pop()).map(|p| p.req.id).collect()
+    }
+
+    #[test]
+    fn sched_keeps_no_queue_for_a_client_without_queued_work() {
+        let mut sched = Sched::default();
+        for id in 0..100_000 {
+            sched.push_back(pending(id, &format!("client-{id}")).0);
+        }
+        let held = |s: &Sched| (s.len, s.queues.len(), s.rotation.len());
+        assert_eq!(held(&sched), (100_000, 100_000, 100_000));
+        assert_eq!(pop_all(&mut sched), (0..100_000).collect::<Vec<_>>());
+        assert_eq!(held(&sched), (0, 0, 0));
+
+        // Shedding the last request of a client drops its queue too.
+        sched.push_back(pending(1, "old").0);
+        sched.push_back(pending(2, "new").0);
+        assert_eq!(sched.shed_oldest().map(|p| p.req.id), Some(1));
+        assert_eq!(sched.rotation, ["new"]);
+        assert_eq!(pop_all(&mut sched), [2]);
+        assert!(sched.queues.is_empty() && sched.rotation.is_empty());
+    }
+
+    #[test]
+    fn sched_round_robins_over_the_clients_with_queued_work() {
+        let mut sched = Sched::default();
+        for (id, client) in [(1, "a"), (2, "a"), (3, "b"), (4, "c"), (5, "c"), (6, "c")] {
+            sched.push_back(pending(id, client).0);
+        }
+        assert_eq!(pop_all(&mut sched), [1, 3, 4, 2, 5, 6]);
+
+        // A client whose queue emptied joins the rotation at the back;
+        // a re-queued orphan goes to the front of its client's line.
+        for (id, client) in [(1, "a"), (2, "a"), (3, "b")] {
+            sched.push_back(pending(id, client).0);
+        }
+        assert_eq!(sched.pop().map(|p| p.req.id), Some(1));
+        assert_eq!(sched.pop().map(|p| p.req.id), Some(3));
+        sched.push_back(pending(4, "b").0);
+        sched.push_front(pending(5, "b").0);
+        assert_eq!(pop_all(&mut sched), [2, 5, 4]);
+        assert!(sched.queues.is_empty() && sched.rotation.is_empty());
+    }
+
+    fn ladder_of(inner: &Inner, p: &Pending) -> Response {
+        let Ok(resp) = ladder(inner, 0, 100, p) else { panic!("no chaos plan, no death") };
+        resp
+    }
+
+    /// The two rungs after the last attempt failed transiently. No chaos
+    /// plan reaches them (its faults fire on attempt 1 only), so the
+    /// request arrives with every attempt already spent.
+    #[test]
+    fn a_request_out_of_attempts_is_served_from_cache_or_rejected() {
+        let cfg = ServiceConfig { breaker_cooldown: Duration::ZERO, ..ServiceConfig::default() };
+        let service = Service::new(cfg);
+        let inner = &service.inner;
+        let (mut p, _rx) = pending(1, "t");
+        p.prior_attempts = MAX_ATTEMPTS;
+
+        let rejected = ladder_of(inner, &p);
+        assert_eq!(
+            (rejected.status, rejected.exit_code, rejected.attempts, rejected.cached),
+            (Status::Rejected, 1, MAX_ATTEMPTS, false)
+        );
+        assert_eq!(rejected.reason.as_deref(), Some("retries exhausted: "));
+        assert!(rejected.retry_after_ms.is_some() && rejected.checksum.is_none());
+
+        // A probe skips the first cache read, so an entry that appeared
+        // meanwhile is what the last rung but one serves.
+        for _ in 0..BREAKER_THRESHOLD {
+            charge(inner, p.key, "panic: injected");
+        }
+        inner.cache.insert(p.key, "program t\nend\n".into(), 0);
+        let cached = ladder_of(inner, &p);
+        assert_eq!(
+            (cached.status, cached.exit_code, cached.attempts, cached.cached),
+            (Status::Cached, 0, MAX_ATTEMPTS, true)
+        );
+        assert_eq!(cached.reason.as_deref(), Some("served from cache after: "));
+        assert!(cached.retry_after_ms.is_none() && cached.checksum.is_some());
+        let stats = service.stats();
+        assert_eq!((stats.probes, stats.cache_hits, stats.cache_misses), (1, 1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn an_orphan_is_requeued_until_it_has_spent_every_attempt() {
+        let service = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let inner = &service.inner;
+        let orphan = |p| InFlight { pending: p, cancel: CancelToken::new(), attempt: 0 };
+
+        let (p, rx) = pending(1, "t");
+        recover_orphan(inner, InFlight { attempt: 1, ..orphan(p) });
+        let resp = rx.recv_timeout(Duration::from_secs(20)).unwrap();
+        assert_eq!((resp.status, resp.attempts), (Status::Ok, 2), "{resp:?}");
+
+        let (p, rx) = pending(2, "t");
+        recover_orphan(inner, InFlight { attempt: MAX_ATTEMPTS, ..orphan(p) });
+        let resp = rx.try_recv().expect("answered on the spot, not re-queued");
+        assert_eq!(
+            (resp.status, resp.exit_code, resp.attempts, resp.cached),
+            (Status::Rejected, 1, MAX_ATTEMPTS, false)
+        );
+        assert_eq!(resp.reason.as_deref(), Some("workers died repeatedly on this request"));
+        assert!(resp.retry_after_ms.is_some() && resp.checksum.is_none());
     }
 }

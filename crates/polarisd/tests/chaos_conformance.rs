@@ -31,11 +31,10 @@
 
 use polaris_machine::{Engine, MachineConfig};
 use polaris_obs::Recorder;
-use polarisd::chaos::{ChaosHook, ChaosPlan, Curse};
+use polarisd::chaos::{ChaosPlan, Curse};
 use polarisd::proto::{fnv1a, Request, Status};
 use polarisd::service::{Service, ServiceConfig, ServiceStats};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Duration;
 
 const REQUESTS: u64 = 200;
@@ -118,7 +117,7 @@ fn run_seed(corpus: &Corpus, seed: u64, pool: usize, record: bool) -> ServiceSta
         ..ServiceConfig::default()
     };
     let rec = if record { Recorder::virtual_clock() } else { Recorder::disabled() };
-    let service = Service::with_chaos(cfg, rec, Arc::new(plan.clone()));
+    let service = Service::with_chaos(cfg, rec, plan.clone());
 
     // One non-cursed, non-stalled request per seed also round-trips the
     // full program text, not just the checksum.
@@ -362,7 +361,7 @@ fn adaptive_storm(pool: usize) {
         adaptive_schedule: true,
         ..ServiceConfig::default()
     };
-    let service = Service::with_chaos(cfg, Recorder::disabled(), Arc::new(plan.clone()));
+    let service = Service::with_chaos(cfg, Recorder::disabled(), plan.clone());
 
     // Requests for one unit are submitted sequentially so its controller
     // sees a deterministic invocation order (concurrent same-key runs

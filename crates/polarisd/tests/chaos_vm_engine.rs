@@ -22,7 +22,6 @@ use polaris_obs::Recorder;
 use polarisd::chaos::ChaosPlan;
 use polarisd::proto::{fnv1a, Request, Status};
 use polarisd::service::{Service, ServiceConfig};
-use std::sync::Arc;
 use std::time::Duration;
 
 const REQUESTS: u64 = 40;
@@ -69,7 +68,7 @@ fn run_config(pool: usize, engine: Engine) -> Vec<(Status, u8, Option<u64>)> {
         exec_fuel: Some(1_000_000),
         ..ServiceConfig::default()
     };
-    let service = Service::with_chaos(cfg, Recorder::disabled(), Arc::new(plan));
+    let service = Service::with_chaos(cfg, Recorder::disabled(), plan);
 
     let mut outcomes = Vec::new();
     for id in 0..REQUESTS {

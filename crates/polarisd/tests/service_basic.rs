@@ -16,7 +16,6 @@ use polaris_obs::Recorder;
 use polarisd::chaos::{ChaosPlan, Curse};
 use polarisd::proto::{fnv1a, Request, Response, Status};
 use polarisd::service::{Service, ServiceConfig};
-use std::sync::Arc;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(20);
@@ -177,7 +176,7 @@ fn transient_panic_is_retried_to_a_clean_answer() {
     let want = clean_checksum(&src);
     // 100% panic rate, but rate faults are transient by construction
     // (attempt 1 only): the retry compiles clean.
-    let chaos = Arc::new(ChaosPlan::seeded(5).with_panic_pct(100));
+    let chaos = ChaosPlan::seeded(5).with_panic_pct(100);
     let service = Service::with_chaos(cfg(2), Recorder::disabled(), chaos);
     let resp = service.submit(request(1, &src)).wait_timeout(WAIT).unwrap();
     assert_eq!(resp.status, Status::Ok);
@@ -194,11 +193,9 @@ fn a_request_during_the_half_open_probe_is_quarantined() {
     let key = Service::content_key(&request(0, &src));
     // Ids below 100 are cursed; every other first attempt stalls 300 ms
     // and then compiles clean, so the probe stays in flight that long.
-    let chaos = Arc::new(
-        ChaosPlan::seeded(3)
-            .with_curse(Curse { key, from_id: 0, to_id: 100 })
-            .with_stall(100, 300),
-    );
+    let chaos = ChaosPlan::seeded(3)
+        .with_curse(Curse { key, from_id: 0, to_id: 100 })
+        .with_stall(100, 300);
     let cooldown = Duration::from_millis(400);
     let service = Service::with_chaos(
         ServiceConfig { breaker_cooldown: cooldown, ..cfg(2) },
@@ -307,8 +304,7 @@ fn cursed_unit_is_quarantined_then_recovers_through_a_probe() {
     let src = unit_source(4);
     let want = clean_checksum(&src);
     let key = Service::content_key(&request(0, &src));
-    let chaos =
-        Arc::new(ChaosPlan::seeded(9).with_curse(Curse { key, from_id: 0, to_id: 100 }));
+    let chaos = ChaosPlan::seeded(9).with_curse(Curse { key, from_id: 0, to_id: 100 });
     let service = Service::with_chaos(cfg(2), Recorder::disabled(), chaos);
 
     // Every attempt of a cursed request panics in `analyze`; the pipeline
@@ -368,8 +364,7 @@ fn cached_units_absorb_a_curse_without_charging_the_breaker() {
     let want = clean_checksum(&src);
     let key = Service::content_key(&request(0, &src));
     // Curse starts at id 10: id 1 compiles clean and populates the cache.
-    let chaos =
-        Arc::new(ChaosPlan::seeded(2).with_curse(Curse { key, from_id: 10, to_id: 100 }));
+    let chaos = ChaosPlan::seeded(2).with_curse(Curse { key, from_id: 10, to_id: 100 });
     let service = Service::with_chaos(cfg(2), Recorder::disabled(), chaos);
 
     assert_eq!(service.submit(request(1, &src)).wait_timeout(WAIT).unwrap().status, Status::Ok);
@@ -388,8 +383,7 @@ fn failed_probe_reopens_the_breaker() {
     let src = unit_source(13);
     let key = Service::content_key(&request(0, &src));
     // Everything below id 100 is cursed; nothing is ever cached.
-    let chaos =
-        Arc::new(ChaosPlan::seeded(7).with_curse(Curse { key, from_id: 0, to_id: 100 }));
+    let chaos = ChaosPlan::seeded(7).with_curse(Curse { key, from_id: 0, to_id: 100 });
     let service = Service::with_chaos(cfg(2), Recorder::disabled(), chaos);
 
     let r1 = service.submit(request(1, &src)).wait_timeout(WAIT).unwrap();
@@ -416,7 +410,7 @@ fn poisoned_cache_entry_is_purged_and_recompiled_not_served() {
     let src = unit_source(6);
     let want = clean_checksum(&src);
     // Poison the cache entry after every response.
-    let chaos = Arc::new(ChaosPlan::seeded(4).with_poison_pct(100));
+    let chaos = ChaosPlan::seeded(4).with_poison_pct(100);
     let service = Service::with_chaos(cfg(2), Recorder::disabled(), chaos);
 
     let first = service.submit(request(1, &src)).wait_timeout(WAIT).unwrap();
@@ -437,7 +431,7 @@ fn deadline_blow_mid_compile_degrades_instead_of_hanging() {
     // Every first attempt stalls 300ms inside the induction stage; the
     // request carries a 30ms deadline. The watchdog must cancel the
     // compile cooperatively and the caller gets a degraded answer fast.
-    let chaos = Arc::new(ChaosPlan::seeded(8).with_stall(100, 300));
+    let chaos = ChaosPlan::seeded(8).with_stall(100, 300);
     let service = Service::with_chaos(cfg(2), Recorder::disabled(), chaos);
     let resp = service
         .submit(Request { deadline_ms: Some(30), ..request(1, &src) })
@@ -479,7 +473,7 @@ fn overload_sheds_the_oldest_queued_request_with_a_hint() {
     let src = unit_source(9);
     // One worker, tiny queue, every compile stalls 80ms: submissions
     // outrun the drain and the queue must shed.
-    let chaos = Arc::new(ChaosPlan::seeded(3).with_stall(100, 80));
+    let chaos = ChaosPlan::seeded(3).with_stall(100, 80);
     let service = Service::with_chaos(
         ServiceConfig { workers: 1, queue_capacity: 2, ..cfg(1) },
         Recorder::disabled(),
@@ -514,7 +508,7 @@ fn dead_worker_is_respawned_and_the_orphan_is_answered() {
     // Every request's first attempt kills its worker. The watchdog must
     // respawn the (only) worker and re-queue the orphan, which then
     // compiles clean on attempt 2.
-    let chaos = Arc::new(ChaosPlan::seeded(6).with_kill_pct(100));
+    let chaos = ChaosPlan::seeded(6).with_kill_pct(100);
     let service = Service::with_chaos(
         ServiceConfig { workers: 1, ..cfg(1) },
         Recorder::disabled(),

@@ -30,7 +30,7 @@
 //! of §3.5.1); on failure the shared state is untouched and the loop
 //! re-executes in order — exactly the protocol whose cost Figure 6
 //! charts as "potential slowdown". Elements are independent, so verdicts
-//! of disjoint element ranges add ([`lrpd::PdVerdict::and`]) — the
+//! of disjoint element ranges combine (flags or, counts add) — the
 //! property behind the `O(a/p + log p)` analysis of §3.5.2, which the
 //! machine's cost model bills.
 

@@ -91,9 +91,9 @@ impl Shadow {
 }
 
 /// What the PD test (§3.5.2) finds on a range of elements. Elements are
-/// independent, so the verdict on an array is the [`PdVerdict::and`] of
-/// the verdicts on any partition of it — which is what lets the analysis
-/// run on disjoint ranges concurrently.
+/// independent, so the verdict on an array combines the verdicts on any
+/// partition of it (flags or, counts add) — which is what lets the
+/// analysis run on disjoint ranges concurrently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PdVerdict {
     /// `any(A_w ∧ A_r)` — flow/anti dependence.

@@ -5,7 +5,7 @@
 //! the minimum or maximum of an expression for a variable *i*, the range
 //! test first attempts to prove that the expression is either
 //! monotonically non-decreasing or monotonically non-increasing for *i*
-//! [via] the forward difference", then substitutes the variable's upper
+//! \[via\] the forward difference", then substitutes the variable's upper
 //! or lower bound. Variables are eliminated innermost-scope-first, so
 //! substituted bounds only mention enclosing-scope variables and the
 //! recursion is well founded (a depth budget guards against adversarial

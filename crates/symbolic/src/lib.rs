@@ -7,7 +7,7 @@
 //!   *opaque atoms* for non-polynomial subexpressions ([`poly::Poly`]),
 //! * closed-form summation over iteration spaces (Faulhaber's formulas,
 //!   [`sum::sum_over`]) — the engine of induction-variable substitution,
-//! * symbolic ranges and **range propagation** ([`range`], [`env`]) —
+//! * symbolic ranges and **range propagation** (`range`, [`env`]) —
 //!   "the determination of symbolic lower and upper bounds for each
 //!   variable at each point of the program",
 //! * expression comparison "by computing the sign of the minimum and

@@ -87,7 +87,7 @@ fn power_sum_at(k: u32, arg: &Poly) -> Option<Poly> {
 /// the closed form also yields for polynomially-expressed bounds).
 ///
 /// Returns `None` when `p` mentions `var` inside an opaque atom, exceeds
-/// [`MAX_POWER`], or arithmetic overflows.
+/// degree `MAX_POWER` (8), or arithmetic overflows.
 pub fn sum_over(p: &Poly, var: &str, lo: &Poly, hi: &Poly) -> Option<Poly> {
     // Note: `lo`/`hi` may mention `var` itself — the summation index is a
     // bound variable, so `Σ_{i=1}^{I-1} i` (the induction idiom "value at

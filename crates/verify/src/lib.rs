@@ -59,7 +59,7 @@ pub struct VerifyReport {
     /// leaves nothing for the machine to execute either.
     pub race: Option<RaceReport>,
     /// Independent re-derivation of every nest-transformation
-    /// [`polaris_ir::LegalityCert`] from the final IR (see [`nest`]).
+    /// [`polaris_ir::cert::LegalityCert`] from the final IR (see [`nest`]).
     /// A rejected check means a pass applied a transformation its own
     /// evidence does not justify — as serious as an invariant violation.
     pub cert_checks: Vec<CertCheck>,

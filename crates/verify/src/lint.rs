@@ -488,7 +488,7 @@ fn lint_induction_recurrence(unit: &ProgramUnit, sink: &mut Sink) {
             // own visit, so each recurrence is reported once.
             for b in d.body.iter() {
                 if let StmtKind::Assign { lhs: LValue::Var(x), rhs, .. } = &b.kind {
-                    if mentions_var(rhs, x) && !substitutable(rhs, x) {
+                    if rhs.references_var(x) && !substitutable(rhs, x) {
                         sink.push(
                             "induction-recurrence",
                             Severity::Warning,
@@ -509,27 +509,15 @@ fn lint_induction_recurrence(unit: &ProgramUnit, sink: &mut Sink) {
     });
 }
 
-fn mentions_var(e: &Expr, var: &str) -> bool {
-    let mut found = false;
-    e.for_each(&mut |n| {
-        if let Expr::Var(v) = n {
-            if v == var {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
 /// Is `rhs` one of the forms the induction/reduction machinery handles?
 fn substitutable(rhs: &Expr, x: &str) -> bool {
     match rhs {
         Expr::Bin { op: BinOp::Add, lhs, rhs: r } => {
-            (is_var(lhs, x) && !mentions_var(r, x)) || (is_var(r, x) && !mentions_var(lhs, x))
+            (is_var(lhs, x) && !r.references_var(x)) || (is_var(r, x) && !lhs.references_var(x))
         }
-        Expr::Bin { op: BinOp::Sub, lhs, rhs: r } => is_var(lhs, x) && !mentions_var(r, x),
+        Expr::Bin { op: BinOp::Sub, lhs, rhs: r } => is_var(lhs, x) && !r.references_var(x),
         Expr::Bin { op: BinOp::Mul, lhs, rhs: r } => {
-            (is_var(lhs, x) && !mentions_var(r, x)) || (is_var(r, x) && !mentions_var(lhs, x))
+            (is_var(lhs, x) && !r.references_var(x)) || (is_var(r, x) && !lhs.references_var(x))
         }
         _ => false,
     }

@@ -10,7 +10,7 @@
 //!   iteration state of the execution model and exempt) — and a
 //!   reduction annotation covers nothing unless the body bears it out:
 //!   every access to its target must be the σ of a `σ = σ op β` with the
-//!   annotated operator ([`reduction_holds`]);
+//!   annotated operator (`reduction_holds`);
 //! * every array the body writes must either be covered by a
 //!   privatization / speculation / reduction annotation, or its accesses
 //!   must be proven iteration-disjoint by the range test, re-run here
@@ -523,7 +523,7 @@ fn all_pairs_disjoint(
         let inner = a.inner.as_ref()?;
         let mut polys = Vec::with_capacity(subs.len());
         for e in subs {
-            if varying.iter().any(|v| expr_mentions(e, v)) {
+            if varying.iter().any(|v| e.references_var(v)) {
                 return None;
             }
             polys.push(Poly::from_expr(e, DivPolicy::Exact)?);
@@ -616,7 +616,7 @@ impl Defs {
             let mut changed = false;
             for (&slot, rhs) in &self.0 {
                 let name = &image.scalar_names[slot];
-                if expr_mentions(&cur, name) {
+                if cur.references_var(name) {
                     cur = cur.substitute_var(name, rhs);
                     changed = true;
                 }
@@ -648,7 +648,7 @@ fn collect(
                 collect_expr(rhs, image, inner, defs, acc);
                 let dominating_def = top
                     && unlower(rhs, image).is_some_and(|e| {
-                        !expr_has_index(&e) && !expr_mentions(&e, &image.scalar_names[*slot])
+                        !expr_has_index(&e) && !e.references_var(&image.scalar_names[*slot])
                     });
                 if dominating_def {
                     defs.0.insert(*slot, unlower(rhs, image).unwrap());
@@ -759,20 +759,6 @@ fn expr_has_index(e: &Expr) -> bool {
     e.for_each(&mut |n| {
         if matches!(n, Expr::Index { .. }) {
             found = true;
-        }
-    });
-    found
-}
-
-/// Does `e` reference the scalar variable `var` anywhere (subscripts
-/// included)?
-fn expr_mentions(e: &Expr, var: &str) -> bool {
-    let mut found = false;
-    e.for_each(&mut |n| {
-        if let Expr::Var(v) = n {
-            if v == var {
-                found = true;
-            }
         }
     });
     found

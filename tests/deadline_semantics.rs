@@ -21,7 +21,6 @@ use polaris_obs::Recorder;
 use polarisd::chaos::ChaosPlan;
 use polarisd::proto::{Request, Status};
 use polarisd::service::{Service, ServiceConfig};
-use std::sync::Arc;
 use std::time::Duration;
 
 const SRC: &str = "program caps\n\
@@ -174,7 +173,7 @@ fn service_request(deadline_ms: Option<u64>) -> Request {
 
 #[test]
 fn wall_deadline_hit_at_the_service_is_degraded_exit_1_never_retried() {
-    let chaos = Arc::new(ChaosPlan::seeded(1).with_stall(100, 300));
+    let chaos = ChaosPlan::seeded(1).with_stall(100, 300);
     let service = Service::with_chaos(
         ServiceConfig { workers: 1, ..ServiceConfig::default() },
         Recorder::disabled(),
