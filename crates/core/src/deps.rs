@@ -126,26 +126,36 @@ fn analyze_list(
     }
 }
 
+/// The decision `info` on loop `d`, with its report: what the report
+/// says of the loop is read off the annotation, `index_facts` aside.
+fn decided(
+    d: &DoLoop,
+    unit: &ProgramUnit,
+    info: ParallelInfo,
+    index_facts: Vec<String>,
+) -> (ParallelInfo, LoopReport) {
+    let report = LoopReport {
+        label: d.label.clone(),
+        loop_id: d.loop_id,
+        unit: unit.name.clone(),
+        parallel: info.parallel,
+        speculative: info.speculative.is_some(),
+        serial_reason: info.serial_reason.clone(),
+        private: info.private.clone(),
+        copy_out: info.copy_out.clone(),
+        reductions: info.reductions.iter().map(|r| format!("{}:{}", r.op.fortran(), r.var)).collect(),
+        index_facts,
+    };
+    (info, report)
+}
+
 fn serial(
     d: &DoLoop,
     unit: &ProgramUnit,
     reason: impl Into<String>,
 ) -> (ParallelInfo, LoopReport) {
-    let reason = reason.into();
-    let info = ParallelInfo { serial_reason: Some(reason.clone()), ..Default::default() };
-    let report = LoopReport {
-        label: d.label.clone(),
-        loop_id: d.loop_id,
-        unit: unit.name.clone(),
-        parallel: false,
-        speculative: false,
-        serial_reason: Some(reason),
-        private: Vec::new(),
-        copy_out: Vec::new(),
-        reductions: Vec::new(),
-        index_facts: Vec::new(),
-    };
-    (info, report)
+    let info = ParallelInfo { serial_reason: Some(reason.into()), ..Default::default() };
+    decided(d, unit, info, Vec::new())
 }
 
 /// Decide one loop. `env` holds ranges valid inside the body.
@@ -318,59 +328,19 @@ fn analyze_loop(
         .filter(|r| view.named(&r.var).any(|a| a.is_write))
         .filter(|r| !dropped_reductions.contains(&r.var))
         .collect();
-    let red_names: Vec<String> =
-        reductions.iter().map(|r| format!("{}:{}", r.op.fortran(), r.var)).collect();
-
-    if !speculative_tracked.is_empty() {
-        let info = ParallelInfo {
-            parallel: false,
-            private: private.clone(),
-            copy_out: copy_out.clone(),
-            reductions: reductions.clone(),
-            speculative: Some(SpecInfo {
-                tracked: speculative_tracked.clone(),
-                privatized: Vec::new(),
-            }),
-            lastvalue: Vec::new(),
-            serial_reason: None,
-        };
-        let report = LoopReport {
-            label: d.label.clone(),
-            loop_id: d.loop_id,
-            unit: unit.name.clone(),
-            parallel: false,
-            speculative: true,
-            serial_reason: None,
-            private,
-            copy_out,
-            reductions: red_names,
-            index_facts,
-        };
-        return (info, report);
-    }
-
+    // A loop the run-time test must check is no DOALL.
+    let speculative = (!speculative_tracked.is_empty())
+        .then(|| SpecInfo { tracked: speculative_tracked, privatized: Vec::new() });
     let info = ParallelInfo {
-        parallel: true,
-        private: private.clone(),
-        copy_out: copy_out.clone(),
+        parallel: speculative.is_none(),
+        private,
+        copy_out,
         reductions,
-        speculative: None,
+        speculative,
         lastvalue: Vec::new(),
         serial_reason: None,
     };
-    let report = LoopReport {
-        label: d.label.clone(),
-        loop_id: d.loop_id,
-        unit: unit.name.clone(),
-        parallel: true,
-        speculative: false,
-        serial_reason: None,
-        private,
-        copy_out,
-        reductions: red_names,
-        index_facts,
-    };
-    (info, report)
+    decided(d, unit, info, index_facts)
 }
 
 /// Bridge the iteration view to the idxprop disjointness rule: `varying`

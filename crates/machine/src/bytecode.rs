@@ -149,7 +149,7 @@ pub(crate) struct ArrMeta {
 /// (`Slot` = one scalar read; `SlotOff` = a scalar read plus one `alu`
 /// add; `Imm` = a literal, charge-free). A single access uses either
 /// all-register or all-fused subscripts, never a mix, so the charge and
-/// oracle-event order matches the tree-walker's strict left-to-right
+/// error order matches the tree-walker's strict left-to-right
 /// evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum SubSrc {

@@ -73,9 +73,9 @@ impl IterSpace {
 /// No plan has more than [`MAX_CHUNKS_PER_PROC`] chunks per worker: a
 /// requested chunk size that would cut more is raised to the smallest
 /// one that does not. Everything kept per chunk on either backend
-/// (claims, chunk results, reduction partials, chunk spans,
-/// `last_chunk_cycles`, the per-chunk `dispatch` bill) is thereby
-/// bounded by the machine, not by the trip count.
+/// (claims, chunk results, reduction partials, chunk spans, the cycle
+/// profile a threaded invocation returns, the per-chunk `dispatch` bill)
+/// is thereby bounded by the machine, not by the trip count.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChunkPlan {
     trip: u64,
@@ -274,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_plans_cover_iteration_space_exactly_once() {
+    fn plans_cover_the_iteration_space_exactly_once() {
         let schedules =
             [Schedule::Static, Schedule::Dynamic { chunk: 3 }, Schedule::Stealing { chunk: 3 }];
         for trip in [0u64, 1, 3, 7, 8, 9, 100] {

@@ -151,7 +151,8 @@ pub(crate) struct Interp<'a> {
     /// threaded loop really forks.
     pub(crate) pool: Option<crate::threaded::ThreadPool>,
     /// Dependence-oracle trace (see [`crate::oracle`]); attached only by
-    /// [`run_traced`], on serial runs. `None` costs one branch per hook.
+    /// [`run_traced`], to a serial tree-walker, so only the tree-walker
+    /// has the access hooks. `None` costs one branch per hook.
     pub(crate) oracle: Option<Box<crate::oracle::OracleState>>,
     /// Compiled bytecode of the running unit (`Engine::Vm` only); the
     /// orchestration arms re-enter [`crate::vm`] through this shared
@@ -178,16 +179,6 @@ pub(crate) struct Interp<'a> {
     /// handle — chunk events are recorded post-join on the driver thread
     /// so the trace stays deterministic.
     pub(crate) recorder: polaris_obs::Recorder,
-    /// Per-invocation `(workers, schedule)` override installed by the
-    /// adaptive dispatcher for one parallel loop; consulted through
-    /// [`Self::chunk_plan`] by both backends, cleared when the dispatched
-    /// loop returns.
-    pub(crate) sched_override: Option<(usize, Schedule)>,
-    /// Per-chunk (threaded) or per-bucket (simulated) cycle totals of
-    /// the last parallel dispatch, in chunk order — the deterministic
-    /// cost signal fed back to the adaptive controller. Only populated
-    /// when `cfg.adaptive` is set.
-    pub(crate) last_chunk_cycles: Vec<u64>,
 }
 
 impl<'a> Interp<'a> {
@@ -248,8 +239,6 @@ impl<'a> Interp<'a> {
             arm_iterations: 0,
             quiet_steps: Interp::quiet(cfg),
             recorder: polaris_obs::Recorder::disabled(),
-            sched_override: None,
-            last_chunk_cycles: Vec::new(),
         }
     }
 
@@ -317,13 +306,11 @@ impl<'a> Interp<'a> {
     /// access to element `idx` of `arr` on the array's shadow, if the
     /// running `SPECULATIVE` loop tracks it, and return the cycles the
     /// marking costs. Callers test `spec.is_empty()` first (one
-    /// predictable branch outside speculative loops) and keep the hook
-    /// order: a read is memory → oracle → mark, a write memory → mark →
-    /// oracle. Inlined, with both loads ahead of the search, because that
-    /// is the shape the VM's `dispatch` is as fast with as without any
-    /// hook; as an out-of-line call it cost `exec_serial` 10 % (measured,
-    /// like the +8 % of inlining the marking itself: see
-    /// [`Shadow::on_read`]).
+    /// predictable branch outside speculative loops). Inlined, with both
+    /// loads ahead of the search, because that is the shape the VM's
+    /// `dispatch` is as fast with as without any hook; as an out-of-line
+    /// call it cost `exec_serial` 10 % (measured, like the +8 % of
+    /// inlining the marking itself: see [`Shadow::on_read`]).
     #[inline(always)]
     pub(crate) fn mark_access(&mut self, arr: usize, idx: usize, write: bool) -> u64 {
         // An opaque reference keeps the charge a load (see `dispatch_from`).
@@ -337,9 +324,10 @@ impl<'a> Interp<'a> {
     }
 }
 
-/// Apply a binary operator with the simulated cycle charge. Shared by
-/// both engines (tree-walk `eval` and the VM's `Bin` dispatch) so the
-/// charge table and numeric semantics cannot diverge.
+/// Apply a binary operator with the simulated cycle charge, for the
+/// tree-walker's `eval` (the VM reaches it only through `Instr::Exec`).
+/// The VM's typed opcodes restate this table; `tests/vm_equivalence.rs`
+/// holds the two to the same cycles and bits.
 pub(crate) fn eval_binop(
     cycles: &mut u64,
     op: BinOp,
@@ -429,8 +417,8 @@ pub(crate) fn eval_binop(
     }
 }
 
-/// Apply an intrinsic with the simulated cycle charge; shared by both
-/// engines for the same reason as [`eval_binop`].
+/// Apply an intrinsic with the simulated cycle charge, for the
+/// tree-walker as [`eval_binop`] is (the VM's `Intrin` restates it).
 pub(crate) fn eval_intrinsic(
     cycles: &mut u64,
     intr: Intr,
@@ -729,7 +717,8 @@ impl<'a> Interp<'a> {
         Ok(Some(if concurrent && self.cfg.adaptive.is_some() {
             self.run_adaptive(l, space, body)?
         } else if concurrent {
-            self.run_concurrent(l, space, body)?
+            let plan = ChunkPlan::new(space.trip(), self.cfg.procs, self.cfg.schedule);
+            self.run_concurrent(l, space, body, plan)?.0
         } else if l.par.parallel && self.adversarial && !self.in_parallel {
             self.count_loop_mode(polaris_obs::Counter::ExecLoopsAdversarial);
             self.run_adversarial(l, space, body)?
@@ -774,28 +763,25 @@ impl<'a> Interp<'a> {
         Ok(flow)
     }
 
-    /// Adaptive dispatch for one loop invocation: ask the controller for
-    /// a (strategy, chunking, threads) decision, execute it, and feed the
-    /// deterministic profile (trip, per-chunk cycles, misspeculation)
-    /// back. The controller only ever sees — and its choices are clamped
-    /// to — what the compiler proved sound, so an arbitrary adaptation
-    /// history can change *performance*, never results (the determinism
-    /// contract in DESIGN.md).
+    /// Adaptive dispatch for one loop invocation: ask the controller
+    /// whether to run it serially or concurrently (on how many workers,
+    /// chunked how), run it, and feed the deterministic profile back —
+    /// the chunk cycles of a DOALL, the PD verdict of a speculation. The
+    /// controller only chooses a schedule; whether a concurrent
+    /// invocation is a DOALL or a speculation is `run_concurrent`'s
+    /// reading of the annotation, so an arbitrary adaptation history can
+    /// change *performance*, never results (the determinism contract in
+    /// DESIGN.md).
     fn run_adaptive(
         &mut self,
         l: &Arc<RLoop>,
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
-        use polaris_runtime::{Chunking, DecideEvent, Observation, Strategy};
+        use polaris_runtime::{Chunking, DecideEvent, LoopHints, Observation};
         let ctrl = Arc::clone(self.cfg.adaptive.as_ref().expect("adaptive dispatch without controller"));
         let trip = space.trip();
-        let hints = polaris_runtime::LoopHints {
-            parallel: l.par.parallel,
-            speculative: !l.par.parallel,
-            trip,
-            procs: self.cfg.procs,
-        };
+        let hints = LoopHints { parallel: l.par.parallel, trip, procs: self.cfg.procs };
         let d = ctrl.decide(l.loop_id.0, &l.label, hints);
         if self.recorder.is_enabled() {
             use polaris_obs::Counter as C;
@@ -811,35 +797,29 @@ impl<'a> Interp<'a> {
             if let Some(ev) = ev {
                 self.recorder.count(ev, 1);
             }
-            self.recorder
-                .span_with(
-                    "adaptive",
-                    format!("{}:{}", d.event.as_str(), d.strategy.as_str()),
-                    0,
-                    Some(l.loop_id),
-                    None,
-                )
-                .end();
+            let name = format!("{}:{}", d.event.as_str(), d.strategy);
+            self.recorder.span_with("adaptive", name, 0, Some(l.loop_id), None).end();
         }
-        let (flow, chunk_cycles, misspeculated) = match d.strategy {
-            Strategy::Serial => {
+        let (flow, chunk_cycles, misspeculated) = match d.chunking {
+            None => {
                 self.count_loop_mode(polaris_obs::Counter::ExecLoopsSerial);
                 (self.run_serial_loop(l, space, body)?, Vec::new(), None)
             }
-            Strategy::Static => {
-                let schedule = match d.chunking {
+            Some(chunking) if l.par.parallel => {
+                let schedule = match chunking {
                     Chunking::Block => Schedule::Static,
-                    Chunking::SelfSched { chunk } => Schedule::Dynamic { chunk },
                     Chunking::Stealing { chunk } => Schedule::Stealing { chunk },
                 };
-                self.sched_override = Some((d.threads.max(1), schedule));
-                let res = self.run_concurrent(l, space, body);
-                self.sched_override = None;
-                (res?, std::mem::take(&mut self.last_chunk_cycles), None)
+                let plan = ChunkPlan::new(trip, d.threads, schedule);
+                let (flow, chunk_cycles) = self.run_concurrent(l, space, body, plan)?;
+                (flow, chunk_cycles, None)
             }
-            Strategy::Speculative => {
+            // A speculation keeps the configured plan, and what it tells
+            // the controller is its PD verdict.
+            Some(_) => {
                 let fails_before = self.loop_entry(l).spec_fail;
-                let flow = self.run_concurrent(l, space, body)?;
+                let plan = ChunkPlan::new(trip, self.cfg.procs, self.cfg.schedule);
+                let (flow, _) = self.run_concurrent(l, space, body, plan)?;
                 (flow, Vec::new(), Some(self.loop_entry(l).spec_fail > fails_before))
             }
         };
@@ -929,8 +909,8 @@ impl<'a> Interp<'a> {
 
     /// A serial invocation iterated from outside the dispatch loop: every
     /// one of the tree-walker's, and the VM's only when the adaptive
-    /// controller picks `Strategy::Serial` for a concurrent loop (its
-    /// `observe` needs the loop to have returned).
+    /// controller runs a concurrent loop serially (its `observe` needs
+    /// the loop to have returned).
     pub(crate) fn run_serial_loop(
         &mut self,
         l: &RLoop,
@@ -947,14 +927,6 @@ impl<'a> Interp<'a> {
         }
         self.release_body(frame);
         Ok(flow)
-    }
-
-    /// The chunk plan of a concurrent dispatch of `space`, on both
-    /// backends: over the adaptive override's `(workers, schedule)` when
-    /// one is installed, else the config's.
-    pub(crate) fn chunk_plan(&self, space: IterSpace) -> ChunkPlan {
-        let (procs, schedule) = self.sched_override.unwrap_or((self.cfg.procs, self.cfg.schedule));
-        ChunkPlan::new(space.trip(), procs, schedule)
     }
 
     /// An unmarked shadow per array `l` speculates on: what one executor
@@ -1018,34 +990,32 @@ impl<'a> Interp<'a> {
         Ok((flow, buckets))
     }
 
-    /// One concurrent invocation — a proved `PARALLEL DO`, or a
-    /// `SPECULATIVE` loop — on the configured backend: real threads take
-    /// both, except a loop lowering marked `in_order` (a `STOP`, a stale
-    /// value that could reach an inner `DO`), which is simulated in order
-    /// in either mode.
+    /// One concurrent invocation over `plan` — a proved `PARALLEL DO`,
+    /// or a `SPECULATIVE` loop, as its annotation says — on the configured
+    /// backend: real threads take both, except a loop lowering marked
+    /// `in_order` (a `STOP`, a stale value that could reach an inner
+    /// `DO`), which is simulated in order in either mode. Returns the
+    /// cycles it ran, per bucket when simulated and per chunk on threads.
     fn run_concurrent(
         &mut self,
         l: &Arc<RLoop>,
         space: IterSpace,
         body: Option<u32>,
-    ) -> Result<Flow, MachineError> {
+        plan: ChunkPlan,
+    ) -> Result<(Flow, Vec<u64>), MachineError> {
         use polaris_obs::Counter::{ExecLoopsParallel, ExecLoopsSpeculative};
         self.count_loop_mode(if l.par.parallel { ExecLoopsParallel } else { ExecLoopsSpeculative });
         if self.cfg.exec_mode == ExecMode::Threaded && !l.in_order {
-            return crate::threaded::run_threaded_loop(self, l, space, body);
+            return crate::threaded::run_threaded_loop(self, l, space, body, plan);
         }
         if !l.par.parallel {
-            return self.run_speculative(l, space, body);
+            return self.run_speculative(l, space, body, &plan);
         }
-        let plan = self.chunk_plan(space);
         let (flow, buckets) = self.run_simulated(l, space, &plan, body)?;
         if self.bill_parallel(&l.par, &plan, &buckets) {
             self.loop_entry(l).parallel_invocations += 1;
         }
-        if self.cfg.adaptive.is_some() {
-            self.last_chunk_cycles = buckets;
-        }
-        Ok(flow)
+        Ok((flow, buckets))
     }
 
     /// A `SPECULATIVE` invocation simulated in order: the values are the
@@ -1059,16 +1029,16 @@ impl<'a> Interp<'a> {
         l: &RLoop,
         space: IterSpace,
         body: Option<u32>,
-    ) -> Result<Flow, MachineError> {
+        plan: &ChunkPlan,
+    ) -> Result<(Flow, Vec<u64>), MachineError> {
         debug_assert!(self.spec.is_empty(), "nested speculation");
         self.spec = self.fresh_shadows(l);
-        let plan = self.chunk_plan(space);
-        let (flow, buckets) = self.run_simulated(l, space, &plan, body)?;
+        let (flow, buckets) = self.run_simulated(l, space, plan, body)?;
         let shadows = std::mem::take(&mut self.spec);
         let success = shadows.iter().all(|(_, sh)| PdVerdict::of(&[sh], 0..sh.len()).plain_ok());
         let marks = shadows.iter().map(|(_, sh)| sh.marks_done()).sum();
         self.bill_speculative(l, &buckets, marks, success);
-        Ok(flow)
+        Ok((flow, buckets))
     }
 
     /// Adversarial validation: iterate in reverse with real privatization
@@ -1448,12 +1418,16 @@ pub fn run_serial(program: &Program) -> Result<RunResult, MachineError> {
 
 /// Run `image` serially with the dependence-oracle trace attached and
 /// return the collected per-loop observations. `cfg` must be a serial
-/// configuration — program order *is* the thing being traced.
+/// tree-walker configuration — program order *is* the thing being
+/// traced, and only the tree-walker has the trace's access hooks.
 pub(crate) fn run_traced(
     mut image: Image,
     cfg: &MachineConfig,
 ) -> Result<Vec<polaris_runtime::verdict::LoopObservation>, MachineError> {
-    debug_assert_eq!(cfg.procs, 1, "oracle traces require serial execution");
+    debug_assert!(
+        cfg.procs == 1 && cfg.engine == Engine::TreeWalk,
+        "oracle traces run on the serial tree-walker"
+    );
     let mut interp = Interp::new(&mut image, cfg, false)?;
     interp.oracle = Some(Box::new(crate::oracle::OracleState::new()));
     interp.run_program(&image)?;

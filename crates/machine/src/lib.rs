@@ -58,7 +58,8 @@ pub use oracle::{audit, audit_recorded, audit_with};
 ///   semantics — cycles, fuel, errors and output are bit-for-bit equal.
 /// * `TreeWalk` — the original recursive interpreter over the statement
 ///   tree, retained as the differential oracle the VM is held to
-///   (`tests/vm_equivalence.rs`).
+///   (`tests/vm_equivalence.rs`), and the one engine a dependence-oracle
+///   audit ([`oracle::audit`]) traces on.
 ///
 /// Both engines share the loop orchestration layer (a loop's prologue,
 /// mode decision and epilogue; parallel dispatch, speculation,
@@ -137,12 +138,14 @@ pub struct MachineConfig {
     #[doc(hidden)]
     pub panic_at_step: Option<u64>,
     /// Adaptive per-loop dispatch controller
-    /// ([`polaris_runtime::AdaptiveController`]). When set, eligible loops (proven
-    /// parallel or LRPD candidates) consult it every invocation for a
-    /// strategy / chunking / thread-count decision instead of using the
-    /// fixed `schedule`; the controller is shared (`Arc`) so the
-    /// adaptation history survives across runs of the same source (e.g.
-    /// cached recompiles in `polarisd`).
+    /// ([`polaris_runtime::AdaptiveController`]). When set, eligible loops
+    /// (proven parallel or LRPD candidates) ask it every invocation
+    /// whether to run serially or concurrently, on how many workers and
+    /// under which chunking. A concurrent DOALL runs that plan instead of
+    /// the fixed `schedule`; a speculation keeps `procs` and `schedule`;
+    /// which of the two a loop is, its annotation says. The controller is
+    /// shared (`Arc`) so the adaptation history survives across runs of
+    /// the same source (e.g. cached recompiles in `polarisd`).
     pub adaptive: Option<std::sync::Arc<polaris_runtime::AdaptiveController>>,
 }
 

@@ -1,7 +1,8 @@
-//! The dependence oracle: an instrumented serial interpreter mode that
-//! records, per compiler-identified loop, the *exact* set of
-//! cross-iteration flow/anti/output dependences the program exhibits,
-//! then cross-checks them against the pipeline's claims.
+//! The dependence oracle: an instrumented serial run of the tree-walker
+//! (whatever engine the caller configured) that records, per
+//! compiler-identified loop, the *exact* set of cross-iteration
+//! flow/anti/output dependences the program exhibits, then cross-checks
+//! them against the pipeline's claims.
 //!
 //! This generalizes the LRPD shadow arrays of [`polaris_runtime::lrpd::Shadow`] — which
 //! mark one array per speculative loop and aggregate to three booleans —
@@ -30,7 +31,7 @@
 use crate::error::MachineError;
 use crate::exec;
 use crate::lower::lower_with_cap;
-use crate::MachineConfig;
+use crate::{Engine, MachineConfig};
 use polaris_core::CompileReport;
 use polaris_ir::stmt::LoopId;
 use polaris_ir::Program;
@@ -359,8 +360,9 @@ pub fn audit(program: &Program, report: &CompileReport) -> Result<OracleReport, 
 }
 
 /// [`audit`] with resource limits taken from `cfg` (`fuel`,
-/// `memory_cap`); the execution itself is always serial/simulated —
-/// the trace needs program order.
+/// `memory_cap`); the execution itself is always serial — the trace
+/// needs program order — and on the tree-walker, the one engine with the
+/// trace's access hooks.
 pub fn audit_with(
     program: &Program,
     report: &CompileReport,
@@ -378,10 +380,9 @@ pub fn audit_recorded(
     cfg: &MachineConfig,
     rec: &polaris_obs::Recorder,
 ) -> Result<OracleReport, MachineError> {
-    let mut serial = MachineConfig::serial();
+    let mut serial = MachineConfig::serial().with_engine(Engine::TreeWalk);
     serial.fuel = cfg.fuel;
     serial.memory_cap = cfg.memory_cap;
-    serial.engine = cfg.engine;
     let oracle_span = rec.span("oracle", "audit");
     let image = lower_with_cap(program, serial.memory_cap)?;
     let observations = exec::run_traced(image, &serial)?;

@@ -433,28 +433,28 @@ fn commit_array(
 
 // ---- the main-thread driver ------------------------------------------
 
-/// Execute one `PARALLEL DO` or `SPECULATIVE` loop on the calling thread
-/// and, once the loop has shown it amortizes a fork, the helper pool.
-/// Called from `Interp::run_concurrent` when `cfg.exec_mode` is
-/// `Threaded`.
+/// Execute one `PARALLEL DO` or `SPECULATIVE` loop over `plan` on the
+/// calling thread and, once the loop has shown it amortizes a fork, the
+/// helper pool, and return the cycles of each chunk. Called from
+/// `Interp::run_concurrent` when `cfg.exec_mode` is `Threaded`.
 pub(crate) fn run_threaded_loop(
     interp: &mut Interp<'_>,
     l: &Arc<RLoop>,
     space: IterSpace,
     body: Option<u32>,
-) -> Result<Flow, MachineError> {
-    // An adaptive override may plan for fewer lanes than the machine has
-    // threads (idle helpers are fine).
-    let plan = interp.chunk_plan(space);
+    plan: ChunkPlan,
+) -> Result<(Flow, Vec<u64>), MachineError> {
+    // An adaptive plan may have fewer lanes than the machine has threads
+    // (idle helpers are fine).
     let procs = plan.procs();
     let speculative = !l.par.parallel;
     if space.trip() == 0 {
         // Nothing to fork, but the generated guard (or the PD test) still ran.
         if speculative {
-            return interp.run_speculative(l, space, body);
+            return interp.run_speculative(l, space, body, &plan);
         }
         interp.bill_parallel(&l.par, &plan, &[]);
-        return Ok(Flow::Normal);
+        return Ok((Flow::Normal, Vec::new()));
     }
 
     let claims = Arc::new(Claims::new(&plan));
@@ -531,7 +531,7 @@ pub(crate) fn run_threaded_loop(
             PdVerdict::of(&lanes, 0..lanes[0].len()).plain_ok()
         };
         if results.iter().any(|w| w.err.is_some()) || !(0..l.par.spec_arrays.len()).all(passes) {
-            return interp.run_speculative(l, space, body);
+            return interp.run_speculative(l, space, body, &plan);
         }
     }
 
@@ -586,12 +586,9 @@ pub(crate) fn run_threaded_loop(
     } else if interp.bill_parallel(&l.par, &plan, &buckets) {
         interp.loop_entry(l).parallel_invocations += 1;
     }
-    if interp.cfg.adaptive.is_some() {
-        // Deterministic cost signal for the adaptive controller: chunk
-        // cycle totals in chunk order (never wall time, never steal
-        // interleaving).
-        interp.last_chunk_cycles = chunks.iter().map(|ch| ch.cycles).collect();
-    }
+    // Chunk cycle totals in chunk order: the deterministic cost profile
+    // (never wall time, never steal interleaving).
+    let profile = chunks.iter().map(|ch| ch.cycles).collect();
 
     // -- nested-loop stats and shared arrays (diff vs snapshot), worker order
     let mut skip = vec![false; interp.arrays.len()];
@@ -656,7 +653,7 @@ pub(crate) fn run_threaded_loop(
         interp.output.append(&mut ch.output);
     }
     interp.recorder.count(polaris_obs::Counter::ThreadedMergeBytes, merge_bytes);
-    Ok(Flow::Normal)
+    Ok((Flow::Normal, profile))
 }
 
 #[cfg(test)]

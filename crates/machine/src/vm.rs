@@ -3,7 +3,7 @@
 //! This is the hot loop of [`crate::Engine::Vm`]. One *activation* of
 //! [`Interp::dispatch`] executes the unit's stream from a given address
 //! against the interpreter's live state (scalars, arrays, cycle/fuel
-//! counters, oracle and speculation hooks), in a raw `u64` register frame
+//! counters, the speculation hook), in a raw `u64` register frame
 //! its caller provides (`f64` values are bit-cast, logicals are `0`/`1`).
 //! A run is one activation from address 0. A serial `DO` stays inside
 //! it: `LoopEnter` opens a [`LoopFrame`] on the interpreter's loop-frame
@@ -39,15 +39,16 @@
 //! * the data-dependent charges survive typing: integer divide by a
 //!   positive power of two costs `alu`, `x**k` costs `k` multiplies for
 //!   small non-negative `k` — both checked on the run-time value;
-//! * read path: memory charge → oracle `array_read` → speculation mark;
-//!   write path: memory charge → speculation mark → oracle `array_write`
-//!   → store;
 //! * a loop invocation runs the tree-walker's own prologue, mode decision
 //!   and epilogue (`Interp::loop_prologue`/`dispatch_mode`/
 //!   `loop_epilogue`), and an in-stream iteration the same
 //!   `begin_iteration`/`end_iteration` an arm's iteration does;
 //! * statements the type inference could not prove safe run through
 //!   [`Instr::Exec`], i.e. the tree-walker itself.
+//!
+//! An audit traces its serial run on the tree-walker whatever engine is
+//! configured (`oracle::audit_recorded`), so no instruction here tests
+//! for a dependence-oracle hook.
 //!
 //! Typed opcodes read their operand types from compile-time inference,
 //! which is sound because F-Mini storage never changes type at run time
@@ -99,16 +100,13 @@ impl Interp<'_> {
     /// read for `Slot`, a scalar read plus one `alu` add for `SlotOff`,
     /// nothing for a register or literal. Conversion follows `V::as_i`.
     #[inline(always)]
-    fn sub_value(&mut self, cyc: &mut u64, regs: &[u64], src: SubSrc) -> Result<i64, MachineError> {
+    fn sub_value(&self, cyc: &mut u64, regs: &[u64], src: SubSrc) -> Result<i64, MachineError> {
         match src {
             SubSrc::RegI(r) => Ok(regs[r as usize] as i64),
             SubSrc::RegR(r) => Ok(f64::from_bits(regs[r as usize]) as i64),
             SubSrc::Imm(v) => Ok(v as i64),
             SubSrc::Slot(s) => {
                 *cyc += COSTS.scalar;
-                if let Some(o) = self.oracle.as_deref_mut() {
-                    o.scalar_read(s as usize);
-                }
                 match self.scalars[s as usize] {
                     Scalar::I(x) => Ok(x),
                     Scalar::R(x) => Ok(x as i64),
@@ -117,9 +115,6 @@ impl Interp<'_> {
             }
             SubSrc::SlotOff(s, off) => {
                 *cyc += COSTS.scalar;
-                if let Some(o) = self.oracle.as_deref_mut() {
-                    o.scalar_read(s as usize);
-                }
                 let v = self.scalars[s as usize];
                 // eval_binop charges the Add before any type dispatch.
                 *cyc += COSTS.alu;
@@ -138,7 +133,7 @@ impl Interp<'_> {
     /// order exactly.
     #[inline(always)]
     fn element(
-        &mut self,
+        &self,
         cyc: &mut u64,
         bc: &BcUnit,
         regs: &[u64],
@@ -272,9 +267,6 @@ impl Interp<'_> {
                 Instr::LitB(d, v) => wr!(*d, *v as u64),
                 Instr::LoadI(d, slot) => {
                     cyc += c.scalar;
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.scalar_read(*slot as usize);
-                    }
                     let Scalar::I(x) = self.scalars[*slot as usize] else {
                         unreachable!("scalar slot retyped")
                     };
@@ -282,9 +274,6 @@ impl Interp<'_> {
                 }
                 Instr::LoadR(d, slot) => {
                     cyc += c.scalar;
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.scalar_read(*slot as usize);
-                    }
                     let Scalar::R(x) = self.scalars[*slot as usize] else {
                         unreachable!("scalar slot retyped")
                     };
@@ -292,9 +281,6 @@ impl Interp<'_> {
                 }
                 Instr::LoadB(d, slot) => {
                     cyc += c.scalar;
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.scalar_read(*slot as usize);
-                    }
                     let Scalar::B(x) = self.scalars[*slot as usize] else {
                         unreachable!("scalar slot retyped")
                     };
@@ -302,9 +288,6 @@ impl Interp<'_> {
                 }
                 Instr::StoreI(slot, r) => {
                     cyc += c.scalar;
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.scalar_write(*slot as usize);
-                    }
                     let Scalar::I(x) = &mut self.scalars[*slot as usize] else {
                         unreachable!("scalar slot retyped")
                     };
@@ -312,9 +295,6 @@ impl Interp<'_> {
                 }
                 Instr::StoreR(slot, r) => {
                     cyc += c.scalar;
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.scalar_write(*slot as usize);
-                    }
                     let Scalar::R(x) = &mut self.scalars[*slot as usize] else {
                         unreachable!("scalar slot retyped")
                     };
@@ -322,9 +302,6 @@ impl Interp<'_> {
                 }
                 Instr::StoreB(slot, r) => {
                     cyc += c.scalar;
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.scalar_write(*slot as usize);
-                    }
                     let Scalar::B(x) = &mut self.scalars[*slot as usize] else {
                         unreachable!("scalar slot retyped")
                     };
@@ -336,9 +313,6 @@ impl Interp<'_> {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
                     let a = *arr as usize;
                     cyc += c.memory;
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.array_read(a, idx);
-                    }
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
@@ -353,9 +327,6 @@ impl Interp<'_> {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
                     let a = *arr as usize;
                     cyc += c.memory;
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.array_read(a, idx);
-                    }
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
@@ -370,9 +341,6 @@ impl Interp<'_> {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
                     let a = *arr as usize;
                     cyc += c.memory;
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.array_read(a, idx);
-                    }
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
@@ -387,9 +355,6 @@ impl Interp<'_> {
                     cyc += c.memory;
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, true);
-                    }
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.array_write(a, idx);
                     }
                     let ArrData::I(v) = self.arrays[a].data.make_mut() else {
                         unreachable!("array retyped")
@@ -406,9 +371,6 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, true);
                     }
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.array_write(a, idx);
-                    }
                     let ArrData::R(v) = self.arrays[a].data.make_mut() else {
                         unreachable!("array retyped")
                     };
@@ -423,9 +385,6 @@ impl Interp<'_> {
                     cyc += c.memory;
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, true);
-                    }
-                    if let Some(o) = self.oracle.as_deref_mut() {
-                        o.array_write(a, idx);
                     }
                     let ArrData::B(v) = self.arrays[a].data.make_mut() else {
                         unreachable!("array retyped")

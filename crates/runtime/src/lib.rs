@@ -38,6 +38,4 @@ pub(crate) mod adaptive;
 pub mod lrpd;
 pub mod verdict;
 
-pub use adaptive::{
-    AdaptiveController, Chunking, DecideEvent, DecisionRow, LoopHints, Observation, Strategy,
-};
+pub use adaptive::{AdaptiveController, Chunking, DecideEvent, DecisionRow, LoopHints, Observation};

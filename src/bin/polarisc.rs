@@ -37,10 +37,11 @@
 //!                   winner, sustained LRPD misspeculation throttles
 //!                   speculation with hysteresis; --diag prints the
 //!                   decision table)
-//!   --engine E      statement execution engine for --run/--diag/--oracle:
+//!   --engine E      statement execution engine for --run/--diag:
 //!                   `vm` (default; compact bytecode + register VM) or
 //!                   `tree-walk` (the recursive reference interpreter kept
-//!                   as the VM's differential oracle)
+//!                   as the VM's differential oracle; --oracle always
+//!                   traces on it)
 //!   --fuel N        execution step budget for --run (default unlimited)
 //!   --validate      run the adversarial validation after --run
 //!   --profile       print the per-loop execution profile after --run
@@ -558,7 +559,7 @@ fn main() -> ExitCode {
 
     let mut audit_report = None;
     if oracle {
-        let mut cfg = MachineConfig::serial().with_engine(engine);
+        let mut cfg = MachineConfig::serial();
         cfg.fuel = fuel;
         let audit = match polaris_machine::audit_recorded(&program, &rep, &cfg, &rec) {
             Ok(a) => a,

@@ -746,30 +746,26 @@ proptest! {
     }
 }
 
-/// One raw (strategy, chunking) choice for the adversarial adaptation
-/// cycle. The controller clamps strategies to the compiler's soundness
-/// envelope, so the generator is free to demand speculation on proven
-/// loops or static dispatch on unproven ones.
-fn forced_choice_strategy(
-) -> impl Strategy<Value = (polaris::runtime::Strategy, polaris::runtime::Chunking)> {
-    use polaris::runtime::{Chunking as Ck, Strategy as St};
-    let strat = prop_oneof![Just(St::Serial), Just(St::Static), Just(St::Speculative)];
-    let chunk = prop_oneof![
-        Just(Ck::Block),
-        (1usize..8).prop_map(|c| Ck::SelfSched { chunk: c }),
-        (1usize..8).prop_map(|c| Ck::Stealing { chunk: c }),
-    ];
-    (strat, chunk)
+/// One forced choice for the adversarial adaptation cycle: serial
+/// (`None`), or concurrent under a chunking. Whether a concurrent
+/// invocation is a DOALL or a speculation is read off the loop's
+/// annotation, so the generator is free to demand concurrency anywhere.
+fn forced_choice_strategy() -> impl Strategy<Value = Option<polaris::runtime::Chunking>> {
+    use polaris::runtime::Chunking as Ck;
+    prop_oneof![
+        Just(None),
+        Just(Some(Ck::Block)),
+        (1usize..8).prop_map(|c| Some(Ck::Stealing { chunk: c })),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Adversarial adaptation schedules: a forced cycle of raw
-    /// (strategy, chunking) choices — serial flips, speculation where
-    /// static was proven, stealing with tiny chunks — must never change
-    /// a program's output bytes, on any invocation, compared to the
-    /// serial reference.
+    /// Adversarial adaptation schedules: a forced cycle of choices —
+    /// serial flips, concurrency demanded of any loop, stealing with tiny
+    /// chunks — must never change a program's output bytes, on any
+    /// invocation, compared to the serial reference.
     #[test]
     fn forced_adaptation_schedules_never_change_output(
         stmts in proptest::collection::vec(stmt_strategy(), 1..5),
@@ -841,15 +837,12 @@ proptest! {
 /// reference under every victim/steal interleaving.
 #[test]
 fn steal_heavy_skewed_costs_preserve_output_bytes() {
-    use polaris::runtime::{AdaptiveController, Chunking, Strategy as AStrategy};
+    use polaris::runtime::{AdaptiveController, Chunking};
     let b = polaris_benchmarks::skewed();
     let out = polaris::parallelize(b.source, &polaris::PassOptions::polaris()).unwrap();
     let reference =
         polaris::machine::run(&out.program, &polaris::MachineConfig::serial()).unwrap();
-    let forced = vec![
-        (AStrategy::Static, Chunking::Stealing { chunk: 1 }),
-        (AStrategy::Static, Chunking::Stealing { chunk: 3 }),
-    ];
+    let forced = vec![Some(Chunking::Stealing { chunk: 1 }), Some(Chunking::Stealing { chunk: 3 })];
     for threads in [2usize, 4, 8] {
         let ctrl = std::sync::Arc::new(AdaptiveController::with_forced_cycle(forced.clone()));
         let cfg = polaris::MachineConfig::threaded(threads, polaris::machine::Schedule::Static)

@@ -476,9 +476,10 @@ fn parallel_do_nested_in_a_serial_do_is_in_stream_or_forked_from_one_unit() {
     }
 }
 
-/// The dependence oracle sees the same loop entries, iterations and
-/// exits whichever engine drives the traced run — through zero-trip
-/// loops, a `STOP`, and a dependence carried by the middle loop of a nest.
+/// An audit traces its run on the tree-walker whatever engine the
+/// caller configured, so `Vm` and `TreeWalk` give byte-identical
+/// verdicts — here through zero-trip loops, a `STOP`, and a dependence
+/// carried by the middle loop of a nest.
 #[test]
 fn oracle_observations_of_in_stream_loops_agree_across_engines() {
     let src = "program traced\n\
