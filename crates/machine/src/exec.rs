@@ -147,9 +147,6 @@ pub(crate) struct Interp<'a> {
     /// Active speculative tracking: (array slot, shadow).
     pub(crate) spec: Vec<(usize, Shadow)>,
     pub(crate) spec_iter: u32,
-    /// Persistent pool of helper threads, created when the first
-    /// threaded loop really forks.
-    pub(crate) pool: Option<crate::threaded::ThreadPool>,
     /// Dependence-oracle trace (see [`crate::oracle`]); attached only by
     /// [`run_traced`], to a serial tree-walker, so only the tree-walker
     /// has the access hooks. `None` costs one branch per hook.
@@ -169,6 +166,10 @@ pub(crate) struct Interp<'a> {
     pub(crate) activations: u64,
     #[cfg(test)]
     pub(crate) arm_iterations: u64,
+    /// Instructions the VM dispatched, counted per activation and added
+    /// here when it returns.
+    #[cfg(test)]
+    pub(crate) dispatches: u64,
     /// True when no step-count observer exists (no fuel limit, no
     /// panic-at-step, no cancellation token): the step count is then
     /// unobservable and [`Self::charge_step`] can be skipped entirely on
@@ -228,7 +229,6 @@ impl<'a> Interp<'a> {
             loop_stats: Vec::new(),
             spec: Vec::new(),
             spec_iter: 0,
-            pool: None,
             oracle: None,
             bc: None,
             vm_pool: Vec::new(),
@@ -237,6 +237,8 @@ impl<'a> Interp<'a> {
             activations: 0,
             #[cfg(test)]
             arm_iterations: 0,
+            #[cfg(test)]
+            dispatches: 0,
             quiet_steps: Interp::quiet(cfg),
             recorder: polaris_obs::Recorder::disabled(),
         }

@@ -92,8 +92,8 @@ impl Engine {
 ///   per-processor buckets, reproducing the paper's Challenge numbers.
 /// * `Threaded` — loops the pipeline proved parallel, and loops it left
 ///   to the run-time PD test, are chunked over the iteration space and
-///   executed by the calling thread and a persistent pool of real OS
-///   threads (`threaded`), with per-lane private copies (and shadows)
+///   executed by the calling thread and real OS helper threads that
+///   outlive the run (`threaded`), with per-lane private copies (and shadows)
 ///   and a deterministic chunk-ordered tree merge for reductions.
 ///   Results (output, final memory) must match serial execution;
 ///   the simulated cycle accounting is still maintained so speedup

@@ -6,8 +6,10 @@
 //! module is the other half of the story: loops the pipeline proved
 //! parallel, and loops it left to the run-time PD test (§3.5), are
 //! lowered to chunked iteration-space work lists and executed by the
-//! calling thread and a persistent pool of OS threads, the way the
-//! paper's SGI backend consumed Polaris directives.
+//! calling thread and its helper OS threads, the way the paper's SGI
+//! backend consumed Polaris directives. The helpers outlive the run
+//! ([`HELPERS`]) and poll before they park ([`SPIN`]), so a fork costs
+//! a queue hand-off, not a spawn or a wake-up.
 //!
 //! A thread touches shared memory only where a thread must — the chunk
 //! claim, the job queue and the join channel. Four rules keep it so:
@@ -21,8 +23,9 @@
 //!   counts nothing at all: it executes the `Step`-free bytecode serial
 //!   runs do.
 //! * **The master is lane 0.** The calling thread runs the first lane
-//!   itself; the pool holds `procs - 1` helpers. A panic in the master's
-//!   lane is caught like a helper's and reported the same.
+//!   itself; a fork grows its pool to `procs - 1` helpers. A panic in the
+//!   master's lane is caught like a helper's and reported the same, and
+//!   leaves the helpers as they were.
 //! * **The fork waits for the guard.** The master starts alone and goes
 //!   on to the next lane when one is done. Once the cycles it has
 //!   executed reach the threshold of the bill's profitability guard
@@ -104,81 +107,114 @@ use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
 use polaris_runtime::lrpd::{PdVerdict, Shadow};
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 // ---- the persistent worker pool --------------------------------------
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size pool of OS threads fed from one shared job queue: the
-/// helpers beside the calling thread. It is created when the first
-/// threaded loop of a run really forks and lives for the rest of the
-/// run, so per-loop fork cost is a channel send, not a spawn.
-pub(crate) struct ThreadPool {
+/// How long an idle helper polls the job queue, and the master the join
+/// channel, before parking. On the 2-core development host a round trip
+/// between two parked threads takes ≈ 30 µs (median) and between two
+/// polling ones ≈ 1 µs; the forks of a run arrive microseconds to tens
+/// of microseconds apart.
+const SPIN: Duration = Duration::from_micros(50);
+
+thread_local! {
+    /// The calling thread's helpers: created by its first fork that passes
+    /// the guard, reused by every later run on this thread and grown when
+    /// one needs more, so a fork is a queue hand-off, not a spawn.
+    static HELPERS: RefCell<ThreadPool> = RefCell::new(ThreadPool::new());
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Helper threads this thread has spawned, and lanes it has handed them.
+    static HELPER_COUNTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// `rx.recv()`, after polling it for up to [`SPIN`]: a message that
+/// arrives within the bound costs neither side a wake-up.
+fn recv_spinning<T>(rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
+    let until = Instant::now() + SPIN;
+    loop {
+        match rx.try_recv() {
+            Ok(v) => return Ok(v),
+            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+            Err(mpsc::TryRecvError::Empty) if Instant::now() >= until => return rx.recv(),
+            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+}
+
+/// A pool of OS threads fed from one shared job queue: the helpers
+/// beside the calling thread. It starts empty and [`ThreadPool::grow`]s;
+/// dropping it (with the thread that owns it) stops the helpers.
+struct ThreadPool {
     tx: Option<mpsc::Sender<Job>>,
+    rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
-    pub(crate) fn new(threads: usize) -> ThreadPool {
+    fn new() -> ThreadPool {
         let (tx, rx) = mpsc::channel::<Job>();
-        ThreadPool::start(threads, tx, Arc::new(Mutex::new(rx)))
+        ThreadPool { tx: Some(tx), rx: Arc::new(Mutex::new(rx)), workers: Vec::new() }
     }
 
     /// A pool whose queue lock is already poisoned when the workers first
     /// touch it — the state a panic-while-holding-the-lock leaves behind.
     /// Test hook for the poisoned-lock recovery path in the worker loop.
     #[cfg(test)]
-    pub(crate) fn new_with_poisoned_queue_lock(threads: usize) -> ThreadPool {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let poisoner = Arc::clone(&rx);
+    fn new_with_poisoned_queue_lock() -> ThreadPool {
+        let pool = ThreadPool::new();
+        let poisoner = Arc::clone(&pool.rx);
         let t = std::thread::spawn(move || {
             let _guard = poisoner.lock().unwrap();
             panic!("injected: poison the pool queue lock");
         });
         assert!(t.join().is_err(), "poisoning thread must have panicked");
-        ThreadPool::start(threads, tx, rx)
+        pool
     }
 
-    fn start(threads: usize, tx: mpsc::Sender<Job>, rx: Arc<Mutex<mpsc::Receiver<Job>>>) -> ThreadPool {
-        let workers = (0..threads.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("polaris-worker-{i}"))
-                    .spawn(move || loop {
-                        // A panic while the lock is held (a job that
-                        // unwinds between recv and release, or a poison
-                        // injected by a test) poisons the mutex for every
-                        // worker. The receiver itself is still intact —
-                        // poisoning only records that *some* thread
-                        // panicked — so recover the guard instead of
-                        // dying, or the pool silently shrinks one worker
-                        // per poison until submits hang forever.
-                        let job = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(poisoned) => poisoned.into_inner().recv(),
-                        };
-                        match job {
-                            Ok(job) => {
-                                // A panicking job must not take the pool
-                                // down: swallow it here; the main thread
-                                // notices the missing result.
-                                let _ = catch_unwind(AssertUnwindSafe(job));
-                            }
-                            Err(_) => return, // pool dropped
+    /// Spawn helpers until there are `threads`.
+    fn grow(&mut self, threads: usize) {
+        while self.workers.len() < threads {
+            #[cfg(test)]
+            HELPER_COUNTS.with(|c| c.set((c.get().0 + 1, c.get().1)));
+            let rx = Arc::clone(&self.rx);
+            let worker = std::thread::Builder::new()
+                .name(format!("polaris-worker-{}", self.workers.len()))
+                .spawn(move || loop {
+                    // A panic while the lock is held (a job that
+                    // unwinds between recv and release, or a poison
+                    // injected by a test) poisons the mutex for every
+                    // worker. The receiver itself is still intact —
+                    // poisoning only records that *some* thread
+                    // panicked — so recover the guard instead of
+                    // dying, or the pool silently shrinks one worker
+                    // per poison until submits hang forever.
+                    let job = recv_spinning(&rx.lock().unwrap_or_else(PoisonError::into_inner));
+                    match job {
+                        Ok(job) => {
+                            // A panicking job must not take the pool
+                            // down: swallow it here; the main thread
+                            // notices the missing result.
+                            let _ = catch_unwind(AssertUnwindSafe(job));
                         }
-                    })
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        ThreadPool { tx: Some(tx), workers }
+                        Err(_) => return, // pool dropped
+                    }
+                })
+                .expect("spawn worker thread");
+            self.workers.push(worker);
+        }
     }
 
-    pub(crate) fn submit(&self, job: Job) {
+    fn submit(&self, job: Job) {
         self.tx
             .as_ref()
             .expect("pool is live")
@@ -222,9 +258,9 @@ struct WorkerOut {
     steps: u64,
     /// First failing iteration index and its error, if any.
     err: Option<(u64, MachineError)>,
-    /// The lane's `Interp::{activations, arm_iterations}`.
+    /// The lane's `Interp::{activations, arm_iterations, dispatches}`.
     #[cfg(test)]
-    fence: (u64, u64),
+    fence: (u64, u64, u64),
 }
 
 /// Everything a lane needs, owned, so a helper's job closure is `'static`.
@@ -296,7 +332,7 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
     WorkerOut {
         wid,
         #[cfg(test)]
-        fence: (it.activations, it.arm_iterations),
+        fence: (it.activations, it.arm_iterations, it.dispatches),
         arrays: it.arrays,
         loops: it.loop_stats,
         chunks,
@@ -492,14 +528,17 @@ pub(crate) fn run_threaded_loop(
         let Ok(out) = catch_unwind(AssertUnwindSafe(|| {
             worker_run(lane(wid), |cycles| {
                 if unstarted < procs && ran + cycles >= threshold {
-                    let helpers = interp.cfg.procs - 1;
-                    let pool = interp.pool.get_or_insert_with(|| ThreadPool::new(helpers));
-                    for task in (unstarted..procs).map(&lane) {
-                        let tx = tx.clone();
-                        pool.submit(Box::new(move || {
-                            let _ = tx.send(worker_run(task, |_| {}));
-                        }));
-                    }
+                    HELPERS.with_borrow_mut(|pool| {
+                        pool.grow(interp.cfg.procs - 1);
+                        #[cfg(test)]
+                        HELPER_COUNTS.with(|c| c.set((c.get().0, c.get().1 + (procs - unstarted) as u64)));
+                        for task in (unstarted..procs).map(&lane) {
+                            let tx = tx.clone();
+                            pool.submit(Box::new(move || {
+                                let _ = tx.send(worker_run(task, |_| {}));
+                            }));
+                        }
+                    });
                     unstarted = procs;
                 }
             })
@@ -509,8 +548,12 @@ pub(crate) fn run_threaded_loop(
         ran += out.chunks.iter().map(|ch| ch.cycles).sum::<u64>();
         results.push(out);
     }
+    // Every lane handed over reports (or its sender drops, unwinding)
+    // before the run goes on: no work crosses into a later run.
     drop(tx);
-    results.extend(rx);
+    while let Ok(out) = recv_spinning(&rx) {
+        results.push(out);
+    }
     if results.len() < procs {
         return Err(MachineError::WorkerPanicked { loop_label: l.label.clone() });
     }
@@ -519,6 +562,7 @@ pub(crate) fn run_threaded_loop(
     for w in &results {
         interp.activations += w.fence.0;
         interp.arm_iterations += w.fence.1;
+        interp.dispatches += w.fence.2;
     }
 
     // The PD test over the lanes' marks. A lane error counts as a failed
@@ -987,22 +1031,41 @@ mod tests {
         MachineConfig { exec_mode: ExecMode::Simulated, ..threaded.clone() }
     }
 
-    /// [`crate::exec::run`], plus whether the run ever created the pool.
-    fn run_and_pool(p: &polaris_ir::Program, cfg: &MachineConfig) -> (crate::RunResult, bool) {
-        crate::exec::run_with(p, cfg, &polaris_obs::Recorder::disabled(), |it, _| it.pool.is_some())
-            .unwrap()
+    /// `f`, and the helper threads this thread spawned and the lanes it
+    /// handed them while `f` ran.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+        let (spawned, handed) = HELPER_COUNTS.with(std::cell::Cell::get);
+        let out = f();
+        let now = HELPER_COUNTS.with(std::cell::Cell::get);
+        (out, (now.0 - spawned, now.1 - handed))
+    }
+
+    /// `f` on a new thread, which starts with no helpers; a hang or an
+    /// unwind fails the test instead of stalling it.
+    fn on_a_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let thread = std::thread::spawn(move || tx.send(f()));
+        let out = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("the run hung or unwound ({e})"));
+        // Its helpers stop with it.
+        thread.join().expect("the thread and its helpers exit cleanly").expect("the result was received");
+        out
     }
 
     /// A loop the bill's guard charges as the serial side of the `IF`
     /// wakes no one: the master runs every lane itself, and the output
     /// and the bill are the simulator's.
     #[test]
-    fn doalls_under_the_guard_never_create_the_pool() {
+    fn doalls_under_the_guard_spawn_and_wake_no_helper() {
         let src = "program t\nreal a(8)\ndo k = 1, 50\n!$polaris doall\ndo i = 1, 8\n  a(i) = a(i) + k\nend do\nend do\nprint *, a(1), a(8)\nend\n";
         let p = parse(src);
         let cfg = MachineConfig::threaded(2, Schedule::Static);
-        let (thr, pool_created) = run_and_pool(&p, &cfg);
-        assert!(!pool_created, "50 forks of 8 assignments each must not spawn a thread");
+        let (thr, helpers) = on_a_fresh_thread({
+            let (p, cfg) = (p.clone(), cfg.clone());
+            move || counted(|| crate::exec::run(&p, &cfg).unwrap())
+        });
+        assert_eq!(helpers, (0, 0), "50 forks of 8 assignments each must not spawn or wake a thread");
         let sim = crate::exec::run(&p, &simulated(&cfg)).unwrap();
         assert_eq!(thr.output, sim.output);
         assert_eq!(thr.cycles, sim.cycles);
@@ -1021,12 +1084,12 @@ mod tests {
         for schedule in ALL_SCHEDULES {
             for procs in [2, 8] {
                 let cfg = MachineConfig::threaded(procs, schedule);
-                let (thr, pool_created) = run_and_pool(&p, &cfg);
+                let (thr, (_, handed)) = counted(|| crate::exec::run(&p, &cfg).unwrap());
                 let sim = crate::exec::run(&p, &simulated(&cfg)).unwrap();
                 assert_eq!(thr.output, serial.output, "{schedule:?} x {procs}");
                 assert_eq!(thr.cycles, sim.cycles, "{schedule:?} x {procs}");
                 if schedule == Schedule::Static {
-                    assert_eq!(pool_created, procs == 8, "{procs} block lanes");
+                    assert_eq!(handed, if procs == 8 { 3 } else { 0 }, "{procs} block lanes");
                 }
             }
         }
@@ -1035,7 +1098,8 @@ mod tests {
     /// A lane that panics is `WorkerPanicked` whoever ran it: the master
     /// before it forked (step 100), both threads after (5000), the helper
     /// alone (7000: lane 0 takes 6000 steps, lane 1 takes 8000). Nothing
-    /// unwinds out of `run`, nothing hangs, and the next run is clean.
+    /// unwinds out of `run`, nothing hangs, and the helper survives: the
+    /// next run on the thread spawns nothing and is clean.
     #[test]
     fn panicking_lane_is_worker_panicked_on_either_side_of_the_fork() {
         let src = "program t\nreal a(4000)\n!$polaris doall\ndo i = 1, 4000\n  a(i) = i * 1.0\n  if (i > 2000) then\n    a(i) = a(i) + 1.0\n  end if\nend do\nprint *, a(1), a(4000)\nend\n";
@@ -1045,22 +1109,47 @@ mod tests {
             (Schedule::Dynamic { chunk: 4 }, &[100, 5000][..]),
         ] {
             for &at in steps {
-                let cfg = MachineConfig { panic_at_step: Some(at), ..MachineConfig::threaded(2, schedule) };
-                let (tx, rx) = mpsc::channel();
-                std::thread::spawn(move || tx.send(crate::exec::run(&parse(src), &cfg)));
-                let result = rx
-                    .recv_timeout(std::time::Duration::from_secs(60))
-                    .unwrap_or_else(|e| panic!("{schedule:?}, step {at}: run hung or unwound ({e})"));
-                match result {
+                let cfg = MachineConfig::threaded(2, schedule);
+                let ((panicked, (spawned, _)), (clean, (respawned, _))) = on_a_fresh_thread(move || {
+                    let panicking = MachineConfig { panic_at_step: Some(at), ..cfg.clone() };
+                    let panicked = counted(|| crate::exec::run(&parse(src), &panicking));
+                    (panicked, counted(|| crate::exec::run(&parse(src), &cfg)))
+                });
+                match panicked {
                     Err(MachineError::WorkerPanicked { loop_label }) => {
                         assert!(loop_label.contains("do"), "{loop_label}")
                     }
                     other => panic!("{schedule:?}, step {at}: {other:?}"),
                 }
-                let clean = crate::exec::run(&parse(src), &MachineConfig::threaded(2, schedule)).unwrap();
-                assert_eq!(clean.output, serial.output, "{schedule:?} after step {at}");
+                assert_eq!(clean.unwrap().output, serial.output, "{schedule:?} after step {at}");
+                // Only the master's early panic comes before the fork.
+                let forked = at > 100;
+                assert_eq!((spawned, respawned), (forked as u64, !forked as u64), "{schedule:?}, step {at}");
             }
         }
+    }
+
+    /// The deterministic twin of the fork cost: the first pass over the
+    /// 26 kernels on two threads spawns the one helper, and a second pass
+    /// on the same thread hands its lanes to that helper and spawns none.
+    #[test]
+    fn helpers_outlive_the_run_that_spawned_them() {
+        let kernels = crate::vm::tests::kernels();
+        let cfg = MachineConfig::threaded(2, Schedule::Static);
+        let passes = on_a_fresh_thread(move || {
+            let pass = || {
+                counted(|| {
+                    kernels.iter().for_each(|(name, p)| {
+                        crate::exec::run(p, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+                    })
+                })
+                .1
+            };
+            [pass(), pass()]
+        });
+        let [(first, handed), (second, handed_again)] = passes;
+        assert_eq!((first, second), (1, 0));
+        assert!(handed > 0 && handed_again == handed, "{handed} then {handed_again} lanes handed over");
     }
 
     #[test]
@@ -1135,7 +1224,8 @@ mod tests {
 
     #[test]
     fn pool_survives_panicking_job() {
-        let pool = ThreadPool::new(2);
+        let mut pool = ThreadPool::new();
+        pool.grow(2);
         let (tx, rx) = mpsc::channel();
         pool.submit(Box::new(|| panic!("boom")));
         let tx2 = tx.clone();
@@ -1159,9 +1249,9 @@ mod tests {
     #[test]
     fn pool_keeps_capacity_after_panic_while_holding_queue_lock() {
         use std::sync::Barrier;
-        use std::time::Duration;
 
-        let pool = ThreadPool::new_with_poisoned_queue_lock(2);
+        let mut pool = ThreadPool::new_with_poisoned_queue_lock();
+        pool.grow(2);
 
         let barrier = Arc::new(Barrier::new(2));
         let (tx, rx) = mpsc::channel();

@@ -219,6 +219,18 @@ impl Interp<'_> {
         // Dispatch-local cycle accumulator; see the module doc for the
         // flush discipline.
         let mut cyc: u64 = 0;
+        // Instructions this activation dispatched; test builds add them
+        // to `Interp::dispatches` (`retire!`) where it returns `Ok`.
+        #[cfg(test)]
+        let mut retired: u64 = 0;
+        macro_rules! retire {
+            () => {
+                #[cfg(test)]
+                {
+                    self.dispatches += retired;
+                }
+            };
+        }
         // SAFETY of the register accessors: the compiler sizes the
         // frame (`BcBlock::max_regs` tracks the highest register any
         // instruction touches) and the assertion above holds the caller
@@ -256,6 +268,10 @@ impl Interp<'_> {
             debug_assert!(pc < code.len());
             let instr = unsafe { code.get_unchecked(pc) };
             pc += 1;
+            #[cfg(test)]
+            {
+                retired += 1;
+            }
             match instr {
                 Instr::Step => {
                     if !self.quiet_steps {
@@ -555,6 +571,7 @@ impl Interp<'_> {
                         }
                         Some(Flow::Stop) => {
                             self.loop_epilogue(l, inv, Flow::Stop)?;
+                            retire!();
                             return self.unwind_stop(bc, base);
                         }
                     }
@@ -565,6 +582,7 @@ impl Interp<'_> {
                     cyc = 0;
                     if self.loop_frames.len() == base {
                         // The range-return rule (module doc).
+                        retire!();
                         return Ok(Flow::Normal);
                     }
                     let l = &bc.loops[*lp as usize].0;
@@ -586,6 +604,7 @@ impl Interp<'_> {
                 }
                 Instr::Stop => {
                     self.cycles += cyc;
+                    retire!();
                     return self.unwind_stop(bc, base);
                 }
                 Instr::Exec(i) => {
@@ -594,11 +613,13 @@ impl Interp<'_> {
                     self.cycles += cyc;
                     cyc = 0;
                     if self.run_stmt(&bc.stmts[*i as usize])? == Flow::Stop {
+                        retire!();
                         return self.unwind_stop(bc, base);
                     }
                 }
                 Instr::Halt => {
                     self.cycles += cyc;
+                    retire!();
                     return Ok(Flow::Normal);
                 }
             }
@@ -680,14 +701,14 @@ impl Interp<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::exec::run_with;
     use crate::{MachineConfig, RunResult, Schedule};
     use polaris_ir::Program;
 
     /// The 26 kernels of `crates/benchmarks/codes`, restructured by the
     /// full pipeline, as the benchmark's exec workloads run them.
-    fn kernels() -> Vec<(String, Program)> {
+    pub(crate) fn kernels() -> Vec<(String, Program)> {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../benchmarks/codes");
         let mut files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
@@ -710,27 +731,62 @@ mod tests {
             .collect()
     }
 
-    /// A VM run, with how often it entered `dispatch` and how many
-    /// iterations its orchestration arms ran (lanes' included).
-    fn fenced(program: &Program, cfg: &MachineConfig) -> (RunResult, u64, u64) {
-        let (ran, (activations, arm_iterations)) =
+    /// A VM run, with how often it entered `dispatch`, how many
+    /// iterations its orchestration arms ran and how many instructions
+    /// it dispatched (lanes' included).
+    fn fenced(program: &Program, cfg: &MachineConfig) -> (RunResult, u64, u64, u64) {
+        let (ran, (activations, arm_iterations, dispatches)) =
             run_with(program, cfg, &polaris_obs::Recorder::disabled(), |it, _| {
-                (it.activations, it.arm_iterations)
+                (it.activations, it.arm_iterations, it.dispatches)
             })
             .unwrap();
-        (ran, activations, arm_iterations)
+        (ran, activations, arm_iterations, dispatches)
     }
+
+    /// Instructions a serial run of each kernel dispatches, in file
+    /// order: the count a change to the bytecode or the dispatch loop
+    /// moves, and must move on purpose.
+    const SERIAL_DISPATCHES: [(&str, u64); 26] = [
+        ("applu", 916_037),
+        ("appsp", 549_368),
+        ("arc2d", 1_038_953),
+        ("bdna", 1_765_172),
+        ("bucket", 36_873),
+        ("cloud3d", 729_064),
+        ("cmhog", 3_357_608),
+        ("compact", 36_129),
+        ("flo52", 928_437),
+        ("gather", 36_873),
+        ("histo", 51_529),
+        ("hydro2d", 2_433_750),
+        ("mdg", 475_058),
+        ("mmt", 393_420),
+        ("ocean", 3_061_434),
+        ("prefix", 26_115),
+        ("spmv", 34_571),
+        ("spmvt", 218_891),
+        ("stencil2d", 37_646),
+        ("su2cor", 701_489),
+        ("swim", 1_582_522),
+        ("tfft2", 396_776),
+        ("tomcatv", 2_075_993),
+        ("track", 622_630),
+        ("trfd", 1_999_712),
+        ("wave5", 210_961),
+    ];
 
     /// The mechanism, as a count: on the serial machine no iteration of
     /// any loop of any kernel — `PARALLEL`-annotated or not — leaves the
-    /// dispatch loop.
+    /// dispatch loop. And the work, as a count: instructions dispatched.
     #[test]
     fn a_serial_run_of_each_kernel_enters_dispatch_exactly_once() {
-        for (name, program) in kernels() {
-            let (ran, activations, arm_iterations) = fenced(&program, &MachineConfig::serial());
+        for ((name, program), pinned) in kernels().iter().zip(SERIAL_DISPATCHES) {
+            let (ran, activations, arm_iterations, dispatches) = fenced(program, &MachineConfig::serial());
             assert!(ran.loops.values().map(|s| s.invocations).sum::<u64>() > 0, "{name}");
             assert_eq!((activations, arm_iterations), (1, 0), "{name}");
+            assert_eq!((name.as_str(), dispatches), pinned);
         }
+        assert_eq!(SERIAL_DISPATCHES.iter().map(|(_, n)| n).sum::<u64>(), 23_717_011);
     }
 
     /// On two threads an activation beyond the first is one iteration of
@@ -740,7 +796,7 @@ mod tests {
     fn on_two_threads_every_other_activation_is_one_dispatched_iteration() {
         let cfg = MachineConfig::threaded(2, Schedule::Static);
         for (name, program) in kernels() {
-            let (ran, activations, arm_iterations) = fenced(&program, &cfg);
+            let (ran, activations, arm_iterations, _) = fenced(&program, &cfg);
             assert_eq!(activations, 1 + arm_iterations, "{name}");
             let concurrent = ran.loops.values().any(|s| s.parallel_invocations + s.spec_fail > 0);
             assert_eq!(arm_iterations > 0, concurrent, "{name}: {:?}", ran.loops);
@@ -750,7 +806,7 @@ mod tests {
         // both lanes) in each of its invocations, 300 iterations apiece,
         // and the 5 trips of the loop inside it are nobody's activation.
         let src = "program t\nreal a(300)\ndo k = 1, 4\n!$polaris doall private(J)\ndo i = 1, 300\n  do j = 1, 5\n    a(i) = a(i) + j * k\n  end do\nend do\nend do\nprint *, a(300)\nend\n";
-        let (ran, activations, _) = fenced(&polaris_ir::parse(src).unwrap(), &cfg);
+        let (ran, activations, ..) = fenced(&polaris_ir::parse(src).unwrap(), &cfg);
         assert_eq!(ran.output, ["1.500000E2"]);
         let doall = ran.loops.values().find(|s| s.parallel_invocations > 0).expect("a forked loop");
         assert_eq!((doall.invocations, doall.parallel_invocations), (4, 4));

@@ -2,9 +2,12 @@
 //!
 //! Keys are the FNV-1a hash of the request source text mixed with the
 //! pass configuration (the same unit compiled as `polaris` and as `vfa`
-//! are different entries). Only *clean* compiles — full pipeline, zero
-//! rolled-back stages, zero verifier violations — are ever inserted:
-//! caching a degraded result would let a transient fault outlive itself.
+//! are different entries). A 64-bit hash can collide, so an entry keeps
+//! the source it was compiled from and a read with any other source is a
+//! miss, whose recompile then replaces the entry. Only *clean* compiles
+//! — full pipeline, zero rolled-back stages, zero verifier violations —
+//! are ever inserted: caching a degraded result would let a transient
+//! fault outlive itself.
 //!
 //! Every read re-derives the entry's integrity hash from the stored
 //! program text and compares it to the checksum recorded at insert time.
@@ -48,6 +51,8 @@ pub enum CacheOutcome {
 const CAPACITY: usize = 1024;
 
 struct Slot {
+    /// The request source the entry was compiled from.
+    source: String,
     entry: CacheEntry,
     /// Read since the last sweep.
     hit: bool,
@@ -63,12 +68,21 @@ impl CompileCache {
         CompileCache::default()
     }
 
-    /// Integrity-checked read: a hit whose stored text no longer hashes
-    /// to its recorded checksum is purged and reported as `Poisoned`.
+    /// Integrity-checked read of an entry stored by
+    /// [`CompileCache::insert`], without a source; see `lookup`.
     pub fn get(&self, key: u64) -> CacheOutcome {
+        self.lookup(key, "")
+    }
+
+    /// Integrity-checked read of the entry `source` compiled to: an
+    /// entry of another source is a `Miss`, and a hit whose stored text
+    /// no longer hashes to its recorded checksum is purged and reported
+    /// as `Poisoned`.
+    pub(crate) fn lookup(&self, key: u64, source: &str) -> CacheOutcome {
         let mut map = lock(&self.map);
         match map.get_mut(&key) {
             None => CacheOutcome::Miss,
+            Some(slot) if slot.source != source => CacheOutcome::Miss,
             Some(slot) if fnv1a(slot.entry.program_text.as_bytes()) == slot.entry.checksum => {
                 slot.hit = true;
                 CacheOutcome::Hit(slot.entry.clone())
@@ -80,10 +94,17 @@ impl CompileCache {
         }
     }
 
-    /// Record a clean compile. The checksum is derived here from the text
-    /// so entry and integrity hash cannot disagree at insert time. A full
-    /// cache is swept first (see the module doc).
+    /// Record a clean compile under `key` alone, with no source for a
+    /// read to match; see `store`.
     pub fn insert(&self, key: u64, program_text: String, parallel_loops: u64) {
+        self.store(key, "", program_text, parallel_loops);
+    }
+
+    /// Record a clean compile of `source`, replacing whatever `key` held.
+    /// The checksum is derived here from the text so entry and integrity
+    /// hash cannot disagree at insert time. A full cache is swept first
+    /// (see the module doc).
+    pub(crate) fn store(&self, key: u64, source: &str, program_text: String, parallel_loops: u64) {
         let checksum = fnv1a(program_text.as_bytes());
         let entry = CacheEntry { program_text, checksum, parallel_loops };
         let mut map = lock(&self.map);
@@ -95,7 +116,7 @@ impl CompileCache {
                 map.clear();
             }
         }
-        map.insert(key, Slot { entry, hit: false });
+        map.insert(key, Slot { source: source.to_owned(), entry, hit: false });
     }
 
     /// Drop an entry (e.g. after a later compile of the same unit fails
@@ -186,6 +207,24 @@ mod tests {
             assert!(matches!(cache.get(key), CacheOutcome::Hit(_)));
         }
         cache.insert(u64::MAX, "y".into(), 0);
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// Two sources under one key: each reads only its own compile, and
+    /// the second's insert replaces the first's entry.
+    #[test]
+    fn a_colliding_source_misses_and_its_insert_replaces_the_entry() {
+        let (a, b) = ("program a\nend\n", "program b\nend\n");
+        let cache = CompileCache::new();
+        cache.store(3, a, "A".into(), 1);
+        assert!(matches!(cache.lookup(3, b), CacheOutcome::Miss));
+        assert!(matches!(cache.lookup(3, a), CacheOutcome::Hit(e) if e.program_text == "A"));
+        cache.store(3, b, "B".into(), 2);
+        assert!(matches!(cache.lookup(3, a), CacheOutcome::Miss));
+        match cache.lookup(3, b) {
+            CacheOutcome::Hit(e) => assert_eq!((e.program_text.as_str(), e.parallel_loops), ("B", 2)),
+            other => panic!("{other:?}"),
+        }
         assert_eq!(cache.len(), 1);
     }
 

@@ -587,7 +587,7 @@ fn ladder(inner: &Inner, slot: usize, tid: u32, pending: &Pending) -> Result<Res
     if probe {
         inner.count(Event::Probe);
     } else {
-        match inner.cache.get(key) {
+        match inner.cache.lookup(key, &pending.req.source) {
             CacheOutcome::Hit(entry) => {
                 inner.count(Event::CacheHit);
                 return Ok(cached(pending, entry, 0, None));
@@ -624,7 +624,7 @@ fn ladder(inner: &Inner, slot: usize, tid: u32, pending: &Pending) -> Result<Res
 
     // 4. Retries exhausted with no usable program: serve-cached, then
     //    reject with a backoff hint.
-    if let CacheOutcome::Hit(entry) = inner.cache.get(key) {
+    if let CacheOutcome::Hit(entry) = inner.cache.lookup(key, &pending.req.source) {
         inner.count(Event::CacheHit);
         let reason = format!("served from cache after: {last_failure}");
         return Ok(cached(pending, entry, attempt, Some(reason)));
@@ -813,7 +813,7 @@ fn compile_attempt(
                     run.and_then(Result::ok).map(|r| fnv1a(r.output.join("\n").as_bytes()));
                 let resp = Response { run_checksum, program: served, ..compiled(Status::Ok) };
                 // Clean: the only result that may enter the cache.
-                inner.cache.insert(key, text, parallel_loops);
+                inner.cache.store(key, &pending.req.source, text, parallel_loops);
                 if inner.breaker.record_success(key) {
                     inner.count(Event::Recovered);
                 }
@@ -982,15 +982,18 @@ mod tests {
     const SOURCE: &str = "program t\nx = 1.0\nprint *, x\nend\n";
 
     fn pending(id: u64, client: &str) -> (Pending, mpsc::Receiver<Response>) {
-        let (tx, rx) = mpsc::channel();
-        let req = Request {
+        pending_of(Request {
             id,
             client: client.into(),
             vfa: false,
             deadline_ms: None,
             return_program: false,
             source: SOURCE.into(),
-        };
+        })
+    }
+
+    fn pending_of(req: Request) -> (Pending, mpsc::Receiver<Response>) {
+        let (tx, rx) = mpsc::channel();
         let key = Service::content_key(&req);
         let enqueued = Instant::now();
         (Pending { req, key, deadline_at: None, enqueued, prior_attempts: 0, tx }, rx)
@@ -1070,7 +1073,7 @@ mod tests {
         for _ in 0..BREAKER_THRESHOLD {
             charge(inner, p.key, "panic: injected");
         }
-        inner.cache.insert(p.key, "program t\nend\n".into(), 0);
+        inner.cache.store(p.key, SOURCE, "program t\nend\n".into(), 0);
         let cached = ladder_of(inner, &p);
         assert_eq!(
             (cached.status, cached.exit_code, cached.attempts, cached.cached),
@@ -1080,6 +1083,35 @@ mod tests {
         assert!(cached.retry_after_ms.is_none() && cached.checksum.is_some());
         let stats = service.stats();
         assert_eq!((stats.probes, stats.cache_hits, stats.cache_misses), (1, 1, 1), "{stats:?}");
+    }
+
+    /// A key collision: B's key holds A's clean compile, as a source
+    /// whose hash equals B's would leave it. B is compiled and run, never
+    /// served A's program.
+    #[test]
+    fn a_colliding_cache_entry_is_never_served_to_another_source() {
+        let other = "program u\ny = 2.0\nprint *, y + 1.0\nend\n";
+        let request = |id, source: &str| Request {
+            id,
+            client: "t".into(),
+            vfa: false,
+            deadline_ms: None,
+            return_program: true,
+            source: source.into(),
+        };
+        let cfg = || ServiceConfig { exec_engine: Some(Engine::Vm), ..ServiceConfig::default() };
+        let answer = |service: &Service, req| ladder_of(&service.inner, &pending_of(req).0);
+
+        let service = Service::new(cfg());
+        let a = answer(&service, request(1, SOURCE));
+        let b_key = Service::content_key(&request(2, other));
+        let a_program = a.program.clone().expect("A's program");
+        service.inner.cache.store(b_key, SOURCE, a_program, a.parallel_loops.unwrap_or(0));
+        let b = answer(&service, request(2, other));
+        let fresh = answer(&Service::new(cfg()), request(2, other));
+        assert_eq!((b.status, b.cached), (Status::Ok, false), "{b:?}");
+        assert_eq!((&b.program, b.run_checksum), (&fresh.program, fresh.run_checksum));
+        assert!(b.program != a.program && b.run_checksum != a.run_checksum, "{a:?}");
     }
 
     #[test]
