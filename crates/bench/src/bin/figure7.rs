@@ -21,7 +21,7 @@
 //! ```
 
 use polaris_bench::{bar, speedups, SpeedupRow};
-use polaris_obs::json::{escape, num};
+use polaris_obs::json::Json;
 use std::process::ExitCode;
 
 const SCHEMA: &str = "polaris-bench/figure7/v9";
@@ -100,7 +100,7 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = json_path {
-        let doc = render_json(&rows, geo_polaris, geo_vfa, ahead_polaris, ahead_vfa);
+        let doc = render_json(&rows, [geo_polaris, geo_vfa], [ahead_polaris, ahead_vfa]);
         if let Err(e) = std::fs::write(&path, doc) {
             eprintln!("figure7: cannot write {path}: {e}");
             return ExitCode::FAILURE;
@@ -112,39 +112,25 @@ fn main() -> ExitCode {
 
 /// One line per kernel, stable key order, six-decimal ratios: the
 /// committed golden diffs line by line when a kernel's speedup moves.
-fn render_json(
-    rows: &[SpeedupRow],
-    geo_polaris: f64,
-    geo_vfa: f64,
-    ahead_polaris: usize,
-    ahead_vfa: usize,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    s.push_str(&format!("  \"procs\": {PROCS},\n"));
-    s.push_str("  \"kernels\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"serial_cycles\": {}, \"sim_speedup_polaris\": {}, \
-             \"sim_speedup_vfa\": {}}}{}\n",
-            escape(row.name),
-            row.serial_cycles,
-            num(row.polaris),
-            num(row.vfa),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"geomean\": {{\"sim_polaris\": {}, \"sim_vfa\": {}}},\n",
-        num(geo_polaris),
-        num(geo_vfa)
-    ));
-    s.push_str(&format!(
-        "  \"ahead\": {{\"polaris\": {ahead_polaris}, \"vfa\": {ahead_vfa}, \"of\": {}}}\n",
-        rows.len()
-    ));
-    s.push_str("}\n");
-    s
+fn render_json(rows: &[SpeedupRow], geo: [f64; 2], ahead: [usize; 2]) -> String {
+    let row = |m: Vec<(&str, Json)>| {
+        Json::Inline(Box::new(Json::Obj(m.into_iter().map(|(k, v)| (k.into(), v)).collect())))
+    };
+    let int = |n: usize| Json::Int(n as u64);
+    let kernels = rows.iter().map(|r| {
+        row(vec![
+            ("name", Json::Str(r.name.into())),
+            ("serial_cycles", Json::Int(r.serial_cycles)),
+            ("sim_speedup_polaris", Json::Num(r.polaris)),
+            ("sim_speedup_vfa", Json::Num(r.vfa)),
+        ])
+    });
+    let doc = Json::Obj(vec![
+        ("schema".into(), Json::Str(SCHEMA.into())),
+        ("procs".into(), int(PROCS)),
+        ("kernels".into(), Json::Arr(kernels.collect())),
+        ("geomean".into(), row(vec![("sim_polaris", Json::Num(geo[0])), ("sim_vfa", Json::Num(geo[1]))])),
+        ("ahead".into(), row(vec![("polaris", int(ahead[0])), ("vfa", int(ahead[1])), ("of", int(rows.len()))])),
+    ]);
+    format!("{doc}\n")
 }

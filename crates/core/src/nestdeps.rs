@@ -609,8 +609,9 @@ pub fn rectangular_band(band: &[&DoLoop]) -> Result<(), String> {
 /// one for the band rooted at `root`: `(perm, summary, identity_score,
 /// best_score)`, or `None` when the nest is already locality-optimal
 /// among its legal orders. The syntactic gates come first — a band too
-/// deep or shallow to enumerate, or not rectangular, is never summarised
-/// — and every candidate judged is entered in `nr`. With `force_illegal`
+/// deep or shallow to enumerate, or not rectangular, is never summarised,
+/// and neither is one no order of which scores below the identity — and
+/// every candidate judged is entered in `nr`. With `force_illegal`
 /// (fault injection) the rectangular gate is skipped, every cheaper
 /// order is judged, and the first **rejected** one — otherwise any other
 /// order — is returned, so the downstream refusal path has something to
@@ -631,11 +632,8 @@ pub fn better_legal_order(
         return None;
     }
     let view = IterView::of(&band[depth - 1].body);
-    let loops = band.iter().map(|l| NestLoop::of(l)).collect();
-    let summary = summarize_view(loops, &view, root, stats);
-    let vars = summary.vars();
     let score = |p: &[usize]| {
-        permutation_score(&view.refs, &p.iter().map(|&i| vars[i].clone()).collect::<Vec<_>>())
+        permutation_score(&view.refs, &p.iter().map(|&i| band[i].var.clone()).collect::<Vec<_>>())
     };
     let identity: Vec<usize> = (0..depth).collect();
     let identity_score = score(&identity);
@@ -645,6 +643,13 @@ pub fn better_legal_order(
         .map(|p| (score(&p), p))
         .collect();
     orders.sort();
+    // The summary costs up to 3ⁿ Banerjee trials per pair and dimension:
+    // build it only when some order scores below the identity.
+    if !force_illegal && orders.first().is_none_or(|(s, _)| *s >= identity_score) {
+        return None;
+    }
+    let loops = band.iter().map(|l| NestLoop::of(l)).collect();
+    let summary = summarize_view(loops, &view, root, stats);
     let (mut legal, mut rejected) = (None, None);
     for order in orders.iter().take_while(|(s, _)| *s < identity_score) {
         nr.candidates += 1;
@@ -1339,6 +1344,26 @@ mod tests {
         polaris_ir::validate::validate_program(&p).unwrap();
         // The relaxable evidence is present: the scalar reduction S.
         assert!(cert.vectors.iter().any(|v| v.array == "S" && v.relaxable), "{:?}", cert.vectors);
+    }
+
+    #[test]
+    fn an_optimal_band_is_scored_but_never_summarised() {
+        // I innermost walks `a` and `b` with unit stride: no order beats
+        // the identity, so the written array's pairs are never tested.
+        let src = "program t\nreal a(64,64), b(64,64)\n\
+                   do j = 2, 63\n  do i = 2, 63\n\
+                   \x20   a(i,j) = a(i-1,j) + b(i,j)\n\
+                   end do\nend do\nend\n";
+        let p = parse(src).unwrap();
+        let stats = DdStats::new();
+        let mut nr = NestReport::default();
+        let root = p.units[0].body.loops()[0];
+        assert!(better_legal_order("T", root, &stats, false, &mut nr).is_none());
+        assert_eq!(stats.banerjee_vectors.get(), 0);
+        assert_eq!(nr.candidates, 0);
+        // Forced, the same band is summarised: the trials above were saved.
+        assert!(better_legal_order("T", root, &stats, true, &mut nr).is_some());
+        assert!(stats.banerjee_vectors.get() > 0);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::cost::{Schedule, COSTS};
 use crate::error::MachineError;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
+use crate::oracle::Loc;
 use crate::value::{scalar_approx_eq, ArrData, ArrObj, ArrStore, Scalar, V};
 use crate::{Engine, ExecMode, MachineConfig};
 use polaris_ir::expr::{BinOp, RedOp, UnOp};
@@ -256,7 +257,7 @@ impl<'a> Interp<'a> {
             RExpr::Load(slot) => {
                 self.cycles += c.scalar;
                 if let Some(o) = self.oracle.as_deref_mut() {
-                    o.scalar_read(*slot);
+                    o.access(Loc::Scalar(*slot), false);
                 }
                 Ok(self.scalars[*slot].get())
             }
@@ -264,7 +265,7 @@ impl<'a> Interp<'a> {
                 let idx = self.element_index(*arr, subs)?;
                 self.cycles += COSTS.memory;
                 if let Some(o) = self.oracle.as_deref_mut() {
-                    o.array_read(*arr, idx);
+                    o.access(Loc::Element(*arr, idx), false);
                 }
                 if !self.spec.is_empty() {
                     self.cycles += self.mark_access(*arr, idx, false);
@@ -584,7 +585,7 @@ impl<'a> Interp<'a> {
                 let v = self.eval(rhs)?;
                 self.cycles += COSTS.scalar;
                 if let Some(o) = self.oracle.as_deref_mut() {
-                    o.scalar_write(*slot);
+                    o.access(Loc::Scalar(*slot), true);
                 }
                 self.scalars[*slot].set(v)?;
                 Ok(Flow::Normal)
@@ -597,7 +598,7 @@ impl<'a> Interp<'a> {
                     self.cycles += self.mark_access(*arr, idx, true);
                 }
                 if let Some(o) = self.oracle.as_deref_mut() {
-                    o.array_write(*arr, idx);
+                    o.access(Loc::Element(*arr, idx), true);
                 }
                 self.arrays[*arr].data.make_mut().set(idx, v)?;
                 Ok(Flow::Normal)
@@ -1052,15 +1053,23 @@ impl<'a> Interp<'a> {
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
-        // stash shared state of private vars
-        let saved_scalars: Vec<(usize, Scalar)> =
-            l.par.private_scalars.iter().map(|&s| (s, self.scalars[s])).collect();
-        let saved_arrays: Vec<(usize, Arc<ArrData>)> =
-            l.par.private_arrays.iter().map(|&a| (a, self.arrays[a].data.share())).collect();
-        // reduction setup
-        let mut red_state: Vec<(RRed, RedAccum)> = Vec::new();
+        // stash the shared state of privates and reduction targets
+        let (mut scalars, mut arrays) = (l.par.private_scalars.clone(), l.par.private_arrays.clone());
         for red in &l.par.reductions {
-            red_state.push((red.clone(), RedAccum::identity(red, self)));
+            match red.target {
+                RRef::Scalar(s) => scalars.push(s),
+                RRef::Array(a) => arrays.push(a),
+            }
+        }
+        let saved_scalars: Vec<(usize, Scalar)> =
+            scalars.iter().map(|&s| (s, self.scalars[s])).collect();
+        let saved_arrays: Vec<(usize, Arc<ArrData>)> =
+            arrays.iter().map(|&a| (a, self.arrays[a].data.share())).collect();
+        // each target's total starts at its operator's identity
+        let mut totals: Vec<ArrData> = Vec::with_capacity(l.par.reductions.len());
+        for red in &l.par.reductions {
+            set_identity(self, red);
+            totals.push(crate::threaded::capture_partial(self, red.target));
         }
 
         self.in_parallel = true;
@@ -1076,13 +1085,13 @@ impl<'a> Interp<'a> {
                 poison_array(self.arrays[a].data.make_mut());
             }
             // reduction slots start at identity each iteration
-            for (red, _) in &red_state {
+            for red in &l.par.reductions {
                 set_identity(self, red);
             }
             flow = self.run_one_iteration(l, space, idx, frame.as_mut())?;
-            // fold partials
-            for (red, accum) in red_state.iter_mut() {
-                accum.fold(red, self);
+            // total := total ∘ this iteration's partial
+            for (red, total) in l.par.reductions.iter().zip(&mut totals) {
+                crate::threaded::fold_partial(total, self, red);
             }
             if idx + 1 == space.trip() {
                 for &s in &l.par.copy_out_scalars {
@@ -1095,16 +1104,19 @@ impl<'a> Interp<'a> {
         }
         self.release_body(frame);
         self.in_parallel = false;
-        // restore privates
+        // restore privates and reduction targets
         for (s, v) in saved_scalars {
             self.scalars[s] = v;
         }
         for (a, d) in saved_arrays {
             self.arrays[a].data = ArrStore::Shared(d);
         }
-        // reductions: shared := shared op total
-        for (red, accum) in red_state {
-            accum.commit(&red, self)?;
+        // reductions: shared := initial ∘ total, as the threaded join
+        // commits; a zero-trip invocation commits nothing
+        if space.trip() > 0 {
+            for (red, total) in l.par.reductions.iter().zip(&totals) {
+                crate::threaded::commit_total(self, red, total);
+            }
         }
         // copy-out wins over the restored value
         for (s, v) in copy_out_values {
@@ -1159,102 +1171,6 @@ fn poison_array(d: &mut ArrData) {
         ArrData::I(v) => v.fill(POISON_I),
         ArrData::R(v) => v.fill(f64::NAN),
         ArrData::B(v) => v.fill(false),
-    }
-}
-
-/// Accumulated reduction partials during adversarial execution.
-enum RedAccum {
-    Scalar { initial: Scalar, total: f64, total_i: i64, any: bool },
-    Array { initial: Arc<ArrData>, totals_r: Vec<f64>, totals_i: Vec<i64> },
-}
-
-impl RedAccum {
-    fn identity(red: &RRed, interp: &mut Interp<'_>) -> RedAccum {
-        match red.target {
-            RRef::Scalar(s) => RedAccum::Scalar {
-                initial: interp.scalars[s],
-                total: red_identity_r(red.op),
-                total_i: red_identity_i(red.op),
-                any: false,
-            },
-            RRef::Array(a) => {
-                let n = interp.arrays[a].data.get().len();
-                RedAccum::Array {
-                    initial: interp.arrays[a].data.share(),
-                    totals_r: vec![red_identity_r(red.op); n],
-                    totals_i: vec![red_identity_i(red.op); n],
-                }
-            }
-        }
-    }
-
-    fn fold(&mut self, red: &RRed, interp: &mut Interp<'_>) {
-        match (self, red.target) {
-            (RedAccum::Scalar { total, total_i, any, .. }, RRef::Scalar(s)) => {
-                match interp.scalars[s] {
-                    Scalar::R(v) => *total = red_apply_r(red.op, *total, v),
-                    Scalar::I(v) => *total_i = red_apply_i(red.op, *total_i, v),
-                    Scalar::B(_) => {}
-                }
-                *any = true;
-            }
-            (RedAccum::Array { totals_r, totals_i, .. }, RRef::Array(a)) => {
-                match interp.arrays[a].data.get() {
-                    ArrData::R(vals) => {
-                        for (t, v) in totals_r.iter_mut().zip(vals) {
-                            *t = red_apply_r(red.op, *t, *v);
-                        }
-                    }
-                    ArrData::I(vals) => {
-                        for (t, v) in totals_i.iter_mut().zip(vals) {
-                            *t = red_apply_i(red.op, *t, *v);
-                        }
-                    }
-                    ArrData::B(_) => {}
-                }
-            }
-            _ => unreachable!("reduction target shape mismatch"),
-        }
-    }
-
-    fn commit(self, red: &RRed, interp: &mut Interp<'_>) -> Result<(), MachineError> {
-        match (self, red.target) {
-            (RedAccum::Scalar { initial, total, total_i, any }, RRef::Scalar(s)) => {
-                if !any {
-                    interp.scalars[s] = initial;
-                    return Ok(());
-                }
-                interp.scalars[s] = match initial {
-                    Scalar::R(v) => Scalar::R(red_apply_r(red.op, v, total)),
-                    Scalar::I(v) => Scalar::I(red_apply_i(red.op, v, total_i)),
-                    b => b,
-                };
-                Ok(())
-            }
-            (RedAccum::Array { initial, totals_r, totals_i }, RRef::Array(a)) => {
-                let merged = match initial.as_ref() {
-                    ArrData::R(vals) => ArrData::R(
-                        vals.iter()
-                            .zip(&totals_r)
-                            .map(|(v, t)| red_apply_r(red.op, *v, *t))
-                            .collect(),
-                    ),
-                    ArrData::I(vals) => ArrData::I(
-                        vals.iter()
-                            .zip(&totals_i)
-                            .map(|(v, t)| red_apply_i(red.op, *v, *t))
-                            .collect(),
-                    ),
-                    ArrData::B(_) => {
-                        interp.arrays[a].data = ArrStore::Shared(initial);
-                        return Ok(());
-                    }
-                };
-                interp.arrays[a].data = ArrStore::Owned(merged);
-                Ok(())
-            }
-            _ => unreachable!(),
-        }
     }
 }
 

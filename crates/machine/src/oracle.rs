@@ -89,6 +89,14 @@ struct Frame {
     elems: ElemMap,
 }
 
+/// One traced location: a scalar slot, or an element (flattened index)
+/// of an array.
+#[derive(Clone, Copy)]
+pub(crate) enum Loc {
+    Scalar(usize),
+    Element(usize, usize),
+}
+
 /// Storage identity of a traced variable (resolved to names at the end).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum VarKey {
@@ -174,109 +182,40 @@ impl OracleState {
         }
     }
 
-    pub(crate) fn scalar_read(&mut self, slot: usize) {
+    /// One read or write of `loc`, checked against every active loop
+    /// frame: a read after an earlier iteration's write is a flow
+    /// dependence; a write after an earlier write is an output one, and
+    /// after an earlier read an anti one.
+    pub(crate) fn access(&mut self, loc: Loc, write: bool) {
+        let (var, element) = match loc {
+            Loc::Scalar(slot) => (VarKey::Scalar(slot), None),
+            Loc::Element(arr, idx) => (VarKey::Array(arr), Some(idx as u64)),
+        };
         let agg = &mut self.agg;
         for f in &mut self.frames {
-            let cell = &mut f.scalars[slot];
-            if cell.write != NEVER && cell.write < f.iter {
-                record(
-                    agg,
-                    f.loop_id,
-                    VarKey::Scalar(slot),
-                    DepKind::Flow,
-                    cell.write,
-                    f.iter,
-                    None,
-                );
+            let cell = match loc {
+                Loc::Scalar(slot) => &mut f.scalars[slot],
+                Loc::Element(arr, idx) => {
+                    f.elems.entry(((arr as u64) << 40) | idx as u64).or_insert(EMPTY_CELL)
+                }
+            };
+            // `NEVER` is `u64::MAX`, so it is never an earlier iteration.
+            let mut carried = |kind, src: u64| {
+                if src < f.iter {
+                    record(agg, f.loop_id, var, kind, src, f.iter, element);
+                }
+            };
+            if write {
+                carried(DepKind::Output, cell.write);
+                carried(DepKind::Anti, cell.first_read);
+                cell.write = f.iter;
+                cell.first_read = NEVER;
+            } else {
+                carried(DepKind::Flow, cell.write);
+                if cell.first_read == NEVER {
+                    cell.first_read = f.iter;
+                }
             }
-            if cell.first_read == NEVER {
-                cell.first_read = f.iter;
-            }
-        }
-    }
-
-    pub(crate) fn scalar_write(&mut self, slot: usize) {
-        let agg = &mut self.agg;
-        for f in &mut self.frames {
-            let cell = &mut f.scalars[slot];
-            if cell.write != NEVER && cell.write < f.iter {
-                record(
-                    agg,
-                    f.loop_id,
-                    VarKey::Scalar(slot),
-                    DepKind::Output,
-                    cell.write,
-                    f.iter,
-                    None,
-                );
-            }
-            if cell.first_read != NEVER && cell.first_read < f.iter {
-                record(
-                    agg,
-                    f.loop_id,
-                    VarKey::Scalar(slot),
-                    DepKind::Anti,
-                    cell.first_read,
-                    f.iter,
-                    None,
-                );
-            }
-            cell.write = f.iter;
-            cell.first_read = NEVER;
-        }
-    }
-
-    pub(crate) fn array_read(&mut self, arr: usize, idx: usize) {
-        let key = ((arr as u64) << 40) | idx as u64;
-        let agg = &mut self.agg;
-        for f in &mut self.frames {
-            let cell = f.elems.entry(key).or_insert(EMPTY_CELL);
-            if cell.write != NEVER && cell.write < f.iter {
-                record(
-                    agg,
-                    f.loop_id,
-                    VarKey::Array(arr),
-                    DepKind::Flow,
-                    cell.write,
-                    f.iter,
-                    Some(idx as u64),
-                );
-            }
-            if cell.first_read == NEVER {
-                cell.first_read = f.iter;
-            }
-        }
-    }
-
-    pub(crate) fn array_write(&mut self, arr: usize, idx: usize) {
-        let key = ((arr as u64) << 40) | idx as u64;
-        let agg = &mut self.agg;
-        for f in &mut self.frames {
-            let cell = f.elems.entry(key).or_insert(EMPTY_CELL);
-            if cell.write != NEVER && cell.write < f.iter {
-                record(
-                    agg,
-                    f.loop_id,
-                    VarKey::Array(arr),
-                    DepKind::Output,
-                    cell.write,
-                    f.iter,
-                    Some(idx as u64),
-                );
-            }
-            if cell.first_read != NEVER && cell.first_read < f.iter {
-                record(
-                    agg,
-                    f.loop_id,
-                    VarKey::Array(arr),
-                    DepKind::Anti,
-                    cell.first_read,
-                    f.iter,
-                    Some(idx as u64),
-                );
-            }
-            cell.write = f.iter;
-            cell.first_read = NEVER;
         }
     }
 

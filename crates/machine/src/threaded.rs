@@ -102,7 +102,7 @@ use crate::claims::Claims;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::error::MachineError;
 use crate::exec::{red_apply_i, red_apply_r, set_identity, Flow, Interp};
-use crate::lower::{RLoop, RRef};
+use crate::lower::{RLoop, RRed, RRef};
 use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
@@ -347,7 +347,7 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
 /// A reduction target's current contents as a partial: an array's
 /// elements, a scalar as a one-element array. Reductions do not apply to
 /// logical targets; their partial is empty and merges to nothing.
-fn capture_partial(it: &Interp<'_>, target: RRef) -> ArrData {
+pub(crate) fn capture_partial(it: &Interp<'_>, target: RRef) -> ArrData {
     match target {
         RRef::Scalar(s) => match it.scalars[s] {
             Scalar::R(v) => ArrData::R(vec![v]),
@@ -371,6 +371,41 @@ fn merge_partial(acc: &mut ArrData, part: &ArrData, op: RedOp) {
             a.iter_mut().zip(p).for_each(|(x, y)| *x = red_apply_i(op, *x, *y));
         }
         _ => {}
+    }
+}
+
+/// `total := total ∘ partial`, the partial read in place from `red`'s
+/// target: what adversarial validation does after each iteration.
+pub(crate) fn fold_partial(total: &mut ArrData, it: &Interp<'_>, red: &RRed) {
+    match (red.target, total) {
+        (RRef::Array(a), total) => merge_partial(total, it.arrays[a].data.get(), red.op),
+        (RRef::Scalar(s), ArrData::R(t)) => {
+            if let Scalar::R(v) = it.scalars[s] {
+                t[0] = red_apply_r(red.op, t[0], v);
+            }
+        }
+        (RRef::Scalar(s), ArrData::I(t)) => {
+            if let Scalar::I(v) = it.scalars[s] {
+                t[0] = red_apply_i(red.op, t[0], v);
+            }
+        }
+        (RRef::Scalar(_), ArrData::B(_)) => {}
+    }
+}
+
+/// `shared := shared ∘ total`: commit a reduction's total to its target.
+pub(crate) fn commit_total(it: &mut Interp<'_>, red: &RRed, total: &ArrData) {
+    match red.target {
+        RRef::Array(a) => merge_partial(it.arrays[a].data.make_mut(), total, red.op),
+        RRef::Scalar(s) => {
+            let mut shared = capture_partial(it, red.target);
+            merge_partial(&mut shared, total, red.op);
+            match shared {
+                ArrData::R(v) => it.scalars[s] = Scalar::R(v[0]),
+                ArrData::I(v) => it.scalars[s] = Scalar::I(v[0]),
+                ArrData::B(_) => {}
+            }
+        }
     }
 }
 
@@ -669,18 +704,7 @@ pub(crate) fn run_threaded_loop(
     });
     // `trip > 0`, so there is a chunk 0 and the tree left the total there.
     for (red, total) in l.par.reductions.iter().zip(&partials[0]) {
-        match red.target {
-            RRef::Array(a) => merge_partial(interp.arrays[a].data.make_mut(), total, red.op),
-            RRef::Scalar(s) => {
-                let mut shared = capture_partial(interp, red.target);
-                merge_partial(&mut shared, total, red.op);
-                match shared {
-                    ArrData::R(v) => interp.scalars[s] = Scalar::R(v[0]),
-                    ArrData::I(v) => interp.scalars[s] = Scalar::I(v[0]),
-                    ArrData::B(_) => {}
-                }
-            }
-        }
+        commit_total(interp, red, total);
         merge_bytes += 8 * total.len() as u64;
     }
 

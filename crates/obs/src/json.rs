@@ -1,48 +1,101 @@
 //! The workspace's one JSON layer.
 //!
-//! The workspace deliberately carries no JSON dependency: every exported
+//! The workspace deliberately carries no JSON dependency. Every exported
 //! document (metrics, Chrome traces, oracle/verify/lint reports, the
-//! Figure 7 document, the `polarisd/v1` wire protocol) is hand-written.
-//! This module holds the three pieces they share — string [`escape`],
-//! the finite-only float formatter [`num`], and the [`Json`] value with
-//! its parser — so there is one place that knows the grammar.
+//! Figure 7 document, the `polarisd/v1` wire protocol) is built as a
+//! [`Json`] value and printed by its `Display` impl, and every document
+//! read back goes through [`Json::parse`]: this module is the one place
+//! that parses, prints and escapes JSON.
 
-/// Escape `s` for use inside a JSON string literal (quotes not included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+use std::fmt::{self, Write};
+
+/// Write `s` as a string literal. Unescaped runs go out as one slice;
+/// every escaped byte is ASCII, so a run ends on a character boundary.
+fn escape(out: &mut dyn Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate().filter(|&(_, b)| b < 0x20 || b == b'"' || b == b'\\') {
+        out.write_str(&s[run..i])?;
+        match b {
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b'"' | b'\\' => write!(out, "\\{}", b as char)?,
+            _ => write!(out, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
-    out
-}
-
-/// Finite-only float formatting, six decimals (JSON has no NaN/Infinity
-/// literals; those become `null`).
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// A minimal JSON value. Objects keep their keys in document order.
+/// Printed, a block `Arr` or `Obj` puts one member per line, two spaces
+/// deeper per level, and its closing bracket on a line of its own; an
+/// `Inline` one prints on one line. The parser never produces `Int` or
+/// `Inline`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
     Num(f64),
+    /// An integer, printed without decimals.
+    Int(u64),
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
+    /// An `Arr` or `Obj` printed on one line, with everything inside it.
+    Inline(Box<Json>),
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, Some(0))
+    }
+}
+
+/// `brackets` around `items`, each written by `item`: one per line below
+/// a container at `depth`, or all on one line when `depth` is `None`.
+fn container<T>(
+    out: &mut dyn Write,
+    depth: Option<usize>,
+    brackets: &str,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut dyn Write, T) -> fmt::Result,
+) -> fmt::Result {
+    out.write_str(&brackets[..1])?;
+    for (i, v) in items.into_iter().enumerate() {
+        match depth {
+            Some(d) => write!(out, "{}\n{:2$}", if i > 0 { "," } else { "" }, "", 2 * d + 2)?,
+            None if i > 0 => out.write_str(", ")?,
+            None => {}
+        }
+        item(out, v)?;
+    }
+    if let Some(d) = depth {
+        write!(out, "\n{:1$}", "", 2 * d)?;
+    }
+    out.write_str(&brackets[1..])
+}
+
+/// Print `doc`, a block object, with member `key`'s value replaced by a
+/// block array of `items`, each printed and dropped in turn: for a
+/// document too large to hold as one value (a capped Chrome trace holds
+/// 2²⁰ events).
+pub(crate) fn print_streamed(doc: &Json, key: &str, items: impl Iterator<Item = Json>) -> String {
+    let members = doc.as_obj().expect("a streamed document is an object");
+    let mut items = Some(items);
+    let mut out = String::new();
+    container(&mut out, Some(0), "{}", members, |out, (k, v)| {
+        escape(out, k)?;
+        out.write_str(": ")?;
+        match items.take_if(|_| k == key) {
+            Some(items) => container(out, Some(1), "[]", items, |out, v| v.write(out, Some(2))),
+            None => v.write(out, Some(1)),
+        }
+    })
+    .expect("printing into a String cannot fail");
+    out
 }
 
 impl Json {
@@ -85,6 +138,27 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.as_obj()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
+
+    /// Print as a container at `depth` would (`None`: on one line).
+    fn write(&self, out: &mut dyn Write, depth: Option<usize>) -> fmt::Result {
+        let inner = depth.map(|d| d + 1);
+        match self {
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => write!(out, "{b}"),
+            // Six decimals; JSON has no NaN or Infinity literal.
+            Json::Num(v) if v.is_finite() => write!(out, "{v:.6}"),
+            Json::Num(_) => out.write_str("null"),
+            Json::Int(n) => write!(out, "{n}"),
+            Json::Str(s) => escape(out, s),
+            Json::Inline(v) => v.write(out, None),
+            Json::Arr(items) => container(out, depth, "[]", items, |out, v| v.write(out, inner)),
+            Json::Obj(members) => container(out, depth, "{}", members, |out, (k, v)| {
+                escape(out, k)?;
+                out.write_str(": ")?;
+                v.write(out, inner)
+            }),
+        }
+    }
 }
 
 struct Parser<'a> {
@@ -114,8 +188,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.seq(*b"{}", Self::member).map(Json::Obj),
+            Some(b'[') => self.seq(*b"[]", Self::value).map(Json::Arr),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
@@ -229,55 +303,40 @@ impl Parser<'_> {
         Ok(char::from_u32(hi).unwrap_or('\u{fffd}'))
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+    /// `open`, then `item`s separated by commas, then `close`.
+    fn seq<T>(
+        &mut self,
+        [open, close]: [u8; 2],
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.expect(open)?;
         let mut out = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Obj(out));
+            return Ok(out);
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            out.push((key, val));
+            out.push(item(self)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(Json::Obj(out));
+                    return Ok(out);
                 }
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
+                other => return Err(format!("expected `,` or `{}`, got {other:?}", close as char)),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
+    fn member(&mut self) -> Result<(String, Json), String> {
+        let key = self.string()?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                other => return Err(format!("expected `,` or `]`, got {other:?}")),
-            }
-        }
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok((key, self.value()?))
     }
 }
 
@@ -292,20 +351,100 @@ mod tests {
         }
     }
 
+    fn str(s: &str) -> Json {
+        Json::Str(s.into())
+    }
+
+    fn inline(v: Json) -> Json {
+        Json::Inline(Box::new(v))
+    }
+
     #[test]
     fn escape_round_trips_through_the_parser() {
         for s in ["plain", "q\"uote\\slash", "line\nfeed\r\ttab", "\u{1}\u{1f}", "é ∑ 😀", ""]
         {
-            assert_eq!(parse_str(&format!("\"{}\"", escape(s))), s, "{s:?}");
+            assert_eq!(parse_str(&str(s).to_string()), s, "{s:?}");
         }
-        assert_eq!(escape("a\tb\rc\u{2}"), "a\\tb\\rc\\u0002");
+        assert_eq!(str("a\tb\rc\u{2}é").to_string(), "\"a\\tb\\rc\\u0002é\"");
     }
 
     #[test]
     fn num_is_six_decimals_and_finite_only() {
-        assert_eq!(num(1.5), "1.500000");
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
+        assert_eq!(Json::Num(1.5).to_string(), "1.500000");
+        assert_eq!(Json::Num(-0.25).to_string(), "-0.250000");
+        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+        assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+        assert_eq!(Json::Num(f64::NEG_INFINITY).to_string(), "null");
+        assert_eq!(Json::Int(0).to_string(), "0");
+        assert_eq!(Json::Int(u64::MAX).to_string(), "18446744073709551615");
+    }
+
+    #[test]
+    fn block_containers_put_one_member_per_line() {
+        let doc = Json::Obj(vec![
+            ("a".into(), Json::Arr(vec![Json::Int(1), Json::Null, Json::Bool(true)])),
+            ("empty_arr".into(), Json::Arr(Vec::new())),
+            ("empty_obj".into(), Json::Obj(Vec::new())),
+            ("nested".into(), Json::Obj(vec![("x".into(), Json::Obj(vec![("y".into(), str("z"))]))])),
+        ]);
+        let want = "{\n  \"a\": [\n    1,\n    null,\n    true\n  ],\n  \"empty_arr\": [\n  ],\n  \
+                    \"empty_obj\": {\n  },\n  \"nested\": {\n    \"x\": {\n      \"y\": \"z\"\n    }\n  }\n}";
+        assert_eq!(doc.to_string(), want);
+        assert_eq!(Json::Arr(Vec::new()).to_string(), "[\n]");
+    }
+
+    #[test]
+    fn inline_containers_print_on_one_line_with_everything_inside() {
+        let row = inline(Json::Obj(vec![
+            ("k".into(), Json::Int(1)),
+            ("block_inside".into(), Json::Arr(vec![Json::Num(0.5), Json::Obj(Vec::new())])),
+            ("e".into(), Json::Arr(Vec::new())),
+        ]));
+        assert_eq!(row.to_string(), r#"{"k": 1, "block_inside": [0.500000, {}], "e": []}"#);
+        assert_eq!(inline(Json::Obj(Vec::new())).to_string(), "{}");
+        assert_eq!(inline(Json::Arr(Vec::new())).to_string(), "[]");
+        let doc = Json::Obj(vec![
+            ("rows".into(), Json::Arr(vec![row.clone(), row])),
+            ("empty".into(), inline(Json::Arr(Vec::new()))),
+        ]);
+        let line = r#"{"k": 1, "block_inside": [0.500000, {}], "e": []}"#;
+        assert_eq!(doc.to_string(), format!("{{\n  \"rows\": [\n    {line},\n    {line}\n  ],\n  \"empty\": []\n}}"));
+    }
+
+    #[test]
+    fn keys_and_values_are_escaped() {
+        let doc = inline(Json::Obj(vec![("k\"e\ny".into(), str("v\\al\u{7f}\u{1b}"))]));
+        // DEL (0x7f) is no control character JSON escapes; ESC (0x1b) is.
+        assert_eq!(doc.to_string(), "{\"k\\\"e\\ny\": \"v\\\\al\u{7f}\\u001b\"}");
+        let back = Json::parse(&doc.to_string()).unwrap();
+        assert_eq!(back.get("k\"e\ny").and_then(Json::as_str), Some("v\\al\u{7f}\u{1b}"));
+    }
+
+    #[test]
+    fn printed_documents_parse_back_to_their_values() {
+        let doc = Json::Obj(vec![
+            ("s".into(), str("x\ty")),
+            ("n".into(), Json::Num(2.5)),
+            ("rows".into(), Json::Arr(vec![inline(Json::Arr(vec![Json::Bool(false), Json::Null]))])),
+        ]);
+        let back = Json::parse(&doc.to_string()).unwrap();
+        assert_eq!(back.get("s"), Some(&str("x\ty")));
+        assert_eq!(back.get("n"), Some(&Json::Num(2.5)));
+        assert_eq!(back.get("rows"), Some(&Json::Arr(vec![Json::Arr(vec![Json::Bool(false), Json::Null])])));
+    }
+
+    #[test]
+    fn a_streamed_member_prints_as_the_whole_value_would() {
+        let rows = || (0..3).map(|i| inline(Json::Obj(vec![("i".into(), Json::Int(i))])));
+        let doc = |arr: Vec<Json>| {
+            Json::Obj(vec![
+                ("head".into(), str("h")),
+                ("rows".into(), Json::Arr(arr)),
+                ("tail".into(), inline(Json::Obj(Vec::new()))),
+            ])
+        };
+        assert_eq!(print_streamed(&doc(Vec::new()), "rows", rows()), doc(rows().collect()).to_string());
+        assert_eq!(print_streamed(&doc(Vec::new()), "rows", std::iter::empty()), doc(Vec::new()).to_string());
     }
 
     #[test]

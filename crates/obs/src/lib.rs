@@ -34,6 +34,7 @@
 
 pub mod json;
 
+use json::Json;
 use polaris_ir::stmt::LoopId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -438,28 +439,27 @@ impl Recorder {
         }
     }
 
+    /// `f` of the recorded state (of an empty one when disabled).
+    fn read<T>(&self, f: impl FnOnce(&State) -> T) -> T {
+        match self.inner.as_deref() {
+            None => f(&State::default()),
+            Some(inner) => f(&inner.state.lock().unwrap()),
+        }
+    }
+
     /// Snapshot of the counters (stable dotted name → value).
     pub fn counters(&self) -> BTreeMap<&'static str, u64> {
-        match self.inner.as_deref() {
-            None => BTreeMap::new(),
-            Some(inner) => inner.state.lock().unwrap().counters.clone(),
-        }
+        self.read(|st| st.counters.clone())
     }
 
     /// Snapshot of the recorded events, in record order.
     pub fn events(&self) -> Vec<Event> {
-        match self.inner.as_deref() {
-            None => Vec::new(),
-            Some(inner) => inner.state.lock().unwrap().events.clone(),
-        }
+        self.read(|st| st.events.clone())
     }
 
     /// Spans dropped because the [`MAX_EVENTS`] cap was reached.
     pub fn events_dropped(&self) -> u64 {
-        match self.inner.as_deref() {
-            None => 0,
-            Some(inner) => inner.state.lock().unwrap().dropped,
-        }
+        self.read(|st| st.dropped)
     }
 
     /// Chrome trace-event document (`chrome://tracing` / Perfetto).
@@ -467,87 +467,56 @@ impl Recorder {
     /// counters ride along under the non-standard top-level key
     /// `"counters"`, which viewers ignore.
     pub fn chrome_trace_json(&self) -> String {
-        let events = self.events();
-        let counters = self.counters();
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"displayTimeUnit\": \"ms\",\n");
-        s.push_str("  \"traceEvents\": [\n");
-        for (i, e) in events.iter().enumerate() {
-            let ph = match e.phase {
-                Phase::Begin => "B",
-                Phase::End => "E",
-            };
-            s.push_str(&format!(
-                "    {{\"ph\": \"{ph}\", \"cat\": \"{}\", \"name\": \"{}\", \
-                 \"pid\": 1, \"tid\": {}, \"ts\": {}",
-                json::escape(e.cat),
-                json::escape(&e.name),
-                e.tid,
-                e.ts_us
-            ));
-            if e.loop_id.is_some() || e.unit.is_some() {
-                s.push_str(", \"args\": {");
-                let mut first = true;
-                if let Some(id) = e.loop_id {
-                    s.push_str(&format!("\"loop_id\": {}", id.0));
-                    first = false;
-                }
-                if let Some(u) = &e.unit {
-                    if !first {
-                        s.push_str(", ");
-                    }
-                    s.push_str(&format!("\"unit\": \"{}\"", json::escape(u)));
-                }
-                s.push('}');
+        let doc = Json::Obj(vec![
+            ("displayTimeUnit".into(), Json::Str("ms".into())),
+            ("traceEvents".into(), Json::Arr(Vec::new())),
+            ("counters".into(), Json::Inline(Box::new(self.counters_json()))),
+        ]);
+        let events = self.events().into_iter().map(|e| {
+            let ph = if e.phase == Phase::Begin { "B" } else { "E" };
+            let mut m = vec![
+                ("ph".into(), Json::Str(ph.into())),
+                ("cat".into(), Json::Str(e.cat.into())),
+                ("name".into(), Json::Str(e.name)),
+                ("pid".into(), Json::Int(1)),
+                ("tid".into(), Json::Int(e.tid.into())),
+                ("ts".into(), Json::Int(e.ts_us)),
+            ];
+            let loop_id = e.loop_id.map(|id| ("loop_id".into(), Json::Int(id.0.into())));
+            let unit = e.unit.map(|u| ("unit".into(), Json::Str(u)));
+            let args: Vec<_> = loop_id.into_iter().chain(unit).collect();
+            if !args.is_empty() {
+                m.push(("args".into(), Json::Obj(args)));
             }
-            s.push('}');
-            s.push_str(if i + 1 == events.len() { "\n" } else { ",\n" });
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"counters\": {");
-        for (i, (k, v)) in counters.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {v}", json::escape(k)));
-        }
-        s.push_str("}\n");
-        s.push_str("}\n");
-        s
+            Json::Inline(Box::new(Json::Obj(m)))
+        });
+        json::print_streamed(&doc, "traceEvents", events) + "\n"
     }
 
     /// Stable JSON metrics document (schema `polaris-obs/metrics/v1`):
     /// the counters plus per-(cat, name) span aggregates. Under the
     /// virtual clock the whole document is deterministic.
     pub fn metrics_json(&self) -> String {
-        let counters = self.counters();
-        let spans = aggregate_spans(&self.events());
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"polaris-obs/metrics/v1\",\n");
-        s.push_str(&format!("  \"clock\": \"{}\",\n", self.clock_name()));
-        s.push_str(&format!("  \"events_dropped\": {},\n", self.events_dropped()));
-        s.push_str("  \"counters\": {\n");
-        for (i, (k, v)) in counters.iter().enumerate() {
-            s.push_str(&format!("    \"{}\": {v}", json::escape(k)));
-            s.push_str(if i + 1 == counters.len() { "\n" } else { ",\n" });
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"spans\": [\n");
-        for (i, ((cat, name), agg)) in spans.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"cat\": \"{}\", \"name\": \"{}\", \"count\": {}, \"total_us\": {}}}",
-                json::escape(cat),
-                json::escape(name),
-                agg.count,
-                agg.total_us
-            ));
-            s.push_str(if i + 1 == spans.len() { "\n" } else { ",\n" });
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        let spans = aggregate_spans(&self.events()).into_iter().map(|((cat, name), agg)| {
+            Json::Inline(Box::new(Json::Obj(vec![
+                ("cat".into(), Json::Str(cat.into())),
+                ("name".into(), Json::Str(name)),
+                ("count".into(), Json::Int(agg.count)),
+                ("total_us".into(), Json::Int(agg.total_us)),
+            ])))
+        });
+        let doc = Json::Obj(vec![
+            ("schema".into(), Json::Str("polaris-obs/metrics/v1".into())),
+            ("clock".into(), Json::Str(self.clock_name().into())),
+            ("events_dropped".into(), Json::Int(self.events_dropped())),
+            ("counters".into(), self.counters_json()),
+            ("spans".into(), Json::Arr(spans.collect())),
+        ]);
+        format!("{doc}\n")
+    }
+
+    fn counters_json(&self) -> Json {
+        Json::Obj(self.counters().into_iter().map(|(k, v)| (k.into(), Json::Int(v))).collect())
     }
 }
 

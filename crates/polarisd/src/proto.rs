@@ -1,7 +1,7 @@
 //! The `polarisd/v1` JSON-lines wire protocol.
 //!
 //! One request per line in, one response per line out, over stdin/stdout
-//! or a TCP connection. The JSON value, parser and string escaping are
+//! or a TCP connection. The JSON value, parser, printer and escaping are
 //! the workspace's shared ones ([`polaris_obs::json`]); this module maps
 //! them onto the request/response schema.
 //!
@@ -33,7 +33,6 @@
 //! | `degraded` with invariant violations | 2 |
 
 pub use polaris_obs::json::Json;
-use polaris_obs::json::escape;
 use std::fmt;
 
 /// FNV-1a over raw bytes — the same checksum family the bench documents
@@ -153,20 +152,17 @@ impl Request {
 
     /// Serialize (the client side of the wire).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("{{\"id\": {}, \"client\": \"{}\"", self.id, escape(&self.client)));
-        s.push_str(&format!(
-            ", \"config\": \"{}\"",
-            if self.vfa { "vfa" } else { "polaris" }
-        ));
-        if let Some(ms) = self.deadline_ms {
-            s.push_str(&format!(", \"deadline_ms\": {ms}"));
-        }
-        if self.return_program {
-            s.push_str(", \"return_program\": true");
-        }
-        s.push_str(&format!(", \"source\": \"{}\"}}", escape(&self.source)));
-        s
+        // The two options are left out when unset.
+        let m = [
+            Some(("id", Json::Int(self.id))),
+            Some(("client", Json::Str(self.client.clone()))),
+            Some(("config", Json::Str(if self.vfa { "vfa" } else { "polaris" }.into()))),
+            self.deadline_ms.map(|ms| ("deadline_ms", Json::Int(ms))),
+            self.return_program.then_some(("return_program", Json::Bool(true))),
+            Some(("source", Json::Str(self.source.clone()))),
+        ];
+        let m = m.into_iter().flatten().map(|(k, v)| (k.into(), v)).collect();
+        Json::Inline(Box::new(Json::Obj(m))).to_string()
     }
 }
 
@@ -222,46 +218,25 @@ impl Response {
     }
 
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{{\"schema\": \"polarisd/v1\", \"id\": {}, \"status\": \"{}\", \
-             \"exit_code\": {}, \"attempts\": {}, \"cached\": {}",
-            self.id, self.status, self.exit_code, self.attempts, self.cached
-        ));
-        match self.checksum {
-            Some(h) => s.push_str(&format!(", \"checksum\": \"{}\"", checksum_str(h))),
-            None => s.push_str(", \"checksum\": null"),
-        }
-        match self.run_checksum {
-            Some(h) => s.push_str(&format!(", \"run_checksum\": \"{}\"", checksum_str(h))),
-            None => s.push_str(", \"run_checksum\": null"),
-        }
-        match self.parallel_loops {
-            Some(n) => s.push_str(&format!(", \"parallel_loops\": {n}")),
-            None => s.push_str(", \"parallel_loops\": null"),
-        }
-        s.push_str(", \"degraded_stages\": [");
-        for (i, d) in self.degraded_stages.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\"", escape(d)));
-        }
-        s.push(']');
-        match &self.reason {
-            Some(r) => s.push_str(&format!(", \"reason\": \"{}\"", escape(r))),
-            None => s.push_str(", \"reason\": null"),
-        }
-        match self.retry_after_ms {
-            Some(ms) => s.push_str(&format!(", \"retry_after_ms\": {ms}")),
-            None => s.push_str(", \"retry_after_ms\": null"),
-        }
-        match &self.program {
-            Some(p) => s.push_str(&format!(", \"program\": \"{}\"", escape(p))),
-            None => s.push_str(", \"program\": null"),
-        }
-        s.push('}');
-        s
+        let sum = |h: Option<u64>| h.map_or(Json::Null, |h| Json::Str(checksum_str(h)));
+        let text = |t: &Option<String>| t.clone().map_or(Json::Null, Json::Str);
+        let stages = self.degraded_stages.iter().map(|d| Json::Str(d.clone())).collect();
+        Json::Inline(Box::new(Json::Obj(vec![
+            ("schema".into(), Json::Str("polarisd/v1".into())),
+            ("id".into(), Json::Int(self.id)),
+            ("status".into(), Json::Str(self.status.as_str().into())),
+            ("exit_code".into(), Json::Int(self.exit_code.into())),
+            ("attempts".into(), Json::Int(self.attempts.into())),
+            ("cached".into(), Json::Bool(self.cached)),
+            ("checksum".into(), sum(self.checksum)),
+            ("run_checksum".into(), sum(self.run_checksum)),
+            ("parallel_loops".into(), self.parallel_loops.map_or(Json::Null, Json::Int)),
+            ("degraded_stages".into(), Json::Arr(stages)),
+            ("reason".into(), text(&self.reason)),
+            ("retry_after_ms".into(), self.retry_after_ms.map_or(Json::Null, Json::Int)),
+            ("program".into(), text(&self.program)),
+        ])))
+        .to_string()
     }
 
     /// Parse one response line (the client side of the wire).
@@ -378,6 +353,62 @@ mod tests {
         };
         let parsed = Response::parse(&resp.to_json()).unwrap();
         assert_eq!(parsed, resp);
+    }
+
+    // The wire's exact bytes: one line, `"key": value` members joined by
+    // `", "`, absent values as `null`, absent request options left out.
+
+    #[test]
+    fn a_full_response_prints_its_exact_wire_line() {
+        let resp = Response {
+            id: 7,
+            status: Status::Degraded,
+            exit_code: 1,
+            attempts: 3,
+            cached: false,
+            checksum: Some(0xdeadbeef),
+            run_checksum: Some(0xfeedface),
+            parallel_loops: Some(2),
+            degraded_stages: vec!["dce".into(), "ti\"le".into()],
+            reason: Some("panic: \"injected\"\tat\\x".into()),
+            retry_after_ms: Some(30),
+            program: Some("program t\nend\n".into()),
+        };
+        assert_eq!(
+            resp.to_json(),
+            r#"{"schema": "polarisd/v1", "id": 7, "status": "degraded", "exit_code": 1, "attempts": 3, "cached": false, "checksum": "fnv1a:00000000deadbeef", "run_checksum": "fnv1a:00000000feedface", "parallel_loops": 2, "degraded_stages": ["dce", "ti\"le"], "reason": "panic: \"injected\"\tat\\x", "retry_after_ms": 30, "program": "program t\nend\n"}"#
+        );
+    }
+
+    #[test]
+    fn an_empty_response_prints_nulls_and_an_empty_list() {
+        assert_eq!(
+            Response::empty(9, Status::Cached).to_json(),
+            r#"{"schema": "polarisd/v1", "id": 9, "status": "cached", "exit_code": 0, "attempts": 0, "cached": false, "checksum": null, "run_checksum": null, "parallel_loops": null, "degraded_stages": [], "reason": null, "retry_after_ms": null, "program": null}"#
+        );
+    }
+
+    #[test]
+    fn a_request_prints_its_options_only_when_set() {
+        let mut req = Request {
+            id: 42,
+            client: "c\"1".into(),
+            vfa: true,
+            deadline_ms: Some(250),
+            return_program: true,
+            source: "program t\nend\n".into(),
+        };
+        assert_eq!(
+            req.to_json(),
+            r#"{"id": 42, "client": "c\"1", "config": "vfa", "deadline_ms": 250, "return_program": true, "source": "program t\nend\n"}"#
+        );
+        req.vfa = false;
+        req.deadline_ms = None;
+        req.return_program = false;
+        assert_eq!(
+            req.to_json(),
+            r#"{"id": 42, "client": "c\"1", "config": "polaris", "source": "program t\nend\n"}"#
+        );
     }
 
     #[test]

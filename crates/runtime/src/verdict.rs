@@ -21,7 +21,7 @@
 //! the conformance tests) needs the types without needing the machine.
 
 use polaris_ir::stmt::LoopId;
-use polaris_obs::json::{escape, num};
+use polaris_obs::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -209,79 +209,54 @@ impl OracleReport {
         out
     }
 
-    /// Deterministic JSON rendering (hand-rolled; the workspace has no
-    /// serde): stable key order, no timings, suitable for golden files.
+    /// Deterministic JSON document: stable key order, no timings,
+    /// suitable for golden files.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"polaris-oracle/v1\",\n");
-        s.push_str(&format!("  \"violations\": {},\n", self.violations().count()));
-        s.push_str(&format!(
-            "  \"serial_loops_exercised\": {},\n",
-            self.serial_loops_exercised()
-        ));
-        s.push_str(&format!("  \"completeness_misses\": {},\n", self.completeness_misses()));
-        s.push_str(&format!("  \"privatizable_misses\": {},\n", self.privatizable_misses()));
-        s.push_str(&format!("  \"miss_rate\": {},\n", num(self.miss_rate())));
-        s.push_str("  \"misses_by_pass\": {");
-        let by_pass = self.misses_by_pass();
-        for (i, (pass, n)) in by_pass.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {n}", escape(pass)));
-        }
-        s.push_str("},\n");
-        s.push_str("  \"loops\": [\n");
-        for (i, l) in self.loops.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"label\": \"{}\",\n", escape(&l.label)));
-            s.push_str(&format!("      \"loop_id\": {},\n", l.loop_id.0));
-            s.push_str(&format!("      \"claim\": \"{}\",\n", l.claim.as_str()));
-            match &l.serial_reason {
-                Some(r) => s.push_str(&format!(
-                    "      \"serial_reason\": \"{}\",\n",
-                    escape(r)
-                )),
-                None => s.push_str("      \"serial_reason\": null,\n"),
-            }
-            s.push_str(&format!("      \"invocations\": {},\n", l.invocations));
-            s.push_str(&format!("      \"max_trip\": {},\n", l.max_trip));
-            s.push_str("      \"deps\": [");
-            for (j, d) in l.deps.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "{{\"var\": \"{}\", \"kind\": \"{}\", \"count\": {}, \"src_iter\": {}, \"dst_iter\": {}}}",
-                    escape(&d.var),
-                    d.kind,
-                    d.count,
-                    d.src_iter,
-                    d.dst_iter
-                ));
-            }
-            s.push_str("],\n");
-            s.push_str("      \"violations\": [");
-            for (j, v) in l.violations.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "{{\"var\": \"{}\", \"kind\": \"{}\", \"detail\": \"{}\"}}",
-                    escape(&v.dep.var),
-                    v.dep.kind,
-                    escape(&v.detail)
-                ));
-            }
-            s.push_str("],\n");
-            s.push_str(&format!("      \"completeness_miss\": {},\n", l.completeness_miss));
-            s.push_str(&format!("      \"privatizable_miss\": {}\n", l.privatizable_miss));
-            s.push_str(if i + 1 == self.loops.len() { "    }\n" } else { "    },\n" });
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        let str = |s: &str| Json::Str(s.into());
+        let int = |n: usize| Json::Int(n as u64);
+        let inline = |v: Json| Json::Inline(Box::new(v));
+        let loops = self.loops.iter().map(|l| {
+            let deps = l.deps.iter().map(|d| {
+                inline(Json::Obj(vec![
+                    ("var".into(), str(&d.var)),
+                    ("kind".into(), str(d.kind.as_str())),
+                    ("count".into(), Json::Int(d.count)),
+                    ("src_iter".into(), Json::Int(d.src_iter)),
+                    ("dst_iter".into(), Json::Int(d.dst_iter)),
+                ]))
+            });
+            let violations = l.violations.iter().map(|v| {
+                inline(Json::Obj(vec![
+                    ("var".into(), str(&v.dep.var)),
+                    ("kind".into(), str(v.dep.kind.as_str())),
+                    ("detail".into(), str(&v.detail)),
+                ]))
+            });
+            Json::Obj(vec![
+                ("label".into(), str(&l.label)),
+                ("loop_id".into(), Json::Int(l.loop_id.0.into())),
+                ("claim".into(), str(l.claim.as_str())),
+                ("serial_reason".into(), l.serial_reason.as_deref().map_or(Json::Null, str)),
+                ("invocations".into(), Json::Int(l.invocations)),
+                ("max_trip".into(), Json::Int(l.max_trip)),
+                ("deps".into(), inline(Json::Arr(deps.collect()))),
+                ("violations".into(), inline(Json::Arr(violations.collect()))),
+                ("completeness_miss".into(), Json::Bool(l.completeness_miss)),
+                ("privatizable_miss".into(), Json::Bool(l.privatizable_miss)),
+            ])
+        });
+        let by_pass = self.misses_by_pass().into_iter().map(|(p, n)| (p.into(), int(n))).collect();
+        let doc = Json::Obj(vec![
+            ("schema".into(), str("polaris-oracle/v1")),
+            ("violations".into(), int(self.violations().count())),
+            ("serial_loops_exercised".into(), int(self.serial_loops_exercised())),
+            ("completeness_misses".into(), int(self.completeness_misses())),
+            ("privatizable_misses".into(), int(self.privatizable_misses())),
+            ("miss_rate".into(), Json::Num(self.miss_rate())),
+            ("misses_by_pass".into(), inline(Json::Obj(by_pass))),
+            ("loops".into(), Json::Arr(loops.collect())),
+        ]);
+        format!("{doc}\n")
     }
 }
 
@@ -329,44 +304,29 @@ pub fn judge(claims: &[LoopClaim], observations: &[LoopObservation]) -> OracleRe
         };
 
         let mut violations = Vec::new();
-        if claim == ClaimKind::Parallel {
-            for d in &deps {
-                if c.reductions.contains(&d.var) {
-                    // A validated reduction commutes; its RMW chain is
-                    // exactly a cross-iteration flow dependence.
-                    continue;
-                }
-                if c.private.contains(&d.var) {
-                    // A privatized variable gets a fresh per-iteration
-                    // copy, which discharges anti and output dependences
-                    // — but a *flow* dependence means some iteration
-                    // read a value another iteration wrote, which a
-                    // private copy cannot reproduce.
-                    if d.kind != DepKind::Flow {
-                        continue;
-                    }
-                    violations.push(Violation {
-                        loop_id: c.loop_id,
-                        label: c.label.clone(),
-                        dep: d.clone(),
-                        detail: format!(
-                            "`{}` is privatized but iteration {} reads the value iteration {} wrote",
-                            d.var, d.dst_iter, d.src_iter
-                        ),
-                    });
-                    continue;
-                }
-                violations.push(Violation {
-                    loop_id: c.loop_id,
-                    label: c.label.clone(),
-                    dep: d.clone(),
-                    detail: format!(
-                        "loop is marked PARALLEL but carries a {} dependence on `{}` \
-                         (iteration {} -> {})",
-                        d.kind, d.var, d.src_iter, d.dst_iter
-                    ),
-                });
-            }
+        // Only a PARALLEL claim is audited.
+        for d in deps.iter().filter(|_| claim == ClaimKind::Parallel) {
+            // A validated reduction commutes; its RMW chain is exactly a
+            // cross-iteration flow dependence. A privatized variable gets
+            // a fresh per-iteration copy, which discharges anti and
+            // output dependences — but a *flow* dependence means some
+            // iteration read a value another iteration wrote, which a
+            // private copy cannot reproduce.
+            let detail = match (c.reductions.contains(&d.var), c.private.contains(&d.var)) {
+                (true, _) => continue,
+                (false, true) if d.kind != DepKind::Flow => continue,
+                (false, true) => format!(
+                    "`{}` is privatized but iteration {} reads the value iteration {} wrote",
+                    d.var, d.dst_iter, d.src_iter
+                ),
+                (false, false) => format!(
+                    "loop is marked PARALLEL but carries a {} dependence on `{}` \
+                     (iteration {} -> {})",
+                    d.kind, d.var, d.src_iter, d.dst_iter
+                ),
+            };
+            let dep = d.clone();
+            violations.push(Violation { loop_id: c.loop_id, label: c.label.clone(), dep, detail });
         }
 
         let exercised = claim == ClaimKind::Serial && max_trip >= 2;
@@ -499,5 +459,8 @@ mod tests {
         assert!(a.contains("\"schema\": \"polaris-oracle/v1\""));
         assert!(a.contains("scalar recurrence on `S`"));
         assert!(a.contains("\"claim\": \"serial\""));
+        let doc = Json::parse(&a).unwrap();
+        assert_eq!(doc.get("loops").and_then(|l| l.as_obj()), None);
+        assert_eq!(doc.get("miss_rate"), Some(&Json::Num(0.0)));
     }
 }

@@ -32,7 +32,7 @@ pub use race::{analyze, check_image, LoopRace, RaceReport, RaceVerdict};
 use polaris_core::{CompileReport, StageOutcome};
 use polaris_ir::cert::CertCheck;
 use polaris_ir::Program;
-use polaris_obs::json::escape;
+use polaris_obs::json::Json;
 use polaris_obs::{Counter, Recorder};
 use polaris_runtime::verdict::{ClaimKind, OracleReport};
 
@@ -103,107 +103,62 @@ impl VerifyReport {
     /// `agreement` adds the static-vs-oracle cross-check block when the
     /// runtime oracle also ran.
     pub fn to_json(&self, agreement: Option<&Agreement>) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"polaris-verify/v1\",\n");
-        s.push_str("  \"invariants\": {\n");
-        s.push_str(&format!("    \"checked\": {},\n", self.invariants_checked));
-        s.push_str(&format!("    \"violations\": {},\n", self.invariant_violations));
-        s.push_str(&format!(
-            "    \"verifier_rollbacks\": [{}],\n",
-            self.verifier_rollbacks
-                .iter()
-                .map(|n| format!("\"{n}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "    \"final_violations\": [{}]\n",
-            self.final_violations
-                .iter()
-                .map(|v| format!("\"{}\"", escape(v)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str("  },\n");
-        s.push_str("  \"certs\": {\n");
-        s.push_str(&format!("    \"checked\": {},\n", self.cert_checks.len()));
-        s.push_str(&format!("    \"rejected\": {},\n", self.rejected_certs().len()));
-        s.push_str("    \"checks\": [\n");
-        for (i, c) in self.cert_checks.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"stage\": \"{}\", \"unit\": \"{}\", \"label\": \"{}\", \"accepted\": {}, \"reason\": \"{}\"}}{}\n",
-                c.stage,
-                escape(&c.unit),
-                escape(&c.label),
-                c.accepted,
-                escape(&c.reason),
-                if i + 1 == self.cert_checks.len() { "" } else { "," }
-            ));
+        let int = |n: usize| Json::Int(n as u64);
+        let inline = |m: Vec<(String, Json)>| Json::Inline(Box::new(Json::Obj(m)));
+        fn strs<S: AsRef<str>>(v: &[S]) -> Json {
+            Json::Inline(Box::new(Json::Arr(v.iter().map(|s| Json::Str(s.as_ref().into())).collect())))
         }
-        s.push_str("    ]\n");
-        s.push_str("  },\n");
-        match &self.race {
-            None => s.push_str("  \"race\": null"),
-            Some(race) => {
-                s.push_str("  \"race\": {\n");
-                s.push_str(&format!(
-                    "    \"parallel_claims\": {},\n",
-                    race.parallel_claims()
-                ));
-                s.push_str(&format!(
-                    "    \"clean\": {},\n",
-                    race.count(RaceVerdict::Clean)
-                ));
-                s.push_str(&format!(
-                    "    \"needs_privatization\": {},\n",
-                    race.count(RaceVerdict::NeedsPrivatization)
-                ));
-                s.push_str(&format!(
-                    "    \"potential_race\": {},\n",
-                    race.count(RaceVerdict::PotentialRace)
-                ));
-                s.push_str("    \"loops\": [\n");
-                for (i, l) in race.loops.iter().enumerate() {
-                    s.push_str(&format!(
-                        "      {{\"label\": \"{}\", \"verdict\": \"{}\", \"detail\": \"{}\"}}{}\n",
-                        escape(&l.label),
-                        l.verdict.as_str(),
-                        escape(&l.detail),
-                        if i + 1 == race.loops.len() { "" } else { "," }
-                    ));
-                }
-                s.push_str("    ]\n");
-                s.push_str("  }");
-            }
-        }
-        match agreement {
-            None => s.push('\n'),
-            Some(a) => {
-                s.push_str(",\n");
-                s.push_str("  \"agreement\": {\n");
-                s.push_str(&format!("    \"compared\": {},\n", a.compared));
-                s.push_str(&format!(
-                    "    \"precision_misses\": [{}],\n",
-                    a.precision_misses
-                        .iter()
-                        .map(|l| format!("\"{}\"", escape(l)))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-                s.push_str(&format!(
-                    "    \"soundness_failures\": [{}]\n",
-                    a.soundness_failures
-                        .iter()
-                        .map(|l| format!("\"{}\"", escape(l)))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-                s.push_str("  }\n");
-            }
-        }
-        s.push_str("}\n");
-        s
+        let checks = self.cert_checks.iter().map(|c| {
+            inline(vec![
+                ("stage".into(), Json::Str(c.stage.to_string())),
+                ("unit".into(), Json::Str(c.unit.clone())),
+                ("label".into(), Json::Str(c.label.clone())),
+                ("accepted".into(), Json::Bool(c.accepted)),
+                ("reason".into(), Json::Str(c.reason.clone())),
+            ])
+        });
+        let race = self.race.as_ref().map_or(Json::Null, |race| {
+            let loops = race.loops.iter().map(|l| {
+                inline(vec![
+                    ("label".into(), Json::Str(l.label.clone())),
+                    ("verdict".into(), Json::Str(l.verdict.as_str().into())),
+                    ("detail".into(), Json::Str(l.detail.clone())),
+                ])
+            });
+            Json::Obj(vec![
+                ("parallel_claims".into(), int(race.parallel_claims())),
+                ("clean".into(), int(race.count(RaceVerdict::Clean))),
+                ("needs_privatization".into(), int(race.count(RaceVerdict::NeedsPrivatization))),
+                ("potential_race".into(), int(race.count(RaceVerdict::PotentialRace))),
+                ("loops".into(), Json::Arr(loops.collect())),
+            ])
+        });
+        let invariants = Json::Obj(vec![
+            ("checked".into(), Json::Int(self.invariants_checked)),
+            ("violations".into(), Json::Int(self.invariant_violations)),
+            ("verifier_rollbacks".into(), strs(&self.verifier_rollbacks)),
+            ("final_violations".into(), strs(&self.final_violations)),
+        ]);
+        let certs = Json::Obj(vec![
+            ("checked".into(), int(self.cert_checks.len())),
+            ("rejected".into(), int(self.rejected_certs().len())),
+            ("checks".into(), Json::Arr(checks.collect())),
+        ]);
+        let agreement = agreement.map(|a| {
+            Json::Obj(vec![
+                ("compared".into(), int(a.compared)),
+                ("precision_misses".into(), strs(&a.precision_misses)),
+                ("soundness_failures".into(), strs(&a.soundness_failures)),
+            ])
+        });
+        let mut doc = vec![
+            ("schema".into(), Json::Str("polaris-verify/v1".into())),
+            ("invariants".into(), invariants),
+            ("certs".into(), certs),
+            ("race".into(), race),
+        ];
+        doc.extend(agreement.map(|a| ("agreement".into(), a)));
+        format!("{}\n", Json::Obj(doc))
     }
 }
 
@@ -304,6 +259,8 @@ mod tests {
         let j = v.to_json(None);
         assert!(j.contains("\"schema\": \"polaris-verify/v1\""), "{j}");
         assert!(j.contains("\"parallel_claims\""), "{j}");
+        let doc = Json::parse(&j).unwrap();
+        assert_eq!(doc.get("race").and_then(|r| r.get("clean")).and_then(Json::as_u64), Some(1));
     }
 
     fn lv(id: u32, label: &str, violations: Vec<Violation>) -> LoopVerdict {
@@ -364,6 +321,7 @@ mod tests {
         assert!(!a.sound());
         let j = VerifyReport::default().to_json(Some(&a));
         assert!(j.contains("\"soundness_failures\": [\"do2\"]"), "{j}");
+        assert!(Json::parse(&j).unwrap().get("agreement").is_some());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use polaris_ir::expr::{BinOp, Expr, LValue};
 use polaris_ir::stmt::{Stmt, StmtKind, StmtList};
 use polaris_ir::symbol::{Dim, SymKind};
 use polaris_ir::{Program, ProgramUnit};
-use polaris_obs::json::escape;
+use polaris_obs::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Lint severity: `Error` findings are exit-code violations, `Warning`
@@ -76,28 +76,23 @@ impl LintReport {
 
     /// Machine-readable JSON document, schema `polaris-verify/lint/v1`.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"polaris-verify/lint/v1\",\n");
-        s.push_str(&format!("  \"errors\": {},\n", self.errors()));
-        s.push_str(&format!("  \"warnings\": {},\n", self.warnings()));
-        s.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"lint\": \"{}\", \"severity\": \"{}\", \"unit\": \"{}\", \
-                 \"line\": {}, \"col\": {}, \"message\": \"{}\"}}{}\n",
-                f.lint,
-                f.severity.as_str(),
-                escape(&f.unit),
-                f.line,
-                f.col,
-                escape(&f.message),
-                if i + 1 == self.findings.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        let findings = self.findings.iter().map(|f| {
+            Json::Inline(Box::new(Json::Obj(vec![
+                ("lint".into(), Json::Str(f.lint.into())),
+                ("severity".into(), Json::Str(f.severity.as_str().into())),
+                ("unit".into(), Json::Str(f.unit.clone())),
+                ("line".into(), Json::Int(f.line.into())),
+                ("col".into(), Json::Int(f.col.into())),
+                ("message".into(), Json::Str(f.message.clone())),
+            ])))
+        });
+        let doc = Json::Obj(vec![
+            ("schema".into(), Json::Str("polaris-verify/lint/v1".into())),
+            ("errors".into(), Json::Int(self.errors() as u64)),
+            ("warnings".into(), Json::Int(self.warnings() as u64)),
+            ("findings".into(), Json::Arr(findings.collect())),
+        ]);
+        format!("{doc}\n")
     }
 }
 
@@ -698,6 +693,8 @@ mod tests {
         assert!(j.contains("\"errors\": 1"), "{j}");
         assert!(j.contains("\"line\": 3"), "{j}");
         assert!(j.contains("\"col\":"), "{j}");
+        let doc = Json::parse(&j).unwrap();
+        assert_eq!(doc.get("findings").map(|f| matches!(f, Json::Arr(v) if v.len() == 1)), Some(true));
     }
 
     #[test]
