@@ -125,11 +125,13 @@ impl Json {
         }
     }
 
+    /// The number as an integer, when it is one a JSON number parses to
+    /// exactly: `0 ..= 2^53 - 1`. Past that, neighbouring integers parse
+    /// to one `f64`, so a larger number is `None`, not a nearby integer.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -460,6 +462,13 @@ mod tests {
         assert_eq!(Json::Num(7.0).as_u64(), Some(7));
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(0.5).as_u64(), None);
+        let int = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(int("9007199254740991"), Some((1 << 53) - 1));
+        // 2^53 + 1 parses to the `f64` of 2^53, and 2^64 is past every
+        // u64: none of these is rounded or saturated into an answer.
+        for past in ["9007199254740992", "9007199254740993", "18446744073709551616", "1e300"] {
+            assert_eq!(int(past), None, "{past}");
+        }
     }
 
     #[test]

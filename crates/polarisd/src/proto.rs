@@ -13,7 +13,9 @@
 //! ```
 //!
 //! `id` and `source` are required; `client` defaults to `"anon"`,
-//! `config` to `"polaris"` (the only other value is `"vfa"`).
+//! `config` to `"polaris"` (the only other value is `"vfa"`). `id` is an
+//! integer in `0 ..= 2^53 - 1`, the integers a JSON number parses to
+//! exactly; a larger one is rejected, never answered under a neighbour.
 //!
 //! Response (fields absent when not applicable):
 //!
@@ -279,8 +281,15 @@ impl Response {
             status,
             exit_code: obj.get("exit_code")
                 .and_then(Json::as_u64)
-                .ok_or("response needs `exit_code`")? as u8,
-            attempts: obj.get("attempts").and_then(Json::as_u64).unwrap_or(0) as u32,
+                .and_then(|code| u8::try_from(code).ok())
+                .ok_or("response needs an `exit_code` in 0..=255")?,
+            attempts: match obj.get("attempts") {
+                None | Some(Json::Null) => 0,
+                Some(v) => v
+                    .as_u64()
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or("`attempts` must be a count below 2^32")?,
+            },
             cached: matches!(obj.get("cached"), Some(Json::Bool(true))),
             checksum,
             run_checksum,
@@ -409,6 +418,45 @@ mod tests {
             req.to_json(),
             r#"{"id": 42, "client": "c\"1", "config": "polaris", "source": "program t\nend\n"}"#
         );
+    }
+
+    /// 2^53 + 1 parses to the `f64` of 2^53: it is rejected, not answered
+    /// under its neighbour.
+    #[test]
+    fn a_request_id_past_2_pow_53_is_rejected_not_rounded() {
+        let line = |id: &str| format!(r#"{{"id": {id}, "source": "x"}}"#);
+        assert_eq!(Request::parse(&line("9007199254740991")).unwrap().id, (1 << 53) - 1);
+        assert!(Request::parse(&line("9007199254740993")).unwrap_err().contains("id"));
+    }
+
+    #[test]
+    fn a_request_id_past_u64_is_rejected_not_saturated() {
+        let err = Request::parse(r#"{"id": 18446744073709551616, "source": "x"}"#).unwrap_err();
+        assert!(err.contains("id"), "{err}");
+    }
+
+    /// A response line whose member `field`, 0 in an empty response,
+    /// reads `value`.
+    fn response_with(field: &str, value: &str) -> String {
+        let line = Response::empty(1, Status::Ok).to_json();
+        let member = format!("\"{field}\": 0");
+        assert!(line.contains(&member), "{line}");
+        line.replacen(&member, &format!("\"{field}\": {value}"), 1)
+    }
+
+    #[test]
+    fn an_exit_code_past_u8_is_rejected_not_truncated() {
+        assert_eq!(Response::parse(&response_with("exit_code", "255")).unwrap().exit_code, 255);
+        let err = Response::parse(&response_with("exit_code", "256")).unwrap_err();
+        assert!(err.contains("exit_code"), "{err}");
+    }
+
+    #[test]
+    fn an_attempt_count_past_u32_is_rejected_not_truncated() {
+        let max = Response::parse(&response_with("attempts", "4294967295")).unwrap();
+        assert_eq!(max.attempts, u32::MAX);
+        let err = Response::parse(&response_with("attempts", "4294967296")).unwrap_err();
+        assert!(err.contains("attempts"), "{err}");
     }
 
     #[test]

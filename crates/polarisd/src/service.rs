@@ -5,9 +5,10 @@
 //!
 //! Design rules (crash-only service):
 //!
-//! * **Every accepted request is answered exactly once** — by a worker,
-//!   by the shed path, by the watchdog's orphan recovery, or by the
-//!   shutdown drain. No code path loses a ticket.
+//! * **Every accepted request is answered exactly once** — at admission,
+//!   from the cache, or by a worker, by the shed path, by the watchdog's
+//!   orphan recovery, or by the shutdown drain. No code path loses a
+//!   ticket.
 //! * **Nothing wedges a worker.** Compiles run under `catch_unwind` with
 //!   a cooperative [`CancelToken`] the watchdog fires when the request's
 //!   deadline passes; a pathological unit degrades, it does not hang.
@@ -15,12 +16,15 @@
 //!   stages) → serve-cached → reject-with-backoff-hint. Each rung is only
 //!   taken when the rung above failed. One function decides a request's
 //!   one response, rung by rung; the worker then answers it in one place.
+//!   The cache rung also runs at admission, on the submitting thread, for
+//!   a unit whose breaker is closed: a hit is answered there, and
+//!   everything else is queued for the ladder.
 //! * **The cache never lies.** Only clean compiles are inserted, every
 //!   read is integrity-checked, and a poisoned entry is purged on sight.
 //! * **State ends with its reason.** A client's queue exists while it has
 //!   queued work, a unit's breaker entry while the unit is failing.
 
-use crate::breaker::{Admission, CircuitBreaker};
+use crate::breaker::{Admission, BreakerState, CircuitBreaker};
 use crate::cache::{CacheEntry, CacheOutcome, CompileCache};
 use crate::chaos::ChaosPlan;
 use crate::lock;
@@ -187,7 +191,6 @@ struct Sched {
     /// empty joins at the back.
     rotation: VecDeque<String>,
     len: usize,
-    stopping: bool,
 }
 
 impl Sched {
@@ -345,37 +348,50 @@ impl Service {
         fnv1a(req.source.as_bytes()) ^ if req.vfa { 0x9e3779b97f4a7c15 } else { 0 }
     }
 
-    /// Admission control. Always returns a ticket that will resolve:
-    /// accepted requests are queued (shedding the oldest queued request
-    /// when the queue is full); after shutdown began, the request is
-    /// immediately answered `rejected`.
+    /// Admission control. Always returns a ticket that will resolve. A
+    /// cache hit of a unit whose breaker is closed is answered here, on
+    /// the calling thread; other accepted requests are queued (shedding
+    /// the oldest queued request when the queue is full). After shutdown
+    /// began, the request is immediately answered `rejected`.
     pub fn submit(&self, req: Request) -> Ticket {
         let inner = &self.inner;
         let (tx, rx) = mpsc::channel();
+        let now = Instant::now();
         let deadline = req
             .deadline_ms
             .map(Duration::from_millis)
             .or(inner.cfg.default_deadline);
         let pending = Pending {
             key: Service::content_key(&req),
-            deadline_at: deadline.map(|d| Instant::now() + d),
-            enqueued: Instant::now(),
+            deadline_at: deadline.map(|d| now + d),
+            enqueued: now,
             prior_attempts: 0,
             req,
             tx,
         };
-        let shed_victim = {
-            let mut sched = lock(&inner.sched);
-            if sched.stopping || inner.stop.load(Ordering::SeqCst) {
-                drop(sched);
-                let resp = Response {
-                    reason: Some("service shutting down".into()),
-                    ..base_response(&pending, Status::Rejected, 0)
-                };
-                let _ = pending.tx.send(resp);
+        if inner.stop.load(Ordering::SeqCst) {
+            let _ = pending.tx.send(shutting_down(&pending));
+            return Ticket { rx };
+        }
+        inner.count(Event::Accepted);
+        // Rung 2 of the ladder, here: with the breaker closed, `admit`
+        // would answer `Proceed { probe: false }`, so a hit is the answer
+        // a worker would give.
+        if inner.breaker.state(pending.key) == BreakerState::Closed {
+            if let Some(resp) = from_cache(inner, &pending) {
+                finish(inner, &pending, resp);
                 return Ticket { rx };
             }
-            inner.count(Event::Accepted);
+        }
+        let shed_victim = {
+            let mut sched = lock(&inner.sched);
+            // Under the lock a retiring worker decides under: nothing is
+            // queued after the last worker has left.
+            if inner.stop.load(Ordering::SeqCst) {
+                drop(sched);
+                respond(inner, &pending, shutting_down(&pending));
+                return Ticket { rx };
+            }
             let victim = if sched.len >= inner.cfg.queue_capacity {
                 sched.shed_oldest()
             } else {
@@ -466,8 +482,7 @@ impl Inner {
         if self.stop.swap(true, Ordering::SeqCst) {
             return; // already stopped
         }
-        // Refuse new work but let the queue drain (bounded wait).
-        lock(&self.sched).stopping = true;
+        // `stop` refuses new work; let the queue drain (bounded wait).
         let patience = Instant::now() + Duration::from_secs(30);
         loop {
             let queued = lock(&self.sched).len;
@@ -497,11 +512,7 @@ impl Inner {
             out
         };
         for p in leftovers {
-            let resp = Response {
-                reason: Some("service shutting down".into()),
-                ..base_response(&p, Status::Rejected, 0)
-            };
-            respond(self, &p, resp);
+            respond(self, &p, shutting_down(&p));
         }
     }
 }
@@ -558,7 +569,8 @@ fn worker_loop(slot: usize, inner: &Arc<Inner>) {
                 }
             }
         };
-        finish(inner, slot, &pending, resp);
+        lock(&inner.inflight).remove(&slot);
+        finish(inner, &pending, resp);
         span.end();
     }
 }
@@ -583,21 +595,14 @@ fn ladder(inner: &Inner, slot: usize, tid: u32, pending: &Pending) -> Result<Res
     };
 
     // 2. Cache. A half-open probe must actually compile (that is its
-    //    job), so it skips the read.
+    //    job), so it skips the read. A miss is counted here, once, even
+    //    when `submit` read the cache first.
     if probe {
         inner.count(Event::Probe);
+    } else if let Some(resp) = from_cache(inner, pending) {
+        return Ok(resp);
     } else {
-        match inner.cache.lookup(key, &pending.req.source) {
-            CacheOutcome::Hit(entry) => {
-                inner.count(Event::CacheHit);
-                return Ok(cached(pending, entry, 0, None));
-            }
-            CacheOutcome::Poisoned => {
-                inner.count(Event::PoisonPurged);
-                inner.count(Event::CacheMiss);
-            }
-            CacheOutcome::Miss => inner.count(Event::CacheMiss),
-        }
+        inner.count(Event::CacheMiss);
     }
 
     // 3. Compile attempts with bounded retry.
@@ -824,13 +829,30 @@ fn compile_attempt(
     Ok(Attempt::Answer(resp))
 }
 
-/// Deregister from the in-flight table and answer: the one place a
-/// worker's response leaves. Also applies the chaos cache-poisoning
-/// hook: the entry is corrupted after this response was computed but
-/// before it is sent, so the *next* reader of the entry is
+/// Rung 2, the integrity-checked cache read, for the ladder and for
+/// `submit`: a hit is the response. A poisoned entry is purged and
+/// counted where it is found; a miss is the caller's to count, because
+/// the worker reads again after a miss at admission.
+fn from_cache(inner: &Inner, pending: &Pending) -> Option<Response> {
+    match inner.cache.lookup(pending.key, &pending.req.source) {
+        CacheOutcome::Hit(entry) => {
+            inner.count(Event::CacheHit);
+            Some(cached(pending, entry, 0, None))
+        }
+        CacheOutcome::Poisoned => {
+            inner.count(Event::PoisonPurged);
+            None
+        }
+        CacheOutcome::Miss => None,
+    }
+}
+
+/// Answer what a ladder rung decided, on a worker or at admission: the
+/// one place such a response leaves. Also applies the chaos
+/// cache-poisoning hook: the entry is corrupted after this response was
+/// computed but before it is sent, so the *next* reader of the entry is
 /// deterministically the one who must detect the poison.
-fn finish(inner: &Inner, slot: usize, pending: &Pending, resp: Response) {
-    lock(&inner.inflight).remove(&slot);
+fn finish(inner: &Inner, pending: &Pending, resp: Response) {
     if inner.chaos.as_ref().is_some_and(|c| c.poison_cache(pending.key, pending.req.id)) {
         inner.cache.corrupt(pending.key);
     }
@@ -846,6 +868,15 @@ fn respond(inner: &Inner, pending: &Pending, resp: Response) {
 
 fn base_response(pending: &Pending, status: Status, attempts: u32) -> Response {
     Response { attempts, ..Response::empty(pending.req.id, status) }
+}
+
+/// The answer to a request that arrives, or is left over, once shutdown
+/// began.
+fn shutting_down(pending: &Pending) -> Response {
+    Response {
+        reason: Some("service shutting down".into()),
+        ..base_response(pending, Status::Rejected, 0)
+    }
 }
 
 /// Served from a cache entry.

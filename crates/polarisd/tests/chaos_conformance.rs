@@ -298,6 +298,77 @@ fn chaos_conformance_pool8() {
     sweep(8);
 }
 
+/// Resident memory of this process in kB (`VmRSS`), where `/proc` has it.
+fn rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
+const SOAK_REQUESTS: usize = 100_000;
+/// Resident growth allowed from the cache's first sweep to the end of the
+/// soak: twice the largest of four runs on a 2-core Linux host (160–392
+/// kB over the last 94 905 requests, 2–4 bytes a request).
+const SOAK_GROWTH_CEILING_KB: u64 = 2 * 392;
+
+/// The soak: 10⁵ requests through one service from one closed-loop
+/// client, 80 % repeats of the six units and 20 % sources never seen
+/// before. Once the cache has filled (its first sweep), resident memory
+/// stays flat, and the last tenth of the requests is served as fast as
+/// the first.
+#[test]
+#[ignore = "soak: 10^5 requests; run with --ignored"]
+fn soak_holds_memory_and_latency_flat() {
+    let service = Service::new(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+    let cold = |id: usize| id % 5 == 4;
+    // Written before the first reading, so the client's own storage is
+    // resident from the start and does not count as growth.
+    let mut micros = vec![f64::NAN; SOAK_REQUESTS];
+    let (mut largest, mut at_fill) = (0, None);
+    for (id, took) in micros.iter_mut().enumerate() {
+        let unit = unit_source(id % UNITS);
+        let source = if cold(id) { format!("! soak {id}\n{unit}") } else { unit };
+        let started = std::time::Instant::now();
+        let resp = service
+            .submit(req(id as u64, &source, None, false))
+            .wait_timeout(HANG)
+            .unwrap_or_else(|| panic!("soak request {id} hung"));
+        *took = started.elapsed().as_secs_f64() * 1e6;
+        assert!(matches!(resp.status, Status::Ok | Status::Cached), "soak request {id}: {resp:?}");
+        let entries = service.cache_len();
+        if at_fill.is_none() && entries < largest {
+            at_fill = Some((id, rss_kb()));
+        }
+        largest = largest.max(entries);
+    }
+    let end_kb = rss_kb();
+    let stats = service.shutdown();
+    assert_eq!((stats.accepted, stats.answered), (SOAK_REQUESTS as u64, SOAK_REQUESTS as u64));
+
+    let median = |ids: std::ops::Range<usize>, want_cold: bool| {
+        let mut xs: Vec<f64> = ids.filter(|&id| cold(id) == want_cold).map(|id| micros[id]).collect();
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let tenth = SOAK_REQUESTS / 10;
+    for (class, want_cold) in [("warm", false), ("cold", true)] {
+        let first = median(0..tenth, want_cold);
+        let last = median(SOAK_REQUESTS - tenth..SOAK_REQUESTS, want_cold);
+        eprintln!("soak: {class} median {first:.1} µs in the first tenth, {last:.1} µs in the last");
+        assert!(last <= 2.0 * first, "{class} requests drifted: {first:.1} → {last:.1} µs");
+    }
+    let (fill_id, fill_kb) = at_fill.expect("the cache never filled");
+    if let (Some(fill_kb), Some(end_kb)) = (fill_kb, end_kb) {
+        let growth = end_kb.saturating_sub(fill_kb);
+        eprintln!(
+            "soak: VmRSS {fill_kb} kB at the cache's first sweep (request {fill_id}), \
+             {end_kb} kB after request {}: {growth} kB",
+            SOAK_REQUESTS - 1
+        );
+        assert!(growth <= SOAK_GROWTH_CEILING_KB, "resident memory grew {growth} kB");
+    }
+}
+
 /// Clean out-of-band run checksum for one unit: serial execution with
 /// no service and no chaos. By the determinism contract the adaptive
 /// 8-proc execution inside the service must reproduce these bytes

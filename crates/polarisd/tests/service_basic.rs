@@ -12,10 +12,10 @@
 //! service's unit tests instead.
 
 use polaris_machine::Engine;
-use polaris_obs::Recorder;
+use polaris_obs::{Phase, Recorder};
 use polarisd::chaos::{ChaosPlan, Curse};
 use polarisd::proto::{fnv1a, Request, Response, Status};
-use polarisd::service::{Service, ServiceConfig};
+use polarisd::service::{Service, ServiceConfig, ServiceStats};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(20);
@@ -131,6 +131,90 @@ fn clean_compile_is_ok_then_served_from_cache() {
     assert_eq!(stats.answered, 2);
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.cache_misses, 1);
+}
+
+/// A hit is answered inside `submit`, on the submitting thread: the
+/// ticket already holds the answer, the counters are the ones a worker's
+/// answer gave, and only the compile ran on a worker.
+#[test]
+fn a_hit_is_answered_inside_submit() {
+    let src = unit_source(17);
+    let service = Service::with_recorder(cfg(2), Recorder::virtual_clock());
+    assert_rung(&service.submit(request(1, &src)).wait_timeout(WAIT).unwrap(), OK);
+    let hit = service.submit(request(2, &src)).wait_timeout(Duration::ZERO);
+    assert_rung(&hit.expect("answered before `submit` returned"), CACHED);
+
+    let rec = service.recorder().clone();
+    let stats = service.shutdown();
+    let want =
+        ServiceStats { accepted: 2, answered: 2, cache_hits: 1, cache_misses: 1, ..Default::default() };
+    assert_eq!(stats, want);
+    let counters: Vec<(&str, u64)> = rec.counters().into_iter().collect();
+    assert_eq!(
+        counters,
+        [
+            ("polarisd.cache.hits", 1),
+            ("polarisd.cache.misses", 1),
+            ("polarisd.requests.accepted", 2),
+            ("polarisd.requests.answered", 2),
+        ]
+    );
+    let requests: Vec<String> = rec
+        .events()
+        .into_iter()
+        .filter(|e| e.phase == Phase::Begin && e.name.starts_with("request:"))
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(requests, ["request:1"]);
+}
+
+/// One worker, held by a stalled compile, and a queue of one: a hit
+/// submitted meanwhile is answered at once, and the overload sheds queued
+/// compiles, never a hit.
+#[test]
+fn a_hit_never_waits_behind_a_stalled_compile() {
+    let hot = unit_source(18);
+    // Every first attempt stalls 150 ms and then compiles clean.
+    let chaos = ChaosPlan::seeded(12).with_stall(100, 150);
+    let service = Service::with_chaos(
+        ServiceConfig { workers: 1, queue_capacity: 1, ..cfg(1) },
+        Recorder::disabled(),
+        chaos,
+    );
+    assert_rung(&service.submit(request(1, &hot)).wait_timeout(WAIT).unwrap(), OK);
+    let mut cold = Vec::new();
+    for id in 2..8 {
+        cold.push(service.submit(request(id, &unit_source(20 + id as u32))));
+        let hit = service.submit(request(100 + id, &hot)).wait_timeout(Duration::ZERO);
+        assert_rung(&hit.expect("a hit does not wait for the worker"), CACHED);
+    }
+    let cold: Vec<Response> = cold.into_iter().map(|t| t.wait_timeout(WAIT).unwrap()).collect();
+    // At most one compile runs and one waits; the other four are shed.
+    let shed = cold.iter().filter(|r| r.status == Status::Rejected).count() as u64;
+    assert!(shed >= 4, "{cold:?}");
+    let stats = service.shutdown();
+    assert_eq!((stats.cache_hits, stats.shed), (6, shed), "{stats:?}");
+}
+
+/// The chaos poison fault reaches an answer given at admission: the entry
+/// a hit was served from is corrupted after the answer, so the next read
+/// finds it poisoned, purges it and recompiles.
+#[test]
+fn the_poison_fault_reaches_a_hit_answered_at_admission() {
+    let src = unit_source(19);
+    let key = Service::content_key(&request(0, &src));
+    let chaos = ChaosPlan::seeded(4).with_poison_pct(50);
+    // A compile whose answer leaves the entry alone, then a hit whose
+    // answer poisons it.
+    let clean = (1u64..).find(|&id| !chaos.poison_cache(key, id)).unwrap();
+    let poisons = (1u64..).find(|&id| chaos.poison_cache(key, id)).unwrap();
+    let service = Service::with_chaos(cfg(2), Recorder::disabled(), chaos);
+    assert_rung(&service.submit(request(clean, &src)).wait_timeout(WAIT).unwrap(), OK);
+    assert_rung(&service.submit(request(poisons, &src)).wait_timeout(WAIT).unwrap(), CACHED);
+    assert_rung(&service.submit(request(1_000, &src)).wait_timeout(WAIT).unwrap(), OK);
+    let stats = service.shutdown();
+    let counts = (stats.poison_purged, stats.cache_hits, stats.cache_misses);
+    assert_eq!(counts, (1, 1, 2), "{stats:?}");
 }
 
 #[test]
