@@ -12,7 +12,7 @@
 //! * scalar and array privatization with demand-driven symbolic value
 //!   resolution and the compaction-idiom recognizer (§3.4, [`privatize`]),
 //! * selection of loops for run-time speculative parallelization
-//!   (§3.5, made concrete by `polaris-runtime`),
+//!   (§3.5, made concrete by `polaris-machine`'s LRPD test),
 //!
 //! glued together by the per-loop dependence driver (`deps`) and the
 //! pipeline in [`compile`].

@@ -1,15 +1,15 @@
 //! The interpreter and the simulated multiprocessor.
 
-use crate::cost::{Schedule, COSTS};
+use crate::cost::COSTS;
 use crate::error::MachineError;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
+use crate::lrpd::{PdVerdict, Shadow};
 use crate::oracle::Loc;
 use crate::value::{scalar_approx_eq, ArrData, ArrObj, ArrStore, Scalar, V};
 use crate::{Engine, ExecMode, MachineConfig};
 use polaris_ir::expr::{BinOp, RedOp, UnOp};
 use polaris_ir::Program;
-use polaris_runtime::lrpd::{PdVerdict, Shadow};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -149,8 +149,9 @@ pub(crate) struct Interp<'a> {
     pub(crate) spec: Vec<(usize, Shadow)>,
     pub(crate) spec_iter: u32,
     /// Dependence-oracle trace (see [`crate::oracle`]); attached only by
-    /// [`run_traced`], to a serial tree-walker, so only the tree-walker
-    /// has the access hooks. `None` costs one branch per hook.
+    /// [`crate::oracle::audit_recorded`], to a serial tree-walker, so only
+    /// the tree-walker has the access hooks. `None` costs one branch per
+    /// hook.
     pub(crate) oracle: Option<Box<crate::oracle::OracleState>>,
     /// Compiled bytecode of the running unit (`Engine::Vm` only); the
     /// orchestration arms re-enter [`crate::vm`] through this shared
@@ -188,7 +189,7 @@ impl<'a> Interp<'a> {
     /// image's arrays as its memory, by value — a copy would be one pass
     /// over every array per run — after the bytecode compiler has read
     /// their layout.
-    fn new(
+    pub(crate) fn new(
         image: &mut Image,
         cfg: &'a MachineConfig,
         adversarial: bool,
@@ -313,7 +314,8 @@ impl<'a> Interp<'a> {
     /// loads ahead of the search, because that is the shape the VM's
     /// `dispatch` is as fast with as without any hook; as an out-of-line
     /// call it cost `exec_serial` 10 % (measured, like the +8 % of
-    /// inlining the marking itself: see [`Shadow::on_read`]).
+    /// inlining the marking itself, which `#[inline(never)]` on
+    /// [`Shadow::on_read`] and [`Shadow::on_write`] rules out).
     #[inline(always)]
     pub(crate) fn mark_access(&mut self, arr: usize, idx: usize, write: bool) -> u64 {
         // An opaque reference keeps the charge a load (see `dispatch_from`).
@@ -692,7 +694,7 @@ impl<'a> Interp<'a> {
         // (those reads belong to the enclosing loops, not this one).
         let n_scalars = self.scalars.len();
         if let Some(o) = self.oracle.as_deref_mut() {
-            o.enter_loop(l.loop_id, &l.label, n_scalars);
+            o.enter_loop(l.loop_id, n_scalars);
         }
         let span = self.recorder.loop_span("exec", &l.label, l.loop_id);
         Ok(Invocation { space, start, span })
@@ -781,7 +783,7 @@ impl<'a> Interp<'a> {
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
-        use polaris_runtime::{Chunking, DecideEvent, LoopHints, Observation};
+        use crate::adaptive::{DecideEvent, LoopHints, Observation};
         let ctrl = Arc::clone(self.cfg.adaptive.as_ref().expect("adaptive dispatch without controller"));
         let trip = space.trip();
         let hints = LoopHints { parallel: l.par.parallel, trip, procs: self.cfg.procs };
@@ -808,11 +810,7 @@ impl<'a> Interp<'a> {
                 self.count_loop_mode(polaris_obs::Counter::ExecLoopsSerial);
                 (self.run_serial_loop(l, space, body)?, Vec::new(), None)
             }
-            Some(chunking) if l.par.parallel => {
-                let schedule = match chunking {
-                    Chunking::Block => Schedule::Static,
-                    Chunking::Stealing { chunk } => Schedule::Stealing { chunk },
-                };
+            Some(schedule) if l.par.parallel => {
                 let plan = ChunkPlan::new(trip, d.threads, schedule);
                 let (flow, chunk_cycles) = self.run_concurrent(l, space, body, plan)?;
                 (flow, chunk_cycles, None)
@@ -1128,7 +1126,7 @@ impl<'a> Interp<'a> {
     /// Execute the unit's top-level code under the configured engine:
     /// the tree-walker runs `image.code` directly; the VM dispatches the
     /// stream [`Self::new`] compiled, from its first instruction.
-    fn run_program(&mut self, image: &Image) -> Result<Flow, MachineError> {
+    pub(crate) fn run_program(&mut self, image: &Image) -> Result<Flow, MachineError> {
         if self.bc.is_none() {
             return self.run_list(&image.code);
         }
@@ -1287,18 +1285,11 @@ fn dump_state(interp: &Interp<'_>, image: &Image) -> StateDump {
         .arrays
         .iter()
         .map(|a| {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut upd = |bytes: &[u8]| {
-                for &b in bytes {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
+            let h = match a.data.get() {
+                ArrData::I(v) => crate::fnv1a(v.iter().flat_map(|x| x.to_le_bytes())),
+                ArrData::R(v) => crate::fnv1a(v.iter().flat_map(|x| x.to_bits().to_le_bytes())),
+                ArrData::B(v) => crate::fnv1a(v.iter().map(|x| u8::from(*x))),
             };
-            match a.data.get() {
-                ArrData::I(v) => v.iter().for_each(|x| upd(&x.to_le_bytes())),
-                ArrData::R(v) => v.iter().for_each(|x| upd(&x.to_bits().to_le_bytes())),
-                ArrData::B(v) => v.iter().for_each(|x| upd(&[u8::from(*x)])),
-            }
             (a.name.clone(), h)
         })
         .collect();
@@ -1332,25 +1323,6 @@ pub fn run_recorded(
 /// Run serially (annotations have no effect; the serial reference time).
 pub fn run_serial(program: &Program) -> Result<RunResult, MachineError> {
     run(program, &MachineConfig::serial())
-}
-
-/// Run `image` serially with the dependence-oracle trace attached and
-/// return the collected per-loop observations. `cfg` must be a serial
-/// tree-walker configuration — program order *is* the thing being
-/// traced, and only the tree-walker has the trace's access hooks.
-pub(crate) fn run_traced(
-    mut image: Image,
-    cfg: &MachineConfig,
-) -> Result<Vec<polaris_runtime::verdict::LoopObservation>, MachineError> {
-    debug_assert!(
-        cfg.procs == 1 && cfg.engine == Engine::TreeWalk,
-        "oracle traces run on the serial tree-walker"
-    );
-    let mut interp = Interp::new(&mut image, cfg, false)?;
-    interp.oracle = Some(Box::new(crate::oracle::OracleState::new()));
-    interp.run_program(&image)?;
-    let trace = interp.oracle.take().expect("oracle state survives the run");
-    Ok(trace.observations(&image.scalar_names, &interp.arrays))
 }
 
 /// Validate the compiler's parallelization: execute sequentially, then
@@ -1480,6 +1452,7 @@ pub fn outputs_match(a: &[String], b: &[String], tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::Schedule;
 
     fn parse(src: &str) -> Program {
         polaris_ir::parse(src).unwrap()

@@ -31,6 +31,7 @@
 //! conditionals pay a penalty — which is how PFA beats Polaris on two
 //! codes and loses badly on APPSP/TOMCATV despite equal parallelism.
 
+mod adaptive;
 pub mod bytecode;
 mod claims;
 pub(crate) mod cost;
@@ -38,11 +39,13 @@ mod dispatch;
 pub(crate) mod error;
 pub mod exec;
 pub mod lower;
+mod lrpd;
 pub mod oracle;
 pub(crate) mod threaded;
 pub(crate) mod value;
 pub(crate) mod vm;
 
+pub use adaptive::{AdaptiveController, DecisionRow};
 pub use cost::{CodegenModel, CostModel, Schedule};
 pub use error::MachineError;
 pub use exec::{run, run_recorded, run_serial, run_validated, run_with_state, RunResult, StateDump};
@@ -137,16 +140,16 @@ pub struct MachineConfig {
     /// reaches this value, simulating a worker crash mid-execution.
     #[doc(hidden)]
     pub panic_at_step: Option<u64>,
-    /// Adaptive per-loop dispatch controller
-    /// ([`polaris_runtime::AdaptiveController`]). When set, eligible loops
-    /// (proven parallel or LRPD candidates) ask it every invocation
-    /// whether to run serially or concurrently, on how many workers and
-    /// under which chunking. A concurrent DOALL runs that plan instead of
-    /// the fixed `schedule`; a speculation keeps `procs` and `schedule`;
-    /// which of the two a loop is, its annotation says. The controller is
-    /// shared (`Arc`) so the adaptation history survives across runs of
-    /// the same source (e.g. cached recompiles in `polarisd`).
-    pub adaptive: Option<std::sync::Arc<polaris_runtime::AdaptiveController>>,
+    /// Adaptive per-loop dispatch controller ([`AdaptiveController`]).
+    /// When set, eligible loops (proven parallel or LRPD candidates) ask
+    /// it every invocation whether to run serially or concurrently, on
+    /// how many workers and under which schedule. A concurrent DOALL
+    /// runs that plan instead of the fixed `schedule`; a speculation
+    /// keeps `procs` and `schedule`; which of the two a loop is, its
+    /// annotation says. The controller is shared (`Arc`) so the
+    /// adaptation history survives across runs of the same source (e.g.
+    /// cached recompiles in `polarisd`).
+    pub adaptive: Option<std::sync::Arc<AdaptiveController>>,
 }
 
 impl MachineConfig {
@@ -204,7 +207,7 @@ impl MachineConfig {
 
     pub fn with_adaptive(
         mut self,
-        ctrl: std::sync::Arc<polaris_runtime::AdaptiveController>,
+        ctrl: std::sync::Arc<AdaptiveController>,
     ) -> MachineConfig {
         self.adaptive = Some(ctrl);
         self
@@ -238,5 +241,23 @@ impl MachineConfig {
     pub fn with_memory_cap(mut self, elements: usize) -> MachineConfig {
         self.memory_cap = Some(elements);
         self
+    }
+}
+
+/// 64-bit FNV-1a of `bytes`: the machine's one content hash, behind the
+/// adaptive table's check word and [`StateDump`]'s per-array digest.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, step)
+}
+
+#[cfg(test)]
+mod tests {
+    /// The reference values of the FNV-1a specification's test suite.
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(super::fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -103,10 +103,10 @@ use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::error::MachineError;
 use crate::exec::{red_apply_i, red_apply_r, set_identity, Flow, Interp};
 use crate::lower::{RLoop, RRed, RRef};
+use crate::lrpd::{PdVerdict, Shadow};
 use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
-use polaris_runtime::lrpd::{PdVerdict, Shadow};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};

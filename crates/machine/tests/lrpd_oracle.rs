@@ -1,7 +1,8 @@
 //! Property: the machine's `SPECULATIVE` loops reach the verdict a
 //! brute-force oracle reaches on the access pattern, and the serial
 //! program's output, whichever backend runs them — the machine-level
-//! twin of `polaris_runtime::lrpd::tests::prop_verdict_matches_oracle`.
+//! twin of the unit property `lrpd::tests::prop_verdict_matches_oracle`
+//! inside the crate.
 //!
 //! A random table of reads and writes (three per iteration) is rendered
 //! as an F-Mini `!$polaris doall speculative(A)` loop over `kind(i, j)`

@@ -6,9 +6,9 @@
 //! rewrites, and dependence-test outcomes actually go*. This crate
 //! provides the workspace-wide instrumentation substrate:
 //!
-//! * a [`Recorder`] handle, threaded through `polaris-core::pipeline`,
-//!   `polaris-machine` (exec, threaded, oracle) and
-//!   `polaris-runtime::lrpd`, collecting **hierarchical spans**
+//! * a [`Recorder`] handle, threaded through `polaris-core::pipeline`
+//!   and `polaris-machine` (exec, threaded, oracle, and the verdicts of
+//!   its LRPD test), collecting **hierarchical spans**
 //!   (compile → unit → pass → loop; exec → loop → chunk) and **typed
 //!   [`Counter`]s**;
 //! * a clock abstraction with a real monotonic clock and a

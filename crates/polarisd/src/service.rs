@@ -31,9 +31,8 @@ use crate::lock;
 use crate::proto::{fnv1a, Request, Response, Status};
 use crate::retry::{backoff, SplitMix, MAX_ATTEMPTS};
 use polaris_core::{CancelToken, PassOptions, StageOutcome, CANCELLED_PREFIX};
-use polaris_machine::{Engine, MachineConfig, MachineError};
+use polaris_machine::{AdaptiveController, DecisionRow, Engine, MachineConfig, MachineError};
 use polaris_obs::{Counter, Recorder};
-use polaris_runtime::{AdaptiveController, DecisionRow};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -32,9 +32,9 @@ pub use race::{analyze, check_image, LoopRace, RaceReport, RaceVerdict};
 use polaris_core::{CompileReport, StageOutcome};
 use polaris_ir::cert::CertCheck;
 use polaris_ir::Program;
+use polaris_machine::oracle::{ClaimKind, OracleReport};
 use polaris_obs::json::Json;
 use polaris_obs::{Counter, Recorder};
-use polaris_runtime::verdict::{ClaimKind, OracleReport};
 
 /// The prefix the pipeline puts on rollback reasons that originate from
 /// the inter-pass verifier (as opposed to a stage panicking or erroring
@@ -239,7 +239,7 @@ pub fn agreement(race: &RaceReport, oracle: &OracleReport) -> Agreement {
 mod tests {
     use super::*;
     use polaris_ir::stmt::LoopId;
-    use polaris_runtime::verdict::{DepKind, DepObservation, LoopVerdict, Violation};
+    use polaris_machine::oracle::{DepKind, DepObservation, LoopVerdict, Violation};
 
     fn compiled(src: &str) -> (Program, CompileReport) {
         polaris_core::parse_and_compile(src, &polaris_core::PassOptions::polaris()).unwrap()

@@ -128,7 +128,7 @@ fn main() -> ExitCode {
     let mut threaded = false;
     let mut threads: Option<usize> = None;
     let mut schedule = Schedule::Static;
-    let mut adaptive_ctrl: Option<std::sync::Arc<polaris::runtime::AdaptiveController>> = None;
+    let mut adaptive_ctrl: Option<std::sync::Arc<polaris::machine::AdaptiveController>> = None;
     let mut engine = Engine::default();
     let mut fuel: Option<u64> = None;
     let mut inject: Vec<String> = Vec::new();
@@ -203,7 +203,7 @@ fn main() -> ExitCode {
                 Some("adaptive") => {
                     schedule = Schedule::Static;
                     adaptive_ctrl =
-                        Some(std::sync::Arc::new(polaris::runtime::AdaptiveController::new()));
+                        Some(std::sync::Arc::new(polaris::machine::AdaptiveController::new()));
                 }
                 other => {
                     eprintln!(

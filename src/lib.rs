@@ -32,8 +32,7 @@
 //! | [`ir`] (`polaris-ir`) | §2 — the Fortran IR, parser, pattern matching, unparser |
 //! | [`symbolic`] (`polaris-symbolic`) | §3.3 — polynomials, ranges, monotonicity, Faulhaber sums |
 //! | [`core`](mod@core) (`polaris-core`) | §3 — the restructurer: inlining, induction, reductions, range test, privatization |
-//! | [`runtime`] (`polaris-runtime`) | §3.5 — the Privatizing-Doall test (shadow marks and verdict), the adaptive dispatcher |
-//! | [`machine`] (`polaris-machine`) | §4 — the simulated multiprocessor, the real-thread backend that runs `PARALLEL DO` and speculative loops, the validation harness |
+//! | [`machine`] (`polaris-machine`) | §3.5 and §4 — the Privatizing-Doall test (shadow marks and verdict), the simulated multiprocessor, the real-thread backend that runs `PARALLEL DO` and speculative loops, the adaptive dispatcher, the dependence oracle, the validation harness |
 //! | [`benchmarks`] (`polaris-benchmarks`) | §4.1 — the 16 Table-1 kernels plus TRACK |
 //! | [`obs`] (`polaris-obs`) | observability: spans, typed counters, chrome-trace / metrics export |
 //! | [`verify`] (`polaris-verify`) | verification: inter-pass invariant checking, static race detection, lints |
@@ -46,7 +45,6 @@ pub use polaris_core as core;
 pub use polaris_ir as ir;
 pub use polaris_machine as machine;
 pub use polaris_obs as obs;
-pub use polaris_runtime as runtime;
 pub use polaris_symbolic as symbolic;
 pub use polaris_verify as verify;
 pub use polarisd as daemon;

@@ -17,8 +17,7 @@ mod common;
 
 use common::{for_each_config, Matrix, Sched};
 use polaris::{MachineConfig, PassOptions};
-use polaris_machine::{audit, run, run_recorded, Engine};
-use polaris_runtime::AdaptiveController;
+use polaris_machine::{audit, run, run_recorded, AdaptiveController, Engine};
 use std::sync::Arc;
 
 const ALL_SCHEDULES: [Sched; 3] = [Sched::Static, Sched::Stealing, Sched::Adaptive];
@@ -147,7 +146,7 @@ fn decision_tables_are_stable_and_redispatch_to_nonserial_winners() {
         run(&out.program, &cfg).unwrap();
         run(&out.program, &cfg).unwrap();
         let after_four = ctrl.decision_rows();
-        let key = |rows: &[polaris_runtime::DecisionRow]| -> Vec<_> {
+        let key = |rows: &[polaris_machine::DecisionRow]| -> Vec<_> {
             rows.iter()
                 .map(|r| (r.loop_id, r.strategy, r.chunking.clone(), r.threads))
                 .collect::<Vec<_>>()
@@ -249,7 +248,6 @@ fn a_zero_trip_doall_is_fed_no_profile_of_an_earlier_loop() {
 /// still speculates and re-executes in order, and a proved DOALL forks.
 #[test]
 fn forced_stealing_speculates_an_unproved_loop_and_forks_a_proved_one() {
-    use polaris_runtime::Chunking;
     let src = "program forced\n\
                integer key(200), i\n\
                real a(200), b(2000)\n\
@@ -273,7 +271,7 @@ fn forced_stealing_speculates_an_unproved_loop_and_forks_a_proved_one() {
         MachineConfig::threaded(2, polaris_machine::Schedule::Static),
     ];
     for base in machines {
-        let cycle = vec![Some(Chunking::Stealing { chunk: 2 })];
+        let cycle = vec![Some(polaris_machine::Schedule::Stealing { chunk: 2 })];
         let forced = AdaptiveController::with_forced_cycle(cycle);
         let cfg = base.with_adaptive(Arc::new(forced));
         for pass in 0..2 {

@@ -7,8 +7,7 @@
 #![allow(dead_code)]
 
 use polaris::{Engine, MachineConfig, PassOptions, Program};
-use polaris_machine::Schedule;
-use polaris_runtime::AdaptiveController;
+use polaris_machine::{AdaptiveController, Schedule};
 use std::sync::Arc;
 
 /// Generous for every kernel and every bounded corpus program, tight

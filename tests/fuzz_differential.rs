@@ -217,7 +217,7 @@ fn differential_with_fault(seeds: std::ops::Range<u64>) {
 /// survive into the post-recovery table: the scheduler never wedges and
 /// never mis-merges.
 fn differential_adaptive_faults(seeds: std::ops::Range<u64>) {
-    use polaris_runtime::AdaptiveController;
+    use polaris::machine::AdaptiveController;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
     for seed in seeds {

@@ -747,15 +747,15 @@ proptest! {
 }
 
 /// One forced choice for the adversarial adaptation cycle: serial
-/// (`None`), or concurrent under a chunking. Whether a concurrent
+/// (`None`), or concurrent under a schedule. Whether a concurrent
 /// invocation is a DOALL or a speculation is read off the loop's
 /// annotation, so the generator is free to demand concurrency anywhere.
-fn forced_choice_strategy() -> impl Strategy<Value = Option<polaris::runtime::Chunking>> {
-    use polaris::runtime::Chunking as Ck;
+fn forced_choice_strategy() -> impl Strategy<Value = Option<polaris::machine::Schedule>> {
+    use polaris::machine::Schedule;
     prop_oneof![
         Just(None),
-        Just(Some(Ck::Block)),
-        (1usize..8).prop_map(|c| Some(Ck::Stealing { chunk: c })),
+        Just(Some(Schedule::Static)),
+        (1usize..8).prop_map(|c| Some(Schedule::Stealing { chunk: c })),
     ]
 }
 
@@ -777,7 +777,7 @@ proptest! {
         let reference = polaris::machine::run(&out.program, &polaris::MachineConfig::serial())
             .unwrap_or_else(|e| panic!("reference run failed: {e}\n{src}"));
         let ctrl = std::sync::Arc::new(
-            polaris::runtime::AdaptiveController::with_forced_cycle(cycle.clone()),
+            polaris::machine::AdaptiveController::with_forced_cycle(cycle.clone()),
         );
         let cfg = polaris::MachineConfig::challenge_8().with_adaptive(ctrl);
         for pass in 0..3 {
@@ -806,7 +806,7 @@ proptest! {
             .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
         let reference = polaris::machine::run(&out.program, &polaris::MachineConfig::serial())
             .unwrap_or_else(|e| panic!("reference run failed: {e}\n{src}"));
-        let ctrl = std::sync::Arc::new(polaris::runtime::AdaptiveController::new());
+        let ctrl = std::sync::Arc::new(polaris::machine::AdaptiveController::new());
         let cfg = polaris::MachineConfig::challenge_8()
             .with_adaptive(std::sync::Arc::clone(&ctrl));
         // Enough invocations to traverse the whole throttle ladder
@@ -837,15 +837,15 @@ proptest! {
 /// reference under every victim/steal interleaving.
 #[test]
 fn steal_heavy_skewed_costs_preserve_output_bytes() {
-    use polaris::runtime::{AdaptiveController, Chunking};
+    use polaris::machine::{AdaptiveController, Schedule};
     let b = polaris_benchmarks::skewed();
     let out = polaris::parallelize(b.source, &polaris::PassOptions::polaris()).unwrap();
     let reference =
         polaris::machine::run(&out.program, &polaris::MachineConfig::serial()).unwrap();
-    let forced = vec![Some(Chunking::Stealing { chunk: 1 }), Some(Chunking::Stealing { chunk: 3 })];
+    let forced = vec![Some(Schedule::Stealing { chunk: 1 }), Some(Schedule::Stealing { chunk: 3 })];
     for threads in [2usize, 4, 8] {
         let ctrl = std::sync::Arc::new(AdaptiveController::with_forced_cycle(forced.clone()));
-        let cfg = polaris::MachineConfig::threaded(threads, polaris::machine::Schedule::Static)
+        let cfg = polaris::MachineConfig::threaded(threads, Schedule::Static)
             .with_adaptive(ctrl);
         for pass in 0..2 {
             let r = polaris::machine::run(&out.program, &cfg)
