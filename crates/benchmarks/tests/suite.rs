@@ -1,13 +1,14 @@
 //! The evaluation-suite correctness tests:
 //!
-//! 1. every kernel compiles under both pipelines,
-//! 2. both outputs produce the *same results* as the original program
-//!    on the simulated machine,
-//! 3. the machine's adversarial validation (reverse-order execution with
-//!    real privatization/reduction semantics) passes for both outputs —
-//!    i.e. the compilers' parallelization claims are semantically sound,
-//! 4. the per-benchmark capability expectations behind Figure 7 hold
+//! 1. the machine's adversarial validation (reverse-order execution with
+//!    real privatization/reduction semantics) passes for both pipelines'
+//!    outputs — i.e. the compilers' parallelization claims are
+//!    semantically sound,
+//! 2. the per-benchmark capability expectations behind Figure 7 hold
 //!    (who parallelizes the hot loops), without asserting exact speedups.
+//!
+//! That both outputs print what the original program prints is
+//! `end_to_end::vfa_and_polaris_agree_on_results_everywhere`.
 
 use polaris_benchmarks::{all, track, Benchmark, Expectation};
 use polaris_core::{compile, PassOptions};
@@ -17,26 +18,6 @@ fn compiled(b: &Benchmark, opts: &PassOptions) -> (polaris_ir::Program, polaris_
     let mut p = b.program();
     let rep = compile(&mut p, opts).unwrap_or_else(|e| panic!("{}: {e}", b.name));
     (p, rep)
-}
-
-#[test]
-fn outputs_match_serial_reference() {
-    for b in all().into_iter().chain([track()]) {
-        let reference = run_serial(&b.program()).unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        assert!(!reference.output.is_empty(), "{} produced no output", b.name);
-
-        let (pol, _) = compiled(&b, &PassOptions::polaris());
-        let rp = run(&pol, &MachineConfig::challenge_8()).unwrap();
-        assert_eq!(reference.output, rp.output, "{}: polaris output differs", b.name);
-
-        let (vfa, _) = compiled(&b, &PassOptions::vfa());
-        let rv = run(
-            &vfa,
-            &MachineConfig::challenge_8().with_codegen(CodegenModel::aggressive()),
-        )
-        .unwrap();
-        assert_eq!(reference.output, rv.output, "{}: vfa output differs", b.name);
-    }
 }
 
 #[test]

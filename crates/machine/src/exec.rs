@@ -1672,6 +1672,60 @@ mod tests {
         assert_eq!(b, ArrData::R(vec![-1.0, 2.0, 0.0]));
     }
 
+    /// The simulated multiprocessor runs a concurrent invocation on one
+    /// thread, chunk by chunk in iteration order, whatever its processor
+    /// count and plan: so simulated configurations can change cycles but
+    /// never output bits, and the conformance suites need not walk them
+    /// all. A loop that counts its visits (`k = k + 1; ord(k) = i`, a
+    /// shared `K` no real backend could run) records that order, as a
+    /// DOALL and as a speculation, for every plan shape at p = 2 and 8.
+    #[test]
+    fn simulated_invocations_visit_iterations_in_ascending_order_for_every_plan() {
+        let program = |annotation: &str, trip: usize| {
+            parse(&format!(
+                "program order\ninteger ord(40), i, k, bad\nk = 0\n{annotation}\n\
+                 do i = 1, {trip}\n  k = k + 1\n  ord(k) = i\nend do\n\
+                 bad = 0\ndo i = 1, k\n  if (ord(i) .ne. i) then\n    bad = bad + 1\n  end if\nend do\n\
+                 print *, k, bad\nend\n"
+            ))
+        };
+        let forced = || {
+            Arc::new(crate::AdaptiveController::with_forced_cycle(vec![Some(Schedule::Stealing { chunk: 2 })]))
+        };
+        for procs in [2, 8] {
+            let base = MachineConfig::challenge_8().with_procs(procs);
+            let plans = [
+                Schedule::Static,
+                Schedule::Stealing { chunk: 1 },
+                Schedule::Stealing { chunk: 3 },
+                Schedule::Dynamic { chunk: 3 },
+            ]
+            .map(|schedule| MachineConfig { schedule, ..base.clone() });
+            // Past the block plan's `procs` chunks, below one chunk per
+            // processor, and none at all.
+            for trip in [40, procs - 1, 0] {
+                for annotation in ["!$polaris doall", "!$polaris doall speculative(ORD)"] {
+                    let p = program(annotation, trip);
+                    let serial = run_serial(&p).unwrap();
+                    assert_eq!(serial.output, [format!("{trip} 0")]);
+                    for cfg in plans.iter().cloned().chain([base.clone().with_adaptive(forced())]) {
+                        for engine in [Engine::Vm, Engine::TreeWalk] {
+                            let cfg = cfg.clone().with_engine(engine);
+                            let what = format!("{annotation}, trip {trip}: {cfg:?}");
+                            let rec = polaris_obs::Recorder::monotonic();
+                            let r = run_recorded(&p, &cfg, &rec).unwrap_or_else(|e| panic!("{what}: {e}"));
+                            assert_eq!(r.output, serial.output, "{what}");
+                            let counters = rec.counters();
+                            let concurrent = ["exec.loops.parallel", "exec.loops.speculative"]
+                                .map(|c| counters.get(c).copied().unwrap_or(0));
+                            assert_eq!(concurrent.iter().sum::<u64>(), 1, "{what}: not dispatched concurrently");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn integer_semantics() {
         let p = parse(

@@ -13,11 +13,12 @@
 //!
 //! Run with `-- --nocapture` to see the numbers.
 
+mod common;
+
 use polaris::core::ddtest::range_test::{no_carried_dependence, InnerLoop, RefSpec};
 use polaris::core::ddtest::DdStats;
 use polaris::symbolic::poly::{DivPolicy, Poly};
 use polaris::symbolic::{Range, RangeEnv};
-use polaris::benchmarks::Benchmark;
 use polaris::PassOptions;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,23 +95,10 @@ fn inner(var: &str, lo: &str, hi: &str) -> InnerLoop {
     InnerLoop { var: var.into(), lo: poly(lo), hi: poly(hi), step: 1 }
 }
 
-/// The 26 kernels the benchmark's `compile_suite` workload compiles.
-fn kernels() -> Vec<Benchmark> {
-    use polaris::benchmarks as b;
-    b::all()
-        .into_iter()
-        .chain([b::track()])
-        .chain(b::irregular().into_iter().map(|(k, _)| k))
-        .chain([b::skewed()])
-        .chain(b::locality().into_iter().map(|(k, _)| k))
-        .collect()
-}
-
 // One test function: the two measurements share the thread's counters.
 #[test]
 fn checked_compiles_and_the_trfd_range_test_stay_within_their_allocation_budgets() {
-    let kernels = kernels();
-    assert_eq!(kernels.len(), 26);
+    let kernels = common::kernels();
     let (allocs, bytes) = counted(|| {
         for b in &kernels {
             let mut program = polaris::ir::parse(b.source).expect("kernel parses");

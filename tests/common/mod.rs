@@ -1,14 +1,30 @@
-//! Support shared by the root conformance tests: the fuel cap, the
-//! output checksum, the compile-or-panic helper, and the one iterator
-//! over the engine × backend × schedule × workers matrix that the
-//! bit-identity tiers walk.
+//! Support shared by the root conformance tests: the kernel list, the
+//! fuel cap, the output checksum, the compile-or-panic helper, the one
+//! audit of a kernel, and the one iterator over the engine × backend × schedule × workers matrix
+//! that the bit-identity tiers walk.
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
 
+use polaris::verify::{agreement, verify_compiled, RaceVerdict};
 use polaris::{Engine, MachineConfig, PassOptions, Program};
+use polaris_benchmarks::Benchmark;
 use polaris_machine::{AdaptiveController, Schedule};
 use std::sync::Arc;
+
+/// The 26 kernels every kernel suite walks (and the benchmark's
+/// `compile_suite` compiles): the 16 Table-1 codes, TRACK, the six
+/// irregular kernels, the skewed-cost SPMVT and the two locality kernels.
+pub fn kernels() -> Vec<Benchmark> {
+    use polaris_benchmarks as b;
+    let mut v = b::all();
+    v.push(b::track());
+    v.extend(b::irregular().into_iter().map(|(k, _)| k));
+    v.push(b::skewed());
+    v.extend(b::locality().into_iter().map(|(k, _)| k));
+    assert_eq!(v.len(), 26);
+    v
+}
 
 /// Generous for every kernel and every bounded corpus program, tight
 /// enough that a miscompile into an endless loop fails within seconds
@@ -32,6 +48,66 @@ pub fn compiled(src: &str, what: &str) -> Program {
         .unwrap_or_else(|e| panic!("{what}: compile: {e}"));
     assert!(!out.report.degraded(), "{what}: {:?}", out.report.rolled_back_stages());
     out.program
+}
+
+/// What one kernel's audit adds to a suite's non-vacuity sums.
+#[derive(Default)]
+pub struct Audited {
+    pub serial_exercised: usize,
+    pub completeness_misses: usize,
+    /// PARALLEL claims joined between the race report and the oracle.
+    pub compared: usize,
+    pub precision_misses: usize,
+    /// Claims the static race detector proved outright.
+    pub clean: usize,
+}
+
+impl Audited {
+    pub fn add(&mut self, a: &Audited) {
+        self.serial_exercised += a.serial_exercised;
+        self.completeness_misses += a.completeness_misses;
+        self.compared += a.compared;
+        self.precision_misses += a.precision_misses;
+        self.clean += a.clean;
+    }
+}
+
+/// The one audit of a kernel. Each of the 26 is audited once per run of
+/// the root tests, by the suite that owns it: `oracle_conformance` the
+/// 16 Table-1 codes and TRACK, `irregular_conformance` the six
+/// irregular kernels, `adaptive_conformance` the skewed-cost SPMVT and
+/// `verify_conformance` the two locality kernels. The kernel is
+/// compiled once, checked by the static verifier once and run under the
+/// dependence oracle once on the serial machine, and three verdicts
+/// must hold: the oracle sees no PARALLEL claim contradicted by an
+/// undischarged dependence, the emitted program passes the verifier's
+/// full invariant set, and every loop the static race detector calls
+/// `clean` survives the oracle's cross-check.
+pub fn audit_kernel(b: &Benchmark) -> Audited {
+    let what = b.name;
+    let out = polaris::parallelize(b.source, &PassOptions::polaris())
+        .unwrap_or_else(|e| panic!("{what}: compile: {e}"));
+    let report = polaris_machine::audit(&out.program, &out.report)
+        .unwrap_or_else(|e| panic!("{what}: oracle run: {e}"));
+    assert!(
+        !report.has_violations(),
+        "{what}: PARALLEL claim contradicted by observed dependence:\n{:#?}",
+        report.violations().collect::<Vec<_>>()
+    );
+    let v = verify_compiled(&out.program, &out.report);
+    assert!(v.ok(), "{what}: verifier violation: {:?}", v.final_violations);
+    assert!(v.verifier_rollbacks.is_empty(), "{what}: {:?}", v.verifier_rollbacks);
+    assert!(v.invariants_checked > 0, "{what}: verifier never ran");
+    let race = v.race.as_ref().unwrap_or_else(|| panic!("{what}: no race report"));
+    let a = agreement(race, &report);
+    assert!(a.sound(), "{what}: static `clean` contradicted by the oracle on {:?}", a.soundness_failures);
+    Audited {
+        serial_exercised: report.serial_loops_exercised(),
+        completeness_misses: report.completeness_misses(),
+        compared: a.compared,
+        precision_misses: a.precision_misses.len(),
+        clean: race.count(RaceVerdict::Clean),
+    }
 }
 
 /// How a parallel backend hands out iterations.

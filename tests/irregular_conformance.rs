@@ -3,18 +3,17 @@
 //! (the hot loop is proved parallel at compile time, directly or via
 //! the index-array property pass) or `lrpd` (the loop ships as a
 //! run-time speculation instead of serializing) — and must compute a
-//! bit-identical result on every backend we have: the tree-walking
-//! interpreter, the bytecode VM, and the threaded executor. The
+//! bit-identical result serially and on the threaded executor. The
 //! runtime dependence oracle and the static race detector then
-//! cross-check every PARALLEL claim; a statically-clean loop the
-//! oracle sees violate a dependence fails the suite.
+//! cross-check every PARALLEL claim (`common::audit_kernel`, the
+//! kernels' one audit); a statically-clean loop the oracle sees violate
+//! a dependence fails the suite.
 
 mod common;
 
-use common::{fnv1a, for_each_config, Matrix, Sched};
-use polaris::verify::{agreement, verify_compiled};
+use common::{audit_kernel, fnv1a, for_each_config, Matrix, Sched};
 use polaris::{MachineConfig, PassOptions};
-use polaris_machine::{audit, run, Engine};
+use polaris_machine::{run, Engine};
 
 /// The tier the compiled plan actually landed in, derived from the
 /// compile report: any speculative loop means the kernel needed
@@ -111,8 +110,8 @@ fn lrpd_kernels_ship_as_speculation_not_serial() {
     }
 }
 
-/// Every kernel, both engines, serial and threaded: bit-identical
-/// output and checksum against the uncompiled program's serial run.
+/// Every kernel, serial and threaded: bit-identical output and checksum
+/// against the uncompiled program's serial run.
 #[test]
 fn irregular_outputs_are_bit_identical_across_engines_and_threads() {
     for (b, _) in &polaris_benchmarks::irregular() {
@@ -127,7 +126,7 @@ fn irregular_outputs_are_bit_identical_across_engines_and_threads() {
 
         let program = common::compiled(b.source, b.name);
         let matrix = Matrix {
-            engines: &[Engine::TreeWalk, Engine::Vm],
+            engines: &[Engine::Vm],
             procs: &[],
             threads: &[2, 4],
             schedules: &[Sched::Static],
@@ -152,25 +151,7 @@ fn irregular_outputs_are_bit_identical_across_engines_and_threads() {
 fn irregular_kernels_are_oracle_clean_and_race_sound() {
     let mut statics_compared = 0usize;
     for (b, expected) in &polaris_benchmarks::irregular() {
-        let out = polaris::parallelize(b.source, &PassOptions::polaris()).unwrap();
-        let oracle = audit(&out.program, &out.report)
-            .unwrap_or_else(|e| panic!("{}: oracle: {e}", b.name));
-        assert!(
-            !oracle.has_violations(),
-            "{}: oracle violations: {:?}",
-            b.name,
-            oracle.violations().collect::<Vec<_>>()
-        );
-        let v = verify_compiled(&out.program, &out.report);
-        assert!(v.ok(), "{}: {:?}", b.name, v.final_violations);
-        let race = v.race.as_ref().unwrap_or_else(|| panic!("{}: no race report", b.name));
-        let a = agreement(race, &oracle);
-        assert!(
-            a.sound(),
-            "{}: static `clean` contradicted by the oracle on {:?}",
-            b.name,
-            a.soundness_failures
-        );
+        let a = audit_kernel(b);
         if *expected == "static" {
             statics_compared += a.compared;
         }

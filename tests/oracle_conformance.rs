@@ -2,21 +2,25 @@
 //! PARALLEL claim the pipeline publishes is audited against the exact
 //! cross-iteration dependences the program exhibits at run time
 //! (`polaris_machine::oracle`). A claim contradicted by an observed,
-//! undischarged dependence is a soundness violation and fails hard;
-//! serial loops that turn out dynamically independent are completeness
-//! misses and are only *reported* (figure7 folds them into the bench
-//! trajectory).
+//! undischarged dependence is a soundness violation and fails hard, and
+//! so does a loop the static race detector calls `clean` that the
+//! oracle sees violate a dependence. Serial loops that turn out
+//! dynamically independent are completeness misses and are only
+//! *counted* (figure7 folds them into the bench trajectory).
 //!
-//! The corpus is the full 17-kernel benchmark suite (Table 1 + TRACK)
-//! plus the 256-seed deterministic fuzz corpus shared with
-//! `fuzz_differential.rs`.
+//! The corpus is the paper's 17-kernel suite (Table 1 + TRACK) and the
+//! 256-seed deterministic fuzz corpus shared with
+//! `fuzz_differential.rs`. Each program is audited here once, and
+//! nowhere else; `verify_conformance.rs` runs the verifier over the
+//! fuzz corpus.
 
 mod common;
 
-use common::FUEL;
+use common::{audit_kernel, Audited, FUEL};
 use polaris::fuzz::generate_program;
+use polaris::verify::{agreement, analyze};
 use polaris::{MachineConfig, PassOptions};
-use polaris_machine::{audit, audit_with};
+use polaris_machine::audit_with;
 
 #[test]
 fn kernels_have_zero_soundness_violations() {
@@ -24,54 +28,28 @@ fn kernels_have_zero_soundness_violations() {
     kernels.push(polaris_benchmarks::track());
     assert_eq!(kernels.len(), 17, "the paper's suite is 16 codes + TRACK");
 
-    let mut serial_exercised = 0usize;
-    let mut misses = 0usize;
+    let mut total = Audited::default();
     for b in &kernels {
-        let out = polaris::parallelize(b.source, &PassOptions::polaris())
-            .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
-        let report = audit(&out.program, &out.report)
-            .unwrap_or_else(|e| panic!("{}: oracle run: {e}", b.name));
-        assert!(
-            !report.has_violations(),
-            "{}: PARALLEL claim contradicted by observed dependence:\n{:#?}",
-            b.name,
-            report.violations().collect::<Vec<_>>()
-        );
-        serial_exercised += report.serial_loops_exercised();
-        misses += report.completeness_misses();
+        total.add(&audit_kernel(b));
     }
     // The suite is built to exercise both sides of the precision story:
-    // it must contain serial loops (the range test is not vacuous) and
-    // at least one known dynamic-independence miss (WAVE5/TRACK-style
-    // subscripted subscripts when speculation is charged to run time).
-    assert!(serial_exercised > 0, "no serial loops exercised across the suite");
+    // it must contain serial loops (the range test is not vacuous), the
+    // cross-check must join claims, and the detector must prove claims
+    // outright rather than abstaining everywhere.
+    assert!(total.serial_exercised > 0, "no serial loops exercised across the suite");
     assert!(
-        misses <= serial_exercised,
-        "miss count {misses} exceeds exercised serial loops {serial_exercised}"
+        total.completeness_misses <= total.serial_exercised,
+        "miss count {} exceeds exercised serial loops {}",
+        total.completeness_misses,
+        total.serial_exercised
     );
-}
-
-/// Each kernel audited individually with speculation disabled: the
-/// loops Polaris hands to the LRPD test become plain serial loops, so
-/// dynamically-independent ones must show up as completeness misses —
-/// this is the paper's motivation for the run-time test, measured.
-#[test]
-fn disabling_speculation_surfaces_completeness_misses() {
-    let mut opts = PassOptions::polaris();
-    opts.speculation = false;
-    let mut total_misses = 0usize;
-    for b in [polaris_benchmarks::by_name("WAVE5").unwrap(), polaris_benchmarks::track()] {
-        let out = polaris::parallelize(b.source, &opts)
-            .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
-        let report = audit(&out.program, &out.report)
-            .unwrap_or_else(|e| panic!("{}: oracle run: {e}", b.name));
-        assert!(!report.has_violations(), "{}: violations without speculation", b.name);
-        total_misses += report.completeness_misses() + report.privatizable_misses();
-    }
+    assert!(total.compared > 0, "no PARALLEL claims joined across the suite");
+    assert!(total.clean > 0, "the detector never proved a claim clean");
     assert!(
-        total_misses > 0,
-        "WAVE5/TRACK are the run-time-test codes; with speculation off the \
-         oracle must observe at least one dynamically independent serial loop"
+        total.precision_misses <= total.compared,
+        "precision misses {} exceed compared claims {}",
+        total.precision_misses,
+        total.compared
     );
 }
 
@@ -88,6 +66,14 @@ fn fuzz_corpus_clean(seeds: std::ops::Range<u64>) {
             "seed {seed}: PARALLEL claim contradicted by observed dependence\n\
              --- source ---\n{src}\n--- violations ---\n{:#?}",
             report.violations().collect::<Vec<_>>()
+        );
+        let Ok(race) = analyze(&out.program) else { continue };
+        let a = agreement(&race, &report);
+        assert!(
+            a.sound(),
+            "seed {seed}: static `clean` contradicted by the oracle\n\
+             --- source ---\n{src}\n--- failures ---\n{:?}",
+            a.soundness_failures
         );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! `Engine::Vm` is the workspace default, so every other suite already
 //! runs on the VM; this file is the *explicit* two-engine comparison:
-//! for the 17 paper kernels and the 256-seed fuzz corpus, under both the
+//! for the 26 kernels and the 256-seed fuzz corpus, under both the
 //! simulated and the threaded backend, the two engines must produce
 //!
 //! * bit-identical printed output (checksums included),
@@ -56,12 +56,6 @@ fn assert_state_eq(vm: &StateDump, tree: &StateDump, what: &str) {
     );
 }
 
-fn kernels() -> Vec<polaris_benchmarks::Benchmark> {
-    let mut ks = polaris_benchmarks::all();
-    ks.push(polaris_benchmarks::track());
-    ks
-}
-
 /// [`assert_engines_agree`] on the serial machine, the simulated
 /// machine at each of `procs` and real threads at each of `threads`;
 /// returns the runs in that order.
@@ -91,27 +85,41 @@ fn assert_all_match_serial(runs: &[RunResult], what: &str) {
     }
 }
 
-// ---- the 17 kernels --------------------------------------------------
+// ---- the 26 kernels --------------------------------------------------
 
-/// Serial + simulated-parallel, both engines, all 17 kernels. Also pins
-/// the untransformed program (the serial reference everything else in
-/// the workspace compares against).
+/// The untransformed programs, serially: the reference everything else
+/// in the workspace compares against, and the only rows whose code
+/// still holds what the pipeline rewrites away (calls, strided and
+/// unnormalized loops, induction variables).
+#[test]
+fn untransformed_kernels_agree_across_engines() {
+    for k in common::kernels() {
+        engines_agree_on(&k.program(), &[], &[], &format!("{} (untransformed)", k.name));
+    }
+}
+
+/// Serial + simulated-parallel, both engines, all 26 kernels. The
+/// simulated rows are where the engines' bodies are billed per bucket
+/// and speculated arrays are marked, so cycles can differ there alone.
 #[test]
 fn kernels_serial_and_simulated_parallel_agree_across_engines() {
-    for k in kernels() {
-        engines_agree_on(&k.program(), &[], &[], &format!("{} (untransformed)", k.name));
+    for k in common::kernels() {
         let runs = engines_agree_on(&compiled(k.source, k.name), &[8], &[], k.name);
         assert_all_match_serial(&runs, k.name);
     }
 }
 
-/// Real-thread backend, both engines, all 17 kernels: checksums must be
+/// Real-thread backend, both engines, all 26 kernels: checksums must be
 /// bit-identical (the chunk-ordered merge makes threading deterministic,
 /// so exact equality is the right bar — see tests/fuzz_differential.rs).
+/// Two lanes are what puts both engines' bodies on lanes; more lanes
+/// than cores is the backend's own axis, which
+/// `adaptive_conformance::threaded_backend_is_bit_identical_for_every_schedule`
+/// runs at 8 threads on every kernel.
 #[test]
 fn kernels_threaded_agree_across_engines() {
-    for k in kernels() {
-        let runs = engines_agree_on(&compiled(k.source, k.name), &[], &[2, 8], k.name);
+    for k in common::kernels() {
+        let runs = engines_agree_on(&compiled(k.source, k.name), &[], &[2], k.name);
         assert_all_match_serial(&runs, k.name);
     }
 }
