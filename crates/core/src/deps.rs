@@ -4,7 +4,7 @@
 //! for every `DO` loop, and annotates the IR with the result.
 
 use crate::ddtest::{affine, banerjee, gcd, range_test, DdStats};
-use crate::iterview::{IterView, Ref};
+use crate::iterview::{write_pairs, IterView, Ref};
 use crate::privatize;
 use crate::rangeprop;
 use crate::reduction;
@@ -400,20 +400,8 @@ fn pairs_independent(
     // inner loops eliminated once.
     let mut range_test =
         range_test::LoopTest::new(&d.var, step, &self_loop, env, stats, opts.permutation);
-    for (i, w) in refs.iter().enumerate() {
-        if !w.is_write {
-            continue;
-        }
-        for (j, o) in refs.iter().enumerate() {
-            if j < i && o.is_write {
-                continue; // (w2, w1) already tested as (w1, w2)
-            }
-            if !pair_independent(d, w, o, step, &mut range_test, opts, stats) {
-                return false;
-            }
-        }
-    }
-    true
+    write_pairs(refs, |a| a.is_write)
+        .all(|(i, j)| pair_independent(d, refs[i], refs[j], step, &mut range_test, opts, stats))
 }
 
 fn loop_as_inner(d: &DoLoop, step: i64) -> Option<range_test::InnerLoop> {

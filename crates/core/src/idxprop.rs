@@ -37,6 +37,7 @@
 
 use crate::ddtest::range_test::InnerLoop;
 use crate::ddtest::DdStats;
+use crate::iterview::write_pairs;
 use crate::rangeprop;
 use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{DoLoop, Stmt, StmtKind};
@@ -463,23 +464,12 @@ pub fn pairs_disjoint_via_props(
         .iter()
         .map(|a| a.subs.iter().map(|e| sep_key(e, a, self_loop, varying, env, props)).collect())
         .collect();
-    for (i, w) in accesses.iter().enumerate() {
-        if !w.write {
-            continue;
-        }
-        for (j, o) in accesses.iter().enumerate() {
-            if j < i && o.write {
-                continue; // (w2, w1) already tested as (w1, w2)
-            }
-            let pair_ok = keys[i].len() == keys[j].len()
-                && keys[i]
-                    .iter()
-                    .zip(&keys[j])
-                    .any(|(a, b)| a.is_some() && a == b);
-            if !pair_ok {
-                return false;
-            }
-        }
+    let separated = |(i, j): (usize, usize)| {
+        keys[i].len() == keys[j].len()
+            && keys[i].iter().zip(&keys[j]).any(|(a, b)| a.is_some() && a == b)
+    };
+    if !write_pairs(accesses, |a| a.write).all(separated) {
+        return false;
     }
     stats.props_proved.set(stats.props_proved.get() + 1);
     true

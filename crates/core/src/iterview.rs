@@ -216,6 +216,20 @@ impl IterView {
     }
 }
 
+/// The access pairs a dependence test of one array judges, as indices
+/// into `accesses`: each write with every access. A write's self pair is
+/// included (one write meets itself in two iterations: the output
+/// dependence), and a write–write pair appears once, as (earlier, later).
+pub(crate) fn write_pairs<'a, T>(
+    accesses: &'a [T],
+    is_write: impl Fn(&T) -> bool + Copy + 'a,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let n = accesses.len();
+    (0..n).filter(move |&i| is_write(&accesses[i])).flat_map(move |i| {
+        (0..n).filter(move |&j| j >= i || !is_write(&accesses[j])).map(move |j| (i, j))
+    })
+}
+
 /// The range-test form of a resolved access. An opaque dimension becomes
 /// a symbol private to that access and dimension: a value nothing is
 /// known about, which never separates two iterations.

@@ -42,7 +42,7 @@
 //! constant against `polaris_machine::CostModel`).
 
 use crate::ddtest::{affine, banerjee, DdStats, Dir};
-use crate::iterview::{IterView, Ref};
+use crate::iterview::{write_pairs, IterView, Ref};
 use crate::reduction;
 use polaris_ir::cert::{CertKind, DepVector, LegalityCert, NestDir};
 use polaris_ir::expr::Expr;
@@ -230,27 +230,14 @@ fn summarize_view(
                     .first()
                     .map(|a| relaxable(a, a))
                     .unwrap_or(false);
-            push(DepVector {
-                array: name.to_string(),
-                dirs: vec![NestDir::Star; n],
-                distance: vec![None; n],
-                relaxable: relax,
-            });
+            push(star_row(name, n, relax));
             continue;
         }
-        // Arrays: every (write, other) pair contributes rows.
-        for (i, w) in refs.iter().enumerate() {
-            if !w.is_write {
-                continue;
-            }
-            for (j, o) in refs.iter().enumerate() {
-                if i == j || (j < i && o.is_write) {
-                    continue; // (w2, w1) already produced as (w1, w2)
-                }
-                let relax = relaxable(w, o);
-                for row in pair_rows(w, o, &band, relax, stats) {
-                    push(row);
-                }
+        // Arrays: every (write, access) pair contributes rows.
+        for (i, j) in write_pairs(&refs, |a| a.is_write) {
+            let (w, o) = (refs[i], refs[j]);
+            for row in pair_rows(w, o, &band, relaxable(w, o), i == j, stats) {
+                push(row);
             }
         }
     }
@@ -341,6 +328,12 @@ fn analyze_pair(f: &Ref, g: &Ref, band: &[affine::Loop], stats: &DdStats) -> Pai
     PairDirs { leaves: Some(leaves), exact }
 }
 
+/// The row of a dependence nothing is known about: `*` in every loop.
+fn star_row(array: &str, n: usize, relaxable: bool) -> DepVector {
+    let (dirs, distance) = (vec![NestDir::Star; n], vec![None; n]);
+    DepVector { array: array.to_string(), dirs, distance, relaxable }
+}
+
 fn to_nest_dir(d: Dir) -> NestDir {
     match d {
         Dir::Lt => NestDir::Lt,
@@ -352,26 +345,25 @@ fn to_nest_dir(d: Dir) -> NestDir {
 
 /// Canonical dependence rows for one pair: each feasible leaf becomes a
 /// lexicographically non-negative row (a leading-`>` leaf is the same
-/// dependence with source and sink swapped, so it is flipped).
+/// dependence with source and sink swapped, so it is flipped). A self
+/// pair's all-`=` leaf is one access instance, not a dependence.
 fn pair_rows(
     f: &Ref,
     g: &Ref,
     band: &[affine::Loop],
     relaxable: bool,
+    self_pair: bool,
     stats: &DdStats,
 ) -> Vec<DepVector> {
-    let n = band.len();
     let pd = analyze_pair(f, g, band, stats);
     let Some(leaves) = pd.leaves else {
-        return vec![DepVector {
-            array: f.name.clone(),
-            dirs: vec![NestDir::Star; n],
-            distance: vec![None; n],
-            relaxable,
-        }];
+        return vec![star_row(&f.name, band.len(), relaxable)];
     };
     let mut rows = Vec::new();
     for leaf in leaves {
+        if self_pair && leaf.iter().all(|d| *d == Dir::Eq) {
+            continue;
+        }
         let mut dirs: Vec<NestDir> = leaf.iter().map(|d| to_nest_dir(*d)).collect();
         let mut distance = pd.exact.clone();
         let flip = dirs.iter().find(|d| **d != NestDir::Eq) == Some(&NestDir::Gt);
@@ -481,30 +473,18 @@ pub fn fusion_legal(
                 continue; // the shared loop variable itself
             }
             let relax = relaxable(x, y);
-            if x.is_scalar() || y.is_scalar() {
-                if relax {
-                    push(DepVector {
-                        array: x.name.clone(),
-                        dirs: vec![NestDir::Star],
-                        distance: vec![None],
-                        relaxable: true,
-                    });
-                    continue;
-                }
-                return Err(format!("scalar {} conflicts across the fused bodies", x.name));
-            }
+            // A scalar has no subscripts, so its pair is never affine.
             let pd = analyze_pair(x, y, &band, stats);
             let Some(leaves) = pd.leaves else {
                 if relax {
-                    push(DepVector {
-                        array: x.name.clone(),
-                        dirs: vec![NestDir::Star],
-                        distance: vec![None],
-                        relaxable: true,
-                    });
+                    push(star_row(&x.name, 1, true));
                     continue;
                 }
-                return Err(format!("{}: non-affine cross-body access pair", x.name));
+                return Err(if x.is_scalar() || y.is_scalar() {
+                    format!("scalar {} conflicts across the fused bodies", x.name)
+                } else {
+                    format!("{}: non-affine cross-body access pair", x.name)
+                });
             };
             if !relax && leaves.iter().any(|l| l[0] == Dir::Gt) {
                 return Err(format!(
@@ -650,25 +630,19 @@ pub fn better_legal_order(
     }
     let loops = band.iter().map(|l| NestLoop::of(l)).collect();
     let summary = summarize_view(loops, &view, root, stats);
-    let (mut legal, mut rejected) = (None, None);
+    let mut chosen = None;
     for order in orders.iter().take_while(|(s, _)| *s < identity_score) {
-        nr.candidates += 1;
-        match interchange_legal(&summary.vectors, &order.1) {
-            Ok(()) => {
-                nr.proved += 1;
-                if !force_illegal {
-                    legal = Some(order);
-                    break;
-                }
-            }
-            Err(reason) => {
-                nr.rejected += 1;
-                nr.rejections.push(format!("{unit_name}/{}: interchange: {reason}", root.label));
-                rejected = rejected.or(Some(order));
+        let verdict = interchange_legal(&summary.vectors, &order.1);
+        if nr.judge(unit_name, &root.label, "interchange", verdict, force_illegal).is_some() {
+            chosen = chosen.or(Some(order));
+            if !force_illegal {
+                break;
             }
         }
     }
-    let chosen = if force_illegal { rejected.or(orders.first()) } else { legal };
+    if force_illegal {
+        chosen = chosen.or(orders.first());
+    }
     let (best_score, perm) = chosen?.clone();
     Some((perm, summary, identity_score, best_score))
 }
@@ -696,21 +670,10 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 // Reports
 // ---------------------------------------------------------------------
 
-/// What the nest-transformation stages did, aggregated across units.
+/// What the nest-transformation stages did, aggregated across units:
+/// the candidates judged are the rejections plus the applied certs.
 #[derive(Debug, Clone, Default)]
 pub struct NestReport {
-    /// Band roots the interchange stage visited (summarized or gated
-    /// out before a summary).
-    pub summarized: usize,
-    /// Transformation candidates submitted to the prover.
-    pub candidates: usize,
-    /// Candidates the prover judged legal.
-    pub(crate) proved: usize,
-    /// Candidates the prover rejected (with reasons in `rejections`).
-    pub rejected: usize,
-    pub interchanges: usize,
-    pub tiles: usize,
-    pub fusions: usize,
     /// One certificate per applied transformation.
     pub certs: Vec<LegalityCert>,
     /// Human-readable reasons for rejected candidates.
@@ -718,57 +681,58 @@ pub struct NestReport {
 }
 
 impl NestReport {
+    /// Enter the prover's verdict on one `stage` candidate at
+    /// `unit/label` and say whether to apply it, with its evidence: a
+    /// legal candidate — or, under `force_illegal` (the fault that feeds
+    /// the re-prover a lie), only a rejected one, with none.
+    pub(crate) fn judge<T: Default>(
+        &mut self,
+        unit: &str,
+        label: &str,
+        stage: &str,
+        verdict: Result<T, String>,
+        force_illegal: bool,
+    ) -> Option<T> {
+        match verdict {
+            Ok(evidence) => (!force_illegal).then_some(evidence),
+            Err(reason) => {
+                self.rejections.push(format!("{unit}/{label}: {stage}: {reason}"));
+                force_illegal.then(T::default)
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
 // Interchange
 // ---------------------------------------------------------------------
 
-struct Header {
-    var: String,
-    init: Expr,
-    limit: Expr,
-    step: Option<Expr>,
-    label: String,
-    loop_id: LoopId,
-}
-
-fn read_headers(root: &DoLoop, depth: usize) -> Vec<Header> {
-    let mut hdrs = Vec::with_capacity(depth);
-    let mut cur = root;
-    for lvl in 0..depth {
-        hdrs.push(Header {
-            var: cur.var.clone(),
-            init: cur.init.clone(),
-            limit: cur.limit.clone(),
-            step: cur.step.clone(),
-            label: cur.label.clone(),
-            loop_id: cur.loop_id,
-        });
-        if lvl + 1 < depth {
-            cur = cur.body.0[0].as_do().expect("perfect band");
-        }
-    }
-    hdrs
-}
-
 /// Permute the band's loop headers in place; bodies stay put, so the
 /// statement text is untouched and only iteration order changes. Labels
 /// and [`LoopId`]s travel with their header — the loop's identity
 /// follows its variable.
 fn apply_interchange(root: &mut DoLoop, perm: &[usize]) {
-    let depth = perm.len();
-    let hdrs = read_headers(root, depth);
+    let mut headers = Vec::with_capacity(perm.len());
+    let mut cur = &mut *root;
+    loop {
+        headers.push(Some((
+            std::mem::take(&mut cur.var),
+            std::mem::replace(&mut cur.init, Expr::int(0)),
+            std::mem::replace(&mut cur.limit, Expr::int(0)),
+            cur.step.take(),
+            std::mem::take(&mut cur.label),
+            cur.loop_id,
+        )));
+        if headers.len() == perm.len() {
+            break;
+        }
+        cur = cur.body.0[0].as_do_mut().expect("perfect band");
+    }
     let mut cur = root;
     for (lvl, &src) in perm.iter().enumerate() {
-        let h = &hdrs[src];
-        cur.var = h.var.clone();
-        cur.init = h.init.clone();
-        cur.limit = h.limit.clone();
-        cur.step = h.step.clone();
-        cur.label = h.label.clone();
-        cur.loop_id = h.loop_id;
-        if lvl + 1 < depth {
+        (cur.var, cur.init, cur.limit, cur.step, cur.label, cur.loop_id) =
+            headers[src].take().expect("a permutation");
+        if lvl + 1 < perm.len() {
             cur = cur.body.0[0].as_do_mut().expect("perfect band");
         }
     }
@@ -787,7 +751,6 @@ pub(crate) fn interchange_unit(
     let unit_name = unit.name.clone();
     let mut plans: BTreeMap<LoopId, (Vec<usize>, NestSummary)> = BTreeMap::new();
     for_each_nest_root(&unit.body, &mut |d, _| {
-        nr.summarized += 1;
         if let Some((perm, summary, ..)) =
             better_legal_order(&unit_name, d, stats, force_illegal, nr)
         {
@@ -807,7 +770,6 @@ fn apply_interchange_plans(
         let Some(d) = s.as_do_mut() else { return };
         let Some((perm, summary)) = plans.remove(&d.loop_id) else { return };
         apply_interchange(d, &perm);
-        nr.interchanges += 1;
         nr.certs.push(LegalityCert {
             unit: unit_name.clone(),
             loop_id: d.loop_id,
@@ -896,7 +858,7 @@ pub(crate) fn tile_unit(
     let unit_name = unit.name.clone();
     // Plan immutably first: id reservation and symbol synthesis need
     // `&mut unit` while the scan holds `&unit.body`.
-    let mut roots: Vec<(LoopId, NestSummary, String)> = Vec::new();
+    let mut roots: Vec<(LoopId, NestSummary)> = Vec::new();
     for_each_nest_root(&unit.body, &mut |d, _| {
         // The syntactic gates come before the summary they guard.
         let band = band_of(d);
@@ -915,25 +877,13 @@ pub(crate) fn tile_unit(
             return;
         }
         let summary = summarize_view(loops, &view, d, stats);
-        nr.candidates += 1;
-        match tiling_legal(&summary.vectors, 0) {
-            Ok(()) => {
-                nr.proved += 1;
-                if !force_illegal {
-                    roots.push((d.loop_id, summary, d.label.clone()));
-                }
-            }
-            Err(reason) => {
-                nr.rejected += 1;
-                nr.rejections.push(format!("{unit_name}/{}: tile: {reason}", d.label));
-                if force_illegal {
-                    roots.push((d.loop_id, summary, d.label.clone()));
-                }
-            }
+        let verdict = tiling_legal(&summary.vectors, 0);
+        if nr.judge(&unit_name, &d.label, "tile", verdict, force_illegal).is_some() {
+            roots.push((d.loop_id, summary));
         }
     });
     let mut plans: BTreeMap<LoopId, TilePlan> = BTreeMap::new();
-    for (root_id, summary, _) in roots {
+    for (root_id, summary) in roots {
         let depth = summary.depth();
         let mut tile_vars = Vec::with_capacity(depth);
         for l in &summary.loops {
@@ -962,7 +912,6 @@ fn apply_tile_plans(
         let kind = std::mem::replace(&mut s.kind, StmtKind::Continue);
         let StmtKind::Do(root) = kind else { unreachable!("checked above") };
         s.kind = StmtKind::Do(tile_band(*root, &plan));
-        nr.tiles += 1;
         let d = s.as_do().expect("just built");
         nr.certs.push(LegalityCert {
             unit: unit_name.clone(),
@@ -1116,40 +1065,23 @@ pub(crate) fn fuse_unit(
         }
         let mut i = 0;
         while i + 1 < list.0.len() {
-            let (fuse, evidence) = {
-                let (Some(l1), Some(l2)) = (list.0[i].as_do(), list.0[i + 1].as_do()) else {
-                    i += 1;
-                    continue;
-                };
-                if !fusable_headers(l1, l2) || !bodies_share_array(l1, l2) {
-                    i += 1;
-                    continue;
+            let evidence = match (list.0[i].as_do(), list.0[i + 1].as_do()) {
+                (Some(l1), Some(l2)) if fusable_headers(l1, l2) && bodies_share_array(l1, l2) => {
+                    let verdict = fusion_legal(l1, l2, stats);
+                    nr.judge(unit_name, &l1.label, "fuse", verdict, force_illegal)
                 }
-                nr.candidates += 1;
-                match fusion_legal(l1, l2, stats) {
-                    Ok(rows) => {
-                        nr.proved += 1;
-                        (true, rows)
-                    }
-                    Err(reason) => {
-                        nr.rejected += 1;
-                        nr.rejections
-                            .push(format!("{unit_name}/{}: fuse: {reason}", l1.label));
-                        (force_illegal, Vec::new())
-                    }
-                }
+                _ => None,
             };
-            if !fuse {
+            let Some(evidence) = evidence else {
                 i += 1;
                 continue;
-            }
+            };
             let second = list.0.remove(i + 1);
             let StmtKind::Do(second) = second.kind else { unreachable!("checked above") };
             let first = list.0[i].as_do_mut().expect("checked above");
             let boundary = second.body.0.first().expect("nonempty body").id;
             let fused_id = second.loop_id;
             first.body.0.extend(second.body.0);
-            nr.fusions += 1;
             nr.certs.push(LegalityCert {
                 unit: unit_name.to_string(),
                 loop_id: first.loop_id,
@@ -1178,6 +1110,11 @@ mod tests {
         let body = &band.last().unwrap().body;
         let s = summarize_band_with(loops, body, band[0], &stats);
         (p, s)
+    }
+
+    /// How many transformations of `stage` the report applied.
+    fn applied(nr: &NestReport, stage: &str) -> usize {
+        nr.certs.iter().filter(|c| c.stage() == stage).count()
     }
 
     #[test]
@@ -1233,7 +1170,7 @@ mod tests {
         assert!(interchange_legal(&s.vectors, &[1, 0]).is_err());
         let mut nr = NestReport::default();
         interchange_unit(&mut p.units[0], &DdStats::new(), false, &mut nr);
-        assert_eq!((nr.interchanges, nr.certs.len(), nr.rejected), (0, 0, 1), "{nr:?}");
+        assert_eq!((nr.certs.len(), nr.rejections.len()), (0, 1), "{nr:?}");
     }
 
     #[test]
@@ -1255,7 +1192,7 @@ mod tests {
         let mut nr = NestReport::default();
         interchange_unit(&mut p.units[0], &DdStats::new(), false, &mut nr);
         tile_unit(&mut p.units[0], &DdStats::new(), false, &mut nr);
-        assert_eq!((nr.interchanges, nr.tiles, nr.certs.len()), (0, 0, 0), "{nr:?}");
+        assert!(nr.certs.is_empty(), "{nr:?}");
         assert_eq!(p.units[0].body.loops()[0].var, "I", "nest must be untouched");
         // The resolvable twin (JT = K-J alone) is a(i,k+j) = a(i-1,k+j+1).
         let (_, s) = summarize(&src.replace("    jt = jt + k\n", ""));
@@ -1329,8 +1266,8 @@ mod tests {
         let stats = DdStats::new();
         let mut nr = NestReport::default();
         interchange_unit(&mut p.units[0], &stats, false, &mut nr);
-        assert_eq!(nr.interchanges, 1, "{:?}", nr.rejections);
-        assert_eq!(nr.certs.len(), 1);
+        assert_eq!(nr.certs.len(), 1, "{:?}", nr.rejections);
+        assert_eq!(applied(&nr, "interchange"), 1);
         let cert = &nr.certs[0];
         assert_eq!(cert.loop_vars, vec!["K", "I", "J"]);
         let CertKind::Interchange { perm } = &cert.kind else { panic!("{:?}", cert.kind) };
@@ -1359,8 +1296,7 @@ mod tests {
         let mut nr = NestReport::default();
         let root = p.units[0].body.loops()[0];
         assert!(better_legal_order("T", root, &stats, false, &mut nr).is_none());
-        assert_eq!(stats.banerjee_vectors.get(), 0);
-        assert_eq!(nr.candidates, 0);
+        assert_eq!(stats.banerjee_vectors.get(), 0, "no summary was built");
         // Forced, the same band is summarised: the trials above were saved.
         assert!(better_legal_order("T", root, &stats, true, &mut nr).is_some());
         assert!(stats.banerjee_vectors.get() > 0);
@@ -1382,11 +1318,44 @@ mod tests {
         interchange_unit(&mut p.units[0], &stats, false, &mut nr);
         // The profitable swap (i innermost) inverts the (<,>) dependence:
         // judged, rejected, not applied.
-        assert_eq!(nr.interchanges, 0);
-        assert!(nr.rejected >= 1, "{nr:?}");
+        assert!(nr.certs.is_empty(), "{nr:?}");
+        assert!(!nr.rejections.is_empty(), "{nr:?}");
         assert!(nr.rejections[0].contains("interchange"), "{:?}", nr.rejections);
         let outer = p.units[0].body.loops()[0];
         assert_eq!(outer.var, "I", "nest must be untouched");
+    }
+
+    #[test]
+    fn a_write_meets_itself_across_iterations_and_blocks_interchange() {
+        // A(I+J) is written again one J later and one I earlier: the
+        // write's own (<, >) output dependence. Swapped, the last value
+        // written to A(5) would be B(1,4), not B(4,1).
+        let src = "program t\nreal a(40), b(20,20)\n\
+                   do j = 1, 20\n  do i = 1, 20\n\
+                   \x20   a(i+j) = b(j,i)\n\
+                   end do\nend do\nend\n";
+        let mut p = parse(src).unwrap();
+        let mut nr = NestReport::default();
+        interchange_unit(&mut p.units[0], &DdStats::new(), false, &mut nr);
+        assert!(nr.certs.is_empty(), "{nr:?}");
+        assert!(nr.rejections.iter().any(|r| r.contains("A: (<, >)")), "{:?}", nr.rejections);
+        assert_eq!(p.units[0].body.loops()[0].var, "J", "nest must be untouched");
+    }
+
+    #[test]
+    fn a_write_that_meets_itself_across_iterations_blocks_tiling() {
+        let src = "program t\nreal a(80), b(41,40)\n\
+                   do j = 1, 40\n  do i = 1, 40\n\
+                   \x20   a(i+j) = b(i,j) + b(i+1,j)\n\
+                   end do\nend do\nend\n";
+        let mut p = parse(src).unwrap();
+        let mut nr = NestReport::default();
+        tile_unit(&mut p.units[0], &DdStats::new(), false, &mut nr);
+        assert!(nr.certs.is_empty(), "{nr:?}");
+        assert!(nr.rejections.iter().any(|r| r.contains("A: (<, >)")), "{:?}", nr.rejections);
+        // A write that meets itself only in its own iteration adds no row.
+        let (_, s) = summarize(&src.replace("a(i+j) =", "a(i+40*j) ="));
+        assert!(s.vectors.is_empty(), "{:?}", s.vectors);
     }
 
     #[test]
@@ -1399,7 +1368,7 @@ mod tests {
         let stats = DdStats::new();
         let mut nr = NestReport::default();
         interchange_unit(&mut p.units[0], &stats, true, &mut nr);
-        assert_eq!(nr.interchanges, 1, "force must apply the rejected candidate");
+        assert_eq!(applied(&nr, "interchange"), 1, "force must apply the rejected candidate");
         assert_eq!(p.units[0].body.loops()[0].var, "J");
         polaris_ir::validate::validate_program(&p).unwrap();
     }
@@ -1414,7 +1383,7 @@ mod tests {
         let stats = DdStats::new();
         let mut nr = NestReport::default();
         tile_unit(&mut p.units[0], &stats, false, &mut nr);
-        assert_eq!(nr.tiles, 1, "{:?}", nr.rejections);
+        assert_eq!(applied(&nr, "tile"), 1, "{:?}", nr.rejections);
         polaris_ir::validate::validate_program(&p).unwrap();
         let outer = p.units[0].body.loops()[0];
         assert_eq!(outer.var, "JT");
@@ -1445,8 +1414,8 @@ mod tests {
         let stats = DdStats::new();
         let mut nr = NestReport::default();
         tile_unit(&mut p.units[0], &stats, false, &mut nr);
-        assert_eq!(nr.tiles, 0, "34 iterations are not a multiple of {TILE}");
-        assert_eq!(nr.candidates, 0);
+        assert!(nr.certs.is_empty(), "34 iterations are not a multiple of {TILE}");
+        assert!(nr.rejections.is_empty(), "no candidate is judged: {nr:?}");
     }
 
     #[test]
@@ -1459,7 +1428,7 @@ mod tests {
         let stats = DdStats::new();
         let mut nr = NestReport::default();
         fuse_unit(&mut p.units[0], &stats, false, &mut nr);
-        assert_eq!(nr.fusions, 1, "{:?}", nr.rejections);
+        assert_eq!(applied(&nr, "fuse"), 1, "{:?}", nr.rejections);
         polaris_ir::validate::validate_program(&p).unwrap();
         let loops = p.units[0].body.loops();
         assert_eq!(loops.len(), 1, "the two loops merged");
@@ -1483,15 +1452,15 @@ mod tests {
         let stats = DdStats::new();
         let mut nr = NestReport::default();
         fuse_unit(&mut p.units[0], &stats, false, &mut nr);
-        assert_eq!(nr.fusions, 0);
-        assert_eq!(nr.rejected, 1, "{nr:?}");
+        assert!(nr.certs.is_empty(), "{nr:?}");
+        assert_eq!(nr.rejections.len(), 1, "{nr:?}");
         assert!(nr.rejections[0].contains("fusion-preventing"), "{:?}", nr.rejections);
         assert_eq!(p.units[0].body.loops().len(), 2, "loops must stay split");
         // Forcing the fault applies it anyway (for the refusal tests).
         let mut p2 = parse(src).unwrap();
         let mut nr2 = NestReport::default();
         fuse_unit(&mut p2.units[0], &stats, true, &mut nr2);
-        assert_eq!(nr2.fusions, 1);
+        assert_eq!(applied(&nr2, "fuse"), 1);
     }
 
     #[test]
@@ -1504,8 +1473,8 @@ mod tests {
         let stats = DdStats::new();
         let mut nr = NestReport::default();
         fuse_unit(&mut p.units[0], &stats, false, &mut nr);
-        assert_eq!(nr.fusions, 0, "no shared array, no fusion");
-        assert_eq!(nr.candidates, 0);
+        assert!(nr.certs.is_empty(), "no shared array, no fusion");
+        assert!(nr.rejections.is_empty(), "no candidate is judged: {nr:?}");
     }
 
     #[test]

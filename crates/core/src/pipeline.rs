@@ -751,7 +751,8 @@ pub fn ir_size(program: &Program) -> usize {
     n
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The text of a panic payload: its `&str` or `String` message.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1307,7 +1308,6 @@ mod tests {
         let plan = FaultPlan::force_in("interchange").and_panic_in("tile");
         let (left, report) = left_by(skewed, plan, &[]);
         assert_eq!(report.rolled_back_stages(), vec!["tile"]);
-        assert_eq!(report.nest.interchanges, 1);
         assert_eq!(report.nest.certs.len(), 1);
         assert_eq!(report.nest.certs[0].stage(), "interchange");
         assert_eq!(left.apart_from(&["tile"]), forced.apart_from(&["tile"]));

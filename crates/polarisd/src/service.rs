@@ -30,6 +30,7 @@ use crate::chaos::ChaosPlan;
 use crate::lock;
 use crate::proto::{fnv1a, Request, Response, Status};
 use crate::retry::{backoff, SplitMix, MAX_ATTEMPTS};
+use polaris_core::pipeline::panic_message;
 use polaris_core::{CancelToken, PassOptions, StageOutcome, CANCELLED_PREFIX};
 use polaris_machine::{AdaptiveController, DecisionRow, Engine, MachineConfig, MachineError};
 use polaris_obs::{Counter, Recorder};
@@ -741,7 +742,7 @@ fn compile_attempt(
         // The compile itself panicked past the pipeline's isolation (or
         // the parser did): transient, retry.
         Err(payload) => {
-            let why = format!("panic: {}", panic_text(payload.as_ref()));
+            let why = format!("panic: {}", panic_message(payload.as_ref()));
             charge(inner, key, &why);
             return Ok(Attempt::Retry(why));
         }
@@ -899,16 +900,6 @@ fn charge(inner: &Inner, key: u64, why: &str) {
 
 fn retry_after_hint(inner: &Inner) -> u64 {
     inner.cfg.breaker_cooldown.as_millis().max(1) as u64
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 // ---- watchdog --------------------------------------------------------

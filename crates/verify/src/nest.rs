@@ -20,7 +20,7 @@ use polaris_core::nestdeps::{
 };
 use polaris_core::CompileReport;
 use polaris_ir::cert::{CertCheck, CertKind, LegalityCert};
-use polaris_ir::stmt::{DoLoop, LoopId, StmtKind, StmtList};
+use polaris_ir::stmt::{DoLoop, LoopId, StmtList};
 use polaris_ir::Program;
 
 /// Re-derive every certificate in `report` from the transformed
@@ -62,7 +62,8 @@ fn check_cert(program: &Program, cert: &LegalityCert, stats: &DdStats) -> Result
         .iter()
         .find(|u| u.name == cert.unit)
         .ok_or_else(|| format!("unit `{}` not found", cert.unit))?;
-    let anchor = find_loop(&unit.body, cert.loop_id)
+    let anchor = unit.body.loops().into_iter().find(|d| d.loop_id == cert.loop_id);
+    let anchor = anchor
         .ok_or_else(|| format!("anchor loop {} not found in `{}`", cert.loop_id, cert.unit))?;
     match &cert.kind {
         CertKind::Interchange { perm } => check_interchange(anchor, cert, perm, stats),
@@ -71,33 +72,6 @@ fn check_cert(program: &Program, cert: &LegalityCert, stats: &DdStats) -> Result
             check_fuse(anchor, *fused_loop, *boundary, stats)
         }
     }
-}
-
-fn find_loop(list: &StmtList, id: LoopId) -> Option<&DoLoop> {
-    for s in list.iter() {
-        match &s.kind {
-            StmtKind::Do(d) => {
-                if d.loop_id == id {
-                    return Some(d);
-                }
-                if let Some(f) = find_loop(&d.body, id) {
-                    return Some(f);
-                }
-            }
-            StmtKind::IfBlock { arms, else_body } => {
-                for arm in arms {
-                    if let Some(f) = find_loop(&arm.body, id) {
-                        return Some(f);
-                    }
-                }
-                if let Some(f) = find_loop(else_body, id) {
-                    return Some(f);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 fn valid_perm(perm: &[usize], n: usize) -> bool {
@@ -291,6 +265,11 @@ mod tests {
         polaris_core::parse_and_compile(src, opts).unwrap()
     }
 
+    /// How many transformations of `stage` the compile applied.
+    fn applied(rep: &CompileReport, stage: &str) -> usize {
+        rep.nest.certs.iter().filter(|c| c.stage() == stage).count()
+    }
+
     #[test]
     fn honest_certs_are_reaccepted() {
         for src in [MMT, STENCIL, FUSABLE] {
@@ -311,7 +290,7 @@ mod tests {
                    end do\nend do\nprint *, a(2,2)\nend\n";
         let opts = PassOptions::polaris().with_faults(FaultPlan::force_in("interchange"));
         let (p, rep) = compiled(src, &opts);
-        assert_eq!(rep.nest.interchanges, 1, "fault must force the application");
+        assert_eq!(applied(&rep, "interchange"), 1, "fault must force the application");
         let checks = recheck_certs(&p, &rep);
         let bad: Vec<_> = checks.iter().filter(|c| !c.accepted).collect();
         assert_eq!(bad.len(), 1, "{checks:?}");
@@ -373,6 +352,31 @@ mod tests {
     }
 
     #[test]
+    fn interchange_cert_over_a_write_that_meets_itself_is_rejected() {
+        // A(I+J) over (J, I) carries its own (<, >) output dependence; as
+        // it looked after the interchange the compiler used to apply with
+        // an empty matrix, which this re-prover re-derived the same way.
+        let src = "program t\nreal a(40), b(20,20)\n\
+                   do i = 1, 20\n  do j = 1, 20\n\
+                   \x20   a(i+j) = b(j,i)\n\
+                   end do\nend do\nprint *, a(5)\nend\n";
+        let (p, mut rep) = compiled(src, &PassOptions::polaris());
+        assert!(rep.nest.certs.is_empty(), "{:?}", rep.nest.certs);
+        let anchor = p.units[0].body.loops()[0];
+        rep.nest.certs.push(LegalityCert {
+            unit: p.units[0].name.clone(),
+            loop_id: anchor.loop_id,
+            label: anchor.label.clone(),
+            loop_vars: vec!["J".into(), "I".into()],
+            vectors: Vec::new(),
+            kind: CertKind::Interchange { perm: vec![1, 0] },
+        });
+        let checks = recheck_certs(&p, &rep);
+        assert!(!checks[0].accepted, "{checks:?}");
+        assert!(checks[0].reason.contains("A: (<, >)"), "{}", checks[0].reason);
+    }
+
+    #[test]
     fn forced_interchange_of_a_triangular_band_is_rejected_on_its_bounds() {
         // The dependence matrix is empty and the permuted IR is well
         // formed, so only the re-prover's own bounds check can refuse it.
@@ -381,7 +385,7 @@ mod tests {
                    print *, a(2,1)\nend\n";
         let opts = PassOptions::polaris().with_faults(FaultPlan::force_in("interchange"));
         let (p, rep) = compiled(src, &opts);
-        assert_eq!(rep.nest.interchanges, 1, "fault must force the application");
+        assert_eq!(applied(&rep, "interchange"), 1, "fault must force the application");
         assert!(!rep.degraded(), "post-stage validation must pass: {:?}", rep.stages);
         let checks = recheck_certs(&p, &rep);
         assert_eq!(checks.len(), 1);
@@ -409,7 +413,7 @@ mod tests {
                    end do\nend do\nprint *, a(2,2)\nend\n";
         let opts = PassOptions::polaris().with_faults(FaultPlan::force_in("tile"));
         let (p, rep) = compiled(src, &opts);
-        assert_eq!(rep.nest.tiles, 1, "fault must force the application: {:?}", rep.nest);
+        assert_eq!(applied(&rep, "tile"), 1, "fault must force the application: {:?}", rep.nest);
         let checks = recheck_certs(&p, &rep);
         let bad: Vec<_> = checks.iter().filter(|c| !c.accepted).collect();
         assert_eq!(bad.len(), 1, "{checks:?}");
@@ -425,7 +429,7 @@ mod tests {
                    print *, b(1)\nend\n";
         let opts = PassOptions::polaris().with_faults(FaultPlan::force_in("fuse"));
         let (p, rep) = compiled(src, &opts);
-        assert_eq!(rep.nest.fusions, 1, "fault must force the application");
+        assert_eq!(applied(&rep, "fuse"), 1, "fault must force the application");
         let checks = recheck_certs(&p, &rep);
         let bad: Vec<_> = checks.iter().filter(|c| !c.accepted).collect();
         assert_eq!(bad.len(), 1, "{checks:?}");

@@ -405,14 +405,15 @@ fn main() -> ExitCode {
         }
         // The legality certificates behind every applied nest
         // transformation: the direction/distance matrix the prover
-        // judged, and the transformation it licenses. `--verify`
-        // re-derives each of these from the emitted IR.
-        if !rep.nest.certs.is_empty() {
+        // judged, and the transformation it licenses, then every rejected
+        // candidate. `--verify` re-derives each certificate from the
+        // emitted IR.
+        if !rep.nest.certs.is_empty() || !rep.nest.rejections.is_empty() {
             eprintln!();
             eprintln!(
                 "legality certificates ({} applied, {} candidate(s) rejected):",
                 rep.nest.certs.len(),
-                rep.nest.rejected
+                rep.nest.rejections.len()
             );
             for cert in &rep.nest.certs {
                 eprintln!(

@@ -223,7 +223,8 @@ fn deep_nest(depth: usize) -> String {
 /// The nest stages' search budget is structural: a band deeper than the
 /// stages transform is gated out before anything is summarised, in the
 /// compiler, the re-prover and the lint alike — no `CancelToken`, no
-/// watchdog. What pins that is `candidates == 0` and a silent lint; the
+/// watchdog. What pins that is a nest report with no cert and no
+/// rejection (every judged candidate leaves one) and a silent lint; the
 /// 2 s per step is checked in optimised builds only (depth 12 took 90 s
 /// to compile before the gates), since unoptimised `analyze`'s range
 /// test, cubic in the depth, alone takes seconds on these nests.
@@ -240,8 +241,8 @@ fn hostile_deep_nests_compile_verify_and_lint_within_the_budget() {
         let out = polaris::parallelize(&src, &PassOptions::polaris()).unwrap();
         timed("compile", depth, t0);
         assert!(!out.report.degraded(), "{:?}", out.report.stages);
-        assert_eq!(out.report.nest.summarized, 1, "the band root is still counted");
-        assert_eq!(out.report.nest.candidates, 0, "nothing that deep is judged");
+        let nest = &out.report.nest;
+        assert!(nest.certs.is_empty() && nest.rejections.is_empty(), "nothing that deep is judged");
 
         let t0 = std::time::Instant::now();
         let v = polaris::verify::verify_compiled(&out.program, &out.report);

@@ -23,7 +23,6 @@ fn locality_kernels_receive_their_pinned_transformations() {
         let out = polaris::parallelize(b.source, &PassOptions::polaris())
             .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
         let nest = &out.report.nest;
-        assert!(nest.summarized > 0, "{}: no nest was ever summarized", b.name);
         let applied: Vec<&str> = nest.certs.iter().map(|c| c.stage()).collect();
         assert!(
             applied.contains(expected),
@@ -86,7 +85,7 @@ fn disabling_nest_opts_leaves_the_nests_alone() {
     for (b, _) in &polaris_benchmarks::locality() {
         let out = polaris::parallelize(b.source, &opts).unwrap();
         assert!(out.report.nest.certs.is_empty(), "{}: {:?}", b.name, out.report.nest.certs);
-        assert_eq!(out.report.nest.candidates, 0, "{}", b.name);
+        assert!(out.report.nest.rejections.is_empty(), "{}: a candidate was judged", b.name);
     }
 }
 
@@ -100,11 +99,33 @@ fn triangular_nest_is_not_interchanged() {
                \x20   a(i,j) = 1.0\n\
                end do\nend do\nprint *, a(1,1)\nend\n";
     let out = polaris::parallelize(src, &PassOptions::polaris()).unwrap();
-    assert_eq!(
-        out.report.nest.interchanges, 0,
+    assert!(
+        out.report.nest.certs.is_empty(),
         "pipeline interchanged a triangular nest:\n{}",
         out.annotated_source
     );
+}
+
+/// A write that meets itself in another iteration of the band is an
+/// output dependence of its own: interchanging (J, I) or tiling the band
+/// would change which iteration writes an element last.
+#[test]
+fn skewed_self_overwriting_nests_print_what_the_unrestructured_programs_print() {
+    let interchange = "program skewi\nreal a(40), b(20,20)\n\
+                       do j = 1, 20\n  do i = 1, 20\n    b(j,i) = 100*j + i\n  end do\nend do\n\
+                       do j = 1, 20\n  do i = 1, 20\n    a(i+j) = b(j,i)\n  end do\nend do\n\
+                       do k = 2, 40\n  print *, k, a(k)\nend do\nend\n";
+    let tile = "program skewt\nreal a(80), b(41,40)\n\
+                do j = 1, 40\n  do i = 1, 41\n    b(i,j) = i + 100*j\n  end do\nend do\n\
+                do j = 1, 40\n  do i = 1, 40\n    a(i+j) = b(i,j) + b(i+1,j)\n  end do\nend do\n\
+                do k = 2, 80\n  print *, k, a(k)\nend do\nend\n";
+    for src in [interchange, tile] {
+        let serial = MachineConfig::serial();
+        let reference = run(&polaris_ir::parse(src).unwrap(), &serial).unwrap();
+        let out = polaris::parallelize(src, &PassOptions::polaris()).unwrap();
+        let r = run(&out.program, &serial).unwrap();
+        assert_eq!(reference.output, r.output, "restructured:\n{}", out.annotated_source);
+    }
 }
 
 /// Both kernels, serial / threaded / adaptive: the
