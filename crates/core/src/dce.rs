@@ -21,7 +21,7 @@
 //! valid programs).
 
 use crate::privatize::dead_scalar_stores;
-use polaris_ir::stmt::{StmtKind, StmtList};
+use polaris_ir::stmt::StmtKind;
 use polaris_ir::{Program, ProgramUnit};
 
 /// Statistics for reports/tests.
@@ -44,41 +44,20 @@ pub(crate) fn run(program: &mut Program) -> DceStats {
 pub fn run_unit(unit: &mut ProgramUnit) -> DceStats {
     let mut stats = DceStats::default();
     loop {
-        // (IF blocks wrapping a single dead assignment — the guarded last
-        // values — are handled by `remove`'s emptiness cleanup.)
         let mut victims = dead_scalar_stores(unit);
         if victims.is_empty() {
             break;
         }
         stats.removed += victims.len();
         victims.sort_unstable();
-        remove(&mut unit.body, &victims);
+        // IF blocks left empty go too: the guarded last values.
+        unit.body.retain(&mut |s| {
+            victims.binary_search(&s.id).is_err()
+                && !matches!(&s.kind, StmtKind::IfBlock { arms, else_body }
+                    if arms.iter().all(|a| a.body.is_empty()) && else_body.is_empty())
+        });
     }
     stats
-}
-
-/// Drop the statements whose ids are in `victims` (sorted).
-fn remove(list: &mut StmtList, victims: &[polaris_ir::StmtId]) {
-    list.0.retain(|s| victims.binary_search(&s.id).is_err());
-    for s in list.0.iter_mut() {
-        match &mut s.kind {
-            StmtKind::Do(d) => remove(&mut d.body, victims),
-            StmtKind::IfBlock { arms, else_body } => {
-                for arm in arms {
-                    remove(&mut arm.body, victims);
-                }
-                remove(else_body, victims);
-            }
-            _ => {}
-        }
-    }
-    // Drop IF blocks that became completely empty.
-    list.0.retain(|s| match &s.kind {
-        StmtKind::IfBlock { arms, else_body } => {
-            !(arms.iter().all(|a| a.body.is_empty()) && else_body.is_empty())
-        }
-        _ => true,
-    });
 }
 
 #[cfg(test)]

@@ -72,7 +72,7 @@ pub(crate) fn run_unit_with(unit: &mut ProgramUnit, mode: InductionMode) -> Indu
     let mut env = RangeEnv::new();
     seed_parameters(pass.unit, &mut env);
     pass.process_list(&mut body, &mut env);
-    remove_deleted(&mut body, &pass.deleted);
+    body.retain(&mut |s| !pass.deleted.contains(&s.id));
     let stats = pass.stats;
     unit.body = body;
     stats
@@ -186,7 +186,7 @@ impl<'a> Pass<'a> {
         if self.mode == InductionMode::Generalized {
             lastvalues.extend(self.process_multiplicative(d));
         }
-        remove_deleted(&mut d.body, &self.deleted);
+        d.body.retain(&mut |s| !self.deleted.contains(&s.id));
         lastvalues
     }
 
@@ -493,23 +493,6 @@ fn recognize_increment(name: &str, rhs: &Expr) -> Option<Expr> {
         return Some(Expr::neg(b[&0].clone()).simplified());
     }
     None
-}
-
-/// Physically remove statements marked deleted.
-fn remove_deleted(list: &mut StmtList, deleted: &BTreeSet<StmtId>) {
-    list.0.retain(|s| !deleted.contains(&s.id));
-    for s in list.0.iter_mut() {
-        match &mut s.kind {
-            StmtKind::Do(d) => remove_deleted(&mut d.body, deleted),
-            StmtKind::IfBlock { arms, else_body } => {
-                for arm in arms {
-                    remove_deleted(&mut arm.body, deleted);
-                }
-                remove_deleted(else_body, deleted);
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]

@@ -206,7 +206,8 @@ impl CompileReport {
 /// [`CompileReport::degraded`]) but never aborts it and never lets
 /// ill-formed IR escape.
 pub fn compile(program: &mut Program, opts: &PassOptions) -> Result<CompileReport> {
-    Pipeline::standard(opts).run(program, opts)
+    let rec = polaris_obs::Recorder::disabled();
+    Pipeline::standard(opts).run_cancellable(program, opts, &rec, &CancelToken::new())
 }
 
 /// [`compile`] with an observability [`polaris_obs::Recorder`] attached:
@@ -219,7 +220,7 @@ pub fn compile_recorded(
     opts: &PassOptions,
     rec: &polaris_obs::Recorder,
 ) -> Result<CompileReport> {
-    Pipeline::standard(opts).run_recorded(program, opts, rec)
+    Pipeline::standard(opts).run_cancellable(program, opts, rec, &CancelToken::new())
 }
 
 /// Convenience: parse, compile with the Polaris configuration, return
@@ -227,17 +228,6 @@ pub fn compile_recorded(
 pub fn parse_and_compile(source: &str, opts: &PassOptions) -> Result<(Program, CompileReport)> {
     let mut program = polaris_ir::parse(source)?;
     let report = compile(&mut program, opts)?;
-    Ok((program, report))
-}
-
-/// [`parse_and_compile`] with an observability recorder attached.
-pub fn parse_and_compile_recorded(
-    source: &str,
-    opts: &PassOptions,
-    rec: &polaris_obs::Recorder,
-) -> Result<(Program, CompileReport)> {
-    let mut program = polaris_ir::parse(source)?;
-    let report = compile_recorded(&mut program, opts, rec)?;
     Ok((program, report))
 }
 

@@ -179,21 +179,6 @@ fn d_init_for_pre(body: &StmtList) -> Expr {
     Expr::Int(0)
 }
 
-/// Is `name` assigned anywhere in the list? (sanity helper for tests)
-#[cfg(test)]
-fn assigns(list: &StmtList, name: &str) -> bool {
-    use polaris_ir::expr::LValue;
-    let mut found = false;
-    list.walk(&mut |s| {
-        if let StmtKind::Assign { lhs: LValue::Var(v), .. } = &s.kind {
-            if v == name {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,7 +196,10 @@ mod tests {
         let src = "program t\nreal a(20)\ndo i = 2, 19, 3\n  a(i) = i*1.0\nend do\nprint *, i\nend\n";
         let (p, stats) = normalized(src);
         assert_eq!(stats.loops_normalized, 1);
-        assert!(assigns(&p.units[0].body, "I"), "reconstruction assignment expected");
+        assert!(
+            crate::rangeprop::assigned_vars(&p.units[0].body).contains("I"),
+            "reconstruction assignment expected"
+        );
         let d = p.units[0].body.loops()[0];
         assert!(d.step.is_none());
         assert_eq!(d.init, Expr::Int(0));

@@ -440,27 +440,13 @@ impl Pipeline {
     /// bug and reports as a hard error. After that, per-stage failures are
     /// contained: run under `catch_unwind`, validate, and roll back on any
     /// misbehaviour, then continue with the remaining stages.
-    pub(crate) fn run(&self, program: &mut Program, opts: &PassOptions) -> Result<CompileReport> {
-        self.run_recorded(program, opts, &Recorder::disabled())
-    }
-
-    /// [`Pipeline::run`] with an observability [`Recorder`] attached: a
-    /// `compile` root span encloses one `pass:<name>` span per enabled
-    /// stage, and the report's counters are mirrored into the recorder
-    /// after the last stage. With `Recorder::disabled()` (what `run`
-    /// passes) every hook is a no-op.
-    pub(crate) fn run_recorded(
-        &self,
-        program: &mut Program,
-        opts: &PassOptions,
-        rec: &Recorder,
-    ) -> Result<CompileReport> {
-        self.run_cancellable(program, opts, rec, &CancelToken::new())
-    }
-
-    /// [`Pipeline::run_recorded`] with a [`CancelToken`] checked at every
-    /// stage boundary. Once the token fires, each remaining enabled stage
-    /// is recorded as `RolledBack` with reason
+    ///
+    /// `rec` gets a `compile` root span enclosing one `pass:<name>` span
+    /// per enabled stage, and the report's counters after the last stage;
+    /// with `Recorder::disabled()` every hook is a no-op.
+    ///
+    /// `cancel` is checked at every stage boundary. Once the token fires,
+    /// each remaining enabled stage is recorded as `RolledBack` with reason
     /// `cancelled: <token reason>` and the program is left exactly as the
     /// last completed stage produced it (still validated, still
     /// well-formed; nothing is replayed to get there). The token is not
@@ -1039,7 +1025,9 @@ mod tests {
             ],
         };
         let mut program = polaris_ir::parse(TRFD).unwrap();
-        let report = pipeline.run(&mut program, &PassOptions::polaris()).unwrap();
+        let (opts, rec) = (PassOptions::polaris(), Recorder::disabled());
+        let report =
+            pipeline.run_cancellable(&mut program, &opts, &rec, &CancelToken::new()).unwrap();
         let bad = report.stage("induction").unwrap();
         match &bad.outcome {
             StageOutcome::RolledBack { reason } => {
@@ -1219,7 +1207,9 @@ mod tests {
             stage.enabled &= !off.contains(&stage.name);
         }
         let mut program = polaris_ir::parse(src).unwrap();
-        let report = pipeline.run(&mut program, &opts).unwrap();
+        let rec = Recorder::disabled();
+        let report =
+            pipeline.run_cancellable(&mut program, &opts, &rec, &CancelToken::new()).unwrap();
         polaris_ir::validate::validate_program(&program).unwrap();
         let left = Left {
             text: polaris_ir::printer::print_program(&program),
@@ -1381,7 +1371,9 @@ mod tests {
             };
             let input = polaris_ir::parse(FOLDABLE).unwrap();
             let mut program = input.clone();
-            let report = pipeline.run(&mut program, &PassOptions::polaris()).unwrap();
+            let (opts, rec) = (PassOptions::polaris(), Recorder::disabled());
+            let report =
+                pipeline.run_cancellable(&mut program, &opts, &rec, &CancelToken::new()).unwrap();
             assert_eq!(CONSTPROP_CALLS.with(|calls| calls.get()), 2);
             assert_eq!(program, input, "not the validated input");
             assert_eq!(report.rolled_back_stages(), vec!["constprop", "induction"]);

@@ -64,29 +64,19 @@ impl Defined {
 pub(crate) fn scalar_privatizable(d: &DoLoop, name: &str) -> bool {
     fn walk(list: &StmtList, name: &str, mut state: Defined) -> Option<Defined> {
         for s in list {
+            // Reads first: an assertion states a fact, it reads nothing.
+            let mut reads = false;
+            if !matches!(s.kind, StmtKind::Assert { .. }) {
+                s.for_each_own_expr(&mut |e| reads |= e.references_var(name));
+            }
+            if reads && state != Defined::Yes {
+                return None;
+            }
             match &s.kind {
-                StmtKind::Assign { lhs, rhs, .. } => {
-                    // reads first (RHS and LHS subscripts)
-                    if rhs.references_var(name) && state != Defined::Yes {
-                        return None;
-                    }
-                    for sub in lhs.subs() {
-                        if sub.references_var(name) && state != Defined::Yes {
-                            return None;
-                        }
-                    }
-                    if lhs.name() == name && lhs.subs().is_empty() {
-                        state = Defined::Yes;
-                    }
+                StmtKind::Assign { lhs, .. } if lhs.name() == name && lhs.subs().is_empty() => {
+                    state = Defined::Yes
                 }
                 StmtKind::Do(inner) => {
-                    if (inner.init.references_var(name)
-                        || inner.limit.references_var(name)
-                        || inner.step.as_ref().map(|e| e.references_var(name)).unwrap_or(false))
-                        && state != Defined::Yes
-                    {
-                        return None;
-                    }
                     if inner.var == name {
                         // the loop defines it (value after loop is the
                         // exhausted index — treat as defined)
@@ -101,45 +91,15 @@ pub(crate) fn scalar_privatizable(d: &DoLoop, name: &str) -> bool {
                     state = state.join(inner_state);
                 }
                 StmtKind::IfBlock { arms, else_body } => {
+                    // With no ELSE the fall-through path keeps `state`:
+                    // the walk of the empty list returns it.
+                    let mut joined = walk(else_body, name, state)?;
                     for arm in arms {
-                        if arm.cond.references_var(name) && state != Defined::Yes {
-                            return None;
-                        }
-                    }
-                    let mut states = Vec::new();
-                    for arm in arms {
-                        states.push(walk(&arm.body, name, state)?);
-                    }
-                    states.push(walk(else_body, name, state)?);
-                    let mut joined = states[0];
-                    for st in &states[1..] {
-                        joined = joined.join(*st);
-                    }
-                    // With no ELSE the fall-through path keeps `state`.
-                    if else_body.is_empty() && !arms.is_empty() {
-                        // already included: walk(else_body) on empty list
-                        // returns `state` itself.
+                        joined = joined.join(walk(&arm.body, name, state)?);
                     }
                     state = joined;
                 }
-                StmtKind::Call { args, .. } => {
-                    for a in args {
-                        if a.references_var(name) && state != Defined::Yes {
-                            return None;
-                        }
-                    }
-                }
-                StmtKind::Print { items } => {
-                    for a in items {
-                        if a.references_var(name) && state != Defined::Yes {
-                            return None;
-                        }
-                    }
-                }
-                StmtKind::Assert { .. }
-                | StmtKind::Return
-                | StmtKind::Stop
-                | StmtKind::Continue => {}
+                _ => {}
             }
         }
         Some(state)
@@ -199,41 +159,12 @@ fn escapes_unit(unit: &ProgramUnit, name: &str) -> bool {
 /// The names `s` itself mentions (variables, array bases, call targets),
 /// not those of the statements nested in it.
 fn own_mentions<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a str)) {
-    fn names<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
-        match e {
-            Expr::Var(n) => f(n),
-            Expr::Index { array, subs } => {
-                f(array);
-                subs.iter().for_each(|sub| names(sub, f));
-            }
-            Expr::Call { name, args } => {
-                f(name);
-                args.iter().for_each(|arg| names(arg, f));
-            }
-            Expr::Un { arg, .. } => names(arg, f),
-            Expr::Bin { lhs, rhs, .. } => {
-                names(lhs, f);
-                names(rhs, f);
-            }
-            Expr::Int(_) | Expr::Real(_) | Expr::Logical(_) | Expr::Str(_) | Expr::Wildcard(_) => {}
-        }
-    }
-    match &s.kind {
-        StmtKind::Assign { lhs, rhs, .. } => {
-            lhs.subs().iter().for_each(|sub| names(sub, f));
-            names(rhs, f);
-        }
-        StmtKind::Do(d) => {
-            names(&d.init, f);
-            names(&d.limit, f);
-            d.step.iter().for_each(|step| names(step, f));
-        }
-        StmtKind::IfBlock { arms, .. } => arms.iter().for_each(|arm| names(&arm.cond, f)),
-        StmtKind::Call { args, .. } => args.iter().for_each(|arg| names(arg, f)),
-        StmtKind::Print { items } => items.iter().for_each(|item| names(item, f)),
-        StmtKind::Assert { cond } => names(cond, f),
-        StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
-    }
+    s.for_each_own_expr(&mut |root| {
+        root.for_each(&mut |e| match e {
+            Expr::Var(n) | Expr::Index { array: n, .. } | Expr::Call { name: n, .. } => f(n),
+            _ => {}
+        })
+    });
 }
 
 /// Pre-order walk handing `f` each statement, its position, and the

@@ -259,7 +259,7 @@ impl Expr {
     // ----- traversal ----------------------------------------------------
 
     /// Pre-order traversal over every node, including `self`.
-    pub fn for_each(&self, f: &mut dyn FnMut(&Expr)) {
+    pub fn for_each<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
         f(self);
         match self {
             Expr::Index { subs, .. } => subs.iter().for_each(|s| s.for_each(f)),

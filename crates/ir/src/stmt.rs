@@ -75,6 +75,43 @@ impl Stmt {
             _ => None,
         }
     }
+
+    /// Visit the root of every expression this statement evaluates
+    /// itself, not those of the statements nested in it: LHS subscripts
+    /// then RHS, DO bounds, IF conditions, CALL/PRINT arguments, the
+    /// ASSERT condition.
+    pub fn for_each_own_expr<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        match &self.kind {
+            StmtKind::Assign { lhs, rhs, .. } => {
+                lhs.subs().iter().for_each(&mut *f);
+                f(rhs);
+            }
+            StmtKind::Do(d) => {
+                f(&d.init);
+                f(&d.limit);
+                d.step.iter().for_each(f);
+            }
+            StmtKind::IfBlock { arms, .. } => arms.iter().for_each(|arm| f(&arm.cond)),
+            StmtKind::Call { args: exprs, .. } | StmtKind::Print { items: exprs } => {
+                exprs.iter().for_each(f)
+            }
+            StmtKind::Assert { cond } => f(cond),
+            StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
+        }
+    }
+
+    /// Pre-order walk over this statement and the statements nested in it.
+    fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Stmt)) {
+        f(self);
+        match &self.kind {
+            StmtKind::Do(d) => d.body.walk(f),
+            StmtKind::IfBlock { arms, else_body } => {
+                arms.iter().for_each(|arm| arm.body.walk(f));
+                else_body.walk(f);
+            }
+            _ => {}
+        }
+    }
 }
 
 /// An `IF`/`ELSE IF` arm of a block `IF`.
@@ -222,20 +259,8 @@ impl StmtList {
     /// Pre-order walk over every statement, descending into loop and IF
     /// bodies. This is the analogue of the Polaris statement iterator
     /// "over selected parts of the statement list".
-    pub fn walk(&self, f: &mut dyn FnMut(&Stmt)) {
-        for s in &self.0 {
-            f(s);
-            match &s.kind {
-                StmtKind::Do(d) => d.body.walk(f),
-                StmtKind::IfBlock { arms, else_body } => {
-                    for arm in arms {
-                        arm.body.walk(f);
-                    }
-                    else_body.walk(f);
-                }
-                _ => {}
-            }
-        }
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Stmt)) {
+        self.0.iter().for_each(|s| s.walk(f));
     }
 
     /// Mutable pre-order walk.
@@ -258,25 +283,25 @@ impl StmtList {
     /// All `DO` loops, outermost first (pre-order).
     pub fn loops(&self) -> Vec<&DoLoop> {
         let mut out = Vec::new();
-        fn rec<'a>(list: &'a StmtList, out: &mut Vec<&'a DoLoop>) {
-            for s in &list.0 {
-                match &s.kind {
-                    StmtKind::Do(d) => {
-                        out.push(d);
-                        rec(&d.body, out);
-                    }
-                    StmtKind::IfBlock { arms, else_body } => {
-                        for arm in arms {
-                            rec(&arm.body, out);
-                        }
-                        rec(else_body, out);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        rec(self, &mut out);
+        self.walk(&mut |s| out.extend(s.as_do()));
         out
+    }
+
+    /// Drop, at every depth, the statements `keep` answers false for.
+    /// Bottom-up: a compound statement is judged after its bodies were
+    /// filtered, so `keep` sees what is left of them.
+    pub fn retain(&mut self, keep: &mut dyn FnMut(&Stmt) -> bool) {
+        self.0.retain_mut(|s| {
+            match &mut s.kind {
+                StmtKind::Do(d) => d.body.retain(keep),
+                StmtKind::IfBlock { arms, else_body } => {
+                    arms.iter_mut().for_each(|arm| arm.body.retain(keep));
+                    else_body.retain(keep);
+                }
+                _ => {}
+            }
+            keep(s)
+        });
     }
 
     /// Find (a clone of) a statement by id anywhere in the list. Callers
@@ -303,10 +328,8 @@ impl StmtList {
     /// Iterate over every expression in every statement (read-only),
     /// mirroring the Polaris "iterator which traverses all of the
     /// expressions contained in the statement".
-    pub(crate) fn for_each_expr(&self, f: &mut dyn FnMut(&Expr)) {
-        for s in &self.0 {
-            for_each_stmt_expr(s, f);
-        }
+    pub(crate) fn for_each_expr<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        self.walk(&mut |s| s.for_each_own_expr(&mut |e| e.for_each(f)));
     }
 }
 
@@ -348,35 +371,11 @@ pub fn map_stmt_exprs(s: &mut Stmt, f: &mut dyn FnMut(Expr) -> Expr) {
     }
 }
 
-/// Visit all expressions of a single statement (recursing into bodies).
-pub fn for_each_stmt_expr(s: &Stmt, f: &mut dyn FnMut(&Expr)) {
-    match &s.kind {
-        StmtKind::Assign { lhs, rhs, .. } => {
-            for sub in lhs.subs() {
-                sub.for_each(f);
-            }
-            rhs.for_each(f);
-        }
-        StmtKind::Do(d) => {
-            d.init.for_each(f);
-            d.limit.for_each(f);
-            if let Some(step) = &d.step {
-                step.for_each(f);
-            }
-            d.body.for_each_expr(f);
-        }
-        StmtKind::IfBlock { arms, else_body } => {
-            for arm in arms {
-                arm.cond.for_each(f);
-                arm.body.for_each_expr(f);
-            }
-            else_body.for_each_expr(f);
-        }
-        StmtKind::Call { args, .. } => args.iter().for_each(|a| a.for_each(f)),
-        StmtKind::Print { items } => items.iter().for_each(|a| a.for_each(f)),
-        StmtKind::Assert { cond } => cond.for_each(f),
-        StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
-    }
+/// Visit every node of every expression of a single statement and of the
+/// statements nested in it: a statement's own expressions
+/// ([`Stmt::for_each_own_expr`]) before its bodies', in pre-order.
+pub fn for_each_stmt_expr<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Expr)) {
+    s.walk(&mut |t| t.for_each_own_expr(&mut |e| e.for_each(f)));
 }
 
 impl<'a> IntoIterator for &'a StmtList {

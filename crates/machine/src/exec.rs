@@ -1393,29 +1393,13 @@ pub fn run_validated(
 fn private_without_copyout(code: &[RStmt]) -> (Vec<usize>, Vec<usize>) {
     let mut scalars = Vec::new();
     let mut arrays = Vec::new();
-    fn walk(code: &[RStmt], scalars: &mut Vec<usize>, arrays: &mut Vec<usize>) {
-        for s in code {
-            match s {
-                RStmt::Do(l) => {
-                    for &p in &l.par.private_scalars {
-                        if !l.par.copy_out_scalars.contains(&p) {
-                            scalars.push(p);
-                        }
-                    }
-                    arrays.extend(l.par.private_arrays.iter().copied());
-                    walk(&l.body, scalars, arrays);
-                }
-                RStmt::If(arms, e) => {
-                    for (_, b) in arms {
-                        walk(b, scalars, arrays);
-                    }
-                    walk(e, scalars, arrays);
-                }
-                _ => {}
-            }
+    crate::lower::walk(code, &mut |s| {
+        if let RStmt::Do(l) = s {
+            let copied_out = |p: &&usize| l.par.copy_out_scalars.contains(p);
+            scalars.extend(l.par.private_scalars.iter().filter(|p| !copied_out(p)));
+            arrays.extend(&l.par.private_arrays);
         }
-    }
-    walk(code, &mut scalars, &mut arrays);
+    });
     (scalars, arrays)
 }
 

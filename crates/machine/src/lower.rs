@@ -52,6 +52,20 @@ pub enum RExpr {
     Intrin(Intr, Vec<RExpr>),
 }
 
+impl RExpr {
+    /// Does `f` hold for this node or one under it? Pre-order; stops at
+    /// the first node `f` answers true for.
+    pub fn any(&self, f: &mut dyn FnMut(&RExpr) -> bool) -> bool {
+        f(self)
+            || match self {
+                RExpr::Elem(_, args) | RExpr::Intrin(_, args) => args.iter().any(|a| a.any(f)),
+                RExpr::Un(_, x) => x.any(f),
+                RExpr::Bin(_, x, y) => x.any(f) || y.any(f),
+                RExpr::I(_) | RExpr::R(_) | RExpr::B(_) | RExpr::Str(_) | RExpr::Load(_) => false,
+            }
+    }
+}
+
 /// Lowered reduction target.
 #[derive(Debug, Clone)]
 pub struct RRed {
@@ -123,6 +137,22 @@ pub struct Image {
     pub scalar_names: Vec<String>,
     pub arrays: Vec<ArrObj>,
     pub code: Vec<RStmt>,
+}
+
+/// Pre-order walk over every statement of `code`, descending into loop
+/// and IF bodies.
+pub fn walk(code: &[RStmt], f: &mut dyn FnMut(&RStmt)) {
+    for s in code {
+        f(s);
+        match s {
+            RStmt::Do(l) => walk(&l.body, f),
+            RStmt::If(arms, else_body) => {
+                arms.iter().for_each(|(_, body)| walk(body, f));
+                walk(else_body, f);
+            }
+            _ => {}
+        }
+    }
 }
 
 struct Lowerer {
@@ -446,32 +476,24 @@ impl Lowerer {
     }
 }
 
-/// Does evaluating `e` read one of `arrays`?
-fn expr_reads(e: &RExpr, arrays: &[usize]) -> bool {
-    match e {
-        RExpr::Elem(a, subs) => arrays.contains(a) || subs.iter().any(|s| expr_reads(s, arrays)),
-        RExpr::Un(_, x) => expr_reads(x, arrays),
-        RExpr::Bin(_, x, y) => expr_reads(x, arrays) || expr_reads(y, arrays),
-        RExpr::Intrin(_, args) => args.iter().any(|a| expr_reads(a, arrays)),
-        RExpr::I(_) | RExpr::R(_) | RExpr::B(_) | RExpr::Str(_) | RExpr::Load(_) => false,
-    }
-}
-
 /// Does executing `stmts` read one of `arrays`, anywhere?
 fn body_reads(stmts: &[RStmt], arrays: &[usize]) -> bool {
-    let reads = |e: &RExpr| expr_reads(e, arrays);
-    stmts.iter().any(|s| match s {
-        RStmt::AssignS(_, rhs) => reads(rhs),
-        RStmt::AssignE(_, subs, rhs) => subs.iter().any(reads) || reads(rhs),
-        RStmt::Do(l) => {
-            reads(&l.init) || reads(&l.limit) || l.step.as_ref().is_some_and(reads) || body_reads(&l.body, arrays)
-        }
-        RStmt::If(arms, else_body) => {
-            arms.iter().any(|(cond, body)| reads(cond) || body_reads(body, arrays)) || body_reads(else_body, arrays)
-        }
-        RStmt::Print(items) => items.iter().any(reads),
-        RStmt::Stop => false,
-    })
+    let reads = |e: &RExpr| e.any(&mut |x| matches!(x, RExpr::Elem(a, _) if arrays.contains(a)));
+    let mut found = false;
+    walk(stmts, &mut |s| {
+        found = found
+            || match s {
+                RStmt::AssignS(_, rhs) => reads(rhs),
+                RStmt::AssignE(_, subs, rhs) => subs.iter().any(reads) || reads(rhs),
+                RStmt::Do(l) => {
+                    reads(&l.init) || reads(&l.limit) || l.step.as_ref().is_some_and(reads)
+                }
+                RStmt::If(arms, _) => arms.iter().any(|(cond, _)| reads(cond)),
+                RStmt::Print(items) => items.iter().any(reads),
+                RStmt::Stop => false,
+            }
+    });
+    found
 }
 
 #[cfg(test)]

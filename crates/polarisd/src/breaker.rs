@@ -26,7 +26,15 @@
 //! removes the unit's entry: the table holds only units that are
 //! failing, and sporadic transient faults never accumulate into a
 //! quarantine — only *consecutive* failures of the same unit do.
+//!
+//! The table holds at most as many entries as the cache (1024). An
+//! insert into a full table first drops the `Closed` entries (that only
+//! delays a quarantine), then the entries whose cooldown has elapsed; an
+//! entry inside its cooldown is never dropped, so a quarantine is never
+//! cut short. When every entry is cooling down, the new failure goes
+//! uncharged.
 
+use crate::cache::CAPACITY;
 use crate::lock;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -132,6 +140,19 @@ impl CircuitBreaker {
     /// fault). Returns true when this transition *opened* the breaker.
     pub fn record_failure(&self, key: u64, diagnostic: impl Into<String>) -> bool {
         let mut map = lock(&self.map);
+        if map.len() >= CAPACITY && !map.contains_key(&key) {
+            // Make room: `Closed` entries first, then the cooled-down ones.
+            map.retain(|_, e| !matches!(e.state, State::Closed { .. }));
+            if map.len() >= CAPACITY {
+                map.retain(|_, e| {
+                    matches!(e.state, State::Open { since } | State::HalfOpen { since }
+                        if since.elapsed() < self.cooldown)
+                });
+            }
+            if map.len() >= CAPACITY {
+                return false; // every entry is cooling down
+            }
+        }
         let entry = map
             .entry(key)
             .or_insert(Entry { state: State::Closed { failures: 0 }, diagnostics: Vec::new() });
@@ -221,6 +242,31 @@ mod tests {
         // The probe's own success closes its unit by removing the entry.
         assert!(b.record_success(3));
         assert_eq!(b.map.lock().unwrap().keys().collect::<Vec<_>>(), [&2]);
+    }
+
+    #[test]
+    fn a_full_table_drops_closed_then_cooled_entries_never_a_cooling_one() {
+        let b = CircuitBreaker::new(2, Duration::from_secs(3600));
+        b.record_failure(u64::MAX, "boom");
+        assert!(b.record_failure(u64::MAX, "boom"));
+        for key in 0..2 * CAPACITY as u64 {
+            assert!(!b.record_failure(key, "once"));
+        }
+        assert!(b.map.lock().unwrap().len() <= CAPACITY);
+        assert!(matches!(b.admit(u64::MAX), Admission::Quarantined { .. }));
+
+        // A table of cooling quarantines leaves a new failure uncharged;
+        // once they cool down, they make room.
+        let b = CircuitBreaker::new(1, Duration::from_millis(250));
+        for key in 0..CAPACITY as u64 {
+            assert!(b.record_failure(key, "boom"));
+        }
+        assert!(!b.record_failure(u64::MAX, "boom"));
+        assert_eq!(b.state(u64::MAX), BreakerState::Closed);
+        assert!((0..CAPACITY as u64).all(|key| b.state(key) == BreakerState::Open));
+        std::thread::sleep(Duration::from_millis(260));
+        assert!(b.record_failure(u64::MAX, "boom"));
+        assert_eq!(b.map.lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -47,8 +47,9 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// Entries held before an insert sweeps (about 1 MB of program text).
-const CAPACITY: usize = 1024;
+/// Entries held before an insert sweeps (about 1 MB of program text);
+/// the breaker table holds as many.
+pub(crate) const CAPACITY: usize = 1024;
 
 struct Slot {
     /// The request source the entry was compiled from.

@@ -11,7 +11,8 @@
 //! | `common-mismatch`       | error    | COMMON member shape/type disagreement   |
 //! | `dead-store`            | warning  | scalar stored twice with no read between|
 //! | `induction-recurrence`  | warning  | loop-carried scalar recurrence outside  |
-//! |                         |          | the induction-substitutable forms       |
+//! |                         |          | the induction-substitutable forms and   |
+//! |                         |          | not a flagged reduction update          |
 //! | `nest-locality`         | warning  | rectangular loop nest whose innermost   |
 //! |                         |          | stride is non-unit while a legal        |
 //! |                         |          | interchange with better estimated       |
@@ -21,8 +22,8 @@
 //! since the IR keeps only lines) and render to a machine-readable JSON
 //! document, schema `polaris-verify/lint/v1`.
 
-use polaris_ir::expr::{BinOp, Expr, LValue};
-use polaris_ir::stmt::{Stmt, StmtKind, StmtList};
+use polaris_ir::expr::{Expr, LValue};
+use polaris_ir::stmt::{StmtKind, StmtList};
 use polaris_ir::symbol::{Dim, SymKind};
 use polaris_ir::{Program, ProgramUnit};
 use polaris_obs::json::Json;
@@ -105,14 +106,15 @@ pub fn lint_program(program: &Program, source: &str) -> LintReport {
         lint_use_before_def(unit, &mut sink);
         lint_const_subscript_bounds(unit, &mut sink);
         lint_dead_store(unit, &mut sink);
-        lint_induction_recurrence(unit, &mut sink);
     }
-    // The locality lint needs reduction flags (relaxable rows) to judge
-    // interchange legality the way the compiler will; flag a throwaway
-    // clone so linting stays side-effect free.
+    // The recurrence and locality lints need reduction flags (a flagged
+    // update may be reordered; relaxable rows) to judge a loop the way
+    // the compiler will; flag a throwaway clone so linting stays
+    // side-effect free.
     let mut flagged = program.clone();
     polaris_core::reduction::flag_reductions(&mut flagged);
     for unit in &flagged.units {
+        lint_induction_recurrence(unit, &mut sink);
         lint_nest_locality(unit, &mut sink);
     }
     lint_common_mismatch(program, &mut sink);
@@ -175,12 +177,12 @@ fn col_of(lines: &[&str], line: u32, ident: &str) -> u32 {
     1
 }
 
-/// Scalar variable names read by `e`, subscripts included.
-fn scalar_reads(e: &Expr, unit: &ProgramUnit, out: &mut Vec<(String, ())>) {
+/// Hand `f` each scalar variable name read by `e`, subscripts included.
+fn scalar_reads(e: &Expr, unit: &ProgramUnit, f: &mut dyn FnMut(&str)) {
     e.for_each(&mut |n| {
         if let Expr::Var(v) = n {
             if unit.symbols.get(v).map(|s| matches!(s.kind, SymKind::Scalar)).unwrap_or(true) {
-                out.push((v.clone(), ()));
+                f(v);
             }
         }
     });
@@ -212,47 +214,39 @@ fn walk_ubd(
     reported: &mut BTreeSet<String>,
     sink: &mut Sink,
 ) {
-    let check = |e: &Expr, line: u32, defined: &BTreeSet<String>, sink: &mut Sink,
-                     reported: &mut BTreeSet<String>| {
-        let mut reads = Vec::new();
-        scalar_reads(e, unit, &mut reads);
-        for (name, ()) in reads {
-            if !defined.contains(&name) && reported.insert(name.clone()) {
-                sink.push(
-                    "use-before-def",
-                    Severity::Warning,
-                    &unit.name,
-                    line,
-                    &name,
-                    format!("scalar `{name}` is read before any assignment defines it"),
-                );
-            }
-        }
-    };
     for s in list.iter() {
+        if let StmtKind::Assert { cond } = &s.kind {
+            // An assertion states a fact about a value; it does not
+            // read it at run time. Treat named variables as defined
+            // from here on (the user vouches for them).
+            scalar_reads(cond, unit, &mut |name| {
+                defined.insert(name.to_string());
+            });
+            continue;
+        }
+        s.for_each_own_expr(&mut |e| {
+            scalar_reads(e, unit, &mut |name| {
+                if !defined.contains(name) && reported.insert(name.to_string()) {
+                    sink.push(
+                        "use-before-def",
+                        Severity::Warning,
+                        &unit.name,
+                        s.line,
+                        name,
+                        format!("scalar `{name}` is read before any assignment defines it"),
+                    );
+                }
+            })
+        });
         match &s.kind {
-            StmtKind::Assign { lhs, rhs, .. } => {
-                check(rhs, s.line, defined, sink, reported);
-                for sub in lhs.subs() {
-                    check(sub, s.line, defined, sink, reported);
-                }
-                if let LValue::Var(n) = lhs {
-                    defined.insert(n.clone());
-                }
+            StmtKind::Assign { lhs: LValue::Var(n), .. } => {
+                defined.insert(n.clone());
             }
             StmtKind::Do(d) => {
-                check(&d.init, s.line, defined, sink, reported);
-                check(&d.limit, s.line, defined, sink, reported);
-                if let Some(st) = &d.step {
-                    check(st, s.line, defined, sink, reported);
-                }
                 defined.insert(d.var.clone());
                 walk_ubd(&d.body, unit, defined, reported, sink);
             }
             StmtKind::IfBlock { arms, else_body } => {
-                for arm in arms {
-                    check(&arm.cond, s.line, defined, sink, reported);
-                }
                 // Conservative join: anything any branch defines counts
                 // as defined afterwards (a false "defined" only silences
                 // a warning, never invents one).
@@ -262,36 +256,14 @@ fn walk_ubd(
                 walk_ubd(else_body, unit, defined, reported, sink);
             }
             StmtKind::Call { args, .. } => {
+                // A callee may define any variable passed by reference.
                 for a in args {
-                    check(a, s.line, defined, sink, reported);
-                    // A callee may define any variable passed by reference.
-                    match a {
-                        Expr::Var(n) => {
-                            defined.insert(n.clone());
-                        }
-                        Expr::Index { array, .. } => {
-                            defined.insert(array.clone());
-                        }
-                        _ => {}
+                    if let Expr::Var(n) | Expr::Index { array: n, .. } = a {
+                        defined.insert(n.clone());
                     }
                 }
             }
-            StmtKind::Print { items } => {
-                for e in items {
-                    check(e, s.line, defined, sink, reported);
-                }
-            }
-            StmtKind::Assert { cond } => {
-                // An assertion states a fact about a value; it does not
-                // read it at run time. Treat named variables as defined
-                // from here on (the user vouches for them).
-                let mut reads = Vec::new();
-                scalar_reads(cond, unit, &mut reads);
-                for (name, ()) in reads {
-                    defined.insert(name);
-                }
-            }
-            StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
+            _ => {}
         }
     }
 }
@@ -327,10 +299,12 @@ fn lint_const_subscript_bounds(unit: &ProgramUnit, sink: &mut Sink) {
         if let StmtKind::Assign { lhs: LValue::Index { array, subs }, .. } = &s.kind {
             check_index(array, subs, line, sink);
         }
-        for_each_expr(s, &mut |e| {
-            if let Expr::Index { array, subs } = e {
-                check_index(array, subs, line, sink);
-            }
+        s.for_each_own_expr(&mut |root| {
+            root.for_each(&mut |e| {
+                if let Expr::Index { array, subs } = e {
+                    check_index(array, subs, line, sink);
+                }
+            })
         });
     });
 }
@@ -416,11 +390,7 @@ fn walk_dead(list: &StmtList, unit: &ProgramUnit, sink: &mut Sink) {
     let mut pending: BTreeMap<String, u32> = BTreeMap::new();
     for s in list.iter() {
         let mut reads = Vec::new();
-        for_each_expr(s, &mut |e| {
-            let mut r = Vec::new();
-            scalar_reads(e, unit, &mut r);
-            reads.extend(r.into_iter().map(|(n, ())| n));
-        });
+        s.for_each_own_expr(&mut |e| scalar_reads(e, unit, &mut |n| reads.push(n.to_string())));
         match &s.kind {
             StmtKind::Assign { lhs, .. } => {
                 for r in &reads {
@@ -472,18 +442,20 @@ fn walk_dead(list: &StmtList, unit: &ProgramUnit, sink: &mut Sink) {
     }
 }
 
-/// `induction-recurrence`: inside a DO body, `x = f(x)` where `f` is not
-/// one of the forms induction substitution (or reduction recognition)
-/// rewrites — `x + e`, `e + x`, `x - e`, `x * e`, `e * x` with `e` free
-/// of `x`. Such recurrences serialize the loop.
+/// `induction-recurrence`: inside a DO body, `x = f(x)` that core's
+/// reduction recognizer did not flag — neither `x op e` / `e op x` for
+/// `+`, `*` (and `x - e`) nor `MAX`/`MIN(x, e)`, with `e` free of `x`.
+/// Induction substitution rewrites the additive and multiplicative
+/// forms and a flagged update may be reordered; any other recurrence
+/// serializes the loop. Runs over the reduction-flagged program.
 fn lint_induction_recurrence(unit: &ProgramUnit, sink: &mut Sink) {
     unit.body.walk(&mut |s| {
         if let StmtKind::Do(d) = &s.kind {
             // direct statements of this body only: nested loops get their
             // own visit, so each recurrence is reported once.
             for b in d.body.iter() {
-                if let StmtKind::Assign { lhs: LValue::Var(x), rhs, .. } = &b.kind {
-                    if rhs.references_var(x) && !substitutable(rhs, x) {
+                if let StmtKind::Assign { lhs: LValue::Var(x), rhs, reduction: None } = &b.kind {
+                    if rhs.references_var(x) {
                         sink.push(
                             "induction-recurrence",
                             Severity::Warning,
@@ -502,62 +474,6 @@ fn lint_induction_recurrence(unit: &ProgramUnit, sink: &mut Sink) {
             }
         }
     });
-}
-
-/// Is `rhs` one of the forms the induction/reduction machinery handles?
-fn substitutable(rhs: &Expr, x: &str) -> bool {
-    match rhs {
-        Expr::Bin { op: BinOp::Add, lhs, rhs: r } => {
-            (is_var(lhs, x) && !r.references_var(x)) || (is_var(r, x) && !lhs.references_var(x))
-        }
-        Expr::Bin { op: BinOp::Sub, lhs, rhs: r } => is_var(lhs, x) && !r.references_var(x),
-        Expr::Bin { op: BinOp::Mul, lhs, rhs: r } => {
-            (is_var(lhs, x) && !r.references_var(x)) || (is_var(r, x) && !lhs.references_var(x))
-        }
-        _ => false,
-    }
-}
-
-fn is_var(e: &Expr, x: &str) -> bool {
-    matches!(e, Expr::Var(v) if v == x)
-}
-
-/// Visit every expression of one statement (not descending into nested
-/// statement bodies).
-fn for_each_expr(s: &Stmt, f: &mut dyn FnMut(&Expr)) {
-    let mut visit = |e: &Expr| e.for_each(f);
-    match &s.kind {
-        StmtKind::Assign { lhs, rhs, .. } => {
-            for sub in lhs.subs() {
-                visit(sub);
-            }
-            visit(rhs);
-        }
-        StmtKind::Do(d) => {
-            visit(&d.init);
-            visit(&d.limit);
-            if let Some(st) = &d.step {
-                visit(st);
-            }
-        }
-        StmtKind::IfBlock { arms, .. } => {
-            for arm in arms {
-                visit(&arm.cond);
-            }
-        }
-        StmtKind::Call { args, .. } => {
-            for a in args {
-                visit(a);
-            }
-        }
-        StmtKind::Print { items } => {
-            for e in items {
-                visit(e);
-            }
-        }
-        StmtKind::Assert { cond } => visit(cond),
-        StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
-    }
 }
 
 /// `nest-locality`: a rectangular loop nest runs with a worse memory
@@ -683,6 +599,15 @@ mod tests {
         let r = lints(src);
         assert!(has(&r, "induction-recurrence", "`S`"), "{:?}", r.findings);
         assert!(!has(&r, "induction-recurrence", "`K`"), "{:?}", r.findings);
+    }
+
+    #[test]
+    fn max_and_min_reduction_updates_are_silent() {
+        // The forms core's reduction recognizer flags: the compiler runs
+        // such a loop PARALLEL, so the lint must not call it serialized.
+        let src = "program t\nreal a(10)\nx = 0.0\ny = 0.0\ndo i = 1, 10\n  x = max(x, a(i))\n  y = min(a(i), y)\nend do\nprint *, x, y\nend\n";
+        let r = lints(src);
+        assert!(!r.findings.iter().any(|f| f.lint == "induction-recurrence"), "{:?}", r.findings);
     }
 
     #[test]

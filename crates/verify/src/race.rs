@@ -36,7 +36,7 @@ use polaris_ir::expr::{BinOp, Expr, RedOp, UnOp};
 use polaris_ir::stmt::{LoopId, StmtKind};
 use polaris_ir::symbol::{ArrayProps, SymKind};
 use polaris_ir::Program;
-use polaris_machine::lower::{Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
+use polaris_machine::lower::{self, Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
 use polaris_machine::MachineError;
 use polaris_symbolic::poly::{DivPolicy, Poly};
 use polaris_symbolic::{Range, RangeEnv};
@@ -158,9 +158,7 @@ fn walk(
             RStmt::Do(l) => {
                 // Facts about anything the body reassigns are stale both
                 // inside the loop and after it.
-                for slot in assigned_scalars(&l.body) {
-                    env.invalidate(&image.scalar_names[slot]);
-                }
+                kill_assigned(&l.body, image, env);
                 env.invalidate(&image.scalar_names[l.var]);
                 let mut body_env = env.clone();
                 assume_header(l, image, &mut body_env);
@@ -176,14 +174,10 @@ fn walk(
                 }
                 let mut else_env = env.clone();
                 walk(else_body, image, &mut else_env, props, report);
-                let mut killed = BTreeSet::new();
                 for (_, body) in arms {
-                    killed.extend(assigned_scalars(body));
+                    kill_assigned(body, image, env);
                 }
-                killed.extend(assigned_scalars(else_body));
-                for slot in killed {
-                    env.invalidate(&image.scalar_names[slot]);
-                }
+                kill_assigned(else_body, image, env);
             }
             RStmt::AssignS(slot, rhs) => {
                 let name = &image.scalar_names[*slot];
@@ -204,31 +198,14 @@ fn walk(
     }
 }
 
-/// Every scalar slot `code` assigns, including nested loop variables.
-fn assigned_scalars(code: &[RStmt]) -> BTreeSet<usize> {
-    let mut out = BTreeSet::new();
-    fn go(code: &[RStmt], out: &mut BTreeSet<usize>) {
-        for s in code {
-            match s {
-                RStmt::AssignS(slot, _) => {
-                    out.insert(*slot);
-                }
-                RStmt::Do(d) => {
-                    out.insert(d.var);
-                    go(&d.body, out);
-                }
-                RStmt::If(arms, else_body) => {
-                    for (_, body) in arms {
-                        go(body, out);
-                    }
-                    go(else_body, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    go(code, &mut out);
-    out
+/// Drop the facts about every scalar slot `code` assigns, nested loop
+/// variables included.
+fn kill_assigned(code: &[RStmt], image: &Image, env: &mut RangeEnv) {
+    lower::walk(code, &mut |s| match s {
+        RStmt::AssignS(slot, _) => env.invalidate(&image.scalar_names[*slot]),
+        RStmt::Do(d) => env.invalidate(&image.scalar_names[d.var]),
+        _ => {}
+    });
 }
 
 /// Assume a loop header's facts in `env` (mirrors what range propagation
@@ -422,7 +399,7 @@ fn check_parallel_loop(
 /// elsewhere in the loop outside of other reduction statements" — and a
 /// read inside *another* reduction's operand is such a reference.)
 fn reduction_holds(code: &[RStmt], red: &RRed) -> bool {
-    let clear = |e: &RExpr| !reads_target(e, red.target);
+    let clear = |e: &RExpr| !e.any(&mut |x| is_target(x, red.target));
     code.iter().all(|s| match s {
         RStmt::AssignS(slot, rhs) if red.target == RRef::Scalar(*slot) => {
             is_update(rhs, &RExpr::Load(*slot), red)
@@ -456,7 +433,7 @@ fn is_update(rhs: &RExpr, sigma: &RExpr, red: &RRed) -> bool {
             sigmas += 1;
             positive
         } else {
-            !reads_target(e, red.target)
+            !e.any(&mut |x| is_target(x, red.target))
         }
     }) && sigmas == 1
 }
@@ -486,16 +463,12 @@ fn operands(
     }
 }
 
-fn reads_target(e: &RExpr, target: RRef) -> bool {
+/// Is `e` itself a load of `target` (not one under it)?
+fn is_target(e: &RExpr, target: RRef) -> bool {
     match e {
         RExpr::Load(slot) => target == RRef::Scalar(*slot),
-        RExpr::Elem(slot, subs) => {
-            target == RRef::Array(*slot) || subs.iter().any(|s| reads_target(s, target))
-        }
-        RExpr::Un(_, a) => reads_target(a, target),
-        RExpr::Bin(_, a, b) => reads_target(a, target) || reads_target(b, target),
-        RExpr::Intrin(_, args) => args.iter().any(|a| reads_target(a, target)),
-        RExpr::I(_) | RExpr::R(_) | RExpr::B(_) | RExpr::Str(_) => false,
+        RExpr::Elem(slot, _) => target == RRef::Array(*slot),
+        _ => false,
     }
 }
 

@@ -31,9 +31,10 @@ use std::collections::BTreeSet;
 fn check_seed(seed: u64) {
     let src = generate_program(seed);
     let rec = Recorder::virtual_clock();
-    let (program, report) =
-        polaris::core::parse_and_compile_recorded(&src, &PassOptions::polaris(), &rec)
-            .unwrap_or_else(|e| panic!("seed {seed}: compile: {e}\n{src}"));
+    let mut program =
+        polaris::ir::parse(&src).unwrap_or_else(|e| panic!("seed {seed}: parse: {e}\n{src}"));
+    let report = polaris::core::compile_recorded(&mut program, &PassOptions::polaris(), &rec)
+        .unwrap_or_else(|e| panic!("seed {seed}: compile: {e}\n{src}"));
     let cfg = MachineConfig::challenge_8().with_fuel(FUEL);
     polaris_machine::run_recorded(&program, &cfg, &rec)
         .unwrap_or_else(|e| panic!("seed {seed}: run: {e}\n{src}"));

@@ -36,6 +36,36 @@ fn kernels_verify_clean_and_static_race_agrees_with_oracle() {
     );
 }
 
+/// The lint and the compiler agree on which recurrences serialize a
+/// loop: no `induction-recurrence` finding names a loop (or an inlined
+/// copy of it) that the compiled report runs PARALLEL or SPECULATIVE.
+#[test]
+fn induction_recurrence_findings_name_only_serial_loops() {
+    for b in common::kernels() {
+        let out = polaris::parallelize(b.source, &PassOptions::polaris())
+            .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
+        let parsed = polaris::ir::parse(b.source).unwrap();
+        for f in polaris::verify::lint_program(&parsed, b.source).findings {
+            if f.lint != "induction-recurrence" {
+                continue;
+            }
+            let label = f.message.rsplit('`').nth(1).unwrap();
+            let inlined = format!("{label}@");
+            for l in &out.report.loops {
+                assert!(
+                    !((l.label == label || l.label.starts_with(&inlined))
+                        && (l.parallel || l.speculative)),
+                    "{}: lint finding \"{}\" names {}, which the compiler runs {}",
+                    b.name,
+                    f.message,
+                    l.label,
+                    if l.parallel { "PARALLEL" } else { "SPECULATIVE" }
+                );
+            }
+        }
+    }
+}
+
 /// Each kernel audited individually with speculation disabled: the
 /// loops Polaris hands to the LRPD test become plain serial loops, so
 /// dynamically-independent ones must show up as completeness misses —
