@@ -17,7 +17,7 @@
 use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{Stmt, StmtKind, StmtList};
 use polaris_ir::symbol::SymKind;
-use polaris_ir::{Program, ProgramUnit};
+use polaris_ir::ProgramUnit;
 use std::collections::BTreeMap;
 
 /// Statistics returned by the pass (used in reports and tests).
@@ -27,19 +27,15 @@ pub struct ConstPropStats {
     pub(crate) constants_propagated: usize,
 }
 
-/// Run constant propagation on every unit of `program`.
-pub fn run(program: &mut Program) -> ConstPropStats {
-    let mut stats = ConstPropStats::default();
-    for unit in &mut program.units {
-        let s = run_unit(unit);
-        stats.parameters_folded += s.parameters_folded;
-        stats.constants_propagated += s.constants_propagated;
+impl ConstPropStats {
+    pub(crate) fn absorb(&mut self, more: ConstPropStats) {
+        self.parameters_folded += more.parameters_folded;
+        self.constants_propagated += more.constants_propagated;
     }
-    stats
 }
 
-/// Run on a single unit.
-pub(crate) fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
+/// Run constant propagation on one unit.
+pub fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
     let mut stats = ConstPropStats::default();
 
     // Phase 1: PARAMETER substitution. Parameters may reference other
@@ -225,7 +221,7 @@ mod tests {
 
     fn run_src(src: &str) -> String {
         let mut p = polaris_ir::parse(src).unwrap();
-        run(&mut p);
+        run_unit(&mut p.units[0]);
         polaris_ir::validate::validate_program(&p).unwrap();
         print_program(&p)
     }
@@ -295,7 +291,7 @@ mod tests {
             "program t\ninteger n\nparameter (n = 4)\nk = 2\nx = n + k\ny = n\nend\n",
         )
         .unwrap();
-        let stats = run(&mut p);
+        let stats = run_unit(&mut p.units[0]);
         assert_eq!(stats.parameters_folded, 2);
         assert!(stats.constants_propagated >= 1);
     }

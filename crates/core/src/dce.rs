@@ -20,9 +20,9 @@
 //! the subscript evaluation, which is observationally equivalent for
 //! valid programs).
 
-use crate::privatize::dead_scalar_stores;
+use crate::privatize::Liveness;
 use polaris_ir::stmt::StmtKind;
-use polaris_ir::{Program, ProgramUnit};
+use polaris_ir::ProgramUnit;
 
 /// Statistics for reports/tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,21 +30,12 @@ pub struct DceStats {
     pub removed: usize,
 }
 
-/// Run on every unit.
-pub(crate) fn run(program: &mut Program) -> DceStats {
-    let mut stats = DceStats::default();
-    for unit in &mut program.units {
-        stats.removed += run_unit(unit).removed;
-    }
-    stats
-}
-
 /// Run on one unit to a fixpoint (removing one dead store may kill the
 /// uses that kept another alive).
 pub fn run_unit(unit: &mut ProgramUnit) -> DceStats {
     let mut stats = DceStats::default();
     loop {
-        let mut victims = dead_scalar_stores(unit);
+        let mut victims = Liveness::of(unit).dead_scalar_stores();
         if victims.is_empty() {
             break;
         }
@@ -67,7 +58,7 @@ mod tests {
 
     fn run_src(src: &str) -> (String, DceStats) {
         let mut p = polaris_ir::parse(src).unwrap();
-        let stats = run(&mut p);
+        let stats = run_unit(&mut p.units[0]);
         polaris_ir::validate::validate_program(&p).unwrap();
         (print_program(&p), stats)
     }
@@ -121,10 +112,10 @@ mod tests {
     fn arguments_and_commons_are_observable() {
         let src = "subroutine s(x)\nreal x\nx = 1.0\nend\n";
         let mut p = polaris_ir::parse(src).unwrap();
-        assert_eq!(run(&mut p).removed, 0);
+        assert_eq!(run_unit(&mut p.units[0]).removed, 0);
         let src2 = "program t\ncommon /blk/ g\ng = 3.0\nend\n";
         let mut p2 = polaris_ir::parse(src2).unwrap();
-        assert_eq!(run(&mut p2).removed, 0);
+        assert_eq!(run_unit(&mut p2.units[0]).removed, 0);
     }
 
     #[test]

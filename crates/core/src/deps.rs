@@ -66,8 +66,8 @@ pub(crate) fn analyze_unit_recorded(
     {
         let mut env = RangeEnv::new();
         add(&stats.ranges_propagated, rangeprop::seed_parameters(unit, &mut env));
-        let unit_ref: &ProgramUnit = unit;
-        analyze_list(&unit_ref.body, unit_ref, &mut env, opts, stats, rec, &mut decisions);
+        let live = privatize::Liveness::of(unit);
+        analyze_list(&unit.body, &live, &mut env, opts, stats, rec, &mut decisions);
     }
     // Phase 2: apply annotations. (`unit_span` closes by drop when the
     // function returns, after the reports are assembled.)
@@ -92,10 +92,11 @@ fn bump(c: &std::cell::Cell<u64>) {
     add(c, 1);
 }
 
-/// Decide every loop of `list`, carrying [`rangeprop`]'s environment.
+/// Decide every loop of `list`, carrying [`rangeprop`]'s environment;
+/// `live` numbers the unit `list` belongs to.
 fn analyze_list(
     list: &StmtList,
-    unit: &ProgramUnit,
+    live: &privatize::Liveness,
     env: &mut RangeEnv,
     opts: &PassOptions,
     stats: &DdStats,
@@ -110,15 +111,15 @@ fn analyze_list(
                 // The loop span covers the nested walk too, so inner
                 // loops appear as children of their enclosing loop.
                 let loop_span = rec.loop_span("compile", &d.label, d.loop_id);
-                let decision = analyze_loop(d, s.id, unit, &body_env, opts, stats);
+                let decision = analyze_loop(d, s.id, live, &body_env, opts, stats);
                 out.insert(d.loop_id, decision);
-                analyze_list(&d.body, unit, &mut body_env, opts, stats, rec, out);
+                analyze_list(&d.body, live, &mut body_env, opts, stats, rec, out);
                 loop_span.end();
             }
             StmtKind::IfBlock { arms, else_body } => {
                 let mut envs = rangeprop::enter_if(env, arms, else_body);
                 for (body, env) in rangeprop::branches(arms, else_body).zip(&mut envs) {
-                    analyze_list(body, unit, env, opts, stats, rec, out);
+                    analyze_list(body, live, env, opts, stats, rec, out);
                 }
             }
             _ => add(&stats.ranges_propagated, rangeprop::step_over(env, s)),
@@ -158,15 +159,17 @@ fn serial(
     decided(d, unit, info, Vec::new())
 }
 
-/// Decide one loop. `env` holds ranges valid inside the body.
+/// Decide one loop of the unit `live` numbers. `env` holds ranges valid
+/// inside the body.
 fn analyze_loop(
     d: &DoLoop,
     stmt_id: StmtId,
-    unit: &ProgramUnit,
+    live: &privatize::Liveness,
     env: &RangeEnv,
     opts: &PassOptions,
     stats: &DdStats,
 ) -> (ParallelInfo, LoopReport) {
+    let unit = live.unit;
     if let Some(why) = find_serializing_stmt(&d.body) {
         return serial(d, unit, why);
     }
@@ -226,11 +229,11 @@ fn analyze_loop(
             // An inner loop's index is asked the question every written
             // scalar is: private, and copied out when read afterwards.
             let live_after = if view.loop_vars.contains(name) {
-                privatize::index_live_after
+                live.index_live_after(stmt_id, name)
             } else {
-                privatize::live_after
+                live.live_after(stmt_id, name)
             };
-            if live_after(unit, stmt_id, name) {
+            if live_after {
                 if privatize::scalar_write_unconditional(d, name) {
                     private.push(name.clone());
                     copy_out.push(name.clone());
@@ -292,13 +295,12 @@ fn analyze_loop(
         });
         let priv_ok = opts.array_privatization
             && privatize::array_privatizable(&view, name, &env, declared.as_deref()).is_ok();
-        if priv_ok
-            && !privatize::live_after(unit, stmt_id, name) {
-                private.push(name.clone());
-                continue;
-            }
-            // privatizable but the values escape: fall through to the
-            // run-time test, which handles copy-out, before giving up.
+        if priv_ok && !live.live_after(stmt_id, name) {
+            private.push(name.clone());
+            continue;
+        }
+        // A privatizable array whose values escape falls through to the
+        // run-time test, which handles copy-out, before giving up.
         // Speculate only when the opaque accesses sit directly in this
         // loop's body (the innermost enclosing loop of the scatter):
         // speculating an enclosing loop would re-test the same elements
@@ -465,10 +467,10 @@ mod tests {
 
     fn analyze(src: &str, opts: &PassOptions) -> (polaris_ir::Program, Vec<LoopReport>) {
         let mut p = polaris_ir::parse(src).unwrap();
-        crate::constprop::run(&mut p);
         let stats = DdStats::new();
         let mut reports = Vec::new();
         for unit in &mut p.units {
+            crate::constprop::run_unit(unit);
             reports.extend(analyze_unit(unit, opts, &stats));
         }
         (p, reports)
@@ -674,11 +676,11 @@ mod tests {
                    do i = 1, 100\n  a(idx(i)) = b(i)\nend do\n\
                    print *, a(1)\nend\n";
         let mut p = polaris_ir::parse(src).unwrap();
-        crate::idxprop::annotate(&mut p);
         let stats = DdStats::new();
         let opts = PassOptions::polaris();
         let mut reports = Vec::new();
         for unit in &mut p.units {
+            crate::idxprop::annotate_unit(unit, &mut Default::default());
             reports.extend(analyze_unit(unit, &opts, &stats));
         }
         let scatter = report(&reports, "do7");
@@ -700,11 +702,11 @@ mod tests {
                    do i = 1, 100\n  a(ps(i)) = b(i)\nend do\n\
                    print *, a(1)\nend\n";
         let mut p = polaris_ir::parse(src).unwrap();
-        crate::idxprop::annotate(&mut p);
         let stats = DdStats::new();
         let opts = PassOptions::polaris();
         let mut reports = Vec::new();
         for unit in &mut p.units {
+            crate::idxprop::annotate_unit(unit, &mut Default::default());
             reports.extend(analyze_unit(unit, &opts, &stats));
         }
         let scatter = report(&reports, "do8");
@@ -723,11 +725,11 @@ mod tests {
                    do i = 1, 100\n  a(idx(i)) = b(i)\nend do\n\
                    print *, a(1)\nend\n";
         let mut p = polaris_ir::parse(src).unwrap();
-        crate::idxprop::annotate(&mut p);
         let stats = DdStats::new();
         let opts = PassOptions::polaris();
         let mut reports = Vec::new();
         for unit in &mut p.units {
+            crate::idxprop::annotate_unit(unit, &mut Default::default());
             reports.extend(analyze_unit(unit, &opts, &stats));
         }
         let scatter = report(&reports, "do7");
@@ -745,11 +747,11 @@ mod tests {
                    do i = 1, 100\n  a(bin(i)) = b(i)\nend do\n\
                    print *, a(1)\nend\n";
         let mut p = polaris_ir::parse(src).unwrap();
-        crate::idxprop::annotate(&mut p);
         let stats = DdStats::new();
         let opts = PassOptions::polaris();
         let mut reports = Vec::new();
         for unit in &mut p.units {
+            crate::idxprop::annotate_unit(unit, &mut Default::default());
             reports.extend(analyze_unit(unit, &opts, &stats));
         }
         let scatter = report(&reports, "do7");
@@ -825,10 +827,10 @@ mod tests {
         let src = "program t\nreal a(2000000)\ninteger x, zz(200)\n!$assert (x >= 1)\n!$assert (nn >= 0)\ndo k = 0, x - 1\n  do j = 0, nn\n    do i = 0, 128\n      a(258*x*j + 129*k + i + 1) = 1.0\n      a(258*x*j + 129*k + i + 1 + 129*x) = 2.0\n    end do\n  end do\nend do\nend\n";
         let stats = DdStats::new();
         let mut p = polaris_ir::parse(src).unwrap();
-        crate::constprop::run(&mut p);
         let opts = PassOptions::polaris();
         let mut reports = Vec::new();
         for unit in &mut p.units {
+            crate::constprop::run_unit(unit);
             reports.extend(analyze_unit(unit, &opts, &stats));
         }
         assert!(reports.iter().all(|x| x.parallel), "{reports:?}");

@@ -43,7 +43,7 @@ use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{DoLoop, Stmt, StmtKind};
 use polaris_ir::symbol::SymKind;
 use polaris_ir::types::DataType;
-use polaris_ir::{ArrayProps, Program, ProgramUnit};
+use polaris_ir::{ArrayProps, ProgramUnit};
 use polaris_symbolic::bounds::{min_max_over, prove_ge, prove_le};
 use polaris_symbolic::poly::{Atom, DivPolicy, Poly};
 use polaris_symbolic::{Range, RangeEnv};
@@ -83,27 +83,24 @@ impl IdxPropReport {
     }
 }
 
-/// Stage entry point: infer properties for every unit and annotate the
-/// winning arrays' symbols. Idempotent — stale annotations from a prior
-/// run are cleared first, so pipeline rollback + re-run stays exact.
-pub(crate) fn annotate(program: &mut Program) -> IdxPropReport {
-    let mut rep = IdxPropReport::default();
-    for unit in &mut program.units {
-        for name in unit.symbols.iter().map(|s| s.name.clone()).collect::<Vec<_>>() {
-            if let Some(sym) = unit.symbols.get_mut(&name) {
-                sym.props = None;
-            }
-        }
-        let inferred = infer_unit(unit);
-        rep.arrays_analyzed += inferred.analyzed;
-        for (name, props) in inferred.props {
-            rep.absorb(&props);
-            if let Some(sym) = unit.symbols.get_mut(&name) {
-                sym.props = Some(props);
-            }
+/// Stage entry point: infer properties for `unit`, annotate the winning
+/// arrays' symbols and count them in `rep`. Idempotent — stale
+/// annotations from a prior run are cleared first, so pipeline rollback +
+/// re-run stays exact.
+pub(crate) fn annotate_unit(unit: &mut ProgramUnit, rep: &mut IdxPropReport) {
+    for name in unit.symbols.iter().map(|s| s.name.clone()).collect::<Vec<_>>() {
+        if let Some(sym) = unit.symbols.get_mut(&name) {
+            sym.props = None;
         }
     }
-    rep
+    let inferred = infer_unit(unit);
+    rep.arrays_analyzed += inferred.analyzed;
+    for (name, props) in inferred.props {
+        rep.absorb(&props);
+        if let Some(sym) = unit.symbols.get_mut(&name) {
+            sym.props = Some(props);
+        }
+    }
 }
 
 /// Inference result for one unit (also used directly by the static race
@@ -693,7 +690,8 @@ mod tests {
              do i = 1, 10\n  bin(i) = mod(i, 4) + 1\nend do\nprint *, idx(1), bin(1)\nend\n",
         )
         .unwrap();
-        let rep = annotate(&mut p);
+        let mut rep = IdxPropReport::default();
+        annotate_unit(&mut p.units[0], &mut rep);
         assert_eq!(rep.arrays_analyzed, 2);
         assert_eq!(rep.proved, 2);
         assert_eq!(rep.injective, 1);
@@ -702,7 +700,8 @@ mod tests {
         let sym = p.units[0].symbols.get("IDX").unwrap();
         assert!(sym.props.as_ref().unwrap().injective);
         // Idempotent re-run.
-        let rep2 = annotate(&mut p);
+        let mut rep2 = IdxPropReport::default();
+        annotate_unit(&mut p.units[0], &mut rep2);
         assert_eq!(rep, rep2);
     }
 

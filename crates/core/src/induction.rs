@@ -32,7 +32,7 @@ use crate::rangeprop::{assigned_vars, enter_if, enter_loop, seed_parameters, ste
 use polaris_ir::expr::{BinOp, Expr, LValue};
 use polaris_ir::stmt::{DoLoop, Stmt, StmtId, StmtKind, StmtList};
 use polaris_ir::types::DataType;
-use polaris_ir::{Program, ProgramUnit};
+use polaris_ir::ProgramUnit;
 use polaris_symbolic::poly::{DivPolicy, Poly};
 use polaris_symbolic::sum::{prefix_sum, sum_over};
 use polaris_symbolic::{prove_ge, RangeEnv};
@@ -49,23 +49,19 @@ pub struct InductionStats {
     pub(crate) lastvalues_inserted: usize,
 }
 
-/// Run with an explicit recognition mode.
-pub fn run_with(program: &mut Program, mode: InductionMode) -> InductionStats {
-    let mut stats = InductionStats::default();
-    if mode == InductionMode::Off {
-        return stats;
+impl InductionStats {
+    pub(crate) fn absorb(&mut self, more: InductionStats) {
+        self.additive_removed += more.additive_removed;
+        self.multiplicative_removed += more.multiplicative_removed;
+        self.lastvalues_inserted += more.lastvalues_inserted;
     }
-    for unit in &mut program.units {
-        let s = run_unit_with(unit, mode);
-        stats.additive_removed += s.additive_removed;
-        stats.multiplicative_removed += s.multiplicative_removed;
-        stats.lastvalues_inserted += s.lastvalues_inserted;
-    }
-    stats
 }
 
-/// Run on one unit with an explicit mode.
-pub(crate) fn run_unit_with(unit: &mut ProgramUnit, mode: InductionMode) -> InductionStats {
+/// Run on one unit with an explicit recognition mode.
+pub fn run_unit_with(unit: &mut ProgramUnit, mode: InductionMode) -> InductionStats {
+    if mode == InductionMode::Off {
+        return InductionStats::default();
+    }
     let mut body = std::mem::take(&mut unit.body);
     let mut pass =
         Pass { unit, stats: InductionStats::default(), deleted: BTreeSet::new(), mode };
@@ -502,11 +498,14 @@ mod tests {
 
     fn transform(src: &str) -> (polaris_ir::Program, InductionStats) {
         let mut p = polaris_ir::parse(src).unwrap();
-        crate::constprop::run(&mut p);
-        let stats = run_with(&mut p, InductionMode::Generalized);
-        // The driver re-runs constant propagation after induction so
-        // entry values (K = 0) fold into the closed forms.
-        crate::constprop::run(&mut p);
+        let mut stats = InductionStats::default();
+        for unit in &mut p.units {
+            crate::constprop::run_unit(unit);
+            stats.absorb(run_unit_with(unit, InductionMode::Generalized));
+            // The driver re-runs constant propagation after induction so
+            // entry values (K = 0) fold into the closed forms.
+            crate::constprop::run_unit(unit);
+        }
         polaris_ir::validate::validate_program(&p)
             .unwrap_or_else(|e| panic!("invalid after induction: {e}\n{}", print_program(&p)));
         (p, stats)

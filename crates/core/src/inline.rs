@@ -45,7 +45,11 @@ const MAX_ROUNDS: usize = 32;
 
 /// Fully inline every CALL (and supported function call) in the main
 /// program unit. Callee units are left in place (Polaris kept them for
-/// selective code generation); the main unit becomes call-free.
+/// selective code generation); the main unit becomes call-free. Every
+/// later pipeline stage restructures main alone and carries the callees
+/// through as parsed (`pipeline::restructured`), and `analyze` answers
+/// main's liveness questions from one numbering of it
+/// (`privatize::Liveness`).
 pub fn inline_all(program: &mut Program) -> Result<InlineStats> {
     let mut stats = InlineStats::default();
     let mut templates: BTreeMap<String, Template> = BTreeMap::new();

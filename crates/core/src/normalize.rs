@@ -28,7 +28,7 @@ use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{Stmt, StmtKind, StmtList};
 use polaris_ir::symbol::Symbol;
 use polaris_ir::types::DataType;
-use polaris_ir::{Program, ProgramUnit};
+use polaris_ir::ProgramUnit;
 
 /// Statistics for reports/tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,17 +36,8 @@ pub struct NormalizeStats {
     pub loops_normalized: usize,
 }
 
-/// Run on every unit.
-pub fn run(program: &mut Program) -> NormalizeStats {
-    let mut stats = NormalizeStats::default();
-    for unit in &mut program.units {
-        stats.loops_normalized += run_unit(unit).loops_normalized;
-    }
-    stats
-}
-
 /// Run on one unit.
-pub(crate) fn run_unit(unit: &mut ProgramUnit) -> NormalizeStats {
+pub fn run_unit(unit: &mut ProgramUnit) -> NormalizeStats {
     let mut stats = NormalizeStats::default();
     let mut body = std::mem::take(&mut unit.body);
     normalize_list(&mut body, unit, &mut stats);
@@ -185,7 +176,7 @@ mod tests {
 
     fn normalized(src: &str) -> (polaris_ir::Program, NormalizeStats) {
         let mut p = polaris_ir::parse(src).unwrap();
-        let stats = run(&mut p);
+        let stats = run_unit(&mut p.units[0]);
         polaris_ir::validate::validate_program(&p)
             .unwrap_or_else(|e| panic!("{e}\n{}", polaris_ir::printer::print_program(&p)));
         (p, stats)
@@ -226,7 +217,7 @@ mod tests {
         // 1 + 2*I__N — range test proves the loop parallel.
         let src = "program t\nreal a(100)\ndo i = 1, 99, 2\n  a(i) = i*1.0\nend do\nprint *, a(1)\nend\n";
         let mut p = polaris_ir::parse(src).unwrap();
-        run(&mut p);
+        run_unit(&mut p.units[0]);
         let stats = crate::DdStats::new();
         let reports = crate::deps::analyze_unit(&mut p.units[0], &crate::PassOptions::polaris(), &stats);
         assert!(reports[0].parallel, "{reports:?}");

@@ -28,7 +28,7 @@
 use crate::{constprop, dce, deps, idxprop, induction, inline, normalize, reduction};
 use crate::{CompileReport, DdStats, PassOptions};
 use polaris_ir::error::Result;
-use polaris_ir::Program;
+use polaris_ir::{Program, ProgramUnit};
 use polaris_obs::{Counter, Recorder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -753,48 +753,78 @@ fn stage_inline(program: &mut Program, _opts: &PassOptions, report: &mut Compile
     Ok(())
 }
 
-fn stage_constprop(program: &mut Program, _opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
-    report.constprop = constprop::run(program);
+/// The units every stage after `inline` restructures — the one scope
+/// rule of the pipeline. With `opts.inline` the driver "repeatedly
+/// expands subroutine and function calls in the top-level program unit"
+/// (§3.1): that unit alone runs, so it alone is restructured (none when
+/// there is no PROGRAM unit), and the callees are carried through as
+/// parsed, kept for selective code generation. That holds even when the
+/// `inline` stage itself was rolled back: main then still `CALL`s
+/// callees that were never analyzed, and they run serially as before.
+/// Without `opts.inline` (VFA) every unit runs, and every unit is
+/// restructured.
+fn restructured<'p>(
+    program: &'p mut Program,
+    opts: &PassOptions,
+) -> impl Iterator<Item = &'p mut ProgramUnit> {
+    let main_only = opts.inline;
+    program.units.iter_mut().filter(move |unit| !main_only || unit.is_main())
+}
+
+fn stage_constprop(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
+    report.constprop = constprop::ConstPropStats::default();
+    for unit in restructured(program, opts) {
+        report.constprop.absorb(constprop::run_unit(unit));
+    }
     Ok(())
 }
 
-fn stage_normalize(program: &mut Program, _opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
-    report.normalize = normalize::run(program);
+fn stage_normalize(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
+    let loops_normalized =
+        restructured(program, opts).map(|unit| normalize::run_unit(unit).loops_normalized).sum();
+    report.normalize = normalize::NormalizeStats { loops_normalized };
     Ok(())
 }
 
 fn stage_induction(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
-    report.induction = induction::run_with(program, opts.induction);
+    report.induction = induction::InductionStats::default();
+    for unit in restructured(program, opts) {
+        report.induction.absorb(induction::run_unit_with(unit, opts.induction));
+    }
     Ok(())
 }
 
-fn stage_constprop_fold(program: &mut Program, _opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
+fn stage_constprop_fold(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
     // fold induction entry values (K = 0) into the closed forms
-    let more = constprop::run(program);
-    report.constprop.parameters_folded += more.parameters_folded;
-    report.constprop.constants_propagated += more.constants_propagated;
+    for unit in restructured(program, opts) {
+        report.constprop.absorb(constprop::run_unit(unit));
+    }
     Ok(())
 }
 
-fn stage_dce(program: &mut Program, _opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
-    report.dce = dce::run(program);
+fn stage_dce(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
+    let removed = restructured(program, opts).map(|unit| dce::run_unit(unit).removed).sum();
+    report.dce = dce::DceStats { removed };
     Ok(())
 }
 
-fn stage_reduction(program: &mut Program, _opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
-    report.reductions_flagged = reduction::flag_reductions(program);
+fn stage_reduction(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
+    report.reductions_flagged = restructured(program, opts).map(reduction::flag_unit).sum();
     Ok(())
 }
 
-fn stage_idxprop(program: &mut Program, _opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
-    report.idxprop = idxprop::annotate(program);
+fn stage_idxprop(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
+    report.idxprop = idxprop::IdxPropReport::default();
+    for unit in restructured(program, opts) {
+        idxprop::annotate_unit(unit, &mut report.idxprop);
+    }
     Ok(())
 }
 
 fn stage_interchange(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
     let stats = DdStats::new();
     let forced = opts.faults.forces_illegal("interchange", program);
-    for unit in &mut program.units {
+    for unit in restructured(program, opts) {
         crate::nestdeps::interchange_unit(unit, &stats, forced, &mut report.nest);
     }
     Ok(())
@@ -803,7 +833,7 @@ fn stage_interchange(program: &mut Program, opts: &PassOptions, report: &mut Com
 fn stage_tile(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
     let stats = DdStats::new();
     let forced = opts.faults.forces_illegal("tile", program);
-    for unit in &mut program.units {
+    for unit in restructured(program, opts) {
         crate::nestdeps::tile_unit(unit, &stats, forced, &mut report.nest);
     }
     Ok(())
@@ -812,7 +842,7 @@ fn stage_tile(program: &mut Program, opts: &PassOptions, report: &mut CompileRep
 fn stage_fuse(program: &mut Program, opts: &PassOptions, report: &mut CompileReport, _rec: &Recorder) -> Result<()> {
     let stats = DdStats::new();
     let forced = opts.faults.forces_illegal("fuse", program);
-    for unit in &mut program.units {
+    for unit in restructured(program, opts) {
         crate::nestdeps::fuse_unit(unit, &stats, forced, &mut report.nest);
     }
     Ok(())
@@ -825,19 +855,14 @@ fn stage_analyze(
     rec: &Recorder,
 ) -> Result<()> {
     let stats = DdStats::new();
+    // Every unit `restructured` names is analyzed, each from one liveness
+    // numbering (`privatize::Liveness`); the callees of an inlined
+    // program are neither analyzed nor reported. (If the inline stage
+    // was rolled back, main may still contain CALLs — the dependence
+    // driver then conservatively serializes those loops.)
     let mut loops = Vec::new();
-    if opts.inline {
-        // Analyze only the call-free main unit; callees survive for
-        // selective code generation but are not reported. (If the inline
-        // stage itself was rolled back, main may still contain CALLs — the
-        // dependence driver then conservatively serializes those loops.)
-        if let Some(main) = program.main_mut() {
-            loops.extend(deps::analyze_unit_recorded(main, opts, &stats, rec));
-        }
-    } else {
-        for unit in &mut program.units {
-            loops.extend(deps::analyze_unit_recorded(unit, opts, &stats, rec));
-        }
+    for unit in restructured(program, opts) {
+        loops.extend(deps::analyze_unit_recorded(unit, opts, &stats, rec));
     }
     report.loops = loops;
     report.dd_counters = stats.snapshot();
@@ -1303,6 +1328,83 @@ mod tests {
         assert_eq!(left.apart_from(&["tile"]), forced.apart_from(&["tile"]));
     }
 
+    /// A callee whose nest walks its array along rows: `interchange`
+    /// certifies a column order wherever the nest is restructured.
+    const NEST_IN_CALLEE: &str = "program t\n\
+                                  real a(64, 64)\n\
+                                  call init(a, 64)\n\
+                                  print *, a(3, 5)\n\
+                                  end\n\
+                                  subroutine init(b, n)\n\
+                                  integer n\n\
+                                  real b(n, n)\n\
+                                  do i = 1, n\n\
+                                  \x20 do j = 1, n\n\
+                                  \x20   b(i, j) = i + j * 100.0\n\
+                                  \x20 end do\n\
+                                  end do\n\
+                                  end\n";
+
+    /// Under `polaris()` every call is inlined into main, so main alone is
+    /// restructured: each callee prints as parsed, and every certificate
+    /// is on main.
+    #[test]
+    fn an_inlined_program_restructures_main_and_carries_its_callees_as_parsed() {
+        let text = |unit: &ProgramUnit| {
+            let mut out = String::new();
+            polaris_ir::printer::print_unit(unit, &mut out);
+            out
+        };
+        for (src, certs) in [(CALLS, 0), (NEST_IN_CALLEE, 1)] {
+            let parsed = polaris_ir::parse(src).unwrap();
+            let (program, report) = parse_and_compile(src, &PassOptions::polaris()).unwrap();
+            assert!(!report.degraded(), "{:?}", report.stages);
+            assert_eq!(program.units.len(), parsed.units.len());
+            for (unit, was) in program.units.iter().zip(&parsed.units) {
+                if was.is_main() {
+                    assert_ne!(text(unit), text(was), "main was not restructured");
+                } else {
+                    assert_eq!(text(unit), text(was), "callee {} was restructured", was.name);
+                }
+            }
+            assert_eq!(report.nest.certs.len(), certs, "{:?}", report.nest.certs);
+            for cert in &report.nest.certs {
+                assert_eq!(cert.unit, "T", "{cert:?}");
+            }
+        }
+    }
+
+    /// `analyze` numbers each unit it analyzes once, however many loops
+    /// ask it liveness questions: main alone under `polaris()`, every
+    /// unit under `vfa()`.
+    #[test]
+    fn analyze_numbers_each_analyzed_unit_once() {
+        let analyze_only =
+            Pipeline { stages: vec![Stage { name: "analyze", enabled: true, run: stage_analyze }] };
+        let numberings = || crate::privatize::NUMBERINGS.with(std::cell::Cell::get);
+        for (opts, units) in [(PassOptions::polaris(), 1), (PassOptions::vfa(), 3)] {
+            let mut program = polaris_ir::parse(CALLS).unwrap();
+            let before = numberings();
+            let report = analyze_only
+                .run_cancellable(&mut program, &opts, &Recorder::disabled(), &CancelToken::new())
+                .unwrap();
+            assert_eq!(numberings() - before, units);
+            assert!(report.loops.iter().all(|l| !opts.inline || l.unit == "T"), "{:?}", report.loops);
+        }
+        let mut loops = 0;
+        for (_, src) in kernels() {
+            let mut program = polaris_ir::parse(&src).unwrap();
+            let before = numberings();
+            let opts = PassOptions::polaris();
+            let report = analyze_only
+                .run_cancellable(&mut program, &opts, &Recorder::disabled(), &CancelToken::new())
+                .unwrap();
+            assert_eq!(numberings() - before, 1);
+            loops += report.loops.len();
+        }
+        assert!(loops > 26 * 3, "{loops}");
+    }
+
     thread_local! {
         /// Calls of [`counted_constprop`] on this thread.
         static CONSTPROP_CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
@@ -1394,7 +1496,7 @@ mod tests {
     fn a_cancelled_compile_keeps_the_completed_stages_without_replaying_them() {
         let after_constprop = {
             let mut program = polaris_ir::parse(FOLDABLE).unwrap();
-            crate::constprop::run(&mut program);
+            crate::constprop::run_unit(&mut program.units[0]);
             program
         };
         assert_ne!(after_constprop, polaris_ir::parse(FOLDABLE).unwrap());

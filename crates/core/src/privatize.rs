@@ -19,13 +19,12 @@
 
 use crate::iterview::{IterView, Ref};
 use polaris_ir::expr::{Expr, LValue};
-use polaris_ir::stmt::{DoLoop, Stmt, StmtKind, StmtList};
+use polaris_ir::stmt::{DoLoop, Stmt, StmtId, StmtKind, StmtList};
 use polaris_ir::visit::Access;
 use polaris_ir::ProgramUnit;
 use polaris_symbolic::bounds::min_max_over;
 use polaris_symbolic::poly::{Atom, DivPolicy, Poly};
 use polaris_symbolic::{prove_ge, prove_le, Range, RangeEnv};
-use std::collections::BTreeMap;
 
 /// Why privatization failed (diagnostics for the listing / tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,109 +166,154 @@ fn own_mentions<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a str)) {
     });
 }
 
-/// Pre-order walk handing `f` each statement, its position, and the
-/// position its outermost enclosing loop's body starts at, if any; the
-/// statements nested in one `f` answers `false` for are passed over.
-fn numbered<'a>(
-    list: &'a StmtList,
-    next: &mut usize,
-    loop_start: Option<usize>,
-    f: &mut impl FnMut(&'a Stmt, usize, Option<usize>) -> bool,
-) {
-    for s in list {
-        let pos = *next;
-        *next += 1;
-        if !f(s, pos, loop_start) {
-            continue;
-        }
-        match &s.kind {
-            StmtKind::Do(d) => numbered(&d.body, next, loop_start.or(Some(pos + 1)), f),
-            StmtKind::IfBlock { arms, else_body } => {
-                for arm in arms {
-                    numbered(&arm.body, next, loop_start, f);
+/// Where a statement sits in a unit's pre-order numbering.
+#[derive(Clone, Copy)]
+struct Slot {
+    pos: usize,
+    /// The first position past its subtree.
+    end: usize,
+    /// Where the reads that see its stores start: the body of its
+    /// outermost enclosing loop, else its own position.
+    region: usize,
+}
+
+/// One pre-order numbering of a unit, made in one walk; every liveness
+/// question about the unit is answered from it by binary search.
+pub(crate) struct Liveness<'a> {
+    pub(crate) unit: &'a ProgramUnit,
+    /// Every statement's [`Slot`], by id.
+    stmts: Vec<(StmtId, Slot)>,
+    /// Every read as `(name, position)`, sorted.
+    reads: Vec<(&'a str, usize)>,
+    /// Every `DO` body as `(variable, (start, end))`, sorted.
+    do_bodies: Vec<(&'a str, (usize, usize))>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Numberings this thread has made.
+    pub(crate) static NUMBERINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl<'a> Liveness<'a> {
+    pub(crate) fn of(unit: &'a ProgramUnit) -> Liveness<'a> {
+        #[cfg(test)]
+        NUMBERINGS.with(|n| n.set(n.get() + 1));
+        let mut numbering =
+            Liveness { unit, stmts: Vec::new(), reads: Vec::new(), do_bodies: Vec::new() };
+        numbering.number(&unit.body, &mut 0, None);
+        numbering.stmts.sort_unstable_by_key(|&(id, _)| id);
+        numbering.reads.sort_unstable();
+        numbering.do_bodies.sort_unstable();
+        numbering
+    }
+
+    fn number(&mut self, list: &'a StmtList, next: &mut usize, loop_start: Option<usize>) {
+        for s in list {
+            let pos = *next;
+            *next += 1;
+            own_mentions(s, &mut |n| self.reads.push((n, pos)));
+            match &s.kind {
+                StmtKind::Do(d) => self.number(&d.body, next, loop_start.or(Some(pos + 1))),
+                StmtKind::IfBlock { arms, else_body } => {
+                    for arm in arms {
+                        self.number(&arm.body, next, loop_start);
+                    }
+                    self.number(else_body, next, loop_start);
                 }
-                numbered(else_body, next, loop_start, f);
+                _ => {}
             }
-            _ => {}
+            let end = *next;
+            if let Some(d) = s.as_do() {
+                self.do_bodies.push((&d.var, (pos + 1, end)));
+            }
+            self.stmts.push((s.id, Slot { pos, end, region: loop_start.unwrap_or(pos) }));
         }
     }
-}
 
-/// Is `name` (scalar or array) used after the statement with id
-/// `loop_id` (a loop, for the dependence driver) — or is it visible
-/// outside the unit (argument / COMMON)? One walk of the unit, cut short
-/// at the first read that decides it.
-pub fn live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -> bool {
-    read_after(unit, loop_id, name, false)
-}
-
-/// [`live_after`] for the variable of a `DO` nested in loop `loop_id`.
-/// Loop indices are reused from nest to nest, so here the reads under
-/// another `DO name` are taken for what they are: reads of that loop's
-/// own value.
-pub(crate) fn index_live_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str) -> bool {
-    read_after(unit, loop_id, name, true)
-}
-
-/// The walk behind both questions. With `index`, the body of a `DO name`
-/// that does not hold the loop itself is passed over: its reads see the
-/// value that `DO` sets.
-fn read_after(unit: &ProgramUnit, loop_id: polaris_ir::StmtId, name: &str, index: bool) -> bool {
-    if escapes_unit(unit, name) {
-        return true;
+    /// Is `name` (scalar or array) used after the statement with id
+    /// `loop_id` (a loop, for the dependence driver) — or is it visible
+    /// outside the unit (argument / COMMON)?
+    pub(crate) fn live_after(&self, loop_id: StmtId, name: &str) -> bool {
+        self.read_after(loop_id, name, false)
     }
-    let mut last_read = None;
-    let mut seen = false;
-    let mut live = false;
-    numbered(&unit.body, &mut 0, None, &mut |s, pos, loop_start| {
-        if live {
+
+    /// [`Liveness::live_after`] for the variable of a `DO` nested in loop
+    /// `loop_id`. Loop indices are reused from nest to nest, so here the
+    /// reads under another `DO name` are taken for what they are: reads
+    /// of that loop's own value.
+    pub(crate) fn index_live_after(&self, loop_id: StmtId, name: &str) -> bool {
+        self.read_after(loop_id, name, true)
+    }
+
+    /// The scalar assignments of the unit whose value nothing can read.
+    pub(crate) fn dead_scalar_stores(&self) -> Vec<StmtId> {
+        let mut dead = Vec::new();
+        self.unit.body.walk(&mut |s| {
+            if let StmtKind::Assign { lhs, .. } = &s.kind {
+                if lhs.subs().is_empty() && !self.live_after(s.id, lhs.name()) {
+                    dead.push(s.id);
+                }
+            }
+        });
+        dead
+    }
+
+    /// The question behind all three: is a read of `name` at or after the
+    /// statement's region start, outside its own subtree? With `index`,
+    /// the body of a `DO name` that does not hold the statement is passed
+    /// over: its reads see the value that `DO` sets.
+    fn read_after(&self, id: StmtId, name: &str, index: bool) -> bool {
+        if escapes_unit(self.unit, name) {
+            return true;
+        }
+        let Ok(at) = self.stmts.binary_search_by_key(&id, |&(id, _)| id) else {
             return false;
-        }
-        if s.id == loop_id {
-            seen = true;
-            live = loop_start.is_some_and(|start| last_read >= Some(start));
-            return false; // its own subtree does not count
-        }
-        let mut reads = false;
-        own_mentions(s, &mut |n| reads |= n == name);
-        if reads {
-            last_read = Some(pos);
-            live = seen;
-        }
-        let redefines = |d: &DoLoop| d.var == name && !crate::rangeprop::contains(&d.body, loop_id);
-        !(index && s.as_do().is_some_and(redefines))
-    });
-    live
+        };
+        let t = self.stmts[at].1;
+        let reads = named(&self.reads, name);
+        let skipped = if index { named(&self.do_bodies, name) } else { &[] };
+        let read_in = |lo: usize, hi: usize| {
+            let first = reads.partition_point(|&(_, q)| q < lo);
+            reads.get(first).is_some_and(|&(_, q)| q < hi)
+        };
+        // Reads in `lo..hi` outside the skipped bodies that do not hold
+        // the statement. Bodies nest or are disjoint, and none that
+        // starts before `lo` reaches into it without holding the statement.
+        let outside_skipped = |lo: usize, hi: usize| {
+            let mut from = lo;
+            for &(_, (start, end)) in &skipped[skipped.partition_point(|&(_, (s, _))| s < lo)..] {
+                if start >= hi {
+                    break;
+                }
+                if (start..end).contains(&t.pos) {
+                    continue;
+                }
+                if start >= from && read_in(from, start) {
+                    return true;
+                }
+                from = from.max(end);
+            }
+            read_in(from, hi)
+        };
+        outside_skipped(t.region, t.pos) || outside_skipped(t.end, usize::MAX)
+    }
 }
 
-/// The scalar assignments of `unit` whose value nothing can read — what
-/// [`live_after`] answers for each of them, all from one walk: every
-/// read's position is filed under its name, and a store is dead when no
-/// position at or after its region start, other than its own, is filed
-/// under the name it assigns.
-pub(crate) fn dead_scalar_stores(unit: &ProgramUnit) -> Vec<polaris_ir::StmtId> {
-    let mut reads: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut stores = Vec::new();
-    numbered(&unit.body, &mut 0, None, &mut |s, pos, loop_start| {
-        own_mentions(s, &mut |n| reads.entry(n).or_default().push(pos));
-        if let StmtKind::Assign { lhs, .. } = &s.kind {
-            if lhs.subs().is_empty() {
-                stores.push((s.id, lhs.name(), pos, loop_start.unwrap_or(pos + 1)));
-            }
-        }
-        true
-    });
-    let live = |name: &str, pos: usize, region: usize| {
-        escapes_unit(unit, name)
-            || reads.get(name).is_some_and(|at| {
-                at[at.partition_point(|&q| q < region)..].iter().any(|&q| q != pos)
-            })
-    };
-    stores
-        .into_iter()
-        .filter(|&(_, name, pos, region)| !live(name, pos, region))
-        .map(|(id, ..)| id)
-        .collect()
+/// The entries of a sorted `(name, _)` list filed under `name`.
+fn named<'s, 'a, T>(list: &'s [(&'a str, T)], name: &str) -> &'s [(&'a str, T)] {
+    let lo = list.partition_point(|&(n, _)| n < name);
+    let hi = lo + list[lo..].partition_point(|&(n, _)| n == name);
+    &list[lo..hi]
+}
+
+/// Is `name` used after statement `id` of `unit`, by the rule of
+/// [`crate::dce`]'s stores and the dependence driver's loops? Every
+/// question asked of the returned function is answered from one
+/// numbering of `unit`.
+pub fn live_after(unit: &ProgramUnit) -> impl Fn(StmtId, &str) -> bool + '_ {
+    let numbering = Liveness::of(unit);
+    move |id, name| numbering.live_after(id, name)
 }
 
 // ---------------------------------------------------------------------
@@ -637,10 +681,10 @@ mod tests {
     fn live_after_textual() {
         let u = unit_of("do i = 1, n\n  t = a(i)\n  b(i) = t\nend do\nc = t");
         let id = u.body.0[0].id;
-        assert!(live_after(&u, id, "T"));
+        assert!(live_after(&u)(id, "T"));
         let u2 = unit_of("do i = 1, n\n  t = a(i)\n  b(i) = t\nend do\nc = 1.0");
         let id2 = u2.body.0[0].id;
-        assert!(!live_after(&u2, id2, "T"));
+        assert!(!live_after(&u2)(id2, "T"));
     }
 
     #[test]
@@ -648,7 +692,7 @@ mod tests {
         let src = "subroutine s(t)\nreal t\ndo i = 1, 10\n  t = 1.0\n  b(i) = t\nend do\nend\n";
         let u = polaris_ir::parse(src).unwrap().units.remove(0);
         let id = u.body.0[0].id;
-        assert!(live_after(&u, id, "T"));
+        assert!(live_after(&u)(id, "T"));
     }
 
     #[test]
@@ -666,7 +710,7 @@ mod tests {
                 }
             }
         });
-        assert!(live_after(&u, inner_id.unwrap(), "T"));
+        assert!(live_after(&u)(inner_id.unwrap(), "T"));
     }
 
     // ----- array privatization ------------------------------------------

@@ -20,22 +20,25 @@ use crate::iterview::IterView;
 use polaris_ir::expr::{Expr, LValue, RedOp};
 use polaris_ir::pattern::{match_expr, Bindings};
 use polaris_ir::stmt::{Reduction, StmtKind};
-use polaris_ir::Program;
+use polaris_ir::{Program, ProgramUnit};
 
 /// Flag every reduction-shaped assignment in the program. Returns the
 /// number of statements flagged.
 pub fn flag_reductions(program: &mut Program) -> usize {
+    program.units.iter_mut().map(flag_unit).sum()
+}
+
+/// [`flag_reductions`] on one unit.
+pub(crate) fn flag_unit(unit: &mut ProgramUnit) -> usize {
     let mut count = 0usize;
-    for unit in &mut program.units {
-        unit.body.walk_mut(&mut |stmt| {
-            if let StmtKind::Assign { lhs, rhs, reduction } = &mut stmt.kind {
-                if let Some(op) = recognize(lhs, rhs) {
-                    *reduction = Some(op);
-                    count += 1;
-                }
+    unit.body.walk_mut(&mut |stmt| {
+        if let StmtKind::Assign { lhs, rhs, reduction } = &mut stmt.kind {
+            if let Some(op) = recognize(lhs, rhs) {
+                *reduction = Some(op);
+                count += 1;
             }
-        });
-    }
+        }
+    });
     count
 }
 

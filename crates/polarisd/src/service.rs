@@ -25,7 +25,7 @@
 //!   queued work, a unit's breaker entry while the unit is failing.
 
 use crate::breaker::{Admission, BreakerState, CircuitBreaker};
-use crate::cache::{CacheEntry, CacheOutcome, CompileCache};
+use crate::cache::{CacheEntry, CacheOutcome, CompileCache, CAPACITY};
 use crate::chaos::ChaosPlan;
 use crate::lock;
 use crate::proto::{fnv1a, Request, Response, Status};
@@ -281,7 +281,36 @@ struct Inner {
     /// Per-unit adaptive schedulers, keyed by content hash so the
     /// adaptation history survives cache purges and re-submissions of
     /// the same source (`adaptive_schedule` only).
-    adaptive: Mutex<HashMap<u64, Arc<AdaptiveController>>>,
+    adaptive: Mutex<Controllers>,
+}
+
+/// The adaptive controllers, at most [`CAPACITY`] of them, like the
+/// cache and the breaker table. A full map drops the controller that was
+/// inserted first; its unit re-learns if it comes back, which is sound.
+#[derive(Default)]
+struct Controllers {
+    by_key: HashMap<u64, Arc<AdaptiveController>>,
+    /// The keys of `by_key`, oldest insertion first.
+    order: VecDeque<u64>,
+}
+
+impl Controllers {
+    /// The controller for `key`, created (and the oldest dropped, if the
+    /// map is full) when there is none.
+    fn get_or_insert(&mut self, key: u64) -> Arc<AdaptiveController> {
+        if let Some(ctrl) = self.by_key.get(&key) {
+            return Arc::clone(ctrl);
+        }
+        if self.order.len() >= CAPACITY {
+            if let Some(oldest) = self.order.pop_front() {
+                self.by_key.remove(&oldest);
+            }
+        }
+        let ctrl = Arc::new(AdaptiveController::new());
+        self.order.push_back(key);
+        self.by_key.insert(key, Arc::clone(&ctrl));
+        ctrl
+    }
 }
 
 /// The crash-only compile service. See the module docs for the contract.
@@ -323,7 +352,7 @@ impl Service {
             chaos,
             stop: AtomicBool::new(false),
             tallies: Default::default(),
-            adaptive: Mutex::new(HashMap::new()),
+            adaptive: Mutex::new(Controllers::default()),
         });
         {
             let mut workers = lock(&inner.workers);
@@ -431,6 +460,7 @@ impl Service {
     /// and the unit has executed at least once.
     pub fn adaptive_rows(&self, key: u64) -> Vec<DecisionRow> {
         lock(&self.inner.adaptive)
+            .by_key
             .get(&key)
             .map(|c| c.decision_rows())
             .unwrap_or_default()
@@ -979,11 +1009,7 @@ fn recover_orphan(inner: &Inner, fl: InFlight) {
 /// lets adaptation history accumulate across separate requests for the
 /// same source.
 fn adaptive_for(inner: &Inner, key: u64) -> Arc<AdaptiveController> {
-    Arc::clone(
-        lock(&inner.adaptive)
-            .entry(key)
-            .or_insert_with(|| Arc::new(AdaptiveController::new())),
-    )
+    lock(&inner.adaptive).get_or_insert(key)
 }
 
 // ---- lock helpers ----------------------------------------------------
@@ -1133,6 +1159,48 @@ mod tests {
         assert_eq!((b.status, b.cached), (Status::Ok, false), "{b:?}");
         assert_eq!((&b.program, b.run_checksum), (&fresh.program, fresh.run_checksum));
         assert!(b.program != a.program && b.run_checksum != a.run_checksum, "{a:?}");
+    }
+
+    /// 2 × `CAPACITY` units run under `adaptive_schedule` leave at most
+    /// `CAPACITY` controllers: the first unit's is dropped, the newest
+    /// unit's decision rows survive.
+    #[test]
+    fn a_full_controller_map_drops_the_controller_inserted_first() {
+        let cfg = ServiceConfig {
+            exec_engine: Some(Engine::Vm),
+            adaptive_schedule: true,
+            ..ServiceConfig::default()
+        };
+        let service = Service::new(cfg);
+        let inner = &service.inner;
+        let run = |id: u64| {
+            let req = Request {
+                id,
+                client: "t".into(),
+                vfa: false,
+                deadline_ms: None,
+                return_program: false,
+                source: format!(
+                    "program t\nreal a(100)\ndo i = 1, 100\n  a(i) = i * {id}.0\nend do\nprint *, a(7)\nend\n"
+                ),
+            };
+            let key = Service::content_key(&req);
+            assert_eq!(ladder_of(inner, &pending_of(req).0).status, Status::Ok);
+            key
+        };
+        let first = run(1);
+        assert!(!service.adaptive_rows(first).is_empty());
+        // The units in between only need a controller each.
+        for key in 2..2 * CAPACITY as u64 {
+            adaptive_for(inner, key);
+        }
+        let newest = run(2 * CAPACITY as u64);
+        let controllers = lock(&inner.adaptive);
+        assert_eq!((controllers.by_key.len(), controllers.order.len()), (CAPACITY, CAPACITY));
+        assert_eq!(controllers.order.back(), Some(&newest));
+        drop(controllers);
+        assert!(service.adaptive_rows(first).is_empty());
+        assert!(!service.adaptive_rows(newest).is_empty());
     }
 
     #[test]

@@ -33,7 +33,12 @@ use std::cell::Cell;
 /// 960 309 / 234 483 573. Since the nest summary pairs each write with
 /// itself (`iterview::write_pairs`) and interchange moves headers instead
 /// of cloning them: 224 972 → 226 130 / 23 843 256 → 23 908 945 (debug;
-/// release 224 942 → 226 100), inside the unchanged budget.
+/// release 224 942 → 226 100), inside the unchanged budget. One walk per
+/// IR left 225 990 / 23 897 169 (release 225 960 / 23 897 122); one
+/// liveness numbering per analyzed unit (and per `dce` round) instead of
+/// one walk per query: 226 069 / 24 057 161 (debug; release 226 039 /
+/// 24 057 114), inside the unchanged budget. The kernels are
+/// single-unit, so restructuring main alone changes nothing here.
 const SUITE_ALLOCS_BUDGET: u64 = 240_200;
 const SUITE_BYTES_BUDGET: u64 = 25_360_000;
 

@@ -1,5 +1,5 @@
-//! Support shared by the root conformance tests: the kernel list, the
-//! fuel cap, the output checksum, the compile-or-panic helper, the one
+//! Support shared by the root conformance tests: the kernel list, a
+//! multi-unit program, the fuel cap, the output checksum, the compile-or-panic helper, the one
 //! audit of a kernel, and the one iterator over the engine × backend × schedule × workers matrix
 //! that the bit-identity tiers walk.
 
@@ -25,6 +25,47 @@ pub fn kernels() -> Vec<Benchmark> {
     assert_eq!(v.len(), 26);
     v
 }
+
+/// A main program with two subroutines and a one-statement function, all
+/// three inlined into main under `PassOptions::polaris()`.
+pub const MULTI_UNIT: &str = "
+      program main
+      integer n
+      parameter (n = 4000)
+      real grid(n), rhs(n)
+      real nrm
+      call setup(grid, rhs, n)
+      call smooth(grid, rhs, n)
+      nrm = vnorm(grid, n)
+      print *, 'norm', nrm
+      end
+
+      subroutine setup(g, r, n)
+      integer n
+      real g(n), r(n)
+      do i = 1, n
+        g(i) = 0.0
+        r(i) = 1.0/i
+      end do
+      end
+
+      subroutine smooth(g, r, n)
+      integer n
+      real g(n), r(n)
+      real t
+      do i = 2, n - 1
+        t = r(i)*0.5
+        g(i) = t + r(i - 1)*0.25 + r(i + 1)*0.25
+      end do
+      end
+
+      real function vnorm(g, n)
+      integer n
+      real g(n)
+      vnorm = g(2)*g(2)
+      return
+      end
+";
 
 /// Generous for every kernel and every bounded corpus program, tight
 /// enough that a miscompile into an endless loop fails within seconds

@@ -8,46 +8,9 @@ use polaris::{parallelize, parallelize_and_run, MachineConfig, PassOptions};
 
 #[test]
 fn multi_unit_program_inlines_and_parallelizes() {
-    let src = "
-      program main
-      integer n
-      parameter (n = 4000)
-      real grid(n), rhs(n)
-      real nrm
-      call setup(grid, rhs, n)
-      call smooth(grid, rhs, n)
-      nrm = vnorm(grid, n)
-      print *, 'norm', nrm
-      end
-
-      subroutine setup(g, r, n)
-      integer n
-      real g(n), r(n)
-      do i = 1, n
-        g(i) = 0.0
-        r(i) = 1.0/i
-      end do
-      end
-
-      subroutine smooth(g, r, n)
-      integer n
-      real g(n), r(n)
-      real t
-      do i = 2, n - 1
-        t = r(i)*0.5
-        g(i) = t + r(i - 1)*0.25 + r(i + 1)*0.25
-      end do
-      end
-
-      real function vnorm(g, n)
-      integer n
-      real g(n)
-      vnorm = g(2)*g(2)
-      return
-      end
-";
     let (serial, parallel, out) =
-        parallelize_and_run(src, &PassOptions::polaris(), &MachineConfig::challenge_8()).unwrap();
+        parallelize_and_run(common::MULTI_UNIT, &PassOptions::polaris(), &MachineConfig::challenge_8())
+            .unwrap();
     assert_eq!(out.report.inline.call_sites_expanded, 2);
     assert_eq!(out.report.inline.function_calls_expanded, 1);
     assert!(out.report.parallel_loops() >= 2, "{:#?}", out.report.loops);

@@ -3,12 +3,15 @@
 //!
 //! Until PR 22 a liveness query walked the unit and asked
 //! `rangeprop::contains` at every compound statement it passed, and
-//! `dce` asked one query per scalar assignment. Both now number the
-//! unit's statements in one walk. The old query is kept here, verbatim,
-//! as the oracle: over the 26 kernels and fuzz seeds `0..256`, at three
+//! `dce` asked one query per scalar assignment. Now one numbering per
+//! unit answers every query, and `dce` makes one per fixpoint round.
+//! The old query is kept here, verbatim, as the oracle: over the 26
+//! kernels, fuzz seeds `0..256` and two multi-unit programs, at three
 //! points of the pipeline (parsed, as `dce` finds it, restructured),
 //! every statement × every assigned name must get the old answer, and
 //! `dce` must delete exactly what a fixpoint over the old query deletes.
+
+mod common;
 
 use polaris::core::{constprop, dce, induction, inline, normalize, privatize, rangeprop};
 use polaris::fuzz::generate_program;
@@ -128,7 +131,42 @@ fn dce_reference(unit: &mut ProgramUnit, live: fn(&ProgramUnit, StmtId, &str) ->
     }
 }
 
-/// Every source: the 26 kernels, then the fuzz corpus.
+/// `privatize::live_after` as a per-query function, for the fixpoint.
+fn numbered_live_after(unit: &ProgramUnit, id: StmtId, name: &str) -> bool {
+    privatize::live_after(unit)(id, name)
+}
+
+/// A caller with two callees, one of them an induction (the pipeline
+/// tests' `CALLS`).
+const CALLS: &str = "program t\n\
+                     real v(1000), w(1000)\n\
+                     s = 0.0\n\
+                     call fill(v, 1000)\n\
+                     call scale(v, w, 1000)\n\
+                     do i = 1, 1000\n\
+                     \x20 s = s + w(i)\n\
+                     end do\n\
+                     print *, s\n\
+                     end\n\
+                     subroutine fill(a, n)\n\
+                     real a(n)\n\
+                     integer n\n\
+                     do i = 1, n\n\
+                     \x20 a(i) = i * 2.0\n\
+                     end do\n\
+                     end\n\
+                     subroutine scale(a, b, n)\n\
+                     real a(n), b(n)\n\
+                     integer n\n\
+                     k = 0\n\
+                     do i = 1, n\n\
+                     \x20 k = k + 1\n\
+                     \x20 b(k) = a(i) * 0.5\n\
+                     end do\n\
+                     end\n";
+
+/// Every source: the 26 kernels, the two multi-unit programs, then the
+/// fuzz corpus.
 fn sources() -> Vec<(String, String)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/benchmarks/codes");
     let mut out: Vec<(String, String)> = std::fs::read_dir(dir)
@@ -142,20 +180,24 @@ fn sources() -> Vec<(String, String)> {
         .collect();
     out.sort();
     assert_eq!(out.len(), 26);
+    out.push(("CALLS".into(), CALLS.into()));
+    out.push(("MULTI_UNIT".into(), common::MULTI_UNIT.into()));
     out.extend((0..256).map(|seed| (format!("seed {seed}"), generate_program(seed))));
     out
 }
 
-/// `src` parsed, as the `dce` stage finds it, and fully restructured.
+/// `src` parsed, as the `dce` stage finds it (inlined, its main unit
+/// restructured), and fully restructured.
 fn snapshots(src: &str) -> [(&'static str, Program); 3] {
     let parsed = polaris::ir::parse(src).unwrap();
     let mut before_dce = parsed.clone();
     let opts = PassOptions::polaris();
     inline::inline_all(&mut before_dce).unwrap();
-    constprop::run(&mut before_dce);
-    normalize::run(&mut before_dce);
-    induction::run_with(&mut before_dce, opts.induction);
-    constprop::run(&mut before_dce);
+    let main = before_dce.main_mut().unwrap();
+    constprop::run_unit(main);
+    normalize::run_unit(main);
+    induction::run_unit_with(main, opts.induction);
+    constprop::run_unit(main);
     let restructured = polaris::parallelize(src, &opts).unwrap().program;
     [("parsed", parsed), ("before dce", before_dce), ("restructured", restructured)]
 }
@@ -168,11 +210,12 @@ fn every_liveness_query_gets_the_answer_the_old_walk_gave() {
         for (at, program) in snapshots(&src) {
             for unit in &program.units {
                 let names = rangeprop::assigned_vars(&unit.body);
+                let live_after = privatize::live_after(unit);
                 unit.body.walk(&mut |s| {
                     for var in &names {
                         let expected = live_after_reference(unit, s.id, var);
                         assert_eq!(
-                            privatize::live_after(unit, s.id, var),
+                            live_after(s.id, var),
                             expected,
                             "{name} ({at}), unit {}: `{var}` after {}",
                             unit.name,
@@ -198,7 +241,7 @@ fn dce_deletes_what_a_fixpoint_over_the_old_query_deletes() {
                 let mut expected = unit.clone();
                 let expected_removed = dce_reference(&mut expected, live_after_reference);
                 let mut per_query = unit.clone();
-                dce_reference(&mut per_query, privatize::live_after);
+                dce_reference(&mut per_query, numbered_live_after);
                 let mut got = unit.clone();
                 let stats = dce::run_unit(&mut got);
                 assert_eq!(per_query, expected, "{name} ({at}), unit {}: live_after", unit.name);

@@ -9,7 +9,7 @@ fn check(src: &str) {
     let original = polaris_ir::parse(src).unwrap();
     let r1 = run_serial(&original).unwrap();
     let mut p2 = polaris_ir::parse(src).unwrap();
-    normalize::run(&mut p2);
+    normalize::run_unit(&mut p2.units[0]);
     polaris_ir::validate::validate_program(&p2).unwrap();
     let r2 = run_serial(&p2).unwrap();
     assert_eq!(r1.output, r2.output, "normalization changed semantics:\n{src}");
@@ -41,7 +41,7 @@ fn exit_value_matches_f77() {
     let src = "program t\nk = 0\ndo i = 2, 11, 3\n  k = k + 1\nend do\nprint *, i, k\nend\n";
     check(src);
     let mut p = polaris_ir::parse(src).unwrap();
-    normalize::run(&mut p);
+    normalize::run_unit(&mut p.units[0]);
     let r = run_serial(&p).unwrap();
     assert_eq!(r.output[0], "14 4");
 }
