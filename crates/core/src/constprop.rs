@@ -95,7 +95,7 @@ pub fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
     propagate(&mut unit.body, &mut consts, &mut stats);
 
     // Re-simplify everything once.
-    unit.body.map_exprs(&mut |e| e.simplified());
+    unit.body.map_exprs(&mut Expr::simplify_node);
     stats
 }
 
@@ -119,20 +119,22 @@ fn propagate(
     }
 }
 
-fn rewrite_uses(e: &Expr, consts: &BTreeMap<String, Expr>, stats: &mut ConstPropStats) -> Expr {
-    let mut hits = 0usize;
-    let out = e.map(&mut |node| match &node {
-        Expr::Var(n) => match consts.get(n) {
-            Some(v) => {
-                hits += 1;
-                v.clone()
-            }
-            None => node,
-        },
-        _ => node,
+/// Substitute the known constants into `e` and simplify, in one
+/// bottom-up pass: the constants are literals, so each node is folded
+/// right after its leaves took their values.
+fn rewrite_uses(e: &mut Expr, consts: &BTreeMap<String, Expr>, stats: &mut ConstPropStats) {
+    e.rewrite(&mut |node| {
+        Expr::simplify_node(match &node {
+            Expr::Var(n) => match consts.get(n) {
+                Some(v) => {
+                    stats.constants_propagated += 1;
+                    v.clone()
+                }
+                None => node,
+            },
+            _ => node,
+        })
     });
-    stats.constants_propagated += hits;
-    out.simplified()
 }
 
 fn propagate_stmt(
@@ -142,8 +144,10 @@ fn propagate_stmt(
 ) {
     match &mut stmt.kind {
         StmtKind::Assign { lhs, rhs, .. } => {
-            *rhs = rewrite_uses(rhs, consts, stats);
-            *lhs = lhs.map_subs(&mut |e| rewrite_uses(&e, consts, stats));
+            rewrite_uses(rhs, consts, stats);
+            if let polaris_ir::LValue::Index { subs, .. } = lhs {
+                subs.iter_mut().for_each(|s| rewrite_uses(s, consts, stats));
+            }
             match lhs {
                 polaris_ir::LValue::Var(name) => {
                     if rhs.is_literal() {
@@ -156,10 +160,10 @@ fn propagate_stmt(
             }
         }
         StmtKind::Do(d) => {
-            d.init = rewrite_uses(&d.init, consts, stats);
-            d.limit = rewrite_uses(&d.limit, consts, stats);
+            rewrite_uses(&mut d.init, consts, stats);
+            rewrite_uses(&mut d.limit, consts, stats);
             if let Some(step) = &mut d.step {
-                *step = rewrite_uses(step, consts, stats);
+                rewrite_uses(step, consts, stats);
             }
             // The body may execute many times: kill facts for everything
             // it assigns, then propagate within using the surviving set.
@@ -176,7 +180,7 @@ fn propagate_stmt(
             let entry = consts.clone();
             let mut killed: Vec<String> = Vec::new();
             for arm in arms.iter_mut() {
-                arm.cond = rewrite_uses(&arm.cond, &entry, stats);
+                rewrite_uses(&mut arm.cond, &entry, stats);
                 let mut branch = entry.clone();
                 propagate(&mut arm.body, &mut branch, stats);
                 killed.extend(crate::rangeprop::assigned_vars(&arm.body));
@@ -193,7 +197,7 @@ fn propagate_stmt(
             // interior expressions may be folded.
             for a in args.iter_mut() {
                 if !matches!(a, Expr::Var(_)) {
-                    *a = rewrite_uses(a, consts, stats);
+                    rewrite_uses(a, consts, stats);
                 }
             }
             for a in args.iter() {
@@ -204,11 +208,11 @@ fn propagate_stmt(
         }
         StmtKind::Print { items } => {
             for a in items.iter_mut() {
-                *a = rewrite_uses(a, consts, stats);
+                rewrite_uses(a, consts, stats);
             }
         }
         StmtKind::Assert { cond } => {
-            *cond = rewrite_uses(cond, consts, stats);
+            rewrite_uses(cond, consts, stats);
         }
         StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
     }

@@ -516,7 +516,7 @@ fn sep_key(
             (self_loop.hi.clone(), self_loop.lo.clone())
         };
         benv.set_fresh(var.clone(), Range::new(Some(lo), Some(hi)));
-        let (arg_lo, arg_hi) = min_max_over(&q, &[Atom::Var(var.clone())], &benv);
+        let (arg_lo, arg_hi) = min_max_over(&q, &[Atom::Var(var.as_str().into())], &benv);
         let contained = arg_lo.is_some_and(|lo| prove_ge(&lo, &dlo, env))
             && arg_hi.is_some_and(|hi| prove_le(&hi, &dhi, env));
         if !contained {

@@ -459,9 +459,11 @@ impl Walk<'_> {
                         // Bounds see the value at loop entry, the body the
                         // value at the top of inner iteration j.
                         let mut f = subst(here);
-                        d.init = d.init.map(&mut f);
-                        d.limit = d.limit.map(&mut f);
-                        d.step = d.step.take().map(|step| step.map(&mut f));
+                        d.init.rewrite(&mut f);
+                        d.limit.rewrite(&mut f);
+                        if let Some(step) = &mut d.step {
+                            step.rewrite(&mut f);
+                        }
                         let at_j = here.checked_add(&prefix)?;
                         self.list(&mut d.body, Some(&at_j), deleted, &inner_env, false)?;
                     }

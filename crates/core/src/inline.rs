@@ -29,8 +29,9 @@
 use polaris_ir::error::{CompileError, Result};
 use polaris_ir::expr::{Expr, LValue};
 use polaris_ir::stmt::{Stmt, StmtKind, StmtList};
-use polaris_ir::symbol::{Dim, SymKind, Symbol};
+use polaris_ir::symbol::{Dim, SymKind, Symbol, SymbolTable};
 use polaris_ir::{Program, ProgramUnit, UnitKind};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// Statistics for reports and tests.
@@ -53,18 +54,19 @@ const MAX_ROUNDS: usize = 32;
 pub fn inline_all(program: &mut Program) -> Result<InlineStats> {
     let mut stats = InlineStats::default();
     let mut templates: BTreeMap<String, Template> = BTreeMap::new();
-    let callees: BTreeMap<String, ProgramUnit> = program
-        .units
-        .iter()
-        .filter(|u| !u.is_main())
-        .map(|u| (u.name.clone(), u.clone()))
-        .collect();
     let main_idx = program
         .units
         .iter()
         .position(|u| u.is_main())
         .ok_or_else(|| CompileError::transform("inline expansion requires a PROGRAM unit"))?;
-    let main = &mut program.units[main_idx];
+    let (before, rest) = program.units.split_at_mut(main_idx);
+    let (main, after) = rest.split_first_mut().expect("main_idx is in range");
+    let callees: BTreeMap<&str, &ProgramUnit> = before
+        .iter()
+        .chain(after.iter())
+        .filter(|u| !u.is_main())
+        .map(|u| (u.name.as_str(), u))
+        .collect();
 
     for _round in 0..MAX_ROUNDS {
         let mut any = false;
@@ -84,18 +86,101 @@ pub fn inline_all(program: &mut Program) -> Result<InlineStats> {
 }
 
 /// A prepared callee: site-independent transformations already applied.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Template {
     unit: ProgramUnit,
     /// Renamed local (non-formal) symbols: original → template name.
     locals: BTreeMap<String, String>,
 }
 
+/// What a callee name stands for at one expansion. All of a site's
+/// bindings are applied in one simultaneous pass ([`bind_body`]), so no
+/// binding rewrites what another one put in: `CALL S(Q, P)` against
+/// `S(P, Q)` swaps the two, and an actual that mentions a formal's name
+/// keeps meaning the caller's variable.
+#[derive(Debug)]
+enum Bind {
+    /// Renamed: a scalar or whole array passed by name, or a local.
+    Name(String),
+    /// A scalar formal bound to an expression: reads take the value; a
+    /// write stores through (the value is then an array element).
+    Value(Expr),
+    /// An array formal over a rank-1 whole array: references are
+    /// linearized column-major over the formal's (bound) dimensions.
+    Linear { actual: String, dims: Vec<Dim> },
+}
+
+type Binds<'a> = BTreeMap<&'a str, Bind>;
+
+/// The node rule of a binding, for [`Expr::rewrite`]: renames a bound
+/// scalar, array base or call target, substitutes a bound value and
+/// linearizes a reference to a bound array.
+fn bind_node(e: Expr, binds: &Binds) -> Expr {
+    match e {
+        Expr::Var(n) => match binds.get(n.as_str()) {
+            Some(Bind::Name(to)) => Expr::Var(to.clone()),
+            Some(Bind::Value(v)) => v.clone(),
+            _ => Expr::Var(n),
+        },
+        Expr::Index { array, subs } => match binds.get(array.as_str()) {
+            Some(Bind::Name(to)) => Expr::Index { array: to.clone(), subs },
+            Some(Bind::Linear { actual, dims }) => {
+                Expr::Index { array: actual.clone(), subs: vec![linearized(subs, dims)] }
+            }
+            _ => Expr::Index { array, subs },
+        },
+        Expr::Call { name, args } => match binds.get(name.as_str()) {
+            Some(Bind::Name(to)) => Expr::Call { name: to.clone(), args },
+            _ => Expr::Call { name, args },
+        },
+        other => other,
+    }
+}
+
+/// Apply `binds` to every expression, assignment target and `DO`
+/// variable of `body`, in one pass over each tree.
+fn bind_body(body: &mut StmtList, binds: &Binds) {
+    body.map_exprs(&mut |e| bind_node(e, binds));
+    body.walk_mut(&mut |s| match &mut s.kind {
+        StmtKind::Assign { lhs, .. } => bind_lvalue(lhs, binds),
+        StmtKind::Do(d) => {
+            if let Some(Bind::Name(to)) = binds.get(d.var.as_str()) {
+                d.var = to.clone();
+            }
+        }
+        _ => {}
+    });
+}
+
+/// An assignment target under `binds` (its subscripts are already bound).
+fn bind_lvalue(lhs: &mut LValue, binds: &Binds) {
+    let Some(bind) = binds.get(lhs.name()) else { return };
+    match (bind, lhs) {
+        (Bind::Name(to), LValue::Var(n) | LValue::Index { array: n, .. }) => *n = to.clone(),
+        (Bind::Value(Expr::Index { array, subs }), lhs @ LValue::Var(_)) => {
+            *lhs = LValue::Index { array: array.clone(), subs: subs.clone() };
+        }
+        (Bind::Linear { actual, dims }, LValue::Index { array, subs }) => {
+            *subs = vec![linearized(std::mem::take(subs), dims)];
+            *array = actual.clone();
+        }
+        _ => {}
+    }
+}
+
+/// Declared array bounds under `binds`.
+fn bind_dims(dims: &mut [Dim], binds: &Binds) {
+    for d in dims {
+        d.lo.rewrite(&mut |e| bind_node(e, binds));
+        d.hi.rewrite(&mut |e| bind_node(e, binds));
+    }
+}
+
 /// Build the template for `callee`: rename every non-formal local to
 /// `<CALLEE>__<NAME>`; COMMON variables keep their names (COMMON is a
 /// global namespace, so the caller's declaration aliases naturally —
 /// the validity check that the caller declares the same block layout
-/// happens at instantiation).
+/// happens at instantiation). A trailing RETURN is dropped here, once.
 fn build_template(callee: &ProgramUnit, stats: &mut InlineStats) -> Result<Template> {
     if matches!(callee.kind, UnitKind::Function(_)) {
         return Err(CompileError::transform(format!(
@@ -104,67 +189,37 @@ fn build_template(callee: &ProgramUnit, stats: &mut InlineStats) -> Result<Templ
         )));
     }
     let mut unit = callee.clone();
-    let mut locals = BTreeMap::new();
-    let names: Vec<String> = unit.symbols.iter().map(|s| s.name.clone()).collect();
-    for name in names {
-        let sym = unit.symbols.get(&name).unwrap().clone();
-        if sym.is_arg || sym.common.is_some() || matches!(sym.kind, SymKind::External) {
-            continue;
+    strip_trailing_return(&mut unit.body);
+    let locals: BTreeMap<String, String> = unit
+        .symbols
+        .iter()
+        .filter(|s| !(s.is_arg || s.common.is_some() || matches!(s.kind, SymKind::External)))
+        .map(|sym| (sym.name.clone(), format!("{}__{}", unit.name, sym.name)))
+        .collect();
+    let binds: Binds =
+        locals.iter().map(|(old, new)| (old.as_str(), Bind::Name(new.clone()))).collect();
+    bind_body(&mut unit.body, &binds);
+    let mut symbols = SymbolTable::default();
+    for sym in unit.symbols.iter() {
+        let mut sym = sym.clone();
+        if let Some(Bind::Name(to)) = binds.get(sym.name.as_str()) {
+            sym.name = to.clone();
         }
-        let new_name = format!("{}__{}", unit.name, name);
-        locals.insert(name.clone(), new_name.clone());
+        if let SymKind::Array(dims) = &mut sym.kind {
+            bind_dims(dims, &binds);
+        }
+        symbols.insert(sym);
     }
-    // Apply the renaming to body and symbol table.
-    for (old, new) in &locals {
-        rename_everywhere(&mut unit, old, new);
-    }
+    unit.symbols = symbols;
     stats.templates_built += 1;
     Ok(Template { unit, locals })
-}
-
-fn rename_everywhere(unit: &mut ProgramUnit, old: &str, new: &str) {
-    unit.body.map_exprs(&mut |e| e.rename_symbol(old, new));
-    unit.body.walk_mut(&mut |s| match &mut s.kind {
-        StmtKind::Assign { lhs, .. } => rename_lvalue(lhs, old, new),
-        StmtKind::Do(d)
-            if d.var == old => {
-                d.var = new.to_string();
-            }
-        _ => {}
-    });
-    if let Some(mut sym) = unit.symbols.remove(old) {
-        sym.name = new.to_string();
-        // dimension expressions may reference renamed symbols — handled
-        // by the sweep below.
-        unit.symbols.insert(sym);
-    }
-    // Rename inside every array declaration's bounds.
-    let names: Vec<String> = unit.symbols.iter().map(|s| s.name.clone()).collect();
-    for n in names {
-        if let Some(sym) = unit.symbols.get_mut(&n) {
-            if let SymKind::Array(dims) = &mut sym.kind {
-                for d in dims {
-                    d.lo = d.lo.rename_symbol(old, new);
-                    d.hi = d.hi.rename_symbol(old, new);
-                }
-            }
-        }
-    }
-}
-
-fn rename_lvalue(lhs: &mut LValue, old: &str, new: &str) {
-    match lhs {
-        LValue::Var(n) if n == old => *n = new.to_string(),
-        LValue::Index { array, .. } if array == old => *array = new.to_string(),
-        _ => {}
-    }
 }
 
 /// Walk `list`, replacing CALL statements by inlined bodies.
 fn expand_calls(
     list: &mut StmtList,
     caller: &mut ProgramUnit,
-    callees: &BTreeMap<String, ProgramUnit>,
+    callees: &BTreeMap<&str, &ProgramUnit>,
     templates: &mut BTreeMap<String, Template>,
     stats: &mut InlineStats,
     any: &mut bool,
@@ -173,19 +228,16 @@ fn expand_calls(
     while i < list.0.len() {
         match &mut list.0[i].kind {
             StmtKind::Call { name, args } => {
-                let name = name.clone();
-                let args = args.clone();
-                let Some(callee) = callees.get(&name) else {
+                let Some(callee) = callees.get(name.as_str()) else {
                     return Err(CompileError::transform(format!(
                         "CALL to unknown subroutine `{name}`"
                     ))
                     .with_line(list.0[i].line));
                 };
-                if !templates.contains_key(&name) {
+                if !templates.contains_key(name.as_str()) {
                     templates.insert(name.clone(), build_template(callee, stats)?);
                 }
-                let template = templates.get(&name).unwrap().clone();
-                let inlined = instantiate(&template, &args, caller)?;
+                let inlined = instantiate(&templates[name.as_str()], args, caller)?;
                 let n = inlined.0.len();
                 list.0.splice(i..=i, inlined.0);
                 stats.call_sites_expanded += 1;
@@ -196,28 +248,14 @@ fn expand_calls(
                 i += n;
             }
             StmtKind::Do(d) => {
-                let mut body = std::mem::take(&mut d.body);
-                expand_calls(&mut body, caller, callees, templates, stats, any)?;
-                let d = match &mut list.0[i].kind {
-                    StmtKind::Do(d) => d,
-                    _ => unreachable!(),
-                };
-                d.body = body;
+                expand_calls(&mut d.body, caller, callees, templates, stats, any)?;
                 i += 1;
             }
-            StmtKind::IfBlock { .. } => {
-                if let StmtKind::IfBlock { arms, else_body } = &mut list.0[i].kind {
-                    let mut arms_t = std::mem::take(arms);
-                    let mut else_t = std::mem::take(else_body);
-                    for arm in arms_t.iter_mut() {
-                        expand_calls(&mut arm.body, caller, callees, templates, stats, any)?;
-                    }
-                    expand_calls(&mut else_t, caller, callees, templates, stats, any)?;
-                    if let StmtKind::IfBlock { arms, else_body } = &mut list.0[i].kind {
-                        *arms = arms_t;
-                        *else_body = else_t;
-                    }
+            StmtKind::IfBlock { arms, else_body } => {
+                for arm in arms.iter_mut() {
+                    expand_calls(&mut arm.body, caller, callees, templates, stats, any)?;
                 }
+                expand_calls(else_body, caller, callees, templates, stats, any)?;
                 i += 1;
             }
             _ => i += 1,
@@ -226,8 +264,8 @@ fn expand_calls(
     Ok(())
 }
 
-/// Copy a template into a work object, apply site-specific transforms,
-/// and return the statements to splice in.
+/// Copy a template's body into a work object, apply the site-specific
+/// transforms, and return the statements to splice in.
 fn instantiate(
     template: &Template,
     actuals: &[Expr],
@@ -242,12 +280,11 @@ fn instantiate(
             callee.args.len()
         )));
     }
-    let mut work = callee.clone();
 
-    // RETURN handling: allowed only as the final executable statement.
-    strip_trailing_return(&mut work.body)?;
+    // RETURN handling: allowed only as the final executable statement
+    // (the template already dropped that one).
     let mut has_return = false;
-    work.body.walk(&mut |s| {
+    callee.body.walk(&mut |s| {
         if matches!(s.kind, StmtKind::Return) {
             has_return = true;
         }
@@ -259,74 +296,62 @@ fn instantiate(
         )));
     }
 
-    // Formal → actual remapping.
+    // Formal → actual bindings, judged on the template (every formal
+    // still under its own name).
+    let written = OnceCell::new();
+    let writes = |name: &str| {
+        written.get_or_init(|| crate::rangeprop::assigned_vars(&callee.body)).contains(name)
+    };
+    let mut binds = Binds::new();
+    let mut stored_through: Vec<&Expr> = Vec::new();
+    // Linearized formals wait for the other bindings: their bounds may
+    // read other formals.
+    let mut linear: Vec<(&str, &str, &[Dim])> = Vec::new();
     for (formal, actual) in callee.args.iter().zip(actuals) {
-        let fsym = work
+        let fsym = callee
             .symbols
             .get(formal)
-            .cloned()
             .ok_or_else(|| CompileError::transform(format!("formal `{formal}` undeclared")))?;
-        match (&fsym.kind, actual) {
+        let bind = match (&fsym.kind, actual) {
             (SymKind::Scalar, Expr::Var(act)) => {
-                rename_everywhere(&mut work, formal, act);
                 ensure_symbol(caller, act, Symbol::scalar(act.clone(), fsym.ty));
+                Bind::Name(act.clone())
             }
-            (SymKind::Scalar, act) => {
-                // Expression or array-element actual: substitution. If the
-                // formal is written, only an array element can serve as a
-                // by-reference store-through target.
-                let written = writes_to(&work.body, formal);
-                match act {
-                    Expr::Index { array, subs } if written => {
-                        // The element's subscripts must be invariant in the
-                        // callee (they are caller expressions; the callee
-                        // must not modify what they reference).
-                        for sub in subs {
-                            for v in sub.variables() {
-                                if writes_to(&work.body, &v) {
-                                    return Err(CompileError::transform(format!(
-                                        "call to `{}`: array-element actual subscript `{v}` is modified by the callee",
-                                        callee.name
-                                    )));
-                                }
-                            }
-                        }
-                        substitute_symbol(&mut work, formal, act);
-                        let _ = array;
-                    }
-                    _ if written => {
-                        return Err(CompileError::transform(format!(
-                            "call to `{}`: formal `{formal}` is written but actual is not a variable",
-                            callee.name
-                        )));
-                    }
-                    _ => substitute_symbol(&mut work, formal, act),
-                }
+            // Expression or array-element actual: substitution. If the
+            // formal is written, only an array element can serve as a
+            // by-reference store-through target.
+            (SymKind::Scalar, act @ Expr::Index { .. }) if writes(formal) => {
+                stored_through.push(act);
+                Bind::Value(act.clone())
             }
+            (SymKind::Scalar, _) if writes(formal) => {
+                return Err(CompileError::transform(format!(
+                    "call to `{}`: formal `{formal}` is written but actual is not a variable",
+                    callee.name
+                )));
+            }
+            (SymKind::Scalar, act) => Bind::Value(act.clone()),
             (SymKind::Array(fdims), Expr::Var(act)) => {
                 // whole-array actual
-                let caller_sym = caller.symbols.get(act).cloned();
-                let Some(caller_sym) = caller_sym else {
+                let Some(caller_sym) = caller.symbols.get(act) else {
                     return Err(CompileError::transform(format!(
                         "call to `{}`: actual array `{act}` undeclared in caller",
                         callee.name
                     )));
                 };
-                let adims = match &caller_sym.kind {
-                    SymKind::Array(d) => d.clone(),
-                    _ => {
-                        return Err(CompileError::transform(format!(
-                            "call to `{}`: array formal `{formal}` bound to scalar `{act}`",
-                            callee.name
-                        )))
-                    }
+                let SymKind::Array(adims) = &caller_sym.kind else {
+                    return Err(CompileError::transform(format!(
+                        "call to `{}`: array formal `{formal}` bound to scalar `{act}`",
+                        callee.name
+                    )));
                 };
                 if fdims.len() == adims.len() {
                     // conforming (or assumed-size trailing dim): rename
-                    rename_everywhere(&mut work, formal, act);
+                    Bind::Name(act.clone())
                 } else if adims.len() == 1 {
                     // linearize column-major into the rank-1 actual
-                    linearize_refs(&mut work, formal, act, fdims)?;
+                    linear.push((formal, act, fdims));
+                    continue;
                 } else {
                     return Err(CompileError::transform(format!(
                         "call to `{}`: cannot map rank-{} formal `{formal}` onto rank-{} actual `{act}`",
@@ -348,30 +373,41 @@ fn instantiate(
                     callee.name
                 )));
             }
-        }
+        };
+        binds.insert(formal, bind);
     }
 
     // Import the callee's renamed locals into the caller's symbol table,
     // uniquifying against existing caller names.
-    let mut final_rename: BTreeMap<String, String> = BTreeMap::new();
+    let mut imported = Vec::new();
     for tmpl_name in template.locals.values() {
-        if let Some(sym) = work.symbols.get(tmpl_name).cloned() {
+        if let Some(sym) = callee.symbols.get(tmpl_name) {
             let target = caller.symbols.unique_name(tmpl_name);
-            if target != *tmpl_name {
-                final_rename.insert(tmpl_name.clone(), target.clone());
-            }
-            let mut s = sym;
+            let mut s = sym.clone();
             s.name = target.clone();
             s.is_arg = false;
             caller.symbols.insert(s);
+            if target != *tmpl_name {
+                binds.insert(tmpl_name, Bind::Name(target.clone()));
+            }
+            imported.push(target);
         }
     }
-    for (old, new) in &final_rename {
-        rename_everywhere(&mut work, old, new);
+    // Declared bounds are read at the site too: a linearized formal's
+    // dimensions and an imported local's are bound like the body.
+    for (formal, actual, fdims) in linear {
+        let mut dims = fdims.to_vec();
+        bind_dims(&mut dims, &binds);
+        binds.insert(formal, Bind::Linear { actual: actual.to_string(), dims });
+    }
+    for name in &imported {
+        if let Some(SymKind::Array(dims)) = caller.symbols.get_mut(name).map(|s| &mut s.kind) {
+            bind_dims(dims, &binds);
+        }
     }
     // COMMON blocks: the caller must declare every block the callee uses
     // with the same member list (F-Mini's conformance requirement).
-    for cb in &work.commons {
+    for cb in &callee.commons {
         let matching = caller.commons.iter().find(|c| c.name == cb.name);
         match matching {
             Some(c) if c.vars == cb.vars => {}
@@ -390,12 +426,27 @@ fn instantiate(
         }
     }
 
+    let mut body = callee.body.clone();
+    bind_body(&mut body, &binds);
+    // A store-through element's subscripts are caller expressions: the
+    // inlined body must not modify what they read.
+    if !stored_through.is_empty() {
+        let assigned = crate::rangeprop::assigned_vars(&body);
+        for v in stored_through.iter().flat_map(|act| act.variables()) {
+            if assigned.contains(&v) {
+                return Err(CompileError::transform(format!(
+                    "call to `{}`: array-element actual subscript `{v}` is modified by the callee",
+                    callee.name
+                )));
+            }
+        }
+    }
+
     // Fresh statement ids, loop labels, and loop provenance ids for the
     // spliced statements: a callee loop expanded at two call sites yields
     // two distinct loops, so each copy needs its own LoopId (the per-unit
     // uniqueness invariant `loop-id-provenance` enforces).
     let site = caller.stmt_id_watermark();
-    let mut body = work.body;
     body.walk_mut(&mut |s| {
         s.id = caller.fresh_stmt_id();
         if let StmtKind::Do(d) = &mut s.kind {
@@ -407,88 +458,36 @@ fn instantiate(
 }
 
 /// Remove a RETURN if it is the last executable statement.
-fn strip_trailing_return(body: &mut StmtList) -> Result<()> {
+fn strip_trailing_return(body: &mut StmtList) {
     if matches!(body.0.last().map(|s| &s.kind), Some(StmtKind::Return)) {
         body.0.pop();
     }
-    Ok(())
 }
 
-/// Does the body write scalar-or-array `name`?
-fn writes_to(body: &StmtList, name: &str) -> bool {
-    crate::rangeprop::assigned_vars(body).contains(name)
-}
-
-/// Replace reads *and writes* of symbol `name` with expression `value`
-/// (for writes, `value` must itself be an array-element reference).
-fn substitute_symbol(unit: &mut ProgramUnit, name: &str, value: &Expr) {
-    unit.body.map_exprs(&mut |e| match &e {
-        Expr::Var(n) if n == name => value.clone(),
-        _ => e,
-    });
-    unit.body.walk_mut(&mut |s| {
-        if let StmtKind::Assign { lhs, .. } = &mut s.kind {
-            if lhs.name() == name && lhs.subs().is_empty() {
-                if let Expr::Index { array, subs } = value {
-                    *lhs = LValue::Index { array: array.clone(), subs: subs.clone() };
-                }
-            }
-        }
-    });
-    unit.symbols.remove(name);
-}
-
-/// Rewrite references `F(i1, …, ik)` into `ACT(linear)` with the
-/// column-major linearization of the formal's declared dimensions.
-fn linearize_refs(
-    unit: &mut ProgramUnit,
-    formal: &str,
-    actual: &str,
-    fdims: &[Dim],
-) -> Result<()> {
-    let dims = fdims.to_vec();
-    let lin = |subs: &[Expr]| -> Expr {
-        // offset = Σ (s_k - lo_k) * Π_{m<k} extent_m   (0-based), +1
-        let mut offset: Option<Expr> = None;
-        let mut stride: Option<Expr> = None;
-        for (k, s) in subs.iter().enumerate() {
-            let zero_based = Expr::sub(s.clone(), dims[k].lo.clone()).simplified();
-            let term = match &stride {
-                None => zero_based,
-                Some(st) => Expr::mul(zero_based, st.clone()).simplified(),
-            };
-            offset = Some(match offset {
-                None => term,
-                Some(o) => Expr::add(o, term).simplified(),
-            });
-            let extent = Expr::add(
-                Expr::sub(dims[k].hi.clone(), dims[k].lo.clone()),
-                Expr::Int(1),
-            )
-            .simplified();
-            stride = Some(match stride {
-                None => extent,
-                Some(st) => Expr::mul(st, extent).simplified(),
-            });
-        }
-        Expr::add(offset.unwrap_or(Expr::Int(0)), Expr::Int(1)).simplified()
-    };
-    unit.body.map_exprs(&mut |e| match &e {
-        Expr::Index { array, subs } if array == formal => {
-            Expr::Index { array: actual.to_string(), subs: vec![lin(subs)] }
-        }
-        _ => e,
-    });
-    unit.body.walk_mut(&mut |s| {
-        if let StmtKind::Assign { lhs, .. } = &mut s.kind {
-            if lhs.name() == formal {
-                let subs = lhs.subs().to_vec();
-                *lhs = LValue::Index { array: actual.to_string(), subs: vec![lin(&subs)] };
-            }
-        }
-    });
-    unit.symbols.remove(formal);
-    Ok(())
+/// Column-major linearization `(s_1 - lo_1) + (s_2 - lo_2)*extent_1 + … + 1`
+/// of the subscripts `subs` over the dimensions `dims`.
+fn linearized(subs: Vec<Expr>, dims: &[Dim]) -> Expr {
+    // offset = Σ (s_k - lo_k) * Π_{m<k} extent_m   (0-based), +1
+    let mut offset: Option<Expr> = None;
+    let mut stride: Option<Expr> = None;
+    for (k, s) in subs.into_iter().enumerate() {
+        let zero_based = Expr::sub(s, dims[k].lo.clone()).simplified();
+        let term = match &stride {
+            None => zero_based,
+            Some(st) => Expr::mul(zero_based, st.clone()).simplified(),
+        };
+        offset = Some(match offset {
+            None => term,
+            Some(o) => Expr::add(o, term).simplified(),
+        });
+        let extent =
+            Expr::add(Expr::sub(dims[k].hi.clone(), dims[k].lo.clone()), Expr::Int(1)).simplified();
+        stride = Some(match stride {
+            None => extent,
+            Some(st) => Expr::mul(st, extent).simplified(),
+        });
+    }
+    Expr::add(offset.unwrap_or(Expr::Int(0)), Expr::Int(1)).simplified()
 }
 
 fn ensure_symbol(unit: &mut ProgramUnit, name: &str, default: Symbol) {
@@ -501,12 +500,12 @@ fn ensure_symbol(unit: &mut ProgramUnit, name: &str, default: Symbol) {
 /// Returns true if anything changed.
 fn expand_functions(
     unit: &mut ProgramUnit,
-    callees: &BTreeMap<String, ProgramUnit>,
+    callees: &BTreeMap<&str, &ProgramUnit>,
     stats: &mut InlineStats,
 ) -> Result<bool> {
     // Gather single-assignment functions: body = [ F = expr ] (+RETURN).
-    let mut simple: BTreeMap<String, (Vec<String>, Expr)> = BTreeMap::new();
-    for (name, u) in callees {
+    let mut simple: BTreeMap<&str, (&[String], &Expr)> = BTreeMap::new();
+    for (&name, u) in callees {
         if !matches!(u.kind, UnitKind::Function(_)) {
             continue;
         }
@@ -519,34 +518,40 @@ fn expand_functions(
         }
         if let StmtKind::Assign { lhs: LValue::Var(res), rhs, .. } = &body[0].kind {
             if *res == u.name {
-                simple.insert(name.clone(), (u.args.clone(), rhs.clone()));
+                simple.insert(name, (&u.args, rhs));
             }
         }
     }
+    if simple.is_empty() {
+        return Ok(false);
+    }
     let mut changed = false;
     let mut err: Option<CompileError> = None;
-    unit.body.map_exprs(&mut |e| match &e {
-        Expr::Call { name, args } if simple.contains_key(name) => {
-            let (formals, bodyexpr) = &simple[name];
+    unit.body.map_exprs(&mut |e| match e {
+        Expr::Call { name, args } if simple.contains_key(name.as_str()) => {
+            let (formals, bodyexpr) = simple[name.as_str()];
             if formals.len() != args.len() {
                 err = Some(CompileError::transform(format!(
                     "function `{name}`: arity mismatch"
                 )));
-                return e;
+                return Expr::Call { name, args };
             }
-            let mut out = bodyexpr.clone();
-            for (f, a) in formals.iter().zip(args) {
-                out = match a {
-                    // variable actual: alias both scalar and array uses
-                    Expr::Var(n) => out.rename_symbol(f, n),
-                    _ => out.substitute_var(f, a),
-                };
-            }
+            // A variable actual aliases both scalar and array uses.
+            let binds: Binds = formals
+                .iter()
+                .zip(args)
+                .map(|(f, a)| match a {
+                    Expr::Var(n) => (f.as_str(), Bind::Name(n)),
+                    a => (f.as_str(), Bind::Value(a)),
+                })
+                .collect();
             changed = true;
             stats.function_calls_expanded += 1;
+            let mut out = bodyexpr.clone();
+            out.rewrite(&mut |e| bind_node(e, &binds));
             out
         }
-        _ => e,
+        other => other,
     });
     if let Some(e) = err {
         return Err(e);
@@ -650,6 +655,38 @@ mod tests {
         // column-major: V(i-1 + (j-1)*10 + 1)
         assert!(out.contains("V(") && !out.contains("M("), "{out}");
         assert!(out.contains("10") && out.contains("+1)"), "{out}");
+    }
+
+    #[test]
+    fn a_linearized_formals_bounds_see_the_other_formals_actuals() {
+        // The leading dimension is a formal bound to a literal: the stride
+        // is that literal, whatever order the formals come in.
+        for (call, header) in [("fill(10, v)", "fill(ld, m)"), ("fill(v, 10)", "fill(m, ld)")] {
+            let src = format!(
+                "program t\nreal v(100)\ncall {call}\nend\n\
+                 subroutine {header}\ninteger ld\nreal m(ld, ld)\ndo j = 1, ld\n  do i = 1, ld\n    \
+                 m(i, j) = 1.0\n  end do\nend do\nend\n"
+            );
+            let (p, _) = inline_src(&src);
+            let out = main_text(&p);
+            assert!(!out.contains("LD") && out.contains("V(") && !out.contains("M("), "{call}: {out}");
+        }
+    }
+
+    #[test]
+    fn a_store_through_subscript_written_through_another_formal_is_rejected() {
+        // X stores through to V(K), and the callee also increments K
+        // through N: in either formal order the element moves under the
+        // store, so the call cannot be inlined.
+        for (call, header) in [("s(v(k), k)", "s(x, n)"), ("s(k, v(k))", "s(n, x)")] {
+            let src = format!(
+                "program t\nreal v(10)\ninteger k\nk = 1\ncall {call}\nend\n\
+                 subroutine {header}\nreal x\ninteger n\nn = n + 1\nx = 1.0\nend\n"
+            );
+            let mut p = polaris_ir::parse(&src).unwrap();
+            let err = inline_all(&mut p).expect_err(call).to_string();
+            assert!(err.contains("subscript `K` is modified by the callee"), "{call}: {err}");
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ use polaris_ir::visit::{collect_accesses, Access, LoopCtx};
 use polaris_symbolic::poly::{DivPolicy, Poly};
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// One access of the body in analysable form; derefs to the resolved
 /// [`Access`].
@@ -87,8 +88,13 @@ impl IterView {
                 .collect(),
         };
         let resolved = view.resolved();
-        for (a, (subs, ctx, opaque)) in view.refs.iter_mut().zip(resolved) {
-            (a.access.subs, a.access.ctx, a.opaque) = (subs, ctx, opaque);
+        for (a, r) in view.refs.iter_mut().zip(resolved) {
+            for (sub, resolved) in a.access.subs.iter_mut().zip(r.subs) {
+                if let Some(resolved) = resolved {
+                    *sub = resolved;
+                }
+            }
+            (a.access.ctx, a.opaque) = (r.ctx, r.opaque);
         }
         view
     }
@@ -154,14 +160,22 @@ impl IterView {
     }
 
     /// `e` as read at position `at` under `ctx`, reaching definitions
-    /// substituted in (two rounds: `M = JT + 1` after `JT = 5 - I`).
-    fn resolve(&self, e: &Expr, at: usize, ctx: &[LoopCtx]) -> Expr {
+    /// substituted in (two rounds: `M = JT + 1` after `JT = 5 - I`);
+    /// `None` when nothing was substituted.
+    fn resolve(&self, e: &Expr, at: usize, ctx: &[LoopCtx]) -> Option<Expr> {
+        // What the body never assigns has no definition here.
+        let mut reads_written = false;
+        e.for_each(&mut |n| {
+            reads_written |= matches!(n, Expr::Var(v) if self.written_scalars.contains(v))
+        });
+        if !reads_written {
+            return None;
+        }
         let mut cur = e.clone();
         for _ in 0..2 {
             let before = cur.clone();
             for v in before.variables() {
-                // What the body never assigns has no definition here, and
-                // loop variables resolve through their ranges.
+                // Loop variables resolve through their ranges.
                 if !self.written_scalars.contains(&v) || ctx.iter().any(|c| c.var == v) {
                     continue;
                 }
@@ -173,7 +187,7 @@ impl IterView {
                 break;
             }
         }
-        cur
+        (cur != *e).then_some(cur)
     }
 
     /// Does `e` read something the body writes, other than the variable
@@ -183,37 +197,61 @@ impl IterView {
             Some((_, clean)) => !clean,
             None => self.written_scalars.contains(v),
         };
-        e.variables().iter().any(scalar)
-            || e.arrays().iter().any(|n| self.written_arrays.contains(n))
+        let mut varies = false;
+        e.for_each(&mut |n| {
+            varies |= match n {
+                Expr::Var(v) => scalar(v),
+                Expr::Index { array, .. } => self.written_arrays.contains(array),
+                _ => false,
+            }
+        });
+        varies
     }
 
-    /// Per access its resolved subscripts, its loops with resolved bounds
-    /// (resolved once per loop, where the header executes) and which
-    /// dimensions are opaque.
-    fn resolved(&self) -> Vec<(Vec<Expr>, Vec<LoopCtx>, Vec<bool>)> {
+    /// Per access its resolved subscripts, loops and opaque dimensions.
+    fn resolved(&self) -> Vec<Resolved> {
         let mut loops: Vec<(LoopCtx, bool)> = Vec::new();
+        // shared[k]: the headers of loops[..k], built once.
+        let mut shared: Vec<Rc<[LoopCtx]>> = vec![Rc::from([])];
         let mut out = Vec::with_capacity(self.refs.len());
         for a in &self.refs {
             // A sibling loop is always announced by the shallower write
             // of its variable, one access before its first inner access.
             loops.truncate(a.ctx.len());
+            shared.truncate(loops.len() + 1);
             for (k, c) in a.ctx.iter().enumerate().skip(loops.len()) {
                 let (at, enclosing) = (a.order - 1, &a.ctx[..k]);
+                let bound = |e: &Expr| self.resolve(e, at, enclosing).unwrap_or_else(|| e.clone());
                 let header = LoopCtx {
-                    init: self.resolve(&c.init, at, enclosing),
-                    limit: self.resolve(&c.limit, at, enclosing),
-                    step: self.resolve(&c.step, at, enclosing),
+                    init: bound(&c.init),
+                    limit: bound(&c.limit),
+                    step: bound(&c.step),
                     ..c.clone()
                 };
                 let clean = !self.varies(&header.init, &loops) && !self.varies(&header.limit, &loops);
                 loops.push((header, clean));
+                shared.push(loops.iter().map(|(c, _)| c.clone()).collect());
             }
-            let subs: Vec<Expr> = a.subs.iter().map(|s| self.resolve(s, a.order, &a.ctx)).collect();
-            let opaque = subs.iter().map(|s| self.varies(s, &loops)).collect();
-            out.push((subs, loops.iter().map(|(c, _)| c.clone()).collect(), opaque));
+            let subs: Vec<Option<Expr>> =
+                a.subs.iter().map(|s| self.resolve(s, a.order, &a.ctx)).collect();
+            let opaque = (a.subs.iter().zip(&subs))
+                .map(|(s, r)| self.varies(r.as_ref().unwrap_or(s), &loops))
+                .collect();
+            out.push(Resolved { subs, ctx: Rc::clone(&shared[loops.len()]), opaque });
         }
         out
     }
+}
+
+/// One access as [`IterView::resolved`] finds it.
+struct Resolved {
+    /// Per subscript, `None` where resolution changed nothing.
+    subs: Vec<Option<Expr>>,
+    /// The enclosing loops with their bounds resolved once per loop,
+    /// where the header executes; shared by every access at one
+    /// nesting point.
+    ctx: Rc<[LoopCtx]>,
+    opaque: Vec<bool>,
 }
 
 /// The access pairs a dependence test of one array judges, as indices
@@ -235,7 +273,7 @@ pub(crate) fn write_pairs<'a, T>(
 /// known about, which never separates two iterations.
 fn spec_of(a: &Access, opaque: &[bool]) -> Option<RefSpec> {
     let mut inner = Vec::with_capacity(a.ctx.len());
-    for c in &a.ctx {
+    for c in a.ctx.iter() {
         inner.push(InnerLoop {
             var: c.var.clone(),
             lo: Poly::from_expr(&c.init, DivPolicy::Exact)?,

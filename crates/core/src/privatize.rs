@@ -328,7 +328,7 @@ type RegionBox = Vec<(Poly, Poly)>;
 /// reference's inner-loop variables from each subscript.
 fn access_region(a: &Access, env: &RangeEnv) -> Option<RegionBox> {
     let mut env = env.clone();
-    for c in &a.ctx {
+    for c in a.ctx.iter() {
         let lo = Poly::from_expr(&c.init, DivPolicy::Opaque)?;
         let hi = Poly::from_expr(&c.limit, DivPolicy::Opaque)?;
         let step = c.step.simplified().as_int().unwrap_or(1);
@@ -339,7 +339,7 @@ fn access_region(a: &Access, env: &RangeEnv) -> Option<RegionBox> {
         };
         env.set_fresh(c.var.clone(), range);
     }
-    let ctx_atoms: Vec<Atom> = a.ctx.iter().rev().map(|c| Atom::var(c.var.clone())).collect();
+    let ctx_atoms: Vec<Atom> = a.ctx.iter().rev().map(|c| Atom::var(&c.var)).collect();
     let mut dims = Vec::new();
     for sub in &a.subs {
         let p = Poly::from_expr(sub, DivPolicy::Exact)?;
@@ -369,7 +369,7 @@ fn write_is_dense(a: &Access) -> bool {
     for sub in &a.subs {
         let Some(p) = Poly::from_expr(sub, DivPolicy::Exact) else { return false };
         let mut hit_loops = 0usize;
-        for c in &a.ctx {
+        for c in a.ctx.iter() {
             if p.var_hidden_in_opaque(&c.var) {
                 return false;
             }

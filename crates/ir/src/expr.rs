@@ -273,28 +273,34 @@ impl Expr {
         }
     }
 
-    /// Bottom-up rewriting: children are rewritten first, then `f` is
-    /// applied to the rebuilt node. This is the workhorse behind
-    /// substitution and simplification.
+    /// Bottom-up rewriting in place: children are rewritten first, then
+    /// the node is moved through `f` and replaced by what it returns.
+    /// Nothing is rebuilt that `f` does not rebuild, and `f` sees each
+    /// node of the original tree once, post-order; a subtree `f` returns
+    /// is not walked again. `f` applies a node-level rule: calling a
+    /// whole-tree rewrite inside it re-walks every subtree at every node.
+    pub fn rewrite(&mut self, f: &mut dyn FnMut(Expr) -> Expr) {
+        match self {
+            Expr::Index { subs: kids, .. } | Expr::Call { args: kids, .. } => {
+                kids.iter_mut().for_each(|k| k.rewrite(f))
+            }
+            Expr::Un { arg, .. } => arg.rewrite(f),
+            Expr::Bin { lhs, rhs, .. } => {
+                lhs.rewrite(f);
+                rhs.rewrite(f);
+            }
+            _ => {}
+        }
+        let node = std::mem::replace(self, Expr::Int(0));
+        *self = f(node);
+    }
+
+    /// [`Expr::rewrite`] of a copy: the workhorse behind substitution and
+    /// simplification when the original must stay.
     pub fn map(&self, f: &mut dyn FnMut(Expr) -> Expr) -> Expr {
-        let rebuilt = match self {
-            Expr::Index { array, subs } => Expr::Index {
-                array: array.clone(),
-                subs: subs.iter().map(|s| s.map(f)).collect(),
-            },
-            Expr::Call { name, args } => Expr::Call {
-                name: name.clone(),
-                args: args.iter().map(|a| a.map(f)).collect(),
-            },
-            Expr::Un { op, arg } => Expr::Un { op: *op, arg: Box::new(arg.map(f)) },
-            Expr::Bin { op, lhs, rhs } => Expr::Bin {
-                op: *op,
-                lhs: Box::new(lhs.map(f)),
-                rhs: Box::new(rhs.map(f)),
-            },
-            other => other.clone(),
-        };
-        f(rebuilt)
+        let mut out = self.clone();
+        out.rewrite(f);
+        out
     }
 
     /// Replace every occurrence of scalar variable `name` with `value`.
@@ -305,21 +311,6 @@ impl Expr {
         })
     }
 
-    /// Rename a scalar variable, an array base name and a call target in
-    /// one sweep (used by the inliner's site-independent renaming).
-    pub fn rename_symbol(&self, from: &str, to: &str) -> Expr {
-        self.map(&mut |e| match e {
-            Expr::Var(ref n) if n == from => Expr::Var(to.to_string()),
-            Expr::Index { ref array, ref subs } if array == from => {
-                Expr::Index { array: to.to_string(), subs: subs.clone() }
-            }
-            Expr::Call { ref name, ref args } if name == from => {
-                Expr::Call { name: to.to_string(), args: args.clone() }
-            }
-            other => other,
-        })
-    }
-
     // ----- simplification -----------------------------------------------
 
     /// Light algebraic simplification: constant folding plus the identity
@@ -327,29 +318,45 @@ impl Expr {
     /// canonical simplification lives in `polaris-symbolic`; this is the
     /// "structural cleanup" Polaris performed inside the IR layer.
     pub fn simplified(&self) -> Expr {
-        self.map(&mut simplify_node)
+        self.map(&mut Expr::simplify_node)
+    }
+
+    /// The node rule of [`Expr::simplified`]: one rule applied to one
+    /// node whose children are already simplified. A tree rewritten
+    /// bottom-up by it is a fixed point of `simplified`.
+    pub fn simplify_node(e: Expr) -> Expr {
+        match e {
+            Expr::Un { op, mut arg } => match (op, arg.as_mut()) {
+                (UnOp::Neg, Expr::Int(v)) => Expr::Int(-*v),
+                (UnOp::Neg, Expr::Real(v)) => Expr::Real(-*v),
+                (UnOp::Neg, Expr::Un { op: UnOp::Neg, arg: inner }) => {
+                    std::mem::replace(inner.as_mut(), Expr::Int(0))
+                }
+                (UnOp::Not, Expr::Logical(b)) => Expr::Logical(!*b),
+                _ => Expr::Un { op, arg },
+            },
+            Expr::Bin { op, lhs, rhs } => match fold_bin(op, &lhs, &rhs) {
+                Some(Folded::To(value)) => value,
+                Some(Folded::Lhs) => *lhs,
+                Some(Folded::Rhs) => *rhs,
+                None => Expr::Bin { op, lhs, rhs },
+            },
+            other => other,
+        }
     }
 }
 
-fn simplify_node(e: Expr) -> Expr {
-    match e {
-        Expr::Un { op: UnOp::Neg, ref arg } => match arg.as_ref() {
-            Expr::Int(v) => Expr::Int(-v),
-            Expr::Real(v) => Expr::Real(-v),
-            Expr::Un { op: UnOp::Neg, arg: inner } => inner.as_ref().clone(),
-            _ => e,
-        },
-        Expr::Un { op: UnOp::Not, ref arg } => match arg.as_ref() {
-            Expr::Logical(b) => Expr::Logical(!b),
-            _ => e,
-        },
-        Expr::Bin { op, ref lhs, ref rhs } => simplify_bin(op, lhs, rhs).unwrap_or(e),
-        other => other,
-    }
+/// What a binary node folds to: a new value, or one of its operands
+/// (moved out, not copied).
+enum Folded {
+    To(Expr),
+    Lhs,
+    Rhs,
 }
 
-fn simplify_bin(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Expr> {
+fn fold_bin(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Folded> {
     use BinOp::*;
+    use Folded::*;
     // Integer constant folding.
     if let (Expr::Int(a), Expr::Int(b)) = (lhs, rhs) {
         let (a, b) = (*a, *b);
@@ -359,23 +366,23 @@ fn simplify_bin(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Expr> {
             Mul => a.checked_mul(b),
             Div if b != 0 => Some(a.wrapping_div(b)),
             Pow if (0..=62).contains(&b) => a.checked_pow(b as u32),
-            Lt => return Some(Expr::Logical(a < b)),
-            Le => return Some(Expr::Logical(a <= b)),
-            Gt => return Some(Expr::Logical(a > b)),
-            Ge => return Some(Expr::Logical(a >= b)),
-            Eq => return Some(Expr::Logical(a == b)),
-            Ne => return Some(Expr::Logical(a != b)),
+            Lt => return Some(To(Expr::Logical(a < b))),
+            Le => return Some(To(Expr::Logical(a <= b))),
+            Gt => return Some(To(Expr::Logical(a > b))),
+            Ge => return Some(To(Expr::Logical(a >= b))),
+            Eq => return Some(To(Expr::Logical(a == b))),
+            Ne => return Some(To(Expr::Logical(a != b))),
             _ => None,
         };
         if let Some(v) = v {
-            return Some(Expr::Int(v));
+            return Some(To(Expr::Int(v)));
         }
     }
     // Real constant folding (only for exact operations; comparisons are
     // folded since literal comparison is deterministic).
     if let (Expr::Real(a), Expr::Real(b)) = (lhs, rhs) {
         let (a, b) = (*a, *b);
-        return Some(match op {
+        return Some(To(match op {
             Add => Expr::Real(a + b),
             Sub => Expr::Real(a - b),
             Mul => Expr::Real(a * b),
@@ -387,23 +394,27 @@ fn simplify_bin(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Expr> {
             Eq => Expr::Logical(a == b),
             Ne => Expr::Logical(a != b),
             _ => return None,
-        });
+        }));
     }
     // Identities.
     match (op, lhs, rhs) {
-        (Add, Expr::Int(0), x) | (Add, x, Expr::Int(0)) => Some(x.clone()),
-        (Sub, x, Expr::Int(0)) => Some(x.clone()),
-        (Mul, Expr::Int(1), x) | (Mul, x, Expr::Int(1)) => Some(x.clone()),
-        (Mul, Expr::Int(0), _) | (Mul, _, Expr::Int(0)) => Some(Expr::Int(0)),
-        (Div, x, Expr::Int(1)) => Some(x.clone()),
-        (Pow, x, Expr::Int(1)) => Some(x.clone()),
-        (Pow, _, Expr::Int(0)) => Some(Expr::Int(1)),
-        (And, Expr::Logical(true), x) | (And, x, Expr::Logical(true)) => Some(x.clone()),
+        (Add, Expr::Int(0), _) => Some(Rhs),
+        (Add, _, Expr::Int(0)) => Some(Lhs),
+        (Sub, _, Expr::Int(0)) => Some(Lhs),
+        (Mul, Expr::Int(1), _) => Some(Rhs),
+        (Mul, _, Expr::Int(1)) => Some(Lhs),
+        (Mul, Expr::Int(0), _) | (Mul, _, Expr::Int(0)) => Some(To(Expr::Int(0))),
+        (Div, _, Expr::Int(1)) => Some(Lhs),
+        (Pow, _, Expr::Int(1)) => Some(Lhs),
+        (Pow, _, Expr::Int(0)) => Some(To(Expr::Int(1))),
+        (And, Expr::Logical(true), _) => Some(Rhs),
+        (And, _, Expr::Logical(true)) => Some(Lhs),
         (And, Expr::Logical(false), _) | (And, _, Expr::Logical(false)) => {
-            Some(Expr::Logical(false))
+            Some(To(Expr::Logical(false)))
         }
-        (Or, Expr::Logical(false), x) | (Or, x, Expr::Logical(false)) => Some(x.clone()),
-        (Or, Expr::Logical(true), _) | (Or, _, Expr::Logical(true)) => Some(Expr::Logical(true)),
+        (Or, Expr::Logical(false), _) => Some(Rhs),
+        (Or, _, Expr::Logical(false)) => Some(Lhs),
+        (Or, Expr::Logical(true), _) | (Or, _, Expr::Logical(true)) => Some(To(Expr::Logical(true))),
         _ => None,
     }
 }
@@ -476,14 +487,10 @@ impl LValue {
         }
     }
 
-    /// Apply an expression rewrite to every subscript.
-    pub fn map_subs(&self, f: &mut dyn FnMut(Expr) -> Expr) -> LValue {
-        match self {
-            LValue::Var(n) => LValue::Var(n.clone()),
-            LValue::Index { array, subs } => LValue::Index {
-                array: array.clone(),
-                subs: subs.iter().map(|s| s.map(f)).collect(),
-            },
+    /// [`Expr::rewrite`] every subscript in place.
+    pub fn rewrite_subs(&mut self, f: &mut dyn FnMut(Expr) -> Expr) {
+        if let LValue::Index { subs, .. } = self {
+            subs.iter_mut().for_each(|s| s.rewrite(f));
         }
     }
 }
@@ -528,14 +535,6 @@ mod tests {
         assert!(!s.references_var("K"));
         assert!(s.references_var("I"));
         assert_eq!(s.variables().len(), 1);
-    }
-
-    #[test]
-    fn rename_symbol_hits_arrays_and_calls() {
-        let e = Expr::add(Expr::index("A", vec![n("I")]), Expr::call("A", vec![n("J")]));
-        let r = e.rename_symbol("A", "A_1");
-        assert!(!r.references("A"));
-        assert!(r.references("A_1"));
     }
 
     #[test]

@@ -958,10 +958,10 @@ fn find_matching(s: &str) -> Option<usize> {
 /// are really function calls; fix them in place. The parser calls this
 /// indirectly through [`resolve_program_refs`].
 pub(crate) fn resolve_unit_refs(unit: &mut ProgramUnit) {
-    let symbols = unit.symbols.clone();
+    let symbols = &unit.symbols;
     unit.body.map_exprs(&mut |e| match e {
-        Expr::Index { ref array, ref subs } if !symbols.is_array(array) => {
-            Expr::Call { name: array.clone(), args: subs.clone() }
+        Expr::Index { array, subs } if !symbols.is_array(&array) => {
+            Expr::Call { name: array, args: subs }
         }
         other => other,
     });

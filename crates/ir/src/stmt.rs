@@ -334,39 +334,33 @@ impl StmtList {
 }
 
 /// Apply an expression rewrite to all expressions of a single statement,
-/// recursing into nested bodies.
+/// recursing into nested bodies. Each tree is rewritten in place
+/// ([`Expr::rewrite`]): its nodes move through `f`, nothing is copied.
 pub fn map_stmt_exprs(s: &mut Stmt, f: &mut dyn FnMut(Expr) -> Expr) {
     match &mut s.kind {
         StmtKind::Assign { lhs, rhs, .. } => {
-            *lhs = lhs.map_subs(f);
-            *rhs = rhs.map(f);
+            lhs.rewrite_subs(f);
+            rhs.rewrite(f);
         }
         StmtKind::Do(d) => {
-            d.init = d.init.map(f);
-            d.limit = d.limit.map(f);
+            d.init.rewrite(f);
+            d.limit.rewrite(f);
             if let Some(step) = &mut d.step {
-                *step = step.map(f);
+                step.rewrite(f);
             }
             d.body.map_exprs(f);
         }
         StmtKind::IfBlock { arms, else_body } => {
             for arm in arms {
-                arm.cond = arm.cond.map(f);
+                arm.cond.rewrite(f);
                 arm.body.map_exprs(f);
             }
             else_body.map_exprs(f);
         }
-        StmtKind::Call { args, .. } => {
-            for a in args.iter_mut() {
-                *a = a.map(f);
-            }
+        StmtKind::Call { args: exprs, .. } | StmtKind::Print { items: exprs } => {
+            exprs.iter_mut().for_each(|e| e.rewrite(f))
         }
-        StmtKind::Print { items } => {
-            for a in items.iter_mut() {
-                *a = a.map(f);
-            }
-        }
-        StmtKind::Assert { cond } => *cond = cond.map(f),
+        StmtKind::Assert { cond } => cond.rewrite(f),
         StmtKind::Return | StmtKind::Stop | StmtKind::Continue => {}
     }
 }

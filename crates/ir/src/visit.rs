@@ -9,6 +9,7 @@
 
 use crate::expr::{Expr, RedOp};
 use crate::stmt::{DoLoop, Stmt, StmtId, StmtKind, StmtList};
+use std::rc::Rc;
 
 /// Description of one loop enclosing an access (innermost last).
 #[derive(Debug, Clone, PartialEq)]
@@ -43,8 +44,9 @@ pub struct Access {
     /// Statement performing the access.
     pub(crate) stmt: StmtId,
     /// Loops enclosing the access *inside* the collection root,
-    /// outermost first.
-    pub ctx: Vec<LoopCtx>,
+    /// outermost first. Shared: every access at one nesting point holds
+    /// the same slice.
+    pub ctx: Rc<[LoopCtx]>,
     /// True if the access is guarded by an IF inside the root.
     pub conditional: bool,
     /// Set on the write and the matching read of the reduction variable in
@@ -53,8 +55,9 @@ pub struct Access {
     pub reduction: Option<RedOp>,
     /// Position index in textual execution order (pre-order).
     pub order: usize,
-    /// For a write produced by an assignment statement: the assigned RHS
-    /// (lets demand-driven analyses resolve scalar values, §3.4).
+    /// For a scalar write produced by an assignment statement: the
+    /// assigned RHS (lets demand-driven analyses resolve scalar values,
+    /// §3.4).
     pub def_rhs: Option<Expr>,
 }
 
@@ -67,7 +70,9 @@ impl Access {
 /// Collector state.
 struct Collector {
     out: Vec<Access>,
-    ctx: Vec<LoopCtx>,
+    /// The enclosing loops at each depth entered so far, `ctx[0]` empty:
+    /// a loop's slice is built once, on entry, and restored on exit.
+    ctx: Vec<Rc<[LoopCtx]>>,
     cond_depth: usize,
     order: usize,
 }
@@ -98,7 +103,7 @@ impl Collector {
             subs: subs.to_vec(),
             is_write,
             stmt,
-            ctx: self.ctx.clone(),
+            ctx: Rc::clone(self.ctx.last().expect("the root context")),
             conditional: self.cond_depth > 0,
             reduction,
             order: self.order,
@@ -141,9 +146,10 @@ impl Collector {
                 for sub in lhs.subs() {
                     self.reads_in_expr(sub, s.id, None);
                 }
-                let target = lhs.as_expr();
-                self.reads_in_expr(rhs, s.id, reduction.map(|op| (&target, op)));
-                self.push_full(lhs.name(), lhs.subs(), true, s.id, *reduction, Some(rhs.clone()));
+                let sigma = reduction.map(|op| (lhs.as_expr(), op));
+                self.reads_in_expr(rhs, s.id, sigma.as_ref().map(|(target, op)| (target, *op)));
+                let def_rhs = lhs.subs().is_empty().then(|| rhs.clone());
+                self.push_full(lhs.name(), lhs.subs(), true, s.id, *reduction, def_rhs);
             }
             StmtKind::Do(d) => {
                 self.reads_in_expr(&d.init, s.id, None);
@@ -153,7 +159,9 @@ impl Collector {
                 }
                 // The loop variable is written by the loop itself.
                 self.push(&d.var, &[], true, s.id, None);
-                self.ctx.push(LoopCtx::of(d));
+                let outer = self.ctx.last().expect("the root context");
+                let inner: Rc<[LoopCtx]> = outer.iter().cloned().chain([LoopCtx::of(d)]).collect();
+                self.ctx.push(inner);
                 for inner in &d.body {
                     self.stmt(inner);
                 }
@@ -200,7 +208,7 @@ impl Collector {
 
 /// Collect the accesses performed by one execution of `list`.
 pub fn collect_accesses(list: &StmtList) -> Vec<Access> {
-    let mut c = Collector { out: Vec::new(), ctx: Vec::new(), cond_depth: 0, order: 0 };
+    let mut c = Collector { out: Vec::new(), ctx: vec![Rc::from([])], cond_depth: 0, order: 0 };
     for s in list {
         c.stmt(s);
     }
@@ -257,6 +265,37 @@ mod tests {
         let w = acc.iter().find(|a| a.name == "A" && a.is_write).unwrap();
         let vars: Vec<_> = w.ctx.iter().map(|c| c.var.clone()).collect();
         assert_eq!(vars, vec!["I", "J"]);
+    }
+
+    #[test]
+    fn accesses_at_one_nesting_point_share_one_context_and_sibling_loops_do_not() {
+        let b = body_of(
+            "real a(10), b(10)\ndo i = 1, 10\n  a(i) = 0.0\n  do j = 1, 2\n    x = j\n  end do\n\
+             \x20 b(i) = a(i)\nend do\ndo k = 1, 10\n  a(k) = 1.0\nend do",
+        );
+        let acc = collect_accesses(&b);
+        let under = |var: &str| -> Vec<&Access> {
+            acc.iter().filter(|a| a.ctx.len() == 1 && a.ctx[0].var == var).collect()
+        };
+        let (in_i, in_k) = (under("I"), under("K"));
+        // A(I), I, then (after the J loop) A(I), I, B(I), I.
+        assert_eq!(in_i.len(), 7);
+        let shared = |accs: &[&Access]| accs.iter().all(|a| Rc::ptr_eq(&a.ctx, &accs[0].ctx));
+        assert!(shared(&in_i), "one slice before and after the inner loop");
+        assert!(!in_k.is_empty() && shared(&in_k));
+        assert!(!Rc::ptr_eq(&in_i[0].ctx, &in_k[0].ctx), "sibling loops hold slices of their own");
+        let inner = acc.iter().find(|a| a.name == "X").unwrap();
+        assert_eq!(inner.ctx.iter().map(|c| c.var.as_str()).collect::<Vec<_>>(), ["I", "J"]);
+    }
+
+    #[test]
+    fn only_scalar_writes_keep_their_right_hand_side() {
+        let acc = collect_accesses(&body_of("real a(10)\nx = 1.0\na(2) = x"));
+        let def = |name: &str| {
+            acc.iter().find(|a| a.is_write && a.name == name).unwrap().def_rhs.clone()
+        };
+        assert_eq!(def("X"), Some(Expr::Real(1.0)));
+        assert_eq!(def("A"), None);
     }
 
     #[test]

@@ -160,7 +160,7 @@ fn eliminate_all(p: &Poly, env: &RangeEnv, dir: Dir, depth: u32) -> Option<Poly>
     // environment is not in `cur` at all, in the open or hidden.
     for var in env.order().rev() {
         if cur.mentions_var(var) {
-            cur = eliminate_step(cur, &Atom::Var(var.to_string()), env, dir, depth)?;
+            cur = eliminate_step(cur, &Atom::Var(var.into()), env, dir, depth)?;
         }
     }
     Some(cur)

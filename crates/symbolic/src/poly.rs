@@ -25,6 +25,12 @@
 //! reproduce name order anyway. `crates/symbolic/tests/canonical_form.rs`
 //! pins the printed forms.
 //!
+//! **Atoms share their names.** A variable atom holds its name as an
+//! `Arc<str>`, an opaque atom its key as an `Arc<str>` and its tree as an
+//! `Arc<Expr>`, so the atom copies every merge, product and split makes
+//! bump a reference count instead of copying a string or a tree. Order
+//! and equality are still by the name (or key), so no printed form moves.
+//!
 //! **Arithmetic builds, then normalises once.** `+` and `−` are one
 //! merge of two sorted runs; `×`, powers, substitution and the
 //! coefficient splits push raw terms into one buffer and
@@ -43,6 +49,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// `name` upper-cased — borrowed when it already is, which is every name
 /// the analyses pass around after parsing.
@@ -103,42 +110,42 @@ pub enum DivPolicy {
     Opaque,
 }
 
-/// An indivisible factor of a monomial.
+/// An indivisible factor of a monomial. Names are shared: copying an
+/// atom — which every merge, product and split of monomials does — bumps
+/// a reference count instead of copying a string or a tree.
 #[derive(Debug, Clone)]
 pub enum Atom {
     /// A scalar program variable.
-    Var(String),
+    Var(Arc<str>),
     /// An opaque subexpression, keyed by its canonical printed form.
-    Opaque { key: String, expr: Box<Expr> },
+    Opaque { key: Arc<str>, expr: Arc<Expr> },
 }
 
 impl Atom {
-    pub fn var(name: impl Into<String>) -> Atom {
-        let mut name = name.into();
-        name.make_ascii_uppercase();
-        Atom::Var(name)
+    pub fn var(name: impl AsRef<str>) -> Atom {
+        Atom::Var(Arc::from(&*upper(name.as_ref())))
     }
 
     pub fn opaque(expr: Expr) -> Atom {
-        Atom::Opaque { key: format_expr(&expr), expr: Box::new(expr) }
+        Atom::Opaque { key: Arc::from(format_expr(&expr)), expr: Arc::new(expr) }
     }
 
     fn sort_key(&self) -> (u8, &str) {
         match self {
-            Atom::Var(n) => (0, n.as_str()),
-            Atom::Opaque { key, .. } => (1, key.as_str()),
+            Atom::Var(n) => (0, n),
+            Atom::Opaque { key, .. } => (1, key),
         }
     }
 
     /// Is this the variable `var` (upper-case)?
     fn is_var(&self, var: &str) -> bool {
-        matches!(self, Atom::Var(n) if n == var)
+        matches!(self, Atom::Var(n) if **n == *var)
     }
 
     /// The expression this atom denotes.
     pub(crate) fn to_expr(&self) -> Expr {
         match self {
-            Atom::Var(n) => Expr::Var(n.clone()),
+            Atom::Var(n) => Expr::Var(n.to_string()),
             Atom::Opaque { expr, .. } => expr.as_ref().clone(),
         }
     }
@@ -185,7 +192,7 @@ impl Monomial {
         Monomial::default()
     }
 
-    pub(crate) fn var(name: impl Into<String>) -> Monomial {
+    pub(crate) fn var(name: impl AsRef<str>) -> Monomial {
         Monomial(vec![(Atom::var(name), 1)])
     }
 
@@ -249,7 +256,7 @@ impl Poly {
         Poly::constant(Rat::int(v))
     }
 
-    pub fn var(name: impl Into<String>) -> Poly {
+    pub fn var(name: impl AsRef<str>) -> Poly {
         Poly { terms: vec![(Monomial::var(name), Rat::ONE)] }
     }
 
@@ -310,7 +317,7 @@ impl Poly {
 
     /// All scalar-variable atoms appearing at top level.
     pub fn vars(&self) -> BTreeSet<String> {
-        let name = |a: &Atom| if let Atom::Var(n) = a { Some(n.clone()) } else { None };
+        let name = |a: &Atom| if let Atom::Var(n) = a { Some(n.to_string()) } else { None };
         self.atom_refs().filter_map(name).collect()
     }
 
@@ -625,7 +632,7 @@ impl Poly {
             let mut acc = *c;
             for (a, p) in &m.0 {
                 let base = match a {
-                    Atom::Var(n) => *env.get(n)?,
+                    Atom::Var(n) => *env.get(&**n)?,
                     Atom::Opaque { .. } => return None,
                 };
                 acc = acc.checked_mul(base.checked_pow(*p)?)?;
@@ -644,7 +651,7 @@ impl Poly {
         Some(match e {
             Expr::Int(v) => Poly::int(*v as i128),
             Expr::Real(_) | Expr::Logical(_) | Expr::Str(_) => Poly::opaque(e.clone()),
-            Expr::Var(n) => Poly::var(n.clone()),
+            Expr::Var(n) => Poly::var(n),
             Expr::Index { .. } | Expr::Call { .. } | Expr::Wildcard(_) => Poly::opaque(e.clone()),
             Expr::Un { op: UnOp::Neg, arg } => {
                 Poly::from_expr(arg, policy)?.checked_neg()?
@@ -985,7 +992,7 @@ mod tests {
             let mut acc = *c;
             for (a, pow) in &m.0 {
                 let base = match a {
-                    Atom::Var(n) => at[["I", "J", "N"].iter().position(|v| v == n).unwrap()],
+                    Atom::Var(n) => at[["I", "J", "N"].iter().position(|v| **v == **n).unwrap()],
                     Atom::Opaque { .. } => at[3],
                 };
                 acc = acc.checked_mul(base.checked_pow(*pow).unwrap()).unwrap();

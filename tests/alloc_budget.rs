@@ -6,10 +6,11 @@
 //! A counting `#[global_allocator]` tallies the heap traffic of the test
 //! thread while it runs one checked compile (parse →
 //! `compile(PassOptions::polaris())` → `verify_compiled`) of each of the
-//! 26 kernels, and one range test of the paper's §3.3.1 TRFD subscript.
-//! The counts repeat exactly from run to run (a release build elides a
-//! few dozen dead allocations a debug build makes), so the budgets below
-//! are what was measured plus 5 %, not a guess with headroom.
+//! 26 kernels, one of `common::MULTI_UNIT` (the inliner's path), and one
+//! range test of the paper's §3.3.1 TRFD subscript. The counts repeat
+//! exactly from run to run (a release build elides a few dozen dead
+//! allocations a debug build makes), so the budgets below are what was
+//! measured plus 5 %, not a guess with headroom.
 //!
 //! Run with `-- --nocapture` to see the numbers.
 
@@ -23,29 +24,36 @@ use polaris::PassOptions;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Measured when the validator stopped building a control-flow graph per
-/// unit per validation (PR 24, seven invariants): 228 833 allocations /
-/// 24 157 575 bytes (debug; release 30 fewer), a `realloc` counted as an
-/// allocation of its new size. Budget = that + 5 %. With the graph, one
-/// `Program` clone per compile and one typing per expression (PR 22):
-/// 244 866 / 26 284 709; with the flat polynomial form alone (PR 20):
-/// 297 117 / 31 816 755; the `BTreeMap<Monomial, Rat>` form before it:
-/// 960 309 / 234 483 573. Since the nest summary pairs each write with
-/// itself (`iterview::write_pairs`) and interchange moves headers instead
-/// of cloning them: 224 972 → 226 130 / 23 843 256 → 23 908 945 (debug;
-/// release 224 942 → 226 100), inside the unchanged budget. One walk per
-/// IR left 225 990 / 23 897 169 (release 225 960 / 23 897 122); one
-/// liveness numbering per analyzed unit (and per `dce` round) instead of
-/// one walk per query: 226 069 / 24 057 161 (debug; release 226 039 /
-/// 24 057 114), inside the unchanged budget. The kernels are
-/// single-unit, so restructuring main alone changes nothing here.
-const SUITE_ALLOCS_BUDGET: u64 = 240_200;
-const SUITE_BYTES_BUDGET: u64 = 25_360_000;
+/// Measured since the IR is rewritten in place, the inliner binds each
+/// site in one pass, accesses share their loop contexts and polynomial
+/// atoms share their names: 148 483 allocations / 20 539 159 bytes
+/// (debug; release 148 453 / 20 539 112), a `realloc` counted as an
+/// allocation of its new size.
+/// Budget = that + 5 %. History, newest first: while every rewrite
+/// rebuilt its tree, 226 069 / 24 057 161 (release 226 039 / 24 057 114);
+/// before one liveness numbering per analyzed unit, 225 990 / 23 897 169;
+/// when the validator stopped building a control-flow graph per unit
+/// per validation (seven invariants), 228 833 / 24 157 575; with the
+/// graph, one `Program` clone per compile and one typing per expression,
+/// 244 866 / 26 284 709; with the flat polynomial form alone, 297 117 /
+/// 31 816 755; the `BTreeMap<Monomial, Rat>` form before it, 960 309 /
+/// 234 483 573. The kernels are single-unit, so restructuring main alone
+/// after inlining changes nothing here.
+const SUITE_ALLOCS_BUDGET: u64 = 155_910;
+const SUITE_BYTES_BUDGET: u64 = 21_566_200;
+
+/// `common::MULTI_UNIT`'s checked compile — two subroutines and a
+/// function inlined into main — made 4 279 allocations / 432 919 bytes
+/// while every formal and every local cost a rebuild of the whole body;
+/// binding each site in one pass: 2 345 / 329 544 (debug). Budget =
+/// that + 5 %.
+const MULTI_UNIT_ALLOCS_BUDGET: u64 = 2_463;
 
 /// One TRFD range test on that `BTreeMap` form (and an environment
 /// deep-copied per dimension query) made 14 794 allocations; the flat
-/// form makes 1 141 and must stay at or under a third of the old count.
-const TRFD_PARENT_ALLOCS: u64 = 14_794;
+/// form 1 141; with atoms that share their names 747. It must stay
+/// within that + 5 %.
+const TRFD_ALLOCS_BUDGET: u64 = 785;
 
 struct Counting;
 
@@ -103,7 +111,7 @@ fn inner(var: &str, lo: &str, hi: &str) -> InnerLoop {
     InnerLoop { var: var.into(), lo: poly(lo), hi: poly(hi), step: 1 }
 }
 
-// One test function: the two measurements share the thread's counters.
+// One test function: the three measurements share the thread's counters.
 #[test]
 fn checked_compiles_and_the_trfd_range_test_stay_within_their_allocation_budgets() {
     let kernels = common::kernels();
@@ -117,6 +125,14 @@ fn checked_compiles_and_the_trfd_range_test_stay_within_their_allocation_budgets
         }
     });
     println!("alloc_budget: 26 checked compiles: {allocs} allocations, {bytes} bytes");
+    let (mu_allocs, mu_bytes) = counted(|| {
+        let mut program = polaris::ir::parse(common::MULTI_UNIT).expect("MULTI_UNIT parses");
+        let report = polaris::core::compile(&mut program, &PassOptions::polaris())
+            .expect("MULTI_UNIT compiles");
+        let verify = polaris::verify::verify_compiled(&program, &report);
+        assert!(!report.degraded() && verify.ok(), "MULTI_UNIT: checked compile failed");
+    });
+    println!("alloc_budget: MULTI_UNIT checked compile: {mu_allocs} allocations, {mu_bytes} bytes");
 
     // The §3.3.1 worked example, as `benchmark/src/symbolic.rs` probes it.
     let trfd = RefSpec {
@@ -142,9 +158,12 @@ fn checked_compiles_and_the_trfd_range_test_stay_within_their_allocation_budgets
         "26 checked compiles allocated {bytes} bytes, budget {SUITE_BYTES_BUDGET}"
     );
     assert!(
-        trfd_allocs * 3 <= TRFD_PARENT_ALLOCS,
-        "TRFD range test made {trfd_allocs} allocations, more than a third of the parent's \
-         {TRFD_PARENT_ALLOCS}"
+        mu_allocs <= MULTI_UNIT_ALLOCS_BUDGET,
+        "MULTI_UNIT's checked compile made {mu_allocs} allocations, budget {MULTI_UNIT_ALLOCS_BUDGET}"
+    );
+    assert!(
+        trfd_allocs <= TRFD_ALLOCS_BUDGET,
+        "TRFD range test made {trfd_allocs} allocations, budget {TRFD_ALLOCS_BUDGET}"
     );
 }
 

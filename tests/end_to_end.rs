@@ -496,3 +496,33 @@ fn huge_offsets_under_symbolic_bounds_ship_no_wrong_parallel() {
         assert_eq!(race.count(RaceVerdict::Clean), parallel, "{:?}", race.loops);
     }
 }
+
+/// The inliner binds all of a call site's formals in one simultaneous
+/// pass. Renamed one after another, `CALL S(Q, P)` against
+/// `SUBROUTINE S(P, Q)` aliased both formals to `P` and inlined
+/// `P(I) = Q(I) + 0.5` as `P(S__I) = P(S__I)+0.5`.
+#[test]
+fn swapped_actuals_inline_without_aliasing_the_formals() {
+    let src = "program swap\nreal p(8), q(8)\ndo i = 1, 8\n  p(i) = i\n  q(i) = 10.0*i\nend do\n\
+               call s(q, p)\nprint *, q(3), p(3)\nend\n\
+               subroutine s(p, q)\nreal p(8), q(8)\ndo i = 1, 8\n  p(i) = q(i) + 0.5\nend do\nend\n";
+    let (serial, parallel, out) =
+        parallelize_and_run(src, &PassOptions::polaris(), &MachineConfig::challenge_8()).unwrap();
+    assert!(out.annotated_source.contains("Q(S__I) = P(S__I)+0.5"), "{}", out.annotated_source);
+    assert_eq!(serial.output, ["3.500000E0 3.000000E0"]);
+    assert_eq!(parallel.output, serial.output);
+}
+
+/// A function actual is substituted into the body without being
+/// rewritten by a later formal's binding. Substituted one formal after
+/// another, `F(Y, 2.0)` with `F = X - Y` became `Y - Y`, then
+/// `2.0 - 2.0`, and the program printed 0.0.
+#[test]
+fn a_function_actual_naming_a_later_formal_is_not_captured() {
+    let src = "program capture\nreal y, z\ny = 5.0\nz = f(y, 2.0)\nprint *, z\nend\n\
+               real function f(x, y)\nreal x, y\nf = x - y\nend\n";
+    let out = parallelize(src, &PassOptions::polaris()).unwrap();
+    assert!(out.annotated_source.contains("PRINT *, 3.0"), "{}", out.annotated_source);
+    let ran = polaris::machine::run(&out.program, &MachineConfig::serial()).unwrap();
+    assert_eq!(ran.output, ["3.000000E0"]);
+}
