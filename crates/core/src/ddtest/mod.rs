@@ -41,7 +41,9 @@ pub struct DdStats {
     pub(crate) banerjee_vectors: Cell<u64>,
     /// GCD test invocations.
     pub(crate) gcd_tests: Cell<u64>,
-    /// Range-test pair probes (one per loop/pair/permutation attempt).
+    /// Range-test pair probes: one per `LoopTest::no_carried_dependence`
+    /// call with a nonzero step. The permutation attempts inside a call
+    /// add none.
     pub(crate) range_probes: Cell<u64>,
     /// Range-test successes that required a loop permutation.
     pub(crate) permutations_used: Cell<u64>,

@@ -80,9 +80,10 @@ struct Reach<'a> {
     /// environment that has them in scope.
     inner_atoms: Vec<Atom>,
     inner_env: RangeEnv,
-    /// The same with the tested loop itself demoted to an inner loop.
-    whole_atoms: Vec<Atom>,
-    whole_env: RangeEnv,
+    /// The same with the tested loop itself demoted to an inner loop,
+    /// built when a whole footprint is first asked for: most pairs are
+    /// decided before one is.
+    whole_scope: OnceCell<(Vec<Atom>, RangeEnv)>,
     dims: Vec<DimReach>,
 }
 
@@ -108,14 +109,10 @@ impl<'a> Reach<'a> {
         for il in inner {
             inner_env.set_fresh(&il.var, il.value_range());
         }
-        let mut whole_env = inner_env.clone();
-        whole_env.set_fresh(&t.self_loop.var, t.self_loop.value_range());
         // Eliminate innermost-first.
         let inner_atoms: Vec<Atom> = inner.iter().rev().map(|il| Atom::var(&*il.var)).collect();
-        let whole_atoms =
-            std::iter::once(Atom::var(&*t.self_loop.var)).chain(inner_atoms.iter().cloned()).collect();
         let dims = subs.iter().map(|_| DimReach::default()).collect();
-        Reach { subs, inner_atoms, inner_env, whole_atoms, whole_env, dims }
+        Reach { subs, inner_atoms, inner_env, whole_scope: OnceCell::new(), dims }
     }
 
     fn iter(&self, dim: usize) -> &Span {
@@ -124,10 +121,18 @@ impl<'a> Reach<'a> {
             .get_or_init(|| min_max_over(&self.subs[dim], &self.inner_atoms, &self.inner_env))
     }
 
-    fn whole(&self, dim: usize) -> &Span {
-        self.dims[dim]
-            .whole
-            .get_or_init(|| min_max_over(&self.subs[dim], &self.whole_atoms, &self.whole_env))
+    fn whole(&self, dim: usize, t: &Tested<'_>) -> &Span {
+        self.dims[dim].whole.get_or_init(|| {
+            #[cfg(test)]
+            tests::WHOLE_FOOTPRINTS.with(|n| n.set(n.get() + 1));
+            let (atoms, env) = self.whole_scope.get_or_init(|| {
+                let mut env = self.inner_env.clone();
+                env.set_fresh(&t.self_loop.var, t.self_loop.value_range());
+                let tested = Atom::var(&*t.self_loop.var);
+                (std::iter::once(tested).chain(self.inner_atoms.iter().cloned()).collect(), env)
+            });
+            min_max_over(&self.subs[dim], atoms, env)
+        })
     }
 
     fn next_min(&self, dim: usize, t: &Tested<'_>) -> Option<&Poly> {
@@ -185,10 +190,12 @@ impl Tested<'_> {
         self.independent(&fr, &Reach::new(self, &g.subs, &inner(g)))
     }
 
-    /// Direct range test for one dimension: either the two references'
-    /// *total* ranges over the whole tested loop are disjoint, or
-    /// consecutive executed iterations' ranges are separated with endpoints
-    /// moving monotonically.
+    /// Direct range test for one dimension, cheapest proof first:
+    /// consecutive executed iterations' ranges are separated with
+    /// endpoints moving monotonically (ascending, then descending), or
+    /// else the two references' *total* ranges over the whole tested loop
+    /// are disjoint. Each `sign` and `min_max_over` query refuels its own
+    /// fuel, so the order decides what is computed, never the answer.
     fn dim_independent(&self, f: &Reach<'_>, g: &Reach<'_>, dim: usize) -> bool {
         let ((Some(fmin), Some(fmax)), (Some(gmin), Some(gmax))) = (f.iter(dim), g.iter(dim)) else {
             return false;
@@ -197,15 +204,6 @@ impl Tested<'_> {
             Some(d) => sign(&d, self.env).is_pos(),
             None => false,
         };
-        // Total disjointness: if f's whole footprint over every iteration of
-        // the tested loop lies strictly beside g's, no pair of iterations
-        // can conflict (this is what separates OCEAN's two references, whose
-        // constant offset exceeds the tested loop's whole span).
-        if let ((Some(ftl), Some(fth)), (Some(gtl), Some(gth))) = (f.whole(dim), g.whole(dim)) {
-            if lt(fth, gtl) || lt(gth, ftl) {
-                return true;
-            }
-        }
         // Ascending in execution order: each iteration's range lies strictly
         // below the next iteration's.
         let asc = || -> Option<bool> {
@@ -225,7 +223,15 @@ impl Tested<'_> {
                     && f.max_falls(dim, self),
             )
         };
-        asc().unwrap_or(false) || desc().unwrap_or(false)
+        // Total disjointness: if f's whole footprint over every iteration of
+        // the tested loop lies strictly beside g's, no pair of iterations
+        // can conflict (this is what separates OCEAN's two references, whose
+        // constant offset exceeds the tested loop's whole span).
+        let apart = || match (f.whole(dim, self), g.whole(dim, self)) {
+            ((Some(ftl), Some(fth)), (Some(gtl), Some(gth))) => lt(fth, gtl) || lt(gth, ftl),
+            _ => false,
+        };
+        asc().unwrap_or(false) || desc().unwrap_or(false) || apart()
     }
 }
 
@@ -338,6 +344,7 @@ pub fn no_carried_dependence(
 mod tests {
     use super::*;
     use polaris_symbolic::poly::DivPolicy;
+    use std::cell::Cell;
 
     fn p(src: &str) -> Poly {
         let full = format!("program t\ninteger z(1000)\nx = {src}\nend\n");
@@ -360,6 +367,19 @@ mod tests {
 
     fn stats() -> DdStats {
         DdStats::new()
+    }
+
+    thread_local! {
+        /// Whole-loop footprints this thread has eliminated.
+        pub(super) static WHOLE_FOOTPRINTS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `(answer, whole footprints built)` of `run`.
+    fn footprints<T>(run: impl FnOnce() -> T) -> (T, u64) {
+        let built = || WHOLE_FOOTPRINTS.with(Cell::get);
+        let before = built();
+        let answer = run();
+        (answer, built() - before)
     }
 
     #[test]
@@ -424,7 +444,11 @@ mod tests {
         ));
         let sl = il("I", "0", "m - 1");
         let st = stats();
-        assert!(no_carried_dependence(&f, &f, "I", 1, &sl, &env, &st, true));
+        // Per-iteration separation proves it: no whole footprint is built.
+        let (proved, built) =
+            footprints(|| no_carried_dependence(&f, &f, "I", 1, &sl, &env, &st, true));
+        assert!(proved);
+        assert_eq!(built, 0);
     }
 
     #[test]
@@ -485,8 +509,15 @@ mod tests {
         assert!(!no_carried_dependence(&f, &g, "K", 1, &sl, &env, &st, false));
         // with permutation: both pairs pass
         assert!(no_carried_dependence(&f, &f, "K", 1, &sl, &env, &st, true));
-        assert!(no_carried_dependence(&f, &g, "K", 1, &sl, &env, &st, true));
-        assert!(st.permutations_used.get() >= 1);
+        assert_eq!(st.permutations_used.get(), 1);
+        // For each fixed J, g's +129*X offset puts its whole footprint over
+        // K past f's: per-iteration separation fails (g's range reaches
+        // into f's next one), so this pair is the one that needs footprints.
+        let (proved, built) =
+            footprints(|| no_carried_dependence(&f, &g, "K", 1, &sl, &env, &st, true));
+        assert!(proved);
+        assert!(built > 0);
+        assert_eq!(st.permutations_used.get(), 2);
     }
 
     #[test]

@@ -109,13 +109,7 @@ pub(crate) fn step_over(env: &mut RangeEnv, s: &Stmt) -> u64 {
             1
         }
         StmtKind::Call { args, .. } => {
-            for a in args {
-                match a {
-                    Expr::Var(n) => env.invalidate(n),
-                    Expr::Index { array, .. } => env.invalidate(array),
-                    _ => {}
-                }
-            }
+            env.invalidate_all(args.iter().filter_map(by_reference));
             0
         }
         StmtKind::Do(d) => {
@@ -123,9 +117,7 @@ pub(crate) fn step_over(env: &mut RangeEnv, s: &Stmt) -> u64 {
             0
         }
         StmtKind::IfBlock { arms, else_body } => {
-            for body in branches(arms, else_body) {
-                kill_assigned(env, body);
-            }
+            kill_branches(env, arms, else_body);
             0
         }
         StmtKind::Print { .. } | StmtKind::Return | StmtKind::Stop | StmtKind::Continue => 0,
@@ -144,9 +136,7 @@ pub(crate) fn enter_loop(env: &mut RangeEnv, d: &DoLoop) -> RangeEnv {
     let assigned = kill_loop(env, d);
     let mut body = env.clone();
     assume_loop_header(&mut body, &d.var, &d.init, &d.limit, d.step.as_ref());
-    for v in &assigned {
-        body.invalidate(v);
-    }
+    body.invalidate_all(assigned.iter().map(String::as_str));
     #[cfg(test)]
     tests::ENTERED.with(|e| e.borrow_mut().push((d.var.clone(), format!("{body:?}"))));
     body
@@ -171,9 +161,7 @@ pub(crate) fn enter_if(env: &mut RangeEnv, arms: &[IfArm], else_body: &StmtList)
         })
         .collect();
     envs.push(else_env);
-    for body in branches(arms, else_body) {
-        kill_assigned(env, body);
-    }
+    kill_branches(env, arms, else_body);
     envs
 }
 
@@ -185,17 +173,29 @@ pub(crate) fn branches<'a>(
     arms.iter().map(|arm| &arm.body).chain(std::iter::once(else_body))
 }
 
-fn kill_assigned(env: &mut RangeEnv, list: &StmtList) -> BTreeSet<String> {
-    let assigned = assigned_vars(list);
-    for v in &assigned {
-        env.invalidate(v);
+/// Kill whatever any branch of an `IF` block may assign, in one pass.
+fn kill_branches(env: &mut RangeEnv, arms: &[IfArm], else_body: &StmtList) {
+    let mut assigned = BTreeSet::new();
+    for body in branches(arms, else_body) {
+        assigned.append(&mut assigned_vars(body));
     }
+    env.invalidate_all(assigned.iter().map(String::as_str));
+}
+
+/// Kill the loop variable and whatever the body may assign, in one pass;
+/// return the body's assignments.
+fn kill_loop(env: &mut RangeEnv, d: &DoLoop) -> BTreeSet<String> {
+    let assigned = assigned_vars(&d.body);
+    env.invalidate_all(std::iter::once(&*d.var).chain(assigned.iter().map(String::as_str)));
     assigned
 }
 
-fn kill_loop(env: &mut RangeEnv, d: &DoLoop) -> BTreeSet<String> {
-    env.invalidate(&d.var);
-    kill_assigned(env, &d.body)
+/// The name a by-reference `CALL` argument lets the callee assign.
+fn by_reference(arg: &Expr) -> Option<&str> {
+    match arg {
+        Expr::Var(n) | Expr::Index { array: n, .. } => Some(n),
+        _ => None,
+    }
 }
 
 /// Walk `list` applying effects until `target` is reached.
@@ -251,17 +251,7 @@ pub fn assigned_vars(list: &StmtList) -> BTreeSet<String> {
             out.insert(d.var.clone());
         }
         StmtKind::Call { args, .. } => {
-            for a in args {
-                match a {
-                    Expr::Var(n) => {
-                        out.insert(n.clone());
-                    }
-                    Expr::Index { array, .. } => {
-                        out.insert(array.clone());
-                    }
-                    _ => {}
-                }
-            }
+            out.extend(args.iter().filter_map(by_reference).map(str::to_string));
         }
         _ => {}
     });

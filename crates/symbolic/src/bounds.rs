@@ -167,7 +167,7 @@ fn eliminate_all(p: &Poly, env: &RangeEnv, dir: Dir, depth: u32) -> Option<Poly>
 }
 
 /// Eliminate the listed atoms in order; each must disappear (or be
-/// absent). Atoms not in the list stay symbolic.
+/// absent) from the result. Atoms not in the list stay symbolic.
 fn eliminate_listed(
     p: &Poly,
     atoms: &[Atom],
@@ -179,7 +179,13 @@ fn eliminate_listed(
     for atom in atoms {
         cur = eliminate_step(cur, atom, env, dir, depth)?;
     }
-    Some(cur)
+    // A later atom's bound can bring back an earlier one (`J ∈ [I, I]`
+    // after `I`): the result would then be a bound for one value of it.
+    let survives = |a: &Atom| match a {
+        Atom::Var(v) => cur.mentions_var(v),
+        Atom::Opaque { .. } => cur.degree_in_atom(a) > 0,
+    };
+    (!atoms.iter().any(survives)).then_some(cur)
 }
 
 /// One step of an elimination: `cur` with `atom` bounded away, or `cur`
@@ -461,6 +467,21 @@ mod tests {
         let (min, max) = min_max_over(&f, &[Atom::var("K")], &env);
         assert!(min.is_none());
         assert!(max.is_none());
+    }
+
+    #[test]
+    fn an_atom_a_later_bound_brings_back_is_not_eliminated() {
+        // DO I = 1, 8 / DO J = I, I: eliminating I from J changes nothing,
+        // then J's bound brings I back. Substituting it would call `I`
+        // (one iteration's element) the footprint of the whole nest.
+        let mut env = RangeEnv::new();
+        env.set("I", Range::consts(1, 8));
+        env.set("J", Range::exact(Poly::var("I")));
+        let atoms = [Atom::var("I"), Atom::var("J")];
+        assert_eq!(min_max_over(&Poly::var("J"), &atoms, &env), (None, None));
+        // Innermost first, the same footprint is [1, 8].
+        let (min, max) = min_max_over(&Poly::var("J"), &[Atom::var("J"), Atom::var("I")], &env);
+        assert_eq!((min.unwrap(), max.unwrap()), (Poly::int(1), Poly::int(8)));
     }
 
     #[test]

@@ -34,8 +34,21 @@ pub struct RangeEnv {
     array_values: BTreeMap<Arc<str>, Arc<Range>>,
 }
 
-fn bound_mentions(r: &Range, var: &str) -> bool {
-    [&r.lo, &r.hi].into_iter().flatten().any(|p| p.mentions_var(var))
+/// `l op r` normalized to `d >= 0` (or `d == 0`, flagged `exact`) with
+/// `d` a difference of the two sides in the direction `op` implies.
+/// Strict integer inequalities become non-strict ones, so `0 <= N - 1`
+/// yields `N - 1 >= 0`: this derives `N >= 1`, which is how analyzing a
+/// loop body lets us assume the loop is non-empty.
+fn nonneg_gap(op: BinOp, l: &Poly, r: &Poly) -> Option<(Poly, bool)> {
+    let one = Poly::int(1);
+    match op {
+        BinOp::Ge => Some((l.checked_sub(r)?, false)),
+        BinOp::Gt => Some((l.checked_sub(r)?.checked_sub(&one)?, false)),
+        BinOp::Le => Some((r.checked_sub(l)?, false)),
+        BinOp::Lt => Some((r.checked_sub(l)?.checked_sub(&one)?, false)),
+        BinOp::Eq => Some((l.checked_sub(r)?, true)),
+        _ => None,
+    }
 }
 
 impl RangeEnv {
@@ -72,14 +85,38 @@ impl RangeEnv {
         self.scalars.iter().find(|(n, _)| **n == *var).map(|(_, r)| &**r)
     }
 
-    /// Kill every fact that becomes stale when `var` is reassigned: the
-    /// variable's own range, any range whose bounds mention it, and any
-    /// registered array-value range mentioning it. This is what makes the
-    /// flow-sensitive range propagation of `polaris-core` sound.
+    /// Kill every fact that becomes stale when `var` is reassigned:
+    /// [`RangeEnv::invalidate_all`] of the one name.
     pub fn invalidate(&mut self, var: &str) {
         let var = upper(var);
-        self.scalars.retain(|(n, r)| **n != *var && !bound_mentions(r, &var));
-        self.array_values.retain(|n, r| **n != *var && !bound_mentions(r, &var));
+        self.kill(|n| *n == *var);
+    }
+
+    /// Kill every fact that becomes stale when the variables `names` are
+    /// reassigned: each one's own range, any range whose bounds mention
+    /// one of them, and any registered array-value range mentioning one.
+    /// This is what makes the flow-sensitive range propagation of
+    /// `polaris-core` sound. One pass over the environment for the whole
+    /// set, leaving what invalidating each name in turn would leave.
+    pub fn invalidate_all<'a>(&mut self, names: impl IntoIterator<Item = &'a str>) {
+        let mut names: Vec<Cow<'a, str>> = names.into_iter().map(upper).collect();
+        if names.is_empty() {
+            return;
+        }
+        names.sort_unstable();
+        names.dedup();
+        self.kill(|n| names.binary_search_by(|k| (**k).cmp(n)).is_ok());
+    }
+
+    /// Drop every scalar and array-value fact that is about a name `hit`
+    /// accepts or whose bounds mention one; each bound's atoms are walked
+    /// once, whatever `hit` stands for.
+    fn kill(&mut self, hit: impl Fn(&str) -> bool) {
+        let stale = |n: &str, r: &Range| {
+            hit(n) || [&r.lo, &r.hi].into_iter().flatten().any(|p| p.mentions_any(&hit))
+        };
+        self.scalars.retain(|(n, r)| !stale(n, r));
+        self.array_values.retain(|n, r| !stale(n, r));
     }
 
     /// Elimination order, innermost (latest) last.
@@ -92,24 +129,24 @@ impl RangeEnv {
         self.array_values.insert(Arc::from(&*upper(array.as_ref())), Arc::new(range));
     }
 
-    /// Assume `lo <= var <= hi` from a `DO var = lo, hi` header with
-    /// positive step (bounds swapped by the caller for negative step).
-    /// Bounds are converted with [`DivPolicy::Opaque`] — loop bounds in
-    /// source text cannot be assumed exact divisions.
-    pub(crate) fn assume_loop(&mut self, var: &str, init: &Expr, limit: &Expr) {
-        let lo = Poly::from_expr(init, DivPolicy::Opaque);
-        let hi = Poly::from_expr(limit, DivPolicy::Opaque);
-        self.set_fresh(var, Range::new(lo, hi));
-    }
-
     /// Assume both the loop-variable range of `DO var = init, limit` *and*
     /// the fact that the loop body executes (`init <= limit`), which is
     /// the valid assumption when the analysis target lives inside the
     /// body. This is what licenses the paper's `n >= 1` reasoning for a
-    /// `DO J = 0, N-1` nest.
+    /// `DO J = 0, N-1` nest. The caller swaps the bounds for a negative
+    /// step. Each bound is converted once, with [`DivPolicy::Opaque`] —
+    /// loop bounds in source text cannot be assumed exact divisions.
     pub fn assume_nonempty_loop(&mut self, var: &str, init: &Expr, limit: &Expr) {
-        self.assume_loop(var, init, limit);
-        self.assume_cond(&Expr::bin(BinOp::Le, init.clone(), limit.clone()));
+        let lo = Poly::from_expr(init, DivPolicy::Opaque);
+        let hi = Poly::from_expr(limit, DivPolicy::Opaque);
+        let runs = match (&lo, &hi) {
+            (Some(lo), Some(hi)) => nonneg_gap(BinOp::Le, lo, hi),
+            _ => None,
+        };
+        self.set_fresh(var, Range::new(lo, hi));
+        if let Some((d, exact)) = runs {
+            self.assume_nonneg(&d, exact);
+        }
     }
 
     /// Assume a boolean condition holds (the true edge of an IF or an
@@ -130,31 +167,19 @@ impl RangeEnv {
     }
 
     fn assume_relation(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) {
-        // Normalize to `d >= 0` (or `> 0` / `== 0`) with d = lhs - rhs in
-        // the direction implied by `op`, then solve the (linear,
-        // integer-coefficient) occurrences of each variable in d. This
-        // derives `N >= 1` from `0 <= N - 1`, which is how analyzing a
-        // loop body lets us assume the loop is non-empty.
-        let (l, r) = match (
-            Poly::from_expr(lhs, DivPolicy::Opaque),
-            Poly::from_expr(rhs, DivPolicy::Opaque),
-        ) {
-            (Some(l), Some(r)) => (l, r),
-            _ => return,
+        let (Some(l), Some(r)) =
+            (Poly::from_expr(lhs, DivPolicy::Opaque), Poly::from_expr(rhs, DivPolicy::Opaque))
+        else {
+            return;
         };
-        let one = Poly::int(1);
-        // Rewrite strict integer inequalities as non-strict ones.
-        let (d, exact) = match op {
-            BinOp::Ge => (l.checked_sub(&r), false),
-            BinOp::Gt => (l.checked_sub(&r).and_then(|d| d.checked_sub(&one)), false),
-            BinOp::Le => (r.checked_sub(&l), false),
-            BinOp::Lt => (r.checked_sub(&l).and_then(|d| d.checked_sub(&one)), false),
-            BinOp::Eq => (l.checked_sub(&r), true),
-            _ => return,
-        };
-        let Some(d) = d else { return };
-        // d >= 0 (and d <= 0 too, when exact). Solve for each variable
-        // that occurs linearly with a constant coefficient.
+        if let Some((d, exact)) = nonneg_gap(op, &l, &r) {
+            self.assume_nonneg(&d, exact);
+        }
+    }
+
+    /// Assume `d >= 0` (and `d <= 0` too, when `exact`): solve for each
+    /// variable that occurs linearly with a constant coefficient.
+    fn assume_nonneg(&mut self, d: &Poly, exact: bool) {
         for v in d.vars() {
             let Some(parts) = d.by_powers_of(&v) else { continue };
             if parts.len() != 2 {
@@ -209,15 +234,19 @@ impl RangeEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
-    fn loop_assumption_sets_bounds() {
+    fn loop_assumption_sets_bounds_and_nonemptiness() {
         let mut env = RangeEnv::new();
-        env.assume_loop("I", &Expr::int(1), &Expr::var("N"));
+        env.assume_nonempty_loop("I", &Expr::int(1), &Expr::var("N"));
         let r = env.get("I").unwrap();
         assert_eq!(r.lo, Some(Poly::int(1)));
         assert_eq!(r.hi, Some(Poly::var("N")));
-        assert_eq!(env.order().collect::<Vec<_>>(), ["I"]);
+        // `1 <= N`, solved for N.
+        assert_eq!(env.get("N"), Some(&Range::at_least(Poly::int(1))));
+        assert_eq!(env.order().collect::<Vec<_>>(), ["I", "N"]);
     }
 
     #[test]
@@ -272,8 +301,8 @@ mod tests {
     fn nest() -> RangeEnv {
         let mut env = RangeEnv::new();
         env.set("N", Range::at_least(Poly::int(1)));
-        env.assume_loop("I", &Expr::int(1), &Expr::var("N"));
-        env.assume_loop("J", &Expr::int(1), &Expr::var("I"));
+        env.set_fresh("I", Range::new(Some(Poly::int(1)), Some(Poly::var("N"))));
+        env.set_fresh("J", Range::new(Some(Poly::int(1)), Some(Poly::var("I"))));
         env.set_array_values("IND", Range::new(Some(Poly::int(1)), Some(Poly::var("I"))));
         env
     }
@@ -330,5 +359,55 @@ mod tests {
         assert_eq!(env.get("K"), Some(&Range::consts(0, 1)));
         env.invalidate("k");
         assert!(env.get("K").is_none());
+    }
+
+    const NAMES: [&str; 6] = ["A", "B", "C", "D", "Z", "MOD"];
+
+    /// A bound over `NAMES[v]`: the variable itself, inside an array
+    /// element, inside an intrinsic, or as the array's name.
+    fn bound(v: usize, shape: usize, k: i64) -> Option<Poly> {
+        let var = Expr::var(NAMES[v]);
+        let e = match shape {
+            0 => Expr::add(var, Expr::int(k)),
+            1 => Expr::index("Z", vec![var]),
+            2 => Expr::call("MOD", vec![var, Expr::int(k + 1)]),
+            3 => Expr::index(NAMES[v], vec![Expr::int(k)]),
+            _ => Expr::int(k),
+        };
+        Poly::from_expr(&e, DivPolicy::Opaque)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_one_kill_per_set_leaves_what_kills_in_turn_leave(
+            scalars in vec((0usize..6, 0usize..6, 0usize..5, 0i64..4, any::<bool>()), 0..9),
+            arrays in vec((0usize..6, 0usize..6, 0usize..5, 0i64..4), 0..4),
+            killed in vec((0usize..7, any::<bool>()), 0..5),
+        ) {
+            let mut env = RangeEnv::new();
+            for (name, v, shape, k, exact) in scalars {
+                let b = bound(v, shape, k);
+                let lo = if exact { b.clone() } else { Some(Poly::int(0)) };
+                env.set_fresh(NAMES[name], Range::new(lo, b));
+            }
+            for (name, v, shape, k) in arrays {
+                env.set_array_values(NAMES[name], Range::new(bound(v, shape, k), None));
+            }
+            // Index 6 names nothing in the environment; odd ones are
+            // spelled in lower case.
+            let killed: Vec<String> = killed
+                .into_iter()
+                .map(|(i, lower)| {
+                    let n = NAMES.get(i).copied().unwrap_or("Q");
+                    if lower { n.to_ascii_lowercase() } else { n.to_string() }
+                })
+                .collect();
+            let mut in_turn = env.clone();
+            for n in &killed {
+                in_turn.invalidate(n);
+            }
+            env.invalidate_all(killed.iter().map(String::as_str));
+            prop_assert_eq!(format!("{env:?}"), format!("{in_turn:?}"));
+        }
     }
 }

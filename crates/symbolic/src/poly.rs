@@ -150,17 +150,27 @@ impl Atom {
         }
     }
 
-    /// Does the atom's expression reference `var` (for opaque atoms this
-    /// looks inside the wrapped expression)?
-    pub(crate) fn mentions_var(&self, var: &str) -> bool {
-        self.is_var(var) || self.hides_var(var)
-    }
-
     /// Is this an opaque atom whose expression references `var`?
     fn hides_var(&self, var: &str) -> bool {
+        matches!(self, Atom::Opaque { .. }) && self.mentions_any(&|n| n == var)
+    }
+
+    /// Does the atom name something `hit` accepts: the variable itself,
+    /// or any variable, array or function an opaque expression names? One
+    /// walk of the expression, however many names `hit` stands for.
+    pub(crate) fn mentions_any(&self, hit: &dyn Fn(&str) -> bool) -> bool {
         match self {
-            Atom::Var(_) => false,
-            Atom::Opaque { expr, .. } => expr.references_var(var) || expr.references(var),
+            Atom::Var(n) => hit(n),
+            Atom::Opaque { expr, .. } => {
+                let mut found = false;
+                expr.for_each(&mut |e| match e {
+                    Expr::Var(n) | Expr::Index { array: n, .. } | Expr::Call { name: n, .. } => {
+                        found = found || hit(n);
+                    }
+                    _ => {}
+                });
+                found
+            }
         }
     }
 }
@@ -330,7 +340,13 @@ impl Poly {
     /// an opaque expression?
     pub fn mentions_var(&self, var: &str) -> bool {
         let var = upper(var);
-        self.atom_refs().any(|a| a.mentions_var(&var))
+        self.mentions_any(&|n| *n == *var)
+    }
+
+    /// Does any term mention a name `hit` accepts (see
+    /// [`Atom::mentions_any`])?
+    pub(crate) fn mentions_any(&self, hit: &dyn Fn(&str) -> bool) -> bool {
+        self.atom_refs().any(|a| a.mentions_any(hit))
     }
 
     /// Highest power of `var` as a top-level atom.

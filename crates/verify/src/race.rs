@@ -156,10 +156,9 @@ fn walk(
     for s in code {
         match s {
             RStmt::Do(l) => {
-                // Facts about anything the body reassigns are stale both
-                // inside the loop and after it.
-                kill_assigned(&l.body, image, env);
-                env.invalidate(&image.scalar_names[l.var]);
+                // Facts about the loop variable and anything the body
+                // reassigns are stale both inside the loop and after it.
+                kill_assigned(std::slice::from_ref(s), image, env);
                 let mut body_env = env.clone();
                 assume_header(l, image, &mut body_env);
                 if l.par.parallel {
@@ -174,10 +173,7 @@ fn walk(
                 }
                 let mut else_env = env.clone();
                 walk(else_body, image, &mut else_env, props, report);
-                for (_, body) in arms {
-                    kill_assigned(body, image, env);
-                }
-                kill_assigned(else_body, image, env);
+                kill_assigned(std::slice::from_ref(s), image, env);
             }
             RStmt::AssignS(slot, rhs) => {
                 let name = &image.scalar_names[*slot];
@@ -198,14 +194,20 @@ fn walk(
     }
 }
 
-/// Drop the facts about every scalar slot `code` assigns, nested loop
-/// variables included.
+/// Drop the facts about every scalar slot `code` assigns, loop variables
+/// included: the slots are collected first, then killed in one pass.
 fn kill_assigned(code: &[RStmt], image: &Image, env: &mut RangeEnv) {
+    let mut slots = BTreeSet::new();
     lower::walk(code, &mut |s| match s {
-        RStmt::AssignS(slot, _) => env.invalidate(&image.scalar_names[*slot]),
-        RStmt::Do(d) => env.invalidate(&image.scalar_names[d.var]),
+        RStmt::AssignS(slot, _) => {
+            slots.insert(*slot);
+        }
+        RStmt::Do(d) => {
+            slots.insert(d.var);
+        }
         _ => {}
     });
+    env.invalidate_all(slots.into_iter().map(|slot| image.scalar_names[slot].as_str()));
 }
 
 /// Assume a loop header's facts in `env` (mirrors what range propagation
@@ -824,6 +826,20 @@ mod tests {
     fn hand_annotated_overlapping_array_write_is_flagged() {
         let r = race_raw(
             "program t\nreal a(101)\n!$polaris doall\ndo i = 1, 100\n  a(i) = a(i + 1)\nend do\nprint *, a(1)\nend\n",
+        );
+        assert_eq!(r.parallel_claims(), 1, "{:?}", r.loops);
+        assert_eq!(r.loops[0].verdict, RaceVerdict::PotentialRace, "{}", r.loops[0].detail);
+        assert!(r.loops[0].detail.contains("`A`"), "{}", r.loops[0].detail);
+    }
+
+    #[test]
+    fn hand_annotated_nest_whose_inner_bound_is_the_tested_index_is_flagged() {
+        // `DO J = I, I` reads A(I+1), which the next iteration of I writes.
+        // Eliminated tested-index-first, J's bound brought I back and the
+        // whole footprints [I, I] and [I+1, I+1] looked disjoint.
+        let r = race_raw(
+            "program t\nreal a(10)\n!$polaris doall\ndo i = 1, 8\n  do j = i, i\n\
+             \x20   a(j) = a(j + 1) + 1.0\n  end do\nend do\nprint *, a(1)\nend\n",
         );
         assert_eq!(r.parallel_claims(), 1, "{:?}", r.loops);
         assert_eq!(r.loops[0].verdict, RaceVerdict::PotentialRace, "{}", r.loops[0].detail);

@@ -497,6 +497,35 @@ fn huge_offsets_under_symbolic_bounds_ship_no_wrong_parallel() {
     }
 }
 
+/// A whole-loop footprint is the tested loop's index eliminated first,
+/// then each inner loop's. When an inner loop's bound is the tested index
+/// (`DO J = I, I`, `DO J = 2*I, 2*I+1`), eliminating `J` brings `I` back,
+/// and the "footprint" was one iteration's: the two references looked
+/// disjoint and the outer loop shipped PARALLEL with an anti dependence
+/// on `A` that the oracle saw.
+#[test]
+fn an_inner_bound_that_brings_back_the_tested_index_is_no_footprint() {
+    for (bounds, offset) in [("i, i", 1), ("2*i, 2*i+1", 2)] {
+        let src = format!(
+            "program tri\nreal a(40)\ndo i = 1, 40\n  a(i) = i\nend do\n\
+             do i = 1, 8\n  do j = {bounds}\n    a(j) = a(j+{offset}) + 1.0\n  end do\nend do\n\
+             print *, a(1), a(2), a(8), a(17)\nend\n"
+        );
+        let out = parallelize(&src, &PassOptions::polaris()).unwrap();
+        let outer = out.report.loops.iter().find(|l| l.label == "TRI_do6").expect("the nest");
+        assert!(!outer.parallel, "{}", out.annotated_source);
+        assert_eq!(
+            outer.serial_reason.as_deref(),
+            Some("possible carried dependence on array `A`"),
+            "{}",
+            out.annotated_source
+        );
+        let audit = polaris::machine::audit(&out.program, &out.report).unwrap();
+        assert!(!audit.has_violations(), "{:?}\n{}", audit.violations().collect::<Vec<_>>(), src);
+        polaris::machine::run_validated(&out.program, &MachineConfig::challenge_8()).unwrap();
+    }
+}
+
 /// The inliner binds all of a call site's formals in one simultaneous
 /// pass. Renamed one after another, `CALL S(Q, P)` against
 /// `SUBROUTINE S(P, Q)` aliased both formals to `P` and inlined

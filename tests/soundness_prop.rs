@@ -221,6 +221,52 @@ proptest! {
     }
 }
 
+/// A window nest: iteration `i` of the outer loop runs `j` over
+/// `[s*i + a, s*i + a + w - 1]` and writes `x(j)` from `x(j + d)`. With
+/// `w <= s` the windows are disjoint, so whether the outer loop carries a
+/// dependence depends on `d` alone; the inner bounds mention the outer
+/// index, so a whole-loop footprint must eliminate `j` before `i`.
+fn window_program(s: i64, w: i64, a: i64, d: i64) -> String {
+    format!(
+        "program window\nreal x(60)\ndo k = 1, 60\n  x(k) = k*0.5\nend do\n\
+         do i = 1, 8\n  do j = {s}*i + {a}, {s}*i + {a} + {w} - 1\n\
+         \x20   x(j) = x(j + {d}) + 1.0\n  end do\nend do\n\
+         w = 0.0\ndo k = 1, 60\n  w = w + x(k)*k\nend do\nprint *, x(10), x(20), w\nend\n"
+    )
+}
+
+/// `(s, w, a, d)` with `1 <= w <= s <= 3` and `-2s <= d <= 2s`; `a >= 2s + 1`
+/// keeps every subscript inside `x(60)`.
+fn window_strategy() -> impl Strategy<Value = (i64, i64, i64, i64)> {
+    (1i64..4, 0i64..3, 7i64..11, 0i64..13)
+        .prop_map(|(s, w, a, d)| (s, w % s + 1, a, d % (4 * s + 1) - 2 * s))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever the range test decides about a window nest, the
+    /// adversarial run matches the sequential one and the oracle sees no
+    /// dependence carried by a PARALLEL loop.
+    #[test]
+    fn window_nests_whose_inner_bounds_follow_the_outer_index_are_sound(
+        (s, w, a, d) in window_strategy()
+    ) {
+        let src = window_program(s, w, a, d);
+        let out = polaris::parallelize(&src, &polaris::PassOptions::polaris())
+            .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+        let listing = &out.annotated_source;
+        polaris::machine::run_validated(&out.program, &polaris::MachineConfig::challenge_8())
+            .unwrap_or_else(|e| panic!("UNSOUND parallelization: {e}\n{src}\n{listing}"));
+        let report = polaris::machine::audit(&out.program, &out.report)
+            .unwrap_or_else(|e| panic!("oracle run failed: {e}\n{src}"));
+        prop_assert!(
+            !report.has_violations(),
+            "{:#?}\n{}\n{}", report.violations().collect::<Vec<_>>(), src, listing
+        );
+    }
+}
+
 /// How the index array `idx(16)` gets its values before the consumer
 /// loops run. The first four are provable by the `idxprop` recognizers;
 /// the last three must defeat them.
