@@ -53,8 +53,8 @@ fn every_stage_fault_degrades_gracefully_on_every_kernel() {
 
 /// The same 8-stage × 17-kernel sweep under the *real-thread* execution
 /// backend. A degraded program handed to worker threads must either run
-/// to serial-identical checksums (the tree-merged reductions make the
-/// comparison exact) or fail with a clean `MachineError` — the
+/// to serial-identical checksums (reductions fold in serial order, so
+/// the comparison is exact) or fail with a clean `MachineError` — the
 /// documented exit-code-1 fallback — never a panic, a hang, or a wrong
 /// answer.
 #[test]

@@ -3,10 +3,9 @@
 //! produce **identical checksums** under `ExecMode::Threaded{procs: 8}`
 //! and serial execution.
 //!
-//! The checksum lines every kernel prints are REALs formatted at 1e-6
-//! precision; the chunk-ordered tree merge keeps reduction roundoff
-//! orders of magnitude below that, so the comparison is exact string
-//! equality — any divergence (lost update, racy merge, wrong
+//! The join replays each lane's reduction updates in serial order, so a
+//! reduction total has the serial bits and the comparison is exact
+//! string equality — any divergence (lost update, racy merge, wrong
 //! privatization) fails loudly.
 //!
 //! The simulated cycle count is held to the same standard: the threaded

@@ -10,8 +10,8 @@
 //! space is laid over lanes and whether an idle worker may steal.
 //!
 //! Determinism: a claim decides **who executes** a chunk, never **what**
-//! the chunk is. Chunk bounds, reduction partial order, and the merge
-//! order downstream are all keyed by the chunk index, so any claim
+//! the chunk is. Chunk bounds, the order reduction logs are replayed in,
+//! and the merge order downstream are all keyed by the chunk index, so any claim
 //! interleaving yields bit-identical results (see `threaded.rs`).
 
 use crate::cost::Schedule;

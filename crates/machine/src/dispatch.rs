@@ -73,7 +73,7 @@ impl IterSpace {
 /// No plan has more than [`MAX_CHUNKS_PER_PROC`] chunks per worker: a
 /// requested chunk size that would cut more is raised to the smallest
 /// one that does not. Everything kept per chunk on either backend
-/// (claims, chunk results, reduction partials, chunk spans, the cycle
+/// (claims, chunk results, chunk spans, the cycle
 /// profile a threaded invocation returns, the per-chunk `dispatch` bill)
 /// is thereby bounded by the machine, not by the trip count.
 #[derive(Debug, Clone, Copy)]

@@ -3,12 +3,12 @@
 use crate::cost::COSTS;
 use crate::error::MachineError;
 use crate::dispatch::{ChunkPlan, IterSpace};
-use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
+use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRef, RStmt};
 use crate::lrpd::{PdVerdict, Shadow};
 use crate::oracle::Loc;
 use crate::value::{scalar_approx_eq, ArrData, ArrObj, ArrStore, Scalar, V};
 use crate::{Engine, ExecMode, MachineConfig};
-use polaris_ir::expr::{BinOp, RedOp, UnOp};
+use polaris_ir::expr::{BinOp, UnOp};
 use polaris_ir::Program;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -148,6 +148,9 @@ pub(crate) struct Interp<'a> {
     /// Active speculative tracking: (array slot, shadow).
     pub(crate) spec: Vec<(usize, Shadow)>,
     pub(crate) spec_iter: u32,
+    /// The reduction log of a threaded lane or of the adversarial
+    /// validator; `None` elsewhere (see [`crate::threaded::RedLog`]).
+    pub(crate) red: Option<Box<crate::threaded::RedLog>>,
     /// Dependence-oracle trace (see [`crate::oracle`]); attached only by
     /// [`crate::oracle::audit_recorded`], to a serial tree-walker, so only
     /// the tree-walker has the access hooks. `None` costs one branch per
@@ -231,6 +234,7 @@ impl<'a> Interp<'a> {
             loop_stats: Vec::new(),
             spec: Vec::new(),
             spec_iter: 0,
+            red: None,
             oracle: None,
             bc: None,
             vm_pool: Vec::new(),
@@ -590,6 +594,7 @@ impl<'a> Interp<'a> {
                     o.access(Loc::Scalar(*slot), true);
                 }
                 self.scalars[*slot].set(v)?;
+                self.log_store(RRef::Scalar(*slot), 0);
                 Ok(Flow::Normal)
             }
             RStmt::AssignE(arr, subs, rhs) => {
@@ -603,6 +608,7 @@ impl<'a> Interp<'a> {
                     o.access(Loc::Element(*arr, idx), true);
                 }
                 self.arrays[*arr].data.make_mut().set(idx, v)?;
+                self.log_store(RRef::Array(*arr), idx);
                 Ok(Flow::Normal)
             }
             RStmt::Do(l) => self.run_loop(l),
@@ -955,10 +961,18 @@ impl<'a> Interp<'a> {
         Ok(flow)
     }
 
-    /// Execute the whole iteration space on this thread, chunk by chunk
-    /// in plan order (which is iteration order: chunks are contiguous),
-    /// and return the cycles each simulated processor was charged.
-    /// `self.cycles` is left where it started — the caller bills.
+    /// One concurrent invocation run in order on this thread, chunk by
+    /// chunk in plan order (which is iteration order: chunks are
+    /// contiguous), each chunk's cycles charged to the processor bucket
+    /// the plan names, and billed as the simulator bills it: a DOALL
+    /// through `bill_parallel`, a `SPECULATIVE` loop through
+    /// `bill_speculative` with the PD verdict of the shadows it marked
+    /// (its values are the serial loop's whatever the verdict). This is
+    /// the simulated backend, and what real threads fall back to: the
+    /// serial re-execution of a misspeculation (its verdict, its error if
+    /// there is one, and the attempt + re-execution bill, in one), an
+    /// `in_order` loop, a full reduction log. Returns the bucket cycles;
+    /// `self.cycles` is left where it started.
     fn run_simulated(
         &mut self,
         l: &RLoop,
@@ -966,6 +980,8 @@ impl<'a> Interp<'a> {
         plan: &ChunkPlan,
         body: Option<u32>,
     ) -> Result<(Flow, Vec<u64>), MachineError> {
+        debug_assert!(self.spec.is_empty(), "nested speculation");
+        self.spec = self.fresh_shadows(l);
         let c0 = self.cycles;
         let mut buckets = vec![0u64; plan.procs()];
         self.in_parallel = true;
@@ -988,6 +1004,14 @@ impl<'a> Interp<'a> {
         self.release_body(frame);
         self.in_parallel = false;
         self.cycles = c0;
+        let shadows = std::mem::take(&mut self.spec);
+        if !l.par.parallel {
+            let success = shadows.iter().all(|(_, sh)| PdVerdict::of(&[sh], 0..sh.len()).plain_ok());
+            let marks = shadows.iter().map(|(_, sh)| sh.marks_done()).sum();
+            self.bill_speculative(l, &buckets, marks, success);
+        } else if self.bill_parallel(&l.par, plan, &buckets) {
+            self.loop_entry(l).parallel_invocations += 1;
+        }
         Ok((flow, buckets))
     }
 
@@ -1007,39 +1031,11 @@ impl<'a> Interp<'a> {
         use polaris_obs::Counter::{ExecLoopsParallel, ExecLoopsSpeculative};
         self.count_loop_mode(if l.par.parallel { ExecLoopsParallel } else { ExecLoopsSpeculative });
         if self.cfg.exec_mode == ExecMode::Threaded && !l.in_order {
-            return crate::threaded::run_threaded_loop(self, l, space, body, plan);
+            if let Some(ran) = crate::threaded::run_threaded_loop(self, l, space, body, plan)? {
+                return Ok(ran);
+            }
         }
-        if !l.par.parallel {
-            return self.run_speculative(l, space, body, &plan);
-        }
-        let (flow, buckets) = self.run_simulated(l, space, &plan, body)?;
-        if self.bill_parallel(&l.par, &plan, &buckets) {
-            self.loop_entry(l).parallel_invocations += 1;
-        }
-        Ok((flow, buckets))
-    }
-
-    /// A `SPECULATIVE` invocation simulated in order: the values are the
-    /// serial loop's whatever the PD test says, so only the bill depends
-    /// on the verdict. This is also what the threaded backend falls back
-    /// to when its lanes misspeculate — the serial re-execution, its
-    /// verdict, its error if there is one, and the attempt +
-    /// re-execution bill, in one.
-    pub(crate) fn run_speculative(
-        &mut self,
-        l: &RLoop,
-        space: IterSpace,
-        body: Option<u32>,
-        plan: &ChunkPlan,
-    ) -> Result<(Flow, Vec<u64>), MachineError> {
-        debug_assert!(self.spec.is_empty(), "nested speculation");
-        self.spec = self.fresh_shadows(l);
-        let (flow, buckets) = self.run_simulated(l, space, plan, body)?;
-        let shadows = std::mem::take(&mut self.spec);
-        let success = shadows.iter().all(|(_, sh)| PdVerdict::of(&[sh], 0..sh.len()).plain_ok());
-        let marks = shadows.iter().map(|(_, sh)| sh.marks_done()).sum();
-        self.bill_speculative(l, &buckets, marks, success);
-        Ok((flow, buckets))
+        self.run_simulated(l, space, &plan, body)
     }
 
     /// Adversarial validation: iterate in reverse with real privatization
@@ -1051,7 +1047,8 @@ impl<'a> Interp<'a> {
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
-        // stash the shared state of privates and reduction targets
+        // stash the shared state of privates and reduction targets, which
+        // hold their identities while their stores are logged
         let (mut scalars, mut arrays) = (l.par.private_scalars.clone(), l.par.private_arrays.clone());
         for red in &l.par.reductions {
             match red.target {
@@ -1059,16 +1056,10 @@ impl<'a> Interp<'a> {
                 RRef::Array(a) => arrays.push(a),
             }
         }
-        let saved_scalars: Vec<(usize, Scalar)> =
-            scalars.iter().map(|&s| (s, self.scalars[s])).collect();
-        let saved_arrays: Vec<(usize, Arc<ArrData>)> =
-            arrays.iter().map(|&a| (a, self.arrays[a].data.share())).collect();
-        // each target's total starts at its operator's identity
-        let mut totals: Vec<ArrData> = Vec::with_capacity(l.par.reductions.len());
-        for red in &l.par.reductions {
-            set_identity(self, red);
-            totals.push(crate::threaded::capture_partial(self, red.target));
-        }
+        let mut saved_scalars: Vec<(usize, Scalar)> = scalars.iter().map(|&s| (s, self.scalars[s])).collect();
+        let mut saved_arrays: Vec<(usize, ArrStore)> =
+            arrays.iter().map(|&a| (a, ArrStore::Shared(self.arrays[a].data.share()))).collect();
+        self.red = crate::threaded::RedLog::hold(self, &l.par.reductions, usize::MAX);
 
         self.in_parallel = true;
         let mut flow = Flow::Normal;
@@ -1082,14 +1073,13 @@ impl<'a> Interp<'a> {
             for &a in &l.par.private_arrays {
                 poison_array(self.arrays[a].data.make_mut());
             }
-            // reduction slots start at identity each iteration
-            for red in &l.par.reductions {
-                set_identity(self, red);
-            }
             flow = self.run_one_iteration(l, space, idx, frame.as_mut())?;
-            // total := total ∘ this iteration's partial
-            for (red, total) in l.par.reductions.iter().zip(&mut totals) {
-                crate::threaded::fold_partial(total, self, red);
+            // replay the iteration's log into the stashed totals
+            if let Some(mut log) = self.red.take() {
+                self.swap_stash(&mut saved_scalars, &mut saved_arrays);
+                self.replay(&log.reds, &mut log.updates);
+                self.swap_stash(&mut saved_scalars, &mut saved_arrays);
+                self.red = Some(log);
             }
             if idx + 1 == space.trip() {
                 for &s in &l.par.copy_out_scalars {
@@ -1102,25 +1092,24 @@ impl<'a> Interp<'a> {
         }
         self.release_body(frame);
         self.in_parallel = false;
+        self.red = None;
         // restore privates and reduction targets
-        for (s, v) in saved_scalars {
-            self.scalars[s] = v;
-        }
-        for (a, d) in saved_arrays {
-            self.arrays[a].data = ArrStore::Shared(d);
-        }
-        // reductions: shared := initial ∘ total, as the threaded join
-        // commits; a zero-trip invocation commits nothing
-        if space.trip() > 0 {
-            for (red, total) in l.par.reductions.iter().zip(&totals) {
-                crate::threaded::commit_total(self, red, total);
-            }
-        }
+        self.swap_stash(&mut saved_scalars, &mut saved_arrays);
         // copy-out wins over the restored value
         for (s, v) in copy_out_values {
             self.scalars[s] = v;
         }
         Ok(flow)
+    }
+
+    /// Swap what `run_adversarial` stashed with what memory holds.
+    fn swap_stash(&mut self, scalars: &mut [(usize, Scalar)], arrays: &mut [(usize, ArrStore)]) {
+        for (s, v) in scalars {
+            std::mem::swap(&mut self.scalars[*s], v);
+        }
+        for (a, d) in arrays {
+            std::mem::swap(&mut self.arrays[*a].data, d);
+        }
     }
 
     /// Execute the unit's top-level code under the configured engine:
@@ -1172,64 +1161,6 @@ fn poison_array(d: &mut ArrData) {
     }
 }
 
-/// Reset a reduction target to its operator's identity, so what the next
-/// iterations leave there is their partial alone.
-pub(crate) fn set_identity(interp: &mut Interp<'_>, red: &RRed) {
-    match red.target {
-        RRef::Scalar(s) => {
-            interp.scalars[s] = match interp.scalars[s] {
-                Scalar::R(_) => Scalar::R(red_identity_r(red.op)),
-                Scalar::I(_) => Scalar::I(red_identity_i(red.op)),
-                b => b,
-            };
-        }
-        RRef::Array(a) => match interp.arrays[a].data.make_mut() {
-            ArrData::R(v) => v.fill(red_identity_r(red.op)),
-            ArrData::I(v) => v.fill(red_identity_i(red.op)),
-            ArrData::B(_) => {}
-        },
-    }
-}
-
-/// Exact identities: `x ∘ identity` is `x` bit for bit, so a target no
-/// iteration touched merges back unchanged. For a sum that is `-0.0`
-/// (`-0.0 + 0.0` is `+0.0`, but `x + -0.0` is `x` for every `x`).
-fn red_identity_r(op: RedOp) -> f64 {
-    match op {
-        RedOp::Sum => -0.0,
-        RedOp::Product => 1.0,
-        RedOp::Max => f64::NEG_INFINITY,
-        RedOp::Min => f64::INFINITY,
-    }
-}
-
-fn red_identity_i(op: RedOp) -> i64 {
-    match op {
-        RedOp::Sum => 0,
-        RedOp::Product => 1,
-        RedOp::Max => i64::MIN,
-        RedOp::Min => i64::MAX,
-    }
-}
-
-pub(crate) fn red_apply_r(op: RedOp, a: f64, b: f64) -> f64 {
-    match op {
-        RedOp::Sum => a + b,
-        RedOp::Product => a * b,
-        RedOp::Max => a.max(b),
-        RedOp::Min => a.min(b),
-    }
-}
-
-pub(crate) fn red_apply_i(op: RedOp, a: i64, b: i64) -> i64 {
-    match op {
-        RedOp::Sum => a.wrapping_add(b),
-        RedOp::Product => a.wrapping_mul(b),
-        RedOp::Max => a.max(b),
-        RedOp::Min => a.min(b),
-    }
-}
-
 // ---- public entry points ---------------------------------------------
 
 /// Run `program` on the machine (simulated or real-threaded per
@@ -1270,7 +1201,7 @@ pub struct StateDump {
     pub arrays: Vec<(String, u64)>,
 }
 
-fn dump_state(interp: &Interp<'_>, image: &Image) -> StateDump {
+pub(crate) fn dump_state(interp: &Interp<'_>, image: &Image) -> StateDump {
     let scalars = image
         .scalar_names
         .iter()

@@ -97,8 +97,8 @@ impl Engine {
 ///   to the run-time PD test, are chunked over the iteration space and
 ///   executed by the calling thread and real OS helper threads that
 ///   outlive the run (`threaded`), with per-lane private copies (and shadows)
-///   and a deterministic chunk-ordered tree merge for reductions.
-///   Results (output, final memory) must match serial execution;
+///   and reduction logs the join replays in serial order. Results
+///   (output, final memory) match serial execution bit for bit;
 ///   the simulated cycle accounting is still maintained so speedup
 ///   *models* stay comparable across modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -40,19 +40,19 @@
 //!   the in-order simulation stamps its one shadow. The PD test is
 //!   [`PdVerdict::of`] over all the lanes' shadows, at the join.
 //!
-//! Speculation contract — **commit all of it or none of it**. If every
-//! speculated array passes the test and no lane reported an error, the
-//! lanes executed the serial loop (up to its first stale read a lane's
-//! execution *is* the sequential one); they are committed like a
-//! `PARALLEL DO`'s and billed by `Interp::bill_speculative`. Anything
-//! else — a failed verdict, or *any* lane error or fuel-out, since a lane
-//! that read a pre-loop value may fault where the serial loop does not —
-//! drops the lanes wholesale (arrays, output, steps, loop stats; the
-//! master ran lane 0 on a copy too) and runs `Interp::run_speculative`,
-//! the in-order simulation, from the untouched state. That *is* the
-//! serial re-execution, and the one reporter of verdict, error, steps
-//! and the attempt + re-execution bill, so none of them can differ
-//! between the backends. A lane panic is `WorkerPanicked`, as in any loop.
+//! **Commit all of it or none of it.** If no lane's reduction log filled
+//! up and, in a `SPECULATIVE` loop, every speculated array passes the
+//! test and no lane reported an error, the lanes are committed (up to its
+//! first stale read a speculating lane's execution *is* the sequential
+//! one). Anything else — a full log, a failed verdict, *any* lane error or
+//! fuel-out in a speculation (a lane that read a pre-loop value may fault
+//! where the serial loop does not) — drops the lanes wholesale (arrays,
+//! output, steps, loop stats; the master ran lane 0 on a copy too), and
+//! the invocation runs in order from the untouched state
+//! (`Interp::run_simulated`). That *is* the serial execution, and the one
+//! reporter of verdict, error, steps and the attempt + re-execution bill,
+//! so none of them can differ between the backends. A lane panic is
+//! `WorkerPanicked`, as in any loop.
 //!
 //! Correctness contract — results must be **deterministic and identical
 //! to serial execution** even though execution order is not:
@@ -62,16 +62,10 @@
 //!   the snapshot — `ArrStore::share` — and a lane's copy its own at the
 //!   lane's first store into it). Privatized variables are thereby
 //!   trivially private.
-//! * Reductions are accumulated **per chunk** (the target is reset to
-//!   the identity at chunk start and the partial captured at chunk end)
-//!   and merged on the main thread in chunk-index order by a fixed-shape
-//!   binary tree ([`tree_merge`]), so the floating-point association
-//!   is a function of the chunk plan alone — not of thread timing. The
-//!   same program at the same thread count always produces bit-identical
-//!   results; *across* thread counts, sums may differ from serial by
-//!   reassociation roundoff (see the tolerance notes in the tests). The
-//!   plan bounds the chunk count per worker, so the partials do not
-//!   grow with the trip count.
+//! * Reductions fold **in serial order** ([`RedLog`]): a lane logs what
+//!   each reduction store adds, in the order it runs them, and the join
+//!   replays the chunks' logs in chunk-index order — serial's own fold,
+//!   whatever the thread count and the schedule.
 //! * Shared arrays are committed by diffing each worker's copy against
 //!   the pre-fork snapshot (a copy that still *is* the snapshot was
 //!   never written; otherwise bit-level comparison, so `-0.0` vs `0.0`
@@ -101,7 +95,7 @@
 use crate::claims::Claims;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::error::MachineError;
-use crate::exec::{red_apply_i, red_apply_r, set_identity, Flow, Interp};
+use crate::exec::{Flow, Interp};
 use crate::lower::{RLoop, RRed, RRef};
 use crate::lrpd::{PdVerdict, Shadow};
 use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
@@ -238,9 +232,9 @@ struct ChunkOut {
     k: usize,
     cycles: u64,
     output: Vec<String>,
-    /// What the chunk left in each `l.par.reductions` target, in order,
-    /// having started it from the operator's identity.
-    partials: Vec<ArrData>,
+    /// The chunk's reduction updates, per reduction in the order it ran
+    /// them.
+    updates: Vec<Updates>,
     /// Copy-out scalar values captured after the final iteration
     /// (only set on the chunk containing it).
     copy_out: Option<Vec<(usize, Scalar)>>,
@@ -258,6 +252,8 @@ struct WorkerOut {
     steps: u64,
     /// First failing iteration index and its error, if any.
     err: Option<(u64, MachineError)>,
+    /// The lane's log filled up ([`LOG_CAP`]) and the lane stopped.
+    full: bool,
     /// The lane's `Interp::{activations, arm_iterations, dispatches}`.
     #[cfg(test)]
     fence: (u64, u64, u64),
@@ -290,21 +286,21 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
     it.in_parallel = true;
     it.bc = bc;
     it.spec = it.fresh_shadows(&l);
+    it.red = RedLog::hold(&mut it, &l.par.reductions, LOG_CAP);
     // One register frame for every iteration of every chunk of the lane.
     let mut frame = it.body_frame(body);
     let mut chunks: Vec<ChunkOut> = Vec::new();
     let mut err: Option<(u64, MachineError)> = None;
     let last_chunk = plan.last_chunk();
+    let full = |it: &Interp<'_>| it.red.as_ref().is_some_and(|log| log.room == 0);
     while let Some(k) = claims.next(wid) {
         let (start, end) = plan.bounds(k);
         let c0 = it.cycles;
         let out0 = it.output.len();
-        for red in &l.par.reductions {
-            set_identity(&mut it, red);
-        }
         for idx in start..end {
             progress(it.cycles);
             err = match it.run_stamped_iteration(&l, space, idx, frame.as_mut()) {
+                Ok(Flow::Normal) if full(&it) => None,
                 Ok(Flow::Normal) => continue,
                 // STOP bodies never reach the threaded path, but surface
                 // it as an error defensively rather than silently
@@ -314,17 +310,16 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
             };
             break;
         }
-        let partials = l.par.reductions.iter().map(|red| capture_partial(&it, red.target)).collect();
         let copy_out = (k == last_chunk && err.is_none())
             .then(|| l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
         chunks.push(ChunkOut {
             k,
             cycles: it.cycles - c0,
             output: it.output.split_off(out0),
-            partials,
+            updates: it.red.as_mut().map(|log| log.updates.iter_mut().map(std::mem::take).collect()).unwrap_or_default(),
             copy_out,
         });
-        if err.is_some() {
+        if err.is_some() || full(&it) {
             break;
         }
     }
@@ -333,6 +328,7 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
         wid,
         #[cfg(test)]
         fence: (it.activations, it.arm_iterations, it.dispatches),
+        full: full(&it),
         arrays: it.arrays,
         loops: it.loop_stats,
         chunks,
@@ -342,87 +338,166 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
     }
 }
 
-// ---- reduction partials: one type, one merge ---------------------------
+// ---- the reduction log: one fold, in serial order ----------------------
 
-/// A reduction target's current contents as a partial: an array's
-/// elements, a scalar as a one-element array. Reductions do not apply to
-/// logical targets; their partial is empty and merges to nothing.
-pub(crate) fn capture_partial(it: &Interp<'_>, target: RRef) -> ArrData {
-    match target {
-        RRef::Scalar(s) => match it.scalars[s] {
-            Scalar::R(v) => ArrData::R(vec![v]),
-            Scalar::I(v) => ArrData::I(vec![v]),
-            Scalar::B(_) => ArrData::B(Vec::new()),
-        },
-        RRef::Array(a) => match it.arrays[a].data.get() {
-            ArrData::B(_) => ArrData::B(Vec::new()),
-            data => data.clone(),
-        },
-    }
+/// Updates a lane's log may hold: when it is full the lane stops and the
+/// invocation runs in order. 2¹⁸ updates of at most 12 bytes are 3 MB a
+/// lane; the largest invocation of the 26 kernels logs 127 066 (OCEAN).
+const LOG_CAP: usize = 1 << 18;
+
+/// One reduction's updates, in the order they ran: the bits each store
+/// left in the target — exactly its β — and, for an array target, the
+/// element it went to (lowering caps an array at 2²⁸ elements).
+#[derive(Default)]
+pub(crate) struct Updates {
+    elems: Vec<u32>,
+    bits: Vec<u64>,
 }
 
-/// `acc := acc ∘ part`, element by element.
-fn merge_partial(acc: &mut ArrData, part: &ArrData, op: RedOp) {
-    match (acc, part) {
-        (ArrData::R(a), ArrData::R(p)) => {
-            a.iter_mut().zip(p).for_each(|(x, y)| *x = red_apply_r(op, *x, *y));
-        }
-        (ArrData::I(a), ArrData::I(p)) => {
-            a.iter_mut().zip(p).for_each(|(x, y)| *x = red_apply_i(op, *x, *y));
-        }
-        _ => {}
-    }
+/// What a threaded lane or the adversarial validator logs of one forked
+/// loop's reductions (`Interp::red`; `None` everywhere else, so a serial
+/// store pays one test). While it is installed each target holds its
+/// operator's identity, and [`Interp::log_store`] turns a store into it
+/// into an update.
+pub(crate) struct RedLog {
+    pub(crate) reds: Vec<RRed>,
+    /// Per reduction, in `reds` order.
+    pub(crate) updates: Vec<Updates>,
+    /// Updates the log may still take; at 0 it is full and takes none.
+    room: usize,
 }
 
-/// `total := total ∘ partial`, the partial read in place from `red`'s
-/// target: what adversarial validation does after each iteration.
-pub(crate) fn fold_partial(total: &mut ArrData, it: &Interp<'_>, red: &RRed) {
-    match (red.target, total) {
-        (RRef::Array(a), total) => merge_partial(total, it.arrays[a].data.get(), red.op),
-        (RRef::Scalar(s), ArrData::R(t)) => {
-            if let Scalar::R(v) = it.scalars[s] {
-                t[0] = red_apply_r(red.op, t[0], v);
+impl RedLog {
+    /// Hold `reds`' targets at their identities and log up to `room` of
+    /// their stores, or `None` when the loop reduces nothing.
+    pub(crate) fn hold(it: &mut Interp<'_>, reds: &[RRed], room: usize) -> Option<Box<RedLog>> {
+        for red in reds {
+            match red.target {
+                RRef::Scalar(s) => match &mut it.scalars[s] {
+                    Scalar::R(v) => *v = red_identity_r(red.op),
+                    Scalar::I(v) => *v = red_identity_i(red.op),
+                    Scalar::B(_) => {}
+                },
+                RRef::Array(a) => match it.arrays[a].data.make_mut() {
+                    ArrData::R(v) => v.fill(red_identity_r(red.op)),
+                    ArrData::I(v) => v.fill(red_identity_i(red.op)),
+                    ArrData::B(_) => {}
+                },
             }
         }
-        (RRef::Scalar(s), ArrData::I(t)) => {
-            if let Scalar::I(v) = it.scalars[s] {
-                t[0] = red_apply_i(red.op, t[0], v);
-            }
-        }
-        (RRef::Scalar(_), ArrData::B(_)) => {}
+        let updates = reds.iter().map(|_| Updates::default()).collect();
+        (!reds.is_empty()).then(|| Box::new(RedLog { reds: reds.to_vec(), updates, room }))
     }
 }
 
-/// `shared := shared ∘ total`: commit a reduction's total to its target.
-pub(crate) fn commit_total(it: &mut Interp<'_>, red: &RRed, total: &ArrData) {
-    match red.target {
-        RRef::Array(a) => merge_partial(it.arrays[a].data.make_mut(), total, red.op),
-        RRef::Scalar(s) => {
-            let mut shared = capture_partial(it, red.target);
-            merge_partial(&mut shared, total, red.op);
-            match shared {
-                ArrData::R(v) => it.scalars[s] = Scalar::R(v[0]),
-                ArrData::I(v) => it.scalars[s] = Scalar::I(v[0]),
-                ArrData::B(_) => {}
+impl Interp<'_> {
+    /// The reduction hook of both engines' stores, called after a store
+    /// to `at` (element `elem` of an array, 0 for a scalar): outside a
+    /// lane or the validator one test, and a search of the loop's few
+    /// reductions inside one.
+    #[inline(always)]
+    pub(crate) fn log_store(&mut self, at: RRef, elem: usize) {
+        if let Some(log) = self.red.as_deref() {
+            if let Some(j) = log.reds.iter().position(|r| r.target == at) {
+                self.log_reduction(j, elem);
             }
         }
     }
+
+    /// A store to the target of reduction `j` left the update's β there —
+    /// the target held the identity — so log its bits, if the log is not
+    /// full, and reset the target.
+    #[inline(never)]
+    fn log_reduction(&mut self, j: usize, elem: usize) {
+        let Some(log) = self.red.as_deref_mut() else { return };
+        let RRed { op, target } = log.reds[j];
+        let bits = match target {
+            RRef::Scalar(s) => match &mut self.scalars[s] {
+                Scalar::R(v) => std::mem::replace(v, red_identity_r(op)).to_bits(),
+                Scalar::I(v) => std::mem::replace(v, red_identity_i(op)) as u64,
+                Scalar::B(_) => return,
+            },
+            RRef::Array(a) => match self.arrays[a].data.make_mut() {
+                ArrData::R(v) => std::mem::replace(&mut v[elem], red_identity_r(op)).to_bits(),
+                ArrData::I(v) => std::mem::replace(&mut v[elem], red_identity_i(op)) as u64,
+                ArrData::B(_) => return,
+            },
+        };
+        if log.room > 0 {
+            log.room -= 1;
+            let u = &mut log.updates[j];
+            u.bits.push(bits);
+            if let RRef::Array(_) = target {
+                u.elems.push(elem as u32);
+            }
+        }
+    }
+
+    /// Apply each reduction's updates to its target in order, `σ = σ ∘ β`
+    /// per update — the serial loop's own fold when they are in serial
+    /// order — and drain them. Returns the bytes applied.
+    pub(crate) fn replay(&mut self, reds: &[RRed], updates: &mut [Updates]) -> u64 {
+        let bytes = updates.iter().map(|u| 8 * u.bits.len() as u64).sum();
+        for (red, u) in reds.iter().zip(updates) {
+            let (op, betas, elems) = (red.op, u.bits.drain(..), u.elems.drain(..));
+            match red.target {
+                RRef::Scalar(s) => match &mut self.scalars[s] {
+                    Scalar::R(v) => *v = betas.fold(*v, |acc, b| red_apply_r(op, acc, f64::from_bits(b))),
+                    Scalar::I(v) => *v = betas.fold(*v, |acc, b| red_apply_i(op, acc, b as i64)),
+                    Scalar::B(_) => {}
+                },
+                RRef::Array(a) => match self.arrays[a].data.make_mut() {
+                    ArrData::R(v) => elems.zip(betas).for_each(|(e, b)| {
+                        v[e as usize] = red_apply_r(op, v[e as usize], f64::from_bits(b));
+                    }),
+                    ArrData::I(v) => elems.zip(betas).for_each(|(e, b)| {
+                        v[e as usize] = red_apply_i(op, v[e as usize], b as i64);
+                    }),
+                    ArrData::B(_) => {}
+                },
+            }
+        }
+        bytes
+    }
 }
 
-/// Fold `vals` into `vals[0]` pairwise in a fixed-shape binary tree:
-/// `[a,b,c,d,e]` → `[(a∘b),(c∘d),e]` → `[((a∘b)∘(c∘d)),e]` → result.
-/// The association depends only on the *number and order* of partials
-/// (chunk-index order), never on thread completion order. For integers
-/// any shape gives the serial answer (wrapping sum/product and min/max
-/// are associative); for reals the shape is what the output is pinned to.
-fn tree_merge<T>(vals: &mut [T], mut merge: impl FnMut(&mut T, &T)) {
-    let mut stride = 1;
-    while stride < vals.len() {
-        for i in (0..vals.len() - stride).step_by(2 * stride) {
-            let (head, tail) = vals.split_at_mut(i + stride);
-            merge(&mut head[i], &tail[0]);
-        }
-        stride *= 2;
+/// Exact identities: `identity ∘ β` is `β` bit for bit, so a store from
+/// `σ = σ ∘ β` into a target holding it stores β itself. For a sum that
+/// is `-0.0` (`0.0 + -0.0` is `+0.0`, but `-0.0 + β` is `β` for every
+/// `β`); for MAX and MIN a NaN (`NaN.max(β)` is `β`, where `-∞.max(NaN)`
+/// would be `-∞`).
+fn red_identity_r(op: RedOp) -> f64 {
+    match op {
+        RedOp::Sum => -0.0,
+        RedOp::Product => 1.0,
+        RedOp::Max | RedOp::Min => f64::NAN,
+    }
+}
+
+fn red_identity_i(op: RedOp) -> i64 {
+    match op {
+        RedOp::Sum => 0,
+        RedOp::Product => 1,
+        RedOp::Max => i64::MIN,
+        RedOp::Min => i64::MAX,
+    }
+}
+
+fn red_apply_r(op: RedOp, a: f64, b: f64) -> f64 {
+    match op {
+        RedOp::Sum => a + b,
+        RedOp::Product => a * b,
+        RedOp::Max => a.max(b),
+        RedOp::Min => a.min(b),
+    }
+}
+
+fn red_apply_i(op: RedOp, a: i64, b: i64) -> i64 {
+    match op {
+        RedOp::Sum => a.wrapping_add(b),
+        RedOp::Product => a.wrapping_mul(b),
+        RedOp::Max => a.max(b),
+        RedOp::Min => a.min(b),
     }
 }
 
@@ -506,26 +581,24 @@ fn commit_array(
 
 /// Execute one `PARALLEL DO` or `SPECULATIVE` loop over `plan` on the
 /// calling thread and, once the loop has shown it amortizes a fork, the
-/// helper pool, and return the cycles of each chunk. Called from
-/// `Interp::run_concurrent` when `cfg.exec_mode` is `Threaded`.
+/// helper pool, and return the cycles of each chunk — or `None`, having
+/// changed nothing, when the invocation must run in order instead (no
+/// iteration to fork, a failed speculation, a full reduction log).
+/// Called from `Interp::run_concurrent` when `cfg.exec_mode` is
+/// `Threaded`.
 pub(crate) fn run_threaded_loop(
     interp: &mut Interp<'_>,
     l: &Arc<RLoop>,
     space: IterSpace,
     body: Option<u32>,
     plan: ChunkPlan,
-) -> Result<(Flow, Vec<u64>), MachineError> {
+) -> Result<Option<(Flow, Vec<u64>)>, MachineError> {
     // An adaptive plan may have fewer lanes than the machine has threads
     // (idle helpers are fine).
     let procs = plan.procs();
     let speculative = !l.par.parallel;
     if space.trip() == 0 {
-        // Nothing to fork, but the generated guard (or the PD test) still ran.
-        if speculative {
-            return interp.run_speculative(l, space, body, &plan);
-        }
-        interp.bill_parallel(&l.par, &plan, &[]);
-        return Ok((Flow::Normal, Vec::new()));
+        return Ok(None); // nothing to fork
     }
 
     let claims = Arc::new(Claims::new(&plan));
@@ -600,17 +673,21 @@ pub(crate) fn run_threaded_loop(
         interp.dispatches += w.fence.2;
     }
 
-    // The PD test over the lanes' marks. A lane error counts as a failed
-    // verdict (the marks of a faulting iteration are not even complete).
-    // Nothing of the lanes has reached `interp` yet: drop them and run the
-    // loop in order, which re-derives verdict, error, steps and bill.
+    // A full reduction log, or the PD test over the lanes' marks failing.
+    // A lane error counts as a failed verdict (the marks of a faulting
+    // iteration are not even complete). Nothing of the lanes has reached
+    // `interp` yet: drop them and run the loop in order, which re-derives
+    // values, verdict, error, steps and bill.
+    if results.iter().any(|w| w.full) {
+        return Ok(None);
+    }
     if speculative {
         let passes = |j: usize| {
             let lanes: Vec<&Shadow> = results.iter().map(|w| &w.shadows[j].1).collect();
             PdVerdict::of(&lanes, 0..lanes[0].len()).plain_ok()
         };
         if results.iter().any(|w| w.err.is_some()) || !(0..l.par.spec_arrays.len()).all(passes) {
-            return interp.run_speculative(l, space, body, &plan);
+            return Ok(None);
         }
     }
 
@@ -670,15 +747,9 @@ pub(crate) fn run_threaded_loop(
     let profile = chunks.iter().map(|ch| ch.cycles).collect();
 
     // -- nested-loop stats and shared arrays (diff vs snapshot), worker order
-    let mut skip = vec![false; interp.arrays.len()];
-    for &a in &l.par.private_arrays {
-        skip[a] = true;
-    }
-    for red in &l.par.reductions {
-        if let RRef::Array(a) = red.target {
-            skip[a] = true;
-        }
-    }
+    let skip = |a: usize| {
+        l.par.private_arrays.contains(&a) || l.par.reductions.iter().any(|r| r.target == RRef::Array(a))
+    };
     let count_adopted = interp.recorder.is_enabled();
     for w in results {
         for (i, slot) in w.loops.iter().enumerate() {
@@ -687,41 +758,24 @@ pub(crate) fn run_threaded_loop(
             }
         }
         for (i, wa) in w.arrays.into_iter().enumerate() {
-            if !skip[i] {
+            if !skip(i) {
                 merge_bytes +=
                     commit_array(&mut interp.arrays[i].data, wa.data, &snapshot[i], count_adopted);
             }
         }
     }
 
-    // -- reductions: chunk-ordered tree merge, shared := shared ∘ total --
-    let mut partials: Vec<Vec<ArrData>> =
-        chunks.iter_mut().map(|ch| std::mem::take(&mut ch.partials)).collect();
-    tree_merge(&mut partials, |acc, part| {
-        for ((a, p), red) in acc.iter_mut().zip(part).zip(&l.par.reductions) {
-            merge_partial(a, p, red.op);
-        }
-    });
-    // `trip > 0`, so there is a chunk 0 and the tree left the total there.
-    for (red, total) in l.par.reductions.iter().zip(&partials[0]) {
-        commit_total(interp, red, total);
-        merge_bytes += 8 * total.len() as u64;
-    }
-
-    // -- copy-out (lastprivate) and output, in chunk order --------------
-    for ch in &chunks {
-        if let Some(vals) = &ch.copy_out {
-            for &(s, v) in vals {
-                interp.scalars[s] = v;
-                merge_bytes += 8;
-            }
-        }
-    }
+    // -- reduction logs, copy-out (lastprivate) and output, in chunk order
     for ch in &mut chunks {
+        merge_bytes += interp.replay(&l.par.reductions, &mut ch.updates);
+        for &(s, v) in ch.copy_out.iter().flatten() {
+            interp.scalars[s] = v;
+            merge_bytes += 8;
+        }
         interp.output.append(&mut ch.output);
     }
     interp.recorder.count(polaris_obs::Counter::ThreadedMergeBytes, merge_bytes);
-    Ok((Flow::Normal, profile))
+    Ok(Some((Flow::Normal, profile)))
 }
 
 #[cfg(test)]
@@ -729,131 +783,6 @@ mod tests {
     use super::*;
     use crate::value::V;
     use crate::{ExecMode, Schedule};
-
-    /// Tiny deterministic PRNG (SplitMix64) for the adversarial-order
-    /// tests; the machine crate deliberately has no dev-dependencies on
-    /// the fuzz harness.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-        fn f64(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
-
-    /// Documented tolerance for floating-point reduction reassociation:
-    /// merging P partials in a different association than the serial
-    /// left fold perturbs a sum of N well-scaled terms by at most a few
-    /// ULPs per level, far below 1e-12 relative for the sizes tested.
-    const FP_REL_TOL: f64 = 1e-12;
-
-    fn rel_err(a: f64, b: f64) -> f64 {
-        (a - b).abs() / a.abs().max(b.abs()).max(1.0)
-    }
-
-    /// [`tree_merge`] over plain values, as the driver runs it over
-    /// chunk-ordered partials.
-    fn merged<T: Copy>(mut vals: Vec<T>, apply: impl Fn(T, T) -> T) -> Option<T> {
-        tree_merge(&mut vals, |a, b| *a = apply(*a, *b));
-        vals.first().copied()
-    }
-
-    #[test]
-    fn tree_merge_has_the_documented_fixed_shape() {
-        let shape = |n: usize| {
-            let mut leaves: Vec<String> = (0..n).map(|i| ((b'a' + i as u8) as char).to_string()).collect();
-            tree_merge(&mut leaves, |a, b| *a = format!("({a}{b})"));
-            leaves.into_iter().next()
-        };
-        assert_eq!(shape(0), None);
-        assert_eq!(shape(1).unwrap(), "a");
-        assert_eq!(shape(4).unwrap(), "((ab)(cd))");
-        assert_eq!(shape(5).unwrap(), "(((ab)(cd))e)");
-        assert_eq!(shape(7).unwrap(), "(((ab)(cd))((ef)g))");
-    }
-
-    #[test]
-    fn tree_merge_matches_serial_fold_within_tolerance() {
-        let mut rng = Rng(42);
-        for n in [1usize, 2, 3, 7, 8, 64, 1000] {
-            let vals: Vec<f64> = (0..n).map(|_| rng.f64() * 100.0).collect();
-            let serial: f64 = vals.iter().fold(0.0, |a, v| a + v);
-            let tree = merged(vals.clone(), |a, b| red_apply_r(RedOp::Sum, a, b)).unwrap();
-            assert!(
-                rel_err(serial, tree) <= FP_REL_TOL,
-                "n={n}: serial {serial} vs tree {tree}"
-            );
-            // max/min are exact under any association
-            let serial_max = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            assert_eq!(merged(vals.clone(), |a, b| red_apply_r(RedOp::Max, a, b)).unwrap(), serial_max);
-        }
-    }
-
-    #[test]
-    fn tree_merge_of_integers_is_exact() {
-        let mut rng = Rng(7);
-        for n in [1usize, 5, 17, 256] {
-            let vals: Vec<i64> = (0..n).map(|_| (rng.next() % 1000) as i64 - 500).collect();
-            let tree = |op| merged(vals.clone(), |a, b| red_apply_i(op, a, b)).unwrap();
-            assert_eq!(tree(RedOp::Sum), vals.iter().fold(0i64, |a, v| a.wrapping_add(*v)));
-            assert_eq!(tree(RedOp::Product), vals.iter().fold(1i64, |a, v| a.wrapping_mul(*v)));
-            assert_eq!(tree(RedOp::Min), *vals.iter().min().unwrap());
-        }
-    }
-
-    /// Chunks complete in adversarial (shuffled) order, but the merge
-    /// consumes them by chunk index — the result must be bit-identical
-    /// no matter the completion order.
-    #[test]
-    fn seeded_adversarial_completion_order_is_bit_stable() {
-        let mut rng = Rng(0xDEAD_BEEF);
-        let n = 37;
-        let partials: Vec<(usize, f64)> =
-            (0..n).map(|k| (k, rng.f64() * 10.0 - 5.0)).collect();
-        let sum = |parts: &[(usize, f64)]| {
-            merged(parts.iter().map(|(_, v)| *v).collect(), |a, b| red_apply_r(RedOp::Sum, a, b)).unwrap()
-        };
-        let reference = sum(&partials);
-        for seed in 0..50u64 {
-            let mut shuffled = partials.clone();
-            let mut r = Rng(seed);
-            // Fisher-Yates with the seeded generator
-            for i in (1..shuffled.len()).rev() {
-                let j = (r.next() % (i as u64 + 1)) as usize;
-                shuffled.swap(i, j);
-            }
-            // what the driver does: sort by chunk index, then merge
-            shuffled.sort_by_key(|(k, _)| *k);
-            assert_eq!(sum(&shuffled).to_bits(), reference.to_bits(), "seed {seed}");
-        }
-    }
-
-    /// An array partial merges element by element, each element in the
-    /// association a scalar partial at the same chunk count gets — so a
-    /// histogram cell's bits depend on the chunk plan exactly as a
-    /// scalar sum's do.
-    #[test]
-    fn array_partials_merge_elementwise_in_the_scalar_association() {
-        let mut rng = Rng(1996);
-        for chunks in [1usize, 2, 5, 37] {
-            let cols: Vec<Vec<f64>> =
-                (0..3).map(|_| (0..chunks).map(|_| rng.f64() * 10.0 - 5.0).collect()).collect();
-            let mut partials: Vec<ArrData> =
-                (0..chunks).map(|k| ArrData::R(cols.iter().map(|c| c[k]).collect())).collect();
-            tree_merge(&mut partials, |a, b| merge_partial(a, b, RedOp::Sum));
-            let ArrData::R(total) = &partials[0] else { unreachable!() };
-            for (j, col) in cols.iter().enumerate() {
-                let want = merged(col.clone(), |a, b| red_apply_r(RedOp::Sum, a, b)).unwrap();
-                assert_eq!(total[j].to_bits(), want.to_bits(), "{chunks} chunks, element {j}");
-            }
-        }
-    }
 
     #[test]
     fn merge_diff_is_bitwise() {
@@ -944,31 +873,74 @@ mod tests {
         assert_eq!(s, t);
     }
 
+    /// Final state of `src` under `cfg`, bit for bit.
+    fn state(src: &str, cfg: &MachineConfig) -> crate::StateDump {
+        crate::exec::run_with_state(&parse(src), cfg).unwrap().1
+    }
+
+    /// A sum whose last bits depend on its association: the join
+    /// replays the lanes' updates in serial order, so the bits are
+    /// serial's at every thread count and under every schedule.
     #[test]
-    fn threaded_scalar_reduction_within_tolerance() {
-        // A positive, well-scaled sum: the chunked tree association may
-        // differ from the serial left fold by reassociation roundoff
-        // only, far below the 1e-6 printed precision (see FP_REL_TOL).
-        let src = "program t\nreal b(2000)\ndo k = 1, 2000\n  b(k) = k * 0.25\nend do\ns = 100.0\n!$polaris doall reduction(+:S)\ndo i = 1, 2000\n  s = s + b(i)\nend do\nprint *, s\nend\n";
-        let p = parse(src);
-        let serial = crate::exec::run_serial(&p).unwrap();
-        for procs in [2, 4, 8] {
-            let t = crate::exec::run(&p, &MachineConfig::threaded(procs, Schedule::Static)).unwrap();
-            assert!(
-                crate::exec::outputs_match(&serial.output, &t.output, FP_REL_TOL),
-                "procs={procs}: {:?} vs {:?}",
-                serial.output,
-                t.output
-            );
+    fn threaded_scalar_reduction_is_exact() {
+        let src = "program t\nreal b(2000)\ndo k = 1, 2000\n  b(k) = 1.0 / k\nend do\ns = 100.0\n!$polaris doall reduction(+:S)\ndo i = 1, 2000\n  s = s + b(i)\nend do\nprint *, s\nend\n";
+        let serial = state(src, &MachineConfig::serial());
+        for procs in [2, 3, 4, 8] {
+            for schedule in ALL_SCHEDULES {
+                assert_eq!(state(src, &MachineConfig::threaded(procs, schedule)), serial, "{procs} x {schedule:?}");
+            }
         }
     }
 
+    /// MAX and MIN are exact under any association, and their identity is
+    /// a NaN, which `max`/`min` pass over: NaN operands in the body, a NaN
+    /// the target starts from, and both at once leave the serial bits.
     #[test]
     fn threaded_max_reduction_is_exact() {
-        let src = "program t\nreal b(777)\ndo k = 1, 777\n  b(k) = mod(k * 37, 101) * 1.0\nend do\nt = -1.0\n!$polaris doall reduction(MAX:T)\ndo i = 1, 777\n  t = max(t, b(i))\nend do\nprint *, t\nend\n";
-        for procs in [2, 8] {
-            let (s, t) = run_both(src, procs, Schedule::Static);
-            assert_eq!(s, t, "max reduction must be exact at {procs} procs");
+        let fill = "real b(777)\ndo k = 1, 777\n  b(k) = mod(k * 37, 101) * 1.0\nend do\n";
+        let nan = "b(5) = 0.0 / 0.0\nb(700) = 0.0 / 0.0\n";
+        // Every operand a NaN: serial ends with a NaN, which a -∞ identity
+        // (what a lane would log for each of them) would turn into -∞.
+        let all_nan = "do k = 1, 777\n  b(k) = 0.0 / 0.0\nend do\n";
+        let looped = |f: &str, init: &str, extra: &str| {
+            format!("program t\n{fill}{extra}t = {init}\n!$polaris doall reduction({f}:T)\ndo i = 1, 777\n  t = {f}(t, b(i))\nend do\nprint *, t\nend\n")
+        };
+        for f in ["MAX", "MIN"] {
+            for (init, extra) in [("-1.0", ""), ("50.0", nan), ("0.0 / 0.0", nan), ("0.0 / 0.0", all_nan)] {
+                let src = looped(f, init, extra);
+                let serial = state(&src, &MachineConfig::serial());
+                for procs in [2, 8] {
+                    let t = state(&src, &MachineConfig::threaded(procs, Schedule::Static));
+                    assert_eq!(t, serial, "{f}, t = {init}, {extra:?}: must be exact at {procs} procs");
+                }
+            }
+        }
+    }
+
+    /// A lane whose reduction log fills up ([`LOG_CAP`]) stops, and the
+    /// invocation runs in order on the simulated path instead: serial's
+    /// bits, the simulator's cycles, the serial fuel steps, and no chunk
+    /// of it joined.
+    #[test]
+    fn a_reduction_log_past_the_cap_runs_the_loop_in_order() {
+        let trips = 2 * LOG_CAP + 2;
+        let src = format!("program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, {trips}\n  s = s + 1.0 / i\nend do\nprint *, s\nend\n");
+        let p = parse(&src);
+        let steps = |cfg: &MachineConfig, rec: &polaris_obs::Recorder| {
+            crate::exec::run_with(&p, cfg, rec, |it, image| (it.steps, crate::exec::dump_state(it, image))).unwrap()
+        };
+        let off = polaris_obs::Recorder::disabled();
+        let (serial, (serial_steps, serial_state)) = steps(&MachineConfig::serial().with_fuel(u64::MAX), &off);
+        for schedule in [Schedule::Static, Schedule::Stealing { chunk: 4 }] {
+            let cfg = MachineConfig::threaded(2, schedule).with_fuel(u64::MAX);
+            let rec = polaris_obs::Recorder::monotonic();
+            let (thr, (thr_steps, thr_state)) = steps(&cfg, &rec);
+            let (sim, _) = steps(&simulated(&cfg), &off);
+            assert_eq!(thr_state, serial_state, "{schedule:?}");
+            assert_eq!(thr.output, serial.output, "{schedule:?}");
+            assert_eq!(thr.cycles, sim.cycles, "{schedule:?}");
+            assert_eq!(thr_steps, serial_steps, "{schedule:?}");
+            assert_eq!(rec.counters().get("exec.threaded.chunks"), None, "{schedule:?}: a chunk joined");
         }
     }
 
@@ -1193,12 +1165,10 @@ mod tests {
         }
     }
 
-    /// `-0.0` is the exact additive identity (`x + -0.0` is `x` bit for
-    /// bit, `+0.0` included; `-0.0 + 0.0` is `+0.0`). With exact
-    /// identities `shared ∘ identity == shared`, so the commit needs no
-    /// "did any chunk touch it" flag: merging a partial nothing touched
-    /// is a no-op by arithmetic. (The validator's `RedAccum` keeps its
-    /// flag: it is the independent reference.)
+    /// `-0.0` is the exact additive identity (`-0.0 + β` is `β` bit for
+    /// bit, `+0.0` included; `0.0 + -0.0` is `+0.0`), so a lane's store
+    /// into a target holding it is β itself, and an element no iteration
+    /// stores to logs nothing and keeps its bits.
     #[test]
     fn negative_zero_survives_a_sum_reduction_on_threads() {
         let scalar = "program t\ns = -0.0\n!$polaris doall reduction(+:S)\ndo i = 1, 100\n  s = s + (-0.0)\nend do\nprint *, 1.0 / s\nend\n";
@@ -1215,15 +1185,15 @@ mod tests {
     }
 
     /// The plan bounds the chunk count per worker, so a forced chunk of
-    /// one on a long loop cuts 128 chunks on 2 threads, not a million:
-    /// claims, chunk results and partials stay O(workers).
+    /// one on a long loop cuts 128 chunks on 2 threads, not 400 000:
+    /// claims and chunk results stay O(workers).
     #[test]
     fn chunk_count_does_not_grow_with_the_trip_count() {
-        let src = "program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, 1000000\n  s = s + 1.0\nend do\nprint *, s\nend\n";
+        let src = "program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, 400000\n  s = s + 1.0\nend do\nprint *, s\nend\n";
         let rec = polaris_obs::Recorder::monotonic();
         let cfg = MachineConfig::threaded(2, Schedule::Stealing { chunk: 1 });
         let r = crate::exec::run_recorded(&parse(src), &cfg, &rec).unwrap();
-        assert_eq!(r.output, ["1.000000E6"]);
+        assert_eq!(r.output, ["4.000000E5"]);
         let chunks = rec.counters()["exec.threaded.chunks"];
         assert!((2..=128).contains(&chunks), "{chunks} chunks");
     }

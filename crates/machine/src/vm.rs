@@ -3,7 +3,7 @@
 //! This is the hot loop of [`crate::Engine::Vm`]. One *activation* of
 //! [`Interp::dispatch`] executes the unit's stream from a given address
 //! against the interpreter's live state (scalars, arrays, cycle/fuel
-//! counters, the speculation hook), in a raw `u64` register frame
+//! counters, the speculation and reduction-log hooks), in a raw `u64` register frame
 //! its caller provides (`f64` values are bit-cast, logicals are `0`/`1`).
 //! A run is one activation from address 0. A serial `DO` stays inside
 //! it: `LoopEnter` opens a [`LoopFrame`] on the interpreter's loop-frame
@@ -67,6 +67,7 @@ use crate::bytecode::{ArrMeta, BcUnit, Instr, PrintItem, SubSrc};
 use crate::cost::COSTS;
 use crate::error::MachineError;
 use crate::exec::{int_pow, Flow, Interp, LoopFrame};
+use crate::lower::RRef;
 use crate::value::{ArrData, Scalar};
 use polaris_ir::expr::BinOp;
 use std::fmt::Write as _;
@@ -308,6 +309,7 @@ impl Interp<'_> {
                         unreachable!("scalar slot retyped")
                     };
                     *x = rd!(*r) as i64;
+                    self.log_store(RRef::Scalar(*slot as usize), 0);
                 }
                 Instr::StoreR(slot, r) => {
                     cyc += c.scalar;
@@ -315,6 +317,7 @@ impl Interp<'_> {
                         unreachable!("scalar slot retyped")
                     };
                     *x = f64::from_bits(rd!(*r));
+                    self.log_store(RRef::Scalar(*slot as usize), 0);
                 }
                 Instr::StoreB(slot, r) => {
                     cyc += c.scalar;
@@ -379,6 +382,7 @@ impl Interp<'_> {
                     let x = rd!(*src) as i64;
                     // SAFETY: `flatten` bounds-checked every dimension.
                     unsafe { *v.get_unchecked_mut(idx) = x };
+                    self.log_store(RRef::Array(a), idx);
                 }
                 Instr::StoreER { arr, src, sub, n } => {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
@@ -394,6 +398,7 @@ impl Interp<'_> {
                     let x = f64::from_bits(rd!(*src));
                     // SAFETY: `flatten` bounds-checked every dimension.
                     unsafe { *v.get_unchecked_mut(idx) = x };
+                    self.log_store(RRef::Array(a), idx);
                 }
                 Instr::StoreEB { arr, src, sub, n } => {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;

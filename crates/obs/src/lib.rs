@@ -119,7 +119,7 @@ pub enum Counter {
     /// Chunks scheduled onto the real-thread backend.
     ThreadedChunks,
     /// Bytes committed while merging worker results (array diff-merge,
-    /// reduction tree merges, copy-out scalars).
+    /// reduction log entries replayed, copy-out scalars).
     ThreadedMergeBytes,
     /// LRPD / PD-test attempts that validated and committed.
     LrpdPass,

@@ -1,14 +1,15 @@
 //! Determinism-conformance tier for the adaptive scheduling runtime:
 //! every kernel of `common::kernels()` must compute **bit-identical
-//! output** under the adaptive controller and every schedule mode, on
-//! the simulated multiprocessor and on real threads. The simulated
-//! machine runs every concurrent invocation in iteration order on one
-//! thread (pinned per chunk plan by
+//! output and final state** under the adaptive controller and every
+//! schedule mode, on the simulated multiprocessor and on real threads.
+//! The simulated machine runs every concurrent invocation in iteration
+//! order on one thread (pinned per chunk plan by
 //! `exec::tests::simulated_invocations_visit_iterations_in_ascending_order_for_every_plan`),
 //! so its rows are few: they exist to drive the controller's measure
-//! and re-dispatch paths. Real threads can change bits, so they get the
-//! full schedule matrix. The engine axis is `vm_equivalence`'s. On top
-//! of bit-identity the tier pins the adaptive dispatcher's *behaviour*:
+//! and re-dispatch paths. Real threads fold reductions by replaying the
+//! lanes' logs, so every kernel gets their full schedule matrix at 2
+//! and 3 threads. The engine axis is `vm_equivalence`'s. On top of
+//! bit-identity the tier pins the adaptive dispatcher's *behaviour*:
 //! decision tables are stable across repeated invocations, the second
 //! invocation of an irregular kernel re-dispatches its hot loop to a
 //! non-serial winner, the skewed kernel moves to work-stealing chunking
@@ -18,7 +19,7 @@
 
 mod common;
 
-use common::{audit_kernel, for_each_config, Matrix, Sched};
+use common::{audit_kernel, for_each_config, run_with_comparable_state, Matrix, Sched};
 use polaris::{MachineConfig, PassOptions};
 use polaris_machine::{run, run_recorded, AdaptiveController, Engine};
 use std::sync::Arc;
@@ -35,14 +36,18 @@ fn scheduling_kernels() -> Vec<polaris_benchmarks::Benchmark> {
 }
 
 /// Run `b` restructured under every configuration of `matrix` and
-/// demand the output of its first, the serial machine, byte for byte.
+/// demand the output and the final state of its first, the serial
+/// machine, bit for bit (less what a loop privatizes without copying
+/// out, whose value after the loop is unspecified).
 fn assert_bit_identical(b: &polaris_benchmarks::Benchmark, matrix: &Matrix) {
     let program = common::compiled(b.source, b.name);
     let mut reference = None;
     for_each_config(matrix, |label, cfg| {
-        let r = run(&program, cfg).unwrap_or_else(|e| panic!("{}: {label}: {e}", b.name));
-        let reference = reference.get_or_insert(r.output.clone());
-        assert_eq!(*reference, r.output, "{}: {label}: output diverged", b.name);
+        let (r, state) = run_with_comparable_state(&program, cfg)
+            .unwrap_or_else(|e| panic!("{}: {label}: {e}", b.name));
+        let (output, serial_state) = reference.get_or_insert((r.output.clone(), state.clone()));
+        assert_eq!(*output, r.output, "{}: {label}: output diverged", b.name);
+        assert_eq!(*serial_state, state, "{}: {label}: final state diverged", b.name);
     });
 }
 
@@ -64,22 +69,28 @@ fn all_kernels_bit_identical_across_schedules_engines_and_procs() {
 }
 
 /// Real-thread backend: the scheduling kernels under static / adaptive
-/// / stealing at 2/4/8 worker threads, and every other kernel under
-/// stealing at 8 — bit-identical to the serial reference under any
-/// victim/steal interleaving.
+/// / stealing at 2/3/4/8 worker threads, and every other kernel under
+/// all three at 2 and 3 and under stealing at 8 — bit-identical to the
+/// serial reference, final state included, under any victim/steal
+/// interleaving.
 #[test]
 fn threaded_backend_is_bit_identical_for_every_schedule() {
     let full = Matrix {
         engines: &[Engine::Vm],
         procs: &[],
-        threads: &[2, 4, 8],
+        threads: &[2, 3, 4, 8],
         schedules: &ALL_SCHEDULES,
     };
+    let at_2_and_3 = Matrix { threads: &[2, 3], ..full };
     let stealing_at_8 = Matrix { threads: &[8], schedules: &[Sched::Stealing], ..full };
     let hard: Vec<&str> = scheduling_kernels().iter().map(|b| b.name).collect();
     for b in &common::kernels() {
-        let matrix = if hard.contains(&b.name) { &full } else { &stealing_at_8 };
-        assert_bit_identical(b, matrix);
+        if hard.contains(&b.name) {
+            assert_bit_identical(b, &full);
+        } else {
+            assert_bit_identical(b, &at_2_and_3);
+            assert_bit_identical(b, &stealing_at_8);
+        }
     }
 }
 

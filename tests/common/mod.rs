@@ -6,10 +6,11 @@
 // Each test binary uses its own subset.
 #![allow(dead_code)]
 
+use polaris::ir::stmt::StmtKind;
 use polaris::verify::{agreement, verify_compiled, RaceVerdict};
 use polaris::{Engine, MachineConfig, PassOptions, Program};
 use polaris_benchmarks::Benchmark;
-use polaris_machine::{AdaptiveController, Schedule};
+use polaris_machine::{AdaptiveController, Schedule, StateDump};
 use std::sync::Arc;
 
 /// The 26 kernels every kernel suite walks (and the benchmark's
@@ -89,6 +90,36 @@ pub fn compiled(src: &str, what: &str) -> Program {
         .unwrap_or_else(|e| panic!("{what}: compile: {e}"));
     assert!(!out.report.degraded(), "{what}: {:?}", out.report.rolled_back_stages());
     out.program
+}
+
+/// TFFT2 at `parameter (nt = 3, len = 3)`: a size at which the last bits
+/// of its `+:CSUM` reduction reach the printed seven digits.
+pub fn tfft2_at_three() -> String {
+    let b = kernels().into_iter().find(|b| b.name == "TFFT2").expect("TFFT2 is a kernel");
+    let (from, to) = ("parameter (nt = 48, len = 64)", "parameter (nt = 3, len = 3)");
+    assert!(b.source.contains(from), "TFFT2's PARAMETER line moved");
+    b.source.replace(from, to)
+}
+
+/// [`polaris_machine::run_with_state`] less the variables some loop of
+/// `program` privatizes without copying out: their values after the loop
+/// are unspecified (the rule `run_validated` compares by).
+pub fn run_with_comparable_state(
+    program: &Program,
+    cfg: &MachineConfig,
+) -> Result<(polaris::RunResult, StateDump), polaris_machine::MachineError> {
+    let mut unspecified: Vec<&str> = Vec::new();
+    for unit in &program.units {
+        unit.body.walk(&mut |s| {
+            if let StmtKind::Do(d) = &s.kind {
+                unspecified.extend(d.par.private.iter().filter(|p| !d.par.copy_out.contains(p)).map(String::as_str));
+            }
+        });
+    }
+    let (r, mut dump) = polaris_machine::run_with_state(program, cfg)?;
+    dump.scalars.retain(|(name, _)| !unspecified.contains(&name.as_str()));
+    dump.arrays.retain(|(name, _)| !unspecified.contains(&name.as_str()));
+    Ok((r, dump))
 }
 
 /// What one kernel's audit adds to a suite's non-vacuity sums.

@@ -471,6 +471,55 @@ fn cli_threaded_exec_mode_runs_and_matches() {
     assert!(thr_err.contains("wall"), "{thr_err}");
 }
 
+/// TFFT2 at `nt = len = 3` on real threads: its `+:CSUM` total folds in
+/// serial order, so `--run`, which exits 1 on a serial/parallel output
+/// mismatch, prints serial's `1.071968E1` at 2 and at 3 threads — a size
+/// at which the total's last bits reach the seven printed digits.
+#[test]
+fn tfft2_at_three_prints_the_serial_checksum_on_threads() {
+    let dir = std::env::temp_dir().join("polarisc_tfft2_at_three");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tfft2.f");
+    std::fs::write(&path, common::tfft2_at_three()).unwrap();
+    let exe = env!("CARGO_BIN_EXE_polarisc");
+    for threads in ["2", "3"] {
+        let out = std::process::Command::new(exe)
+            .args(["--quiet", "--run", "--exec-mode", "threaded", "--threads", threads])
+            .arg(&path)
+            .output()
+            .unwrap();
+        let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert!(out.status.success(), "{threads} threads: {stdout}{stderr}");
+        assert!(stdout.contains("tfft2 checksum 1.071968E1"), "{threads} threads: {stdout}");
+    }
+}
+
+/// A compiled 1000-trip `S = S + 1.0/I` ends with serial's bits in `S`
+/// on real threads, whatever the thread count and the schedule: the
+/// join replays the lanes' updates in serial order.
+#[test]
+fn a_harmonic_sum_on_threads_ends_with_the_serial_bits() {
+    use polaris_machine::{AdaptiveController, Schedule};
+    let src = "program h\nreal s\ns = 0.0\ndo i = 1, 1000\n  s = s + 1.0/i\nend do\nprint *, s\nend\n";
+    let out = parallelize(src, &PassOptions::polaris()).unwrap();
+    assert!(out.annotated_source.contains("REDUCTION"), "{}", out.annotated_source);
+    let (_, serial) = common::run_with_comparable_state(&out.program, &MachineConfig::serial()).unwrap();
+    for threads in [2, 3, 8] {
+        for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 4 }, Schedule::Stealing { chunk: 4 }] {
+            let cfg = MachineConfig::threaded(threads, schedule);
+            let (_, state) = common::run_with_comparable_state(&out.program, &cfg).unwrap();
+            assert_eq!(state, serial, "{threads} threads, {schedule:?}");
+        }
+        // The adaptive controller's measuring invocation, then its re-dispatched one.
+        let cfg = MachineConfig::threaded(threads, Schedule::Static)
+            .with_adaptive(std::sync::Arc::new(AdaptiveController::new()));
+        for pass in 0..2 {
+            let (_, state) = common::run_with_comparable_state(&out.program, &cfg).unwrap();
+            assert_eq!(state, serial, "{threads} threads, adaptive #{pass}");
+        }
+    }
+}
+
 /// A dependence distance beyond any stand-in for an unknown trip count
 /// (`N`, `M` are read from memory) is still a dependence: the loop that
 /// carries it stays serial, the `(<, >)` nest is left alone, and every

@@ -72,11 +72,10 @@ fn differential(seeds: impl IntoIterator<Item = u64>) {
 /// program, compiled by the full pipeline, must print **bit-identical**
 /// checksums under `ExecMode::Threaded` at 2, 4 and 8 threads as the
 /// serial interpreter produces. Exact string equality — not the numeric
-/// tolerance used elsewhere — is intentional: the chunk-ordered tree
-/// merge makes threaded results deterministic, and its reassociation
-/// roundoff sits far below the 1e-6 printed precision, so any observed
-/// difference is a real bug (lost update, racy commit, wrong
-/// privatization), not noise.
+/// tolerance used elsewhere — is intentional: the join replays each
+/// lane's reduction updates in serial order, so threaded results have
+/// the serial bits, and any observed difference is a real bug (lost
+/// update, racy commit, wrong privatization), not noise.
 fn threaded_equivalence(seeds: std::ops::Range<u64>) {
     use polaris_machine::Schedule;
     for seed in seeds {
