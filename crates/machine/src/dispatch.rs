@@ -116,11 +116,6 @@ impl ChunkPlan {
         (start, start.saturating_add(self.per).min(self.trip))
     }
 
-    /// Index of the chunk containing the final iteration (`trip-1`).
-    pub(crate) fn last_chunk(&self) -> usize {
-        (self.trip.saturating_sub(1) / self.per) as usize
-    }
-
     /// Simulated processor a chunk's cycles are charged to.
     pub(crate) fn bucket_of(&self, k: usize) -> usize {
         k % self.procs
@@ -294,10 +289,6 @@ mod tests {
                     if schedule == Schedule::Static {
                         assert!(plan.n_chunks() <= procs, "a block per worker at most");
                     }
-                    if trip > 0 {
-                        let (s, e) = plan.bounds(plan.last_chunk());
-                        assert!(s < trip && trip - 1 < e, "last_chunk misses final iter");
-                    }
                 }
             }
         }
@@ -317,7 +308,6 @@ mod tests {
                         next = e;
                     }
                     assert_eq!(next, trip, "chunks tile 0..trip: {plan:?}");
-                    assert_eq!(plan.last_chunk(), n - 1, "{plan:?}");
                     if schedule != Schedule::Static && trip.div_ceil(3) <= 64 * procs as u64 {
                         assert_eq!(plan.per, 3, "under the bound, the requested chunk: {plan:?}");
                     }

@@ -117,6 +117,23 @@ pub(crate) struct LoopFrame {
     pub(crate) b0: u64,
 }
 
+/// Iterations `idx..end` of an invocation that an orchestration arm runs
+/// in one go ([`Interp::run_range`]): `idx` is the iteration running, and
+/// the failing one when the range returns an error; `b0` is `cycles` when
+/// its body began.
+pub(crate) struct ArmRange {
+    space: IterSpace,
+    pub(crate) idx: u64,
+    end: u64,
+    b0: u64,
+}
+
+impl ArmRange {
+    pub(crate) fn new(space: IterSpace, start: u64, end: u64) -> ArmRange {
+        ArmRange { space, idx: start, end, b0: 0 }
+    }
+}
+
 /// The VM's handle on a loop body for an orchestration arm: the stream,
 /// where the body starts in it, and the register frame the arm's
 /// iterations run in (taken once per arm, not once per iteration).
@@ -165,12 +182,10 @@ pub(crate) struct Interp<'a> {
     pub(crate) vm_pool: Vec<Vec<u64>>,
     /// The serial loops the VM has open, across its nested activations.
     pub(crate) loop_frames: Vec<LoopFrame>,
-    /// Entries into `vm::dispatch`, and iterations an orchestration arm
-    /// ran: the fence that no serial iteration leaves the dispatch loop.
+    /// Entries into `vm::dispatch`: the fence that no serial iteration
+    /// leaves the dispatch loop and an arm enters it once per range.
     #[cfg(test)]
     pub(crate) activations: u64,
-    #[cfg(test)]
-    pub(crate) arm_iterations: u64,
     /// Instructions the VM dispatched, counted per activation and added
     /// here when it returns.
     #[cfg(test)]
@@ -241,8 +256,6 @@ impl<'a> Interp<'a> {
             loop_frames: Vec::new(),
             #[cfg(test)]
             activations: 0,
-            #[cfg(test)]
-            arm_iterations: 0,
             #[cfg(test)]
             dispatches: 0,
             quiet_steps: Interp::quiet(cfg),
@@ -890,75 +903,107 @@ impl<'a> Interp<'a> {
         self.vm_pool.extend(frame.map(|f| f.regs));
     }
 
-    /// Iteration `idx` of an invocation an orchestration arm (or the
-    /// tree-walker's serial loop) is running: `body` is the arm's
-    /// [`Self::body_frame`], whose stream the VM runs as a range.
-    pub(crate) fn run_one_iteration(
+    /// The range runner: iterations `r.idx..r.end` of an invocation an
+    /// orchestration arm runs, in order. `body` is the arm's
+    /// [`Self::body_frame`]: the VM runs the whole range as one
+    /// activation of its stream, whose `LoopBack` goes on to the next
+    /// iteration ([`Self::next_in_range`]); the tree-walker runs the same
+    /// steps around `l.body`. Returns at `r.end`, on `Stop` (the iteration
+    /// that stopped is finished) or on an error, with `r.idx` the failing
+    /// iteration.
+    pub(crate) fn run_range(
         &mut self,
         l: &RLoop,
-        space: IterSpace,
-        idx: u64,
+        r: &mut ArmRange,
         body: Option<&mut BodyFrame>,
     ) -> Result<Flow, MachineError> {
-        #[cfg(test)]
-        {
-            self.arm_iterations += 1;
+        if r.idx >= r.end {
+            return Ok(Flow::Normal);
         }
-        self.begin_iteration(l, space, idx)?;
-        let b0 = self.cycles;
+        self.open_iteration(l, r)?;
         let flow = match body {
-            Some(f) => self.dispatch(&f.bc, &mut f.regs, f.start as usize)?,
-            None => self.run_list(&l.body)?,
+            Some(f) => self.dispatch(&f.bc, &mut f.regs, f.start as usize, Some(r))?,
+            None => loop {
+                if self.run_list(&l.body)? == Flow::Stop {
+                    break Flow::Stop;
+                }
+                if !self.next_in_range(l, r)? {
+                    break Flow::Normal;
+                }
+            },
         };
-        self.end_iteration(l, b0);
+        if flow == Flow::Stop {
+            self.close_iteration(l, r);
+        }
         Ok(flow)
+    }
+
+    /// Between two iterations of a range: finish `r.idx` and, unless it
+    /// was the last, begin the next. False at the end of the range. Out
+    /// of line, so the VM's dispatch loop, whose serial path never calls
+    /// it, keeps its shape.
+    #[inline(never)]
+    pub(crate) fn next_in_range(&mut self, l: &RLoop, r: &mut ArmRange) -> Result<bool, MachineError> {
+        self.close_iteration(l, r);
+        r.idx += 1;
+        if r.idx == r.end {
+            return Ok(false);
+        }
+        self.open_iteration(l, r)?;
+        Ok(true)
+    }
+
+    /// Begin iteration `r.idx` of a range. What it touches of the
+    /// speculated arrays is marked under the stamp `idx` (there are no
+    /// shadows outside a `SPECULATIVE` loop; `dispatch_mode` checked the
+    /// stamp fits).
+    fn open_iteration(&mut self, l: &RLoop, r: &mut ArmRange) -> Result<(), MachineError> {
+        self.spec_iter = r.idx as u32;
+        self.begin_iteration(l, r.space, r.idx)?;
+        r.b0 = self.cycles;
+        Ok(())
+    }
+
+    fn close_iteration(&mut self, l: &RLoop, r: &ArmRange) {
+        self.end_iteration(l, r.b0);
+        for (_, sh) in self.spec.iter_mut() {
+            sh.end_iteration(r.idx as u32);
+        }
     }
 
     /// A serial invocation iterated from outside the dispatch loop: every
     /// one of the tree-walker's, and the VM's only when the adaptive
     /// controller runs a concurrent loop serially (its `observe` needs
-    /// the loop to have returned).
+    /// the loop to have returned), as one range. The tree-walker's stamps
+    /// nothing: it also runs the serial loops nested in a speculation.
     pub(crate) fn run_serial_loop(
         &mut self,
         l: &RLoop,
         space: IterSpace,
         body: Option<u32>,
     ) -> Result<Flow, MachineError> {
-        let mut frame = self.body_frame(body);
-        let mut flow = Flow::Normal;
+        if let Some(mut frame) = self.body_frame(body) {
+            debug_assert!(self.spec.is_empty(), "an adaptive serial loop inside a speculation");
+            let flow = self.run_range(l, &mut ArmRange::new(space, 0, space.trip()), Some(&mut frame));
+            self.release_body(Some(frame));
+            return flow;
+        }
         for idx in 0..space.trip() {
-            flow = self.run_one_iteration(l, space, idx, frame.as_mut())?;
+            self.begin_iteration(l, space, idx)?;
+            let b0 = self.cycles;
+            let flow = self.run_list(&l.body)?;
+            self.end_iteration(l, b0);
             if flow == Flow::Stop {
-                break;
+                return Ok(Flow::Stop);
             }
         }
-        self.release_body(frame);
-        Ok(flow)
+        Ok(Flow::Normal)
     }
 
     /// An unmarked shadow per array `l` speculates on: what one executor
     /// of its iterations (the in-order simulation, a threaded lane) marks.
     pub(crate) fn fresh_shadows(&self, l: &RLoop) -> Vec<(usize, Shadow)> {
         l.par.spec_arrays.iter().map(|&a| (a, Shadow::new(self.arrays[a].data.get().len()))).collect()
-    }
-
-    /// Iteration `idx` of a concurrently dispatched loop, on either
-    /// backend: what it touches of the speculated arrays is marked on
-    /// this interpreter's shadows under the stamp `idx` (there are none
-    /// outside a `SPECULATIVE` loop; `dispatch_mode` checked the stamp fits).
-    pub(crate) fn run_stamped_iteration(
-        &mut self,
-        l: &RLoop,
-        space: IterSpace,
-        idx: u64,
-        body: Option<&mut BodyFrame>,
-    ) -> Result<Flow, MachineError> {
-        self.spec_iter = idx as u32;
-        let flow = self.run_one_iteration(l, space, idx, body)?;
-        for (_, sh) in self.spec.iter_mut() {
-            sh.end_iteration(idx as u32);
-        }
-        Ok(flow)
     }
 
     /// One concurrent invocation run in order on this thread, chunk by
@@ -990,12 +1035,7 @@ impl<'a> Interp<'a> {
         for k in 0..plan.n_chunks() {
             let (start, end) = plan.bounds(k);
             let b0 = self.cycles;
-            for idx in start..end {
-                flow = self.run_stamped_iteration(l, space, idx, frame.as_mut())?;
-                if flow == Flow::Stop {
-                    break;
-                }
-            }
+            flow = self.run_range(l, &mut ArmRange::new(space, start, end), frame.as_mut())?;
             buckets[plan.bucket_of(k)] += self.cycles - b0;
             if flow == Flow::Stop {
                 break;
@@ -1073,7 +1113,7 @@ impl<'a> Interp<'a> {
             for &a in &l.par.private_arrays {
                 poison_array(self.arrays[a].data.make_mut());
             }
-            flow = self.run_one_iteration(l, space, idx, frame.as_mut())?;
+            flow = self.run_range(l, &mut ArmRange::new(space, idx, idx + 1), frame.as_mut())?;
             // replay the iteration's log into the stashed totals
             if let Some(mut log) = self.red.take() {
                 self.swap_stash(&mut saved_scalars, &mut saved_arrays);
@@ -1120,7 +1160,7 @@ impl<'a> Interp<'a> {
             return self.run_list(&image.code);
         }
         let mut frame = self.body_frame(Some(0)).expect("the VM engine compiled its bytecode");
-        let flow = self.dispatch(&frame.bc, &mut frame.regs, 0);
+        let flow = self.dispatch(&frame.bc, &mut frame.regs, 0, None);
         self.release_body(Some(frame));
         flow
     }

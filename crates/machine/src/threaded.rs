@@ -27,13 +27,20 @@
 //!   master's lane is caught like a helper's and reported the same, and
 //!   leaves the helpers as they were.
 //! * **The fork waits for the guard.** The master starts alone and goes
-//!   on to the next lane when one is done. Once the cycles it has
-//!   executed reach the threshold of the bill's profitability guard
-//!   (`Interp::guard_threshold`) the lanes nobody has started go to the
-//!   helpers; a loop that ends under it — one the bill charges as the
-//!   serial side of the generated `IF` — never wakes anyone. Each lane
-//!   is its own interpreter over the pre-fork snapshot and claims through
-//!   the same [`Claims`] whoever runs it, so nothing below can tell.
+//!   on to the next lane when one is done. Before each piece it claims
+//!   it checks the cycles it has executed against the threshold of the
+//!   bill's profitability guard (`Interp::guard_threshold`); from there
+//!   the lanes nobody has started go to the helpers, and a loop that
+//!   ends under it — one the bill charges as the serial side of the
+//!   generated `IF` — never wakes anyone. Each lane is its own
+//!   interpreter over the pre-fork snapshot and claims through the same
+//!   [`Claims`] whoever runs it, so nothing below can tell. Under
+//!   `Static` a lane steals the back of another's block when its own is
+//!   done, so the master, which forks late, takes the rest of the
+//!   helpers' blocks while they start.
+//! * **A lane runs like a serial loop.** Each piece a lane claims is
+//!   one range of iterations, one VM activation ([`Interp::run_range`]),
+//!   as a simulated chunk is.
 //! * **Every lane marks its own shadows.** In a `SPECULATIVE` loop a lane
 //!   marks what its iterations touch of each speculated array on a
 //!   lane-private [`Shadow`], stamped with the iteration index exactly as
@@ -64,7 +71,7 @@
 //!   trivially private.
 //! * Reductions fold **in serial order** ([`RedLog`]): a lane logs what
 //!   each reduction store adds, in the order it runs them, and the join
-//!   replays the chunks' logs in chunk-index order — serial's own fold,
+//!   replays the pieces' logs in piece-index order — serial's own fold,
 //!   whatever the thread count and the schedule.
 //! * Shared arrays are committed by diffing each worker's copy against
 //!   the pre-fork snapshot (a copy that still *is* the snapshot was
@@ -75,7 +82,7 @@
 //!   correctly-parallelized loop writes disjoint
 //!   elements, so the order cannot matter; if a miscompile makes writes
 //!   collide, the equivalence tests catch the divergence.
-//! * Worker output (PRINT) and copy-out scalars are committed in chunk
+//! * Worker output (PRINT) and copy-out scalars are committed in piece
 //!   order; errors are reported for the smallest failing iteration
 //!   index, matching what sequential execution would hit first, and the
 //!   settled fuel total is checked after them.
@@ -86,16 +93,16 @@
 //!   `Interp::run_concurrent` keeps them on the simulated path.
 //!
 //! Simulated cycle accounting is maintained alongside real execution:
-//! per-chunk cycle deltas go to the buckets the shared
-//! [`ChunkPlan`] names and through the same `Interp::bill_parallel` or
-//! `Interp::bill_speculative` the simulator pays, so `--diag`-style
-//! speedup *models* are identical between `ExecMode::Simulated` and
-//! `ExecMode::Threaded`.
+//! per-piece cycle deltas fold back to their plan chunk, whose total goes
+//! to the bucket the shared [`ChunkPlan`] names and through the same
+//! `Interp::bill_parallel` or `Interp::bill_speculative` the simulator
+//! pays, so `--diag`-style speedup *models* are identical between
+//! `ExecMode::Simulated` and `ExecMode::Threaded`.
 
 use crate::claims::Claims;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::error::MachineError;
-use crate::exec::{Flow, Interp};
+use crate::exec::{ArmRange, Flow, Interp};
 use crate::lower::{RLoop, RRed, RRef};
 use crate::lrpd::{PdVerdict, Shadow};
 use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
@@ -228,15 +235,16 @@ impl Drop for ThreadPool {
 
 // ---- worker-side results ---------------------------------------------
 
-struct ChunkOut {
-    k: usize,
+/// What a lane ran of one piece of the plan ([`Claims`]).
+struct PieceOut {
+    p: usize,
     cycles: u64,
     output: Vec<String>,
-    /// The chunk's reduction updates, per reduction in the order it ran
+    /// The piece's reduction updates, per reduction in the order it ran
     /// them.
     updates: Vec<Updates>,
     /// Copy-out scalar values captured after the final iteration
-    /// (only set on the chunk containing it).
+    /// (only set on the piece holding it).
     copy_out: Option<Vec<(usize, Scalar)>>,
 }
 
@@ -244,7 +252,7 @@ struct WorkerOut {
     wid: usize,
     arrays: Vec<ArrObj>,
     loops: Vec<Option<(String, crate::exec::LoopExecStats)>>,
-    chunks: Vec<ChunkOut>,
+    pieces: Vec<PieceOut>,
     /// The lane's marks on each array a `SPECULATIVE` loop tracks, in
     /// `l.par.spec_arrays` order.
     shadows: Vec<(usize, Shadow)>,
@@ -254,9 +262,9 @@ struct WorkerOut {
     err: Option<(u64, MachineError)>,
     /// The lane's log filled up ([`LOG_CAP`]) and the lane stopped.
     full: bool,
-    /// The lane's `Interp::{activations, arm_iterations, dispatches}`.
+    /// The lane's `Interp::{activations, dispatches}`.
     #[cfg(test)]
-    fence: (u64, u64, u64),
+    fence: (u64, u64),
 }
 
 /// Everything a lane needs, owned, so a helper's job closure is `'static`.
@@ -264,7 +272,6 @@ struct WorkerTask {
     wid: usize,
     l: Arc<RLoop>,
     space: IterSpace,
-    plan: ChunkPlan,
     claims: Arc<Claims>,
     cfg: MachineConfig,
     scalars: Vec<Scalar>,
@@ -277,43 +284,42 @@ struct WorkerTask {
     body: Option<u32>,
 }
 
-/// Run lane `task.wid` on the calling thread: claim chunks until none
-/// are left for it. `progress` sees, before each iteration, the cycles
-/// the lane has executed so far.
+/// Run lane `task.wid` on the calling thread: claim pieces until none
+/// are left for it, each run as one range ([`Interp::run_range`]).
+/// `progress` sees, before each piece, the cycles the lane has executed
+/// so far.
 fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
-    let WorkerTask { wid, l, space, plan, claims, cfg, scalars, arrays, steps, bc, body } = task;
+    let WorkerTask { wid, l, space, claims, cfg, scalars, arrays, steps, bc, body } = task;
     let mut it = Interp::over(&cfg, scalars, arrays, steps);
     it.in_parallel = true;
     it.bc = bc;
     it.spec = it.fresh_shadows(&l);
     it.red = RedLog::hold(&mut it, &l.par.reductions, LOG_CAP);
-    // One register frame for every iteration of every chunk of the lane.
+    // One register frame for every piece of the lane.
     let mut frame = it.body_frame(body);
-    let mut chunks: Vec<ChunkOut> = Vec::new();
+    let mut pieces: Vec<PieceOut> = Vec::new();
     let mut err: Option<(u64, MachineError)> = None;
-    let last_chunk = plan.last_chunk();
     let full = |it: &Interp<'_>| it.red.as_ref().is_some_and(|log| log.room == 0);
-    while let Some(k) = claims.next(wid) {
-        let (start, end) = plan.bounds(k);
-        let c0 = it.cycles;
-        let out0 = it.output.len();
-        for idx in start..end {
-            progress(it.cycles);
-            err = match it.run_stamped_iteration(&l, space, idx, frame.as_mut()) {
-                Ok(Flow::Normal) if full(&it) => None,
-                Ok(Flow::Normal) => continue,
-                // STOP bodies never reach the threaded path, but surface
-                // it as an error defensively rather than silently
-                // dropping iterations.
-                Ok(Flow::Stop) => Some((idx, MachineError::Stopped)),
-                Err(e) => Some((idx, e)),
-            };
-            break;
+    while let Some(p) = claims.next(wid) {
+        let (start, end) = claims.bounds(p);
+        if start == end {
+            continue; // a piece past a short block's end
         }
-        let copy_out = (k == last_chunk && err.is_none())
+        progress(it.cycles);
+        let (c0, out0) = (it.cycles, it.output.len());
+        let mut range = ArmRange::new(space, start, end);
+        err = match it.run_range(&l, &mut range, frame.as_mut()) {
+            Ok(Flow::Normal) => None,
+            // STOP bodies never reach the threaded path, but surface
+            // it as an error defensively rather than silently
+            // dropping iterations.
+            Ok(Flow::Stop) => Some((range.idx, MachineError::Stopped)),
+            Err(e) => Some((range.idx, e)),
+        };
+        let copy_out = (end == space.trip() && err.is_none())
             .then(|| l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
-        chunks.push(ChunkOut {
-            k,
+        pieces.push(PieceOut {
+            p,
             cycles: it.cycles - c0,
             output: it.output.split_off(out0),
             updates: it.red.as_mut().map(|log| log.updates.iter_mut().map(std::mem::take).collect()).unwrap_or_default(),
@@ -327,11 +333,11 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
     WorkerOut {
         wid,
         #[cfg(test)]
-        fence: (it.activations, it.arm_iterations, it.dispatches),
+        fence: (it.activations, it.dispatches),
         full: full(&it),
         arrays: it.arrays,
         loops: it.loop_stats,
-        chunks,
+        pieces,
         shadows: it.spec,
         steps,
         err,
@@ -609,7 +615,6 @@ pub(crate) fn run_threaded_loop(
         wid,
         l: Arc::clone(l),
         space,
-        plan,
         claims: Arc::clone(&claims),
         cfg: interp.cfg.clone(),
         scalars: interp.scalars.clone(),
@@ -623,13 +628,14 @@ pub(crate) fn run_threaded_loop(
     // has executed reach the bill's guard; the lanes nobody has started
     // by then go to the helpers. Which thread ran a lane shows in nothing
     // the join merges, so a loop under the guard wakes no one and commits
-    // what a forked one would.
+    // what a forked one would. A lane with nothing left to claim is not
+    // started: it would only return an empty result.
     let threshold = interp.guard_threshold();
     let (tx, rx) = mpsc::channel::<WorkerOut>();
     let mut results: Vec<WorkerOut> = Vec::with_capacity(procs);
     // First lane nobody has started; cycles of the lanes the master finished.
     let (mut unstarted, mut ran) = (0, 0u64);
-    while unstarted < procs {
+    while unstarted < procs && !claims.drained() {
         let wid = unstarted;
         unstarted += 1;
         // A panic in the master's lane is a helper's: no result for it.
@@ -653,25 +659,20 @@ pub(crate) fn run_threaded_loop(
         })) else {
             break;
         };
-        ran += out.chunks.iter().map(|ch| ch.cycles).sum::<u64>();
+        ran += out.pieces.iter().map(|pc| pc.cycles).sum::<u64>();
         results.push(out);
     }
     // Every lane handed over reports (or its sender drops, unwinding)
-    // before the run goes on: no work crosses into a later run.
+    // before the run goes on: no work crosses into a later run. A lane
+    // started with no result is one that panicked.
     drop(tx);
     while let Ok(out) = recv_spinning(&rx) {
         results.push(out);
     }
-    if results.len() < procs {
+    if results.len() < unstarted {
         return Err(MachineError::WorkerPanicked { loop_label: l.label.clone() });
     }
     results.sort_by_key(|w| w.wid);
-    #[cfg(test)]
-    for w in &results {
-        interp.activations += w.fence.0;
-        interp.arm_iterations += w.fence.1;
-        interp.dispatches += w.fence.2;
-    }
 
     // A full reduction log, or the PD test over the lanes' marks failing.
     // A lane error counts as a failed verdict (the marks of a faulting
@@ -700,6 +701,13 @@ pub(crate) fn run_threaded_loop(
     {
         return Err(e);
     }
+    // The lanes are committed: their VM counts join the run's, as a
+    // discarded attempt's do not.
+    #[cfg(test)]
+    for w in &results {
+        interp.activations += w.fence.0;
+        interp.dispatches += w.fence.1;
+    }
     // Settle the fuel: each lane was held to the budget on its own count;
     // the limit applies to what all of them took, the serial count.
     interp.steps += results.iter().map(|w| w.steps).sum::<u64>();
@@ -707,34 +715,38 @@ pub(crate) fn run_threaded_loop(
         return Err(MachineError::FuelExhausted { limit });
     }
 
-    let mut chunks: Vec<ChunkOut> =
-        results.iter_mut().flat_map(|w| std::mem::take(&mut w.chunks)).collect();
-    chunks.sort_by_key(|c| c.k);
+    let mut pieces: Vec<PieceOut> =
+        results.iter_mut().flat_map(|w| std::mem::take(&mut w.pieces)).collect();
+    pieces.sort_by_key(|pc| pc.p);
+    // Each plan chunk's cycles, its pieces' folded back, in chunk order:
+    // the deterministic cost profile (never wall time, never steal
+    // interleaving), and what the simulator bills.
+    let mut profile = vec![0u64; plan.n_chunks()];
+    for pc in &pieces {
+        profile[claims.chunk_of(pc.p)] += pc.cycles;
+    }
     let mut merge_bytes = 0u64;
 
-    // Observability: chunk spans are emitted here, post-join and sorted
-    // by chunk index, *not* from the workers — the trace must not depend
+    // Observability: chunk spans are emitted here, post-join and in
+    // chunk order, *not* from the workers — the trace must not depend
     // on thread interleaving. The tid encodes the bucket (worker lane)
     // the plan assigned the chunk to.
     if interp.recorder.is_enabled() {
-        interp.recorder.count(polaris_obs::Counter::ThreadedChunks, chunks.len() as u64);
+        interp.recorder.count(polaris_obs::Counter::ThreadedChunks, profile.len() as u64);
         if let Some((steals, attempts)) = claims.steal_counts() {
             interp.recorder.count(polaris_obs::Counter::StealChunks, steals);
             interp.recorder.count(polaris_obs::Counter::StealAttempts, attempts);
         }
-        for ch in &chunks {
-            let tid = 1 + plan.bucket_of(ch.k) as u32;
-            interp
-                .recorder
-                .span_with("exec", format!("chunk:{}", ch.k), tid, Some(l.loop_id), None)
-                .end();
+        for k in 0..profile.len() {
+            let tid = 1 + plan.bucket_of(k) as u32;
+            interp.recorder.span_with("exec", format!("chunk:{k}"), tid, Some(l.loop_id), None).end();
         }
     }
 
     // -- simulated cycle accounting: the simulator's bill ---------------
     let mut buckets = vec![0u64; procs];
-    for ch in &chunks {
-        buckets[plan.bucket_of(ch.k)] += ch.cycles;
+    for (k, cycles) in profile.iter().enumerate() {
+        buckets[plan.bucket_of(k)] += cycles;
     }
     if speculative {
         let marks = results.iter().flat_map(|w| &w.shadows).map(|(_, sh)| sh.marks_done()).sum();
@@ -742,9 +754,6 @@ pub(crate) fn run_threaded_loop(
     } else if interp.bill_parallel(&l.par, &plan, &buckets) {
         interp.loop_entry(l).parallel_invocations += 1;
     }
-    // Chunk cycle totals in chunk order: the deterministic cost profile
-    // (never wall time, never steal interleaving).
-    let profile = chunks.iter().map(|ch| ch.cycles).collect();
 
     // -- nested-loop stats and shared arrays (diff vs snapshot), worker order
     let skip = |a: usize| {
@@ -765,14 +774,15 @@ pub(crate) fn run_threaded_loop(
         }
     }
 
-    // -- reduction logs, copy-out (lastprivate) and output, in chunk order
-    for ch in &mut chunks {
-        merge_bytes += interp.replay(&l.par.reductions, &mut ch.updates);
-        for &(s, v) in ch.copy_out.iter().flatten() {
+    // -- reduction logs, copy-out (lastprivate) and output, in piece
+    // order, which is serial order
+    for pc in &mut pieces {
+        merge_bytes += interp.replay(&l.par.reductions, &mut pc.updates);
+        for &(s, v) in pc.copy_out.iter().flatten() {
             interp.scalars[s] = v;
             merge_bytes += 8;
         }
-        interp.output.append(&mut ch.output);
+        interp.output.append(&mut pc.output);
     }
     interp.recorder.count(polaris_obs::Counter::ThreadedMergeBytes, merge_bytes);
     Ok(Some((Flow::Normal, profile)))
@@ -1069,9 +1079,12 @@ mod tests {
     }
 
     /// First lanes a few cycles, last lanes thousands: the guard's
-    /// threshold is crossed late. At 8 block lanes the master is in lane
-    /// 4 by then and hands lanes 5..8 over; at 2 it is already in the
-    /// last lane and runs both. Who ran a lane shows nowhere.
+    /// threshold is crossed late. The master never leaves lane 0: done
+    /// with its own block's pieces, it steals the back of the next
+    /// block's, and the first heavy piece it steals crosses the
+    /// threshold, so it hands every other lane over (7 at 8 block lanes,
+    /// 1 at 2), whose owners start on what is left of their blocks. Who
+    /// ran a piece shows nowhere.
     #[test]
     fn skewed_doall_forks_late_and_matches_serial_and_the_simulator() {
         let src = "program t\nreal a(64)\n!$polaris doall private(J)\ndo i = 1, 64\n  a(i) = i * 1.0\n  if (i > 32) then\n    do j = 1, 200\n      a(i) = a(i) + j * 0.5\n    end do\n  end if\nend do\nprint *, a(1), a(32), a(33), a(64)\nend\n";
@@ -1085,15 +1098,16 @@ mod tests {
                 assert_eq!(thr.output, serial.output, "{schedule:?} x {procs}");
                 assert_eq!(thr.cycles, sim.cycles, "{schedule:?} x {procs}");
                 if schedule == Schedule::Static {
-                    assert_eq!(handed, if procs == 8 { 3 } else { 0 }, "{procs} block lanes");
+                    assert_eq!(handed, if procs == 8 { 7 } else { 1 }, "{procs} block lanes");
                 }
             }
         }
     }
 
     /// A lane that panics is `WorkerPanicked` whoever ran it: the master
-    /// before it forked (step 100), both threads after (5000), the helper
-    /// alone (7000: lane 0 takes 6000 steps, lane 1 takes 8000). Nothing
+    /// before it forked (step 100), both threads after (5000), a lane in
+    /// block 1 (7000: block 0 takes 6000 steps, block 1 8000, so only the
+    /// helper, or the master stealing block 1's back, gets there). Nothing
     /// unwinds out of `run`, nothing hangs, and the helper survives: the
     /// next run on the thread spawns nothing and is clean.
     #[test]
@@ -1185,15 +1199,19 @@ mod tests {
     }
 
     /// The plan bounds the chunk count per worker, so a forced chunk of
-    /// one on a long loop cuts 128 chunks on 2 threads, not 400 000:
-    /// claims and chunk results stay O(workers).
+    /// one on a long loop cuts 128 chunks on 2 threads, not 131 072:
+    /// claims and chunk results stay O(workers). Half [`LOG_CAP`] trips,
+    /// so that no lane's log can fill, whoever runs what: at 400 000 a
+    /// master that ran past the cap before its helper woke sent the loop
+    /// in order, and no chunk joined.
     #[test]
     fn chunk_count_does_not_grow_with_the_trip_count() {
-        let src = "program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, 400000\n  s = s + 1.0\nend do\nprint *, s\nend\n";
+        let trips = LOG_CAP / 2;
+        let src = format!("program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, {trips}\n  s = s + 1.0\nend do\nprint *, s\nend\n");
         let rec = polaris_obs::Recorder::monotonic();
         let cfg = MachineConfig::threaded(2, Schedule::Stealing { chunk: 1 });
-        let r = crate::exec::run_recorded(&parse(src), &cfg, &rec).unwrap();
-        assert_eq!(r.output, ["4.000000E5"]);
+        let r = crate::exec::run_recorded(&parse(&src), &cfg, &rec).unwrap();
+        assert_eq!(r.output, ["1.310720E5"]);
         let chunks = rec.counters()["exec.threaded.chunks"];
         assert!((2..=128).contains(&chunks), "{chunks} chunks");
     }

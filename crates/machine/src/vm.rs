@@ -10,19 +10,24 @@
 //! stack and `LoopBack` jumps, so an iteration costs one dispatched
 //! instruction, not a call. Only an invocation `Interp::dispatch_mode`
 //! hands to an orchestration arm (concurrent, adaptive, adversarial)
-//! leaves the loop: the arm runs each iteration as a nested activation
-//! over the same stream, from the body's first address.
+//! leaves the loop: the arm runs each *range* of iterations it claims —
+//! a simulated chunk, a lane's piece, one reversed iteration of the
+//! validator — as one nested activation over the same stream, from the
+//! body's first address ([`Interp::run_range`]).
 //!
-//! **The range-return rule.** `LoopBack` belongs to the innermost loop
-//! frame *this activation* opened. When it opened none — the activation
-//! is one iteration an arm is running — the body has reached its end and
-//! `LoopBack` returns `Flow::Normal` to the arm. Loops nest properly in
-//! the stream, so "no frame of mine is open" identifies the arm's loop
-//! without comparing loop ids. `Stop` runs the epilogues of the
-//! activation's open frames innermost-first and returns `Flow::Stop`,
-//! which each enclosing arm and activation passes on the same way; an
-//! error drops the activation's frames without their epilogues, as an
-//! unwinding `?` does in the tree-walker.
+//! **The range rule.** `LoopBack` belongs to the innermost loop frame
+//! *this activation* opened. When it opened none, the activation is an
+//! arm's range and the body has reached its end: `LoopBack` does what
+//! the arm does between two iterations (`Interp::next_in_range`: the
+//! iteration's rescale, the shadows' stamp, then the next iteration's
+//! start) and jumps to the body again, or returns `Flow::Normal` at the
+//! range's end. Loops nest properly in the stream, so "no frame of mine
+//! is open" identifies the arm's loop without comparing loop ids. `Stop`
+//! runs the epilogues of the activation's open frames innermost-first
+//! and returns `Flow::Stop`, which each enclosing arm and activation
+//! passes on the same way; an error drops the activation's frames
+//! without their epilogues, as an unwinding `?` does in the tree-walker,
+//! and leaves the range at the failing iteration.
 //!
 //! **Parity contract** (pinned by `tests/vm_equivalence.rs` and the
 //! existing machine suite, which runs under the VM by default): for any
@@ -66,7 +71,7 @@
 use crate::bytecode::{ArrMeta, BcUnit, Instr, PrintItem, SubSrc};
 use crate::cost::COSTS;
 use crate::error::MachineError;
-use crate::exec::{int_pow, Flow, Interp, LoopFrame};
+use crate::exec::{int_pow, ArmRange, Flow, Interp, LoopFrame};
 use crate::lower::RRef;
 use crate::value::{ArrData, Scalar};
 use polaris_ir::expr::BinOp;
@@ -163,8 +168,8 @@ impl Interp<'_> {
 
     /// One activation: execute `bc`'s stream from address `pc` in the
     /// register frame `regs` until the stream ends, a `Stop`, an error,
-    /// or — when `pc` is a loop body's first address — that body's
-    /// `LoopBack` (see the module doc). Frames are not cleared between
+    /// or — when `pc` is a loop body's first address — the end of the
+    /// arm's `range` of it (see the module doc). Frames are not cleared between
     /// activations: register allocation is stack-shaped and
     /// def-before-use, so stale values are never observable.
     pub(crate) fn dispatch(
@@ -172,13 +177,14 @@ impl Interp<'_> {
         bc: &BcUnit,
         regs: &mut [u64],
         pc: usize,
+        range: Option<&mut ArmRange>,
     ) -> Result<Flow, MachineError> {
         #[cfg(test)]
         {
             self.activations += 1;
         }
         let base = self.loop_frames.len();
-        let res = self.dispatch_from(bc, regs, pc, base);
+        let res = self.dispatch_from(bc, regs, pc, base, range);
         if res.is_err() {
             // No epilogues; the spans close innermost first, as the
             // tree-walker's do while its `?` unwinds.
@@ -210,6 +216,7 @@ impl Interp<'_> {
         regs: &mut [u64],
         mut pc: usize,
         base: usize,
+        mut range: Option<&mut ArmRange>,
     ) -> Result<Flow, MachineError> {
         let block = &bc.blocks[bc.entry as usize];
         assert!(regs.len() >= block.max_regs, "register frame smaller than the unit needs");
@@ -586,9 +593,17 @@ impl Interp<'_> {
                     self.cycles += cyc;
                     cyc = 0;
                     if self.loop_frames.len() == base {
-                        // The range-return rule (module doc).
-                        retire!();
-                        return Ok(Flow::Normal);
+                        // The range rule (module doc).
+                        let more = match range.as_deref_mut() {
+                            Some(r) => self.next_in_range(&bc.loops[*lp as usize].0, r)?,
+                            None => false,
+                        };
+                        if !more {
+                            retire!();
+                            return Ok(Flow::Normal);
+                        }
+                        pc = *body as usize;
+                        continue;
                     }
                     let l = &bc.loops[*lp as usize].0;
                     let top = self.loop_frames.len() - 1;
@@ -736,16 +751,13 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// A VM run, with how often it entered `dispatch`, how many
-    /// iterations its orchestration arms ran and how many instructions
-    /// it dispatched (lanes' included).
-    fn fenced(program: &Program, cfg: &MachineConfig) -> (RunResult, u64, u64, u64) {
-        let (ran, (activations, arm_iterations, dispatches)) =
-            run_with(program, cfg, &polaris_obs::Recorder::disabled(), |it, _| {
-                (it.activations, it.arm_iterations, it.dispatches)
-            })
-            .unwrap();
-        (ran, activations, arm_iterations, dispatches)
+    /// A VM run, with how often it entered `dispatch` and how many
+    /// instructions it dispatched (lanes' included).
+    fn fenced(program: &Program, cfg: &MachineConfig) -> (RunResult, u64, u64) {
+        let (ran, (activations, dispatches)) =
+            run_with(program, cfg, &polaris_obs::Recorder::disabled(), |it, _| (it.activations, it.dispatches))
+                .unwrap();
+        (ran, activations, dispatches)
     }
 
     /// Instructions a serial run of each kernel dispatches, in file
@@ -786,35 +798,75 @@ pub(crate) mod tests {
     #[test]
     fn a_serial_run_of_each_kernel_enters_dispatch_exactly_once() {
         for ((name, program), pinned) in kernels().iter().zip(SERIAL_DISPATCHES) {
-            let (ran, activations, arm_iterations, dispatches) = fenced(program, &MachineConfig::serial());
+            let (ran, activations, dispatches) = fenced(program, &MachineConfig::serial());
             assert!(ran.loops.values().map(|s| s.invocations).sum::<u64>() > 0, "{name}");
-            assert_eq!((activations, arm_iterations), (1, 0), "{name}");
+            assert_eq!(activations, 1, "{name}");
             assert_eq!((name.as_str(), dispatches), pinned);
         }
         assert_eq!(SERIAL_DISPATCHES.iter().map(|(_, n)| n).sum::<u64>(), 23_717_011);
     }
 
-    /// On two threads an activation beyond the first is one iteration of
-    /// a forked (or simulated in-order) loop, on whichever lane: the
-    /// iterations of the loops nested in it stay in that activation.
+    /// Entries into `dispatch` of a run of each kernel on threaded
+    /// 2/`Static` and on the simulated `challenge_8`, in file order: the
+    /// run's one, and one per range an arm ran — a claimed piece of a
+    /// lane, a simulated chunk — whatever its trip count.
+    const ACTIVATIONS: [(&str, u64, u64); 26] = [
+        ("applu", 129, 33),
+        ("appsp", 97, 25),
+        ("arc2d", 257, 65),
+        ("bdna", 97, 25),
+        ("bucket", 129, 33),
+        ("cloud3d", 1009, 337),
+        ("cmhog", 97, 25),
+        ("compact", 97, 25),
+        ("flo52", 257, 65),
+        ("gather", 129, 33),
+        ("histo", 129, 33),
+        ("hydro2d", 193, 49),
+        ("mdg", 97, 25),
+        ("mmt", 97, 25),
+        ("ocean", 49, 25),
+        ("prefix", 129, 33),
+        ("spmv", 129, 33),
+        ("spmvt", 129, 33),
+        ("stencil2d", 133, 35),
+        ("su2cor", 129, 33),
+        ("swim", 161, 49),
+        ("tfft2", 97, 25),
+        ("tomcatv", 257, 65),
+        ("track", 675, 177),
+        ("trfd", 97, 25),
+        ("wave5", 257, 65),
+    ];
+
+    /// The mechanism, as a count: an arm enters the dispatch loop once
+    /// per range it runs, so the activations of each kernel are pinned on
+    /// real threads and on the simulated machine. And the work: a
+    /// threaded run dispatches what the serial one does, instruction for
+    /// instruction (a discarded speculation's lanes count as nothing).
     #[test]
-    fn on_two_threads_every_other_activation_is_one_dispatched_iteration() {
-        let cfg = MachineConfig::threaded(2, Schedule::Static);
-        for (name, program) in kernels() {
-            let (ran, activations, arm_iterations, _) = fenced(&program, &cfg);
-            assert_eq!(activations, 1 + arm_iterations, "{name}");
-            let concurrent = ran.loops.values().any(|s| s.parallel_invocations + s.spec_fail > 0);
-            assert_eq!(arm_iterations > 0, concurrent, "{name}: {:?}", ran.loops);
+    fn an_arm_enters_dispatch_once_per_range() {
+        let threaded = MachineConfig::threaded(2, Schedule::Static);
+        let simulated = MachineConfig::challenge_8();
+        for (((name, program), serial), pinned) in kernels().iter().zip(SERIAL_DISPATCHES).zip(ACTIVATIONS) {
+            let (_, on_threads, dispatches) = fenced(program, &threaded);
+            assert_eq!(dispatches, serial.1, "{name}: threaded dispatches");
+            let (_, simulated_activations, dispatches) = fenced(program, &simulated);
+            assert_eq!(dispatches, serial.1, "{name}: simulated dispatches");
+            assert_eq!((name.as_str(), on_threads, simulated_activations), pinned);
         }
-        // Known trips, so the count can be read off `RunResult.loops`: the
-        // DOALL forks (or stays under the guard, with the master running
-        // both lanes) in each of its invocations, 300 iterations apiece,
-        // and the 5 trips of the loop inside it are nobody's activation.
+        let (threads, sim) = ACTIVATIONS.iter().fold((0, 0), |(t, s), row| (t + row.1, s + row.2));
+        assert_eq!((threads, sim), (5_056, 1_396));
+        // Known trips: the DOALL forks (or stays under the guard, with the
+        // master running both lanes) in each of its 4 invocations, and
+        // each lane's block of 150 iterations is 16 pieces of 9 or 10 —
+        // one activation each, wherever it ran; the 5 trips of the loop
+        // inside an iteration are nobody's activation.
         let src = "program t\nreal a(300)\ndo k = 1, 4\n!$polaris doall private(J)\ndo i = 1, 300\n  do j = 1, 5\n    a(i) = a(i) + j * k\n  end do\nend do\nend do\nprint *, a(300)\nend\n";
-        let (ran, activations, ..) = fenced(&polaris_ir::parse(src).unwrap(), &cfg);
+        let (ran, activations, _) = fenced(&polaris_ir::parse(src).unwrap(), &threaded);
         assert_eq!(ran.output, ["1.500000E2"]);
         let doall = ran.loops.values().find(|s| s.parallel_invocations > 0).expect("a forked loop");
         assert_eq!((doall.invocations, doall.parallel_invocations), (4, 4));
-        assert_eq!(activations, 1 + doall.invocations * 300);
+        assert_eq!(activations, 1 + doall.invocations * 2 * 16);
     }
 }

@@ -438,6 +438,77 @@ fn out_of_bounds_store_inside_an_inner_loop_has_the_tree_walkers_payload() {
     }
 }
 
+/// An arm runs a range of iterations as one activation, and an
+/// out-of-bounds store in the middle of one — every iteration from 301
+/// on stores past `A`'s 300 elements — is serial's error, payload and
+/// all: whoever runs the back of the loop first (a lane stealing a
+/// block's last piece hits `A(400)`), the smallest failing iteration
+/// is reported.
+#[test]
+fn out_of_bounds_store_in_the_middle_of_a_range_is_the_serial_error() {
+    use polaris_machine::Schedule;
+    let src = "program oobr\n\
+               integer key(400)\n\
+               real a(300)\n\
+               do k = 1, 400\n\
+               \x20 key(k) = k\n\
+               end do\n\
+               !$polaris doall\n\
+               do i = 1, 400\n\
+               \x20 a(key(i)) = sin(i * 0.5) + cos(i * 0.25) + sqrt(i * 1.0)\n\
+               end do\n\
+               print *, a(1)\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    let want = MachineError::OutOfBounds { array: "A".into(), index: 301, len: 300 };
+    assert_eq!(polaris_machine::run_serial(&program).unwrap_err(), want);
+    let mut machines = vec![MachineConfig::challenge_8()];
+    for schedule in [Schedule::Static, Schedule::Stealing { chunk: 4 }] {
+        machines.extend([2, 3].map(|threads| MachineConfig::threaded(threads, schedule)));
+    }
+    for cfg in machines {
+        for repetition in 0..3 {
+            let row = format!("oob range, repetition {repetition}");
+            assert_eq!(assert_engine_parity(&program, &cfg, &row).unwrap_err(), want, "{}", what(&cfg));
+        }
+    }
+}
+
+/// A `STOP` in the middle of a range keeps a DOALL in order on every
+/// machine (`in_order`), and the simulated arm's one activation per
+/// chunk ends where the tree-walker's loop does: the same output, the
+/// iteration's rescale included in the same `cycles`, and the same
+/// fuel steps.
+#[test]
+fn stop_in_the_middle_of_a_simulated_range_agrees_with_the_tree_walker() {
+    let src = "program halt\n\
+               integer i\n\
+               real a(100)\n\
+               !$polaris doall\n\
+               do i = 1, 100\n\
+               \x20 a(i) = i * 2.0\n\
+               \x20 if (i == 20) then\n\
+               \x20   print *, a(19), a(20)\n\
+               \x20   stop\n\
+               \x20 end if\n\
+               end do\n\
+               print *, a(1)\n\
+               end\n";
+    let program = polaris_ir::parse(src).unwrap();
+    let aggressive = polaris_machine::CodegenModel::aggressive();
+    let eight = MachineConfig::challenge_8();
+    for cfg in [eight.clone(), eight.with_codegen(aggressive), MachineConfig::threaded(2, polaris_machine::Schedule::Static)] {
+        let (output, cycles, ..) = assert_engine_parity(&program, &cfg, "stop range").unwrap();
+        assert_eq!(output, ["3.800000E1 4.000000E1"], "{}", what(&cfg));
+        let (serial, ..) = outcome(&program, &MachineConfig::serial()).unwrap();
+        assert_eq!(output, serial);
+        assert!(cycles > 0);
+        let steps = ENGINES.map(|engine| fuel_boundary(&program, &cfg.clone().with_engine(engine)));
+        assert_eq!(steps[0], steps[1], "fuel steps: {}", what(&cfg));
+        assert_eq!(steps[0], fuel_boundary(&program, &MachineConfig::serial()), "{}", what(&cfg));
+    }
+}
+
 /// One compiled unit, one body: a `PARALLEL DO` inside a serial `DO` is
 /// iterated in-stream on one processor and handed to the fork — whose
 /// lanes run the same instructions as a range — on more; its
