@@ -16,6 +16,9 @@
 //! deferred start late on a full block, and the master, done with its
 //! own, takes the rest of theirs from the back.
 //!
+//! The validator's lane ([`Claims::reversed`]) is one lane its owner
+//! claims from the back, in one-iteration pieces.
+//!
 //! Determinism: a claim decides **who executes** a piece, never **what**
 //! the piece is. Piece bounds, the order reduction logs are replayed in,
 //! and the merge order downstream are all keyed by the piece index, which
@@ -43,6 +46,8 @@ pub(crate) struct Claims {
     lanes: Vec<AtomicU64>,
     /// Whether a worker whose lane ran dry takes from the others.
     steal: bool,
+    /// Whether the owner takes the back of its lane, not the front.
+    backward: bool,
     steals: AtomicU64,
     attempts: AtomicU64,
 }
@@ -65,6 +70,19 @@ impl Claims {
         }
     }
 
+    /// The plan's pieces on one lane, taken back to front: the layout of
+    /// the validator's reversed lane. A piece is one iteration while that
+    /// makes at most `budget` pieces; past it each chunk is cut into
+    /// `budget / chunks` pieces.
+    pub(crate) fn reversed(plan: &ChunkPlan, budget: usize) -> Claims {
+        let (chunks, per) = (plan.n_chunks(), plan.bounds(0).1 as usize);
+        let pieces = per.min(budget / chunks.max(1)).max(1);
+        Claims {
+            backward: true,
+            ..Claims::laid(plan, pieces, 1, chunks * pieces, false)
+        }
+    }
+
     /// The plan's chunks cut into `pieces` pieces each, laid over `lanes`
     /// lanes in contiguous runs of `per` pieces.
     fn laid(plan: &ChunkPlan, pieces: usize, lanes: usize, per: usize, steal: bool) -> Claims {
@@ -79,6 +97,7 @@ impl Claims {
             pieces,
             lanes: (0..lanes).map(lane).collect(),
             steal,
+            backward: false,
             steals: AtomicU64::new(0),
             attempts: AtomicU64::new(0),
         }
@@ -124,14 +143,14 @@ impl Claims {
     }
 
     /// Claim the next piece for worker `wid`: the front of its own lane
-    /// (the one lane, when all workers share it), else — under stealing —
-    /// the back of the first non-empty victim, round-robin from `wid + 1`.
-    /// `None` means every lane it may take from was seen empty, hence is
-    /// empty for good.
+    /// (the one lane, when all workers share it; the back of a reversed
+    /// one), else — under stealing — the back of the first non-empty
+    /// victim, round-robin from `wid + 1`. `None` means every lane it may
+    /// take from was seen empty, hence is empty for good.
     pub(crate) fn next(&self, wid: usize) -> Option<usize> {
         let n = self.lanes.len();
         let own = wid % n;
-        if let Some(k) = self.take(own, false) {
+        if let Some(k) = self.take(own, self.backward) {
             return Some(k);
         }
         if self.steal {
@@ -256,6 +275,38 @@ mod tests {
                 let holding = (0..plan.n_chunks() * PIECES).filter(|&p| claims.bounds(p).1 == trip && claims.bounds(p).0 < trip);
                 assert!(last.len() == 1 && holding.eq(last.iter().copied()), "{plan:?}: {last:?}");
             }
+        }
+    }
+
+    /// The validator's lane hands out the iterations last to first, one a
+    /// piece while the budget lasts and `budget / chunks` pieces a chunk
+    /// past it, and each piece folds back to the chunk holding it.
+    #[test]
+    fn a_reversed_lane_claims_iterations_last_to_first() {
+        for (trip, budget) in [(100, 1000), (1000, 64), (0, 8)] {
+            let plan = ChunkPlan::new(trip, 8, Schedule::Static);
+            let claims = Claims::reversed(&plan, budget);
+            let got: Vec<usize> = std::iter::from_fn(|| claims.next(0)).collect();
+            assert!(
+                trip <= budget as u64 || got.len() <= budget,
+                "{trip}, {budget}: {} pieces",
+                got.len()
+            );
+            let mut next = trip;
+            for &p in &got {
+                let (s, e) = claims.bounds(p);
+                if s < e {
+                    assert_eq!(e, next, "{trip}, {budget}: piece {p}");
+                    assert!(
+                        trip > budget as u64 || e - s == 1,
+                        "{trip}, {budget}: piece {p}"
+                    );
+                    let (cs, ce) = plan.bounds(claims.chunk_of(p));
+                    assert!(cs <= s && e <= ce, "{trip}, {budget}: piece {p}");
+                    next = s;
+                }
+            }
+            assert_eq!(next, 0, "{trip}, {budget}: the pieces tile 0..trip");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The loop-dispatch protocol every executor of a `DO` shares: *which
 //! iterations* ([`IterSpace`]), *cut into which chunks, charged to which
 //! processor* ([`ChunkPlan`]) and *what a concurrent invocation costs*
-//! ([`Interp::bill_parallel`]). The serial, simulated-parallel,
+//! ([`Interp::bill_invocation`]). The serial, simulated-parallel,
 //! speculative, adversarial and real-thread dispatchers differ only in
 //! the order and the thread they run iterations on.
 
@@ -157,41 +157,54 @@ impl Interp<'_> {
         2 * COSTS.fork_join
     }
 
-    /// The one bill for a `PARALLEL DO` invocation, whichever backend
-    /// ran it: `buckets[p]` holds the cycles of the chunks `plan` assigns
-    /// to processor `p`. The generated code wraps the parallel region in
-    /// an IF (as both PFA and Polaris did), so a loop whose total work
-    /// cannot amortize the fork is charged as the serial loop plus that
-    /// branch; returns whether the parallel side of the IF was taken.
-    pub(crate) fn bill_parallel(&mut self, par: &RPar, plan: &ChunkPlan, buckets: &[u64]) -> bool {
+    /// The one bill of a concurrent invocation, whichever backend ran it:
+    /// `chunks[k]` holds the cycles of plan chunk `k`, charged to the
+    /// processor bucket the plan names; returns the buckets.
+    ///
+    /// A `PARALLEL DO`: the generated code wraps the parallel region in an
+    /// IF (as both PFA and Polaris did), so a loop whose total work cannot
+    /// amortize the fork is charged as the serial loop plus that branch,
+    /// and only the parallel side of the IF is a parallel invocation.
+    ///
+    /// A `SPECULATIVE` loop, whose shadows made `marks` marking operations
+    /// and whose PD verdict is `passed`: the attempt pays the concurrent
+    /// cost plus the PD-test analysis, which is itself parallel over the
+    /// tracked elements; a failed one is wasted and the loop then
+    /// re-executes sequentially, which costs the iterations without their
+    /// marking. Counts the verdict.
+    pub(crate) fn bill_invocation(
+        &mut self,
+        l: &RLoop,
+        plan: &ChunkPlan,
+        chunks: &[u64],
+        marks: u64,
+        passed: bool,
+    ) -> Vec<u64> {
         let c = &COSTS;
-        let total: u64 = buckets.iter().sum();
-        let parallel = total >= self.guard_threshold();
-        self.cycles += if parallel {
-            self.concurrent_cost(buckets, par) + plan.dispatches() * c.dispatch
-        } else {
-            total + c.branch
-        };
-        parallel
-    }
-
-    /// The one bill for a `SPECULATIVE` invocation, whichever backend ran
-    /// the attempt: `buckets` as for [`Self::bill_parallel`], `marks` the
-    /// marking operations all shadows performed. The attempt pays the
-    /// concurrent cost plus the PD-test analysis, which is itself
-    /// parallel over the tracked elements; a failed one is wasted and
-    /// the loop then re-executes sequentially, which costs the
-    /// iterations without their marking. Counts the verdict.
-    pub(crate) fn bill_speculative(&mut self, l: &RLoop, buckets: &[u64], marks: u64, success: bool) {
-        let c = &COSTS;
+        let mut buckets = vec![0u64; plan.procs()];
+        for (k, cycles) in chunks.iter().enumerate() {
+            buckets[plan.bucket_of(k)] += cycles;
+        }
+        let total: u64 = chunks.iter().sum();
+        if l.par.parallel {
+            let parallel = total >= self.guard_threshold();
+            self.cycles += if parallel {
+                self.concurrent_cost(&buckets, &l.par) + plan.dispatches() * c.dispatch
+            } else {
+                total + c.branch
+            };
+            if parallel {
+                self.loop_entry(l).parallel_invocations += 1;
+            }
+            return buckets;
+        }
         let tracked: u64 = l.par.spec_arrays.iter().map(|&a| self.arrays[a].data.get().len() as u64).sum();
         let analysis = tracked * c.spec_analysis / self.cfg.procs as u64 + c.fork_join / 2;
-        let attempt = self.concurrent_cost(buckets, &l.par) + analysis;
-        let total: u64 = buckets.iter().sum();
+        let attempt = self.concurrent_cost(&buckets, &l.par) + analysis;
         let sequential = total - (marks * c.spec_mark).min(total);
-        self.cycles += if success { attempt } else { attempt + sequential };
+        self.cycles += if passed { attempt } else { attempt + sequential };
         let entry = self.loop_entry(l);
-        let verdict = if success {
+        let verdict = if passed {
             entry.spec_success += 1;
             entry.parallel_invocations += 1;
             polaris_obs::Counter::LrpdPass
@@ -200,6 +213,7 @@ impl Interp<'_> {
             polaris_obs::Counter::LrpdFail
         };
         self.recorder.count(verdict, 1);
+        buckets
     }
 }
 

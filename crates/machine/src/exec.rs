@@ -6,7 +6,7 @@ use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRef, RStmt};
 use crate::lrpd::{PdVerdict, Shadow};
 use crate::oracle::Loc;
-use crate::value::{scalar_approx_eq, ArrData, ArrObj, ArrStore, Scalar, V};
+use crate::value::{ArrData, ArrObj, Scalar, V};
 use crate::{Engine, ExecMode, MachineConfig};
 use polaris_ir::expr::{BinOp, UnOp};
 use polaris_ir::Program;
@@ -96,8 +96,6 @@ pub(crate) enum Flow {
     Stop,
 }
 
-const POISON_I: i64 = -8_888_888_887;
-
 /// What one loop invocation carries from its prologue to its epilogue.
 pub(crate) struct Invocation {
     pub(crate) space: IterSpace,
@@ -165,8 +163,8 @@ pub(crate) struct Interp<'a> {
     /// Active speculative tracking: (array slot, shadow).
     pub(crate) spec: Vec<(usize, Shadow)>,
     pub(crate) spec_iter: u32,
-    /// The reduction log of a threaded lane or of the adversarial
-    /// validator; `None` elsewhere (see [`crate::threaded::RedLog`]).
+    /// The reduction log of a lane; `None` elsewhere (see
+    /// [`crate::threaded::RedLog`]).
     pub(crate) red: Option<Box<crate::threaded::RedLog>>,
     /// Dependence-oracle trace (see [`crate::oracle`]); attached only by
     /// [`crate::oracle::audit_recorded`], to a serial tree-walker, so only
@@ -732,20 +730,19 @@ impl<'a> Interp<'a> {
         body: Option<u32>,
     ) -> Result<Option<Flow>, MachineError> {
         // A proved `PARALLEL DO`, or a `SPECULATIVE` one whose iterations
-        // the shadows can stamp, on a machine with processors to spare.
+        // the shadows can stamp, on a machine with processors to spare; the
+        // validator's run takes every `PARALLEL DO` as one reversed lane.
         let speculative = !l.par.spec_arrays.is_empty() && space.fits_shadow_stamps();
         let concurrent = (l.par.parallel || speculative)
             && !self.in_parallel
             && self.cfg.procs > 1
             && !self.adversarial;
+        let adversarial = l.par.parallel && self.adversarial && !self.in_parallel;
         Ok(Some(if concurrent && self.cfg.adaptive.is_some() {
             self.run_adaptive(l, space, body)?
-        } else if concurrent {
+        } else if concurrent || adversarial {
             let plan = ChunkPlan::new(space.trip(), self.cfg.procs, self.cfg.schedule);
             self.run_concurrent(l, space, body, plan)?.0
-        } else if l.par.parallel && self.adversarial && !self.in_parallel {
-            self.count_loop_mode(polaris_obs::Counter::ExecLoopsAdversarial);
-            self.run_adversarial(l, space, body)?
         } else {
             self.count_loop_mode(polaris_obs::Counter::ExecLoopsSerial);
             return Ok(None);
@@ -1008,16 +1005,15 @@ impl<'a> Interp<'a> {
 
     /// One concurrent invocation run in order on this thread, chunk by
     /// chunk in plan order (which is iteration order: chunks are
-    /// contiguous), each chunk's cycles charged to the processor bucket
-    /// the plan names, and billed as the simulator bills it: a DOALL
-    /// through `bill_parallel`, a `SPECULATIVE` loop through
-    /// `bill_speculative` with the PD verdict of the shadows it marked
-    /// (its values are the serial loop's whatever the verdict). This is
-    /// the simulated backend, and what real threads fall back to: the
-    /// serial re-execution of a misspeculation (its verdict, its error if
-    /// there is one, and the attempt + re-execution bill, in one), an
-    /// `in_order` loop, a full reduction log. Returns the bucket cycles;
-    /// `self.cycles` is left where it started.
+    /// contiguous), and billed from its chunks' cycles
+    /// ([`Self::bill_invocation`]), a `SPECULATIVE` loop with the PD
+    /// verdict of the shadows it marked (its values are the serial loop's
+    /// whatever the verdict). This is the simulated backend, and what a
+    /// fork falls back to: the serial re-execution of a misspeculation
+    /// (its verdict, its error if there is one, and the attempt +
+    /// re-execution bill, in one), an `in_order` loop, a full reduction
+    /// log. Returns the bucket cycles; `self.cycles` is left where it
+    /// started plus the bill.
     fn run_simulated(
         &mut self,
         l: &RLoop,
@@ -1028,15 +1024,15 @@ impl<'a> Interp<'a> {
         debug_assert!(self.spec.is_empty(), "nested speculation");
         self.spec = self.fresh_shadows(l);
         let c0 = self.cycles;
-        let mut buckets = vec![0u64; plan.procs()];
+        let mut chunks = vec![0u64; plan.n_chunks()];
         self.in_parallel = true;
         let mut flow = Flow::Normal;
         let mut frame = self.body_frame(body);
-        for k in 0..plan.n_chunks() {
+        for (k, spent) in chunks.iter_mut().enumerate() {
             let (start, end) = plan.bounds(k);
             let b0 = self.cycles;
             flow = self.run_range(l, &mut ArmRange::new(space, start, end), frame.as_mut())?;
-            buckets[plan.bucket_of(k)] += self.cycles - b0;
+            *spent = self.cycles - b0;
             if flow == Flow::Stop {
                 break;
             }
@@ -1045,22 +1041,19 @@ impl<'a> Interp<'a> {
         self.in_parallel = false;
         self.cycles = c0;
         let shadows = std::mem::take(&mut self.spec);
-        if !l.par.parallel {
-            let success = shadows.iter().all(|(_, sh)| PdVerdict::of(&[sh], 0..sh.len()).plain_ok());
-            let marks = shadows.iter().map(|(_, sh)| sh.marks_done()).sum();
-            self.bill_speculative(l, &buckets, marks, success);
-        } else if self.bill_parallel(&l.par, plan, &buckets) {
-            self.loop_entry(l).parallel_invocations += 1;
-        }
-        Ok((flow, buckets))
+        let passed = shadows.iter().all(|(_, sh)| PdVerdict::of(&[sh], 0..sh.len()).plain_ok());
+        let marks = shadows.iter().map(|(_, sh)| sh.marks_done()).sum();
+        Ok((flow, self.bill_invocation(l, plan, &chunks, marks, passed)))
     }
 
     /// One concurrent invocation over `plan` — a proved `PARALLEL DO`,
-    /// or a `SPECULATIVE` loop, as its annotation says — on the configured
-    /// backend: real threads take both, except a loop lowering marked
-    /// `in_order` (a `STOP`, a stale value that could reach an inner
-    /// `DO`), which is simulated in order in either mode. Returns the
-    /// cycles it ran, per bucket when simulated and per chunk on threads.
+    /// or a `SPECULATIVE` loop, as its annotation says — forked on real
+    /// threads, or in the validator's run as one reversed lane
+    /// ([`crate::threaded::run_threaded_loop`]). An invocation with no
+    /// iteration, a loop lowering marked `in_order` (a `STOP`, a stale
+    /// value that could reach an inner `DO`) and one the join sends back
+    /// are simulated in order. Returns the cycles it ran, per bucket when
+    /// simulated and per chunk when forked.
     fn run_concurrent(
         &mut self,
         l: &Arc<RLoop>,
@@ -1068,87 +1061,25 @@ impl<'a> Interp<'a> {
         body: Option<u32>,
         plan: ChunkPlan,
     ) -> Result<(Flow, Vec<u64>), MachineError> {
-        use polaris_obs::Counter::{ExecLoopsParallel, ExecLoopsSpeculative};
-        self.count_loop_mode(if l.par.parallel { ExecLoopsParallel } else { ExecLoopsSpeculative });
-        if self.cfg.exec_mode == ExecMode::Threaded && !l.in_order {
-            if let Some(ran) = crate::threaded::run_threaded_loop(self, l, space, body, plan)? {
-                return Ok(ran);
-            }
-        }
-        self.run_simulated(l, space, &plan, body)
-    }
-
-    /// Adversarial validation: iterate in reverse with real privatization
-    /// and reduction semantics. If the compiler's annotations are wrong,
-    /// the final state differs from sequential execution.
-    fn run_adversarial(
-        &mut self,
-        l: &RLoop,
-        space: IterSpace,
-        body: Option<u32>,
-    ) -> Result<Flow, MachineError> {
-        // stash the shared state of privates and reduction targets, which
-        // hold their identities while their stores are logged
-        let (mut scalars, mut arrays) = (l.par.private_scalars.clone(), l.par.private_arrays.clone());
-        for red in &l.par.reductions {
-            match red.target {
-                RRef::Scalar(s) => scalars.push(s),
-                RRef::Array(a) => arrays.push(a),
-            }
-        }
-        let mut saved_scalars: Vec<(usize, Scalar)> = scalars.iter().map(|&s| (s, self.scalars[s])).collect();
-        let mut saved_arrays: Vec<(usize, ArrStore)> =
-            arrays.iter().map(|&a| (a, ArrStore::Shared(self.arrays[a].data.share()))).collect();
-        self.red = crate::threaded::RedLog::hold(self, &l.par.reductions, usize::MAX);
-
-        self.in_parallel = true;
-        let mut flow = Flow::Normal;
-        let mut copy_out_values: Vec<(usize, Scalar)> = Vec::new();
-        let mut frame = self.body_frame(body);
-        for idx in (0..space.trip()).rev() {
-            // poison privates
-            for &s in &l.par.private_scalars {
-                self.scalars[s] = poison_scalar(self.scalars[s]);
-            }
-            for &a in &l.par.private_arrays {
-                poison_array(self.arrays[a].data.make_mut());
-            }
-            flow = self.run_range(l, &mut ArmRange::new(space, idx, idx + 1), frame.as_mut())?;
-            // replay the iteration's log into the stashed totals
-            if let Some(mut log) = self.red.take() {
-                self.swap_stash(&mut saved_scalars, &mut saved_arrays);
-                self.replay(&log.reds, &mut log.updates);
-                self.swap_stash(&mut saved_scalars, &mut saved_arrays);
-                self.red = Some(log);
-            }
-            if idx + 1 == space.trip() {
-                for &s in &l.par.copy_out_scalars {
-                    copy_out_values.push((s, self.scalars[s]));
-                }
-            }
-            if flow == Flow::Stop {
-                break;
-            }
-        }
-        self.release_body(frame);
-        self.in_parallel = false;
-        self.red = None;
-        // restore privates and reduction targets
-        self.swap_stash(&mut saved_scalars, &mut saved_arrays);
-        // copy-out wins over the restored value
-        for (s, v) in copy_out_values {
-            self.scalars[s] = v;
-        }
-        Ok(flow)
-    }
-
-    /// Swap what `run_adversarial` stashed with what memory holds.
-    fn swap_stash(&mut self, scalars: &mut [(usize, Scalar)], arrays: &mut [(usize, ArrStore)]) {
-        for (s, v) in scalars {
-            std::mem::swap(&mut self.scalars[*s], v);
-        }
-        for (a, d) in arrays {
-            std::mem::swap(&mut self.arrays[*a].data, d);
+        use polaris_obs::Counter::{ExecLoopsAdversarial, ExecLoopsParallel, ExecLoopsSpeculative};
+        self.count_loop_mode(if self.adversarial {
+            ExecLoopsAdversarial
+        } else if l.par.parallel {
+            ExecLoopsParallel
+        } else {
+            ExecLoopsSpeculative
+        });
+        let forked = if l.in_order || space.trip() == 0 {
+            None
+        } else if self.adversarial || self.cfg.exec_mode == ExecMode::Threaded {
+            let reversed = self.adversarial.then_some(PIECE_BUDGET);
+            crate::threaded::run_threaded_loop(self, l, space, body, plan, reversed)?
+        } else {
+            None
+        };
+        match forked {
+            Some(ran) => Ok(ran),
+            None => self.run_simulated(l, space, &plan, body),
         }
     }
 
@@ -1183,22 +1114,6 @@ pub(crate) fn int_pow(base: i64, exp: i64) -> i64 {
         acc = acc.wrapping_mul(base);
     }
     acc
-}
-
-fn poison_scalar(s: Scalar) -> Scalar {
-    match s {
-        Scalar::I(_) => Scalar::I(POISON_I),
-        Scalar::R(_) => Scalar::R(f64::NAN),
-        Scalar::B(_) => Scalar::B(false),
-    }
-}
-
-fn poison_array(d: &mut ArrData) {
-    match d {
-        ArrData::I(v) => v.fill(POISON_I),
-        ArrData::R(v) => v.fill(f64::NAN),
-        ArrData::B(v) => v.fill(false),
-    }
 }
 
 // ---- public entry points ---------------------------------------------
@@ -1296,10 +1211,22 @@ pub fn run_serial(program: &Program) -> Result<RunResult, MachineError> {
     run(program, &MachineConfig::serial())
 }
 
-/// Validate the compiler's parallelization: execute sequentially, then
-/// adversarially (parallel loops in reverse order with real
-/// privatization/reduction semantics), and compare the final memory
-/// state and output. Returns the two results on success.
+/// Pieces the validator's reversed lane may cut an invocation into: one
+/// iteration each up to here, so memory does not grow with the trip
+/// count. The largest `PARALLEL DO` the test suites validate has 127 066
+/// trips (OCEAN's reduction).
+const PIECE_BUDGET: usize = 1 << 17;
+
+/// Validate the compiler's parallelization: execute sequentially — the
+/// reference — then adversarially, and compare the final memory state
+/// (less what a loop privatizes without copy-out) and the output, bit for
+/// bit. The adversarial run forks every `PARALLEL DO` as one lane on the
+/// calling thread that runs its iterations last to first, with the
+/// privates poisoned before each, and commits it through the join of
+/// the real-thread backend: what an annotation leaves out (a shared
+/// scalar, a carried value, a reduction) then differs from the
+/// sequential run, as it would on threads. Returns the two results on
+/// success.
 pub fn run_validated(
     program: &Program,
     cfg: &MachineConfig,
@@ -1327,37 +1254,31 @@ pub fn run_validated(
     // demanded copy-out or refused privatization; a poisoned value that
     // *does* flow somewhere observable still trips the comparison there.)
     let (skip_scalars, skip_arrays) = private_without_copyout(&image.code);
-
-    const TOL: f64 = 1e-6;
-    for (i, (a, b)) in seq.scalars.iter().zip(&adv.scalars).enumerate() {
-        if skip_scalars.contains(&i) {
-            continue;
-        }
-        if !scalar_approx_eq(a, b, TOL) {
-            return Err(MachineError::ValidationMismatch(format!(
-                "scalar `{}`: sequential {a:?} vs adversarial {b:?}",
-                image.scalar_names[i]
-            )));
-        }
+    let (want, got) = (dump_state(&seq, &image), dump_state(&adv, &image));
+    if let Some(i) = first_difference(&want.scalars, &got.scalars, &skip_scalars) {
+        return Err(MachineError::ValidationMismatch(format!(
+            "scalar `{}`: sequential {:?} vs adversarial {:?}",
+            want.scalars[i].0, seq.scalars[i], adv.scalars[i]
+        )));
     }
-    for (i, (sa, aa)) in seq.arrays.iter().zip(&adv.arrays).enumerate() {
-        if skip_arrays.contains(&i) {
-            continue;
-        }
-        if !sa.data.get().approx_eq(aa.data.get(), TOL) {
-            return Err(MachineError::ValidationMismatch(format!(
-                "array `{}` differs between sequential and adversarial runs",
-                sa.name
-            )));
-        }
+    if let Some(i) = first_difference(&want.arrays, &got.arrays, &skip_arrays) {
+        return Err(MachineError::ValidationMismatch(format!(
+            "array `{}` differs between sequential and adversarial runs",
+            want.arrays[i].0
+        )));
     }
-    if !outputs_match(&seq.output, &adv.output, TOL) {
+    if seq.output != adv.output {
         return Err(MachineError::ValidationMismatch(format!(
             "program output differs:\n  seq: {:?}\n  adv: {:?}",
             seq.output, adv.output
         )));
     }
     Ok((seq.into_result(seq_wall), adv.into_result(adv_wall)))
+}
+
+/// The first slot where `a` and `b` differ, `skip` left out.
+fn first_difference<T: PartialEq>(a: &[T], b: &[T], skip: &[usize]) -> Option<usize> {
+    (0..a.len()).find(|&i| a[i] != b[i] && !skip.contains(&i))
 }
 
 /// Slots privatized (without copy-out) in any loop of the code.
@@ -1505,17 +1426,99 @@ mod tests {
 
     #[test]
     fn validation_catches_missing_privatization() {
-        // T is carried shared state but marked parallel without PRIVATE.
-        let src = "program t\nreal a(100), b(100)\n!$polaris doall\ndo i = 1, 100\n  t = b(i)\n  a(i) = t\nend do\nprint *, a(3)\nend\n";
-        let p = parse(src);
-        // in reverse order T still gets the right value per iteration —
-        // this one is actually correct even unprivatized... make T truly
-        // cross-iteration: read T before writing it.
-        let src2 = "program t\nreal a(100), b(100)\ndo k = 1, 100\n  b(k) = k * 1.0\nend do\nt = 0.0\n!$polaris doall\ndo i = 1, 100\n  a(i) = t\n  t = b(i)\nend do\nprint *, a(3)\nend\n";
-        let p2 = parse(src2);
-        let _ = p;
-        let err = run_validated(&p2, &MachineConfig::challenge_8()).unwrap_err();
+        // T is carried shared state, read before it is written, but marked
+        // parallel without PRIVATE.
+        let src = "program t\nreal a(100), b(100)\ndo k = 1, 100\n  b(k) = k * 1.0\nend do\nt = 0.0\n!$polaris doall\ndo i = 1, 100\n  a(i) = t\n  t = b(i)\nend do\nprint *, a(3)\nend\n";
+        let err = run_validated(&parse(src), &MachineConfig::challenge_8()).unwrap_err();
         assert!(matches!(err, MachineError::ValidationMismatch(_)));
+    }
+
+    /// `run_validated` on the paper's machine.
+    fn validated(src: &str) -> Result<(RunResult, RunResult), MachineError> {
+        run_validated(&parse(src), &MachineConfig::challenge_8())
+    }
+
+    /// The counters of the adversarial run of `src` alone.
+    fn adversarial_counters(src: &str) -> BTreeMap<&'static str, u64> {
+        let cfg = MachineConfig::challenge_8();
+        let mut image = lower_with_cap(&parse(src), None).unwrap();
+        let mut adv = Interp::new(&mut image, &cfg, true).unwrap();
+        adv.recorder = polaris_obs::Recorder::monotonic();
+        adv.run_program(&image).unwrap();
+        adv.recorder.counters()
+    }
+
+    /// A shared scalar the body stores without `LASTPRIVATE`: serial
+    /// leaves 5.0 in it, threads the value it had before the loop, since
+    /// the join commits no scalar but a copy-out — and so does the
+    /// validator's lane.
+    #[test]
+    fn validation_catches_a_shared_scalar_without_lastprivate() {
+        let src = "program t\nreal a(5)\nx = 1.0\n!$polaris doall\ndo i = 1, 5\n  x = 5.0\n  a(i) = x * i\nend do\nprint *, x\nend\n";
+        assert_eq!(run_serial(&parse(src)).unwrap().output, ["5.000000E0"]);
+        let threaded = run(&parse(src), &MachineConfig::threaded(2, Schedule::Static)).unwrap();
+        assert_eq!(threaded.output, ["1.000000E0"]);
+        match validated(src) {
+            Err(MachineError::ValidationMismatch(m)) => assert!(m.starts_with("scalar `X`"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A `PRINT` in a DOALL prints in iteration order, as on threads: the
+    /// join appends the pieces' output in piece order.
+    #[test]
+    fn validation_keeps_the_output_of_a_doall_in_iteration_order() {
+        let (seq, adv) = validated("program t\n!$polaris doall\ndo i = 1, 6\n  print *, 'iter', i\nend do\nend\n").unwrap();
+        assert_eq!(seq.output.len(), 6);
+        assert_eq!(adv.output, seq.output);
+    }
+
+    /// A DOALL that may `STOP` runs in order, as on threads: no iteration
+    /// after the one that stops leaves a store.
+    #[test]
+    fn validation_runs_a_stop_bearing_doall_in_order() {
+        validated("program t\nreal a(100)\n!$polaris doall\ndo i = 1, 100\n  a(i) = i * 1.0\n  if (i == 13) then\n    stop\n  end if\nend do\nprint *, a(1)\nend\n").unwrap();
+    }
+
+    /// A reduction whose lane fills its log runs in order, as on threads:
+    /// it validates, and no chunk of it is joined.
+    #[test]
+    fn validation_of_a_reduction_past_the_log_cap_runs_it_in_order() {
+        let trips = 2 * crate::threaded::LOG_CAP + 2;
+        let src = format!("program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, {trips}\n  s = s + 1.0 / i\nend do\nprint *, s\nend\n");
+        validated(&src).unwrap();
+        let counters = adversarial_counters(&src);
+        assert_eq!(counters.get("exec.loops.adversarial"), Some(&1));
+        assert_eq!(counters.get("exec.threaded.chunks"), None, "a chunk joined");
+    }
+
+    /// Past [`PIECE_BUDGET`] iterations the lane's pieces hold several
+    /// each, still claimed last to first: a DOALL validates through the
+    /// join, and a carried `a(i) = a(i-1) + 1.0` is still caught.
+    #[test]
+    fn validation_past_the_piece_budget_still_runs_pieces_last_to_first() {
+        let n = PIECE_BUDGET + 3;
+        let program = |body: &str| {
+            format!("program t\nreal a({n})\na(1) = 1.0\n!$polaris doall\ndo i = 2, {n}\n  {body}\nend do\nprint *, a({n})\nend\n")
+        };
+        let doall = program("a(i) = i * 2.0");
+        validated(&doall).unwrap();
+        assert_eq!(adversarial_counters(&doall).get("exec.threaded.chunks"), Some(&8));
+        let err = validated(&program("a(i) = a(i-1) + 1.0")).unwrap_err();
+        assert!(matches!(err, MachineError::ValidationMismatch(_)), "{err}");
+    }
+
+    /// The validator's run bills a DOALL as the simulator does: with no
+    /// `SPECULATIVE` loop, which it runs serially, its cycles are a
+    /// simulated `challenge_8` run's.
+    #[test]
+    fn validation_bills_as_the_simulator() {
+        let doall = "program t\nreal a(100), b(100)\ndo k = 1, 100\n  b(k) = k * 1.0\nend do\n!$polaris doall private(T)\ndo i = 1, 100\n  t = b(i) * 2.0\n  a(i) = t + 1.0\nend do\nprint *, a(7)\nend\n";
+        let reduction = "program t\nreal b(1000)\ndo k = 1, 1000\n  b(k) = k * 0.5\nend do\ns = 100.0\n!$polaris doall reduction(+:S)\ndo i = 1, 1000\n  s = s + b(i)\nend do\nprint *, s\nend\n";
+        for src in [doall, reduction] {
+            let (_, adv) = validated(src).unwrap();
+            assert_eq!(adv.cycles, run(&parse(src), &MachineConfig::challenge_8()).unwrap().cycles, "{src}");
+        }
     }
 
     #[test]

@@ -61,6 +61,12 @@
 //! so none of them can differ between the backends. A lane panic is
 //! `WorkerPanicked`, as in any loop.
 //!
+//! **The validator forks through the same [`join`].** `run_validated`'s
+//! adversarial run forks each `PARALLEL DO` as one lane on the calling
+//! thread: one-iteration pieces claimed last to first, what the loop
+//! privatizes poisoned before each. So `--validate` checks an annotation
+//! and the join together.
+//!
 //! Correctness contract — results must be **deterministic and identical
 //! to serial execution** even though execution order is not:
 //!
@@ -95,15 +101,15 @@
 //! Simulated cycle accounting is maintained alongside real execution:
 //! per-piece cycle deltas fold back to their plan chunk, whose total goes
 //! to the bucket the shared [`ChunkPlan`] names and through the same
-//! `Interp::bill_parallel` or `Interp::bill_speculative` the simulator
-//! pays, so `--diag`-style speedup *models* are identical between
-//! `ExecMode::Simulated` and `ExecMode::Threaded`.
+//! `Interp::bill_invocation` the simulator pays, so `--diag`-style
+//! speedup *models* are identical between `ExecMode::Simulated` and
+//! `ExecMode::Threaded`.
 
 use crate::claims::Claims;
 use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::error::MachineError;
 use crate::exec::{ArmRange, Flow, Interp};
-use crate::lower::{RLoop, RRed, RRef};
+use crate::lower::{RLoop, RPar, RRed, RRef};
 use crate::lrpd::{PdVerdict, Shadow};
 use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
 use crate::MachineConfig;
@@ -286,15 +292,14 @@ struct WorkerTask {
 
 /// Run lane `task.wid` on the calling thread: claim pieces until none
 /// are left for it, each run as one range ([`Interp::run_range`]).
-/// `progress` sees, before each piece, the cycles the lane has executed
-/// so far.
-fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
+/// `before_piece` gets the lane's interpreter before each piece.
+fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -> WorkerOut {
     let WorkerTask { wid, l, space, claims, cfg, scalars, arrays, steps, bc, body } = task;
     let mut it = Interp::over(&cfg, scalars, arrays, steps);
     it.in_parallel = true;
     it.bc = bc;
     it.spec = it.fresh_shadows(&l);
-    it.red = RedLog::hold(&mut it, &l.par.reductions, LOG_CAP);
+    it.red = RedLog::hold(&mut it, &l.par.reductions);
     // One register frame for every piece of the lane.
     let mut frame = it.body_frame(body);
     let mut pieces: Vec<PieceOut> = Vec::new();
@@ -305,7 +310,7 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
         if start == end {
             continue; // a piece past a short block's end
         }
-        progress(it.cycles);
+        before_piece(&mut it);
         let (c0, out0) = (it.cycles, it.output.len());
         let mut range = ArmRange::new(space, start, end);
         err = match it.run_range(&l, &mut range, frame.as_mut()) {
@@ -349,7 +354,7 @@ fn worker_run(task: WorkerTask, mut progress: impl FnMut(u64)) -> WorkerOut {
 /// Updates a lane's log may hold: when it is full the lane stops and the
 /// invocation runs in order. 2¹⁸ updates of at most 12 bytes are 3 MB a
 /// lane; the largest invocation of the 26 kernels logs 127 066 (OCEAN).
-const LOG_CAP: usize = 1 << 18;
+pub(crate) const LOG_CAP: usize = 1 << 18;
 
 /// One reduction's updates, in the order they ran: the bits each store
 /// left in the target — exactly its β — and, for an array target, the
@@ -360,11 +365,10 @@ pub(crate) struct Updates {
     bits: Vec<u64>,
 }
 
-/// What a threaded lane or the adversarial validator logs of one forked
-/// loop's reductions (`Interp::red`; `None` everywhere else, so a serial
-/// store pays one test). While it is installed each target holds its
-/// operator's identity, and [`Interp::log_store`] turns a store into it
-/// into an update.
+/// What a lane logs of one forked loop's reductions (`Interp::red`;
+/// `None` everywhere else, so a serial store pays one test). While it is
+/// installed each target holds its operator's identity, and
+/// [`Interp::log_store`] turns a store into it into an update.
 pub(crate) struct RedLog {
     pub(crate) reds: Vec<RRed>,
     /// Per reduction, in `reds` order.
@@ -374,9 +378,11 @@ pub(crate) struct RedLog {
 }
 
 impl RedLog {
-    /// Hold `reds`' targets at their identities and log up to `room` of
-    /// their stores, or `None` when the loop reduces nothing.
-    pub(crate) fn hold(it: &mut Interp<'_>, reds: &[RRed], room: usize) -> Option<Box<RedLog>> {
+    /// Hold `reds`' targets at their identities and log up to [`LOG_CAP`]
+    /// of their stores, or `None` when the loop reduces nothing. The
+    /// validator's reversed lane shares the cap, and the in-order run a
+    /// full log falls back to.
+    fn hold(it: &mut Interp<'_>, reds: &[RRed]) -> Option<Box<RedLog>> {
         for red in reds {
             match red.target {
                 RRef::Scalar(s) => match &mut it.scalars[s] {
@@ -392,15 +398,15 @@ impl RedLog {
             }
         }
         let updates = reds.iter().map(|_| Updates::default()).collect();
-        (!reds.is_empty()).then(|| Box::new(RedLog { reds: reds.to_vec(), updates, room }))
+        (!reds.is_empty()).then(|| Box::new(RedLog { reds: reds.to_vec(), updates, room: LOG_CAP }))
     }
 }
 
 impl Interp<'_> {
     /// The reduction hook of both engines' stores, called after a store
     /// to `at` (element `elem` of an array, 0 for a scalar): outside a
-    /// lane or the validator one test, and a search of the loop's few
-    /// reductions inside one.
+    /// lane one test, and a search of the loop's few reductions inside
+    /// one.
     #[inline(always)]
     pub(crate) fn log_store(&mut self, at: RRef, elem: usize) {
         if let Some(log) = self.red.as_deref() {
@@ -583,31 +589,31 @@ fn commit_array(
     }
 }
 
-// ---- the main-thread driver ------------------------------------------
+// ---- the fork and the join --------------------------------------------
 
-/// Execute one `PARALLEL DO` or `SPECULATIVE` loop over `plan` on the
-/// calling thread and, once the loop has shown it amortizes a fork, the
-/// helper pool, and return the cycles of each chunk — or `None`, having
-/// changed nothing, when the invocation must run in order instead (no
-/// iteration to fork, a failed speculation, a full reduction log).
-/// Called from `Interp::run_concurrent` when `cfg.exec_mode` is
-/// `Threaded`.
+/// Execute one `PARALLEL DO` or `SPECULATIVE` loop over `plan` and hand
+/// its lanes to [`join`]. Real threads: the calling thread and, once
+/// the loop has shown it amortizes a fork, the helper pool. With
+/// `reversed`, the validator's run of a `PARALLEL DO`: one lane on the
+/// calling thread that claims the iterations last to first
+/// ([`Claims::reversed`], at most `reversed` pieces), what the loop
+/// privatizes poisoned before each piece. Called from
+/// `Interp::run_concurrent`.
 pub(crate) fn run_threaded_loop(
     interp: &mut Interp<'_>,
     l: &Arc<RLoop>,
     space: IterSpace,
     body: Option<u32>,
     plan: ChunkPlan,
+    reversed: Option<usize>,
 ) -> Result<Option<(Flow, Vec<u64>)>, MachineError> {
     // An adaptive plan may have fewer lanes than the machine has threads
     // (idle helpers are fine).
     let procs = plan.procs();
-    let speculative = !l.par.parallel;
-    if space.trip() == 0 {
-        return Ok(None); // nothing to fork
-    }
-
-    let claims = Arc::new(Claims::new(&plan));
+    let claims = Arc::new(match reversed {
+        Some(budget) => Claims::reversed(&plan, budget),
+        None => Claims::new(&plan),
+    });
     // Every array becomes shared with the snapshot here, so the lanes'
     // copies below are handles, and owned again at whoever writes first.
     let snapshot: Vec<Arc<ArrData>> = interp.arrays.iter_mut().map(|a| a.data.share()).collect();
@@ -623,6 +629,10 @@ pub(crate) fn run_threaded_loop(
         bc: interp.bc.clone(),
         body,
     };
+    if reversed.is_some() {
+        let out = worker_run(lane(0), |it| poison(it, &l.par));
+        return join(interp, l, &plan, &claims, &snapshot, vec![out]);
+    }
 
     // The master runs lanes itself, in lane order, until the cycles it
     // has executed reach the bill's guard; the lanes nobody has started
@@ -640,8 +650,8 @@ pub(crate) fn run_threaded_loop(
         unstarted += 1;
         // A panic in the master's lane is a helper's: no result for it.
         let Ok(out) = catch_unwind(AssertUnwindSafe(|| {
-            worker_run(lane(wid), |cycles| {
-                if unstarted < procs && ran + cycles >= threshold {
+            worker_run(lane(wid), |it| {
+                if unstarted < procs && ran + it.cycles >= threshold {
                     HELPERS.with_borrow_mut(|pool| {
                         pool.grow(interp.cfg.procs - 1);
                         #[cfg(test)]
@@ -672,6 +682,25 @@ pub(crate) fn run_threaded_loop(
     if results.len() < unstarted {
         return Err(MachineError::WorkerPanicked { loop_label: l.label.clone() });
     }
+    join(interp, l, &plan, &claims, &snapshot, results)
+}
+
+/// Decide the invocation from its lanes, whoever ran them, and return
+/// the cycles of each plan chunk — or `None`, having changed nothing,
+/// when it must run in order instead (a full reduction log, a failed
+/// speculation). Errors are reported for the smallest failing
+/// iteration; committed are the fuel the lanes took, the bill, the
+/// shared arrays each lane wrote ([`commit_array`], lane order) and,
+/// in piece order, which is serial order, the reduction logs,
+/// copy-out and output.
+fn join(
+    interp: &mut Interp<'_>,
+    l: &RLoop,
+    plan: &ChunkPlan,
+    claims: &Claims,
+    snapshot: &[Arc<ArrData>],
+    mut results: Vec<WorkerOut>,
+) -> Result<Option<(Flow, Vec<u64>)>, MachineError> {
     results.sort_by_key(|w| w.wid);
 
     // A full reduction log, or the PD test over the lanes' marks failing.
@@ -682,7 +711,7 @@ pub(crate) fn run_threaded_loop(
     if results.iter().any(|w| w.full) {
         return Ok(None);
     }
-    if speculative {
+    if !l.par.parallel {
         let passes = |j: usize| {
             let lanes: Vec<&Shadow> = results.iter().map(|w| &w.shadows[j].1).collect();
             PdVerdict::of(&lanes, 0..lanes[0].len()).plain_ok()
@@ -744,16 +773,8 @@ pub(crate) fn run_threaded_loop(
     }
 
     // -- simulated cycle accounting: the simulator's bill ---------------
-    let mut buckets = vec![0u64; procs];
-    for (k, cycles) in profile.iter().enumerate() {
-        buckets[plan.bucket_of(k)] += cycles;
-    }
-    if speculative {
-        let marks = results.iter().flat_map(|w| &w.shadows).map(|(_, sh)| sh.marks_done()).sum();
-        interp.bill_speculative(l, &buckets, marks, true);
-    } else if interp.bill_parallel(&l.par, &plan, &buckets) {
-        interp.loop_entry(l).parallel_invocations += 1;
-    }
+    let marks = results.iter().flat_map(|w| &w.shadows).map(|(_, sh)| sh.marks_done()).sum();
+    interp.bill_invocation(l, plan, &profile, marks, true);
 
     // -- nested-loop stats and shared arrays (diff vs snapshot), worker order
     let skip = |a: usize| {
@@ -786,6 +807,28 @@ pub(crate) fn run_threaded_loop(
     }
     interp.recorder.count(polaris_obs::Counter::ThreadedMergeBytes, merge_bytes);
     Ok(Some((Flow::Normal, profile)))
+}
+
+const POISON_I: i64 = -8_888_888_887;
+
+/// Overwrite the private scalars and arrays of `par` with a NaN, a
+/// sentinel or `false`: a value a private carries from one iteration
+/// into another then shows wherever it flows.
+fn poison(it: &mut Interp<'_>, par: &RPar) {
+    for &s in &par.private_scalars {
+        it.scalars[s] = match it.scalars[s] {
+            Scalar::I(_) => Scalar::I(POISON_I),
+            Scalar::R(_) => Scalar::R(f64::NAN),
+            Scalar::B(_) => Scalar::B(false),
+        };
+    }
+    for &a in &par.private_arrays {
+        match it.arrays[a].data.make_mut() {
+            ArrData::I(v) => v.fill(POISON_I),
+            ArrData::R(v) => v.fill(f64::NAN),
+            ArrData::B(v) => v.fill(false),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -101,22 +101,6 @@ impl ArrData {
         }
         Ok(())
     }
-
-    /// Approximate equality for validation (reductions reassociate).
-    pub(crate) fn approx_eq(&self, other: &ArrData, tol: f64) -> bool {
-        match (self, other) {
-            (ArrData::I(a), ArrData::I(b)) => a == b,
-            (ArrData::B(a), ArrData::B(b)) => a == b,
-            (ArrData::R(a), ArrData::R(b)) => {
-                a.len() == b.len()
-                    && a.iter().zip(b).all(|(x, y)| {
-                        let scale = x.abs().max(y.abs()).max(1.0);
-                        (x - y).abs() <= tol * scale
-                    })
-            }
-            _ => false,
-        }
-    }
 }
 
 /// Element storage of one array: owned by this interpreter, or shared
@@ -228,17 +212,6 @@ impl ArrObj {
             stride *= ext;
         }
         Ok(off as usize)
-    }
-}
-
-/// Scalar approximate equality for validation.
-pub(crate) fn scalar_approx_eq(a: &Scalar, b: &Scalar, tol: f64) -> bool {
-    match (a, b) {
-        (Scalar::R(x), Scalar::R(y)) => {
-            let scale = x.abs().max(y.abs()).max(1.0);
-            (x - y).abs() <= tol * scale
-        }
-        _ => a == b,
     }
 }
 
@@ -359,14 +332,5 @@ mod tests {
         store_into(&mut master, 0, 1);
         assert_eq!(elements(&master).as_ptr(), allocation);
         assert_eq!(elements(&master), &[1, 7, 7, 7]);
-    }
-
-    #[test]
-    fn approx_eq_tolerates_roundoff() {
-        let a = ArrData::R(vec![1.0, 2.0]);
-        let b = ArrData::R(vec![1.0 + 1e-12, 2.0]);
-        assert!(a.approx_eq(&b, 1e-9));
-        let c = ArrData::R(vec![1.1, 2.0]);
-        assert!(!a.approx_eq(&c, 1e-9));
     }
 }

@@ -6,12 +6,12 @@
 //! * [`generate_program`] emits a *well-formed* F-Mini program by
 //!   construction: every array subscript is provably in `1..=N`, every
 //!   loop has a bounded trip count, real arithmetic is restricted to
-//!   non-negative monotone forms (so reduction reassociation stays
-//!   within the validator's relative tolerance), and integer arithmetic
-//!   is wrapping-safe. Such programs must compile, must validate at
-//!   every pipeline stage boundary, and must produce identical output
-//!   serially and restructured — any divergence is a compiler bug, not
-//!   a fuzzer artifact.
+//!   non-negative monotone forms (so the reassociation restructuring
+//!   does stays within the differential harness's relative tolerance),
+//!   and integer arithmetic is wrapping-safe. Such programs must
+//!   compile, must validate at every pipeline stage boundary, and must
+//!   produce identical output serially and restructured — any
+//!   divergence is a compiler bug, not a fuzzer artifact.
 //! * [`mutate_bytes`] takes well-formed source and corrupts it (bit
 //!   flips, splices, truncations, token-ish insertions). The frontend
 //!   must refuse such inputs with a [`CompileError`](crate::CompileError)
@@ -62,8 +62,8 @@ const INT_SCALARS: [&str; 2] = ["L", "M"];
 const ARRAYS: [&str; 3] = ["A", "B", "C"];
 const LOOP_VARS: [&str; 3] = ["I", "J", "K"];
 /// Positive constants only: keeps every generated real value
-/// non-negative, so reductions are monotone sums and parallel
-/// reassociation cannot leave the comparison tolerance.
+/// non-negative, so reductions are monotone sums and the reassociation
+/// restructuring does cannot leave the differential harness's tolerance.
 const REAL_CONSTS: [&str; 7] = ["0.25", "0.5", "1.0", "1.5", "2.0", "2.5", "3.0"];
 
 struct Gen {
