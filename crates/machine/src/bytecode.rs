@@ -14,20 +14,21 @@
 //!   specialized opcodes (`add.r`, `ld.s.i`, …) that operate on raw
 //!   64-bit registers with no run-time tag dispatch. Numeric promotion
 //!   (`I op R`) compiles to an explicit charge-free conversion.
-//! * **Interned symbols** — array names and PRINT string literals live
-//!   in one `Interner`; instructions carry `u32` symbols, and names
-//!   are only materialized on the error path (`OutOfBounds` carries the
-//!   array name, exactly like the tree-walker).
+//! * **Interned symbols** — PRINT string literals live in one
+//!   `Interner` and instructions carry `u32` symbols; an element access
+//!   carries its array's slot.
 //! * **Flat instruction stream with an explicit jump table** — each
 //!   [`BcBlock`] is a `Vec<Instr>` plus a `labels` table mapping label
 //!   ids to instruction addresses. Forward branches are emitted against
 //!   fresh labels and resolved by binding the label after the target is
 //!   known.
-//! * **Pre-resolved array strides and fused subscripts** — `ArrMeta`
-//!   stores per-dim lower bound, extent and column-major stride computed
-//!   once; the common subscript shapes (`i`, `i±k`, literal) are fused
-//!   into the element access itself as `SubSrc` descriptors, so
-//!   `a(i,j+1)` is *one* instruction, not five.
+//! * **Shared array layouts and fused subscripts** — the unit holds the
+//!   image's shape table ([`Image::shapes`]: per dimension the lower
+//!   bound, extent and column-major stride lowering derived once), and
+//!   an element access flattens through the `Shape::flatten` the
+//!   tree-walker calls; the common subscript shapes (`i`, `i±k`,
+//!   literal) are fused into the element access itself as `SubSrc`
+//!   descriptors, so `a(i,j+1)` is *one* instruction, not five.
 //! * **Register-allocated temporaries** — expression temporaries live in
 //!   a per-block `u64` frame (`f64` values are bit-cast). Allocation is
 //!   stack-shaped: an expression compiled into register `d` may scratch
@@ -76,7 +77,7 @@
 
 use crate::error::MachineError;
 use crate::lower::{Image, Intr, RExpr, RLoop, RStmt};
-use crate::value::{ArrData, Scalar};
+use crate::value::{ArrData, Scalar, Shape};
 use polaris_ir::expr::BinOp;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -87,7 +88,7 @@ pub(crate) type Reg = u16;
 /// An index into a block's jump table ([`BcBlock::labels`]).
 pub(crate) type Label = u16;
 
-/// An interned string (array name or PRINT literal).
+/// An interned PRINT string literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Sym(pub(crate) u32);
 
@@ -100,10 +101,6 @@ pub(crate) struct Interner {
 }
 
 impl Interner {
-    pub(crate) fn new() -> Interner {
-        Interner::default()
-    }
-
     pub(crate) fn intern(&mut self, s: &str) -> Sym {
         if let Some(&id) = self.map.get(s) {
             return Sym(id);
@@ -121,25 +118,6 @@ impl Interner {
     pub(crate) fn len(&self) -> usize {
         self.names.len()
     }
-}
-
-/// One dimension of a pre-resolved array layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ArrDim {
-    pub(crate) low: i64,
-    pub(crate) extent: i64,
-    /// Column-major stride in elements (dim 0 has stride 1).
-    pub(crate) stride: i64,
-}
-
-/// Pre-resolved addressing metadata for one array slot, parallel to
-/// `Image::arrays`. Flattening follows `ArrObj::flatten` exactly —
-/// including the per-dimension bounds-check order and the error payload
-/// (failing subscript + that dimension's extent).
-#[derive(Debug, Clone)]
-pub(crate) struct ArrMeta {
-    pub(crate) name: Sym,
-    pub(crate) dims: Box<[ArrDim]>,
 }
 
 /// One subscript of a fused element access, stored in the unit's
@@ -295,8 +273,8 @@ pub struct BcBlock {
 
 /// A fully lowered unit: its code as one [`BcBlock`] (loop bodies are
 /// inline), the loop descriptors (shared with the orchestration layer),
-/// array metadata, the subscript pool, fallback statements and the
-/// symbol interner.
+/// the image's array shapes, the subscript pool, fallback statements and
+/// the symbol interner.
 #[derive(Debug, Clone)]
 pub struct BcUnit {
     /// Block executed for the unit's code.
@@ -306,7 +284,8 @@ pub struct BcUnit {
     /// `lp` delimit, `loops[lp].1` the address of its body's first
     /// instruction in the entry block.
     pub(crate) loops: Vec<(Arc<RLoop>, u32)>,
-    pub(crate) arrays: Vec<ArrMeta>,
+    /// The image's table of array names and layouts ([`Image::shapes`]).
+    pub(crate) shapes: Arc<[Shape]>,
     pub(crate) interner: Interner,
     /// Fused-subscript pool; element accesses reference windows of it.
     pub(crate) subs: Vec<SubSrc>,
@@ -349,25 +328,6 @@ pub(crate) fn compile_quiet(image: &Image) -> Result<BcUnit, MachineError> {
 }
 
 fn compile_with(image: &Image, quiet: bool) -> Result<BcUnit, MachineError> {
-    let mut interner = Interner::new();
-    let arrays = image
-        .arrays
-        .iter()
-        .map(|a| {
-            let mut stride = 1i64;
-            let dims = a
-                .lows
-                .iter()
-                .zip(&a.extents)
-                .map(|(&low, &extent)| {
-                    let d = ArrDim { low, extent, stride };
-                    stride *= extent;
-                    d
-                })
-                .collect();
-            ArrMeta { name: interner.intern(&a.name), dims }
-        })
-        .collect();
     let slot_ty = image
         .scalars
         .iter()
@@ -380,7 +340,7 @@ fn compile_with(image: &Image, quiet: bool) -> Result<BcUnit, MachineError> {
     let arr_ty = image
         .arrays
         .iter()
-        .map(|a| match a.data.get() {
+        .map(|a| match a.get() {
             ArrData::I(_) => Ty::I,
             ArrData::R(_) => Ty::R,
             ArrData::B(_) => Ty::B,
@@ -391,8 +351,8 @@ fn compile_with(image: &Image, quiet: bool) -> Result<BcUnit, MachineError> {
             entry: 0,
             blocks: Vec::new(),
             loops: Vec::new(),
-            arrays,
-            interner,
+            shapes: Arc::clone(&image.shapes),
+            interner: Interner::default(),
             subs: Vec::new(),
             stmts: Vec::new(),
         },
@@ -875,12 +835,12 @@ pub fn disassemble(bc: &BcUnit) -> String {
         "; bytecode unit: {} blocks, {} loops, {} arrays, {} symbols, {} fallbacks",
         bc.blocks.len(),
         bc.loops.len(),
-        bc.arrays.len(),
-        bc.interner.len(),
+        bc.shapes.len(),
+        bc.shapes.len() + bc.interner.len(),
         bc.stmts.len()
     );
-    for (i, a) in bc.arrays.iter().enumerate() {
-        let _ = write!(out, "array {i} {}", bc.interner.resolve(a.name));
+    for (i, a) in bc.shapes.iter().enumerate() {
+        let _ = write!(out, "array {i} {}", a.name);
         for d in a.dims.iter() {
             let _ = write!(out, " [{}..{} *{}]", d.low, d.low + d.extent - 1, d.stride);
         }
@@ -954,7 +914,7 @@ fn render_subs(bc: &BcUnit, sub: u32, n: u8) -> String {
 }
 
 fn render(bc: &BcUnit, instr: &Instr) -> String {
-    let arr_name = |a: &u32| bc.interner.resolve(bc.arrays[*a as usize].name);
+    let arr_name = |a: &u32| &bc.shapes[*a as usize].name;
     match instr {
         Instr::Step => "step".into(),
         Instr::LitI(d, v) => format!("lit.i    r{d} <- {v}"),
@@ -1063,7 +1023,7 @@ mod tests {
 
     #[test]
     fn interner_round_trips_and_is_idempotent() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let a = i.intern("alpha");
         let b = i.intern("beta");
         let a2 = i.intern("alpha");
@@ -1072,28 +1032,6 @@ mod tests {
         assert_eq!(i.resolve(a), "alpha");
         assert_eq!(i.resolve(b), "beta");
         assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    fn strides_match_the_column_major_reference() {
-        // a(10, 5) with 1-based bounds: dim 0 stride 1, dim 1 stride 10 —
-        // the same layout ArrObj::flatten derives per access.
-        let img = image("program t\nreal a(10, 5)\na(2, 3) = 1.0\nend\n");
-        let bc = compile(&img).unwrap();
-        let m = &bc.arrays[0];
-        assert_eq!(bc.interner.resolve(m.name), img.arrays[0].name);
-        assert_eq!(m.dims.len(), 2);
-        assert_eq!((m.dims[0].low, m.dims[0].extent, m.dims[0].stride), (1, 10, 1));
-        assert_eq!((m.dims[1].low, m.dims[1].extent, m.dims[1].stride), (1, 5, 10));
-        // every in-bounds subscript pair agrees with the reference
-        for j in 1..=5i64 {
-            for i in 1..=10i64 {
-                let reference = img.arrays[0].flatten(&[i, j]).unwrap();
-                let fast = ((i - m.dims[0].low) * m.dims[0].stride
-                    + (j - m.dims[1].low) * m.dims[1].stride) as usize;
-                assert_eq!(fast, reference, "({i},{j})");
-            }
-        }
     }
 
     #[test]
@@ -1254,7 +1192,10 @@ mod tests {
         let bc1 = compile(&img).unwrap();
         let bc2 = compile(&img).unwrap();
         assert_eq!(disassemble(&bc1), disassemble(&bc2));
+        assert!(Arc::ptr_eq(&bc1.shapes, &img.shapes) && Arc::ptr_eq(&bc2.shapes, &img.shapes));
         let text = disassemble(&bc1);
+        // The symbols are the array names and the PRINT literals.
+        assert!(text.starts_with("; bytecode unit: 1 blocks, 1 loops, 1 arrays, 2 symbols,"), "{text}");
         assert!(text.contains("loop 0 \"T_do"), "{text}");
         assert!(text.contains("do       0 \"T_do"), "{text}");
         assert!(text.contains("loop     0 \"T_do"), "{text}");

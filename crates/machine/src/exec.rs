@@ -6,7 +6,7 @@ use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRef, RStmt};
 use crate::lrpd::{PdVerdict, Shadow};
 use crate::oracle::Loc;
-use crate::value::{ArrData, ArrObj, Scalar, V};
+use crate::value::{ArrData, ArrStore, Scalar, Shape, V};
 use crate::{Engine, ExecMode, MachineConfig};
 use polaris_ir::expr::{BinOp, UnOp};
 use polaris_ir::Program;
@@ -144,7 +144,10 @@ pub(crate) struct BodyFrame {
 pub(crate) struct Interp<'a> {
     pub(crate) cfg: &'a MachineConfig,
     pub(crate) scalars: Vec<Scalar>,
-    pub(crate) arrays: Vec<ArrObj>,
+    /// The image's table of array names and layouts ([`Image::shapes`]).
+    pub(crate) shapes: Arc<[Shape]>,
+    /// Each array's elements, by slot.
+    pub(crate) arrays: Vec<ArrStore>,
     pub(crate) cycles: u64,
     /// Monotonic statement/iteration counter for the fuel budget.
     /// Separate from `cycles`, which the codegen model and parallel
@@ -203,8 +206,7 @@ pub(crate) struct Interp<'a> {
 impl<'a> Interp<'a> {
     /// An interpreter of `image` under `cfg`'s engine. It takes the
     /// image's arrays as its memory, by value — a copy would be one pass
-    /// over every array per run — after the bytecode compiler has read
-    /// their layout.
+    /// over every array per run — and shares their shapes.
     pub(crate) fn new(
         image: &mut Image,
         cfg: &'a MachineConfig,
@@ -218,8 +220,8 @@ impl<'a> Interp<'a> {
             Engine::Vm if quiet_steps => Some(Arc::new(crate::bytecode::compile_quiet(image)?)),
             Engine::Vm => Some(Arc::new(crate::bytecode::compile(image)?)),
         };
-        let arrays = std::mem::take(&mut image.arrays);
-        Ok(Interp { adversarial, bc, ..Interp::over(cfg, image.scalars.clone(), arrays, 0) })
+        let (shapes, arrays) = (Arc::clone(&image.shapes), std::mem::take(&mut image.arrays));
+        Ok(Interp { adversarial, bc, ..Interp::over(cfg, image.scalars.clone(), shapes, arrays, 0) })
     }
 
     fn quiet(cfg: &MachineConfig) -> bool {
@@ -232,12 +234,14 @@ impl<'a> Interp<'a> {
     pub(crate) fn over(
         cfg: &'a MachineConfig,
         scalars: Vec<Scalar>,
-        arrays: Vec<ArrObj>,
+        shapes: Arc<[Shape]>,
+        arrays: Vec<ArrStore>,
         steps: u64,
     ) -> Interp<'a> {
         Interp {
             cfg,
             scalars,
+            shapes,
             arrays,
             cycles: 0,
             steps,
@@ -286,7 +290,7 @@ impl<'a> Interp<'a> {
                 if !self.spec.is_empty() {
                     self.cycles += self.mark_access(*arr, idx, false);
                 }
-                Ok(self.arrays[*arr].data.get().get(idx))
+                Ok(self.arrays[*arr].get().get(idx))
             }
             RExpr::Un(op, arg) => {
                 let v = self.eval(arg)?;
@@ -318,7 +322,7 @@ impl<'a> Interp<'a> {
         for s in subs {
             idxs.push(self.eval(s)?.as_i()?);
         }
-        self.arrays[arr].flatten(&idxs)
+        self.shapes[arr].flatten(&idxs)
     }
 
     /// The speculation hook of both engines' element accesses: mark the
@@ -618,7 +622,7 @@ impl<'a> Interp<'a> {
                 if let Some(o) = self.oracle.as_deref_mut() {
                     o.access(Loc::Element(*arr, idx), true);
                 }
-                self.arrays[*arr].data.make_mut().set(idx, v)?;
+                self.arrays[*arr].make_mut().set(idx, v)?;
                 self.log_store(RRef::Array(*arr), idx);
                 Ok(Flow::Normal)
             }
@@ -1000,7 +1004,7 @@ impl<'a> Interp<'a> {
     /// An unmarked shadow per array `l` speculates on: what one executor
     /// of its iterations (the in-order simulation, a threaded lane) marks.
     pub(crate) fn fresh_shadows(&self, l: &RLoop) -> Vec<(usize, Shadow)> {
-        l.par.spec_arrays.iter().map(|&a| (a, Shadow::new(self.arrays[a].data.get().len()))).collect()
+        l.par.spec_arrays.iter().map(|&a| (a, Shadow::new(self.arrays[a].get().len()))).collect()
     }
 
     /// One concurrent invocation run in order on this thread, chunk by
@@ -1167,16 +1171,17 @@ pub(crate) fn dump_state(interp: &Interp<'_>, image: &Image) -> StateDump {
             Scalar::B(v) => format!("B:{v}"),
         }))
         .collect();
-    let arrays = interp
-        .arrays
+    let arrays = image
+        .shapes
         .iter()
-        .map(|a| {
-            let h = match a.data.get() {
+        .zip(&interp.arrays)
+        .map(|(shape, a)| {
+            let h = match a.get() {
                 ArrData::I(v) => crate::fnv1a(v.iter().flat_map(|x| x.to_le_bytes())),
                 ArrData::R(v) => crate::fnv1a(v.iter().flat_map(|x| x.to_bits().to_le_bytes())),
                 ArrData::B(v) => crate::fnv1a(v.iter().map(|x| u8::from(*x))),
             };
-            (a.name.clone(), h)
+            (shape.name.clone(), h)
         })
         .collect();
     StateDump { scalars, arrays }
@@ -1617,7 +1622,7 @@ mod tests {
             let cfg = MachineConfig::serial().with_engine(engine);
             let mut interp = Interp::new(&mut image, &cfg, false).unwrap();
             let err = interp.run_program(&image).unwrap_err();
-            let (a, b) = (interp.arrays[0].data.get().clone(), interp.arrays[1].data.get().clone());
+            let (a, b) = (interp.arrays[0].get().clone(), interp.arrays[1].get().clone());
             (err, a, b, dump_state(&interp, &image))
         };
         let (vm, tree) = (failed(Engine::Vm), failed(Engine::TreeWalk));

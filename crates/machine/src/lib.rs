@@ -55,10 +55,11 @@ pub use oracle::{audit, audit_recorded, audit_with};
 ///
 /// * `Vm` — the default: the lowered [`lower::Image`] is compiled once
 ///   more to compact bytecode ([`bytecode`]) and dispatched by a flat
-///   register VM (`vm`): interned symbols, explicit jump tables,
-///   pre-resolved array strides, register-allocated temporaries. Measured
-///   2.8–3.2× the tree-walker (`machine.vm_over_tree`) at *identical*
-///   semantics — cycles, fuel, errors and output are bit-for-bit equal.
+///   register VM (`vm`): interned symbols, explicit jump tables, the
+///   image's array layouts (one table both engines flatten by),
+///   register-allocated temporaries. Measured 2.8–3.2× the tree-walker
+///   (`machine.vm_over_tree`) at *identical* semantics — cycles, fuel,
+///   errors and output are bit-for-bit equal.
 /// * `TreeWalk` — the original recursive interpreter over the statement
 ///   tree, retained as the differential oracle the VM is held to
 ///   (`tests/vm_equivalence.rs`), and the one engine a dependence-oracle

@@ -7,7 +7,7 @@
 //! are folded at load time.
 
 use crate::error::MachineError;
-use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
+use crate::value::{ArrData, ArrStore, Scalar, Shape};
 use polaris_ir::expr::{is_intrinsic, BinOp, Expr, LValue, RedOp, UnOp};
 use polaris_ir::stmt::{Stmt, StmtKind};
 use polaris_ir::symbol::SymKind;
@@ -135,7 +135,12 @@ pub enum RStmt {
 pub struct Image {
     pub(crate) scalars: Vec<Scalar>,
     pub scalar_names: Vec<String>,
-    pub arrays: Vec<ArrObj>,
+    /// Each array's name and layout, by slot: the one table the bytecode
+    /// unit and every interpreter of the image share.
+    pub shapes: Arc<[Shape]>,
+    /// Each array's elements, by slot; an interpreter of the image takes
+    /// them as its memory.
+    pub(crate) arrays: Vec<ArrStore>,
     pub code: Vec<RStmt>,
 }
 
@@ -160,7 +165,8 @@ struct Lowerer {
     array_ids: BTreeMap<String, usize>,
     scalars: Vec<Scalar>,
     scalar_names: Vec<String>,
-    arrays: Vec<ArrObj>,
+    shapes: Vec<Shape>,
+    arrays: Vec<ArrStore>,
     params: BTreeMap<String, Expr>,
 }
 
@@ -185,6 +191,7 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
         array_ids: BTreeMap::new(),
         scalars: Vec::new(),
         scalar_names: Vec::new(),
+        shapes: Vec::new(),
         arrays: Vec::new(),
         params: BTreeMap::new(),
     };
@@ -223,8 +230,7 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
                 });
             }
             SymKind::Array(dims) => {
-                let mut lows = Vec::new();
-                let mut extents = Vec::new();
+                let mut bounds = Vec::new();
                 let mut total: i64 = 1;
                 for d in dims {
                     let lo = l
@@ -234,8 +240,7 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
                         .const_eval(&d.hi)
                         .ok_or_else(|| MachineError::NonConstantDims(sym.name.clone()))?;
                     let ext = (hi - lo + 1).max(0);
-                    lows.push(lo);
-                    extents.push(ext);
+                    bounds.push((lo, ext));
                     total = total.saturating_mul(ext);
                 }
                 if total > 1 << 28 {
@@ -257,12 +262,8 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
                 };
                 let id = l.arrays.len();
                 l.array_ids.insert(sym.name.clone(), id);
-                l.arrays.push(ArrObj {
-                    name: sym.name.clone(),
-                    lows,
-                    extents,
-                    data: ArrStore::Owned(data),
-                });
+                l.shapes.push(Shape::new(sym.name.clone(), bounds));
+                l.arrays.push(ArrStore::Owned(data));
             }
             SymKind::Parameter(_) | SymKind::External => {}
         }
@@ -271,6 +272,7 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
     Ok(Image {
         scalars: l.scalars,
         scalar_names: l.scalar_names,
+        shapes: l.shapes.into(),
         arrays: l.arrays,
         code,
     })
@@ -510,8 +512,9 @@ mod tests {
         let img = image_of(
             "program t\ninteger n\nparameter (n = 4)\nreal a(n, 2*n)\ninteger k\nk = 1\na(1,1) = 0.0\nend\n",
         );
-        assert_eq!(img.arrays.len(), 1);
-        assert_eq!(img.arrays[0].extents, vec![4, 8]);
+        assert_eq!((img.shapes.len(), img.arrays.len()), (1, 1));
+        let extents: Vec<i64> = img.shapes[0].dims.iter().map(|d| d.extent).collect();
+        assert_eq!(extents, [4, 8]);
         assert!(img.scalar_names.contains(&"K".to_string()));
     }
 

@@ -37,7 +37,7 @@
 
 use crate::error::MachineError;
 use crate::exec::Interp;
-use crate::lower::lower_with_cap;
+use crate::lower::{lower_with_cap, Image};
 use crate::{Engine, MachineConfig};
 use polaris_core::CompileReport;
 use polaris_ir::stmt::LoopId;
@@ -540,15 +540,11 @@ impl OracleState {
 
     /// Resolve the aggregated trace into per-loop observations with
     /// source-level names.
-    fn observations(
-        &self,
-        scalar_names: &[String],
-        arrays: &[crate::value::ArrObj],
-    ) -> BTreeMap<LoopId, LoopObservation> {
+    fn observations(&self, image: &Image) -> BTreeMap<LoopId, LoopObservation> {
         let name_of = |key: &VarKey| -> String {
             match key {
-                VarKey::Scalar(i) => scalar_names[*i].clone(),
-                VarKey::Array(i) => arrays[*i].name.clone(),
+                VarKey::Scalar(i) => image.scalar_names[*i].clone(),
+                VarKey::Array(i) => image.shapes[*i].name.clone(),
             }
         };
         self.agg
@@ -642,7 +638,7 @@ pub fn audit_recorded(
     interp.oracle = Some(Box::default());
     interp.run_program(&image)?;
     let trace = interp.oracle.take().expect("oracle state survives the run");
-    let observations = trace.observations(&image.scalar_names, &interp.arrays);
+    let observations = trace.observations(&image);
     let verdict = judge(&claims_from(program, report), &observations);
     oracle_span.end();
     rec.count(polaris_obs::Counter::OracleViolations, verdict.violations().count() as u64);

@@ -71,13 +71,16 @@
 //! to serial execution** even though execution order is not:
 //!
 //! * Every worker starts from a copy-on-write snapshot of the shared
-//!   state (scalars are copied; the fork makes every array shared with
-//!   the snapshot — `ArrStore::share` — and a lane's copy its own at the
-//!   lane's first store into it). Privatized variables are thereby
+//!   state. A lane copies the scalars, one handle per array on its
+//!   elements and one reference to the image's shape table (names and
+//!   layouts are never copied): the fork makes every array shared with
+//!   the snapshot — `ArrStore::share` — and a lane's handle its own copy
+//!   at the lane's first store into it. Privatized variables are thereby
 //!   trivially private.
 //! * Reductions fold **in serial order** ([`RedLog`]): a lane logs what
-//!   each reduction store adds, in the order it runs them, and the join
-//!   replays the pieces' logs in piece-index order — serial's own fold,
+//!   each reduction store adds, in the order it runs them, in one log
+//!   for all its pieces, and the join replays each piece's part of its
+//!   lane's log in piece-index order — serial's own fold,
 //!   whatever the thread count and the schedule.
 //! * Shared arrays are committed by diffing each worker's copy against
 //!   the pre-fork snapshot (a copy that still *is* the snapshot was
@@ -111,7 +114,7 @@ use crate::error::MachineError;
 use crate::exec::{ArmRange, Flow, Interp};
 use crate::lower::{RLoop, RPar, RRed, RRef};
 use crate::lrpd::{PdVerdict, Shadow};
-use crate::value::{ArrData, ArrObj, ArrStore, Scalar};
+use crate::value::{ArrData, ArrStore, Scalar, Shape};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
 use std::cell::RefCell;
@@ -246,9 +249,6 @@ struct PieceOut {
     p: usize,
     cycles: u64,
     output: Vec<String>,
-    /// The piece's reduction updates, per reduction in the order it ran
-    /// them.
-    updates: Vec<Updates>,
     /// Copy-out scalar values captured after the final iteration
     /// (only set on the piece holding it).
     copy_out: Option<Vec<(usize, Scalar)>>,
@@ -256,9 +256,13 @@ struct PieceOut {
 
 struct WorkerOut {
     wid: usize,
-    arrays: Vec<ArrObj>,
+    arrays: Vec<ArrStore>,
     loops: Vec<Option<(String, crate::exec::LoopExecStats)>>,
+    /// In the order the lane ran them, which is the order of their
+    /// updates in `log`.
     pieces: Vec<PieceOut>,
+    /// The lane's reduction log, when the loop reduces.
+    log: Option<Box<RedLog>>,
     /// The lane's marks on each array a `SPECULATIVE` loop tracks, in
     /// `l.par.spec_arrays` order.
     shadows: Vec<(usize, Shadow)>,
@@ -266,8 +270,6 @@ struct WorkerOut {
     steps: u64,
     /// First failing iteration index and its error, if any.
     err: Option<(u64, MachineError)>,
-    /// The lane's log filled up ([`LOG_CAP`]) and the lane stopped.
-    full: bool,
     /// The lane's `Interp::{activations, dispatches}`.
     #[cfg(test)]
     fence: (u64, u64),
@@ -281,7 +283,8 @@ struct WorkerTask {
     claims: Arc<Claims>,
     cfg: MachineConfig,
     scalars: Vec<Scalar>,
-    arrays: Vec<ArrObj>,
+    shapes: Arc<[Shape]>,
+    arrays: Vec<ArrStore>,
     /// The master's step count at the fork, where the lane's own starts.
     steps: u64,
     /// Bytecode of the running unit + where this loop's body starts in
@@ -294,8 +297,8 @@ struct WorkerTask {
 /// are left for it, each run as one range ([`Interp::run_range`]).
 /// `before_piece` gets the lane's interpreter before each piece.
 fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -> WorkerOut {
-    let WorkerTask { wid, l, space, claims, cfg, scalars, arrays, steps, bc, body } = task;
-    let mut it = Interp::over(&cfg, scalars, arrays, steps);
+    let WorkerTask { wid, l, space, claims, cfg, scalars, shapes, arrays, steps, bc, body } = task;
+    let mut it = Interp::over(&cfg, scalars, shapes, arrays, steps);
     it.in_parallel = true;
     it.bc = bc;
     it.spec = it.fresh_shadows(&l);
@@ -304,7 +307,6 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
     let mut frame = it.body_frame(body);
     let mut pieces: Vec<PieceOut> = Vec::new();
     let mut err: Option<(u64, MachineError)> = None;
-    let full = |it: &Interp<'_>| it.red.as_ref().is_some_and(|log| log.room == 0);
     while let Some(p) = claims.next(wid) {
         let (start, end) = claims.bounds(p);
         if start == end {
@@ -323,14 +325,9 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
         };
         let copy_out = (end == space.trip() && err.is_none())
             .then(|| l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
-        pieces.push(PieceOut {
-            p,
-            cycles: it.cycles - c0,
-            output: it.output.split_off(out0),
-            updates: it.red.as_mut().map(|log| log.updates.iter_mut().map(std::mem::take).collect()).unwrap_or_default(),
-            copy_out,
-        });
-        if err.is_some() || full(&it) {
+        pieces.push(PieceOut { p, cycles: it.cycles - c0, output: it.output.split_off(out0), copy_out });
+        let full = it.red.as_deref_mut().is_some_and(RedLog::end_piece);
+        if err.is_some() || full {
             break;
         }
     }
@@ -339,7 +336,7 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
         wid,
         #[cfg(test)]
         fence: (it.activations, it.dispatches),
-        full: full(&it),
+        log: it.red,
         arrays: it.arrays,
         loops: it.loop_stats,
         pieces,
@@ -356,23 +353,26 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
 /// lane; the largest invocation of the 26 kernels logs 127 066 (OCEAN).
 pub(crate) const LOG_CAP: usize = 1 << 18;
 
-/// One reduction's updates, in the order they ran: the bits each store
-/// left in the target — exactly its β — and, for an array target, the
-/// element it went to (lowering caps an array at 2²⁸ elements).
+/// One reduction's updates in a lane, in the order they ran: the bits
+/// each store left in the target — exactly its β — and, for an array
+/// target, the element it went to (lowering caps an array at 2²⁸
+/// elements); `ends[k]` is where the lane's `k`-th piece's updates end.
 #[derive(Default)]
 pub(crate) struct Updates {
     elems: Vec<u32>,
     bits: Vec<u64>,
+    ends: Vec<usize>,
 }
 
 /// What a lane logs of one forked loop's reductions (`Interp::red`;
 /// `None` everywhere else, so a serial store pays one test). While it is
 /// installed each target holds its operator's identity, and
-/// [`Interp::log_store`] turns a store into it into an update.
+/// [`Interp::log_store`] turns a store into it into an update. One log
+/// serves all the lane's pieces, one after another.
 pub(crate) struct RedLog {
-    pub(crate) reds: Vec<RRed>,
+    reds: Vec<RRed>,
     /// Per reduction, in `reds` order.
-    pub(crate) updates: Vec<Updates>,
+    updates: Vec<Updates>,
     /// Updates the log may still take; at 0 it is full and takes none.
     room: usize,
 }
@@ -390,7 +390,7 @@ impl RedLog {
                     Scalar::I(v) => *v = red_identity_i(red.op),
                     Scalar::B(_) => {}
                 },
-                RRef::Array(a) => match it.arrays[a].data.make_mut() {
+                RRef::Array(a) => match it.arrays[a].make_mut() {
                     ArrData::R(v) => v.fill(red_identity_r(red.op)),
                     ArrData::I(v) => v.fill(red_identity_i(red.op)),
                     ArrData::B(_) => {}
@@ -399,6 +399,12 @@ impl RedLog {
         }
         let updates = reds.iter().map(|_| Updates::default()).collect();
         (!reds.is_empty()).then(|| Box::new(RedLog { reds: reds.to_vec(), updates, room: LOG_CAP }))
+    }
+
+    /// End the piece the lane ran last here; whether the log is full.
+    fn end_piece(&mut self) -> bool {
+        self.updates.iter_mut().for_each(|u| u.ends.push(u.bits.len()));
+        self.room == 0
     }
 }
 
@@ -429,7 +435,7 @@ impl Interp<'_> {
                 Scalar::I(v) => std::mem::replace(v, red_identity_i(op)) as u64,
                 Scalar::B(_) => return,
             },
-            RRef::Array(a) => match self.arrays[a].data.make_mut() {
+            RRef::Array(a) => match self.arrays[a].make_mut() {
                 ArrData::R(v) => std::mem::replace(&mut v[elem], red_identity_r(op)).to_bits(),
                 ArrData::I(v) => std::mem::replace(&mut v[elem], red_identity_i(op)) as u64,
                 ArrData::B(_) => return,
@@ -445,24 +451,26 @@ impl Interp<'_> {
         }
     }
 
-    /// Apply each reduction's updates to its target in order, `σ = σ ∘ β`
-    /// per update — the serial loop's own fold when they are in serial
-    /// order — and drain them. Returns the bytes applied.
-    pub(crate) fn replay(&mut self, reds: &[RRed], updates: &mut [Updates]) -> u64 {
-        let bytes = updates.iter().map(|u| 8 * u.bits.len() as u64).sum();
-        for (red, u) in reds.iter().zip(updates) {
-            let (op, betas, elems) = (red.op, u.bits.drain(..), u.elems.drain(..));
+    /// Apply the updates of piece `k` of `log`'s lane to their targets
+    /// in order, `σ = σ ∘ β` per update — the serial loop's own fold when
+    /// pieces are replayed in serial order. Returns the bytes applied.
+    pub(crate) fn replay(&mut self, log: &RedLog, k: usize) -> u64 {
+        let mut bytes = 0;
+        for (red, u) in log.reds.iter().zip(&log.updates) {
+            let span = k.checked_sub(1).map_or(0, |prev| u.ends[prev])..u.ends[k];
+            bytes += 8 * span.len() as u64;
+            let (op, betas) = (red.op, u.bits[span.clone()].iter());
             match red.target {
                 RRef::Scalar(s) => match &mut self.scalars[s] {
-                    Scalar::R(v) => *v = betas.fold(*v, |acc, b| red_apply_r(op, acc, f64::from_bits(b))),
-                    Scalar::I(v) => *v = betas.fold(*v, |acc, b| red_apply_i(op, acc, b as i64)),
+                    Scalar::R(v) => *v = betas.fold(*v, |acc, &b| red_apply_r(op, acc, f64::from_bits(b))),
+                    Scalar::I(v) => *v = betas.fold(*v, |acc, &b| red_apply_i(op, acc, b as i64)),
                     Scalar::B(_) => {}
                 },
-                RRef::Array(a) => match self.arrays[a].data.make_mut() {
-                    ArrData::R(v) => elems.zip(betas).for_each(|(e, b)| {
+                RRef::Array(a) => match self.arrays[a].make_mut() {
+                    ArrData::R(v) => u.elems[span].iter().zip(betas).for_each(|(&e, &b)| {
                         v[e as usize] = red_apply_r(op, v[e as usize], f64::from_bits(b));
                     }),
-                    ArrData::I(v) => elems.zip(betas).for_each(|(e, b)| {
+                    ArrData::I(v) => u.elems[span].iter().zip(betas).for_each(|(&e, &b)| {
                         v[e as usize] = red_apply_i(op, v[e as usize], b as i64);
                     }),
                     ArrData::B(_) => {}
@@ -616,7 +624,7 @@ pub(crate) fn run_threaded_loop(
     });
     // Every array becomes shared with the snapshot here, so the lanes'
     // copies below are handles, and owned again at whoever writes first.
-    let snapshot: Vec<Arc<ArrData>> = interp.arrays.iter_mut().map(|a| a.data.share()).collect();
+    let snapshot: Vec<Arc<ArrData>> = interp.arrays.iter_mut().map(ArrStore::share).collect();
     let lane = |wid: usize| WorkerTask {
         wid,
         l: Arc::clone(l),
@@ -624,6 +632,7 @@ pub(crate) fn run_threaded_loop(
         claims: Arc::clone(&claims),
         cfg: interp.cfg.clone(),
         scalars: interp.scalars.clone(),
+        shapes: Arc::clone(&interp.shapes),
         arrays: interp.arrays.clone(),
         steps: interp.steps,
         bc: interp.bc.clone(),
@@ -708,7 +717,7 @@ fn join(
     // iteration are not even complete). Nothing of the lanes has reached
     // `interp` yet: drop them and run the loop in order, which re-derives
     // values, verdict, error, steps and bill.
-    if results.iter().any(|w| w.full) {
+    if results.iter().any(|w| w.log.as_ref().is_some_and(|log| log.room == 0)) {
         return Ok(None);
     }
     if !l.par.parallel {
@@ -744,14 +753,21 @@ fn join(
         return Err(MachineError::FuelExhausted { limit });
     }
 
-    let mut pieces: Vec<PieceOut> =
-        results.iter_mut().flat_map(|w| std::mem::take(&mut w.pieces)).collect();
-    pieces.sort_by_key(|pc| pc.p);
+    // Each piece with its lane and its place in the lane's log.
+    let mut pieces: Vec<(PieceOut, usize, usize)> = results
+        .iter_mut()
+        .enumerate()
+        .flat_map(|(lane, w)| {
+            let pieces = std::mem::take(&mut w.pieces);
+            pieces.into_iter().enumerate().map(move |(k, pc)| (pc, lane, k))
+        })
+        .collect();
+    pieces.sort_by_key(|(pc, ..)| pc.p);
     // Each plan chunk's cycles, its pieces' folded back, in chunk order:
     // the deterministic cost profile (never wall time, never steal
     // interleaving), and what the simulator bills.
     let mut profile = vec![0u64; plan.n_chunks()];
-    for pc in &pieces {
+    for (pc, ..) in &pieces {
         profile[claims.chunk_of(pc.p)] += pc.cycles;
     }
     let mut merge_bytes = 0u64;
@@ -781,24 +797,25 @@ fn join(
         l.par.private_arrays.contains(&a) || l.par.reductions.iter().any(|r| r.target == RRef::Array(a))
     };
     let count_adopted = interp.recorder.is_enabled();
-    for w in results {
+    for w in &mut results {
         for (i, slot) in w.loops.iter().enumerate() {
             if let Some((label, st)) = slot {
                 interp.loop_slot(i, label).absorb(st);
             }
         }
-        for (i, wa) in w.arrays.into_iter().enumerate() {
+        for (i, wa) in std::mem::take(&mut w.arrays).into_iter().enumerate() {
             if !skip(i) {
-                merge_bytes +=
-                    commit_array(&mut interp.arrays[i].data, wa.data, &snapshot[i], count_adopted);
+                merge_bytes += commit_array(&mut interp.arrays[i], wa, &snapshot[i], count_adopted);
             }
         }
     }
 
     // -- reduction logs, copy-out (lastprivate) and output, in piece
     // order, which is serial order
-    for pc in &mut pieces {
-        merge_bytes += interp.replay(&l.par.reductions, &mut pc.updates);
+    for (pc, lane, k) in &mut pieces {
+        if let Some(log) = &results[*lane].log {
+            merge_bytes += interp.replay(log, *k);
+        }
         for &(s, v) in pc.copy_out.iter().flatten() {
             interp.scalars[s] = v;
             merge_bytes += 8;
@@ -823,7 +840,7 @@ fn poison(it: &mut Interp<'_>, par: &RPar) {
         };
     }
     for &a in &par.private_arrays {
-        match it.arrays[a].data.make_mut() {
+        match it.arrays[a].make_mut() {
             ArrData::I(v) => v.fill(POISON_I),
             ArrData::R(v) => v.fill(f64::NAN),
             ArrData::B(v) => v.fill(false),

@@ -183,33 +183,60 @@ impl PartialEq for ArrStore {
     }
 }
 
-/// An array object: declared lower bounds + per-dimension extents, and
-/// the element storage (see [`ArrStore`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrObj {
-    pub name: String,
-    pub(crate) lows: Vec<i64>,
-    pub(crate) extents: Vec<i64>,
-    pub(crate) data: ArrStore,
+/// One dimension of an array's column-major layout.
+#[derive(Debug)]
+pub(crate) struct Dim {
+    pub(crate) low: i64,
+    pub(crate) extent: i64,
+    /// Elements between neighbours along this dimension (1 for the first).
+    pub(crate) stride: i64,
 }
 
-impl ArrObj {
-    /// Column-major flatten; bounds-checked.
+/// An array's name and column-major layout, built once by lowering
+/// ([`crate::lower::Image::shapes`]) and shared by the bytecode unit and
+/// every interpreter of the image, a lane's too; each holds the elements
+/// apart, as an [`ArrStore`].
+#[derive(Debug)]
+pub struct Shape {
+    pub name: String,
+    pub(crate) dims: Box<[Dim]>,
+}
+
+impl Shape {
+    /// The shape of an array declared with `(low, extent)` per dimension.
+    pub(crate) fn new(name: String, bounds: impl IntoIterator<Item = (i64, i64)>) -> Shape {
+        let mut stride = 1i64;
+        let dims = bounds
+            .into_iter()
+            .map(|(low, extent)| {
+                let d = Dim { low, extent, stride };
+                stride = stride.saturating_mul(extent);
+                d
+            })
+            .collect();
+        Shape { name, dims }
+    }
+
+    /// The offset of element `subs`, for both engines: each subscript is
+    /// checked against its dimension, first dimension first, and the
+    /// first out of range is reported with that dimension's extent. An
+    /// offset returned is in range of the array's elements, which
+    /// lowering sized by the same extents: a dimension adds at most
+    /// `(extent - 1) * stride`, and the VM reads unchecked on that.
+    #[inline(always)]
     pub(crate) fn flatten(&self, subs: &[i64]) -> Result<usize, MachineError> {
-        debug_assert_eq!(subs.len(), self.lows.len());
-        let mut off: i64 = 0;
-        let mut stride: i64 = 1;
-        for ((s, lo), ext) in subs.iter().zip(&self.lows).zip(&self.extents) {
-            let z = s - lo;
-            if z < 0 || z >= *ext {
+        debug_assert_eq!(subs.len(), self.dims.len());
+        let mut off = 0i64;
+        for (s, d) in subs.iter().zip(self.dims.iter()) {
+            let z = s - d.low;
+            if z < 0 || z >= d.extent {
                 return Err(MachineError::OutOfBounds {
                     array: self.name.clone(),
                     index: *s,
-                    len: *ext as usize,
+                    len: d.extent as usize,
                 });
             }
-            off += z * stride;
-            stride *= ext;
+            off += z * d.stride;
         }
         Ok(off as usize)
     }
@@ -226,32 +253,40 @@ mod tests {
         assert!(V::I(1).as_b().is_err());
     }
 
+    /// The one layout: column-major order with strides derived from the
+    /// extents, lower bounds other than 1, and the out-of-bounds payload
+    /// of the first failing dimension.
     #[test]
-    fn column_major_flatten() {
-        let a = ArrObj {
-            name: "A".into(),
-            lows: vec![1, 1],
-            extents: vec![10, 5],
-            data: ArrStore::Owned(ArrData::R(vec![0.0; 50])),
-        };
+    fn shape_flattens_column_major_and_reports_the_first_failing_dimension() {
+        let a = Shape::new("A".into(), [(1, 10), (1, 5)]);
+        let strides: Vec<_> = a.dims.iter().map(|d| (d.low, d.extent, d.stride)).collect();
+        assert_eq!(strides, [(1, 10, 1), (1, 5, 10)]);
         assert_eq!(a.flatten(&[1, 1]).unwrap(), 0);
         assert_eq!(a.flatten(&[2, 1]).unwrap(), 1); // first dim fastest
         assert_eq!(a.flatten(&[1, 2]).unwrap(), 10);
-        assert!(a.flatten(&[11, 1]).is_err());
-        assert!(a.flatten(&[0, 1]).is_err());
-    }
+        for j in 1..=5i64 {
+            for i in 1..=10i64 {
+                assert_eq!(a.flatten(&[i, j]).unwrap() as i64, (i - 1) + 10 * (j - 1), "({i},{j})");
+            }
+        }
+        let oob = |array: &str, index, len| MachineError::OutOfBounds { array: array.into(), index, len };
+        assert_eq!(a.flatten(&[11, 1]), Err(oob("A", 11, 10)));
+        assert_eq!(a.flatten(&[0, 1]), Err(oob("A", 0, 10)));
+        assert_eq!(a.flatten(&[3, 6]), Err(oob("A", 6, 5)));
+        // Both out of range: the first dimension is the one reported.
+        assert_eq!(a.flatten(&[0, 6]), Err(oob("A", 0, 10)));
 
-    #[test]
-    fn nonunit_lower_bounds() {
-        let a = ArrObj {
-            name: "A".into(),
-            lows: vec![0],
-            extents: vec![4],
-            data: ArrStore::Owned(ArrData::I(vec![0; 4])),
-        };
-        assert_eq!(a.flatten(&[0]).unwrap(), 0);
-        assert_eq!(a.flatten(&[3]).unwrap(), 3);
-        assert!(a.flatten(&[4]).is_err());
+        let b = Shape::new("B".into(), [(0, 4)]);
+        assert_eq!(b.flatten(&[0]).unwrap(), 0);
+        assert_eq!(b.flatten(&[3]).unwrap(), 3);
+        assert_eq!(b.flatten(&[4]), Err(oob("B", 4, 4)));
+        assert_eq!(b.flatten(&[-1]), Err(oob("B", -1, 4)));
+
+        let c = Shape::new("C".into(), [(-2, 5), (0, 3)]);
+        assert_eq!(c.flatten(&[-2, 0]).unwrap(), 0);
+        assert_eq!(c.flatten(&[2, 2]).unwrap(), 4 + 2 * 5);
+        assert_eq!(c.flatten(&[-3, 0]), Err(oob("C", -3, 5)));
+        assert_eq!(c.flatten(&[0, 3]), Err(oob("C", 3, 3)));
     }
 
     fn elements(store: &ArrStore) -> &Vec<i64> {

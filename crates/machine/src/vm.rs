@@ -38,7 +38,9 @@
 //! `exec::eval`/`exec::run_stmt`:
 //!
 //! * subscripts are evaluated and converted left-to-right, *then*
-//!   bounds-checked dimension by dimension (`element_index` order);
+//!   flattened by the array's shape in the image's shared table — the
+//!   one `Shape::flatten` the tree-walker's `element_index` calls too,
+//!   so the bounds-check order and the error payload are one code;
 //! * an assignment's rhs evaluates before its subscripts; a binop's lhs
 //!   before its rhs; operator cycles are charged before the operation;
 //! * the data-dependent charges survive typing: integer divide by a
@@ -68,7 +70,7 @@
 //! part of any error payload, so early `?` returns may drop an
 //! unflushed remainder without breaking engine parity.
 
-use crate::bytecode::{ArrMeta, BcUnit, Instr, PrintItem, SubSrc};
+use crate::bytecode::{BcUnit, Instr, PrintItem, SubSrc};
 use crate::cost::COSTS;
 use crate::error::MachineError;
 use crate::exec::{int_pow, ArmRange, Flow, Interp, LoopFrame};
@@ -76,29 +78,6 @@ use crate::lower::RRef;
 use crate::value::{ArrData, Scalar};
 use polaris_ir::expr::BinOp;
 use std::fmt::Write as _;
-
-/// Flatten converted subscripts against pre-resolved strides, with the
-/// tree-walker's exact bounds-check order and error payload.
-///
-/// The returned offset is always in range for the array's backing
-/// vector: each term contributes at most `(extent-1) * stride`, and the
-/// strides were derived from the extents at compile time.
-#[inline(always)]
-fn flatten(bc: &BcUnit, meta: &ArrMeta, idxs: &[i64]) -> Result<usize, MachineError> {
-    let mut off = 0i64;
-    for (s, d) in idxs.iter().zip(meta.dims.iter()) {
-        let z = s - d.low;
-        if z < 0 || z >= d.extent {
-            return Err(MachineError::OutOfBounds {
-                array: bc.interner.resolve(meta.name).to_string(),
-                index: *s,
-                len: d.extent as usize,
-            });
-        }
-        off += z * d.stride;
-    }
-    Ok(off as usize)
-}
 
 impl Interp<'_> {
     /// Evaluate one fused subscript to its integer value, charging what
@@ -135,8 +114,8 @@ impl Interp<'_> {
 
     /// Resolve a fused element access to a flat index: evaluate every
     /// subscript first (left to right, with per-subscript charges), then
-    /// bounds-check against the pre-resolved dims — `element_index`'s
-    /// order exactly.
+    /// flatten them by the array's shape — `element_index`'s order
+    /// exactly.
     #[inline(always)]
     fn element(
         &self,
@@ -148,7 +127,7 @@ impl Interp<'_> {
         n: u8,
     ) -> Result<usize, MachineError> {
         let window = &bc.subs[sub as usize..sub as usize + n as usize];
-        let meta = &bc.arrays[arr as usize];
+        let shape = &bc.shapes[arr as usize];
         // F-Mini arrays are low-rank; a stack buffer covers every real
         // program and the heap path covers pathological ones.
         if window.len() <= 8 {
@@ -156,13 +135,13 @@ impl Interp<'_> {
             for (b, src) in buf.iter_mut().zip(window) {
                 *b = self.sub_value(cyc, regs, *src)?;
             }
-            flatten(bc, meta, &buf[..window.len()])
+            shape.flatten(&buf[..window.len()])
         } else {
             let mut heap = Vec::with_capacity(window.len());
             for src in window {
                 heap.push(self.sub_value(cyc, regs, *src)?);
             }
-            flatten(bc, meta, &heap)
+            shape.flatten(&heap)
         }
     }
 
@@ -342,11 +321,11 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
-                    let ArrData::I(v) = self.arrays[a].data.get() else {
+                    let ArrData::I(v) = self.arrays[a].get() else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
-                    // SAFETY: `flatten` bounds-checked every dimension.
+                    // SAFETY: `Shape::flatten` bounds-checked every dimension.
                     wr!(*dst, unsafe { *v.get_unchecked(idx) } as u64);
                 }
                 Instr::LoadER { dst, arr, sub, n } => {
@@ -356,11 +335,11 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
-                    let ArrData::R(v) = self.arrays[a].data.get() else {
+                    let ArrData::R(v) = self.arrays[a].get() else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
-                    // SAFETY: `flatten` bounds-checked every dimension.
+                    // SAFETY: `Shape::flatten` bounds-checked every dimension.
                     wr!(*dst, unsafe { *v.get_unchecked(idx) }.to_bits());
                 }
                 Instr::LoadEB { dst, arr, sub, n } => {
@@ -370,7 +349,7 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
-                    let ArrData::B(v) = self.arrays[a].data.get() else {
+                    let ArrData::B(v) = self.arrays[a].get() else {
                         unreachable!("array retyped")
                     };
                     wr!(*dst, v[idx] as u64);
@@ -382,12 +361,12 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, true);
                     }
-                    let ArrData::I(v) = self.arrays[a].data.make_mut() else {
+                    let ArrData::I(v) = self.arrays[a].make_mut() else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
                     let x = rd!(*src) as i64;
-                    // SAFETY: `flatten` bounds-checked every dimension.
+                    // SAFETY: `Shape::flatten` bounds-checked every dimension.
                     unsafe { *v.get_unchecked_mut(idx) = x };
                     self.log_store(RRef::Array(a), idx);
                 }
@@ -398,12 +377,12 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, true);
                     }
-                    let ArrData::R(v) = self.arrays[a].data.make_mut() else {
+                    let ArrData::R(v) = self.arrays[a].make_mut() else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
                     let x = f64::from_bits(rd!(*src));
-                    // SAFETY: `flatten` bounds-checked every dimension.
+                    // SAFETY: `Shape::flatten` bounds-checked every dimension.
                     unsafe { *v.get_unchecked_mut(idx) = x };
                     self.log_store(RRef::Array(a), idx);
                 }
@@ -414,7 +393,7 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, true);
                     }
-                    let ArrData::B(v) = self.arrays[a].data.make_mut() else {
+                    let ArrData::B(v) = self.arrays[a].make_mut() else {
                         unreachable!("array retyped")
                     };
                     v[idx] = rd!(*src) != 0;

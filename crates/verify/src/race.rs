@@ -187,7 +187,7 @@ fn walk(
                 }
             }
             RStmt::AssignE(slot, _, _) => {
-                env.invalidate(&image.arrays[*slot].name);
+                env.invalidate(&image.shapes[*slot].name);
             }
             _ => {}
         }
@@ -349,12 +349,12 @@ fn check_parallel_loop(
         .map(|&s| name(s))
         .collect();
     let written_names: BTreeSet<String> =
-        written.iter().map(|&s| image.arrays[s].name.clone()).collect();
+        written.iter().map(|&s| image.shapes[s].name.clone()).collect();
     for &slot in &written {
         if covered_arrays.contains(&slot) {
             continue;
         }
-        let arr = &image.arrays[slot].name;
+        let arr = &image.shapes[slot].name;
         let accesses: Vec<&ArrAccess> =
             acc.arrays.iter().filter(|(s, _)| *s == slot).map(|(_, a)| a).collect();
         let has_reads = accesses.iter().any(|a| !a.write);
@@ -747,7 +747,7 @@ fn unlower(e: &RExpr, image: &Image) -> Option<Expr> {
         RExpr::I(v) => Expr::Int(*v),
         RExpr::Load(slot) => Expr::Var(image.scalar_names[*slot].clone()),
         RExpr::Elem(slot, subs) => Expr::Index {
-            array: image.arrays[*slot].name.clone(),
+            array: image.shapes[*slot].name.clone(),
             subs: subs.iter().map(|s| unlower(s, image)).collect::<Option<Vec<_>>>()?,
         },
         RExpr::Un(UnOp::Neg, a) => Expr::Un { op: UnOp::Neg, arg: Box::new(unlower(a, image)?) },

@@ -29,7 +29,9 @@ use std::cell::Cell;
 /// names in one pass and a loop header converts each bound once:
 /// 134 760 allocations / 19 393 731 bytes (debug; release 134 730 /
 /// 19 393 684), a `realloc` counted as an allocation of its new size.
-/// Budget = that + 5 %. History, newest first: once the IR was rewritten
+/// Budget = that + 5 %. Since the lowered image keeps its arrays' shapes
+/// in one shared table apart from their elements, 134 814 / 19 395 731
+/// (release 134 784 / 19 395 684). History, newest first: once the IR was rewritten
 /// in place, the inliner bound each site in one pass, accesses shared
 /// their loop contexts and polynomial atoms their names, 148 483 /
 /// 20 539 159 (release 148 453 / 20 539 112); while every rewrite
@@ -50,7 +52,7 @@ const SUITE_BYTES_BUDGET: u64 = 20_363_500;
 /// while every formal and every local cost a rebuild of the whole body;
 /// binding each site in one pass: 2 345 / 329 544; with the range layer
 /// doing only the work a verdict needs: 2 201 / 318 288 (debug). Budget
-/// = that + 5 %.
+/// = that + 5 %. With the image's shape table: 2 203 / 318 304.
 const MULTI_UNIT_ALLOCS_BUDGET: u64 = 2_312;
 
 /// One TRFD range test on that `BTreeMap` form (and an environment
@@ -200,4 +202,34 @@ fn element_stores_allocate_nothing_and_a_run_holds_one_copy_of_each_array() {
         full.1,
         8 * ELEMENTS
     );
+}
+
+/// A fork copies what a lane may write and shares the rest: each lane
+/// gets the scalars, a handle on each array's elements and one reference
+/// to the image's shape table, so a fork allocates as much in a unit of
+/// 40 arrays as in one of 2: 15 allocations per fork. The DOALL stays
+/// under the profitability guard, so every lane a fork starts runs on
+/// this thread and every allocation is counted. (While a lane copied
+/// each array's name and bounds, the 40-array unit made 3 × 38 more
+/// allocations per lane per fork: 135 against 21.)
+#[test]
+fn a_forks_allocations_do_not_grow_with_the_array_count() {
+    const FORKS: u64 = 10;
+    let allocations = |arrays: usize, forks: u64| {
+        let decls: String = (1..arrays).map(|k| format!("real b{k}(4)\n")).collect();
+        let src = format!(
+            "program forks\nreal a(8)\n{decls}do t = 1, {forks}\n!$polaris doall\ndo i = 1, 8\n  a(i) = a(i) + t\nend do\nend do\nprint *, a(8)\nend\n"
+        );
+        let program = polaris::ir::parse(&src).unwrap();
+        let cfg = polaris::MachineConfig::threaded(2, polaris::machine::Schedule::Static);
+        counted(|| {
+            polaris::machine::run(&program, &cfg).unwrap();
+        })
+        .0
+    };
+    // What FORKS more forks of the same loop allocate.
+    let forks = |arrays: usize| allocations(arrays, FORKS + 1) - allocations(arrays, 1);
+    let (few, many) = (forks(2), forks(40));
+    println!("alloc_budget: {FORKS} forks on 2 threads: {few} allocations with 2 arrays, {many} with 40");
+    assert_eq!(few, many, "a fork's allocations grew with the array count");
 }
