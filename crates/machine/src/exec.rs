@@ -204,16 +204,17 @@ pub(crate) struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
-    /// An interpreter of `image` under `cfg`'s engine. It takes the
-    /// image's arrays as its memory, by value — a copy would be one pass
-    /// over every array per run — and shares their shapes.
+    /// An interpreter of `image` under `cfg`'s engine, running `bc` if
+    /// given. It takes the image's arrays as its memory, by value — a copy
+    /// would be one pass over every array per run — and shares the shapes.
     pub(crate) fn new(
         image: &mut Image,
         cfg: &'a MachineConfig,
-        adversarial: bool,
+        bc: Option<Arc<crate::bytecode::BcUnit>>,
     ) -> Result<Interp<'a>, MachineError> {
         let quiet_steps = Interp::quiet(cfg);
         let bc = match cfg.engine {
+            _ if bc.is_some() => bc,
             Engine::TreeWalk => None,
             // A config that cannot observe step counts gets the
             // Step-free stream (see `bytecode::compile_quiet`).
@@ -221,7 +222,7 @@ impl<'a> Interp<'a> {
             Engine::Vm => Some(Arc::new(crate::bytecode::compile(image)?)),
         };
         let (shapes, arrays) = (Arc::clone(&image.shapes), std::mem::take(&mut image.arrays));
-        Ok(Interp { adversarial, bc, ..Interp::over(cfg, image.scalars.clone(), shapes, arrays, 0) })
+        Ok(Interp { bc, ..Interp::over(cfg, image.scalars.clone(), shapes, arrays, 0) })
     }
 
     fn quiet(cfg: &MachineConfig) -> bool {
@@ -734,17 +735,15 @@ impl<'a> Interp<'a> {
         body: Option<u32>,
     ) -> Result<Option<Flow>, MachineError> {
         // A proved `PARALLEL DO`, or a `SPECULATIVE` one whose iterations
-        // the shadows can stamp, on a machine with processors to spare; the
-        // validator's run takes every `PARALLEL DO` as one reversed lane.
+        // the shadows can stamp, on a machine with processors to spare or
+        // in the validator's run, which takes it as one reversed lane.
         let speculative = !l.par.spec_arrays.is_empty() && space.fits_shadow_stamps();
         let concurrent = (l.par.parallel || speculative)
             && !self.in_parallel
-            && self.cfg.procs > 1
-            && !self.adversarial;
-        let adversarial = l.par.parallel && self.adversarial && !self.in_parallel;
-        Ok(Some(if concurrent && self.cfg.adaptive.is_some() {
+            && (self.cfg.procs > 1 || self.adversarial);
+        Ok(Some(if concurrent && self.cfg.adaptive.is_some() && !self.adversarial {
             self.run_adaptive(l, space, body)?
-        } else if concurrent || adversarial {
+        } else if concurrent {
             let plan = ChunkPlan::new(space.trip(), self.cfg.procs, self.cfg.schedule);
             self.run_concurrent(l, space, body, plan)?.0
         } else {
@@ -1073,18 +1072,15 @@ impl<'a> Interp<'a> {
         } else {
             ExecLoopsSpeculative
         });
-        let forked = if l.in_order || space.trip() == 0 {
-            None
-        } else if self.adversarial || self.cfg.exec_mode == ExecMode::Threaded {
+        let threads = self.adversarial || self.cfg.exec_mode == ExecMode::Threaded;
+        if threads && !l.in_order && space.trip() > 0 {
             let reversed = self.adversarial.then_some(PIECE_BUDGET);
-            crate::threaded::run_threaded_loop(self, l, space, body, plan, reversed)?
-        } else {
-            None
-        };
-        match forked {
-            Some(ran) => Ok(ran),
-            None => self.run_simulated(l, space, &plan, body),
+            let forked = crate::threaded::run_threaded_loop(self, l, space, body, plan, reversed)?;
+            if let Some(ran) = forked {
+                return Ok(ran);
+            }
         }
+        self.run_simulated(l, space, &plan, body)
     }
 
     /// Execute the unit's top-level code under the configured engine:
@@ -1138,7 +1134,7 @@ pub(crate) fn run_with<T>(
 ) -> Result<(RunResult, T), MachineError> {
     let t0 = Instant::now();
     let mut image = lower_with_cap(program, cfg.memory_cap)?;
-    let mut interp = Interp::new(&mut image, cfg, false)?;
+    let mut interp = Interp::new(&mut image, cfg, None)?;
     interp.recorder = rec.clone();
     let exec_span = rec.span("exec", "exec");
     let flow = interp.run_program(&image);
@@ -1225,13 +1221,13 @@ const PIECE_BUDGET: usize = 1 << 17;
 /// Validate the compiler's parallelization: execute sequentially — the
 /// reference — then adversarially, and compare the final memory state
 /// (less what a loop privatizes without copy-out) and the output, bit for
-/// bit. The adversarial run forks every `PARALLEL DO` as one lane on the
-/// calling thread that runs its iterations last to first, with the
-/// privates poisoned before each, and commits it through the join of
-/// the real-thread backend: what an annotation leaves out (a shared
-/// scalar, a carried value, a reduction) then differs from the
-/// sequential run, as it would on threads. Returns the two results on
-/// success.
+/// bit. The adversarial run forks every `PARALLEL DO` and `SPECULATIVE`
+/// loop as one lane on the calling thread that runs its iterations last
+/// to first, with the privates poisoned before each, and commits it
+/// through the join of the real-thread backend (a speculation on a
+/// passing PD test): what an annotation leaves out (a shared scalar, a
+/// carried value, a reduction) then differs from the sequential run, as
+/// it would on threads. Returns the two results on success.
 pub fn run_validated(
     program: &Program,
     cfg: &MachineConfig,
@@ -1244,12 +1240,15 @@ pub fn run_validated(
     let t_seq = Instant::now();
     // Each run takes the image's arrays: the first gets a copy.
     let initial = image.arrays.clone();
-    let mut seq = Interp::new(&mut image, &serial_cfg, false)?;
+    let mut seq = Interp::new(&mut image, &serial_cfg, None)?;
     seq.run_program(&image)?;
     let seq_wall = t_seq.elapsed();
     let t_adv = Instant::now();
     image.arrays = initial;
-    let mut adv = Interp::new(&mut image, cfg, true)?;
+    // One stream for both runs, unless only one of them counts steps.
+    let bc = seq.bc.clone().filter(|_| seq.quiet_steps == Interp::quiet(cfg));
+    let mut adv = Interp::new(&mut image, cfg, bc)?;
+    adv.adversarial = true;
     adv.run_program(&image)?;
     let adv_wall = t_adv.elapsed();
 
@@ -1447,7 +1446,8 @@ mod tests {
     fn adversarial_counters(src: &str) -> BTreeMap<&'static str, u64> {
         let cfg = MachineConfig::challenge_8();
         let mut image = lower_with_cap(&parse(src), None).unwrap();
-        let mut adv = Interp::new(&mut image, &cfg, true).unwrap();
+        let mut adv = Interp::new(&mut image, &cfg, None).unwrap();
+        adv.adversarial = true;
         adv.recorder = polaris_obs::Recorder::monotonic();
         adv.run_program(&image).unwrap();
         adv.recorder.counters()
@@ -1513,14 +1513,37 @@ mod tests {
         assert!(matches!(err, MachineError::ValidationMismatch(_)), "{err}");
     }
 
-    /// The validator's run bills a DOALL as the simulator does: with no
-    /// `SPECULATIVE` loop, which it runs serially, its cycles are a
-    /// simulated `challenge_8` run's.
+    /// A scatter through a permutation, speculated on `A`: 128 stores
+    /// into 128 distinct elements.
+    const SCATTER: &str = "program t\nreal a(128)\ninteger key(128)\ndo k = 1, 128\n  key(k) = mod(k * 77, 128) + 1\nend do\n!$polaris doall speculative(A)\ndo i = 1, 128\n  a(key(i)) = i * 1.0\nend do\nprint *, a(1), a(128)\nend\n";
+
+    /// The validator forks a speculation as it forks a DOALL: its PD test
+    /// passes on the reversed lane's shadows and the join commits the
+    /// lane. One whose iterations collide (`a(key(i))` with 7 distinct
+    /// keys, read and written) fails the test and runs in order, as on
+    /// threads, and validates too; no chunk of it is joined.
+    #[test]
+    fn validation_forks_a_speculation_and_commits_it_on_a_passing_pd_test() {
+        validated(SCATTER).unwrap();
+        let counters = adversarial_counters(SCATTER);
+        assert_eq!(counters.get("exec.loops.adversarial"), Some(&1));
+        assert!(counters.get("exec.threaded.chunks").is_some_and(|&n| n > 0), "{counters:?}");
+        assert_eq!(counters.get("lrpd.pass"), Some(&1), "{counters:?}");
+        let carried = "program t\nreal a(128)\ninteger key(128)\ndo k = 1, 128\n  key(k) = mod(k, 7) + 1\nend do\n!$polaris doall speculative(A)\ndo i = 1, 128\n  a(key(i)) = a(key(i)) * 0.5 + i\nend do\nprint *, a(1), a(7)\nend\n";
+        let (seq, adv) = validated(carried).unwrap();
+        assert_eq!(adv.output, seq.output);
+        let counters = adversarial_counters(carried);
+        assert_eq!(counters.get("exec.loops.adversarial"), Some(&1));
+        assert_eq!(counters.get("exec.threaded.chunks"), None, "a failed speculation joined");
+    }
+
+    /// The validator's run bills a DOALL and a speculation as the
+    /// simulator does: its cycles are a simulated `challenge_8` run's.
     #[test]
     fn validation_bills_as_the_simulator() {
         let doall = "program t\nreal a(100), b(100)\ndo k = 1, 100\n  b(k) = k * 1.0\nend do\n!$polaris doall private(T)\ndo i = 1, 100\n  t = b(i) * 2.0\n  a(i) = t + 1.0\nend do\nprint *, a(7)\nend\n";
         let reduction = "program t\nreal b(1000)\ndo k = 1, 1000\n  b(k) = k * 0.5\nend do\ns = 100.0\n!$polaris doall reduction(+:S)\ndo i = 1, 1000\n  s = s + b(i)\nend do\nprint *, s\nend\n";
-        for src in [doall, reduction] {
+        for src in [doall, reduction, SCATTER] {
             let (_, adv) = validated(src).unwrap();
             assert_eq!(adv.cycles, run(&parse(src), &MachineConfig::challenge_8()).unwrap().cycles, "{src}");
         }
@@ -1620,7 +1643,7 @@ mod tests {
         let failed = |engine: Engine| {
             let mut image = lower_with_cap(&parse(src), None).unwrap();
             let cfg = MachineConfig::serial().with_engine(engine);
-            let mut interp = Interp::new(&mut image, &cfg, false).unwrap();
+            let mut interp = Interp::new(&mut image, &cfg, None).unwrap();
             let err = interp.run_program(&image).unwrap_err();
             let (a, b) = (interp.arrays[0].get().clone(), interp.arrays[1].get().clone());
             (err, a, b, dump_state(&interp, &image))

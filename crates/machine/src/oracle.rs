@@ -634,7 +634,7 @@ pub fn audit_recorded(
     serial.memory_cap = cfg.memory_cap;
     let oracle_span = rec.span("oracle", "audit");
     let mut image = lower_with_cap(program, serial.memory_cap)?;
-    let mut interp = Interp::new(&mut image, &serial, false)?;
+    let mut interp = Interp::new(&mut image, &serial, None)?;
     interp.oracle = Some(Box::default());
     interp.run_program(&image)?;
     let trace = interp.oracle.take().expect("oracle state survives the run");

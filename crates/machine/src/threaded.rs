@@ -62,10 +62,9 @@
 //! `WorkerPanicked`, as in any loop.
 //!
 //! **The validator forks through the same [`join`].** `run_validated`'s
-//! adversarial run forks each `PARALLEL DO` as one lane on the calling
-//! thread: one-iteration pieces claimed last to first, what the loop
-//! privatizes poisoned before each. So `--validate` checks an annotation
-//! and the join together.
+//! adversarial run forks each DOALL and speculation as one lane on the
+//! calling thread: one-iteration pieces claimed last to first, privates
+//! poisoned before each. So `--validate` checks them through the join.
 //!
 //! Correctness contract — results must be **deterministic and identical
 //! to serial execution** even though execution order is not:
@@ -77,11 +76,11 @@
 //!   the snapshot — `ArrStore::share` — and a lane's handle its own copy
 //!   at the lane's first store into it. Privatized variables are thereby
 //!   trivially private.
-//! * Reductions fold **in serial order** ([`RedLog`]): a lane logs what
-//!   each reduction store adds, in the order it runs them, in one log
-//!   for all its pieces, and the join replays each piece's part of its
-//!   lane's log in piece-index order — serial's own fold,
-//!   whatever the thread count and the schedule.
+//! * A lane keeps one record for all its pieces — its output, the pieces
+//!   it ran with where each one's output ends, one reduction log
+//!   ([`RedLog`]) cut at the same ends — and reductions fold **in serial
+//!   order**: the join replays each piece's part of its lane's log in
+//!   piece-index order, serial's own fold at any thread count or schedule.
 //! * Shared arrays are committed by diffing each worker's copy against
 //!   the pre-fork snapshot (a copy that still *is* the snapshot was
 //!   never written; otherwise bit-level comparison, so `-0.0` vs `0.0`
@@ -91,8 +90,8 @@
 //!   correctly-parallelized loop writes disjoint
 //!   elements, so the order cannot matter; if a miscompile makes writes
 //!   collide, the equivalence tests catch the divergence.
-//! * Worker output (PRINT) and copy-out scalars are committed in piece
-//!   order; errors are reported for the smallest failing iteration
+//! * Output (PRINT) is moved in piece order and copy-out scalars written
+//!   last; errors are reported for the smallest failing iteration
 //!   index, matching what sequential execution would hit first, and the
 //!   settled fuel total is checked after them.
 //! * Loops that lowering marked `in_order` never get here — a body that
@@ -102,7 +101,7 @@
 //!   `Interp::run_concurrent` keeps them on the simulated path.
 //!
 //! Simulated cycle accounting is maintained alongside real execution:
-//! per-piece cycle deltas fold back to their plan chunk, whose total goes
+//! a lane adds up its pieces' cycles per plan chunk, whose total goes
 //! to the bucket the shared [`ChunkPlan`] names and through the same
 //! `Interp::bill_invocation` the simulator pays, so `--diag`-style
 //! speedup *models* are identical between `ExecMode::Simulated` and
@@ -244,23 +243,19 @@ impl Drop for ThreadPool {
 
 // ---- worker-side results ---------------------------------------------
 
-/// What a lane ran of one piece of the plan ([`Claims`]).
-struct PieceOut {
-    p: usize,
-    cycles: u64,
-    output: Vec<String>,
-    /// Copy-out scalar values captured after the final iteration
-    /// (only set on the piece holding it).
-    copy_out: Option<Vec<(usize, Scalar)>>,
-}
-
 struct WorkerOut {
     wid: usize,
     arrays: Vec<ArrStore>,
     loops: Vec<Option<(String, crate::exec::LoopExecStats)>>,
-    /// In the order the lane ran them, which is the order of their
-    /// updates in `log`.
-    pieces: Vec<PieceOut>,
+    /// The lane's output (PRINT) lines, in the order it ran its pieces.
+    output: Vec<String>,
+    /// Each piece the lane ran (a plan has under 2³² pieces), in order,
+    /// and where its lines end in `output`: piece `k` of `log` too.
+    pieces: Vec<(u32, u32)>,
+    /// Copy-out values, from the piece that ends at the trip count.
+    copy_out: Option<Vec<(usize, Scalar)>>,
+    /// The lane's cycles per plan chunk, up to the last one it ran.
+    cycles: Vec<u64>,
     /// The lane's reduction log, when the loop reduces.
     log: Option<Box<RedLog>>,
     /// The lane's marks on each array a `SPECULATIVE` loop tracks, in
@@ -305,15 +300,15 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
     it.red = RedLog::hold(&mut it, &l.par.reductions);
     // One register frame for every piece of the lane.
     let mut frame = it.body_frame(body);
-    let mut pieces: Vec<PieceOut> = Vec::new();
-    let mut err: Option<(u64, MachineError)> = None;
+    let (mut pieces, mut cycles) = (Vec::new(), Vec::new());
+    let (mut copy_out, mut err) = (None, None);
     while let Some(p) = claims.next(wid) {
         let (start, end) = claims.bounds(p);
         if start == end {
             continue; // a piece past a short block's end
         }
         before_piece(&mut it);
-        let (c0, out0) = (it.cycles, it.output.len());
+        let c0 = it.cycles;
         let mut range = ArmRange::new(space, start, end);
         err = match it.run_range(&l, &mut range, frame.as_mut()) {
             Ok(Flow::Normal) => None,
@@ -323,9 +318,13 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
             Ok(Flow::Stop) => Some((range.idx, MachineError::Stopped)),
             Err(e) => Some((range.idx, e)),
         };
-        let copy_out = (end == space.trip() && err.is_none())
-            .then(|| l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
-        pieces.push(PieceOut { p, cycles: it.cycles - c0, output: it.output.split_off(out0), copy_out });
+        let chunk = claims.chunk_of(p);
+        cycles.resize(cycles.len().max(chunk + 1), 0);
+        cycles[chunk] += it.cycles - c0;
+        pieces.push((p as u32, u32::try_from(it.output.len()).expect("a lane's lines fit a u32")));
+        if end == space.trip() && err.is_none() {
+            copy_out = Some(l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
+        }
         let full = it.red.as_deref_mut().is_some_and(RedLog::end_piece);
         if err.is_some() || full {
             break;
@@ -339,7 +338,10 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
         log: it.red,
         arrays: it.arrays,
         loops: it.loop_stats,
+        output: it.output,
         pieces,
+        copy_out,
+        cycles,
         shadows: it.spec,
         steps,
         err,
@@ -454,7 +456,7 @@ impl Interp<'_> {
     /// Apply the updates of piece `k` of `log`'s lane to their targets
     /// in order, `σ = σ ∘ β` per update — the serial loop's own fold when
     /// pieces are replayed in serial order. Returns the bytes applied.
-    pub(crate) fn replay(&mut self, log: &RedLog, k: usize) -> u64 {
+    fn replay(&mut self, log: &RedLog, k: usize) -> u64 {
         let mut bytes = 0;
         for (red, u) in log.reds.iter().zip(&log.updates) {
             let span = k.checked_sub(1).map_or(0, |prev| u.ends[prev])..u.ends[k];
@@ -602,7 +604,7 @@ fn commit_array(
 /// Execute one `PARALLEL DO` or `SPECULATIVE` loop over `plan` and hand
 /// its lanes to [`join`]. Real threads: the calling thread and, once
 /// the loop has shown it amortizes a fork, the helper pool. With
-/// `reversed`, the validator's run of a `PARALLEL DO`: one lane on the
+/// `reversed`, the validator's run of the loop: one lane on the
 /// calling thread that claims the iterations last to first
 /// ([`Claims::reversed`], at most `reversed` pieces), what the loop
 /// privatizes poisoned before each piece. Called from
@@ -678,7 +680,7 @@ pub(crate) fn run_threaded_loop(
         })) else {
             break;
         };
-        ran += out.pieces.iter().map(|pc| pc.cycles).sum::<u64>();
+        ran += out.cycles.iter().sum::<u64>();
         results.push(out);
     }
     // Every lane handed over reports (or its sender drops, unwinding)
@@ -699,9 +701,9 @@ pub(crate) fn run_threaded_loop(
 /// when it must run in order instead (a full reduction log, a failed
 /// speculation). Errors are reported for the smallest failing
 /// iteration; committed are the fuel the lanes took, the bill, the
-/// shared arrays each lane wrote ([`commit_array`], lane order) and,
-/// in piece order, which is serial order, the reduction logs,
-/// copy-out and output.
+/// shared arrays each lane wrote ([`commit_array`], lane order), in
+/// piece order, which is serial order, each piece's reduction updates
+/// and output, and the copy-out.
 fn join(
     interp: &mut Interp<'_>,
     l: &RLoop,
@@ -753,23 +755,18 @@ fn join(
         return Err(MachineError::FuelExhausted { limit });
     }
 
-    // Each piece with its lane and its place in the lane's log.
-    let mut pieces: Vec<(PieceOut, usize, usize)> = results
-        .iter_mut()
-        .enumerate()
-        .flat_map(|(lane, w)| {
-            let pieces = std::mem::take(&mut w.pieces);
-            pieces.into_iter().enumerate().map(move |(k, pc)| (pc, lane, k))
-        })
-        .collect();
-    pieces.sort_by_key(|(pc, ..)| pc.p);
-    // Each plan chunk's cycles, its pieces' folded back, in chunk order:
-    // the deterministic cost profile (never wall time, never steal
-    // interleaving), and what the simulator bills.
-    let mut profile = vec![0u64; plan.n_chunks()];
-    for (pc, ..) in &pieces {
-        profile[claims.chunk_of(pc.p)] += pc.cycles;
+    // Each piece as its lane and its place `k` in the lane's lists.
+    let mut order = Vec::new();
+    for (lane, w) in results.iter().enumerate() {
+        order.extend((0..w.pieces.len()).map(|k| (lane, k)));
     }
+    order.sort_unstable_by_key(|&(lane, k)| results[lane].pieces[k].0);
+    // Each plan chunk's cycles, the lanes' added up, in chunk order: the
+    // deterministic cost profile (never wall time, never steal
+    // interleaving), and what the simulator bills.
+    let profile: Vec<u64> = (0..plan.n_chunks())
+        .map(|c| results.iter().filter_map(|w| w.cycles.get(c)).sum())
+        .collect();
     let mut merge_bytes = 0u64;
 
     // Observability: chunk spans are emitted here, post-join and in
@@ -810,17 +807,19 @@ fn join(
         }
     }
 
-    // -- reduction logs, copy-out (lastprivate) and output, in piece
-    // order, which is serial order
-    for (pc, lane, k) in &mut pieces {
-        if let Some(log) = &results[*lane].log {
-            merge_bytes += interp.replay(log, *k);
+    // -- reduction logs and output in piece order, which is serial
+    // order, then the copy-out (lastprivate)
+    for (lane, k) in order {
+        let w = &mut results[lane];
+        if let Some(log) = &w.log {
+            merge_bytes += interp.replay(log, k);
         }
-        for &(s, v) in pc.copy_out.iter().flatten() {
-            interp.scalars[s] = v;
-            merge_bytes += 8;
-        }
-        interp.output.append(&mut pc.output);
+        let lines = k.checked_sub(1).map_or(0, |j| w.pieces[j].1 as usize)..w.pieces[k].1 as usize;
+        interp.output.extend(w.output[lines].iter_mut().map(std::mem::take));
+    }
+    for &(s, v) in results.iter().filter_map(|w| w.copy_out.as_ref()).flatten() {
+        interp.scalars[s] = v;
+        merge_bytes += 8;
     }
     interp.recorder.count(polaris_obs::Counter::ThreadedMergeBytes, merge_bytes);
     Ok(Some((Flow::Normal, profile)))

@@ -207,9 +207,10 @@ fn element_stores_allocate_nothing_and_a_run_holds_one_copy_of_each_array() {
 /// A fork copies what a lane may write and shares the rest: each lane
 /// gets the scalars, a handle on each array's elements and one reference
 /// to the image's shape table, so a fork allocates as much in a unit of
-/// 40 arrays as in one of 2: 15 allocations per fork. The DOALL stays
-/// under the profitability guard, so every lane a fork starts runs on
-/// this thread and every allocation is counted. (While a lane copied
+/// 40 arrays as in one of 2: 16 allocations per fork, among them the
+/// lane's cycles per plan chunk and the join's piece order. The DOALL
+/// stays under the profitability guard, so every lane a fork starts runs
+/// on this thread and every allocation is counted. (While a lane copied
 /// each array's name and bounds, the 40-array unit made 3 × 38 more
 /// allocations per lane per fork: 135 against 21.)
 #[test]
@@ -232,4 +233,61 @@ fn a_forks_allocations_do_not_grow_with_the_array_count() {
     let (few, many) = (forks(2), forks(40));
     println!("alloc_budget: {FORKS} forks on 2 threads: {few} allocations with 2 arrays, {many} with 40");
     assert_eq!(few, many, "a fork's allocations grew with the array count");
+}
+
+/// The validator's reversed lane keeps one record for all its pieces —
+/// its output lines cut at the piece ends, as its reduction log is — so
+/// a validated DOALL that prints once per iteration allocates, per
+/// extra iteration of its adversarial run, what a serial run does: the
+/// printed line, and O(log N) for the vectors that grow. (While each
+/// one-iteration piece split its output off into a `Vec` of its own,
+/// the adversarial run made one allocation more per iteration.)
+#[test]
+fn a_validated_print_loop_allocates_per_iteration_what_a_serial_run_does() {
+    const N: u64 = 2048;
+    let program = |trips: u64| {
+        let src =
+            format!("program p\n!$polaris doall\ndo i = 1, {trips}\n  print *, i\nend do\nend\n");
+        polaris::ir::parse(&src).unwrap()
+    };
+    let (short, long) = (program(N), program(2 * N));
+    let serial = |p: &_| counted(|| assert!(polaris::machine::run_serial(p).is_ok())).0;
+    let validated = |p: &_| {
+        let cfg = polaris::MachineConfig::challenge_8();
+        counted(|| assert!(polaris::machine::run_validated(p, &cfg).is_ok())).0
+    };
+    // What N more iterations allocate: in a serial run, and in the
+    // adversarial run, a validation less its sequential run.
+    let serial_extra = serial(&long) - serial(&short);
+    let adversarial_extra = validated(&long) - validated(&short) - serial_extra;
+    println!("alloc_budget: {N} more printed iterations: {serial_extra} allocations serially, {adversarial_extra} in the validator's lane");
+    let growth = 2 * u64::from((2 * N).ilog2() + 1);
+    assert!(
+        adversarial_extra.abs_diff(serial_extra) <= growth,
+        "the validator's lane allocated {adversarial_extra} for {N} iterations, a serial run {serial_extra}"
+    );
+}
+
+/// Both runs of a validation execute one bytecode stream: per extra
+/// statement a validation allocates the bytes one run does — lowering it
+/// and compiling it once — since executing `X = X + 1.0` allocates
+/// nothing. (While each run compiled the unit, a validation allocated
+/// one compile's bytes more.)
+#[test]
+fn a_validation_compiles_its_unit_once() {
+    const N: usize = 200;
+    let program = |stmts: usize| {
+        let body = "x = x + 1.0\n".repeat(stmts);
+        polaris::ir::parse(&format!("program p\nx = 0.0\n{body}print *, x\nend\n")).unwrap()
+    };
+    let (short, long) = (program(N), program(2 * N));
+    let run = |p: &_| counted(|| assert!(polaris::machine::run_serial(p).is_ok())).1;
+    let validated = |p: &_| {
+        let cfg = polaris::MachineConfig::challenge_8();
+        counted(|| assert!(polaris::machine::run_validated(p, &cfg).is_ok())).1
+    };
+    let run_extra = run(&long) - run(&short);
+    let validated_extra = validated(&long) - validated(&short);
+    println!("alloc_budget: {N} more statements: {run_extra} bytes in a run, {validated_extra} in a validation");
+    assert_eq!(validated_extra, run_extra, "a validation compiled its unit twice");
 }
