@@ -340,7 +340,7 @@ fn compile_with(image: &Image, quiet: bool) -> Result<BcUnit, MachineError> {
     let arr_ty = image
         .arrays
         .iter()
-        .map(|a| match a.get() {
+        .map(|a| match a {
             ArrData::I(_) => Ty::I,
             ArrData::R(_) => Ty::R,
             ArrData::B(_) => Ty::B,

@@ -6,11 +6,12 @@ use crate::dispatch::{ChunkPlan, IterSpace};
 use crate::lower::{lower_with_cap, Image, Intr, RExpr, RLoop, RRef, RStmt};
 use crate::lrpd::{PdVerdict, Shadow};
 use crate::oracle::Loc;
-use crate::value::{ArrData, ArrStore, Scalar, Shape, V};
+use crate::value::{ArrData, Scalar, Shape, V};
 use crate::{Engine, ExecMode, MachineConfig};
 use polaris_ir::expr::{BinOp, UnOp};
 use polaris_ir::Program;
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -146,8 +147,8 @@ pub(crate) struct Interp<'a> {
     pub(crate) scalars: Vec<Scalar>,
     /// The image's table of array names and layouts ([`Image::shapes`]).
     pub(crate) shapes: Arc<[Shape]>,
-    /// Each array's elements, by slot.
-    pub(crate) arrays: Vec<ArrStore>,
+    /// A handle on each array's elements, by slot.
+    pub(crate) arrays: Vec<ArrData>,
     pub(crate) cycles: u64,
     /// Monotonic statement/iteration counter for the fuel budget.
     /// Separate from `cycles`, which the codegen model and parallel
@@ -205,8 +206,10 @@ pub(crate) struct Interp<'a> {
 
 impl<'a> Interp<'a> {
     /// An interpreter of `image` under `cfg`'s engine, running `bc` if
-    /// given. It takes the image's arrays as its memory, by value — a copy
-    /// would be one pass over every array per run — and shares the shapes.
+    /// given. It takes the image's arrays as its memory, by value — a
+    /// clone of their handles would share the elements with the image,
+    /// a copy would be one pass over every array per run — and shares the
+    /// shapes.
     pub(crate) fn new(
         image: &mut Image,
         cfg: &'a MachineConfig,
@@ -230,13 +233,13 @@ impl<'a> Interp<'a> {
     }
 
     /// A fresh interpreter over the given memory, `steps` into the fuel
-    /// budget. Threaded lanes build theirs from snapshots of the master's
+    /// budget. Threaded lanes build theirs from copies of the master's
     /// state and set `in_parallel` so they never fork further.
     pub(crate) fn over(
         cfg: &'a MachineConfig,
         scalars: Vec<Scalar>,
         shapes: Arc<[Shape]>,
-        arrays: Vec<ArrStore>,
+        arrays: Vec<ArrData>,
         steps: u64,
     ) -> Interp<'a> {
         Interp {
@@ -291,7 +294,7 @@ impl<'a> Interp<'a> {
                 if !self.spec.is_empty() {
                     self.cycles += self.mark_access(*arr, idx, false);
                 }
-                Ok(self.arrays[*arr].get().get(idx))
+                Ok(self.arrays[*arr].get(idx))
             }
             RExpr::Un(op, arg) => {
                 let v = self.eval(arg)?;
@@ -623,7 +626,7 @@ impl<'a> Interp<'a> {
                 if let Some(o) = self.oracle.as_deref_mut() {
                     o.access(Loc::Element(*arr, idx), true);
                 }
-                self.arrays[*arr].make_mut().set(idx, v)?;
+                self.arrays[*arr].set(idx, v)?;
                 self.log_store(RRef::Array(*arr), idx);
                 Ok(Flow::Normal)
             }
@@ -1003,7 +1006,7 @@ impl<'a> Interp<'a> {
     /// An unmarked shadow per array `l` speculates on: what one executor
     /// of its iterations (the in-order simulation, a threaded lane) marks.
     pub(crate) fn fresh_shadows(&self, l: &RLoop) -> Vec<(usize, Shadow)> {
-        l.par.spec_arrays.iter().map(|&a| (a, Shadow::new(self.arrays[a].get().len()))).collect()
+        l.par.spec_arrays.iter().map(|&a| (a, Shadow::new(self.arrays[a].len()))).collect()
     }
 
     /// One concurrent invocation run in order on this thread, chunk by
@@ -1074,10 +1077,17 @@ impl<'a> Interp<'a> {
         });
         let threads = self.adversarial || self.cfg.exec_mode == ExecMode::Threaded;
         if threads && !l.in_order && space.trip() > 0 {
+            // The lanes store into memory in place: what the join can send
+            // back to run in order is saved first, and restored if it does.
+            let saved: Vec<(usize, ArrData)> =
+                l.rollback.iter().map(|&a| (a, self.arrays[a].copy())).collect();
             let reversed = self.adversarial.then_some(PIECE_BUDGET);
             let forked = crate::threaded::run_threaded_loop(self, l, space, body, plan, reversed)?;
             if let Some(ran) = forked {
                 return Ok(ran);
+            }
+            for (a, copy) in saved {
+                self.arrays[a] = copy;
             }
         }
         self.run_simulated(l, space, &plan, body)
@@ -1172,10 +1182,10 @@ pub(crate) fn dump_state(interp: &Interp<'_>, image: &Image) -> StateDump {
         .iter()
         .zip(&interp.arrays)
         .map(|(shape, a)| {
-            let h = match a.get() {
-                ArrData::I(v) => crate::fnv1a(v.iter().flat_map(|x| x.to_le_bytes())),
-                ArrData::R(v) => crate::fnv1a(v.iter().flat_map(|x| x.to_bits().to_le_bytes())),
-                ArrData::B(v) => crate::fnv1a(v.iter().map(|x| u8::from(*x))),
+            let h = match a {
+                ArrData::I(v) => crate::fnv1a(v.iter().flat_map(|x| x.load(Relaxed).to_le_bytes())),
+                ArrData::R(v) => crate::fnv1a(v.iter().flat_map(|x| x.load(Relaxed).to_le_bytes())),
+                ArrData::B(v) => crate::fnv1a(v.iter().map(|x| u8::from(x.load(Relaxed)))),
             };
             (shape.name.clone(), h)
         })
@@ -1238,15 +1248,20 @@ pub fn run_validated(
     serial_cfg.memory_cap = cfg.memory_cap;
     serial_cfg.engine = cfg.engine;
     let t_seq = Instant::now();
-    // Each run takes the image's arrays: the first gets a copy.
-    let initial = image.arrays.clone();
+    // Each run takes the image's arrays as its memory, and a handle on
+    // them shares their elements: the adversarial run starts from a copy.
+    let initial: Vec<ArrData> = image.arrays.iter().map(ArrData::copy).collect();
     let mut seq = Interp::new(&mut image, &serial_cfg, None)?;
     seq.run_program(&image)?;
-    let seq_wall = t_seq.elapsed();
-    let t_adv = Instant::now();
-    image.arrays = initial;
+    // The comparison needs the sequential run's state, scalars and
+    // result; its arrays go before the adversarial run starts.
+    let want = dump_state(&seq, &image);
     // One stream for both runs, unless only one of them counts steps.
     let bc = seq.bc.clone().filter(|_| seq.quiet_steps == Interp::quiet(cfg));
+    let seq_scalars = std::mem::take(&mut seq.scalars);
+    let seq = seq.into_result(t_seq.elapsed());
+    let t_adv = Instant::now();
+    image.arrays = initial;
     let mut adv = Interp::new(&mut image, cfg, bc)?;
     adv.adversarial = true;
     adv.run_program(&image)?;
@@ -1258,11 +1273,11 @@ pub fn run_validated(
     // demanded copy-out or refused privatization; a poisoned value that
     // *does* flow somewhere observable still trips the comparison there.)
     let (skip_scalars, skip_arrays) = private_without_copyout(&image.code);
-    let (want, got) = (dump_state(&seq, &image), dump_state(&adv, &image));
+    let got = dump_state(&adv, &image);
     if let Some(i) = first_difference(&want.scalars, &got.scalars, &skip_scalars) {
         return Err(MachineError::ValidationMismatch(format!(
             "scalar `{}`: sequential {:?} vs adversarial {:?}",
-            want.scalars[i].0, seq.scalars[i], adv.scalars[i]
+            want.scalars[i].0, seq_scalars[i], adv.scalars[i]
         )));
     }
     if let Some(i) = first_difference(&want.arrays, &got.arrays, &skip_arrays) {
@@ -1277,7 +1292,7 @@ pub fn run_validated(
             seq.output, adv.output
         )));
     }
-    Ok((seq.into_result(seq_wall), adv.into_result(adv_wall)))
+    Ok((seq, adv.into_result(adv_wall)))
 }
 
 /// The first slot where `a` and `b` differ, `skip` left out.
@@ -1645,7 +1660,8 @@ mod tests {
             let cfg = MachineConfig::serial().with_engine(engine);
             let mut interp = Interp::new(&mut image, &cfg, None).unwrap();
             let err = interp.run_program(&image).unwrap_err();
-            let (a, b) = (interp.arrays[0].get().clone(), interp.arrays[1].get().clone());
+            let elements = |a: &ArrData| (0..a.len()).map(|i| a.get(i)).collect::<Vec<_>>();
+            let (a, b) = (elements(&interp.arrays[0]), elements(&interp.arrays[1]));
             (err, a, b, dump_state(&interp, &image))
         };
         let (vm, tree) = (failed(Engine::Vm), failed(Engine::TreeWalk));
@@ -1653,9 +1669,9 @@ mod tests {
         let (err, a, b, _) = vm;
         assert_eq!(err, MachineError::OutOfBounds { array: "A".into(), index: 9, len: 8 });
         // i = 2 stores a(4..8, 2) in j = 1..5 and fails on a(9, 2) in j = 6.
-        let ArrData::R(a) = a else { unreachable!() };
-        assert_eq!(a[8..], [0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        assert_eq!(b, ArrData::R(vec![-1.0, 2.0, 0.0]));
+        let reals = |xs: &[f64]| xs.iter().map(|&x| V::R(x)).collect::<Vec<_>>();
+        assert_eq!(a[8..], reals(&[0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]));
+        assert_eq!(b, reals(&[-1.0, 2.0, 0.0]));
     }
 
     /// The simulated multiprocessor runs a concurrent invocation on one

@@ -7,7 +7,7 @@
 //! are folded at load time.
 
 use crate::error::MachineError;
-use crate::value::{ArrData, ArrStore, Scalar, Shape};
+use crate::value::{zeroed, ArrData, Scalar, Shape};
 use polaris_ir::expr::{is_intrinsic, BinOp, Expr, LValue, RedOp, UnOp};
 use polaris_ir::stmt::{Stmt, StmtKind};
 use polaris_ir::symbol::SymKind;
@@ -115,6 +115,14 @@ pub struct RLoop {
     /// iterations must not run), or it reads an array it speculates on
     /// and contains a DO (a stale value could reach the inner bound).
     pub(crate) in_order: bool,
+    /// What a fork saves before its lanes store into memory in place, and
+    /// restores when the join sends the invocation back to run in order:
+    /// for a loop the join can send back — a speculation (its PD test may
+    /// fail), a reduction (a lane's log may fill) — each array the body
+    /// may store into that its lanes share, which is every one but a
+    /// private array and an array-reduction target (a lane has its own
+    /// of those). Empty for any other loop.
+    pub(crate) rollback: Vec<usize>,
 }
 
 /// Lowered statement.
@@ -140,7 +148,7 @@ pub struct Image {
     pub shapes: Arc<[Shape]>,
     /// Each array's elements, by slot; an interpreter of the image takes
     /// them as its memory.
-    pub(crate) arrays: Vec<ArrStore>,
+    pub(crate) arrays: Vec<ArrData>,
     pub code: Vec<RStmt>,
 }
 
@@ -166,7 +174,7 @@ struct Lowerer {
     scalars: Vec<Scalar>,
     scalar_names: Vec<String>,
     shapes: Vec<Shape>,
-    arrays: Vec<ArrStore>,
+    arrays: Vec<ArrData>,
     params: BTreeMap<String, Expr>,
 }
 
@@ -256,14 +264,14 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
                     }
                 }
                 let data = match sym.ty {
-                    DataType::Integer => ArrData::I(vec![0; total as usize]),
-                    DataType::Real => ArrData::R(vec![0.0; total as usize]),
-                    DataType::Logical => ArrData::B(vec![false; total as usize]),
+                    DataType::Integer => ArrData::I(zeroed(total as usize)),
+                    DataType::Real => ArrData::R(zeroed(total as usize)),
+                    DataType::Logical => ArrData::B(zeroed(total as usize)),
                 };
                 let id = l.arrays.len();
                 l.array_ids.insert(sym.name.clone(), id);
                 l.shapes.push(Shape::new(sym.name.clone(), bounds));
-                l.arrays.push(ArrStore::Owned(data));
+                l.arrays.push(data);
             }
             SymKind::Parameter(_) | SymKind::External => {}
         }
@@ -355,6 +363,17 @@ impl Lowerer {
                 let stale_inner_do =
                     !innermost && !par.spec_arrays.is_empty() && body_reads(&body, &par.spec_arrays);
                 let in_order = has_stop || stale_inner_do;
+                let mut rollback = Vec::new();
+                if !par.spec_arrays.is_empty() || !par.reductions.is_empty() {
+                    let own = |a: &usize| {
+                        par.private_arrays.contains(a)
+                            || par.reductions.iter().any(|r| r.target == RRef::Array(*a))
+                    };
+                    walk(&body, &mut |s| match s {
+                        RStmt::AssignE(a, ..) if !own(a) && !rollback.contains(a) => rollback.push(*a),
+                        _ => {}
+                    });
+                }
                 RStmt::Do(Arc::new(RLoop {
                     var: self.scalar_slot(&d.var)?,
                     init: self.lower_expr(&d.init)?,
@@ -367,6 +386,7 @@ impl Lowerer {
                     innermost,
                     has_conditional,
                     in_order,
+                    rollback,
                 }))
             }
             StmtKind::IfBlock { arms, else_body } => {
@@ -599,6 +619,26 @@ mod tests {
             "a stale branch around an inner loop"
         );
         assert!(in_order("do j = 1, 8\n  b(cnt(j)) = 1.0\nend do\n"), "read in a subscript, inside the inner loop");
+    }
+
+    /// What a fork saves is what the lanes share and may store into, and
+    /// only for a loop the join can send back to run in order.
+    #[test]
+    fn a_loop_the_join_can_send_back_saves_the_shared_arrays_it_stores_into() {
+        let rollback = |annotation: &str| -> Vec<String> {
+            let src = format!(
+                "program t\nreal a(8), b(8), c(8), h(8)\ninteger key(8)\n{annotation}\ndo i = 1, 8\n  c(1) = i * 1.0\n  a(key(i)) = c(1)\n  if (i > 4) then\n    b(i) = a(i)\n  end if\n  h(key(i)) = h(key(i)) + 1.0\n  s = s + b(i)\nend do\nend\n"
+            );
+            let img = image_of(&src);
+            match &img.code[0] {
+                RStmt::Do(l) => l.rollback.iter().map(|&a| img.shapes[a].name.clone()).collect(),
+                other => panic!("{other:?}"),
+            }
+        };
+        assert!(rollback("!$polaris doall private(C)").is_empty(), "a DOALL never goes back");
+        assert_eq!(rollback("!$polaris doall private(C) reduction(+:S)"), ["A", "B", "H"]);
+        assert_eq!(rollback("!$polaris doall private(C) reduction(+:S, +:H)"), ["A", "B"]);
+        assert_eq!(rollback("!$polaris doall speculative(A)"), ["C", "A", "B", "H"]);
     }
 
     #[test]

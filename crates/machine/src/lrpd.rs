@@ -21,14 +21,12 @@
 //! This module holds the test and no executor: [`Shadow`] is what one
 //! executor of iterations marks, [`PdVerdict`] the analysis of any
 //! number of them. The executor is the machine's loop dispatch. On real
-//! threads every lane works on a copy-on-write snapshot and marks a
-//! shadow of its own, and the join commits the lanes' writes only if
-//! the test passes (the "values computed during parallel execution are
-//! stored in temporary locations and then stored in permanent locations
-//! if the parallel execution was correct" strategy of §3.5.1); on
-//! failure the shared state is untouched and the loop re-executes in
-//! order — exactly the protocol whose cost Figure 6 charts as "potential
-//! slowdown". Elements are independent, so verdicts of disjoint element
+//! threads the fork first saves what the loop may store into, then every
+//! lane stores into shared memory in place and marks a shadow of its
+//! own; if the test fails at the join the saved state is restored and
+//! the loop re-executes in order (§3.5's save, speculate, and
+//! re-execute on failure) — exactly the protocol whose cost Figure 6
+//! charts as "potential slowdown". Elements are independent, so verdicts of disjoint element
 //! ranges combine (flags or, counts add) — the property behind the
 //! `O(a/p + log p)` analysis of §3.5.2, which the machine's cost model
 //! bills.

@@ -33,7 +33,7 @@
 //!   the lanes nobody has started go to the helpers, and a loop that
 //!   ends under it — one the bill charges as the serial side of the
 //!   generated `IF` — never wakes anyone. Each lane is its own
-//!   interpreter over the pre-fork snapshot and claims through the same
+//!   interpreter over the master's memory and claims through the same
 //!   [`Claims`] whoever runs it, so nothing below can tell. Under
 //!   `Static` a lane steals the back of another's block when its own is
 //!   done, so the master, which forks late, takes the rest of the
@@ -47,18 +47,24 @@
 //!   the in-order simulation stamps its one shadow. The PD test is
 //!   [`PdVerdict::of`] over all the lanes' shadows, at the join.
 //!
-//! **Commit all of it or none of it.** If no lane's reduction log filled
-//! up and, in a `SPECULATIVE` loop, every speculated array passes the
-//! test and no lane reported an error, the lanes are committed (up to its
-//! first stale read a speculating lane's execution *is* the sequential
-//! one). Anything else — a full log, a failed verdict, *any* lane error or
-//! fuel-out in a speculation (a lane that read a pre-loop value may fault
-//! where the serial loop does not) — drops the lanes wholesale (arrays,
-//! output, steps, loop stats; the master ran lane 0 on a copy too), and
-//! the invocation runs in order from the untouched state
-//! (`Interp::run_simulated`). That *is* the serial execution, and the one
-//! reporter of verdict, error, steps and the attempt + re-execution bill,
-//! so none of them can differ between the backends. A lane panic is
+//! **Lanes store in place; the join commits the rest or sends the loop
+//! back.** A lane stores into the master's arrays themselves, as the
+//! iterations of a `DOALL` on a shared-memory machine do: a fork copies
+//! only what is private to a lane (see below). If no lane's reduction log
+//! filled up and, in a `SPECULATIVE` loop, every speculated array passes
+//! the test and no lane reported an error, the join commits the rest —
+//! steps, bill, loop stats, reductions, output, copy-out (a passing test
+//! means no iteration read what another wrote, so the lanes' execution
+//! *is* the sequential one). Anything else — a full log, a failed
+//! verdict, *any* lane error or fuel-out in a speculation (a lane that
+//! read another iteration's element may fault where the serial loop does
+//! not) — drops the lanes' records, and the invocation runs in order
+//! (`Interp::run_simulated`) from the state before the fork: a loop the
+//! join can send back saves, once before it forks, each array its body
+//! may store into (`RLoop::rollback`), and those copies are restored
+//! first. That run *is* the serial execution, and the one reporter of
+//! verdict, error, steps and the attempt + re-execution bill, so none of
+//! them can differ between the backends. A lane panic is
 //! `WorkerPanicked`, as in any loop.
 //!
 //! **The validator forks through the same [`join`].** `run_validated`'s
@@ -69,27 +75,23 @@
 //! Correctness contract — results must be **deterministic and identical
 //! to serial execution** even though execution order is not:
 //!
-//! * Every worker starts from a copy-on-write snapshot of the shared
-//!   state. A lane copies the scalars, one handle per array on its
-//!   elements and one reference to the image's shape table (names and
-//!   layouts are never copied): the fork makes every array shared with
-//!   the snapshot — `ArrStore::share` — and a lane's handle its own copy
-//!   at the lane's first store into it. Privatized variables are thereby
-//!   trivially private.
+//! * A lane copies the scalars (so privatized scalars are private), one
+//!   handle per array on the master's elements and one reference to the
+//!   image's shape table (names and layouts are never copied). It has
+//!   its own elements for two kinds of array only: a copy of each array
+//!   the loop privatizes, which is never merged, and each array-reduction
+//!   target, held at the identity ([`RedLog::hold`]).
 //! * A lane keeps one record for all its pieces — its output, the pieces
 //!   it ran with where each one's output ends, one reduction log
 //!   ([`RedLog`]) cut at the same ends — and reductions fold **in serial
 //!   order**: the join replays each piece's part of its lane's log in
 //!   piece-index order, serial's own fold at any thread count or schedule.
-//! * Shared arrays are committed by diffing each worker's copy against
-//!   the pre-fork snapshot (a copy that still *is* the snapshot was
-//!   never written; otherwise bit-level comparison, so `-0.0` vs `0.0`
-//!   and NaN payloads are preserved) and applying only written elements,
-//!   in worker order (the first writer's copy is adopted whole, by move, and
-//!   later writers merge into it in place — [`commit_array`]). A
-//!   correctly-parallelized loop writes disjoint
-//!   elements, so the order cannot matter; if a miscompile makes writes
-//!   collide, the equivalence tests catch the divergence.
+//! * Shared arrays need no commit: a correctly-parallelized loop writes
+//!   disjoint elements, so the lanes' stores are serial's whatever their
+//!   order. The elements are atomic cells, so lanes that a miscompile or
+//!   a forged annotation lets collide leave unspecified values, never
+//!   undefined behaviour, and the equivalence tests and `run_validated`
+//!   catch the divergence.
 //! * Output (PRINT) is moved in piece order and copy-out scalars written
 //!   last; errors are reported for the smallest failing iteration
 //!   index, matching what sequential execution would hit first, and the
@@ -113,11 +115,12 @@ use crate::error::MachineError;
 use crate::exec::{ArmRange, Flow, Interp};
 use crate::lower::{RLoop, RPar, RRed, RRef};
 use crate::lrpd::{PdVerdict, Shadow};
-use crate::value::{ArrData, ArrStore, Scalar, Shape};
+use crate::value::{ArrData, Scalar, Shape};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -245,7 +248,6 @@ impl Drop for ThreadPool {
 
 struct WorkerOut {
     wid: usize,
-    arrays: Vec<ArrStore>,
     loops: Vec<Option<(String, crate::exec::LoopExecStats)>>,
     /// The lane's output (PRINT) lines, in the order it ran its pieces.
     output: Vec<String>,
@@ -279,7 +281,8 @@ struct WorkerTask {
     cfg: MachineConfig,
     scalars: Vec<Scalar>,
     shapes: Arc<[Shape]>,
-    arrays: Vec<ArrStore>,
+    /// Handles on the master's arrays.
+    arrays: Vec<ArrData>,
     /// The master's step count at the fork, where the lane's own starts.
     steps: u64,
     /// Bytecode of the running unit + where this loop's body starts in
@@ -290,9 +293,15 @@ struct WorkerTask {
 
 /// Run lane `task.wid` on the calling thread: claim pieces until none
 /// are left for it, each run as one range ([`Interp::run_range`]).
-/// `before_piece` gets the lane's interpreter before each piece.
+/// `before_piece` gets the lane's interpreter before each piece. The lane
+/// stores into the master's arrays in place but for the ones it has its
+/// own of: a copy of each private array, and each array-reduction target
+/// ([`RedLog::hold`]).
 fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -> WorkerOut {
-    let WorkerTask { wid, l, space, claims, cfg, scalars, shapes, arrays, steps, bc, body } = task;
+    let WorkerTask { wid, l, space, claims, cfg, scalars, shapes, mut arrays, steps, bc, body } = task;
+    for &a in &l.par.private_arrays {
+        arrays[a] = arrays[a].copy();
+    }
     let mut it = Interp::over(&cfg, scalars, shapes, arrays, steps);
     it.in_parallel = true;
     it.bc = bc;
@@ -336,7 +345,6 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
         #[cfg(test)]
         fence: (it.activations, it.dispatches),
         log: it.red,
-        arrays: it.arrays,
         loops: it.loop_stats,
         output: it.output,
         pieces,
@@ -361,9 +369,41 @@ pub(crate) const LOG_CAP: usize = 1 << 18;
 /// elements); `ends[k]` is where the lane's `k`-th piece's updates end.
 #[derive(Default)]
 pub(crate) struct Updates {
-    elems: Vec<u32>,
-    bits: Vec<u64>,
+    elems: Blocks<u32>,
+    bits: Blocks<u64>,
     ends: Vec<usize>,
+}
+
+/// Entries in a block of a log: 32 KB of bits. A log grows a block at a
+/// time, so it never copies what it holds nor reserves twice what it
+/// needs, and blocks this small are memory the allocator hands the next
+/// fork's logs again, where freeing a log that had doubled past the
+/// allocator's mmap threshold raised it and left megabytes resident
+/// (EXPERIMENTS.md, "Lanes store in place").
+const BLOCK: usize = 4096;
+
+/// An append-only sequence, kept in blocks of [`BLOCK`] entries.
+#[derive(Default)]
+struct Blocks<T> {
+    blocks: Vec<Vec<T>>,
+}
+
+impl<T: Copy> Blocks<T> {
+    fn len(&self) -> usize {
+        self.blocks.last().map_or(0, |last| (self.blocks.len() - 1) * BLOCK + last.len())
+    }
+
+    fn push(&mut self, x: T) {
+        if self.blocks.last().is_none_or(|last| last.len() == BLOCK) {
+            self.blocks.push(Vec::with_capacity(BLOCK));
+        }
+        self.blocks.last_mut().expect("a block with room").push(x);
+    }
+
+    /// Entries `span`, in order.
+    fn span(&self, span: std::ops::Range<usize>) -> impl Iterator<Item = T> + '_ {
+        span.map(|i| self.blocks[i / BLOCK][i % BLOCK])
+    }
 }
 
 /// What a lane logs of one forked loop's reductions (`Interp::red`;
@@ -380,23 +420,25 @@ pub(crate) struct RedLog {
 }
 
 impl RedLog {
-    /// Hold `reds`' targets at their identities and log up to [`LOG_CAP`]
-    /// of their stores, or `None` when the loop reduces nothing. The
-    /// validator's reversed lane shares the cap, and the in-order run a
-    /// full log falls back to.
+    /// Hold `reds`' targets at their identities — an array target in
+    /// cells of the lane's own — and log up to [`LOG_CAP`] of their
+    /// stores, or `None` when the loop reduces nothing. The validator's
+    /// reversed lane shares the cap, and the in-order run a full log
+    /// falls back to.
     fn hold(it: &mut Interp<'_>, reds: &[RRed]) -> Option<Box<RedLog>> {
         for red in reds {
+            let (i, r) = (red_identity_i(red.op), red_identity_r(red.op));
             match red.target {
                 RRef::Scalar(s) => match &mut it.scalars[s] {
-                    Scalar::R(v) => *v = red_identity_r(red.op),
-                    Scalar::I(v) => *v = red_identity_i(red.op),
+                    Scalar::R(v) => *v = r,
+                    Scalar::I(v) => *v = i,
                     Scalar::B(_) => {}
                 },
-                RRef::Array(a) => match it.arrays[a].make_mut() {
-                    ArrData::R(v) => v.fill(red_identity_r(red.op)),
-                    ArrData::I(v) => v.fill(red_identity_i(red.op)),
-                    ArrData::B(_) => {}
-                },
+                RRef::Array(a) => {
+                    let own = it.arrays[a].blank();
+                    own.fill(i, r, false);
+                    it.arrays[a] = own;
+                }
             }
         }
         let updates = reds.iter().map(|_| Updates::default()).collect();
@@ -437,9 +479,18 @@ impl Interp<'_> {
                 Scalar::I(v) => std::mem::replace(v, red_identity_i(op)) as u64,
                 Scalar::B(_) => return,
             },
-            RRef::Array(a) => match self.arrays[a].make_mut() {
-                ArrData::R(v) => std::mem::replace(&mut v[elem], red_identity_r(op)).to_bits(),
-                ArrData::I(v) => std::mem::replace(&mut v[elem], red_identity_i(op)) as u64,
+            // The lane's own cells: a load and a store, no exchange.
+            RRef::Array(a) => match &self.arrays[a] {
+                ArrData::R(v) => {
+                    let bits = v[elem].load(Relaxed);
+                    v[elem].store(red_identity_r(op).to_bits(), Relaxed);
+                    bits
+                }
+                ArrData::I(v) => {
+                    let bits = v[elem].load(Relaxed) as u64;
+                    v[elem].store(red_identity_i(op), Relaxed);
+                    bits
+                }
                 ArrData::B(_) => return,
             },
         };
@@ -461,19 +512,22 @@ impl Interp<'_> {
         for (red, u) in log.reds.iter().zip(&log.updates) {
             let span = k.checked_sub(1).map_or(0, |prev| u.ends[prev])..u.ends[k];
             bytes += 8 * span.len() as u64;
-            let (op, betas) = (red.op, u.bits[span.clone()].iter());
+            let (op, betas) = (red.op, u.bits.span(span.clone()));
             match red.target {
                 RRef::Scalar(s) => match &mut self.scalars[s] {
-                    Scalar::R(v) => *v = betas.fold(*v, |acc, &b| red_apply_r(op, acc, f64::from_bits(b))),
-                    Scalar::I(v) => *v = betas.fold(*v, |acc, &b| red_apply_i(op, acc, b as i64)),
+                    Scalar::R(v) => *v = betas.fold(*v, |acc, b| red_apply_r(op, acc, f64::from_bits(b))),
+                    Scalar::I(v) => *v = betas.fold(*v, |acc, b| red_apply_i(op, acc, b as i64)),
                     Scalar::B(_) => {}
                 },
-                RRef::Array(a) => match self.arrays[a].make_mut() {
-                    ArrData::R(v) => u.elems[span].iter().zip(betas).for_each(|(&e, &b)| {
-                        v[e as usize] = red_apply_r(op, v[e as usize], f64::from_bits(b));
+                RRef::Array(a) => match &self.arrays[a] {
+                    ArrData::R(v) => u.elems.span(span).zip(betas).for_each(|(e, b)| {
+                        let cell = &v[e as usize];
+                        let sigma = f64::from_bits(cell.load(Relaxed));
+                        cell.store(red_apply_r(op, sigma, f64::from_bits(b)).to_bits(), Relaxed);
                     }),
-                    ArrData::I(v) => u.elems[span].iter().zip(betas).for_each(|(&e, &b)| {
-                        v[e as usize] = red_apply_i(op, v[e as usize], b as i64);
+                    ArrData::I(v) => u.elems.span(span).zip(betas).for_each(|(e, b)| {
+                        let cell = &v[e as usize];
+                        cell.store(red_apply_i(op, cell.load(Relaxed), b as i64), Relaxed);
                     }),
                     ArrData::B(_) => {}
                 },
@@ -523,82 +577,6 @@ fn red_apply_i(op: RedOp, a: i64, b: i64) -> i64 {
     }
 }
 
-// ---- array diff-merge -------------------------------------------------
-
-/// Apply to `dst` every element where `theirs` differs from `base`, and
-/// return the number of bytes written (the `exec.threaded.merge_bytes`
-/// contribution). Bit-level comparison for reals so `-0.0` vs `0.0`
-/// writes and NaN payloads survive the round trip.
-fn merge_diff(dst: &mut ArrData, theirs: &ArrData, base: &ArrData) -> u64 {
-    let mut changed = 0u64;
-    match (dst, theirs, base) {
-        (ArrData::R(d), ArrData::R(t), ArrData::R(b)) => {
-            for i in 0..d.len() {
-                if t[i].to_bits() != b[i].to_bits() {
-                    d[i] = t[i];
-                    changed += 8;
-                }
-            }
-        }
-        (ArrData::I(d), ArrData::I(t), ArrData::I(b)) => {
-            for i in 0..d.len() {
-                if t[i] != b[i] {
-                    d[i] = t[i];
-                    changed += 8;
-                }
-            }
-        }
-        (ArrData::B(d), ArrData::B(t), ArrData::B(b)) => {
-            for i in 0..d.len() {
-                if t[i] != b[i] {
-                    d[i] = t[i];
-                    changed += 1;
-                }
-            }
-        }
-        _ => unreachable!("array type changed during execution"),
-    }
-    changed
-}
-
-/// Bytes a wholesale-adopted worker copy changed relative to the
-/// snapshot — the observability-only twin of [`merge_diff`] (no write).
-fn diff_bytes(theirs: &ArrData, base: &ArrData) -> u64 {
-    match (theirs, base) {
-        (ArrData::R(t), ArrData::R(b)) => {
-            8 * t.iter().zip(b).filter(|(x, y)| x.to_bits() != y.to_bits()).count() as u64
-        }
-        (ArrData::I(t), ArrData::I(b)) => 8 * t.iter().zip(b).filter(|(x, y)| x != y).count() as u64,
-        (ArrData::B(t), ArrData::B(b)) => t.iter().zip(b).filter(|(x, y)| x != y).count() as u64,
-        _ => 0,
-    }
-}
-
-/// Commit one lane's copy of a shared array into `dst` and return the
-/// `exec.threaded.merge_bytes` contribution. `theirs` comes by value:
-/// the first writer's copy differs from the snapshot only where it
-/// wrote, so it is adopted wholesale — by move, so it stays owned and a
-/// later writer's diff merges into it in place. `count_adopted` says
-/// whether anyone reads the bytes of an adoption (observability only; a
-/// diff-merge counts as it writes).
-fn commit_array(
-    dst: &mut ArrStore,
-    theirs: ArrStore,
-    base: &Arc<ArrData>,
-    count_adopted: bool,
-) -> u64 {
-    if theirs.same_as(base) {
-        return 0; // never written
-    }
-    if dst.same_as(base) {
-        let bytes = if count_adopted { diff_bytes(theirs.get(), base) } else { 0 };
-        *dst = theirs;
-        bytes
-    } else {
-        merge_diff(dst.make_mut(), theirs.get(), base)
-    }
-}
-
 // ---- the fork and the join --------------------------------------------
 
 /// Execute one `PARALLEL DO` or `SPECULATIVE` loop over `plan` and hand
@@ -624,9 +602,6 @@ pub(crate) fn run_threaded_loop(
         Some(budget) => Claims::reversed(&plan, budget),
         None => Claims::new(&plan),
     });
-    // Every array becomes shared with the snapshot here, so the lanes'
-    // copies below are handles, and owned again at whoever writes first.
-    let snapshot: Vec<Arc<ArrData>> = interp.arrays.iter_mut().map(ArrStore::share).collect();
     let lane = |wid: usize| WorkerTask {
         wid,
         l: Arc::clone(l),
@@ -642,13 +617,13 @@ pub(crate) fn run_threaded_loop(
     };
     if reversed.is_some() {
         let out = worker_run(lane(0), |it| poison(it, &l.par));
-        return join(interp, l, &plan, &claims, &snapshot, vec![out]);
+        return join(interp, l, &plan, &claims, vec![out]);
     }
 
     // The master runs lanes itself, in lane order, until the cycles it
     // has executed reach the bill's guard; the lanes nobody has started
     // by then go to the helpers. Which thread ran a lane shows in nothing
-    // the join merges, so a loop under the guard wakes no one and commits
+    // the join commits, so a loop under the guard wakes no one and commits
     // what a forked one would. A lane with nothing left to claim is not
     // started: it would only return an empty result.
     let threshold = interp.guard_threshold();
@@ -693,32 +668,32 @@ pub(crate) fn run_threaded_loop(
     if results.len() < unstarted {
         return Err(MachineError::WorkerPanicked { loop_label: l.label.clone() });
     }
-    join(interp, l, &plan, &claims, &snapshot, results)
+    join(interp, l, &plan, &claims, results)
 }
 
 /// Decide the invocation from its lanes, whoever ran them, and return
-/// the cycles of each plan chunk — or `None`, having changed nothing,
-/// when it must run in order instead (a full reduction log, a failed
-/// speculation). Errors are reported for the smallest failing
-/// iteration; committed are the fuel the lanes took, the bill, the
-/// shared arrays each lane wrote ([`commit_array`], lane order), in
-/// piece order, which is serial order, each piece's reduction updates
-/// and output, and the copy-out.
+/// the cycles of each plan chunk — or `None` when it must run in order
+/// instead (a full reduction log, a failed speculation), having changed
+/// nothing but the arrays the lanes stored into, which the caller
+/// restores (`RLoop::rollback`). Errors are reported for the smallest failing iteration;
+/// committed are the fuel the lanes took, the bill, the lanes' loop
+/// stats, in piece order, which is serial order, each piece's reduction
+/// updates and output, and the copy-out. The lanes' other stores are in
+/// memory already.
 fn join(
     interp: &mut Interp<'_>,
     l: &RLoop,
     plan: &ChunkPlan,
     claims: &Claims,
-    snapshot: &[Arc<ArrData>],
     mut results: Vec<WorkerOut>,
 ) -> Result<Option<(Flow, Vec<u64>)>, MachineError> {
     results.sort_by_key(|w| w.wid);
 
     // A full reduction log, or the PD test over the lanes' marks failing.
     // A lane error counts as a failed verdict (the marks of a faulting
-    // iteration are not even complete). Nothing of the lanes has reached
-    // `interp` yet: drop them and run the loop in order, which re-derives
-    // values, verdict, error, steps and bill.
+    // iteration are not even complete). Nothing of the lanes but their
+    // stores has reached `interp` yet: drop them and run the loop in
+    // order, which re-derives values, verdict, error, steps and bill.
     if results.iter().any(|w| w.log.as_ref().is_some_and(|log| log.room == 0)) {
         return Ok(None);
     }
@@ -789,20 +764,11 @@ fn join(
     let marks = results.iter().flat_map(|w| &w.shadows).map(|(_, sh)| sh.marks_done()).sum();
     interp.bill_invocation(l, plan, &profile, marks, true);
 
-    // -- nested-loop stats and shared arrays (diff vs snapshot), worker order
-    let skip = |a: usize| {
-        l.par.private_arrays.contains(&a) || l.par.reductions.iter().any(|r| r.target == RRef::Array(a))
-    };
-    let count_adopted = interp.recorder.is_enabled();
-    for w in &mut results {
+    // -- nested-loop stats, lane order
+    for w in &results {
         for (i, slot) in w.loops.iter().enumerate() {
             if let Some((label, st)) = slot {
                 interp.loop_slot(i, label).absorb(st);
-            }
-        }
-        for (i, wa) in std::mem::take(&mut w.arrays).into_iter().enumerate() {
-            if !skip(i) {
-                merge_bytes += commit_array(&mut interp.arrays[i], wa, &snapshot[i], count_adopted);
             }
         }
     }
@@ -839,72 +805,14 @@ fn poison(it: &mut Interp<'_>, par: &RPar) {
         };
     }
     for &a in &par.private_arrays {
-        match it.arrays[a].make_mut() {
-            ArrData::I(v) => v.fill(POISON_I),
-            ArrData::R(v) => v.fill(f64::NAN),
-            ArrData::B(v) => v.fill(false),
-        }
+        it.arrays[a].fill(POISON_I, f64::NAN, false);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::V;
     use crate::{ExecMode, Schedule};
-
-    #[test]
-    fn merge_diff_is_bitwise() {
-        let base = ArrData::R(vec![0.0, 1.0, f64::NAN, 2.0]);
-        // worker wrote -0.0 over 0.0 (bitwise change, value-equal)
-        let theirs = ArrData::R(vec![-0.0, 1.0, f64::NAN, 5.0]);
-        let mut dst = base.clone();
-        merge_diff(&mut dst, &theirs, &base);
-        match dst {
-            ArrData::R(v) => {
-                assert!(v[0].to_bits() == (-0.0f64).to_bits());
-                assert_eq!(v[1], 1.0);
-                assert!(v[2].is_nan()); // untouched NaN stays
-                assert_eq!(v[3], 5.0);
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    /// The first writer's copy is adopted by move, so it stays owned and
-    /// the second writer's diff lands in that allocation — no copy in
-    /// between — with the bits the diff-merge of both writers into a
-    /// copy of the snapshot gives.
-    #[test]
-    fn two_writer_commit_merges_into_the_first_writers_allocation() {
-        let mut master = ArrStore::Owned(ArrData::R(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]));
-        let base = master.share();
-        // A lane's copy of the shared store, written at one element.
-        let written = |at: usize, v: f64| {
-            let mut copy = master.clone();
-            copy.make_mut().set(at, V::R(v)).unwrap();
-            copy
-        };
-        let (first, second, reader) = (written(1, -0.0), written(4, f64::NAN), master.clone());
-        let elements = |s: &ArrStore| match s.get() {
-            ArrData::R(v) => v.as_ptr(),
-            _ => unreachable!(),
-        };
-        let first_allocation = elements(&first);
-        assert_ne!(first_allocation, elements(&master), "a written copy is its own");
-
-        let mut reference = ArrData::clone(&base);
-        merge_diff(&mut reference, first.get(), &base);
-        merge_diff(&mut reference, second.get(), &base);
-
-        let mut dst = master.clone();
-        assert_eq!(commit_array(&mut dst, reader, &base, true), 0, "a lane that never wrote");
-        assert_eq!(commit_array(&mut dst, first, &base, true), 8, "adopted, its bytes counted");
-        assert_eq!(commit_array(&mut dst, second, &base, true), 8);
-        assert_eq!(elements(&dst), first_allocation, "the second writer merged in place");
-        assert_eq!(diff_bytes(dst.get(), &reference), 0, "bit-equal to the diff-merge of both");
-        assert_eq!(diff_bytes(dst.get(), &base), 16);
-    }
 
     // ---- whole-program equivalence through the public entry points ----
 
@@ -987,13 +895,14 @@ mod tests {
     }
 
     /// A lane whose reduction log fills up ([`LOG_CAP`]) stops, and the
-    /// invocation runs in order on the simulated path instead: serial's
-    /// bits, the simulator's cycles, the serial fuel steps, and no chunk
-    /// of it joined.
+    /// invocation runs in order on the simulated path instead, from the
+    /// `B` its fork saved (the lanes' `b(i) = b(i) + i` in place would
+    /// count twice): serial's bits, the simulator's cycles, the serial
+    /// fuel steps, and no chunk of it joined.
     #[test]
     fn a_reduction_log_past_the_cap_runs_the_loop_in_order() {
         let trips = 2 * LOG_CAP + 2;
-        let src = format!("program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, {trips}\n  s = s + 1.0 / i\nend do\nprint *, s\nend\n");
+        let src = format!("program t\nreal b({trips})\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, {trips}\n  s = s + 1.0 / i\n  b(i) = b(i) + i\nend do\nprint *, s, b({trips})\nend\n");
         let p = parse(&src);
         let steps = |cfg: &MachineConfig, rec: &polaris_obs::Recorder| {
             crate::exec::run_with(&p, cfg, rec, |it, image| (it.steps, crate::exec::dump_state(it, image))).unwrap()

@@ -1,6 +1,8 @@
 //! Run-time values and storage.
 
 use crate::error::MachineError;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64};
 use std::sync::Arc;
 
 /// A scalar run-time value.
@@ -68,12 +70,44 @@ impl Scalar {
     }
 }
 
-/// Array element storage (column-major, flattened).
-#[derive(Debug, Clone, PartialEq)]
+/// Array element storage (column-major, flattened): a handle on one
+/// allocation of cells. Cloning it clones the handle — every clone reads
+/// and writes the same elements, so a lane of the threaded backend
+/// stores into the master's memory in place and a fork copies no element
+/// — and [`Self::copy`] is the one way to a second set of elements. Stores
+/// go through `&`. The cells are atomics, loaded and stored `Relaxed`
+/// (plain moves on x86-64): lanes that a wrong annotation lets race on
+/// an element leave it unspecified, never undefined behaviour. What
+/// orders a lane's stores before the master reads them is the join's
+/// channel.
+#[derive(Debug, Clone)]
 pub(crate) enum ArrData {
-    I(Vec<i64>),
-    R(Vec<f64>),
-    B(Vec<bool>),
+    I(Arc<[AtomicI64]>),
+    /// Each element's `f64` bits.
+    R(Arc<[AtomicU64]>),
+    B(Arc<[AtomicBool]>),
+}
+
+/// Cells for which all-zero bytes are a valid value.
+///
+/// # Safety
+///
+/// An implementor must hold a valid value in all-zero bytes.
+pub(crate) unsafe trait Zeroable {}
+// SAFETY: an atomic integer has the bit validity of its integer, for
+// which all-zero bytes are 0.
+unsafe impl Zeroable for AtomicI64 {}
+// SAFETY: as for `AtomicI64`; zero bits are the `f64` +0.0.
+unsafe impl Zeroable for AtomicU64 {}
+// SAFETY: `AtomicBool` has the bit validity of `bool`, whose zero byte is
+// `false`.
+unsafe impl Zeroable for AtomicBool {}
+
+/// `n` cells holding zero, allocated zeroed: the allocator hands out
+/// untouched pages, which cost no memory until a store lands on them.
+pub(crate) fn zeroed<T: Zeroable>(n: usize) -> Arc<[T]> {
+    // SAFETY: `T: Zeroable`, so the zeroed cells are initialized.
+    unsafe { Arc::new_zeroed_slice(n).assume_init() }
 }
 
 impl ArrData {
@@ -87,99 +121,67 @@ impl ArrData {
 
     pub(crate) fn get(&self, idx: usize) -> V {
         match self {
-            ArrData::I(v) => V::I(v[idx]),
-            ArrData::R(v) => V::R(v[idx]),
-            ArrData::B(v) => V::B(v[idx]),
+            ArrData::I(v) => V::I(v[idx].load(Relaxed)),
+            ArrData::R(v) => V::R(f64::from_bits(v[idx].load(Relaxed))),
+            ArrData::B(v) => V::B(v[idx].load(Relaxed)),
         }
     }
 
-    pub(crate) fn set(&mut self, idx: usize, v: V) -> Result<(), MachineError> {
+    /// Store with Fortran assignment conversion.
+    pub(crate) fn set(&self, idx: usize, v: V) -> Result<(), MachineError> {
         match self {
-            ArrData::I(s) => s[idx] = v.as_i()?,
-            ArrData::R(s) => s[idx] = v.as_r()?,
-            ArrData::B(s) => s[idx] = v.as_b()?,
+            ArrData::I(s) => s[idx].store(v.as_i()?, Relaxed),
+            ArrData::R(s) => s[idx].store(v.as_r()?.to_bits(), Relaxed),
+            ArrData::B(s) => s[idx].store(v.as_b()?, Relaxed),
         }
         Ok(())
     }
-}
 
-/// Element storage of one array: owned by this interpreter, or shared
-/// with a snapshot.
-///
-/// The threaded backend hands each lane a copy-on-write copy of the
-/// master's memory and tells at the join, by identity, which arrays a
-/// lane never wrote. Both need a reference-counted handle — but only
-/// across a fork. Between forks the array has one owner, and a store
-/// into an `Owned` array costs a tag test: no atomic, no refcount
-/// (`Arc::make_mut` on every store was a `lock cmpxchg` plus a release
-/// store, 11–12 ns against ≈ 1). A store into a `Shared` array pays once:
-/// the allocation is taken over when nobody else holds it any more,
-/// copied when somebody does, and the array is `Owned` from then on.
-///
-/// [`Self::share`] is the only way a second reference to an array's
-/// elements appears (cloning an `Owned` store copies them), so `Owned`
-/// means unique by construction and [`Self::make_mut`] never has to ask.
-#[derive(Debug, Clone)]
-pub(crate) enum ArrStore {
-    Owned(ArrData),
-    Shared(Arc<ArrData>),
-}
-
-impl ArrStore {
-    #[inline(always)]
-    pub(crate) fn get(&self) -> &ArrData {
+    /// Zeroed cells of this array's type and length.
+    pub(crate) fn blank(&self) -> ArrData {
         match self {
-            ArrStore::Owned(d) => d,
-            ArrStore::Shared(a) => a,
+            ArrData::I(v) => ArrData::I(zeroed(v.len())),
+            ArrData::R(v) => ArrData::R(zeroed(v.len())),
+            ArrData::B(v) => ArrData::B(zeroed(v.len())),
         }
     }
 
-    /// The elements, writable: `Owned` as they are, `Shared` made
-    /// `Owned` first (see the type's doc for what that costs).
-    #[inline(always)]
-    pub(crate) fn make_mut(&mut self) -> &mut ArrData {
-        if let ArrStore::Shared(_) = self {
-            self.unshare();
+    /// A second set of elements, equal to these now: [`Self::blank`]
+    /// cells, into which each element that is not zero is stored, so a
+    /// copy of memory nobody has written touches no page.
+    pub(crate) fn copy(&self) -> ArrData {
+        let to = self.blank();
+        match (&to, self) {
+            (ArrData::I(t), ArrData::I(f)) => t.iter().zip(f.iter()).for_each(|(t, f)| {
+                let x = f.load(Relaxed);
+                if x != 0 {
+                    t.store(x, Relaxed);
+                }
+            }),
+            (ArrData::R(t), ArrData::R(f)) => t.iter().zip(f.iter()).for_each(|(t, f)| {
+                let x = f.load(Relaxed);
+                if x != 0 {
+                    t.store(x, Relaxed);
+                }
+            }),
+            (ArrData::B(t), ArrData::B(f)) => t.iter().zip(f.iter()).for_each(|(t, f)| {
+                if f.load(Relaxed) {
+                    t.store(true, Relaxed);
+                }
+            }),
+            _ => unreachable!("a blank array has its original's type"),
         }
+        to
+    }
+
+    /// Store into every element the value of its type among `i`, `r`
+    /// and `b`.
+    pub(crate) fn fill(&self, i: i64, r: f64, b: bool) {
         match self {
-            ArrStore::Owned(d) => d,
-            ArrStore::Shared(_) => unreachable!("unshare left the store shared"),
+            ArrData::I(v) => v.iter().for_each(|c| c.store(i, Relaxed)),
+            ArrData::R(v) => v.iter().for_each(|c| c.store(r.to_bits(), Relaxed)),
+            ArrData::B(v) => v.iter().for_each(|c| c.store(b, Relaxed)),
         }
-    }
-
-    #[cold]
-    fn unshare(&mut self) {
-        // An empty `Vec` allocates nothing: the placeholder is free.
-        if let ArrStore::Shared(a) = std::mem::replace(self, ArrStore::Owned(ArrData::B(Vec::new()))) {
-            *self = ArrStore::Owned(Arc::try_unwrap(a).unwrap_or_else(|a| ArrData::clone(&a)));
-        }
-    }
-
-    /// A snapshot of the elements as they are now, sharing their
-    /// allocation with this store until either side is written: an
-    /// `Owned` store becomes `Shared` in place (the `Vec` header moves
-    /// into the `Arc`, the elements stay where they are).
-    pub(crate) fn share(&mut self) -> Arc<ArrData> {
-        if let ArrStore::Owned(d) = self {
-            let d = std::mem::replace(d, ArrData::B(Vec::new()));
-            *self = ArrStore::Shared(Arc::new(d));
-        }
-        match self {
-            ArrStore::Shared(a) => Arc::clone(a),
-            ArrStore::Owned(_) => unreachable!("share left the store owned"),
-        }
-    }
-
-    /// Whether this store still *is* `snapshot` — nothing has been
-    /// written through it since the [`Self::share`] that produced both.
-    pub(crate) fn same_as(&self, snapshot: &Arc<ArrData>) -> bool {
-        matches!(self, ArrStore::Shared(a) if Arc::ptr_eq(a, snapshot))
-    }
-}
-
-impl PartialEq for ArrStore {
-    fn eq(&self, other: &ArrStore) -> bool {
-        self.get() == other.get()
     }
 }
 
@@ -194,8 +196,8 @@ pub(crate) struct Dim {
 
 /// An array's name and column-major layout, built once by lowering
 /// ([`crate::lower::Image::shapes`]) and shared by the bytecode unit and
-/// every interpreter of the image, a lane's too; each holds the elements
-/// apart, as an [`ArrStore`].
+/// every interpreter of the image, a lane's too; each holds a handle on
+/// the elements apart, an [`ArrData`].
 #[derive(Debug)]
 pub struct Shape {
     pub name: String,
@@ -289,83 +291,29 @@ mod tests {
         assert_eq!(c.flatten(&[0, 3]), Err(oob("C", 3, 3)));
     }
 
-    fn elements(store: &ArrStore) -> &Vec<i64> {
-        match store.get() {
-            ArrData::I(v) => v,
-            other => unreachable!("{other:?}"),
-        }
-    }
-
-    fn store_into(store: &mut ArrStore, at: usize, v: i64) {
-        store.make_mut().set(at, V::I(v)).unwrap();
-    }
-
-    proptest::proptest! {
-        /// A master store and the lanes forked from it, against plain
-        /// vectors: whatever sequence of forks and stores, a write through
-        /// one side of a `share()` never shows through another, a lane
-        /// nobody stored into still *is* the snapshot it was forked from,
-        /// and a store into an owned store happens in place.
-        #[test]
-        fn shared_stores_are_isolated_and_owned_stores_are_written_in_place(
-            ops in proptest::collection::vec((0usize..4, 0usize..4, 0usize..8, -100i64..100), 1..40),
-        ) {
-            let mut master = ArrStore::Owned(ArrData::I(vec![0; 8]));
-            let mut model = vec![0i64; 8];
-            // (store, what it should hold, the snapshot it was forked from
-            // while nothing has been stored into it)
-            let mut lanes: Vec<(ArrStore, Vec<i64>, Option<Arc<ArrData>>)> = Vec::new();
-            for (op, lane, at, v) in ops {
-                match op {
-                    0 => {
-                        let snapshot = master.share();
-                        proptest::prop_assert!(master.same_as(&snapshot));
-                        lanes.push((master.clone(), model.clone(), Some(snapshot)));
-                    }
-                    1 => {
-                        store_into(&mut master, at, v);
-                        model[at] = v;
-                        // Owned now, whatever it was: the next store is in place.
-                        let before = elements(&master).as_ptr();
-                        store_into(&mut master, at, v);
-                        proptest::prop_assert!(matches!(master, ArrStore::Owned(_)));
-                        proptest::prop_assert_eq!(elements(&master).as_ptr(), before);
-                    }
-                    _ if !lanes.is_empty() => {
-                        let n = lanes.len();
-                        let (store, want, snapshot) = &mut lanes[lane % n];
-                        store_into(store, at, v);
-                        want[at] = v;
-                        *snapshot = None;
-                    }
-                    _ => {}
-                }
-                proptest::prop_assert_eq!(elements(&master), &model);
-                for (store, want, snapshot) in &lanes {
-                    proptest::prop_assert_eq!(elements(store), want);
-                    if let Some(snapshot) = snapshot {
-                        proptest::prop_assert!(store.same_as(snapshot));
-                        proptest::prop_assert_eq!(&**snapshot, &ArrData::I(want.clone()));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The last holder of a shared allocation takes it over instead of
-    /// copying it: after a join the master's untouched arrays cost their
-    /// next store nothing but the state change.
+    /// A clone is a handle on the same elements: a store through one is
+    /// read through the other. A copy is new elements, equal bit for bit
+    /// (`-0.0` and a NaN payload too, though it stores no zero), and
+    /// written apart from the original.
     #[test]
-    fn the_last_holder_of_a_shared_store_unshares_without_a_copy() {
-        let mut master = ArrStore::Owned(ArrData::I(vec![7; 4]));
-        let allocation = elements(&master).as_ptr();
-        let snapshot = master.share();
-        assert_eq!(elements(&master).as_ptr(), allocation, "share() moves the header, not the elements");
+    fn clones_share_the_elements_and_copies_do_not() {
+        let nan = 0x7ff8_0000_0000_0001;
+        let master = ArrData::R(zeroed(4));
         let lane = master.clone();
-        assert!(lane.same_as(&snapshot) && !ArrStore::Owned(ArrData::I(vec![7; 4])).same_as(&snapshot));
-        drop((snapshot, lane));
-        store_into(&mut master, 0, 1);
-        assert_eq!(elements(&master).as_ptr(), allocation);
-        assert_eq!(elements(&master), &[1, 7, 7, 7]);
+        lane.set(1, V::R(-0.0)).unwrap();
+        lane.set(2, V::R(f64::from_bits(nan))).unwrap();
+        let bits = |a: &ArrData| -> Vec<u64> {
+            (0..a.len()).map(|i| a.get(i).as_r().unwrap().to_bits()).collect()
+        };
+        assert_eq!(bits(&master), [0, (-0.0f64).to_bits(), nan, 0]);
+        let saved = master.copy();
+        assert_eq!(bits(&saved), bits(&master));
+        master.set(3, V::R(5.0)).unwrap();
+        saved.set(0, V::R(1.0)).unwrap();
+        assert_eq!((bits(&saved)[3], bits(&lane)[3]), (0, 5.0f64.to_bits()));
+        assert_eq!(bits(&master)[0], 0);
+        let ints = ArrData::I(zeroed(3));
+        ints.fill(-7, 0.5, true);
+        assert_eq!((0..3).map(|i| ints.get(i)).collect::<Vec<_>>(), [V::I(-7); 3]);
     }
 }

@@ -78,6 +78,7 @@ use crate::lower::RRef;
 use crate::value::{ArrData, Scalar};
 use polaris_ir::expr::BinOp;
 use std::fmt::Write as _;
+use std::sync::atomic::Ordering::Relaxed;
 
 impl Interp<'_> {
     /// Evaluate one fused subscript to its integer value, charging what
@@ -321,12 +322,12 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
-                    let ArrData::I(v) = self.arrays[a].get() else {
+                    let ArrData::I(v) = &self.arrays[a] else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
                     // SAFETY: `Shape::flatten` bounds-checked every dimension.
-                    wr!(*dst, unsafe { *v.get_unchecked(idx) } as u64);
+                    wr!(*dst, unsafe { v.get_unchecked(idx) }.load(Relaxed) as u64);
                 }
                 Instr::LoadER { dst, arr, sub, n } => {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
@@ -335,12 +336,12 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
-                    let ArrData::R(v) = self.arrays[a].get() else {
+                    let ArrData::R(v) = &self.arrays[a] else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
                     // SAFETY: `Shape::flatten` bounds-checked every dimension.
-                    wr!(*dst, unsafe { *v.get_unchecked(idx) }.to_bits());
+                    wr!(*dst, unsafe { v.get_unchecked(idx) }.load(Relaxed));
                 }
                 Instr::LoadEB { dst, arr, sub, n } => {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
@@ -349,10 +350,10 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, false);
                     }
-                    let ArrData::B(v) = self.arrays[a].get() else {
+                    let ArrData::B(v) = &self.arrays[a] else {
                         unreachable!("array retyped")
                     };
-                    wr!(*dst, v[idx] as u64);
+                    wr!(*dst, v[idx].load(Relaxed) as u64);
                 }
                 Instr::StoreEI { arr, src, sub, n } => {
                     let idx = self.element(&mut cyc, bc, regs, *arr, *sub, *n)?;
@@ -361,13 +362,12 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, true);
                     }
-                    let ArrData::I(v) = self.arrays[a].make_mut() else {
+                    let ArrData::I(v) = &self.arrays[a] else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
-                    let x = rd!(*src) as i64;
                     // SAFETY: `Shape::flatten` bounds-checked every dimension.
-                    unsafe { *v.get_unchecked_mut(idx) = x };
+                    unsafe { v.get_unchecked(idx) }.store(rd!(*src) as i64, Relaxed);
                     self.log_store(RRef::Array(a), idx);
                 }
                 Instr::StoreER { arr, src, sub, n } => {
@@ -377,13 +377,12 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, true);
                     }
-                    let ArrData::R(v) = self.arrays[a].make_mut() else {
+                    let ArrData::R(v) = &self.arrays[a] else {
                         unreachable!("array retyped")
                     };
                     debug_assert!(idx < v.len());
-                    let x = f64::from_bits(rd!(*src));
                     // SAFETY: `Shape::flatten` bounds-checked every dimension.
-                    unsafe { *v.get_unchecked_mut(idx) = x };
+                    unsafe { v.get_unchecked(idx) }.store(rd!(*src), Relaxed);
                     self.log_store(RRef::Array(a), idx);
                 }
                 Instr::StoreEB { arr, src, sub, n } => {
@@ -393,10 +392,10 @@ impl Interp<'_> {
                     if !self.spec.is_empty() {
                         cyc += self.mark_access(a, idx, true);
                     }
-                    let ArrData::B(v) = self.arrays[a].make_mut() else {
+                    let ArrData::B(v) = &self.arrays[a] else {
                         unreachable!("array retyped")
                     };
-                    v[idx] = rd!(*src) != 0;
+                    v[idx].store(rd!(*src) != 0, Relaxed);
                 }
                 Instr::AddI(d, a, b) => {
                     cyc += c.alu;

@@ -176,8 +176,8 @@ fn checked_compiles_and_the_trfd_range_test_stay_within_their_allocation_budgets
 
 /// A run's heap traffic is what its arrays and bookkeeping need, not
 /// what its stores do: twice the element stores into the same array
-/// allocate nothing more (a store into storage the interpreter owns is a
-/// tag test, no reference count, no copy), and the interpreter takes the
+/// allocate nothing more (a store is a `Relaxed` store into the array's
+/// cells: no reference count, no copy), and the interpreter takes the
 /// lowered image's arrays by value — one allocation of the array per
 /// run, where copying it away from the image on the first store made two.
 #[test]
@@ -204,35 +204,60 @@ fn element_stores_allocate_nothing_and_a_run_holds_one_copy_of_each_array() {
     );
 }
 
-/// A fork copies what a lane may write and shares the rest: each lane
-/// gets the scalars, a handle on each array's elements and one reference
-/// to the image's shape table, so a fork allocates as much in a unit of
-/// 40 arrays as in one of 2: 16 allocations per fork, among them the
-/// lane's cycles per plan chunk and the join's piece order. The DOALL
-/// stays under the profitability guard, so every lane a fork starts runs
-/// on this thread and every allocation is counted. (While a lane copied
-/// each array's name and bounds, the 40-array unit made 3 × 38 more
-/// allocations per lane per fork: 135 against 21.)
+/// `(allocations, bytes)` of a run of `forks` forks on 2 threads of an
+/// 8-trip DOALL over `A`, declared in `decls` beside the loop's `T`. The
+/// DOALL stays under the profitability guard, so every lane a fork
+/// starts runs on this thread and every allocation is counted.
+fn forked(decls: &str, forks: u64) -> (u64, u64) {
+    let src = format!(
+        "program forks\n{decls}do t = 1, {forks}\n!$polaris doall\ndo i = 1, 8\n  a(i) = a(i) + t\nend do\nend do\nprint *, a(8)\nend\n"
+    );
+    let program = polaris::ir::parse(&src).unwrap();
+    let cfg = polaris::MachineConfig::threaded(2, polaris::machine::Schedule::Static);
+    counted(|| {
+        polaris::machine::run(&program, &cfg).unwrap();
+    })
+}
+
+const FORKS: u64 = 10;
+
+/// What `FORKS` more forks of the loop over `decls` allocate.
+fn fork_traffic(decls: &str) -> (u64, u64) {
+    let (one, more) = (forked(decls, 1), forked(decls, FORKS + 1));
+    (more.0 - one.0, more.1 - one.1)
+}
+
+/// A fork shares what its lanes do not own: each lane gets the scalars,
+/// a handle on each array's elements and one reference to the image's
+/// shape table, so a fork allocates as much in a unit of 40 arrays as in
+/// one of 2: 13 allocations per fork, among them the lane's cycles per
+/// plan chunk and the join's piece order. (While a lane copied each
+/// array's name and bounds, the 40-array unit made 3 × 38 more
+/// allocations per lane per fork: 135 against 21; while the fork shared
+/// each array with a snapshot for the join to diff against and a lane
+/// copied an array it stored into, 16.)
 #[test]
 fn a_forks_allocations_do_not_grow_with_the_array_count() {
-    const FORKS: u64 = 10;
-    let allocations = |arrays: usize, forks: u64| {
-        let decls: String = (1..arrays).map(|k| format!("real b{k}(4)\n")).collect();
-        let src = format!(
-            "program forks\nreal a(8)\n{decls}do t = 1, {forks}\n!$polaris doall\ndo i = 1, 8\n  a(i) = a(i) + t\nend do\nend do\nprint *, a(8)\nend\n"
-        );
-        let program = polaris::ir::parse(&src).unwrap();
-        let cfg = polaris::MachineConfig::threaded(2, polaris::machine::Schedule::Static);
-        counted(|| {
-            polaris::machine::run(&program, &cfg).unwrap();
-        })
-        .0
+    let arrays = |n: usize| -> String {
+        let decls: String = (1..n).map(|k| format!("real b{k}(4)\n")).collect();
+        format!("real a(8)\n{decls}")
     };
-    // What FORKS more forks of the same loop allocate.
-    let forks = |arrays: usize| allocations(arrays, FORKS + 1) - allocations(arrays, 1);
-    let (few, many) = (forks(2), forks(40));
+    let (few, many) = (fork_traffic(&arrays(2)).0, fork_traffic(&arrays(40)).0);
     println!("alloc_budget: {FORKS} forks on 2 threads: {few} allocations with 2 arrays, {many} with 40");
     assert_eq!(few, many, "a fork's allocations grew with the array count");
+}
+
+/// A fork copies no element of an array its lanes share: they store
+/// into it in place, so `FORKS` more forks allocate the same bytes with
+/// `A` of 8 elements as of 2²⁰. (While a lane copied an array at its
+/// first store into it, each fork here copied the 8 MB array: 83 901 680
+/// bytes against 16 240.)
+#[test]
+fn a_forks_bytes_do_not_grow_with_a_shared_arrays_size() {
+    let small = fork_traffic("real a(8)\n").1;
+    let large = fork_traffic("real a(1048576)\n").1;
+    println!("alloc_budget: {FORKS} forks on 2 threads: {small} bytes with A(8), {large} with A(1048576)");
+    assert_eq!(small, large, "a fork's bytes grew with the size of an array its lanes store into");
 }
 
 /// The validator's reversed lane keeps one record for all its pieces —

@@ -733,7 +733,7 @@ fn speculative_colliding_update_falls_back_to_the_serial_answer() {
     assert_speculative_rows(&speculative_scatter(COLLIDING, HEAVY_UPDATE), (0, 1));
 }
 
-/// A lane that starts mid-loop reads `IDX(i-1)` as it was before the
+/// A lane that starts mid-loop may read `IDX(i-1)` as it was before the
 /// loop — out of `B`'s bounds — where the serial loop reads what
 /// iteration `i-1` stored. The lane's fault is not the program's: every
 /// backend gives the serial answer, never `OutOfBounds`.
@@ -862,6 +862,91 @@ fn speculative_lane_panic_is_worker_panicked() {
             other => panic!("{}: {other:?}", what(&cfg)),
         }
     }
+}
+
+/// A `SPECULATIVE` scatter drawn from `seed` by a generator of this
+/// test's own: `n` trips storing `a(key(i))` through keys that are a
+/// permutation (the PD test passes) or collide (it fails), and in a third
+/// of the draws, whatever the keys, a non-speculated `B` updated in the
+/// same body, `b(i) = b(i) + a(key(i))`, whose in-place stores a failed
+/// attempt must take back before the in-order run applies them again.
+/// Returns the program, its verdicts `(passed, failed)` and which of the
+/// three kinds it is.
+fn drawn_scatter(seed: u64) -> (Program, (u64, u64), usize) {
+    let mut state = seed;
+    let mut draw = |m: u64| {
+        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % m
+    };
+    let n = 64 + draw(193);
+    let case = draw(3);
+    let permutation = case == 0 || (case == 2 && draw(2) == 0);
+    let gcd = |mut a: u64, mut b: u64| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let (key, store) = if permutation {
+        let p = (3 + draw(n)..).find(|&p| gcd(p, n) == 1).expect("a multiplier coprime with n");
+        (format!("mod(k * {p}, {n}) + 1"), "a(key(i)) = sin(i * 0.5) + sqrt(i * 1.0)")
+    } else {
+        (format!("mod(k, {}) + 1", 2 + draw(n / 2)), "a(key(i)) = a(key(i)) * 0.5 + sin(i * 0.5)")
+    };
+    let shared = if case == 2 { "\n  b(i) = b(i) + a(key(i))" } else { "" };
+    let src = format!(
+        "program drawn\nreal a({n}), b({n})\ninteger key({n})\ndo k = 1, {n}\n  key(k) = {key}\n  a(k) = k * 0.25\n  b(k) = k * 1.0\nend do\n\
+         !$polaris doall speculative(A)\ndo i = 1, {n}\n  {store}{shared}\nend do\nprint *, a(1), a({n}), b(1), b({n})\nend\n"
+    );
+    (polaris_ir::parse(&src).unwrap(), if permutation { (1, 0) } else { (0, 1) }, case as usize)
+}
+
+/// Lanes store into the shared arrays in place, and a failed attempt
+/// restores what the body may have stored before the loop runs in
+/// order: drawn scatters of all three kinds end in serial's final state,
+/// bit for bit, at 2, 3 and 8 threads under `static` and `stealing`,
+/// with the verdict their keys call for.
+#[test]
+fn drawn_speculative_scatters_end_in_the_serial_state_on_threads() {
+    use polaris_machine::Schedule;
+    let mut kinds = [0; 3];
+    for seed in 0..24 {
+        let (program, want, kind) = drawn_scatter(seed);
+        kinds[kind] += 1;
+        let (_, serial) = run_with_state(&program, &MachineConfig::serial()).unwrap();
+        for schedule in [Schedule::Static, Schedule::Stealing { chunk: 4 }] {
+            for procs in [2, 3, 8] {
+                let cfg = MachineConfig::threaded(procs, schedule);
+                let row = format!("seed {seed}, {}", what(&cfg));
+                let (r, state) = run_with_state(&program, &cfg).unwrap_or_else(|e| panic!("{row}: {e}"));
+                assert_eq!(state, serial, "{row}");
+                assert_eq!(verdicts(&r), want, "{row}");
+            }
+        }
+    }
+    assert!(kinds.iter().all(|&k| k > 0), "permutation, colliding, with B: {kinds:?}");
+}
+
+/// A forged `DOALL` over a carried dependence, `a(i) = a(i - 1) * …`: on
+/// two threads the lanes race on the elements where their pieces meet,
+/// which leaves those unspecified but is no undefined behaviour. The run
+/// finishes, without a panic or a hang, and `run_validated` rejects the
+/// annotation.
+#[test]
+fn a_forged_doall_over_a_carried_dependence_finishes_and_fails_validation() {
+    use polaris_machine::Schedule;
+    let src = "program forged\nreal a(4001)\na(1) = 1.0\n!$polaris doall\ndo i = 2, 4001\n  a(i) = a(i - 1) * 0.5 + sin(i * 0.5)\nend do\nprint *, a(4001)\nend\n";
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let program = polaris_ir::parse(src).unwrap();
+        let ran = [Schedule::Static, Schedule::Stealing { chunk: 4 }]
+            .map(|schedule| polaris_machine::run(&program, &MachineConfig::threaded(2, schedule)).map(|r| r.output.len()));
+        let validated = polaris_machine::run_validated(&program, &MachineConfig::threaded(2, Schedule::Static));
+        tx.send((ran, validated.err())).unwrap();
+    });
+    let (ran, validated) = rx.recv_timeout(Duration::from_secs(60)).expect("the forged DOALL neither hangs nor panics");
+    assert_eq!(ran, [Ok(1), Ok(1)]);
+    assert!(matches!(validated, Some(MachineError::ValidationMismatch(_))), "{validated:?}");
 }
 
 // ---- memory ----------------------------------------------------------
