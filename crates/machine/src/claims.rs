@@ -16,6 +16,16 @@
 //! deferred start late on a full block, and the master, done with its
 //! own, takes the rest of theirs from the back.
 //!
+//! A loop that reduces claims its pieces under a [`Window`], whatever the
+//! schedule: each piece is at most [`REDUCTION_PIECE`] iterations, and
+//! none is claimed [`WINDOW_PER_WORKER`] pieces per worker or more past
+//! the *frontier*, the lowest piece the master has not folded yet (see
+//! `threaded.rs`), so what the lanes hold unfolded is bounded by the
+//! window, not by the trip count. The master takes the lowest unclaimed
+//! piece, which is most often the frontier itself, and the helpers the
+//! highest the window allows; a helper the window holds back polls, then
+//! parks until the master moves the frontier.
+//!
 //! The validator's lane ([`Claims::reversed`]) is one lane its owner
 //! claims from the back, in one-iteration pieces.
 //!
@@ -28,11 +38,26 @@
 
 use crate::cost::Schedule;
 use crate::dispatch::ChunkPlan;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Pieces a `Static` block is claimed in. Each costs one claim and one
 /// VM activation; more of them balance a late fork more finely.
 const PIECES: usize = 16;
+
+/// Iterations a reduction loop's piece holds at most: without it a
+/// `Static` piece of a 40 M-trip sum on 2 threads is 1.25 M iterations
+/// of log. No kernel's piece count changes (OCEAN's are 3 971).
+const REDUCTION_PIECE: u64 = 1 << 12;
+
+/// Pieces past the frontier a reduction loop may claim, per worker. A
+/// helper's piece, logged, takes about 1.7 times the master's, folded
+/// as it runs, and the master logs a piece it claims while a helper's
+/// below it still runs: on the 40 M-trip sum on 2 threads the master
+/// logged a third of its iterations with 2 per worker, and 0.3–1.6 %
+/// with 4 (EXPERIMENTS.md).
+const WINDOW_PER_WORKER: usize = 4;
 
 /// The unclaimed pieces of one loop invocation, plus the steal counters
 /// behind the `exec.steal.*` observability columns. Workers call
@@ -48,8 +73,42 @@ pub(crate) struct Claims {
     steal: bool,
     /// Whether the owner takes the back of its lane, not the front.
     backward: bool,
+    /// A reducing loop's claims, which replace the lanes.
+    window: Option<Window>,
+    /// The frontier: the lowest piece not folded yet. Only the master
+    /// moves it ([`Claims::pass`]); `Relaxed`, as it publishes no memory
+    /// (a lane reads nothing the fold wrote), it only holds claims back.
+    frontier: AtomicUsize,
     steals: AtomicU64,
     attempts: AtomicU64,
+}
+
+/// The claims of a loop that reduces: which pieces are taken, under a
+/// lock (a piece is up to [`REDUCTION_PIECE`] iterations, so a claim is
+/// rare beside the work), and where a helper parks.
+struct Window {
+    /// Pieces past the frontier a worker may claim.
+    size: usize,
+    claimed: Mutex<Claimed>,
+    /// Signalled when the frontier moves or the claims close.
+    moved: Condvar,
+}
+
+#[derive(Default)]
+struct Claimed {
+    /// Every piece below `low` is claimed, and `low` is not.
+    low: usize,
+    /// The pieces above `low` the helpers claimed.
+    high: Vec<usize>,
+    /// Helpers parked until the frontier moves.
+    parked: usize,
+    closed: bool,
+}
+
+impl Window {
+    fn lock(&self) -> MutexGuard<'_, Claimed> {
+        self.claimed.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 fn pack(front: u32, back: u32) -> u64 {
@@ -57,9 +116,21 @@ fn pack(front: u32, back: u32) -> u64 {
 }
 
 impl Claims {
-    /// The plan's pieces, laid over lanes as its schedule asks.
-    pub(crate) fn new(plan: &ChunkPlan) -> Claims {
+    /// The plan's pieces, laid over lanes as its schedule asks — or, for
+    /// a loop that `reduces`, under a window.
+    pub(crate) fn new(plan: &ChunkPlan, reduces: bool) -> Claims {
         let (chunks, workers) = (plan.n_chunks(), plan.procs());
+        if reduces {
+            let base = if plan.schedule == Schedule::Static { PIECES } else { 1 };
+            let capped = plan.bounds(0).1.div_ceil(REDUCTION_PIECE).min(u64::from(u32::MAX) / chunks.max(1) as u64);
+            let pieces = base.max(capped as usize);
+            let window = Window {
+                size: WINDOW_PER_WORKER * workers.max(1),
+                claimed: Mutex::default(),
+                moved: Condvar::new(),
+            };
+            return Claims { window: Some(window), ..Claims::laid(plan, pieces, 0, 0, false) };
+        }
         match plan.schedule {
             // A block plan has a chunk per worker at most: a lane is its
             // chunk's pieces.
@@ -92,14 +163,66 @@ impl Claims {
             let front = w.saturating_mul(per).min(n);
             AtomicU64::new(pack(front as u32, front.saturating_add(per).min(n) as u32))
         };
-        Claims {
+        let claims = Claims {
             plan: *plan,
             pieces,
             lanes: (0..lanes).map(lane).collect(),
             steal,
             backward: false,
+            window: None,
+            frontier: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
             attempts: AtomicU64::new(0),
+        };
+        claims.frontier.store(claims.nonempty_from(0), Ordering::Relaxed);
+        claims
+    }
+
+    fn n_pieces(&self) -> usize {
+        self.plan.n_chunks() * self.pieces
+    }
+
+    /// The first piece from `p` on that has an iteration, or the piece
+    /// count.
+    fn nonempty_from(&self, mut p: usize) -> usize {
+        while p < self.n_pieces() && matches!(self.bounds(p), (start, end) if start == end) {
+            p += 1;
+        }
+        p
+    }
+
+    /// The lowest piece not folded yet. A piece with no iteration counts
+    /// as folded at once.
+    pub(crate) fn frontier(&self) -> usize {
+        self.frontier.load(Ordering::Relaxed)
+    }
+
+    /// Piece `p`, the frontier, is folded: move the frontier past it and
+    /// the empty pieces after it, and wake the helpers the window parked.
+    pub(crate) fn pass(&self, p: usize) {
+        debug_assert_eq!(p, self.frontier(), "pieces fold in order");
+        self.frontier.store(self.nonempty_from(p + 1), Ordering::Relaxed);
+        if let Some(w) = &self.window {
+            if w.lock().parked > 0 {
+                w.moved.notify_all();
+            }
+        }
+    }
+
+    /// Whether a worker hands over each piece as soon as it is done: the
+    /// master can fold it only then, and a window waits for the fold.
+    pub(crate) fn windowed(&self) -> bool {
+        self.window.is_some()
+    }
+
+    /// Leave nothing more to claim: a lane panicked, so the frontier will
+    /// not pass the piece it held and no worker may wait for it, or the
+    /// validator's lane holds its budget.
+    pub(crate) fn close(&self) {
+        self.lanes.iter().for_each(|lane| lane.store(0, Ordering::Relaxed));
+        if let Some(w) = &self.window {
+            w.lock().closed = true;
+            w.moved.notify_all();
         }
     }
 
@@ -146,8 +269,13 @@ impl Claims {
     /// (the one lane, when all workers share it; the back of a reversed
     /// one), else — under stealing — the back of the first non-empty
     /// victim, round-robin from `wid + 1`. `None` means every lane it may
-    /// take from was seen empty, hence is empty for good.
-    pub(crate) fn next(&self, wid: usize) -> Option<usize> {
+    /// take from was seen empty, hence is empty for good. Under a window,
+    /// the master (`fold`, which it calls while the window holds it back)
+    /// takes the lowest piece and a helper (`None`) the highest.
+    pub(crate) fn next(&self, wid: usize, fold: Option<&mut dyn FnMut()>) -> Option<usize> {
+        if let Some(w) = &self.window {
+            return self.claim_windowed(w, fold);
+        }
         let n = self.lanes.len();
         let own = wid % n;
         if let Some(k) = self.take(own, self.backward) {
@@ -165,9 +293,63 @@ impl Claims {
         None
     }
 
+    /// Under the window: the lowest unclaimed piece for the master, the
+    /// highest below the window's end for a helper. While there is none,
+    /// the master folds; a helper polls for `threaded::SPIN`, then parks
+    /// until the frontier moves. The one that holds the frontier piece is
+    /// never held back, so someone always hands it over.
+    fn claim_windowed(&self, w: &Window, mut fold: Option<&mut dyn FnMut()>) -> Option<usize> {
+        let n = self.n_pieces();
+        let until = Instant::now() + crate::threaded::SPIN;
+        let mut c = w.lock();
+        loop {
+            if c.closed || c.low >= n {
+                return None;
+            }
+            let end = (self.frontier() + w.size).min(n);
+            let p = match fold {
+                Some(_) => (c.low < end).then_some(c.low),
+                None => (c.low..end).rev().find(|p| !c.high.contains(p)),
+            };
+            if let Some(p) = p {
+                if p == c.low {
+                    c.low += 1;
+                    while let Some(i) = c.high.iter().position(|&q| q == c.low) {
+                        c.high.swap_remove(i);
+                        c.low += 1;
+                    }
+                } else {
+                    c.high.push(p);
+                }
+                return Some(p);
+            }
+            match fold.as_mut() {
+                Some(fold) => {
+                    drop(c);
+                    fold();
+                    c = w.lock();
+                }
+                None if Instant::now() < until => {
+                    drop(c);
+                    std::thread::yield_now();
+                    c = w.lock();
+                }
+                None => {
+                    c.parked += 1;
+                    c = w.moved.wait(c).unwrap_or_else(PoisonError::into_inner);
+                    c.parked -= 1;
+                }
+            }
+        }
+    }
+
     /// Whether every piece has been claimed: a worker that starts now
     /// gets none. Empty for good once seen empty.
     pub(crate) fn drained(&self) -> bool {
+        if let Some(w) = &self.window {
+            let c = w.lock();
+            return c.closed || c.low >= self.n_pieces();
+        }
         self.lanes.iter().all(|lane| {
             let seen = lane.load(Ordering::Relaxed);
             (seen >> 32) as u32 >= seen as u32
@@ -201,7 +383,7 @@ mod tests {
                     let start = &start;
                     scope.spawn(move || {
                         start.wait();
-                        std::iter::from_fn(|| claims.next(wid)).collect::<Vec<usize>>()
+                        std::iter::from_fn(|| claims.next(wid, None)).collect::<Vec<usize>>()
                     })
                 })
                 .collect();
@@ -225,7 +407,7 @@ mod tests {
             for workers in 1..=8usize {
                 for trip in [0, 1, workers - 1, workers, PIECES - 1, 1000] {
                     let plan = ChunkPlan::new(trip as u64, workers, schedule);
-                    let claims = Claims::new(&plan);
+                    let claims = Claims::new(&plan, false);
                     let per_worker = drain(&claims, workers);
                     let what = format!("{schedule:?} x{workers} trip {trip}");
                     let pieces = if schedule == Schedule::Static { PIECES } else { 1 };
@@ -254,7 +436,7 @@ mod tests {
         for procs in [2, 3, 8] {
             for trip in [1, procs as u64 - 1, PIECES as u64 - 1, 1000] {
                 let plan = ChunkPlan::new(trip, procs, Schedule::Static);
-                let claims = Claims::new(&plan);
+                let claims = Claims::new(&plan, false);
                 let mut last = Vec::new();
                 for k in 0..plan.n_chunks() {
                     let (start, end) = plan.bounds(k);
@@ -286,7 +468,7 @@ mod tests {
         for (trip, budget) in [(100, 1000), (1000, 64), (0, 8)] {
             let plan = ChunkPlan::new(trip, 8, Schedule::Static);
             let claims = Claims::reversed(&plan, budget);
-            let got: Vec<usize> = std::iter::from_fn(|| claims.next(0)).collect();
+            let got: Vec<usize> = std::iter::from_fn(|| claims.next(0, None)).collect();
             assert!(
                 trip <= budget as u64 || got.len() <= budget,
                 "{trip}, {budget}: {} pieces",
@@ -315,19 +497,19 @@ mod tests {
     #[test]
     fn owner_takes_the_front_and_a_thief_the_back() {
         let claims = Claims::laid(&ChunkPlan::new(10, 2, Schedule::Stealing { chunk: 1 }), 1, 2, 5, true);
-        assert_eq!(claims.next(0), Some(0));
-        assert_eq!(claims.next(0), Some(1));
+        assert_eq!(claims.next(0, None), Some(0));
+        assert_eq!(claims.next(0, None), Some(1));
         for k in 5..10 {
-            assert_eq!(claims.next(1), Some(k), "worker 1 drains its own lane first");
+            assert_eq!(claims.next(1, None), Some(k), "worker 1 drains its own lane first");
         }
-        assert_eq!(claims.next(1), Some(4), "then steals lane 0's back");
+        assert_eq!(claims.next(1, None), Some(4), "then steals lane 0's back");
         assert_eq!(claims.steal_counts(), Some((1, 1)));
-        assert_eq!(claims.next(0), Some(2));
+        assert_eq!(claims.next(0, None), Some(2));
         assert!(!claims.drained());
-        assert_eq!(claims.next(1), Some(3));
+        assert_eq!(claims.next(1, None), Some(3));
         assert!(claims.drained(), "no piece left for a worker that starts now");
-        assert_eq!(claims.next(0), None);
-        assert_eq!(claims.next(1), None);
+        assert_eq!(claims.next(0, None), None);
+        assert_eq!(claims.next(1, None), None);
     }
 
     /// The race-to-last-chunk edge: when an owner's front claim and a
@@ -360,13 +542,57 @@ mod tests {
         assert_each_piece_once(per_worker.concat(), chunks, "skewed");
     }
 
+    /// The window bounds what the lanes hold unfolded: a sum 64 times
+    /// longer holds no more updates at once, at most a window of
+    /// [`REDUCTION_PIECE`]-iteration pieces.
+    #[test]
+    fn the_window_bounds_the_updates_held_unfolded() {
+        let bound = WINDOW_PER_WORKER * 2 * REDUCTION_PIECE as usize;
+        for trips in [1 << 16, 1 << 22] {
+            let src = format!("program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, {trips}\n  s = s + 1.0\nend do\nprint *, s\nend\n");
+            let p = polaris_ir::parse(&src).unwrap();
+            crate::threaded::HELD.with(|h| h.set(0));
+            for schedule in SCHEDULES {
+                let cfg = crate::MachineConfig::threaded(2, schedule);
+                let (r, serial) = (crate::exec::run(&p, &cfg).unwrap(), crate::exec::run_serial(&p).unwrap());
+                assert_eq!(r.output, serial.output, "{trips} trips, {schedule:?}");
+            }
+            let held = crate::threaded::HELD.with(std::cell::Cell::get);
+            assert!(held <= bound, "{trips} trips: {held} updates held at once, over {bound}");
+        }
+    }
+
+    /// The window grows with the workers: each of 8 claims a piece
+    /// before it holds anyone back, and 2 each in all. The master takes
+    /// the lowest piece, the helpers the highest the window allows; once
+    /// the master folds the frontier, the window moves on by one.
+    #[test]
+    fn the_window_lets_every_worker_run_and_the_master_keeps_the_front() {
+        for workers in [1, 2, 3, 8] {
+            let claims = Claims::new(&ChunkPlan::new(1 << 20, workers, Schedule::Static), true);
+            let size = WINDOW_PER_WORKER * workers;
+            let mut held = || panic!("{workers} workers: the master was held back");
+            let mut got = vec![claims.next(0, Some(&mut held))];
+            got.extend((1..size).map(|wid| claims.next(wid % workers, None)));
+            let want: Vec<Option<usize>> = std::iter::once(0).chain((1..size).rev()).map(Some).collect();
+            assert_eq!(got, want, "{workers} workers");
+            let mut folded = 0;
+            let mut fold = || {
+                claims.pass(folded);
+                folded += 1;
+            };
+            assert_eq!(claims.next(0, Some(&mut fold)), Some(size), "{workers} workers");
+            assert_eq!(folded, 1, "{workers} workers: the master folded once to move the window");
+        }
+    }
+
     /// Claim state is O(workers): a plan over the largest space there is
     /// builds (and drains) at once.
     #[test]
     fn construction_does_not_grow_with_the_trip_count() {
         for schedule in SCHEDULES {
             let plan = ChunkPlan::new(u64::MAX, 8, schedule);
-            let claims = Claims::new(&plan);
+            let claims = Claims::new(&plan, false);
             assert!(claims.lanes.len() <= 8);
             let pieces = if schedule == Schedule::Static { PIECES } else { 1 };
             assert_each_piece_once(drain(&claims, 8).concat(), plan.n_chunks() * pieces, "u64::MAX");

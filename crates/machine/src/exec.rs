@@ -1080,9 +1080,9 @@ impl<'a> Interp<'a> {
             // The lanes store into memory in place: what the join can send
             // back to run in order is saved first, and restored if it does.
             let saved: Vec<(usize, ArrData)> =
-                l.rollback.iter().map(|&a| (a, self.arrays[a].copy())).collect();
-            let reversed = self.adversarial.then_some(PIECE_BUDGET);
-            let forked = crate::threaded::run_threaded_loop(self, l, space, body, plan, reversed)?;
+                l.saved(self.adversarial).iter().map(|&a| (a, self.arrays[a].copy())).collect();
+            let validate = self.adversarial.then_some((PIECE_BUDGET, UPDATE_BUDGET));
+            let forked = crate::threaded::run_threaded_loop(self, l, space, body, plan, validate)?;
             if let Some(ran) = forked {
                 return Ok(ran);
             }
@@ -1227,6 +1227,11 @@ pub fn run_serial(program: &Program) -> Result<RunResult, MachineError> {
 /// count. The largest `PARALLEL DO` the test suites validate has 127 066
 /// trips (OCEAN's reduction).
 const PIECE_BUDGET: usize = 1 << 17;
+
+/// Reduction updates the validator's reversed lane may hold: it reaches
+/// the frontier last, so it folds nothing before it is done, and past
+/// this many (3 MB at most) the invocation runs in order.
+const UPDATE_BUDGET: usize = 1 << 18;
 
 /// Validate the compiler's parallelization: execute sequentially — the
 /// reference — then adversarially, and compare the final memory state
@@ -1500,11 +1505,11 @@ mod tests {
         validated("program t\nreal a(100)\n!$polaris doall\ndo i = 1, 100\n  a(i) = i * 1.0\n  if (i == 13) then\n    stop\n  end if\nend do\nprint *, a(1)\nend\n").unwrap();
     }
 
-    /// A reduction whose lane fills its log runs in order, as on threads:
-    /// it validates, and no chunk of it is joined.
+    /// A reduction whose reversed lane holds [`UPDATE_BUDGET`] updates
+    /// runs in order: it validates, and no chunk of it is joined.
     #[test]
     fn validation_of_a_reduction_past_the_log_cap_runs_it_in_order() {
-        let trips = 2 * crate::threaded::LOG_CAP + 2;
+        let trips = 2 * UPDATE_BUDGET + 2;
         let src = format!("program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, {trips}\n  s = s + 1.0 / i\nend do\nprint *, s\nend\n");
         validated(&src).unwrap();
         let counters = adversarial_counters(&src);

@@ -98,7 +98,8 @@ impl Engine {
 ///   to the run-time PD test, are chunked over the iteration space and
 ///   executed by the calling thread and real OS helper threads that
 ///   outlive the run (`threaded`), with per-lane private copies (and shadows)
-///   and reduction logs the join replays in serial order. Results
+///   and reduction logs the calling thread folds in serial order while
+///   the loop runs. Results
 ///   (output, final memory) match serial execution bit for bit;
 ///   the simulated cycle accounting is still maintained so speedup
 ///   *models* stay comparable across modes.

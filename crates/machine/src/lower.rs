@@ -115,14 +115,27 @@ pub struct RLoop {
     /// iterations must not run), or it reads an array it speculates on
     /// and contains a DO (a stale value could reach the inner bound).
     pub(crate) in_order: bool,
-    /// What a fork saves before its lanes store into memory in place, and
-    /// restores when the join sends the invocation back to run in order:
-    /// for a loop the join can send back — a speculation (its PD test may
-    /// fail), a reduction (a lane's log may fill) — each array the body
-    /// may store into that its lanes share, which is every one but a
-    /// private array and an array-reduction target (a lane has its own
-    /// of those). Empty for any other loop.
+    /// What a fork may save before its lanes and the fold store into
+    /// memory in place, and restore when the join sends the invocation
+    /// back to run in order ([`RLoop::saved`]): for a speculation (its PD
+    /// test may fail) and a reduction (the validator's lane may hold too
+    /// many updates), each array the body may store into but a private
+    /// one (a lane has its own). Empty for any other loop.
     pub(crate) rollback: Vec<usize>,
+}
+
+impl RLoop {
+    /// What a fork of this loop saves: [`RLoop::rollback`] where the join
+    /// can refuse — a speculation, and any loop in the validator's run. A
+    /// DOALL on threads saves nothing: its join fails only with an error,
+    /// which ends the run.
+    pub(crate) fn saved(&self, validating: bool) -> &[usize] {
+        if self.par.parallel && !validating {
+            &[]
+        } else {
+            &self.rollback
+        }
+    }
 }
 
 /// Lowered statement.
@@ -365,12 +378,10 @@ impl Lowerer {
                 let in_order = has_stop || stale_inner_do;
                 let mut rollback = Vec::new();
                 if !par.spec_arrays.is_empty() || !par.reductions.is_empty() {
-                    let own = |a: &usize| {
-                        par.private_arrays.contains(a)
-                            || par.reductions.iter().any(|r| r.target == RRef::Array(*a))
-                    };
                     walk(&body, &mut |s| match s {
-                        RStmt::AssignE(a, ..) if !own(a) && !rollback.contains(a) => rollback.push(*a),
+                        RStmt::AssignE(a, ..) if !par.private_arrays.contains(a) && !rollback.contains(a) => {
+                            rollback.push(*a)
+                        }
                         _ => {}
                     });
                 }
@@ -621,24 +632,30 @@ mod tests {
         assert!(in_order("do j = 1, 8\n  b(cnt(j)) = 1.0\nend do\n"), "read in a subscript, inside the inner loop");
     }
 
-    /// What a fork saves is what the lanes share and may store into, and
-    /// only for a loop the join can send back to run in order.
+    /// What a fork saves is what the lanes and the fold may store into but
+    /// a private array, and only for a loop the join can send back to run
+    /// in order: a speculation, and a reduction in the validator's run.
     #[test]
     fn a_loop_the_join_can_send_back_saves_the_shared_arrays_it_stores_into() {
-        let rollback = |annotation: &str| -> Vec<String> {
+        let saved = |annotation: &str, validating: bool| -> Vec<String> {
             let src = format!(
                 "program t\nreal a(8), b(8), c(8), h(8)\ninteger key(8)\n{annotation}\ndo i = 1, 8\n  c(1) = i * 1.0\n  a(key(i)) = c(1)\n  if (i > 4) then\n    b(i) = a(i)\n  end if\n  h(key(i)) = h(key(i)) + 1.0\n  s = s + b(i)\nend do\nend\n"
             );
             let img = image_of(&src);
             match &img.code[0] {
-                RStmt::Do(l) => l.rollback.iter().map(|&a| img.shapes[a].name.clone()).collect(),
+                RStmt::Do(l) => l.saved(validating).iter().map(|&a| img.shapes[a].name.clone()).collect(),
                 other => panic!("{other:?}"),
             }
         };
-        assert!(rollback("!$polaris doall private(C)").is_empty(), "a DOALL never goes back");
-        assert_eq!(rollback("!$polaris doall private(C) reduction(+:S)"), ["A", "B", "H"]);
-        assert_eq!(rollback("!$polaris doall private(C) reduction(+:S, +:H)"), ["A", "B"]);
-        assert_eq!(rollback("!$polaris doall speculative(A)"), ["C", "A", "B", "H"]);
+        for validating in [false, true] {
+            assert!(saved("!$polaris doall private(C)", validating).is_empty(), "a DOALL never goes back");
+        }
+        assert!(saved("!$polaris doall private(C) reduction(+:S)", false).is_empty(), "nor one that reduces");
+        assert_eq!(saved("!$polaris doall private(C) reduction(+:S)", true), ["A", "B", "H"]);
+        assert_eq!(saved("!$polaris doall private(C) reduction(+:S, +:H)", true), ["A", "B", "H"]);
+        for validating in [false, true] {
+            assert_eq!(saved("!$polaris doall speculative(A)", validating), ["C", "A", "B", "H"]);
+        }
     }
 
     #[test]

@@ -47,30 +47,54 @@
 //!   the in-order simulation stamps its one shadow. The PD test is
 //!   [`PdVerdict::of`] over all the lanes' shadows, at the join.
 //!
-//! **Lanes store in place; the join commits the rest or sends the loop
-//! back.** A lane stores into the master's arrays themselves, as the
-//! iterations of a `DOALL` on a shared-memory machine do: a fork copies
-//! only what is private to a lane (see below). If no lane's reduction log
-//! filled up and, in a `SPECULATIVE` loop, every speculated array passes
-//! the test and no lane reported an error, the join commits the rest —
-//! steps, bill, loop stats, reductions, output, copy-out (a passing test
-//! means no iteration read what another wrote, so the lanes' execution
-//! *is* the sequential one). Anything else — a full log, a failed
-//! verdict, *any* lane error or fuel-out in a speculation (a lane that
-//! read another iteration's element may fault where the serial loop does
-//! not) — drops the lanes' records, and the invocation runs in order
-//! (`Interp::run_simulated`) from the state before the fork: a loop the
-//! join can send back saves, once before it forks, each array its body
-//! may store into (`RLoop::rollback`), and those copies are restored
-//! first. That run *is* the serial execution, and the one reporter of
-//! verdict, error, steps and the attempt + re-execution bill, so none of
-//! them can differ between the backends. A lane panic is
+//! **Lanes store in place; the master folds the rest as it goes, and the
+//! join commits it or sends the loop back.** A lane stores into the
+//! master's arrays themselves, as the iterations of a `DOALL` on a
+//! shared-memory machine do: a fork copies only what is private to a lane
+//! (see below). What a lane's pieces leave besides — reduction updates,
+//! lines, copy-out — it hands the master in records ([`Record`]), over
+//! the join channel. The master keeps a frontier, the lowest piece not
+//! folded yet, and folds every record the frontier reaches, in piece
+//! order, into staged targets, lines and copy-out ([`Fold`]): between its
+//! own pieces, while a claim of its own waits, and after its lanes. The
+//! frontier piece it runs itself it runs on the staged targets: nothing
+//! is logged. A loop that reduces claims its pieces under [`Claims`]'
+//! window, none four pieces per worker or more past the frontier, so what
+//! the lanes hold unfolded is bounded by the window, not by the trip
+//! count. The master claims the lowest piece, so it most often runs the
+//! frontier itself and logs nothing, and the helpers the highest the
+//! window allows. The wait cannot deadlock: the lane that holds the
+//! frontier piece is never waiting (only pieces past it wait), it hands
+//! the piece over when done, and the master folds while it waits; a
+//! lane that panics closes the claims, so nobody waits for the piece it
+//! held. A helper the window holds back polls for [`SPIN`], then parks
+//! until the master moves the frontier.
+//!
+//! Nothing staged reaches the run until the join commits it: steps, bill,
+//! loop stats, the scalar reductions, output, copy-out. An array
+//! reduction is folded into the run's array in place: in a `DOALL` the
+//! join fails only with an error, which ends the run. A `SPECULATIVE`
+//! loop commits when every speculated array passes the test and no lane
+//! reported an error (a passing test means no iteration read what
+//! another wrote, so the lanes' execution *is* the sequential one).
+//! Anything else — a failed verdict, *any* lane error or fuel-out in a
+//! speculation (a lane that read another iteration's element may fault
+//! where the serial loop does not) — drops what was staged, and the
+//! invocation runs in order (`Interp::run_simulated`) from the state
+//! before the fork: a speculation saves, once before it forks, each array
+//! its body may store into (`RLoop::rollback`), and those copies are
+//! restored first. That run *is* the serial execution, and the one
+//! reporter of verdict, error, steps and the attempt + re-execution bill,
+//! so none of them can differ between the backends. A lane panic is
 //! `WorkerPanicked`, as in any loop.
 //!
 //! **The validator forks through the same [`join`].** `run_validated`'s
 //! adversarial run forks each DOALL and speculation as one lane on the
 //! calling thread: one-iteration pieces claimed last to first, privates
-//! poisoned before each. So `--validate` checks them through the join.
+//! poisoned before each. So `--validate` checks them through the fold and
+//! the join. Its lane reaches the frontier last, so it folds nothing
+//! before it is done; past a budget of held updates the invocation runs
+//! in order, from the arrays its fork saved.
 //!
 //! Correctness contract — results must be **deterministic and identical
 //! to serial execution** even though execution order is not:
@@ -81,11 +105,11 @@
 //!   its own elements for two kinds of array only: a copy of each array
 //!   the loop privatizes, which is never merged, and each array-reduction
 //!   target, held at the identity ([`RedLog::hold`]).
-//! * A lane keeps one record for all its pieces — its output, the pieces
-//!   it ran with where each one's output ends, one reduction log
-//!   ([`RedLog`]) cut at the same ends — and reductions fold **in serial
-//!   order**: the join replays each piece's part of its lane's log in
-//!   piece-index order, serial's own fold at any thread count or schedule.
+//! * A record holds a run of adjacent pieces — their output, where each
+//!   one's lines end, the reduction log ([`RedLog`]) cut at the same
+//!   ends — and reductions fold **in serial order**: the master replays
+//!   each piece's updates in piece-index order, serial's own fold at any
+//!   thread count or schedule.
 //! * Shared arrays need no commit: a correctly-parallelized loop writes
 //!   disjoint elements, so the lanes' stores are serial's whatever their
 //!   order. The elements are atomic cells, so lanes that a miscompile or
@@ -119,6 +143,7 @@ use crate::value::{ArrData, Scalar, Shape};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -129,12 +154,13 @@ use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// How long an idle helper polls the job queue, and the master the join
-/// channel, before parking. On the 2-core development host a round trip
+/// How long an idle helper polls the job queue (and a helper the window
+/// holds back, the frontier), and the master the join channel, before
+/// parking. On the 2-core development host a round trip
 /// between two parked threads takes ≈ 30 µs (median) and between two
 /// polling ones ≈ 1 µs; the forks of a run arrive microseconds to tens
 /// of microseconds apart.
-const SPIN: Duration = Duration::from_micros(50);
+pub(crate) const SPIN: Duration = Duration::from_micros(50);
 
 thread_local! {
     /// The calling thread's helpers: created by its first fork that passes
@@ -147,6 +173,9 @@ thread_local! {
 thread_local! {
     /// Helper threads this thread has spawned, and lanes it has handed them.
     static HELPER_COUNTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    /// The most reduction updates this thread has held unfolded at once,
+    /// as the master of a fork.
+    pub(crate) static HELD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// `rx.recv()`, after polling it for up to [`SPIN`]: a message that
@@ -244,22 +273,44 @@ impl Drop for ThreadPool {
     }
 }
 
-// ---- worker-side results ---------------------------------------------
+// ---- a lane, and what it hands the master -------------------------------
 
-struct WorkerOut {
-    wid: usize,
-    loops: Vec<Option<(String, crate::exec::LoopExecStats)>>,
-    /// The lane's output (PRINT) lines, in the order it ran its pieces.
-    output: Vec<String>,
-    /// Each piece the lane ran (a plan has under 2³² pieces), in order,
-    /// and where its lines end in `output`: piece `k` of `log` too.
+/// Pieces one lane ran back to back, adjacent in piece order (ascending,
+/// or descending where it claims from the back), and what the join
+/// commits of them: the master folds a record once the frontier reaches
+/// its lowest piece.
+#[derive(Default)]
+struct Record {
+    /// Each piece (a plan has under 2³² pieces), in the order it ran, and
+    /// where its lines end in `output`: piece `k` of `updates` too.
     pieces: Vec<(u32, u32)>,
+    output: Vec<String>,
+    /// Per reduction, in `l.par.reductions` order.
+    updates: Vec<Updates>,
     /// Copy-out values, from the piece that ends at the trip count.
     copy_out: Option<Vec<(usize, Scalar)>>,
+}
+
+impl Record {
+    /// Whether piece `p` continues the run.
+    fn extends(&self, p: usize) -> bool {
+        self.pieces.last().is_none_or(|&(q, _)| p.abs_diff(q as usize) == 1)
+    }
+}
+
+/// What a lane sends the master over the join channel.
+enum Report {
+    Record(Record),
+    /// The lane is done; `None` when it panicked.
+    Done(Option<LaneOut>),
+}
+
+/// What a lane reports once it is done, beside its records.
+struct LaneOut {
+    wid: usize,
+    loops: Vec<Option<(String, crate::exec::LoopExecStats)>>,
     /// The lane's cycles per plan chunk, up to the last one it ran.
     cycles: Vec<u64>,
-    /// The lane's reduction log, when the loop reduces.
-    log: Option<Box<RedLog>>,
     /// The lane's marks on each array a `SPECULATIVE` loop tracks, in
     /// `l.par.spec_arrays` order.
     shadows: Vec<(usize, Shadow)>,
@@ -279,7 +330,10 @@ struct WorkerTask {
     space: IterSpace,
     claims: Arc<Claims>,
     cfg: MachineConfig,
-    scalars: Vec<Scalar>,
+    /// The master's scalars at the fork, which the lane copies on its own
+    /// thread: lanes' copies made side by side on the master's would
+    /// share cache lines, which every iteration's stores then bounce.
+    scalars: Arc<[Scalar]>,
     shapes: Arc<[Shape]>,
     /// Handles on the master's arrays.
     arrays: Vec<ArrData>,
@@ -291,34 +345,62 @@ struct WorkerTask {
     body: Option<u32>,
 }
 
+/// The thread a lane runs on: how it claims, what it does before a
+/// piece, and where the lane's records go. The master folds them, a
+/// helper sends them, the validator holds them to a budget.
+trait Host {
+    /// The lane's next piece: a helper's claim parks while the window
+    /// holds it back.
+    fn claim(&mut self, claims: &Claims, wid: usize) -> Option<usize> {
+        claims.next(wid, None)
+    }
+
+    /// Before the lane runs piece `p`: the targets to fold it straight
+    /// into, when this thread folds and `p` is the frontier.
+    fn before(&mut self, _it: &mut Interp<'_>, _p: usize) -> Option<&mut Staged> {
+        None
+    }
+
+    fn hand(&mut self, rec: Record);
+}
+
 /// Run lane `task.wid` on the calling thread: claim pieces until none
-/// are left for it, each run as one range ([`Interp::run_range`]).
-/// `before_piece` gets the lane's interpreter before each piece. The lane
-/// stores into the master's arrays in place but for the ones it has its
-/// own of: a copy of each private array, and each array-reduction target
+/// are left for it, each run as one range ([`Interp::run_range`]), and
+/// hand its records to `host` — before a piece that does not extend the
+/// run, after every piece under a window, and at the end. The lane stores
+/// into the master's arrays in place but for the ones it has its own
+/// of: a copy of each private array, and each array-reduction target
 /// ([`RedLog::hold`]).
-fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -> WorkerOut {
+fn worker_run(task: WorkerTask, host: &mut impl Host) -> LaneOut {
     let WorkerTask { wid, l, space, claims, cfg, scalars, shapes, mut arrays, steps, bc, body } = task;
     for &a in &l.par.private_arrays {
         arrays[a] = arrays[a].copy();
     }
-    let mut it = Interp::over(&cfg, scalars, shapes, arrays, steps);
+    let mut it = Interp::over(&cfg, scalars.to_vec(), shapes, arrays, steps);
     it.in_parallel = true;
     it.bc = bc;
     it.spec = it.fresh_shadows(&l);
     it.red = RedLog::hold(&mut it, &l.par.reductions);
     // One register frame for every piece of the lane.
     let mut frame = it.body_frame(body);
-    let (mut pieces, mut cycles) = (Vec::new(), Vec::new());
-    let (mut copy_out, mut err) = (None, None);
-    while let Some(p) = claims.next(wid) {
+    let (mut rec, mut cycles, mut err) = (Record::default(), Vec::new(), None);
+    while let Some(p) = host.claim(&claims, wid) {
         let (start, end) = claims.bounds(p);
         if start == end {
             continue; // a piece past a short block's end
         }
-        before_piece(&mut it);
+        if !rec.extends(p) {
+            cut(&mut it, &mut rec, host);
+        }
         let c0 = it.cycles;
         let mut range = ArmRange::new(space, start, end);
+        // The frontier piece runs on the fold's own targets, logging
+        // nothing: serial's fold itself.
+        let mut direct = host.before(&mut it, p);
+        let log = direct.is_some().then(|| it.red.take()).flatten();
+        if let Some(staged) = direct.as_mut() {
+            staged.swap(&mut it, &l.par.reductions);
+        }
         err = match it.run_range(&l, &mut range, frame.as_mut()) {
             Ok(Flow::Normal) => None,
             // STOP bodies never reach the threaded path, but surface
@@ -327,28 +409,34 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
             Ok(Flow::Stop) => Some((range.idx, MachineError::Stopped)),
             Err(e) => Some((range.idx, e)),
         };
+        if let Some(staged) = direct {
+            staged.swap(&mut it, &l.par.reductions);
+            it.red = log;
+        }
         let chunk = claims.chunk_of(p);
         cycles.resize(cycles.len().max(chunk + 1), 0);
         cycles[chunk] += it.cycles - c0;
-        pieces.push((p as u32, u32::try_from(it.output.len()).expect("a lane's lines fit a u32")));
+        rec.pieces.push((p as u32, u32::try_from(it.output.len()).expect("a lane's lines fit a u32")));
         if end == space.trip() && err.is_none() {
-            copy_out = Some(l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
+            rec.copy_out = Some(l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
         }
-        let full = it.red.as_deref_mut().is_some_and(RedLog::end_piece);
-        if err.is_some() || full {
+        if let Some(log) = it.red.as_deref_mut() {
+            log.end_piece();
+        }
+        if claims.windowed() {
+            cut(&mut it, &mut rec, host);
+        }
+        if err.is_some() {
             break;
         }
     }
+    cut(&mut it, &mut rec, host);
     let steps = it.steps - steps;
-    WorkerOut {
+    LaneOut {
         wid,
         #[cfg(test)]
         fence: (it.activations, it.dispatches),
-        log: it.red,
         loops: it.loop_stats,
-        output: it.output,
-        pieces,
-        copy_out,
         cycles,
         shadows: it.spec,
         steps,
@@ -356,22 +444,38 @@ fn worker_run(task: WorkerTask, mut before_piece: impl FnMut(&mut Interp<'_>)) -
     }
 }
 
-// ---- the reduction log: one fold, in serial order ----------------------
+/// Hand the lane's run of pieces, with its lines and updates, to `host`.
+fn cut(it: &mut Interp<'_>, rec: &mut Record, host: &mut impl Host) {
+    if !rec.pieces.is_empty() {
+        let output = std::mem::take(&mut it.output);
+        let updates = it.red.as_deref_mut().map(RedLog::cut).unwrap_or_default();
+        host.hand(Record { output, updates, ..std::mem::take(rec) });
+    }
+}
 
-/// Updates a lane's log may hold: when it is full the lane stops and the
-/// invocation runs in order. 2¹⁸ updates of at most 12 bytes are 3 MB a
-/// lane; the largest invocation of the 26 kernels logs 127 066 (OCEAN).
-pub(crate) const LOG_CAP: usize = 1 << 18;
+// ---- the reduction log: one fold, in serial order ----------------------
 
 /// One reduction's updates in a lane, in the order they ran: the bits
 /// each store left in the target — exactly its β — and, for an array
 /// target, the element it went to (lowering caps an array at 2²⁸
-/// elements); `ends[k]` is where the lane's `k`-th piece's updates end.
+/// elements); `ends[k]` is where the record's `k`-th piece's updates end.
 #[derive(Default)]
 pub(crate) struct Updates {
     elems: Blocks<u32>,
     bits: Blocks<u64>,
     ends: Vec<usize>,
+}
+
+impl Updates {
+    /// No update of any of `reds`.
+    fn none(reds: &[RRed]) -> Vec<Updates> {
+        reds.iter().map(|_| Updates::default()).collect()
+    }
+
+    /// The updates in `all`.
+    fn count(all: &[Updates]) -> usize {
+        all.iter().map(|u| u.bits.len()).sum()
+    }
 }
 
 /// Entries in a block of a log: 32 KB of bits. A log grows a block at a
@@ -400,31 +504,31 @@ impl<T: Copy> Blocks<T> {
         self.blocks.last_mut().expect("a block with room").push(x);
     }
 
-    /// Entries `span`, in order.
+    /// Entries `span`, in order: a slice of each block it covers.
     fn span(&self, span: std::ops::Range<usize>) -> impl Iterator<Item = T> + '_ {
-        span.map(|i| self.blocks[i / BLOCK][i % BLOCK])
+        let blocks = span.start / BLOCK..span.end.div_ceil(BLOCK);
+        self.blocks[blocks.clone()].iter().zip(blocks).flat_map(move |(block, b)| {
+            let base = b * BLOCK;
+            block[span.start.max(base) - base..(span.end - base).min(block.len())].iter().copied()
+        })
     }
 }
 
 /// What a lane logs of one forked loop's reductions (`Interp::red`;
 /// `None` everywhere else, so a serial store pays one test). While it is
 /// installed each target holds its operator's identity, and
-/// [`Interp::log_store`] turns a store into it into an update. One log
-/// serves all the lane's pieces, one after another.
+/// [`Interp::log_store`] turns a store into it into an update. The lane
+/// cuts it with its record.
 pub(crate) struct RedLog {
     reds: Vec<RRed>,
     /// Per reduction, in `reds` order.
     updates: Vec<Updates>,
-    /// Updates the log may still take; at 0 it is full and takes none.
-    room: usize,
 }
 
 impl RedLog {
     /// Hold `reds`' targets at their identities — an array target in
-    /// cells of the lane's own — and log up to [`LOG_CAP`] of their
-    /// stores, or `None` when the loop reduces nothing. The validator's
-    /// reversed lane shares the cap, and the in-order run a full log
-    /// falls back to.
+    /// cells of the lane's own — and log their stores, or `None` when the
+    /// loop reduces nothing.
     fn hold(it: &mut Interp<'_>, reds: &[RRed]) -> Option<Box<RedLog>> {
         for red in reds {
             let (i, r) = (red_identity_i(red.op), red_identity_r(red.op));
@@ -441,14 +545,17 @@ impl RedLog {
                 }
             }
         }
-        let updates = reds.iter().map(|_| Updates::default()).collect();
-        (!reds.is_empty()).then(|| Box::new(RedLog { reds: reds.to_vec(), updates, room: LOG_CAP }))
+        (!reds.is_empty()).then(|| Box::new(RedLog { reds: reds.to_vec(), updates: Updates::none(reds) }))
     }
 
-    /// End the piece the lane ran last here; whether the log is full.
-    fn end_piece(&mut self) -> bool {
+    /// End the piece the lane ran last here.
+    fn end_piece(&mut self) {
         self.updates.iter_mut().for_each(|u| u.ends.push(u.bits.len()));
-        self.room == 0
+    }
+
+    /// The updates since the last cut; the log goes on empty.
+    fn cut(&mut self) -> Vec<Updates> {
+        std::mem::replace(&mut self.updates, Updates::none(&self.reds))
     }
 }
 
@@ -467,8 +574,8 @@ impl Interp<'_> {
     }
 
     /// A store to the target of reduction `j` left the update's β there —
-    /// the target held the identity — so log its bits, if the log is not
-    /// full, and reset the target.
+    /// the target held the identity — so log its bits and reset the
+    /// target.
     #[inline(never)]
     fn log_reduction(&mut self, j: usize, elem: usize) {
         let Some(log) = self.red.as_deref_mut() else { return };
@@ -494,22 +601,43 @@ impl Interp<'_> {
                 ArrData::B(_) => return,
             },
         };
-        if log.room > 0 {
-            log.room -= 1;
-            let u = &mut log.updates[j];
-            u.bits.push(bits);
-            if let RRef::Array(_) = target {
-                u.elems.push(elem as u32);
+        let u = &mut log.updates[j];
+        u.bits.push(bits);
+        if let RRef::Array(_) = target {
+            u.elems.push(elem as u32);
+        }
+    }
+}
+
+/// The reduction targets as folded so far, by slot: a scalar target's
+/// value, staged until the join commits it, and a handle on an array
+/// target's elements, which the fold updates in place (a speculation's
+/// fork saved them, `RLoop::rollback`). Empty for a loop that reduces
+/// nothing.
+#[derive(Default)]
+struct Staged {
+    scalars: Vec<Scalar>,
+    arrays: Vec<ArrData>,
+}
+
+impl Staged {
+    /// Trade the targets with the lane's: around the frontier piece the
+    /// lane runs on the fold's values, and its identities wait here.
+    fn swap(&mut self, it: &mut Interp<'_>, reds: &[RRed]) {
+        for red in reds {
+            match red.target {
+                RRef::Scalar(s) => std::mem::swap(&mut it.scalars[s], &mut self.scalars[s]),
+                RRef::Array(a) => std::mem::swap(&mut it.arrays[a], &mut self.arrays[a]),
             }
         }
     }
 
-    /// Apply the updates of piece `k` of `log`'s lane to their targets
-    /// in order, `σ = σ ∘ β` per update — the serial loop's own fold when
-    /// pieces are replayed in serial order. Returns the bytes applied.
-    fn replay(&mut self, log: &RedLog, k: usize) -> u64 {
+    /// Apply piece `k`'s updates to their targets in order, `σ = σ ∘ β`
+    /// per update — the serial loop's own fold when pieces are replayed
+    /// in serial order. Returns the bytes applied.
+    fn replay(&mut self, reds: &[RRed], updates: &[Updates], k: usize) -> u64 {
         let mut bytes = 0;
-        for (red, u) in log.reds.iter().zip(&log.updates) {
+        for (red, u) in reds.iter().zip(updates) {
             let span = k.checked_sub(1).map_or(0, |prev| u.ends[prev])..u.ends[k];
             bytes += 8 * span.len() as u64;
             let (op, betas) = (red.op, u.bits.span(span.clone()));
@@ -577,126 +705,306 @@ fn red_apply_i(op: RedOp, a: i64, b: i64) -> i64 {
     }
 }
 
+// ---- the fold: the master's side of the join ----------------------------
+
+/// What the master gathers of one fork: the lanes' reports, and the fold
+/// of their records from the frontier on, in piece order — serial
+/// order — into targets, lines and copy-out that reach `interp` only when
+/// the join commits.
+struct Fold {
+    claims: Arc<Claims>,
+    reds: Vec<RRed>,
+    staged: Staged,
+    /// Records handed over and not folded yet, by their lowest piece.
+    held: BTreeMap<usize, Record>,
+    /// The updates in `held`.
+    held_updates: usize,
+    output: Vec<String>,
+    copy_out: Option<Vec<(usize, Scalar)>>,
+    merge_bytes: u64,
+    lanes: Vec<LaneOut>,
+    rx: mpsc::Receiver<Report>,
+}
+
+impl Fold {
+    fn new(interp: &Interp<'_>, l: &RLoop, claims: &Arc<Claims>, rx: mpsc::Receiver<Report>) -> Fold {
+        let staged = match l.par.reductions.is_empty() {
+            true => Staged::default(),
+            false => Staged { scalars: interp.scalars.clone(), arrays: interp.arrays.clone() },
+        };
+        Fold {
+            claims: Arc::clone(claims),
+            reds: l.par.reductions.clone(),
+            staged,
+            held: BTreeMap::new(),
+            held_updates: 0,
+            output: Vec::new(),
+            copy_out: None,
+            merge_bytes: 0,
+            lanes: Vec::new(),
+            rx,
+        }
+    }
+
+    fn take(&mut self, report: Report) {
+        match report {
+            Report::Record(rec) => self.add(rec),
+            Report::Done(out) => self.lanes.extend(out),
+        }
+    }
+
+    /// Wait for a report and take it.
+    fn recv(&mut self) {
+        if let Ok(report) = recv_spinning(&self.rx) {
+            self.take(report);
+        }
+    }
+
+    /// Take the reports that have arrived.
+    fn poll(&mut self) {
+        while let Ok(report) = self.rx.try_recv() {
+            self.take(report);
+        }
+    }
+
+    /// Hold `rec`, and fold every record the frontier has reached.
+    fn add(&mut self, rec: Record) {
+        let (first, last) = (rec.pieces[0].0, rec.pieces[rec.pieces.len() - 1].0);
+        self.held_updates += Updates::count(&rec.updates);
+        #[cfg(test)]
+        HELD.with(|h| h.set(h.get().max(self.held_updates)));
+        self.held.insert(first.min(last) as usize, rec);
+        while let Some(rec) = self.held.remove(&self.claims.frontier()) {
+            self.held_updates -= Updates::count(&rec.updates);
+            self.fold(rec);
+        }
+    }
+
+    /// Fold `rec`, whose lowest piece is the frontier, a piece at a time
+    /// in piece order: its updates, then its lines.
+    fn fold(&mut self, mut rec: Record) {
+        let n = rec.pieces.len();
+        let ascending = rec.pieces[0].0 <= rec.pieces[n - 1].0;
+        for k in (0..n).map(|i| if ascending { i } else { n - 1 - i }) {
+            self.merge_bytes += self.staged.replay(&self.reds, &rec.updates, k);
+            let lines = k.checked_sub(1).map_or(0, |j| rec.pieces[j].1 as usize)..rec.pieces[k].1 as usize;
+            self.output.extend(rec.output[lines].iter_mut().map(std::mem::take));
+            self.claims.pass(rec.pieces[k].0 as usize);
+        }
+        if rec.copy_out.is_some() {
+            self.copy_out = rec.copy_out;
+        }
+    }
+}
+
+/// The master: it runs lanes itself, in lane order, until the cycles it
+/// has executed reach the bill's guard, then hands the lanes nobody has
+/// started to the helpers; between its pieces and while a claim waits it
+/// folds, and the frontier piece it runs it folds straight into the
+/// staged targets.
+struct Master<'f> {
+    fold: &'f mut Fold,
+    tx: &'f mpsc::Sender<Report>,
+    lane: &'f dyn Fn(usize) -> WorkerTask,
+    /// Lanes to run, and the first one nobody has started.
+    procs: usize,
+    unstarted: usize,
+    /// Cycles of the lanes the master finished, and the guard's threshold.
+    ran: u64,
+    threshold: u64,
+    helpers: usize,
+}
+
+impl Master<'_> {
+    fn hand_over(&mut self) {
+        HELPERS.with_borrow_mut(|pool| {
+            pool.grow(self.helpers);
+            #[cfg(test)]
+            HELPER_COUNTS.with(|c| c.set((c.get().0, c.get().1 + (self.procs - self.unstarted) as u64)));
+            for task in (self.unstarted..self.procs).map(self.lane) {
+                let (tx, claims) = (self.tx.clone(), Arc::clone(&task.claims));
+                pool.submit(Box::new(move || {
+                    let out = catch_unwind(AssertUnwindSafe(|| worker_run(task, &mut Helper(&tx))));
+                    if out.is_err() {
+                        claims.close();
+                    }
+                    let _ = tx.send(Report::Done(out.ok()));
+                }));
+            }
+        });
+        self.unstarted = self.procs;
+    }
+}
+
+impl Host for Master<'_> {
+    /// The master claims the lowest piece, and folds while the window
+    /// holds it back.
+    fn claim(&mut self, claims: &Claims, wid: usize) -> Option<usize> {
+        claims.next(wid, Some(&mut || self.fold.recv()))
+    }
+
+    fn before(&mut self, it: &mut Interp<'_>, p: usize) -> Option<&mut Staged> {
+        if self.unstarted < self.procs && self.ran + it.cycles >= self.threshold {
+            self.hand_over();
+        }
+        self.fold.poll();
+        (self.fold.claims.frontier() == p).then_some(&mut self.fold.staged)
+    }
+
+    fn hand(&mut self, rec: Record) {
+        self.fold.add(rec);
+    }
+}
+
+/// A helper sends its records to the master.
+struct Helper<'t>(&'t mpsc::Sender<Report>);
+
+impl Host for Helper<'_> {
+    fn hand(&mut self, rec: Record) {
+        let _ = self.0.send(Report::Record(rec));
+    }
+}
+
+/// The validator's reversed lane reaches the frontier last, so it folds
+/// nothing before it is done: it holds its updates to a budget of its
+/// own, past which it claims nothing more and the invocation runs in
+/// order.
+struct Validator<'f> {
+    fold: &'f mut Fold,
+    par: &'f RPar,
+    budget: usize,
+    full: bool,
+}
+
+impl Host for Validator<'_> {
+    fn before(&mut self, it: &mut Interp<'_>, _p: usize) -> Option<&mut Staged> {
+        let logged = it.red.as_ref().map_or(0, |log| Updates::count(&log.updates));
+        if self.fold.held_updates + logged >= self.budget {
+            self.full = true;
+            self.fold.claims.close();
+        }
+        poison(it, self.par);
+        None
+    }
+
+    fn hand(&mut self, rec: Record) {
+        self.fold.add(rec);
+    }
+}
+
 // ---- the fork and the join --------------------------------------------
 
 /// Execute one `PARALLEL DO` or `SPECULATIVE` loop over `plan` and hand
-/// its lanes to [`join`]. Real threads: the calling thread and, once
-/// the loop has shown it amortizes a fork, the helper pool. With
-/// `reversed`, the validator's run of the loop: one lane on the
-/// calling thread that claims the iterations last to first
-/// ([`Claims::reversed`], at most `reversed` pieces), what the loop
-/// privatizes poisoned before each piece. Called from
-/// `Interp::run_concurrent`.
+/// what its lanes did to [`join`]. Real threads: the calling thread and,
+/// once the loop has shown it amortizes a fork, the helper pool. With
+/// `validate`, the validator's run of the loop: one lane on the calling
+/// thread that claims the iterations last to first ([`Claims::reversed`],
+/// at most `validate.0` pieces), what the loop privatizes poisoned before
+/// each piece, and `None` — run it in order — once it holds `validate.1`
+/// reduction updates. Called from `Interp::run_concurrent`.
 pub(crate) fn run_threaded_loop(
     interp: &mut Interp<'_>,
     l: &Arc<RLoop>,
     space: IterSpace,
     body: Option<u32>,
     plan: ChunkPlan,
-    reversed: Option<usize>,
+    validate: Option<(usize, usize)>,
 ) -> Result<Option<(Flow, Vec<u64>)>, MachineError> {
     // An adaptive plan may have fewer lanes than the machine has threads
     // (idle helpers are fine).
     let procs = plan.procs();
-    let claims = Arc::new(match reversed {
-        Some(budget) => Claims::reversed(&plan, budget),
-        None => Claims::new(&plan),
+    let claims = Arc::new(match validate {
+        Some((pieces, _)) => Claims::reversed(&plan, pieces),
+        None => Claims::new(&plan, !l.par.reductions.is_empty()),
     });
+    let (tx, rx) = mpsc::channel::<Report>();
+    let mut fold = Fold::new(interp, l, &claims, rx);
+    let scalars: Arc<[Scalar]> = interp.scalars.as_slice().into();
     let lane = |wid: usize| WorkerTask {
         wid,
         l: Arc::clone(l),
         space,
         claims: Arc::clone(&claims),
         cfg: interp.cfg.clone(),
-        scalars: interp.scalars.clone(),
+        scalars: Arc::clone(&scalars),
         shapes: Arc::clone(&interp.shapes),
         arrays: interp.arrays.clone(),
         steps: interp.steps,
         bc: interp.bc.clone(),
         body,
     };
-    if reversed.is_some() {
-        let out = worker_run(lane(0), |it| poison(it, &l.par));
-        return join(interp, l, &plan, &claims, vec![out]);
+    if let Some((_, budget)) = validate {
+        let mut validator = Validator { fold: &mut fold, par: &l.par, budget, full: false };
+        let out = worker_run(lane(0), &mut validator);
+        if validator.full {
+            return Ok(None);
+        }
+        fold.lanes.push(out);
+        return join(interp, l, &plan, fold);
     }
 
-    // The master runs lanes itself, in lane order, until the cycles it
-    // has executed reach the bill's guard; the lanes nobody has started
-    // by then go to the helpers. Which thread ran a lane shows in nothing
-    // the join commits, so a loop under the guard wakes no one and commits
-    // what a forked one would. A lane with nothing left to claim is not
-    // started: it would only return an empty result.
-    let threshold = interp.guard_threshold();
-    let (tx, rx) = mpsc::channel::<WorkerOut>();
-    let mut results: Vec<WorkerOut> = Vec::with_capacity(procs);
-    // First lane nobody has started; cycles of the lanes the master finished.
-    let (mut unstarted, mut ran) = (0, 0u64);
-    while unstarted < procs && !claims.drained() {
-        let wid = unstarted;
-        unstarted += 1;
-        // A panic in the master's lane is a helper's: no result for it.
-        let Ok(out) = catch_unwind(AssertUnwindSafe(|| {
-            worker_run(lane(wid), |it| {
-                if unstarted < procs && ran + it.cycles >= threshold {
-                    HELPERS.with_borrow_mut(|pool| {
-                        pool.grow(interp.cfg.procs - 1);
-                        #[cfg(test)]
-                        HELPER_COUNTS.with(|c| c.set((c.get().0, c.get().1 + (procs - unstarted) as u64)));
-                        for task in (unstarted..procs).map(&lane) {
-                            let tx = tx.clone();
-                            pool.submit(Box::new(move || {
-                                let _ = tx.send(worker_run(task, |_| {}));
-                            }));
-                        }
-                    });
-                    unstarted = procs;
-                }
-            })
-        })) else {
-            break;
-        };
-        ran += out.cycles.iter().sum::<u64>();
-        results.push(out);
+    // Which thread ran a lane shows in nothing the join commits, so a
+    // loop under the guard wakes no one and commits what a forked one
+    // would. A lane with nothing left to claim is not started: it would
+    // only return an empty result.
+    let mut master = Master {
+        fold: &mut fold,
+        tx: &tx,
+        lane: &lane,
+        procs,
+        unstarted: 0,
+        ran: 0,
+        threshold: interp.guard_threshold(),
+        helpers: interp.cfg.procs - 1,
+    };
+    while master.unstarted < procs && !claims.drained() {
+        let wid = master.unstarted;
+        master.unstarted += 1;
+        // A panic in the master's lane is a helper's: no result for it,
+        // and nothing more to claim.
+        match catch_unwind(AssertUnwindSafe(|| worker_run(lane(wid), &mut master))) {
+            Ok(out) => {
+                master.ran += out.cycles.iter().sum::<u64>();
+                master.fold.lanes.push(out);
+            }
+            Err(_) => {
+                claims.close();
+                break;
+            }
+        }
     }
-    // Every lane handed over reports (or its sender drops, unwinding)
-    // before the run goes on: no work crosses into a later run. A lane
-    // started with no result is one that panicked.
+    // Every lane handed over reports before the run goes on: no work
+    // crosses into a later run. A lane started with no result is one
+    // that panicked.
+    let started = master.unstarted;
     drop(tx);
-    while let Ok(out) = recv_spinning(&rx) {
-        results.push(out);
+    while let Ok(report) = recv_spinning(&fold.rx) {
+        fold.take(report);
     }
-    if results.len() < unstarted {
+    if fold.lanes.len() < started {
         return Err(MachineError::WorkerPanicked { loop_label: l.label.clone() });
     }
-    join(interp, l, &plan, &claims, results)
+    join(interp, l, &plan, fold)
 }
 
 /// Decide the invocation from its lanes, whoever ran them, and return
-/// the cycles of each plan chunk — or `None` when it must run in order
-/// instead (a full reduction log, a failed speculation), having changed
-/// nothing but the arrays the lanes stored into, which the caller
-/// restores (`RLoop::rollback`). Errors are reported for the smallest failing iteration;
-/// committed are the fuel the lanes took, the bill, the lanes' loop
-/// stats, in piece order, which is serial order, each piece's reduction
-/// updates and output, and the copy-out. The lanes' other stores are in
-/// memory already.
-fn join(
-    interp: &mut Interp<'_>,
-    l: &RLoop,
-    plan: &ChunkPlan,
-    claims: &Claims,
-    mut results: Vec<WorkerOut>,
-) -> Result<Option<(Flow, Vec<u64>)>, MachineError> {
+/// the cycles of each plan chunk — or `None` when a speculation must run
+/// in order instead, having changed nothing but the arrays the lanes and
+/// the fold stored into, which the caller restores (`RLoop::rollback`).
+/// Errors are reported for the smallest failing iteration; committed are
+/// the fuel the lanes took, the bill, the lanes' loop stats, and what
+/// the fold staged: the scalar reduction targets, the output in piece
+/// order, which is serial order, and the copy-out. The lanes' other
+/// stores, and the array reductions, are in memory already.
+fn join(interp: &mut Interp<'_>, l: &RLoop, plan: &ChunkPlan, fold: Fold) -> Result<Option<(Flow, Vec<u64>)>, MachineError> {
+    let Fold { claims, staged, output, copy_out, mut merge_bytes, lanes: mut results, .. } = fold;
     results.sort_by_key(|w| w.wid);
 
-    // A full reduction log, or the PD test over the lanes' marks failing.
-    // A lane error counts as a failed verdict (the marks of a faulting
-    // iteration are not even complete). Nothing of the lanes but their
-    // stores has reached `interp` yet: drop them and run the loop in
-    // order, which re-derives values, verdict, error, steps and bill.
-    if results.iter().any(|w| w.log.as_ref().is_some_and(|log| log.room == 0)) {
-        return Ok(None);
-    }
+    // The PD test over the lanes' marks failing. A lane error counts as a
+    // failed verdict (the marks of a faulting iteration are not even
+    // complete). Nothing of the lanes but their stores has reached
+    // `interp` yet: drop them and run the loop in order, which re-derives
+    // values, verdict, error, steps and bill.
     if !l.par.parallel {
         let passes = |j: usize| {
             let lanes: Vec<&Shadow> = results.iter().map(|w| &w.shadows[j].1).collect();
@@ -730,19 +1038,12 @@ fn join(
         return Err(MachineError::FuelExhausted { limit });
     }
 
-    // Each piece as its lane and its place `k` in the lane's lists.
-    let mut order = Vec::new();
-    for (lane, w) in results.iter().enumerate() {
-        order.extend((0..w.pieces.len()).map(|k| (lane, k)));
-    }
-    order.sort_unstable_by_key(|&(lane, k)| results[lane].pieces[k].0);
     // Each plan chunk's cycles, the lanes' added up, in chunk order: the
     // deterministic cost profile (never wall time, never steal
     // interleaving), and what the simulator bills.
     let profile: Vec<u64> = (0..plan.n_chunks())
         .map(|c| results.iter().filter_map(|w| w.cycles.get(c)).sum())
         .collect();
-    let mut merge_bytes = 0u64;
 
     // Observability: chunk spans are emitted here, post-join and in
     // chunk order, *not* from the workers — the trace must not depend
@@ -773,17 +1074,15 @@ fn join(
         }
     }
 
-    // -- reduction logs and output in piece order, which is serial
-    // order, then the copy-out (lastprivate)
-    for (lane, k) in order {
-        let w = &mut results[lane];
-        if let Some(log) = &w.log {
-            merge_bytes += interp.replay(log, k);
+    // -- what the fold staged: the scalar reductions, the output in
+    // piece order, then the copy-out (lastprivate)
+    for red in &l.par.reductions {
+        if let RRef::Scalar(s) = red.target {
+            interp.scalars[s] = staged.scalars[s];
         }
-        let lines = k.checked_sub(1).map_or(0, |j| w.pieces[j].1 as usize)..w.pieces[k].1 as usize;
-        interp.output.extend(w.output[lines].iter_mut().map(std::mem::take));
     }
-    for &(s, v) in results.iter().filter_map(|w| w.copy_out.as_ref()).flatten() {
+    interp.output.extend(output);
+    for &(s, v) in copy_out.iter().flatten() {
         interp.scalars[s] = v;
         merge_bytes += 8;
     }
@@ -894,14 +1193,14 @@ mod tests {
         }
     }
 
-    /// A lane whose reduction log fills up ([`LOG_CAP`]) stops, and the
-    /// invocation runs in order on the simulated path instead, from the
-    /// `B` its fork saved (the lanes' `b(i) = b(i) + i` in place would
-    /// count twice): serial's bits, the simulator's cycles, the serial
-    /// fuel steps, and no chunk of it joined.
+    /// A reduction two lanes' logs of 2¹⁸ updates could not hold stays
+    /// on threads: the master folds the pieces in order as they finish,
+    /// and the lanes' `b(i) = b(i) + i` in place counts once. Serial's
+    /// bits, the simulator's cycles, the serial fuel steps, and its
+    /// chunks joined.
     #[test]
-    fn a_reduction_log_past_the_cap_runs_the_loop_in_order() {
-        let trips = 2 * LOG_CAP + 2;
+    fn a_reduction_past_the_old_log_cap_stays_on_threads() {
+        let trips = 2 * (1 << 18) + 2;
         let src = format!("program t\nreal b({trips})\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, {trips}\n  s = s + 1.0 / i\n  b(i) = b(i) + i\nend do\nprint *, s, b({trips})\nend\n");
         let p = parse(&src);
         let steps = |cfg: &MachineConfig, rec: &polaris_obs::Recorder| {
@@ -918,7 +1217,8 @@ mod tests {
             assert_eq!(thr.output, serial.output, "{schedule:?}");
             assert_eq!(thr.cycles, sim.cycles, "{schedule:?}");
             assert_eq!(thr_steps, serial_steps, "{schedule:?}");
-            assert_eq!(rec.counters().get("exec.threaded.chunks"), None, "{schedule:?}: a chunk joined");
+            let chunks = rec.counters().get("exec.threaded.chunks").copied().unwrap_or(0);
+            assert!(chunks > 0, "{schedule:?}: no chunk joined");
         }
     }
 
@@ -1167,19 +1467,15 @@ mod tests {
     }
 
     /// The plan bounds the chunk count per worker, so a forced chunk of
-    /// one on a long loop cuts 128 chunks on 2 threads, not 131 072:
-    /// claims and chunk results stay O(workers). Half [`LOG_CAP`] trips,
-    /// so that no lane's log can fill, whoever runs what: at 400 000 a
-    /// master that ran past the cap before its helper woke sent the loop
-    /// in order, and no chunk joined.
+    /// one on a long loop cuts 128 chunks on 2 threads, not 400 000:
+    /// claims and chunk results stay O(workers).
     #[test]
     fn chunk_count_does_not_grow_with_the_trip_count() {
-        let trips = LOG_CAP / 2;
-        let src = format!("program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, {trips}\n  s = s + 1.0\nend do\nprint *, s\nend\n");
+        let src = "program t\ns = 0.0\n!$polaris doall reduction(+:S)\ndo i = 1, 400000\n  s = s + 1.0\nend do\nprint *, s\nend\n";
         let rec = polaris_obs::Recorder::monotonic();
         let cfg = MachineConfig::threaded(2, Schedule::Stealing { chunk: 1 });
-        let r = crate::exec::run_recorded(&parse(&src), &cfg, &rec).unwrap();
-        assert_eq!(r.output, ["1.310720E5"]);
+        let r = crate::exec::run_recorded(&parse(src), &cfg, &rec).unwrap();
+        assert_eq!(r.output, ["4.000000E5"]);
         let chunks = rec.counters()["exec.threaded.chunks"];
         assert!((2..=128).contains(&chunks), "{chunks} chunks");
     }

@@ -118,8 +118,9 @@ pub enum Counter {
     ExecLoopsTotal,
     /// Chunks scheduled onto the real-thread backend.
     ThreadedChunks,
-    /// Bytes committed while merging worker results (array diff-merge,
-    /// reduction log entries replayed, copy-out scalars).
+    /// Bytes committed while merging worker results (reduction log
+    /// entries replayed, copy-out scalars); a piece the master runs at
+    /// the frontier folds without a log and adds nothing.
     ThreadedMergeBytes,
     /// LRPD / PD-test attempts that validated and committed.
     LrpdPass,

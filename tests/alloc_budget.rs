@@ -230,8 +230,10 @@ fn fork_traffic(decls: &str) -> (u64, u64) {
 /// A fork shares what its lanes do not own: each lane gets the scalars,
 /// a handle on each array's elements and one reference to the image's
 /// shape table, so a fork allocates as much in a unit of 40 arrays as in
-/// one of 2: 13 allocations per fork, among them the lane's cycles per
-/// plan chunk and the join's piece order. (While a lane copied each
+/// one of 2: 14 allocations and 2 696 bytes per fork, among them the
+/// claims, the report channel, the master's snapshot of the scalars and
+/// the lane's copy of it, the lane's cycles per plan chunk, its record
+/// of pieces and the fold's map of records held. (While a lane copied each
 /// array's name and bounds, the 40-array unit made 3 × 38 more
 /// allocations per lane per fork: 135 against 21; while the fork shared
 /// each array with a snapshot for the join to diff against and a lane

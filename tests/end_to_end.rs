@@ -518,6 +518,22 @@ fn a_harmonic_sum_on_threads_ends_with_the_serial_bits() {
             assert_eq!(state, serial, "{threads} threads, adaptive #{pass}");
         }
     }
+    // 2^20 trips log more updates than two lanes' logs of 2^18 held: the
+    // sum stays on threads, its lanes joined, because the master folds
+    // the pieces as they finish.
+    let out = parallelize(&src.replace("1000", "1048576"), &PassOptions::polaris()).unwrap();
+    let (_, serial) = common::run_with_comparable_state(&out.program, &MachineConfig::serial()).unwrap();
+    for threads in [2, 3, 8] {
+        for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 4 }, Schedule::Stealing { chunk: 4 }] {
+            let cfg = MachineConfig::threaded(threads, schedule);
+            let (_, state) = common::run_with_comparable_state(&out.program, &cfg).unwrap();
+            assert_eq!(state, serial, "2^20 trips, {threads} threads, {schedule:?}");
+            let rec = polaris::obs::Recorder::monotonic();
+            polaris_machine::run_recorded(&out.program, &cfg, &rec).unwrap();
+            let chunks = rec.counters().get("exec.threaded.chunks").copied().unwrap_or(0);
+            assert!(chunks > 0, "2^20 trips, {threads} threads, {schedule:?}: no chunk joined");
+        }
+    }
 }
 
 /// A dependence distance beyond any stand-in for an unknown trip count
