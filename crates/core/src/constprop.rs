@@ -17,7 +17,7 @@
 use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{Stmt, StmtKind, StmtList};
 use polaris_ir::symbol::SymKind;
-use polaris_ir::ProgramUnit;
+use polaris_ir::{Name, ProgramUnit};
 use std::collections::BTreeMap;
 
 /// Statistics returned by the pass (used in reports and tests).
@@ -40,7 +40,7 @@ pub fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
 
     // Phase 1: PARAMETER substitution. Parameters may reference other
     // parameters; resolve to literals first (bounded iteration).
-    let mut params: BTreeMap<String, Expr> = BTreeMap::new();
+    let mut params: BTreeMap<Name, Expr> = BTreeMap::new();
     for sym in unit.symbols.iter() {
         if let SymKind::Parameter(v) = &sym.kind {
             params.insert(sym.name.clone(), v.clone());
@@ -91,7 +91,7 @@ pub fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
     }
 
     // Phase 2: forward propagation of literal scalar assignments.
-    let mut consts: BTreeMap<String, Expr> = BTreeMap::new();
+    let mut consts: BTreeMap<Name, Expr> = BTreeMap::new();
     propagate(&mut unit.body, &mut consts, &mut stats);
 
     // Re-simplify everything once.
@@ -99,7 +99,7 @@ pub fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
     stats
 }
 
-fn substitute_map(e: &Expr, map: &BTreeMap<String, Expr>) -> Expr {
+fn substitute_map(e: &Expr, map: &BTreeMap<Name, Expr>) -> Expr {
     e.map(&mut |node| match &node {
         Expr::Var(n) => map.get(n).cloned().unwrap_or(node),
         _ => node,
@@ -111,7 +111,7 @@ fn substitute_map(e: &Expr, map: &BTreeMap<String, Expr>) -> Expr {
 /// updated to the facts on exit.
 fn propagate(
     list: &mut StmtList,
-    consts: &mut BTreeMap<String, Expr>,
+    consts: &mut BTreeMap<Name, Expr>,
     stats: &mut ConstPropStats,
 ) {
     for stmt in list.iter_mut() {
@@ -122,7 +122,7 @@ fn propagate(
 /// Substitute the known constants into `e` and simplify, in one
 /// bottom-up pass: the constants are literals, so each node is folded
 /// right after its leaves took their values.
-fn rewrite_uses(e: &mut Expr, consts: &BTreeMap<String, Expr>, stats: &mut ConstPropStats) {
+fn rewrite_uses(e: &mut Expr, consts: &BTreeMap<Name, Expr>, stats: &mut ConstPropStats) {
     e.rewrite(&mut |node| {
         Expr::simplify_node(match &node {
             Expr::Var(n) => match consts.get(n) {
@@ -139,7 +139,7 @@ fn rewrite_uses(e: &mut Expr, consts: &BTreeMap<String, Expr>, stats: &mut Const
 
 fn propagate_stmt(
     stmt: &mut Stmt,
-    consts: &mut BTreeMap<String, Expr>,
+    consts: &mut BTreeMap<Name, Expr>,
     stats: &mut ConstPropStats,
 ) {
     match &mut stmt.kind {
@@ -178,7 +178,7 @@ fn propagate_stmt(
         }
         StmtKind::IfBlock { arms, else_body } => {
             let entry = consts.clone();
-            let mut killed: Vec<String> = Vec::new();
+            let mut killed: Vec<Name> = Vec::new();
             for arm in arms.iter_mut() {
                 rewrite_uses(&mut arm.cond, &entry, stats);
                 let mut branch = entry.clone();

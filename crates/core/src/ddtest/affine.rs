@@ -12,7 +12,7 @@
 
 use super::banerjee::{Coupled, Free};
 use crate::iterview::Ref;
-use polaris_ir::expr::Expr;
+use polaris_ir::expr::{Expr, Name};
 use polaris_symbolic::poly::{DivPolicy, Poly};
 
 /// One subscript as `rest + Σ coeffs[k] * vars[k]`, `rest` free of the
@@ -25,11 +25,11 @@ pub(crate) struct Dim {
 impl Dim {
     /// `None` when `sub` is not linear in `vars` with integer constant
     /// coefficients — outside the classical tests' fragment.
-    pub(crate) fn of(sub: &Expr, vars: &[String]) -> Option<Dim> {
+    pub(crate) fn of(sub: &Expr, vars: &[Name]) -> Option<Dim> {
         Dim::of_poly(&Poly::from_expr(sub, DivPolicy::Exact)?, vars)
     }
 
-    fn of_poly(sub: &Poly, vars: &[String]) -> Option<Dim> {
+    fn of_poly(sub: &Poly, vars: &[Name]) -> Option<Dim> {
         let (rest, co) = sub.linear_in(vars)?;
         Some(Dim { coeffs: co.iter().map(|r| r.as_integer()).collect::<Option<_>>()?, rest })
     }
@@ -43,7 +43,7 @@ impl Dim {
 /// A loop as the classical tests see it: a variable ranging over an
 /// integer box with either side possibly unknown.
 pub(crate) struct Loop {
-    pub(crate) var: String,
+    pub(crate) var: Name,
     pub(crate) lo: Option<i128>,
     pub(crate) hi: Option<i128>,
     /// Step is `1` or `-1`; Banerjee's box models nothing else.
@@ -53,13 +53,13 @@ pub(crate) struct Loop {
 impl Loop {
     /// The box of `DO var = init, limit, step` (bounds swapped for a
     /// negative step; `step` is `None` when it is not a constant).
-    pub(crate) fn new(var: &str, init: &Expr, limit: &Expr, step: Option<i64>) -> Loop {
+    pub(crate) fn new(var: &Name, init: &Expr, limit: &Expr, step: Option<i64>) -> Loop {
         let constant = |e: &Expr| Poly::from_expr(e, DivPolicy::Exact)?.as_constant()?.as_integer();
         let (lo, hi) = match step {
             Some(s) if s < 0 => (constant(limit), constant(init)),
             _ => (constant(init), constant(limit)),
         };
-        Loop { var: var.to_string(), lo, hi, unit_step: step.is_some_and(|s| s.abs() == 1) }
+        Loop { var: var.clone(), lo, hi, unit_step: step.is_some_and(|s| s.abs() == 1) }
     }
 
     fn coupled(&self, a: i128, b: i128) -> Coupled {
@@ -111,7 +111,7 @@ pub(crate) fn pair_dims<'a>(
         .filter(|&k| !fctx.iter().any(|fl| fl.var == gctx[k].var))
         .collect();
     let unit_steps = fctx.iter().chain(g_only.iter().map(|&k| &gctx[k])).all(|l| l.unit_step);
-    let vars = |ctx: &[Loop]| -> Vec<String> {
+    let vars = |ctx: &[Loop]| -> Vec<Name> {
         asked.iter().chain(ctx).map(|l| l.var.clone()).collect()
     };
     let (fvars, gvars) = (vars(&fctx), vars(&gctx));
@@ -175,7 +175,7 @@ mod tests {
     fn rational_coefficients_give_up() {
         // GCD and Banerjee reason over integer coefficients only: I/2 as
         // the exact polynomial ½·I is no problem for either.
-        let i = ["I".to_string()];
+        let i: [Name; 1] = ["I".into()];
         let scaled = |num, den| Poly::var("I").checked_scale(Rat::new(num, den).unwrap()).unwrap();
         assert!(Dim::of_poly(&scaled(1, 2), &i).is_none());
         assert_eq!(Dim::of_poly(&scaled(4, 2), &i).unwrap().coeffs, [2]);
@@ -187,7 +187,7 @@ mod tests {
         // element). The division is not exact, so it stays an opaque atom
         // hiding I: no dimension, no problem, nothing to "prove".
         let (asked, f, g) = pair("do i = 1, n\n  a(i/2) = a(i/2) + 1.0\nend do\n");
-        assert!(Dim::of(&f.subs[0], &["I".to_string()]).is_none());
+        assert!(Dim::of(&f.subs[0], &["I".into()]).is_none());
         let (_, dims) = pair_dims(&f, &g, &asked);
         assert!(dims.collect::<Vec<_>>().iter().all(Option::is_none));
     }
@@ -195,9 +195,9 @@ mod tests {
     #[test]
     fn symbolic_coefficient_or_remainder_gives_up() {
         let (asked, f, g) = pair("do i = 1, n\n  a(m*i) = a(i + m) + 1.0\nend do\n");
-        assert!(Dim::of(&f.subs[0], &["I".to_string()]).is_none());
+        assert!(Dim::of(&f.subs[0], &["I".into()]).is_none());
         // M alone is fine in one access; the pair's remainders must cancel.
-        let d = Dim::of(&g.subs[0], &["I".to_string()]).unwrap();
+        let d = Dim::of(&g.subs[0], &["I".into()]).unwrap();
         assert_eq!((d.constant(), d.coeffs), (None, vec![1]));
         let (_, f, g) = pair("do i = 1, n\n  a(i) = a(i + m) + 1.0\nend do\n");
         assert!(pair_dims(&f, &g, &asked).1.all(|p| p.is_none()));

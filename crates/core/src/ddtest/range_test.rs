@@ -31,7 +31,7 @@ use std::cell::OnceCell;
 /// A loop that encloses a reference inside the tested loop.
 #[derive(Debug, Clone)]
 pub struct InnerLoop {
-    pub var: String,
+    pub var: polaris_ir::Name,
     pub lo: Poly,
     pub hi: Poly,
     pub step: i64,
@@ -107,7 +107,7 @@ impl<'a> Reach<'a> {
     fn new(t: &Tested<'_>, subs: &'a [Poly], inner: &[&InnerLoop]) -> Reach<'a> {
         let mut inner_env = t.env.clone();
         for il in inner {
-            inner_env.set_fresh(&il.var, il.value_range());
+            inner_env.set_fresh(il.var.clone(), il.value_range());
         }
         // Eliminate innermost-first.
         let inner_atoms: Vec<Atom> = inner.iter().rev().map(|il| Atom::var(&*il.var)).collect();
@@ -127,7 +127,7 @@ impl<'a> Reach<'a> {
             tests::WHOLE_FOOTPRINTS.with(|n| n.set(n.get() + 1));
             let (atoms, env) = self.whole_scope.get_or_init(|| {
                 let mut env = self.inner_env.clone();
-                env.set_fresh(&t.self_loop.var, t.self_loop.value_range());
+                env.set_fresh(t.self_loop.var.clone(), t.self_loop.value_range());
                 let tested = Atom::var(&*t.self_loop.var);
                 (std::iter::once(tested).chain(self.inner_atoms.iter().cloned()).collect(), env)
             });
@@ -388,7 +388,7 @@ mod tests {
         let f = simple_ref("i", vec![]);
         let env = {
             let mut e = RangeEnv::new();
-            e.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+            e.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
             e
         };
         let sl = il("I", "1", "n");
@@ -402,7 +402,7 @@ mod tests {
         let g = simple_ref("i + 1", vec![]);
         let env = {
             let mut e = RangeEnv::new();
-            e.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+            e.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
             e
         };
         let sl = il("I", "1", "n");
@@ -415,7 +415,7 @@ mod tests {
         // the symbolic case linear tests cannot do.
         let f = simple_ref("n*i + j", vec![il("J", "0", "n - 1")]);
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(0), &polaris_ir::Expr::var("M"));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(0), &polaris_ir::Expr::var("M"));
         env.assume_cond(&polaris_ir::Expr::bin(
             polaris_ir::BinOp::Ge,
             polaris_ir::Expr::var("N"),
@@ -435,7 +435,7 @@ mod tests {
             vec![il("J", "0", "n - 1"), il("K", "0", "j - 1")],
         );
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(0), &polaris_ir::Expr::sub(polaris_ir::Expr::var("M"), polaris_ir::Expr::int(1)));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(0), &polaris_ir::Expr::sub(polaris_ir::Expr::var("M"), polaris_ir::Expr::int(1)));
         // analyzing the body assumes the J loop runs: n >= 1
         env.assume_cond(&polaris_ir::Expr::bin(
             polaris_ir::BinOp::Ge,
@@ -525,7 +525,7 @@ mod tests {
         // B(i, q) with q loop-invariant: dimension 1 proves independence.
         let f = RefSpec { subs: vec![p("i"), p("q")], inner: vec![] };
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
         let sl = il("I", "1", "n");
         assert!(no_carried_dependence(&f, &f, "I", 1, &sl, &env, &stats(), true));
         // B(q, q): no dimension varies → cannot prove (and indeed every
@@ -553,7 +553,7 @@ mod tests {
         // independence (this is §3.5's motivation).
         let f = simple_ref("z(i)", vec![]);
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
         let sl = il("I", "1", "n");
         assert!(!no_carried_dependence(&f, &f, "I", 1, &sl, &env, &stats(), true));
     }
@@ -565,7 +565,7 @@ mod tests {
         let f = simple_ref("2*i", vec![]);
         let g = simple_ref("2*i - 1", vec![]);
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
         let sl = il("I", "1", "n");
         assert!(no_carried_dependence(&f, &g, "I", 1, &sl, &env, &stats(), true));
     }
@@ -576,7 +576,7 @@ mod tests {
         // iteration i+1.
         let f = simple_ref("i + j", vec![il("J", "0", "5")]);
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
         let sl = il("I", "1", "n");
         assert!(!no_carried_dependence(&f, &f, "I", 1, &sl, &env, &stats(), true));
     }
@@ -584,7 +584,7 @@ mod tests {
     #[test]
     fn negative_stride_subscripts() {
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
         let sl = il("I", "1", "n");
         // A(-2*i) vs A(-2*i - 1): the footprints march downward with a
         // gap — the descending orientation must prove independence.
@@ -606,7 +606,7 @@ mod tests {
         // them as parallel).
         let f = simple_ref("i", vec![]);
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
         let sl = il("I", "1", "n");
         assert!(!no_carried_dependence(&f, &f, "I", 0, &sl, &env, &stats(), true));
     }
@@ -614,7 +614,7 @@ mod tests {
     #[test]
     fn zero_trip_inner_loop() {
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
         let sl = il("I", "1", "n");
         // A(i + j) with j in [1, 0]: the inner loop never runs, so the
         // reference touches nothing — vacuous independence is sound and
@@ -638,7 +638,7 @@ mod tests {
         let f = simple_ref("6*i + j", vec![il("J", "m", "5")]);
         let sl = il("I", "1", "n");
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
+        env.assume_nonempty_loop(&"I".into(), &polaris_ir::Expr::int(1), &polaris_ir::Expr::var("N"));
         assert!(!no_carried_dependence(&f, &f, "I", 1, &sl, &env, &stats(), true));
         env.assume_cond(&polaris_ir::Expr::bin(
             polaris_ir::BinOp::Ge,

@@ -11,7 +11,7 @@ use crate::reduction;
 use crate::PassOptions;
 use polaris_ir::stmt::{DoLoop, LoopId, ParallelInfo, SpecInfo, StmtId, StmtKind, StmtList};
 use polaris_ir::visit::find_serializing_stmt;
-use polaris_ir::ProgramUnit;
+use polaris_ir::{Name, ProgramUnit};
 use polaris_symbolic::poly::{DivPolicy, Poly};
 use polaris_symbolic::RangeEnv;
 use std::collections::{BTreeMap, BTreeSet};
@@ -30,8 +30,8 @@ pub struct LoopReport {
     pub speculative: bool,
     /// Reason the loop stayed serial.
     pub serial_reason: Option<String>,
-    pub private: Vec<String>,
-    pub(crate) copy_out: Vec<String>,
+    pub private: Vec<Name>,
+    pub(crate) copy_out: Vec<Name>,
     pub reductions: Vec<String>,
     /// Proven index-array facts visible to this loop's subscripted
     /// subscripts, as `NAME: fact fact ...` strings (for diagnostics).
@@ -190,10 +190,10 @@ fn analyze_loop(
         // keep scalar reductions only
         reductions.retain(|r| view.named(&r.var).all(|a| a.is_scalar()));
     }
-    let reduction_vars: BTreeSet<String> = reductions.iter().map(|r| r.var.clone()).collect();
+    let reduction_vars: BTreeSet<Name> = reductions.iter().map(|r| r.var.clone()).collect();
 
-    let mut private: Vec<String> = Vec::new();
-    let mut copy_out: Vec<String> = Vec::new();
+    let mut private: Vec<Name> = Vec::new();
+    let mut copy_out: Vec<Name> = Vec::new();
 
     // --- index-array properties (§ subscripted subscripts) -----------------
     // The fill-time facts of an array written inside this loop are stale
@@ -253,8 +253,8 @@ fn analyze_loop(
     }
 
     // --- arrays ------------------------------------------------------------
-    let mut speculative_tracked: Vec<String> = Vec::new();
-    let mut dropped_reductions: Vec<String> = Vec::new();
+    let mut speculative_tracked: Vec<Name> = Vec::new();
+    let mut dropped_reductions: Vec<Name> = Vec::new();
     for name in &view.written_arrays {
         // Every access counts, reduction-flagged or not: the flags only
         // mean something when the reduction validated for this loop.
@@ -360,7 +360,7 @@ fn pairs_disjoint_by_props(
     let Some(self_loop) = loop_as_inner(d, step) else {
         return false;
     };
-    let mut varying: BTreeSet<String> = view.written().cloned().collect();
+    let mut varying: BTreeSet<Name> = view.written().cloned().collect();
     varying.remove(&d.var);
     let accesses: Vec<crate::idxprop::PropAccess<'_>> = refs
         .iter()
@@ -371,7 +371,7 @@ fn pairs_disjoint_by_props(
         })
         .collect();
     let props = |n: &str| {
-        if varying.contains(&n.to_ascii_uppercase()) {
+        if varying.contains(n) {
             return None;
         }
         unit.symbols.get(n).and_then(|s| s.props.clone())
@@ -766,7 +766,7 @@ mod tests {
         let (_, r) = analyze(src, &PassOptions::polaris());
         let outer = report(&r, "do5");
         assert!(outer.parallel, "{r:?}");
-        assert!(outer.private.contains(&"A".to_string()));
+        assert!(outer.private.contains(&"A".into()));
         // VFA cannot privatize arrays
         let (_, r2) = analyze(src, &PassOptions::vfa());
         assert!(!report(&r2, "do5").parallel);
@@ -805,7 +805,7 @@ mod tests {
         let src = "program t\nreal a(100,100)\ndo i = 1, 100\n  do j = 1, 100\n    a(i, j) = 1.0\n  end do\nend do\nend\n";
         let (_, r) = analyze(src, &PassOptions::polaris());
         let outer = report(&r, "do3");
-        assert!(outer.private.contains(&"J".to_string()));
+        assert!(outer.private.contains(&"J".into()));
     }
 
     #[test]

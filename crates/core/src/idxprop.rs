@@ -43,7 +43,7 @@ use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{DoLoop, Stmt, StmtKind};
 use polaris_ir::symbol::SymKind;
 use polaris_ir::types::DataType;
-use polaris_ir::{ArrayProps, ProgramUnit};
+use polaris_ir::{ArrayProps, Name, ProgramUnit};
 use polaris_symbolic::bounds::{min_max_over, prove_ge, prove_le};
 use polaris_symbolic::poly::{Atom, DivPolicy, Poly};
 use polaris_symbolic::{Range, RangeEnv};
@@ -111,14 +111,14 @@ pub struct Inference {
     /// Candidate arrays inspected.
     pub(crate) analyzed: usize,
     /// Arrays with at least one proven property.
-    pub props: BTreeMap<String, ArrayProps>,
+    pub props: BTreeMap<Name, ArrayProps>,
 }
 
 /// Run the recognizers over one unit's body.
 pub fn infer_unit(unit: &ProgramUnit) -> Inference {
     let mut inf = Inference::default();
     let writes = write_counts(unit);
-    let candidates: BTreeSet<String> = unit
+    let candidates: BTreeSet<Name> = unit
         .symbols
         .iter()
         .filter(|s| {
@@ -140,7 +140,7 @@ pub fn infer_unit(unit: &ProgramUnit) -> Inference {
             continue;
         }
         let StmtKind::Assign { lhs, rhs, .. } = &d.body.0[0].kind else { continue };
-        let name = lhs.name().to_string();
+        let name = lhs.name().clone();
         if !candidates.contains(&name) || inf.props.contains_key(&name) {
             continue;
         }
@@ -172,11 +172,11 @@ pub fn infer_unit(unit: &ProgramUnit) -> Inference {
 /// Writes per array over the whole unit: assignments through a
 /// subscript, plus a conservative count for arrays passed to CALLs
 /// (callees may write their arguments).
-fn write_counts(unit: &ProgramUnit) -> BTreeMap<String, usize> {
-    let mut out: BTreeMap<String, usize> = BTreeMap::new();
+fn write_counts(unit: &ProgramUnit) -> BTreeMap<Name, usize> {
+    let mut out: BTreeMap<Name, usize> = BTreeMap::new();
     unit.body.walk(&mut |s: &Stmt| match &s.kind {
         StmtKind::Assign { lhs, .. } if !lhs.subs().is_empty() => {
-            *out.entry(lhs.name().to_ascii_uppercase()).or_default() += 1;
+            *out.entry(lhs.name().clone()).or_default() += 1;
         }
         StmtKind::Call { args, .. } => {
             for a in args {
@@ -427,7 +427,7 @@ fn position_offset(sub: &Expr, var: &str) -> Option<Poly> {
 pub struct PropAccess<'a> {
     pub write: bool,
     pub subs: &'a [Expr],
-    pub ctx_vars: Vec<String>,
+    pub ctx_vars: Vec<Name>,
 }
 
 /// Prove every (write, access) pair of one array loop-carried-disjoint
@@ -445,7 +445,7 @@ pub struct PropAccess<'a> {
 pub fn pairs_disjoint_via_props(
     accesses: &[PropAccess<'_>],
     self_loop: &InnerLoop,
-    varying: &BTreeSet<String>,
+    varying: &BTreeSet<Name>,
     env: &RangeEnv,
     props: &dyn Fn(&str) -> Option<ArrayProps>,
     stats: &DdStats,
@@ -456,7 +456,7 @@ pub fn pairs_disjoint_via_props(
     stats.props_tests_run.set(stats.props_tests_run.get() + 1);
     // Separating key per access per dimension: equal keys on some
     // dimension of a pair prove the pair disjoint across iterations.
-    type SepKey = Option<(Option<String>, Poly)>;
+    type SepKey = Option<(Option<Name>, Poly)>;
     let keys: Vec<Vec<SepKey>> = accesses
         .iter()
         .map(|a| a.subs.iter().map(|e| sep_key(e, a, self_loop, varying, env, props)).collect())
@@ -478,10 +478,10 @@ fn sep_key(
     e: &Expr,
     a: &PropAccess<'_>,
     self_loop: &InnerLoop,
-    varying: &BTreeSet<String>,
+    varying: &BTreeSet<Name>,
     env: &RangeEnv,
     props: &dyn Fn(&str) -> Option<ArrayProps>,
-) -> Option<(Option<String>, Poly)> {
+) -> Option<(Option<Name>, Poly)> {
     let var = &self_loop.var;
     // A mention of something the body writes or of an inner loop's
     // variable makes the value non-functional in the iteration number.
@@ -516,7 +516,7 @@ fn sep_key(
             (self_loop.hi.clone(), self_loop.lo.clone())
         };
         benv.set_fresh(var.clone(), Range::new(Some(lo), Some(hi)));
-        let (arg_lo, arg_hi) = min_max_over(&q, &[Atom::Var(var.as_str().into())], &benv);
+        let (arg_lo, arg_hi) = min_max_over(&q, &[Atom::var(var.clone())], &benv);
         let contained = arg_lo.is_some_and(|lo| prove_ge(&lo, &dlo, env))
             && arg_hi.is_some_and(|hi| prove_le(&hi, &dhi, env));
         if !contained {
@@ -556,7 +556,7 @@ fn affine_with_slope(e: &Expr, var: &str) -> Option<Poly> {
 /// passes the set of arrays that loop writes.
 pub(crate) fn seed_array_value_ranges(
     unit: &ProgramUnit,
-    written_in_loop: &BTreeSet<String>,
+    written_in_loop: &BTreeSet<Name>,
     env: &mut RangeEnv,
 ) -> usize {
     let mut seeded = 0;
@@ -584,7 +584,7 @@ mod tests {
         p.units.into_iter().next().unwrap()
     }
 
-    fn infer(src: &str) -> BTreeMap<String, ArrayProps> {
+    fn infer(src: &str) -> BTreeMap<Name, ArrayProps> {
         infer_unit(&unit(src)).props
     }
 
@@ -764,7 +764,7 @@ mod tests {
         // Subscript argument mentions a body-written scalar.
         let subs_k = [Expr::index("IDX", vec![Expr::var("K")])];
         let acc = [PropAccess { write: true, subs: &subs_k, ctx_vars: vec![] }];
-        let varying: BTreeSet<String> = ["K".to_string()].into();
+        let varying: BTreeSet<Name> = [Name::from("K")].into();
         assert!(!pairs_disjoint_via_props(&acc, &sl, &varying, &RangeEnv::new(), &props, &stats));
         // Zero slope: every iteration hits the same element.
         let subs_c = [Expr::index("IDX", vec![Expr::int(3)])];
@@ -800,7 +800,7 @@ mod tests {
         assert!(!r.is_unknown());
         // Written in the loop under analysis: facts are stale, no seed.
         let mut env2 = RangeEnv::new();
-        let written: BTreeSet<String> = ["BIN".to_string()].into();
+        let written: BTreeSet<Name> = [Name::from("BIN")].into();
         assert_eq!(seed_array_value_ranges(&u, &written, &mut env2), 0);
     }
 }

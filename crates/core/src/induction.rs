@@ -32,7 +32,7 @@ use crate::rangeprop::{assigned_vars, enter_if, enter_loop, seed_parameters, ste
 use polaris_ir::expr::{BinOp, Expr, LValue};
 use polaris_ir::stmt::{DoLoop, Stmt, StmtId, StmtKind, StmtList};
 use polaris_ir::types::DataType;
-use polaris_ir::ProgramUnit;
+use polaris_ir::{Name, ProgramUnit};
 use polaris_symbolic::poly::{DivPolicy, Poly};
 use polaris_symbolic::sum::{prefix_sum, sum_over};
 use polaris_symbolic::{prove_ge, RangeEnv};
@@ -155,8 +155,8 @@ impl<'a> Pass<'a> {
         // varying once it is substituted, which is what lets its dependants
         // through on this or the next round; a dependant of a rejected
         // base is rejected with it.
-        let mut lastvalues: Vec<(String, Stmt)> = Vec::new();
-        let mut pending: Vec<String> = varying
+        let mut lastvalues: Vec<(Name, Stmt)> = Vec::new();
+        let mut pending: Vec<Name> = varying
             .iter()
             .rev()
             .filter(|n| {
@@ -192,11 +192,11 @@ impl<'a> Pass<'a> {
     fn process_additive(
         &mut self,
         d: &mut DoLoop,
-        k: &str,
-        varying: &BTreeSet<String>,
+        k: &Name,
+        varying: &BTreeSet<Name>,
         env: &RangeEnv,
         outer_env: &RangeEnv,
-        lastvalues: &mut Vec<(String, Stmt)>,
+        lastvalues: &mut Vec<(Name, Stmt)>,
     ) -> Option<()> {
         let lo = Poly::from_expr(&d.init, DivPolicy::Exact)?;
         let hi = Poly::from_expr(&d.limit, DivPolicy::Exact)?;
@@ -208,7 +208,7 @@ impl<'a> Pass<'a> {
         }
         // Value at the top of iteration v: K0 + Σ_{v'=lo}^{v-1} inc(v').
         let header_val =
-            Poly::var(k).checked_add(&prefix_sum(&inc, &d.var, &lo, &Poly::var(&d.var))?)?;
+            Poly::var(k.clone()).checked_add(&prefix_sum(&inc, &d.var, &lo, &Poly::var(d.var.clone()))?)?;
         let total = sum_over(&inc, &d.var, &lo, &hi)?;
         let lo_m1 = lo.checked_sub(&Poly::int(1))?;
         // Rewrite a clone so a mid-way failure (coefficient overflow)
@@ -227,8 +227,8 @@ impl<'a> Pass<'a> {
             self.unit.fresh_stmt_id(),
             0,
             StmtKind::Assign {
-                lhs: LValue::Var(k.to_string()),
-                rhs: Expr::add(Expr::var(k), total.to_expr().simplified()).simplified(),
+                lhs: LValue::Var(k.clone()),
+                rhs: Expr::add(Expr::var(k.clone()), total.to_expr().simplified()).simplified(),
                 reduction: None,
             },
         );
@@ -244,7 +244,7 @@ impl<'a> Pass<'a> {
             .iter()
             .position(|(base, _)| total.mentions_var(base))
             .unwrap_or(lastvalues.len());
-        lastvalues.insert(at, (k.to_string(), stmt));
+        lastvalues.insert(at, (k.clone(), stmt));
         Some(())
     }
 
@@ -267,7 +267,7 @@ impl<'a> Pass<'a> {
     /// `K = K * c` (constant `c`) directly in the loop body.
     fn process_multiplicative(&mut self, d: &mut DoLoop) -> Option<Stmt> {
         // Find the candidate.
-        let mut target: Option<(usize, String, Expr)> = None;
+        let mut target: Option<(usize, Name, Expr)> = None;
         for (idx, s) in d.body.0.iter().enumerate() {
             if let StmtKind::Assign { lhs: LValue::Var(name), rhs, .. } = &s.kind {
                 let pats = [
@@ -296,7 +296,7 @@ impl<'a> Pass<'a> {
         let mut writes = 0usize;
         d.body.walk(&mut |s| {
             if let StmtKind::Assign { lhs, .. } = &s.kind {
-                if lhs.name() == name {
+                if *lhs.name() == name {
                     writes += 1;
                 }
             }
@@ -306,11 +306,11 @@ impl<'a> Pass<'a> {
         }
         // exponent before the statement: (v - lo); after: (v - lo + 1)
         let lo = d.init.clone();
-        let expo_before = Expr::sub(Expr::var(&d.var), lo.clone()).simplified();
+        let expo_before = Expr::sub(Expr::var(d.var.clone()), lo.clone()).simplified();
         let expo_after =
-            Expr::add(Expr::sub(Expr::var(&d.var), lo.clone()), Expr::int(1)).simplified();
+            Expr::add(Expr::sub(Expr::var(d.var.clone()), lo.clone()), Expr::int(1)).simplified();
         let value_at = |expo: &Expr| {
-            Expr::mul(Expr::var(&name), Expr::bin(BinOp::Pow, c.clone(), expo.clone())).simplified()
+            Expr::mul(Expr::var(name.clone()), Expr::bin(BinOp::Pow, c.clone(), expo.clone())).simplified()
         };
         let before = value_at(&expo_before);
         let after = value_at(&expo_after);
@@ -339,7 +339,7 @@ impl<'a> Pass<'a> {
             0,
             StmtKind::Assign {
                 lhs: LValue::Var(name.clone()),
-                rhs: Expr::mul(Expr::var(&name), Expr::bin(BinOp::Pow, c, trip)).simplified(),
+                rhs: Expr::mul(Expr::var(name.clone()), Expr::bin(BinOp::Pow, c, trip)).simplified(),
                 reduction: None,
             },
         );
@@ -355,7 +355,7 @@ struct Walk<'a> {
     /// Everything the processed loop's body still assigns: `name` itself,
     /// inner-loop indices, arrays, inductions not (yet) substituted. An
     /// increment mentioning one of these has no single per-iteration value.
-    varying: &'a BTreeSet<String>,
+    varying: &'a BTreeSet<Name>,
     /// [`InductionMode::Simple`]: constant increments directly in the body.
     simple: bool,
 }
@@ -453,7 +453,7 @@ impl Walk<'_> {
                             return None;
                         }
                         inc = inc.checked_add(&sum_over(&delta, &d.var, &lo, &hi)?)?;
-                        prefix = prefix_sum(&delta, &d.var, &lo, &Poly::var(&d.var))?;
+                        prefix = prefix_sum(&delta, &d.var, &lo, &Poly::var(d.var.clone()))?;
                     }
                     if let Some(here) = &here {
                         // Bounds see the value at loop entry, the body the

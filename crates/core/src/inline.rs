@@ -30,7 +30,7 @@ use polaris_ir::error::{CompileError, Result};
 use polaris_ir::expr::{Expr, LValue};
 use polaris_ir::stmt::{Stmt, StmtKind, StmtList};
 use polaris_ir::symbol::{Dim, SymKind, Symbol, SymbolTable};
-use polaris_ir::{Program, ProgramUnit, UnitKind};
+use polaris_ir::{Name, Program, ProgramUnit, UnitKind};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
@@ -53,7 +53,7 @@ const MAX_ROUNDS: usize = 32;
 /// (`privatize::Liveness`).
 pub fn inline_all(program: &mut Program) -> Result<InlineStats> {
     let mut stats = InlineStats::default();
-    let mut templates: BTreeMap<String, Template> = BTreeMap::new();
+    let mut templates: BTreeMap<Name, Template> = BTreeMap::new();
     let main_idx = program
         .units
         .iter()
@@ -90,7 +90,7 @@ pub fn inline_all(program: &mut Program) -> Result<InlineStats> {
 struct Template {
     unit: ProgramUnit,
     /// Renamed local (non-formal) symbols: original → template name.
-    locals: BTreeMap<String, String>,
+    locals: BTreeMap<Name, Name>,
 }
 
 /// What a callee name stands for at one expansion. All of a site's
@@ -101,13 +101,13 @@ struct Template {
 #[derive(Debug)]
 enum Bind {
     /// Renamed: a scalar or whole array passed by name, or a local.
-    Name(String),
+    Name(Name),
     /// A scalar formal bound to an expression: reads take the value; a
     /// write stores through (the value is then an array element).
     Value(Expr),
     /// An array formal over a rank-1 whole array: references are
     /// linearized column-major over the formal's (bound) dimensions.
-    Linear { actual: String, dims: Vec<Dim> },
+    Linear { actual: Name, dims: Vec<Dim> },
 }
 
 type Binds<'a> = BTreeMap<&'a str, Bind>;
@@ -117,19 +117,19 @@ type Binds<'a> = BTreeMap<&'a str, Bind>;
 /// linearizes a reference to a bound array.
 fn bind_node(e: Expr, binds: &Binds) -> Expr {
     match e {
-        Expr::Var(n) => match binds.get(n.as_str()) {
+        Expr::Var(n) => match binds.get(&*n) {
             Some(Bind::Name(to)) => Expr::Var(to.clone()),
             Some(Bind::Value(v)) => v.clone(),
             _ => Expr::Var(n),
         },
-        Expr::Index { array, subs } => match binds.get(array.as_str()) {
+        Expr::Index { array, subs } => match binds.get(&*array) {
             Some(Bind::Name(to)) => Expr::Index { array: to.clone(), subs },
             Some(Bind::Linear { actual, dims }) => {
                 Expr::Index { array: actual.clone(), subs: vec![linearized(subs, dims)] }
             }
             _ => Expr::Index { array, subs },
         },
-        Expr::Call { name, args } => match binds.get(name.as_str()) {
+        Expr::Call { name, args } => match binds.get(&*name) {
             Some(Bind::Name(to)) => Expr::Call { name: to.clone(), args },
             _ => Expr::Call { name, args },
         },
@@ -144,7 +144,7 @@ fn bind_body(body: &mut StmtList, binds: &Binds) {
     body.walk_mut(&mut |s| match &mut s.kind {
         StmtKind::Assign { lhs, .. } => bind_lvalue(lhs, binds),
         StmtKind::Do(d) => {
-            if let Some(Bind::Name(to)) = binds.get(d.var.as_str()) {
+            if let Some(Bind::Name(to)) = binds.get(&*d.var) {
                 d.var = to.clone();
             }
         }
@@ -154,7 +154,7 @@ fn bind_body(body: &mut StmtList, binds: &Binds) {
 
 /// An assignment target under `binds` (its subscripts are already bound).
 fn bind_lvalue(lhs: &mut LValue, binds: &Binds) {
-    let Some(bind) = binds.get(lhs.name()) else { return };
+    let Some(bind) = binds.get(&**lhs.name()) else { return };
     match (bind, lhs) {
         (Bind::Name(to), LValue::Var(n) | LValue::Index { array: n, .. }) => *n = to.clone(),
         (Bind::Value(Expr::Index { array, subs }), lhs @ LValue::Var(_)) => {
@@ -190,19 +190,19 @@ fn build_template(callee: &ProgramUnit, stats: &mut InlineStats) -> Result<Templ
     }
     let mut unit = callee.clone();
     strip_trailing_return(&mut unit.body);
-    let locals: BTreeMap<String, String> = unit
+    let locals: BTreeMap<Name, Name> = unit
         .symbols
         .iter()
         .filter(|s| !(s.is_arg || s.common.is_some() || matches!(s.kind, SymKind::External)))
-        .map(|sym| (sym.name.clone(), format!("{}__{}", unit.name, sym.name)))
+        .map(|sym| (sym.name.clone(), format!("{}__{}", unit.name, sym.name).into()))
         .collect();
     let binds: Binds =
-        locals.iter().map(|(old, new)| (old.as_str(), Bind::Name(new.clone()))).collect();
+        locals.iter().map(|(old, new)| (&**old, Bind::Name(new.clone()))).collect();
     bind_body(&mut unit.body, &binds);
     let mut symbols = SymbolTable::default();
     for sym in unit.symbols.iter() {
         let mut sym = sym.clone();
-        if let Some(Bind::Name(to)) = binds.get(sym.name.as_str()) {
+        if let Some(Bind::Name(to)) = binds.get(&*sym.name) {
             sym.name = to.clone();
         }
         if let SymKind::Array(dims) = &mut sym.kind {
@@ -220,7 +220,7 @@ fn expand_calls(
     list: &mut StmtList,
     caller: &mut ProgramUnit,
     callees: &BTreeMap<&str, &ProgramUnit>,
-    templates: &mut BTreeMap<String, Template>,
+    templates: &mut BTreeMap<Name, Template>,
     stats: &mut InlineStats,
     any: &mut bool,
 ) -> Result<()> {
@@ -228,16 +228,16 @@ fn expand_calls(
     while i < list.0.len() {
         match &mut list.0[i].kind {
             StmtKind::Call { name, args } => {
-                let Some(callee) = callees.get(name.as_str()) else {
+                let Some(callee) = callees.get(&**name) else {
                     return Err(CompileError::transform(format!(
                         "CALL to unknown subroutine `{name}`"
                     ))
                     .with_line(list.0[i].line));
                 };
-                if !templates.contains_key(name.as_str()) {
+                if !templates.contains_key(&**name) {
                     templates.insert(name.clone(), build_template(callee, stats)?);
                 }
-                let inlined = instantiate(&templates[name.as_str()], args, caller)?;
+                let inlined = instantiate(&templates[&**name], args, caller)?;
                 let n = inlined.0.len();
                 list.0.splice(i..=i, inlined.0);
                 stats.call_sites_expanded += 1;
@@ -398,7 +398,7 @@ fn instantiate(
     for (formal, actual, fdims) in linear {
         let mut dims = fdims.to_vec();
         bind_dims(&mut dims, &binds);
-        binds.insert(formal, Bind::Linear { actual: actual.to_string(), dims });
+        binds.insert(formal, Bind::Linear { actual: actual.into(), dims });
     }
     for name in &imported {
         if let Some(SymKind::Array(dims)) = caller.symbols.get_mut(name).map(|s| &mut s.kind) {
@@ -504,7 +504,7 @@ fn expand_functions(
     stats: &mut InlineStats,
 ) -> Result<bool> {
     // Gather single-assignment functions: body = [ F = expr ] (+RETURN).
-    let mut simple: BTreeMap<&str, (&[String], &Expr)> = BTreeMap::new();
+    let mut simple: BTreeMap<&str, (&[Name], &Expr)> = BTreeMap::new();
     for (&name, u) in callees {
         if !matches!(u.kind, UnitKind::Function(_)) {
             continue;
@@ -528,8 +528,8 @@ fn expand_functions(
     let mut changed = false;
     let mut err: Option<CompileError> = None;
     unit.body.map_exprs(&mut |e| match e {
-        Expr::Call { name, args } if simple.contains_key(name.as_str()) => {
-            let (formals, bodyexpr) = simple[name.as_str()];
+        Expr::Call { name, args } if simple.contains_key(&*name) => {
+            let (formals, bodyexpr) = simple[&*name];
             if formals.len() != args.len() {
                 err = Some(CompileError::transform(format!(
                     "function `{name}`: arity mismatch"
@@ -541,8 +541,8 @@ fn expand_functions(
                 .iter()
                 .zip(args)
                 .map(|(f, a)| match a {
-                    Expr::Var(n) => (f.as_str(), Bind::Name(n)),
-                    a => (f.as_str(), Bind::Value(a)),
+                    Expr::Var(n) => (&**f, Bind::Name(n)),
+                    a => (&**f, Bind::Value(a)),
                 })
                 .collect();
             changed = true;

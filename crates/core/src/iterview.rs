@@ -22,7 +22,7 @@
 //! the pair under the all-`*` row.
 
 use crate::ddtest::range_test::{InnerLoop, RefSpec};
-use polaris_ir::expr::Expr;
+use polaris_ir::expr::{Expr, Name};
 use polaris_ir::stmt::StmtList;
 use polaris_ir::visit::{collect_accesses, Access, LoopCtx};
 use polaris_symbolic::poly::{DivPolicy, Poly};
@@ -62,10 +62,10 @@ pub(crate) struct IterView {
     /// The accesses in execution order (`refs[k].order == k`).
     pub(crate) refs: Vec<Ref>,
     /// Scalars the body writes: assignments and inner `DO` variables.
-    pub(crate) written_scalars: BTreeSet<String>,
-    pub(crate) written_arrays: BTreeSet<String>,
+    pub(crate) written_scalars: BTreeSet<Name>,
+    pub(crate) written_arrays: BTreeSet<Name>,
     /// Variables of the `DO` loops nested in the body.
-    pub(crate) loop_vars: BTreeSet<String>,
+    pub(crate) loop_vars: BTreeSet<Name>,
     /// Orders of the writes, ascending.
     writes: Vec<usize>,
 }
@@ -73,7 +73,7 @@ pub(crate) struct IterView {
 impl IterView {
     pub(crate) fn of(body: &StmtList) -> IterView {
         let raw = collect_accesses(body);
-        let written = |scalar: bool| -> BTreeSet<String> {
+        let written = |scalar: bool| -> BTreeSet<Name> {
             let of_kind = raw.iter().filter(|a| a.is_write && a.is_scalar() == scalar);
             of_kind.map(|a| a.name.clone()).collect()
         };
@@ -105,7 +105,7 @@ impl IterView {
     }
 
     /// Every name the body writes, scalar or array.
-    pub(crate) fn written(&self) -> impl Iterator<Item = &String> {
+    pub(crate) fn written(&self) -> impl Iterator<Item = &Name> {
         self.written_scalars.iter().chain(&self.written_arrays)
     }
 
@@ -151,7 +151,7 @@ impl IterView {
         }
         let mut held = rhs.variables();
         held.extend(rhs.arrays());
-        held.insert(v.to_string());
+        held.insert(def.name.clone());
         let stale = held.iter().any(|n| {
             self.written_between(n, def.order, at)
                 || ctx.get(depth).is_some_and(|lp| self.written_inside(n, lp, depth))
@@ -193,7 +193,7 @@ impl IterView {
     /// Does `e` read something the body writes, other than the variable
     /// of an enclosing loop in `loops` whose own bounds are clean?
     fn varies(&self, e: &Expr, loops: &[(LoopCtx, bool)]) -> bool {
-        let scalar = |v: &String| match loops.iter().rev().find(|(c, _)| c.var == *v) {
+        let scalar = |v: &Name| match loops.iter().rev().find(|(c, _)| c.var == *v) {
             Some((_, clean)) => !clean,
             None => self.written_scalars.contains(v),
         };

@@ -49,7 +49,7 @@ use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{DoLoop, LoopId, Stmt, StmtId, StmtKind, StmtList};
 use polaris_ir::symbol::Symbol;
 use polaris_ir::types::DataType;
-use polaris_ir::ProgramUnit;
+use polaris_ir::{Name, ProgramUnit};
 use std::collections::BTreeMap;
 
 /// Tile size for rectangular tiling. Tiling is applied only when every
@@ -75,7 +75,7 @@ const MAX_PERM_DEPTH: usize = 4;
 /// One loop of a summarized band, outermost first.
 #[derive(Debug, Clone)]
 pub struct NestLoop {
-    pub var: String,
+    pub var: Name,
     pub loop_id: LoopId,
     pub label: String,
     /// Constant lower/upper bound when known.
@@ -132,7 +132,7 @@ impl NestSummary {
         self.loops.len()
     }
 
-    pub fn vars(&self) -> Vec<String> {
+    pub fn vars(&self) -> Vec<Name> {
         self.loops.iter().map(|l| l.var.clone()).collect()
     }
 }
@@ -207,16 +207,16 @@ fn summarize_view(
 
     // Group by name; scalars get the classification rules, arrays the
     // pairwise affine test.
-    let mut by_name: BTreeMap<&str, Vec<&Ref>> = BTreeMap::new();
+    let mut by_name: BTreeMap<&Name, Vec<&Ref>> = BTreeMap::new();
     for a in &view.refs {
-        by_name.entry(a.name.as_str()).or_default().push(a);
+        by_name.entry(&a.name).or_default().push(a);
     }
     for (name, refs) in by_name {
         if !refs.iter().any(|a| a.is_write) {
             continue; // read-only: no dependence
         }
         if refs[0].is_scalar() {
-            if loops.iter().any(|l| l.var == name) {
+            if loops.iter().any(|l| l.var == *name) {
                 continue; // a band variable is never assigned in the body
             }
             let first = refs.iter().min_by_key(|a| a.order).expect("nonempty");
@@ -329,9 +329,9 @@ fn analyze_pair(f: &Ref, g: &Ref, band: &[affine::Loop], stats: &DdStats) -> Pai
 }
 
 /// The row of a dependence nothing is known about: `*` in every loop.
-fn star_row(array: &str, n: usize, relaxable: bool) -> DepVector {
+fn star_row(array: &Name, n: usize, relaxable: bool) -> DepVector {
     let (dirs, distance) = (vec![NestDir::Star; n], vec![None; n]);
-    DepVector { array: array.to_string(), dirs, distance, relaxable }
+    DepVector { array: array.clone(), dirs, distance, relaxable }
 }
 
 fn to_nest_dir(d: Dir) -> NestDir {
@@ -532,15 +532,15 @@ pub fn stride_penalty(first_dim_coeff: i64, varies_in_outer_dims: bool) -> u64 {
 }
 
 /// Coefficient of `var` in subscript `e`, when `e` is linear in it.
-fn dim_coeff(e: &Expr, var: &str) -> Option<i64> {
+fn dim_coeff(e: &Expr, var: &Name) -> Option<i64> {
     if !e.references(var) {
         return Some(0);
     }
-    let dim = affine::Dim::of(e, std::slice::from_ref(&var.to_string()))?;
+    let dim = affine::Dim::of(e, std::slice::from_ref(var))?;
     i64::try_from(dim.coeffs[0]).ok()
 }
 
-fn access_penalty(a: &Ref, var: &str) -> u64 {
+fn access_penalty(a: &Ref, var: &Name) -> u64 {
     if a.subs.is_empty() {
         return 0;
     }
@@ -555,7 +555,7 @@ fn access_penalty(a: &Ref, var: &str) -> u64 {
 /// Locality score of one loop ordering (`vars` outermost first): lower
 /// is better. The innermost level dominates (×100), the next level
 /// tie-breaks (×10) — the innermost stride is what the cache sees.
-fn permutation_score(accesses: &[Ref], vars: &[String]) -> u64 {
+fn permutation_score(accesses: &[Ref], vars: &[Name]) -> u64 {
     let n = vars.len();
     let mut score = 0u64;
     for (lvl, var) in vars.iter().enumerate() {
@@ -716,7 +716,7 @@ fn apply_interchange(root: &mut DoLoop, perm: &[usize]) {
     let mut cur = &mut *root;
     loop {
         headers.push(Some((
-            std::mem::take(&mut cur.var),
+            cur.var.clone(),
             std::mem::replace(&mut cur.init, Expr::int(0)),
             std::mem::replace(&mut cur.limit, Expr::int(0)),
             cur.step.take(),
@@ -810,7 +810,7 @@ pub fn for_each_nest_root(list: &StmtList, f: &mut dyn FnMut(&DoLoop, u32)) {
 
 struct TilePlan {
     depth: usize,
-    tile_vars: Vec<String>,
+    tile_vars: Vec<Name>,
     /// Fresh ids: `[0..depth]` become the tile loops' ids,
     /// `[depth..2*depth]` the point-loop statement wrappers.
     fresh: Vec<StmtId>,
@@ -820,7 +820,7 @@ struct TilePlan {
 /// Does the nest body re-read some array at two constant offsets of the
 /// same subscript form (stencil reuse — the pattern tiling pays off on)?
 fn has_stencil_reuse(accesses: &[Ref], loops: &[NestLoop]) -> bool {
-    let vars: Vec<String> = loops.iter().map(|l| l.var.clone()).collect();
+    let vars: Vec<Name> = loops.iter().map(|l| l.var.clone()).collect();
     // Per dimension the band coefficients, and the constant offsets.
     let shape = |a: &Ref| -> Option<(Vec<Vec<i128>>, Vec<i128>)> {
         let dims: Vec<affine::Dim> =
@@ -951,8 +951,8 @@ fn tile_band(root: DoLoop, plan: &TilePlan) -> Box<DoLoop> {
     // Point loops: the original loops re-bounded to their tile.
     for (lvl, b) in band.iter_mut().enumerate() {
         let tv = &plan.tile_vars[lvl];
-        b.init = Expr::var(tv);
-        b.limit = Expr::add(Expr::var(tv), Expr::int(TILE - 1));
+        b.init = Expr::var(tv.clone());
+        b.limit = Expr::add(Expr::var(tv.clone()), Expr::int(TILE - 1));
         b.step = None;
     }
     // Reassemble the point nest innermost-out.
@@ -1017,11 +1017,11 @@ fn fusable_headers(l1: &DoLoop, l2: &DoLoop) -> bool {
 /// proves properties from — a pessimization even when legal.
 fn bodies_share_array(l1: &DoLoop, l2: &DoLoop) -> bool {
     let (v1, v2) = (IterView::of(&l1.body), IterView::of(&l2.body));
-    let arrays = |v: &IterView| -> Vec<String> {
+    let arrays = |v: &IterView| -> Vec<Name> {
         v.refs.iter().filter(|a| !a.is_scalar()).map(|a| a.name.clone()).collect()
     };
     let a1 = arrays(&v1);
-    let shared: Vec<String> = arrays(&v2).into_iter().filter(|n| a1.contains(n)).collect();
+    let shared: Vec<Name> = arrays(&v2).into_iter().filter(|n| a1.contains(n)).collect();
     if shared.is_empty() {
         return false;
     }
@@ -1276,7 +1276,7 @@ mod tests {
         let outer = p.units[0].body.loops()[0];
         assert_eq!(outer.var, "J");
         let band = band_of(outer);
-        let vars: Vec<&str> = band.iter().map(|d| d.var.as_str()).collect();
+        let vars: Vec<&str> = band.iter().map(|d| &*d.var).collect();
         assert_eq!(vars, vec!["J", "I", "K"]);
         polaris_ir::validate::validate_program(&p).unwrap();
         // The relaxable evidence is present: the scalar reduction S.
@@ -1389,7 +1389,7 @@ mod tests {
         assert_eq!(outer.var, "JT");
         assert_eq!(outer.step_expr().as_int(), Some(TILE));
         let band = band_of(outer);
-        let vars: Vec<&str> = band.iter().map(|d| d.var.as_str()).collect();
+        let vars: Vec<&str> = band.iter().map(|d| &*d.var).collect();
         assert_eq!(vars, vec!["JT", "IT", "J", "I"]);
         // Point loops: DO J = JT, JT + 7 (step 1).
         let point_j = band[2];

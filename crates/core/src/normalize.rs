@@ -132,7 +132,7 @@ fn rewrite_loop(
     let recon = builder::assign_var(
         unit,
         &old_var,
-        Expr::add(lo.clone(), Expr::mul(Expr::var(&new_var), Expr::Int(step))).simplified(),
+        Expr::add(lo.clone(), Expr::mul(Expr::var(new_var.clone()), Expr::Int(step))).simplified(),
     );
     d.body.0.insert(0, recon);
 

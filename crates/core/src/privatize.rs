@@ -21,7 +21,7 @@ use crate::iterview::{IterView, Ref};
 use polaris_ir::expr::{Expr, LValue};
 use polaris_ir::stmt::{DoLoop, Stmt, StmtId, StmtKind, StmtList};
 use polaris_ir::visit::Access;
-use polaris_ir::ProgramUnit;
+use polaris_ir::{Name, ProgramUnit};
 use polaris_symbolic::bounds::min_max_over;
 use polaris_symbolic::poly::{Atom, DivPolicy, Poly};
 use polaris_symbolic::{prove_ge, prove_le, Range, RangeEnv};
@@ -339,7 +339,7 @@ fn access_region(a: &Access, env: &RangeEnv) -> Option<RegionBox> {
         };
         env.set_fresh(c.var.clone(), range);
     }
-    let ctx_atoms: Vec<Atom> = a.ctx.iter().rev().map(|c| Atom::var(&c.var)).collect();
+    let ctx_atoms: Vec<Atom> = a.ctx.iter().rev().map(|c| Atom::var(c.var.clone())).collect();
     let mut dims = Vec::new();
     for sub in &a.subs {
         let p = Poly::from_expr(sub, DivPolicy::Exact)?;
@@ -487,9 +487,9 @@ fn region_covers(def: &RegionBox, use_: &RegionBox, env: &RangeEnv) -> bool {
 #[derive(Debug, Clone)]
 pub(crate) struct Compaction {
     /// The counter (`P`).
-    pub(crate) counter: String,
+    pub(crate) counter: Name,
     /// The index array (`IND`).
-    pub(crate) array: String,
+    pub(crate) array: Name,
     /// Scan loop bounds: values stored into `array` lie in `[lo, hi]`.
     pub(crate) lo: Expr,
     pub(crate) hi: Expr,
@@ -501,7 +501,7 @@ pub(crate) struct Compaction {
 /// * the counter `P` is at most the scan trip count and at least 0.
 pub(crate) fn recognize_compactions(body: &StmtList, env: &mut RangeEnv) -> Vec<Compaction> {
     let mut found = Vec::new();
-    let mut counter_zeroed: Option<String> = None;
+    let mut counter_zeroed: Option<Name> = None;
     for s in body {
         match &s.kind {
             StmtKind::Assign { lhs: LValue::Var(v), rhs, .. }
@@ -539,7 +539,7 @@ pub(crate) fn recognize_compactions(body: &StmtList, env: &mut RangeEnv) -> Vec<
 /// statements) contains exactly one IF whose arm is
 /// `P = P + 1; IND(P) = <scan var or affine of it>` and `P`/`IND` are
 /// not otherwise assigned in the loop.
-fn match_compaction(scan: &DoLoop, counter: &str) -> Option<Compaction> {
+fn match_compaction(scan: &DoLoop, counter: &Name) -> Option<Compaction> {
     if scan.step_expr().simplified().as_int() != Some(1) {
         return None;
     }
@@ -558,7 +558,7 @@ fn match_compaction(scan: &DoLoop, counter: &str) -> Option<Compaction> {
                 &body.0[0].kind,
                 StmtKind::Assign { lhs: LValue::Var(v), rhs, .. }
                     if v == counter
-                        && *rhs == Expr::add(Expr::var(counter), Expr::Int(1))
+                        && *rhs == Expr::add(Expr::var(counter.clone()), Expr::Int(1))
             );
             if !incr_ok {
                 continue;
@@ -568,14 +568,14 @@ fn match_compaction(scan: &DoLoop, counter: &str) -> Option<Compaction> {
                 &body.0[1].kind
             {
                 if subs.len() == 1
-                    && subs[0] == Expr::var(counter)
-                    && *rhs == Expr::var(&scan.var)
+                    && subs[0] == Expr::var(counter.clone())
+                    && *rhs == Expr::var(scan.var.clone())
                 {
                     if result.is_some() {
                         return None; // two idioms on one counter: bail
                     }
                     result = Some(Compaction {
-                        counter: counter.to_string(),
+                        counter: counter.clone(),
                         array: array.clone(),
                         lo: scan.init.clone(),
                         hi: scan.limit.clone(),
@@ -591,7 +591,7 @@ fn match_compaction(scan: &DoLoop, counter: &str) -> Option<Compaction> {
                 return None;
             }
             if let Some(c) = &result {
-                if lhs.name() == c.array {
+                if *lhs.name() == c.array {
                     return None;
                 }
             }

@@ -19,7 +19,7 @@
 use polaris_ir::expr::Expr;
 use polaris_ir::stmt::{DoLoop, IfArm, Stmt, StmtId, StmtKind, StmtList};
 use polaris_ir::symbol::SymKind;
-use polaris_ir::ProgramUnit;
+use polaris_ir::{Name, ProgramUnit};
 use polaris_symbolic::poly::{DivPolicy, Poly};
 use polaris_symbolic::{Range, RangeEnv};
 use std::collections::BTreeSet;
@@ -50,7 +50,7 @@ pub(crate) fn env_in_loop(unit: &ProgramUnit, loop_id: StmtId) -> RangeEnv {
 /// constant steps by swapping the bounds.
 pub fn assume_loop_header(
     env: &mut RangeEnv,
-    var: &str,
+    var: &Name,
     init: &Expr,
     limit: &Expr,
     step: Option<&Expr>,
@@ -97,7 +97,7 @@ pub(crate) fn step_over(env: &mut RangeEnv, s: &Stmt) -> u64 {
             if lhs.subs().is_empty() {
                 if let Some(p) = Poly::from_expr(rhs, DivPolicy::Opaque) {
                     if !p.mentions_var(name) {
-                        env.set_fresh(name, Range::exact(p));
+                        env.set_fresh(name.clone(), Range::exact(p));
                         return 1;
                     }
                 }
@@ -109,7 +109,7 @@ pub(crate) fn step_over(env: &mut RangeEnv, s: &Stmt) -> u64 {
             1
         }
         StmtKind::Call { args, .. } => {
-            env.invalidate_all(args.iter().filter_map(by_reference));
+            env.invalidate_all(args.iter().filter_map(by_reference).map(|n| &**n));
             0
         }
         StmtKind::Do(d) => {
@@ -136,9 +136,9 @@ pub(crate) fn enter_loop(env: &mut RangeEnv, d: &DoLoop) -> RangeEnv {
     let assigned = kill_loop(env, d);
     let mut body = env.clone();
     assume_loop_header(&mut body, &d.var, &d.init, &d.limit, d.step.as_ref());
-    body.invalidate_all(assigned.iter().map(String::as_str));
+    body.invalidate_all(assigned.iter().map(|n| &**n));
     #[cfg(test)]
-    tests::ENTERED.with(|e| e.borrow_mut().push((d.var.clone(), format!("{body:?}"))));
+    tests::ENTERED.with(|e| e.borrow_mut().push((d.var.to_string(), format!("{body:?}"))));
     body
 }
 
@@ -179,19 +179,19 @@ fn kill_branches(env: &mut RangeEnv, arms: &[IfArm], else_body: &StmtList) {
     for body in branches(arms, else_body) {
         assigned.append(&mut assigned_vars(body));
     }
-    env.invalidate_all(assigned.iter().map(String::as_str));
+    env.invalidate_all(assigned.iter().map(|n| &**n));
 }
 
 /// Kill the loop variable and whatever the body may assign, in one pass;
 /// return the body's assignments.
-fn kill_loop(env: &mut RangeEnv, d: &DoLoop) -> BTreeSet<String> {
+fn kill_loop(env: &mut RangeEnv, d: &DoLoop) -> BTreeSet<Name> {
     let assigned = assigned_vars(&d.body);
-    env.invalidate_all(std::iter::once(&*d.var).chain(assigned.iter().map(String::as_str)));
+    env.invalidate_all(std::iter::once(&d.var).chain(&assigned).map(|n| &**n));
     assigned
 }
 
 /// The name a by-reference `CALL` argument lets the callee assign.
-fn by_reference(arg: &Expr) -> Option<&str> {
+fn by_reference(arg: &Expr) -> Option<&Name> {
     match arg {
         Expr::Var(n) | Expr::Index { array: n, .. } => Some(n),
         _ => None,
@@ -241,17 +241,17 @@ pub fn contains(list: &StmtList, target: StmtId) -> bool {
 
 /// All variable / array names assigned anywhere within `list`
 /// (including loop variables and CALL arguments).
-pub fn assigned_vars(list: &StmtList) -> BTreeSet<String> {
+pub fn assigned_vars(list: &StmtList) -> BTreeSet<Name> {
     let mut out = BTreeSet::new();
     list.walk(&mut |s| match &s.kind {
         StmtKind::Assign { lhs, .. } => {
-            out.insert(lhs.name().to_string());
+            out.insert(lhs.name().clone());
         }
         StmtKind::Do(d) => {
             out.insert(d.var.clone());
         }
         StmtKind::Call { args, .. } => {
-            out.extend(args.iter().filter_map(by_reference).map(str::to_string));
+            out.extend(args.iter().filter_map(by_reference).cloned());
         }
         _ => {}
     });

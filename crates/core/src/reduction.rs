@@ -20,7 +20,7 @@ use crate::iterview::IterView;
 use polaris_ir::expr::{Expr, LValue, RedOp};
 use polaris_ir::pattern::{match_expr, Bindings};
 use polaris_ir::stmt::{Reduction, StmtKind};
-use polaris_ir::{Program, ProgramUnit};
+use polaris_ir::{Name, Program, ProgramUnit};
 
 /// Flag every reduction-shaped assignment in the program. Returns the
 /// number of statements flagged.
@@ -86,7 +86,7 @@ pub(crate) fn recognize(lhs: &LValue, rhs: &Expr) -> Option<RedOp> {
     }
     // MAX(σ, _0) / MAX(_0, σ) / MIN(...)
     if let Expr::Call { name: f, args } = rhs {
-        let op = match f.as_str() {
+        let op = match &**f {
             "MAX" | "AMAX1" | "DMAX1" | "MAX0" => Some(RedOp::Max),
             "MIN" | "AMIN1" | "DMIN1" | "MIN0" => Some(RedOp::Min),
             _ => None,
@@ -121,7 +121,7 @@ pub(crate) fn validated_reductions(view: &IterView, loop_var: &str) -> Vec<Reduc
     // Gather candidate (var, op) pairs from flagged writes. Only σ's write
     // and σ's read carry the flag: a read of the variable inside another
     // reduction's operand is a reference "elsewhere in the loop".
-    let mut candidates: Vec<(String, RedOp)> = Vec::new();
+    let mut candidates: Vec<(Name, RedOp)> = Vec::new();
     for a in accesses {
         if let Some(op) = a.reduction {
             if a.is_write && !candidates.iter().any(|(n, _)| n == &a.name) {

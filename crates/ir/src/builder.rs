@@ -15,7 +15,7 @@ pub(crate) fn assign(unit: &mut ProgramUnit, lhs: LValue, rhs: Expr) -> Stmt {
 
 /// Build a scalar assignment `name = rhs`.
 pub fn assign_var(unit: &mut ProgramUnit, name: &str, rhs: Expr) -> Stmt {
-    assign(unit, LValue::Var(name.to_ascii_uppercase()), rhs)
+    assign(unit, LValue::Var(name.into()), rhs)
 }
 
 /// Build a single-arm `IF (cond) THEN ... END IF`.

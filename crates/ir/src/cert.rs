@@ -47,7 +47,7 @@ impl NestDir {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepVector {
     /// The array (or scalar) both endpoints touch.
-    pub array: String,
+    pub array: crate::Name,
     /// Direction per nest loop, outermost first.
     pub dirs: Vec<NestDir>,
     /// Constant dependence distance per loop where known (`None` when
@@ -135,7 +135,7 @@ pub struct LegalityCert {
     pub label: String,
     /// Nest loop variables in **original** (pre-transformation) order,
     /// outermost first.
-    pub loop_vars: Vec<String>,
+    pub loop_vars: Vec<crate::Name>,
     /// The dependence matrix over `loop_vars` the prover judged
     /// (canonical lexicographically-non-negative rows).
     pub vectors: Vec<DepVector>,

@@ -6,8 +6,11 @@
 //! `Wildcard` node used by the pattern-matching layer (see
 //! [`crate::pattern`], the analogue of Polaris' "Forbol").
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,11 +108,59 @@ impl RedOp {
     }
 }
 
+/// An identifier the IR stores, upper-cased when it is made (Fortran is
+/// case-insensitive). A clone shares the text, so cloning an expression
+/// allocates only its nodes. Not an interned number: it orders, hashes,
+/// compares and prints (`Debug`, `Display`) exactly as its string does.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Name(Arc<str>);
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl<S: AsRef<str>> From<S> for Name {
+    fn from(s: S) -> Name {
+        let s = s.as_ref();
+        match s.bytes().any(|b| b.is_ascii_lowercase()) {
+            true => Name(Arc::from(s.to_ascii_uppercase())),
+            false => Name(Arc::from(s)),
+        }
+    }
+}
+
+impl<S: AsRef<str> + ?Sized> PartialEq<S> for Name {
+    fn eq(&self, other: &S) -> bool {
+        *self.0 == *other.as_ref()
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.0, f)
+    }
+}
+
 /// An expression tree node.
 ///
-/// Names are stored upper-cased (Fortran is case-insensitive); the parser
-/// normalizes. Structural equality is `PartialEq`; pattern matching with
-/// wildcards lives in [`crate::pattern`].
+/// Names are shared [`Name`]s, upper-cased (Fortran is case-insensitive).
+/// Structural equality is `PartialEq`; pattern matching with wildcards
+/// lives in [`crate::pattern`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
@@ -121,11 +172,11 @@ pub enum Expr {
     /// Character literal (only meaningful inside `PRINT`).
     Str(String),
     /// Scalar variable reference.
-    Var(String),
+    Var(Name),
     /// Array element reference `A(i, j, ...)`.
-    Index { array: String, subs: Vec<Expr> },
+    Index { array: Name, subs: Vec<Expr> },
     /// Function or intrinsic call `F(args...)`.
-    Call { name: String, args: Vec<Expr> },
+    Call { name: Name, args: Vec<Expr> },
     /// Unary operation.
     Un { op: UnOp, arg: Box<Expr> },
     /// Binary operation.
@@ -139,20 +190,20 @@ pub enum Expr {
 impl Expr {
     // ----- constructors -------------------------------------------------
 
-    pub fn var(name: impl Into<String>) -> Expr {
-        Expr::Var(name.into().to_ascii_uppercase())
+    pub fn var(name: impl Into<Name>) -> Expr {
+        Expr::Var(name.into())
     }
 
     pub fn int(v: i64) -> Expr {
         Expr::Int(v)
     }
 
-    pub fn index(array: impl Into<String>, subs: Vec<Expr>) -> Expr {
-        Expr::Index { array: array.into().to_ascii_uppercase(), subs }
+    pub fn index(array: impl Into<Name>, subs: Vec<Expr>) -> Expr {
+        Expr::Index { array: array.into(), subs }
     }
 
-    pub fn call(name: impl Into<String>, args: Vec<Expr>) -> Expr {
-        Expr::Call { name: name.into().to_ascii_uppercase(), args }
+    pub fn call(name: impl Into<Name>, args: Vec<Expr>) -> Expr {
+        Expr::Call { name: name.into(), args }
     }
 
     pub fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
@@ -235,7 +286,7 @@ impl Expr {
     }
 
     /// All scalar variable names referenced, in sorted order.
-    pub fn variables(&self) -> BTreeSet<String> {
+    pub fn variables(&self) -> BTreeSet<Name> {
         let mut set = BTreeSet::new();
         self.for_each(&mut |e| {
             if let Expr::Var(n) = e {
@@ -246,7 +297,7 @@ impl Expr {
     }
 
     /// All array names indexed anywhere in the expression.
-    pub fn arrays(&self) -> BTreeSet<String> {
+    pub fn arrays(&self) -> BTreeSet<Name> {
         let mut set = BTreeSet::new();
         self.for_each(&mut |e| {
             if let Expr::Index { array, .. } = e {
@@ -454,14 +505,14 @@ pub fn is_intrinsic(name: &str) -> bool {
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// Scalar assignment target.
-    Var(String),
+    Var(Name),
     /// Array element assignment target.
-    Index { array: String, subs: Vec<Expr> },
+    Index { array: Name, subs: Vec<Expr> },
 }
 
 impl LValue {
     /// The variable or array name being assigned.
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &Name {
         match self {
             LValue::Var(n) => n,
             LValue::Index { array, .. } => array,
@@ -510,6 +561,9 @@ impl fmt::Display for LValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::collections::{BTreeSet, HashSet};
+    use std::hash::{Hash, Hasher};
 
     fn n(s: &str) -> Expr {
         Expr::var(s)
@@ -575,5 +629,42 @@ mod tests {
         assert_eq!(lv.name(), "A");
         assert_eq!(lv.subs().len(), 1);
         assert_eq!(lv.as_expr(), Expr::index("A", vec![n("I")]));
+    }
+
+
+    const SPELLINGS: [&str; 7] = ["I", "A1", "A10", "A2", "B_1", "", "ZZ"];
+
+    fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn a_name_sorts_hashes_compares_and_prints_as_its_string() {
+        for a in SPELLINGS {
+            let (na, sa) = (Name::from(a), a.to_string());
+            assert_eq!(hash_of(&na), hash_of(&sa), "{a}");
+            assert_eq!(format!("{na:?}"), format!("{sa:?}"));
+            assert_eq!(format!("{na}|{na:>5}|{na:<4}"), format!("{sa}|{sa:>5}|{sa:<4}"));
+            assert!(na == a && na == sa && na == *sa);
+            for b in SPELLINGS {
+                let (nb, sb) = (Name::from(b), b.to_string());
+                assert_eq!(na.cmp(&nb), sa.cmp(&sb), "{a} vs {b}");
+                assert_eq!(na == nb, sa == sb, "{a} vs {b}");
+            }
+        }
+        let names: BTreeSet<Name> = SPELLINGS.iter().map(|&s| Name::from(s)).collect();
+        let strings: BTreeSet<String> = SPELLINGS.iter().map(|&s| s.to_string()).collect();
+        assert!(names.iter().map(|n| &**n).eq(strings.iter().map(String::as_str)));
+        assert_eq!(format!("{names:?}"), format!("{strings:?}"));
+    }
+
+    #[test]
+    fn sets_of_names_answer_lookups_by_str_and_clones_share_the_text() {
+        let set: HashSet<Name> = SPELLINGS.iter().map(|&s| Name::from(s)).collect();
+        assert!(SPELLINGS.iter().all(|s| set.contains(*s)) && !set.contains("A3"));
+        let n = Name::from("WORK");
+        assert!(std::ptr::eq(n.as_ptr(), n.clone().as_ptr()));
     }
 }

@@ -7,11 +7,15 @@
 //! paper-style kernels paste in cleanly, as are `c$`/`C$` directive lines.
 
 use crate::error::{CompileError, Result};
+use crate::expr::Name;
 use crate::token::{Tok, Token};
+use std::collections::HashSet;
 
 /// Tokenize a full source file.
 pub(crate) fn lex(source: &str) -> Result<Vec<Token>> {
     let mut toks = Vec::new();
+    // One `Name` per spelling, which all its occurrences share.
+    let (mut names, mut word) = (HashSet::new(), String::new());
     let mut pending_continuation = false;
     for (idx, raw_line) in source.lines().enumerate() {
         let line_no = (idx + 1) as u32;
@@ -53,7 +57,7 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>> {
 
         // Tokenize the line content.
         let had_tokens_before = !toks.is_empty();
-        let mut line_toks = lex_line(line, line_no)?;
+        let mut line_toks = lex_line(line, line_no, &mut names, &mut word)?;
         if line_toks.is_empty() {
             continue;
         }
@@ -82,7 +86,7 @@ fn line_len_col(line: &str) -> u32 {
     line.chars().count() as u32 + 1
 }
 
-fn lex_line(line: &str, line_no: u32) -> Result<Vec<Token>> {
+fn lex_line(line: &str, line_no: u32, names: &mut HashSet<Name>, word: &mut String) -> Result<Vec<Token>> {
     let mut toks = Vec::new();
     let bytes: Vec<char> = line.chars().collect();
     let n = bytes.len();
@@ -247,12 +251,14 @@ fn lex_line(line: &str, line_no: u32) -> Result<Vec<Token>> {
                 i += used;
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
+                word.clear();
                 while i < n && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
-                    s.push(bytes[i].to_ascii_uppercase());
+                    word.push(bytes[i].to_ascii_uppercase());
                     i += 1;
                 }
-                push(&mut toks, Tok::Ident(s), start);
+                let name = names.get(word.as_str()).cloned().unwrap_or_else(|| Name::from(&*word));
+                names.insert(name.clone());
+                push(&mut toks, Tok::Ident(name), start);
             }
             other => {
                 return Err(CompileError::lex(line_no, format!("unexpected character `{other}`"))

@@ -11,11 +11,11 @@
 //! tree is the control flow and no separate graph is kept.
 //!
 //! The original Polaris enforced IR consistency with `p_assert`, reference
-//! counting and an ownership convention; here Rust's ownership system plays
-//! that role, complemented by [`validate::validate_program`] which performs
-//! the same class of well-formedness checks (declared symbols, rank-correct
-//! array references, well-formed loop nests) and by debug assertions
-//! throughout the transformation passes.
+//! counting and an ownership convention; here Rust's ownership plays that
+//! role (only identifiers are counted, each one shared [`Name`]), with
+//! [`validate::validate_program`] performing the same class of checks
+//! (declared symbols, rank-correct array references, well-formed loop
+//! nests) and debug assertions throughout the transformation passes.
 //!
 //! ## The F-Mini dialect
 //!
@@ -56,7 +56,7 @@ pub mod validate;
 pub mod visit;
 
 pub use error::CompileError;
-pub use expr::{BinOp, Expr, LValue};
+pub use expr::{BinOp, Expr, LValue, Name};
 pub use program::{Program, ProgramUnit, UnitKind};
 pub use stmt::{DoLoop, StmtId, StmtKind};
 pub use symbol::ArrayProps;

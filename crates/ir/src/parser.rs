@@ -8,7 +8,7 @@
 //! the test suite exploits.
 
 use crate::error::{CompileError, Result};
-use crate::expr::{is_intrinsic, BinOp, Expr, LValue, RedOp, UnOp};
+use crate::expr::{is_intrinsic, BinOp, Expr, LValue, Name, RedOp, UnOp};
 use crate::lexer::lex;
 use crate::program::{CommonBlock, Program, ProgramUnit, UnitKind};
 use crate::stmt::{
@@ -91,7 +91,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String> {
+    fn expect_ident(&mut self) -> Result<Name> {
         let (line, col) = (self.line(), self.col());
         match self.bump() {
             Tok::Ident(s) => Ok(s),
@@ -186,7 +186,7 @@ impl Parser {
     fn parse_unit(&mut self) -> Result<ProgramUnit> {
         self.next_id = 0;
         let (kind, name, args) = self.parse_unit_header()?;
-        let mut unit = ProgramUnit::new(name, kind.clone());
+        let mut unit = ProgramUnit::new(&*name, kind.clone());
         unit.args = args.clone();
         // Function name acts as the result variable.
         if let UnitKind::Function(ty) = &kind {
@@ -205,11 +205,10 @@ impl Parser {
         }
         // Mark dummy arguments.
         for a in &args {
-            let a = a.to_ascii_uppercase();
-            if let Some(sym) = unit.symbols.get_mut(&a) {
+            if let Some(sym) = unit.symbols.get_mut(a) {
                 sym.is_arg = true;
             } else {
-                let mut sym = Symbol::scalar(a.clone(), DataType::implicit_for(&a));
+                let mut sym = Symbol::scalar(a.clone(), DataType::implicit_for(a));
                 sym.is_arg = true;
                 unit.symbols.insert(sym);
             }
@@ -226,7 +225,7 @@ impl Parser {
         Ok(unit)
     }
 
-    fn parse_unit_header(&mut self) -> Result<(UnitKind, String, Vec<String>)> {
+    fn parse_unit_header(&mut self) -> Result<(UnitKind, Name, Vec<Name>)> {
         // PROGRAM name | SUBROUTINE name(args) | <type> FUNCTION name(args)
         if self.eat_kw("PROGRAM") {
             let name = self.expect_ident()?;
@@ -250,7 +249,7 @@ impl Parser {
         .at_col(self.col()))
     }
 
-    fn parse_arg_list(&mut self) -> Result<Vec<String>> {
+    fn parse_arg_list(&mut self) -> Result<Vec<Name>> {
         let mut args = Vec::new();
         if self.eat(&Tok::LParen)
             && !self.eat(&Tok::RParen) {
@@ -269,7 +268,7 @@ impl Parser {
     /// PRECISION`, `LOGICAL`). Only consumes on success.
     fn try_type_keyword(&mut self) -> Result<Option<DataType>> {
         let ty = match self.peek() {
-            Tok::Ident(s) => match s.as_str() {
+            Tok::Ident(s) => match &**s {
                 "INTEGER" => Some(DataType::Integer),
                 "REAL" => Some(DataType::Real),
                 "LOGICAL" => Some(DataType::Logical),
@@ -394,14 +393,14 @@ impl Parser {
 
     /// Enter implicit symbols for every identifier used but not declared.
     fn declare_implicits(&mut self, unit: &mut ProgramUnit) {
-        let mut names: Vec<String> = Vec::new();
+        let mut names: Vec<Name> = Vec::new();
         unit.body.for_each_expr(&mut |e| match e {
             Expr::Var(n) => names.push(n.clone()),
             Expr::Index { array, .. } => names.push(array.clone()),
             _ => {}
         });
         unit.body.walk(&mut |s| match &s.kind {
-            StmtKind::Assign { lhs, .. } => names.push(lhs.name().to_string()),
+            StmtKind::Assign { lhs, .. } => names.push(lhs.name().clone()),
             StmtKind::Do(d) => names.push(d.var.clone()),
             _ => {}
         });
@@ -425,7 +424,7 @@ impl Parser {
             // Stop keywords terminate the list. Treat "ELSE" specially:
             // "ELSE IF" and bare "ELSE" both stop on "ELSE".
             if let Tok::Ident(word) = self.peek() {
-                if stop_kws.contains(&word.as_str()) {
+                if stop_kws.contains(&&**word) {
                     // `END DO` / `END IF` / bare `END`: only stop on `END`
                     // when requested; caller disambiguates.
                     break;
@@ -874,7 +873,7 @@ fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
         match word.trim() {
             "PRIVATE" => {
                 info.private =
-                    inner.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect();
+                    inner.split(',').map(str::trim).filter(|x| !x.is_empty()).map(Name::from).collect();
             }
             "REDUCTION" => {
                 for part in inner.split(',') {
@@ -895,15 +894,15 @@ fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
                     };
                     let var = var.trim();
                     let (name, histogram) = match var.strip_suffix("[]") {
-                        Some(base) => (base.trim().to_string(), true),
-                        None => (var.to_string(), false),
+                        Some(base) => (base.trim().into(), true),
+                        None => (var.into(), false),
                     };
                     info.reductions.push(Reduction { var: name, op, histogram });
                 }
             }
             "LASTPRIVATE" => {
                 info.copy_out =
-                    inner.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect();
+                    inner.split(',').map(str::trim).filter(|x| !x.is_empty()).map(Name::from).collect();
             }
             "LASTVALUE" => {
                 for part in inner.split(',') {
@@ -911,7 +910,7 @@ fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
                         .split_once('=')
                         .ok_or_else(|| CompileError::parse(line, "LASTVALUE needs name=expr"))?;
                     info.lastvalue
-                        .push((name.trim().to_string(), parse_sub_expr(value.trim(), line)?));
+                        .push((name.trim().into(), parse_sub_expr(value.trim(), line)?));
                 }
             }
             "SPECULATIVE" => {
@@ -919,10 +918,10 @@ fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
                 for part in inner.split(',') {
                     let part = part.trim();
                     if let Some(base) = part.strip_suffix("*") {
-                        spec.tracked.push(base.to_string());
-                        spec.privatized.push(base.to_string());
+                        spec.tracked.push(base.into());
+                        spec.privatized.push(base.into());
                     } else if !part.is_empty() {
-                        spec.tracked.push(part.to_string());
+                        spec.tracked.push(part.into());
                     }
                 }
                 info.parallel = false;

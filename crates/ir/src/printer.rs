@@ -196,7 +196,7 @@ fn print_doall_directive(d: &DoLoop, out: &mut String) {
             if spec.privatized.contains(t) {
                 items.push(format!("{t}*"));
             } else {
-                items.push(t.clone());
+                items.push(t.to_string());
             }
         }
         let _ = write!(line, " SPECULATIVE({})", items.join(", "));

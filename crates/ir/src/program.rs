@@ -18,8 +18,8 @@ pub enum UnitKind {
 /// A `COMMON /name/ a, b, c` block declaration inside a unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommonBlock {
-    pub name: String,
-    pub vars: Vec<String>,
+    pub name: crate::Name,
+    pub vars: Vec<crate::Name>,
 }
 
 /// One Fortran program unit: name, dummy arguments, symbol table, body.
@@ -32,7 +32,7 @@ pub struct ProgramUnit {
     pub name: String,
     pub kind: UnitKind,
     /// Dummy argument names, in order.
-    pub args: Vec<String>,
+    pub args: Vec<crate::Name>,
     pub symbols: SymbolTable,
     pub commons: Vec<CommonBlock>,
     pub body: StmtList,

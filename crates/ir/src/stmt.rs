@@ -9,7 +9,7 @@
 //! well-formedness is guaranteed by construction rather than by run-time
 //! checks on block boundaries.
 
-use crate::expr::{Expr, LValue, RedOp};
+use crate::expr::{Expr, LValue, Name, RedOp};
 use std::fmt;
 
 /// Unique statement identity within a [`crate::ProgramUnit`].
@@ -135,7 +135,7 @@ pub enum StmtKind {
     /// A logical `IF (c) stmt` is desugared to a single-arm block.
     IfBlock { arms: Vec<IfArm>, else_body: StmtList },
     /// `CALL name(args)`.
-    Call { name: String, args: Vec<Expr> },
+    Call { name: Name, args: Vec<Expr> },
     /// `PRINT *, items`.
     Print { items: Vec<Expr> },
     Return,
@@ -151,7 +151,7 @@ pub enum StmtKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reduction {
     /// Scalar or array name being reduced into.
-    pub var: String,
+    pub var: Name,
     pub op: RedOp,
     /// True for *histogram* reductions (different iterations may update
     /// different elements of an array); false for single-address
@@ -164,9 +164,9 @@ pub struct Reduction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecInfo {
     /// Arrays whose accesses must be shadow-tracked by the PD test.
-    pub tracked: Vec<String>,
+    pub tracked: Vec<Name>,
     /// Arrays among `tracked` that are speculatively privatized.
-    pub privatized: Vec<String>,
+    pub privatized: Vec<Name>,
 }
 
 /// Parallelization annotations attached to a `DO` loop by the passes;
@@ -176,14 +176,14 @@ pub struct ParallelInfo {
     /// Proven parallel (a DOALL).
     pub parallel: bool,
     /// Variables/arrays given per-iteration private copies (§3.4).
-    pub private: Vec<String>,
+    pub private: Vec<Name>,
     /// Scalar last-value assignments `(name, closed-form at loop exit)`
     /// required because a privatized scalar is live after the loop.
-    pub lastvalue: Vec<(String, Expr)>,
+    pub lastvalue: Vec<(Name, Expr)>,
     /// Privatized variables whose value from the *last* iteration must
     /// survive the loop (OpenMP "lastprivate"); used when no closed form
     /// exists but the final write is unconditional.
-    pub copy_out: Vec<String>,
+    pub copy_out: Vec<Name>,
     /// Validated reductions (§3.2).
     pub reductions: Vec<Reduction>,
     /// Speculative run-time parallelization (§3.5); mutually exclusive
@@ -197,7 +197,7 @@ pub struct ParallelInfo {
 /// A `DO var = init, limit [, step]` loop and its body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DoLoop {
-    pub var: String,
+    pub var: Name,
     pub init: Expr,
     pub limit: Expr,
     /// `None` means step 1.
@@ -472,7 +472,7 @@ mod tests {
             }
         });
         // init=1, limit=N, lhs sub I, rhs I
-        assert!(vars.contains(&"N".to_string()));
+        assert!(vars.contains(&"N".into()));
         assert_eq!(vars.iter().filter(|v| *v == "I").count(), 2);
     }
 

@@ -1,6 +1,6 @@
 //! Symbols and symbol tables.
 
-use crate::expr::Expr;
+use crate::expr::{Expr, Name};
 use crate::types::DataType;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -128,11 +128,11 @@ pub enum SymKind {
 /// A declared (or implicitly typed) symbol.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Symbol {
-    pub name: String,
+    pub name: Name,
     pub ty: DataType,
     pub kind: SymKind,
     /// Name of the COMMON block this symbol lives in, if any.
-    pub common: Option<String>,
+    pub common: Option<Name>,
     /// True if the symbol is a dummy argument of its unit.
     pub is_arg: bool,
     /// Proven index-array content properties (set by the `idxprop`
@@ -141,7 +141,7 @@ pub struct Symbol {
 }
 
 impl Symbol {
-    pub fn scalar(name: impl Into<String>, ty: DataType) -> Symbol {
+    pub fn scalar(name: impl Into<Name>, ty: DataType) -> Symbol {
         Symbol {
             name: name.into(),
             ty,
@@ -152,7 +152,7 @@ impl Symbol {
         }
     }
 
-    pub(crate) fn array(name: impl Into<String>, ty: DataType, dims: Vec<Dim>) -> Symbol {
+    pub(crate) fn array(name: impl Into<Name>, ty: DataType, dims: Vec<Dim>) -> Symbol {
         Symbol {
             name: name.into(),
             ty,
@@ -163,7 +163,7 @@ impl Symbol {
         }
     }
 
-    pub(crate) fn parameter(name: impl Into<String>, ty: DataType, value: Expr) -> Symbol {
+    pub(crate) fn parameter(name: impl Into<Name>, ty: DataType, value: Expr) -> Symbol {
         Symbol {
             name: name.into(),
             ty,
@@ -198,7 +198,7 @@ impl Symbol {
 /// avoiding hash-iteration nondeterminism in a compiler.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SymbolTable {
-    map: BTreeMap<String, Symbol>,
+    map: BTreeMap<Name, Symbol>,
 }
 
 /// The key `name` is stored under: upper-cased, and borrowed when it
@@ -216,9 +216,8 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
-    /// Insert or replace a symbol (name is upper-cased).
-    pub fn insert(&mut self, mut sym: Symbol) {
-        sym.name.make_ascii_uppercase();
+    /// Insert or replace a symbol.
+    pub fn insert(&mut self, sym: Symbol) {
         self.map.insert(sym.name.clone(), sym);
     }
 
@@ -259,15 +258,15 @@ impl SymbolTable {
     /// Generate a name not currently in the table, of the form
     /// `{base}_{k}` — used by the inliner's renaming and by pass-created
     /// temporaries.
-    pub fn unique_name(&self, base: &str) -> String {
+    pub fn unique_name(&self, base: &str) -> Name {
         let base = base.to_ascii_uppercase();
         if !self.contains(&base) {
-            return base;
+            return base.into();
         }
         for k in 1.. {
             let cand = format!("{base}_{k}");
             if !self.contains(&cand) {
-                return cand;
+                return cand.into();
             }
         }
         unreachable!()
@@ -338,7 +337,7 @@ mod tests {
         for n in ["Z", "A", "M"] {
             t.insert(Symbol::scalar(n, DataType::Real));
         }
-        let names: Vec<_> = t.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<_> = t.iter().map(|s| &*s.name).collect();
         assert_eq!(names, vec!["A", "M", "Z"]);
     }
 }

@@ -15,7 +15,7 @@ pub(crate) struct Token {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Tok {
     /// Identifier or keyword, upper-cased.
-    Ident(String),
+    Ident(crate::Name),
     /// Integer literal.
     Int(i64),
     /// Real literal (covers `1.5`, `1E-3`, `2.5D0`).

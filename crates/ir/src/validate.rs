@@ -347,7 +347,7 @@ impl<'a> BodyCheck<'a, '_> {
                     let lhs_ty = target.map_or_else(|| DataType::implicit_for(lhs.name()), |t| t.ty);
                     self.assign_types(s, lhs.name(), lhs_ty, rhs_ty);
                     // F77 forbids assigning to an active DO variable.
-                    if lhs.subs().is_empty() && self.loop_vars.iter().any(|(v, _)| *v == lhs.name()) {
+                    if lhs.subs().is_empty() && self.loop_vars.iter().any(|(v, _)| lhs.name() == *v) {
                         self.push(
                             Invariant::LoopForm,
                             s,
@@ -471,7 +471,7 @@ impl<'a> BodyCheck<'a, '_> {
             Expr::Str(_) | Expr::Wildcard(_) => None,
             // Most variables of a loop body are the loops' own: their type
             // was looked up when the loop was entered.
-            Expr::Var(n) => Some(match self.loop_vars.iter().rev().find(|(v, _)| v == n) {
+            Expr::Var(n) => Some(match self.loop_vars.iter().rev().find(|(v, _)| n == v) {
                 Some((_, ty)) => *ty,
                 None => self.unit.symbols.type_of(n),
             }),
@@ -623,13 +623,13 @@ fn check_unit_linkage(program: &Program, out: &mut Violations) {
         return;
     }
     for unit in &program.units {
-        let mut dangling: Option<(String, u32)> = None;
+        let mut dangling = None;
         unit.body.walk(&mut |s| {
             if let StmtKind::Call { name, .. } = &s.kind {
                 let resolves = is_intrinsic(name)
                     || program.units.iter().any(|u| u.name.eq_ignore_ascii_case(name));
                 if !resolves && dangling.is_none() {
-                    dangling = Some((name.clone(), s.line));
+                    dangling = Some((name, s.line));
                 }
             }
         });

@@ -7,14 +7,14 @@
 //! conditionally. This is the raw material for dependence testing (§3.3)
 //! and privatization region analysis (§3.4).
 
-use crate::expr::{Expr, RedOp};
+use crate::expr::{Expr, Name, RedOp};
 use crate::stmt::{DoLoop, Stmt, StmtId, StmtKind, StmtList};
 use std::rc::Rc;
 
 /// Description of one loop enclosing an access (innermost last).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoopCtx {
-    pub var: String,
+    pub var: Name,
     pub init: Expr,
     pub limit: Expr,
     pub step: Expr,
@@ -37,7 +37,7 @@ impl LoopCtx {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Access {
     /// Variable or array name.
-    pub name: String,
+    pub name: Name,
     /// Subscripts; empty for scalars.
     pub subs: Vec<Expr>,
     pub is_write: bool,
@@ -80,7 +80,7 @@ struct Collector {
 impl Collector {
     fn push(
         &mut self,
-        name: &str,
+        name: &Name,
         subs: &[Expr],
         is_write: bool,
         stmt: StmtId,
@@ -91,7 +91,7 @@ impl Collector {
 
     fn push_full(
         &mut self,
-        name: &str,
+        name: &Name,
         subs: &[Expr],
         is_write: bool,
         stmt: StmtId,
@@ -99,7 +99,7 @@ impl Collector {
         def_rhs: Option<Expr>,
     ) {
         self.out.push(Access {
-            name: name.to_string(),
+            name: name.clone(),
             subs: subs.to_vec(),
             is_write,
             stmt,
@@ -252,8 +252,8 @@ mod tests {
         assert_eq!(writes[0].name, "A");
         // reads: i (lhs sub), a(i-1), i (in sub), x
         let reads: Vec<_> = acc.iter().filter(|a| !a.is_write).map(|a| a.name.clone()).collect();
-        assert!(reads.contains(&"X".to_string()));
-        assert!(reads.contains(&"I".to_string()));
+        assert!(reads.contains(&"X".into()));
+        assert!(reads.contains(&"I".into()));
         // write is last in textual order
         assert!(acc.iter().position(|a| a.is_write).unwrap() == acc.len() - 1);
     }
@@ -285,7 +285,7 @@ mod tests {
         assert!(!in_k.is_empty() && shared(&in_k));
         assert!(!Rc::ptr_eq(&in_i[0].ctx, &in_k[0].ctx), "sibling loops hold slices of their own");
         let inner = acc.iter().find(|a| a.name == "X").unwrap();
-        assert_eq!(inner.ctx.iter().map(|c| c.var.as_str()).collect::<Vec<_>>(), ["I", "J"]);
+        assert_eq!(inner.ctx.iter().map(|c| &*c.var).collect::<Vec<_>>(), ["I", "J"]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::oracle::Loc;
 use crate::value::{ArrData, Scalar, Shape, V};
 use crate::{Engine, ExecMode, MachineConfig};
 use polaris_ir::expr::{BinOp, UnOp};
-use polaris_ir::Program;
+use polaris_ir::{Name, Program};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -1161,9 +1161,9 @@ pub(crate) fn run_with<T>(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateDump {
     /// `(name, "I:<v>" | "R:<f64 bits as hex>" | "B:<v>")` per scalar.
-    pub scalars: Vec<(String, String)>,
+    pub scalars: Vec<(Name, String)>,
     /// `(name, fnv1a over element bit patterns)` per array.
-    pub arrays: Vec<(String, u64)>,
+    pub arrays: Vec<(Name, u64)>,
 }
 
 pub(crate) fn dump_state(interp: &Interp<'_>, image: &Image) -> StateDump {

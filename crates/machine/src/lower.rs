@@ -12,7 +12,7 @@ use polaris_ir::expr::{is_intrinsic, BinOp, Expr, LValue, RedOp, UnOp};
 use polaris_ir::stmt::{Stmt, StmtKind};
 use polaris_ir::symbol::SymKind;
 use polaris_ir::types::DataType;
-use polaris_ir::{Program, ProgramUnit};
+use polaris_ir::{Name, Program, ProgramUnit};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -155,7 +155,7 @@ pub enum RStmt {
 #[derive(Debug, Clone)]
 pub struct Image {
     pub(crate) scalars: Vec<Scalar>,
-    pub scalar_names: Vec<String>,
+    pub scalar_names: Vec<Name>,
     /// Each array's name and layout, by slot: the one table the bytecode
     /// unit and every interpreter of the image share.
     pub shapes: Arc<[Shape]>,
@@ -182,13 +182,13 @@ pub fn walk(code: &[RStmt], f: &mut dyn FnMut(&RStmt)) {
 }
 
 struct Lowerer {
-    scalar_ids: BTreeMap<String, usize>,
-    array_ids: BTreeMap<String, usize>,
+    scalar_ids: BTreeMap<Name, usize>,
+    array_ids: BTreeMap<Name, usize>,
     scalars: Vec<Scalar>,
-    scalar_names: Vec<String>,
+    scalar_names: Vec<Name>,
     shapes: Vec<Shape>,
     arrays: Vec<ArrData>,
-    params: BTreeMap<String, Expr>,
+    params: BTreeMap<Name, Expr>,
 }
 
 /// Lower the main unit of `program` into an [`Image`].
@@ -256,10 +256,10 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
                 for d in dims {
                     let lo = l
                         .const_eval(&d.lo)
-                        .ok_or_else(|| MachineError::NonConstantDims(sym.name.clone()))?;
+                        .ok_or_else(|| MachineError::NonConstantDims(sym.name.to_string()))?;
                     let hi = l
                         .const_eval(&d.hi)
-                        .ok_or_else(|| MachineError::NonConstantDims(sym.name.clone()))?;
+                        .ok_or_else(|| MachineError::NonConstantDims(sym.name.to_string()))?;
                     let ext = (hi - lo + 1).max(0);
                     bounds.push((lo, ext));
                     total = total.saturating_mul(ext);
@@ -299,7 +299,7 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
     })
 }
 
-fn subst_params(e: &Expr, params: &BTreeMap<String, Expr>) -> Expr {
+fn subst_params(e: &Expr, params: &BTreeMap<Name, Expr>) -> Expr {
     e.map(&mut |node| match &node {
         Expr::Var(n) => params.get(n).cloned().unwrap_or(node),
         _ => node,
@@ -408,7 +408,7 @@ impl Lowerer {
                 RStmt::If(rarms, self.lower_list(&else_body.0)?)
             }
             StmtKind::Call { name, .. } => {
-                return Err(MachineError::UnresolvedCall(name.clone()));
+                return Err(MachineError::UnresolvedCall(name.to_string()));
             }
             StmtKind::Print { items } => RStmt::Print(
                 items.iter().map(|e| self.lower_expr(e)).collect::<Result<Vec<_>, _>>()?,
@@ -469,9 +469,9 @@ impl Lowerer {
             ),
             Expr::Call { name, args } => {
                 if !is_intrinsic(name) {
-                    return Err(MachineError::UnresolvedCall(name.clone()));
+                    return Err(MachineError::UnresolvedCall(name.to_string()));
                 }
-                let intr = match name.as_str() {
+                let intr = match &**name {
                     "MOD" => Intr::Mod,
                     "MAX" | "MAX0" | "AMAX1" | "DMAX1" => Intr::Max,
                     "MIN" | "MIN0" | "AMIN1" | "DMIN1" => Intr::Min,
@@ -546,7 +546,7 @@ mod tests {
         assert_eq!((img.shapes.len(), img.arrays.len()), (1, 1));
         let extents: Vec<i64> = img.shapes[0].dims.iter().map(|d| d.extent).collect();
         assert_eq!(extents, [4, 8]);
-        assert!(img.scalar_names.contains(&"K".to_string()));
+        assert!(img.scalar_names.contains(&"K".into()));
     }
 
     #[test]
@@ -637,7 +637,7 @@ mod tests {
     /// in order: a speculation, and a reduction in the validator's run.
     #[test]
     fn a_loop_the_join_can_send_back_saves_the_shared_arrays_it_stores_into() {
-        let saved = |annotation: &str, validating: bool| -> Vec<String> {
+        let saved = |annotation: &str, validating: bool| -> Vec<Name> {
             let src = format!(
                 "program t\nreal a(8), b(8), c(8), h(8)\ninteger key(8)\n{annotation}\ndo i = 1, 8\n  c(1) = i * 1.0\n  a(key(i)) = c(1)\n  if (i > 4) then\n    b(i) = a(i)\n  end if\n  h(key(i)) = h(key(i)) + 1.0\n  s = s + b(i)\nend do\nend\n"
             );

@@ -41,7 +41,7 @@ use crate::lower::{lower_with_cap, Image};
 use crate::{Engine, MachineConfig};
 use polaris_core::CompileReport;
 use polaris_ir::stmt::LoopId;
-use polaris_ir::Program;
+use polaris_ir::{Name, Program};
 use polaris_obs::json::Json;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -80,7 +80,7 @@ impl fmt::Display for DepKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepObservation {
     /// Source-level variable or array name.
-    pub var: String,
+    pub var: Name,
     pub kind: DepKind,
     /// Number of individual detections folded into this record.
     pub count: u64,
@@ -115,9 +115,9 @@ struct LoopClaim {
     /// allowed here (the LRPD test catches them), so never a violation.
     speculative: bool,
     /// Variables with per-iteration private copies (includes copy-out).
-    private: BTreeSet<String>,
+    private: BTreeSet<Name>,
     /// Validated reduction targets.
-    reductions: BTreeSet<String>,
+    reductions: BTreeSet<Name>,
     /// Why the loop stayed serial, when it did.
     serial_reason: Option<String>,
 }
@@ -541,7 +541,7 @@ impl OracleState {
     /// Resolve the aggregated trace into per-loop observations with
     /// source-level names.
     fn observations(&self, image: &Image) -> BTreeMap<LoopId, LoopObservation> {
-        let name_of = |key: &VarKey| -> String {
+        let name_of = |key: &VarKey| -> Name {
             match key {
                 VarKey::Scalar(i) => image.scalar_names[*i].clone(),
                 VarKey::Array(i) => image.shapes[*i].name.clone(),
@@ -583,7 +583,7 @@ fn claims_from(program: &Program, report: &CompileReport) -> Vec<LoopClaim> {
                 .loops
                 .iter()
                 .find(|r| r.loop_id == d.loop_id && r.unit == main.name);
-            let mut private: BTreeSet<String> = d.par.private.iter().cloned().collect();
+            let mut private: BTreeSet<Name> = d.par.private.iter().cloned().collect();
             private.extend(d.par.copy_out.iter().cloned());
             LoopClaim {
                 loop_id: d.loop_id,

@@ -143,7 +143,6 @@ use crate::value::{ArrData, Scalar, Shape};
 use crate::MachineConfig;
 use polaris_ir::expr::RedOp;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -478,11 +477,11 @@ impl Updates {
     }
 }
 
-/// Entries in a block of a log: 32 KB of bits. A log grows a block at a
-/// time, so it never copies what it holds nor reserves twice what it
-/// needs, and blocks this small are memory the allocator hands the next
-/// fork's logs again, where freeing a log that had doubled past the
-/// allocator's mmap threshold raised it and left megabytes resident
+/// Entries in a full block of a log: 32 KB of bits. A block doubles up to
+/// it, then a log grows a block at a time, so it never reserves twice
+/// what it needs, and blocks this small are memory the allocator hands
+/// the next fork's logs again, where freeing a log that had doubled past
+/// the allocator's mmap threshold raised it and left megabytes resident
 /// (EXPERIMENTS.md, "Lanes store in place").
 const BLOCK: usize = 4096;
 
@@ -499,7 +498,7 @@ impl<T: Copy> Blocks<T> {
 
     fn push(&mut self, x: T) {
         if self.blocks.last().is_none_or(|last| last.len() == BLOCK) {
-            self.blocks.push(Vec::with_capacity(BLOCK));
+            self.blocks.push(Vec::new());
         }
         self.blocks.last_mut().expect("a block with room").push(x);
     }
@@ -715,8 +714,8 @@ struct Fold {
     claims: Arc<Claims>,
     reds: Vec<RRed>,
     staged: Staged,
-    /// Records handed over and not folded yet, by their lowest piece.
-    held: BTreeMap<usize, Record>,
+    /// Records handed over before the frontier reached them (a window's).
+    held: Vec<Record>,
     /// The updates in `held`.
     held_updates: usize,
     output: Vec<String>,
@@ -736,7 +735,7 @@ impl Fold {
             claims: Arc::clone(claims),
             reds: l.par.reductions.clone(),
             staged,
-            held: BTreeMap::new(),
+            held: Vec::new(),
             held_updates: 0,
             output: Vec::new(),
             copy_out: None,
@@ -767,14 +766,19 @@ impl Fold {
         }
     }
 
-    /// Hold `rec`, and fold every record the frontier has reached.
+    /// Fold `rec` and every held record the frontier reaches, or hold it.
     fn add(&mut self, rec: Record) {
-        let (first, last) = (rec.pieces[0].0, rec.pieces[rec.pieces.len() - 1].0);
-        self.held_updates += Updates::count(&rec.updates);
-        #[cfg(test)]
-        HELD.with(|h| h.set(h.get().max(self.held_updates)));
-        self.held.insert(first.min(last) as usize, rec);
-        while let Some(rec) = self.held.remove(&self.claims.frontier()) {
+        let lowest = |r: &Record| r.pieces[0].0.min(r.pieces[r.pieces.len() - 1].0) as usize;
+        if lowest(&rec) != self.claims.frontier() {
+            self.held_updates += Updates::count(&rec.updates);
+            #[cfg(test)]
+            HELD.with(|h| h.set(h.get().max(self.held_updates)));
+            self.held.push(rec);
+            return;
+        }
+        self.fold(rec);
+        while let Some(at) = self.held.iter().position(|r| lowest(r) == self.claims.frontier()) {
+            let rec = self.held.swap_remove(at);
             self.held_updates -= Updates::count(&rec.updates);
             self.fold(rec);
         }

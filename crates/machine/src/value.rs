@@ -200,13 +200,13 @@ pub(crate) struct Dim {
 /// the elements apart, an [`ArrData`].
 #[derive(Debug)]
 pub struct Shape {
-    pub name: String,
+    pub name: polaris_ir::Name,
     pub(crate) dims: Box<[Dim]>,
 }
 
 impl Shape {
     /// The shape of an array declared with `(low, extent)` per dimension.
-    pub(crate) fn new(name: String, bounds: impl IntoIterator<Item = (i64, i64)>) -> Shape {
+    pub(crate) fn new(name: polaris_ir::Name, bounds: impl IntoIterator<Item = (i64, i64)>) -> Shape {
         let mut stride = 1i64;
         let dims = bounds
             .into_iter()
@@ -233,7 +233,7 @@ impl Shape {
             let z = s - d.low;
             if z < 0 || z >= d.extent {
                 return Err(MachineError::OutOfBounds {
-                    array: self.name.clone(),
+                    array: self.name.to_string(),
                     index: *s,
                     len: d.extent as usize,
                 });

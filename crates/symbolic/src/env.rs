@@ -12,26 +12,26 @@
 
 use crate::poly::{upper, Atom, DivPolicy, Poly};
 use crate::range::Range;
-use polaris_ir::expr::{BinOp, Expr};
+use polaris_ir::expr::{BinOp, Expr, Name};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Symbolic variable ranges, ordered for elimination.
 ///
-/// Names and ranges sit behind `Arc`s, so a clone copies pointers and
-/// never a bound: a temporary extension (a reference's inner loops, one
-/// arm of an `IF`) is a clone that is extended and dropped, and the
-/// environment it was cloned from is untouched.
+/// Names are shared and ranges sit behind `Arc`s, so a clone copies
+/// pointers and never a bound: a temporary extension (a reference's inner
+/// loops, one arm of an `IF`) is a clone that is extended and dropped, and
+/// the environment it was cloned from is untouched.
 #[derive(Debug, Clone, Default)]
 pub struct RangeEnv {
     /// `(name, range)` of each scalar, names upper-case and distinct, in
     /// elimination priority: eliminate from the back (inner scopes first).
-    scalars: Vec<(Arc<str>, Arc<Range>)>,
+    scalars: Vec<(Name, Arc<Range>)>,
     /// Ranges for the *values stored in* whole arrays, registered by
     /// idiom recognizers (e.g. the BDNA compaction idiom proves
     /// `IND(1:P) ∈ [1, I-1]`). Keyed by array name.
-    array_values: BTreeMap<Arc<str>, Arc<Range>>,
+    array_values: BTreeMap<Name, Arc<Range>>,
 }
 
 /// `l op r` normalized to `d >= 0` (or `d == 0`, flagged `exact`) with
@@ -58,17 +58,16 @@ impl RangeEnv {
 
     /// Store `make(the current range)` for `var`, last in the elimination
     /// order when the variable is new.
-    fn put(&mut self, var: &str, make: impl FnOnce(Option<&Range>) -> Range) {
-        let var = upper(var);
-        match self.scalars.iter_mut().find(|(n, _)| **n == *var) {
+    fn put(&mut self, var: Name, make: impl FnOnce(Option<&Range>) -> Range) {
+        match self.scalars.iter_mut().find(|(n, _)| *n == var) {
             Some((_, slot)) => *slot = Arc::new(make(Some(slot))),
-            None => self.scalars.push((Arc::from(&*var), Arc::new(make(None)))),
+            None => self.scalars.push((var, Arc::new(make(None)))),
         }
     }
 
     /// Set (or refine) the range of a scalar variable.
-    pub fn set(&mut self, var: impl AsRef<str>, range: Range) {
-        self.put(var.as_ref(), |known| match known {
+    pub fn set(&mut self, var: impl Into<Name>, range: Range) {
+        self.put(var.into(), |known| match known {
             Some(existing) => existing.refine(&range),
             None => range,
         });
@@ -76,8 +75,8 @@ impl RangeEnv {
 
     /// Replace a variable's range outright (used when entering a new
     /// scope for the same name, e.g. a reused loop index).
-    pub fn set_fresh(&mut self, var: impl AsRef<str>, range: Range) {
-        self.put(var.as_ref(), |_| range);
+    pub fn set_fresh(&mut self, var: impl Into<Name>, range: Range) {
+        self.put(var.into(), |_| range);
     }
 
     pub fn get(&self, var: &str) -> Option<&Range> {
@@ -125,8 +124,8 @@ impl RangeEnv {
     }
 
     /// Register value bounds for the elements of `array`.
-    pub fn set_array_values(&mut self, array: impl AsRef<str>, range: Range) {
-        self.array_values.insert(Arc::from(&*upper(array.as_ref())), Arc::new(range));
+    pub fn set_array_values(&mut self, array: impl Into<Name>, range: Range) {
+        self.array_values.insert(array.into(), Arc::new(range));
     }
 
     /// Assume both the loop-variable range of `DO var = init, limit` *and*
@@ -136,14 +135,14 @@ impl RangeEnv {
     /// `DO J = 0, N-1` nest. The caller swaps the bounds for a negative
     /// step. Each bound is converted once, with [`DivPolicy::Opaque`] —
     /// loop bounds in source text cannot be assumed exact divisions.
-    pub fn assume_nonempty_loop(&mut self, var: &str, init: &Expr, limit: &Expr) {
+    pub fn assume_nonempty_loop(&mut self, var: &Name, init: &Expr, limit: &Expr) {
         let lo = Poly::from_expr(init, DivPolicy::Opaque);
         let hi = Poly::from_expr(limit, DivPolicy::Opaque);
         let runs = match (&lo, &hi) {
             (Some(lo), Some(hi)) => nonneg_gap(BinOp::Le, lo, hi),
             _ => None,
         };
-        self.set_fresh(var, Range::new(lo, hi));
+        self.set_fresh(var.clone(), Range::new(lo, hi));
         if let Some((d, exact)) = runs {
             self.assume_nonneg(&d, exact);
         }
@@ -196,11 +195,11 @@ impl RangeEnv {
                 continue;
             }
             if exact {
-                self.set(&v, Range::exact(bound));
+                self.set(v.clone(), Range::exact(bound));
             } else if c.signum() > 0 {
-                self.set(&v, Range::at_least(bound));
+                self.set(v.clone(), Range::at_least(bound));
             } else {
-                self.set(&v, Range::at_most(bound));
+                self.set(v.clone(), Range::at_most(bound));
             }
         }
     }
@@ -223,7 +222,7 @@ impl RangeEnv {
                     }
                 }
                 Expr::Index { array, .. } => {
-                    known(self.array_values.get(array.as_str()).map(|r| &**r))
+                    known(self.array_values.get(&**array).map(|r| &**r))
                 }
                 _ => Cow::Owned(Range::unknown()),
             },
@@ -240,7 +239,7 @@ mod tests {
     #[test]
     fn loop_assumption_sets_bounds_and_nonemptiness() {
         let mut env = RangeEnv::new();
-        env.assume_nonempty_loop("I", &Expr::int(1), &Expr::var("N"));
+        env.assume_nonempty_loop(&"I".into(), &Expr::int(1), &Expr::var("N"));
         let r = env.get("I").unwrap();
         assert_eq!(r.lo, Some(Poly::int(1)));
         assert_eq!(r.hi, Some(Poly::var("N")));

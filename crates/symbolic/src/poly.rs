@@ -25,9 +25,9 @@
 //! reproduce name order anyway. `crates/symbolic/tests/canonical_form.rs`
 //! pins the printed forms.
 //!
-//! **Atoms share their names.** A variable atom holds its name as an
-//! `Arc<str>`, an opaque atom its key as an `Arc<str>` and its tree as an
-//! `Arc<Expr>`, so the atom copies every merge, product and split makes
+//! **Atoms share their names.** A variable atom holds the IR's own shared
+//! [`Name`], an opaque atom its key as an `Arc<str>` and its tree as an
+//! `Arc<Expr>`, so converting a variable and every merge, product and split
 //! bump a reference count instead of copying a string or a tree. Order
 //! and equality are still by the name (or key), so no printed form moves.
 //!
@@ -43,7 +43,7 @@
 //! as a partial sum).
 
 use crate::rat::Rat;
-use polaris_ir::expr::{BinOp, Expr, UnOp};
+use polaris_ir::expr::{BinOp, Expr, Name, UnOp};
 use polaris_ir::printer::format_expr;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -115,15 +115,15 @@ pub enum DivPolicy {
 /// a reference count instead of copying a string or a tree.
 #[derive(Debug, Clone)]
 pub enum Atom {
-    /// A scalar program variable.
-    Var(Arc<str>),
+    /// A scalar program variable: the IR's own name, shared.
+    Var(Name),
     /// An opaque subexpression, keyed by its canonical printed form.
     Opaque { key: Arc<str>, expr: Arc<Expr> },
 }
 
 impl Atom {
-    pub fn var(name: impl AsRef<str>) -> Atom {
-        Atom::Var(Arc::from(&*upper(name.as_ref())))
+    pub fn var(name: impl Into<Name>) -> Atom {
+        Atom::Var(name.into())
     }
 
     pub fn opaque(expr: Expr) -> Atom {
@@ -145,7 +145,7 @@ impl Atom {
     /// The expression this atom denotes.
     pub(crate) fn to_expr(&self) -> Expr {
         match self {
-            Atom::Var(n) => Expr::Var(n.to_string()),
+            Atom::Var(n) => Expr::Var(n.clone()),
             Atom::Opaque { expr, .. } => expr.as_ref().clone(),
         }
     }
@@ -202,7 +202,7 @@ impl Monomial {
         Monomial::default()
     }
 
-    pub(crate) fn var(name: impl AsRef<str>) -> Monomial {
+    pub(crate) fn var(name: impl Into<Name>) -> Monomial {
         Monomial(vec![(Atom::var(name), 1)])
     }
 
@@ -266,7 +266,7 @@ impl Poly {
         Poly::constant(Rat::int(v))
     }
 
-    pub fn var(name: impl AsRef<str>) -> Poly {
+    pub fn var(name: impl Into<Name>) -> Poly {
         Poly { terms: vec![(Monomial::var(name), Rat::ONE)] }
     }
 
@@ -326,8 +326,8 @@ impl Poly {
     }
 
     /// All scalar-variable atoms appearing at top level.
-    pub fn vars(&self) -> BTreeSet<String> {
-        let name = |a: &Atom| if let Atom::Var(n) = a { Some(n.to_string()) } else { None };
+    pub fn vars(&self) -> BTreeSet<Name> {
+        let name = |a: &Atom| if let Atom::Var(n) = a { Some(n.clone()) } else { None };
         self.atom_refs().filter_map(name).collect()
     }
 
@@ -609,7 +609,7 @@ impl Poly {
     /// `None` if `p` is nonlinear in the `vars` or a coefficient is
     /// symbolic — exactly the applicability condition of the classic
     /// (Banerjee/GCD) tests the paper contrasts the range test against.
-    pub fn linear_in(&self, vars: &[String]) -> Option<(Poly, Vec<Rat>)> {
+    pub fn linear_in(&self, vars: &[Name]) -> Option<(Poly, Vec<Rat>)> {
         let mut coeffs = vec![Rat::ZERO; vars.len()];
         // A subsequence of `self.terms`, so already canonical.
         let mut rest = Vec::new();
@@ -667,7 +667,7 @@ impl Poly {
         Some(match e {
             Expr::Int(v) => Poly::int(*v as i128),
             Expr::Real(_) | Expr::Logical(_) | Expr::Str(_) => Poly::opaque(e.clone()),
-            Expr::Var(n) => Poly::var(n),
+            Expr::Var(n) => Poly::var(n.clone()),
             Expr::Index { .. } | Expr::Call { .. } | Expr::Wildcard(_) => Poly::opaque(e.clone()),
             Expr::Un { op: UnOp::Neg, arg } => {
                 Poly::from_expr(arg, policy)?.checked_neg()?
@@ -921,15 +921,15 @@ mod tests {
     fn linear_in_accepts_affine_rejects_symbolic_coeff() {
         let f = p("2*i + 3*j + n + 7");
         let (rest, coeffs) =
-            f.linear_in(&["I".to_string(), "J".to_string()]).unwrap();
+            f.linear_in(&["I".into(), "J".into()]).unwrap();
         assert_eq!(coeffs, vec![Rat::int(2), Rat::int(3)]);
         assert_eq!(rest, p("n + 7"));
         // n*i has symbolic coefficient: not linear for Banerjee/GCD
         let g = p("n*i + 1");
-        assert!(g.linear_in(&["I".to_string()]).is_none());
+        assert!(g.linear_in(&["I".into()]).is_none());
         // i*i nonlinear
         let h = p("i*i");
-        assert!(h.linear_in(&["I".to_string()]).is_none());
+        assert!(h.linear_in(&["I".into()]).is_none());
     }
 
     #[test]
@@ -1113,7 +1113,7 @@ mod tests {
             prop_assert_eq!(parts.len() as u32, a.degree_in_atom(&z) + 1);
             prop_assert_eq!(recomposed(&parts, &Poly::opaque(z.to_expr())), a.clone());
             // Linear decomposition, when it applies, recomposes too.
-            let vars = ["I".to_string(), "J".to_string()];
+            let vars: [Name; 2] = ["I".into(), "J".into()];
             if let Some((rest, coeffs)) = a.linear_in(&vars) {
                 assert_canonical(&rest);
                 let mut sum = rest;

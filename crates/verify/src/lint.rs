@@ -25,7 +25,7 @@
 use polaris_ir::expr::{Expr, LValue};
 use polaris_ir::stmt::{StmtKind, StmtList};
 use polaris_ir::symbol::{Dim, SymKind};
-use polaris_ir::{Program, ProgramUnit};
+use polaris_ir::{Name, Program, ProgramUnit};
 use polaris_obs::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -178,7 +178,7 @@ fn col_of(lines: &[&str], line: u32, ident: &str) -> u32 {
 }
 
 /// Hand `f` each scalar variable name read by `e`, subscripts included.
-fn scalar_reads(e: &Expr, unit: &ProgramUnit, f: &mut dyn FnMut(&str)) {
+fn scalar_reads(e: &Expr, unit: &ProgramUnit, f: &mut dyn FnMut(&Name)) {
     e.for_each(&mut |n| {
         if let Expr::Var(v) = n {
             if unit.symbols.get(v).map(|s| matches!(s.kind, SymKind::Scalar)).unwrap_or(true) {
@@ -194,7 +194,7 @@ fn scalar_reads(e: &Expr, unit: &ProgramUnit, f: &mut dyn FnMut(&str)) {
 /// path the linear walk has seen. Dummy arguments, COMMON members and
 /// PARAMETERs arrive defined; a DO header defines its variable.
 fn lint_use_before_def(unit: &ProgramUnit, sink: &mut Sink) {
-    let mut defined: BTreeSet<String> = BTreeSet::new();
+    let mut defined: BTreeSet<Name> = BTreeSet::new();
     for sym in unit.symbols.iter() {
         let externally_set = sym.is_arg
             || sym.common.is_some()
@@ -203,15 +203,15 @@ fn lint_use_before_def(unit: &ProgramUnit, sink: &mut Sink) {
             defined.insert(sym.name.clone());
         }
     }
-    let mut reported: BTreeSet<String> = BTreeSet::new();
+    let mut reported: BTreeSet<Name> = BTreeSet::new();
     walk_ubd(&unit.body, unit, &mut defined, &mut reported, sink);
 }
 
 fn walk_ubd(
     list: &StmtList,
     unit: &ProgramUnit,
-    defined: &mut BTreeSet<String>,
-    reported: &mut BTreeSet<String>,
+    defined: &mut BTreeSet<Name>,
+    reported: &mut BTreeSet<Name>,
     sink: &mut Sink,
 ) {
     for s in list.iter() {
@@ -220,13 +220,13 @@ fn walk_ubd(
             // read it at run time. Treat named variables as defined
             // from here on (the user vouches for them).
             scalar_reads(cond, unit, &mut |name| {
-                defined.insert(name.to_string());
+                defined.insert(name.clone());
             });
             continue;
         }
         s.for_each_own_expr(&mut |e| {
             scalar_reads(e, unit, &mut |name| {
-                if !defined.contains(name) && reported.insert(name.to_string()) {
+                if !defined.contains(name) && reported.insert(name.clone()) {
                     sink.push(
                         "use-before-def",
                         Severity::Warning,
@@ -313,10 +313,10 @@ fn lint_const_subscript_bounds(unit: &ProgramUnit, sink: &mut Sink) {
 /// shape in different units (storage association goes wrong silently),
 /// or the same name placed in *different* COMMON blocks.
 /// One COMMON declaration site: (block, unit, type keyword, extents).
-type CommonDecl = (String, String, String, Vec<Option<i64>>);
+type CommonDecl = (Name, String, String, Vec<Option<i64>>);
 
 fn lint_common_mismatch(program: &Program, sink: &mut Sink) {
-    let mut decls: BTreeMap<String, Vec<CommonDecl>> = BTreeMap::new();
+    let mut decls: BTreeMap<Name, Vec<CommonDecl>> = BTreeMap::new();
     for unit in &program.units {
         for sym in unit.symbols.iter() {
             if let Some(block) = &sym.common {
@@ -387,10 +387,10 @@ fn lint_dead_store(unit: &ProgramUnit, sink: &mut Sink) {
 
 fn walk_dead(list: &StmtList, unit: &ProgramUnit, sink: &mut Sink) {
     // scalar name -> line of the pending (not-yet-read) store
-    let mut pending: BTreeMap<String, u32> = BTreeMap::new();
+    let mut pending: BTreeMap<Name, u32> = BTreeMap::new();
     for s in list.iter() {
         let mut reads = Vec::new();
-        s.for_each_own_expr(&mut |e| scalar_reads(e, unit, &mut |n| reads.push(n.to_string())));
+        s.for_each_own_expr(&mut |e| scalar_reads(e, unit, &mut |n| reads.push(n.clone())));
         match &s.kind {
             StmtKind::Assign { lhs, .. } => {
                 for r in &reads {
@@ -490,7 +490,7 @@ fn lint_nest_locality(unit: &ProgramUnit, sink: &mut Sink) {
         let better = better_legal_order(&unit.name, d, &stats, false, &mut NestReport::default());
         if let Some((perm, summary, from, to)) = better {
             let vars = summary.vars();
-            let order: Vec<&str> = perm.iter().map(|&i| vars[i].as_str()).collect();
+            let order: Vec<&str> = perm.iter().map(|&i| &*vars[i]).collect();
             sink.push(
                 "nest-locality",
                 Severity::Warning,

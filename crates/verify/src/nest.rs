@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn cert_deeper_than_any_stage_transforms_is_rejected_unread() {
         let (p, mut rep) = compiled(MMT, &PassOptions::polaris());
-        rep.nest.certs[0].loop_vars = (1..=12).map(|k| format!("I{k}")).collect();
+        rep.nest.certs[0].loop_vars = (1..=12).map(|k| format!("I{k}").into()).collect();
         let checks = recheck_certs(&p, &rep);
         assert!(!checks[0].accepted);
         assert!(checks[0].reason.contains("deeper than any nest stage"), "{}", checks[0].reason);

@@ -35,7 +35,7 @@ use polaris_core::rangeprop::assume_loop_header;
 use polaris_ir::expr::{BinOp, Expr, RedOp, UnOp};
 use polaris_ir::stmt::{LoopId, StmtKind};
 use polaris_ir::symbol::{ArrayProps, SymKind};
-use polaris_ir::Program;
+use polaris_ir::{Name, Program};
 use polaris_machine::lower::{self, Image, Intr, RExpr, RLoop, RRed, RRef, RStmt};
 use polaris_machine::MachineError;
 use polaris_symbolic::poly::{DivPolicy, Poly};
@@ -138,7 +138,7 @@ pub fn analyze(program: &Program) -> Result<RaceReport, MachineError> {
 pub fn check_image(
     image: &Image,
     facts: &RangeEnv,
-    props: &BTreeMap<String, ArrayProps>,
+    props: &BTreeMap<Name, ArrayProps>,
 ) -> RaceReport {
     let mut report = RaceReport::default();
     let mut env = facts.clone();
@@ -150,7 +150,7 @@ fn walk(
     code: &[RStmt],
     image: &Image,
     env: &mut RangeEnv,
-    props: &BTreeMap<String, ArrayProps>,
+    props: &BTreeMap<Name, ArrayProps>,
     report: &mut RaceReport,
 ) {
     for s in code {
@@ -207,7 +207,7 @@ fn kill_assigned(code: &[RStmt], image: &Image, env: &mut RangeEnv) {
         }
         _ => {}
     });
-    env.invalidate_all(slots.into_iter().map(|slot| image.scalar_names[slot].as_str()));
+    env.invalidate_all(slots.into_iter().map(|slot| &*image.scalar_names[slot]));
 }
 
 /// Assume a loop header's facts in `env` (mirrors what range propagation
@@ -257,7 +257,7 @@ fn check_parallel_loop(
     l: &RLoop,
     image: &Image,
     env: &RangeEnv,
-    props: &BTreeMap<String, ArrayProps>,
+    props: &BTreeMap<Name, ArrayProps>,
 ) -> LoopRace {
     let mut acc = BodyAccesses::default();
     acc.control.insert(l.var);
@@ -342,13 +342,13 @@ fn check_parallel_loop(
     // A subscript mentioning a body-written scalar (other than control
     // variables) is not iteration-invariant; the range test would treat
     // it as a fixed symbol, so such accesses must abstain.
-    let varying: BTreeSet<String> = acc
+    let varying: BTreeSet<Name> = acc
         .scalar_writes
         .iter()
         .filter(|s| !acc.control.contains(s))
         .map(|&s| name(s))
         .collect();
-    let written_names: BTreeSet<String> =
+    let written_names: BTreeSet<Name> =
         written.iter().map(|&s| image.shapes[s].name.clone()).collect();
     for &slot in &written {
         if covered_arrays.contains(&slot) {
@@ -481,7 +481,7 @@ fn all_pairs_disjoint(
     image: &Image,
     accesses: &[&ArrAccess],
     step: i64,
-    varying: &BTreeSet<String>,
+    varying: &BTreeSet<Name>,
     env: &RangeEnv,
 ) -> bool {
     let var = image.scalar_names[l.var].clone();
@@ -540,10 +540,10 @@ fn disjoint_via_props(
     image: &Image,
     accesses: &[&ArrAccess],
     step: i64,
-    varying: &BTreeSet<String>,
+    varying: &BTreeSet<Name>,
     env: &RangeEnv,
-    props: &BTreeMap<String, ArrayProps>,
-    written_names: &BTreeSet<String>,
+    props: &BTreeMap<Name, ArrayProps>,
+    written_names: &BTreeSet<Name>,
 ) -> bool {
     let var = image.scalar_names[l.var].clone();
     let (Some(lo), Some(hi)) = (

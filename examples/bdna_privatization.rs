@@ -65,7 +65,7 @@ fn main() {
         outer4.parallel, outer4.private
     );
     assert!(outer4.parallel);
-    assert!(outer4.private.contains(&"A".to_string()), "{outer4:?}");
+    assert!(outer4.private.contains(&"A".into()), "{outer4:?}");
 
     println!();
     println!("=== Figure 5: the BDNA compaction idiom =======================");
@@ -78,7 +78,7 @@ fn main() {
     assert!(outer5.parallel, "{outer5:?}");
     for name in ["A", "IND", "P", "R", "M"] {
         assert!(
-            outer5.private.contains(&name.to_string()),
+            outer5.private.contains(&name.into()),
             "{name} should be private: {outer5:?}"
         );
     }

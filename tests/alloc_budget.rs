@@ -24,14 +24,17 @@ use polaris::PassOptions;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Measured since the range test tries per-iteration separation before
-/// it builds a whole-loop footprint, range propagation kills each set of
-/// names in one pass and a loop header converts each bound once:
-/// 134 760 allocations / 19 393 731 bytes (debug; release 134 730 /
-/// 19 393 684), a `realloc` counted as an allocation of its new size.
-/// Budget = that + 5 %. Since the lowered image keeps its arrays' shapes
-/// in one shared table apart from their elements, 134 814 / 19 395 731
-/// (release 134 784 / 19 395 684). History, newest first: once the IR was rewritten
+/// Measured since every identifier the IR holds is one shared `Name`, so
+/// cloning, substituting and collecting expressions copies no string:
+/// 99 301 allocations / 18 466 055 bytes (debug and release alike), a
+/// `realloc` counted as an allocation of its new size. Budget = that +
+/// 5 %. History, newest first: while every identifier was a `String`,
+/// 134 814 / 19 395 731 (release 134 794 / 19 400 276); before the lowered
+/// image kept its arrays' shapes in one shared table, once the range test
+/// tried per-iteration separation before it built a whole-loop footprint,
+/// range propagation killed each set of names in one pass and a loop
+/// header converted each bound once, 134 760 / 19 393 731 (release
+/// 134 730 / 19 393 684); once the IR was rewritten
 /// in place, the inliner bound each site in one pass, accesses shared
 /// their loop contexts and polynomial atoms their names, 148 483 /
 /// 20 539 159 (release 148 453 / 20 539 112); while every rewrite
@@ -44,23 +47,24 @@ use std::cell::Cell;
 /// 31 816 755; the `BTreeMap<Monomial, Rat>` form before it, 960 309 /
 /// 234 483 573. The kernels are single-unit, so restructuring main alone
 /// after inlining changes nothing here.
-const SUITE_ALLOCS_BUDGET: u64 = 141_500;
-const SUITE_BYTES_BUDGET: u64 = 20_363_500;
+const SUITE_ALLOCS_BUDGET: u64 = 104_300;
+const SUITE_BYTES_BUDGET: u64 = 19_389_400;
 
 /// `common::MULTI_UNIT`'s checked compile — two subroutines and a
 /// function inlined into main — made 4 279 allocations / 432 919 bytes
 /// while every formal and every local cost a rebuild of the whole body;
 /// binding each site in one pass: 2 345 / 329 544; with the range layer
 /// doing only the work a verdict needs: 2 201 / 318 288 (debug). Budget
-/// = that + 5 %. With the image's shape table: 2 203 / 318 304.
-const MULTI_UNIT_ALLOCS_BUDGET: u64 = 2_312;
+/// = that + 5 %. With the image's shape table: 2 203 / 318 304; with
+/// shared names: 1 489 / 296 424.
+const MULTI_UNIT_ALLOCS_BUDGET: u64 = 1_564;
 
 /// One TRFD range test on that `BTreeMap` form (and an environment
 /// deep-copied per dimension query) made 14 794 allocations; the flat
 /// form 1 141; with atoms that share their names 747; with no whole-loop
-/// footprint built for a pair that per-iteration separation proves, 239.
-/// It must stay within that + 5 %.
-const TRFD_ALLOCS_BUDGET: u64 = 251;
+/// footprint built for a pair that per-iteration separation proves, 239;
+/// with the IR's names shared, 237. It must stay within that + 5 %.
+const TRFD_ALLOCS_BUDGET: u64 = 249;
 
 struct Counting;
 
@@ -230,14 +234,15 @@ fn fork_traffic(decls: &str) -> (u64, u64) {
 /// A fork shares what its lanes do not own: each lane gets the scalars,
 /// a handle on each array's elements and one reference to the image's
 /// shape table, so a fork allocates as much in a unit of 40 arrays as in
-/// one of 2: 14 allocations and 2 696 bytes per fork, among them the
+/// one of 2: 13 allocations and 1 536 bytes per fork, among them the
 /// claims, the report channel, the master's snapshot of the scalars and
-/// the lane's copy of it, the lane's cycles per plan chunk, its record
-/// of pieces and the fold's map of records held. (While a lane copied each
-/// array's name and bounds, the 40-array unit made 3 × 38 more
-/// allocations per lane per fork: 135 against 21; while the fork shared
-/// each array with a snapshot for the join to diff against and a lane
-/// copied an array it stored into, 16.)
+/// the lane's copy of it, the lane's cycles per plan chunk and its record
+/// of pieces; a record that reaches the master at the frontier is folded,
+/// not held. (While the fold held every record in a map first, 14 and
+/// 2 696; while a lane copied each array's name and bounds, the 40-array
+/// unit made 3 × 38 more allocations per lane per fork: 135 against 21;
+/// while the fork shared each array with a snapshot for the join to diff
+/// against and a lane copied an array it stored into, 16.)
 #[test]
 fn a_forks_allocations_do_not_grow_with_the_array_count() {
     let arrays = |n: usize| -> String {
@@ -251,15 +256,17 @@ fn a_forks_allocations_do_not_grow_with_the_array_count() {
 
 /// A fork copies no element of an array its lanes share: they store
 /// into it in place, so `FORKS` more forks allocate the same bytes with
-/// `A` of 8 elements as of 2²⁰. (While a lane copied an array at its
-/// first store into it, each fork here copied the 8 MB array: 83 901 680
-/// bytes against 16 240.)
+/// `A` of 8 elements as of 2²⁰, and at most 16 000 of them: 15 360.
+/// (While the fold held every record in a map first, 26 960; while a
+/// lane copied an array at its first store into it, each fork here
+/// copied the 8 MB array: 83 901 680 bytes against 16 240.)
 #[test]
 fn a_forks_bytes_do_not_grow_with_a_shared_arrays_size() {
     let small = fork_traffic("real a(8)\n").1;
     let large = fork_traffic("real a(1048576)\n").1;
     println!("alloc_budget: {FORKS} forks on 2 threads: {small} bytes with A(8), {large} with A(1048576)");
     assert_eq!(small, large, "a fork's bytes grew with the size of an array its lanes store into");
+    assert!(small <= 16_000, "{FORKS} forks allocated {small} bytes");
 }
 
 /// The validator's reversed lane keeps one record for all its pieces —
@@ -317,4 +324,52 @@ fn a_validation_compiles_its_unit_once() {
     let validated_extra = validated(&long) - validated(&short);
     println!("alloc_budget: {N} more statements: {run_extra} bytes in a run, {validated_extra} in a validation");
     assert_eq!(validated_extra, run_extra, "a validation compiled its unit twice");
+}
+
+/// Names are shared, not copied: cloning `A1 + A2 + … + A64` allocates
+/// one `Box` per operand edge of its 63 `+` nodes and nothing for its 64
+/// identifiers. (While every identifier was a `String`, the clone made
+/// 64 allocations more, one per name.)
+#[test]
+fn cloning_an_expression_allocates_its_nodes_and_not_its_names() {
+    let sum = (1..=64).map(|k| format!("a{k}")).collect::<Vec<_>>().join(" + ");
+    let program = polaris::ir::parse(&format!("program t\nx = {sum}\nend\n")).unwrap();
+    let polaris::ir::StmtKind::Assign { rhs, .. } = &program.units[0].body.0[0].kind else {
+        unreachable!("an assignment")
+    };
+    let mut boxes = 0u64;
+    rhs.for_each(&mut |e| match e {
+        polaris::ir::Expr::Bin { .. } => boxes += 2,
+        polaris::ir::Expr::Un { .. } => boxes += 1,
+        _ => {}
+    });
+    let (allocs, _) = counted(|| drop(std::hint::black_box(rhs.clone())));
+    println!("alloc_budget: cloning A1 + ... + A64: {allocs} allocations for {boxes} boxes");
+    assert_eq!(boxes, 126);
+    assert_eq!(allocs, boxes, "a clone allocated for something other than its boxes");
+}
+
+/// What a validation of a 64-trip scalar sum allocates beyond a serial
+/// run of it, less the same for a 64-trip DOALL that stores a private
+/// scalar instead: the reduction's log and its fold, 2 034 bytes. The
+/// validator's reversed lane logs its 64 updates on this thread, and a
+/// log's block grows with what it holds. (While each record reserved a
+/// whole block of 4 096 entries, 33 792.)
+#[test]
+fn a_short_reduction_logs_what_it_holds() {
+    let extra = |body: &str, annotation: &str| {
+        let src = format!(
+            "program p\ns = 0.0\n{annotation}\ndo i = 1, 64\n  {body}\nend do\nprint *, s\nend\n"
+        );
+        let program = polaris::ir::parse(&src).unwrap();
+        let serial = counted(|| assert!(polaris::machine::run_serial(&program).is_ok())).1;
+        let cfg = polaris::MachineConfig::challenge_8();
+        let validated =
+            counted(|| assert!(polaris::machine::run_validated(&program, &cfg).is_ok())).1;
+        validated - serial
+    };
+    let sum = extra("s = s + 1.0", "!$polaris doall reduction(+:S)");
+    let store = extra("t = 1.0", "!$polaris doall private(T)");
+    println!("alloc_budget: validating a 64-trip sum: {sum} bytes beyond a serial run, {store} for a plain DOALL");
+    assert!(sum - store < 4096, "the 64-trip sum's log took {} bytes", sum - store);
 }

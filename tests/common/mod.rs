@@ -108,17 +108,17 @@ pub fn run_with_comparable_state(
     program: &Program,
     cfg: &MachineConfig,
 ) -> Result<(polaris::RunResult, StateDump), polaris_machine::MachineError> {
-    let mut unspecified: Vec<&str> = Vec::new();
+    let mut unspecified: Vec<&polaris::ir::Name> = Vec::new();
     for unit in &program.units {
         unit.body.walk(&mut |s| {
             if let StmtKind::Do(d) = &s.kind {
-                unspecified.extend(d.par.private.iter().filter(|p| !d.par.copy_out.contains(p)).map(String::as_str));
+                unspecified.extend(d.par.private.iter().filter(|p| !d.par.copy_out.contains(p)));
             }
         });
     }
     let (r, mut dump) = polaris_machine::run_with_state(program, cfg)?;
-    dump.scalars.retain(|(name, _)| !unspecified.contains(&name.as_str()));
-    dump.arrays.retain(|(name, _)| !unspecified.contains(&name.as_str()));
+    dump.scalars.retain(|(name, _)| !unspecified.contains(&name));
+    dump.arrays.retain(|(name, _)| !unspecified.contains(&name));
     Ok((r, dump))
 }
 

@@ -117,7 +117,7 @@ fn figure4_global_defuse() {
 ";
     let out = parallelize(src, &PassOptions::polaris()).unwrap();
     let outer = out.report.loop_report("do8").unwrap();
-    assert!(outer.parallel && outer.private.contains(&"A".to_string()), "{outer:?}");
+    assert!(outer.parallel && outer.private.contains(&"A".into()), "{outer:?}");
     // breaking the def-use fact (M redefined in between) kills the proof
     let broken = src.replace("      mp = m*p\n", "      mp = m*p\n      m = m + 1\n");
     let out2 = parallelize(&broken, &PassOptions::polaris()).unwrap();
@@ -157,7 +157,7 @@ fn figure5_bdna_compaction() {
     let outer = out.report.loop_report("do5").unwrap();
     assert!(outer.parallel, "{outer:?}");
     for name in ["A", "IND", "P", "R", "M"] {
-        assert!(outer.private.contains(&name.to_string()), "{name} missing: {outer:?}");
+        assert!(outer.private.contains(&name.into()), "{name} missing: {outer:?}");
     }
     // the directive in the output carries the privatization
     assert!(out.annotated_source.contains("PRIVATE("), "{}", out.annotated_source);
