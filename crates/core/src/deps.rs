@@ -57,8 +57,10 @@ pub(crate) fn analyze_unit_recorded(
     stats: &DdStats,
     rec: &polaris_obs::Recorder,
 ) -> Vec<LoopReport> {
+    // The names are built only for an enabled recorder.
+    let name = if rec.is_enabled() { format!("unit:{}", unit.name) } else { String::new() };
     let _unit_span =
-        rec.span_with("compile", format!("unit:{}", unit.name), 1, None, Some(unit.name.clone()));
+        rec.span_with("compile", name, 1, None, rec.is_enabled().then(|| unit.name.clone()));
     // Phase 1 (read-only): decide per loop, keyed by provenance id
     // (labels are human-readable but inlining can in principle produce
     // collisions; LoopId is the uniqueness-checked key).

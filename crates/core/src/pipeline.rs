@@ -495,7 +495,9 @@ impl Pipeline {
 
             let report_snapshot = report.clone();
             let size_before = ir_size(program);
-            let stage_span = rec.span("compile", format!("pass:{}", stage.name));
+            // Span names are built only for an enabled recorder.
+            let name = if rec.is_enabled() { format!("pass:{}", stage.name) } else { String::new() };
+            let stage_span = rec.span("compile", name);
             let started = Instant::now();
 
             let run_result = with_silent_panics(|| {
@@ -617,7 +619,8 @@ fn check_stage_output(
     rec: &Recorder,
     verify: &mut VerifyStats,
 ) -> Option<String> {
-    let span = rec.span("verify", format!("verify:{stage}"));
+    let name = if rec.is_enabled() { format!("verify:{stage}") } else { String::new() };
+    let span = rec.span("verify", name);
     let outcome = with_silent_panics(|| {
         catch_unwind(AssertUnwindSafe(|| polaris_ir::validate::check_program(program)))
     });

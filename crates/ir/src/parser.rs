@@ -845,15 +845,16 @@ impl Parser {
     }
 }
 
-/// Parse an expression from a directive payload string.
+/// Parse an expression from a directive payload string on source line
+/// `line`. The payload is lexed on its own, so an error is reported at
+/// the directive's line, without the payload-relative column.
 fn parse_sub_expr(text: &str, line: u32) -> Result<Expr> {
-    let mut p = Parser::new(text).map_err(|e| e.with_line(line))?;
-    let e = p.parse_expr().map_err(|e| e.with_line(line))?;
-    Ok(e)
+    let at_directive = |e: CompileError| CompileError { line: Some(line), col: None, ..e };
+    Parser::new(text).and_then(|mut p| p.parse_expr()).map_err(at_directive)
 }
 
-/// Parse `DOALL [PRIVATE(a,b)] [REDUCTION(+:x)] [LASTVALUE(k=expr)]
-/// [SPECULATIVE(a;b)]` from a `!$POLARIS` directive.
+/// Parse `DOALL [SPECULATIVE(a, b*)] [PRIVATE(a, b)] [REDUCTION(+:x)]
+/// [LASTPRIVATE(a)] [LASTVALUE(k = expr)]` from a `!$POLARIS` directive.
 fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
     let mut info = ParallelInfo::default();
     let rest = text
@@ -861,22 +862,21 @@ fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
         .ok_or_else(|| CompileError::parse(line, format!("unknown POLARIS directive `{text}`")))?;
     info.parallel = true;
     let mut s = rest.trim();
+    let names = |items: &[&str]| -> Vec<Name> {
+        items.iter().filter(|x| !x.is_empty()).map(|&x| Name::from(x)).collect()
+    };
     while !s.is_empty() {
         let (word, after) = match s.find('(') {
             Some(i) => (&s[..i], &s[i + 1..]),
             None => return Err(CompileError::parse(line, format!("malformed clause `{s}`"))),
         };
-        let close = find_matching(after)
+        let (items, rest) = clause_items(after)
             .ok_or_else(|| CompileError::parse(line, "unbalanced clause parentheses"))?;
-        let inner = &after[..close];
-        s = after[close + 1..].trim();
+        s = rest.trim();
         match word.trim() {
-            "PRIVATE" => {
-                info.private =
-                    inner.split(',').map(str::trim).filter(|x| !x.is_empty()).map(Name::from).collect();
-            }
+            "PRIVATE" => info.private = names(&items),
             "REDUCTION" => {
-                for part in inner.split(',') {
+                for part in items {
                     let (op, var) = part
                         .split_once(':')
                         .ok_or_else(|| CompileError::parse(line, "REDUCTION needs op:var"))?;
@@ -900,12 +900,9 @@ fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
                     info.reductions.push(Reduction { var: name, op, histogram });
                 }
             }
-            "LASTPRIVATE" => {
-                info.copy_out =
-                    inner.split(',').map(str::trim).filter(|x| !x.is_empty()).map(Name::from).collect();
-            }
+            "LASTPRIVATE" => info.copy_out = names(&items),
             "LASTVALUE" => {
-                for part in inner.split(',') {
+                for part in items {
                     let (name, value) = part
                         .split_once('=')
                         .ok_or_else(|| CompileError::parse(line, "LASTVALUE needs name=expr"))?;
@@ -915,8 +912,7 @@ fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
             }
             "SPECULATIVE" => {
                 let mut spec = SpecInfo { tracked: Vec::new(), privatized: Vec::new() };
-                for part in inner.split(',') {
-                    let part = part.trim();
+                for part in items {
                     if let Some(base) = part.strip_suffix("*") {
                         spec.tracked.push(base.into());
                         spec.privatized.push(base.into());
@@ -935,17 +931,23 @@ fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
     Ok(info)
 }
 
-/// Index of the parenthesis closing the implicit `(` already consumed.
-fn find_matching(s: &str) -> Option<usize> {
-    let mut depth = 1i32;
+/// The trimmed comma-separated items of a clause payload and the text
+/// after it, `s` starting just past the clause's `(`. Only commas outside
+/// any nested parentheses separate items, so `LASTVALUE(K = MAX(1, 2))`
+/// is one item. `None` if the clause's `)` is missing.
+fn clause_items(s: &str) -> Option<(Vec<&str>, &str)> {
+    let (mut depth, mut start, mut items) = (0u32, 0, Vec::new());
     for (i, c) in s.char_indices() {
         match c {
             '(' => depth += 1,
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
+            ')' if depth == 0 => {
+                items.push(s[start..i].trim());
+                return Some((items, &s[i + 1..]));
+            }
+            ')' => depth -= 1,
+            ',' if depth == 0 => {
+                items.push(s[start..i].trim());
+                start = i + 1;
             }
             _ => {}
         }
@@ -1143,6 +1145,66 @@ mod tests {
         let src = "program p\n!$assert (n >= 1)\nx = 1\nend\n";
         let p = crate::parse(src).unwrap();
         assert!(matches!(p.units[0].body.0[0].kind, StmtKind::Assert { .. }));
+    }
+
+    #[test]
+    fn a_comma_inside_a_clause_expression_does_not_split_the_clause() {
+        let src = "program p\n!$polaris doall lastvalue(k = max(1, 2), m = n)\n\
+                   do i = 1, 10\nk = i\nend do\nend\n";
+        let p = crate::parse(src).unwrap();
+        let max = Expr::call("MAX", vec![Expr::int(1), Expr::int(2)]);
+        assert_eq!(
+            p.units[0].body.loops()[0].par.lastvalue,
+            [(Name::from("K"), max), (Name::from("M"), Expr::var("N"))]
+        );
+    }
+
+    /// Every clause the printer emits parses back to the annotation it
+    /// printed.
+    #[test]
+    fn every_printed_clause_parses_back_to_its_annotation() {
+        let names = |xs: &[&str]| xs.iter().map(|&x| Name::from(x)).collect::<Vec<_>>();
+        let par = ParallelInfo {
+            parallel: false,
+            private: names(&["T", "U"]),
+            lastvalue: vec![("K".into(), Expr::call("MAX", vec![Expr::int(1), Expr::var("N")]))],
+            copy_out: names(&["J"]),
+            reductions: vec![
+                Reduction { var: "S".into(), op: RedOp::Sum, histogram: false },
+                Reduction { var: "H".into(), op: RedOp::Max, histogram: true },
+            ],
+            speculative: Some(SpecInfo { tracked: names(&["A", "B"]), privatized: names(&["B"]) }),
+            serial_reason: None,
+        };
+        let mut program = crate::parse("program p\ndo i = 1, 10\nk = i\nend do\nend\n").unwrap();
+        program.units[0].body.walk_mut(&mut |s| {
+            if let StmtKind::Do(d) = &mut s.kind {
+                d.par = par.clone();
+            }
+        });
+        let text = crate::printer::print_program(&program);
+        assert!(
+            text.contains(
+                "!$POLARIS DOALL SPECULATIVE(A, B*) PRIVATE(T, U) REDUCTION(+:S, MAX:H[]) \
+                 LASTPRIVATE(J) LASTVALUE(K = MAX(1, N))"
+            ),
+            "{text}"
+        );
+        assert_eq!(crate::parse(&text).unwrap().units[0].body.loops()[0].par, par);
+    }
+
+    /// A directive's payload is lexed on its own; its errors still carry
+    /// the directive's source line.
+    #[test]
+    fn a_malformed_directive_payload_is_reported_at_the_directive_line() {
+        let assert = "program p\nx = 1\ny = 2\n!$assert (k .gt. )\nend\n";
+        assert_eq!(
+            crate::parse(assert).unwrap_err().to_string(),
+            "parse error at line 4: unexpected token `)` in expression"
+        );
+        let lastvalue = "program p\nx = 1\ny = 2\n!$polaris doall lastvalue(k = max(1, ))\n\
+                         do i = 1, 10\nk = i\nend do\nend\n";
+        assert_eq!(crate::parse(lastvalue).unwrap_err().line, Some(4));
     }
 
     #[test]

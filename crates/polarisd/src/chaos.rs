@@ -2,8 +2,10 @@
 //!
 //! A [`ChaosPlan`] is the seam the service exposes: before each compile
 //! attempt the service asks it for a [`FaultPlan`] (stage panics, IR
-//! corruption, stalls), whether the worker should die outright, and —
-//! after a response is computed — whether to poison the cache entry.
+//! corruption, stalls), whether the worker should die outright, and, when
+//! the service executes what it compiles, the interpreter step at which
+//! the execution panics; after a response is computed, it asks whether to
+//! poison the cache entry.
 //! Production runs pass no plan; the chaos suites pass one
 //! ([`Service::with_chaos`]).
 //!
@@ -30,7 +32,6 @@ const D_STALL: u64 = 0x7374616c; // "stal"
 const D_KILL: u64 = 0x6b696c6c; // "kill"
 const D_POISON: u64 = 0x706f6973; // "pois"
 const D_EXEC: u64 = 0x65786563; // "exec"
-const D_TABLE: u64 = 0x7461626c; // "tabl"
 
 /// A unit/request-id window where every compile attempt panics — the
 /// deterministic "pathological unit" that must end up quarantined.
@@ -58,9 +59,6 @@ pub struct ChaosPlan {
     /// Rate of injected panics inside statement execution (only
     /// meaningful when the service executes compiled programs).
     pub exec_panic_pct: u8,
-    /// Rate of adaptive decision-table corruption (only meaningful when
-    /// the service executes with adaptive scheduling).
-    pub corrupt_table_pct: u8,
     pub curse: Option<Curse>,
 }
 
@@ -74,7 +72,6 @@ impl ChaosPlan {
             kill_pct: 0,
             poison_pct: 0,
             exec_panic_pct: 0,
-            corrupt_table_pct: 0,
             curse: None,
         }
     }
@@ -106,11 +103,6 @@ impl ChaosPlan {
 
     pub fn with_exec_panic_pct(mut self, pct: u8) -> ChaosPlan {
         self.exec_panic_pct = pct;
-        self
-    }
-
-    pub fn with_corrupt_table_pct(mut self, pct: u8) -> ChaosPlan {
-        self.corrupt_table_pct = pct;
         self
     }
 
@@ -198,21 +190,6 @@ impl ChaosPlan {
         // Steps 1..=32: early enough to fire inside any real program's
         // execution, varied enough to land in different statements.
         (r % 100 < self.exec_panic_pct as u64).then_some(1 + (r >> 32) % 32)
-    }
-
-    /// Flip bits in the unit's adaptive decision table before this
-    /// attempt executes (only meaningful when the service runs with
-    /// [`ServiceConfig::adaptive_schedule`]). The controller's integrity
-    /// word must catch the damage on the next dispatch and fall back to
-    /// static scheduling — never wedge, never change output bytes.
-    ///
-    /// [`ServiceConfig::adaptive_schedule`]: crate::service::ServiceConfig::adaptive_schedule
-    pub fn corrupt_decision_table(&self, key: u64, req_id: u64, attempt: u32) -> bool {
-        // Unlike rate faults, table corruption is NOT restricted to
-        // attempt 1: the controller itself must recover (integrity check
-        // → reset → static fallback), not the retry machinery.
-        let _ = attempt;
-        self.roll(D_TABLE, key, req_id) % 100 < self.corrupt_table_pct as u64
     }
 }
 

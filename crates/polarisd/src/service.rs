@@ -25,14 +25,14 @@
 //!   queued work, a unit's breaker entry while the unit is failing.
 
 use crate::breaker::{Admission, BreakerState, CircuitBreaker};
-use crate::cache::{CacheEntry, CacheOutcome, CompileCache, CAPACITY};
+use crate::cache::{CacheEntry, CacheOutcome, CompileCache};
 use crate::chaos::ChaosPlan;
 use crate::lock;
 use crate::proto::{fnv1a, Request, Response, Status};
 use crate::retry::{backoff, SplitMix, MAX_ATTEMPTS};
 use polaris_core::pipeline::panic_message;
 use polaris_core::{CancelToken, PassOptions, StageOutcome, CANCELLED_PREFIX};
-use polaris_machine::{AdaptiveController, DecisionRow, Engine, MachineConfig, MachineError};
+use polaris_machine::{Engine, MachineConfig, MachineError};
 use polaris_obs::{Counter, Recorder};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,16 +67,6 @@ pub struct ServiceConfig {
     /// Step budget for executions (`exec_engine` set). `None` relies on
     /// the deadline watchdog alone to stop runaway programs.
     pub exec_fuel: Option<u64>,
-    /// When true (and `exec_engine` is set), executions run on the
-    /// 8-processor simulated machine under the adaptive scheduler instead
-    /// of the serial reference machine. Each unit's adaptation history is
-    /// held in an [`AdaptiveController`] keyed by the request's content
-    /// hash ([`Service::content_key`]), so re-submissions of the same
-    /// source — including recompiles after a cache purge — keep adapting
-    /// from where the previous run left off. Output bytes are unchanged
-    /// by construction (the determinism contract), so cached checksums
-    /// stay valid.
-    pub adaptive_schedule: bool,
 }
 
 impl Default for ServiceConfig {
@@ -88,7 +78,6 @@ impl Default for ServiceConfig {
             default_deadline: None,
             exec_engine: None,
             exec_fuel: None,
-            adaptive_schedule: false,
         }
     }
 }
@@ -278,39 +267,6 @@ struct Inner {
     stop: AtomicBool,
     /// One tally per [`Event`].
     tallies: [AtomicU64; EVENTS],
-    /// Per-unit adaptive schedulers, keyed by content hash so the
-    /// adaptation history survives cache purges and re-submissions of
-    /// the same source (`adaptive_schedule` only).
-    adaptive: Mutex<Controllers>,
-}
-
-/// The adaptive controllers, at most [`CAPACITY`] of them, like the
-/// cache and the breaker table. A full map drops the controller that was
-/// inserted first; its unit re-learns if it comes back, which is sound.
-#[derive(Default)]
-struct Controllers {
-    by_key: HashMap<u64, Arc<AdaptiveController>>,
-    /// The keys of `by_key`, oldest insertion first.
-    order: VecDeque<u64>,
-}
-
-impl Controllers {
-    /// The controller for `key`, created (and the oldest dropped, if the
-    /// map is full) when there is none.
-    fn get_or_insert(&mut self, key: u64) -> Arc<AdaptiveController> {
-        if let Some(ctrl) = self.by_key.get(&key) {
-            return Arc::clone(ctrl);
-        }
-        if self.order.len() >= CAPACITY {
-            if let Some(oldest) = self.order.pop_front() {
-                self.by_key.remove(&oldest);
-            }
-        }
-        let ctrl = Arc::new(AdaptiveController::new());
-        self.order.push_back(key);
-        self.by_key.insert(key, Arc::clone(&ctrl));
-        ctrl
-    }
 }
 
 /// The crash-only compile service. See the module docs for the contract.
@@ -352,7 +308,6 @@ impl Service {
             chaos,
             stop: AtomicBool::new(false),
             tallies: Default::default(),
-            adaptive: Mutex::new(Controllers::default()),
         });
         {
             let mut workers = lock(&inner.workers);
@@ -453,17 +408,6 @@ impl Service {
     /// Cached entries currently held (test/diagnostic visibility).
     pub fn cache_len(&self) -> usize {
         self.inner.cache.len()
-    }
-
-    /// Snapshot of the adaptive decision table for a unit (by content
-    /// key), ordered by loop id. Empty unless `adaptive_schedule` is on
-    /// and the unit has executed at least once.
-    pub fn adaptive_rows(&self, key: u64) -> Vec<DecisionRow> {
-        lock(&self.inner.adaptive)
-            .by_key
-            .get(&key)
-            .map(|c| c.decision_rows())
-            .unwrap_or_default()
     }
 
     /// Graceful stop: wait (bounded) for queued and in-flight work to
@@ -580,8 +524,10 @@ fn worker_loop(slot: usize, inner: &Arc<Inner>) {
             InFlight { pending: pending.clone(), cancel: CancelToken::new(), attempt: 0 },
         );
         let tid = 100 + slot as u32;
-        let span =
-            inner.rec.span_with("polarisd", format!("request:{}", pending.req.id), tid, None, None);
+        // Span names are built only for an enabled recorder.
+        let id = pending.req.id;
+        let name = if inner.rec.is_enabled() { format!("request:{id}") } else { String::new() };
+        let span = inner.rec.span_with("polarisd", name, tid, None, None);
         // The whole ladder runs under catch_unwind: a bug in the service
         // itself must not kill the worker silently — the request is
         // answered `rejected` and the worker keeps serving.
@@ -719,8 +665,8 @@ fn compile_attempt(
         .and_then(|c| c.exec_panic(key, req_id, attempt))
         .filter(|_| inner.cfg.exec_engine.is_some());
 
-    let attempt_span =
-        inner.rec.span_with("polarisd", format!("attempt:{attempt}"), tid, None, None);
+    let name = if inner.rec.is_enabled() { format!("attempt:{attempt}") } else { String::new() };
+    let attempt_span = inner.rec.span_with("polarisd", name, tid, None, None);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut program = polaris_ir::parse(&pending.req.source)?;
         let report =
@@ -730,26 +676,10 @@ fn compile_attempt(
         // like a compile panic.
         let run = match inner.cfg.exec_engine {
             Some(engine) if !report.degraded() => {
-                // Adaptive mode executes on the 8-proc simulated
-                // machine; the determinism contract keeps its output
-                // byte-identical to the serial reference, so the
-                // response checksum is the same either way.
-                let mut mcfg = if inner.cfg.adaptive_schedule {
-                    MachineConfig::challenge_8()
-                } else {
-                    MachineConfig::serial()
-                }
-                .with_engine(engine)
-                .with_cancel(cancel.clone());
+                let mut mcfg =
+                    MachineConfig::serial().with_engine(engine).with_cancel(cancel.clone());
                 mcfg.fuel = inner.cfg.exec_fuel;
                 mcfg.panic_at_step = exec_panic;
-                if inner.cfg.adaptive_schedule {
-                    let ctrl = adaptive_for(inner, key);
-                    if chaos.is_some_and(|c| c.corrupt_decision_table(key, req_id, attempt)) {
-                        ctrl.corrupt_all();
-                    }
-                    mcfg = mcfg.with_adaptive(ctrl);
-                }
                 Some(polaris_machine::run(&program, &mcfg))
             }
             _ => None,
@@ -1004,14 +934,6 @@ fn recover_orphan(inner: &Inner, fl: InFlight) {
     }
 }
 
-/// Fetch-or-create the adaptive controller for a unit's content key.
-/// Sharing the `Arc` (rather than the latest decision snapshot) is what
-/// lets adaptation history accumulate across separate requests for the
-/// same source.
-fn adaptive_for(inner: &Inner, key: u64) -> Arc<AdaptiveController> {
-    lock(&inner.adaptive).get_or_insert(key)
-}
-
 // ---- lock helpers ----------------------------------------------------
 
 /// [`lock`]'s counterpart for a condition variable.
@@ -1159,48 +1081,6 @@ mod tests {
         assert_eq!((b.status, b.cached), (Status::Ok, false), "{b:?}");
         assert_eq!((&b.program, b.run_checksum), (&fresh.program, fresh.run_checksum));
         assert!(b.program != a.program && b.run_checksum != a.run_checksum, "{a:?}");
-    }
-
-    /// 2 × `CAPACITY` units run under `adaptive_schedule` leave at most
-    /// `CAPACITY` controllers: the first unit's is dropped, the newest
-    /// unit's decision rows survive.
-    #[test]
-    fn a_full_controller_map_drops_the_controller_inserted_first() {
-        let cfg = ServiceConfig {
-            exec_engine: Some(Engine::Vm),
-            adaptive_schedule: true,
-            ..ServiceConfig::default()
-        };
-        let service = Service::new(cfg);
-        let inner = &service.inner;
-        let run = |id: u64| {
-            let req = Request {
-                id,
-                client: "t".into(),
-                vfa: false,
-                deadline_ms: None,
-                return_program: false,
-                source: format!(
-                    "program t\nreal a(100)\ndo i = 1, 100\n  a(i) = i * {id}.0\nend do\nprint *, a(7)\nend\n"
-                ),
-            };
-            let key = Service::content_key(&req);
-            assert_eq!(ladder_of(inner, &pending_of(req).0).status, Status::Ok);
-            key
-        };
-        let first = run(1);
-        assert!(!service.adaptive_rows(first).is_empty());
-        // The units in between only need a controller each.
-        for key in 2..2 * CAPACITY as u64 {
-            adaptive_for(inner, key);
-        }
-        let newest = run(2 * CAPACITY as u64);
-        let controllers = lock(&inner.adaptive);
-        assert_eq!((controllers.by_key.len(), controllers.order.len()), (CAPACITY, CAPACITY));
-        assert_eq!(controllers.order.back(), Some(&newest));
-        drop(controllers);
-        assert!(service.adaptive_rows(first).is_empty());
-        assert!(!service.adaptive_rows(newest).is_empty());
     }
 
     #[test]

@@ -22,14 +22,7 @@
 //!
 //! `CHAOS_SEEDS` overrides the seed count (default 64; the sweep-wide
 //! assertions need at least 8).
-//!
-//! A separate adaptive-scheduler storm (`adaptive_chaos_storm_*`) turns
-//! on execution with per-content adaptive dispatch and injects worker
-//! panics mid-measurement plus decision-table corruption: run checksums
-//! must never drift from a clean serial execution, and the adaptation
-//! table must recover to sane state rather than wedge.
 
-use polaris_machine::{Engine, MachineConfig};
 use polaris_obs::Recorder;
 use polarisd::chaos::{ChaosPlan, Curse};
 use polarisd::proto::{fnv1a, Request, Status};
@@ -367,137 +360,4 @@ fn soak_holds_memory_and_latency_flat() {
         );
         assert!(growth <= SOAK_GROWTH_CEILING_KB, "resident memory grew {growth} kB");
     }
-}
-
-/// Clean out-of-band run checksum for one unit: serial execution with
-/// no service and no chaos. By the determinism contract the adaptive
-/// 8-proc execution inside the service must reproduce these bytes
-/// exactly, whatever the chaos plan does to its decision tables.
-fn clean_run_checksum(src: &str) -> u64 {
-    let (program, report) =
-        polaris_core::parse_and_compile(src, &polaris_core::PassOptions::polaris()).unwrap();
-    assert!(!report.degraded());
-    let out = polaris_machine::run(&program, &MachineConfig::serial())
-        .expect("clean corpus executes")
-        .output;
-    fnv1a(out.join("\n").as_bytes())
-}
-
-/// The adaptive-scheduler axis: execution enabled (`adaptive_schedule`,
-/// so programs run on the simulated 8-proc machine under per-content
-/// adaptive dispatch) while the chaos plan
-///
-/// * panics workers *mid-measurement* (`exec_panic` on attempt 1 — the
-///   per-attempt fault boundary must retry with the controller left
-///   half-measured), and
-/// * tears the decision table (`corrupt_decision_table`, any attempt —
-///   the controller's integrity word, not the retry machinery, must
-///   recover by resetting to static dispatch).
-///
-/// Cache poisoning runs at 100% so every request recompiles *and
-/// re-executes*: the same content key accumulates adaptation history
-/// across requests, exactly like cached recompiles in production. Per
-/// request the served `run_checksum` must equal a clean serial run;
-/// per unit the decision table must end readable, garbage-free, and —
-/// for units whose last request was corruption-free — re-dispatched to
-/// the measured (static, non-serial) winner.
-fn adaptive_storm(pool: usize) {
-    const STORM_SEED: u64 = 0xada9;
-    const PER_UNIT: u64 = 6;
-    let sources: Vec<String> = (0..UNITS).map(unit_source).collect();
-    let keys: Vec<u64> =
-        sources.iter().map(|s| Service::content_key(&req(0, s, None, false))).collect();
-    let clean: Vec<u64> = sources.iter().map(|s| clean_run_checksum(s)).collect();
-
-    let plan = ChaosPlan::seeded(STORM_SEED)
-        .with_exec_panic_pct(40)
-        .with_corrupt_table_pct(30)
-        .with_poison_pct(100);
-    // The storm must actually hit a measurement: some unit's *first*
-    // request (the controller's measuring invocation) panics mid-run.
-    assert!(
-        (0..UNITS).any(|u| plan.exec_panic(keys[u], u as u64 * 100, 1).is_some()),
-        "storm seed never crashes a measurement invocation — pick a new seed"
-    );
-    assert!(
-        (0..UNITS).any(|u| (0..PER_UNIT)
-            .any(|i| plan.corrupt_decision_table(keys[u], u as u64 * 100 + i, 1))),
-        "storm seed never corrupts a decision table — pick a new seed"
-    );
-
-    let cfg = ServiceConfig {
-        workers: pool,
-        exec_engine: Some(Engine::Vm),
-        exec_fuel: Some(1_000_000),
-        adaptive_schedule: true,
-        ..ServiceConfig::default()
-    };
-    let service = Service::with_chaos(cfg, Recorder::disabled(), plan.clone());
-
-    // Requests for one unit are submitted sequentially so its controller
-    // sees a deterministic invocation order (concurrent same-key runs
-    // would interleave decide/observe — harmless for output bytes, but
-    // it would make the end-of-storm table assertions racy).
-    for u in 0..UNITS {
-        for i in 0..PER_UNIT {
-            let id = u as u64 * 100 + i;
-            let resp = service
-                .submit(req(id, &sources[u], None, false))
-                .wait_timeout(HANG)
-                .unwrap_or_else(|| panic!("pool {pool}: adaptive request {id} hung"));
-            let ctx = format!("pool {pool} unit {u} request {id}: {resp:?}");
-            assert_eq!(resp.status, Status::Ok, "exec chaos leaked to the client — {ctx}");
-            assert_eq!(
-                resp.run_checksum,
-                Some(clean[u]),
-                "adaptive execution drifted from the clean serial run — {ctx}"
-            );
-        }
-
-        let rows = service.adaptive_rows(keys[u]);
-        assert!(!rows.is_empty(), "pool {pool} unit {u}: no loop was adaptively dispatched");
-        for row in &rows {
-            // Table corruption XORs invocation counts with 0x5a5a; sane
-            // counts prove every torn entry was caught by the integrity
-            // word and reset, never trusted.
-            assert!(
-                row.invocations < 0x1000,
-                "pool {pool} unit {u}: garbage adaptation state survived: {row:?}"
-            );
-            assert!(row.threads >= 1, "pool {pool} unit {u}: {row:?}");
-        }
-        // If the last request's table was not corrupted, the unit's hot
-        // loops (trip 40+ > the tiny-trip cutoff, proven parallel) must
-        // have re-dispatched to the static winner.
-        let last_id = u as u64 * 100 + PER_UNIT - 1;
-        if !plan.corrupt_decision_table(keys[u], last_id, 1) {
-            let hot = rows.iter().max_by_key(|r| (r.trip, r.loop_id)).unwrap();
-            assert_eq!(
-                (hot.strategy, hot.event),
-                ("static", "redispatch"),
-                "pool {pool} unit {u}: hot loop did not recover to the measured winner: {hot:?}"
-            );
-        }
-    }
-
-    let stats = service.shutdown();
-    assert_eq!(stats.accepted, stats.answered, "pool {pool}: lost answers: {stats:?}");
-    assert!(
-        stats.retries > 0,
-        "pool {pool}: no mid-measurement panic was ever retried: {stats:?}"
-    );
-    assert!(
-        stats.poison_purged > 0,
-        "pool {pool}: poisoning never forced a re-execution: {stats:?}"
-    );
-}
-
-#[test]
-fn adaptive_chaos_storm_pool2() {
-    adaptive_storm(2);
-}
-
-#[test]
-fn adaptive_chaos_storm_pool8() {
-    adaptive_storm(8);
 }
