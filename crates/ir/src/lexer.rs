@@ -1,10 +1,13 @@
 //! Hand-written lexer for F-Mini.
 //!
 //! Free-form input; one statement per logical line; `&` at end of line
-//! continues the statement on the next line; `!` starts a comment except
-//! that `!$` introduces a directive recognized by the parser. Classic
-//! fixed-form comment lines (`C`/`c`/`*` in column 1) are also accepted so
-//! paper-style kernels paste in cleanly, as are `c$`/`C$` directive lines.
+//! continues the statement on the next line; `!` starts a comment. A line
+//! opening with `!$`, `c$` or `C$` is a directive: when its first word is
+//! `ASSERT` or `POLARIS` it becomes a [`Tok::Directive`] marker followed by
+//! the line's ordinary tokens, which the parser reads like a statement;
+//! any other directive is dropped unlexed, like a comment. Fixed-form
+//! comment lines (`*` in column 1) are also accepted so paper-style
+//! kernels paste in cleanly.
 
 use crate::error::{CompileError, Result};
 use crate::expr::Name;
@@ -16,10 +19,8 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>> {
     let mut toks = Vec::new();
     // One `Name` per spelling, which all its occurrences share.
     let (mut names, mut word) = (HashSet::new(), String::new());
-    let mut pending_continuation = false;
-    for (idx, raw_line) in source.lines().enumerate() {
+    for (idx, line) in source.lines().enumerate() {
         let line_no = (idx + 1) as u32;
-        let line = raw_line;
 
         // Full-line comments and directives.
         let trimmed = line.trim_start();
@@ -38,40 +39,33 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>> {
                 .nth(1)
                 .map(|c| c.is_ascii_alphanumeric() || c == '_')
                 .unwrap_or(false);
-        let directive_payload = if let Some(rest) = trimmed.strip_prefix("!$") {
-            Some(rest)
-        } else { trimmed.strip_prefix("c$").or_else(|| trimmed.strip_prefix("C$")) };
-        if let Some(payload) = directive_payload {
-            let col = (line.len() - trimmed.len() + 1) as u32;
-            toks.push(Token {
-                kind: Tok::Directive(payload.trim().to_ascii_uppercase()),
-                line: line_no,
-                col,
-            });
-            toks.push(Token { kind: Tok::Newline, line: line_no, col: line_len_col(line) });
+        if ["!$", "c$", "C$"].iter().any(|p| trimmed.starts_with(p)) {
+            let payload = trimmed[2..].trim_start();
+            let end = payload.find(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+            let first_word = &payload[..end.unwrap_or(payload.len())];
+            if ["ASSERT", "POLARIS"].iter().any(|w| first_word.eq_ignore_ascii_case(w)) {
+                let indent = line.chars().count() - trimmed.chars().count();
+                toks.push(Token { kind: Tok::Directive, line: line_no, col: indent as u32 + 1 });
+                toks.extend(lex_line(line, indent + 2, line_no, &mut names, &mut word)?);
+                toks.push(Token { kind: Tok::Newline, line: line_no, col: line_len_col(line) });
+            }
             continue;
         }
         if trimmed.starts_with('!') || is_fixed_comment {
             continue;
         }
 
-        // Tokenize the line content.
-        let had_tokens_before = !toks.is_empty();
-        let mut line_toks = lex_line(line, line_no, &mut names, &mut word)?;
+        // Tokenize the line content. A line ending in `&` continues on the
+        // next: drop the marker and emit no Newline.
+        let mut line_toks = lex_line(line, 0, line_no, &mut names, &mut word)?;
         if line_toks.is_empty() {
             continue;
         }
-        // Continuation handling: if the *previous* line ended with `&`, we
-        // suppressed its Newline; nothing more to do. If the current line
-        // ends with `&`, drop the marker and do not emit a Newline.
-        let _ = (had_tokens_before, pending_continuation);
         let continues = matches!(line_toks.last().map(|t| &t.kind), Some(Tok::Ident(s)) if s == "&");
         if continues {
             line_toks.pop();
-            pending_continuation = true;
             toks.extend(line_toks);
         } else {
-            pending_continuation = false;
             toks.extend(line_toks);
             toks.push(Token { kind: Tok::Newline, line: line_no, col: line_len_col(line) });
         }
@@ -86,11 +80,18 @@ fn line_len_col(line: &str) -> u32 {
     line.chars().count() as u32 + 1
 }
 
-fn lex_line(line: &str, line_no: u32, names: &mut HashSet<Name>, word: &mut String) -> Result<Vec<Token>> {
+/// Tokenize `line` from its character `from` on.
+fn lex_line(
+    line: &str,
+    from: usize,
+    line_no: u32,
+    names: &mut HashSet<Name>,
+    word: &mut String,
+) -> Result<Vec<Token>> {
     let mut toks = Vec::new();
     let bytes: Vec<char> = line.chars().collect();
     let n = bytes.len();
-    let mut i = 0usize;
+    let mut i = from;
     let push = |toks: &mut Vec<Token>, kind: Tok, col: usize| {
         toks.push(Token { kind, line: line_no, col: (col + 1) as u32 })
     };
@@ -131,12 +132,18 @@ fn lex_line(line: &str, line_no: u32, names: &mut HashSet<Name>, word: &mut Stri
                 }
                 push(&mut toks, Tok::Str(s), start);
             }
-            '+' => {
-                push(&mut toks, Tok::Plus, start);
-                i += 1;
-            }
-            '-' => {
-                push(&mut toks, Tok::Minus, start);
+            '+' | '-' | '(' | ')' | '[' | ']' | ',' | ':' => {
+                let kind = match c {
+                    '+' => Tok::Plus,
+                    '-' => Tok::Minus,
+                    '(' => Tok::LParen,
+                    ')' => Tok::RParen,
+                    '[' => Tok::LBracket,
+                    ']' => Tok::RBracket,
+                    ',' => Tok::Comma,
+                    _ => Tok::Colon,
+                };
+                push(&mut toks, kind, start);
                 i += 1;
             }
             '*' => {
@@ -156,22 +163,6 @@ fn lex_line(line: &str, line_no: u32, names: &mut HashSet<Name>, word: &mut Stri
                     push(&mut toks, Tok::Slash, start);
                     i += 1;
                 }
-            }
-            '(' => {
-                push(&mut toks, Tok::LParen, start);
-                i += 1;
-            }
-            ')' => {
-                push(&mut toks, Tok::RParen, start);
-                i += 1;
-            }
-            ',' => {
-                push(&mut toks, Tok::Comma, start);
-                i += 1;
-            }
-            ':' => {
-                push(&mut toks, Tok::Colon, start);
-                i += 1;
             }
             '=' => {
                 if i + 1 < n && bytes[i + 1] == '=' {
@@ -399,9 +390,20 @@ mod tests {
     }
 
     #[test]
-    fn directives_survive() {
-        let k = kinds("!$assert (n > 0)\nx = 1");
-        assert!(matches!(&k[0], Tok::Directive(d) if d.starts_with("ASSERT")));
+    fn a_known_directive_is_a_marker_and_its_tokens_at_their_columns() {
+        let toks = lex("  !$assert (n > 0)\nx = 1").unwrap();
+        let at = |t: &Token| (t.kind.clone(), t.col);
+        assert_eq!(
+            toks[..4].iter().map(at).collect::<Vec<_>>(),
+            [(Tok::Directive, 3), (Tok::Ident("ASSERT".into()), 5), (Tok::LParen, 12), (Tok::Ident("N".into()), 13)]
+        );
+    }
+
+    #[test]
+    fn an_unknown_directive_is_dropped_unlexed() {
+        for unknown in ["!$assertion (x > 0)", "!$omp parallel do", "!$ foo @ bar", "c$ polarisx"] {
+            assert_eq!(kinds(&format!("{unknown}\nx = 1")), kinds("x = 1"), "{unknown}");
+        }
     }
 
     #[test]

@@ -160,9 +160,10 @@ impl Parser {
         let mut program = Program::new();
         loop {
             self.skip_newlines();
-            // Consume directives between units (ignored here).
-            while matches!(self.peek(), Tok::Directive(_)) {
-                self.bump();
+            // A directive between units is checked, then dropped.
+            while matches!(self.peek(), Tok::Directive) {
+                self.parse_directive()?;
+                self.pending_par = None;
                 self.skip_newlines();
             }
             if matches!(self.peek(), Tok::Eof) {
@@ -250,18 +251,11 @@ impl Parser {
     }
 
     fn parse_arg_list(&mut self) -> Result<Vec<Name>> {
-        let mut args = Vec::new();
-        if self.eat(&Tok::LParen)
-            && !self.eat(&Tok::RParen) {
-                loop {
-                    args.push(self.expect_ident()?);
-                    if !self.eat(&Tok::Comma) {
-                        break;
-                    }
-                }
-                self.expect(&Tok::RParen)?;
-            }
-        Ok(args)
+        if self.eat(&Tok::LParen) {
+            self.list(Self::expect_ident)
+        } else {
+            Ok(Vec::new())
+        }
     }
 
     /// Try to consume a type keyword (`INTEGER`, `REAL`, `DOUBLE
@@ -434,8 +428,8 @@ impl Parser {
                     break;
                 }
             }
-            if let Tok::Directive(_) = self.peek() {
-                if let Some(stmt) = self.parse_directive(unit_name)? {
+            if matches!(self.peek(), Tok::Directive) {
+                if let Some(stmt) = self.parse_directive()? {
                     list.push(stmt);
                 }
                 continue;
@@ -446,26 +440,93 @@ impl Parser {
         Ok(list)
     }
 
-    /// Parse a directive line: either an assertion (becomes a statement) or
-    /// a DOALL annotation (stored for the next DO).
-    fn parse_directive(&mut self, _unit_name: &str) -> Result<Option<Stmt>> {
+    /// Parse a directive line: `ASSERT expr` becomes a statement, and
+    /// `POLARIS DOALL [SPECULATIVE(a, b*)] [PRIVATE(a, b)]
+    /// [REDUCTION(+:x, MAX:h[])] [LASTPRIVATE(a)] [LASTVALUE(k = expr)]`
+    /// is stored for the next DO.
+    fn parse_directive(&mut self) -> Result<Option<Stmt>> {
         let line = self.line();
-        let text = match self.bump() {
-            Tok::Directive(t) => t,
-            _ => unreachable!(),
-        };
-        self.skip_newlines();
-        if let Some(rest) = text.strip_prefix("ASSERT") {
-            let cond = parse_sub_expr(rest.trim(), line)?;
+        self.expect(&Tok::Directive)?;
+        if self.eat_kw("ASSERT") {
+            let cond = self.parse_expr()?;
+            self.eol()?;
             return Ok(Some(Stmt::new(self.fresh_id(), line, StmtKind::Assert { cond })));
         }
-        if let Some(rest) = text.strip_prefix("POLARIS") {
-            let info = parse_doall_directive(rest.trim(), line)?;
-            self.pending_par = Some(info);
-            return Ok(None);
+        self.expect_kw("POLARIS")?;
+        self.expect_kw("DOALL")?;
+        let mut info = ParallelInfo { parallel: true, ..ParallelInfo::default() };
+        while !matches!(self.peek(), Tok::Newline | Tok::Eof) {
+            let (line, col) = (self.line(), self.col());
+            let clause = self.expect_ident()?;
+            self.expect(&Tok::LParen)?;
+            match &*clause {
+                "PRIVATE" => info.private.extend(self.list(Self::expect_ident)?),
+                "LASTPRIVATE" => info.copy_out.extend(self.list(Self::expect_ident)?),
+                "REDUCTION" => info.reductions.extend(self.list(Self::reduction_item)?),
+                "LASTVALUE" => info.lastvalue.extend(self.list(|p| {
+                    let name = p.expect_ident()?;
+                    p.expect(&Tok::Assign)?;
+                    Ok((name, p.parse_expr()?))
+                })?),
+                "SPECULATIVE" => {
+                    let mut spec = SpecInfo { tracked: Vec::new(), privatized: Vec::new() };
+                    let items = self.list(|p| Ok((p.expect_ident()?, p.eat(&Tok::Star))))?;
+                    for (name, privatized) in items {
+                        if privatized {
+                            spec.privatized.push(name.clone());
+                        }
+                        spec.tracked.push(name);
+                    }
+                    info.parallel = false;
+                    info.speculative = Some(spec);
+                }
+                _ => {
+                    return Err(CompileError::parse(line, format!("unknown DOALL clause `{clause}`"))
+                        .at_col(col))
+                }
+            }
         }
-        // Unknown directives are ignored (like unknown pragmas).
+        self.eol()?;
+        self.pending_par = Some(info);
         Ok(None)
+    }
+
+    /// One `op:var` or `op:var[]` item of a `REDUCTION` clause.
+    fn reduction_item(&mut self) -> Result<Reduction> {
+        let (line, col) = (self.line(), self.col());
+        let op = match self.bump() {
+            Tok::Plus => RedOp::Sum,
+            Tok::Star => RedOp::Product,
+            Tok::Ident(s) if s == "MAX" => RedOp::Max,
+            Tok::Ident(s) if s == "MIN" => RedOp::Min,
+            other => {
+                return Err(CompileError::parse(line, format!("unknown reduction op `{other}`"))
+                    .at_col(col))
+            }
+        };
+        self.expect(&Tok::Colon)?;
+        let var = self.expect_ident()?;
+        let histogram = self.eat(&Tok::LBracket);
+        if histogram {
+            self.expect(&Tok::RBracket)?;
+        }
+        Ok(Reduction { var, op, histogram })
+    }
+
+    /// The comma-separated, possibly empty, `item`s of a parenthesized
+    /// list whose `(` was just read, through its `)`.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let mut items = Vec::new();
+        if !self.eat(&Tok::RParen) {
+            loop {
+                items.push(item(self)?);
+                if !self.eat(&Tok::Comma) {
+                    break;
+                }
+            }
+            self.expect(&Tok::RParen)?;
+        }
+        Ok(items)
     }
 
     fn parse_stmt(&mut self, unit_name: &str) -> Result<Stmt> {
@@ -482,17 +543,7 @@ impl Parser {
         if self.at_kw("CALL") {
             self.bump();
             let name = self.expect_ident()?;
-            let mut args = Vec::new();
-            if self.eat(&Tok::LParen)
-                && !self.eat(&Tok::RParen) {
-                    loop {
-                        args.push(self.parse_expr()?);
-                        if !self.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect(&Tok::RParen)?;
-                }
+            let args = if self.eat(&Tok::LParen) { self.list(Self::parse_expr)? } else { Vec::new() };
             self.eol()?;
             return Ok(Stmt::new(self.fresh_id(), line, StmtKind::Call { name, args }));
         }
@@ -813,16 +864,7 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 if self.eat(&Tok::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat(&Tok::RParen) {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(&Tok::RParen)?;
-                    }
+                    let args = self.list(Self::parse_expr)?;
                     // Array reference vs call is resolved later by symbol
                     // kind; the parser marks intrinsics as calls and leaves
                     // the rest as Index nodes, which `resolve_refs` fixes
@@ -843,116 +885,6 @@ impl Parser {
             .at_col(col)),
         }
     }
-}
-
-/// Parse an expression from a directive payload string on source line
-/// `line`. The payload is lexed on its own, so an error is reported at
-/// the directive's line, without the payload-relative column.
-fn parse_sub_expr(text: &str, line: u32) -> Result<Expr> {
-    let at_directive = |e: CompileError| CompileError { line: Some(line), col: None, ..e };
-    Parser::new(text).and_then(|mut p| p.parse_expr()).map_err(at_directive)
-}
-
-/// Parse `DOALL [SPECULATIVE(a, b*)] [PRIVATE(a, b)] [REDUCTION(+:x)]
-/// [LASTPRIVATE(a)] [LASTVALUE(k = expr)]` from a `!$POLARIS` directive.
-fn parse_doall_directive(text: &str, line: u32) -> Result<ParallelInfo> {
-    let mut info = ParallelInfo::default();
-    let rest = text
-        .strip_prefix("DOALL")
-        .ok_or_else(|| CompileError::parse(line, format!("unknown POLARIS directive `{text}`")))?;
-    info.parallel = true;
-    let mut s = rest.trim();
-    let names = |items: &[&str]| -> Vec<Name> {
-        items.iter().filter(|x| !x.is_empty()).map(|&x| Name::from(x)).collect()
-    };
-    while !s.is_empty() {
-        let (word, after) = match s.find('(') {
-            Some(i) => (&s[..i], &s[i + 1..]),
-            None => return Err(CompileError::parse(line, format!("malformed clause `{s}`"))),
-        };
-        let (items, rest) = clause_items(after)
-            .ok_or_else(|| CompileError::parse(line, "unbalanced clause parentheses"))?;
-        s = rest.trim();
-        match word.trim() {
-            "PRIVATE" => info.private = names(&items),
-            "REDUCTION" => {
-                for part in items {
-                    let (op, var) = part
-                        .split_once(':')
-                        .ok_or_else(|| CompileError::parse(line, "REDUCTION needs op:var"))?;
-                    let op = match op.trim() {
-                        "+" => RedOp::Sum,
-                        "*" => RedOp::Product,
-                        "MAX" => RedOp::Max,
-                        "MIN" => RedOp::Min,
-                        other => {
-                            return Err(CompileError::parse(
-                                line,
-                                format!("unknown reduction op `{other}`"),
-                            ))
-                        }
-                    };
-                    let var = var.trim();
-                    let (name, histogram) = match var.strip_suffix("[]") {
-                        Some(base) => (base.trim().into(), true),
-                        None => (var.into(), false),
-                    };
-                    info.reductions.push(Reduction { var: name, op, histogram });
-                }
-            }
-            "LASTPRIVATE" => info.copy_out = names(&items),
-            "LASTVALUE" => {
-                for part in items {
-                    let (name, value) = part
-                        .split_once('=')
-                        .ok_or_else(|| CompileError::parse(line, "LASTVALUE needs name=expr"))?;
-                    info.lastvalue
-                        .push((name.trim().into(), parse_sub_expr(value.trim(), line)?));
-                }
-            }
-            "SPECULATIVE" => {
-                let mut spec = SpecInfo { tracked: Vec::new(), privatized: Vec::new() };
-                for part in items {
-                    if let Some(base) = part.strip_suffix("*") {
-                        spec.tracked.push(base.into());
-                        spec.privatized.push(base.into());
-                    } else if !part.is_empty() {
-                        spec.tracked.push(part.into());
-                    }
-                }
-                info.parallel = false;
-                info.speculative = Some(spec);
-            }
-            other => {
-                return Err(CompileError::parse(line, format!("unknown DOALL clause `{other}`")))
-            }
-        }
-    }
-    Ok(info)
-}
-
-/// The trimmed comma-separated items of a clause payload and the text
-/// after it, `s` starting just past the clause's `(`. Only commas outside
-/// any nested parentheses separate items, so `LASTVALUE(K = MAX(1, 2))`
-/// is one item. `None` if the clause's `)` is missing.
-fn clause_items(s: &str) -> Option<(Vec<&str>, &str)> {
-    let (mut depth, mut start, mut items) = (0u32, 0, Vec::new());
-    for (i, c) in s.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' if depth == 0 => {
-                items.push(s[start..i].trim());
-                return Some((items, &s[i + 1..]));
-            }
-            ')' => depth -= 1,
-            ',' if depth == 0 => {
-                items.push(s[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// After parsing, `Expr::Index` nodes whose base is not an array symbol
@@ -1193,18 +1125,51 @@ mod tests {
         assert_eq!(crate::parse(&text).unwrap().units[0].body.loops()[0].par, par);
     }
 
-    /// A directive's payload is lexed on its own; its errors still carry
-    /// the directive's source line.
+    /// A directive's words are tokens of its own line, so a malformed
+    /// payload is reported at the directive's line and the offending
+    /// token's column.
     #[test]
     fn a_malformed_directive_payload_is_reported_at_the_directive_line() {
         let assert = "program p\nx = 1\ny = 2\n!$assert (k .gt. )\nend\n";
         assert_eq!(
             crate::parse(assert).unwrap_err().to_string(),
-            "parse error at line 4: unexpected token `)` in expression"
+            "parse error at line 4, col 18: unexpected token `)` in expression"
         );
         let lastvalue = "program p\nx = 1\ny = 2\n!$polaris doall lastvalue(k = max(1, ))\n\
                          do i = 1, 10\nk = i\nend do\nend\n";
         assert_eq!(crate::parse(lastvalue).unwrap_err().line, Some(4));
+    }
+
+    #[test]
+    fn a_directive_with_trailing_or_junk_words_is_a_parse_error_at_its_line_and_column() {
+        let mut wrong = Vec::new();
+        for (directive, col) in [
+            ("!$assert (n >= 1) 7 8", 19),
+            ("!$polaris doall lastvalue(k = 1 2)", 33),
+            ("!$polaris doall private(a b)", 27),
+            ("!$polaris doall private(1)", 25),
+            ("!$polaris doall reduction(+:)", 29),
+            ("!$polaris doall reduction(+:s[)", 31),
+            ("!$polaris doall speculative(a**)", 30),
+        ] {
+            let src = format!("program p\nx = 1\n{directive}\ndo i = 1, 10\nk = i\nend do\nend\n");
+            let got = crate::parse(&src).map(|_| ()).map_err(|e| e.to_string());
+            let want = format!("parse error at line 3, col {col}: ");
+            if !matches!(&got, Err(e) if e.starts_with(&want)) {
+                wrong.push(format!("{directive}: {got:?}"));
+            }
+        }
+        assert!(wrong.is_empty(), "{wrong:#?}");
+    }
+
+    #[test]
+    fn a_directive_that_is_neither_assert_nor_polaris_is_ignored() {
+        for directive in ["!$assertion (x > 0)", "!$omp parallel do", "!$ foo @ bar"] {
+            let src = format!("program p\n{directive}\ndo i = 1, 10\nk = i\nend do\nend\n");
+            let p = crate::parse(&src).unwrap_or_else(|e| panic!("{directive}: {e}"));
+            assert_eq!(p.units[0].body.len(), 1, "{directive}");
+            assert_eq!(p.units[0].body.loops()[0].par, ParallelInfo::default(), "{directive}");
+        }
     }
 
     #[test]

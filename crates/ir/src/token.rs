@@ -34,6 +34,9 @@ pub(crate) enum Tok {
     Pow,
     LParen,
     RParen,
+    /// `[`, only meaningful in a `REDUCTION(op:var[])` clause.
+    LBracket,
+    RBracket,
     Comma,
     Assign,
     Colon,
@@ -48,9 +51,9 @@ pub(crate) enum Tok {
     Not,
     /// End of a logical source line (statement separator).
     Newline,
-    /// A `!$POLARIS ...` or `!$ASSERT ...` directive line; payload is the
-    /// text after `!$`.
-    Directive(String),
+    /// Opens a `!$POLARIS ...` or `!$ASSERT ...` directive line, whose
+    /// words follow as ordinary tokens.
+    Directive,
     /// End of input.
     Eof,
 }
@@ -71,6 +74,8 @@ impl fmt::Display for Tok {
             Tok::Pow => write!(f, "**"),
             Tok::LParen => write!(f, "("),
             Tok::RParen => write!(f, ")"),
+            Tok::LBracket => write!(f, "["),
+            Tok::RBracket => write!(f, "]"),
             Tok::Comma => write!(f, ","),
             Tok::Assign => write!(f, "="),
             Tok::Colon => write!(f, ":"),
@@ -84,7 +89,7 @@ impl fmt::Display for Tok {
             Tok::Or => write!(f, ".OR."),
             Tok::Not => write!(f, ".NOT."),
             Tok::Newline => write!(f, "<eol>"),
-            Tok::Directive(s) => write!(f, "!${s}"),
+            Tok::Directive => write!(f, "!$"),
             Tok::Eof => write!(f, "<eof>"),
         }
     }

@@ -246,9 +246,10 @@ impl MachineConfig {
     }
 }
 
-/// 64-bit FNV-1a of `bytes`: the machine's one content hash, behind the
-/// adaptive table's check word and [`StateDump`]'s per-array digest.
-pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// 64-bit FNV-1a of `bytes`: the workspace's one content hash, behind the
+/// adaptive table's check word, [`StateDump`]'s per-array digest and
+/// `polarisd`'s checksums.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, step)
 }

@@ -37,15 +37,10 @@
 pub use polaris_obs::json::Json;
 use std::fmt;
 
-/// FNV-1a over raw bytes — the same checksum family the bench documents
-/// use for output fingerprints.
+/// FNV-1a over raw bytes ([`polaris_machine::fnv1a`]) — the same
+/// checksum family the bench documents use for output fingerprints.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    polaris_machine::fnv1a(bytes.iter().copied())
 }
 
 /// Render a checksum the way the bench documents do (`fnv1a:%016x`).
