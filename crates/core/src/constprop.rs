@@ -39,27 +39,8 @@ pub fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
     let mut stats = ConstPropStats::default();
 
     // Phase 1: PARAMETER substitution. Parameters may reference other
-    // parameters; resolve to literals first (bounded iteration).
-    let mut params: BTreeMap<Name, Expr> = BTreeMap::new();
-    for sym in unit.symbols.iter() {
-        if let SymKind::Parameter(v) = &sym.kind {
-            params.insert(sym.name.clone(), v.clone());
-        }
-    }
-    for _ in 0..8 {
-        let snapshot = params.clone();
-        let mut changed = false;
-        for value in params.values_mut() {
-            let new = substitute_map(value, &snapshot).simplified();
-            if new != *value {
-                *value = new;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    // parameters; resolve to literals first.
+    let params = unit.symbols.resolved_parameters();
     // Write resolved values back into the symbol table so later passes
     // (and the unparser) see the folded form.
     for (name, value) in &params {
@@ -78,13 +59,12 @@ pub fn run_unit(unit: &mut ProgramUnit) -> ConstPropStats {
         _ => e,
     });
     // Array dimension declarations also see parameters.
-    let dims_params = params.clone();
     for name in unit.symbols.iter().map(|s| s.name.clone()).collect::<Vec<_>>() {
         if let Some(sym) = unit.symbols.get_mut(&name) {
             if let SymKind::Array(dims) = &mut sym.kind {
                 for d in dims {
-                    d.lo = substitute_map(&d.lo, &dims_params).simplified();
-                    d.hi = substitute_map(&d.hi, &dims_params).simplified();
+                    d.lo = substitute_map(&d.lo, &params).simplified();
+                    d.hi = substitute_map(&d.hi, &params).simplified();
                 }
             }
         }

@@ -250,6 +250,40 @@ impl SymbolTable {
         }
     }
 
+    /// The PARAMETERs by name, each resolved as far as it goes: a value
+    /// that names other parameters takes their values and is simplified,
+    /// in at most 8 rounds, so a chain folds to a literal and a cycle
+    /// stops.
+    pub fn resolved_parameters(&self) -> BTreeMap<Name, Expr> {
+        let mut params: BTreeMap<Name, Expr> = self
+            .iter()
+            .filter_map(|sym| match &sym.kind {
+                SymKind::Parameter(v) => Some((sym.name.clone(), v.clone())),
+                _ => None,
+            })
+            .collect();
+        for _ in 0..8 {
+            let snapshot = params.clone();
+            let mut changed = false;
+            for value in params.values_mut() {
+                let new = value
+                    .map(&mut |node| match &node {
+                        Expr::Var(n) => snapshot.get(n).cloned().unwrap_or(node),
+                        _ => node,
+                    })
+                    .simplified();
+                if new != *value {
+                    *value = new;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        params
+    }
+
     /// True if `name` names an array in this table.
     pub fn is_array(&self, name: &str) -> bool {
         self.get(name).map(|s| s.is_array()).unwrap_or(false)
@@ -276,6 +310,18 @@ impl SymbolTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A chain of parameters folds to literals, whatever order it is
+    /// declared in, and a cycle stops unresolved after the bounded chase.
+    #[test]
+    fn parameters_resolve_through_chains_and_stop_on_cycles() {
+        let src = "program t\ninteger k, m, n, p, q\nparameter (n = m * 2, m = k + 1, k = 3)\nparameter (p = q, q = p)\nx = 1.0\nend\n";
+        let program = crate::parse(src).unwrap();
+        let params = program.main().unwrap().symbols.resolved_parameters();
+        let shown = |name: &str| params[name].to_string();
+        assert_eq!([shown("K"), shown("M"), shown("N")], ["3", "4", "8"]);
+        assert!(matches!(params["P"], Expr::Var(_)) && matches!(params["Q"], Expr::Var(_)), "{params:?}");
+    }
 
     #[test]
     fn insert_normalizes_case_and_lookup_is_insensitive() {

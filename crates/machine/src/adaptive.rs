@@ -238,8 +238,8 @@ impl AdaptiveController {
         AdaptiveController { entries: Mutex::new(BTreeMap::new()), forced: cycle }
     }
 
-    /// Work-stealing chunk size: a few chunks per worker so the lanes
-    /// have something to steal, never below 1.
+    /// Work-stealing chunk size: a few chunks per worker so the claims
+    /// have something to balance, never below 1.
     fn steal_chunk(trip: u64, threads: usize) -> usize {
         ((trip as usize).div_ceil(threads.max(1) * 4)).max(1)
     }

@@ -1,20 +1,27 @@
-//! How a real worker claims its next piece of a [`ChunkPlan`], under
+//! How a real thread claims its next piece of a [`ChunkPlan`], under
 //! every schedule.
 //!
 //! The plan is a pure function of `(trip, schedule, procs)`, so a piece
-//! index is all a worker needs: its bounds come from the plan and nothing
-//! is published through the queue. A *piece* is a plan chunk under
+//! index is all a thread needs: its bounds come from the plan and nothing
+//! is published through the claims. A *piece* is a plan chunk under
 //! `Dynamic` and `Stealing`; under `Static` each block chunk is cut into
-//! [`PIECES`] of them. Each *lane* is just a half-open interval of
-//! unclaimed piece indices packed into one `AtomicU64`; its owner takes
-//! the front, a thief the back, one compare-and-swap each. The schedules
-//! differ only in how the pieces are laid over lanes and whether an idle
-//! worker may steal.
+//! [`PIECES`] of them. The unclaimed pieces are one half-open interval
+//! packed into one `AtomicU64`: the master, which folds, takes the front,
+//! and every other caller the back — the helpers, and the validator's
+//! reversed lane — one compare-and-swap each. The schedules differ only
+//! in how the plan is cut into pieces.
 //!
-//! A `Static` lane is its worker's block, and a worker whose block is
-//! done steals the back of another's: the helpers of a fork the guard
-//! deferred start late on a full block, and the master, done with its
-//! own, takes the rest of theirs from the back.
+//! The master takes one piece a claim. Where two or more helpers share
+//! the back, a helper takes a run of `left / (2 × procs)` adjacent
+//! pieces, at least one (factoring), and runs it in order, so however
+//! their claims interleave the master folds a record a run, not a piece.
+//! A lone helper and the validator's lane take one piece a claim.
+//!
+//! So the master runs the loop's first iterations and the helpers its
+//! last ones, and the two ends meet wherever the work balances: the
+//! helpers of a fork the guard deferred start late on the back of the
+//! space, and every piece the master did not take lies above those it
+//! did.
 //!
 //! A loop that reduces claims its pieces under a [`Window`], whatever the
 //! schedule: each piece is at most [`REDUCTION_PIECE`] iterations, and
@@ -23,11 +30,9 @@
 //! `threaded.rs`), so what the lanes hold unfolded is bounded by the
 //! window, not by the trip count. The master takes the lowest unclaimed
 //! piece, which is most often the frontier itself, and the helpers the
-//! highest the window allows; a helper the window holds back polls, then
-//! parks until the master moves the frontier.
-//!
-//! The validator's lane ([`Claims::reversed`]) is one lane its owner
-//! claims from the back, in one-iteration pieces.
+//! highest the window allows — the interval's rule, below a bound that
+//! moves, so it is a lock, not a word; a helper the window holds back
+//! polls, then parks until the master moves the frontier.
 //!
 //! Determinism: a claim decides **who executes** a piece, never **what**
 //! the piece is. Piece bounds, the order reduction logs are replayed in,
@@ -39,6 +44,7 @@
 use crate::cost::Schedule;
 use crate::dispatch::ChunkPlan;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -59,28 +65,24 @@ const REDUCTION_PIECE: u64 = 1 << 12;
 /// with 4 (EXPERIMENTS.md).
 const WINDOW_PER_WORKER: usize = 4;
 
-/// The unclaimed pieces of one loop invocation, plus the steal counters
-/// behind the `exec.steal.*` observability columns. Workers call
-/// [`Claims::next`] until it returns `None`. O(workers) to build and to
-/// hold, whatever the chunk count.
+/// The unclaimed pieces of one loop invocation. Threads call
+/// [`Claims::next`] until it returns `None`. O(1) to build and to hold,
+/// whatever the chunk count.
 pub(crate) struct Claims {
     plan: ChunkPlan,
     /// Pieces per plan chunk.
     pieces: usize,
-    /// `front << 32 | back` per lane: pieces `front..back` are unclaimed.
-    lanes: Vec<AtomicU64>,
-    /// Whether a worker whose lane ran dry takes from the others.
-    steal: bool,
-    /// Whether the owner takes the back of its lane, not the front.
-    backward: bool,
-    /// A reducing loop's claims, which replace the lanes.
+    /// A back claim takes `1 / share` of the pieces left, at least one;
+    /// 0 (one piece) for a lone helper or the validator's lane.
+    share: u32,
+    /// `front << 32 | back`: pieces `front..back` are unclaimed.
+    left: AtomicU64,
+    /// A reducing loop's claims, which replace `left`.
     window: Option<Window>,
     /// The frontier: the lowest piece not folded yet. Only the master
     /// moves it ([`Claims::pass`]); `Relaxed`, as it publishes no memory
     /// (a lane reads nothing the fold wrote), it only holds claims back.
     frontier: AtomicUsize,
-    steals: AtomicU64,
-    attempts: AtomicU64,
 }
 
 /// The claims of a loop that reduces: which pieces are taken, under a
@@ -116,63 +118,41 @@ fn pack(front: u32, back: u32) -> u64 {
 }
 
 impl Claims {
-    /// The plan's pieces, laid over lanes as its schedule asks — or, for
-    /// a loop that `reduces`, under a window.
+    /// The plan cut into pieces as its schedule asks — and, for a loop
+    /// that `reduces`, claimed under a window.
     pub(crate) fn new(plan: &ChunkPlan, reduces: bool) -> Claims {
-        let (chunks, workers) = (plan.n_chunks(), plan.procs());
-        if reduces {
-            let base = if plan.schedule == Schedule::Static { PIECES } else { 1 };
-            let capped = plan.bounds(0).1.div_ceil(REDUCTION_PIECE).min(u64::from(u32::MAX) / chunks.max(1) as u64);
-            let pieces = base.max(capped as usize);
-            let window = Window {
-                size: WINDOW_PER_WORKER * workers.max(1),
-                claimed: Mutex::default(),
-                moved: Condvar::new(),
-            };
-            return Claims { window: Some(window), ..Claims::laid(plan, pieces, 0, 0, false) };
+        let pieces = if plan.schedule == Schedule::Static { PIECES } else { 1 };
+        if !reduces {
+            return Claims::cut(plan, pieces);
         }
-        match plan.schedule {
-            // A block plan has a chunk per worker at most: a lane is its
-            // chunk's pieces.
-            Schedule::Static => Claims::laid(plan, PIECES, workers, PIECES, true),
-            // Self-scheduling: one lane every worker takes the front of.
-            Schedule::Dynamic { .. } => Claims::laid(plan, 1, 1, chunks, false),
-            Schedule::Stealing { .. } => Claims::laid(plan, 1, workers, chunks.div_ceil(workers), true),
-        }
+        let capped = plan.bounds(0).1.div_ceil(REDUCTION_PIECE).min(u64::from(u32::MAX) / plan.n_chunks().max(1) as u64);
+        let window = Window {
+            size: WINDOW_PER_WORKER * plan.procs().max(1),
+            claimed: Mutex::default(),
+            moved: Condvar::new(),
+        };
+        Claims { window: Some(window), ..Claims::cut(plan, pieces.max(capped as usize)) }
     }
 
-    /// The plan's pieces on one lane, taken back to front: the layout of
-    /// the validator's reversed lane. A piece is one iteration while that
-    /// makes at most `budget` pieces; past it each chunk is cut into
-    /// `budget / chunks` pieces.
+    /// The cut of the validator's reversed lane, which claims from the
+    /// back: a piece is one iteration while that makes at most `budget`
+    /// pieces; past it each chunk is cut into `budget / chunks` pieces.
     pub(crate) fn reversed(plan: &ChunkPlan, budget: usize) -> Claims {
         let (chunks, per) = (plan.n_chunks(), plan.bounds(0).1 as usize);
-        let pieces = per.min(budget / chunks.max(1)).max(1);
-        Claims {
-            backward: true,
-            ..Claims::laid(plan, pieces, 1, chunks * pieces, false)
-        }
+        Claims { share: 0, ..Claims::cut(plan, per.min(budget / chunks.max(1)).max(1)) }
     }
 
-    /// The plan's chunks cut into `pieces` pieces each, laid over `lanes`
-    /// lanes in contiguous runs of `per` pieces.
-    fn laid(plan: &ChunkPlan, pieces: usize, lanes: usize, per: usize, steal: bool) -> Claims {
+    /// The plan's chunks cut into `pieces` pieces each, all unclaimed.
+    fn cut(plan: &ChunkPlan, pieces: usize) -> Claims {
         let n = plan.n_chunks().saturating_mul(pieces);
         assert!(n <= u32::MAX as usize, "a plan cuts at most 64 chunks per worker thread");
-        let lane = |w: usize| {
-            let front = w.saturating_mul(per).min(n);
-            AtomicU64::new(pack(front as u32, front.saturating_add(per).min(n) as u32))
-        };
         let claims = Claims {
             plan: *plan,
             pieces,
-            lanes: (0..lanes).map(lane).collect(),
-            steal,
-            backward: false,
+            share: if plan.procs() > 2 { 2 * plan.procs().min(1 << 30) as u32 } else { 0 },
+            left: AtomicU64::new(pack(0, n as u32)),
             window: None,
             frontier: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            attempts: AtomicU64::new(0),
         };
         claims.frontier.store(claims.nonempty_from(0), Ordering::Relaxed);
         claims
@@ -189,6 +169,12 @@ impl Claims {
             p += 1;
         }
         p
+    }
+
+    /// Whether `q` is the first piece after `p` with an iteration: the
+    /// frontier passes the two one after the other.
+    pub(crate) fn follows(&self, p: usize, q: usize) -> bool {
+        q > p && self.nonempty_from(p + 1) == q
     }
 
     /// The lowest piece not folded yet. A piece with no iteration counts
@@ -209,17 +195,17 @@ impl Claims {
         }
     }
 
-    /// Whether a worker hands over each piece as soon as it is done: the
+    /// Whether a lane hands over each piece as soon as it is done: the
     /// master can fold it only then, and a window waits for the fold.
     pub(crate) fn windowed(&self) -> bool {
         self.window.is_some()
     }
 
     /// Leave nothing more to claim: a lane panicked, so the frontier will
-    /// not pass the piece it held and no worker may wait for it, or the
+    /// not pass the piece it held and no lane may wait for it, or the
     /// validator's lane holds its budget.
     pub(crate) fn close(&self) {
-        self.lanes.iter().for_each(|lane| lane.store(0, Ordering::Relaxed));
+        self.left.store(0, Ordering::Relaxed);
         if let Some(w) = &self.window {
             w.lock().closed = true;
             w.moved.notify_all();
@@ -243,54 +229,40 @@ impl Claims {
         (cut(j), cut(j + 1))
     }
 
-    /// Claim one piece off a lane. `Relaxed` suffices: the word publishes
-    /// no other memory (bounds come from the plan, results travel through
-    /// the join channel), and exactly-once follows from the single word's
-    /// modification order alone. A lane only shrinks, so an empty one
-    /// stays empty.
-    fn take(&self, lane: usize, from_back: bool) -> Option<usize> {
-        let lane = &self.lanes[lane];
-        let mut seen = lane.load(Ordering::Relaxed);
+    /// Claim the next pieces, to run in order: the master (`fold`, which
+    /// it calls while a window holds it back) the lowest unclaimed one,
+    /// any other caller (`None`) a run of the highest — one piece under a
+    /// window. `None` means nothing is left to claim, for good: the
+    /// interval only shrinks.
+    pub(crate) fn next(&self, fold: Option<&mut dyn FnMut()>) -> Option<Range<usize>> {
+        if let Some(w) = &self.window {
+            return self.claim_windowed(w, fold).map(|p| p..p + 1);
+        }
+        self.take(fold.is_none())
+    }
+
+    /// Claim one end of the interval: the front piece, or a run off the
+    /// back. `Relaxed` suffices: the word publishes no other memory
+    /// (bounds come from the plan, results travel through the join
+    /// channel), and exactly-once follows from the single word's
+    /// modification order alone.
+    fn take(&self, from_back: bool) -> Option<Range<usize>> {
+        let mut seen = self.left.load(Ordering::Relaxed);
         loop {
             let (front, back) = ((seen >> 32) as u32, seen as u32);
             if front >= back {
                 return None;
             }
-            let (k, rest) =
-                if from_back { (back - 1, pack(front, back - 1)) } else { (front, pack(front + 1, back)) };
-            match lane.compare_exchange_weak(seen, rest, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return Some(k as usize),
+            let (from, to) = match from_back {
+                true => (back - (back - front).checked_div(self.share).unwrap_or(1).max(1), back),
+                false => (front, front + 1),
+            };
+            let rest = if from_back { pack(front, from) } else { pack(to, back) };
+            match self.left.compare_exchange_weak(seen, rest, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return Some(from as usize..to as usize),
                 Err(now) => seen = now,
             }
         }
-    }
-
-    /// Claim the next piece for worker `wid`: the front of its own lane
-    /// (the one lane, when all workers share it; the back of a reversed
-    /// one), else — under stealing — the back of the first non-empty
-    /// victim, round-robin from `wid + 1`. `None` means every lane it may
-    /// take from was seen empty, hence is empty for good. Under a window,
-    /// the master (`fold`, which it calls while the window holds it back)
-    /// takes the lowest piece and a helper (`None`) the highest.
-    pub(crate) fn next(&self, wid: usize, fold: Option<&mut dyn FnMut()>) -> Option<usize> {
-        if let Some(w) = &self.window {
-            return self.claim_windowed(w, fold);
-        }
-        let n = self.lanes.len();
-        let own = wid % n;
-        if let Some(k) = self.take(own, self.backward) {
-            return Some(k);
-        }
-        if self.steal {
-            for victim in (1..n).map(|off| (own + off) % n) {
-                self.attempts.fetch_add(1, Ordering::Relaxed);
-                if let Some(k) = self.take(victim, true) {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(k);
-                }
-            }
-        }
-        None
     }
 
     /// Under the window: the lowest unclaimed piece for the master, the
@@ -342,27 +314,6 @@ impl Claims {
             }
         }
     }
-
-    /// Whether every piece has been claimed: a worker that starts now
-    /// gets none. Empty for good once seen empty.
-    pub(crate) fn drained(&self) -> bool {
-        if let Some(w) = &self.window {
-            let c = w.lock();
-            return c.closed || c.low >= self.n_pieces();
-        }
-        self.lanes.iter().all(|lane| {
-            let seen = lane.load(Ordering::Relaxed);
-            (seen >> 32) as u32 >= seen as u32
-        })
-    }
-
-    /// Under a `Stealing` schedule: chunks obtained by stealing (vs
-    /// taken from the owner's lane), and steal attempts, successful or
-    /// not. A `Static` block's stolen pieces are not counted.
-    pub(crate) fn steal_counts(&self) -> Option<(u64, u64)> {
-        matches!(self.plan.schedule, Schedule::Stealing { .. })
-            .then(|| (self.steals.load(Ordering::Relaxed), self.attempts.load(Ordering::Relaxed)))
-    }
 }
 
 #[cfg(test)]
@@ -373,9 +324,10 @@ mod tests {
     const SCHEDULES: [Schedule; 3] =
         [Schedule::Static, Schedule::Dynamic { chunk: 1 }, Schedule::Stealing { chunk: 1 }];
 
-    /// `workers` threads start together and drain `claims`; returns what
-    /// each claimed, in claim order.
-    fn drain(claims: &Claims, workers: usize) -> Vec<Vec<usize>> {
+    /// `workers` threads start together and drain `claims`, the first as
+    /// the master and the others as helpers; returns what each claimed,
+    /// in claim order.
+    fn drain(claims: &Claims, workers: usize) -> Vec<Vec<Range<usize>>> {
         let start = Barrier::new(workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -383,7 +335,12 @@ mod tests {
                     let start = &start;
                     scope.spawn(move || {
                         start.wait();
-                        std::iter::from_fn(|| claims.next(wid, None)).collect::<Vec<usize>>()
+                        let mut fold = || {};
+                        let next = || match wid {
+                            0 => claims.next(Some(&mut fold)),
+                            _ => claims.next(None),
+                        };
+                        std::iter::from_fn(next).collect::<Vec<_>>()
                     })
                 })
                 .collect();
@@ -391,7 +348,8 @@ mod tests {
         })
     }
 
-    fn assert_each_piece_once(mut got: Vec<usize>, pieces: usize, what: &str) {
+    fn assert_each_piece_once(runs: Vec<Range<usize>>, pieces: usize, what: &str) {
+        let mut got: Vec<usize> = runs.into_iter().flatten().collect();
         got.sort_unstable();
         assert_eq!(got, (0..pieces).collect::<Vec<_>>(), "pieces lost or duplicated: {what}");
     }
@@ -399,8 +357,9 @@ mod tests {
     /// Every schedule's claim × 1..=8 workers × trips around the worker
     /// count, under the piece count and far past both: the workers
     /// partition the piece space exactly — nothing lost, nothing claimed
-    /// twice. A `Static` worker starts on its own block's pieces, in
-    /// order, and may steal the back of another's.
+    /// twice — the master claiming one piece at a time in ascending
+    /// order, and every helper in descending order, one piece at a time
+    /// when it is the only one.
     #[test]
     fn every_piece_is_claimed_exactly_once_under_every_schedule() {
         for schedule in SCHEDULES {
@@ -410,17 +369,14 @@ mod tests {
                     let claims = Claims::new(&plan, false);
                     let per_worker = drain(&claims, workers);
                     let what = format!("{schedule:?} x{workers} trip {trip}");
-                    let pieces = if schedule == Schedule::Static { PIECES } else { 1 };
-                    if schedule == Schedule::Static {
-                        for (wid, mine) in per_worker.iter().enumerate() {
-                            let own = mine.iter().take_while(|&&p| claims.chunk_of(p) == wid);
-                            assert!(own.clone().copied().eq(wid * PIECES..wid * PIECES + own.count()), "{what}");
-                        }
+                    let master = &per_worker[0];
+                    assert!(master.iter().all(|r| r.len() == 1), "the master takes one piece: {what}");
+                    assert!(master.is_sorted_by(|a, b| a.end <= b.start), "the master ascends: {what}");
+                    for mine in &per_worker[1..] {
+                        assert!(workers > 2 || mine.iter().all(|r| r.len() == 1), "a lone helper: {what}");
+                        assert!(mine.is_sorted_by(|a, b| a.start >= b.end), "a helper descends: {what}");
                     }
-                    let stealing = matches!(schedule, Schedule::Stealing { .. });
-                    assert_eq!(claims.steal_counts().is_some(), stealing, "only stealing counts steals: {what}");
-                    let (steals, attempts) = claims.steal_counts().unwrap_or((0, 0));
-                    assert!(attempts >= steals);
+                    let pieces = if schedule == Schedule::Static { PIECES } else { 1 };
                     assert_each_piece_once(per_worker.concat(), plan.n_chunks() * pieces, &what);
                 }
             }
@@ -468,7 +424,7 @@ mod tests {
         for (trip, budget) in [(100, 1000), (1000, 64), (0, 8)] {
             let plan = ChunkPlan::new(trip, 8, Schedule::Static);
             let claims = Claims::reversed(&plan, budget);
-            let got: Vec<usize> = std::iter::from_fn(|| claims.next(0, None)).collect();
+            let got: Vec<usize> = std::iter::from_fn(|| claims.next(None)).flatten().collect();
             assert!(
                 trip <= budget as u64 || got.len() <= budget,
                 "{trip}, {budget}: {} pieces",
@@ -492,54 +448,52 @@ mod tests {
         }
     }
 
-    /// Owners take ascending chunks off the front, thieves descending
-    /// ones off the back, so a lane's two ends never cross.
+    /// The master takes ascending pieces off the front, helpers
+    /// descending ones off the back, so the interval's two ends never
+    /// cross, and once they meet neither gets a piece. With one helper
+    /// a run is one piece.
     #[test]
-    fn owner_takes_the_front_and_a_thief_the_back() {
-        let claims = Claims::laid(&ChunkPlan::new(10, 2, Schedule::Stealing { chunk: 1 }), 1, 2, 5, true);
-        assert_eq!(claims.next(0, None), Some(0));
-        assert_eq!(claims.next(0, None), Some(1));
-        for k in 5..10 {
-            assert_eq!(claims.next(1, None), Some(k), "worker 1 drains its own lane first");
+    fn the_master_takes_the_front_and_a_helper_the_back() {
+        let claims = Claims::new(&ChunkPlan::new(10, 2, Schedule::Stealing { chunk: 1 }), false);
+        let mut fold = || panic!("no window holds the master back");
+        assert_eq!(claims.next(Some(&mut fold)), Some(0..1));
+        assert_eq!(claims.next(Some(&mut fold)), Some(1..2));
+        for k in (5..10).rev() {
+            assert_eq!(claims.next(None), Some(k..k + 1), "a helper takes the back");
         }
-        assert_eq!(claims.next(1, None), Some(4), "then steals lane 0's back");
-        assert_eq!(claims.steal_counts(), Some((1, 1)));
-        assert_eq!(claims.next(0, None), Some(2));
-        assert!(!claims.drained());
-        assert_eq!(claims.next(1, None), Some(3));
-        assert!(claims.drained(), "no piece left for a worker that starts now");
-        assert_eq!(claims.next(0, None), None);
-        assert_eq!(claims.next(1, None), None);
+        assert_eq!(claims.next(Some(&mut fold)), Some(2..3));
+        assert_eq!(claims.next(None), Some(4..5));
+        assert_eq!(claims.next(Some(&mut fold)), Some(3..4));
+        assert_eq!(claims.next(Some(&mut fold)), None);
+        assert_eq!(claims.next(None), None);
     }
 
-    /// The race-to-last-chunk edge: when an owner's front claim and a
-    /// thief's back claim (or two sharers' front claims) collide on a
-    /// single chunk, exactly one wins.
+    /// On 8 threads a helper's run is a sixteenth of the pieces left off
+    /// the back, so the runs shrink to one piece as the two ends meet.
+    #[test]
+    fn a_helper_takes_half_a_workers_share_off_the_back() {
+        let claims = Claims::new(&ChunkPlan::new(1000, 8, Schedule::Static), false);
+        assert_eq!(claims.n_pieces(), 128);
+        let mut fold = || panic!("no window holds the master back");
+        assert_eq!(claims.next(None), Some(120..128));
+        assert_eq!(claims.next(None), Some(113..120));
+        for _ in 0..100 {
+            claims.next(Some(&mut fold));
+        }
+        // 100..113 are left: 13 / 16 is under one piece.
+        assert_eq!(claims.next(None), Some(112..113));
+        assert_eq!(claims.next(Some(&mut fold)), Some(100..101));
+    }
+
+    /// The race-to-last-piece edge: when the master's front claim and a
+    /// helper's back claim collide on a single piece, exactly one wins.
     #[test]
     fn race_to_last_chunk_has_exactly_one_winner() {
         for round in 0..200 {
-            for (lanes, steal) in [(2, true), (1, false)] {
-                let plan = ChunkPlan::new(1, 2, Schedule::Stealing { chunk: 1 });
-                let claims = Claims::laid(&plan, 1, lanes, 1, steal);
-                let got = drain(&claims, 2).concat();
-                assert_eq!(got, vec![0], "round {round}, {lanes} lane(s): both or neither claimed");
-            }
+            let claims = Claims::new(&ChunkPlan::new(1, 2, Schedule::Stealing { chunk: 1 }), false);
+            let got = drain(&claims, 2).concat();
+            assert_eq!(got, vec![0..1], "round {round}: both or neither claimed");
         }
-    }
-
-    /// A skewed distribution (every chunk on lane 0) forces the other
-    /// workers to live entirely off steals.
-    #[test]
-    fn idle_lane_owners_survive_on_steals_alone() {
-        let chunks = 200;
-        let claims = Claims {
-            lanes: [pack(0, chunks as u32), 0, 0, 0].map(AtomicU64::new).into(),
-            ..Claims::laid(&ChunkPlan::new(0, 1, Schedule::Stealing { chunk: 1 }), 1, 1, 1, true)
-        };
-        let per_worker = drain(&claims, 4);
-        let stolen: usize = per_worker[1..].iter().map(Vec::len).sum();
-        assert_eq!(claims.steal_counts().map(|(steals, _)| steals), Some(stolen as u64));
-        assert_each_piece_once(per_worker.concat(), chunks, "skewed");
     }
 
     /// The window bounds what the lanes hold unfolded: a sum 64 times
@@ -572,28 +526,27 @@ mod tests {
             let claims = Claims::new(&ChunkPlan::new(1 << 20, workers, Schedule::Static), true);
             let size = WINDOW_PER_WORKER * workers;
             let mut held = || panic!("{workers} workers: the master was held back");
-            let mut got = vec![claims.next(0, Some(&mut held))];
-            got.extend((1..size).map(|wid| claims.next(wid % workers, None)));
-            let want: Vec<Option<usize>> = std::iter::once(0).chain((1..size).rev()).map(Some).collect();
+            let mut got = vec![claims.next(Some(&mut held))];
+            got.extend((1..size).map(|_| claims.next(None)));
+            let want: Vec<_> = std::iter::once(0).chain((1..size).rev()).map(|p| Some(p..p + 1)).collect();
             assert_eq!(got, want, "{workers} workers");
             let mut folded = 0;
             let mut fold = || {
                 claims.pass(folded);
                 folded += 1;
             };
-            assert_eq!(claims.next(0, Some(&mut fold)), Some(size), "{workers} workers");
+            assert_eq!(claims.next(Some(&mut fold)), Some(size..size + 1), "{workers} workers");
             assert_eq!(folded, 1, "{workers} workers: the master folded once to move the window");
         }
     }
 
-    /// Claim state is O(workers): a plan over the largest space there is
-    /// builds (and drains) at once.
+    /// Claim state is O(1): a plan over the largest space there is builds
+    /// (and drains) at once.
     #[test]
     fn construction_does_not_grow_with_the_trip_count() {
         for schedule in SCHEDULES {
             let plan = ChunkPlan::new(u64::MAX, 8, schedule);
             let claims = Claims::new(&plan, false);
-            assert!(claims.lanes.len() <= 8);
             let pieces = if schedule == Schedule::Static { PIECES } else { 1 };
             assert_each_piece_once(drain(&claims, 8).concat(), plan.n_chunks() * pieces, "u64::MAX");
         }

@@ -70,18 +70,15 @@ pub enum Schedule {
     /// Contiguous blocks, one per processor (no dispatch overhead).
     Static,
     /// Self-scheduling with the given chunk size: better balance for
-    /// triangular loops, `dispatch` cycles per chunk. Real workers take
-    /// the next chunk off one shared lane.
+    /// triangular loops, `dispatch` cycles per chunk. Real threads claim
+    /// one chunk at a time off the one interval of unclaimed chunks: the
+    /// master the lowest, helpers the highest.
     Dynamic { chunk: usize },
-    /// Work stealing with the given chunk size: chunks start
-    /// block-distributed across per-worker lanes; a worker takes the
-    /// front of its own and, once that is dry, the back of a victim's.
-    /// Chunk *bounds* are identical to `Dynamic` (the chunk → iteration
-    /// mapping is a pure function of the plan, never of who ran it), so
-    /// results stay bit-identical to serial under any victim/steal
-    /// interleaving; only the chunk → worker assignment is dynamic. The
-    /// simulated cost model charges it like `Dynamic` (per-chunk
-    /// `dispatch`).
+    /// The name `--schedule stealing` asks for: on both backends it
+    /// behaves as `Dynamic` does — the same chunks, claimed the same
+    /// way, charged the same per-chunk `dispatch`. Chunk *bounds* are a
+    /// pure function of the plan, never of who ran it, so results stay
+    /// bit-identical to serial under any claim interleaving.
     Stealing { chunk: usize },
 }
 

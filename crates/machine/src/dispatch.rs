@@ -67,8 +67,8 @@ impl IterSpace {
 /// so every run and both backends agree on them. The schedule only
 /// decides the chunk size and how a *real* worker claims its next chunk
 /// ([`crate::claims::Claims`]), so the merge, keyed by chunk index, is
-/// oblivious to who ran what and the bill lands where the no-steals
-/// round-robin would put it.
+/// oblivious to who ran what and the bill lands where the round-robin
+/// would put it.
 ///
 /// No plan has more than [`MAX_CHUNKS_PER_PROC`] chunks per worker: a
 /// requested chunk size that would cut more is raised to the smallest

@@ -157,18 +157,7 @@ pub struct MachineConfig {
 impl MachineConfig {
     /// The paper's evaluation machine: 8 processors, static scheduling.
     pub fn challenge_8() -> MachineConfig {
-        MachineConfig {
-            procs: 8,
-            schedule: Schedule::Static,
-            codegen: CodegenModel::none(),
-            fuel: None,
-            memory_cap: None,
-            exec_mode: ExecMode::Simulated,
-            engine: Engine::default(),
-            cancel: None,
-            panic_at_step: None,
-            adaptive: None,
-        }
+        MachineConfig { procs: 8, ..MachineConfig::serial() }
     }
 
     /// Serial reference machine.
@@ -193,18 +182,7 @@ impl MachineConfig {
     /// accounting (and the speculative fallback path) describes what
     /// actually runs.
     pub fn threaded(procs: usize, schedule: Schedule) -> MachineConfig {
-        MachineConfig {
-            procs: procs.max(1),
-            schedule,
-            codegen: CodegenModel::none(),
-            fuel: None,
-            memory_cap: None,
-            exec_mode: ExecMode::Threaded,
-            engine: Engine::default(),
-            cancel: None,
-            panic_at_step: None,
-            adaptive: None,
-        }
+        MachineConfig { procs: procs.max(1), schedule, exec_mode: ExecMode::Threaded, ..MachineConfig::serial() }
     }
 
     pub fn with_adaptive(

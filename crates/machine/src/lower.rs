@@ -214,28 +214,8 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
         scalar_names: Vec::new(),
         shapes: Vec::new(),
         arrays: Vec::new(),
-        params: BTreeMap::new(),
+        params: unit.symbols.resolved_parameters(),
     };
-    // Resolve parameters to literals (bounded chase).
-    for sym in unit.symbols.iter() {
-        if let SymKind::Parameter(v) = &sym.kind {
-            l.params.insert(sym.name.clone(), v.clone());
-        }
-    }
-    for _ in 0..8 {
-        let snap = l.params.clone();
-        let mut changed = false;
-        for v in l.params.values_mut() {
-            let new = subst_params(v, &snap).simplified();
-            if new != *v {
-                *v = new;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
     // Allocate storage.
     let mut allocated: usize = 0;
     for sym in unit.symbols.iter() {
@@ -299,6 +279,7 @@ pub(crate) fn lower_unit_with_cap(unit: &ProgramUnit, cap: Option<usize>) -> Res
     })
 }
 
+/// `e` with every parameter replaced by its value.
 fn subst_params(e: &Expr, params: &BTreeMap<Name, Expr>) -> Expr {
     e.map(&mut |node| match &node {
         Expr::Var(n) => params.get(n).cloned().unwrap_or(node),

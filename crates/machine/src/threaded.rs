@@ -23,24 +23,25 @@
 //!   counts nothing at all: it executes the `Step`-free bytecode serial
 //!   runs do.
 //! * **The master is lane 0.** The calling thread runs the first lane
-//!   itself; a fork grows its pool to `procs - 1` helpers. A panic in the
-//!   master's lane is caught like a helper's and reported the same, and
-//!   leaves the helpers as they were.
-//! * **The fork waits for the guard.** The master starts alone and goes
-//!   on to the next lane when one is done. Before each piece it claims
-//!   it checks the cycles it has executed against the threshold of the
-//!   bill's profitability guard (`Interp::guard_threshold`); from there
-//!   the lanes nobody has started go to the helpers, and a loop that
-//!   ends under it — one the bill charges as the serial side of the
-//!   generated `IF` — never wakes anyone. Each lane is its own
-//!   interpreter over the master's memory and claims through the same
-//!   [`Claims`] whoever runs it, so nothing below can tell. Under
-//!   `Static` a lane steals the back of another's block when its own is
-//!   done, so the master, which forks late, takes the rest of the
-//!   helpers' blocks while they start.
+//!   itself, once, claiming from the front of the unclaimed pieces; a
+//!   fork grows its pool to `procs - 1` helpers, whose lanes claim from
+//!   the back. A panic in the master's lane is caught like a helper's and
+//!   reported the same, and leaves the helpers as they were.
+//! * **The fork waits for the guard.** The master starts alone. Before
+//!   each piece it claims it checks the cycles it has executed against
+//!   the threshold of the bill's profitability guard
+//!   (`Interp::guard_threshold`); from there the other lanes go to the
+//!   helpers, and a loop that ends under it — one the bill charges as the
+//!   serial side of the generated `IF` — never wakes anyone. Each lane is
+//!   its own interpreter over the master's memory and claims through the
+//!   same [`Claims`] whoever runs it, so nothing below can tell. The
+//!   helpers of a late fork start on the back of the space while the
+//!   master goes on at the front, and the two ends meet where the work
+//!   balances.
 //! * **A lane runs like a serial loop.** Each piece a lane claims is
 //!   one range of iterations, one VM activation ([`Interp::run_range`]),
-//!   as a simulated chunk is.
+//!   as a simulated chunk is, and the pieces of one claim run in
+//!   ascending order.
 //! * **Every lane marks its own shadows.** In a `SPECULATIVE` loop a lane
 //!   marks what its iterations touch of each speculated array on a
 //!   lane-private [`Shadow`], stamped with the iteration index exactly as
@@ -105,9 +106,10 @@
 //!   its own elements for two kinds of array only: a copy of each array
 //!   the loop privatizes, which is never merged, and each array-reduction
 //!   target, held at the identity ([`RedLog::hold`]).
-//! * A record holds a run of adjacent pieces — their output, where each
-//!   one's lines end, the reduction log ([`RedLog`]) cut at the same
-//!   ends — and reductions fold **in serial order**: the master replays
+//! * A record holds pieces the frontier passes one after the other —
+//!   their output, where each one's lines end, the reduction log
+//!   ([`RedLog`]) cut at the same ends — and reductions fold **in serial
+//!   order**: the master replays
 //!   each piece's updates in piece-index order, serial's own fold at any
 //!   thread count or schedule.
 //! * Shared arrays need no commit: a correctly-parallelized loop writes
@@ -274,15 +276,17 @@ impl Drop for ThreadPool {
 
 // ---- a lane, and what it hands the master -------------------------------
 
-/// Pieces one lane ran back to back, adjacent in piece order (ascending,
-/// or descending where it claims from the back), and what the join
-/// commits of them: the master folds a record once the frontier reaches
-/// its lowest piece.
+/// Pieces one lane ran back to back that the frontier passes one after
+/// the other, as claims each ascending and each below the one before,
+/// and what the join commits of them: the master folds a record once the
+/// frontier reaches its lowest piece.
 #[derive(Default)]
 struct Record {
     /// Each piece (a plan has under 2³² pieces), in the order it ran, and
     /// where its lines end in `output`: piece `k` of `updates` too.
     pieces: Vec<(u32, u32)>,
+    /// The lowest piece.
+    low: u32,
     output: Vec<String>,
     /// Per reduction, in `l.par.reductions` order.
     updates: Vec<Updates>,
@@ -291,9 +295,10 @@ struct Record {
 }
 
 impl Record {
-    /// Whether piece `p` continues the run.
-    fn extends(&self, p: usize) -> bool {
-        self.pieces.last().is_none_or(|&(q, _)| p.abs_diff(q as usize) == 1)
+    /// Whether piece `p`, of the claim `p..end`, continues the record: it
+    /// follows the last piece, or the claim's last follows into the lowest.
+    fn extends(&self, p: usize, end: usize, c: &Claims) -> bool {
+        self.pieces.last().is_none_or(|&(q, _)| c.follows(q as usize, p) || c.follows(end - 1, self.low as usize))
     }
 }
 
@@ -348,10 +353,10 @@ struct WorkerTask {
 /// piece, and where the lane's records go. The master folds them, a
 /// helper sends them, the validator holds them to a budget.
 trait Host {
-    /// The lane's next piece: a helper's claim parks while the window
-    /// holds it back.
-    fn claim(&mut self, claims: &Claims, wid: usize) -> Option<usize> {
-        claims.next(wid, None)
+    /// The lane's next run of pieces, off the back of the unclaimed
+    /// ones: a helper's claim parks while the window holds it back.
+    fn claim(&mut self, claims: &Claims) -> Option<std::ops::Range<usize>> {
+        claims.next(None)
     }
 
     /// Before the lane runs piece `p`: the targets to fold it straight
@@ -364,7 +369,9 @@ trait Host {
 }
 
 /// Run lane `task.wid` on the calling thread: claim pieces until none
-/// are left for it, each run as one range ([`Interp::run_range`]), and
+/// are left for it, each run as one range ([`Interp::run_range`]) and the
+/// pieces of a claim in order, so those an error leaves unrun lie above
+/// it, and
 /// hand its records to `host` — before a piece that does not extend the
 /// run, after every piece under a window, and at the end. The lane stores
 /// into the master's arrays in place but for the ones it has its own
@@ -383,53 +390,60 @@ fn worker_run(task: WorkerTask, host: &mut impl Host) -> LaneOut {
     // One register frame for every piece of the lane.
     let mut frame = it.body_frame(body);
     let (mut rec, mut cycles, mut err) = (Record::default(), Vec::new(), None);
-    while let Some(p) = host.claim(&claims, wid) {
-        let (start, end) = claims.bounds(p);
-        if start == end {
-            continue; // a piece past a short block's end
-        }
-        if !rec.extends(p) {
-            cut(&mut it, &mut rec, host);
-        }
-        let c0 = it.cycles;
-        let mut range = ArmRange::new(space, start, end);
-        // The frontier piece runs on the fold's own targets, logging
-        // nothing: serial's fold itself.
-        let mut direct = host.before(&mut it, p);
-        let log = direct.is_some().then(|| it.red.take()).flatten();
-        if let Some(staged) = direct.as_mut() {
-            staged.swap(&mut it, &l.par.reductions);
-        }
-        err = match it.run_range(&l, &mut range, frame.as_mut()) {
-            Ok(Flow::Normal) => None,
-            // STOP bodies never reach the threaded path, but surface
-            // it as an error defensively rather than silently
-            // dropping iterations.
-            Ok(Flow::Stop) => Some((range.idx, MachineError::Stopped)),
-            Err(e) => Some((range.idx, e)),
-        };
-        if let Some(staged) = direct {
-            staged.swap(&mut it, &l.par.reductions);
-            it.red = log;
-        }
-        let chunk = claims.chunk_of(p);
-        cycles.resize(cycles.len().max(chunk + 1), 0);
-        cycles[chunk] += it.cycles - c0;
-        rec.pieces.push((p as u32, u32::try_from(it.output.len()).expect("a lane's lines fit a u32")));
-        if end == space.trip() && err.is_none() {
-            rec.copy_out = Some(l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
-        }
-        if let Some(log) = it.red.as_deref_mut() {
-            log.end_piece();
-        }
-        if claims.windowed() {
-            cut(&mut it, &mut rec, host);
-        }
-        if err.is_some() {
-            break;
+    'lane: while let Some(run) = host.claim(&claims) {
+        for p in run.clone() {
+            let (start, end) = claims.bounds(p);
+            if start == end {
+                continue; // a piece past a short block's end
+            }
+            if !rec.extends(p, run.end, &claims) {
+                cut(&mut it, &mut rec, host);
+            }
+            let c0 = it.cycles;
+            let mut range = ArmRange::new(space, start, end);
+            // The frontier piece runs on the fold's own targets, logging
+            // nothing: serial's fold itself.
+            let mut direct = host.before(&mut it, p);
+            let log = direct.is_some().then(|| it.red.take()).flatten();
+            if let Some(staged) = direct.as_mut() {
+                staged.swap(&mut it, &l.par.reductions);
+            }
+            err = match it.run_range(&l, &mut range, frame.as_mut()) {
+                Ok(Flow::Normal) => None,
+                // STOP bodies never reach the threaded path, but surface
+                // it as an error defensively rather than silently
+                // dropping iterations.
+                Ok(Flow::Stop) => Some((range.idx, MachineError::Stopped)),
+                Err(e) => Some((range.idx, e)),
+            };
+            if let Some(staged) = direct {
+                staged.swap(&mut it, &l.par.reductions);
+                it.red = log;
+            }
+            let chunk = claims.chunk_of(p);
+            cycles.resize(cycles.len().max(chunk + 1), 0);
+            cycles[chunk] += it.cycles - c0;
+            rec.low = if rec.pieces.is_empty() { p as u32 } else { rec.low.min(p as u32) };
+            rec.pieces.push((p as u32, u32::try_from(it.output.len()).expect("a lane's lines fit a u32")));
+            if end == space.trip() && err.is_none() {
+                rec.copy_out = Some(l.par.copy_out_scalars.iter().map(|&s| (s, it.scalars[s])).collect());
+            }
+            if let Some(log) = it.red.as_deref_mut() {
+                log.end_piece();
+            }
+            if claims.windowed() {
+                cut(&mut it, &mut rec, host);
+            }
+            if err.is_some() {
+                break 'lane;
+            }
         }
     }
-    cut(&mut it, &mut rec, host);
+    // After an error the join commits nothing, and the unrun rest of the
+    // claim would leave a gap in the record (a window's is handed over).
+    if err.is_none() {
+        cut(&mut it, &mut rec, host);
+    }
     let steps = it.steps - steps;
     LaneOut {
         wid,
@@ -768,8 +782,7 @@ impl Fold {
 
     /// Fold `rec` and every held record the frontier reaches, or hold it.
     fn add(&mut self, rec: Record) {
-        let lowest = |r: &Record| r.pieces[0].0.min(r.pieces[r.pieces.len() - 1].0) as usize;
-        if lowest(&rec) != self.claims.frontier() {
+        if rec.low as usize != self.claims.frontier() {
             self.held_updates += Updates::count(&rec.updates);
             #[cfg(test)]
             HELD.with(|h| h.set(h.get().max(self.held_updates)));
@@ -777,7 +790,7 @@ impl Fold {
             return;
         }
         self.fold(rec);
-        while let Some(at) = self.held.iter().position(|r| lowest(r) == self.claims.frontier()) {
+        while let Some(at) = self.held.iter().position(|r| r.low as usize == self.claims.frontier()) {
             let rec = self.held.swap_remove(at);
             self.held_updates -= Updates::count(&rec.updates);
             self.fold(rec);
@@ -785,15 +798,21 @@ impl Fold {
     }
 
     /// Fold `rec`, whose lowest piece is the frontier, a piece at a time
-    /// in piece order: its updates, then its lines.
+    /// in piece order: its updates, then its lines. Its claims ran in
+    /// ascending order, each below the one before, so they fold last to
+    /// first.
     fn fold(&mut self, mut rec: Record) {
-        let n = rec.pieces.len();
-        let ascending = rec.pieces[0].0 <= rec.pieces[n - 1].0;
-        for k in (0..n).map(|i| if ascending { i } else { n - 1 - i }) {
-            self.merge_bytes += self.staged.replay(&self.reds, &rec.updates, k);
-            let lines = k.checked_sub(1).map_or(0, |j| rec.pieces[j].1 as usize)..rec.pieces[k].1 as usize;
-            self.output.extend(rec.output[lines].iter_mut().map(std::mem::take));
-            self.claims.pass(rec.pieces[k].0 as usize);
+        let mut end = rec.pieces.len();
+        while end > 0 {
+            let piece = |k: usize| rec.pieces[k].0 as usize;
+            let start = (1..end).rev().find(|&k| !self.claims.follows(piece(k - 1), piece(k))).unwrap_or(0);
+            for k in start..end {
+                self.merge_bytes += self.staged.replay(&self.reds, &rec.updates, k);
+                let lines = k.checked_sub(1).map_or(0, |j| rec.pieces[j].1 as usize)..rec.pieces[k].1 as usize;
+                self.output.extend(rec.output[lines].iter_mut().map(std::mem::take));
+                self.claims.pass(rec.pieces[k].0 as usize);
+            }
+            end = start;
         }
         if rec.copy_out.is_some() {
             self.copy_out = rec.copy_out;
@@ -801,11 +820,10 @@ impl Fold {
     }
 }
 
-/// The master: it runs lanes itself, in lane order, until the cycles it
-/// has executed reach the bill's guard, then hands the lanes nobody has
-/// started to the helpers; between its pieces and while a claim waits it
-/// folds, and the frontier piece it runs it folds straight into the
-/// staged targets.
+/// The master: it runs lane 0, claiming from the front, and once the
+/// cycles it has executed reach the bill's guard hands the other lanes to
+/// the helpers; between its pieces and while a claim waits it folds, and
+/// the frontier piece it runs it folds straight into the staged targets.
 struct Master<'f> {
     fold: &'f mut Fold,
     tx: &'f mpsc::Sender<Report>,
@@ -813,8 +831,7 @@ struct Master<'f> {
     /// Lanes to run, and the first one nobody has started.
     procs: usize,
     unstarted: usize,
-    /// Cycles of the lanes the master finished, and the guard's threshold.
-    ran: u64,
+    /// The guard's threshold.
     threshold: u64,
     helpers: usize,
 }
@@ -843,12 +860,12 @@ impl Master<'_> {
 impl Host for Master<'_> {
     /// The master claims the lowest piece, and folds while the window
     /// holds it back.
-    fn claim(&mut self, claims: &Claims, wid: usize) -> Option<usize> {
-        claims.next(wid, Some(&mut || self.fold.recv()))
+    fn claim(&mut self, claims: &Claims) -> Option<std::ops::Range<usize>> {
+        claims.next(Some(&mut || self.fold.recv()))
     }
 
     fn before(&mut self, it: &mut Interp<'_>, p: usize) -> Option<&mut Staged> {
-        if self.unstarted < self.procs && self.ran + it.cycles >= self.threshold {
+        if self.unstarted < self.procs && it.cycles >= self.threshold {
             self.hand_over();
         }
         self.fold.poll();
@@ -947,35 +964,24 @@ pub(crate) fn run_threaded_loop(
         return join(interp, l, &plan, fold);
     }
 
-    // Which thread ran a lane shows in nothing the join commits, so a
+    // Which thread ran a piece shows in nothing the join commits, so a
     // loop under the guard wakes no one and commits what a forked one
-    // would. A lane with nothing left to claim is not started: it would
-    // only return an empty result.
+    // would. The master runs lane 0 once: every piece it did not take
+    // lies above those it did, so after its error none could fail first.
     let mut master = Master {
         fold: &mut fold,
         tx: &tx,
         lane: &lane,
         procs,
-        unstarted: 0,
-        ran: 0,
+        unstarted: 1,
         threshold: interp.guard_threshold(),
         helpers: interp.cfg.procs - 1,
     };
-    while master.unstarted < procs && !claims.drained() {
-        let wid = master.unstarted;
-        master.unstarted += 1;
-        // A panic in the master's lane is a helper's: no result for it,
-        // and nothing more to claim.
-        match catch_unwind(AssertUnwindSafe(|| worker_run(lane(wid), &mut master))) {
-            Ok(out) => {
-                master.ran += out.cycles.iter().sum::<u64>();
-                master.fold.lanes.push(out);
-            }
-            Err(_) => {
-                claims.close();
-                break;
-            }
-        }
+    // A panic in the master's lane is a helper's: no result for it, and
+    // nothing more to claim.
+    match catch_unwind(AssertUnwindSafe(|| worker_run(lane(0), &mut master))) {
+        Ok(out) => master.fold.lanes.push(out),
+        Err(_) => claims.close(),
     }
     // Every lane handed over reports before the run goes on: no work
     // crosses into a later run. A lane started with no result is one
@@ -1001,7 +1007,7 @@ pub(crate) fn run_threaded_loop(
 /// order, which is serial order, and the copy-out. The lanes' other
 /// stores, and the array reductions, are in memory already.
 fn join(interp: &mut Interp<'_>, l: &RLoop, plan: &ChunkPlan, fold: Fold) -> Result<Option<(Flow, Vec<u64>)>, MachineError> {
-    let Fold { claims, staged, output, copy_out, mut merge_bytes, lanes: mut results, .. } = fold;
+    let Fold { staged, output, copy_out, mut merge_bytes, lanes: mut results, .. } = fold;
     results.sort_by_key(|w| w.wid);
 
     // The PD test over the lanes' marks failing. A lane error counts as a
@@ -1043,7 +1049,7 @@ fn join(interp: &mut Interp<'_>, l: &RLoop, plan: &ChunkPlan, fold: Fold) -> Res
     }
 
     // Each plan chunk's cycles, the lanes' added up, in chunk order: the
-    // deterministic cost profile (never wall time, never steal
+    // deterministic cost profile (never wall time, never claim
     // interleaving), and what the simulator bills.
     let profile: Vec<u64> = (0..plan.n_chunks())
         .map(|c| results.iter().filter_map(|w| w.cycles.get(c)).sum())
@@ -1055,10 +1061,6 @@ fn join(interp: &mut Interp<'_>, l: &RLoop, plan: &ChunkPlan, fold: Fold) -> Res
     // the plan assigned the chunk to.
     if interp.recorder.is_enabled() {
         interp.recorder.count(polaris_obs::Counter::ThreadedChunks, profile.len() as u64);
-        if let Some((steals, attempts)) = claims.steal_counts() {
-            interp.recorder.count(polaris_obs::Counter::StealChunks, steals);
-            interp.recorder.count(polaris_obs::Counter::StealAttempts, attempts);
-        }
         for k in 0..profile.len() {
             let tid = 1 + plan.bucket_of(k) as u32;
             interp.recorder.span_with("exec", format!("chunk:{k}"), tid, Some(l.loop_id), None).end();
@@ -1285,6 +1287,26 @@ mod tests {
         assert_eq!(s, t);
     }
 
+    /// Past the guard on 4 and 8 threads, the helpers claim runs off the
+    /// back, several runs make a record, and a block of 13 iterations
+    /// leaves 3 of its 16 pieces empty: every line still comes out in
+    /// iteration order, every time.
+    #[test]
+    fn helpers_runs_fold_in_iteration_order() {
+        let src = "program t\nreal a(104)\n!$polaris doall private(J)\ndo i = 1, 104\n  do j = 1, 200\n    a(i) = a(i) + j\n  end do\n  print *, i, a(i)\nend do\nend\n";
+        let p = parse(src);
+        let serial = crate::exec::run_serial(&p).unwrap();
+        for schedule in ALL_SCHEDULES {
+            for procs in [4, 8] {
+                for round in 0..10 {
+                    let thr = crate::exec::run(&p, &MachineConfig::threaded(procs, schedule)).unwrap();
+                    assert_eq!(thr.output, serial.output, "{schedule:?} x {procs}, round {round}");
+                    assert!(thr.loops.values().any(|s| s.parallel_invocations > 0), "the loop forked");
+                }
+            }
+        }
+    }
+
     #[test]
     fn threaded_out_of_bounds_is_reported() {
         let src = "program t\nreal a(50)\ninteger key(100)\ndo k = 1, 100\n  key(k) = k\nend do\n!$polaris doall\ndo i = 1, 100\n  a(key(i)) = i * 1.0\nend do\nend\n";
@@ -1350,13 +1372,11 @@ mod tests {
         assert!(thr.loops.values().all(|s| s.parallel_invocations == 0), "{:?}", thr.loops);
     }
 
-    /// First lanes a few cycles, last lanes thousands: the guard's
-    /// threshold is crossed late. The master never leaves lane 0: done
-    /// with its own block's pieces, it steals the back of the next
-    /// block's, and the first heavy piece it steals crosses the
-    /// threshold, so it hands every other lane over (7 at 8 block lanes,
-    /// 1 at 2), whose owners start on what is left of their blocks. Who
-    /// ran a piece shows nowhere.
+    /// First iterations a few cycles, last ones thousands: the guard's
+    /// threshold is crossed late. The master claims from the front, the
+    /// first heavy piece it runs crosses the threshold, and it hands
+    /// every other lane over (7 at 8 threads, 1 at 2), which start on
+    /// the back of the space. Who ran a piece shows nowhere.
     #[test]
     fn skewed_doall_forks_late_and_matches_serial_and_the_simulator() {
         let src = "program t\nreal a(64)\n!$polaris doall private(J)\ndo i = 1, 64\n  a(i) = i * 1.0\n  if (i > 32) then\n    do j = 1, 200\n      a(i) = a(i) + j * 0.5\n    end do\n  end if\nend do\nprint *, a(1), a(32), a(33), a(64)\nend\n";
@@ -1377,9 +1397,9 @@ mod tests {
     }
 
     /// A lane that panics is `WorkerPanicked` whoever ran it: the master
-    /// before it forked (step 100), both threads after (5000), a lane in
-    /// block 1 (7000: block 0 takes 6000 steps, block 1 8000, so only the
-    /// helper, or the master stealing block 1's back, gets there). Nothing
+    /// before it forked (step 100), both threads after (5000), the lane
+    /// that runs more than half of the loop (7000: the loop takes 14 000
+    /// steps, and each lane counts its own from the fork). Nothing
     /// unwinds out of `run`, nothing hangs, and the helper survives: the
     /// next run on the thread spawns nothing and is clean.
     #[test]

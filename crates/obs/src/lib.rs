@@ -183,10 +183,6 @@ pub enum Counter {
     /// Decision-table entries that failed their integrity check and were
     /// reset (the consumer fell back to static dispatch).
     AdaptiveTableCorrupt,
-    /// Chunks obtained by stealing from another worker's lane.
-    StealChunks,
-    /// Steal attempts (successful or not) against victim lanes.
-    StealAttempts,
 }
 
 impl Counter {
@@ -247,8 +243,6 @@ impl Counter {
             Counter::AdaptiveThrottled => "adaptive.throttle",
             Counter::AdaptiveProbes => "adaptive.probe",
             Counter::AdaptiveTableCorrupt => "adaptive.table.corrupt",
-            Counter::StealChunks => "exec.steal.chunks",
-            Counter::StealAttempts => "exec.steal.attempts",
         }
     }
 }
@@ -830,8 +824,6 @@ mod tests {
             Counter::AdaptiveThrottled,
             Counter::AdaptiveProbes,
             Counter::AdaptiveTableCorrupt,
-            Counter::StealChunks,
-            Counter::StealAttempts,
         ];
         let names: std::collections::BTreeSet<&str> = all.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), all.len());

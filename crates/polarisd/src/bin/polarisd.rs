@@ -7,13 +7,16 @@
 //!
 //! With `--listen 127.0.0.1:0` the chosen address is announced on stdout
 //! as `listening on <addr>` before requests are served. Each request line
-//! is answered by exactly one response line; responses may arrive out of
-//! submission order (they carry the request `id`).
+//! is answered by exactly one response line, in request order, so a
+//! response that takes long holds back the ones behind it on its stream.
+//! A stream is served by two threads, a reader and a writer, and holds at
+//! most `--queue` requests between them: a reader that runs ahead of the
+//! writer waits.
 
 use polarisd::proto::{Request, Response, Status};
-use polarisd::service::{Service, ServiceConfig};
+use polarisd::service::{Service, ServiceConfig, Ticket};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,62 +56,52 @@ fn main() {
             }
         }
     }
+    let queue = cfg.queue_capacity;
     let service = Arc::new(Service::new(cfg));
 
     match listen {
-        Some(addr) => serve_tcp(&service, &addr, stdio),
-        None => serve_stdio(&service),
+        Some(addr) => serve_tcp(&service, queue, &addr, stdio),
+        None => serve(&service, queue, std::io::stdin().lock(), std::io::stdout()),
     }
 }
 
-/// Answer one already-parsed line: submit, wait, serialize.
-fn answer(service: &Service, line: &str) -> String {
-    let req = match Request::parse(line) {
-        Ok(req) => req,
-        Err(e) => {
-            // Not even parseable as a request envelope: answer on id 0 so
-            // the caller sees *something* rather than silence.
-            let mut resp = Response::empty(0, Status::Error);
-            resp.reason = Some(format!("bad request: {e}"));
-            return resp.to_json();
+/// Serve one stream of request lines. The reader submits each line,
+/// which does not block, and passes its ticket — or the response to a
+/// line that is not a request — to one writer thread over a channel of
+/// `queue` answers at most; the writer waits them in order.
+fn serve(service: &Service, queue: usize, input: impl BufRead, mut output: impl Write + Send) {
+    let (tx, rx) = mpsc::sync_channel::<Result<Ticket, Response>>(queue);
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for answer in rx {
+                let resp = answer.map_or_else(|resp| resp, Ticket::wait);
+                if writeln!(output, "{}", resp.to_json()).and_then(|()| output.flush()).is_err() {
+                    break;
+                }
+            }
+        });
+        for line in input.lines() {
+            let Ok(line) = line else { break };
+            if line.trim().is_empty() {
+                continue;
+            }
+            let answer = Request::parse(&line).map(|req| service.submit(req)).map_err(|e| {
+                // Not even parseable as a request envelope: answer on id 0
+                // so the caller sees *something* rather than silence.
+                let mut resp = Response::empty(0, Status::Error);
+                resp.reason = Some(format!("bad request: {e}"));
+                resp
+            });
+            if tx.send(answer).is_err() {
+                break; // the writer's stream is gone
+            }
         }
-    };
-    service.submit(req).wait().to_json()
-}
-
-/// stdin/stdout mode. Requests are answered concurrently (the service
-/// decides ordering); a writer thread serializes the output lines.
-fn serve_stdio(service: &Arc<Service>) {
-    let (tx, rx) = mpsc::channel::<String>();
-    let writer = std::thread::spawn(move || {
-        let stdout = std::io::stdout();
-        for line in rx {
-            let mut out = stdout.lock();
-            let _ = writeln!(out, "{line}");
-            let _ = out.flush();
-        }
+        drop(tx);
     });
-    let mut joiners = Vec::new();
-    for line in std::io::stdin().lock().lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let service = Arc::clone(service);
-        let tx = tx.clone();
-        joiners.push(std::thread::spawn(move || {
-            let _ = tx.send(answer(&service, &line));
-        }));
-    }
-    for j in joiners {
-        let _ = j.join();
-    }
-    drop(tx);
-    let _ = writer.join();
 }
 
-/// TCP mode: one thread per connection, one thread per request within it.
-fn serve_tcp(service: &Arc<Service>, addr: &str, also_stdio: bool) {
+/// TCP mode: each connection is a stream of its own.
+fn serve_tcp(service: &Arc<Service>, queue: usize, addr: &str, also_stdio: bool) {
     let listener = match TcpListener::bind(addr) {
         Ok(l) => l,
         Err(e) => {
@@ -122,45 +115,15 @@ fn serve_tcp(service: &Arc<Service>, addr: &str, also_stdio: bool) {
 
     if also_stdio {
         let service = Arc::clone(service);
-        std::thread::spawn(move || serve_stdio(&service));
+        std::thread::spawn(move || serve(&service, queue, std::io::stdin().lock(), std::io::stdout()));
     }
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
         let service = Arc::clone(service);
-        std::thread::spawn(move || serve_conn(&service, stream));
-    }
-}
-
-fn serve_conn(service: &Arc<Service>, stream: TcpStream) {
-    let reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<String>();
-    let mut write_half = stream;
-    let writer = std::thread::spawn(move || {
-        for line in rx {
-            if writeln!(write_half, "{line}").is_err() {
-                break;
+        std::thread::spawn(move || {
+            if let Ok(reader) = stream.try_clone() {
+                serve(&service, queue, BufReader::new(reader), stream);
             }
-            let _ = write_half.flush();
-        }
-    });
-    let mut joiners = Vec::new();
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let service = Arc::clone(service);
-        let tx = tx.clone();
-        joiners.push(std::thread::spawn(move || {
-            let _ = tx.send(answer(&service, &line));
-        }));
+        });
     }
-    for j in joiners {
-        let _ = j.join();
-    }
-    drop(tx);
-    let _ = writer.join();
 }

@@ -29,8 +29,8 @@
 //!                   one included (default: the --procs value)
 //!   --schedule S    parallel-loop scheduling policy for --run/--diag:
 //!                   `static` (default; contiguous blocks, one per
-//!                   worker), `stealing` (per-worker chunk lanes with
-//!                   work stealing — better balance for skewed
+//!                   worker), `stealing` (small chunks claimed one at
+//!                   a time — better balance for skewed
 //!                   per-iteration costs), or `adaptive` (per-loop
 //!                   runtime dispatcher: first invocation measures,
 //!                   later invocations re-dispatch to the measured

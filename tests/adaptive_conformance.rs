@@ -71,7 +71,7 @@ fn all_kernels_bit_identical_across_schedules_engines_and_procs() {
 /// Real-thread backend: the scheduling kernels under static / adaptive
 /// / stealing at 2/3/4/8 worker threads, and every other kernel under
 /// all three at 2 and 3 and under stealing at 8 — bit-identical to the
-/// serial reference, final state included, under any victim/steal
+/// serial reference, final state included, under any claim
 /// interleaving.
 #[test]
 fn threaded_backend_is_bit_identical_for_every_schedule() {
@@ -94,26 +94,32 @@ fn threaded_backend_is_bit_identical_for_every_schedule() {
     }
 }
 
-/// A `threaded xN/Stealing` row must run on stealing claims, not on
-/// block partitioning under another name: a worker that drains its own
-/// lane goes looking for a victim, and only that counts an attempt.
+/// A `threaded xN/Stealing` row must run on stealing's small chunks,
+/// not on block partitioning under another name: on SPMVT it joins more
+/// `exec.threaded.chunks` than the `Static` row, which cuts one a thread.
 #[test]
 fn threaded_stealing_rows_reach_the_steal_queue() {
     let program = common::compiled(polaris_benchmarks::skewed().source, "SPMVT");
-    let matrix =
-        Matrix { engines: &[Engine::Vm], procs: &[], threads: &[2], schedules: &[Sched::Stealing] };
-    let mut stealing_rows = 0;
+    let matrix = Matrix {
+        engines: &[Engine::Vm],
+        procs: &[],
+        threads: &[2],
+        schedules: &[Sched::Static, Sched::Stealing],
+    };
+    let mut chunks = Vec::new();
     for_each_config(&matrix, |label, cfg| {
-        if !label.contains("threaded x2/Stealing") {
+        if !label.contains("threaded x2/") {
             return;
         }
-        stealing_rows += 1;
         let rec = polaris::obs::Recorder::monotonic();
         run_recorded(&program, cfg, &rec).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let attempts = rec.counters().get("exec.steal.attempts").copied().unwrap_or(0);
-        assert!(attempts > 0, "{label}: no steal attempted; the row ran another schedule");
+        chunks.push((label.to_string(), rec.counters().get("exec.threaded.chunks").copied().unwrap_or(0)));
     });
-    assert_eq!(stealing_rows, 1);
+    let [(_, block), (label, stealing)] = &chunks[..] else { panic!("{chunks:?}: not one Static and one Stealing row") };
+    assert!(
+        stealing > block,
+        "{label}: {stealing} chunks against Static's {block}; the row ran another schedule"
+    );
 }
 
 /// Decision-table conformance: tables are deterministic across repeated

@@ -23,6 +23,8 @@ use polaris::symbolic::{Range, RangeEnv};
 use polaris::PassOptions;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Measured since a disabled recorder's span names (`pass:`, `verify:`,
 /// `unit:`) are no longer formatted: 98 226 allocations / 18 448 941
@@ -77,9 +79,20 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocations by every thread: a fork's helpers allocate too.
+static EVERY_THREAD: AtomicU64 = AtomicU64::new(0);
+
 fn count(size: usize) {
     ALLOCS.with(|c| c.set(c.get() + 1));
     BYTES.with(|c| c.set(c.get() + size as u64));
+    EVERY_THREAD.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Every test holds this while it runs, so [`EVERY_THREAD`] counts one
+/// test's threads only.
+fn alone() -> MutexGuard<'static, ()> {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters are
@@ -127,6 +140,7 @@ fn inner(var: &str, lo: &str, hi: &str) -> InnerLoop {
 // One test function: the three measurements share the thread's counters.
 #[test]
 fn checked_compiles_and_the_trfd_range_test_stay_within_their_allocation_budgets() {
+    let _alone = alone();
     let kernels = common::kernels();
     let (allocs, bytes) = counted(|| {
         for b in &kernels {
@@ -188,6 +202,7 @@ fn checked_compiles_and_the_trfd_range_test_stay_within_their_allocation_budgets
 /// run, where copying it away from the image on the first store made two.
 #[test]
 fn element_stores_allocate_nothing_and_a_run_holds_one_copy_of_each_array() {
+    let _alone = alone();
     const ELEMENTS: u64 = 40_000;
     let run = |trips: u64| {
         let src = format!(
@@ -236,17 +251,20 @@ fn fork_traffic(decls: &str) -> (u64, u64) {
 /// A fork shares what its lanes do not own: each lane gets the scalars,
 /// a handle on each array's elements and one reference to the image's
 /// shape table, so a fork allocates as much in a unit of 40 arrays as in
-/// one of 2: 13 allocations and 1 536 bytes per fork, among them the
-/// claims, the report channel, the master's snapshot of the scalars and
-/// the lane's copy of it, the lane's cycles per plan chunk and its record
-/// of pieces; a record that reaches the master at the frontier is folded,
-/// not held. (While the fold held every record in a map first, 14 and
-/// 2 696; while a lane copied each array's name and bounds, the 40-array
-/// unit made 3 × 38 more allocations per lane per fork: 135 against 21;
-/// while the fork shared each array with a snapshot for the join to diff
-/// against and a lane copied an array it stored into, 16.)
+/// one of 2, and at most 12 allocations and 1 480 bytes per fork, among
+/// them the claims, the report channel, the master's snapshot of the
+/// scalars and the lane's copy of it, the lane's cycles per plan chunk
+/// and its record of pieces; a record that reaches the master at the
+/// frontier is folded, not held. (While the claims kept a lane per
+/// worker, 13 and 1 536; while the fold held every record in a map
+/// first, 14 and 2 696; while a lane copied each array's name and
+/// bounds, the 40-array unit made 3 × 38 more allocations per lane per
+/// fork: 135 against 21; while the fork shared each array with a
+/// snapshot for the join to diff against and a lane copied an array it
+/// stored into, 16.)
 #[test]
 fn a_forks_allocations_do_not_grow_with_the_array_count() {
+    let _alone = alone();
     let arrays = |n: usize| -> String {
         let decls: String = (1..n).map(|k| format!("real b{k}(4)\n")).collect();
         format!("real a(8)\n{decls}")
@@ -254,16 +272,18 @@ fn a_forks_allocations_do_not_grow_with_the_array_count() {
     let (few, many) = (fork_traffic(&arrays(2)).0, fork_traffic(&arrays(40)).0);
     println!("alloc_budget: {FORKS} forks on 2 threads: {few} allocations with 2 arrays, {many} with 40");
     assert_eq!(few, many, "a fork's allocations grew with the array count");
+    assert!(few <= 12 * FORKS, "{FORKS} forks made {few} allocations");
 }
 
 /// A fork copies no element of an array its lanes share: they store
 /// into it in place, so `FORKS` more forks allocate the same bytes with
-/// `A` of 8 elements as of 2²⁰, and at most 16 000 of them: 15 360.
+/// `A` of 8 elements as of 2²⁰, and at most 16 000 of them: 14 800.
 /// (While the fold held every record in a map first, 26 960; while a
 /// lane copied an array at its first store into it, each fork here
 /// copied the 8 MB array: 83 901 680 bytes against 16 240.)
 #[test]
 fn a_forks_bytes_do_not_grow_with_a_shared_arrays_size() {
+    let _alone = alone();
     let small = fork_traffic("real a(8)\n").1;
     let large = fork_traffic("real a(1048576)\n").1;
     println!("alloc_budget: {FORKS} forks on 2 threads: {small} bytes with A(8), {large} with A(1048576)");
@@ -280,6 +300,7 @@ fn a_forks_bytes_do_not_grow_with_a_shared_arrays_size() {
 /// the adversarial run made one allocation more per iteration.)
 #[test]
 fn a_validated_print_loop_allocates_per_iteration_what_a_serial_run_does() {
+    let _alone = alone();
     const N: u64 = 2048;
     let program = |trips: u64| {
         let src =
@@ -311,6 +332,7 @@ fn a_validated_print_loop_allocates_per_iteration_what_a_serial_run_does() {
 /// one compile's bytes more.)
 #[test]
 fn a_validation_compiles_its_unit_once() {
+    let _alone = alone();
     const N: usize = 200;
     let program = |stmts: usize| {
         let body = "x = x + 1.0\n".repeat(stmts);
@@ -334,6 +356,7 @@ fn a_validation_compiles_its_unit_once() {
 /// 64 allocations more, one per name.)
 #[test]
 fn cloning_an_expression_allocates_its_nodes_and_not_its_names() {
+    let _alone = alone();
     let sum = (1..=64).map(|k| format!("a{k}")).collect::<Vec<_>>().join(" + ");
     let program = polaris::ir::parse(&format!("program t\nx = {sum}\nend\n")).unwrap();
     let polaris::ir::StmtKind::Assign { rhs, .. } = &program.units[0].body.0[0].kind else {
@@ -359,6 +382,7 @@ fn cloning_an_expression_allocates_its_nodes_and_not_its_names() {
 /// whole block of 4 096 entries, 33 792.)
 #[test]
 fn a_short_reduction_logs_what_it_holds() {
+    let _alone = alone();
     let extra = |body: &str, annotation: &str| {
         let src = format!(
             "program p\ns = 0.0\n{annotation}\ndo i = 1, 64\n  {body}\nend do\nprint *, s\nend\n"
@@ -374,4 +398,49 @@ fn a_short_reduction_logs_what_it_holds() {
     let store = extra("t = 1.0", "!$polaris doall private(T)");
     println!("alloc_budget: validating a 64-trip sum: {sum} bytes beyond a serial run, {store} for a plain DOALL");
     assert!(sum - store < 4096, "the 64-trip sum's log took {} bytes", sum - store);
+}
+
+/// `FORKS` more forks past the guard on `procs` threads, of a 1 024-trip
+/// DOALL of 8 steps an iteration: the allocations of every thread per
+/// fork, and whether the loop forked.
+fn forks_past_the_guard(procs: usize, schedule: polaris::machine::Schedule) -> (f64, bool) {
+    let program = |forks: u64| {
+        let src = format!(
+            "program forks\nreal a(1024)\ndo t = 1, {forks}\n!$polaris doall private(J)\ndo i = 1, 1024\n  do j = 1, 8\n    a(i) = a(i) + j * t\n  end do\nend do\nend do\nprint *, a(1)\nend\n"
+        );
+        polaris::ir::parse(&src).unwrap()
+    };
+    let cfg = polaris::MachineConfig::threaded(procs, schedule);
+    let run = |p: &polaris::ir::Program| {
+        let before = EVERY_THREAD.load(Ordering::Relaxed);
+        let r = polaris::machine::run(p, &cfg).unwrap();
+        (EVERY_THREAD.load(Ordering::Relaxed) - before, r.loops.values().any(|s| s.parallel_invocations > 0))
+    };
+    let (one, more) = (program(1), program(FORKS + 1));
+    run(&one); // spawns this thread's helpers
+    let ((few, _), (many, forked)) = (run(&one), run(&more));
+    ((many - few) as f64 / FORKS as f64, forked)
+}
+
+/// Forks past the guard on 4 and 8 threads, where two or more helpers
+/// claim off the back of the pieces and their claims interleave: every
+/// thread together allocates at most 32 per thread per fork, because a
+/// helper claims a run of pieces and hands the master one record for
+/// claims that lie side by side; a record a piece would be 256 on 4
+/// threads and 512 on 8 under `Stealing`. On a 2-core host (release; a
+/// debug build reads up to 40 % more), `Static` measured 38–44
+/// allocations per fork on 4 threads and 60–65 on 8, `Stealing` 50–56
+/// and 71–104. (While the helpers had a lane each and stole one piece at
+/// a time: `Static` 66–73 and 137–150, `Stealing` 136–165 and 99–392.)
+#[test]
+fn forks_past_the_guard_on_4_and_8_threads_stay_within_their_allocation_budget() {
+    let _alone = alone();
+    for schedule in [polaris::machine::Schedule::Static, polaris::machine::Schedule::Stealing { chunk: 1 }] {
+        for procs in [4, 8] {
+            let (per_fork, forked) = forks_past_the_guard(procs, schedule);
+            println!("alloc_budget: a fork past the guard on {procs} threads, {schedule:?}: {per_fork:.1} allocations");
+            assert!(forked, "{schedule:?} on {procs} threads: the loop stayed under the guard");
+            assert!(per_fork <= 32.0 * procs as f64, "{schedule:?} on {procs} threads: {per_fork:.1} allocations a fork");
+        }
+    }
 }

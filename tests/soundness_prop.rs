@@ -878,9 +878,9 @@ proptest! {
 
 /// Steal-heavy adaptation on skewed per-iteration costs: the SPMVT
 /// kernel (row cost grows linearly) under forced work-stealing with
-/// tiny chunks — maximum steal traffic — on the real threaded backend
+/// tiny chunks — maximum claim traffic — on the real threaded backend
 /// at several worker counts. Output bytes must match the serial
-/// reference under every victim/steal interleaving.
+/// reference under every claim interleaving.
 #[test]
 fn steal_heavy_skewed_costs_preserve_output_bytes() {
     use polaris::machine::{AdaptiveController, Schedule};
